@@ -28,10 +28,10 @@
 //!   fallbacks, from one instrumented hybrid run. CI gates on the
 //!   sweep keeping the first two jointly nonzero.
 //! - `compiled/opcodes/{name}` — per-opcode dispatch counts from one
-//!   profiled `spmv` pass at the largest size. Profiling pins the
-//!   untyped per-op path (the typed and pinned fast paths have no
-//!   per-op hook by design), so these counts describe the opcode mix,
-//!   not the timed runs' dispatch rate.
+//!   profiled `spmv` pass at the largest size. Profiling keeps the
+//!   whole entry on the per-op loop (the typed loop has no per-op
+//!   hook by design), so these counts describe the opcode mix, not
+//!   the timed runs' dispatch rate.
 //!
 //! The sweep is capped by `COMPILED_MAX_NNZ` (default 1,048,576; CI
 //! smoke runs can lower it, unoptimized builds default to 65,536).
@@ -175,7 +175,7 @@ fn main() {
     }
 
     // Opcode mix of the flagship kernel: one profiled pass (profiling
-    // forces the untyped per-op path, so this is not a timed entry).
+    // keeps the entry on the per-op loop, so this is not a timed entry).
     let scale = SparseScale {
         n: (top / 16).max(1),
         nnz: top,

@@ -22,10 +22,11 @@
 //!   — so the store is byte-identical to per-access traffic at every
 //!   observable point.
 //! - **Pre-pinned arrays.** Eligibility requires every referenced
-//!   array to be materialized already (otherwise the entry falls back
-//!   to the untyped tier, which materializes lazily in interpreter
-//!   order); the specialized run then pins all payloads up front and
-//!   `Ensure` ops compile away.
+//!   array to be materialized already (otherwise the entry starts on
+//!   the per-op path, which materializes lazily in interpreter order
+//!   and hands over at the first iteration boundary where the
+//!   precondition holds); the specialized run then pins all payloads
+//!   up front and `Ensure` ops compile away.
 //! - **Local value numbering.** Duplicate pure ops (subscript
 //!   arithmetic, loads) within a straight-line region are eliminated —
 //!   safe because compute ops never charge fuel, so the cost ledger is
@@ -33,11 +34,11 @@
 //!
 //! A nest the inference cannot type soundly — a register written both
 //! `Int` and `Real` across branches — returns `None` and the loop
-//! stays on the untyped tier. Parity remains the contract: same fuel
+//! stays on the per-op path. Parity remains the contract: same fuel
 //! ledger positions, same error identities, same store at exit.
 
 use super::{CompiledBody, Op, Opnd};
-use crate::interp::{ArrayData, ExecError, Interp, Value};
+use crate::interp::{advance_induction, ArrayData, ExecError, Interp, Value};
 use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
 use std::collections::HashMap;
 
@@ -317,7 +318,7 @@ enum Ty {
 }
 
 /// Builds the typed program, or `None` when the nest cannot be typed
-/// statically (the untyped tier remains correct for it).
+/// statically (the per-op path remains correct for it).
 pub(crate) fn specialize(program: &Program, cb: &CompiledBody) -> Option<FastBody> {
     Builder::new(program, cb).build()
 }
@@ -1661,9 +1662,31 @@ fn peephole(fb: &mut FastBody) {
     }
 }
 
-/// Raw view of one pinned array payload (see the untyped tier's `Pin`
-/// for the safety argument: nothing in a compiled body can move a
-/// payload, and pins never outlive one loop entry).
+/// Raw view of one array pinned for the duration of a typed loop
+/// entry: materialized, uniquely owned, its payload addressed
+/// directly. Writes are counted locally and land on the store's
+/// version counter at flush, so the version arithmetic is identical to
+/// per-write bumps without paying them per element.
+///
+/// # Safety
+///
+/// The raw pointers stay valid and unaliased for as long as a pin
+/// lives because:
+///
+/// - *Unique ownership at pin time.* `run_fast_iters` takes each
+///   pointer from `Store::array_make_mut` (`Arc::make_mut`, exactly
+///   the clone a first tree-walk write would take), so no snapshot or
+///   worker clone shares the payload.
+/// - *The payload cannot move.* Element writes never resize an array,
+///   every referenced array is already materialized (`fast_ready`, so
+///   no store slot is filled mid-run), and compiled bodies contain no
+///   calls, prints, or dispatcher re-entry — nothing else touches the
+///   store while the typed loop runs (`run_fblock` takes `&self`).
+/// - *Pins never outlive one `run_fast_iters` call.* They live in its
+///   local `FState` and are dropped before it returns.
+///
+/// Every index reaching `rd_*`/`wr_*` has passed `chk` (or the
+/// per-dimension check of `IndexN`) against the extents cached here.
 struct RawPin {
     ip: *mut i64,
     fp: *mut f64,
@@ -1872,8 +1895,9 @@ fn cmp_res(op: BinOp, ord: std::cmp::Ordering) -> i64 {
 
 impl<'p> Interp<'p> {
     /// Whether every array the typed body references is materialized
-    /// — the precondition for pre-pinning (otherwise this entry runs
-    /// on the untyped tier, which materializes in interpreter order).
+    /// — the precondition for pre-pinning (until it holds the entry
+    /// runs on the per-op path, which materializes in interpreter
+    /// order).
     pub(crate) fn fast_ready(&self, fb: &FastBody) -> bool {
         fb.arrays.iter().all(|a| self.store.array_ref(*a).is_some())
     }
@@ -1891,27 +1915,15 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Executes the typed outermost loop: same observable semantics as
-    /// [`Interp::run_compiled_loop`], with scalars promoted to
-    /// registers and every array payload pinned for the whole entry.
-    pub(crate) fn run_fast_body(
-        &mut self,
-        s: StmtId,
-        fb: &FastBody,
-        lo: i64,
-        hi: i64,
-        step: i64,
-    ) -> Result<(), ExecError> {
-        let entry = self.stats.loops.entry(s).or_default();
-        entry.invocations += 1;
-        let cost_at_entry = self.stats.total_cost;
-        self.run_fast_iters(s, fb, lo, hi, step, cost_at_entry)
-    }
-
-    /// The iteration engine behind [`Interp::run_fast_body`], also the
-    /// continuation target when the untyped tier switches over
-    /// mid-loop (entry bookkeeping — the invocation count and the cost
-    /// baseline — belongs to the caller in that case).
+    /// Executes iterations `lo..=hi` of the typed outermost loop: same
+    /// observable semantics as [`Interp::run_compiled_loop`], with
+    /// scalars promoted to registers and every array payload pinned
+    /// for the whole call. `run_compiled_loop` is the only caller: it
+    /// hands over at an iteration boundary, having already done the
+    /// entry bookkeeping (the invocation count and `cost_at_entry`).
+    /// It keeps scalars, fuel, cost and versions on the interpreter
+    /// itself, so everything loaded here is already current and the
+    /// hand-over needs no flush.
     pub(crate) fn run_fast_iters(
         &mut self,
         s: StmtId,
@@ -1978,7 +1990,9 @@ impl<'p> Interp<'p> {
             if let Err(e) = st.charge(1) {
                 break Err(e); // loop bookkeeping
             }
-            i += step;
+            if !advance_induction(&mut i, step) {
+                break Ok(());
+            }
         };
         if res.is_ok() {
             // Fortran leaves the induction variable at the first
@@ -2330,7 +2344,9 @@ impl<'p> Interp<'p> {
                         }
                         self.run_fblock(fb, *body, st)?;
                         st.charge(1)?; // loop bookkeeping
-                        i += stp;
+                        if !advance_induction(&mut i, stp) {
+                            break;
+                        }
                     }
                     if *var_real {
                         st.frs(*var, i as f64);

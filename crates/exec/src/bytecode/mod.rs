@@ -40,6 +40,18 @@
 //! back to the interpreter via a reason-coded
 //! [`FallbackReason`](crate::dispatch::FallbackReason).
 //!
+//! **Two dispatch loops.** `exec` replays the `Value` bytecode one op
+//! at a time against the interpreter's own store, fuel and statistics
+//! (parallel workers, profiled runs, untypeable nests); `fast`
+//! re-lowers a nest whose types are all static into split `i64`/`f64`
+//! register planes over pre-pinned array payloads. The typed loop needs
+//! every referenced array materialized, and lazy materialization cannot
+//! be hoisted (extents read live scalars, random fill draws from one
+//! shared stream, untaken branches must leave their arrays
+//! unmaterialized), so a typeable entry whose arrays are not all live
+//! yet starts per-op and hands over to the typed loop at the first
+//! iteration boundary where they are.
+//!
 //! Trust discipline mirrors the raw-pointer strategies: the driver's
 //! `CompiledPlan` is an advisory claim. The executor never runs a plan
 //! — it re-lowers the nest from the AST at dispatch (cached per
@@ -453,30 +465,101 @@ impl LoopDispatcher for CompiledDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{ExecError, ExecOutcome, Interp};
+    use crate::interp::{ArrayData, ExecError, ExecStats, Interp};
+    use crate::parallel::ParallelPlan;
     use irr_frontend::parse_program;
 
-    fn both(src: &str) -> (ExecOutcome, ExecOutcome, CompiledDispatch) {
+    /// [`assert_same_run`] of a program that must complete; returns the
+    /// compiled run's dispatch counters.
+    fn assert_parity(src: &str) -> CompiledDispatch {
         let p = parse_program(src).unwrap();
-        let seq = Interp::new(&p).run().unwrap();
-        let mut d = CompiledDispatch::new();
-        let comp = Interp::new(&p).run_dispatched(&mut d).unwrap();
-        (seq, comp, d)
+        let ran = assert_same_run(&p, |_| {});
+        assert_eq!(ran.res, Ok(()));
+        ran.dispatch
     }
 
-    /// Byte-identical store, output, total cost, and per-loop stats.
-    fn assert_parity(src: &str) -> CompiledDispatch {
-        let (seq, comp, d) = both(src);
-        assert_eq!(seq.store, comp.store);
-        assert_eq!(seq.output, comp.output);
-        assert_eq!(seq.stats.total_cost, comp.stats.total_cost);
-        assert_eq!(seq.stats.loops.len(), comp.stats.loops.len());
-        for (s, ls) in &seq.stats.loops {
-            let cs = &comp.stats.loops[s];
+    fn assert_stats_eq(seq: &ExecStats, comp: &ExecStats) {
+        assert_eq!(seq.total_cost, comp.total_cost);
+        assert_eq!(seq.loops.len(), comp.loops.len());
+        for (s, ls) in &seq.loops {
+            let cs = &comp.loops[s];
             assert_eq!(ls.invocations, cs.invocations, "invocations of {s:?}");
             assert_eq!(ls.total_cost, cs.total_cost, "cost of {s:?}");
         }
-        d
+    }
+
+    /// The compiled side of [`assert_same_run`].
+    struct Ran<'p> {
+        comp: Interp<'p>,
+        /// Snapshot of `comp`'s store taken after setup, before the
+        /// run: it shares every preset payload with `comp`.
+        pre: Store,
+        dispatch: CompiledDispatch,
+        res: Result<(), ExecError>,
+    }
+
+    impl Ran<'_> {
+        /// Whether the typed loop ran over the preset, read-only array
+        /// `name`. The typed loop takes unique ownership of every
+        /// payload it pins (`RawPin`'s safety argument), un-sharing it
+        /// from the snapshot; the per-op loop never clones an array it
+        /// only reads. So payload identity tells which loop ran, with
+        /// no instrumentation in the executors.
+        fn typed_loop_pinned(&self, name: &str) -> bool {
+            let a = self.comp.program().symbols.lookup(name).unwrap();
+            !std::ptr::eq(
+                self.pre.array_ref(a).unwrap(),
+                self.comp.store.array_ref(a).unwrap(),
+            )
+        }
+    }
+
+    /// Runs `p`'s main procedure on the tree-walk and on the compiled
+    /// tier, each after `setup`, and asserts the two interpreters are
+    /// observably identical whether or not the run completed: result
+    /// (error payload included), store bytes, array versions, output,
+    /// remaining fuel, total cost, per-loop stats.
+    fn assert_same_run<'p>(p: &'p Program, setup: impl Fn(&mut Interp<'p>)) -> Ran<'p> {
+        let mut seq = Interp::new(p);
+        setup(&mut seq);
+        let seq_res = seq.exec_proc(p.main());
+        let mut comp = Interp::new(p);
+        setup(&mut comp);
+        let pre = comp.store.clone();
+        let mut dispatch = CompiledDispatch::new();
+        let res = comp.exec_proc_with(p.main(), &mut dispatch);
+        assert_eq!(seq_res, res);
+        assert_eq!(seq.store, comp.store);
+        for (v, _) in p.symbols.iter() {
+            assert_eq!(
+                seq.store.array_version(v),
+                comp.store.array_version(v),
+                "version of {}",
+                p.symbols.name(v)
+            );
+        }
+        assert_eq!(seq.output, comp.output);
+        assert_eq!(seq.fuel, comp.fuel);
+        assert_stats_eq(&seq.stats, &comp.stats);
+        Ran {
+            comp,
+            pre,
+            dispatch,
+            res,
+        }
+    }
+
+    /// Presets the read-only input `x(8)` of the hand-over programs.
+    fn preset_x(it: &mut Interp<'_>) {
+        let x = it.program().symbols.lookup("x").unwrap();
+        let data = (1..=8).map(|k| k as f64 * 0.5).collect();
+        it.preset_array(
+            x,
+            ArrayData::Real {
+                dims: vec![8],
+                data,
+            },
+        );
     }
 
     #[test]
@@ -575,12 +658,8 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let seq = Interp::new(&p).run().unwrap_err();
-        let comp = Interp::new(&p)
-            .run_dispatched(&mut CompiledDispatch::new())
-            .unwrap_err();
-        assert_eq!(seq, comp);
-        assert!(matches!(seq, ExecError::OutOfBounds { .. }));
+        let ran = assert_same_run(&p, |_| {});
+        assert!(matches!(ran.res, Err(ExecError::OutOfBounds { .. })));
     }
 
     /// Satellite: a tight fuel budget must exhaust at the same point —
@@ -596,30 +675,9 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         for fuel in [7u64, 100, 1001] {
-            let mut seq = Interp::new(&p);
-            seq.fuel = fuel;
-            let seq_err = seq.run().unwrap_err();
-            let mut comp = Interp::new(&p);
-            comp.fuel = fuel;
-            let mut d = CompiledDispatch::new();
-            let comp_err = comp.run_dispatched(&mut d).unwrap_err();
-            assert_eq!(seq_err, ExecError::OutOfFuel);
-            assert_eq!(comp_err, ExecError::OutOfFuel);
+            let ran = assert_same_run(&p, |it| it.fuel = fuel);
+            assert_eq!(ran.res, Err(ExecError::OutOfFuel));
         }
-        // Cost at the exhaustion point matches exactly.
-        let mut seq = Interp::new(&p);
-        seq.fuel = 100;
-        seq.run().unwrap_err();
-        // `run` consumes; re-run with stats captured via run_dispatched.
-        let mut a = Interp::new(&p);
-        a.fuel = 100;
-        let _ = a.exec_proc(p.main());
-        let mut b = Interp::new(&p);
-        b.fuel = 100;
-        let mut d = CompiledDispatch::new();
-        let _ = b.exec_proc_with(p.main(), &mut d);
-        assert_eq!(a.stats.total_cost, b.stats.total_cost);
-        assert_eq!(a.store, b.store);
     }
 
     #[test]
@@ -685,5 +743,211 @@ mod tests {
         assert_eq!(by_name["gather"], 20);
         assert_eq!(by_name["accum"], 20);
         assert!(prof.dispatches() > 0);
+    }
+
+    /// The hand-over shape: `x` is preset and the outputs first
+    /// materialize inside the loop — `z` in iteration 1, `y` (first in
+    /// program text) in iteration 2 — so the entry starts on the per-op
+    /// loop and switches to the typed one at the boundary before
+    /// iteration 3.
+    const HANDOVER_SRC: &str = "program t
+         integer i
+         real x(8), y(8), z(8), s
+         do i = 1, 8
+           if (i > 1) then
+             y(i) = x(i) + y(9 - i)
+           endif
+           z(i) = x(i) * 2.0 + z(9 - i)
+           s = s + z(i)
+         enddo
+         print s, y(8), i
+         end";
+
+    /// Hand-over (a): the random-fill draws made while `z` and then
+    /// `y` materialize inside the loop come off the shared stream in
+    /// interpreter order (not program-text order, which materializing
+    /// up front would use), and the typed loop continues from exactly
+    /// that store.
+    #[test]
+    fn handover_preserves_random_fill_draw_order() {
+        let p = parse_program(HANDOVER_SRC).unwrap();
+        let ran = assert_same_run(&p, |it| {
+            preset_x(it);
+            it.set_random_fill(0x5eed);
+        });
+        assert_eq!(ran.res, Ok(()));
+        assert!(ran.typed_loop_pinned("x"), "typed loop never took over");
+        // The fill is live: `y(9 - i)` read random data, not zeros.
+        let y = p.symbols.lookup("y").unwrap();
+        let mut zero_fill = Interp::new(&p);
+        preset_x(&mut zero_fill);
+        zero_fill.exec_proc(p.main()).unwrap();
+        assert_ne!(
+            zero_fill.store.array_as_reals(y),
+            ran.comp.store.array_as_reals(y)
+        );
+    }
+
+    /// Hand-over (b): every fuel budget from zero to a completed run —
+    /// so exhaustion inside iteration 1, at each iteration boundary,
+    /// and after the switch — stops both tiers at the same point.
+    #[test]
+    fn handover_fuel_exhaustion_points_are_identical() {
+        let p = parse_program(HANDOVER_SRC).unwrap();
+        let mut full = Interp::new(&p);
+        preset_x(&mut full);
+        full.exec_proc(p.main()).unwrap();
+        let total = full.stats.total_cost;
+        let (mut exhausted_untaken, mut exhausted_taken) = (0, 0);
+        for fuel in 0..=total {
+            let ran = assert_same_run(&p, |it| {
+                preset_x(it);
+                it.fuel = fuel;
+            });
+            match (&ran.res, ran.typed_loop_pinned("x")) {
+                (Err(ExecError::OutOfFuel), false) => exhausted_untaken += 1,
+                (Err(ExecError::OutOfFuel), true) => exhausted_taken += 1,
+                (Ok(()), true) => assert_eq!(fuel, total),
+                other => panic!("fuel {fuel}: {other:?}"),
+            }
+        }
+        // Both sides of the switch were exhausted.
+        assert!(exhausted_untaken > 0 && exhausted_taken > 0);
+    }
+
+    /// Hand-over (c): an out-of-bounds subscript raised by the per-op
+    /// loop (iteration 1) and by the typed loop (iteration 3, after the
+    /// switch) carries the tree-walk's payload and leaves its store.
+    #[test]
+    fn handover_out_of_bounds_payload_is_identical() {
+        for (bad_iter, after_switch) in [(1, false), (3, true)] {
+            let src = format!(
+                "program t
+                 integer i, k
+                 real x(8), y(8), z(8)
+                 do i = 1, 8
+                   k = i
+                   if (i == {bad_iter}) then
+                     k = 9
+                   endif
+                   y(i) = x(i)
+                   if (i > 1) then
+                     z(i) = y(i - 1)
+                   endif
+                   z(k) = x(i)
+                 enddo
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            let ran = assert_same_run(&p, preset_x);
+            assert_eq!(
+                ran.res,
+                Err(ExecError::OutOfBounds {
+                    array: "z".to_string(),
+                    index: 9,
+                    extent: 8
+                })
+            );
+            assert_eq!(ran.typed_loop_pinned("x"), after_switch);
+        }
+    }
+
+    /// Hand-over (d), the `rowgather`-on-uniform shape: `w` is
+    /// referenced only under a branch that is never taken, so it never
+    /// materializes, the typed loop's precondition never holds, and the
+    /// whole entry completes on the per-op loop.
+    #[test]
+    fn never_ready_entry_completes_on_the_per_op_loop() {
+        let src = "program t
+             integer i
+             real x(8), y(8), w(8)
+             do i = 1, 8
+               if (x(i) < 0.0) then
+                 y(i) = w(i)
+               else
+                 y(i) = x(i) * 3.0
+               endif
+             enddo
+             print y(8)
+             end";
+        let p = parse_program(src).unwrap();
+        let mut ran = assert_same_run(&p, preset_x);
+        assert_eq!(ran.res, Ok(()));
+        assert!(!ran.typed_loop_pinned("x"));
+        // Not for want of a typed body: the nest specializes, its
+        // arrays are just never all live.
+        let s = p
+            .stmts_in(&p.procedure(p.main()).body)
+            .into_iter()
+            .find(|s| p.stmt(*s).kind.is_loop())
+            .unwrap();
+        let cb = ran.comp.compiled_body_for(s).unwrap();
+        let fb = ran.comp.fast_body_for(s, &cb).expect("specializes");
+        assert!(!ran.comp.fast_ready(&fb));
+    }
+
+    /// Requests the parallel executor at every loop entry — the
+    /// hybrid runtime's dispatch, minus its guards.
+    #[derive(Default)]
+    struct AlwaysParallel {
+        failed: Vec<FallbackReason>,
+    }
+
+    impl LoopDispatcher for AlwaysParallel {
+        fn dispatch(&mut self, _: &Store, _: StmtId, _: i64, _: i64, _: i64) -> LoopDecision {
+            LoopDecision::Parallel(ParallelPlan::default())
+        }
+
+        fn parallel_failed(&mut self, _: StmtId, reason: FallbackReason) {
+            self.failed.push(reason);
+        }
+    }
+
+    /// A loop whose last iteration sits at `i64::MAX` ends there on
+    /// every executor — no overflow panic, no wrap-around spin — with
+    /// the induction variable at the wrapped sum; the chunked executor
+    /// declines the trip-count arithmetic and falls back.
+    #[test]
+    fn induction_overflow_ends_the_loop_on_every_executor() {
+        let src = "program t
+             integer i, j, n
+             real a(3), b(3)
+             do i = 9223372036854775805, 9223372036854775807
+               n = n + 1
+               a(n) = n * 1.5
+             enddo
+             print n, i
+             n = 0
+             do i = 1, 2
+               do j = 9223372036854775806, 9223372036854775807
+                 n = n + 1
+               enddo
+               b(i) = n
+             enddo
+             print n, i, j
+             do i = -9223372036854775807, -9223372036854775807 - 1, -1
+               n = n + 1
+             enddo
+             print n, i
+             end";
+        let p = parse_program(src).unwrap();
+        let seq = Interp::new(&p).run().unwrap();
+        assert_eq!(
+            seq.output,
+            vec![
+                "3 -9223372036854775808",
+                "4 3 -9223372036854775808",
+                "6 9223372036854775807"
+            ]
+        );
+        // Hand-over (`a` materializes in iteration 1) and typed inner
+        // loop included.
+        let ran = assert_same_run(&p, |_| {});
+        assert_eq!(ran.comp.output, seq.output);
+        let mut hybrid = AlwaysParallel::default();
+        let par = Interp::new(&p).run_dispatched(&mut hybrid).unwrap();
+        assert_eq!(par.output, seq.output);
+        assert_eq!(par.store, seq.store);
+        assert!(hybrid.failed.contains(&FallbackReason::Unsupported));
     }
 }

@@ -1025,7 +1025,9 @@ impl<'p> Interp<'p> {
                     if record {
                         iter_costs.push(self.stats.total_cost - c0);
                     }
-                    i += step;
+                    if !advance_induction(&mut i, step) {
+                        break;
+                    }
                 }
                 if traced {
                     if let Some(t) = &mut self.tracer {
@@ -1222,6 +1224,18 @@ impl<'p> Interp<'p> {
     fn write_element(&mut self, a: VarId, idx: usize, val: Value) {
         self.store.write_element(a, idx, val);
     }
+}
+
+/// Steps a `do` induction value. Returns `false` when `i + step`
+/// overflows `i64`: no further value can be in range, so the loop ends
+/// there, with the induction variable at the wrapped sum (integer
+/// arithmetic in the language wraps, see [`apply_bin`]). Every executor
+/// steps through this one function so they agree on the edge.
+#[inline]
+pub(crate) fn advance_induction(i: &mut i64, step: i64) -> bool {
+    let (next, overflowed) = i.overflowing_add(step);
+    *i = next;
+    !overflowed
 }
 
 pub(crate) fn apply_bin(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {

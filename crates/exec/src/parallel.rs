@@ -505,7 +505,8 @@ fn prepare_concat(
 /// # Errors
 ///
 /// [`ParallelError::NotADoLoop`] when the statement is not a `do` loop;
-/// [`ParallelError::UnsupportedStep`] when `step != 1`;
+/// [`ParallelError::UnsupportedStep`] when `step != 1` or the trip
+/// count (or `hi + 1`) does not fit the chunk arithmetic;
 /// [`ParallelError::WriteConflict`] when chunks write the same
 /// location; [`ParallelError::ShapeMismatch`] when chunks disagree on
 /// an array's shape; [`ParallelError::WorkerPanic`] when a worker
@@ -538,7 +539,14 @@ pub fn exec_do_parallel(
         interp.store.set_scalar(var, ty, Value::Int(lo));
         return Ok(plan.strategy);
     }
-    let n = (hi - lo + 1) as usize;
+    // The chunk arithmetic below (trip count, chunk bounds, the
+    // workers' `i += 1`, the final `hi + 1`) needs `hi + 1` and the
+    // trip count representable; an `i64`-edge loop that is not takes
+    // the sequential fallback like any other unsupported shape.
+    let trip = hi.checked_add(1).and_then(|end| end.checked_sub(lo));
+    let Some(n) = trip.and_then(|t| usize::try_from(t).ok()) else {
+        return Err(ParallelError::UnsupportedStep { step });
+    };
     let threads = plan.threads.clamp(1, n);
     // Chunk boundaries.
     let mut chunks: Vec<(i64, i64)> = Vec::with_capacity(threads);

@@ -288,3 +288,33 @@ fn store_versions_track_writes_not_reads() {
     let out2 = Interp::new(&p).run().unwrap();
     assert_eq!(out2.store.array_version(idx), v0);
 }
+
+#[test]
+fn loop_ending_at_i64_max_terminates_identically_on_the_hybrid_runtime() {
+    // The last iteration sits at `i64::MAX`: stepping past it would
+    // overflow, so every executor ends the loop there (induction
+    // variable at the wrapped sum), and the chunked executor declines
+    // the unrepresentable `hi + 1` instead of panicking.
+    let src = "program t
+         integer i, n
+         real a(3)
+         do i = 9223372036854775805, 9223372036854775807
+           a(i - 9223372036854775804) = 1.5
+           n = n + 1
+         enddo
+         print n, i, a(3)
+         end";
+    let rep = compile_source(src, DriverOptions::with_iaa()).unwrap();
+    let seq = Interp::new(&rep.program).run().unwrap();
+    assert_eq!(seq.output, vec!["3 -9223372036854775808 1.5"]);
+    let hybrid = run_hybrid(&rep, HybridConfig::default()).unwrap();
+    let t = &hybrid.telemetry;
+    assert_eq!(
+        (t.compile_time_parallel, t.fallback_unsupported),
+        (1, 1),
+        "{t:?}"
+    );
+    assert_eq!(hybrid.outcome.output, seq.output);
+    assert_eq!(hybrid.outcome.store, seq.store);
+    assert_eq!(hybrid.outcome.stats.total_cost, seq.stats.total_cost);
+}
