@@ -6,7 +6,7 @@
 //! Eigenmann make the same move explicit: propagate index-array
 //! properties *interprocedurally* at compile time instead of
 //! re-inspecting at every phase boundary. Without summaries, every
-//! `call` is a property barrier — [`evolution`](crate::evolution)
+//! `call` is a property barrier — [`crate::evolution`]
 //! clears all facts and the property solver refuses to look across
 //! non-inlined calls.
 //!
@@ -128,7 +128,7 @@ pub struct SummaryAnalysis {
 
 impl SummaryAnalysis {
     /// Computes summaries for every routine, callees before callers.
-    /// Routines on call-graph cycles stay [`ProcSummary::unknown`].
+    /// Routines on call-graph cycles stay [`ProcSummary::opaque`].
     pub fn new(ctx: &AnalysisCtx<'_>) -> SummaryAnalysis {
         Self::new_budgeted(ctx, None)
     }

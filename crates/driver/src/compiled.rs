@@ -1,34 +1,38 @@
-//! Advisory compiled-tier plans: a pure-syntactic restatement of the
-//! executor's bytecode-lowering eligibility rules.
+//! The compiled tier's compile-time artefact: the register bytecode IR,
+//! its lowering, and the advisory [`CompiledPlan`] read off a lowered
+//! nest.
 //!
-//! The executor owns the authoritative lowering (`irr-exec`'s
-//! `bytecode` module) and *never* trusts the driver: at dispatch it
-//! re-lowers the loop nest from the AST, so a forged or stale
-//! [`CompiledPlan`] can change performance but never semantics. This
-//! module exists so that (a) the driver can annotate each verdict with
-//! the plan a runtime should expect, next to the strategy facts, and
-//! (b) the lint layer can re-derive the plan with the same function and
-//! flag verdicts whose plan was tampered with.
+//! [`lower_do_loop`] is the one function in the workspace that decides
+//! whether a `do` nest can run on the bytecode backend, and it decides
+//! by producing the [`CompiledBody`] the backend replays. The driver
+//! annotates each verdict with [`CompiledBody::plan`] of that body, next
+//! to the strategy facts; the lint layer re-derives the plan with
+//! [`derive_compiled_plan`] and flags verdicts whose plan was tampered
+//! with.
 //!
-//! The rules here mirror the lowering one-for-one — same statement
-//! whitelist, same expression rejections, same register accounting —
-//! and must be kept in sync with it. Divergence is tolerated in exactly
-//! one direction at run time: when the plan says "compiled" but the
-//! executor rejects, the loop falls back to the tree-walk with a
-//! reason-coded telemetry counter.
+//! The executor (`irr-exec`'s `bytecode` module) *never* trusts a
+//! verdict's plan: at dispatch it calls the same [`lower_do_loop`] on
+//! the AST, exactly as it re-derives the in-place and concat proofs
+//! with [`crate::derive_in_place_facts`] and
+//! [`crate::derive_concat_shape`]. A forged or stale plan can therefore
+//! change which tier is *requested*, never what runs: when the plan
+//! says "compiled" but the nest does not lower, the loop falls back to
+//! the tree-walk with a reason-coded telemetry counter.
 
-use irr_frontend::{
-    BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
-};
+mod lower;
 
-/// What the compiled tier will do with a loop nest, derived without
-/// executing anything. Also a fingerprint: the lint layer re-derives
-/// the plan and compares for equality, so every field must be a pure
-/// function of the program.
+pub use lower::{lower_do_loop, LowerReject};
+
+use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
+
+/// What the compiled tier will do with a loop nest: a summary of its
+/// lowered body. Also a fingerprint: the lint layer re-derives the plan
+/// and compares for equality, so every field is a pure function of the
+/// program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CompiledPlan {
-    /// Registers the bytecode body allocates (the executor's `u16`
-    /// register file uses the same accounting).
+    /// Registers the bytecode body allocates
+    /// ([`CompiledBody::register_count`]).
     pub registers: u32,
     /// Inner loops (`do` and `while`) in the nest, root excluded.
     pub inner_loops: u32,
@@ -42,288 +46,331 @@ pub struct CompiledPlan {
     pub accumulates: u32,
 }
 
-/// Derives the advisory compiled-tier plan for the `do` loop at
-/// `loop_stmt`, or `None` when the nest contains a construct the
-/// bytecode executor refuses to lower: procedure calls, `print`,
-/// `return`, logical/comparison operators in numeric position,
-/// intrinsics with too few arguments, subscripted scalars or
-/// over-subscripted arrays, or a register file past `u16`.
+/// The advisory compiled-tier plan for the `do` loop at `loop_stmt`:
+/// the summary of its lowered body, or `None` when [`lower_do_loop`]
+/// rejects the nest.
 pub fn derive_compiled_plan(program: &Program, loop_stmt: StmtId) -> Option<CompiledPlan> {
-    let StmtKind::Do { body, .. } = &program.stmt(loop_stmt).kind else {
-        return None;
-    };
-    let mut w = Walk {
-        program,
-        plan: CompiledPlan::default(),
-        temps: 0,
-    };
-    w.walk_stmts(body).ok()?;
-    if w.temps > u16::MAX as u32 {
-        return None;
-    }
-    w.plan.registers = w.temps;
-    Some(w.plan)
+    lower_do_loop(program, loop_stmt).ok().map(|cb| cb.plan())
 }
 
-/// Eligibility failure. Carries no payload: the executor's lowering
-/// owns the reason tokens; this walk only answers yes/no.
-struct Reject;
-
-type Elig<T> = Result<T, Reject>;
-
-struct Walk<'p> {
-    program: &'p Program,
-    plan: CompiledPlan,
-    /// Temp-register count, mirroring the lowering's allocator.
-    temps: u32,
+/// An instruction operand: a temp register, a scalar store slot, or an
+/// immediate. Scalar reads are deferred to the consuming instruction —
+/// expressions cannot write scalars, so the deferred read observes the
+/// same value the interpreter's eager left-to-right evaluation would.
+#[derive(Clone, Copy, Debug)]
+pub enum Opnd {
+    /// Temp register.
+    T(u16),
+    /// Scalar store slot (dense `VarId` index).
+    S(VarId),
+    /// Integer immediate.
+    I(i64),
+    /// Real immediate.
+    R(f64),
 }
 
-impl<'p> Walk<'p> {
-    fn temp(&mut self) {
-        self.temps = self.temps.saturating_add(1);
-    }
+/// One bytecode instruction. Temp register indices (`u16`) index the
+/// per-execution register file; jump targets are indices into the
+/// instruction's own block.
+#[derive(Clone, Debug)]
+pub enum Op {
+    /// Charge `n` cost/fuel units — emitted at every statement entry
+    /// (and nowhere else), so total cost and the out-of-fuel point
+    /// match the interpreter exactly.
+    Charge(u64),
+    /// `t[dst] = src`.
+    Mov { dst: u16, src: Opnd },
+    /// `t[dst] = a op b` with the interpreter's `apply_bin` semantics
+    /// (wrapping integer arithmetic, euclidean div/mod, zero checks).
+    Bin {
+        op: BinOp,
+        dst: u16,
+        a: Opnd,
+        b: Opnd,
+    },
+    /// `t[dst] = -src`.
+    Neg { dst: u16, src: Opnd },
+    /// `t[dst] = (a op b) as 0/1` with `eval_cond` ordering semantics
+    /// (exact integer compare, NaN compares equal).
+    Cmp {
+        op: BinOp,
+        dst: u16,
+        a: Opnd,
+        b: Opnd,
+    },
+    /// `t[dst] = (src != 0.0) as 0/1` (condition fallback truthiness).
+    Truthy { dst: u16, src: Opnd },
+    /// `t[t] = 1 - t[t]` (logical not over a 0/1 condition register).
+    Not { t: u16 },
+    /// One-argument intrinsic.
+    Intr1 { f: Intrinsic, dst: u16, a: Opnd },
+    /// Two-argument intrinsic.
+    Intr2 {
+        f: Intrinsic,
+        dst: u16,
+        a: Opnd,
+        b: Opnd,
+    },
+    /// Unconditional jump within the block.
+    Jump { target: u32 },
+    /// Jump when the 0/1 condition register is 0.
+    JumpIfZero { src: u16, target: u32 },
+    /// Jump when the 0/1 condition register is non-0.
+    JumpIfNonZero { src: u16, target: u32 },
+    /// Materialize `arr` if needed (evaluating declared extents) —
+    /// emitted before subscript evaluation exactly where the
+    /// interpreter's `flat_index` would, preserving materialization
+    /// order, write-log records, and the random-fill stream.
+    Ensure { arr: VarId },
+    /// Column-major flat index of `n` subscripts held in consecutive
+    /// temps `t[base..base+n]`, bounds-checked per dimension;
+    /// `t[dst] = flat index`. `arr` must be materialized.
+    IndexN {
+        arr: VarId,
+        base: u16,
+        n: u8,
+        dst: u16,
+    },
+    /// `t[dst] = arr[t[idx]]` (flat index previously checked).
+    LoadAt { arr: VarId, idx: u16, dst: u16 },
+    /// `arr[t[idx]] = src` through the store's full write path
+    /// (overlay intercept, copy-on-write, version bump, write log).
+    StoreAt { arr: VarId, idx: u16, src: Opnd },
+    /// Fused 1-subscript load: ensure, bounds-check `sub` against the
+    /// first extent, read.
+    LoadElem1 { arr: VarId, sub: Opnd, dst: u16 },
+    /// Fused 1-subscript store.
+    StoreElem1 { arr: VarId, sub: Opnd, src: Opnd },
+    /// Fused affine load `arr(base + off)`; `base` is an
+    /// integer-typed scalar slot.
+    LoadAffine {
+        arr: VarId,
+        base: VarId,
+        off: i64,
+        dst: u16,
+    },
+    /// Fused affine store `arr(base + off) = src` — the proven
+    /// in-place-disjoint write pattern.
+    StoreAffine {
+        arr: VarId,
+        base: VarId,
+        off: i64,
+        src: Opnd,
+    },
+    /// Fused gather `arr(idx_arr(sub))`: both arrays ensured in
+    /// interpreter order, both subscripts bounds-checked.
+    Gather {
+        arr: VarId,
+        idx_arr: VarId,
+        sub: Opnd,
+        dst: u16,
+    },
+    /// Fused gather-store `arr(idx_arr(sub)) = src`.
+    Scatter {
+        arr: VarId,
+        idx_arr: VarId,
+        sub: Opnd,
+        src: Opnd,
+    },
+    /// Scalar write with declared-type coercion and write-log record.
+    SetScalar {
+        var: VarId,
+        ty: ScalarType,
+        src: Opnd,
+    },
+    /// Fused reduction accumulate `var = var op src` (`rev` swaps the
+    /// operand order: `var = src op var`).
+    Accum {
+        var: VarId,
+        ty: ScalarType,
+        op: BinOp,
+        rev: bool,
+        src: Opnd,
+    },
+    /// Fused append-through-pointer: `arr(ptr) = src` followed by the
+    /// second statement's charge and `ptr = ptr + 1` — the
+    /// privatize-and-concat write pattern.
+    Append {
+        arr: VarId,
+        ptr: VarId,
+        ty: ScalarType,
+        src: Opnd,
+    },
+    /// A nested `do` loop: bounds read from operands (already
+    /// evaluated in-order by preceding ops), induction writes logged,
+    /// per-loop statistics maintained exactly as the interpreter's.
+    DoLoop {
+        var: VarId,
+        ty: ScalarType,
+        stmt: StmtId,
+        lo: Opnd,
+        hi: Opnd,
+        step: Opnd,
+        body: u16,
+    },
+    /// A nested `while` loop: the condition block leaves 0/1 in
+    /// `cond_temp` before every iteration.
+    WhileLoop {
+        stmt: StmtId,
+        cond: u16,
+        cond_temp: u16,
+        body: u16,
+    },
+}
 
-    fn ty(&self, v: VarId) -> ScalarType {
-        self.program.symbols.var(v).ty
-    }
+/// Number of distinct opcodes (the executor's per-opcode profile is
+/// indexed by [`Op::tag`]).
+pub const OPCODE_COUNT: usize = 27;
 
-    fn walk_stmts(&mut self, body: &[StmtId]) -> Elig<()> {
-        let mut k = 0;
-        while k < body.len() {
-            if k + 1 < body.len() && self.try_append(body[k], body[k + 1])? {
-                k += 2;
-                continue;
-            }
-            self.walk_stmt(body[k])?;
-            k += 1;
-        }
-        Ok(())
-    }
+/// Stable opcode names, index-aligned with [`Op::tag`] — the keys of
+/// the per-opcode dispatch counts in `BENCH_compiled.json`.
+pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
+    "charge",
+    "mov",
+    "bin",
+    "neg",
+    "cmp",
+    "truthy",
+    "not",
+    "intr1",
+    "intr2",
+    "jump",
+    "jump_if_zero",
+    "jump_if_nonzero",
+    "ensure",
+    "index_n",
+    "load_at",
+    "store_at",
+    "load_elem",
+    "store_elem",
+    "load_affine",
+    "store_affine",
+    "gather",
+    "scatter",
+    "set_scalar",
+    "accum",
+    "append",
+    "do_loop",
+    "while_loop",
+];
 
-    /// The append-through-pointer peephole window, with the lowering's
-    /// exact match conditions.
-    fn try_append(&mut self, s1: StmtId, s2: StmtId) -> Elig<bool> {
-        let StmtKind::Assign {
-            lhs: LValue::Element(arr, subs),
-            rhs,
-        } = &self.program.stmt(s1).kind
-        else {
-            return Ok(false);
-        };
-        let [Expr::Var(p)] = subs.as_slice() else {
-            return Ok(false);
-        };
-        let StmtKind::Assign {
-            lhs: LValue::Scalar(p2),
-            rhs: inc,
-        } = &self.program.stmt(s2).kind
-        else {
-            return Ok(false);
-        };
-        let bumps = matches!(
-            inc,
-            Expr::Bin(BinOp::Add, x, y)
-                if (x.is_var(*p) && y.as_int_lit() == Some(1))
-                    || (y.is_var(*p) && x.as_int_lit() == Some(1))
-        );
-        if p2 != p
-            || !bumps
-            || self.ty(*p) != ScalarType::Int
-            || self.program.symbols.var(*arr).rank() != 1
-        {
-            return Ok(false);
-        }
-        self.walk_expr(rhs)?;
-        self.plan.appends += 1;
-        Ok(true)
-    }
-
-    fn walk_stmt(&mut self, s: StmtId) -> Elig<()> {
-        match &self.program.stmt(s).kind {
-            StmtKind::Assign { lhs, rhs } => {
-                match lhs {
-                    LValue::Scalar(v) => {
-                        if let Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), x, y) = rhs {
-                            if x.is_var(*v) {
-                                self.walk_expr(y)?;
-                                self.plan.accumulates += 1;
-                                return Ok(());
-                            }
-                            if matches!(op, BinOp::Add | BinOp::Mul) && y.is_var(*v) {
-                                self.walk_expr(x)?;
-                                self.plan.accumulates += 1;
-                                return Ok(());
-                            }
-                        }
-                        self.walk_expr(rhs)?;
-                    }
-                    LValue::Element(a, subs) => {
-                        self.walk_expr(rhs)?;
-                        self.walk_element(*a, subs, false)?;
-                    }
-                }
-                Ok(())
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                self.temp();
-                self.walk_cond(cond)?;
-                self.walk_stmts(then_body)?;
-                self.walk_stmts(else_body)
-            }
-            StmtKind::Do {
-                lo, hi, step, body, ..
-            } => {
-                self.walk_expr(lo)?;
-                self.walk_expr(hi)?;
-                if let Some(e) = step {
-                    self.walk_expr(e)?;
-                }
-                self.plan.inner_loops += 1;
-                self.walk_stmts(body)
-            }
-            StmtKind::While { cond, body } => {
-                self.temp();
-                self.walk_cond(cond)?;
-                self.plan.inner_loops += 1;
-                self.walk_stmts(body)
-            }
-            StmtKind::Call { .. } | StmtKind::Print { .. } | StmtKind::Return => Err(Reject),
-        }
-    }
-
-    fn walk_expr(&mut self, e: &Expr) -> Elig<()> {
-        match e {
-            Expr::IntLit(_) | Expr::RealLit(_) | Expr::Var(_) => Ok(()),
-            Expr::Element(a, subs) => self.walk_element(*a, subs, true),
-            Expr::Bin(op, x, y) => {
-                if op.is_comparison() || op.is_logical() {
-                    return Err(Reject);
-                }
-                self.walk_expr(x)?;
-                self.walk_expr(y)?;
-                self.temp();
-                Ok(())
-            }
-            Expr::Un(UnOp::Neg, x) => {
-                self.walk_expr(x)?;
-                self.temp();
-                Ok(())
-            }
-            Expr::Un(UnOp::Not, _) => Err(Reject),
-            Expr::Call(f, args) => {
-                let needed = match f {
-                    Intrinsic::Min | Intrinsic::Max | Intrinsic::Mod => 2,
-                    _ => 1,
-                };
-                if args.len() < needed {
-                    return Err(Reject);
-                }
-                for a in args {
-                    self.walk_expr(a)?;
-                }
-                self.temp();
-                Ok(())
-            }
-        }
-    }
-
-    fn walk_cond(&mut self, e: &Expr) -> Elig<()> {
-        match e {
-            Expr::Bin(op, x, y) if op.is_comparison() => {
-                self.walk_expr(x)?;
-                self.walk_expr(y)
-            }
-            Expr::Bin(BinOp::And | BinOp::Or, x, y) => {
-                self.walk_cond(x)?;
-                self.walk_cond(y)
-            }
-            Expr::Un(UnOp::Not, x) => self.walk_cond(x),
-            other => self.walk_expr(other),
-        }
-    }
-
-    /// An element access (load when `is_load`), with the lowering's
-    /// rank checks, fusion patterns, and temp accounting.
-    fn walk_element(&mut self, a: VarId, subs: &[Expr], is_load: bool) -> Elig<()> {
-        let rank = self.program.symbols.var(a).rank();
-        if rank == 0 || subs.is_empty() || subs.len() > rank {
-            return Err(Reject);
-        }
-        if subs.len() == 1 {
-            if is_load {
-                self.temp();
-            }
-            match self.fused_sub(&subs[0]) {
-                Some(FusedSub::Direct) => {}
-                Some(FusedSub::Affine) => self.plan.affine_accesses += 1,
-                Some(FusedSub::Gather) => self.plan.indirect_accesses += 1,
-                None => self.walk_expr(&subs[0])?,
-            }
-            return Ok(());
-        }
-        for s in subs {
-            self.walk_expr(s)?;
-        }
-        // One mov per subscript, the flat index, and (for loads) the
-        // destination.
-        for _ in subs {
-            self.temp();
-        }
-        self.temp();
-        if is_load {
-            self.temp();
-        }
-        Ok(())
-    }
-
-    fn fused_sub(&self, sub: &Expr) -> Option<FusedSub> {
-        let int_scalar = |e: &Expr| matches!(e, Expr::Var(v) if self.ty(*v) == ScalarType::Int);
-        let simple = |e: &Expr| matches!(e, Expr::Var(_) | Expr::IntLit(_));
-        match sub {
-            Expr::Var(_) | Expr::IntLit(_) => Some(FusedSub::Direct),
-            Expr::Bin(BinOp::Add, x, y) => {
-                if (int_scalar(x) && y.as_int_lit().is_some())
-                    || (x.as_int_lit().is_some() && int_scalar(y))
-                {
-                    Some(FusedSub::Affine)
-                } else {
-                    None
-                }
-            }
-            Expr::Bin(BinOp::Sub, x, y) => {
-                match (int_scalar(x), y.as_int_lit().and_then(i64::checked_neg)) {
-                    (true, Some(_)) => Some(FusedSub::Affine),
-                    _ => None,
-                }
-            }
-            Expr::Element(idx_arr, inner) => {
-                let [inner] = inner.as_slice() else {
-                    return None;
-                };
-                if self.program.symbols.var(*idx_arr).rank() < 1 {
-                    return None;
-                }
-                simple(inner).then_some(FusedSub::Gather)
-            }
-            _ => None,
+impl Op {
+    /// Dense opcode tag, index into [`OPCODE_NAMES`].
+    #[inline]
+    pub fn tag(&self) -> usize {
+        match self {
+            Op::Charge(_) => 0,
+            Op::Mov { .. } => 1,
+            Op::Bin { .. } => 2,
+            Op::Neg { .. } => 3,
+            Op::Cmp { .. } => 4,
+            Op::Truthy { .. } => 5,
+            Op::Not { .. } => 6,
+            Op::Intr1 { .. } => 7,
+            Op::Intr2 { .. } => 8,
+            Op::Jump { .. } => 9,
+            Op::JumpIfZero { .. } => 10,
+            Op::JumpIfNonZero { .. } => 11,
+            Op::Ensure { .. } => 12,
+            Op::IndexN { .. } => 13,
+            Op::LoadAt { .. } => 14,
+            Op::StoreAt { .. } => 15,
+            Op::LoadElem1 { .. } => 16,
+            Op::StoreElem1 { .. } => 17,
+            Op::LoadAffine { .. } => 18,
+            Op::StoreAffine { .. } => 19,
+            Op::Gather { .. } => 20,
+            Op::Scatter { .. } => 21,
+            Op::SetScalar { .. } => 22,
+            Op::Accum { .. } => 23,
+            Op::Append { .. } => 24,
+            Op::DoLoop { .. } => 25,
+            Op::WhileLoop { .. } => 26,
         }
     }
 }
 
-enum FusedSub {
-    Direct,
-    Affine,
-    Gather,
+/// A lowered `do`-loop nest: blocks of instructions (the root block is
+/// one iteration of the outermost body; nested loop bodies and `while`
+/// conditions get their own blocks) plus the register-file size and
+/// the loop metadata the drivers need.
+#[derive(Debug)]
+pub struct CompiledBody {
+    blocks: Vec<Vec<Op>>,
+    /// Block holding one iteration of the outermost loop body.
+    root: u16,
+    /// Register-file size.
+    n_temps: u16,
+    /// The outermost loop's induction variable and its declared type.
+    root_var: VarId,
+    root_ty: ScalarType,
+    /// Every loop statement in the nest (root first) — checked against
+    /// `record_loops` at dispatch, since per-iteration cost recording
+    /// is an interpreter-only instrument.
+    loops: Vec<StmtId>,
+}
+
+impl CompiledBody {
+    /// The instruction blocks; [`Op::DoLoop`] and [`Op::WhileLoop`]
+    /// name their body and condition blocks by index.
+    #[inline]
+    pub fn blocks(&self) -> &[Vec<Op>] {
+        &self.blocks
+    }
+
+    /// Index of the block holding one iteration of the outermost body.
+    #[inline]
+    pub fn root(&self) -> u16 {
+        self.root
+    }
+
+    /// The outermost loop's induction variable and its declared type.
+    #[inline]
+    pub fn root_var(&self) -> (VarId, ScalarType) {
+        (self.root_var, self.root_ty)
+    }
+
+    /// Total instruction count across all blocks.
+    pub fn op_count(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
+
+    /// Register-file size an executor must provide to run the body.
+    #[inline]
+    pub fn register_count(&self) -> usize {
+        self.n_temps as usize
+    }
+
+    /// Loop statements in the nest (outermost first).
+    pub fn loop_stmts(&self) -> &[StmtId] {
+        &self.loops
+    }
+
+    /// The advisory summary of this body: register count, inner loops,
+    /// and how many of each fused access pattern the lowering emitted.
+    pub fn plan(&self) -> CompiledPlan {
+        let mut plan = CompiledPlan {
+            registers: u32::from(self.n_temps),
+            ..CompiledPlan::default()
+        };
+        for op in self.blocks.iter().flatten() {
+            match op {
+                Op::DoLoop { .. } | Op::WhileLoop { .. } => plan.inner_loops += 1,
+                Op::LoadAffine { .. } | Op::StoreAffine { .. } => plan.affine_accesses += 1,
+                Op::Gather { .. } | Op::Scatter { .. } => plan.indirect_accesses += 1,
+                Op::Append { .. } => plan.appends += 1,
+                Op::Accum { .. } => plan.accumulates += 1,
+                _ => {}
+            }
+        }
+        plan
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irr_frontend::parse_program;
+    use irr_frontend::{parse_program, StmtKind};
 
     fn first_do(program: &Program) -> StmtId {
         let main = program.main();
@@ -356,6 +403,8 @@ mod tests {
         assert!(plan.indirect_accesses >= 1, "{plan:?}");
         assert!(plan.accumulates >= 1, "{plan:?}");
         assert!(plan.registers > 0);
+        let body = lower_do_loop(&p, first_do(&p)).unwrap();
+        assert_eq!(plan.registers as usize, body.register_count());
     }
 
     #[test]
@@ -372,6 +421,10 @@ mod tests {
         )
         .unwrap();
         assert!(derive_compiled_plan(&p, first_do(&p)).is_none());
+        assert_eq!(
+            lower_do_loop(&p, first_do(&p)).unwrap_err(),
+            LowerReject("print")
+        );
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! AST → register bytecode lowering.
+//! AST → register bytecode lowering: the single decision point for
+//! "can this nest run on the bytecode backend".
 //!
 //! The lowering is a pure function of the program: no store state is
-//! consulted, so a [`CompiledBody`] is cached per loop `StmtId` for
-//! the lifetime of the interpreter and shared (via `Arc`) with
+//! consulted, so the driver can summarise a [`CompiledBody`] into a
+//! verdict's advisory plan at compile time, and the executor can lower
+//! the same nest again at dispatch, cache the body per loop `StmtId`
+//! for the lifetime of the interpreter and share it (via `Arc`) with
 //! parallel workers. Anything the executor cannot replay
 //! bit-identically to the tree-walk rejects with a [`LowerReject`];
-//! the dispatch site then falls back to the interpreter.
+//! the verdict then carries no plan and the dispatch site falls back
+//! to the interpreter.
 //!
 //! Ordering rules the emitted code preserves (see the interpreter for
 //! the authoritative semantics):
@@ -21,8 +25,10 @@
 //! - condition short-circuiting skips the untaken operand's side
 //!   effects exactly like `eval_cond`.
 
-use super::{CompiledBody, Op, Opnd, ScalarLayout};
-use irr_frontend::{BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp};
+use super::{CompiledBody, Op, Opnd};
+use irr_frontend::{
+    BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
+};
 
 /// Why a loop nest could not be lowered. The reason string is a stable
 /// token for telemetry and tests.
@@ -46,11 +52,8 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
     let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
         return Err(LowerReject("not-a-do-loop"));
     };
-    let layout = ScalarLayout::new(program);
-    let root_ty = layout.ty(*var);
     let mut l = Lowerer {
         program,
-        layout,
         blocks: Vec::new(),
         n_temps: 0,
         loops: vec![loop_stmt],
@@ -62,14 +65,13 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         root: root as u16,
         n_temps: l.n_temps,
         root_var: *var,
-        root_ty,
+        root_ty: program.symbols.var(*var).ty,
         loops: l.loops,
     })
 }
 
 struct Lowerer<'p> {
     program: &'p Program,
-    layout: ScalarLayout,
     blocks: Vec<Vec<Op>>,
     n_temps: u16,
     loops: Vec<StmtId>,
@@ -94,6 +96,10 @@ impl<'p> Lowerer<'p> {
             .checked_add(1)
             .ok_or(LowerReject("register-file-overflow"))?;
         Ok(t)
+    }
+
+    fn ty(&self, v: VarId) -> ScalarType {
+        self.program.symbols.var(v).ty
     }
 
     fn emit(&mut self, b: usize, op: Op) -> usize {
@@ -156,7 +162,7 @@ impl<'p> Lowerer<'p> {
         );
         if p2 != p
             || !bumps
-            || self.layout.ty(*p) != ScalarType::Int
+            || self.ty(*p) != ScalarType::Int
             || self.program.symbols.var(*arr).rank() != 1
         {
             return Ok(None);
@@ -182,7 +188,7 @@ impl<'p> Lowerer<'p> {
                 match lhs {
                     LValue::Scalar(v) => {
                         let v = *v;
-                        let ty = self.layout.ty(v);
+                        let ty = self.ty(v);
                         // Reduction-accumulate peephole `s = s op e`
                         // (or `s = e op s`): the scalar read defers to
                         // the accumulate, which is safe — expressions
@@ -271,7 +277,7 @@ impl<'p> Lowerer<'p> {
                     b,
                     Op::DoLoop {
                         var: *var,
-                        ty: self.layout.ty(*var),
+                        ty: self.ty(*var),
                         stmt: s,
                         lo,
                         hi,
@@ -444,12 +450,7 @@ impl<'p> Lowerer<'p> {
 
     /// Lowers an array element load, fusing the recognized access
     /// patterns into superinstructions.
-    fn lower_element_load(
-        &mut self,
-        b: usize,
-        a: irr_frontend::VarId,
-        subs: &[Expr],
-    ) -> Lower<Opnd> {
+    fn lower_element_load(&mut self, b: usize, a: VarId, subs: &[Expr]) -> Lower<Opnd> {
         let rank = self.program.symbols.var(a).rank();
         if rank == 0 || subs.is_empty() || subs.len() > rank {
             // Subscripted scalars and over-subscripted arrays panic in
@@ -487,13 +488,7 @@ impl<'p> Lowerer<'p> {
         Ok(Opnd::T(dst))
     }
 
-    fn lower_element_store(
-        &mut self,
-        b: usize,
-        a: irr_frontend::VarId,
-        subs: &[Expr],
-        src: Opnd,
-    ) -> Lower<()> {
+    fn lower_element_store(&mut self, b: usize, a: VarId, subs: &[Expr], src: Opnd) -> Lower<()> {
         let rank = self.program.symbols.var(a).rank();
         if rank == 0 || subs.is_empty() || subs.len() > rank {
             return Err(LowerReject("subscript-shape"));
@@ -544,7 +539,7 @@ impl<'p> Lowerer<'p> {
     /// the access down the general path. All fused subscript forms are
     /// side-effect-free, so the fused op's internal ensure still runs
     /// before any subscript evaluation.
-    fn fuse_sub1_load(&self, a: irr_frontend::VarId, sub: &Expr, dst: u16) -> Option<Op> {
+    fn fuse_sub1_load(&self, a: VarId, sub: &Expr, dst: u16) -> Option<Op> {
         match self.fused_sub(sub)? {
             FusedSub::Direct(opnd) => Some(Op::LoadElem1 {
                 arr: a,
@@ -566,7 +561,7 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn fuse_sub1_store(&self, a: irr_frontend::VarId, sub: &Expr, src: Opnd) -> Option<Op> {
+    fn fuse_sub1_store(&self, a: VarId, sub: &Expr, src: Opnd) -> Option<Op> {
         match self.fused_sub(sub)? {
             FusedSub::Direct(opnd) => Some(Op::StoreElem1 {
                 arr: a,
@@ -590,7 +585,7 @@ impl<'p> Lowerer<'p> {
 
     fn fused_sub(&self, sub: &Expr) -> Option<FusedSub> {
         let int_scalar = |e: &Expr| match e {
-            Expr::Var(v) if self.layout.ty(*v) == ScalarType::Int => Some(*v),
+            Expr::Var(v) if self.ty(*v) == ScalarType::Int => Some(*v),
             _ => None,
         };
         let simple = |e: &Expr| match e {
@@ -630,6 +625,6 @@ impl<'p> Lowerer<'p> {
 
 enum FusedSub {
     Direct(Opnd),
-    Affine(irr_frontend::VarId, i64),
-    Gather(irr_frontend::VarId, Opnd),
+    Affine(VarId, i64),
+    Gather(VarId, Opnd),
 }

@@ -213,10 +213,11 @@ pub struct LoopVerdict {
     /// Proven facts a runtime can turn into a zero-merge execution
     /// strategy (in-place disjoint writes, positional concatenation).
     pub strategy_facts: StrategyFacts,
-    /// Advisory plan for the compiled (bytecode) execution tier, when
-    /// the loop nest is within the lowering's eligibility fragment.
-    /// The executor re-derives this at dispatch and never trusts it;
-    /// the lint layer re-derives it to catch tampering.
+    /// Advisory plan for the compiled (bytecode) execution tier: the
+    /// summary of the nest's lowered body, `Some` exactly when
+    /// [`compiled::lower_do_loop`] accepts the nest. The executor lowers
+    /// again at dispatch and never trusts it; the lint layer re-derives
+    /// it to catch tampering.
     pub compiled: Option<CompiledPlan>,
 }
 

@@ -14,10 +14,11 @@
 //! materialized, then hands over to the typed loop
 //! ([`Interp::run_fast_iters`]) at an iteration boundary.
 
-use super::{CompiledBody, FastBody, Op, Opnd};
+use super::FastBody;
 use crate::interp::{
     advance_induction, apply_bin, apply_intrinsic, ArrayData, ExecError, Interp, Value,
 };
+use irr_driver::compiled::{CompiledBody, Op, Opnd};
 use irr_frontend::{BinOp, StmtId, VarId};
 
 impl<'p> Interp<'p> {
@@ -88,7 +89,7 @@ impl<'p> Interp<'p> {
         // beyond sizing is needed.
         let mut temps = std::mem::take(&mut self.ctemps);
         temps.clear();
-        temps.resize(cb.n_temps as usize, Value::Int(0));
+        temps.resize(cb.register_count(), Value::Int(0));
         let res = self.run_compiled_loop(s, cb, fb.as_deref(), lo, hi, step, &mut temps);
         self.ctemps = temps;
         res
@@ -118,7 +119,7 @@ impl<'p> Interp<'p> {
         let entry = self.stats.loops.entry(s).or_default();
         entry.invocations += 1;
         let cost_at_entry = self.stats.total_cost;
-        let (var, ty) = (cb.root_var, cb.root_ty);
+        let (var, ty) = cb.root_var();
         let mut i = lo;
         while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
             if let Some(fb) = fb {
@@ -127,7 +128,7 @@ impl<'p> Interp<'p> {
                 }
             }
             self.store.set_scalar(var, ty, Value::Int(i));
-            self.run_block(cb, cb.root, temps)?;
+            self.run_block(cb, cb.root(), temps)?;
             self.charge(1)?; // loop bookkeeping
             if !advance_induction(&mut i, step) {
                 break;
@@ -150,7 +151,7 @@ impl<'p> Interp<'p> {
         cb: &CompiledBody,
         temps: &mut [Value],
     ) -> Result<(), ExecError> {
-        self.run_block(cb, cb.root, temps)
+        self.run_block(cb, cb.root(), temps)
     }
 
     fn run_block(
@@ -159,7 +160,7 @@ impl<'p> Interp<'p> {
         b: u16,
         temps: &mut [Value],
     ) -> Result<(), ExecError> {
-        let ops = &cb.blocks[b as usize];
+        let ops = &cb.blocks()[b as usize];
         let mut pc = 0usize;
         while pc < ops.len() {
             let op = &ops[pc];

@@ -37,8 +37,8 @@
 //! stays on the per-op path. Parity remains the contract: same fuel
 //! ledger positions, same error identities, same store at exit.
 
-use super::{CompiledBody, Op, Opnd};
 use crate::interp::{advance_induction, ArrayData, ExecError, Interp, Value};
+use irr_driver::compiled::{CompiledBody, Op, Opnd};
 use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
 use std::collections::HashMap;
 
@@ -376,9 +376,9 @@ impl<'a> Builder<'a> {
         Builder {
             program,
             cb,
-            tt: vec![None; cb.n_temps as usize],
-            temp_writes: vec![0; cb.n_temps as usize],
-            tmap: vec![None; cb.n_temps as usize],
+            tt: vec![None; cb.register_count()],
+            temp_writes: vec![0; cb.register_count()],
+            tmap: vec![None; cb.register_count()],
             smap: HashMap::new(),
             amap: HashMap::new(),
             arrays: Vec::new(),
@@ -456,7 +456,7 @@ impl<'a> Builder<'a> {
     /// Fixed-point type inference over all temps; `None` on a
     /// conflicting (path-dependent) register type.
     fn infer(&mut self) -> Option<()> {
-        for block in &self.cb.blocks {
+        for block in self.cb.blocks() {
             for op in block {
                 if let Some((d, _)) = self.write_ty(op) {
                     self.temp_writes[d as usize] += 1;
@@ -465,7 +465,7 @@ impl<'a> Builder<'a> {
         }
         loop {
             let mut changed = false;
-            for block in &self.cb.blocks {
+            for block in self.cb.blocks() {
                 for op in block {
                     let Some((d, Some(ty))) = self.write_ty(op) else {
                         continue;
@@ -588,9 +588,9 @@ impl<'a> Builder<'a> {
     fn build(mut self) -> Option<FastBody> {
         self.infer()?;
         let cb = self.cb;
-        let (root_ty, root_reg) = self.scalar_reg(cb.root_var)?;
-        let mut blocks = Vec::with_capacity(cb.blocks.len());
-        for b in 0..cb.blocks.len() {
+        let (root_ty, root_reg) = self.scalar_reg(cb.root_var().0)?;
+        let mut blocks = Vec::with_capacity(cb.blocks().len());
+        for b in 0..cb.blocks().len() {
             blocks.push(self.build_block(b)?);
         }
         let mut iscalars = Vec::new();
@@ -606,7 +606,7 @@ impl<'a> Builder<'a> {
         }
         let mut fb = FastBody {
             blocks,
-            root: cb.root,
+            root: cb.root(),
             n_iregs: self.n_iregs,
             n_fregs: self.n_fregs,
             iscalars,
@@ -623,7 +623,7 @@ impl<'a> Builder<'a> {
     /// Translates one block, remapping jump targets and running local
     /// value numbering over the pure ops.
     fn build_block(&mut self, b: usize) -> Option<Vec<FOp>> {
-        let ops = &self.cb.blocks[b];
+        let ops = &self.cb.blocks()[b];
         // Join points: value availability must not cross a label.
         let mut labels = vec![false; ops.len() + 1];
         for op in ops {

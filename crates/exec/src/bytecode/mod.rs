@@ -1,4 +1,4 @@
-//! Compiled execution tier: a compact register bytecode for
+//! Compiled execution tier: replays the register bytecode of
 //! verdict-annotated `do`-loop nests.
 //!
 //! The tree-walking interpreter pays for its instrumentation on every
@@ -6,15 +6,17 @@
 //! array access in `flat_index`, and symbol-table type lookups per
 //! scalar write. For the loops the analysis already understands — the
 //! sparse kernels and figure loops of the paper — none of that varies
-//! between iterations. This module lowers such a loop nest **once**
-//! into a flat register program ([`CompiledBody`]) and replays it with
-//! a small dispatch loop:
+//! between iterations. The compiler side (`irr_driver::compiled`) owns
+//! the IR and lowers such a loop nest **once** into a flat register
+//! program ([`CompiledBody`]); this module replays it with a small
+//! dispatch loop:
 //!
 //! - **Registers, not a tree.** Expression temporaries live in one
 //!   flat `Vec<Value>` register file sized at lowering; scalar
 //!   variables are read and written directly through their dense store
-//!   slots (the [`ScalarLayout`] pass — also used by the interpreter
-//!   itself to retire per-access symbol-table type lookups).
+//!   slots, with the declared type baked into the writing instruction
+//!   (the tree-walk retires the same symbol-table lookups through its
+//!   [`ScalarLayout`] table).
 //! - **Resolved array operands.** Array accesses carry their `VarId`
 //!   slot and are bounds-checked against the live extents without
 //!   allocating a subscript vector.
@@ -38,7 +40,7 @@
 //! bit-for-bit — procedure calls, `print`, `return`, logical
 //! operators in numeric position — rejects the lowering and falls
 //! back to the interpreter via a reason-coded
-//! [`FallbackReason`](crate::dispatch::FallbackReason).
+//! [`FallbackReason`].
 //!
 //! **Two dispatch loops.** `exec` replays the `Value` bytecode one op
 //! at a time against the interpreter's own store, fuel and statistics
@@ -52,258 +54,26 @@
 //! yet starts per-op and hands over to the typed loop at the first
 //! iteration boundary where they are.
 //!
-//! Trust discipline mirrors the raw-pointer strategies: the driver's
-//! `CompiledPlan` is an advisory claim. The executor never runs a plan
-//! — it re-lowers the nest from the AST at dispatch (cached per
-//! `StmtId`; lowering is a pure function of the program) and falls
-//! back when the lowering disagrees, so a forged plan can never reach
-//! the bytecode path.
+//! Trust discipline is the one the raw-pointer strategies use: a
+//! verdict's `CompiledPlan` is the lowering's own summary, and still
+//! only an advisory claim. The executor never runs a plan — at dispatch
+//! it calls the same [`lower_do_loop`] on the AST (cached per `StmtId`;
+//! lowering is a pure function of the program), just as it re-derives
+//! the in-place and concat proofs with `irr_driver`'s derivations, and
+//! falls back when the nest does not lower, so a forged plan can never
+//! reach the bytecode path.
 
 mod exec;
 mod fast;
-mod lower;
 
 pub(crate) use fast::{specialize, FastBody};
-pub use lower::{lower_do_loop, LowerReject};
+pub use irr_driver::compiled::{
+    lower_do_loop, CompiledBody, LowerReject, Op, OPCODE_COUNT, OPCODE_NAMES,
+};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
 use crate::interp::Store;
-use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
-
-/// An instruction operand: a temp register, a scalar store slot, or an
-/// immediate. Scalar reads are deferred to the consuming instruction —
-/// expressions cannot write scalars, so the deferred read observes the
-/// same value the interpreter's eager left-to-right evaluation would.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Opnd {
-    /// Temp register.
-    T(u16),
-    /// Scalar store slot (dense `VarId` index).
-    S(VarId),
-    /// Integer immediate.
-    I(i64),
-    /// Real immediate.
-    R(f64),
-}
-
-/// One bytecode instruction. Temp register indices (`u16`) index the
-/// per-execution register file; jump targets are indices into the
-/// instruction's own block.
-#[derive(Clone, Debug)]
-pub(crate) enum Op {
-    /// Charge `n` cost/fuel units — emitted at every statement entry
-    /// (and nowhere else), so total cost and the out-of-fuel point
-    /// match the interpreter exactly.
-    Charge(u64),
-    /// `t[dst] = src`.
-    Mov { dst: u16, src: Opnd },
-    /// `t[dst] = a op b` with the interpreter's `apply_bin` semantics
-    /// (wrapping integer arithmetic, euclidean div/mod, zero checks).
-    Bin {
-        op: BinOp,
-        dst: u16,
-        a: Opnd,
-        b: Opnd,
-    },
-    /// `t[dst] = -src`.
-    Neg { dst: u16, src: Opnd },
-    /// `t[dst] = (a op b) as 0/1` with `eval_cond` ordering semantics
-    /// (exact integer compare, NaN compares equal).
-    Cmp {
-        op: BinOp,
-        dst: u16,
-        a: Opnd,
-        b: Opnd,
-    },
-    /// `t[dst] = (src != 0.0) as 0/1` (condition fallback truthiness).
-    Truthy { dst: u16, src: Opnd },
-    /// `t[t] = 1 - t[t]` (logical not over a 0/1 condition register).
-    Not { t: u16 },
-    /// One-argument intrinsic.
-    Intr1 { f: Intrinsic, dst: u16, a: Opnd },
-    /// Two-argument intrinsic.
-    Intr2 {
-        f: Intrinsic,
-        dst: u16,
-        a: Opnd,
-        b: Opnd,
-    },
-    /// Unconditional jump within the block.
-    Jump { target: u32 },
-    /// Jump when the 0/1 condition register is 0.
-    JumpIfZero { src: u16, target: u32 },
-    /// Jump when the 0/1 condition register is non-0.
-    JumpIfNonZero { src: u16, target: u32 },
-    /// Materialize `arr` if needed (evaluating declared extents) —
-    /// emitted before subscript evaluation exactly where the
-    /// interpreter's `flat_index` would, preserving materialization
-    /// order, write-log records, and the random-fill stream.
-    Ensure { arr: VarId },
-    /// Column-major flat index of `n` subscripts held in consecutive
-    /// temps `t[base..base+n]`, bounds-checked per dimension;
-    /// `t[dst] = flat index`. `arr` must be materialized.
-    IndexN {
-        arr: VarId,
-        base: u16,
-        n: u8,
-        dst: u16,
-    },
-    /// `t[dst] = arr[t[idx]]` (flat index previously checked).
-    LoadAt { arr: VarId, idx: u16, dst: u16 },
-    /// `arr[t[idx]] = src` through the store's full write path
-    /// (overlay intercept, copy-on-write, version bump, write log).
-    StoreAt { arr: VarId, idx: u16, src: Opnd },
-    /// Fused 1-subscript load: ensure, bounds-check `sub` against the
-    /// first extent, read.
-    LoadElem1 { arr: VarId, sub: Opnd, dst: u16 },
-    /// Fused 1-subscript store.
-    StoreElem1 { arr: VarId, sub: Opnd, src: Opnd },
-    /// Fused affine load `arr(base + off)`; `base` is an
-    /// integer-typed scalar slot.
-    LoadAffine {
-        arr: VarId,
-        base: VarId,
-        off: i64,
-        dst: u16,
-    },
-    /// Fused affine store `arr(base + off) = src` — the proven
-    /// in-place-disjoint write pattern.
-    StoreAffine {
-        arr: VarId,
-        base: VarId,
-        off: i64,
-        src: Opnd,
-    },
-    /// Fused gather `arr(idx_arr(sub))`: both arrays ensured in
-    /// interpreter order, both subscripts bounds-checked.
-    Gather {
-        arr: VarId,
-        idx_arr: VarId,
-        sub: Opnd,
-        dst: u16,
-    },
-    /// Fused gather-store `arr(idx_arr(sub)) = src`.
-    Scatter {
-        arr: VarId,
-        idx_arr: VarId,
-        sub: Opnd,
-        src: Opnd,
-    },
-    /// Scalar write with declared-type coercion and write-log record.
-    SetScalar {
-        var: VarId,
-        ty: ScalarType,
-        src: Opnd,
-    },
-    /// Fused reduction accumulate `var = var op src` (`rev` swaps the
-    /// operand order: `var = src op var`).
-    Accum {
-        var: VarId,
-        ty: ScalarType,
-        op: BinOp,
-        rev: bool,
-        src: Opnd,
-    },
-    /// Fused append-through-pointer: `arr(ptr) = src` followed by the
-    /// second statement's charge and `ptr = ptr + 1` — the
-    /// privatize-and-concat write pattern.
-    Append {
-        arr: VarId,
-        ptr: VarId,
-        ty: ScalarType,
-        src: Opnd,
-    },
-    /// A nested `do` loop: bounds read from operands (already
-    /// evaluated in-order by preceding ops), induction writes logged,
-    /// per-loop statistics maintained exactly as the interpreter's.
-    DoLoop {
-        var: VarId,
-        ty: ScalarType,
-        stmt: StmtId,
-        lo: Opnd,
-        hi: Opnd,
-        step: Opnd,
-        body: u16,
-    },
-    /// A nested `while` loop: the condition block leaves 0/1 in
-    /// `cond_temp` before every iteration.
-    WhileLoop {
-        stmt: StmtId,
-        cond: u16,
-        cond_temp: u16,
-        body: u16,
-    },
-}
-
-/// Number of distinct opcodes (for [`CompiledProfile`]).
-pub const OPCODE_COUNT: usize = 27;
-
-/// Stable opcode names, index-aligned with [`Op::tag`] — the keys of
-/// the per-opcode dispatch counts in `BENCH_compiled.json`.
-pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
-    "charge",
-    "mov",
-    "bin",
-    "neg",
-    "cmp",
-    "truthy",
-    "not",
-    "intr1",
-    "intr2",
-    "jump",
-    "jump_if_zero",
-    "jump_if_nonzero",
-    "ensure",
-    "index_n",
-    "load_at",
-    "store_at",
-    "load_elem",
-    "store_elem",
-    "load_affine",
-    "store_affine",
-    "gather",
-    "scatter",
-    "set_scalar",
-    "accum",
-    "append",
-    "do_loop",
-    "while_loop",
-];
-
-impl Op {
-    /// Dense opcode tag, index into [`OPCODE_NAMES`].
-    pub(crate) fn tag(&self) -> usize {
-        match self {
-            Op::Charge(_) => 0,
-            Op::Mov { .. } => 1,
-            Op::Bin { .. } => 2,
-            Op::Neg { .. } => 3,
-            Op::Cmp { .. } => 4,
-            Op::Truthy { .. } => 5,
-            Op::Not { .. } => 6,
-            Op::Intr1 { .. } => 7,
-            Op::Intr2 { .. } => 8,
-            Op::Jump { .. } => 9,
-            Op::JumpIfZero { .. } => 10,
-            Op::JumpIfNonZero { .. } => 11,
-            Op::Ensure { .. } => 12,
-            Op::IndexN { .. } => 13,
-            Op::LoadAt { .. } => 14,
-            Op::StoreAt { .. } => 15,
-            Op::LoadElem1 { .. } => 16,
-            Op::StoreElem1 { .. } => 17,
-            Op::LoadAffine { .. } => 18,
-            Op::StoreAffine { .. } => 19,
-            Op::Gather { .. } => 20,
-            Op::Scatter { .. } => 21,
-            Op::SetScalar { .. } => 22,
-            Op::Accum { .. } => 23,
-            Op::Append { .. } => 24,
-            Op::DoLoop { .. } => 25,
-            Op::WhileLoop { .. } => 26,
-        }
-    }
-}
+use irr_frontend::{Program, ScalarType, StmtId, VarId};
 
 /// Per-opcode dispatch counters, collected when profiling is enabled
 /// on the interpreter ([`crate::Interp::compiled_profile`]) and merged
@@ -352,47 +122,8 @@ impl CompiledProfile {
     }
 }
 
-/// A lowered `do`-loop nest: blocks of instructions (the root block is
-/// one iteration of the outermost body; nested loop bodies and `while`
-/// conditions get their own blocks) plus the register-file size and
-/// the loop metadata the drivers need.
-#[derive(Debug)]
-pub struct CompiledBody {
-    pub(crate) blocks: Vec<Vec<Op>>,
-    /// Block holding one iteration of the outermost loop body.
-    pub(crate) root: u16,
-    /// Register-file size.
-    pub(crate) n_temps: u16,
-    /// The outermost loop's induction variable and its declared type.
-    pub(crate) root_var: VarId,
-    pub(crate) root_ty: ScalarType,
-    /// Every loop statement in the nest (root first) — checked against
-    /// `record_loops` at dispatch, since per-iteration cost recording
-    /// is an interpreter-only instrument.
-    pub(crate) loops: Vec<StmtId>,
-}
-
-impl CompiledBody {
-    /// Total instruction count across all blocks.
-    pub fn op_count(&self) -> usize {
-        self.blocks.iter().map(Vec::len).sum()
-    }
-
-    /// Register-file size an executor must provide to run the body.
-    pub fn register_count(&self) -> usize {
-        self.n_temps as usize
-    }
-
-    /// Loop statements in the nest (outermost first).
-    pub fn loop_stmts(&self) -> &[StmtId] {
-        &self.loops
-    }
-}
-
-/// Dense per-`VarId` scalar type table: the register-resolution pass
-/// shared by the interpreter (which uses it to retire per-access
-/// symbol-table lookups on scalar writes) and the bytecode lowering
-/// (which bakes the resolved `(slot, type)` pairs into instructions).
+/// Dense per-`VarId` scalar type table: resolved once per interpreter
+/// to retire per-access symbol-table lookups on scalar writes.
 #[derive(Clone, Debug)]
 pub struct ScalarLayout {
     types: Box<[ScalarType]>,

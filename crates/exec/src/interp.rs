@@ -706,7 +706,7 @@ pub struct Interp<'p> {
     random_fill: Option<SplitMix64>,
     /// Dense per-`VarId` scalar types, resolved once at construction —
     /// scalar writes on the hot path read this table instead of the
-    /// symbol table, and the bytecode lowering shares it.
+    /// symbol table.
     pub(crate) layout: ScalarLayout,
     /// Per-loop lowering results (`None` caches a rejection). Lowering
     /// is a pure function of the immutable program, so entries stay

@@ -47,7 +47,6 @@ pub use parallel::{
 };
 pub use rng::SplitMix64;
 pub use runtime_test::{
-    inspect_bounded, inspect_bounded_parallel, inspect_injective, inspect_injective_parallel,
-    inspect_offset_length, Inspection,
+    inspect_injective, inspect_injective_parallel, inspect_offset_length, Inspection,
 };
 pub use trace::{AccessTracer, TraceConfig};

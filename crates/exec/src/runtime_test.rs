@@ -5,13 +5,13 @@
 //!
 //! An *inspector* examines index-array values in the live store right
 //! before a candidate loop and decides whether the parallel version may
-//! run. This module implements the two inspectors corresponding to the
+//! run. This module implements the inspectors corresponding to the
 //! properties the compile-time analysis verifies statically, so the
 //! trade-off can be measured (see the `runtime-vs-compile-time` bench
 //! group): the inspector pays `O(section)` on *every* execution, the
 //! compile-time query pays once.
 
-use crate::interp::Store;
+use crate::interp::{ArrayData, Store};
 use irr_frontend::VarId;
 use std::collections::HashSet;
 
@@ -23,6 +23,64 @@ pub enum Inspection {
     ParallelOk,
     /// The property fails: fall back to the sequential version.
     Sequential,
+}
+
+/// A borrowed section of an index array, read as the `i64` subscripts
+/// the loop would use: integer payloads exactly (no round trip through
+/// `f64`, which merges neighbours past 2^53), real payloads truncated
+/// like the interpreter's subscript conversion.
+#[derive(Clone, Copy)]
+enum IndexView<'a> {
+    Int(&'a [i64]),
+    Real(&'a [f64]),
+}
+
+impl<'a> IndexView<'a> {
+    /// Elements `lo..=hi` (1-based, `lo <= hi`) of `arr`; `None` when
+    /// the array is not materialized or the section leaves it.
+    fn section(store: &'a Store, arr: VarId, lo: i64, hi: i64) -> Option<IndexView<'a>> {
+        let data = store.array_ref(arr)?;
+        if lo < 1 || hi as usize > data.len() {
+            return None;
+        }
+        let view = match data {
+            ArrayData::Int { data, .. } => IndexView::Int(data),
+            ArrayData::Real { data, .. } => IndexView::Real(data),
+        };
+        Some(view.slice((lo - 1) as usize, hi as usize))
+    }
+
+    fn slice(self, from: usize, to: usize) -> IndexView<'a> {
+        match self {
+            IndexView::Int(d) => IndexView::Int(&d[from..to]),
+            IndexView::Real(d) => IndexView::Real(&d[from..to]),
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            IndexView::Int(d) => d.len(),
+            IndexView::Real(d) => d.len(),
+        }
+    }
+
+    fn get(self, k: usize) -> i64 {
+        match self {
+            IndexView::Int(d) => d[k],
+            IndexView::Real(d) => d[k] as i64,
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = i64> + 'a {
+        (0..self.len()).map(move |k| self.get(k))
+    }
+
+    /// Contiguous sub-sections of at most `chunk_len` elements.
+    fn chunks(self, chunk_len: usize) -> impl Iterator<Item = IndexView<'a>> {
+        (0..self.len())
+            .step_by(chunk_len)
+            .map(move |from| self.slice(from, (from + chunk_len).min(self.len())))
+    }
 }
 
 /// Inspects whether `idx(lo..=hi)` holds pairwise-distinct values — the
@@ -37,52 +95,20 @@ pub fn inspect_injective(store: &Store, idx: VarId, lo: i64, hi: i64) -> Inspect
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let Some(values) = store.array_as_reals(idx) else {
-        return Inspection::Sequential;
-    };
-    if lo < 1 || hi as usize > values.len() {
-        return Inspection::Sequential;
+    match IndexView::section(store, idx, lo, hi) {
+        Some(section) => scan_injective(section),
+        None => Inspection::Sequential,
     }
-    let mut seen = HashSet::with_capacity((hi - lo + 1).max(0) as usize);
-    for k in lo..=hi {
-        let v = values[(k - 1) as usize] as i64;
-        if !seen.insert(v) {
-            return Inspection::Sequential;
-        }
-    }
-    Inspection::ParallelOk
 }
 
-/// Inspects whether `idx(lo..=hi)` values all lie within
-/// `[val_lo, val_hi]` — the run-time counterpart of the closed-form
-/// bound property.
-///
-/// An empty section (`hi < lo`) is vacuously bounded — `ParallelOk`
-/// before any materialization or bounds check.
-pub fn inspect_bounded(
-    store: &Store,
-    idx: VarId,
-    lo: i64,
-    hi: i64,
-    val_lo: i64,
-    val_hi: i64,
-) -> Inspection {
-    if hi < lo {
-        return Inspection::ParallelOk;
+/// The sequential hash scan behind [`inspect_injective`].
+fn scan_injective(section: IndexView<'_>) -> Inspection {
+    let mut seen = HashSet::with_capacity(section.len());
+    if section.iter().all(|v| seen.insert(v)) {
+        Inspection::ParallelOk
+    } else {
+        Inspection::Sequential
     }
-    let Some(values) = store.array_as_reals(idx) else {
-        return Inspection::Sequential;
-    };
-    if lo < 1 || hi as usize > values.len() {
-        return Inspection::Sequential;
-    }
-    for k in lo..=hi {
-        let v = values[(k - 1) as usize] as i64;
-        if v < val_lo || v > val_hi {
-            return Inspection::Sequential;
-        }
-    }
-    Inspection::ParallelOk
 }
 
 /// Parallel counterpart of [`inspect_injective`]: splits the section
@@ -112,16 +138,12 @@ pub fn inspect_injective_parallel(
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let Some(values) = store.array_as_reals(idx) else {
+    let Some(section) = IndexView::section(store, idx, lo, hi) else {
         return Inspection::Sequential;
     };
-    if lo < 1 || hi as usize > values.len() {
-        return Inspection::Sequential;
-    }
-    let section = &values[(lo - 1) as usize..hi as usize];
     let threads = threads.clamp(1, section.len());
     if threads == 1 {
-        return inspect_injective(store, idx, lo, hi);
+        return scan_injective(section);
     }
     // Chunked min/max pass.
     let chunk_len = section.len().div_ceil(threads);
@@ -130,14 +152,8 @@ pub fn inspect_injective_parallel(
             .chunks(chunk_len)
             .map(|c| {
                 scope.spawn(move || {
-                    let mut mn = i64::MAX;
-                    let mut mx = i64::MIN;
-                    for &v in c {
-                        let v = v as i64;
-                        mn = mn.min(v);
-                        mx = mx.max(v);
-                    }
-                    (mn, mx)
+                    c.iter()
+                        .fold((i64::MAX, i64::MIN), |(mn, mx), v| (mn.min(v), mx.max(v)))
                 })
             })
             .collect();
@@ -166,8 +182,8 @@ pub fn inspect_injective_parallel(
             .map(|c| {
                 scope.spawn(move || {
                     let mut bits = vec![0u64; words];
-                    for &v in c {
-                        let d = (v as i64 - min) as usize;
+                    for v in c.iter() {
+                        let d = (v - min) as usize;
                         let (w, b) = (d / 64, d % 64);
                         if bits[w] & (1 << b) != 0 {
                             return None; // duplicate inside this chunk
@@ -204,7 +220,7 @@ pub fn inspect_injective_parallel(
 /// inside a chunk surfaces as adjacent equal elements — and a k-way
 /// merge scan over the sorted chunks catches duplicates across chunks.
 /// Memory is `O(section)` regardless of the value range.
-fn inspect_injective_sparse_set(section: &[f64], chunk_len: usize) -> Inspection {
+fn inspect_injective_sparse_set(section: IndexView<'_>, chunk_len: usize) -> Inspection {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let sorted: Vec<Option<Vec<i64>>> = std::thread::scope(|scope| {
@@ -212,7 +228,7 @@ fn inspect_injective_sparse_set(section: &[f64], chunk_len: usize) -> Inspection
             .chunks(chunk_len)
             .map(|c| {
                 scope.spawn(move || {
-                    let mut v: Vec<i64> = c.iter().map(|&x| x as i64).collect();
+                    let mut v: Vec<i64> = c.iter().collect();
                     v.sort_unstable();
                     if v.windows(2).any(|w| w[0] == w[1]) {
                         return None; // duplicate inside this chunk
@@ -254,57 +270,6 @@ fn inspect_injective_sparse_set(section: &[f64], chunk_len: usize) -> Inspection
     Inspection::ParallelOk
 }
 
-/// Parallel counterpart of [`inspect_bounded`]: each worker scans a
-/// contiguous chunk of the section for a value outside
-/// `[val_lo, val_hi]`; the verdict is the conjunction of the chunk
-/// verdicts. Always identical to [`inspect_bounded`].
-pub fn inspect_bounded_parallel(
-    store: &Store,
-    idx: VarId,
-    lo: i64,
-    hi: i64,
-    val_lo: i64,
-    val_hi: i64,
-    threads: usize,
-) -> Inspection {
-    if hi < lo {
-        return Inspection::ParallelOk;
-    }
-    let Some(values) = store.array_as_reals(idx) else {
-        return Inspection::Sequential;
-    };
-    if lo < 1 || hi as usize > values.len() {
-        return Inspection::Sequential;
-    }
-    let section = &values[(lo - 1) as usize..hi as usize];
-    let threads = threads.clamp(1, section.len());
-    if threads == 1 {
-        return inspect_bounded(store, idx, lo, hi, val_lo, val_hi);
-    }
-    let chunk_len = section.len().div_ceil(threads);
-    let all_in = std::thread::scope(|scope| {
-        let handles: Vec<_> = section
-            .chunks(chunk_len)
-            .map(|c| {
-                scope.spawn(move || {
-                    c.iter().all(|&v| {
-                        let v = v as i64;
-                        v >= val_lo && v <= val_hi
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .all(|h| h.join().expect("inspector worker panicked"))
-    });
-    if all_in {
-        Inspection::ParallelOk
-    } else {
-        Inspection::Sequential
-    }
-}
-
 /// Inspects whether `ptr` is a proper offset array for lengths `len`
 /// over segments `lo..=hi`: `ptr(k+1) == ptr(k) + len(k)` with
 /// `len(k) >= 0` — the run-time counterpart of the closed-form distance
@@ -322,22 +287,21 @@ pub fn inspect_offset_length(
     if hi < lo {
         return Inspection::ParallelOk;
     }
-    let (Some(p), Some(l)) = (store.array_as_reals(ptr), store.array_as_reals(len)) else {
+    let sections = hi
+        .checked_add(1)
+        .and_then(|hi1| IndexView::section(store, ptr, lo, hi1))
+        .zip(IndexView::section(store, len, lo, hi));
+    let Some((p, l)) = sections else {
         return Inspection::Sequential;
     };
-    if lo < 1 || (hi + 1) as usize > p.len() || hi as usize > l.len() {
-        return Inspection::Sequential;
-    }
-    for k in lo..=hi {
-        let lk = l[(k - 1) as usize] as i64;
+    for k in 0..l.len() {
+        let lk = l.get(k);
         if lk < 0 {
             return Inspection::Sequential;
         }
-        let pk = p[(k - 1) as usize] as i64;
-        let pk1 = p[k as usize] as i64;
         // Widened like the injectivity inspector's range arithmetic:
         // extreme stored values must fail the equation, not overflow.
-        if pk1 as i128 != pk as i128 + lk as i128 {
+        if p.get(k + 1) as i128 != p.get(k) as i128 + lk as i128 {
             return Inspection::Sequential;
         }
     }
@@ -382,27 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_inspector() {
-        let (p, store) = store_of(
-            "program t
-             integer idx(10), i
-             do i = 1, 10
-               idx(i) = i + 2
-             enddo
-             end",
-        );
-        let idx = p.symbols.lookup("idx").unwrap();
-        assert_eq!(
-            inspect_bounded(&store, idx, 1, 10, 3, 12),
-            Inspection::ParallelOk
-        );
-        assert_eq!(
-            inspect_bounded(&store, idx, 1, 10, 1, 10),
-            Inspection::Sequential
-        );
-    }
-
-    #[test]
     fn parallel_inspectors_agree_with_sequential() {
         // Permutation with one duplicate injected at the far end: the
         // duplicate pair spans chunks, so only the merge can see it.
@@ -424,16 +367,6 @@ mod tests {
             );
             assert_eq!(
                 inspect_injective_parallel(&store, idx, 1, 64, threads),
-                Inspection::Sequential,
-                "threads={threads}"
-            );
-            assert_eq!(
-                inspect_bounded_parallel(&store, idx, 1, 64, 1, 64, threads),
-                inspect_bounded(&store, idx, 1, 64, 1, 64),
-                "threads={threads}"
-            );
-            assert_eq!(
-                inspect_bounded_parallel(&store, idx, 1, 64, 1, 32, threads),
                 Inspection::Sequential,
                 "threads={threads}"
             );
@@ -533,22 +466,8 @@ mod tests {
         // (max - min + 1) in i64 overflows; the widened computation
         // must route to the sparse-set path and return the sequential
         // inspector's verdict.
-        let p = parse_program(
-            "program t
-             integer idx(4)
-             end",
-        )
-        .unwrap();
+        let (p, store) = store_with("idx(4)", &[("idx", vec![-(1i64 << 62), 1i64 << 62, 0, 1])]);
         let idx = p.symbols.lookup("idx").unwrap();
-        let mut it = Interp::new(&p);
-        it.preset_array(
-            idx,
-            crate::interp::ArrayData::Int {
-                data: vec![-(1i64 << 62), 1i64 << 62, 0, 1],
-                dims: vec![4],
-            },
-        );
-        let store = it.run().unwrap().store;
         assert_eq!(
             inspect_injective_parallel(&store, idx, 1, 4, 4),
             inspect_injective(&store, idx, 1, 4)
@@ -558,17 +477,59 @@ mod tests {
             Inspection::ParallelOk
         );
         // And with a duplicated extreme value.
-        let mut it2 = Interp::new(&p);
-        it2.preset_array(
-            idx,
-            crate::interp::ArrayData::Int {
-                data: vec![-(1i64 << 62), 1i64 << 62, -(1i64 << 62), 1],
-                dims: vec![4],
-            },
+        let (_, store2) = store_with(
+            "idx(4)",
+            &[("idx", vec![-(1i64 << 62), 1i64 << 62, -(1i64 << 62), 1])],
         );
-        let store2 = it2.run().unwrap().store;
         assert_eq!(
             inspect_injective_parallel(&store2, idx, 1, 4, 4),
+            Inspection::Sequential
+        );
+    }
+
+    /// A store holding the given integer arrays, preset verbatim.
+    fn store_with(decls: &str, arrays: &[(&str, Vec<i64>)]) -> (irr_frontend::Program, Store) {
+        let p = parse_program(&format!("program t\n integer {decls}\n end")).unwrap();
+        let mut it = Interp::new(&p);
+        for (name, data) in arrays {
+            let dims = vec![data.len()];
+            let data = data.clone();
+            it.preset_array(
+                p.symbols.lookup(name).unwrap(),
+                ArrayData::Int { data, dims },
+            );
+        }
+        let store = it.run().unwrap().store;
+        (p, store)
+    }
+
+    /// Past 2^53 neighbouring integers share an `f64`: an inspector
+    /// reading through a real copy calls distinct values duplicates.
+    #[test]
+    fn injective_inspectors_read_integers_past_2_53_exactly() {
+        let big = 1i64 << 53;
+        let (p, store) = store_with("idx(2)", &[("idx", vec![big, big + 1])]);
+        let idx = p.symbols.lookup("idx").unwrap();
+        assert_eq!(inspect_injective(&store, idx, 1, 2), Inspection::ParallelOk);
+        assert_eq!(
+            inspect_injective_parallel(&store, idx, 1, 2, 2),
+            Inspection::ParallelOk
+        );
+    }
+
+    /// The unsound direction of the same rounding: `2^53 + 1` read as a
+    /// real is `2^53`, which makes a broken offset chain look proper.
+    #[test]
+    fn offset_length_inspector_reads_integers_past_2_53_exactly() {
+        let big = 1i64 << 53;
+        let (p, store) = store_with(
+            "ptr(2), len(1)",
+            &[("ptr", vec![big + 1, big + 2]), ("len", vec![2])],
+        );
+        let ptr = p.symbols.lookup("ptr").unwrap();
+        let len = p.symbols.lookup("len").unwrap();
+        assert_eq!(
+            inspect_offset_length(&store, ptr, len, 1, 1),
             Inspection::Sequential
         );
     }

@@ -3,7 +3,7 @@
 //! Shared by three consumers with one invariant — **no panic escapes
 //! `parse` + `analyze`**:
 //!
-//! - `tests/parser_robustness.rs` feeds every case to [`parse_program`]
+//! - `tests/parser_robustness.rs` feeds every case to [`crate::parse_program`]
 //!   and asserts a clean `Ok`/`Err`;
 //! - the driver's no-panic test compiles whatever parses;
 //! - the `irr-service` load generator mixes these cases into its
@@ -11,7 +11,7 @@
 //!   realistic garbage, not just synthetic faults.
 //!
 //! Every case is generated (no fixture files) and fully deterministic:
-//! the mutation cases use a seeded [`SplitMix64`]-style generator, so a
+//! the mutation cases use a seeded SplitMix64-style generator, so a
 //! failure reproduces from the case name alone.
 
 use crate::parser::MAX_NESTING_DEPTH;

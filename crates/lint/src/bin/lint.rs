@@ -15,10 +15,9 @@
 use irr_driver::{compile_source, DriverOptions};
 use irr_frontend::StmtKind;
 use irr_lint::{lint_report, DiagClass};
-use irr_programs::sparse::{interproc_kernels, kernels, producer_kernels, SparseScale};
+use irr_programs::sparse::{interproc_kernels, kernels, producer_kernels, SparseScale, STRUCTURES};
 use irr_programs::{all, Scale};
 use irr_sanitizer::figures;
-use irr_sparse::Structure;
 
 fn main() {
     let mut check = false;
@@ -44,11 +43,6 @@ fn main() {
         }
     }
 
-    const STRUCTURES: [Structure; 3] = [
-        Structure::Banded { bandwidth: 8 },
-        Structure::Uniform,
-        Structure::PowerLaw,
-    ];
     let mut targets: Vec<(String, String)> = all(scale)
         .into_iter()
         .map(|b| (b.name.to_string(), b.source))

@@ -95,19 +95,18 @@ pub fn lint_report(report: &CompilationReport) -> Vec<Diagnostic> {
         if !matches!(program.stmt(v.loop_stmt).kind, StmtKind::Do { .. }) {
             continue;
         }
-        // The compiled-tier plan is a fingerprint: re-deriving it with
-        // the driver's own pure function must reproduce it exactly. A
-        // verdict carrying a plan the eligibility walk rejects (or one
-        // with tampered pattern counts) was forged. A *missing* plan is
-        // never flagged — the conservative direction (tree-walk) is
-        // always safe.
+        // The compiled-tier plan is a fingerprint: it summarises the
+        // nest's lowered body, so lowering again must reproduce it
+        // exactly. A verdict carrying a plan for a nest the lowering
+        // rejects (or one with tampered counts) was forged. A *missing*
+        // plan is never flagged — the conservative direction
+        // (tree-walk) is always safe.
         if v.compiled.is_some() && v.compiled != derive_compiled_plan(program, v.loop_stmt) {
             diags.push(Diagnostic {
                 code: "IRR-S001",
                 class: DiagClass::Soundness,
                 loop_label: v.label.clone(),
-                message: "carries a compiled-tier plan the eligibility walk does not re-derive"
-                    .to_string(),
+                message: "carries a compiled-tier plan the lowering does not re-derive".to_string(),
             });
         }
         if v.parallel {

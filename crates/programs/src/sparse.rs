@@ -70,6 +70,13 @@ impl SparseProgram {
     }
 }
 
+/// The three matrix structures every sweep of the suite covers.
+pub const STRUCTURES: [Structure; 3] = [
+    Structure::Banded { bandwidth: 8 },
+    Structure::Uniform,
+    Structure::PowerLaw,
+];
+
 /// Workload parameters for one suite instantiation.
 #[derive(Clone, Copy, Debug)]
 pub struct SparseScale {
@@ -756,11 +763,7 @@ mod tests {
 
     #[test]
     fn all_kernels_parse_at_test_scale() {
-        for structure in [
-            Structure::Banded { bandwidth: 8 },
-            Structure::Uniform,
-            Structure::PowerLaw,
-        ] {
+        for structure in STRUCTURES {
             let scale = SparseScale::test(structure, 42);
             let mut ks = kernels(&scale);
             assert_eq!(ks.len(), 9);

@@ -86,9 +86,15 @@ pub struct ScheduleCache {
     evictions: u64,
 }
 
+/// Maximum cached schedules across all loops (LRU-evicted).
+const CAPACITY: usize = 128;
+/// Maximum cached schedules per loop, so a loop alternating between a
+/// few bound shapes keeps them all (LRU-evicted within the loop).
+const KEYS_PER_LOOP: usize = 4;
+
 impl Default for ScheduleCache {
     fn default() -> Self {
-        ScheduleCache::with_limits(128, 4)
+        ScheduleCache::with_limits(CAPACITY, KEYS_PER_LOOP)
     }
 }
 

@@ -46,6 +46,12 @@ use irr_exec::{
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
 
+/// Minimum inspected section length before a guarded loop's
+/// injectivity inspector runs its chunked parallel variant; shorter
+/// sections stay on the sequential scan (thread spawn would cost more
+/// than it saves).
+const PARALLEL_INSPECT_THRESHOLD: i64 = 2048;
+
 /// Configuration of the hybrid runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct HybridConfig {
@@ -60,11 +66,6 @@ pub struct HybridConfig {
     /// before the verdict is dropped and re-inspected. `0` retries
     /// immediately (the pre-quarantine behavior).
     pub quarantine_retries: u32,
-    /// Maximum cached schedules across all loops (LRU-evicted).
-    pub cache_capacity: usize,
-    /// Maximum cached schedules per loop, so a loop alternating between
-    /// a few bound shapes keeps them all (LRU-evicted within the loop).
-    pub cache_keys_per_loop: usize,
     /// Per-worker wall-clock deadline for parallel dispatches, in
     /// milliseconds: a worker still running past it turns the dispatch
     /// into a timeout fallback. `None` (the default) disables the
@@ -75,11 +76,6 @@ pub struct HybridConfig {
     /// `false` forces every parallel dispatch through the write-log —
     /// the pre-strategy behavior, kept for A/B measurement.
     pub enable_strategies: bool,
-    /// Minimum inspected section length before a guarded loop's
-    /// injectivity inspector runs its chunked parallel variant; shorter
-    /// sections stay on the sequential scan (thread spawn would cost
-    /// more than it saves).
-    pub parallel_inspect_threshold: usize,
     /// Use the compiled (bytecode) execution tier: sequential-tier leaf
     /// loops whose verdict carries a compiled plan dispatch as
     /// [`LoopDecision::Compiled`], and parallel plans request bytecode
@@ -94,11 +90,8 @@ impl Default for HybridConfig {
             threads: 4,
             cache_schedules: true,
             quarantine_retries: 2,
-            cache_capacity: 128,
-            cache_keys_per_loop: 4,
             worker_deadline_ms: None,
             enable_strategies: true,
-            parallel_inspect_threshold: 2048,
             enable_compiled: true,
         }
     }
@@ -213,7 +206,7 @@ impl HybridDispatcher {
         HybridDispatcher {
             loops,
             config,
-            cache: ScheduleCache::with_limits(config.cache_capacity, config.cache_keys_per_loop),
+            cache: ScheduleCache::new(),
             fault: None,
             last_parallel: None,
             telemetry: Telemetry::default(),
@@ -305,9 +298,7 @@ impl HybridDispatcher {
                         // Long sections amortize thread spawn: the chunked
                         // parallel inspector marks per-chunk bitmaps and
                         // merges them at chunk granularity.
-                        if hi.saturating_sub(lo) + 1
-                            >= self.config.parallel_inspect_threshold as i64
-                        {
+                        if hi.saturating_sub(lo) + 1 >= PARALLEL_INSPECT_THRESHOLD {
                             inspect_injective_parallel(
                                 store,
                                 *array,

@@ -102,8 +102,9 @@ pub struct Telemetry {
     /// silently tree-walk when that fails.
     pub compiled_worker_dispatches: u64,
     /// Compiled-tier dispatches that fell back to the tree-walk because
-    /// the executor's own re-lowering rejected the nest (the verdict's
-    /// advisory plan diverged from the authoritative lowering).
+    /// the executor's own lowering rejected the nest (the verdict's
+    /// advisory plan was forged or stale: both sides call one
+    /// `lower_do_loop`).
     pub compiled_fallback_unsupported: u64,
     /// Compiled-tier dispatches that fell back because instrumentation
     /// (access tracing or per-loop recording) was attached — the

@@ -54,14 +54,16 @@
 //! doubles as a CI gate. Precision gaps (full mode) are informational.
 
 use irr_driver::ladder::{tier_rank, DegradeLevel};
-use irr_driver::{compile_source, CompilationReport, DispatchTier, DriverOptions};
+use irr_driver::{compile_source, CompilationReport, DispatchTier, DriverOptions, LoopVerdict};
 use irr_exec::{CompiledDispatch, FaultPlan, Interp, SplitMix64, Store, Value};
 use irr_programs::fuzz::random_loop_program;
-use irr_programs::sparse::{interproc_kernels, kernels, producer_kernels, SparseScale};
+use irr_programs::sparse::{
+    interproc_kernels, kernels, producer_kernels, SparseProgram, SparseScale, STRUCTURES,
+};
 use irr_programs::{all, Scale};
 use irr_runtime::{run_hybrid_with_faults, HybridConfig};
 use irr_sanitizer::{
-    audit_report, audit_report_seeded, figures, AuditConfig, AuditMode, FindingKind,
+    audit_report, audit_report_seeded, figures, AuditConfig, AuditMode, AuditReport, FindingKind,
 };
 use irr_sparse::Structure;
 
@@ -175,13 +177,7 @@ fn main() {
             audit.violations(),
             audit.precision_gaps(),
         );
-        for f in &audit.findings {
-            let tag = match f.kind {
-                FindingKind::SoundnessViolation => "VIOLATION",
-                FindingKind::PrecisionGap => "precision-gap",
-            };
-            println!("  [{tag}] {}", f.detail);
-        }
+        print_findings(&audit);
         total_violations += audit.violations();
         total_gaps += audit.precision_gaps();
         if chaos > 0 {
@@ -189,26 +185,50 @@ fn main() {
         }
     }
     let mut audited = targets.len();
+    let mut sweeps = Vec::new();
     if sparse > 0 {
-        let (sampled, violations, gaps) = sparse_sweep(&config, sparse);
-        audited += sampled;
-        total_violations += violations;
-        total_gaps += gaps;
+        println!("sparse sweep: {sparse} generated kernel program(s)");
+        sweeps.push(kernel_sweep(
+            &config,
+            "sparse",
+            kernels,
+            3,
+            Some(sparse),
+            None,
+        ));
     }
     if evolution {
-        let (sampled, violations, gaps) = evolution_sweep(&config);
-        audited += sampled;
-        total_violations += violations;
-        total_gaps += gaps;
+        println!(
+            "evolution sweep: producer-loop kernels, {} structure(s)",
+            STRUCTURES.len()
+        );
+        sweeps.push(kernel_sweep(
+            &config,
+            "evolution",
+            producer_kernels,
+            5,
+            None,
+            Some(&EVOLUTION_GATE),
+        ));
     }
     if interproc {
-        let (sampled, violations, gaps) = interproc_sweep(&config);
-        audited += sampled;
-        total_violations += violations;
-        total_gaps += gaps;
+        println!(
+            "interproc sweep: call-structured kernels, {} structure(s)",
+            STRUCTURES.len()
+        );
+        sweeps.push(kernel_sweep(
+            &config,
+            "interproc",
+            interproc_kernels,
+            7,
+            None,
+            Some(&INTERPROC_GATE),
+        ));
     }
     if ladder {
-        let (sampled, violations, gaps) = ladder_sweep(&config, &targets);
+        sweeps.push(ladder_sweep(&config, &targets));
+    }
+    for (sampled, violations, gaps) in sweeps {
         audited += sampled;
         total_violations += violations;
         total_gaps += gaps;
@@ -227,220 +247,151 @@ fn main() {
     }
 }
 
-/// Audits `n` generated sparse-kernel programs, cycling through the
-/// kernel library and the three matrix structures with a fresh
-/// generator seed per sample. Each program's index arrays are preset
+/// Prints one line per finding of an audit, tagged by kind.
+fn print_findings(audit: &AuditReport) {
+    for f in &audit.findings {
+        let tag = match f.kind {
+            FindingKind::SoundnessViolation => "VIOLATION",
+            FindingKind::PrecisionGap => "precision-gap",
+        };
+        println!("  [{tag}] {}", f.detail);
+    }
+}
+
+/// How a kernel sweep judges each kernel's consumer loop, and what a
+/// sweep in which no consumer passes means. A sweep without a gate only
+/// replays.
+struct PromotionGate {
+    /// Judges the consumer's verdict (`None` unless it is compile-time
+    /// parallel), before the replay.
+    judge: fn(Option<&LoopVerdict>) -> Promotion,
+    /// A promotion only counts when its replay comes back clean.
+    must_survive: bool,
+    /// Suffix of the closing "N/M consumer loop(s) promoted" line.
+    how: &'static str,
+    /// What a sweep with zero promotions reports as regressed.
+    regressed: &'static str,
+}
+
+/// One kernel's promotion, as its [`PromotionGate::judge`] sees it.
+struct Promotion {
+    /// Spliced into the kernel's report line.
+    detail: String,
+    /// A defect of the promotion itself.
+    violation: Option<&'static str>,
+    promoted: bool,
+}
+
+/// `--evolution`: every consumer loop the value-evolution analysis
+/// promoted is replayed with its retired checks re-evaluated against
+/// the live store; zero promotions means the analysis silently degraded
+/// to runtime guards.
+const EVOLUTION_GATE: PromotionGate = PromotionGate {
+    judge: |consumer| {
+        let retired = consumer.map_or(0, |v| v.retired_checks.len());
+        Promotion {
+            detail: format!("{retired} retired check(s), "),
+            violation: None,
+            promoted: retired > 0,
+        }
+    },
+    must_survive: false,
+    how: "",
+    regressed: "no promotions — value-evolution analysis regressed",
+};
+
+/// `--interproc`: the index-array producers live in a subroutine the
+/// inliner never flattens, so the consumer promotes *only* through the
+/// interprocedural property summaries. Every promotion must carry the
+/// `promoted_interproc` flag and survive the replay.
+const INTERPROC_GATE: PromotionGate = PromotionGate {
+    judge: |consumer| {
+        let retired = consumer.map_or(0, |v| v.retired_checks.len());
+        let flagged = consumer.is_some_and(|v| v.promoted_interproc);
+        Promotion {
+            detail: format!("{retired} retired check(s), interproc {flagged}, "),
+            violation: (retired > 0 && !flagged)
+                .then_some("promotion not flagged promoted_interproc"),
+            promoted: retired > 0 && flagged,
+        }
+    },
+    must_survive: true,
+    how: " interprocedurally",
+    regressed: "no surviving interprocedural promotions — the summary layer regressed",
+};
+
+/// Audits generated sparse-kernel programs from `kernels` across the
+/// three matrix structures — one pass, or with `samples = Some(n)`
+/// cycling the structures with a fresh generator seed per round until
+/// `n` programs are sampled. Each program's index arrays are preset
 /// from the generated matrix before every replay, so the traced runs
 /// exercise the same CRS/CCS structure the runtime guards inspect.
-/// Returns `(programs audited, violations, precision gaps)`.
-fn sparse_sweep(config: &AuditConfig, n: usize) -> (usize, usize, usize) {
-    const STRUCTURES: [Structure; 3] = [
-        Structure::Banded { bandwidth: 8 },
-        Structure::Uniform,
-        Structure::PowerLaw,
-    ];
-    println!("sparse sweep: {n} generated kernel program(s)");
+/// Counts a violation for every contradicted verdict or failed run,
+/// and under a `gate` for every defective promotion plus one if the
+/// sweep produces *zero* promotions. Returns `(programs audited,
+/// violations, precision gaps)`.
+fn kernel_sweep(
+    config: &AuditConfig,
+    tag: &str,
+    kernels: fn(&SparseScale) -> Vec<SparseProgram>,
+    seed_mul: u64,
+    samples: Option<usize>,
+    gate: Option<&PromotionGate>,
+) -> (usize, usize, usize) {
     let mut violations = 0usize;
     let mut gaps = 0usize;
     let mut sampled = 0usize;
-    let mut i = 0usize;
-    'outer: loop {
+    let mut promoted = 0usize;
+    let rounds = if samples.is_some() {
+        usize::MAX
+    } else {
+        STRUCTURES.len()
+    };
+    'rounds: for i in 0..rounds {
         let structure = STRUCTURES[i % STRUCTURES.len()];
-        let seed = config.seed.wrapping_add(i as u64).wrapping_mul(3) | 1;
+        let seed = config.seed.wrapping_add(i as u64).wrapping_mul(seed_mul) | 1;
         for k in kernels(&SparseScale::test(structure, seed)) {
-            if sampled == n {
-                break 'outer;
+            if samples == Some(sampled) {
+                break 'rounds;
             }
             let rep = match compile_source(&k.source, DriverOptions::with_iaa()) {
                 Ok(r) => r,
-                Err(e) => die(&format!("sparse {}: parse error: {e}", k.name)),
+                Err(e) => die(&format!("{tag} {}: parse error: {e}", k.name)),
             };
-            let presets = k.resolve_presets(&rep.program);
-            let audit = audit_report_seeded(&rep, config, &presets);
-            println!(
-                "sparse {} ({}, seed {seed}): {} loop(s) audited, {} run(s) ok, {} failed, \
-                 {} violation(s), {} precision gap(s)",
-                k.name,
-                structure.tag(),
-                audit.loops_audited,
-                audit.runs_completed,
-                audit.runs_failed,
-                audit.violations(),
-                audit.precision_gaps(),
-            );
-            for f in &audit.findings {
-                let tag = match f.kind {
-                    FindingKind::SoundnessViolation => "VIOLATION",
-                    FindingKind::PrecisionGap => "precision-gap",
-                };
-                println!("  [{tag}] {}", f.detail);
-            }
-            if audit.runs_failed > 0 {
-                println!(
-                    "  [VIOLATION] sparse {}: {} run(s) failed",
-                    k.name, audit.runs_failed
-                );
-                violations += audit.runs_failed as usize;
-            }
-            violations += audit.violations();
-            gaps += audit.precision_gaps();
-            sampled += 1;
-        }
-        i += 1;
-    }
-    (sampled, violations, gaps)
-}
-
-/// Audits the producer-loop kernels across the three matrix
-/// structures: every consumer loop the value-evolution analysis
-/// promoted is replayed under shadow tracing with its retired checks
-/// re-evaluated against the live store. Counts a violation for every
-/// contradicted promotion or failed run, and one extra violation if
-/// the sweep produces *zero* promotions — the regression gate that
-/// keeps the analysis from silently degrading to runtime guards.
-/// Returns `(programs audited, violations, precision gaps)`.
-fn evolution_sweep(config: &AuditConfig) -> (usize, usize, usize) {
-    const STRUCTURES: [Structure; 3] = [
-        Structure::Banded { bandwidth: 8 },
-        Structure::Uniform,
-        Structure::PowerLaw,
-    ];
-    println!(
-        "evolution sweep: producer-loop kernels, {} structure(s)",
-        STRUCTURES.len()
-    );
-    let mut violations = 0usize;
-    let mut gaps = 0usize;
-    let mut sampled = 0usize;
-    let mut promoted = 0usize;
-    for (i, structure) in STRUCTURES.iter().enumerate() {
-        let seed = config.seed.wrapping_add(i as u64).wrapping_mul(5) | 1;
-        for k in producer_kernels(&SparseScale::test(*structure, seed)) {
-            let rep = match compile_source(&k.source, DriverOptions::with_iaa()) {
-                Ok(r) => r,
-                Err(e) => die(&format!("evolution {}: parse error: {e}", k.name)),
-            };
-            let retired = rep
-                .verdict(&k.label)
-                .filter(|v| matches!(v.tier, DispatchTier::CompileTimeParallel))
-                .map_or(0, |v| v.retired_checks.len());
-            if retired > 0 {
-                promoted += 1;
-            }
-            let presets = k.resolve_presets(&rep.program);
-            let audit = audit_report_seeded(&rep, config, &presets);
-            println!(
-                "evolution {} ({}, seed {seed}): {} retired check(s), {} loop(s) audited, \
-                 {} run(s) ok, {} failed, {} violation(s), {} precision gap(s)",
-                k.name,
-                structure.tag(),
-                retired,
-                audit.loops_audited,
-                audit.runs_completed,
-                audit.runs_failed,
-                audit.violations(),
-                audit.precision_gaps(),
-            );
-            for f in &audit.findings {
-                let tag = match f.kind {
-                    FindingKind::SoundnessViolation => "VIOLATION",
-                    FindingKind::PrecisionGap => "precision-gap",
-                };
-                println!("  [{tag}] {}", f.detail);
-            }
-            if audit.runs_failed > 0 {
-                println!(
-                    "  [VIOLATION] evolution {}: {} run(s) failed",
-                    k.name, audit.runs_failed
-                );
-                violations += audit.runs_failed as usize;
-            }
-            violations += audit.violations();
-            gaps += audit.precision_gaps();
-            sampled += 1;
-        }
-    }
-    println!("evolution sweep: {promoted}/{sampled} consumer loop(s) promoted");
-    if promoted == 0 {
-        println!(
-            "  [VIOLATION] evolution sweep: no promotions — value-evolution analysis regressed"
-        );
-        violations += 1;
-    }
-    (sampled, violations, gaps)
-}
-
-/// Audits the call-structured kernels: the index-array producers live
-/// in a subroutine the inliner never flattens, so the consumer promotes
-/// to compile-time parallel *only* through the interprocedural property
-/// summaries. Every promotion must carry the `promoted_interproc` flag
-/// and survive dynamic replay (retired checks re-evaluated against the
-/// live store). A sweep with zero surviving interprocedural promotions
-/// counts as a violation — the regression gate for the summary layer.
-/// Returns `(programs audited, violations, precision gaps)`.
-fn interproc_sweep(config: &AuditConfig) -> (usize, usize, usize) {
-    const STRUCTURES: [Structure; 3] = [
-        Structure::Banded { bandwidth: 8 },
-        Structure::Uniform,
-        Structure::PowerLaw,
-    ];
-    println!(
-        "interproc sweep: call-structured kernels, {} structure(s)",
-        STRUCTURES.len()
-    );
-    let mut violations = 0usize;
-    let mut gaps = 0usize;
-    let mut sampled = 0usize;
-    let mut promoted = 0usize;
-    for (i, structure) in STRUCTURES.iter().enumerate() {
-        let seed = config.seed.wrapping_add(i as u64).wrapping_mul(7) | 1;
-        for k in interproc_kernels(&SparseScale::test(*structure, seed)) {
-            let rep = match compile_source(&k.source, DriverOptions::with_iaa()) {
-                Ok(r) => r,
-                Err(e) => die(&format!("interproc {}: parse error: {e}", k.name)),
-            };
-            let consumer = rep
-                .verdict(&k.label)
-                .filter(|v| matches!(v.tier, DispatchTier::CompileTimeParallel));
-            let retired = consumer.map_or(0, |v| v.retired_checks.len());
-            let flagged = consumer.is_some_and(|v| v.promoted_interproc);
-            if retired > 0 && !flagged {
-                println!(
-                    "  [VIOLATION] interproc {}: promotion not flagged promoted_interproc",
-                    k.name
-                );
+            let judged = gate.map(|g| {
+                let consumer = rep
+                    .verdict(&k.label)
+                    .filter(|v| matches!(v.tier, DispatchTier::CompileTimeParallel));
+                (g, (g.judge)(consumer))
+            });
+            if let Some(why) = judged.as_ref().and_then(|(_, p)| p.violation) {
+                println!("  [VIOLATION] {tag} {}: {why}", k.name);
                 violations += 1;
             }
             let presets = k.resolve_presets(&rep.program);
             let audit = audit_report_seeded(&rep, config, &presets);
             println!(
-                "interproc {} ({}, seed {seed}): {} retired check(s), interproc {}, {} loop(s) \
-                 audited, {} run(s) ok, {} failed, {} violation(s), {} precision gap(s)",
+                "{tag} {} ({}, seed {seed}): {}{} loop(s) audited, {} run(s) ok, {} failed, \
+                 {} violation(s), {} precision gap(s)",
                 k.name,
                 structure.tag(),
-                retired,
-                flagged,
+                judged.as_ref().map_or("", |(_, p)| p.detail.as_str()),
                 audit.loops_audited,
                 audit.runs_completed,
                 audit.runs_failed,
                 audit.violations(),
                 audit.precision_gaps(),
             );
-            for f in &audit.findings {
-                let tag = match f.kind {
-                    FindingKind::SoundnessViolation => "VIOLATION",
-                    FindingKind::PrecisionGap => "precision-gap",
-                };
-                println!("  [{tag}] {}", f.detail);
-            }
+            print_findings(&audit);
             if audit.runs_failed > 0 {
                 println!(
-                    "  [VIOLATION] interproc {}: {} run(s) failed",
+                    "  [VIOLATION] {tag} {}: {} run(s) failed",
                     k.name, audit.runs_failed
                 );
                 violations += audit.runs_failed as usize;
             }
-            if retired > 0 && flagged && audit.violations() == 0 && audit.runs_failed == 0 {
+            let clean = audit.violations() == 0 && audit.runs_failed == 0;
+            if judged.is_some_and(|(g, p)| p.promoted && (clean || !g.must_survive)) {
                 promoted += 1;
             }
             violations += audit.violations();
@@ -448,13 +399,15 @@ fn interproc_sweep(config: &AuditConfig) -> (usize, usize, usize) {
             sampled += 1;
         }
     }
-    println!("interproc sweep: {promoted}/{sampled} consumer loop(s) promoted interprocedurally");
-    if promoted == 0 {
+    if let Some(g) = gate {
         println!(
-            "  [VIOLATION] interproc sweep: no surviving interprocedural promotions — the \
-             summary layer regressed"
+            "{tag} sweep: {promoted}/{sampled} consumer loop(s) promoted{}",
+            g.how
         );
-        violations += 1;
+        if promoted == 0 {
+            println!("  [VIOLATION] {tag} sweep: {}", g.regressed);
+            violations += 1;
+        }
     }
     (sampled, violations, gaps)
 }

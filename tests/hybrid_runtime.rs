@@ -4,8 +4,8 @@
 //! amortizes inspections across executions, and writes to the index
 //! array force exactly one re-inspection.
 
-use irr_driver::{compile_source, DispatchTier, DriverOptions, ResidualCheck};
-use irr_exec::{inspect_bounded, inspect_injective, inspect_offset_length, Inspection, Interp};
+use irr_driver::{compile_source, CompiledPlan, DispatchTier, DriverOptions, ResidualCheck};
+use irr_exec::{inspect_injective, inspect_offset_length, Inspection, Interp};
 use irr_runtime::{run_hybrid, HybridConfig};
 
 /// The flagship scenario: `p(i) = mod(i*3, n) + 1` is a permutation of
@@ -191,6 +191,69 @@ fn hybrid_store_and_stats_match_sequential_end_to_end() {
     }
 }
 
+// ---- compiled-tier trust discipline: the plan is advisory ----
+
+/// A scalar recurrence: proven sequential, leaf nest. `extra` is
+/// spliced into the loop body.
+fn recurrence_src(extra: &str) -> String {
+    format!(
+        "program t
+         integer i, n
+         real s, x(100)
+         n = 100
+         s = 0
+         do i = 1, n
+           x(i) = s
+           s = s * 2 + 1
+           {extra}
+         enddo
+         print x(3)
+         end"
+    )
+}
+
+#[test]
+fn forged_compiled_plan_falls_back_to_the_tree_walk() {
+    // `print` does not lower, so the honest verdict carries no plan. A
+    // forged one makes the runtime request the bytecode tier; the
+    // executor lowers the nest itself, rejects it, and tree-walks.
+    let src = recurrence_src("print s");
+    let mut rep = compile_source(&src, DriverOptions::with_iaa()).unwrap();
+    let seq = Interp::new(&rep.program).run().unwrap();
+    let v = &mut rep.verdicts[0];
+    assert!(matches!(v.tier, DispatchTier::Sequential), "{v:?}");
+    assert_eq!(v.compiled, None, "{v:?}");
+    v.compiled = Some(CompiledPlan::default());
+    let hybrid = run_hybrid(&rep, HybridConfig::default()).unwrap();
+    assert_eq!(hybrid.outcome.output, seq.output);
+    assert_eq!(hybrid.outcome.store, seq.store);
+    assert_eq!(hybrid.outcome.stats.total_cost, seq.stats.total_cost);
+    let t = &hybrid.telemetry;
+    assert_eq!(t.compiled_fallback_unsupported, 1, "{t:?}");
+    assert_eq!(t.compiled_loops, 0, "{t:?}");
+}
+
+#[test]
+fn cleared_compiled_plan_keeps_a_lowerable_loop_on_the_tree_walk() {
+    // The conservative direction: dropping an honest plan only costs
+    // the tier, never the result.
+    let src = recurrence_src("");
+    let mut rep = compile_source(&src, DriverOptions::with_iaa()).unwrap();
+    let seq = Interp::new(&rep.program).run().unwrap();
+    let honest = run_hybrid(&rep, HybridConfig::default()).unwrap();
+    assert_eq!(honest.telemetry.compiled_loops, 1, "{:?}", honest.telemetry);
+    let v = &mut rep.verdicts[0];
+    assert!(matches!(v.tier, DispatchTier::Sequential), "{v:?}");
+    assert!(v.compiled.take().is_some());
+    let hybrid = run_hybrid(&rep, HybridConfig::default()).unwrap();
+    assert_eq!(hybrid.outcome.output, seq.output);
+    assert_eq!(hybrid.outcome.store, seq.store);
+    assert_eq!(hybrid.outcome.stats.total_cost, seq.stats.total_cost);
+    let t = &hybrid.telemetry;
+    assert_eq!(t.compiled_loops, 0, "{t:?}");
+    assert_eq!(t.compiled_fallbacks(), 0, "{t:?}");
+}
+
 // ---- inspector edge cases (empty / unmaterialized / out-of-bounds) ----
 
 fn empty_store() -> (irr_frontend::Program, irr_exec::Store) {
@@ -215,10 +278,6 @@ fn empty_sections_are_parallel_ok_in_all_inspectors() {
     assert_eq!(inspect_injective(&store, idx, 5, 4), Inspection::ParallelOk);
     assert_eq!(inspect_injective(&store, idx, 1, 0), Inspection::ParallelOk);
     assert_eq!(
-        inspect_bounded(&store, idx, 5, 4, 0, 0),
-        Inspection::ParallelOk
-    );
-    assert_eq!(
         inspect_offset_length(&store, ptr, len, 5, 4),
         Inspection::ParallelOk
     );
@@ -231,10 +290,6 @@ fn unmaterialized_arrays_fail_nonempty_inspections() {
     let ptr = p.symbols.lookup("ptr").unwrap();
     let len = p.symbols.lookup("len").unwrap();
     assert_eq!(inspect_injective(&store, idx, 1, 3), Inspection::Sequential);
-    assert_eq!(
-        inspect_bounded(&store, idx, 1, 3, 0, 100),
-        Inspection::Sequential
-    );
     assert_eq!(
         inspect_offset_length(&store, ptr, len, 1, 3),
         Inspection::Sequential
@@ -257,10 +312,6 @@ fn out_of_bounds_sections_fail_inspections() {
     assert_eq!(inspect_injective(&store, idx, 0, 5), Inspection::Sequential);
     assert_eq!(
         inspect_injective(&store, idx, 1, 11),
-        Inspection::Sequential
-    );
-    assert_eq!(
-        inspect_bounded(&store, idx, 1, 11, 1, 10),
         Inspection::Sequential
     );
 }

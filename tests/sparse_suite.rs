@@ -4,7 +4,7 @@
 use irr_repro::driver::{compile_source, CompilationReport, DispatchTier, DriverOptions};
 use irr_repro::exec::{ExecOutcome, Interp};
 use irr_repro::programs::sparse::{
-    kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale,
+    kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale, STRUCTURES,
 };
 use irr_repro::runtime::{run_hybrid_seeded, HybridConfig, HybridOutcome};
 use irr_repro::sparse::Structure;
@@ -75,19 +75,11 @@ fn assert_parity(
     }
 }
 
-fn structures() -> [Structure; 3] {
-    [
-        Structure::Banded { bandwidth: 8 },
-        Structure::Uniform,
-        Structure::PowerLaw,
-    ]
-}
-
 /// Every kernel's main loop lands on its expected dispatch tier with
 /// its expected strategy facts, for all three matrix structures.
 #[test]
 fn verdicts_are_stable() {
-    for structure in structures() {
+    for structure in STRUCTURES {
         for k in kernels(&SparseScale::test(structure, 42)) {
             let rep = compile_kernel(&k);
             let v = rep
@@ -267,7 +259,7 @@ fn inspectors_survive_ten_million_nonzeros() {
 /// in-program offset–length chains and the reversal-fill injectivity.
 #[test]
 fn producer_kernels_promote_across_structures() {
-    for structure in structures() {
+    for structure in STRUCTURES {
         let mut promoted = 0;
         for k in producer_kernels(&SparseScale::test(structure, 42)) {
             let rep = compile_kernel(&k);
@@ -331,7 +323,7 @@ fn producer_kernels_keep_parity_and_retire_inspections() {
 #[test]
 fn sanitizer_confirms_every_promotion() {
     use irr_repro::sanitizer::{audit_report_seeded, AuditConfig};
-    for structure in structures() {
+    for structure in STRUCTURES {
         for k in producer_kernels(&SparseScale::test(structure, 13)) {
             let rep = compile_kernel(&k);
             let audit = audit_report_seeded(
