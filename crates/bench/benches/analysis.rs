@@ -409,7 +409,7 @@ fn strategy_sweep(r: &Runner) {
             let mut it = Interp::new(&program);
             it.exec_stmt(fill).unwrap();
             let committed = exec_do_parallel(&mut it, target, &in_place, 1, 16, 1).unwrap();
-            assert_eq!(committed, ExecutionStrategy::InPlaceDisjoint);
+            assert_eq!(committed.strategy, ExecutionStrategy::InPlaceDisjoint);
         }
         g.bench_with_setup(
             &format!("write-log-16-writes/store-{n}"),
@@ -455,15 +455,17 @@ fn strategy_sweep(r: &Runner) {
 
 /// Compiled-tier engagement counters recorded alongside the strategy
 /// counts: sequential-tier bytecode entries, parallel dispatches with
-/// bytecode workers, and reason-coded tree-walk fallbacks.
-fn compiled_counts(out: &irr_runtime::HybridOutcome) -> [(&'static str, u64); 3] {
+/// bytecode workers and the engine their chunks actually finished on,
+/// and reason-coded tree-walk fallbacks.
+fn compiled_counts(out: &irr_runtime::HybridOutcome) -> [(&'static str, u64); 6] {
+    let t = &out.telemetry;
     [
-        ("compiled_loops", out.telemetry.compiled_loops),
-        (
-            "compiled_worker_dispatches",
-            out.telemetry.compiled_worker_dispatches,
-        ),
-        ("compiled_fallbacks", out.telemetry.compiled_fallbacks()),
+        ("compiled_loops", t.compiled_loops),
+        ("compiled_worker_dispatches", t.compiled_worker_dispatches),
+        ("worker_chunks_typed", t.worker_chunks_typed),
+        ("worker_chunks_per_op", t.worker_chunks_per_op),
+        ("worker_chunks_tree_walk", t.worker_chunks_tree_walk),
+        ("compiled_fallbacks", t.compiled_fallbacks()),
     ]
 }
 

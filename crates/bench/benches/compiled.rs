@@ -27,6 +27,8 @@
 //!   dispatches with bytecode workers, and reason-coded interpreter
 //!   fallbacks, from one instrumented hybrid run. CI gates on the
 //!   sweep keeping the first two jointly nonzero.
+//!   `worker_chunks_{typed,per_op,tree_walk}` say which engine those
+//!   workers' chunks finished on.
 //! - `compiled/opcodes/{name}` — per-opcode dispatch counts from one
 //!   profiled `spmv` pass at the largest size. Profiling keeps the
 //!   whole entry on the per-op loop (the typed loop has no per-op
@@ -159,18 +161,17 @@ fn main() {
             }
             let probe = run_hybrid_seeded(&rep, hybrid_config(true), &presets)
                 .expect("telemetry probe run");
-            r.annotate(
-                &format!("compiled/{combo}/compiled_loops"),
-                probe.telemetry.compiled_loops,
-            );
-            r.annotate(
-                &format!("compiled/{combo}/compiled_worker_dispatches"),
-                probe.telemetry.compiled_worker_dispatches,
-            );
-            r.annotate(
-                &format!("compiled/{combo}/compiled_fallbacks"),
-                probe.telemetry.compiled_fallbacks(),
-            );
+            let t = &probe.telemetry;
+            for (name, v) in [
+                ("compiled_loops", t.compiled_loops),
+                ("compiled_worker_dispatches", t.compiled_worker_dispatches),
+                ("worker_chunks_typed", t.worker_chunks_typed),
+                ("worker_chunks_per_op", t.worker_chunks_per_op),
+                ("worker_chunks_tree_walk", t.worker_chunks_tree_walk),
+                ("compiled_fallbacks", t.compiled_fallbacks()),
+            ] {
+                r.annotate(&format!("compiled/{combo}/{name}"), v);
+            }
         }
     }
 

@@ -8,13 +8,14 @@
 //! contract; every arm below cites the interpreter behavior it
 //! replicates.
 //!
-//! Parallel workers, profiled runs and nests the typed specialization
-//! cannot type run here for the whole entry. A typeable sequential
-//! entry runs here only until every array it references is
-//! materialized, then hands over to the typed loop
+//! Profiled runs and nests the typed specialization cannot type run
+//! here for the whole chunk. A typeable chunk — a sequential loop entry
+//! or a parallel worker's share of one, both through
+//! [`Interp::run_chunk`] — runs here only until every array it
+//! references is materialized, then hands over to the typed loop
 //! ([`Interp::run_fast_iters`]) at an iteration boundary.
 
-use super::FastBody;
+use super::{ChunkAbort, ChunkEngine, ChunkWatch, FastBody};
 use crate::interp::{
     advance_induction, apply_bin, apply_intrinsic, ArrayData, ExecError, Interp, Value,
 };
@@ -60,11 +61,12 @@ impl<'p> Interp<'p> {
         Ok(v as usize - 1)
     }
 
-    /// Executes the compiled outermost `do` loop, mirroring the
-    /// interpreter's sequential `Do` arm: entry counted before the
-    /// first iteration, per-iteration logged induction write, one
-    /// bookkeeping charge per iteration, the Fortran final induction
-    /// value, and the nest's cost attributed on success only.
+    /// Executes the compiled outermost `do` loop as one whole-loop
+    /// chunk, mirroring the interpreter's sequential `Do` arm: entry
+    /// counted before the first iteration, per-iteration logged
+    /// induction write, one bookkeeping charge per iteration, the
+    /// Fortran final induction value, and the nest's cost attributed on
+    /// success only.
     pub(crate) fn exec_do_compiled(
         &mut self,
         s: StmtId,
@@ -73,40 +75,39 @@ impl<'p> Interp<'p> {
         hi: i64,
         step: i64,
     ) -> Result<(), ExecError> {
-        // The typed loop writes pinned payloads raw and has no per-op
-        // hook, so it is only sound when element writes are not
-        // observed beyond the payload (no write log, no strategy
-        // overlay) and no per-opcode profile is collected. An observed
-        // or profiled entry runs per-op throughout: that loop shares
-        // every store code path with the tree-walk.
-        let fb = if self.compiled_profile.is_none() && !self.store.writes_observed() {
+        // The typed loop has no per-op hook, so a profiled entry runs
+        // per-op throughout.
+        let fb = if self.compiled_profile.is_none() {
             self.fast_body_for(s, cb)
         } else {
             None
         };
-        // Reuse one register file across loop entries; registers are
-        // write-before-read by construction, so no per-entry clearing
-        // beyond sizing is needed.
-        let mut temps = std::mem::take(&mut self.ctemps);
-        temps.clear();
-        temps.resize(cb.register_count(), Value::Int(0));
-        let res = self.run_compiled_loop(s, cb, fb.as_deref(), lo, hi, step, &mut temps);
-        self.ctemps = temps;
-        res
+        match self.run_chunk(s, cb, fb.as_deref(), lo, hi, step, None) {
+            Ok(_) => Ok(()),
+            Err(ChunkAbort::Exec(e)) => Err(e),
+            Err(ChunkAbort::TimedOut | ChunkAbort::Violated(_)) => {
+                unreachable!("only a worker chunk polls a deadline or a strategy sink")
+            }
+        }
     }
 
-    /// The per-op outermost loop, and the way into the typed one. When
-    /// a typed specialization exists (`fb`), every iteration boundary
-    /// — the one before the first iteration included — checks its
-    /// precondition and hands the remaining iterations to the typed
+    /// The one chunk executor: runs root iterations `lo..=hi` (by
+    /// `step`) of the compiled loop `s` and reports which loop finished
+    /// them. `watch` is `None` for a whole sequential loop entry and
+    /// `Some` for one parallel worker's share of the iterations; see
+    /// [`ChunkWatch`] for what differs.
+    ///
+    /// When a typed specialization exists (`fb`), every iteration
+    /// boundary — the one before the first iteration included — checks
+    /// its precondition and hands the remaining iterations to the typed
     /// loop as soon as it holds. Iterations before that (some
-    /// referenced array not yet materialized) run here, so lazy
+    /// referenced array not yet materialized) run per-op, so lazy
     /// materialization and the random-fill draws it makes happen in
-    /// interpreter order. Fuel, cost and versions are charged directly
-    /// on the interpreter, so there is nothing to flush at the
-    /// hand-over.
+    /// interpreter order (and are logged, in a worker). Fuel, cost,
+    /// versions and log are kept on the interpreter directly, so there
+    /// is nothing to flush at the hand-over.
     #[allow(clippy::too_many_arguments)]
-    fn run_compiled_loop(
+    pub(crate) fn run_chunk(
         &mut self,
         s: StmtId,
         cb: &CompiledBody,
@@ -114,44 +115,70 @@ impl<'p> Interp<'p> {
         lo: i64,
         hi: i64,
         step: i64,
+        watch: Option<&ChunkWatch>,
+    ) -> Result<ChunkEngine, ChunkAbort> {
+        // Reuse one register file across entries; registers are
+        // write-before-read by construction, so no per-entry clearing
+        // beyond sizing is needed.
+        let mut temps = std::mem::take(&mut self.ctemps);
+        temps.clear();
+        temps.resize(cb.register_count(), Value::Int(0));
+        let res = self.run_chunk_with(s, cb, fb, lo, hi, step, watch, &mut temps);
+        self.ctemps = temps;
+        res
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run_chunk_with(
+        &mut self,
+        s: StmtId,
+        cb: &CompiledBody,
+        fb: Option<&FastBody>,
+        lo: i64,
+        hi: i64,
+        step: i64,
+        watch: Option<&ChunkWatch>,
         temps: &mut [Value],
-    ) -> Result<(), ExecError> {
-        let entry = self.stats.loops.entry(s).or_default();
-        entry.invocations += 1;
+    ) -> Result<ChunkEngine, ChunkAbort> {
+        if watch.is_none() {
+            self.stats.loops.entry(s).or_default().invocations += 1;
+        }
         let cost_at_entry = self.stats.total_cost;
         let (var, ty) = cb.root_var();
         let mut i = lo;
         while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
             if let Some(fb) = fb {
                 if self.fast_ready(fb) {
-                    return self.run_fast_iters(s, fb, i, hi, step, cost_at_entry);
+                    self.run_fast_iters(s, fb, i, hi, step, cost_at_entry, watch)?;
+                    return Ok(ChunkEngine::Typed);
                 }
             }
-            self.store.set_scalar(var, ty, Value::Int(i));
+            match watch {
+                Some(w) => {
+                    w.poll()?;
+                    self.store.set_scalar_untracked(var, ty, Value::Int(i));
+                }
+                None => self.store.set_scalar(var, ty, Value::Int(i)),
+            }
             self.run_block(cb, cb.root(), temps)?;
             self.charge(1)?; // loop bookkeeping
+            if watch.is_some() {
+                if let Some(v) = self.store.overlay_violation() {
+                    return Err(ChunkAbort::Violated(v));
+                }
+            }
             if !advance_induction(&mut i, step) {
                 break;
             }
         }
-        // Fortran leaves the induction variable at the first
-        // out-of-range value.
-        self.store.set_scalar(var, ty, Value::Int(i));
-        let total = self.stats.total_cost - cost_at_entry;
-        self.stats.loops.entry(s).or_default().total_cost += total;
-        Ok(())
-    }
-
-    /// Runs one iteration's worth of the root block — the parallel
-    /// workers' chunk body (the worker loop drives the induction
-    /// variable, deadline, and per-iteration charge itself, exactly as
-    /// it does around `exec_body`).
-    pub(crate) fn run_compiled_body_block(
-        &mut self,
-        cb: &CompiledBody,
-        temps: &mut [Value],
-    ) -> Result<(), ExecError> {
-        self.run_block(cb, cb.root(), temps)
+        if watch.is_none() {
+            // Fortran leaves the induction variable at the first
+            // out-of-range value.
+            self.store.set_scalar(var, ty, Value::Int(i));
+            let total = self.stats.total_cost - cost_at_entry;
+            self.stats.loops.entry(s).or_default().total_cost += total;
+        }
+        Ok(ChunkEngine::PerOp)
     }
 
     fn run_block(

@@ -17,16 +17,21 @@
 //!   ([`IOpnd::FReg`] / [`FOpnd::IReg`]), compiled in exactly where
 //!   `Value::as_real` / `Value::as_int` would have run.
 //! - **Promoted scalars.** Referenced scalars (induction variables
-//!   included) load into registers at loop entry and write back
-//!   through [`Store::set_scalar`] on *every* exit — success or error
-//!   — so the store is byte-identical to per-access traffic at every
-//!   observable point.
-//! - **Pre-pinned arrays.** Eligibility requires every referenced
-//!   array to be materialized already (otherwise the entry starts on
-//!   the per-op path, which materializes lazily in interpreter order
-//!   and hands over at the first iteration boundary where the
-//!   precondition holds); the specialized run then pins all payloads
-//!   up front and `Ensure` ops compile away.
+//!   included) load into registers at loop entry, and the ones the nest
+//!   can assign write back through [`Store::set_scalar`] on *every*
+//!   exit — success or error — so the store is byte-identical to
+//!   per-access traffic at every observable point.
+//! - **Pre-pinned arrays, by role.** Eligibility requires every
+//!   referenced array to be materialized already (otherwise the chunk
+//!   starts on the per-op path, which materializes lazily in
+//!   interpreter order and hands over at the first iteration boundary
+//!   where the precondition holds); the specialized run then pins all
+//!   payloads up front and `Ensure` ops compile away. An array the body
+//!   only reads is pinned shared, with no copy; one it stores to is
+//!   pinned with the [`WriteSink`] the store lends for it — a raw
+//!   write on a plain store, and in a parallel worker the write log,
+//!   the in-place window or the append buffer of the dispatch's commit
+//!   strategy (see [`RawPin`]).
 //! - **Local value numbering.** Duplicate pure ops (subscript
 //!   arithmetic, loads) within a straight-line region are eliminated —
 //!   safe because compute ops never charge fuel, so the cost ledger is
@@ -37,10 +42,11 @@
 //! stays on the per-op path. Parity remains the contract: same fuel
 //! ledger positions, same error identities, same store at exit.
 
-use crate::interp::{advance_induction, ArrayData, ExecError, Interp, Value};
+use super::{ChunkAbort, ChunkWatch};
+use crate::interp::{advance_induction, ArrayData, ExecError, Interp, RawSlice, Value, WriteSink};
 use irr_driver::compiled::{CompiledBody, Op, Opnd};
 use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Integer-plane operand: a register, an immediate, or a float
 /// register read through Fortran-`INT` truncation (`Value::as_int`).
@@ -288,6 +294,19 @@ pub(crate) enum FOp {
     },
 }
 
+/// A scalar promoted to a register for the length of a typed run.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Promoted {
+    pub(crate) var: VarId,
+    pub(crate) reg: u16,
+    /// `f64` plane (real-declared) rather than `i64`.
+    pub(crate) real: bool,
+    /// Whether the nest can assign it: a `SetScalar`/`Accum` target, an
+    /// append pointer, or a loop's induction variable (the root's
+    /// included). Only these are written back at exit.
+    pub(crate) assigned: bool,
+}
+
 /// The typed program: plain data (`Send + Sync`), cached per loop
 /// statement and shared via `Arc`.
 #[derive(Debug)]
@@ -296,19 +315,33 @@ pub(crate) struct FastBody {
     pub(crate) root: u16,
     pub(crate) n_iregs: u16,
     pub(crate) n_fregs: u16,
-    /// Int-declared scalars promoted to the `i64` plane.
-    pub(crate) iscalars: Vec<(VarId, u16)>,
-    /// Real-declared scalars promoted to the `f64` plane.
-    pub(crate) fscalars: Vec<(VarId, u16)>,
+    /// Referenced scalars, in `VarId` order.
+    pub(crate) scalars: Vec<Promoted>,
     /// Referenced arrays in pin-slot order.
     pub(crate) arrays: Vec<VarId>,
+    /// Per pin slot: whether any op stores to the array. A slot the
+    /// body only reads is pinned shared; a stored slot gets a
+    /// [`WriteSink`].
+    pub(crate) stored: Vec<bool>,
     /// Inner loop statements in dense `lidx` order: per-loop stats
     /// accumulate in flat counters during the run and flush into the
     /// `stats.loops` map once per entry, keeping the hash map off the
     /// hot path.
     pub(crate) loop_stmts: Vec<StmtId>,
+    pub(crate) root_var: VarId,
     pub(crate) root_reg: u16,
     pub(crate) root_real: bool,
+}
+
+impl FastBody {
+    /// The scalars the nest can assign, the root induction variable
+    /// aside — what a worker's write-back will log.
+    pub(crate) fn assigned_scalars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.scalars
+            .iter()
+            .filter(|p| p.assigned && p.var != self.root_var)
+            .map(|p| p.var)
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -337,6 +370,10 @@ struct Builder<'a> {
     /// Array → pin slot.
     amap: HashMap<VarId, u16>,
     arrays: Vec<VarId>,
+    /// Per pin slot: stored to by some op.
+    stored: Vec<bool>,
+    /// Scalars some op assigns.
+    assigned: HashSet<VarId>,
     loop_stmts: Vec<StmtId>,
     n_iregs: u16,
     n_fregs: u16,
@@ -382,6 +419,8 @@ impl<'a> Builder<'a> {
             smap: HashMap::new(),
             amap: HashMap::new(),
             arrays: Vec::new(),
+            stored: Vec::new(),
+            assigned: HashSet::new(),
             loop_stmts: Vec::new(),
             n_iregs: 0,
             n_fregs: 0,
@@ -522,7 +561,21 @@ impl<'a> Builder<'a> {
         let s = u16::try_from(self.arrays.len()).ok()?;
         self.amap.insert(a, s);
         self.arrays.push(a);
+        self.stored.push(false);
         Some(s)
+    }
+
+    /// The pin slot of an array the op being translated stores to.
+    fn store_slot(&mut self, a: VarId) -> Option<u16> {
+        let s = self.slot(a)?;
+        self.stored[s as usize] = true;
+        Some(s)
+    }
+
+    /// The register of a scalar the op being translated assigns.
+    fn assigned_reg(&mut self, v: VarId) -> Option<(Ty, u16)> {
+        self.assigned.insert(v);
+        self.scalar_reg(v)
     }
 
     /// Dense counter slot for an inner loop statement. Each loop op
@@ -588,31 +641,33 @@ impl<'a> Builder<'a> {
     fn build(mut self) -> Option<FastBody> {
         self.infer()?;
         let cb = self.cb;
-        let (root_ty, root_reg) = self.scalar_reg(cb.root_var().0)?;
+        let root_var = cb.root_var().0;
+        let (root_ty, root_reg) = self.assigned_reg(root_var)?;
         let mut blocks = Vec::with_capacity(cb.blocks().len());
         for b in 0..cb.blocks().len() {
             blocks.push(self.build_block(b)?);
         }
-        let mut iscalars = Vec::new();
-        let mut fscalars = Vec::new();
-        let mut entries: Vec<(VarId, (Ty, u16))> =
-            self.smap.iter().map(|(v, e)| (*v, *e)).collect();
-        entries.sort_by_key(|(v, _)| v.index());
-        for (v, (ty, r)) in entries {
-            match ty {
-                Ty::I => iscalars.push((v, r)),
-                Ty::F => fscalars.push((v, r)),
-            }
-        }
+        let mut scalars: Vec<Promoted> = self
+            .smap
+            .iter()
+            .map(|(&var, &(ty, reg))| Promoted {
+                var,
+                reg,
+                real: ty == Ty::F,
+                assigned: self.assigned.contains(&var),
+            })
+            .collect();
+        scalars.sort_by_key(|p| p.var.index());
         let mut fb = FastBody {
             blocks,
             root: cb.root(),
             n_iregs: self.n_iregs,
             n_fregs: self.n_fregs,
-            iscalars,
-            fscalars,
+            scalars,
             arrays: self.arrays,
+            stored: self.stored,
             loop_stmts: self.loop_stmts,
+            root_var,
             root_reg,
             root_real: root_ty == Ty::F,
         };
@@ -985,7 +1040,7 @@ impl<'a> Builder<'a> {
                 });
             }
             Op::StoreAt { arr, idx, src } => {
-                let slot = self.slot(*arr)?;
+                let slot = self.store_slot(*arr)?;
                 let i = self.ireg(*idx)?;
                 Self::kill_slot(avail, slot);
                 out.push(match self.ety(*arr) {
@@ -1020,7 +1075,7 @@ impl<'a> Builder<'a> {
                 self.emit_vn(out, avail, VnKey::LoadElem(slot, s), *dst, ty, d, fop);
             }
             Op::StoreElem1 { arr, sub, src } => {
-                let slot = self.slot(*arr)?;
+                let slot = self.store_slot(*arr)?;
                 let s = self.iopnd(*sub)?;
                 Self::kill_slot(avail, slot);
                 out.push(match self.ety(*arr) {
@@ -1072,7 +1127,7 @@ impl<'a> Builder<'a> {
                 off,
                 src,
             } => {
-                let slot = self.slot(*arr)?;
+                let slot = self.store_slot(*arr)?;
                 let (bty, br) = self.scalar_reg(*base)?;
                 if bty != Ty::I {
                     return None;
@@ -1133,7 +1188,7 @@ impl<'a> Builder<'a> {
                 sub,
                 src,
             } => {
-                let slot = self.slot(*arr)?;
+                let slot = self.store_slot(*arr)?;
                 let idx_slot = self.slot(*idx_arr)?;
                 let s = self.iopnd(*sub)?;
                 Self::kill_slot(avail, slot);
@@ -1153,7 +1208,7 @@ impl<'a> Builder<'a> {
                 });
             }
             Op::SetScalar { var, src, .. } => {
-                let (ty, r) = self.scalar_reg(*var)?;
+                let (ty, r) = self.assigned_reg(*var)?;
                 Self::kill_reg(avail, ty, r);
                 // set_scalar's declared-type coercion is the operand
                 // conversion.
@@ -1171,7 +1226,7 @@ impl<'a> Builder<'a> {
             Op::Accum {
                 var, op, rev, src, ..
             } => {
-                let (ty, r) = self.scalar_reg(*var)?;
+                let (ty, r) = self.assigned_reg(*var)?;
                 Self::kill_reg(avail, ty, r);
                 let src_ty = self.opnd_ty(*src)?;
                 match (ty, src_ty) {
@@ -1228,9 +1283,9 @@ impl<'a> Builder<'a> {
                 }
             }
             Op::Append { arr, ptr, src, .. } => {
-                let slot = self.slot(*arr)?;
+                let slot = self.store_slot(*arr)?;
                 // The fused pointer is int-declared by construction.
-                let (pty, pr) = self.scalar_reg(*ptr)?;
+                let (pty, pr) = self.assigned_reg(*ptr)?;
                 if pty != Ty::I {
                     return None;
                 }
@@ -1258,7 +1313,7 @@ impl<'a> Builder<'a> {
                 body,
                 ..
             } => {
-                let (vty, vr) = self.scalar_reg(*var)?;
+                let (vty, vr) = self.assigned_reg(*var)?;
                 let (lo, hi, step) = (self.iopnd(*lo)?, self.iopnd(*hi)?, self.iopnd(*step)?);
                 let lidx = self.loop_idx(*stmt)?;
                 avail.clear();
@@ -1317,16 +1372,12 @@ impl RegUse {
             ipin: vec![false; fb.n_iregs as usize],
             fpin: vec![false; fb.n_fregs as usize],
         };
-        for &(_, r) in &fb.iscalars {
-            u.ipin[r as usize] = true;
-        }
-        for &(_, r) in &fb.fscalars {
-            u.fpin[r as usize] = true;
-        }
-        if fb.root_real {
-            u.fpin[fb.root_reg as usize] = true;
-        } else {
-            u.ipin[fb.root_reg as usize] = true;
+        for p in &fb.scalars {
+            if p.real {
+                u.fpin[p.reg as usize] = true;
+            } else {
+                u.ipin[p.reg as usize] = true;
+            }
         }
         for b in &fb.blocks {
             for op in b {
@@ -1662,31 +1713,59 @@ fn peephole(fb: &mut FastBody) {
     }
 }
 
-/// Raw view of one array pinned for the duration of a typed loop
-/// entry: materialized, uniquely owned, its payload addressed
-/// directly. Writes are counted locally and land on the store's
-/// version counter at flush, so the version arithmetic is identical to
-/// per-write bumps without paying them per element.
+/// Raw view of one array pinned for the duration of a typed run:
+/// materialized, its payload addressed directly, and — when the body
+/// stores to it — the [`WriteSink`] those stores go through. Stores
+/// that land in this store's own payload are counted locally and reach
+/// the version counter at flush, so the version arithmetic is
+/// identical to per-write bumps without paying them per element.
 ///
 /// # Safety
 ///
-/// The raw pointers stay valid and unaliased for as long as a pin
-/// lives because:
+/// `ip`/`fp` stay valid for as long as a pin lives, and every access
+/// through them is race-free, because:
 ///
-/// - *Unique ownership at pin time.* `run_fast_iters` takes each
-///   pointer from `Store::array_make_mut` (`Arc::make_mut`, exactly
-///   the clone a first tree-walk write would take), so no snapshot or
-///   worker clone shares the payload.
-/// - *The payload cannot move.* Element writes never resize an array,
-///   every referenced array is already materialized (`fast_ready`, so
-///   no store slot is filled mid-run), and compiled bodies contain no
-///   calls, prints, or dispatcher re-entry — nothing else touches the
-///   store while the typed loop runs (`run_fblock` takes `&self`).
+/// - *The payload cannot move or be freed.* Every referenced array is
+///   materialized before the run (`fast_ready`, so no store slot is
+///   filled mid-run), element writes never resize an array, and
+///   compiled bodies contain no calls, prints, or dispatcher re-entry —
+///   nothing else touches this store while the typed loop runs
+///   (`run_fblock` takes `&self`). The store's `Arc` keeps the payload
+///   alive; a window pin's buffer is kept alive by the master store,
+///   which outlives the workers' `thread::scope`.
+/// - *A slot the body only reads (`sink: None`) is pinned shared*,
+///   through `Store::array_ref`, with no copy. Its pointer came from a
+///   shared reference and is never written: `wr` on such a pin panics
+///   before touching memory, and `specialize` records every stored slot
+///   (`Builder::store_slot`), so that panic is unreachable. Other
+///   holders of the same `Arc` (the master, sibling snapshots) cannot
+///   write the payload under the reader either: a store mutates a
+///   payload only through `Arc::make_mut`, which copies while this
+///   store's reference exists — with the one exception of in-place
+///   targets, below.
+/// - *`Direct` and `Logged` pins own their payload.* The pointer comes
+///   from `Store::array_make_mut` (exactly the clone a first tree-walk
+///   write would take; a worker thereby writes its own copy-on-write
+///   copy, never the master's), so no other store shares it.
+/// - *A `Window` pin writes the master's buffer* through the
+///   `RawSlice` `prepare_in_place` took after forcing uniqueness, and
+///   only at indices `InPlaceWindow::write` accepts: inside this
+///   worker's window, which is disjoint from every other worker's. The
+///   executor's own derivation (`derive_in_place_facts`) established
+///   that no iteration reads a target, so no pin of any worker reads
+///   what another writes.
+/// - *An `Append` pin never writes a payload*: stores go to the
+///   worker's buffer; `ip`/`fp` point at the shared snapshot for the
+///   bounds metadata and any reads, as for a read-only slot.
 /// - *Pins never outlive one `run_fast_iters` call.* They live in its
-///   local `FState` and are dropped before it returns.
+///   local `FState`; their sinks are handed back to the store before it
+///   returns.
 ///
 /// Every index reaching `rd_*`/`wr_*` has passed `chk` (or the
-/// per-dimension check of `IndexN`) against the extents cached here.
+/// per-dimension check of `IndexN`) against the extents cached here,
+/// and `fast_ready` checked that the payload's element type is the
+/// declared one the ops were typed with (so the non-null pointer is the
+/// one each op dereferences).
 struct RawPin {
     ip: *mut i64,
     fp: *mut f64,
@@ -1695,19 +1774,73 @@ struct RawPin {
     /// First-dimension extent, cached flat for the hot bounds check.
     dim0: u64,
     dims: Vec<usize>,
+    /// Stores landed in this store's own payload.
     writes: u64,
+    /// `None` for a slot the body only reads.
+    sink: Option<WriteSink>,
+    /// An overlay sink refused a store (outside the window, or not an
+    /// append position); the chunk stops at the iteration boundary.
+    violated: bool,
 }
 
 impl RawPin {
+    /// Pins a payload this store owns uniquely (the caller got `data`
+    /// from `Store::array_make_mut`) for stores that land in it.
+    fn owned(data: &mut ArrayData, sink: WriteSink) -> RawPin {
+        let mut pin = RawPin::meta(data, Some(sink));
+        match data {
+            ArrayData::Int { data, .. } => pin.ip = data.as_mut_ptr(),
+            ArrayData::Real { data, .. } => pin.fp = data.as_mut_ptr(),
+        }
+        pin
+    }
+
+    /// Pins a payload other stores may share: read through the
+    /// pointer, never written. A `Window` sink's stores go through the
+    /// master's pointer instead, an `Append` sink's to its buffer.
+    fn shared(data: &ArrayData, sink: Option<WriteSink>) -> RawPin {
+        let mut pin = RawPin::meta(data, sink);
+        match data {
+            ArrayData::Int { data, .. } => pin.ip = data.as_ptr().cast_mut(),
+            ArrayData::Real { data, .. } => pin.fp = data.as_ptr().cast_mut(),
+        }
+        if let Some(WriteSink::Window(w)) = &pin.sink {
+            match w.slice {
+                RawSlice::Int(p) => pin.ip = p,
+                RawSlice::Real(p) => pin.fp = p,
+            }
+        }
+        pin
+    }
+
+    /// Everything but the payload pointers.
+    fn meta(data: &ArrayData, sink: Option<WriteSink>) -> RawPin {
+        let dims = data.dims().to_vec();
+        RawPin {
+            ip: std::ptr::null_mut(),
+            fp: std::ptr::null_mut(),
+            is_int: matches!(data, ArrayData::Int { .. }),
+            len: data.len(),
+            dim0: dims[0] as u64,
+            dims,
+            writes: 0,
+            sink,
+            violated: false,
+        }
+    }
+
     #[inline]
     fn rd_i(&self, k: usize) -> i64 {
         debug_assert!(self.is_int && k < self.len);
+        // SAFETY: `k` passed `chk`/`IndexN` against this pin's extents
+        // and the payload is an `i64` buffer (see the type's comment).
         unsafe { *self.ip.add(k) }
     }
 
     #[inline]
     fn rd_f(&self, k: usize) -> f64 {
         debug_assert!(!self.is_int && k < self.len);
+        // SAFETY: as `rd_i`, for an `f64` buffer.
         unsafe { *self.fp.add(k) }
     }
 
@@ -1724,15 +1857,47 @@ impl RawPin {
     #[inline]
     fn wr_i(&mut self, k: usize, v: i64) {
         debug_assert!(self.is_int && k < self.len);
+        match &mut self.sink {
+            Some(WriteSink::Direct) => {}
+            Some(WriteSink::Logged(col)) => {
+                col.idx.push(k);
+                col.vals.push(Value::Int(v));
+            }
+            _ => return self.wr_overlay(k, Value::Int(v)),
+        }
         self.writes += 1;
+        // SAFETY: `k` is in bounds as for `rd_i`, and a `Direct` or
+        // `Logged` pin owns its payload (pointer from `array_make_mut`).
         unsafe { *self.ip.add(k) = v }
     }
 
     #[inline]
     fn wr_f(&mut self, k: usize, v: f64) {
         debug_assert!(!self.is_int && k < self.len);
+        match &mut self.sink {
+            Some(WriteSink::Direct) => {}
+            Some(WriteSink::Logged(col)) => {
+                col.idx.push(k);
+                col.vals.push(Value::Real(v));
+            }
+            _ => return self.wr_overlay(k, Value::Real(v)),
+        }
         self.writes += 1;
+        // SAFETY: as `wr_i`, for an `f64` buffer.
         unsafe { *self.fp.add(k) = v }
+    }
+
+    /// A store to a strategy target: the window or the append buffer
+    /// takes it under the same position rule `WriteOverlay::intercept`
+    /// applies per-op, or refuses it — a violation, nothing written.
+    #[inline]
+    fn wr_overlay(&mut self, k: usize, v: Value) {
+        let ok = match &mut self.sink {
+            Some(WriteSink::Window(w)) => w.write(k, v),
+            Some(WriteSink::Append { base, buf }) => buf.append_at(*base, k, v),
+            _ => unreachable!("specialize records every stored slot"),
+        };
+        self.violated |= !ok;
     }
 
     /// Bounds-checks a 1-based first-dimension subscript. The wrap to
@@ -1895,11 +2060,18 @@ fn cmp_res(op: BinOp, ord: std::cmp::Ordering) -> i64 {
 
 impl<'p> Interp<'p> {
     /// Whether every array the typed body references is materialized
-    /// — the precondition for pre-pinning (until it holds the entry
+    /// — the precondition for pre-pinning (until it holds the chunk
     /// runs on the per-op path, which materializes in interpreter
-    /// order).
+    /// order) — with a payload of its declared element type, the type
+    /// the ops were specialized for (a preset may install either).
     pub(crate) fn fast_ready(&self, fb: &FastBody) -> bool {
-        fb.arrays.iter().all(|a| self.store.array_ref(*a).is_some())
+        fb.arrays.iter().all(|&a| {
+            matches!(
+                (self.store.array_ref(a), self.layout.ty(a)),
+                (Some(ArrayData::Int { .. }), ScalarType::Int)
+                    | (Some(ArrayData::Real { .. }), ScalarType::Real)
+            )
+        })
     }
 
     #[cold]
@@ -1915,15 +2087,21 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Executes iterations `lo..=hi` of the typed outermost loop: same
-    /// observable semantics as [`Interp::run_compiled_loop`], with
-    /// scalars promoted to registers and every array payload pinned
-    /// for the whole call. `run_compiled_loop` is the only caller: it
-    /// hands over at an iteration boundary, having already done the
-    /// entry bookkeeping (the invocation count and `cost_at_entry`).
-    /// It keeps scalars, fuel, cost and versions on the interpreter
-    /// itself, so everything loaded here is already current and the
-    /// hand-over needs no flush.
+    /// Executes root iterations `lo..=hi` of the typed loop: same
+    /// observable semantics as the per-op loop of
+    /// [`Interp::run_chunk`], with scalars promoted to registers and
+    /// every array payload pinned for the whole call. `run_chunk` is
+    /// the only caller: it hands over at an iteration boundary, having
+    /// already done the entry bookkeeping (the invocation count and
+    /// `cost_at_entry`). It keeps scalars, fuel, cost, versions and
+    /// the write log on the interpreter itself, so everything loaded
+    /// here is already current and the hand-over needs no flush.
+    ///
+    /// Stored arrays write through the sink the store lends for them
+    /// ([`Store::take_sink`]): on a plain store that is a raw write; on
+    /// a parallel worker's store it is whatever the dispatch's commit
+    /// strategy installed. `watch` is the caller's, see [`ChunkWatch`].
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_fast_iters(
         &mut self,
         s: StmtId,
@@ -1932,7 +2110,8 @@ impl<'p> Interp<'p> {
         hi: i64,
         step: i64,
         cost_at_entry: u64,
-    ) -> Result<(), ExecError> {
+        watch: Option<&ChunkWatch>,
+    ) -> Result<(), ChunkAbort> {
         let mut st = FState {
             ir: vec![0; fb.n_iregs as usize],
             fr: vec![0.0; fb.n_fregs as usize],
@@ -1942,42 +2121,44 @@ impl<'p> Interp<'p> {
             linv: vec![0; fb.loop_stmts.len()],
             lcost: vec![0; fb.loop_stmts.len()],
         };
-        for &a in &fb.arrays {
-            // Unique ownership once per entry — the clone a first
-            // tree-walk write would have taken.
-            let data = self.store.array_make_mut(a);
-            let dims = data.dims().to_vec();
-            st.pins.push(match data {
-                ArrayData::Int { data, .. } => RawPin {
-                    ip: data.as_mut_ptr(),
-                    fp: std::ptr::null_mut(),
-                    is_int: true,
-                    len: data.len(),
-                    dim0: dims[0] as u64,
-                    dims,
-                    writes: 0,
-                },
-                ArrayData::Real { data, .. } => RawPin {
-                    ip: std::ptr::null_mut(),
-                    fp: data.as_mut_ptr(),
-                    is_int: false,
-                    len: data.len(),
-                    dim0: dims[0] as u64,
-                    dims,
-                    writes: 0,
-                },
+        for (&a, &stored) in fb.arrays.iter().zip(&fb.stored) {
+            let sink = stored.then(|| self.store.take_sink(a));
+            st.pins.push(match sink {
+                // Unique ownership once per run — the clone a first
+                // tree-walk write would have taken.
+                Some(sink @ (WriteSink::Direct | WriteSink::Logged(_))) => {
+                    RawPin::owned(self.store.array_make_mut(a), sink)
+                }
+                sink => RawPin::shared(self.store.array_ref(a).expect("fast_ready"), sink),
             });
         }
-        for &(v, r) in &fb.iscalars {
-            st.ir[r as usize] = self.store.scalar(v).as_int();
+        for p in &fb.scalars {
+            let v = self.store.scalar(p.var);
+            if p.real {
+                st.fr[p.reg as usize] = v.as_real();
+            } else {
+                st.ir[p.reg as usize] = v.as_int();
+            }
         }
-        for &(v, r) in &fb.fscalars {
-            st.fr[r as usize] = self.store.scalar(v).as_real();
-        }
+        // Only a window or an append sink can refuse a store, so only a
+        // chunk that has one checks for violations per iteration.
+        let strategy_sinks = st.pins.iter().any(|p| {
+            matches!(
+                p.sink,
+                Some(WriteSink::Window(_) | WriteSink::Append { .. })
+            )
+        });
         let mut i = lo;
         let res = loop {
             if !((step > 0 && i <= hi) || (step < 0 && i >= hi)) {
                 break Ok(());
+            }
+            if let Some(Err(e)) = watch.map(ChunkWatch::poll) {
+                break Err(e);
+            }
+            #[cfg(test)]
+            {
+                self.typed_root_iters += 1;
             }
             if fb.root_real {
                 st.fr[fb.root_reg as usize] = i as f64;
@@ -1985,16 +2166,21 @@ impl<'p> Interp<'p> {
                 st.ir[fb.root_reg as usize] = i;
             }
             if let Err(e) = self.run_fblock(fb, fb.root, &mut st) {
-                break Err(e);
+                break Err(e.into());
             }
             if let Err(e) = st.charge(1) {
-                break Err(e); // loop bookkeeping
+                break Err(e.into()); // loop bookkeeping
+            }
+            if strategy_sinks {
+                if let Some(k) = st.pins.iter().position(|p| p.violated) {
+                    break Err(ChunkAbort::Violated(fb.arrays[k]));
+                }
             }
             if !advance_induction(&mut i, step) {
                 break Ok(());
             }
         };
-        if res.is_ok() {
+        if res.is_ok() && watch.is_none() {
             // Fortran leaves the induction variable at the first
             // out-of-range value.
             if fb.root_real {
@@ -2007,18 +2193,30 @@ impl<'p> Interp<'p> {
         // state is indistinguishable from per-access traffic.
         self.stats.total_cost += st.spent;
         self.fuel = st.fuel;
-        for (k, p) in st.pins.iter().enumerate() {
+        for (&a, p) in fb.arrays.iter().zip(st.pins) {
             if p.writes > 0 {
-                self.store.bump_version_by(fb.arrays[k], p.writes);
+                self.store.bump_version_by(a, p.writes);
+            }
+            if let Some(sink) = p.sink {
+                self.store.return_sink(a, sink, p.violated);
             }
         }
-        for &(v, r) in &fb.iscalars {
-            self.store
-                .set_scalar(v, ScalarType::Int, Value::Int(st.ir[r as usize]));
-        }
-        for &(v, r) in &fb.fscalars {
-            self.store
-                .set_scalar(v, ScalarType::Real, Value::Real(st.fr[r as usize]));
+        // Only what the nest can assign is written back: a scalar it
+        // merely reads is unchanged, and in a worker every write-back
+        // lands in the log, where the merge would take it for a claim.
+        // The worker's root induction variable stays unlogged, as on
+        // the per-op path.
+        for p in fb.scalars.iter().filter(|p| p.assigned) {
+            let (ty, val) = if p.real {
+                (ScalarType::Real, Value::Real(st.fr[p.reg as usize]))
+            } else {
+                (ScalarType::Int, Value::Int(st.ir[p.reg as usize]))
+            };
+            if watch.is_some() && p.var == fb.root_var {
+                self.store.set_scalar_untracked(p.var, ty, val);
+            } else {
+                self.store.set_scalar(p.var, ty, val);
+            }
         }
         // Dense counters fold into the per-loop map once per entry;
         // untouched loops get no entry, exactly like the tree walk.
@@ -2030,8 +2228,10 @@ impl<'p> Interp<'p> {
             }
         }
         res?;
-        let total = self.stats.total_cost - cost_at_entry;
-        self.stats.loops.entry(s).or_default().total_cost += total;
+        if watch.is_none() {
+            let total = self.stats.total_cost - cost_at_entry;
+            self.stats.loops.entry(s).or_default().total_cost += total;
+        }
         Ok(())
     }
 

@@ -42,17 +42,22 @@
 //! back to the interpreter via a reason-coded
 //! [`FallbackReason`].
 //!
-//! **Two dispatch loops.** `exec` replays the `Value` bytecode one op
-//! at a time against the interpreter's own store, fuel and statistics
-//! (parallel workers, profiled runs, untypeable nests); `fast`
-//! re-lowers a nest whose types are all static into split `i64`/`f64`
-//! register planes over pre-pinned array payloads. The typed loop needs
-//! every referenced array materialized, and lazy materialization cannot
-//! be hoisted (extents read live scalars, random fill draws from one
+//! **Two dispatch loops, one chunk entry.** `exec` replays the `Value`
+//! bytecode one op at a time against the interpreter's own store, fuel
+//! and statistics (profiled runs, untypeable nests, and the prefix of
+//! any chunk whose arrays are not all live yet); `fast` re-lowers a
+//! nest whose types are all static into split `i64`/`f64` register
+//! planes over pre-pinned array payloads. The typed loop needs every
+//! referenced array materialized, and lazy materialization cannot be
+//! hoisted (extents read live scalars, random fill draws from one
 //! shared stream, untaken branches must leave their arrays
-//! unmaterialized), so a typeable entry whose arrays are not all live
+//! unmaterialized), so a typeable chunk whose arrays are not all live
 //! yet starts per-op and hands over to the typed loop at the first
-//! iteration boundary where they are.
+//! iteration boundary where they are. Both a sequential loop entry and
+//! a parallel worker's share of one go through that same entry,
+//! `Interp::run_chunk`; what differs for a worker is in
+//! `ChunkWatch`, and where its stores go is decided by the worker's
+//! store, which lends the typed loop a `WriteSink` per stored array.
 //!
 //! Trust discipline is the one the raw-pointer strategies use: a
 //! verdict's `CompiledPlan` is the lowering's own summary, and still
@@ -72,8 +77,9 @@ pub use irr_driver::compiled::{
 };
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
-use crate::interp::Store;
+use crate::interp::{ExecError, Store};
 use irr_frontend::{Program, ScalarType, StmtId, VarId};
+use std::time::{Duration, Instant};
 
 /// Per-opcode dispatch counters, collected when profiling is enabled
 /// on the interpreter ([`crate::Interp::compiled_profile`]) and merged
@@ -120,6 +126,61 @@ impl CompiledProfile {
             .map(|(n, &c)| (*n, c))
             .collect()
     }
+}
+
+/// What makes a chunk one parallel worker's share of a loop rather
+/// than a whole sequential entry. [`crate::Interp::run_chunk`] given a
+/// watch
+///
+/// - writes the root induction variable unlogged (the master restores
+///   it after the commit) and leaves the root loop's invocation count,
+///   cost attribution and final induction value to the master;
+/// - polls the deadline, when one is armed, before every root
+///   iteration — an unarmed watch never reads a clock;
+/// - checks after every root iteration whether a strategy sink saw a
+///   write outside its discipline, and abandons the chunk if so.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ChunkWatch {
+    /// When the worker started and how long it may run.
+    pub(crate) deadline: Option<(Instant, Duration)>,
+}
+
+impl ChunkWatch {
+    #[inline]
+    pub(crate) fn poll(&self) -> Result<(), ChunkAbort> {
+        match self.deadline {
+            Some((started, limit)) if started.elapsed() >= limit => Err(ChunkAbort::TimedOut),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Why a chunk did not complete.
+#[derive(Debug)]
+pub(crate) enum ChunkAbort {
+    /// A genuine runtime error inside the chunk.
+    Exec(ExecError),
+    /// The watch's deadline expired before the chunk finished.
+    TimedOut,
+    /// A strategy sink recorded a violation on this variable; the
+    /// chunk stopped at the iteration boundary.
+    Violated(VarId),
+}
+
+impl From<ExecError> for ChunkAbort {
+    fn from(e: ExecError) -> Self {
+        ChunkAbort::Exec(e)
+    }
+}
+
+/// Which loop finished a compiled chunk.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum ChunkEngine {
+    /// The typed `FastBody` loop (possibly after a per-op prefix that
+    /// materialized its arrays).
+    Typed,
+    /// The per-op `Value` loop, for the whole chunk.
+    PerOp,
 }
 
 /// Dense per-`VarId` scalar type table: resolved once per interpreter
@@ -230,15 +291,19 @@ mod tests {
     }
 
     impl Ran<'_> {
-        /// Whether the typed loop ran over the preset, read-only array
-        /// `name`. The typed loop takes unique ownership of every
-        /// payload it pins (`RawPin`'s safety argument), un-sharing it
-        /// from the snapshot; the per-op loop never clones an array it
-        /// only reads. So payload identity tells which loop ran, with
-        /// no instrumentation in the executors.
-        fn typed_loop_pinned(&self, name: &str) -> bool {
+        /// Root iterations the typed loop started, over the whole run.
+        /// The two loops leave byte-identical stores by contract, so
+        /// which one ran is read off the interpreter's test-only
+        /// counter.
+        fn typed_iters(&self) -> u64 {
+            self.comp.typed_root_iters
+        }
+
+        /// Whether the preset array `name` still shares its payload
+        /// with the pre-run snapshot.
+        fn still_shared(&self, name: &str) -> bool {
             let a = self.comp.program().symbols.lookup(name).unwrap();
-            !std::ptr::eq(
+            std::ptr::eq(
                 self.pre.array_ref(a).unwrap(),
                 self.comp.store.array_ref(a).unwrap(),
             )
@@ -480,7 +545,7 @@ mod tests {
     /// materialize inside the loop — `z` in iteration 1, `y` (first in
     /// program text) in iteration 2 — so the entry starts on the per-op
     /// loop and switches to the typed one at the boundary before
-    /// iteration 3.
+    /// iteration 3: six of the eight iterations are typed.
     const HANDOVER_SRC: &str = "program t
          integer i
          real x(8), y(8), z(8), s
@@ -507,7 +572,7 @@ mod tests {
             it.set_random_fill(0x5eed);
         });
         assert_eq!(ran.res, Ok(()));
-        assert!(ran.typed_loop_pinned("x"), "typed loop never took over");
+        assert_eq!(ran.typed_iters(), 6, "hand-over before iteration 3");
         // The fill is live: `y(9 - i)` read random data, not zeros.
         let y = p.symbols.lookup("y").unwrap();
         let mut zero_fill = Interp::new(&p);
@@ -535,10 +600,10 @@ mod tests {
                 preset_x(it);
                 it.fuel = fuel;
             });
-            match (&ran.res, ran.typed_loop_pinned("x")) {
-                (Err(ExecError::OutOfFuel), false) => exhausted_untaken += 1,
-                (Err(ExecError::OutOfFuel), true) => exhausted_taken += 1,
-                (Ok(()), true) => assert_eq!(fuel, total),
+            match (&ran.res, ran.typed_iters()) {
+                (Err(ExecError::OutOfFuel), 0) => exhausted_untaken += 1,
+                (Err(ExecError::OutOfFuel), 1..=6) => exhausted_taken += 1,
+                (Ok(()), 6) => assert_eq!(fuel, total),
                 other => panic!("fuel {fuel}: {other:?}"),
             }
         }
@@ -547,11 +612,12 @@ mod tests {
     }
 
     /// Hand-over (c): an out-of-bounds subscript raised by the per-op
-    /// loop (iteration 1) and by the typed loop (iteration 3, after the
-    /// switch) carries the tree-walk's payload and leaves its store.
+    /// loop (iteration 1, which also materializes `y` and `z`) and by
+    /// the typed loop (iteration 3, the second after the switch)
+    /// carries the tree-walk's payload and leaves its store.
     #[test]
     fn handover_out_of_bounds_payload_is_identical() {
-        for (bad_iter, after_switch) in [(1, false), (3, true)] {
+        for (bad_iter, typed_iters) in [(1, 0), (3, 2)] {
             let src = format!(
                 "program t
                  integer i, k
@@ -579,7 +645,7 @@ mod tests {
                     extent: 8
                 })
             );
-            assert_eq!(ran.typed_loop_pinned("x"), after_switch);
+            assert_eq!(ran.typed_iters(), typed_iters);
         }
     }
 
@@ -604,7 +670,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let mut ran = assert_same_run(&p, preset_x);
         assert_eq!(ran.res, Ok(()));
-        assert!(!ran.typed_loop_pinned("x"));
+        assert_eq!(ran.typed_iters(), 0);
         // Not for want of a typed body: the nest specializes, its
         // arrays are just never all live.
         let s = p
@@ -615,6 +681,54 @@ mod tests {
         let cb = ran.comp.compiled_body_for(s).unwrap();
         let fb = ran.comp.fast_body_for(s, &cb).expect("specializes");
         assert!(!ran.comp.fast_ready(&fb));
+    }
+
+    /// Pins by role: the typed loop takes unique ownership only of the
+    /// arrays its body stores to. A read-only input keeps sharing its
+    /// payload with a snapshot taken before the run — after a typed
+    /// sequential entry, and after a write-log dispatch whose workers
+    /// (each on a snapshot of its own) all ran the typed loop.
+    #[test]
+    fn read_only_inputs_stay_shared_across_typed_runs() {
+        let src = "program t
+             integer i
+             real x(8), y(8)
+             do i = 1, 8
+               y(i) = x(i) * 3.0
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let y = p.symbols.lookup("y").unwrap();
+        let setup = |it: &mut Interp<'_>| {
+            preset_x(it);
+            it.preset_array(y, ArrayData::zeroed(ScalarType::Real, vec![8]));
+        };
+        let ran = assert_same_run(&p, setup);
+        assert_eq!(ran.typed_iters(), 8);
+        assert!(ran.still_shared("x"), "read-only input was copied");
+        assert!(!ran.still_shared("y"), "stored array must be un-shared");
+
+        let mut par = Interp::new(&p);
+        setup(&mut par);
+        let pre = par.store.clone();
+        let s = p
+            .stmts_in(&p.procedure(p.main()).body)
+            .into_iter()
+            .find(|s| p.stmt(*s).kind.is_loop())
+            .unwrap();
+        let plan = ParallelPlan::with_threads(2);
+        let got = crate::parallel::exec_do_parallel(&mut par, s, &plan, 1, 8, 1).unwrap();
+        assert_eq!(got.strategy, crate::ExecutionStrategy::WriteLog);
+        assert_eq!((got.engines.typed, par.typed_root_iters), (2, 8));
+        let x = p.symbols.lookup("x").unwrap();
+        assert!(std::ptr::eq(
+            pre.array_ref(x).unwrap(),
+            par.store.array_ref(x).unwrap()
+        ));
+        assert_eq!(
+            par.store.array_as_reals(y),
+            ran.comp.store.array_as_reals(y)
+        );
     }
 
     /// Requests the parallel executor at every loop entry — the

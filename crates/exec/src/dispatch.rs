@@ -12,7 +12,7 @@
 //! [`SequentialDispatch`] recovers the plain interpreter.
 
 use crate::interp::Store;
-use crate::parallel::{ExecutionStrategy, ParallelPlan};
+use crate::parallel::{Committed, ParallelPlan};
 use irr_frontend::StmtId;
 
 /// How one dynamic execution of a loop should run.
@@ -101,11 +101,12 @@ pub trait LoopDispatcher {
     fn parallel_failed(&mut self, _loop_stmt: StmtId, _reason: FallbackReason) {}
 
     /// Notifies the dispatcher that a parallel dispatch of `loop_stmt`
-    /// committed, and which [`ExecutionStrategy`] actually ran (the
-    /// executor may have downgraded the planned strategy to the
-    /// write-log if its own derivation could not re-prove the facts).
+    /// committed: which [`ExecutionStrategy`](crate::ExecutionStrategy)
+    /// actually ran (the executor may have downgraded the planned
+    /// strategy to the write-log if its own derivation could not
+    /// re-prove the facts) and which engines its workers finished on.
     /// The default is a no-op.
-    fn parallel_committed(&mut self, _loop_stmt: StmtId, _strategy: ExecutionStrategy) {}
+    fn parallel_committed(&mut self, _loop_stmt: StmtId, _committed: &Committed) {}
 
     /// Notifies the dispatcher that its most recent
     /// [`Compiled`](LoopDecision::Compiled) decision for `loop_stmt`

@@ -110,7 +110,7 @@ impl ArrayData {
 }
 
 /// A captured write set: every store mutation performed while a
-/// [`Store`]'s write-recording mode was on, in program order.
+/// [`Store`]'s write-recording mode was on.
 ///
 /// The parallel verification executor turns recording on in each
 /// worker's store; the workers hand back only their logs, and the merge
@@ -118,27 +118,59 @@ impl ArrayData {
 /// independent of how large the store itself is. Conflicts are detected
 /// *positionally* (two workers touching the same location), so a write
 /// whose value happens to equal the pre-loop value is still a conflict.
+///
+/// Element writes are columnar: one index/value column per written array,
+/// each in program order. Order *between* arrays is not kept — two
+/// arrays never share a location, so the merge has no use for it.
 #[derive(Clone, Debug, Default)]
 pub struct WriteLog {
     /// Scalar writes `(var, coerced value)` in program order.
-    pub scalars: Vec<(VarId, Value)>,
-    /// Array element writes `(var, flat index, coerced value)` in
-    /// program order.
-    pub elements: Vec<(VarId, usize, Value)>,
+    pub(crate) scalars: Vec<(VarId, Value)>,
+    /// Element writes, one column per written array.
+    pub(crate) elements: Vec<ElemColumn>,
     /// Arrays materialized while recording, with their extents (reads
     /// materialize too, so this is a superset of the written arrays).
-    pub materialized: Vec<(VarId, Vec<usize>)>,
+    pub(crate) materialized: Vec<(VarId, Vec<usize>)>,
 }
 
 impl WriteLog {
     /// Total number of recorded writes (scalar + element).
     pub fn len(&self) -> usize {
-        self.scalars.len() + self.elements.len()
+        self.scalars.len() + self.element_writes()
+    }
+
+    /// Number of recorded element writes, over all arrays.
+    pub(crate) fn element_writes(&self) -> usize {
+        self.elements.iter().map(|c| c.idx.len()).sum()
     }
 
     /// Whether nothing was written while recording.
     pub fn is_empty(&self) -> bool {
-        self.scalars.is_empty() && self.elements.is_empty()
+        self.len() == 0
+    }
+}
+
+/// The logged element writes of one array, in program order: flat
+/// indices beside the coerced values, typed like the payload they were
+/// written to (16 bytes a write, no per-write array id or value tag).
+#[derive(Clone, Debug)]
+pub(crate) struct ElemColumn {
+    pub(crate) var: VarId,
+    pub(crate) idx: Vec<usize>,
+    pub(crate) vals: TypedBuf,
+}
+
+impl ElemColumn {
+    /// An empty column for writes to `var`, whose payload is `data`.
+    fn new(var: VarId, data: &ArrayData) -> ElemColumn {
+        ElemColumn {
+            var,
+            idx: Vec::new(),
+            vals: TypedBuf::new(match data {
+                ArrayData::Int { .. } => ScalarType::Int,
+                ArrayData::Real { .. } => ScalarType::Real,
+            }),
+        }
     }
 }
 
@@ -157,12 +189,13 @@ pub(crate) enum RawSlice {
 }
 
 // SAFETY: a RawSlice is only ever dereferenced through
-// `WriteOverlay::intercept`, which confines every write to the
-// worker's own disjoint window of the buffer (the in-place derivation
-// proves the windows disjoint, and the overlay re-checks each index
-// dynamically). The pointee buffer outlives the `thread::scope` the
-// workers run in because the master store owns the Arc'd payload for
-// the whole dispatch.
+// `InPlaceWindow::write` (reached from `WriteOverlay::intercept` and
+// from the typed loop's window sink), which confines every write to
+// the worker's own disjoint window of the buffer (the in-place
+// derivation proves the windows disjoint, and the window re-checks each
+// index dynamically). The pointee buffer outlives the `thread::scope`
+// the workers run in because the master store owns the Arc'd payload
+// for the whole dispatch.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
@@ -190,47 +223,99 @@ pub(crate) struct InPlaceWindow {
     pub(crate) hi: usize,
 }
 
-/// A per-worker append buffer for one consecutively-written array.
+impl InPlaceWindow {
+    /// Writes `val` at flat `idx` when the window owns it. Returns
+    /// `false` — nothing written, a strategy violation — otherwise.
+    #[inline]
+    pub(crate) fn write(&self, idx: usize, val: Value) -> bool {
+        if idx < self.lo || idx > self.hi {
+            return false;
+        }
+        // SAFETY: idx is inside this worker's exclusive window (checked
+        // on the previous lines; `prepare_in_place` checked the window
+        // against the extent) and the master keeps the buffer alive for
+        // the whole dispatch.
+        unsafe { self.slice.write(idx, val) };
+        true
+    }
+}
+
+/// A typed value vector: a worker's append buffer for one
+/// consecutively-written array, or the value column of one array in a
+/// [`WriteLog`].
 #[derive(Clone, Debug)]
-pub(crate) enum ConcatBuf {
+pub(crate) enum TypedBuf {
     Int(Vec<i64>),
     Real(Vec<f64>),
 }
 
-impl ConcatBuf {
-    pub(crate) fn new(ty: ScalarType) -> ConcatBuf {
+impl TypedBuf {
+    pub(crate) fn new(ty: ScalarType) -> TypedBuf {
         match ty {
-            ScalarType::Int => ConcatBuf::Int(Vec::new()),
-            ScalarType::Real => ConcatBuf::Real(Vec::new()),
+            ScalarType::Int => TypedBuf::Int(Vec::new()),
+            ScalarType::Real => TypedBuf::Real(Vec::new()),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
-            ConcatBuf::Int(v) => v.len(),
-            ConcatBuf::Real(v) => v.len(),
+            TypedBuf::Int(v) => v.len(),
+            TypedBuf::Real(v) => v.len(),
         }
     }
 
-    fn push(&mut self, val: Value) {
+    /// Appends `val`, coerced to the buffer's type.
+    #[inline]
+    pub(crate) fn push(&mut self, val: Value) {
         match self {
-            ConcatBuf::Int(v) => v.push(val.as_int()),
-            ConcatBuf::Real(v) => v.push(val.as_real()),
+            TypedBuf::Int(v) => v.push(val.as_int()),
+            TypedBuf::Real(v) => v.push(val.as_real()),
         }
     }
 
     fn set_last(&mut self, val: Value) {
         match self {
-            ConcatBuf::Int(v) => *v.last_mut().expect("non-empty") = val.as_int(),
-            ConcatBuf::Real(v) => *v.last_mut().expect("non-empty") = val.as_real(),
+            TypedBuf::Int(v) => *v.last_mut().expect("non-empty") = val.as_int(),
+            TypedBuf::Real(v) => *v.last_mut().expect("non-empty") = val.as_real(),
         }
     }
 
-    /// The buffered values as [`Value`]s, for the commit-time apply.
-    pub(crate) fn value(&self, k: usize) -> Value {
-        match self {
-            ConcatBuf::Int(v) => Value::Int(v[k]),
-            ConcatBuf::Real(v) => Value::Real(v[k]),
+    /// Buffers a write at flat `idx` of an array whose appends start
+    /// at `base`: valid writes land at `base + len` (append) or
+    /// overwrite the element appended last — sequential semantics
+    /// allow rewriting the current position before the next increment.
+    /// Returns `false` — nothing buffered, a strategy violation — for
+    /// any other position.
+    #[inline]
+    pub(crate) fn append_at(&mut self, base: usize, idx: usize, val: Value) -> bool {
+        let next = base + self.len();
+        if idx == next {
+            self.push(val);
+        } else if self.len() > 0 && idx + 1 == next {
+            self.set_last(val);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Stores the buffered values at `idx[k]` of `data` in order,
+    /// coercing to the payload's type (commit-time replay; the caller
+    /// validated every index against the extent).
+    pub(crate) fn scatter_into(&self, data: &mut ArrayData, idx: impl Iterator<Item = usize>) {
+        match (data, self) {
+            (ArrayData::Int { data, .. }, TypedBuf::Int(v)) => {
+                idx.zip(v).for_each(|(k, &x)| data[k] = x);
+            }
+            (ArrayData::Real { data, .. }, TypedBuf::Real(v)) => {
+                idx.zip(v).for_each(|(k, &x)| data[k] = x);
+            }
+            (ArrayData::Int { data, .. }, TypedBuf::Real(v)) => {
+                idx.zip(v).for_each(|(k, &x)| data[k] = x as i64);
+            }
+            (ArrayData::Real { data, .. }, TypedBuf::Int(v)) => {
+                idx.zip(v).for_each(|(k, &x)| data[k] = x as f64);
+            }
         }
     }
 }
@@ -243,6 +328,11 @@ impl ConcatBuf {
 /// breaks the strategy's proven discipline records a violation (and is
 /// suppressed) instead of corrupting shared state; the worker checks
 /// [`Store::overlay_violation`] every iteration and aborts the chunk.
+///
+/// The typed loop does not intercept per element: it borrows each
+/// target's window or buffer as a [`WriteSink`] for the length of a
+/// chunk ([`Store::take_sink`]) and applies the same two position
+/// rules ([`InPlaceWindow::write`], [`TypedBuf::append_at`]) itself.
 #[derive(Clone, Debug)]
 pub(crate) enum WriteOverlay {
     /// Proven-disjoint in-place writes into the master buffers.
@@ -250,12 +340,11 @@ pub(crate) enum WriteOverlay {
         windows: Vec<InPlaceWindow>,
         violation: Option<VarId>,
     },
-    /// Positional append buffers for consecutively-written arrays:
-    /// valid writes land at `base + buf.len()` (append) or overwrite
-    /// the last appended element.
+    /// Positional append buffers for consecutively-written arrays
+    /// whose appends start at flat index `base`.
     Concat {
         base: usize,
-        bufs: Vec<(VarId, ConcatBuf)>,
+        bufs: Vec<(VarId, TypedBuf)>,
         violation: Option<VarId>,
     },
 }
@@ -268,7 +357,7 @@ impl WriteOverlay {
         }
     }
 
-    pub(crate) fn concat(base: usize, bufs: Vec<(VarId, ConcatBuf)>) -> WriteOverlay {
+    pub(crate) fn concat(base: usize, bufs: Vec<(VarId, TypedBuf)>) -> WriteOverlay {
         WriteOverlay::Concat {
             base,
             bufs,
@@ -284,28 +373,26 @@ impl WriteOverlay {
         }
     }
 
+    /// Records a strategy violation on `arr`, keeping the first.
+    fn violate(&mut self, arr: VarId) {
+        match self {
+            WriteOverlay::InPlace { violation, .. } | WriteOverlay::Concat { violation, .. } => {
+                violation.get_or_insert(arr);
+            }
+        }
+    }
+
     /// Handles a write to `arr` at flat `idx`. Returns `true` when the
     /// write was intercepted (applied in place, buffered, or recorded
     /// as a violation and suppressed); `false` sends it down the
     /// normal store path.
     fn intercept(&mut self, arr: VarId, idx: usize, val: Value) -> bool {
-        match self {
+        let ok = match self {
             WriteOverlay::InPlace { windows, violation } => {
                 let Some(w) = windows.iter().find(|w| w.var == arr) else {
                     return false;
                 };
-                if violation.is_none() {
-                    if idx >= w.lo && idx <= w.hi {
-                        // SAFETY: idx is inside this worker's exclusive
-                        // window (checked on the previous line) and the
-                        // master keeps the buffer alive for the whole
-                        // dispatch.
-                        unsafe { w.slice.write(idx, val) };
-                    } else {
-                        *violation = Some(arr);
-                    }
-                }
-                true
+                violation.is_some() || w.write(idx, val)
             }
             WriteOverlay::Concat {
                 base,
@@ -315,23 +402,32 @@ impl WriteOverlay {
                 let Some((_, buf)) = bufs.iter_mut().find(|(v, _)| *v == arr) else {
                     return false;
                 };
-                if violation.is_none() {
-                    let next = *base + buf.len();
-                    if idx == next {
-                        buf.push(val);
-                    } else if buf.len() > 0 && idx + 1 == next {
-                        // Re-write of the element appended last —
-                        // sequential semantics allow overwriting the
-                        // current position before the next increment.
-                        buf.set_last(val);
-                    } else {
-                        *violation = Some(arr);
-                    }
-                }
-                true
+                violation.is_some() || buf.append_at(*base, idx, val)
             }
+        };
+        if !ok {
+            self.violate(arr);
         }
+        true
     }
+}
+
+/// Where the typed loop's stores to one array go for the length of a
+/// chunk — the store's write observers, borrowed per array so the loop
+/// can apply them without a per-element call back into the store.
+#[derive(Debug)]
+pub(crate) enum WriteSink {
+    /// Nothing observes the writes: raw stores into the uniquely owned
+    /// payload.
+    Direct,
+    /// A write log is recording: raw stores into the (worker's own,
+    /// copy-on-write) payload, each also appended to this column.
+    Logged(ElemColumn),
+    /// An in-place target: stores land in the master's buffer, inside
+    /// this window only.
+    Window(InPlaceWindow),
+    /// A concat target: stores are buffered under the append rule.
+    Append { base: usize, buf: TypedBuf },
 }
 
 /// The global store (all variables are global).
@@ -474,11 +570,67 @@ impl Store {
         self.versions[arr.index()] += n;
     }
 
-    /// Whether writes are observed beyond the payload (transactional
-    /// write log or a strategy overlay). The compiled fast path is
-    /// only sound when they are not.
-    pub(crate) fn writes_observed(&self) -> bool {
-        self.log.is_some() || self.overlay.is_some()
+    /// Lends the typed loop the write observers of materialized `arr`
+    /// for one chunk (see [`WriteSink`]): its in-place window or
+    /// concat buffer when an overlay targets it, else its column of the
+    /// active write log, else nothing. Buffers and columns are moved
+    /// out, so writes the per-op loop made earlier in the chunk stay in
+    /// front; [`Store::return_sink`] moves them back.
+    pub(crate) fn take_sink(&mut self, arr: VarId) -> WriteSink {
+        match self.overlay.as_deref_mut() {
+            Some(WriteOverlay::InPlace { windows, .. }) => {
+                if let Some(w) = windows.iter().find(|w| w.var == arr) {
+                    return WriteSink::Window(*w);
+                }
+            }
+            Some(WriteOverlay::Concat { base, bufs, .. }) => {
+                if let Some((_, buf)) = bufs.iter_mut().find(|(v, _)| *v == arr) {
+                    let empty = TypedBuf::new(ScalarType::Int);
+                    return WriteSink::Append {
+                        base: *base,
+                        buf: std::mem::replace(buf, empty),
+                    };
+                }
+            }
+            None => {}
+        }
+        let Some(log) = self.log.as_deref_mut() else {
+            return WriteSink::Direct;
+        };
+        WriteSink::Logged(match log.elements.iter().position(|c| c.var == arr) {
+            Some(k) => log.elements.swap_remove(k),
+            None => {
+                let data = self.arrays[arr.index()].as_deref().expect("materialized");
+                ElemColumn::new(arr, data)
+            }
+        })
+    }
+
+    /// Takes back what [`Store::take_sink`] lent for `arr`, recording a
+    /// strategy violation the typed loop saw on it.
+    pub(crate) fn return_sink(&mut self, arr: VarId, sink: WriteSink, violated: bool) {
+        match sink {
+            WriteSink::Direct | WriteSink::Window(_) => {}
+            WriteSink::Logged(col) => {
+                if !col.idx.is_empty() {
+                    let log = self.log.as_deref_mut().expect("lent from the log");
+                    log.elements.push(col);
+                }
+            }
+            WriteSink::Append { buf, .. } => {
+                if let Some(WriteOverlay::Concat { bufs, .. }) = self.overlay.as_deref_mut() {
+                    if let Some((_, slot)) = bufs.iter_mut().find(|(v, _)| *v == arr) {
+                        *slot = buf;
+                    }
+                }
+            }
+        }
+        if violated {
+            self.overlay
+                .as_deref_mut()
+                .expect("only an overlay sink can be violated")
+                .violate(arr);
+        }
     }
 
     /// Uniquely-owned payload of a materialized array (cloning a
@@ -591,9 +743,18 @@ impl Store {
                 Value::Real(v)
             }
         };
-        self.bump_version(arr);
+        self.versions[arr.index()] += 1;
         if let Some(log) = &mut self.log {
-            log.elements.push((arr, idx, coerced));
+            let k = match log.elements.iter().position(|c| c.var == arr) {
+                Some(k) => k,
+                None => {
+                    log.elements.push(ElemColumn::new(arr, data));
+                    log.elements.len() - 1
+                }
+            };
+            let col = &mut log.elements[k];
+            col.idx.push(idx);
+            col.vals.push(coerced);
         }
     }
 }
@@ -723,6 +884,11 @@ pub struct Interp<'p> {
     pub compiled_profile: Option<Box<CompiledProfile>>,
     /// Reusable register file for compiled loop entries.
     pub(crate) ctemps: Vec<Value>,
+    /// Root iterations this interpreter started on the typed loop —
+    /// how the unit tests tell which loop ran (the stores are
+    /// byte-identical by contract).
+    #[cfg(test)]
+    pub(crate) typed_root_iters: u64,
 }
 
 impl<'p> Interp<'p> {
@@ -747,6 +913,8 @@ impl<'p> Interp<'p> {
             fast_cache: HashMap::new(),
             compiled_profile: None,
             ctemps: Vec::new(),
+            #[cfg(test)]
+            typed_root_iters: 0,
         }
     }
 
@@ -960,8 +1128,8 @@ impl<'p> Interp<'p> {
                 match dispatcher.dispatch(&self.store, s, lo, hi, step) {
                     LoopDecision::Parallel(plan) => {
                         match crate::parallel::exec_do_parallel(self, s, &plan, lo, hi, step) {
-                            Ok(strategy) => {
-                                dispatcher.parallel_committed(s, strategy);
+                            Ok(committed) => {
+                                dispatcher.parallel_committed(s, &committed);
                                 return Ok(());
                             }
                             // Genuine runtime errors inside a worker are

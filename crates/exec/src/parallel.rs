@@ -5,14 +5,21 @@
 //! iteration space into contiguous chunks. Each chunk runs in its own
 //! thread on a cheap clone of the live store (array payloads are
 //! Arc-shared and copy-on-write, so the clone is O(#variables), not
-//! O(store size)) with **write recording** turned on, and hands back
-//! only its [`WriteLog`]. The merge replays the logs against the master
-//! store in `O(total writes)`:
+//! O(store size), and an array a chunk only reads is never copied) with
+//! **write recording** turned on, and hands back only its
+//! [`WriteLog`]. The merge replays the logs against the master store in
+//! `O(total writes)`:
 //!
-//! - conflicts are detected *positionally* — two chunks writing the
-//!   same location conflict regardless of the values written, so a
-//!   write whose value happens to equal the pre-loop value (invisible
-//!   to the old snapshot-diff merge) is still caught;
+//! - the log is columnar — per written array, the flat indices beside
+//!   a typed value vector — so a logged write costs two appends;
+//! - conflicts are detected *positionally*, in a dense owner table per
+//!   written array (one small integer per element: unclaimed, or the
+//!   claiming chunk) — two chunks writing the same location conflict
+//!   regardless of the values written, so a write whose value happens
+//!   to equal the pre-loop value (invisible to the old snapshot-diff
+//!   merge) is still caught, while a chunk may rewrite its own
+//!   location freely. The tables are `O(extent of the arrays
+//!   written)`, zero-allocated; nothing scales with the store;
 //! - scalar reductions combine per-chunk final values under the plan's
 //!   [`ReduceOp`];
 //! - worker execution statistics, printed output, and fuel consumption
@@ -21,6 +28,23 @@
 //! The property-based soundness tests use this to assert: *loops judged
 //! parallel produce exactly the sequential result, with no conflicting
 //! writes*.
+//!
+//! # What a worker runs
+//!
+//! The master lowers and specializes the loop once and hands every
+//! worker the `Arc`'d bodies; a worker makes **one call**, the chunk
+//! entry the sequential compiled tier also uses
+//! (`Interp::run_chunk`): per-op until every array the body
+//! references is live in the worker's store, then the typed `FastBody`
+//! loop for the rest of the chunk — induction loop, per-iteration
+//! charge, deadline poll and strategy check all inside it. The typed
+//! loop's stores reach the log, the in-place windows or the append
+//! buffers through the per-array sinks the worker's store lends it
+//! (`WriteSink`), applying the same rules the per-element
+//! interception applies for the per-op loop and the tree-walk; all
+//! three executors fill the same log. Nests that do not type, or that
+//! can assign a scalar the merge would claim, stay per-op; unlowerable
+//! bodies walk the AST. [`WorkerEngines`] reports which it was.
 //!
 //! # Execution strategies
 //!
@@ -48,11 +72,13 @@
 //! loop-invariant inputs, so the sequential fallback deterministically
 //! rewrites every touched location with the correct values.
 
-use crate::bytecode::{CompiledBody, CompiledProfile};
+use crate::bytecode::{
+    ChunkAbort, ChunkEngine, ChunkWatch, CompiledBody, CompiledProfile, FastBody,
+};
 use crate::fault::FaultKind;
 use crate::interp::{
-    ArrayData, ConcatBuf, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, Value,
-    WriteLog, WriteOverlay,
+    ArrayData, ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf,
+    Value, WriteLog, WriteOverlay,
 };
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
 use std::collections::HashMap;
@@ -104,6 +130,46 @@ pub enum ReduceOp {
     Max,
 }
 
+/// Which executor the worker chunks of a dispatch finished on. Kept
+/// out of [`ExecStats`] (whose equality between tiers is
+/// byte-identical by contract): it describes the engine, not the
+/// program's execution.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct WorkerEngines {
+    /// Chunks finished on the typed `FastBody` loop (after a per-op
+    /// prefix, when some array had yet to materialize).
+    pub typed: u64,
+    /// Chunks run on the per-op bytecode loop throughout: the nest
+    /// does not type, assigns a scalar the plan neither privatizes nor
+    /// reduces, is being profiled, or never had all its arrays live.
+    pub per_op: u64,
+    /// Chunks run on the tree-walk: the plan did not ask for compiled
+    /// workers, or the nest does not lower.
+    pub tree_walk: u64,
+}
+
+impl WorkerEngines {
+    fn count(&mut self, engine: Option<ChunkEngine>) {
+        match engine {
+            Some(ChunkEngine::Typed) => self.typed += 1,
+            Some(ChunkEngine::PerOp) => self.per_op += 1,
+            None => self.tree_walk += 1,
+        }
+    }
+}
+
+/// What a committed parallel dispatch reports.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Committed {
+    /// The strategy that actually ran: the plan's when the executor's
+    /// own re-derivation confirmed it, [`ExecutionStrategy::WriteLog`]
+    /// after a silent downgrade.
+    pub strategy: ExecutionStrategy,
+    /// The engines the worker chunks finished on (all zero for a
+    /// zero-trip dispatch, which spawns no worker).
+    pub engines: WorkerEngines,
+}
+
 /// How a designated loop is run in parallel.
 #[derive(Clone, Debug)]
 pub struct ParallelPlan {
@@ -133,9 +199,9 @@ pub struct ParallelPlan {
     /// Like `strategy`, this is a request: the master re-lowers the
     /// nest at dispatch and workers silently fall back to the AST walk
     /// when the body is not lowerable. Composes with every write-back
-    /// strategy — the bytecode writes through the same store paths the
-    /// interpreter does, so overlays and write logs see identical
-    /// streams.
+    /// strategy — the per-op loop writes through the same store paths
+    /// the interpreter does and the typed loop through the sinks the
+    /// store lends it, so overlays and write logs see the same writes.
     pub compiled: bool,
 }
 
@@ -360,23 +426,11 @@ struct ChunkOutcome {
     /// Per-opcode bytecode dispatch counts, collected only when the
     /// master interpreter has profiling enabled.
     profile: Option<Box<CompiledProfile>>,
-}
-
-/// Why one worker's chunk did not complete.
-enum WorkerFailure {
-    /// A genuine runtime error inside the chunk.
-    Exec(ExecError),
-    /// The watchdog deadline expired before the chunk finished.
-    TimedOut,
-    /// The worker's write overlay recorded a strategy violation on
-    /// this variable; the chunk aborted to avoid corrupting state.
-    Violated(VarId),
-}
-
-impl From<ExecError> for WorkerFailure {
-    fn from(e: ExecError) -> Self {
-        WorkerFailure::Exec(e)
-    }
+    /// The bytecode loop the chunk finished on; `None` for the
+    /// tree-walk.
+    engine: Option<ChunkEngine>,
+    #[cfg(test)]
+    typed_root_iters: u64,
 }
 
 /// One in-place target: the master buffer to write through and the
@@ -497,10 +551,9 @@ fn prepare_concat(
 /// watchdog (checked between iterations); `plan.fault` injects one
 /// failure for chaos testing.
 ///
-/// Returns the [`ExecutionStrategy`] that actually committed: the
-/// plan's strategy when the executor's own re-derivation confirmed it,
-/// [`ExecutionStrategy::WriteLog`] after a silent downgrade. A
-/// zero-trip dispatch commits trivially under the planned strategy.
+/// Returns what was [`Committed`]: the strategy that actually ran (a
+/// zero-trip dispatch commits trivially under the planned one) and the
+/// engines the worker chunks finished on.
 ///
 /// # Errors
 ///
@@ -520,7 +573,7 @@ pub fn exec_do_parallel(
     lo: i64,
     hi: i64,
     step: i64,
-) -> Result<ExecutionStrategy, ParallelError> {
+) -> Result<Committed, ParallelError> {
     let program = interp.program();
     let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
         return Err(ParallelError::NotADoLoop);
@@ -537,7 +590,10 @@ pub fn exec_do_parallel(
         // semantics).
         record_dispatch(interp, loop_stmt, plan);
         interp.store.set_scalar(var, ty, Value::Int(lo));
-        return Ok(plan.strategy);
+        return Ok(Committed {
+            strategy: plan.strategy,
+            engines: WorkerEngines::default(),
+        });
     }
     // The chunk arithmetic below (trip count, chunk bounds, the
     // workers' `i += 1`, the final `hi + 1`) needs `hi + 1` and the
@@ -547,7 +603,7 @@ pub fn exec_do_parallel(
     let Some(n) = trip.and_then(|t| usize::try_from(t).ok()) else {
         return Err(ParallelError::UnsupportedStep { step });
     };
-    let threads = plan.threads.clamp(1, n);
+    let threads = plan.threads.clamp(1, n).min(MAX_WORKERS);
     // Chunk boundaries.
     let mut chunks: Vec<(i64, i64)> = Vec::with_capacity(threads);
     let base = n / threads;
@@ -591,10 +647,10 @@ pub fn exec_do_parallel(
             None => Mode::WriteLog,
         },
     };
-    // Lower the loop body once on the master so every worker chunk can
-    // replay it through the bytecode tier (pure function of the
-    // program, so the master's cache entry is shared via Arc). A body
-    // the lowering rejects leaves `None` and the workers walk the AST
+    // Lower and specialize the loop body once on the master so every
+    // worker chunk can replay it (pure functions of the program, so
+    // the master's cache entries are shared via Arc). A body the
+    // lowering rejects leaves `None` and the workers walk the AST
     // exactly as before.
     let compiled_body: Option<Arc<CompiledBody>> = if plan.compiled {
         interp.compiled_body_for(loop_stmt)
@@ -602,18 +658,37 @@ pub fn exec_do_parallel(
         None
     };
     let profile_workers = interp.compiled_profile.is_some();
+    // The typed loop writes the scalars its nest can assign back once,
+    // at chunk exit, and a worker's write-back is logged — where the
+    // merge claims it for that worker. Scalars exempt from claiming
+    // (privatized, reductions, the concat pointer; the root induction
+    // variable is never logged) can take that; a nest that can assign
+    // any other scalar keeps the per-op loop, which logs a scalar only
+    // when it is dynamically written. Profiled workers stay per-op too.
+    let claim_exempt = |v: VarId| {
+        plan.privatized.contains(&v)
+            || plan.reductions.iter().any(|(r, _)| *r == v)
+            || matches!(&mode, Mode::Concat { ptr, .. } if *ptr == v)
+    };
+    let typed_body: Option<Arc<FastBody>> = match &compiled_body {
+        Some(cb) if !profile_workers => interp
+            .fast_body_for(loop_stmt, cb)
+            .filter(|fb| fb.assigned_scalars().all(claim_exempt)),
+        _ => None,
+    };
     // Run each chunk on a copy-on-write clone of the live store;
     // workers return only their logs/buffers and stats. In-place
     // workers skip write logging entirely — their target writes go
     // straight to the master buffers through the overlay.
     let fuel = interp.fuel;
     let mode_ref = &mode;
-    let results: Vec<std::thread::Result<Result<ChunkOutcome, WorkerFailure>>> =
+    let results: Vec<std::thread::Result<Result<ChunkOutcome, ChunkAbort>>> =
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (widx, &(clo, chi)) in chunks.iter().enumerate() {
                 let snapshot = interp.store.clone();
                 let cbody = compiled_body.clone();
+                let fbody = typed_body.clone();
                 handles.push(scope.spawn(move || {
                     if panic_chunk == Some(widx) {
                         panic!("injected fault: worker {widx} panic");
@@ -622,7 +697,9 @@ pub fn exec_do_parallel(
                     // armed (the hot path never reads wall time), and
                     // before any injected stall — so a stalled worker
                     // trips the deadline on its first iteration check.
-                    let started = deadline.map(|_| Instant::now());
+                    let watch = ChunkWatch {
+                        deadline: deadline.map(|limit| (Instant::now(), limit)),
+                    };
                     if stall_chunk == Some(widx) {
                         std::thread::sleep(Duration::from_millis(stall_ms));
                     }
@@ -651,41 +728,35 @@ pub fn exec_do_parallel(
                             worker.store.start_write_log();
                             let bufs = targets
                                 .iter()
-                                .map(|&a| (a, ConcatBuf::new(program.symbols.var(a).ty)))
+                                .map(|&a| (a, TypedBuf::new(program.symbols.var(a).ty)))
                                 .collect();
                             worker
                                 .store
                                 .install_overlay(WriteOverlay::concat(*p0 as usize, bufs));
                         }
                     }
-                    if profile_workers && cbody.is_some() {
-                        worker.compiled_profile = Some(Box::new(CompiledProfile::new()));
-                    }
-                    // One register file per chunk, reused across its
-                    // iterations (registers are write-before-read).
-                    let mut ctemps: Vec<Value> = match &cbody {
-                        Some(cb) => vec![Value::Int(0); cb.register_count()],
-                        None => Vec::new(),
-                    };
-                    let ty = program.symbols.var(var).ty;
-                    let mut i = clo;
-                    while i <= chi {
-                        if let (Some(limit), Some(t0)) = (deadline, started) {
-                            if t0.elapsed() >= limit {
-                                return Err(WorkerFailure::TimedOut);
+                    let engine = match &cbody {
+                        Some(cb) => {
+                            if profile_workers {
+                                worker.compiled_profile = Some(Box::new(CompiledProfile::new()));
                             }
+                            let fb = fbody.as_deref();
+                            Some(worker.run_chunk(loop_stmt, cb, fb, clo, chi, 1, Some(&watch))?)
                         }
-                        worker.store.set_scalar_untracked(var, ty, Value::Int(i));
-                        match &cbody {
-                            Some(cb) => worker.run_compiled_body_block(cb, &mut ctemps)?,
-                            None => worker.exec_body(body)?,
+                        None => {
+                            let ty = program.symbols.var(var).ty;
+                            for i in clo..=chi {
+                                watch.poll()?;
+                                worker.store.set_scalar_untracked(var, ty, Value::Int(i));
+                                worker.exec_body(body)?;
+                                worker.charge(1)?; // loop bookkeeping, as sequential
+                                if let Some(v) = worker.store.overlay_violation() {
+                                    return Err(ChunkAbort::Violated(v));
+                                }
+                            }
+                            None
                         }
-                        worker.charge(1)?; // loop bookkeeping, as sequential
-                        if let Some(v) = worker.store.overlay_violation() {
-                            return Err(WorkerFailure::Violated(v));
-                        }
-                        i += 1;
-                    }
+                    };
                     let reduction_finals = plan
                         .reductions
                         .iter()
@@ -704,11 +775,20 @@ pub fn exec_do_parallel(
                         reduction_finals,
                         ptr_final,
                         profile,
+                        engine,
+                        #[cfg(test)]
+                        typed_root_iters: worker.typed_root_iters,
                     })
                 }));
             }
             handles.into_iter().map(|h| h.join()).collect()
         });
+    // Test-only and outside the transaction: lets a test see what the
+    // completed chunks of a dispatch that then *fails* ran on.
+    #[cfg(test)]
+    for out in results.iter().flatten().flatten() {
+        interp.typed_root_iters += out.typed_root_iters;
+    }
     let mut outcomes = Vec::with_capacity(results.len());
     for (widx, r) in results.into_iter().enumerate() {
         match r {
@@ -717,14 +797,14 @@ pub fn exec_do_parallel(
                     detail: panic_message(&payload),
                 })
             }
-            Ok(Err(WorkerFailure::TimedOut)) => {
+            Ok(Err(ChunkAbort::TimedOut)) => {
                 return Err(ParallelError::Timeout {
                     worker: widx,
                     deadline_ms: plan.deadline_ms.unwrap_or(0),
                 })
             }
-            Ok(Err(WorkerFailure::Exec(e))) => return Err(ParallelError::Exec(e)),
-            Ok(Err(WorkerFailure::Violated(v))) => {
+            Ok(Err(ChunkAbort::Exec(e))) => return Err(ParallelError::Exec(e)),
+            Ok(Err(ChunkAbort::Violated(v))) => {
                 return Err(ParallelError::StrategyViolation {
                     var: program.symbols.name(v).to_string(),
                     strategy: mode.strategy().name(),
@@ -788,7 +868,9 @@ pub fn exec_do_parallel(
     interp.charge(body_cost)?;
     let entry = interp.stats.loops.entry(loop_stmt).or_default();
     entry.total_cost += body_cost;
+    let mut engines = WorkerEngines::default();
     for c in outcomes {
+        engines.count(c.engine);
         for (s, ls) in c.stats.loops {
             let e = interp.stats.loops.entry(s).or_default();
             e.invocations += ls.invocations;
@@ -802,7 +884,10 @@ pub fn exec_do_parallel(
     }
     // Sequential semantics: the induction variable ends one past `hi`.
     interp.store.set_scalar(var, ty, Value::Int(hi + 1));
-    Ok(mode.strategy())
+    Ok(Committed {
+        strategy: mode.strategy(),
+        engines,
+    })
 }
 
 /// Commits a [`Mode::Concat`] dispatch: validates the append discipline
@@ -876,17 +961,24 @@ fn commit_concat(
     // scalar claiming (every worker advances it by design).
     let logs: Vec<&WriteLog> = outcomes.iter().map(|c| &c.log).collect();
     merge_write_logs(program, interp, &logs, plan, loop_var, Some((ptr, targets)))?;
-    // Apply the buffers positionally in chunk (= sequential) order.
+    // Apply the buffers positionally in chunk (= sequential) order;
+    // the version rises by one per element, as element-wise writes
+    // would have raised it.
     let mut base = p0 as usize;
     for (out, dp) in outcomes.iter().zip(&deltas) {
+        let dp = *dp as usize;
+        // A chunk that appended nothing has nothing to copy (and when
+        // no chunk did, the targets were never materialized).
+        if dp == 0 {
+            continue;
+        }
         if let Some(WriteOverlay::Concat { bufs, .. }) = &out.overlay {
             for (a, buf) in bufs {
-                for k in 0..buf.len() {
-                    interp.store.write_element(*a, base + k, buf.value(k));
-                }
+                buf.scatter_into(interp.store.array_make_mut(*a), base..base + dp);
+                interp.store.bump_version_by(*a, dp as u64);
             }
         }
-        base += *dp as usize;
+        base += dp;
     }
     let pty = program.symbols.var(ptr).ty;
     interp.store.set_scalar(ptr, pty, Value::Int(p0 + total));
@@ -917,13 +1009,34 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The element writes the workers logged to one array, as the merge
+/// sees them: who claimed which location, and the columns to replay.
+struct ArrayClaims<'a> {
+    var: VarId,
+    /// One entry per element of the array: 0 while unclaimed, else the
+    /// claiming worker's index plus one.
+    owner: Vec<u16>,
+    /// Distinct locations claimed.
+    claimed: u64,
+    /// The workers' columns for this array, in worker order.
+    columns: Vec<&'a ElemColumn>,
+}
+
+/// The most worker chunks one dispatch may have: the owner tables
+/// number workers from 1 in a `u16`.
+const MAX_WORKERS: usize = u16::MAX as usize - 1;
+
 /// Replays the workers' write logs against the master store.
 ///
-/// Cost is `O(total writes)`. Conflict detection is positional: after
-/// collapsing each worker's log to its final write per location, any
-/// location claimed by two workers is a [`ParallelError::WriteConflict`]
-/// — values are never compared, so writes that happen to restore the
-/// pre-loop value cannot mask a conflict.
+/// Cost is `O(total writes)` plus one owner entry per element of each
+/// array some worker *wrote* (a zeroed allocation, touched only where
+/// written) — never a function of the store's size. Conflict detection
+/// is positional: every logged write claims its location for its
+/// worker in the array's owner table; a worker may rewrite a location
+/// it already owns, and the second worker to touch one is a
+/// [`ParallelError::WriteConflict`] — values are never compared, so
+/// writes that happen to restore the pre-loop value cannot mask a
+/// conflict.
 ///
 /// The merge is two-phase: every log is validated (shapes agree,
 /// no location double-claimed, no write past an extent) before the
@@ -1005,40 +1118,52 @@ fn merge_write_logs(
         }
     }
 
-    // Array elements: same claiming scheme, keyed by (array, index),
-    // with the extent check against the master's arrays or the planned
-    // materializations.
-    let mut claimed_elems: HashMap<(VarId, usize), Value> = HashMap::new();
-    for log in logs {
-        let mut finals: HashMap<(VarId, usize), Value> = HashMap::new();
-        for &(v, idx, val) in &log.elements {
+    // Array elements: every logged write claims its location in the
+    // array's owner table, checked against the extent of the master's
+    // array or of its planned materialization.
+    let mut claims: Vec<ArrayClaims<'_>> = Vec::new();
+    for (widx, log) in logs.iter().enumerate() {
+        let me = u16::try_from(widx + 1).expect("chunk count is capped at MAX_WORKERS");
+        for col in &log.elements {
+            let v = col.var;
             if plan.privatized.contains(&v) || concat_targets.contains(&v) {
                 continue;
             }
-            finals.insert((v, idx), val);
-        }
-        for (key, val) in finals {
-            if claimed_elems.insert(key, val).is_some() {
-                return Err(conflict(key.0));
+            let k = match claims.iter().position(|c| c.var == v) {
+                Some(k) => k,
+                None => {
+                    let len = interp
+                        .store
+                        .array_len(v)
+                        .or_else(|| planned_arrays.get(&v).map(|dims| dims.iter().product()));
+                    claims.push(ArrayClaims {
+                        var: v,
+                        owner: vec![0; len.unwrap_or(0)],
+                        claimed: 0,
+                        columns: Vec::new(),
+                    });
+                    claims.len() - 1
+                }
+            };
+            let c = &mut claims[k];
+            for &idx in &col.idx {
+                let Some(owner) = c.owner.get_mut(idx) else {
+                    return Err(ParallelError::ShapeMismatch {
+                        var: program.symbols.name(v).to_string(),
+                        detail: format!(
+                            "logged write at flat index {idx} exceeds extent {}",
+                            c.owner.len()
+                        ),
+                    });
+                };
+                if *owner == 0 {
+                    *owner = me;
+                    c.claimed += 1;
+                } else if *owner != me {
+                    return Err(conflict(v));
+                }
             }
-        }
-    }
-    for &(v, idx) in claimed_elems.keys() {
-        let len = interp
-            .store
-            .array_len(v)
-            .or_else(|| planned_arrays.get(&v).map(|dims| dims.iter().product()));
-        match len {
-            Some(len) if idx < len => {}
-            extent => {
-                return Err(ParallelError::ShapeMismatch {
-                    var: program.symbols.name(v).to_string(),
-                    detail: format!(
-                        "logged write at flat index {idx} exceeds extent {:?}",
-                        extent.unwrap_or(0)
-                    ),
-                });
-            }
+            c.columns.push(col);
         }
     }
 
@@ -1064,17 +1189,30 @@ fn merge_write_logs(
         let ty = program.symbols.var(*rv).ty;
         interp.store.set_scalar(*rv, ty, acc);
     }
-    for ((v, idx), val) in claimed_elems {
-        interp.store.write_element(v, idx, val);
+    // One uniquely-owned payload per written array, each column
+    // replayed in log order (so a worker's last write to a location
+    // wins, and workers never share one). The version rises by the
+    // number of distinct locations written.
+    for c in claims {
+        let data = interp.store.array_make_mut(c.var);
+        for col in c.columns {
+            col.vals.scatter_into(data, col.idx.iter().copied());
+        }
+        interp.store.bump_version_by(c.var, c.claimed);
     }
     Ok(())
 }
 
 /// Folds one worker's final reduction value into the accumulator.
+/// Integer sums wrap, like the language's own integer arithmetic
+/// (`apply_bin`): the sequential loop wraps and completes, so the
+/// commit must too.
 fn combine_reduction(op: ReduceOp, acc: Value, theirs: Value, base: Value) -> Value {
     match op {
         ReduceOp::Sum => match (acc, theirs, base) {
-            (Value::Int(a), Value::Int(x), Value::Int(b)) => Value::Int(a + (x - b)),
+            (Value::Int(a), Value::Int(x), Value::Int(b)) => {
+                Value::Int(a.wrapping_add(x.wrapping_sub(b)))
+            }
             (a, x, b) => Value::Real(a.as_real() + (x.as_real() - b.as_real())),
         },
         ReduceOp::Min => match (acc, theirs) {
@@ -1129,6 +1267,20 @@ mod tests {
         assert_eq!(seq.store.array_as_reals(x), par.array_as_reals(x));
     }
 
+    /// Dispatches `p`'s first `do` loop over `1..=hi` on a fresh master
+    /// and returns the master with the result. The loop is the
+    /// program's first statement in every caller, so the master needs
+    /// no run-up.
+    fn dispatch_first_do<'p>(
+        p: &'p Program,
+        plan: &ParallelPlan,
+        hi: i64,
+    ) -> (Interp<'p>, Result<Committed, ParallelError>) {
+        let mut interp = Interp::new(p);
+        let res = exec_do_parallel(&mut interp, first_do(p), plan, 1, hi, 1);
+        (interp, res)
+    }
+
     #[test]
     fn conflicting_writes_are_detected() {
         let src = "program t
@@ -1139,9 +1291,11 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let plan = ParallelPlan::with_threads(4);
-        let err = run_loop_parallel(&p, first_do(&p), &plan).unwrap_err();
-        assert!(matches!(err, ParallelError::WriteConflict { .. }));
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
+        assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
+        // Iteration 1 materializes `x` per-op in every chunk; the rest
+        // ran typed, through the logged sink.
+        assert_eq!(master.typed_root_iters, 96);
     }
 
     /// Regression for the snapshot-diff soundness hole: one chunk writes
@@ -1164,12 +1318,12 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let plan = ParallelPlan::with_threads(2);
-        let err = run_loop_parallel(&p, first_do(&p), &plan).unwrap_err();
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(2), 100);
         assert!(
-            matches!(err, ParallelError::WriteConflict { ref var } if var == "x"),
-            "expected a write conflict on x, got {err:?}"
+            matches!(res, Err(ParallelError::WriteConflict { ref var }) if var == "x"),
+            "expected a write conflict on x, got {res:?}"
         );
+        assert_eq!(master.typed_root_iters, 98);
     }
 
     /// Every chunk writing the pre-loop value back is still an
@@ -1185,9 +1339,240 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let plan = ParallelPlan::with_threads(4);
-        let err = run_loop_parallel(&p, first_do(&p), &plan).unwrap_err();
-        assert!(matches!(err, ParallelError::WriteConflict { .. }));
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
+        assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
+        assert_eq!(master.typed_root_iters, 96);
+    }
+
+    /// The owner table claims per worker, not per write: a chunk may
+    /// store to its own location any number of times (`y(i)` three
+    /// times an iteration here, as spmv does per nonzero) without
+    /// conflicting with itself, and the last value wins.
+    #[test]
+    fn a_worker_rewriting_its_own_location_is_not_a_conflict() {
+        let src = "program t
+             integer i, j
+             real y(100)
+             do i = 1, 100
+               do j = 1, 3
+                 y(i) = y(i) + i * j
+               enddo
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let jv = p.symbols.lookup("j").unwrap();
+        let y = p.symbols.lookup("y").unwrap();
+        let plan = ParallelPlan {
+            privatized: vec![jv],
+            ..ParallelPlan::with_threads(4)
+        };
+        let (master, res) = dispatch_first_do(&p, &plan, 100);
+        let got = res.unwrap();
+        assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
+        assert_eq!(got.engines.typed, 4);
+        let seq = Interp::new(&p).run().unwrap();
+        assert_eq!(master.store.array_as_reals(y), seq.store.array_as_reals(y));
+        // 300 logged writes claimed 100 distinct locations.
+        assert_eq!(
+            master.store.array_version(y),
+            1 + 100,
+            "one materialization plus one bump per distinct location"
+        );
+    }
+
+    /// A body that reads what it wrote earlier in the same chunk sees
+    /// its own write (the logged sink stores into the worker's payload
+    /// as well as the log) and matches sequential bit for bit.
+    #[test]
+    fn a_chunk_reads_back_its_own_logged_writes() {
+        let src = "program t
+             integer i
+             real a(64)
+             do i = 1, 64
+               a(i) = i * 0.37
+             enddo
+             do i = 1, 64
+               a(i) = a(i) * 2.0 + 1.0
+               a(i) = a(i) * 2.0
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let a = p.symbols.lookup("a").unwrap();
+        let mut interp = Interp::new(&p);
+        interp.exec_stmt(first_do(&p)).unwrap();
+        // The target is read, so even an in-place request runs (and
+        // must be exact) under the write-log.
+        let plan = ParallelPlan {
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            ..ParallelPlan::with_threads(3)
+        };
+        let got = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 64, 1).unwrap();
+        assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
+        assert_eq!((got.engines.typed, interp.typed_root_iters), (3, 64));
+        let seq = Interp::new(&p).run().unwrap();
+        let bits = |st: &Store| -> Vec<u64> {
+            st.array_as_reals(a)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&interp.store), bits(&seq.store));
+    }
+
+    /// An array no one has touched yet materializes inside the worker:
+    /// each chunk runs its first iteration per-op (which logs the
+    /// materialization), hands over to the typed loop, and the merge
+    /// brings the array into existence on the master.
+    #[test]
+    fn a_typed_chunk_starts_per_op_until_its_arrays_are_live() {
+        let src = "program t
+             integer i
+             real x(100), y(100)
+             do i = 1, 100
+               y(i) = x(i) + i
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
+        let got = res.unwrap();
+        assert_eq!(got.engines.typed, 4);
+        assert_eq!(master.typed_root_iters, 96, "one per-op iteration a chunk");
+        let seq = Interp::new(&p).run().unwrap();
+        assert_eq!(master.store, seq.store);
+    }
+
+    /// ... and when the chunks materialize it with different extents
+    /// (each reads its own privatized `n`), the typed hand-over changes
+    /// nothing about the verdict: the merge refuses.
+    #[test]
+    fn typed_chunks_disagreeing_on_a_shape_are_a_hard_error() {
+        let src = "program t
+             integer i, n
+             real x(n)
+             do i = 1, 8
+               n = i + 8
+               x(i) = i
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let n = p.symbols.lookup("n").unwrap();
+        let plan = ParallelPlan {
+            privatized: vec![n],
+            ..ParallelPlan::with_threads(2)
+        };
+        let (master, res) = dispatch_first_do(&p, &plan, 8);
+        assert!(
+            matches!(res, Err(ParallelError::ShapeMismatch { ref var, .. }) if var == "x"),
+            "got {res:?}"
+        );
+        assert_eq!(master.typed_root_iters, 6);
+    }
+
+    /// A runtime error raised inside a typed chunk is the program's
+    /// own error — the one the sequential run raises — and the
+    /// dispatch leaves the master exactly as it found it.
+    #[test]
+    fn errors_inside_a_typed_chunk_leave_the_master_untouched() {
+        let cases: [(usize, u64, ExecError); 2] = [
+            // Iteration 61 leaves `a(60)`: the second chunk's error,
+            // and the first in chunk order.
+            (
+                60,
+                2_000_000_000,
+                ExecError::OutOfBounds {
+                    array: "a".to_string(),
+                    index: 61,
+                    extent: 60,
+                },
+            ),
+            // 201 for the first loop, 67 left. Every worker starts
+            // with all of the master's fuel: the 34-iteration chunk
+            // needs 68 and runs dry on its last bookkeeping charge; the
+            // two 33-iteration chunks complete.
+            (100, 268, ExecError::OutOfFuel),
+        ];
+        for (extent, fuel, expected) in cases {
+            let src = format!(
+                "program t
+                 integer i, idx(100)
+                 real a({extent})
+                 do i = 1, 100
+                   idx(i) = i
+                 enddo
+                 do i = 1, 100
+                   a(idx(i)) = i * 0.5
+                 enddo
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            let a = p.symbols.lookup("a").unwrap();
+            let mut seq = Interp::new(&p);
+            seq.fuel = fuel;
+            assert_eq!(seq.exec_proc(p.main()), Err(expected.clone()));
+
+            let mut interp = Interp::new(&p);
+            interp.fuel = fuel;
+            interp.exec_stmt(first_do(&p)).unwrap();
+            // `a` is live at dispatch, so the chunks are typed from
+            // their first iteration.
+            interp.ensure_materialized(a).unwrap();
+            let state = |it: &Interp<'_>| {
+                (
+                    it.store.clone(),
+                    it.store.array_version(a),
+                    it.fuel,
+                    it.stats.total_cost,
+                    it.stats.loops.len(),
+                    it.output.clone(),
+                )
+            };
+            let before = state(&interp);
+            let plan = ParallelPlan::with_threads(3);
+            let err = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 100, 1).unwrap_err();
+            assert!(
+                matches!(&err, ParallelError::Exec(e) if *e == expected),
+                "fuel {fuel}: {err:?}"
+            );
+            assert!(before == state(&interp), "fuel {fuel}: master changed");
+            // The chunks that completed did so on the typed loop, and
+            // the failing one ran the same body over the same arrays.
+            assert!(interp.typed_root_iters >= 34, "fuel {fuel}");
+        }
+    }
+
+    /// Integer sum reductions wrap at commit exactly as the
+    /// language's integer arithmetic does in the loop: the sequential
+    /// run wraps past `i64::MAX` and completes, so must every
+    /// strategy's combine.
+    #[test]
+    fn integer_sum_reduction_wraps_at_commit() {
+        let src = "program t
+             integer i, s
+             real x(100)
+             s = 9223372036854775800
+             do i = 1, 100
+               x(i) = i
+               s = s + i
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let s = p.symbols.lookup("s").unwrap();
+        let seq = Interp::new(&p).run().unwrap();
+        assert!(seq.store.scalar(s).as_int() < 0, "the sum wrapped");
+        for strategy in [
+            ExecutionStrategy::WriteLog,
+            ExecutionStrategy::InPlaceDisjoint,
+        ] {
+            let plan = ParallelPlan {
+                threads: 3,
+                reductions: vec![(s, ReduceOp::Sum)],
+                strategy,
+                ..ParallelPlan::default()
+            };
+            let st = run_loop_parallel(&p, first_do(&p), &plan).unwrap();
+            assert_eq!(st, seq.store, "{strategy:?}");
+        }
     }
 
     #[test]
@@ -1275,10 +1660,11 @@ mod tests {
             reductions: vec![],
             ..ParallelPlan::default()
         };
-        let st = run_loop_parallel(&p, first_do(&p), &plan).unwrap();
+        let (master, res) = dispatch_first_do(&p, &plan, 100);
+        assert_eq!(res.unwrap().engines.typed, 4);
         let seq = Interp::new(&p).run().unwrap();
         let z = p.symbols.lookup("z").unwrap();
-        assert_eq!(st.array_as_reals(z), seq.store.array_as_reals(z));
+        assert_eq!(master.store.array_as_reals(z), seq.store.array_as_reals(z));
     }
 
     #[test]
@@ -1461,7 +1847,11 @@ mod tests {
         };
         let mut interp = Interp::new(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
-        assert_eq!(got, ExecutionStrategy::InPlaceDisjoint);
+        assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
+        // The master materialized the target to take its raw slice, so
+        // every chunk is typed from its first iteration — through the
+        // window sink.
+        assert_eq!((got.engines.typed, interp.typed_root_iters), (4, 100));
         let seq = Interp::new(&p).run().unwrap();
         let x = p.symbols.lookup("x").unwrap();
         let i = p.symbols.lookup("i").unwrap();
@@ -1486,7 +1876,7 @@ mod tests {
         };
         let mut interp = Interp::new(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
-        assert_eq!(got, ExecutionStrategy::InPlaceDisjoint);
+        assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         let seq = Interp::new(&p).run().unwrap();
         let y = p.symbols.lookup("y").unwrap();
         assert_eq!(interp.store.array_as_reals(y), seq.store.array_as_reals(y));
@@ -1512,7 +1902,7 @@ mod tests {
         };
         let mut interp = Interp::new(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
-        assert_eq!(got, ExecutionStrategy::InPlaceDisjoint);
+        assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         assert_eq!(interp.store.scalar(s).as_real(), 5050.0);
         let x = p.symbols.lookup("x").unwrap();
         let seq = Interp::new(&p).run().unwrap();
@@ -1538,7 +1928,7 @@ mod tests {
         };
         let mut interp = Interp::new(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
-        assert_eq!(got, ExecutionStrategy::WriteLog);
+        assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
         let seq = Interp::new(&p).run().unwrap();
         let x = p.symbols.lookup("x").unwrap();
         assert_eq!(interp.store.array_as_reals(x), seq.store.array_as_reals(x));
@@ -1610,7 +2000,10 @@ mod tests {
         };
         let mut interp = Interp::new(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
-        assert_eq!(got, ExecutionStrategy::PrivatizeAndConcat);
+        assert_eq!(got.strategy, ExecutionStrategy::PrivatizeAndConcat);
+        // Per-op up to each chunk's first append (which materializes
+        // `ind` in the worker), typed — through the append sink — after.
+        assert_eq!(got.engines.typed, 4);
         let seq = Interp::new(&p).run().unwrap();
         let q = p.symbols.lookup("q").unwrap();
         let ind = p.symbols.lookup("ind").unwrap();
@@ -1619,6 +2012,89 @@ mod tests {
         assert_eq!(
             interp.store.array_as_reals(ind),
             seq.store.array_as_reals(ind)
+        );
+    }
+
+    /// Hole-freedom is never re-proven statically: an increment
+    /// without its write is caught by the append sink's position rule
+    /// on the typed loop exactly as `WriteOverlay::intercept` catches
+    /// it per-op, and the dispatch aborts with the master untouched.
+    #[test]
+    fn a_hole_in_the_appends_is_a_violation_under_the_typed_sink() {
+        let src = "program t
+             integer i, q, ind(100)
+             do i = 1, 100
+               q = q + 1
+               if (i - (i / 2) * 2 > 0) then
+                 ind(q) = i
+               endif
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let ind = p.symbols.lookup("ind").unwrap();
+        let plan = ParallelPlan {
+            strategy: ExecutionStrategy::PrivatizeAndConcat,
+            ..ParallelPlan::with_threads(2)
+        };
+        let mut interp = Interp::new(&p);
+        // Live before the dispatch: the chunks start typed.
+        interp.ensure_materialized(ind).unwrap();
+        let before = interp.store.clone();
+        let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ParallelError::StrategyViolation { var, strategy }
+                    if var == "ind" && *strategy == "privatize-concat"
+            ),
+            "got {err:?}"
+        );
+        assert_eq!(interp.store, before);
+        assert_eq!(interp.stats.total_cost, 0);
+    }
+
+    /// The window sink refuses a store outside `[lo, hi]` without
+    /// touching memory, and the chunk stops at that iteration's
+    /// boundary. The dispatch can only hand a worker the window of its
+    /// own chunk (and re-proves the affine facts first), so this drives
+    /// the chunk entry directly with a window narrower than the chunk.
+    #[test]
+    fn the_window_sink_refuses_a_store_outside_its_window() {
+        let src = "program t
+             integer i
+             real x(8)
+             do i = 1, 8
+               x(i) = i * 1.5
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let x = p.symbols.lookup("x").unwrap();
+        let s = first_do(&p);
+        let mut worker = Interp::new(&p);
+        worker.ensure_materialized(x).unwrap();
+        let (slice, _) = worker.store.payload_raw(x);
+        let window = InPlaceWindow {
+            var: x,
+            slice,
+            lo: 0,
+            hi: 3,
+        };
+        worker
+            .store
+            .install_overlay(WriteOverlay::in_place(vec![window]));
+        let cb = worker.compiled_body_for(s).unwrap();
+        let fb = worker.fast_body_for(s, &cb).unwrap();
+        let watch = ChunkWatch { deadline: None };
+        let res = worker.run_chunk(s, &cb, Some(&fb), 1, 8, 1, Some(&watch));
+        assert!(
+            matches!(res, Err(ChunkAbort::Violated(v)) if v == x),
+            "{res:?}"
+        );
+        assert_eq!(worker.typed_root_iters, 5, "stopped after iteration 5");
+        assert_eq!(worker.store.overlay_violation(), Some(x));
+        assert_eq!(
+            worker.store.array_as_reals(x).unwrap(),
+            [1.5, 3.0, 4.5, 6.0, 0.0, 0.0, 0.0, 0.0]
         );
     }
 
@@ -1664,7 +2140,7 @@ mod tests {
         };
         let mut interp = Interp::new(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 5, 1, 1).unwrap();
-        assert_eq!(got, ExecutionStrategy::InPlaceDisjoint);
+        assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         let i = p.symbols.lookup("i").unwrap();
         assert_eq!(interp.store.scalar(i), Value::Int(5));
     }
@@ -1690,7 +2166,7 @@ mod tests {
             Interp::exec_proc(&mut interp, p.main()).unwrap();
             let log = interp.store.take_write_log().unwrap();
             // 16 element writes on y; `i` scalar writes from the loop.
-            assert_eq!(log.elements.len(), 16, "store size n={n}");
+            assert_eq!(log.element_writes(), 16, "store size n={n}");
         }
     }
 }

@@ -39,9 +39,9 @@ use irr_driver::{
     CompilationReport, DispatchTier, GuardPlan, ReductionOp, ResidualCheck, StrategyFacts,
 };
 use irr_exec::{
-    inspect_injective, inspect_injective_parallel, inspect_offset_length, ExecError, ExecOutcome,
-    ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, Inspection, Interp, LoopDecision,
-    LoopDispatcher, ParallelPlan, ReduceOp, Store,
+    inspect_injective, inspect_injective_parallel, inspect_offset_length, Committed, ExecError,
+    ExecOutcome, ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, Inspection, Interp,
+    LoopDecision, LoopDispatcher, ParallelPlan, ReduceOp, Store,
 };
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
@@ -482,12 +482,15 @@ impl LoopDispatcher for HybridDispatcher {
         }
     }
 
-    fn parallel_committed(&mut self, _loop_stmt: StmtId, strategy: ExecutionStrategy) {
-        match strategy {
+    fn parallel_committed(&mut self, _loop_stmt: StmtId, committed: &Committed) {
+        match committed.strategy {
             ExecutionStrategy::WriteLog => self.telemetry.strategy_write_log += 1,
             ExecutionStrategy::InPlaceDisjoint => self.telemetry.strategy_in_place += 1,
             ExecutionStrategy::PrivatizeAndConcat => self.telemetry.strategy_concat += 1,
         }
+        self.telemetry.worker_chunks_typed += committed.engines.typed;
+        self.telemetry.worker_chunks_per_op += committed.engines.per_op;
+        self.telemetry.worker_chunks_tree_walk += committed.engines.tree_walk;
     }
 
     fn compiled_committed(&mut self, _loop_stmt: StmtId) {

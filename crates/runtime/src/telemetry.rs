@@ -101,6 +101,18 @@ pub struct Telemetry {
     /// promise — the master re-lowers before spawning and workers
     /// silently tree-walk when that fails.
     pub compiled_worker_dispatches: u64,
+    /// Worker chunks of committed parallel dispatches that finished on
+    /// the typed `FastBody` loop — what a `compiled_worker_dispatches`
+    /// request is for.
+    pub worker_chunks_typed: u64,
+    /// Worker chunks of committed dispatches that ran the per-op
+    /// bytecode loop throughout (untypeable nest, a claimed scalar
+    /// assigned in the body, profiling, or an array that never
+    /// materialized).
+    pub worker_chunks_per_op: u64,
+    /// Worker chunks of committed dispatches that ran the tree-walk (no
+    /// compiled request, or the nest did not lower).
+    pub worker_chunks_tree_walk: u64,
     /// Compiled-tier dispatches that fell back to the tree-walk because
     /// the executor's own lowering rejected the nest (the verdict's
     /// advisory plan was forged or stale: both sides call one

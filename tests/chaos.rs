@@ -215,9 +215,27 @@ fn forged_conflict_falls_back_and_quarantines() {
     assert_eq!(plan.fired()[0].site, 1);
 }
 
+/// The worker faults below must hit chunks whose body is the typed
+/// loop (the deadline poll and the panic site both sit around it).
+/// A fallback reports no engine — nothing committed — so this reads it
+/// off the same run without the fault: every chunk of both its
+/// parallel dispatches (the producer loop and the guarded one the
+/// faults address) finishes typed.
+fn assert_chunk_body_is_typed(rep: &CompilationReport, config: HybridConfig) {
+    let t = run_hybrid(rep, config).unwrap().telemetry;
+    assert_eq!(t.parallel_dispatches(), 2, "{t:?}");
+    assert_eq!(t.worker_chunks_typed, 2 * config.threads as u64, "{t:?}");
+    assert_eq!(
+        t.worker_chunks_per_op + t.worker_chunks_tree_walk,
+        0,
+        "{t:?}"
+    );
+}
+
 #[test]
 fn worker_panic_falls_back_with_attribution() {
     let rep = compiled(GUARDED_SRC);
+    assert_chunk_body_is_typed(&rep, chaos_config());
     let plan = FaultPlan::scripted([(1, FaultKind::PanicWorker { worker: 1 })]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
     assert_sequential_parity("panic", &rep, &hybrid);
@@ -230,6 +248,7 @@ fn worker_panic_falls_back_with_attribution() {
 #[test]
 fn stalled_worker_times_out_and_falls_back() {
     let rep = compiled(GUARDED_SRC);
+    assert_chunk_body_is_typed(&rep, watchdog_config());
     let plan = FaultPlan::scripted([(
         1,
         FaultKind::StallWorker {
