@@ -28,7 +28,9 @@
 //!   fallbacks, from one instrumented hybrid run. CI gates on the
 //!   sweep keeping the first two jointly nonzero.
 //!   `worker_chunks_{typed,per_op,tree_walk}` say which engine those
-//!   workers' chunks finished on.
+//!   workers' chunks finished on, `worker_threads_spawned` how many
+//!   threads the run created for all its dispatches (the pool's size:
+//!   chunk count minus one, the master runs chunks too).
 //! - `compiled/opcodes/{name}` — per-opcode dispatch counts from one
 //!   profiled `spmv` pass at the largest size. Profiling keeps the
 //!   whole entry on the per-op loop (the typed loop has no per-op
@@ -168,6 +170,7 @@ fn main() {
                 ("worker_chunks_typed", t.worker_chunks_typed),
                 ("worker_chunks_per_op", t.worker_chunks_per_op),
                 ("worker_chunks_tree_walk", t.worker_chunks_tree_walk),
+                ("worker_threads_spawned", t.worker_threads_spawned),
                 ("compiled_fallbacks", t.compiled_fallbacks()),
             ] {
                 r.annotate(&format!("compiled/{combo}/{name}"), v);

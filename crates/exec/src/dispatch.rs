@@ -40,7 +40,7 @@ pub enum LoopDecision {
 pub enum FallbackReason {
     /// Two workers wrote the same location — the schedule was wrong.
     Conflict,
-    /// A worker thread panicked.
+    /// A worker chunk panicked.
     Panic,
     /// Workers disagreed on an array shape, or a logged write landed
     /// past an extent.

@@ -9,7 +9,7 @@
 //! seed — so every run is reproducible from `(program, seed)` alone.
 //!
 //! **Sites.** A *site* is one parallel dispatch attempt with at least
-//! one iteration (zero-trip dispatches spawn no workers, so no fault
+//! one iteration (zero-trip dispatches run no chunks, so no fault
 //! can fire there and they do not consume a site). Sites are numbered
 //! from 0 in dynamic dispatch order, which is deterministic for a
 //! deterministic program.
@@ -27,11 +27,11 @@ use std::collections::HashMap;
 pub enum FaultKind {
     /// The merge reports a write-write conflict that never happened.
     ForgeConflict,
-    /// Worker `worker` (modulo the spawned chunk count) panics at chunk
-    /// start.
+    /// Chunk `worker` (modulo the chunk count) panics at chunk start,
+    /// on whichever thread runs it — a pooled one or the master.
     PanicWorker {
         /// Nominal worker index; the executor reduces it modulo the
-        /// number of chunks actually spawned.
+        /// number of chunks the dispatch actually has.
         worker: usize,
     },
     /// Worker `worker` sleeps `stall_ms` milliseconds at chunk start —

@@ -2,6 +2,7 @@
 
 use crate::bytecode::{CompiledBody, CompiledProfile, FastBody, ScalarLayout};
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
+use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
 use crate::trace::{AccessTracer, TraceConfig, TracerSlot};
 use irr_frontend::{
@@ -193,9 +194,13 @@ pub(crate) enum RawSlice {
 // from the typed loop's window sink), which confines every write to
 // the worker's own disjoint window of the buffer (the in-place
 // derivation proves the windows disjoint, and the window re-checks each
-// index dynamically). The pointee buffer outlives the `thread::scope`
-// the workers run in because the master store owns the Arc'd payload
-// for the whole dispatch.
+// index dynamically). Only a chunk job writes through one — the
+// overlay a finished chunk hands back is never written through again —
+// and `WorkerPool::dispatch` does not return, normally or by unwinding,
+// while a job is running or could still be claimed (the barrier in
+// `pool.rs`), whichever thread runs it. The master store owns the
+// Arc'd payload for that whole dispatch, so the pointee outlives every
+// write.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
@@ -844,6 +849,12 @@ pub struct ExecOutcome {
     pub stats: ExecStats,
     /// Final memory.
     pub store: Store,
+    /// Worker threads the run created for its parallel dispatches: at
+    /// most its largest chunk count minus one, however many dispatches
+    /// it made; 0 for a run that never dispatched more than one chunk.
+    /// Kept out of [`ExecStats`] (it describes the engine, not the
+    /// program's execution).
+    pub worker_threads_spawned: u64,
 }
 
 /// The interpreter.
@@ -884,6 +895,13 @@ pub struct Interp<'p> {
     pub compiled_profile: Option<Box<CompiledProfile>>,
     /// Reusable register file for compiled loop entries.
     pub(crate) ctemps: Vec<Value>,
+    /// The run's worker pool: `None` until the first parallel dispatch
+    /// with more than one chunk; dropping the interpreter — on `Ok`, on
+    /// an error, or while unwinding — closes its queue and joins its
+    /// threads. Per run, not process-global, so the threads are created
+    /// under the affinity the run itself has and no run inherits a
+    /// thread another run's fault injection left sleeping.
+    pub(crate) pool: Option<WorkerPool>,
     /// Root iterations this interpreter started on the typed loop —
     /// how the unit tests tell which loop ran (the stores are
     /// byte-identical by contract).
@@ -913,9 +931,16 @@ impl<'p> Interp<'p> {
             fast_cache: HashMap::new(),
             compiled_profile: None,
             ctemps: Vec::new(),
+            pool: None,
             #[cfg(test)]
             typed_root_iters: 0,
         }
+    }
+
+    /// Worker threads this interpreter's parallel dispatches have
+    /// created so far (see [`ExecOutcome::worker_threads_spawned`]).
+    pub fn worker_threads_spawned(&self) -> u64 {
+        self.pool.as_ref().map_or(0, WorkerPool::threads_spawned)
     }
 
     /// The cached lowering of the `do` loop at `s` (`None` when the
@@ -1018,6 +1043,7 @@ impl<'p> Interp<'p> {
         let main = self.program.main();
         self.exec_proc_with(main, dispatcher)?;
         Ok(ExecOutcome {
+            worker_threads_spawned: self.worker_threads_spawned(),
             output: self.output,
             stats: self.stats,
             store: self.store,

@@ -26,6 +26,7 @@ pub mod fault;
 pub mod interp;
 pub mod machine;
 pub mod parallel;
+mod pool;
 pub mod rng;
 pub mod runtime_test;
 pub mod trace;

@@ -2,13 +2,21 @@
 //! parallelization decisions.
 //!
 //! A loop the driver declared parallel is executed by splitting its
-//! iteration space into contiguous chunks. Each chunk runs in its own
-//! thread on a cheap clone of the live store (array payloads are
-//! Arc-shared and copy-on-write, so the clone is O(#variables), not
-//! O(store size), and an array a chunk only reads is never copied) with
-//! **write recording** turned on, and hands back only its
-//! [`WriteLog`]. The merge replays the logs against the master store in
-//! `O(total writes)`:
+//! iteration space into contiguous chunks. Each chunk is one job on
+//! the interpreter's worker pool (`pool.rs`): the pool's threads — one
+//! set per run, created by the first dispatch that needs them, joined
+//! when the interpreter is dropped — and the dispatching thread itself
+//! claim chunks from one queue, first chunk first, so a dispatch
+//! creates no thread once the pool has `chunks − 1` and a one-chunk
+//! dispatch involves no other thread at all. The dispatch waits until
+//! every chunk has finished, whatever became of any of them (a panic
+//! is caught at the job boundary and is that chunk's result), before
+//! it looks at a single outcome. A chunk runs on a cheap clone of the
+//! live store (array payloads are Arc-shared and copy-on-write, so the
+//! clone is O(#variables), not O(store size), and an array a chunk
+//! only reads is never copied) with **write recording** turned on, and
+//! hands back only its [`WriteLog`]. The merge replays the logs against
+//! the master store in `O(total writes)`:
 //!
 //! - the log is columnar — per written array, the flat indices beside
 //!   a typed value vector — so a logged write costs two appends;
@@ -80,6 +88,7 @@ use crate::interp::{
     ArrayData, ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf,
     Value, WriteLog, WriteOverlay,
 };
+use crate::pool::{Job, WorkerPool};
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -166,14 +175,16 @@ pub struct Committed {
     /// after a silent downgrade.
     pub strategy: ExecutionStrategy,
     /// The engines the worker chunks finished on (all zero for a
-    /// zero-trip dispatch, which spawns no worker).
+    /// zero-trip dispatch, which runs no chunk).
     pub engines: WorkerEngines,
 }
 
 /// How a designated loop is run in parallel.
 #[derive(Clone, Debug)]
 pub struct ParallelPlan {
-    /// Number of worker threads.
+    /// Number of chunks the iteration space is split into, and so the
+    /// most threads (the dispatching one included) that can work on the
+    /// loop at once. Defaults to the host's available parallelism.
     pub threads: usize,
     /// Variables whose final values are per-thread scratch (privatized
     /// arrays and scalars) — excluded from the merge.
@@ -208,7 +219,7 @@ pub struct ParallelPlan {
 impl Default for ParallelPlan {
     fn default() -> Self {
         ParallelPlan {
-            threads: 4,
+            threads: std::thread::available_parallelism().map_or(1, usize::from),
             privatized: Vec::new(),
             reductions: Vec::new(),
             deadline_ms: None,
@@ -241,8 +252,9 @@ pub enum ParallelError {
     /// past the master array's extent. Always a hard error: silently
     /// truncating the merge would drop writes.
     ShapeMismatch { var: String, detail: String },
-    /// A worker thread panicked; the panic payload is preserved so the
-    /// verification fails with a diagnosis instead of aborting the
+    /// A chunk panicked — on a pooled thread or on the dispatching
+    /// thread, which runs chunks too; the panic message is preserved so
+    /// the verification fails with a diagnosis instead of aborting the
     /// process.
     WorkerPanic { detail: String },
     /// The designated statement is not a `do` loop.
@@ -532,9 +544,10 @@ fn prepare_concat(
 /// already evaluated. This is the dispatch hook the hybrid runtime uses
 /// after a guard (or a compile-time verdict) clears the loop: the
 /// iteration space `lo..=hi` is split into contiguous chunks, each chunk
-/// runs in its own thread on a copy-on-write clone of the live store
-/// with write recording on, and the chunks' write logs are merged back
-/// in `O(total writes)` (detecting conflicts positionally).
+/// runs — on one of the interpreter's pooled threads or on the calling
+/// thread — on a copy-on-write clone of the live store with write
+/// recording on, and the chunks' write logs are merged back in
+/// `O(total writes)` (detecting conflicts positionally).
 ///
 /// **The dispatch is a transaction.** The master interpreter — store,
 /// statistics, output, fuel — is mutated only after every worker
@@ -562,8 +575,8 @@ fn prepare_concat(
 /// count (or `hi + 1`) does not fit the chunk arithmetic;
 /// [`ParallelError::WriteConflict`] when chunks write the same
 /// location; [`ParallelError::ShapeMismatch`] when chunks disagree on
-/// an array's shape; [`ParallelError::WorkerPanic`] when a worker
-/// thread panics; [`ParallelError::Timeout`] when a worker overruns the
+/// an array's shape; [`ParallelError::WorkerPanic`] when a chunk
+/// panics; [`ParallelError::Timeout`] when a worker overruns the
 /// deadline; [`ParallelError::StrategyViolation`] when a strategy's
 /// dynamic self-check fails; worker [`ExecError`]s are propagated.
 pub fn exec_do_parallel(
@@ -617,8 +630,9 @@ pub fn exec_do_parallel(
         chunks.push((start, start + len as i64 - 1));
         start += len as i64;
     }
-    // Injected worker faults address a chunk modulo the spawn count, so
-    // a randomly drawn worker index always lands on a live worker.
+    // Injected worker faults address a chunk modulo the chunk count, so
+    // a randomly drawn worker index always lands on a chunk that runs —
+    // on whichever thread claims it.
     let (panic_chunk, stall_chunk, stall_ms) = match plan.fault {
         Some(FaultKind::PanicWorker { worker }) => (Some(worker % chunks.len()), None, 0),
         Some(FaultKind::StallWorker { worker, stall_ms }) => {
@@ -682,107 +696,111 @@ pub fn exec_do_parallel(
     // straight to the master buffers through the overlay.
     let fuel = interp.fuel;
     let mode_ref = &mode;
-    let results: Vec<std::thread::Result<Result<ChunkOutcome, ChunkAbort>>> =
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (widx, &(clo, chi)) in chunks.iter().enumerate() {
-                let snapshot = interp.store.clone();
-                let cbody = compiled_body.clone();
-                let fbody = typed_body.clone();
-                handles.push(scope.spawn(move || {
-                    if panic_chunk == Some(widx) {
-                        panic!("injected fault: worker {widx} panic");
+    let jobs: Vec<Job<'_, Result<ChunkOutcome, ChunkAbort>>> = chunks
+        .iter()
+        .enumerate()
+        .map(|(widx, &(clo, chi))| {
+            let snapshot = interp.store.clone();
+            let cbody = compiled_body.clone();
+            let fbody = typed_body.clone();
+            Box::new(move || {
+                if panic_chunk == Some(widx) {
+                    panic!("injected fault: worker {widx} panic");
+                }
+                // The watchdog clock starts only when a deadline is
+                // armed (the hot path never reads wall time), and
+                // before any injected stall — so a stalled worker
+                // trips the deadline on its first iteration check.
+                let watch = ChunkWatch {
+                    deadline: deadline.map(|limit| (Instant::now(), limit)),
+                };
+                if stall_chunk == Some(widx) {
+                    std::thread::sleep(Duration::from_millis(stall_ms));
+                }
+                let mut worker = Interp::new(program);
+                worker.store = snapshot;
+                worker.fuel = fuel;
+                match mode_ref {
+                    Mode::WriteLog => worker.store.start_write_log(),
+                    Mode::InPlace(specs) => {
+                        let windows = specs
+                            .iter()
+                            .map(|s| InPlaceWindow {
+                                var: s.var,
+                                slice: s.slice,
+                                lo: (clo + s.off - 1) as usize,
+                                hi: (chi + s.off - 1) as usize,
+                            })
+                            .collect();
+                        worker
+                            .store
+                            .install_overlay(WriteOverlay::in_place(windows));
                     }
-                    // The watchdog clock starts only when a deadline is
-                    // armed (the hot path never reads wall time), and
-                    // before any injected stall — so a stalled worker
-                    // trips the deadline on its first iteration check.
-                    let watch = ChunkWatch {
-                        deadline: deadline.map(|limit| (Instant::now(), limit)),
-                    };
-                    if stall_chunk == Some(widx) {
-                        std::thread::sleep(Duration::from_millis(stall_ms));
+                    Mode::Concat { targets, p0, .. } => {
+                        // Non-target effects still go through the
+                        // log; only target appends are buffered.
+                        worker.store.start_write_log();
+                        let bufs = targets
+                            .iter()
+                            .map(|&a| (a, TypedBuf::new(program.symbols.var(a).ty)))
+                            .collect();
+                        worker
+                            .store
+                            .install_overlay(WriteOverlay::concat(*p0 as usize, bufs));
                     }
-                    let mut worker = Interp::new(program);
-                    worker.store = snapshot;
-                    worker.fuel = fuel;
-                    match mode_ref {
-                        Mode::WriteLog => worker.store.start_write_log(),
-                        Mode::InPlace(specs) => {
-                            let windows = specs
-                                .iter()
-                                .map(|s| InPlaceWindow {
-                                    var: s.var,
-                                    slice: s.slice,
-                                    lo: (clo + s.off - 1) as usize,
-                                    hi: (chi + s.off - 1) as usize,
-                                })
-                                .collect();
-                            worker
-                                .store
-                                .install_overlay(WriteOverlay::in_place(windows));
+                }
+                let engine = match &cbody {
+                    Some(cb) => {
+                        if profile_workers {
+                            worker.compiled_profile = Some(Box::new(CompiledProfile::new()));
                         }
-                        Mode::Concat { targets, p0, .. } => {
-                            // Non-target effects still go through the
-                            // log; only target appends are buffered.
-                            worker.store.start_write_log();
-                            let bufs = targets
-                                .iter()
-                                .map(|&a| (a, TypedBuf::new(program.symbols.var(a).ty)))
-                                .collect();
-                            worker
-                                .store
-                                .install_overlay(WriteOverlay::concat(*p0 as usize, bufs));
-                        }
+                        let fb = fbody.as_deref();
+                        Some(worker.run_chunk(loop_stmt, cb, fb, clo, chi, 1, Some(&watch))?)
                     }
-                    let engine = match &cbody {
-                        Some(cb) => {
-                            if profile_workers {
-                                worker.compiled_profile = Some(Box::new(CompiledProfile::new()));
+                    None => {
+                        let ty = program.symbols.var(var).ty;
+                        for i in clo..=chi {
+                            watch.poll()?;
+                            worker.store.set_scalar_untracked(var, ty, Value::Int(i));
+                            worker.exec_body(body)?;
+                            worker.charge(1)?; // loop bookkeeping, as sequential
+                            if let Some(v) = worker.store.overlay_violation() {
+                                return Err(ChunkAbort::Violated(v));
                             }
-                            let fb = fbody.as_deref();
-                            Some(worker.run_chunk(loop_stmt, cb, fb, clo, chi, 1, Some(&watch))?)
                         }
-                        None => {
-                            let ty = program.symbols.var(var).ty;
-                            for i in clo..=chi {
-                                watch.poll()?;
-                                worker.store.set_scalar_untracked(var, ty, Value::Int(i));
-                                worker.exec_body(body)?;
-                                worker.charge(1)?; // loop bookkeeping, as sequential
-                                if let Some(v) = worker.store.overlay_violation() {
-                                    return Err(ChunkAbort::Violated(v));
-                                }
-                            }
-                            None
-                        }
-                    };
-                    let reduction_finals = plan
-                        .reductions
-                        .iter()
-                        .map(|&(v, _)| (v, worker.store.scalar(v)))
-                        .collect();
-                    let ptr_final = match mode_ref {
-                        Mode::Concat { ptr, .. } => worker.store.scalar(*ptr).as_int(),
-                        _ => 0,
-                    };
-                    let profile = worker.compiled_profile.take();
-                    Ok(ChunkOutcome {
-                        log: worker.store.take_write_log().unwrap_or_default(),
-                        overlay: worker.store.take_overlay(),
-                        stats: worker.stats,
-                        output: worker.output,
-                        reduction_finals,
-                        ptr_final,
-                        profile,
-                        engine,
-                        #[cfg(test)]
-                        typed_root_iters: worker.typed_root_iters,
-                    })
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
+                        None
+                    }
+                };
+                let reduction_finals = plan
+                    .reductions
+                    .iter()
+                    .map(|&(v, _)| (v, worker.store.scalar(v)))
+                    .collect();
+                let ptr_final = match mode_ref {
+                    Mode::Concat { ptr, .. } => worker.store.scalar(*ptr).as_int(),
+                    _ => 0,
+                };
+                let profile = worker.compiled_profile.take();
+                Ok(ChunkOutcome {
+                    log: worker.store.take_write_log().unwrap_or_default(),
+                    overlay: worker.store.take_overlay(),
+                    stats: worker.stats,
+                    output: worker.output,
+                    reduction_finals,
+                    ptr_final,
+                    profile,
+                    engine,
+                    #[cfg(test)]
+                    typed_root_iters: worker.typed_root_iters,
+                })
+            }) as Job<'_, _>
+        })
+        .collect();
+    // One queue, claimed from by the pool's threads and by this thread
+    // (first chunk first). Returns once every chunk has finished —
+    // panicked ones included, caught at the job boundary — so nothing
+    // the jobs borrowed is still in use below.
+    let results = WorkerPool::dispatch(&mut interp.pool, jobs);
     // Test-only and outside the transaction: lets a test see what the
     // completed chunks of a dispatch that then *fails* ran on.
     #[cfg(test)]
@@ -794,7 +812,7 @@ pub fn exec_do_parallel(
         match r {
             Err(payload) => {
                 return Err(ParallelError::WorkerPanic {
-                    detail: panic_message(&payload),
+                    detail: panic_message(payload),
                 })
             }
             Ok(Err(ChunkAbort::TimedOut)) => {
@@ -998,14 +1016,16 @@ fn record_dispatch(interp: &mut Interp<'_>, loop_stmt: StmtId, plan: &ParallelPl
     entry.reductions = plan.reductions.iter().map(|(v, _)| *v).collect();
 }
 
-/// Renders a worker thread's panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+/// Renders a chunk's panic payload. Takes the box itself: a `&Box<dyn
+/// Any>` coerces to `&dyn Any` *of the box*, on which every downcast
+/// fails and the message is lost.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => match payload.downcast_ref::<&str>() {
+            Some(s) => (*s).to_string(),
+            None => "opaque panic payload".to_string(),
+        },
     }
 }
 
@@ -1752,7 +1772,7 @@ mod tests {
     #[test]
     fn worker_panic_is_propagated_not_process_aborting() {
         // `min` with one argument panics inside `apply_intrinsic`; the
-        // parser admits it, so the panic fires inside a worker thread.
+        // parser admits it, so the panic fires inside a chunk.
         let src = "program t
              integer i
              real x(10)
@@ -1767,6 +1787,139 @@ mod tests {
             matches!(err, ParallelError::WorkerPanic { .. }),
             "got {err:?}"
         );
+    }
+
+    /// `threads` is caller-supplied: a plan may ask for more threads
+    /// than the OS grants. The pool keeps what it got — here none, then
+    /// one — and the chunks are claimed by whoever is free, the master
+    /// included; the chunk count, and so the result, is the plan's.
+    #[test]
+    fn a_dispatch_refused_its_threads_still_commits() {
+        let src = "program t
+             integer i
+             real x(64)
+             do i = 1, 64
+               x(i) = i * 0.5
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let seq = Interp::new(&p).run().unwrap();
+        for granted in [0, 1] {
+            let mut interp = Interp::new(&p);
+            interp.pool = Some(WorkerPool::with_spawn_limit(granted));
+            let plan = ParallelPlan::with_threads(16);
+            let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 64, 1).unwrap();
+            assert_eq!(got.engines.typed, 16, "{granted} thread(s) granted");
+            assert_eq!(interp.worker_threads_spawned(), granted as u64);
+            assert_eq!(interp.store, seq.store, "{granted} thread(s) granted");
+        }
+    }
+
+    /// The defect as reported: at the parent this plan panicked the
+    /// master from inside `thread::scope` ("failed to spawn thread ...
+    /// WouldBlock"). The chunk count is still the plan's; the threads
+    /// are the pool's ceiling, and the queue does the rest.
+    #[test]
+    fn a_plan_asking_for_40_000_threads_is_served_by_a_bounded_pool() {
+        let src = "program t
+             integer i
+             real a(100000)
+             do i = 1, 100000
+               a(i) = i
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let seq = Interp::new(&p).run().unwrap();
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(40_000), 100_000);
+        let engines = res.unwrap().engines;
+        assert_eq!(engines.typed + engines.per_op, 40_000);
+        assert!(master.worker_threads_spawned() <= crate::pool::MAX_POOL_THREADS as u64);
+        assert_eq!(master.store, seq.store);
+    }
+
+    /// An injected panic is the chunk's, whichever thread runs it —
+    /// chunk 0 is claimed by the master, chunk 1 by a pooled thread —
+    /// and costs the dispatch, not the pool: the master is untouched,
+    /// and the next dispatch runs on the same threads.
+    #[test]
+    fn a_panic_in_any_chunk_is_a_worker_panic_and_the_pool_survives() {
+        let src = "program t
+             integer i
+             real x(90)
+             do i = 1, 90
+               x(i) = i * 0.5
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let seq = Interp::new(&p).run().unwrap();
+        for worker in [0, 1] {
+            let mut interp = Interp::new(&p);
+            let before = interp.store.clone();
+            let plan = ParallelPlan {
+                fault: Some(FaultKind::PanicWorker { worker }),
+                ..ParallelPlan::with_threads(3)
+            };
+            let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 90, 1).unwrap_err();
+            assert!(
+                matches!(&err, ParallelError::WorkerPanic { detail }
+                    if *detail == format!("injected fault: worker {worker} panic")),
+                "got {err:?}"
+            );
+            assert_eq!(interp.store, before);
+            assert_eq!(interp.stats.total_cost, 0);
+            // The two healthy chunks were awaited, not abandoned.
+            assert_eq!(interp.typed_root_iters, 58);
+            assert_eq!(interp.worker_threads_spawned(), 2);
+            let plan = ParallelPlan::with_threads(3);
+            exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 90, 1).unwrap();
+            assert_eq!(interp.store, seq.store);
+            assert_eq!(interp.worker_threads_spawned(), 2, "no thread was replaced");
+        }
+    }
+
+    /// The pool's threads end with the interpreter, however the run
+    /// ended: the `Weak` is dead only once every thread has dropped
+    /// its `Arc`, i.e. has been joined.
+    #[test]
+    fn dropping_the_interpreter_joins_the_pool_however_the_run_ended() {
+        let src = "program t
+             integer i
+             real x(4), y(64)
+             do i = 1, 64
+               y(i) = i
+             enddo
+             x(5) = 1.0
+             x(1) = min(i)
+             end";
+        let p = parse_program(src).unwrap();
+        let body = &p.procedure(p.main()).body;
+        let (lp, out_of_bounds, panics) = (body[0], body[1], body[2]);
+        let dispatched = || {
+            let mut interp = Interp::new(&p);
+            exec_do_parallel(&mut interp, lp, &ParallelPlan::with_threads(3), 1, 64, 1).unwrap();
+            let alive = interp.pool.as_ref().expect("three chunks").liveness();
+            assert_eq!(alive.strong_count(), 3, "the pool and its two threads");
+            (interp, alive)
+        };
+
+        let (interp, alive) = dispatched();
+        drop(interp);
+        assert_eq!(alive.strong_count(), 0, "after a clean run");
+
+        let (mut interp, alive) = dispatched();
+        assert!(matches!(
+            interp.exec_stmt(out_of_bounds),
+            Err(ExecError::OutOfBounds { .. })
+        ));
+        drop(interp);
+        assert_eq!(alive.strong_count(), 0, "after an ExecError");
+
+        let (mut interp, alive) = dispatched();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _ = interp.exec_stmt(panics);
+        }));
+        assert!(unwound.is_err(), "`min` with one argument panics");
+        assert_eq!(alive.strong_count(), 0, "after the master unwound");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! `examples/hybrid_fallback.rs`).
 //!
 //! Parallel dispatches go through the exec crate's write-log executor:
-//! each worker runs on a copy-on-write clone of the live store and
+//! each chunk runs on a copy-on-write clone of the live store — on the
+//! dispatching thread or on one of the run's pooled worker threads
+//! (created once per run, [`Telemetry::worker_threads_spawned`]) — and
 //! returns a write log, merged in `O(total writes)` with positional
 //! conflict detection; worker statement costs and loop statistics are
 //! aggregated back into the dispatched interpreter, so a hybrid run's
@@ -49,13 +51,17 @@ use std::collections::HashMap;
 /// Minimum inspected section length before a guarded loop's
 /// injectivity inspector runs its chunked parallel variant; shorter
 /// sections stay on the sequential scan (thread spawn would cost more
-/// than it saves).
+/// than it saves — inspectors still open a `thread::scope` per
+/// inspection, unlike loop dispatches, which run on the interpreter's
+/// pool; an inspection is once per mutation, not once per entry).
 const PARALLEL_INSPECT_THRESHOLD: i64 = 2048;
 
 /// Configuration of the hybrid runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct HybridConfig {
-    /// Worker threads for parallel loop execution.
+    /// Chunks per parallel dispatch, and so the most threads (the
+    /// master included) that work on a loop at once. Defaults to the
+    /// host's available parallelism.
     pub threads: usize,
     /// Reuse inspection verdicts across executions via the versioned
     /// schedule cache (`false` re-inspects on every guarded entry, the
@@ -87,7 +93,7 @@ pub struct HybridConfig {
 impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
-            threads: 4,
+            threads: std::thread::available_parallelism().map_or(1, usize::from),
             cache_schedules: true,
             quarantine_retries: 2,
             worker_deadline_ms: None,
@@ -241,9 +247,21 @@ impl HybridDispatcher {
             .map(|e| (e.privatized.as_slice(), e.reductions.as_slice()))
     }
 
+    /// Closes the run's telemetry with the two end-of-run readings (the
+    /// cache's evictions, the threads the interpreter's pool created)
+    /// and pairs it with the interpreter's outcome.
+    fn finish(mut self, outcome: ExecOutcome) -> HybridOutcome {
+        self.telemetry.cache_evictions = self.cache.evictions();
+        self.telemetry.worker_threads_spawned = outcome.worker_threads_spawned;
+        HybridOutcome {
+            outcome,
+            telemetry: self.telemetry,
+        }
+    }
+
     fn plan_for(&mut self, entry: &LoopEntry, fault: Option<FaultKind>) -> ParallelPlan {
         // A request, not a promise: the master re-lowers before
-        // spawning and workers silently tree-walk when it fails.
+        // dispatching and workers silently tree-walk when it fails.
         let compiled = self.config.enable_compiled && entry.compiled_plan;
         if compiled {
             self.telemetry.compiled_worker_dispatches += 1;
@@ -264,7 +282,7 @@ impl HybridDispatcher {
     }
 
     /// Draws the injected fault (if any) for the next parallel dispatch
-    /// site. Zero-trip dispatches never call this: no workers spawn, so
+    /// site. Zero-trip dispatches never call this: no chunk runs, so
     /// no fault could fire and the site numbering stays aligned with
     /// dispatches where injection is observable.
     fn decide_fault(&mut self) -> Option<FaultKind> {
@@ -576,11 +594,7 @@ pub fn run_hybrid_seeded(
         interp.preset_array(*var, data.clone());
     }
     let outcome = interp.run_dispatched(&mut dispatcher)?;
-    dispatcher.telemetry.cache_evictions = dispatcher.cache.evictions();
-    Ok(HybridOutcome {
-        outcome,
-        telemetry: dispatcher.telemetry,
-    })
+    Ok(dispatcher.finish(outcome))
 }
 
 /// Runs a compiled program under the hybrid dispatcher with an injected
@@ -601,17 +615,10 @@ pub fn run_hybrid_with_faults(
     let mut dispatcher = HybridDispatcher::new(report, config);
     dispatcher.set_fault_plan(fault);
     let outcome = Interp::new(&report.program).run_dispatched(&mut dispatcher)?;
-    dispatcher.telemetry.cache_evictions = dispatcher.cache.evictions();
     let fault = dispatcher
         .take_fault_plan()
         .expect("fault plan attached above");
-    Ok((
-        HybridOutcome {
-            outcome,
-            telemetry: dispatcher.telemetry,
-        },
-        fault,
-    ))
+    Ok((dispatcher.finish(outcome), fault))
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ pub struct Telemetry {
     pub compiled_loops: u64,
     /// Parallel dispatches whose plan requested bytecode workers (the
     /// compiled tier inside the parallel path). A request, not a
-    /// promise — the master re-lowers before spawning and workers
+    /// promise — the master re-lowers before dispatching and workers
     /// silently tree-walk when that fails.
     pub compiled_worker_dispatches: u64,
     /// Worker chunks of committed parallel dispatches that finished on
@@ -113,6 +113,12 @@ pub struct Telemetry {
     /// Worker chunks of committed dispatches that ran the tree-walk (no
     /// compiled request, or the nest did not lower).
     pub worker_chunks_tree_walk: u64,
+    /// Worker threads the run created for all its parallel dispatches
+    /// together: at most its largest chunk count minus one (the master
+    /// runs chunks too), whatever the number of dispatches; 0 when no
+    /// dispatch had more than one chunk. Read off the interpreter's
+    /// pool at the end of the run.
+    pub worker_threads_spawned: u64,
     /// Compiled-tier dispatches that fell back to the tree-walk because
     /// the executor's own lowering rejected the nest (the verdict's
     /// advisory plan was forged or stale: both sides call one

@@ -654,7 +654,11 @@ fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize,
 fn chaos_sweep(name: &str, rep: &CompilationReport, base_seed: u64, seeds: usize) -> usize {
     const FAULT_RATE_PER_MILLE: u32 = 400;
     const STALL_MS: u64 = 150;
+    // The fault schedule draws chunk indices below the thread count,
+    // so the count is pinned: the same seed replays the same sweep on
+    // every host.
     let config = HybridConfig {
+        threads: 4,
         worker_deadline_ms: Some(50),
         quarantine_retries: 1,
         ..HybridConfig::default()

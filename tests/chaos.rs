@@ -76,8 +76,13 @@ fn compiled(src: &str) -> CompilationReport {
 /// Exact-attribution tests leave the watchdog off: these tests assert
 /// precise fallback counts, and a deadline would let an *honest* worker
 /// that the OS deschedules under load register a spurious timeout.
+/// The thread count is pinned: the suite addresses chunks by index and
+/// counts them, and a conflict needs two chunks to exist at all.
 fn chaos_config() -> HybridConfig {
-    HybridConfig::default()
+    HybridConfig {
+        threads: 4,
+        ..HybridConfig::default()
+    }
 }
 
 /// Tests exercising the watchdog: stalls sleep well past the deadline,
@@ -85,7 +90,7 @@ fn chaos_config() -> HybridConfig {
 fn watchdog_config() -> HybridConfig {
     HybridConfig {
         worker_deadline_ms: Some(50),
-        ..HybridConfig::default()
+        ..chaos_config()
     }
 }
 
@@ -232,36 +237,45 @@ fn assert_chunk_body_is_typed(rep: &CompilationReport, config: HybridConfig) {
     );
 }
 
+/// Chunk 0 is the one the dispatching thread claims first, chunk 1 the
+/// first a pooled thread gets: a fault is the chunk's, whichever
+/// thread runs it.
+const MASTER_AND_POOLED_CHUNK: [usize; 2] = [0, 1];
+
 #[test]
 fn worker_panic_falls_back_with_attribution() {
     let rep = compiled(GUARDED_SRC);
     assert_chunk_body_is_typed(&rep, chaos_config());
-    let plan = FaultPlan::scripted([(1, FaultKind::PanicWorker { worker: 1 })]);
-    let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-    assert_sequential_parity("panic", &rep, &hybrid);
-    let t = hybrid.telemetry;
-    assert_eq!(t.fallback_panic, 1, "{t:?}");
-    assert_eq!(t.fallbacks(), 1, "{t:?}");
-    assert_eq!(plan.fired_count("panic-worker"), 1);
+    for worker in MASTER_AND_POOLED_CHUNK {
+        let plan = FaultPlan::scripted([(1, FaultKind::PanicWorker { worker })]);
+        let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
+        assert_sequential_parity("panic", &rep, &hybrid);
+        let t = hybrid.telemetry;
+        assert_eq!(t.fallback_panic, 1, "chunk {worker}: {t:?}");
+        assert_eq!(t.fallbacks(), 1, "chunk {worker}: {t:?}");
+        assert_eq!(plan.fired_count("panic-worker"), 1);
+    }
 }
 
 #[test]
 fn stalled_worker_times_out_and_falls_back() {
     let rep = compiled(GUARDED_SRC);
     assert_chunk_body_is_typed(&rep, watchdog_config());
-    let plan = FaultPlan::scripted([(
-        1,
-        FaultKind::StallWorker {
-            worker: 0,
-            stall_ms: STALL_MS,
-        },
-    )]);
-    let (hybrid, plan) = run_hybrid_with_faults(&rep, watchdog_config(), plan).unwrap();
-    assert_sequential_parity("stall", &rep, &hybrid);
-    let t = hybrid.telemetry;
-    assert_eq!(t.fallback_timeout, 1, "{t:?}");
-    assert_eq!(t.fallbacks(), 1, "{t:?}");
-    assert_eq!(plan.fired_count("stall-worker"), 1);
+    for worker in MASTER_AND_POOLED_CHUNK {
+        let plan = FaultPlan::scripted([(
+            1,
+            FaultKind::StallWorker {
+                worker,
+                stall_ms: STALL_MS,
+            },
+        )]);
+        let (hybrid, plan) = run_hybrid_with_faults(&rep, watchdog_config(), plan).unwrap();
+        assert_sequential_parity("stall", &rep, &hybrid);
+        let t = hybrid.telemetry;
+        assert_eq!(t.fallback_timeout, 1, "chunk {worker}: {t:?}");
+        assert_eq!(t.fallbacks(), 1, "chunk {worker}: {t:?}");
+        assert_eq!(plan.fired_count("stall-worker"), 1);
+    }
 }
 
 #[test]
@@ -557,6 +571,28 @@ fn nested_fallback_quarantines_then_retries_after_budget() {
     assert_eq!(t.inspections_run, 2, "initial + post-quarantine: {t:?}");
     assert_eq!(plan.sites(), 4, "quarantined entries consume no site");
     assert_eq!(plan.fired_count("forge-conflict"), 1);
+}
+
+/// A panic costs the run a dispatch, not a thread: the panicking job is
+/// caught at the job boundary and its thread goes back to the queue, so
+/// once the quarantine expires the loop dispatches in parallel again
+/// on the pool the run already had — three threads for four chunks,
+/// created by the producer loop, for the whole run.
+#[test]
+fn a_worker_panic_leaves_the_pool_serving_later_dispatches() {
+    let rep = compiled(REENTRANT_SRC);
+    for worker in MASTER_AND_POOLED_CHUNK {
+        let plan = FaultPlan::scripted([(2, FaultKind::PanicWorker { worker })]);
+        let (hybrid, _) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
+        assert_sequential_parity("panic-then-reuse", &rep, &hybrid);
+        let t = hybrid.telemetry;
+        assert_eq!(t.fallback_panic, 1, "chunk {worker}: {t:?}");
+        assert_eq!(t.quarantined, 2, "chunk {worker}: {t:?}");
+        assert_eq!(t.guarded_parallel, 3, "entries 1, 2, and 5: {t:?}");
+        // Producer + entries 1 and 5 committed, four typed chunks each.
+        assert_eq!(t.worker_chunks_typed, 12, "chunk {worker}: {t:?}");
+        assert_eq!(t.worker_threads_spawned, 3, "chunk {worker}: {t:?}");
+    }
 }
 
 #[test]

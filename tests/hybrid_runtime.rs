@@ -74,6 +74,36 @@ fn schedule_cache_amortizes_inspections_and_invalidates_on_write() {
     assert_eq!(t.guarded_sequential, 1, "{t:?}");
 }
 
+/// A run's thread creations are bounded by its widest dispatch, not by
+/// how many dispatches it makes: 200 guarded entries plus the producer
+/// loop share one pooled thread at two chunks apiece (the master runs
+/// the other chunk), and at one chunk apiece every dispatch runs on the
+/// calling thread and no thread is ever created.
+#[test]
+fn a_reentered_loop_creates_its_threads_once_per_run() {
+    let src = HYBRID_SRC
+        .replace("do r = 1, 4", "do r = 1, 200")
+        .replace("r == 4", "r == 201");
+    let rep = compile_source(&src, DriverOptions::with_iaa()).unwrap();
+    let seq = Interp::new(&rep.program).run().unwrap();
+    for (threads, spawned) in [(2, 1), (1, 0)] {
+        let config = HybridConfig {
+            threads,
+            ..HybridConfig::default()
+        };
+        let hybrid = run_hybrid(&rep, config).unwrap();
+        assert_eq!(hybrid.outcome.output, seq.output);
+        let t = hybrid.telemetry;
+        assert_eq!(t.guarded_parallel, 200, "{t:?}");
+        assert_eq!(t.fallbacks(), 0, "{t:?}");
+        assert_eq!(t.worker_chunks_typed, 201 * threads as u64, "{t:?}");
+        assert_eq!(
+            t.worker_threads_spawned, spawned,
+            "{threads} threads: {t:?}"
+        );
+    }
+}
+
 #[test]
 fn without_cache_every_entry_pays_the_inspector() {
     let rep = compile_source(HYBRID_SRC, DriverOptions::with_iaa()).unwrap();
