@@ -458,13 +458,12 @@ fn strategy_sweep(r: &Runner) {
 /// bytecode workers, the engine their chunks actually finished on and
 /// the threads the whole run created for them, and reason-coded
 /// tree-walk fallbacks.
-fn compiled_counts(out: &irr_runtime::HybridOutcome) -> [(&'static str, u64); 7] {
+fn compiled_counts(out: &irr_runtime::HybridOutcome) -> [(&'static str, u64); 6] {
     let t = &out.telemetry;
     [
         ("compiled_loops", t.compiled_loops),
         ("compiled_worker_dispatches", t.compiled_worker_dispatches),
         ("worker_chunks_typed", t.worker_chunks_typed),
-        ("worker_chunks_per_op", t.worker_chunks_per_op),
         ("worker_chunks_tree_walk", t.worker_chunks_tree_walk),
         ("worker_threads_spawned", t.worker_threads_spawned),
         ("compiled_fallbacks", t.compiled_fallbacks()),

@@ -3,8 +3,10 @@
 //! nest.
 //!
 //! [`lower_do_loop`] is the one function in the workspace that decides
-//! whether a `do` nest can run on the bytecode backend, and it decides
-//! by producing the [`CompiledBody`] the backend replays. The driver
+//! whether a `do` nest can be offered to the compiled backend, and it
+//! decides by producing the [`CompiledBody`] the backend types and runs
+//! (a lowered nest the backend cannot type falls back like one that
+//! does not lower; the corpus has none). The driver
 //! annotates each verdict with [`CompiledBody::plan`] of that body, next
 //! to the strategy facts; the lint layer re-derives the plan with
 //! [`derive_compiled_plan`] and flags verdicts whose plan was tampered
@@ -71,7 +73,12 @@ pub enum Opnd {
 
 /// One bytecode instruction. Temp register indices (`u16`) index the
 /// per-execution register file; jump targets are indices into the
-/// instruction's own block.
+/// instruction's own block. Nothing executes an `Op`: the executor's
+/// `specialize` types a body into its own instruction set, and each
+/// variant documents the tree-walk semantics that translation keeps.
+/// Array accesses say nothing about materialization — the typed loop
+/// runs only once every referenced array is live, and until then the
+/// tree-walk materializes lazily in its own order.
 #[derive(Clone, Debug)]
 pub enum Op {
     /// Charge `n` cost/fuel units — emitted at every statement entry
@@ -117,14 +124,9 @@ pub enum Op {
     JumpIfZero { src: u16, target: u32 },
     /// Jump when the 0/1 condition register is non-0.
     JumpIfNonZero { src: u16, target: u32 },
-    /// Materialize `arr` if needed (evaluating declared extents) —
-    /// emitted before subscript evaluation exactly where the
-    /// interpreter's `flat_index` would, preserving materialization
-    /// order, write-log records, and the random-fill stream.
-    Ensure { arr: VarId },
     /// Column-major flat index of `n` subscripts held in consecutive
     /// temps `t[base..base+n]`, bounds-checked per dimension;
-    /// `t[dst] = flat index`. `arr` must be materialized.
+    /// `t[dst] = flat index`.
     IndexN {
         arr: VarId,
         base: u16,
@@ -136,8 +138,8 @@ pub enum Op {
     /// `arr[t[idx]] = src` through the store's full write path
     /// (overlay intercept, copy-on-write, version bump, write log).
     StoreAt { arr: VarId, idx: u16, src: Opnd },
-    /// Fused 1-subscript load: ensure, bounds-check `sub` against the
-    /// first extent, read.
+    /// Fused 1-subscript load: bounds-check `sub` against the first
+    /// extent, read.
     LoadElem1 { arr: VarId, sub: Opnd, dst: u16 },
     /// Fused 1-subscript store.
     StoreElem1 { arr: VarId, sub: Opnd, src: Opnd },
@@ -157,8 +159,8 @@ pub enum Op {
         off: i64,
         src: Opnd,
     },
-    /// Fused gather `arr(idx_arr(sub))`: both arrays ensured in
-    /// interpreter order, both subscripts bounds-checked.
+    /// Fused gather `arr(idx_arr(sub))`: both subscripts
+    /// bounds-checked, the index array's first.
     Gather {
         arr: VarId,
         idx_arr: VarId,
@@ -216,78 +218,6 @@ pub enum Op {
         cond_temp: u16,
         body: u16,
     },
-}
-
-/// Number of distinct opcodes (the executor's per-opcode profile is
-/// indexed by [`Op::tag`]).
-pub const OPCODE_COUNT: usize = 27;
-
-/// Stable opcode names, index-aligned with [`Op::tag`] — the keys of
-/// the per-opcode dispatch counts in `BENCH_compiled.json`.
-pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
-    "charge",
-    "mov",
-    "bin",
-    "neg",
-    "cmp",
-    "truthy",
-    "not",
-    "intr1",
-    "intr2",
-    "jump",
-    "jump_if_zero",
-    "jump_if_nonzero",
-    "ensure",
-    "index_n",
-    "load_at",
-    "store_at",
-    "load_elem",
-    "store_elem",
-    "load_affine",
-    "store_affine",
-    "gather",
-    "scatter",
-    "set_scalar",
-    "accum",
-    "append",
-    "do_loop",
-    "while_loop",
-];
-
-impl Op {
-    /// Dense opcode tag, index into [`OPCODE_NAMES`].
-    #[inline]
-    pub fn tag(&self) -> usize {
-        match self {
-            Op::Charge(_) => 0,
-            Op::Mov { .. } => 1,
-            Op::Bin { .. } => 2,
-            Op::Neg { .. } => 3,
-            Op::Cmp { .. } => 4,
-            Op::Truthy { .. } => 5,
-            Op::Not { .. } => 6,
-            Op::Intr1 { .. } => 7,
-            Op::Intr2 { .. } => 8,
-            Op::Jump { .. } => 9,
-            Op::JumpIfZero { .. } => 10,
-            Op::JumpIfNonZero { .. } => 11,
-            Op::Ensure { .. } => 12,
-            Op::IndexN { .. } => 13,
-            Op::LoadAt { .. } => 14,
-            Op::StoreAt { .. } => 15,
-            Op::LoadElem1 { .. } => 16,
-            Op::StoreElem1 { .. } => 17,
-            Op::LoadAffine { .. } => 18,
-            Op::StoreAffine { .. } => 19,
-            Op::Gather { .. } => 20,
-            Op::Scatter { .. } => 21,
-            Op::SetScalar { .. } => 22,
-            Op::Accum { .. } => 23,
-            Op::Append { .. } => 24,
-            Op::DoLoop { .. } => 25,
-            Op::WhileLoop { .. } => 26,
-        }
-    }
 }
 
 /// A lowered `do`-loop nest: blocks of instructions (the root block is

@@ -17,11 +17,11 @@
 //! - one [`Op::Charge`] per statement at its entry, nothing coalesced
 //!   across potentially-faulting instructions;
 //! - assignment right-hand sides evaluate before the target's
-//!   `flat_index` (ensure, then subscripts, then bounds checks);
-//! - [`Op::Ensure`] is emitted before subscript evaluation whenever
-//!   the subscript itself can materialize an array, so materialization
-//!   order (and with it the write log and the random-fill stream) is
-//!   identical;
+//!   subscripts and bounds checks;
+//! - nothing is emitted for array materialization: the typed loop runs
+//!   only once every array the nest references is live, and until then
+//!   the tree-walk materializes in its own order (and with it fills
+//!   the write log and draws from the random-fill stream);
 //! - condition short-circuiting skips the untaken operand's side
 //!   effects exactly like `eval_cond`.
 
@@ -228,7 +228,7 @@ impl<'p> Lowerer<'p> {
                     }
                     LValue::Element(a, subs) => {
                         // Interpreter order: right-hand side first,
-                        // then the target's ensure + subscripts.
+                        // then the target's subscripts.
                         let src = self.lower_expr(b, rhs)?;
                         self.lower_element_store(b, *a, subs, src)?;
                     }
@@ -463,15 +463,11 @@ impl<'p> Lowerer<'p> {
                 self.emit(b, op);
                 return Ok(Opnd::T(dst));
             }
-            // General single-subscript access: the subscript expression
-            // may itself materialize arrays, so ensure the target
-            // first, exactly as flat_index would.
-            self.emit(b, Op::Ensure { arr: a });
+            // General single-subscript access.
             let sub = self.lower_expr(b, &subs[0])?;
             self.emit(b, Op::LoadElem1 { arr: a, sub, dst });
             return Ok(Opnd::T(dst));
         }
-        self.emit(b, Op::Ensure { arr: a });
         let base = self.lower_subscripts(b, subs)?;
         let idx = self.temp()?;
         self.emit(
@@ -498,12 +494,10 @@ impl<'p> Lowerer<'p> {
                 self.emit(b, op);
                 return Ok(());
             }
-            self.emit(b, Op::Ensure { arr: a });
             let sub = self.lower_expr(b, &subs[0])?;
             self.emit(b, Op::StoreElem1 { arr: a, sub, src });
             return Ok(());
         }
-        self.emit(b, Op::Ensure { arr: a });
         let base = self.lower_subscripts(b, subs)?;
         let idx = self.temp()?;
         self.emit(
@@ -537,8 +531,7 @@ impl<'p> Lowerer<'p> {
 
     /// The single-subscript superinstruction patterns. `None` sends
     /// the access down the general path. All fused subscript forms are
-    /// side-effect-free, so the fused op's internal ensure still runs
-    /// before any subscript evaluation.
+    /// side-effect-free.
     fn fuse_sub1_load(&self, a: VarId, sub: &Expr, dst: u16) -> Option<Op> {
         match self.fused_sub(sub)? {
             FusedSub::Direct(opnd) => Some(Op::LoadElem1 {

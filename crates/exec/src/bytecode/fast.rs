@@ -2,8 +2,8 @@
 //! compile that turns the untyped register program into split `i64` /
 //! `f64` register planes executed without any [`Value`] boxing.
 //!
-//! The untyped bytecode still pays the tree-walk's dynamic-type tax on
-//! every operand: a `Value` enum match per read, `apply_bin`'s
+//! Run as it is, the untyped program would pay the tree-walk's
+//! dynamic-type tax: a `Value` enum match per read, `apply_bin`'s
 //! type-dispatch per arithmetic op, and a store round-trip per scalar
 //! access. All of those types are statically known — scalar and array
 //! element types are declared, and every arithmetic op's result type
@@ -23,10 +23,10 @@
 //!   per-access traffic at every observable point.
 //! - **Pre-pinned arrays, by role.** Eligibility requires every
 //!   referenced array to be materialized already (otherwise the chunk
-//!   starts on the per-op path, which materializes lazily in
+//!   starts on the tree-walk, which materializes lazily in
 //!   interpreter order and hands over at the first iteration boundary
 //!   where the precondition holds); the specialized run then pins all
-//!   payloads up front and `Ensure` ops compile away. An array the body
+//!   payloads up front and never materializes. An array the body
 //!   only reads is pinned shared, with no copy; one it stores to is
 //!   pinned with the [`WriteSink`] the store lends for it — a raw
 //!   write on a plain store, and in a parallel worker the write log,
@@ -39,7 +39,7 @@
 //!
 //! A nest the inference cannot type soundly — a register written both
 //! `Int` and `Real` across branches — returns `None` and the loop
-//! stays on the per-op path. Parity remains the contract: same fuel
+//! stays on the tree-walk. Parity remains the contract: same fuel
 //! ledger positions, same error identities, same store at exit.
 
 use super::{ChunkAbort, ChunkWatch};
@@ -351,7 +351,7 @@ enum Ty {
 }
 
 /// Builds the typed program, or `None` when the nest cannot be typed
-/// statically (the per-op path remains correct for it).
+/// statically (the tree-walk remains correct for it).
 pub(crate) fn specialize(program: &Program, cb: &CompiledBody) -> Option<FastBody> {
     Builder::new(program, cb).build()
 }
@@ -1001,11 +1001,6 @@ impl<'a> Builder<'a> {
                     src: r,
                     target: *target,
                 });
-            }
-            // Every referenced array is materialized before entry (the
-            // eligibility check), so ensures compile away entirely.
-            Op::Ensure { arr } => {
-                self.slot(*arr)?;
             }
             Op::IndexN { arr, base, n, dst } => {
                 let slot = self.slot(*arr)?;
@@ -1892,7 +1887,7 @@ impl RawPin {
 
     /// A store to a strategy target: the window or the append buffer
     /// takes it under the same position rule `WriteOverlay::intercept`
-    /// applies per-op, or refuses it — a violation, nothing written.
+    /// applies per element, or refuses it — a violation, nothing written.
     #[inline]
     fn wr_overlay(&mut self, k: usize, v: Value) {
         let ok = match &mut self.sink {
@@ -2014,20 +2009,23 @@ fn bin_i(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
         BinOp::Add => x.wrapping_add(y),
         BinOp::Sub => x.wrapping_sub(y),
         BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => {
-            if y == 0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            x.div_euclid(y)
-        }
-        BinOp::Mod => {
-            if y == 0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            x.rem_euclid(y)
-        }
+        BinOp::Div | BinOp::Mod => return div_mod_i(op, x, y),
         _ => unreachable!("handled in lowering"),
     })
+}
+
+/// Euclidean `/` and `mod`, wrapping at `i64::MIN / -1` like `+ - *`.
+/// Out of line: a division dwarfs the call, and inlined into the
+/// dispatch loop the wrapping forms cost every op of it (+5 % on
+/// `exec-reentry`, EXPERIMENTS.md "What the per-op loop was still
+/// running").
+#[inline(never)]
+fn div_mod_i(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
+    match op {
+        _ if y == 0 => Err(ExecError::DivisionByZero),
+        BinOp::Div => Ok(x.wrapping_div_euclid(y)),
+        _ => Ok(x.wrapping_rem_euclid(y)),
+    }
 }
 
 #[inline]
@@ -2064,7 +2062,7 @@ fn cmp_res(op: BinOp, ord: std::cmp::Ordering) -> i64 {
 impl<'p> Interp<'p> {
     /// Whether every array the typed body references is materialized
     /// — the precondition for pre-pinning (until it holds the chunk
-    /// runs on the per-op path, which materializes in interpreter
+    /// walks the AST, which materializes in interpreter
     /// order) — with a payload of its declared element type, the type
     /// the ops were specialized for (a preset may install either).
     pub(crate) fn fast_ready(&self, fb: &FastBody) -> bool {
@@ -2091,7 +2089,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Executes root iterations `lo..=hi` of the typed loop: same
-    /// observable semantics as the per-op loop of
+    /// observable semantics as the walked iterations of
     /// [`Interp::run_chunk`], with scalars promoted to registers and
     /// every array payload pinned for the whole call. `run_chunk` is
     /// the only caller: it hands over at an iteration boundary, having
@@ -2208,7 +2206,7 @@ impl<'p> Interp<'p> {
         // merely reads is unchanged, and in a worker every write-back
         // lands in the log, where the merge would take it for a claim.
         // The worker's root induction variable stays unlogged, as on
-        // the per-op path.
+        // the walked path.
         for p in fb.scalars.iter().filter(|p| p.assigned) {
             let (ty, val) = if p.real {
                 (ScalarType::Real, Value::Real(st.fr[p.reg as usize]))
@@ -2252,7 +2250,7 @@ impl<'p> Interp<'p> {
                 FOp::BinF { op, dst, a, b } => {
                     st.frs(*dst, bin_f(*op, st.frd(*a), st.frd(*b))?);
                 }
-                FOp::NegI { dst, src } => st.irs(*dst, -st.ird(*src)),
+                FOp::NegI { dst, src } => st.irs(*dst, st.ird(*src).wrapping_neg()),
                 FOp::NegF { dst, src } => st.frs(*dst, -st.frd(*src)),
                 FOp::CmpI { op, dst, a, b } => {
                     st.irs(*dst, cmp_res(*op, st.ird(*a).cmp(&st.ird(*b))));
@@ -2277,7 +2275,7 @@ impl<'p> Interp<'p> {
                     let (x, y) = (st.frd(*a), st.frd(*b));
                     st.frs(*dst, if *max { x.max(y) } else { x.min(y) });
                 }
-                FOp::AbsI { dst, src } => st.irs(*dst, st.ird(*src).abs()),
+                FOp::AbsI { dst, src } => st.irs(*dst, st.ird(*src).wrapping_abs()),
                 FOp::AbsF { dst, src } => st.frs(*dst, st.frd(*src).abs()),
                 FOp::Real1 { f, dst, src } => {
                     let x = st.frd(*src);

@@ -1,5 +1,5 @@
-//! Compiled execution tier: replays the register bytecode of
-//! verdict-annotated `do`-loop nests.
+//! Compiled execution tier: runs verdict-annotated `do`-loop nests as
+//! typed register programs.
 //!
 //! The tree-walking interpreter pays for its instrumentation on every
 //! AST node: enum dispatch per expression node, a `Vec<usize>` per
@@ -8,24 +8,24 @@
 //! sparse kernels and figure loops of the paper — none of that varies
 //! between iterations. The compiler side (`irr_driver::compiled`) owns
 //! the IR and lowers such a loop nest **once** into a flat register
-//! program ([`CompiledBody`]); this module replays it with a small
-//! dispatch loop:
+//! program ([`CompiledBody`]); `fast` types that program (`specialize`)
+//! into split `i64`/`f64` register planes over pre-pinned array
+//! payloads and runs it:
 //!
-//! - **Registers, not a tree.** Expression temporaries live in one
-//!   flat `Vec<Value>` register file sized at lowering; scalar
-//!   variables are read and written directly through their dense store
-//!   slots, with the declared type baked into the writing instruction
-//!   (the tree-walk retires the same symbol-table lookups through its
-//!   [`ScalarLayout`] table).
-//! - **Resolved array operands.** Array accesses carry their `VarId`
-//!   slot and are bounds-checked against the live extents without
+//! - **Registers, not a tree.** Expression temporaries and the scalars
+//!   the nest references live in flat register planes sized at
+//!   specialization; the declared type of every scalar write is baked
+//!   into the writing instruction (the tree-walk retires the same
+//!   symbol-table lookups through its [`ScalarLayout`] table).
+//! - **Resolved array operands.** Array accesses carry their pin slot
+//!   and are bounds-checked against the live extents without
 //!   allocating a subscript vector.
 //! - **Superinstructions** for the proven patterns the analysis
-//!   recognizes: affine store `a(i+c) = e` ([`Op::StoreAffine`]),
-//!   gather through an index array `a(idx(i))` ([`Op::Gather`]) and
-//!   its store dual ([`Op::Scatter`]), scalar reduction accumulate
-//!   `s = s op e` ([`Op::Accum`]), and append-through-pointer
-//!   `a(p) = e; p = p + 1` ([`Op::Append`]).
+//!   recognizes: affine store `a(i+c) = e` (`Op::StoreAffine`), gather
+//!   through an index array `a(idx(i))` (`Op::Gather`) and its store
+//!   dual (`Op::Scatter`), scalar reduction accumulate `s = s op e`
+//!   (`Op::Accum`), and append-through-pointer `a(p) = e; p = p + 1`
+//!   (`Op::Append`).
 //!
 //! **Parity is the contract.** A compiled loop must be byte-identical
 //! to the tree-walk in store contents, printed output, statement
@@ -33,31 +33,27 @@
 //! harness in `tests/strategy_parity.rs` and `sanitizer-audit
 //! --compiled` enforce this across the whole corpus. To that end the
 //! lowering is deliberately conservative: fuel is charged per
-//! statement entry at the same program points ([`Op::Charge`]), array
-//! materialization order is preserved ([`Op::Ensure`] precedes
-//! subscript evaluation exactly where `flat_index` would materialize),
-//! and any construct whose interpreter semantics are not replicated
-//! bit-for-bit — procedure calls, `print`, `return`, logical
-//! operators in numeric position — rejects the lowering and falls
-//! back to the interpreter via a reason-coded
-//! [`FallbackReason`].
+//! statement entry at the same program points (`Op::Charge`), and any
+//! construct whose interpreter semantics are not replicated
+//! bit-for-bit — procedure calls, `print`, `return`, logical operators
+//! in numeric position — rejects the lowering and falls back to the
+//! interpreter via a reason-coded [`FallbackReason`], as does a nest
+//! the specialization cannot type.
 //!
-//! **Two dispatch loops, one chunk entry.** `exec` replays the `Value`
-//! bytecode one op at a time against the interpreter's own store, fuel
-//! and statistics (profiled runs, untypeable nests, and the prefix of
-//! any chunk whose arrays are not all live yet); `fast` re-lowers a
-//! nest whose types are all static into split `i64`/`f64` register
-//! planes over pre-pinned array payloads. The typed loop needs every
-//! referenced array materialized, and lazy materialization cannot be
-//! hoisted (extents read live scalars, random fill draws from one
-//! shared stream, untaken branches must leave their arrays
-//! unmaterialized), so a typeable chunk whose arrays are not all live
-//! yet starts per-op and hands over to the typed loop at the first
-//! iteration boundary where they are. Both a sequential loop entry and
-//! a parallel worker's share of one go through that same entry,
-//! `Interp::run_chunk`; what differs for a worker is in
-//! `ChunkWatch`, and where its stores go is decided by the worker's
-//! store, which lends the typed loop a `WriteSink` per stored array.
+//! **Two engines, one chunk entry.** There are exactly two executors
+//! under that contract: the typed loop and the reference tree-walk.
+//! The typed loop needs every referenced array materialized, and lazy
+//! materialization cannot be hoisted (extents read live scalars, random
+//! fill draws from one shared stream, untaken branches must leave their
+//! arrays unmaterialized), so a chunk whose arrays are not all live yet
+//! walks the AST one root iteration at a time and hands over to the
+//! typed loop at the first iteration boundary where they are. Both a
+//! sequential loop entry and a parallel worker's share of one go
+//! through that same entry, `Interp::run_chunk`; what differs for a
+//! worker is in `ChunkWatch`, and where its stores go is decided by the
+//! worker's store, which lends the typed loop a `WriteSink` per stored
+//! array. The [`CompiledBody`] itself is never executed: it is the
+//! lowering's hand-off to `specialize`.
 //!
 //! Trust discipline is the one the raw-pointer strategies use: a
 //! verdict's `CompiledPlan` is the lowering's own summary, and still
@@ -66,67 +62,18 @@
 //! lowering is a pure function of the program), just as it re-derives
 //! the in-place and concat proofs with `irr_driver`'s derivations, and
 //! falls back when the nest does not lower, so a forged plan can never
-//! reach the bytecode path.
+//! reach the typed path.
 
 mod exec;
 mod fast;
 
 pub(crate) use fast::{specialize, FastBody};
-pub use irr_driver::compiled::{
-    lower_do_loop, CompiledBody, LowerReject, Op, OPCODE_COUNT, OPCODE_NAMES,
-};
+pub use irr_driver::compiled::{lower_do_loop, CompiledBody, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
 use crate::interp::{ExecError, Store};
 use irr_frontend::{Program, ScalarType, StmtId, VarId};
 use std::time::{Duration, Instant};
-
-/// Per-opcode dispatch counters, collected when profiling is enabled
-/// on the interpreter ([`crate::Interp::compiled_profile`]) and merged
-/// from parallel workers at commit. Kept out of [`crate::ExecStats`]
-/// so stats equality between tiers stays byte-identical.
-#[derive(Clone, Debug)]
-pub struct CompiledProfile {
-    /// Dispatch count per opcode, index-aligned with [`OPCODE_NAMES`].
-    pub counts: [u64; OPCODE_COUNT],
-}
-
-impl Default for CompiledProfile {
-    fn default() -> Self {
-        CompiledProfile::new()
-    }
-}
-
-impl CompiledProfile {
-    /// All-zero profile.
-    pub fn new() -> CompiledProfile {
-        CompiledProfile {
-            counts: [0; OPCODE_COUNT],
-        }
-    }
-
-    /// Adds another profile's counts (worker merge).
-    pub fn merge(&mut self, other: &CompiledProfile) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Total instruction dispatches.
-    pub fn dispatches(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// `(opcode name, count)` pairs for non-zero opcodes.
-    pub fn nonzero(&self) -> Vec<(&'static str, u64)> {
-        OPCODE_NAMES
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|(_, &c)| c > 0)
-            .map(|(n, &c)| (*n, c))
-            .collect()
-    }
-}
 
 /// What makes a chunk one parallel worker's share of a loop rather
 /// than a whole sequential entry. [`crate::Interp::run_chunk`] given a
@@ -173,14 +120,15 @@ impl From<ExecError> for ChunkAbort {
     }
 }
 
-/// Which loop finished a compiled chunk.
+/// Which engine finished a chunk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ChunkEngine {
-    /// The typed `FastBody` loop (possibly after a per-op prefix that
+pub enum ChunkEngine {
+    /// The typed `FastBody` loop (possibly after a walked prefix that
     /// materialized its arrays).
     Typed,
-    /// The per-op `Value` loop, for the whole chunk.
-    PerOp,
+    /// The tree-walk, for the whole chunk: no typed body was offered,
+    /// or its arrays were never all live.
+    TreeWalk,
 }
 
 /// Dense per-`VarId` scalar type table: resolved once per interpreter
@@ -206,14 +154,19 @@ impl ScalarLayout {
 }
 
 /// The all-compiled dispatcher: every `do` loop entry requests the
-/// bytecode tier; unlowerable or instrumented loops fall back to the
-/// tree-walk per the interpreter's own guard. This is the
+/// compiled tier; unlowerable, untypeable or instrumented loops fall
+/// back to the tree-walk per the interpreter's own guard. This is the
 /// single-thread "compiled" arm of the differential parity matrix and
-/// the compiled bench runs.
+/// of the benchmark's `exec.bytecode_ms`.
 #[derive(Debug, Default)]
 pub struct CompiledDispatch {
-    /// Dynamic loop entries that ran through the bytecode tier.
+    /// Dynamic loop entries that ran through the compiled tier's chunk
+    /// entry, whichever engine finished them.
     pub compiled: u64,
+    /// Those of `compiled` the typed loop finished; the rest walked the
+    /// AST throughout (zero-trip entries, and entries whose arrays were
+    /// never all live).
+    pub typed: u64,
     /// Dynamic loop entries that fell back, per reason.
     pub fallbacks: Vec<(FallbackReason, u64)>,
 }
@@ -242,8 +195,9 @@ impl LoopDispatcher for CompiledDispatch {
         LoopDecision::Compiled
     }
 
-    fn compiled_committed(&mut self, _loop_stmt: StmtId) {
+    fn compiled_committed(&mut self, _loop_stmt: StmtId, engine: ChunkEngine) {
         self.compiled += 1;
+        self.typed += u64::from(engine == ChunkEngine::Typed);
     }
 
     fn compiled_fallback(&mut self, _loop_stmt: StmtId, reason: FallbackReason) {
@@ -515,36 +469,10 @@ mod tests {
         assert_eq!(out.stats.loops[&target].iteration_costs.len(), 1);
     }
 
-    #[test]
-    fn profile_counts_superinstructions() {
-        let src = "program t
-             integer i, idx(20)
-             real a(30), s
-             do i = 1, 20
-               idx(i) = i
-             enddo
-             do i = 1, 20
-               a(i + 1) = i * 1.0
-               s = s + a(idx(i))
-             enddo
-             end";
-        let p = parse_program(src).unwrap();
-        let mut it = Interp::new(&p);
-        it.compiled_profile = Some(Box::new(CompiledProfile::new()));
-        let mut d = CompiledDispatch::new();
-        it.exec_proc_with(p.main(), &mut d).unwrap();
-        let prof = it.compiled_profile.take().unwrap();
-        let by_name: std::collections::HashMap<_, _> = prof.nonzero().into_iter().collect();
-        assert_eq!(by_name["store_affine"], 20);
-        assert_eq!(by_name["gather"], 20);
-        assert_eq!(by_name["accum"], 20);
-        assert!(prof.dispatches() > 0);
-    }
-
     /// The hand-over shape: `x` is preset and the outputs first
     /// materialize inside the loop — `z` in iteration 1, `y` (first in
-    /// program text) in iteration 2 — so the entry starts on the per-op
-    /// loop and switches to the typed one at the boundary before
+    /// program text) in iteration 2 — so the entry starts on the
+    /// tree-walk and switches to the typed loop at the boundary before
     /// iteration 3: six of the eight iterations are typed.
     const HANDOVER_SRC: &str = "program t
          integer i
@@ -611,10 +539,11 @@ mod tests {
         assert!(exhausted_untaken > 0 && exhausted_taken > 0);
     }
 
-    /// Hand-over (c): an out-of-bounds subscript raised by the per-op
-    /// loop (iteration 1, which also materializes `y` and `z`) and by
-    /// the typed loop (iteration 3, the second after the switch)
-    /// carries the tree-walk's payload and leaves its store.
+    /// Hand-over (c): an out-of-bounds subscript raised by a walked
+    /// iteration of the chunk (iteration 1, which also materializes `y`
+    /// and `z`) and by the typed loop (iteration 3, the second after
+    /// the switch) carries the tree-walk's payload and leaves its
+    /// store.
     #[test]
     fn handover_out_of_bounds_payload_is_identical() {
         for (bad_iter, typed_iters) in [(1, 0), (3, 2)] {
@@ -652,9 +581,10 @@ mod tests {
     /// Hand-over (d), the `rowgather`-on-uniform shape: `w` is
     /// referenced only under a branch that is never taken, so it never
     /// materializes, the typed loop's precondition never holds, and the
-    /// whole entry completes on the per-op loop.
+    /// whole entry is walked — still a compiled entry, which the
+    /// dispatcher hears finished on the tree-walk.
     #[test]
-    fn never_ready_entry_completes_on_the_per_op_loop() {
+    fn never_ready_entry_completes_on_the_walk() {
         let src = "program t
              integer i
              real x(8), y(8), w(8)
@@ -671,6 +601,7 @@ mod tests {
         let mut ran = assert_same_run(&p, preset_x);
         assert_eq!(ran.res, Ok(()));
         assert_eq!(ran.typed_iters(), 0);
+        assert_eq!((ran.dispatch.compiled, ran.dispatch.typed), (1, 0));
         // Not for want of a typed body: the nest specializes, its
         // arrays are just never all live.
         let s = p
@@ -681,6 +612,104 @@ mod tests {
         let cb = ran.comp.compiled_body_for(s).unwrap();
         let fb = ran.comp.fast_body_for(s, &cb).expect("specializes");
         assert!(!ran.comp.fast_ready(&fb));
+    }
+
+    /// Hand-over (e): a nest that lowers but does not type falls back
+    /// before its first iteration, reason-coded, and the ordinary `Do`
+    /// arm is the execution. The only such nest the lowering can
+    /// produce is one at its own size limit: 65 535 integer temps fill
+    /// the `u16` register file, and the typed integer plane has to hold
+    /// the two scalars as well.
+    #[test]
+    fn a_nest_that_lowers_but_does_not_type_falls_back_before_it_starts() {
+        let sum = vec!["i"; 16].join(" + ");
+        let body = format!("s = {sum}\n").repeat(4369);
+        let src = format!("program t\ninteger i, s\ndo i = 1, 2\n{body}enddo\nprint s\nend\n");
+        let p = parse_program(&src).unwrap();
+        let mut ran = assert_same_run(&p, |_| {});
+        assert_eq!(ran.res, Ok(()));
+        assert_eq!(ran.comp.output, vec!["32"]);
+        assert_eq!(ran.dispatch.compiled, 0);
+        assert_eq!(
+            ran.dispatch.fallbacks,
+            vec![(FallbackReason::Unsupported, 1)]
+        );
+        assert_eq!(ran.typed_iters(), 0);
+        // The typing refused it, not the lowering.
+        let s = p.procedure(p.main()).body[0];
+        let cb = ran.comp.compiled_body_for(s).expect("lowers");
+        assert_eq!(cb.register_count(), usize::from(u16::MAX));
+        assert!(ran.comp.fast_body_for(s, &cb).is_none());
+    }
+
+    /// Division, remainder, negation and `abs` wrap at `i64::MIN` like
+    /// `+ - *` do, at compile time (constant folding) and on every
+    /// executor: with constant operands, with operands read from
+    /// arrays, and carried around a loop. At the parent commit
+    /// `compile_source` panicked in constant propagation and the
+    /// executors in `apply_bin` / `bin_i`.
+    #[test]
+    fn i64_min_division_remainder_negation_and_abs_wrap_everywhere() {
+        use irr_driver::{compile_source, DegradeLevel, DriverOptions};
+        let src = "program t
+             integer i, m, d, k, x
+             integer w(8), e(8), q(8), r(8), n(8), a(8)
+             m = -9223372036854775807 - 1
+             d = 0 - 1
+             print m / d, mod(m, d), -m, abs(m)
+             k = m / (0 - 1)
+             x = mod(m, 0 - 1)
+             print k, x, mod(m, 0 - 1)
+             k = -m
+             print k
+             do i = 1, 8
+               w(i) = m + mod(i, 2)
+               e(i) = d
+             enddo
+             do i = 1, 8
+               q(i) = w(i) / e(i)
+               r(i) = mod(w(i), e(i))
+               n(i) = -w(i)
+               a(i) = abs(w(i))
+             enddo
+             print q(1), q(2), r(1), r(2), n(1), n(2), a(1), a(2)
+             x = m
+             do i = 1, 4
+               x = -x
+               x = x / e(i)
+               x = abs(x)
+               x = x + mod(x, e(i))
+             enddo
+             print x
+             end";
+        const MIN: &str = "-9223372036854775808";
+        const MAX: &str = "9223372036854775807";
+        let expected = vec![
+            format!("{MIN} 0 {MIN} {MIN}"),
+            format!("{MIN} 0 0"),
+            MIN.to_string(),
+            format!("{MAX} {MIN} 0 0 {MAX} {MIN} {MAX} {MIN}"),
+            MIN.to_string(),
+        ];
+        compile_source(src, DriverOptions::with_iaa()).expect("compiles");
+        for level in DegradeLevel::ALL {
+            let p = parse_program(src).unwrap();
+            let rep = level.compile_at(p, DriverOptions::with_iaa(), None);
+            // The passes may fold the constant lines; what runs must
+            // still print the wrapped values.
+            let out = Interp::new(&rep.program).run().unwrap();
+            assert_eq!(out.output, expected, "{}", level.name());
+        }
+        let p = parse_program(src).unwrap();
+        let ran = assert_same_run(&p, |_| {});
+        assert_eq!(ran.res, Ok(()));
+        assert_eq!(ran.comp.output, expected);
+        assert_eq!(ran.dispatch.fallback_count(), 0, "{:?}", ran.dispatch);
+        assert!(ran.typed_iters() > 0);
+        let mut hybrid = AlwaysParallel::default();
+        let par = Interp::new(&p).run_dispatched(&mut hybrid).unwrap();
+        assert_eq!(par.output, expected);
+        assert_eq!(par.store, ran.comp.store);
     }
 
     /// Pins by role: the typed loop takes unique ownership only of the

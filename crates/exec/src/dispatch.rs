@@ -11,6 +11,7 @@
 //! dispatch and a version-keyed schedule cache; the default
 //! [`SequentialDispatch`] recovers the plain interpreter.
 
+use crate::bytecode::ChunkEngine;
 use crate::interp::Store;
 use crate::parallel::{Committed, ParallelPlan};
 use irr_frontend::StmtId;
@@ -20,12 +21,12 @@ use irr_frontend::StmtId;
 pub enum LoopDecision {
     /// Run the loop through the sequential interpreter.
     Sequential,
-    /// Run the loop through the single-threaded register-bytecode tier
-    /// (see [`crate::bytecode`]). The interpreter re-lowers the nest
-    /// from the AST at dispatch — a cached pure derivation — and falls
-    /// back to the sequential tree-walk (reporting
+    /// Run the loop through the single-threaded compiled tier (see
+    /// [`crate::bytecode`]). The interpreter re-lowers and types the
+    /// nest from the AST at dispatch — cached pure derivations — and
+    /// falls back to the sequential tree-walk (reporting
     /// [`LoopDispatcher::compiled_fallback`]) when the loop cannot be
-    /// lowered or carries interpreter-only instrumentation.
+    /// lowered or typed, or carries interpreter-only instrumentation.
     Compiled,
     /// Run the loop through the chunked parallel executor.
     Parallel(ParallelPlan),
@@ -46,7 +47,8 @@ pub enum FallbackReason {
     /// past an extent.
     Shape,
     /// The executor cannot run this loop shape (non-unit step, not a
-    /// `do` loop).
+    /// `do` loop; for a compiled dispatch, a nest that does not lower
+    /// or does not type).
     Unsupported,
     /// A worker overran the per-worker deadline (watchdog).
     Timeout,
@@ -110,16 +112,17 @@ pub trait LoopDispatcher {
 
     /// Notifies the dispatcher that its most recent
     /// [`Compiled`](LoopDecision::Compiled) decision for `loop_stmt`
-    /// ran to completion through the bytecode tier. The default is a
-    /// no-op.
-    fn compiled_committed(&mut self, _loop_stmt: StmtId) {}
+    /// ran to completion through the compiled tier, and which engine
+    /// finished it: the typed loop, or the tree-walk when the nest's
+    /// arrays were never all live. The default is a no-op.
+    fn compiled_committed(&mut self, _loop_stmt: StmtId, _engine: ChunkEngine) {}
 
     /// Notifies the dispatcher that a compiled dispatch of `loop_stmt`
     /// fell back to the sequential interpreter for `reason` (the nest
-    /// could not be lowered, or interpreter-only instrumentation is
-    /// active). The sequential execution that follows is authoritative
-    /// — the fallback costs one cache-hit lowering attempt, nothing
-    /// more. The default is a no-op.
+    /// could not be lowered or typed, or interpreter-only
+    /// instrumentation is active). The sequential execution that
+    /// follows is authoritative — the fallback costs two cache-hit
+    /// lookups, nothing more. The default is a no-op.
     fn compiled_fallback(&mut self, _loop_stmt: StmtId, _reason: FallbackReason) {}
 }
 

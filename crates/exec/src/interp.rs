@@ -1,6 +1,6 @@
 //! The instrumenting tree-walking interpreter.
 
-use crate::bytecode::{CompiledBody, CompiledProfile, FastBody, ScalarLayout};
+use crate::bytecode::{CompiledBody, FastBody, ScalarLayout};
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
@@ -579,7 +579,7 @@ impl Store {
     /// for one chunk (see [`WriteSink`]): its in-place window or
     /// concat buffer when an overlay targets it, else its column of the
     /// active write log, else nothing. Buffers and columns are moved
-    /// out, so writes the per-op loop made earlier in the chunk stay in
+    /// out, so writes the walk made earlier in the chunk stay in
     /// front; [`Store::return_sink`] moves them back.
     pub(crate) fn take_sink(&mut self, arr: VarId) -> WriteSink {
         match self.overlay.as_deref_mut() {
@@ -649,8 +649,8 @@ impl Store {
         self.arrays[arr.index()].as_deref().map(ArrayData::len)
     }
 
-    /// The payload of `arr`, if materialized (the bytecode executor's
-    /// read path).
+    /// The payload of `arr`, if materialized (the typed loop's read
+    /// path).
     pub(crate) fn array_ref(&self, arr: VarId) -> Option<&ArrayData> {
         self.arrays[arr.index()].as_deref()
     }
@@ -889,12 +889,6 @@ pub struct Interp<'p> {
     /// the type inference cannot specialize). Like the lowering, the
     /// specialization is a pure function of the immutable program.
     fast_cache: HashMap<StmtId, Option<Arc<FastBody>>>,
-    /// Per-opcode dispatch counters for the bytecode tier; `None` (the
-    /// default) disables profiling entirely. Kept out of [`ExecStats`]
-    /// so tier parity of stats is byte-identical.
-    pub compiled_profile: Option<Box<CompiledProfile>>,
-    /// Reusable register file for compiled loop entries.
-    pub(crate) ctemps: Vec<Value>,
     /// The run's worker pool: `None` until the first parallel dispatch
     /// with more than one chunk; dropping the interpreter — on `Ok`, on
     /// an error, or while unwinding — closes its queue and joins its
@@ -929,8 +923,6 @@ impl<'p> Interp<'p> {
             layout: ScalarLayout::new(program),
             compiled_cache: HashMap::new(),
             fast_cache: HashMap::new(),
-            compiled_profile: None,
-            ctemps: Vec::new(),
             pool: None,
             #[cfg(test)]
             typed_root_iters: 0,
@@ -969,11 +961,13 @@ impl<'p> Interp<'p> {
     }
 
     /// Whether a [`LoopDecision::Compiled`] dispatch of `s` can run, and
-    /// with which body. Interpreter-only instrumentation (an attached
-    /// tracer — whose access hooks fire on every read — or
+    /// with which typed body. Interpreter-only instrumentation (an
+    /// attached tracer — whose access hooks fire on every read — or
     /// per-iteration cost recording on any loop of the nest) forces the
-    /// instrumented tree-walk.
-    fn compiled_decision(&mut self, s: StmtId) -> Result<Arc<CompiledBody>, FallbackReason> {
+    /// instrumented tree-walk; so does a nest that does not lower or
+    /// does not type, before its first iteration, so the ordinary `Do`
+    /// arm still offers its inner loops to the dispatcher.
+    fn compiled_decision(&mut self, s: StmtId) -> Result<Arc<FastBody>, FallbackReason> {
         if self.tracer.is_some() {
             return Err(FallbackReason::Traced);
         }
@@ -987,7 +981,8 @@ impl<'p> Interp<'p> {
         {
             return Err(FallbackReason::Traced);
         }
-        Ok(cb)
+        self.fast_body_for(s, &cb)
+            .ok_or(FallbackReason::Unsupported)
     }
 
     /// Attaches an access tracer: `hook` receives loop events for the
@@ -1177,14 +1172,14 @@ impl<'p> Interp<'p> {
                         }
                     }
                     LoopDecision::Compiled => match self.compiled_decision(s) {
-                        Ok(cb) => {
-                            self.exec_do_compiled(s, &cb, lo, hi, step)?;
-                            dispatcher.compiled_committed(s);
+                        Ok(fb) => {
+                            let engine = self.exec_do_compiled(s, &fb, lo, hi, step)?;
+                            dispatcher.compiled_committed(s, engine);
                             return Ok(());
                         }
-                        // Unlowerable or instrumented: the sequential
-                        // walk below is the execution; the failed
-                        // dispatch cost one cached lowering lookup.
+                        // Unlowerable, untypeable or instrumented: the
+                        // sequential walk below is the execution; the
+                        // failed dispatch cost two cached lookups.
                         Err(reason) => dispatcher.compiled_fallback(s, reason),
                     },
                     LoopDecision::Sequential => {}
@@ -1304,7 +1299,7 @@ impl<'p> Interp<'p> {
                 Ok(apply_bin(*op, a, b)?)
             }
             Expr::Un(UnOp::Neg, x) => Ok(match self.eval(x)? {
-                Value::Int(v) => Value::Int(-v),
+                Value::Int(v) => Value::Int(v.wrapping_neg()),
                 Value::Real(v) => Value::Real(-v),
             }),
             Expr::Un(UnOp::Not, _) => {
@@ -1442,13 +1437,13 @@ pub(crate) fn apply_bin(op: BinOp, a: Value, b: Value) -> Result<Value, ExecErro
                 if y == 0 {
                     return Err(ExecError::DivisionByZero);
                 }
-                Value::Int(x.div_euclid(y))
+                Value::Int(x.wrapping_div_euclid(y))
             }
             BinOp::Mod => {
                 if y == 0 {
                     return Err(ExecError::DivisionByZero);
                 }
-                Value::Int(x.rem_euclid(y))
+                Value::Int(x.wrapping_rem_euclid(y))
             }
             _ => unreachable!("handled in eval"),
         }),
@@ -1484,7 +1479,7 @@ pub(crate) fn apply_intrinsic(intr: Intrinsic, vals: &[Value]) -> Result<Value, 
             (a, b) => Ok(Value::Real(a.as_real().max(b.as_real()))),
         },
         Intrinsic::Abs => Ok(match vals[0] {
-            Value::Int(v) => Value::Int(v.abs()),
+            Value::Int(v) => Value::Int(v.wrapping_abs()),
             Value::Real(v) => Value::Real(v.abs()),
         }),
         Intrinsic::Mod => apply_bin(BinOp::Mod, vals[0], vals[1]),

@@ -32,8 +32,7 @@ pub mod runtime_test;
 pub mod trace;
 
 pub use bytecode::{
-    lower_do_loop, CompiledBody, CompiledDispatch, CompiledProfile, LowerReject, ScalarLayout,
-    OPCODE_NAMES,
+    lower_do_loop, ChunkEngine, CompiledBody, CompiledDispatch, LowerReject, ScalarLayout,
 };
 pub use dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 pub use fault::{FaultKind, FaultPlan, FaultShot};

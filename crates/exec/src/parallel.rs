@@ -40,19 +40,19 @@
 //! # What a worker runs
 //!
 //! The master lowers and specializes the loop once and hands every
-//! worker the `Arc`'d bodies; a worker makes **one call**, the chunk
-//! entry the sequential compiled tier also uses
-//! (`Interp::run_chunk`): per-op until every array the body
-//! references is live in the worker's store, then the typed `FastBody`
-//! loop for the rest of the chunk — induction loop, per-iteration
-//! charge, deadline poll and strategy check all inside it. The typed
-//! loop's stores reach the log, the in-place windows or the append
-//! buffers through the per-array sinks the worker's store lends it
-//! (`WriteSink`), applying the same rules the per-element
-//! interception applies for the per-op loop and the tree-walk; all
-//! three executors fill the same log. Nests that do not type, or that
-//! can assign a scalar the merge would claim, stay per-op; unlowerable
-//! bodies walk the AST. [`WorkerEngines`] reports which it was.
+//! worker the `Arc`'d typed body; a worker makes **one call**, the
+//! chunk entry the sequential compiled tier also uses
+//! (`Interp::run_chunk`): the tree-walk, one root iteration at a time,
+//! until every array the body references is live in the worker's
+//! store, then the typed `FastBody` loop for the rest of the chunk —
+//! induction loop, per-iteration charge, deadline poll and strategy
+//! check all inside it. The typed loop's stores reach the log, the
+//! in-place windows or the append buffers through the per-array sinks
+//! the worker's store lends it (`WriteSink`), applying the same rules
+//! the per-element interception applies for the tree-walk; both
+//! executors fill the same log. Nests that do not lower or type, or
+//! that can assign a scalar the merge would claim, walk the AST for
+//! the whole chunk. [`WorkerEngines`] reports which it was.
 //!
 //! # Execution strategies
 //!
@@ -80,9 +80,7 @@
 //! loop-invariant inputs, so the sequential fallback deterministically
 //! rewrites every touched location with the correct values.
 
-use crate::bytecode::{
-    ChunkAbort, ChunkEngine, ChunkWatch, CompiledBody, CompiledProfile, FastBody,
-};
+use crate::bytecode::{ChunkAbort, ChunkEngine, ChunkWatch, FastBody};
 use crate::fault::FaultKind;
 use crate::interp::{
     ArrayData, ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf,
@@ -145,24 +143,21 @@ pub enum ReduceOp {
 /// program's execution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WorkerEngines {
-    /// Chunks finished on the typed `FastBody` loop (after a per-op
+    /// Chunks finished on the typed `FastBody` loop (after a walked
     /// prefix, when some array had yet to materialize).
     pub typed: u64,
-    /// Chunks run on the per-op bytecode loop throughout: the nest
-    /// does not type, assigns a scalar the plan neither privatizes nor
-    /// reduces, is being profiled, or never had all its arrays live.
-    pub per_op: u64,
-    /// Chunks run on the tree-walk: the plan did not ask for compiled
-    /// workers, or the nest does not lower.
+    /// Chunks run on the tree-walk throughout: the plan did not ask for
+    /// compiled workers, the nest does not lower or type, it assigns a
+    /// scalar the plan neither privatizes nor reduces, or it never had
+    /// all its arrays live.
     pub tree_walk: u64,
 }
 
 impl WorkerEngines {
-    fn count(&mut self, engine: Option<ChunkEngine>) {
+    fn count(&mut self, engine: ChunkEngine) {
         match engine {
-            Some(ChunkEngine::Typed) => self.typed += 1,
-            Some(ChunkEngine::PerOp) => self.per_op += 1,
-            None => self.tree_walk += 1,
+            ChunkEngine::Typed => self.typed += 1,
+            ChunkEngine::TreeWalk => self.tree_walk += 1,
         }
     }
 }
@@ -205,14 +200,14 @@ pub struct ParallelPlan {
     /// strategy on every dispatch and silently downgrades to the
     /// write-log when the proof does not hold for this loop.
     pub strategy: ExecutionStrategy,
-    /// Whether worker chunks may run the loop body through the register
-    /// bytecode tier instead of the tree-walk (see [`crate::bytecode`]).
-    /// Like `strategy`, this is a request: the master re-lowers the
-    /// nest at dispatch and workers silently fall back to the AST walk
-    /// when the body is not lowerable. Composes with every write-back
-    /// strategy — the per-op loop writes through the same store paths
-    /// the interpreter does and the typed loop through the sinks the
-    /// store lends it, so overlays and write logs see the same writes.
+    /// Whether worker chunks may run the loop body on the typed loop of
+    /// the compiled tier instead of the tree-walk (see
+    /// [`crate::bytecode`]). Like `strategy`, this is a request: the
+    /// master re-lowers and types the nest at dispatch and workers
+    /// silently walk the AST when that fails. Composes with every
+    /// write-back strategy — the typed loop writes through the sinks
+    /// the store lends it, so overlays and write logs see the same
+    /// writes the interpreter's store paths would make.
     pub compiled: bool,
 }
 
@@ -377,33 +372,16 @@ fn exec_with_interception(
             run_chunked(interp, s, plan)?;
             continue;
         }
-        match interp_stmt_kind(interp, s) {
-            Kind::Call(p) => {
-                let pbody = interp_program(interp).procedures[p.index()].body.clone();
-                exec_with_interception(interp, &pbody, target, plan)?;
+        let program = interp.program();
+        match &program.stmt(s).kind {
+            StmtKind::Call { proc } => {
+                let pbody = &program.procedures[proc.index()].body;
+                exec_with_interception(interp, pbody, target, plan)?;
             }
-            Kind::Other => interp.exec_stmt(s)?,
+            _ => interp.exec_stmt(s)?,
         }
     }
     Ok(())
-}
-
-enum Kind {
-    Call(irr_frontend::ProcId),
-    Other,
-}
-
-fn interp_stmt_kind(interp: &Interp<'_>, s: StmtId) -> Kind {
-    match &interp_program(interp).stmt(s).kind {
-        StmtKind::Call { proc } => Kind::Call(*proc),
-        _ => Kind::Other,
-    }
-}
-
-fn interp_program<'p>(interp: &Interp<'p>) -> &'p Program {
-    // Accessor shim: Interp keeps the program private; re-derive via a
-    // small public API.
-    interp.program()
 }
 
 fn run_chunked(
@@ -435,12 +413,8 @@ struct ChunkOutcome {
     output: Vec<String>,
     reduction_finals: Vec<(VarId, Value)>,
     ptr_final: i64,
-    /// Per-opcode bytecode dispatch counts, collected only when the
-    /// master interpreter has profiling enabled.
-    profile: Option<Box<CompiledProfile>>,
-    /// The bytecode loop the chunk finished on; `None` for the
-    /// tree-walk.
-    engine: Option<ChunkEngine>,
+    /// The engine the chunk finished on.
+    engine: ChunkEngine,
     #[cfg(test)]
     typed_root_iters: u64,
 }
@@ -588,11 +562,10 @@ pub fn exec_do_parallel(
     step: i64,
 ) -> Result<Committed, ParallelError> {
     let program = interp.program();
-    let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
+    let StmtKind::Do { var, .. } = &program.stmt(loop_stmt).kind else {
         return Err(ParallelError::NotADoLoop);
     };
     let var = *var;
-    let body: &[StmtId] = body;
     if step != 1 {
         return Err(ParallelError::UnsupportedStep { step });
     }
@@ -662,34 +635,28 @@ pub fn exec_do_parallel(
         },
     };
     // Lower and specialize the loop body once on the master so every
-    // worker chunk can replay it (pure functions of the program, so
-    // the master's cache entries are shared via Arc). A body the
-    // lowering rejects leaves `None` and the workers walk the AST
-    // exactly as before.
-    let compiled_body: Option<Arc<CompiledBody>> = if plan.compiled {
-        interp.compiled_body_for(loop_stmt)
-    } else {
-        None
-    };
-    let profile_workers = interp.compiled_profile.is_some();
+    // worker chunk can run it (pure functions of the program, so the
+    // master's cache entry is shared via Arc). A body the lowering or
+    // the typing rejects leaves `None` and the workers walk the AST.
+    //
     // The typed loop writes the scalars its nest can assign back once,
     // at chunk exit, and a worker's write-back is logged — where the
     // merge claims it for that worker. Scalars exempt from claiming
     // (privatized, reductions, the concat pointer; the root induction
     // variable is never logged) can take that; a nest that can assign
-    // any other scalar keeps the per-op loop, which logs a scalar only
-    // when it is dynamically written. Profiled workers stay per-op too.
+    // any other scalar walks, which logs a scalar only when it is
+    // dynamically written.
     let claim_exempt = |v: VarId| {
         plan.privatized.contains(&v)
             || plan.reductions.iter().any(|(r, _)| *r == v)
             || matches!(&mode, Mode::Concat { ptr, .. } if *ptr == v)
     };
-    let typed_body: Option<Arc<FastBody>> = match &compiled_body {
-        Some(cb) if !profile_workers => interp
-            .fast_body_for(loop_stmt, cb)
-            .filter(|fb| fb.assigned_scalars().all(claim_exempt)),
-        _ => None,
-    };
+    let typed_body: Option<Arc<FastBody>> = plan
+        .compiled
+        .then(|| interp.compiled_body_for(loop_stmt))
+        .flatten()
+        .and_then(|cb| interp.fast_body_for(loop_stmt, &cb))
+        .filter(|fb| fb.assigned_scalars().all(claim_exempt));
     // Run each chunk on a copy-on-write clone of the live store;
     // workers return only their logs/buffers and stats. In-place
     // workers skip write logging entirely — their target writes go
@@ -701,7 +668,6 @@ pub fn exec_do_parallel(
         .enumerate()
         .map(|(widx, &(clo, chi))| {
             let snapshot = interp.store.clone();
-            let cbody = compiled_body.clone();
             let fbody = typed_body.clone();
             Box::new(move || {
                 if panic_chunk == Some(widx) {
@@ -749,28 +715,8 @@ pub fn exec_do_parallel(
                             .install_overlay(WriteOverlay::concat(*p0 as usize, bufs));
                     }
                 }
-                let engine = match &cbody {
-                    Some(cb) => {
-                        if profile_workers {
-                            worker.compiled_profile = Some(Box::new(CompiledProfile::new()));
-                        }
-                        let fb = fbody.as_deref();
-                        Some(worker.run_chunk(loop_stmt, cb, fb, clo, chi, 1, Some(&watch))?)
-                    }
-                    None => {
-                        let ty = program.symbols.var(var).ty;
-                        for i in clo..=chi {
-                            watch.poll()?;
-                            worker.store.set_scalar_untracked(var, ty, Value::Int(i));
-                            worker.exec_body(body)?;
-                            worker.charge(1)?; // loop bookkeeping, as sequential
-                            if let Some(v) = worker.store.overlay_violation() {
-                                return Err(ChunkAbort::Violated(v));
-                            }
-                        }
-                        None
-                    }
-                };
+                let engine =
+                    worker.run_chunk(loop_stmt, fbody.as_deref(), clo, chi, 1, Some(&watch))?;
                 let reduction_finals = plan
                     .reductions
                     .iter()
@@ -780,7 +726,6 @@ pub fn exec_do_parallel(
                     Mode::Concat { ptr, .. } => worker.store.scalar(*ptr).as_int(),
                     _ => 0,
                 };
-                let profile = worker.compiled_profile.take();
                 Ok(ChunkOutcome {
                     log: worker.store.take_write_log().unwrap_or_default(),
                     overlay: worker.store.take_overlay(),
@@ -788,7 +733,6 @@ pub fn exec_do_parallel(
                     output: worker.output,
                     reduction_finals,
                     ptr_final,
-                    profile,
                     engine,
                     #[cfg(test)]
                     typed_root_iters: worker.typed_root_iters,
@@ -896,9 +840,6 @@ pub fn exec_do_parallel(
             e.iteration_costs.extend(ls.iteration_costs);
         }
         interp.output.extend(c.output);
-        if let (Some(master), Some(p)) = (interp.compiled_profile.as_deref_mut(), c.profile) {
-            master.merge(&p);
-        }
     }
     // Sequential semantics: the induction variable ends one past `hi`.
     interp.store.set_scalar(var, ty, Value::Int(hi + 1));
@@ -1313,8 +1254,8 @@ mod tests {
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
         assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
-        // Iteration 1 materializes `x` per-op in every chunk; the rest
-        // ran typed, through the logged sink.
+        // Iteration 1 materializes `x` on the walk in every chunk; the
+        // rest ran typed, through the logged sink.
         assert_eq!(master.typed_root_iters, 96);
     }
 
@@ -1441,11 +1382,11 @@ mod tests {
     }
 
     /// An array no one has touched yet materializes inside the worker:
-    /// each chunk runs its first iteration per-op (which logs the
+    /// each chunk walks its first iteration (which logs the
     /// materialization), hands over to the typed loop, and the merge
     /// brings the array into existence on the master.
     #[test]
-    fn a_typed_chunk_starts_per_op_until_its_arrays_are_live() {
+    fn a_typed_chunk_walks_until_its_arrays_are_live() {
         let src = "program t
              integer i
              real x(100), y(100)
@@ -1457,9 +1398,47 @@ mod tests {
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
         let got = res.unwrap();
         assert_eq!(got.engines.typed, 4);
-        assert_eq!(master.typed_root_iters, 96, "one per-op iteration a chunk");
+        assert_eq!(master.typed_root_iters, 96, "one walked iteration a chunk");
         let seq = Interp::new(&p).run().unwrap();
         assert_eq!(master.store, seq.store);
+    }
+
+    /// The typed loop writes every scalar its nest *can* assign back at
+    /// chunk exit, and in a worker a write-back is a logged claim — so
+    /// a nest assigning a scalar the plan neither privatizes nor
+    /// reduces walks for the whole chunk, where a scalar is logged only
+    /// when it is dynamically written. `last` is assigned in iteration
+    /// 77 alone: one chunk claims it and the dispatch commits; typed,
+    /// all four would have claimed it.
+    #[test]
+    fn a_nest_assigning_an_unexempt_scalar_walks_and_claims_it_only_where_written() {
+        let src = "program t
+             integer i, last
+             real x(100)
+             do i = 1, 100
+               x(i) = i * 0.5
+               if (i == 77) then
+                 last = i
+               endif
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
+        let got = res.unwrap();
+        assert_eq!((got.engines.typed, got.engines.tree_walk), (0, 4));
+        assert_eq!(master.typed_root_iters, 0);
+        let seq = Interp::new(&p).run().unwrap();
+        assert_eq!(master.store, seq.store);
+        let last = p.symbols.lookup("last").unwrap();
+        assert_eq!(master.store.scalar(last), Value::Int(77));
+        // Not for want of a typed body: privatizing `last` exempts it
+        // from claiming and the same nest runs typed.
+        let plan = ParallelPlan {
+            privatized: vec![last],
+            ..ParallelPlan::with_threads(4)
+        };
+        let (_, res) = dispatch_first_do(&p, &plan, 100);
+        assert_eq!(res.unwrap().engines.typed, 4);
     }
 
     /// ... and when the chunks materialize it with different extents
@@ -1832,7 +1811,7 @@ mod tests {
         let seq = Interp::new(&p).run().unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(40_000), 100_000);
         let engines = res.unwrap().engines;
-        assert_eq!(engines.typed + engines.per_op, 40_000);
+        assert_eq!(engines.typed + engines.tree_walk, 40_000);
         assert!(master.worker_threads_spawned() <= crate::pool::MAX_POOL_THREADS as u64);
         assert_eq!(master.store, seq.store);
     }
@@ -2154,7 +2133,7 @@ mod tests {
         let mut interp = Interp::new(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::PrivatizeAndConcat);
-        // Per-op up to each chunk's first append (which materializes
+        // Walked up to each chunk's first append (which materializes
         // `ind` in the worker), typed — through the append sink — after.
         assert_eq!(got.engines.typed, 4);
         let seq = Interp::new(&p).run().unwrap();
@@ -2171,7 +2150,7 @@ mod tests {
     /// Hole-freedom is never re-proven statically: an increment
     /// without its write is caught by the append sink's position rule
     /// on the typed loop exactly as `WriteOverlay::intercept` catches
-    /// it per-op, and the dispatch aborts with the master untouched.
+    /// it on the walk, and the dispatch aborts with the master untouched.
     #[test]
     fn a_hole_in_the_appends_is_a_violation_under_the_typed_sink() {
         let src = "program t
@@ -2238,7 +2217,7 @@ mod tests {
         let cb = worker.compiled_body_for(s).unwrap();
         let fb = worker.fast_body_for(s, &cb).unwrap();
         let watch = ChunkWatch { deadline: None };
-        let res = worker.run_chunk(s, &cb, Some(&fb), 1, 8, 1, Some(&watch));
+        let res = worker.run_chunk(s, Some(&fb), 1, 8, 1, Some(&watch));
         assert!(
             matches!(res, Err(ChunkAbort::Violated(v)) if v == x),
             "{res:?}"

@@ -119,15 +119,15 @@ fn eval(state: &State, e: &Expr) -> Lattice {
                     BinOp::Add => Lattice::Int(x.wrapping_add(y)),
                     BinOp::Sub => Lattice::Int(x.wrapping_sub(y)),
                     BinOp::Mul => Lattice::Int(x.wrapping_mul(y)),
-                    BinOp::Div if y != 0 => Lattice::Int(x.div_euclid(y)),
-                    BinOp::Mod if y != 0 => Lattice::Int(x.rem_euclid(y)),
+                    BinOp::Div if y != 0 => Lattice::Int(x.wrapping_div_euclid(y)),
+                    BinOp::Mod if y != 0 => Lattice::Int(x.wrapping_rem_euclid(y)),
                     _ => Lattice::Bottom,
                 },
                 _ => Lattice::Bottom,
             }
         }
         Expr::Un(UnOp::Neg, a) => match eval(state, a) {
-            Lattice::Int(x) => Lattice::Int(-x),
+            Lattice::Int(x) => Lattice::Int(x.wrapping_neg()),
             Lattice::Real(x) => Lattice::Real(-x),
             _ => Lattice::Bottom,
         },

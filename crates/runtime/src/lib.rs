@@ -41,9 +41,9 @@ use irr_driver::{
     CompilationReport, DispatchTier, GuardPlan, ReductionOp, ResidualCheck, StrategyFacts,
 };
 use irr_exec::{
-    inspect_injective, inspect_injective_parallel, inspect_offset_length, Committed, ExecError,
-    ExecOutcome, ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, Inspection, Interp,
-    LoopDecision, LoopDispatcher, ParallelPlan, ReduceOp, Store,
+    inspect_injective, inspect_injective_parallel, inspect_offset_length, ChunkEngine, Committed,
+    ExecError, ExecOutcome, ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, Inspection,
+    Interp, LoopDecision, LoopDispatcher, ParallelPlan, ReduceOp, Store,
 };
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
@@ -82,11 +82,11 @@ pub struct HybridConfig {
     /// `false` forces every parallel dispatch through the write-log —
     /// the pre-strategy behavior, kept for A/B measurement.
     pub enable_strategies: bool,
-    /// Use the compiled (bytecode) execution tier: sequential-tier leaf
-    /// loops whose verdict carries a compiled plan dispatch as
-    /// [`LoopDecision::Compiled`], and parallel plans request bytecode
+    /// Use the compiled execution tier: sequential-tier leaf loops
+    /// whose verdict carries a compiled plan dispatch as
+    /// [`LoopDecision::Compiled`], and parallel plans request typed
     /// worker bodies. `false` keeps every loop on the tree-walk — the
-    /// A/B baseline for the `compiled` bench group.
+    /// A/B baseline (`runtime.hybrid_treewalk_ms` in `benchmark/`).
     pub enable_compiled: bool,
 }
 
@@ -507,11 +507,10 @@ impl LoopDispatcher for HybridDispatcher {
             ExecutionStrategy::PrivatizeAndConcat => self.telemetry.strategy_concat += 1,
         }
         self.telemetry.worker_chunks_typed += committed.engines.typed;
-        self.telemetry.worker_chunks_per_op += committed.engines.per_op;
         self.telemetry.worker_chunks_tree_walk += committed.engines.tree_walk;
     }
 
-    fn compiled_committed(&mut self, _loop_stmt: StmtId) {
+    fn compiled_committed(&mut self, _loop_stmt: StmtId, _engine: ChunkEngine) {
         self.telemetry.compiled_loops += 1;
     }
 

@@ -105,13 +105,10 @@ pub struct Telemetry {
     /// the typed `FastBody` loop — what a `compiled_worker_dispatches`
     /// request is for.
     pub worker_chunks_typed: u64,
-    /// Worker chunks of committed dispatches that ran the per-op
-    /// bytecode loop throughout (untypeable nest, a claimed scalar
-    /// assigned in the body, profiling, or an array that never
-    /// materialized).
-    pub worker_chunks_per_op: u64,
-    /// Worker chunks of committed dispatches that ran the tree-walk (no
-    /// compiled request, or the nest did not lower).
+    /// Worker chunks of committed dispatches that ran the tree-walk
+    /// throughout (no compiled request, a nest that does not lower or
+    /// type, a claimed scalar assigned in the body, or an array that
+    /// never materialized).
     pub worker_chunks_tree_walk: u64,
     /// Worker threads the run created for all its parallel dispatches
     /// together: at most its largest chunk count minus one (the master
@@ -122,7 +119,7 @@ pub struct Telemetry {
     /// Compiled-tier dispatches that fell back to the tree-walk because
     /// the executor's own lowering rejected the nest (the verdict's
     /// advisory plan was forged or stale: both sides call one
-    /// `lower_do_loop`).
+    /// `lower_do_loop`) or its typing did.
     pub compiled_fallback_unsupported: u64,
     /// Compiled-tier dispatches that fell back because instrumentation
     /// (access tracing or per-loop recording) was attached — the

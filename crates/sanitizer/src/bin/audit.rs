@@ -32,14 +32,15 @@
 //! plus each promotion must be flagged `promoted_interproc`; a sweep
 //! with zero surviving interprocedural promotions is a violation.
 //!
-//! `--compiled` differentially audits the bytecode execution tier:
+//! `--compiled` differentially audits the compiled execution tier:
 //! every target (benchmarks, figures, a sparse-kernel sweep, and a
 //! batch of SplitMix64-randomized loop programs) runs once on the
 //! sequential tree-walk and once with every eligible loop forced
-//! through the register-bytecode engine. The two runs must be
+//! through the compiled tier's chunk entry. The two runs must be
 //! **byte-identical** — same store bits, same printed output, same
-//! fuel accounting per loop — and the sweep must compile at least one
-//! loop, or the tier has silently regressed to the tree-walk.
+//! fuel accounting per loop — and the typed loop must finish at least
+//! one loop entry of the sweep, or the tier has silently regressed to
+//! the tree-walk; typed and walked entries are printed per program.
 //!
 //! `--ladder` compiles every target (benchmarks, figures, and one
 //! sparse-kernel sweep) at every rung of the service degradation
@@ -522,18 +523,21 @@ fn ladder_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize, u
     (sampled, violations, gaps)
 }
 
-/// Differentially audits the bytecode execution tier. Every corpus
+/// Differentially audits the compiled execution tier. Every corpus
 /// program — the CLI targets, one generated sparse-kernel set (index
 /// arrays preset from the matrix generator), and a batch of
 /// SplitMix64-randomized loop programs — runs once on the sequential
 /// tree-walk and once with every dynamic loop entry forced through
-/// [`CompiledDispatch`] (bytecode where the lowering accepts the nest,
-/// reason-coded fallback to the tree-walk where it does not). The two
-/// runs must agree **byte for byte**: store bits, output lines, total
-/// fuel, and per-loop statistics — the compiled tier's contract is
-/// exact replay, so there is no tolerance. A sweep in which *zero*
-/// loop entries compile is itself a violation: the tier has silently
-/// regressed to the tree-walk. Returns `(programs audited,
+/// [`CompiledDispatch`] (the typed loop where the nest lowers and
+/// types, reason-coded fallback to the tree-walk where it does not).
+/// The two runs must agree **byte for byte**: store bits, output
+/// lines, total fuel, and per-loop statistics — the compiled tier's
+/// contract is exact replay, so there is no tolerance. Each program's
+/// line says how many entries the typed loop finished and how many
+/// the chunk entry walked throughout, so a nest sliding from one to
+/// the other shows in the log; a sweep in which the typed loop
+/// finished *zero* entries is itself a violation: the tier has
+/// silently regressed to the tree-walk. Returns `(programs audited,
 /// violations)`.
 fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize, usize) {
     const RANDOM_PROGRAMS: usize = 12;
@@ -542,7 +546,7 @@ fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize,
         name: &str,
         rep: &CompilationReport,
         presets: &[(irr_frontend::VarId, irr_exec::ArrayData)],
-        compiled_total: &mut u64,
+        typed_total: &mut u64,
     ) -> usize {
         let mut seq_it = Interp::new(&rep.program);
         let mut comp_it = Interp::new(&rep.program);
@@ -557,9 +561,9 @@ fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize,
         let mut dispatch = CompiledDispatch::new();
         let comp = match comp_it.run_dispatched(&mut dispatch) {
             Ok(o) => o,
-            Err(e) => die(&format!("compiled {name}: bytecode run failed: {e}")),
+            Err(e) => die(&format!("compiled {name}: compiled run failed: {e}")),
         };
-        *compiled_total += dispatch.compiled;
+        *typed_total += dispatch.typed;
         let mut bad = 0usize;
         if comp.output != seq.output {
             println!("  [VIOLATION] compiled {name}: output diverged");
@@ -588,8 +592,9 @@ fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize,
             }
         }
         println!(
-            "compiled {name}: {} loop entr(ies) compiled, {} fallback(s), {}",
-            dispatch.compiled,
+            "compiled {name}: {} loop entr(ies) typed, {} walked, {} fallback(s), {}",
+            dispatch.typed,
+            dispatch.compiled - dispatch.typed,
             dispatch.fallback_count(),
             if bad == 0 {
                 "byte-identical"
@@ -606,13 +611,13 @@ fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize,
     );
     let mut violations = 0usize;
     let mut sampled = 0usize;
-    let mut compiled_total = 0u64;
+    let mut typed_total = 0u64;
     for (name, src) in targets {
         let rep = match compile_source(src, DriverOptions::with_iaa()) {
             Ok(r) => r,
             Err(e) => die(&format!("compiled {name}: parse error: {e}")),
         };
-        violations += audit_one(name, &rep, &[], &mut compiled_total);
+        violations += audit_one(name, &rep, &[], &mut typed_total);
         sampled += 1;
     }
     for k in kernels(&SparseScale::test(Structure::Uniform, config.seed | 1)) {
@@ -622,7 +627,7 @@ fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize,
         };
         let presets = k.resolve_presets(&rep.program);
         let name = format!("sparse/{}", k.name);
-        violations += audit_one(&name, &rep, &presets, &mut compiled_total);
+        violations += audit_one(&name, &rep, &presets, &mut typed_total);
         sampled += 1;
     }
     let mut rng = SplitMix64::new(config.seed ^ 0xB17E_C0DE);
@@ -633,14 +638,14 @@ fn compiled_sweep(config: &AuditConfig, targets: &[(String, String)]) -> (usize,
             Err(e) => die(&format!("compiled random-{i}: parse error: {e}")),
         };
         let name = format!("random-{i}");
-        violations += audit_one(&name, &rep, &[], &mut compiled_total);
+        violations += audit_one(&name, &rep, &[], &mut typed_total);
         sampled += 1;
     }
-    println!("compiled sweep: {sampled} program(s), {compiled_total} loop entr(ies) compiled");
-    if compiled_total == 0 {
+    println!("compiled sweep: {sampled} program(s), {typed_total} loop entr(ies) typed");
+    if typed_total == 0 {
         println!(
-            "  [VIOLATION] compiled sweep: no loop compiled — the bytecode tier regressed to \
-             the tree-walk"
+            "  [VIOLATION] compiled sweep: the typed loop finished no entry — the compiled \
+             tier regressed to the tree-walk"
         );
         violations += 1;
     }

@@ -410,7 +410,7 @@ impl SymExpr {
         if let (Some(a), Some(b)) = (self.as_int(), other.as_int()) {
             if b != 0 {
                 // The language defines integer division as floor division.
-                return SymExpr::int(a.div_euclid(b));
+                return SymExpr::int(a.wrapping_div_euclid(b));
             }
         }
         if let Some(c) = other.as_int() {
@@ -431,7 +431,7 @@ impl SymExpr {
         if let (Some(a), Some(b)) = (self.as_int(), other.as_int()) {
             if b != 0 {
                 // Non-negative remainder, matching the interpreter.
-                return SymExpr::int(a.rem_euclid(b));
+                return SymExpr::int(a.wrapping_rem_euclid(b));
             }
         }
         Atom::Opaque(OpaqueOp::Mod, vec![self.clone(), other.clone()]).to_expr()

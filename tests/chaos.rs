@@ -230,11 +230,7 @@ fn assert_chunk_body_is_typed(rep: &CompilationReport, config: HybridConfig) {
     let t = run_hybrid(rep, config).unwrap().telemetry;
     assert_eq!(t.parallel_dispatches(), 2, "{t:?}");
     assert_eq!(t.worker_chunks_typed, 2 * config.threads as u64, "{t:?}");
-    assert_eq!(
-        t.worker_chunks_per_op + t.worker_chunks_tree_walk,
-        0,
-        "{t:?}"
-    );
+    assert_eq!(t.worker_chunks_tree_walk, 0, "{t:?}");
 }
 
 /// Chunk 0 is the one the dispatching thread claims first, chunk 1 the
