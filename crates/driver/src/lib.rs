@@ -25,7 +25,9 @@ pub use emit::emit_annotated;
 pub use irr_deptest::ResidualCheck;
 pub use irr_passes::ReductionOp;
 pub use ladder::DegradeLevel;
-pub use strategy::{derive_concat_shape, derive_in_place_facts, StrategyFacts};
+pub use strategy::{
+    derive_concat_shape, derive_in_place_facts, InPlaceTarget, StrategyFacts, WriteShape,
+};
 
 use irr_core::property::{ArrayPropertyAnalysis, SolverOptions};
 use irr_core::{AnalysisBudget, AnalysisCtx, EvolutionAnalysis};
@@ -617,12 +619,15 @@ fn judge_loop<'c, 'p>(
         .filter(|(_, op)| !matches!(op, irr_passes::ReductionOp::Product))
         .map(|(r, _)| *r)
         .collect();
-    v.strategy_facts = match v.tier {
-        DispatchTier::CompileTimeParallel => {
-            match derive_in_place_facts(program, loop_stmt, &privatized, &mergeable_vars) {
-                Some(arrays) => StrategyFacts::DisjointAffine { arrays },
-                None => StrategyFacts::None,
-            }
+    v.strategy_facts = match &v.tier {
+        DispatchTier::CompileTimeParallel | DispatchTier::RuntimeGuarded(_) => {
+            strategy::in_place_facts(
+                program,
+                loop_stmt,
+                &privatized,
+                &mergeable_vars,
+                v.tier.guard(),
+            )
         }
         DispatchTier::Sequential if opts.enable_iaa => {
             let independent: Vec<VarId> = v.independent_arrays.iter().map(|(a, _)| *a).collect();

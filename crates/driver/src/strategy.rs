@@ -7,10 +7,12 @@
 //! that machinery is pure overhead. This module derives two such
 //! proofs from the loop body:
 //!
-//! - [`StrategyFacts::DisjointAffine`] — every non-privatized written
-//!   array is written only at `loop_var + c` and never read, so chunks
-//!   of the iteration space touch disjoint windows of each array.
-//!   Workers may write the master store in place.
+//! - [`StrategyFacts::InPlace`] — every non-privatized written array
+//!   is touched under one [`WriteShape`], from which the executor
+//!   computes what each chunk of the iteration space may touch: an
+//!   affine window, an offset–length segment window, or — under an
+//!   injectivity certificate — a scattered set. Workers write the
+//!   master store in place.
 //! - [`StrategyFacts::ConsecutiveAppend`] — the written arrays are
 //!   consecutively-written sections (§2.2 of the paper) through a
 //!   single pointer scalar, so per-worker private buffers concatenate
@@ -21,11 +23,77 @@
 //! dispatch and trusts *only* its own derivation, so a forged verdict
 //! can never reach the in-place write path.
 
+use crate::{GuardPlan, ResidualCheck};
 use irr_core::{consecutively_written, AnalysisCtx};
 use irr_frontend::ast::{BinOp, Expr, LValue, StmtKind};
 use irr_frontend::symbols::VarId;
 use irr_frontend::visit::{collect_array_accesses, scalars_assigned_in};
 use irr_frontend::{Program, StmtId};
+
+/// How a loop touches one in-place target: the one subscript form
+/// every access to the array has. The executor turns a shape into what
+/// a chunk `[clo, chi]` of the iteration space may touch, and enforces
+/// it at every access — the shape only predicts that nothing trips.
+///
+/// Ordered by how much of the in-place argument rests on run-time
+/// input: nothing, the live offset array, a certificate.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum WriteShape {
+    /// `a(i + off)`, written and read only there: the chunk owns the
+    /// window `[clo + off, chi + off]`.
+    Affine {
+        /// The constant `c` of `loop_var + c`.
+        off: i64,
+    },
+    /// `a(ptr(i) + e)` with `ptr` not written in the nest (the
+    /// offset–length walk): the chunk owns `[ptr(clo), ptr(chi + 1))`,
+    /// read off the live `ptr`.
+    Segment {
+        /// The offset array.
+        ptr: VarId,
+    },
+    /// `a(index(i + off))`, never read, `index` not written in the
+    /// nest: chunks write disjoint *sets* when `index` is injective on
+    /// `[lo + off, hi + off]`, which only a run-time certificate of the
+    /// executor's own inspector establishes.
+    Scatter {
+        /// The index array.
+        index: VarId,
+        /// The constant `c` of `index(loop_var + c)`.
+        off: i64,
+    },
+}
+
+impl WriteShape {
+    /// Short stable name for telemetry, witnesses and expectations.
+    pub fn name(self) -> &'static str {
+        match self {
+            WriteShape::Affine { .. } => "disjoint-affine",
+            WriteShape::Segment { .. } => "offset-length-segment",
+            WriteShape::Scatter { .. } => "certified-scatter",
+        }
+    }
+}
+
+/// One array an in-place dispatch writes through the master buffer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct InPlaceTarget {
+    /// The written array.
+    pub array: VarId,
+    /// The subscript form of every access to it.
+    pub shape: WriteShape,
+    /// The nest also reads the array (under the same shape): a failed
+    /// dispatch must put its old contents back before the sequential
+    /// fallback runs.
+    pub read: bool,
+    /// Some top-level statement of the body writes it unconditionally,
+    /// so a non-zero-trip loop materializes it exactly as the first
+    /// sequential iteration would — without one the executor may only
+    /// use an array that is already live — and every iteration of a
+    /// sequential re-execution writes its cell again, whatever a failed
+    /// dispatch left there.
+    pub always_written: bool,
+}
 
 /// Proven facts the runtime can turn into a zero-merge execution
 /// strategy. Derived per loop after the dispatch tier is known; `None`
@@ -35,13 +103,12 @@ pub enum StrategyFacts {
     /// No strategy-grade proof: parallel dispatches use the write-log.
     #[default]
     None,
-    /// Every non-privatized written array is written only at
-    /// `loop_var + offset` and never read: iteration chunks write
-    /// disjoint windows and workers may write the master store in
+    /// Every target has a [`WriteShape`]: iteration chunks touch
+    /// disjoint parts of each and workers may write the master store in
     /// place.
-    DisjointAffine {
-        /// `(array, offset)` for each proven target.
-        arrays: Vec<(VarId, i64)>,
+    InPlace {
+        /// The targets with their shapes.
+        targets: Vec<InPlaceTarget>,
     },
     /// The arrays are consecutively-written sections through `ptr`
     /// (§2.2): per-worker private buffers concatenate positionally.
@@ -54,11 +121,17 @@ pub enum StrategyFacts {
 }
 
 impl StrategyFacts {
-    /// Short stable name for telemetry and witnesses.
+    /// Short stable name for telemetry and witnesses. In-place facts
+    /// are named after the target shape that leans most on run-time
+    /// input.
     pub fn name(&self) -> &'static str {
         match self {
             StrategyFacts::None => "none",
-            StrategyFacts::DisjointAffine { .. } => "disjoint-affine",
+            StrategyFacts::InPlace { targets } => targets
+                .iter()
+                .map(|t| t.shape)
+                .max()
+                .map_or("none", WriteShape::name),
             StrategyFacts::ConsecutiveAppend { .. } => "consecutive-append",
         }
     }
@@ -85,9 +158,69 @@ fn affine_offset(e: &Expr, loop_var: VarId) -> Option<i64> {
     }
 }
 
-/// The statement kinds a strategy-eligible body may contain. Nested
-/// loops and calls are rejected: they make the per-iteration write set
-/// non-obvious and bring in side effects the derivation cannot see.
+/// The `ptr` of an `a(ptr(i) + e)` subscript: the one term
+/// `ptr(loop_var)` on the positive side of a sum. Bare `ptr(i)` is a
+/// scatter, not a segment walk.
+fn segment_base(e: &Expr, loop_var: VarId) -> Option<VarId> {
+    fn term(e: &Expr, loop_var: VarId) -> Option<VarId> {
+        match e {
+            Expr::Element(p, subs) => match subs.as_slice() {
+                [Expr::Var(v)] if *v == loop_var => Some(*p),
+                _ => None,
+            },
+            Expr::Bin(BinOp::Add, a, b) => match (term(a, loop_var), term(b, loop_var)) {
+                (Some(p), None) | (None, Some(p)) => Some(p),
+                _ => None,
+            },
+            Expr::Bin(BinOp::Sub, a, _) => term(a, loop_var),
+            _ => None,
+        }
+    }
+    match e {
+        Expr::Bin(BinOp::Add | BinOp::Sub, ..) => term(e, loop_var),
+        _ => None,
+    }
+}
+
+/// The one [`WriteShape`] a subscript list can have.
+fn shape_of(subs: &[Expr], loop_var: VarId) -> Option<WriteShape> {
+    let [sub] = subs else {
+        return None;
+    };
+    if let Some(off) = affine_offset(sub, loop_var) {
+        return Some(WriteShape::Affine { off });
+    }
+    if let Expr::Element(index, inner) = sub {
+        let [inner] = inner.as_slice() else {
+            return None;
+        };
+        let off = affine_offset(inner, loop_var)?;
+        return Some(WriteShape::Scatter { index: *index, off });
+    }
+    segment_base(sub, loop_var).map(|ptr| WriteShape::Segment { ptr })
+}
+
+/// The one shape two accesses to the same target can share: the same
+/// one, or — bare `ptr(i)` being the `e = 0` element of the segment
+/// `ptr(i)` starts — the segment when the other is a walk through it.
+fn unify(a: WriteShape, b: WriteShape) -> Option<WriteShape> {
+    use WriteShape::{Scatter, Segment};
+    match (a, b) {
+        _ if a == b => Some(a),
+        (Segment { ptr }, Scatter { index, off: 0 })
+        | (Scatter { index, off: 0 }, Segment { ptr })
+            if ptr == index =>
+        {
+            Some(Segment { ptr })
+        }
+        _ => None,
+    }
+}
+
+/// The statement kinds a concat-eligible body may contain. Nested
+/// loops and calls are rejected: they make the per-iteration append
+/// sequence non-obvious and bring in side effects the derivation
+/// cannot see.
 fn body_is_straightline(program: &Program, body: &[StmtId]) -> bool {
     program.stmts_in(body).into_iter().all(|s| {
         matches!(
@@ -100,38 +233,38 @@ fn body_is_straightline(program: &Program, body: &[StmtId]) -> bool {
     })
 }
 
-/// Proves that every non-privatized array written by `loop_stmt` is
-/// written only at `loop_var + c` (one consistent offset per array)
-/// and never read anywhere in the body, so iteration chunks write
-/// disjoint windows and workers may write the master store in place.
+/// Finds, for every non-privatized array `loop_stmt` writes, the one
+/// [`WriteShape`] all of the nest's accesses to it have, so iteration
+/// chunks touch disjoint parts of each and workers may write the master
+/// store in place.
 ///
-/// Returns `(array, offset)` per target, or `None` if any of the
-/// conditions fail. The executor calls this itself on every
+/// Returns one [`InPlaceTarget`] per written array, or `None` if any of
+/// the conditions fail. The executor calls this itself on every
 /// `InPlaceDisjoint` dispatch — the plan's strategy is advisory, this
 /// derivation is the safety gate — so it must stay a pure function of
 /// the program text plus the privatized/reduction sets.
 ///
-/// Conditions, each load-bearing for in-place soundness:
-/// - body is straight-line (`Assign`/`If`/`Print`/`Return` only) and
+/// Conditions:
+/// - the nest contains no call (inner `do`/`while`/`if` are fine: what
+///   a chunk may touch is enforced per access, wherever it happens) and
 ///   does not assign the loop variable;
 /// - every assigned scalar is privatized or a reduction (workers keep
 ///   them in their private snapshots);
-/// - each target is written only at subscript `loop_var + c` with one
-///   consistent `c` (distinct offsets would overlap across chunks);
-/// - targets are never read (workers share the master allocation, so a
-///   read racing another chunk's raw write would be undefined);
+/// - every access to a target, read or write, has the same shape with
+///   the same constants (distinct offsets would reach across chunks),
+///   and a scatter target is never read (its chunks own sets, not
+///   windows, so nothing confines a read);
+/// - the `ptr` / `index` array of a shape is not written in the nest,
+///   so the windows and the certificate computed at dispatch hold for
+///   its whole length;
 /// - targets are 1-D and their declared extent mentions no assigned
-///   scalar and not the loop variable (bounds checks are race-free);
-/// - each target has at least one unconditional top-level write, so a
-///   non-zero-trip loop materializes it exactly as sequential
-///   execution would (pre-materializing a conditionally-written array
-///   could diverge from the sequential run's materialization set).
+///   scalar and not the loop variable (bounds checks are race-free).
 pub fn derive_in_place_facts(
     program: &Program,
     loop_stmt: StmtId,
     privatized: &[VarId],
     reductions: &[VarId],
-) -> Option<Vec<(VarId, i64)>> {
+) -> Option<Vec<InPlaceTarget>> {
     let StmtKind::Do {
         var: loop_var,
         body,
@@ -141,7 +274,11 @@ pub fn derive_in_place_facts(
         return None;
     };
     let loop_var = *loop_var;
-    if !body_is_straightline(program, body) {
+    if program
+        .stmts_in(body)
+        .into_iter()
+        .any(|s| matches!(program.stmt(s).kind, StmtKind::Call { .. }))
+    {
         return None;
     }
     let assigned = scalars_assigned_in(program, body);
@@ -155,50 +292,90 @@ pub fn derive_in_place_facts(
         return None;
     }
     let accesses = collect_array_accesses(program, body);
-    let mut targets: Vec<(VarId, i64)> = Vec::new();
+    let mut targets: Vec<InPlaceTarget> = Vec::new();
     for acc in &accesses {
         if !acc.is_write || privatized.contains(&acc.array) {
             continue;
         }
-        let off = match acc.subscripts.as_slice() {
-            [sub] => affine_offset(sub, loop_var)?,
-            _ => return None,
-        };
-        match targets.iter().find(|(a, _)| *a == acc.array) {
-            None => targets.push((acc.array, off)),
-            Some((_, prev)) if *prev == off => {}
-            Some(_) => return None,
+        let shape = shape_of(&acc.subscripts, loop_var)?;
+        match targets.iter_mut().find(|t| t.array == acc.array) {
+            None => targets.push(InPlaceTarget {
+                array: acc.array,
+                shape,
+                read: false,
+                always_written: false,
+            }),
+            Some(t) => t.shape = unify(t.shape, shape)?,
         }
     }
     if targets.is_empty() {
         return None;
     }
-    // Targets must never be read — not in rhs, conditions, print
+    // Reads of a target — in rhs, conditions, loop bounds, print
     // arguments, or any subscript (collect_array_accesses sees all of
-    // those as reads).
-    if accesses
-        .iter()
-        .any(|acc| !acc.is_write && targets.iter().any(|(a, _)| *a == acc.array))
-    {
-        return None;
+    // those) — must go through the shape its writes have.
+    for acc in accesses.iter().filter(|acc| !acc.is_write) {
+        let Some(t) = targets.iter_mut().find(|t| t.array == acc.array) else {
+            continue;
+        };
+        t.shape = unify(t.shape, shape_of(&acc.subscripts, loop_var)?)?;
+        if matches!(t.shape, WriteShape::Scatter { .. }) {
+            return None;
+        }
+        t.read = true;
     }
-    for &(a, _) in &targets {
-        let info = program.symbols.var(a);
+    for t in &mut targets {
+        if let WriteShape::Segment { ptr: via } | WriteShape::Scatter { index: via, .. } = t.shape {
+            if accesses.iter().any(|acc| acc.is_write && acc.array == via) {
+                return None;
+            }
+        }
+        let info = program.symbols.var(t.array);
         if info.dims.len() != 1 {
             return None;
         }
         if info.dims[0].mentions(loop_var) || assigned.iter().any(|s| info.dims[0].mentions(*s)) {
             return None;
         }
-        let unconditional = body.iter().any(|&s| {
+        t.always_written = body.iter().any(|&s| {
             matches!(&program.stmt(s).kind,
-                     StmtKind::Assign { lhs: LValue::Element(v, _), .. } if *v == a)
+                     StmtKind::Assign { lhs: LValue::Element(v, _), .. } if *v == t.array)
         });
-        if !unconditional {
-            return None;
-        }
     }
     Some(targets)
+}
+
+/// The in-place facts the driver attaches to a parallel-tier verdict:
+/// [`derive_in_place_facts`], minus loops whose scatter targets could
+/// never be certified — a certificate comes out of the guard's own
+/// injectivity inspection of that index array, so a loop without one
+/// (compile-time parallel, or guarded by something else) keeps the
+/// write-log.
+pub(crate) fn in_place_facts(
+    program: &Program,
+    loop_stmt: StmtId,
+    privatized: &[VarId],
+    reductions: &[VarId],
+    guard: Option<&GuardPlan>,
+) -> StrategyFacts {
+    let Some(targets) = derive_in_place_facts(program, loop_stmt, privatized, reductions) else {
+        return StrategyFacts::None;
+    };
+    let inspected = |index: VarId| {
+        guard.is_some_and(|g| {
+            g.all_checks()
+                .any(|c| matches!(c, ResidualCheck::Injective { array } if *array == index))
+        })
+    };
+    let certifiable = targets.iter().all(|t| match t.shape {
+        WriteShape::Scatter { index, .. } => inspected(index),
+        _ => true,
+    });
+    if certifiable {
+        StrategyFacts::InPlace { targets }
+    } else {
+        StrategyFacts::None
+    }
 }
 
 /// Syntactic half of the consecutive-append proof: finds the unique
@@ -409,6 +586,27 @@ mod tests {
         p.symbols.lookup(name).expect("variable exists")
     }
 
+    fn shapes(targets: &[InPlaceTarget]) -> Vec<(VarId, WriteShape)> {
+        targets.iter().map(|t| (t.array, t.shape)).collect()
+    }
+
+    /// The in-place derivation of `body` inside `do i = 1, n`, with
+    /// `j` privatized (the inner loops' induction variable).
+    fn derive_body(body: &str) -> (Program, Option<Vec<InPlaceTarget>>) {
+        let p = parse_program(&format!(
+            "program t
+             integer i, j, n, ptr(101), len(100), p(100), q(100)
+             real x(100), y(100), z(100)
+             do i = 1, n
+{body}
+             enddo
+             end"
+        ))
+        .unwrap();
+        let facts = derive_in_place_facts(&p, first_do(&p), &[var(&p, "j")], &[]);
+        (p, facts)
+    }
+
     #[test]
     fn affine_offset_survives_extreme_constants() {
         use irr_frontend::{BinOp, Expr};
@@ -464,26 +662,48 @@ mod tests {
         )
         .unwrap();
         let facts = derive_in_place_facts(&p, first_do(&p), &[], &[]).expect("facts derive");
-        assert_eq!(facts, vec![(var(&p, "x"), 9223372036854775800)]);
+        assert_eq!(
+            shapes(&facts),
+            vec![(
+                var(&p, "x"),
+                WriteShape::Affine {
+                    off: 9223372036854775800
+                }
+            )]
+        );
     }
 
     #[test]
-    fn read_and_written_target_rejects() {
-        // y is read on the first rhs and written by the second
-        // statement: a chunk's read could race another chunk's
-        // in-place write, so the derivation rejects the loop.
-        let p = parse_program(
-            "program t
-             integer i, n
-             real x(100), y(100)
-             do i = 1, n
-               x(i) = y(i) * 2.0
-               y(i) = 0.0
-             enddo
-             end",
-        )
-        .unwrap();
-        assert_eq!(derive_in_place_facts(&p, first_do(&p), &[], &[]), None);
+    fn a_target_read_where_it_is_written_qualifies_and_asks_for_an_undo_copy() {
+        // `y(i)` is read and written at the same subscript: the chunk
+        // that writes it is the only one that reads it. `x` is
+        // write-only and needs no undo.
+        let (p, facts) = derive_body("x(i) = y(i) * 2.0\n y(i) = 0.0");
+        let facts = facts.expect("read-own-write qualifies");
+        let affine = WriteShape::Affine { off: 0 };
+        assert_eq!(
+            shapes(&facts),
+            vec![(var(&p, "x"), affine), (var(&p, "y"), affine)]
+        );
+        assert_eq!(
+            facts.iter().map(|t| t.read).collect::<Vec<_>>(),
+            [false, true]
+        );
+    }
+
+    #[test]
+    fn a_target_read_anywhere_else_rejects() {
+        // A second offset reaches into the neighbouring chunk's
+        // window; so does a read through another array's subscript.
+        for body in [
+            "y(i) = y(i - 1) + 1.0",
+            "y(i) = y(i) + y(i + 1)",
+            "y(i) = y(p(i))",
+            "x(i) = z(p(i))\n z(i) = 1.0",
+            "if (y(1) > 0.0) then\n y(i) = 1.0\n endif",
+        ] {
+            assert_eq!(derive_body(body).1, None, "{body}");
+        }
     }
 
     #[test]
@@ -500,7 +720,14 @@ mod tests {
         )
         .unwrap();
         let facts = derive_in_place_facts(&p, first_do(&p), &[], &[]).expect("facts");
-        assert_eq!(facts, vec![(var(&p, "x"), 0), (var(&p, "y"), 1)]);
+        assert_eq!(
+            shapes(&facts),
+            vec![
+                (var(&p, "x"), WriteShape::Affine { off: 0 }),
+                (var(&p, "y"), WriteShape::Affine { off: 1 })
+            ]
+        );
+        assert!(facts.iter().all(|t| !t.read && t.always_written));
     }
 
     #[test]
@@ -520,38 +747,92 @@ mod tests {
     }
 
     #[test]
-    fn conditional_only_writes_reject() {
+    fn conditional_only_writes_are_flagged_not_always_written() {
         // A target written only under a condition may never
-        // materialize sequentially; pre-materializing it in place
-        // would diverge.
-        let p = parse_program(
-            "program t
-             integer i, n
-             real x(100), z(100)
-             do i = 1, n
-               if (z(i) > 0.0) then
-                 x(i) = 1.0
-               endif
-             enddo
-             end",
-        )
-        .unwrap();
-        assert_eq!(derive_in_place_facts(&p, first_do(&p), &[], &[]), None);
+        // materialize sequentially; the executor may use it only when
+        // it is live already.
+        let (p, facts) = derive_body("if (z(i) > 0.0) then\n x(i) = 1.0\n endif");
+        let facts = facts.expect("facts");
+        assert_eq!(
+            shapes(&facts),
+            vec![(var(&p, "x"), WriteShape::Affine { off: 0 })]
+        );
+        assert!(!facts[0].always_written);
     }
 
     #[test]
-    fn irregular_subscript_rejects() {
-        let p = parse_program(
-            "program t
-             integer i, n, p(100)
-             real x(100)
-             do i = 1, n
-               x(p(i)) = 1.0
-             enddo
-             end",
-        )
-        .unwrap();
-        assert_eq!(derive_in_place_facts(&p, first_do(&p), &[], &[]), None);
+    fn scatter_shape_needs_one_unwritten_index_array_and_an_unread_target() {
+        let (p, facts) = derive_body("x(p(i + 2)) = 1.0");
+        assert_eq!(
+            shapes(&facts.expect("scatter")),
+            vec![(
+                var(&p, "x"),
+                WriteShape::Scatter {
+                    index: var(&p, "p"),
+                    off: 2
+                }
+            )]
+        );
+        for body in [
+            // two index arrays onto one target
+            "x(p(i)) = 1.0\n x(q(i)) = 2.0",
+            // the target is read, through the index array or not
+            "x(p(i)) = x(p(i)) + 1.0",
+            "x(p(i)) = 1.0\n y(i) = x(i)",
+            // the index array is written in the nest
+            "p(i) = i\n x(p(i)) = 1.0",
+            // not a subscripted subscript of the loop variable
+            "x(p(j)) = 1.0",
+            "x(p(p(i))) = 1.0",
+            "x(i * 2) = 1.0",
+        ] {
+            assert_eq!(derive_body(body).1, None, "{body}");
+        }
+    }
+
+    #[test]
+    fn segment_shape_is_every_access_through_one_unwritten_ptr() {
+        let walk = "do j = 1, len(i)\n x(ptr(i) + j - 1) = x(ptr(i) + j - 1) * 0.5\n enddo";
+        let (p, facts) = derive_body(walk);
+        let facts = facts.expect("segment");
+        assert_eq!(
+            shapes(&facts),
+            vec![(
+                var(&p, "x"),
+                WriteShape::Segment {
+                    ptr: var(&p, "ptr")
+                }
+            )]
+        );
+        assert!(facts[0].read && !facts[0].always_written);
+        // Bare `ptr(i)` is the walk's first element, on either side.
+        for body in [
+            "x(ptr(i)) = 0.0\n x(ptr(i) + 1) = 1.0",
+            "x(ptr(i) + 1) = 1.0\n y(i) = x(ptr(i))",
+            "x(ptr(i)) = 1.0\n y(i) = x(ptr(i) + 1)",
+        ] {
+            let (_, facts) = derive_body(body);
+            assert_eq!(
+                facts.unwrap_or_else(|| panic!("{body}"))[0].shape,
+                WriteShape::Segment {
+                    ptr: var(&p, "ptr")
+                },
+                "{body}"
+            );
+        }
+        for body in [
+            // `ptr` written in the nest: the windows read at dispatch
+            // would not hold
+            "ptr(i + 1) = ptr(i) + len(i)\n x(ptr(i) + 1) = 1.0",
+            // a second offset array, or a second shape, on one target
+            "x(ptr(i) + 1) = 1.0\n x(len(i) + 1) = 2.0",
+            "x(ptr(i) + 1) = 1.0\n x(i) = 2.0",
+            "x(ptr(i) + len(i)) = 1.0",
+            // the target read outside the walk
+            "x(ptr(i) + 1) = x(i)",
+        ] {
+            assert_eq!(derive_body(body).1, None, "{body}");
+        }
     }
 
     #[test]
@@ -570,11 +851,30 @@ mod tests {
         let s = var(&p, "s");
         assert_eq!(derive_in_place_facts(&p, first_do(&p), &[], &[]), None);
         let facts = derive_in_place_facts(&p, first_do(&p), &[], &[s]).expect("facts");
-        assert_eq!(facts, vec![(var(&p, "x"), 0)]);
+        assert_eq!(
+            shapes(&facts),
+            vec![(var(&p, "x"), WriteShape::Affine { off: 0 })]
+        );
     }
 
     #[test]
-    fn nested_loop_rejects() {
+    fn nested_loops_qualify_and_calls_reject() {
+        // The spmv row accumulate: an inner `do` (or `while`) reading
+        // and writing `y(i)` stays inside the chunk's window.
+        for body in [
+            "y(i) = 0.0\n do j = 1, len(i)\n y(i) = y(i) + x(ptr(i) + j - 1)\n enddo",
+            "j = 0\n while (j < 2)\n y(i) = y(i) + 1.0\n j = j + 1\n endwhile",
+        ] {
+            let (p, facts) = derive_body(body);
+            let facts = facts.unwrap_or_else(|| panic!("{body}"));
+            assert_eq!(
+                shapes(&facts),
+                vec![(var(&p, "y"), WriteShape::Affine { off: 0 })]
+            );
+            assert!(facts[0].read);
+        }
+        // ... with the inner induction variable privatized: shared, it
+        // is a scalar every chunk assigns.
         let p = parse_program(
             "program t
              integer i, j, n
@@ -588,6 +888,50 @@ mod tests {
         )
         .unwrap();
         assert_eq!(derive_in_place_facts(&p, first_do(&p), &[], &[]), None);
+        // A call brings in effects the derivation cannot see.
+        let p = parse_program(
+            "program t
+             integer i, n
+             real x(100)
+             do i = 1, n
+               x(i) = 1.0
+               call side
+             enddo
+             end
+             subroutine side
+             real x(100)
+             x(1) = 2.0
+             end",
+        )
+        .unwrap();
+        assert_eq!(derive_in_place_facts(&p, first_do(&p), &[], &[]), None);
+    }
+
+    #[test]
+    fn facts_name_the_shape_that_leans_most_on_the_run() {
+        let name = |body: &str, guard: Option<&GuardPlan>| {
+            let (p, _) = derive_body(body);
+            in_place_facts(&p, first_do(&p), &[var(&p, "j")], &[], guard)
+                .name()
+                .to_string()
+        };
+        assert_eq!(name("y(i) = y(i) + 1.0", None), "disjoint-affine");
+        assert_eq!(
+            name("y(i) = 1.0\n x(ptr(i) + 1) = 2.0", None),
+            "offset-length-segment"
+        );
+        // A scatter is in-place material only when the loop's own
+        // guard inspects that index array.
+        let (p, _) = derive_body("x(p(i)) = 1.0");
+        let guard = |array| GuardPlan {
+            groups: vec![vec![ResidualCheck::Injective { array }]],
+        };
+        assert_eq!(name("x(p(i)) = 1.0", None), "none");
+        assert_eq!(name("x(p(i)) = 1.0", Some(&guard(var(&p, "q")))), "none");
+        assert_eq!(
+            name("y(i) = 1.0\n x(p(i)) = 1.0", Some(&guard(var(&p, "p")))),
+            "certified-scatter"
+        );
     }
 
     #[test]

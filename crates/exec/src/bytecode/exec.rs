@@ -86,13 +86,16 @@ impl<'p> Interp<'p> {
                 }
                 None => self.store.set_scalar(var, ty, Value::Int(i)),
             }
-            self.exec_body(body)?;
-            self.charge(1)?; // loop bookkeeping
+            // A violation outranks whatever else the iteration ran
+            // into: past one, the chunk may have computed on state the
+            // sequential run would not have shown it.
+            let ran = self.exec_body(body).and_then(|()| self.charge(1)); // loop bookkeeping
             if watch.is_some() {
                 if let Some(v) = self.store.overlay_violation() {
                     return Err(ChunkAbort::Violated(v));
                 }
             }
+            ran?;
             if !advance_induction(&mut i, step) {
                 break;
             }

@@ -46,6 +46,7 @@ use super::{ChunkAbort, ChunkWatch};
 use crate::interp::{advance_induction, ArrayData, ExecError, Interp, RawSlice, Value, WriteSink};
 use irr_driver::compiled::{CompiledBody, Op, Opnd};
 use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 /// Integer-plane operand: a register, an immediate, or a float
@@ -1739,46 +1740,49 @@ fn peephole(fb: &mut FastBody) {
 ///   holders of the same `Arc` (the master, sibling snapshots) cannot
 ///   write the payload under the reader either: a store mutates a
 ///   payload only through `Arc::make_mut`, which copies while this
-///   store's reference exists — with the one exception of in-place
-///   targets, below.
+///   store's reference exists — in-place targets excepted, below.
 /// - *`Direct` and `Logged` pins own their payload.* The pointer comes
 ///   from `Store::array_make_mut` (exactly the clone a first tree-walk
 ///   write would take; a worker thereby writes its own copy-on-write
 ///   copy, never the master's), so no other store shares it.
-/// - *A `Window` pin writes the master's buffer* through the
-///   `RawSlice` `prepare_in_place` took after forcing uniqueness, and
-///   only at indices `InPlaceWindow::write` accepts: inside this
-///   worker's window, which is disjoint from every other worker's. The
-///   executor's own derivation (`derive_in_place_facts`) established
-///   that no iteration reads a target, so no pin of any worker reads
-///   what another writes.
-/// - *An `Append` pin never writes a payload*: stores go to the
-///   worker's buffer; `ip`/`fp` point at the shared snapshot for the
-///   bounds metadata and any reads, as for a read-only slot.
-/// - *Pins never outlive one `run_fast_iters` call.* They live in its
-///   local `FState`; their sinks are handed back to the store before it
-///   returns.
+/// - *A `Window` pin is a narrowed view of the master's buffer*: the
+///   `RawSlice` `prepare_in_place` took after forcing uniqueness,
+///   rebased so that `origin`, `dim0`/`len` and `ip`/`fp` describe the
+///   chunk's window alone. `chk`, which every load and store already
+///   passes, thus admits exactly the window, and the dispatch gives the
+///   chunks of a target disjoint windows (a scatter target: the whole
+///   array, stored to through a certified-injective index section and,
+///   by the executor's derivation, never loaded) — no pin touches what
+///   another worker writes. Targets are 1-D: no `IndexN` reaches one.
+/// - *An `Append` pin never writes a payload*: stores go to the worker's
+///   buffer; `ip`/`fp` serve bounds and reads, as for a read-only slot.
+/// - *Pins never outlive one `run_fast_iters` call*: they live in its
+///   `FState`, and their sinks go back to the store before it returns.
 ///
-/// Every index reaching `rd_*`/`wr_*` has passed `chk` (or the
-/// per-dimension check of `IndexN`) against the extents cached here,
-/// and `fast_ready` checked that the payload's element type is the
-/// declared one the ops were typed with (so the non-null pointer is the
-/// one each op dereferences).
+/// Every index reaching `rd_*`/`wr_*` has passed `chk` (or `IndexN`'s
+/// per-dimension check) against the extents cached here, and
+/// `fast_ready` checked that the payload's element type is the declared
+/// one the ops were typed with (each op dereferences the non-null pointer).
 struct RawPin {
     ip: *mut i64,
     fp: *mut f64,
     is_int: bool,
     len: usize,
-    /// First-dimension extent, cached flat for the hot bounds check.
+    /// 1-based subscript of the element `ip`/`fp` point at, and how
+    /// many `chk` admits from there: `(1, dims[0])`, or a window.
+    origin: u64,
     dim0: u64,
     dims: Vec<usize>,
-    /// Stores landed in this store's own payload.
+    /// Stores landed through `ip`/`fp`.
     writes: u64,
     /// `None` for a slot the body only reads.
     sink: Option<WriteSink>,
-    /// An overlay sink refused a store (outside the window, or not an
-    /// append position); the chunk stops at the iteration boundary.
-    violated: bool,
+    /// `sink` is `Direct` or `Window`: a store is a raw write.
+    raw: bool,
+    /// A subscript inside the array missed the window (`fast_oob`; the
+    /// op returns at once), or an append sink refused a store (the
+    /// chunk stops at the iteration boundary).
+    violated: Cell<bool>,
 }
 
 impl RawPin {
@@ -1794,8 +1798,8 @@ impl RawPin {
     }
 
     /// Pins a payload other stores may share: read through the
-    /// pointer, never written. A `Window` sink's stores go through the
-    /// master's pointer instead, an `Append` sink's to its buffer.
+    /// pointer, never written. A `Window` sink swaps in the master's,
+    /// narrowed to the window; an `Append` sink's stores go to its buffer.
     fn shared(data: &ArrayData, sink: Option<WriteSink>) -> RawPin {
         let mut pin = RawPin::meta(data, sink);
         match data {
@@ -1803,9 +1807,10 @@ impl RawPin {
             ArrayData::Real { data, .. } => pin.fp = data.as_ptr().cast_mut(),
         }
         if let Some(WriteSink::Window(w)) = &pin.sink {
+            (pin.origin, pin.dim0, pin.len) = (w.lo as u64 + 1, w.len as u64, w.len);
             match w.slice {
-                RawSlice::Int(p) => pin.ip = p,
-                RawSlice::Real(p) => pin.fp = p,
+                RawSlice::Int(p) => pin.ip = p.wrapping_add(w.lo),
+                RawSlice::Real(p) => pin.fp = p.wrapping_add(w.lo),
             }
         }
         pin
@@ -1819,11 +1824,13 @@ impl RawPin {
             fp: std::ptr::null_mut(),
             is_int: matches!(data, ArrayData::Int { .. }),
             len: data.len(),
+            origin: 1,
             dim0: dims[0] as u64,
             dims,
             writes: 0,
+            raw: matches!(sink, Some(WriteSink::Direct | WriteSink::Window(_))),
             sink,
-            violated: false,
+            violated: Cell::new(false),
         }
     }
 
@@ -1852,58 +1859,54 @@ impl RawPin {
         }
     }
 
+    /// A store at `k` an observing sink takes: logged (`true`: it lands
+    /// in `ip`/`fp` too), or buffered — or refused: a violation, nothing
+    /// written — under the position rule of `WriteOverlay::intercept`.
+    #[inline(always)]
+    fn observed(&mut self, k: usize, v: Value) -> bool {
+        // Tests in a row, the log's first: one `match` over every state
+        // of the sink compiled to a jump table, an indirect branch a store.
+        if let Some(WriteSink::Logged(col)) = &mut self.sink {
+            col.idx.push(k);
+            col.vals.push(v);
+            return true;
+        }
+        let Some(WriteSink::Append { base, buf }) = &mut self.sink else {
+            unreachable!("specialize records every stored slot")
+        };
+        if !buf.append_at(*base, k, v) {
+            self.violated.set(true);
+        }
+        false
+    }
+
     #[inline]
     fn wr_i(&mut self, k: usize, v: i64) {
         debug_assert!(self.is_int && k < self.len);
-        match &mut self.sink {
-            Some(WriteSink::Direct) => {}
-            Some(WriteSink::Logged(col)) => {
-                col.idx.push(k);
-                col.vals.push(Value::Int(v));
-            }
-            _ => return self.wr_overlay(k, Value::Int(v)),
+        if self.raw || self.observed(k, Value::Int(v)) {
+            self.writes += 1;
+            // SAFETY: `k` is in bounds as for `rd_i`; the pin owns its
+            // payload (`array_make_mut`) or `k` is in its window.
+            unsafe { *self.ip.add(k) = v }
         }
-        self.writes += 1;
-        // SAFETY: `k` is in bounds as for `rd_i`, and a `Direct` or
-        // `Logged` pin owns its payload (pointer from `array_make_mut`).
-        unsafe { *self.ip.add(k) = v }
     }
 
     #[inline]
     fn wr_f(&mut self, k: usize, v: f64) {
         debug_assert!(!self.is_int && k < self.len);
-        match &mut self.sink {
-            Some(WriteSink::Direct) => {}
-            Some(WriteSink::Logged(col)) => {
-                col.idx.push(k);
-                col.vals.push(Value::Real(v));
-            }
-            _ => return self.wr_overlay(k, Value::Real(v)),
+        if self.raw || self.observed(k, Value::Real(v)) {
+            self.writes += 1;
+            // SAFETY: as `wr_i`, for an `f64` buffer.
+            unsafe { *self.fp.add(k) = v }
         }
-        self.writes += 1;
-        // SAFETY: as `wr_i`, for an `f64` buffer.
-        unsafe { *self.fp.add(k) = v }
     }
 
-    /// A store to a strategy target: the window or the append buffer
-    /// takes it under the same position rule `WriteOverlay::intercept`
-    /// applies per element, or refuses it — a violation, nothing written.
-    #[inline]
-    fn wr_overlay(&mut self, k: usize, v: Value) {
-        let ok = match &mut self.sink {
-            Some(WriteSink::Window(w)) => w.write(k, v),
-            Some(WriteSink::Append { base, buf }) => buf.append_at(*base, k, v),
-            _ => unreachable!("specialize records every stored slot"),
-        };
-        self.violated |= !ok;
-    }
-
-    /// Bounds-checks a 1-based first-dimension subscript. The wrap to
-    /// unsigned folds the `< 1` and `> extent` tests into one compare
-    /// (negative and zero subscripts both wrap past any extent).
+    /// Bounds-checks a 1-based first-dimension subscript against the
+    /// view. The wrap to unsigned folds the `< origin` and `> end` tests
+    /// into one compare (anything below the origin wraps past any extent).
     #[inline]
     fn chk(&self, v: i64) -> Option<usize> {
-        let k = (v as u64).wrapping_sub(1);
+        let k = (v as u64).wrapping_sub(self.origin);
         if k >= self.dim0 {
             None
         } else {
@@ -2075,17 +2078,16 @@ impl<'p> Interp<'p> {
         })
     }
 
+    /// `chk` refused `index`: the program's own error, unless the
+    /// subscript is inside the array — a window pin's miss, which marks
+    /// the pin; the error then only ends the op.
     #[cold]
     fn fast_oob(&self, fb: &FastBody, st: &FState, slot: u16, index: i64) -> ExecError {
-        ExecError::OutOfBounds {
-            array: self
-                .program()
-                .symbols
-                .name(fb.arrays[slot as usize])
-                .to_string(),
-            index,
-            extent: st.pins[slot as usize].dims[0],
+        let pin = &st.pins[slot as usize];
+        if (index as u64).wrapping_sub(1) < pin.dims[0] as u64 {
+            pin.violated.set(true);
         }
+        self.fast_oob_dim(fb, slot, index, pin.dims[0])
     }
 
     /// Executes root iterations `lo..=hi` of the typed loop: same
@@ -2141,14 +2143,13 @@ impl<'p> Interp<'p> {
                 st.ir[p.reg as usize] = v.as_int();
             }
         }
-        // Only a window or an append sink can refuse a store, so only a
-        // chunk that has one checks for violations per iteration.
-        let strategy_sinks = st.pins.iter().any(|p| {
-            matches!(
-                p.sink,
-                Some(WriteSink::Window(_) | WriteSink::Append { .. })
-            )
-        });
+        // Only an append sink can refuse a store, so only a chunk that
+        // has one checks for violations per iteration.
+        let append_sinks = st
+            .pins
+            .iter()
+            .any(|p| matches!(p.sink, Some(WriteSink::Append { .. })));
+        let violated = |st: &FState| st.pins.iter().position(|p| p.violated.get());
         let mut i = lo;
         let res = loop {
             if !((step > 0 && i <= hi) || (step < 0 && i >= hi)) {
@@ -2167,15 +2168,14 @@ impl<'p> Interp<'p> {
                 st.ir[fb.root_reg as usize] = i;
             }
             if let Err(e) = self.run_fblock(fb, fb.root, &mut st) {
-                break Err(e.into());
+                // A window miss ends its op with a placeholder error.
+                break Err(violated(&st).map_or(e.into(), |k| ChunkAbort::Violated(fb.arrays[k])));
             }
             if let Err(e) = st.charge(1) {
                 break Err(e.into()); // loop bookkeeping
             }
-            if strategy_sinks {
-                if let Some(k) = st.pins.iter().position(|p| p.violated) {
-                    break Err(ChunkAbort::Violated(fb.arrays[k]));
-                }
+            if let Some(k) = append_sinks.then(|| violated(&st)).flatten() {
+                break Err(ChunkAbort::Violated(fb.arrays[k]));
             }
             if !advance_induction(&mut i, step) {
                 break Ok(());
@@ -2199,7 +2199,7 @@ impl<'p> Interp<'p> {
                 self.store.bump_version_by(a, p.writes);
             }
             if let Some(sink) = p.sink {
-                self.store.return_sink(a, sink, p.violated);
+                self.store.return_sink(a, sink, p.violated.get());
             }
         }
         // Only what the nest can assign is written back: a scalar it

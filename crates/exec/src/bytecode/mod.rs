@@ -84,8 +84,9 @@ use std::time::{Duration, Instant};
 ///   cost attribution and final induction value to the master;
 /// - polls the deadline, when one is armed, before every root
 ///   iteration — an unarmed watch never reads a clock;
-/// - checks after every root iteration whether a strategy sink saw a
-///   write outside its discipline, and abandons the chunk if so.
+/// - abandons the chunk on a strategy violation: at the access that
+///   leaves an in-place window, and after the root iteration in which
+///   an append sink saw a write outside its discipline.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ChunkWatch {
     /// When the worker started and how long it may run.
@@ -109,8 +110,10 @@ pub(crate) enum ChunkAbort {
     Exec(ExecError),
     /// The watch's deadline expired before the chunk finished.
     TimedOut,
-    /// A strategy sink recorded a violation on this variable; the
-    /// chunk stopped at the iteration boundary.
+    /// The chunk broke its strategy's discipline on this variable: an
+    /// access outside its in-place window (the chunk stopped there), or
+    /// a store an append sink refused (it stopped at the iteration
+    /// boundary).
     Violated(VarId),
 }
 

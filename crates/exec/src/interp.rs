@@ -10,6 +10,7 @@ use irr_frontend::{
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A runtime scalar value.
@@ -180,8 +181,8 @@ impl ElemColumn {
 /// The in-place strategy executor derives one per target from the
 /// *master* store (after forcing payload uniqueness with
 /// [`Arc::make_mut`]) and hands copies to the workers, whose snapshots
-/// share the same allocation. Each worker writes only inside its own
-/// disjoint flat-index window, so no two threads ever touch the same
+/// share the same allocation. A worker reaches the buffer only through
+/// its [`InPlaceWindow`], so no two threads ever touch the same
 /// element.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum RawSlice {
@@ -189,18 +190,21 @@ pub(crate) enum RawSlice {
     Real(*mut f64),
 }
 
-// SAFETY: a RawSlice is only ever dereferenced through
-// `InPlaceWindow::write` (reached from `WriteOverlay::intercept` and
-// from the typed loop's window sink), which confines every write to
-// the worker's own disjoint window of the buffer (the in-place
-// derivation proves the windows disjoint, and the window re-checks each
-// index dynamically). Only a chunk job writes through one — the
-// overlay a finished chunk hands back is never written through again —
+// SAFETY: a RawSlice is only ever dereferenced through an
+// `InPlaceWindow` — `read`/`write` below (the tree-walk's element
+// hooks, via `WriteOverlay`) and the typed loop's narrowed pin, which
+// is that same window as a base pointer and an extent — and a window
+// admits only the elements the dispatch gave its chunk: windows of one
+// target are pairwise disjoint, or, for a scatter target, every chunk
+// stores to a set of elements an injectivity certificate keeps disjoint
+// and none reads. Reads and writes alike go through the window, so no
+// thread reads what another writes. Only a chunk job uses one — the
+// overlay a finished chunk hands back is never accessed through again —
 // and `WorkerPool::dispatch` does not return, normally or by unwinding,
 // while a job is running or could still be claimed (the barrier in
 // `pool.rs`), whichever thread runs it. The master store owns the
 // Arc'd payload for that whole dispatch, so the pointee outlives every
-// write.
+// access.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
@@ -208,40 +212,67 @@ impl RawSlice {
     /// # Safety
     ///
     /// `idx` must be inside the allocation and inside the caller's
-    /// exclusive window; no other thread may read or write the element.
+    /// window; no other thread may read or write the element.
     unsafe fn write(self, idx: usize, val: Value) {
         match self {
             RawSlice::Int(p) => *p.add(idx) = val.as_int(),
             RawSlice::Real(p) => *p.add(idx) = val.as_real(),
         }
     }
+
+    /// # Safety
+    ///
+    /// As [`RawSlice::write`]: no other thread may write the element.
+    unsafe fn read(self, idx: usize) -> Value {
+        match self {
+            RawSlice::Int(p) => Value::Int(*p.add(idx)),
+            RawSlice::Real(p) => Value::Real(*p.add(idx)),
+        }
+    }
 }
 
-/// One in-place target as seen by one worker: writes to `var` whose
-/// flat index lies in `[lo, hi]` (inclusive) go straight to the shared
-/// master buffer; anything outside is a strategy violation.
+/// One in-place target as seen by one worker: the `len` elements of
+/// `var` from flat index `lo` are the chunk's to read and write,
+/// straight in the shared master buffer; touching any other element of
+/// `var` is a strategy violation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct InPlaceWindow {
     pub(crate) var: VarId,
+    /// Element 0 of the master buffer.
     pub(crate) slice: RawSlice,
     pub(crate) lo: usize,
-    pub(crate) hi: usize,
+    pub(crate) len: usize,
 }
 
 impl InPlaceWindow {
+    /// Whether flat `idx` is one of the window's elements.
+    #[inline]
+    fn owns(&self, idx: usize) -> bool {
+        idx.wrapping_sub(self.lo) < self.len
+    }
+
     /// Writes `val` at flat `idx` when the window owns it. Returns
     /// `false` — nothing written, a strategy violation — otherwise.
     #[inline]
     pub(crate) fn write(&self, idx: usize, val: Value) -> bool {
-        if idx < self.lo || idx > self.hi {
+        if !self.owns(idx) {
             return false;
         }
-        // SAFETY: idx is inside this worker's exclusive window (checked
-        // on the previous lines; `prepare_in_place` checked the window
-        // against the extent) and the master keeps the buffer alive for
-        // the whole dispatch.
+        // SAFETY: idx is inside this worker's window (checked on the
+        // previous lines; `prepare_in_place` checked the window against
+        // the extent) and the master keeps the buffer alive for the
+        // whole dispatch.
         unsafe { self.slice.write(idx, val) };
         true
+    }
+
+    /// The element at flat `idx` when the window owns it; `None` — a
+    /// strategy violation — otherwise.
+    #[inline]
+    pub(crate) fn read(&self, idx: usize) -> Option<Value> {
+        // SAFETY: as `write`; no other chunk's window holds `idx`, so
+        // nobody writes it while this chunk runs.
+        self.owns(idx).then(|| unsafe { self.slice.read(idx) })
     }
 }
 
@@ -259,6 +290,16 @@ impl TypedBuf {
         match ty {
             ScalarType::Int => TypedBuf::Int(Vec::new()),
             ScalarType::Real => TypedBuf::Real(Vec::new()),
+        }
+    }
+
+    /// A copy of `range` of `data`: the undo image of an in-place
+    /// window ([`TypedBuf::scatter_into`] over the same range restores
+    /// it).
+    pub(crate) fn copy_of(data: &ArrayData, range: std::ops::Range<usize>) -> TypedBuf {
+        match data {
+            ArrayData::Int { data, .. } => TypedBuf::Int(data[range].to_vec()),
+            ArrayData::Real { data, .. } => TypedBuf::Real(data[range].to_vec()),
         }
     }
 
@@ -325,19 +366,25 @@ impl TypedBuf {
     }
 }
 
-/// A write interceptor a strategy executor installs on a worker store.
+/// An access interceptor a strategy executor installs on a worker
+/// store.
 ///
 /// [`Store::write_element`] consults the overlay *before* the normal
 /// copy-on-write/log path; an intercepted write never clones the
 /// payload, bumps a version, or reaches the write log. A write that
-/// breaks the strategy's proven discipline records a violation (and is
+/// breaks the strategy's discipline records a violation (and is
 /// suppressed) instead of corrupting shared state; the worker checks
 /// [`Store::overlay_violation`] every iteration and aborts the chunk.
+/// Reads of an in-place target go through [`Store::read_in_place`]: a
+/// master buffer other chunks are writing is only ever touched
+/// element-wise, inside the chunk's own window, and a read outside it
+/// is a violation raised at the access — there is no value to give it.
 ///
 /// The typed loop does not intercept per element: it borrows each
 /// target's window or buffer as a [`WriteSink`] for the length of a
-/// chunk ([`Store::take_sink`]) and applies the same two position
-/// rules ([`InPlaceWindow::write`], [`TypedBuf::append_at`]) itself.
+/// chunk ([`Store::take_sink`]) — the window as a narrowed view its
+/// own bounds check enforces, the buffer under the same position rule
+/// ([`TypedBuf::append_at`]).
 #[derive(Clone, Debug)]
 pub(crate) enum WriteOverlay {
     /// Proven-disjoint in-place writes into the master buffers.
@@ -456,6 +503,9 @@ pub(crate) enum WriteSink {
 /// clones but excluded from equality.
 #[derive(Debug)]
 pub struct Store {
+    /// Which store this is, among all the process ever built or cloned
+    /// ([`Store::id`]).
+    id: u64,
     scalars: Vec<Value>,
     arrays: Vec<Option<Arc<ArrayData>>>,
     versions: Vec<u64>,
@@ -465,9 +515,14 @@ pub struct Store {
     overlay: Option<Box<WriteOverlay>>,
 }
 
+/// The next [`Store::id`].
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
+
 impl Clone for Store {
     fn clone(&self) -> Store {
         Store {
+            // A clone's history forks here: it is another store.
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             scalars: self.scalars.clone(),
             arrays: self.arrays.clone(),
             versions: self.versions.clone(),
@@ -481,9 +536,9 @@ impl Clone for Store {
 
 impl PartialEq for Store {
     fn eq(&self, other: &Store) -> bool {
-        // Versions and any active write log are deliberately excluded:
-        // two stores holding the same values are equal regardless of
-        // their write histories.
+        // Identity, versions and any active write log are deliberately
+        // excluded: two stores holding the same values are equal
+        // regardless of their write histories.
         self.scalars == other.scalars && self.arrays == other.arrays
     }
 }
@@ -503,6 +558,7 @@ impl Store {
             });
         }
         Store {
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             scalars,
             arrays: vec![None; n],
             versions: vec![0; n],
@@ -524,6 +580,33 @@ impl Store {
     /// The first strategy violation the overlay recorded, if any.
     pub(crate) fn overlay_violation(&self) -> Option<VarId> {
         self.overlay.as_ref().and_then(|o| o.violation())
+    }
+
+    /// The tree-walk's read of flat `idx` of `arr` when `arr` is an
+    /// in-place target of this worker: `Some(Ok(value))` from inside
+    /// the chunk's window, `Some(Err(()))` — a violation, recorded —
+    /// from outside it. `None` for any other array (and on every store
+    /// without an in-place overlay): the caller reads the store's own
+    /// payload.
+    #[inline]
+    pub(crate) fn read_in_place(&mut self, arr: VarId, idx: usize) -> Option<Result<Value, ()>> {
+        let Some(WriteOverlay::InPlace { windows, violation }) = self.overlay.as_deref_mut() else {
+            return None;
+        };
+        let w = windows.iter().find(|w| w.var == arr)?;
+        Some(w.read(idx).ok_or_else(|| {
+            violation.get_or_insert(arr);
+        }))
+    }
+
+    /// Element `idx` (flat, 0-based) of `arr` as the `i64` a subscript
+    /// would use (reals truncate); `None` when `arr` is not
+    /// materialized or `idx` is past its end.
+    pub(crate) fn element_as_int(&self, arr: VarId, idx: usize) -> Option<i64> {
+        match self.array_ref(arr)? {
+            ArrayData::Int { data, .. } => data.get(idx).copied(),
+            ArrayData::Real { data, .. } => data.get(idx).map(|v| *v as i64),
+        }
     }
 
     /// Raw pointer to the element buffer of materialized `arr`, plus
@@ -554,6 +637,14 @@ impl Store {
     /// recording was never started).
     pub fn take_write_log(&mut self) -> Option<WriteLog> {
         self.log.take().map(|b| *b)
+    }
+
+    /// This store's identity: distinct for every store built or cloned
+    /// in the process. Write-versions count from zero in each store, so
+    /// a fact about an array's contents has to name the store beside
+    /// the version ([`crate::InjectiveCertificate`] does).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// The write-version counter of `arr`: bumped on materialization and
@@ -1286,7 +1377,7 @@ impl<'p> Interp<'p> {
                 if let Some(t) = &mut self.tracer {
                     t.hook.read_element(*a, idx);
                 }
-                Ok(self.read_element(*a, idx))
+                self.read_element(*a, idx)
             }
             Expr::Bin(op, x, y) => {
                 let a = self.eval(x)?;
@@ -1403,11 +1494,21 @@ impl<'p> Interp<'p> {
         Ok(idx)
     }
 
-    fn read_element(&self, a: VarId, idx: usize) -> Value {
-        match self.store.arrays[a.index()].as_deref().expect("ensured") {
-            ArrayData::Int { data, .. } => Value::Int(data[idx]),
-            ArrayData::Real { data, .. } => Value::Real(data[idx]),
+    fn read_element(&mut self, a: VarId, idx: usize) -> Result<Value, ExecError> {
+        if let Some(read) = self.store.read_in_place(a, idx) {
+            // The error is a placeholder that stops the iteration at
+            // this access: `run_chunk` finds the recorded violation and
+            // reports that instead.
+            return read.map_err(|()| ExecError::ParallelFailure {
+                reason: "read outside the chunk's in-place window".to_string(),
+            });
         }
+        Ok(
+            match self.store.arrays[a.index()].as_deref().expect("ensured") {
+                ArrayData::Int { data, .. } => Value::Int(data[idx]),
+                ArrayData::Real { data, .. } => Value::Real(data[idx]),
+            },
+        )
     }
 
     fn write_element(&mut self, a: VarId, idx: usize, val: Value) {

@@ -48,6 +48,7 @@ pub use parallel::{
 };
 pub use rng::SplitMix64;
 pub use runtime_test::{
-    inspect_injective, inspect_injective_parallel, inspect_offset_length, Inspection,
+    certify_injective, inspect_injective, inspect_injective_parallel, inspect_offset_length,
+    InjectiveCertificate, Inspection,
 };
 pub use trace::{AccessTracer, TraceConfig};

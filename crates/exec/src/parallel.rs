@@ -61,24 +61,54 @@
 //! skip the *conflict machinery the proof made redundant*
 //! ([`ExecutionStrategy`]):
 //!
-//! - [`ExecutionStrategy::InPlaceDisjoint`] — every target array is
-//!   written only at `loop_var + c` and never read, so chunks own
-//!   disjoint windows of each target: workers write the master buffers
-//!   directly (no payload clone, no log, no merge). The executor
-//!   re-derives the proof itself per dispatch
+//! - [`ExecutionStrategy::InPlaceDisjoint`] — every access to a target
+//!   array has one [`WriteShape`], from which the executor computes
+//!   what each chunk may touch: workers read and write the master
+//!   buffers directly (no payload clone, no log, no merge). The
+//!   executor re-derives the shapes itself per dispatch
 //!   ([`irr_driver::derive_in_place_facts`]) and silently downgrades
 //!   to the write-log when it cannot — a forged verdict can never
-//!   reach the raw write path.
+//!   reach the raw write path. What it then relies on:
+//!   - **Windows are enforced.** An affine target `a(i + c)` gives
+//!     chunk `[clo, chi]` the window `[clo + c, chi + c]`; an
+//!     offset–length target `a(ptr(i) + e)` the window
+//!     `[ptr(clo), ptr(chi + 1))`, read off the live `ptr` at the chunk
+//!     boundaries (a `ptr` that does not rise along them downgrades).
+//!     A worker reaches the target only through that window — the
+//!     typed loop's pin *is* the window, so its one bounds compare per
+//!     access confines loads and stores alike; the tree-walk goes
+//!     through the overlay's element hooks — and an access to the
+//!     array outside it is a [`ParallelError::StrategyViolation`]
+//!     raised at that access. Windows of one target are disjoint, so
+//!     chunks are race-free and sequentially equivalent whatever the
+//!     proof said; the proof only predicts that nothing trips.
+//!   - **Certificates are version-checked.** A scatter target
+//!     `b(p(i + c))` has no window: its chunks write disjoint *sets*
+//!     exactly when `p` is injective on the dispatch's section, and
+//!     only an [`InjectiveCertificate`] says so — built by this
+//!     crate's inspector, carried in the plan, and accepted only while
+//!     it covers the section, the live store is the one that was
+//!     scanned and `p`'s write-version in it is the one it was scanned
+//!     at. Absent, stale or mismatched means write-log, whose merge
+//!     still catches a real conflict.
+//!   - **Read targets are undone.** A failed dispatch may have dirtied
+//!     its targets. One the nest reads would feed the sequential
+//!     fallback half-updated values, so the master copies its dispatch
+//!     window aside before hand-off and puts it back on every exit but
+//!     the commit. A chunk that ran beside a violating one may moreover
+//!     have computed — and branched — on state a sequential run would
+//!     have changed, so in a nest that reads *any* target the
+//!     write-only ones are copied aside too, unless the fallback
+//!     rewrites them whatever happened (one cell per iteration, written
+//!     unconditionally; a scatter target without that downgrades), and
+//!     a violation in any chunk outranks an error from any other. Only
+//!     in a nest that reads no target is rollback free: its chunks did
+//!     what the sequential run does, and the fallback does it again.
 //! - [`ExecutionStrategy::PrivatizeAndConcat`] — consecutively-written
 //!   arrays (`p = p + 1; a(p) = ...`) buffer per worker and
 //!   concatenate positionally at commit; the append discipline is
 //!   re-validated dynamically (contiguous positions, pointer delta ==
 //!   buffer length per chunk).
-//!
-//! Rollback stays free: an in-place dispatch that fails mid-flight may
-//! have dirtied target windows, but targets are write-only with
-//! loop-invariant inputs, so the sequential fallback deterministically
-//! rewrites every touched location with the correct values.
 
 use crate::bytecode::{ChunkAbort, ChunkEngine, ChunkWatch, FastBody};
 use crate::fault::FaultKind;
@@ -87,6 +117,8 @@ use crate::interp::{
     Value, WriteLog, WriteOverlay,
 };
 use crate::pool::{Job, WorkerPool};
+use crate::runtime_test::InjectiveCertificate;
+use irr_driver::{InPlaceTarget, WriteShape};
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -107,8 +139,10 @@ pub enum ExecutionStrategy {
     /// always correct, used for runtime-guarded and unproven loops.
     #[default]
     WriteLog,
-    /// Proven-disjoint affine writes land directly in the master
-    /// store's buffers: no clone, no log, no merge.
+    /// Chunks touch disjoint parts of every written array — enforced
+    /// windows, or sets under an injectivity certificate — so accesses
+    /// land directly in the master store's buffers: no clone, no log,
+    /// no merge.
     InPlaceDisjoint,
     /// Consecutively-written arrays buffer per worker and concatenate
     /// positionally; scalar reductions combine per chunk.
@@ -209,6 +243,13 @@ pub struct ParallelPlan {
     /// the store lends it, so overlays and write logs see the same
     /// writes the interpreter's store paths would make.
     pub compiled: bool,
+    /// What the guard's injectivity inspections certified for this
+    /// entry. An in-place dispatch writes a scatter target through the
+    /// master buffer only under a certificate that still covers the
+    /// scattered section in the live store (see
+    /// [`InjectiveCertificate::covers`]); with none that does, it
+    /// downgrades to the write-log.
+    pub certificates: Vec<InjectiveCertificate>,
 }
 
 impl Default for ParallelPlan {
@@ -221,6 +262,7 @@ impl Default for ParallelPlan {
             fault: None,
             strategy: ExecutionStrategy::WriteLog,
             compiled: true,
+            certificates: Vec::new(),
         }
     }
 }
@@ -261,7 +303,7 @@ pub enum ParallelError {
     /// chunk was abandoned and the whole dispatch must fall back.
     Timeout { worker: usize, deadline_ms: u64 },
     /// An execution strategy's dynamic self-check failed: an in-place
-    /// write left its proven window, or an append sequence broke the
+    /// access left its chunk's window, or an append sequence broke the
     /// consecutive-write discipline (pointer delta != buffer length,
     /// non-contiguous positions). The dispatch falls back sequentially.
     StrategyViolation { var: String, strategy: &'static str },
@@ -419,12 +461,22 @@ struct ChunkOutcome {
     typed_root_iters: u64,
 }
 
-/// One in-place target: the master buffer to write through and the
-/// affine offset of its subscripts (`loop_var + off`).
+/// One in-place target of a dispatch: the master buffer and what each
+/// chunk may touch of it.
 struct InPlaceSpec {
     var: VarId,
-    off: i64,
+    /// Element 0 of the master's buffer.
     slice: RawSlice,
+    /// Per chunk, in chunk order: the window `(first flat index,
+    /// length)`. Pairwise disjoint — except for a scatter target,
+    /// where every chunk gets the whole array and the certificate keeps
+    /// the written sets apart.
+    windows: Vec<(usize, usize)>,
+    /// Where the dispatch's windows start and what they held at
+    /// hand-off, to put back if the dispatch does not commit; `None`
+    /// for a target the sequential fallback is sure to rewrite
+    /// ([`prepare_in_place`]).
+    undo: Option<(usize, TypedBuf)>,
 }
 
 /// The write-back mode a dispatch actually runs with, after the
@@ -447,48 +499,140 @@ impl Mode {
             Mode::Concat { .. } => ExecutionStrategy::PrivatizeAndConcat,
         }
     }
+
+    /// Puts back what the in-place targets with an undo image held at
+    /// hand-off. Every exit of a dispatch but the commit goes through
+    /// here, so the sequential fallback starts from the state the
+    /// dispatch started from — up to the targets that have no image
+    /// because the fallback rewrites every location the chunks wrote.
+    fn roll_back(&self, interp: &mut Interp<'_>) {
+        let Mode::InPlace(specs) = self else {
+            return;
+        };
+        for s in specs {
+            if let Some((from, held)) = &s.undo {
+                held.scatter_into(interp.store.array_make_mut(s.var), *from..);
+            }
+        }
+    }
 }
 
-/// Re-proves the in-place facts for this dispatch and prepares the
-/// master buffers. Returns `None` — downgrade to the write-log — when
-/// the derivation fails, a target cannot materialize, or the iteration
-/// window would leave a target's extent (the write-log worker then
-/// reproduces the program's own out-of-bounds error).
+/// The windows `target` gives the chunks of this dispatch, from its
+/// shape and the live store; `None` when the shape does not yield
+/// windows inside the array (the write-log then reproduces whatever the
+/// program does out there) or lacks its certificate.
+fn chunk_windows(
+    store: &Store,
+    target: &InPlaceTarget,
+    certificates: &[InjectiveCertificate],
+    chunks: &[(i64, i64)],
+) -> Option<Vec<(usize, usize)>> {
+    let len = store.array_len(target.array)?;
+    let (lo, hi) = (chunks.first()?.0, chunks.last()?.1);
+    match target.shape {
+        WriteShape::Affine { off } => {
+            // Checked: an i64::MAX-adjacent offset must downgrade, not
+            // overflow the window arithmetic.
+            let (wlo, whi) = (lo.checked_add(off)?, hi.checked_add(off)?);
+            if wlo < 1 || whi as u64 > len as u64 {
+                return None;
+            }
+            let window =
+                |&(clo, chi): &(i64, i64)| ((clo + off - 1) as usize, (chi - clo + 1) as usize);
+            Some(chunks.iter().map(window).collect())
+        }
+        WriteShape::Segment { ptr } => {
+            // One boundary per chunk start plus the end, off the live
+            // `ptr` (the nest does not write it). They must rise and
+            // stay inside the target for the windows to tile.
+            let bound =
+                |i: i64| store.element_as_int(ptr, usize::try_from(i.checked_sub(1)?).ok()?);
+            let mut bounds = Vec::with_capacity(chunks.len() + 1);
+            for &(clo, _) in chunks {
+                bounds.push(bound(clo)?);
+            }
+            bounds.push(bound(hi.checked_add(1)?)?);
+            let tiled = bounds[0] >= 1
+                && bounds.windows(2).all(|b| b[0] <= b[1])
+                && bounds[chunks.len()] as u64 <= len as u64 + 1;
+            tiled.then(|| {
+                let window = |b: &[i64]| ((b[0] - 1) as usize, (b[1] - b[0]) as usize);
+                bounds.windows(2).map(window).collect()
+            })
+        }
+        WriteShape::Scatter { index, off } => {
+            let (slo, shi) = (lo.checked_add(off)?, hi.checked_add(off)?);
+            let certified = |c: &InjectiveCertificate| c.covers(store, index, slo, shi);
+            certificates
+                .iter()
+                .any(certified)
+                .then(|| vec![(0, len); chunks.len()])
+        }
+    }
+}
+
+/// Re-derives the in-place shapes for this dispatch and prepares the
+/// master buffers, undo images included. Returns `None` — downgrade to
+/// the write-log — when the derivation fails, a target is not (and may
+/// not yet be) materialized or not one-dimensional, a shape yields no
+/// windows ([`chunk_windows`]), or a scatter target would need an undo
+/// image.
 ///
-/// Materializing here is exactly what the first sequential iteration
-/// would have done: the derivation requires an unconditional top-level
-/// write to every target, and `lo <= hi` holds at this point.
+/// Materializing a target here is exactly what the first sequential
+/// iteration would have done when the derivation found an
+/// unconditional top-level write to it (`lo <= hi` holds at this
+/// point); any other target must be live already.
 fn prepare_in_place(
     interp: &mut Interp<'_>,
     loop_stmt: StmtId,
     plan: &ParallelPlan,
-    lo: i64,
-    hi: i64,
+    chunks: &[(i64, i64)],
 ) -> Option<Vec<InPlaceSpec>> {
     let program = interp.program();
     let reductions: Vec<VarId> = plan.reductions.iter().map(|(v, _)| *v).collect();
     let facts =
         irr_driver::derive_in_place_facts(program, loop_stmt, &plan.privatized, &reductions)?;
-    for &(a, _) in &facts {
-        interp.ensure_materialized(a).ok()?;
-    }
+    let any_read = facts.iter().any(|t| t.read);
     let mut specs = Vec::with_capacity(facts.len());
-    for (a, off) in facts {
-        let len = interp.store.array_len(a)? as i64;
-        // Checked: an i64::MAX-adjacent offset must downgrade to the
-        // write-log (which reproduces the program's own out-of-bounds
-        // error), not overflow the window arithmetic.
-        let (Some(wlo), Some(whi)) = (lo.checked_add(off), hi.checked_add(off)) else {
-            return None;
-        };
-        if wlo < 1 || whi > len {
+    for t in &facts {
+        if t.always_written {
+            interp.ensure_materialized(t.array).ok()?;
+        }
+        let data = interp.store.array_ref(t.array)?;
+        if data.dims().len() != 1 {
             return None;
         }
+        let windows = chunk_windows(&interp.store, t, &plan.certificates, chunks)?;
+        // What a failed dispatch wrote to a target it never read, the
+        // sequential fallback writes again — when the chunks did what
+        // the sequential run does, which only a nest that reads no
+        // target guarantees (beside a violating chunk, one that reads
+        // may have branched on values a sequential run would have
+        // changed), or when the target has one cell per iteration and
+        // a top-level statement that always writes it.
+        let one_cell = !matches!(t.shape, WriteShape::Segment { .. });
+        let rewritten = !t.read && (!any_read || (t.always_written && one_cell));
+        let undo = if rewritten {
+            None
+        } else if let WriteShape::Scatter { .. } = t.shape {
+            // No window to copy aside: the write-log it is.
+            return None;
+        } else {
+            // Affine and segment windows tile: one range holds them.
+            let from = windows[0].0;
+            let held: usize = windows.iter().map(|w| w.1).sum();
+            Some((from, TypedBuf::copy_of(data, from..from + held)))
+        };
         // `payload_raw` forces payload uniqueness on the master before
         // the worker snapshots are cloned, so every snapshot Arc-shares
         // exactly this allocation.
-        let (slice, _) = interp.store.payload_raw(a);
-        specs.push(InPlaceSpec { var: a, off, slice });
+        let (slice, _) = interp.store.payload_raw(t.array);
+        specs.push(InPlaceSpec {
+            var: t.array,
+            slice,
+            windows,
+            undo,
+        });
     }
     Some(specs)
 }
@@ -526,10 +670,14 @@ fn prepare_concat(
 /// **The dispatch is a transaction.** The master interpreter — store,
 /// statistics, output, fuel — is mutated only after every worker
 /// completed and the merged write set validated conflict- and
-/// shape-clean. On any [`ParallelError`] the master is exactly as it
-/// was at entry, so the caller can re-execute the loop sequentially
-/// (the interpreter's dispatch site does precisely that; see
-/// `Interp::exec_stmt_with`).
+/// shape-clean; an in-place dispatch, whose workers write the master's
+/// buffers as they go, instead restores its targets from the images
+/// taken at hand-off. On any [`ParallelError`] the master is as it was
+/// at entry — up to in-place targets that needed no image,
+/// materialized and possibly dirty, which a sequential re-execution
+/// rewrites location by location — so the caller can re-execute the
+/// loop sequentially (the interpreter's dispatch site does precisely
+/// that; see `Interp::exec_stmt_with`).
 ///
 /// Worker statistics, printed output, and fuel consumption are
 /// aggregated into the master interpreter; the induction variable is
@@ -624,7 +772,7 @@ pub fn exec_do_parallel(
     let mode = match plan.strategy {
         ExecutionStrategy::WriteLog => Mode::WriteLog,
         ExecutionStrategy::InPlaceDisjoint => {
-            match prepare_in_place(interp, loop_stmt, plan, lo, hi) {
+            match prepare_in_place(interp, loop_stmt, plan, &chunks) {
                 Some(specs) => Mode::InPlace(specs),
                 None => Mode::WriteLog,
             }
@@ -659,8 +807,8 @@ pub fn exec_do_parallel(
         .filter(|fb| fb.assigned_scalars().all(claim_exempt));
     // Run each chunk on a copy-on-write clone of the live store;
     // workers return only their logs/buffers and stats. In-place
-    // workers skip write logging entirely — their target writes go
-    // straight to the master buffers through the overlay.
+    // workers skip write logging entirely — their target accesses go
+    // straight to the master buffers, through the chunk's windows.
     let fuel = interp.fuel;
     let mode_ref = &mode;
     let jobs: Vec<Job<'_, Result<ChunkOutcome, ChunkAbort>>> = chunks
@@ -694,8 +842,8 @@ pub fn exec_do_parallel(
                             .map(|s| InPlaceWindow {
                                 var: s.var,
                                 slice: s.slice,
-                                lo: (clo + s.off - 1) as usize,
-                                hi: (chi + s.off - 1) as usize,
+                                lo: s.windows[widx].0,
+                                len: s.windows[widx].1,
                             })
                             .collect();
                         worker
@@ -751,41 +899,13 @@ pub fn exec_do_parallel(
     for out in results.iter().flatten().flatten() {
         interp.typed_root_iters += out.typed_root_iters;
     }
-    let mut outcomes = Vec::with_capacity(results.len());
-    for (widx, r) in results.into_iter().enumerate() {
-        match r {
-            Err(payload) => {
-                return Err(ParallelError::WorkerPanic {
-                    detail: panic_message(payload),
-                })
-            }
-            Ok(Err(ChunkAbort::TimedOut)) => {
-                return Err(ParallelError::Timeout {
-                    worker: widx,
-                    deadline_ms: plan.deadline_ms.unwrap_or(0),
-                })
-            }
-            Ok(Err(ChunkAbort::Exec(e))) => return Err(ParallelError::Exec(e)),
-            Ok(Err(ChunkAbort::Violated(v))) => {
-                return Err(ParallelError::StrategyViolation {
-                    var: program.symbols.name(v).to_string(),
-                    strategy: mode.strategy().name(),
-                })
-            }
-            Ok(Ok(out)) => outcomes.push(out),
+    let outcomes = match chunk_outcomes(program, results, plan, &mode) {
+        Ok(outcomes) => outcomes,
+        Err(e) => {
+            mode.roll_back(interp);
+            return Err(e);
         }
-    }
-    if matches!(plan.fault, Some(FaultKind::ForgeConflict)) {
-        // Chaos hook: report a conflict that never happened, exactly at
-        // the point the merge would — the workers' logs are discarded
-        // and the untouched master falls back sequentially. (For an
-        // in-place mode the master's target windows may already hold
-        // partial results; the sequential re-execution rewrites every
-        // window deterministically, so the fallback is still exact.)
-        return Err(ParallelError::WriteConflict {
-            var: "<injected-fault>".to_string(),
-        });
-    }
+    };
     // Commit per mode.
     match &mode {
         Mode::WriteLog => {
@@ -795,8 +915,9 @@ pub fn exec_do_parallel(
             merge_write_logs(program, interp, &logs, plan, var, None)?;
         }
         Mode::InPlace(specs) => {
-            // The element writes already landed in the proven-disjoint
-            // windows — there is nothing to merge. Combine the scalar
+            // The element writes already landed, each chunk's inside
+            // its own windows — there is nothing to merge (and the undo
+            // images are dropped with the mode). Combine the scalar
             // reductions from per-worker finals and publish a version
             // bump per target so inspector schedule caches and the
             // dependence auditor see the mutation.
@@ -847,6 +968,63 @@ pub fn exec_do_parallel(
         strategy: mode.strategy(),
         engines,
     })
+}
+
+/// What the chunks of a dispatch came to: every chunk's outcome, or
+/// the one failure the dispatch reports.
+///
+/// A strategy violation in *any* chunk comes first: in-place chunks
+/// read their targets, so one that ran beside a violating chunk may
+/// have computed — and failed — on state a sequential run would have
+/// changed under it; its error is not the program's. Otherwise the
+/// first failure in chunk order, which is iteration order, so a worker
+/// error is the one the sequential run raises.
+fn chunk_outcomes(
+    program: &Program,
+    results: Vec<std::thread::Result<Result<ChunkOutcome, ChunkAbort>>>,
+    plan: &ParallelPlan,
+    mode: &Mode,
+) -> Result<Vec<ChunkOutcome>, ParallelError> {
+    let violated = results.iter().find_map(|r| match r {
+        Ok(Err(ChunkAbort::Violated(v))) => Some(*v),
+        _ => None,
+    });
+    if let Some(v) = violated {
+        return Err(ParallelError::StrategyViolation {
+            var: program.symbols.name(v).to_string(),
+            strategy: mode.strategy().name(),
+        });
+    }
+    let mut outcomes = Vec::with_capacity(results.len());
+    for (widx, r) in results.into_iter().enumerate() {
+        match r {
+            Err(payload) => {
+                return Err(ParallelError::WorkerPanic {
+                    detail: panic_message(payload),
+                })
+            }
+            Ok(Err(ChunkAbort::TimedOut)) => {
+                return Err(ParallelError::Timeout {
+                    worker: widx,
+                    deadline_ms: plan.deadline_ms.unwrap_or(0),
+                })
+            }
+            Ok(Err(ChunkAbort::Exec(e))) => return Err(ParallelError::Exec(e)),
+            Ok(Err(ChunkAbort::Violated(_))) => unreachable!("reported above"),
+            Ok(Ok(out)) => outcomes.push(out),
+        }
+    }
+    if matches!(plan.fault, Some(FaultKind::ForgeConflict)) {
+        // Chaos hook: report a conflict that never happened, exactly at
+        // the point the merge would — the workers' logs are discarded
+        // and the master falls back sequentially. (An in-place mode's
+        // chunks have written their windows by now: the caller rolls
+        // those back like after any other failure.)
+        return Err(ParallelError::WriteConflict {
+            var: "<injected-fault>".to_string(),
+        });
+    }
+    Ok(outcomes)
 }
 
 /// Commits a [`Mode::Concat`] dispatch: validates the append discipline
@@ -1361,12 +1539,7 @@ mod tests {
         let a = p.symbols.lookup("a").unwrap();
         let mut interp = Interp::new(&p);
         interp.exec_stmt(first_do(&p)).unwrap();
-        // The target is read, so even an in-place request runs (and
-        // must be exact) under the write-log.
-        let plan = ParallelPlan {
-            strategy: ExecutionStrategy::InPlaceDisjoint,
-            ..ParallelPlan::with_threads(3)
-        };
+        let plan = ParallelPlan::with_threads(3);
         let got = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 64, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
         assert_eq!((got.engines.typed, interp.typed_root_iters), (3, 64));
@@ -2041,29 +2214,54 @@ mod tests {
         assert_eq!(interp.store.array_as_reals(x), seq.store.array_as_reals(x));
     }
 
-    #[test]
-    fn in_place_request_downgrades_when_target_is_read() {
-        // `x(i) = x(i) + 1` reads the target — the executor's own
-        // derivation must refuse and fall back to the write-log, which
-        // is still correct for this (disjoint) loop.
-        let src = "program t
+    /// An in-place request for the second loop of a program whose
+    /// first loop fills `x`; returns what committed and whether the
+    /// master equals the sequential run's store.
+    fn in_place_second_loop(body: &str) -> (ExecutionStrategy, bool) {
+        let src = format!(
+            "program t
              integer i
-             real x(100)
-             do i = 1, 100
-               x(i) = x(i) + 1.0
+             real x(101), y(100)
+             do i = 1, 101
+               x(i) = i * 0.25
              enddo
-             end";
-        let p = parse_program(src).unwrap();
+             do i = 1, 100
+               {body}
+             enddo
+             end"
+        );
+        let p = parse_program(&src).unwrap();
         let plan = ParallelPlan {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(4)
         };
         let mut interp = Interp::new(&p);
-        let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
-        assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
+        interp.exec_stmt(first_do(&p)).unwrap();
+        let got = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 100, 1).unwrap();
         let seq = Interp::new(&p).run().unwrap();
-        let x = p.symbols.lookup("x").unwrap();
-        assert_eq!(interp.store.array_as_reals(x), seq.store.array_as_reals(x));
+        (got.strategy, interp.store == seq.store)
+    }
+
+    #[test]
+    fn in_place_request_runs_a_target_read_where_it_is_written_and_downgrades_any_other_read() {
+        // `x(i) = x(i) + 1` reads the target at the subscript it writes:
+        // the chunk that writes an element is the only one to read it.
+        assert_eq!(
+            in_place_second_loop("x(i) = x(i) + 1.0"),
+            (ExecutionStrategy::InPlaceDisjoint, true)
+        );
+        assert_eq!(
+            in_place_second_loop("y(i) = 1.0\n x(i) = x(i) + y(i)"),
+            (ExecutionStrategy::InPlaceDisjoint, true)
+        );
+        // A read one element over is in the next chunk's window: the
+        // executor's own derivation refuses and the loop runs (and,
+        // every chunk reading the pre-loop snapshot of what a later
+        // iteration overwrites, is still exact) under the write-log.
+        assert_eq!(
+            in_place_second_loop("y(i) = x(i + 1)\n x(i) = 0.5"),
+            (ExecutionStrategy::WriteLog, true)
+        );
     }
 
     #[test]
@@ -2185,31 +2383,37 @@ mod tests {
         assert_eq!(interp.stats.total_cost, 0);
     }
 
-    /// The window sink refuses a store outside `[lo, hi]` without
-    /// touching memory, and the chunk stops at that iteration's
-    /// boundary. The dispatch can only hand a worker the window of its
-    /// own chunk (and re-proves the affine facts first), so this drives
-    /// the chunk entry directly with a window narrower than the chunk.
-    #[test]
-    fn the_window_sink_refuses_a_store_outside_its_window() {
-        let src = "program t
+    /// One worker over `do i = 1, 8` of `body`, its window on `x`
+    /// narrower than the chunk: elements 3..=6 of 8. The dispatch can
+    /// only hand a worker the window of its own chunk (and re-derives
+    /// the shapes first), so these tests drive the chunk entry
+    /// directly. Returns how the chunk ended, on the typed loop or the
+    /// tree-walk, the root iterations the typed loop started, and `x`.
+    fn narrowed_chunk(body: &str, typed: bool) -> (Result<ChunkEngine, ChunkAbort>, u64, Vec<f64>) {
+        let src = format!(
+            "program t
              integer i
-             real x(8)
+             real x(8), y(8)
              do i = 1, 8
-               x(i) = i * 1.5
+               {body}
              enddo
-             end";
-        let p = parse_program(src).unwrap();
-        let x = p.symbols.lookup("x").unwrap();
+             end"
+        );
+        let p = parse_program(&src).unwrap();
+        let (x, y) = (
+            p.symbols.lookup("x").unwrap(),
+            p.symbols.lookup("y").unwrap(),
+        );
         let s = first_do(&p);
         let mut worker = Interp::new(&p);
         worker.ensure_materialized(x).unwrap();
+        worker.ensure_materialized(y).unwrap();
         let (slice, _) = worker.store.payload_raw(x);
         let window = InPlaceWindow {
             var: x,
             slice,
-            lo: 0,
-            hi: 3,
+            lo: 2,
+            len: 4,
         };
         worker
             .store
@@ -2217,17 +2421,389 @@ mod tests {
         let cb = worker.compiled_body_for(s).unwrap();
         let fb = worker.fast_body_for(s, &cb).unwrap();
         let watch = ChunkWatch { deadline: None };
-        let res = worker.run_chunk(s, Some(&fb), 1, 8, 1, Some(&watch));
+        let res = worker.run_chunk(s, typed.then_some(&*fb), 3, 8, 1, Some(&watch));
+        let violated = matches!(res, Err(ChunkAbort::Violated(v)) if v == x);
+        assert_eq!(worker.store.overlay_violation(), violated.then_some(x));
+        let held = worker.store.array_as_reals(x).unwrap();
+        (res, worker.typed_root_iters, held)
+    }
+
+    /// A window pin is a view of the window alone: the typed loop's
+    /// bounds check refuses a store past it at that access, without
+    /// touching memory, and the tree-walk's hook does the same.
+    #[test]
+    fn a_store_outside_the_window_is_a_violation_at_the_access() {
+        for typed in [true, false] {
+            let (res, typed_iters, x) = narrowed_chunk("x(i) = i * 1.5", typed);
+            assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
+            // Iterations 3..=6 stored; iteration 7 was refused.
+            assert_eq!(typed_iters, if typed { 5 } else { 0 });
+            assert_eq!(x, [0.0, 0.0, 4.5, 6.0, 7.5, 9.0, 0.0, 0.0]);
+        }
+    }
+
+    /// Loads are confined like stores: a read of the target outside
+    /// the window never yields a value — the element may be another
+    /// chunk's to write — so nothing computed from one can surface as a
+    /// program error. At iteration 3 `x(i - 2)` is inside the array and
+    /// outside the window; had the refused read stood in any dummy
+    /// value, `y(.. + 9)` would have raised the program's own
+    /// out-of-bounds error instead.
+    #[test]
+    fn a_load_outside_the_window_is_a_violation_not_a_value() {
+        for typed in [true, false] {
+            let (res, typed_iters, x) = narrowed_chunk("x(i) = y(int(x(i - 2)) + 9) + 1.0", typed);
+            assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
+            assert_eq!(typed_iters, u64::from(typed));
+            assert_eq!(x, [0.0; 8]);
+        }
+    }
+
+    /// ... while a subscript outside the *array* is still the program's
+    /// own error, with the array's extent, not the window's.
+    #[test]
+    fn a_subscript_outside_the_array_is_the_programs_error_under_a_window() {
+        for typed in [true, false] {
+            let (res, _, _) = narrowed_chunk("x(i + 6) = 1.0", typed);
+            let expected = ExecError::OutOfBounds {
+                array: "x".to_string(),
+                index: 9,
+                extent: 8,
+            };
+            assert!(
+                matches!(&res, Err(ChunkAbort::Exec(e)) if *e == expected),
+                "{res:?}"
+            );
+        }
+    }
+
+    fn ints(data: &[i64]) -> ArrayData {
+        ArrayData::Int {
+            data: data.to_vec(),
+            dims: vec![data.len()],
+        }
+    }
+
+    fn reals(data: &[f64]) -> ArrayData {
+        ArrayData::Real {
+            data: data.to_vec(),
+            dims: vec![data.len()],
+        }
+    }
+
+    fn bits(st: &Store, a: VarId) -> Vec<u64> {
+        let held = st.array_as_reals(a).expect("materialized");
+        held.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The colscale shape over four segments of `c(8)`: every access
+    /// is `c(ptr(i) + j - 1)`, read-modify-write.
+    const SEGMENT_WALK: &str = "program t
+         integer i, j, ptr(5), len(4)
+         real c(8), x(4)
+         do i = 1, 4
+           do j = 1, len(i)
+             c(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + 1.0
+           enddo
+           x(i) = 1.0 / c(ptr(i))
+         enddo
+         end";
+
+    /// An in-place request for [`SEGMENT_WALK`] over two chunks (rows
+    /// 1–2 and 3–4) with the given `ptr`, `len` and `c`; returns the
+    /// master, the sequential interpreter after the same loop, and the
+    /// dispatch's result.
+    fn segment_walk<'p>(
+        p: &'p Program,
+        ptr: &[i64],
+        len: &[i64],
+        c: &[f64],
+        fault: Option<FaultKind>,
+    ) -> (Interp<'p>, Interp<'p>, Result<Committed, ParallelError>) {
+        let var = |name: &str| p.symbols.lookup(name).unwrap();
+        let fresh = || {
+            let mut it = Interp::new(p);
+            it.preset_array(var("ptr"), ints(ptr));
+            it.preset_array(var("len"), ints(len));
+            it.preset_array(var("c"), reals(c));
+            it.preset_array(var("x"), reals(&[0.0; 4]));
+            it
+        };
+        let mut seq = fresh();
+        let _ = seq.exec_stmt(first_do(p));
+        let plan = ParallelPlan {
+            privatized: vec![var("j")],
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            fault,
+            ..ParallelPlan::with_threads(2)
+        };
+        let mut master = fresh();
+        let res = exec_do_parallel(&mut master, first_do(p), &plan, 1, 4, 1);
+        (master, seq, res)
+    }
+
+    #[test]
+    fn offset_length_segments_commit_in_place_through_windows_read_off_ptr() {
+        let p = parse_program(SEGMENT_WALK).unwrap();
+        let c = p.symbols.lookup("c").unwrap();
+        let held = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5];
+        // Windows [1, 6) and [6, 9); row 3 is empty.
+        let (master, seq, res) = segment_walk(&p, &[1, 3, 6, 6, 9], &[2, 3, 0, 3], &held, None);
+        let got = res.unwrap();
+        assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
+        assert_eq!(got.engines.typed, 2);
+        // (The stores differ in the privatized `j` alone.)
+        let x = p.symbols.lookup("x").unwrap();
+        let same = |master: &Interp<'_>, seq: &Interp<'_>| {
+            [c, x].map(|a| bits(&master.store, a)) == [c, x].map(|a| bits(&seq.store, a))
+        };
+        assert!(same(&master, &seq));
+        assert_eq!(
+            master.store.array_version(c),
+            2,
+            "the preset, and one bump for the commit"
+        );
+        // Disjoint segments in another order: the boundaries `ptr(1)`,
+        // `ptr(3)`, `ptr(5)` = 5, 1, 5 do not rise, so no windows tile
+        // the dispatch — the write-log runs it, as correctly.
+        let (master, seq, res) = segment_walk(&p, &[5, 7, 1, 3, 5], &[2, 2, 2, 2], &held, None);
+        assert_eq!(res.unwrap().strategy, ExecutionStrategy::WriteLog);
+        assert!(same(&master, &seq));
+        // Boundaries past the target's end: the write-log reproduces
+        // the program's own error.
+        let (_, _, res) = segment_walk(&p, &[1, 3, 6, 8, 11], &[2, 3, 2, 3], &held, None);
         assert!(
-            matches!(res, Err(ChunkAbort::Violated(v)) if v == x),
+            matches!(res, Err(ParallelError::Exec(ExecError::OutOfBounds { .. }))),
             "{res:?}"
         );
-        assert_eq!(worker.typed_root_iters, 5, "stopped after iteration 5");
-        assert_eq!(worker.store.overlay_violation(), Some(x));
-        assert_eq!(
-            worker.store.array_as_reals(x).unwrap(),
-            [1.5, 3.0, 4.5, 6.0, 0.0, 0.0, 0.0, 0.0]
+    }
+
+    /// Row 2 is one element longer than its segment: it walks into
+    /// `c(5)`, the first element of the second chunk's window. The
+    /// window refuses (a violation), so the second chunk — whose empty
+    /// row 3 divides by `c(5)` — still finds the 0.0 a sequential run
+    /// would have overwritten by then, and fails with a division by
+    /// zero the program does not have. The dispatch reports the
+    /// violation, not that error, and hands back `c` as it found it.
+    #[test]
+    fn a_chunk_that_violates_beside_one_that_errors_is_a_fallback_and_the_target_is_undone() {
+        let p = parse_program(SEGMENT_WALK).unwrap();
+        let c = p.symbols.lookup("c").unwrap();
+        let held = [0.5, 1.5, 2.5, 3.5, 0.0, 5.5, 6.5, 7.5];
+        let (master, seq, res) = segment_walk(&p, &[1, 3, 5, 5, 7], &[2, 3, 0, 2], &held, None);
+        assert!(
+            matches!(
+                &res,
+                Err(ParallelError::StrategyViolation { var, strategy })
+                    if var == "c" && *strategy == "in-place-disjoint"
+            ),
+            "{res:?}"
         );
+        assert!(res.unwrap_err().fallback_reason().is_some());
+        assert_eq!(master.store.array_as_reals(c).unwrap(), held);
+        assert_eq!(master.store.array_version(c), 1);
+        assert_eq!(master.stats.total_cost, 0);
+        // The sequential run completes: `c(5)` is 1.0 by row 3.
+        let x = p.symbols.lookup("x").unwrap();
+        assert_eq!(seq.store.array_as_reals(x).unwrap()[2], 1.0);
+    }
+
+    /// The same overreach, with the second chunk *branching* on the
+    /// `c(5)` it should not have seen: still 0.0, so it sets `x(3)`,
+    /// which the sequential run (1.0 there by row 3) never does. No
+    /// fallback rewrites a conditionally written `x`, and the nest
+    /// reads a target, so `x` was copied aside like `c` and goes back.
+    #[test]
+    fn a_stray_write_beside_a_violation_is_undone() {
+        let src = SEGMENT_WALK.replace(
+            "x(i) = 1.0 / c(ptr(i))",
+            "if (c(ptr(i)) < 0.5) then\n x(i) = 1.0\n endif",
+        );
+        let p = parse_program(&src).unwrap();
+        let x = p.symbols.lookup("x").unwrap();
+        let held = [0.5, 1.5, 2.5, 3.5, 0.0, 5.5, 6.5, 7.5];
+        let (master, seq, res) = segment_walk(&p, &[1, 3, 5, 5, 7], &[2, 3, 0, 2], &held, None);
+        assert!(
+            matches!(res, Err(ParallelError::StrategyViolation { .. })),
+            "{res:?}"
+        );
+        assert_eq!(master.store.array_as_reals(x).unwrap(), [0.0; 4]);
+        assert_eq!(seq.store.array_as_reals(x).unwrap(), [0.0; 4]);
+        // Without the overreach the same request commits, `x` included.
+        let (master, seq, res) = segment_walk(&p, &[1, 3, 5, 5, 7], &[2, 2, 0, 2], &held, None);
+        assert_eq!(res.unwrap().strategy, ExecutionStrategy::InPlaceDisjoint);
+        assert_eq!(bits(&master.store, x), bits(&seq.store, x));
+        assert_eq!(seq.store.array_as_reals(x).unwrap(), [0.0, 0.0, 1.0, 0.0]);
+    }
+
+    /// The rule itself, on results no schedule of today produces: the
+    /// erroring chunk *ahead* of the violating one in chunk order.
+    #[test]
+    fn a_violation_in_any_chunk_outranks_an_error_from_any_other() {
+        let p = parse_program("program t\n real c(2)\n end").unwrap();
+        let c = p.symbols.lookup("c").unwrap();
+        let results = vec![
+            Ok(Err(ChunkAbort::Exec(ExecError::DivisionByZero))),
+            Ok(Err(ChunkAbort::Violated(c))),
+        ];
+        let plan = ParallelPlan::with_threads(2);
+        let got = chunk_outcomes(&p, results, &plan, &Mode::InPlace(Vec::new()));
+        assert!(
+            matches!(&got, Err(ParallelError::StrategyViolation { var, .. }) if var == "c"),
+            "{:?}",
+            got.err()
+        );
+    }
+
+    /// Every failure after hand-off finds the read-modify-write target
+    /// half-updated in the master's buffer, and every one of them must
+    /// leave it as it was: the sequential fallback would otherwise
+    /// apply `c * 0.5 + 1.0` a second time.
+    #[test]
+    fn a_failed_in_place_dispatch_puts_a_read_target_back() {
+        let p = parse_program(SEGMENT_WALK).unwrap();
+        let c = p.symbols.lookup("c").unwrap();
+        let held = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5];
+        for fault in [
+            FaultKind::ForgeConflict,
+            FaultKind::PanicWorker { worker: 1 },
+        ] {
+            let (master, seq, res) =
+                segment_walk(&p, &[1, 3, 6, 6, 9], &[2, 3, 0, 3], &held, Some(fault));
+            assert!(res.unwrap_err().fallback_reason().is_some(), "{fault:?}");
+            assert_eq!(master.store.array_as_reals(c).unwrap(), held, "{fault:?}");
+            assert_ne!(bits(&seq.store, c), bits(&master.store, c));
+        }
+    }
+
+    /// `b(p(i)) = ...`: chunks write disjoint sets exactly when `p` is
+    /// injective on the section, which only the inspector's certificate
+    /// says — absent, stale, too short, about another array or issued
+    /// on another store, the same request runs under the write-log and
+    /// never writes `b` through the master's buffer.
+    #[test]
+    fn a_scatter_commits_in_place_only_under_a_live_certificate() {
+        let src = "program t
+             integer i, p(8), q(8)
+             real b(8), x(8)
+             do i = 1, 8
+               b(p(i)) = x(i) * 2.0
+             enddo
+             p(8) = p(8)
+             end";
+        let p = parse_program(src).unwrap();
+        let var = |name: &str| p.symbols.lookup(name).unwrap();
+        let body = &p.procedure(p.main()).body;
+        let (lp, touch_p) = (body[0], body[1]);
+        let fresh = || {
+            let mut it = Interp::new(&p);
+            it.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
+            it.preset_array(var("q"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
+            it.preset_array(var("x"), reals(&[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5]));
+            it
+        };
+        let mut seq = fresh();
+        seq.exec_stmt(lp).unwrap();
+        let dispatch = |master: &mut Interp<'_>, certificates: Vec<InjectiveCertificate>| {
+            let plan = ParallelPlan {
+                strategy: ExecutionStrategy::InPlaceDisjoint,
+                certificates,
+                ..ParallelPlan::with_threads(3)
+            };
+            let got = exec_do_parallel(master, lp, &plan, 1, 8, 1).unwrap();
+            assert_eq!(bits(&master.store, var("b")), bits(&seq.store, var("b")));
+            got.strategy
+        };
+        let certify = |it: &Interp<'_>, a: &str, lo, hi| {
+            crate::certify_injective(&it.store, var(a), lo, hi, 1).expect("injective")
+        };
+        let mut master = fresh();
+        let whole = certify(&master, "p", 1, 8);
+        assert_eq!(
+            dispatch(&mut master, vec![whole]),
+            ExecutionStrategy::InPlaceDisjoint
+        );
+        // A certificate over more than the section covers it.
+        let mut master = fresh();
+        master.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7, 9]));
+        let wider = certify(&master, "p", 1, 9);
+        assert_eq!(
+            dispatch(&mut master, vec![wider]),
+            ExecutionStrategy::InPlaceDisjoint
+        );
+        for refused in ["none", "short", "other array", "other store", "stale"] {
+            let mut master = fresh();
+            let certificates = match refused {
+                "none" => vec![],
+                "short" => vec![certify(&master, "p", 1, 7)],
+                "other array" => vec![certify(&master, "q", 1, 8)],
+                // Same program, same write count, not the store scanned.
+                "other store" => vec![certify(&fresh(), "p", 1, 8)],
+                _ => {
+                    // Certified, then `p` is written (the same value:
+                    // the version moves, which is all the executor may
+                    // go by).
+                    let stale = certify(&master, "p", 1, 8);
+                    master.exec_stmt(touch_p).unwrap();
+                    vec![stale]
+                }
+            };
+            assert_eq!(
+                dispatch(&mut master, certificates),
+                ExecutionStrategy::WriteLog,
+                "{refused}"
+            );
+        }
+    }
+
+    /// A scatter target has no window to copy aside. In a nest that
+    /// reads another target it runs in place only when every iteration
+    /// writes its cell unconditionally (whatever a chunk did, the
+    /// fallback does again); written under a condition, it takes the
+    /// write-log.
+    #[test]
+    fn a_scatter_beside_a_read_target_runs_in_place_only_when_always_written() {
+        for (scatter, expected) in [
+            ("b(p(i)) = y(i)", ExecutionStrategy::InPlaceDisjoint),
+            (
+                "if (y(i) > 2.0) then\n b(p(i)) = y(i)\n endif",
+                ExecutionStrategy::WriteLog,
+            ),
+        ] {
+            let src = format!(
+                "program t
+                 integer i, p(8)
+                 real b(8), y(8)
+                 do i = 1, 8
+                   y(i) = y(i) + i
+                   {scatter}
+                 enddo
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            let var = |name: &str| p.symbols.lookup(name).unwrap();
+            let fresh = || {
+                let mut it = Interp::new(&p);
+                it.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
+                it.preset_array(var("y"), reals(&[0.5; 8]));
+                it.preset_array(var("b"), reals(&[0.0; 8]));
+                it
+            };
+            let mut seq = fresh();
+            seq.exec_stmt(first_do(&p)).unwrap();
+            let mut master = fresh();
+            let certificate = crate::certify_injective(&master.store, var("p"), 1, 8, 1);
+            let plan = ParallelPlan {
+                strategy: ExecutionStrategy::InPlaceDisjoint,
+                certificates: certificate.into_iter().collect(),
+                ..ParallelPlan::with_threads(3)
+            };
+            let got = exec_do_parallel(&mut master, first_do(&p), &plan, 1, 8, 1).unwrap();
+            assert_eq!(got.strategy, expected, "{scatter}");
+            for a in ["b", "y"] {
+                assert_eq!(bits(&master.store, var(a)), bits(&seq.store, var(a)), "{a}");
+            }
+        }
     }
 
     #[test]

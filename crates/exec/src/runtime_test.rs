@@ -13,7 +13,6 @@
 
 use crate::interp::{ArrayData, Store};
 use irr_frontend::VarId;
-use std::collections::HashSet;
 
 /// Result of a run-time inspection.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,6 +22,38 @@ pub enum Inspection {
     ParallelOk,
     /// The property fails: fall back to the sequential version.
     Sequential,
+}
+
+/// Proof that an inspection found `array(lo..=hi)` pairwise distinct in
+/// one store, at one write-version of the array. Only the injectivity
+/// inspectors of this module construct one (the fields are private), so
+/// a holder cannot claim a section nobody scanned; the parallel
+/// executor accepts it for a scatter through `array` only while
+/// [`Self::covers`] holds against the live store.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct InjectiveCertificate {
+    /// The store that was scanned: versions count from zero in every
+    /// store, so the same version elsewhere says nothing.
+    store: u64,
+    array: VarId,
+    lo: i64,
+    hi: i64,
+    /// [`Store::array_version`] of `array` when it was scanned.
+    version: u64,
+}
+
+impl InjectiveCertificate {
+    /// Whether this certificate proves `array(lo..=hi)` injective *in
+    /// `store` as it is now*: the store that was scanned (not a clone
+    /// of it, nor another run's), same array, a section inside the
+    /// scanned one, and no write to the array since the scan.
+    pub fn covers(&self, store: &Store, array: VarId, lo: i64, hi: i64) -> bool {
+        self.store == store.id()
+            && self.array == array
+            && self.lo <= lo
+            && hi <= self.hi
+            && store.array_version(array) == self.version
+    }
 }
 
 /// A borrowed section of an index array, read as the `i64` subscripts
@@ -75,11 +106,26 @@ impl<'a> IndexView<'a> {
         (0..self.len()).map(move |k| self.get(k))
     }
 
-    /// Contiguous sub-sections of at most `chunk_len` elements.
-    fn chunks(self, chunk_len: usize) -> impl Iterator<Item = IndexView<'a>> {
-        (0..self.len())
-            .step_by(chunk_len)
-            .map(move |from| self.slice(from, (from + chunk_len).min(self.len())))
+    /// Runs `f` over contiguous sub-sections of at most `chunk_len`
+    /// elements and returns the results in section order: on scoped
+    /// threads, one a chunk — or inline when the whole section is one
+    /// chunk, so a one-thread inspection creates no thread.
+    fn per_chunk<T: Send>(self, chunk_len: usize, f: impl Fn(IndexView<'a>) -> T + Sync) -> Vec<T> {
+        if chunk_len >= self.len() {
+            return vec![f(self)];
+        }
+        let f = &f;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.len())
+                .step_by(chunk_len)
+                .map(|from| self.slice(from, (from + chunk_len).min(self.len())))
+                .map(|c| scope.spawn(move || f(c)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("inspector worker panicked"))
+                .collect()
+        })
     }
 }
 
@@ -92,42 +138,12 @@ impl<'a> IndexView<'a> {
 /// Otherwise returns `Sequential` when the section is out of bounds or
 /// the array has not been materialized.
 pub fn inspect_injective(store: &Store, idx: VarId, lo: i64, hi: i64) -> Inspection {
-    if hi < lo {
-        return Inspection::ParallelOk;
-    }
-    match IndexView::section(store, idx, lo, hi) {
-        Some(section) => scan_injective(section),
-        None => Inspection::Sequential,
-    }
+    inspect_injective_parallel(store, idx, lo, hi, 1)
 }
 
-/// The sequential hash scan behind [`inspect_injective`].
-fn scan_injective(section: IndexView<'_>) -> Inspection {
-    let mut seen = HashSet::with_capacity(section.len());
-    if section.iter().all(|v| seen.insert(v)) {
-        Inspection::ParallelOk
-    } else {
-        Inspection::Sequential
-    }
-}
-
-/// Parallel counterpart of [`inspect_injective`]: splits the section
-/// into contiguous chunks, each worker marks the values it sees in a
-/// private bitmap over the section's value range, and the merge ORs the
-/// bitmaps — a set bit seen twice (within a chunk or across chunks) is
-/// a duplicate. Chunk results merge at chunk granularity, so the scan
-/// parallelizes with no shared state.
-///
-/// The bitmap needs the value range: a cheap chunked min/max pass runs
-/// first, with the range widened in `i128` so pathological index values
-/// near the `i64` extremes cannot overflow it. When the range is much
-/// larger than the section (huge max, tiny nonzero count), the bitmaps
-/// would be mostly empty pages — below that density threshold the
-/// inspector switches to a sparse-set variant: each worker sorts its
-/// chunk (catching intra-chunk duplicates), and a k-way merge scan
-/// catches duplicates across chunks, so the fallback stays parallel
-/// instead of degenerating to the sequential hash scan. Verdicts are
-/// always identical to [`inspect_injective`].
+/// [`inspect_injective`] over `threads` contiguous chunks of the
+/// section; see [`certify_injective`] for the scan. Verdicts do not
+/// depend on `threads`.
 pub fn inspect_injective_parallel(
     store: &Store,
     idx: VarId,
@@ -135,120 +151,114 @@ pub fn inspect_injective_parallel(
     hi: i64,
     threads: usize,
 ) -> Inspection {
+    if hi < lo || certify_injective(store, idx, lo, hi, threads).is_some() {
+        Inspection::ParallelOk
+    } else {
+        Inspection::Sequential
+    }
+}
+
+/// The injectivity inspector: scans the non-empty section
+/// `idx(lo..=hi)` and, when its values are pairwise distinct, returns
+/// the [`InjectiveCertificate`] that says so (`None` for a duplicate,
+/// an empty or out-of-bounds section, or an array not yet
+/// materialized).
+///
+/// The section is split into `threads` contiguous chunks (one chunk
+/// runs inline, with no thread created). A min/max pass gives the
+/// value range, widened in `i128` so index values near the `i64`
+/// extremes cannot overflow it; each chunk then marks the values it
+/// sees in a private bitmap over that range and the merge ORs the
+/// bitmaps — a set bit seen twice, within a chunk or across chunks, is
+/// a duplicate. When the range is much larger than the section (huge
+/// max, tiny nonzero count) the bitmaps would be mostly empty pages, so
+/// below that density the scan switches to a sparse-set variant: each
+/// chunk sorts its values and a k-way merge catches duplicates across
+/// chunks, in `O(section)` memory whatever the range.
+pub fn certify_injective(
+    store: &Store,
+    idx: VarId,
+    lo: i64,
+    hi: i64,
+    threads: usize,
+) -> Option<InjectiveCertificate> {
     if hi < lo {
-        return Inspection::ParallelOk;
+        return None;
     }
-    let Some(section) = IndexView::section(store, idx, lo, hi) else {
-        return Inspection::Sequential;
-    };
-    let threads = threads.clamp(1, section.len());
-    if threads == 1 {
-        return scan_injective(section);
-    }
-    // Chunked min/max pass.
-    let chunk_len = section.len().div_ceil(threads);
-    let (min, max) = std::thread::scope(|scope| {
-        let handles: Vec<_> = section
-            .chunks(chunk_len)
-            .map(|c| {
-                scope.spawn(move || {
-                    c.iter()
-                        .fold((i64::MAX, i64::MIN), |(mn, mx), v| (mn.min(v), mx.max(v)))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("inspector worker panicked"))
-            .fold((i64::MAX, i64::MIN), |(amn, amx), (mn, mx)| {
-                (amn.min(mn), amx.max(mx))
-            })
-    });
+    let section = IndexView::section(store, idx, lo, hi)?;
+    let chunk_len = section.len().div_ceil(threads.clamp(1, section.len()));
+    let (min, max) = section
+        .per_chunk(chunk_len, |c| {
+            c.iter()
+                .fold((i64::MAX, i64::MIN), |(mn, mx), v| (mn.min(v), mx.max(v)))
+        })
+        .into_iter()
+        .fold((i64::MAX, i64::MIN), |(amn, amx), (mn, mx)| {
+            (amn.min(mn), amx.max(mx))
+        });
     // Widen before subtracting: with index values near the i64
     // extremes (max - min + 1) overflows i64.
     let range = (max as i128 - min as i128 + 1) as u128;
-    if range > 4 * section.len() as u128 + 1024 {
+    let distinct = if range > 4 * section.len() as u128 + 1024 {
         // Sparse values: the bitmap would be mostly empty pages (and
-        // for extreme ranges could not even be allocated). Fall back
-        // to the chunked sparse-set inspector instead of the
-        // sequential hash scan.
-        return inspect_injective_sparse_set(section, chunk_len);
-    }
-    let words = (range as usize).div_ceil(64);
-    // Chunked marking pass: each worker owns a private bitmap.
-    let bitmaps: Vec<Option<Vec<u64>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = section
-            .chunks(chunk_len)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut bits = vec![0u64; words];
-                    for v in c.iter() {
-                        let d = (v - min) as usize;
-                        let (w, b) = (d / 64, d % 64);
-                        if bits[w] & (1 << b) != 0 {
-                            return None; // duplicate inside this chunk
-                        }
-                        bits[w] |= 1 << b;
-                    }
-                    Some(bits)
+        // for extreme ranges could not even be allocated).
+        inspect_injective_sparse_set(section, chunk_len)
+    } else {
+        let words = (range as usize).div_ceil(64);
+        // Each chunk owns a private bitmap; `None` is a duplicate
+        // inside the chunk.
+        let bitmaps = section.per_chunk(chunk_len, |c| {
+            let mut bits = vec![0u64; words];
+            for v in c.iter() {
+                let d = (v - min) as usize;
+                let (w, b) = (d / 64, d % 64);
+                if bits[w] & (1 << b) != 0 {
+                    return None;
+                }
+                bits[w] |= 1 << b;
+            }
+            Some(bits)
+        });
+        let mut merged = vec![0u64; words];
+        bitmaps.into_iter().all(|bits| {
+            bits.is_some_and(|bits| {
+                // A bit two chunks both set is a cross-chunk duplicate.
+                merged.iter_mut().zip(&bits).all(|(m, b)| {
+                    let fresh = *m & *b == 0;
+                    *m |= *b;
+                    fresh
                 })
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("inspector worker panicked"))
-            .collect()
-    });
-    let mut merged = vec![0u64; words];
-    for bits in bitmaps {
-        let Some(bits) = bits else {
-            return Inspection::Sequential;
-        };
-        for (m, b) in merged.iter_mut().zip(&bits) {
-            if *m & *b != 0 {
-                return Inspection::Sequential; // cross-chunk duplicate
-            }
-            *m |= *b;
-        }
-    }
-    Inspection::ParallelOk
+        })
+    };
+    distinct.then(|| InjectiveCertificate {
+        store: store.id(),
+        array: idx,
+        lo,
+        hi,
+        version: store.array_version(idx),
+    })
 }
 
-/// Sparse-set injectivity inspector: the parallel fallback for sections
-/// whose value range is too wide for per-chunk bitmaps (huge max, tiny
-/// nonzero count). Each worker sorts its chunk's values — a duplicate
-/// inside a chunk surfaces as adjacent equal elements — and a k-way
-/// merge scan over the sorted chunks catches duplicates across chunks.
-/// Memory is `O(section)` regardless of the value range.
-fn inspect_injective_sparse_set(section: IndexView<'_>, chunk_len: usize) -> Inspection {
+/// Sparse-set injectivity scan: the fallback for sections whose value
+/// range is too wide for per-chunk bitmaps (huge max, tiny nonzero
+/// count). Each chunk sorts its values — a duplicate inside a chunk
+/// surfaces as adjacent equal elements — and a k-way merge scan over
+/// the sorted chunks catches duplicates across chunks. Memory is
+/// `O(section)` regardless of the value range. Returns whether the
+/// values are pairwise distinct.
+fn inspect_injective_sparse_set(section: IndexView<'_>, chunk_len: usize) -> bool {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let sorted: Vec<Option<Vec<i64>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = section
-            .chunks(chunk_len)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut v: Vec<i64> = c.iter().collect();
-                    v.sort_unstable();
-                    if v.windows(2).any(|w| w[0] == w[1]) {
-                        return None; // duplicate inside this chunk
-                    }
-                    Some(v)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("inspector worker panicked"))
-            .collect()
+    let sorted = section.per_chunk(chunk_len, |c| {
+        let mut v: Vec<i64> = c.iter().collect();
+        v.sort_unstable();
+        // `None`: a duplicate inside this chunk.
+        v.windows(2).all(|w| w[0] != w[1]).then_some(v)
     });
-    let mut chunks: Vec<Vec<i64>> = Vec::with_capacity(sorted.len());
-    for c in sorted {
-        let Some(c) = c else {
-            return Inspection::Sequential;
-        };
-        chunks.push(c);
-    }
+    let Some(chunks) = sorted.into_iter().collect::<Option<Vec<Vec<i64>>>>() else {
+        return false;
+    };
     // K-way merge scan: pop values in ascending order; two equal values
     // in a row are a cross-chunk duplicate.
     let mut heap: BinaryHeap<Reverse<(i64, usize, usize)>> = chunks
@@ -260,14 +270,14 @@ fn inspect_injective_sparse_set(section: IndexView<'_>, chunk_len: usize) -> Ins
     let mut prev: Option<i64> = None;
     while let Some(Reverse((v, ci, pos))) = heap.pop() {
         if prev == Some(v) {
-            return Inspection::Sequential;
+            return false;
         }
         prev = Some(v);
         if let Some(&next) = chunks[ci].get(pos + 1) {
             heap.push(Reverse((next, ci, pos + 1)));
         }
     }
-    Inspection::ParallelOk
+    true
 }
 
 /// Inspects whether `ptr` is a proper offset array for lengths `len`
@@ -343,6 +353,50 @@ mod tests {
             inspect_injective(&store, idx, 1, 11),
             Inspection::Sequential
         );
+    }
+
+    #[test]
+    fn a_certificate_covers_its_section_until_the_array_is_written() {
+        let (p, mut store) = store_with("idx(6), other(6)", &[("idx", vec![4, 2, 9, 7, 1, 2])]);
+        let idx = p.symbols.lookup("idx").unwrap();
+        let other = p.symbols.lookup("other").unwrap();
+        // The duplicate 2 is at both ends: only `1..=5` certifies.
+        assert_eq!(certify_injective(&store, idx, 1, 6, 1), None);
+        assert_eq!(certify_injective(&store, idx, 4, 3, 1), None, "empty");
+        assert_eq!(
+            certify_injective(&store, idx, 1, 7, 1),
+            None,
+            "past the end"
+        );
+        assert_eq!(certify_injective(&store, other, 1, 6, 1), None, "not live");
+        for threads in [1, 2, 5] {
+            let c = certify_injective(&store, idx, 1, 5, threads).expect("distinct");
+            assert!(c.covers(&store, idx, 1, 5) && c.covers(&store, idx, 2, 4));
+            assert!(!c.covers(&store, idx, 1, 6) && !c.covers(&store, idx, 0, 5));
+            assert!(!c.covers(&store, other, 1, 5));
+        }
+        let c = certify_injective(&store, idx, 1, 5, 1).expect("distinct");
+        // Any write moves the version, the value written or not.
+        store.write_element(idx, 0, crate::interp::Value::Int(4));
+        assert!(!c.covers(&store, idx, 1, 5));
+        let fresh = certify_injective(&store, idx, 1, 5, 1).expect("still distinct");
+        assert!(fresh != c && fresh.covers(&store, idx, 1, 5));
+    }
+
+    /// Versions count from zero in every store: a preset array is at
+    /// version 1 whatever it holds. A certificate is about the store
+    /// that was scanned, not about any store at the same write count.
+    #[test]
+    fn a_certificate_does_not_cover_another_store_at_the_same_version() {
+        let (p, scanned) = store_with("idx(4)", &[("idx", vec![4, 2, 3, 1])]);
+        let (_, colliding) = store_with("idx(4)", &[("idx", vec![2, 2, 2, 2])]);
+        let idx = p.symbols.lookup("idx").unwrap();
+        assert_eq!(scanned.array_version(idx), colliding.array_version(idx));
+        let c = certify_injective(&scanned, idx, 1, 4, 1).expect("distinct");
+        assert!(c.covers(&scanned, idx, 1, 4));
+        assert!(!c.covers(&colliding, idx, 1, 4));
+        // A clone forks the history: it may be written independently.
+        assert!(!c.covers(&scanned.clone(), idx, 1, 4));
     }
 
     #[test]

@@ -53,6 +53,149 @@ pub fn random_loop_program(rng: &mut SplitMix64) -> String {
     )
 }
 
+/// One program of [`strategy_programs`].
+#[derive(Clone, Debug)]
+pub struct StrategyProgram {
+    /// Mini-Fortran source; the loop under test is labeled `F/do20`.
+    pub source: String,
+    /// Which template the loop body came from.
+    pub what: &'static str,
+    /// Whether every entry of `F/do20` must commit in place. `false`
+    /// is a near-miss: the loop is dependent, or parallel under a shape
+    /// the executor must not write through a master buffer for — with
+    /// more than one iteration (below that nothing can collide, and a
+    /// guard may honestly pass) it has to end on the write-log, in a
+    /// fallback, or sequential.
+    pub in_place: bool,
+    /// How many iterations `F/do20` runs: 0, 1 or 32.
+    pub iterations: u32,
+}
+
+/// Loop bodies that have one of the three in-place write shapes, on
+/// one or two targets.
+const SHAPES: [(&str, &str); 9] = [
+    ("affine-rmw", "y(i) = y(i) * 0.5 + x(i)\n"),
+    ("affine-offset-rmw", "y(i + 1) = y(i + 1) + x(i)\n"),
+    (
+        "affine-inner-do",
+        "z(i) = 0.0\ndo j = 1, 3\nz(i) = z(i) + x(i) * j\nenddo\n",
+    ),
+    (
+        "affine-inner-while",
+        "z(i) = x(i)\nk = 0\nwhile (k < 2)\nz(i) = z(i) * 0.5\nk = k + 1\nendwhile\n",
+    ),
+    (
+        "segment-rmw",
+        "do j = 1, len(i)\nc(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + x(i)\nenddo\n",
+    ),
+    (
+        "segment-and-affine",
+        "do j = 1, len(i)\nc(ptr(i) + j - 1) = c(ptr(i) + j - 1) + 1.0\nenddo\ny(i) = y(i) + 1.0\n",
+    ),
+    (
+        "affine-under-a-branch-on-a-segment",
+        "do j = 1, len(i)\nc(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5\n\
+         if (c(ptr(i) + j - 1) > 2.0) then\nz(i) = x(i)\nendif\nenddo\n",
+    ),
+    ("scatter", "z(p(i)) = x(i) * 2.0\n"),
+    ("scatter-and-affine", "z(p(i)) = x(i)\ny(i) = y(i) + x(i)\n"),
+];
+
+/// Their near-misses: dependent loops, and parallel ones whose writes
+/// have no shape (or a shape missing what it needs at run time).
+const NEAR_MISSES: [(&str, &str); 13] = [
+    ("flow-dependence", "y(i + 1) = y(i) + x(i)\n"),
+    (
+        "read-at-second-offset",
+        "z(i) = y(i) + y(i + 1)\ny(i) = x(i)\n",
+    ),
+    (
+        "two-index-arrays",
+        "z(p(i)) = x(i)\nz(p2(i)) = x(i) + 1.0\n",
+    ),
+    ("non-injective-index", "z(q(i)) = x(i)\n"),
+    (
+        "overlapping-ptr",
+        "do j = 1, len(i)\nc(bad(i) + j - 1) = c(bad(i) + j - 1) * 0.5 + 1.0\nenddo\n",
+    ),
+    ("read-through-index", "y(i) = y(p(i)) + 1.0\n"),
+    (
+        "ptr-written-in-nest",
+        "ptr(i + 1) = ptr(i) + len(i)\ndo j = 1, len(i)\nc(ptr(i) + j - 1) = x(i)\nenddo\n",
+    ),
+    ("scatter-rmw", "z(p(i)) = z(p(i)) + x(i)\n"),
+    (
+        "scatter-under-a-branch-on-a-read-target",
+        "y(i) = y(i) + x(i)\nif (y(i) > 4.0) then\nz(p(i)) = x(i)\nendif\n",
+    ),
+    ("strided-affine", "y(2 * i - 1) = x(i)\n"),
+    (
+        "conditional-write-to-dead-array",
+        "if (x(i) > 0.5) then\nw(i) = x(i)\nendif\n",
+    ),
+    ("scatter-offset-uncertified", "z(p(i + 1)) = x(i)\n"),
+    ("second-shape-on-one-target", "z(p(i)) = x(i)\nz(i) = 1.0\n"),
+];
+
+/// The programs of the in-place strategy's soundness gate
+/// (`tests/strategy_parity.rs`): a prologue that builds a permutation
+/// `p` (and a second one, `p2`), a colliding index array `q`, an
+/// offset–length chain `ptr`/`len` with zero-length segments, and an
+/// overlapping pointer array `bad`, then a labeled loop whose body is
+/// one of the in-place shapes or one of their near-misses — each at
+/// three trip counts: zero, one iteration, and 32. Everything is
+/// bounded by construction, so every program runs error-free.
+pub fn strategy_programs() -> impl Iterator<Item = StrategyProgram> {
+    // Opaque to constant folding, so the trip count is a run-time fact.
+    const TRIPS: [(&str, u32); 3] = [("mod(n, 2)", 0), ("mod(n, 2) + 1", 1), ("n / 2", 32)];
+    let shapes = SHAPES.iter().map(|t| (t, true));
+    let near_misses = NEAR_MISSES.iter().map(|t| (t, false));
+    shapes
+        .chain(near_misses)
+        .flat_map(|(&(what, body), in_place)| {
+            TRIPS
+                .iter()
+                .map(move |&(trip, iterations)| StrategyProgram {
+                    source: strategy_source(body, trip),
+                    what,
+                    in_place,
+                    iterations,
+                })
+        })
+}
+
+fn strategy_source(body: &str, trip: &str) -> String {
+    format!(
+        "program f
+         integer i, j, k, n, m, p(64), p2(64), q(64), ptr(65), len(64), bad(64)
+         real x(64), y(65), z(64), c(160), w(64)
+         n = 64
+         m = {trip}
+         do i = 1, n
+           x(i) = mod(i * 13, 97) * 0.01
+           y(i) = i * 0.25
+           z(i) = 0.0
+           p(i) = mod(i * 7, 64) + 1
+           p2(i) = mod(i * 5, 64) + 1
+           q(i) = mod(i * 3, 16) + 1
+           len(i) = mod(i, 4)
+           bad(i) = mod(i * 5, 60) + 1
+         enddo
+         y(65) = 0.0
+         ptr(1) = 1
+         do i = 1, n
+           ptr(i + 1) = ptr(i) + len(i)
+         enddo
+         do i = 1, 160
+           c(i) = i * 0.125
+         enddo
+         do 20 i = 1, m
+{body} 20      continue
+         print y(1), z(5), c(7)
+         end"
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,6 +208,17 @@ mod tests {
             assert_eq!(pa, pb);
             irr_frontend::parse_program(&pa).expect("generated program parses");
         }
+    }
+
+    #[test]
+    fn every_strategy_program_parses() {
+        let mut programs = 0;
+        for case in strategy_programs() {
+            irr_frontend::parse_program(&case.source)
+                .unwrap_or_else(|e| panic!("{}: {e}\n{}", case.what, case.source));
+            programs += 1;
+        }
+        assert_eq!(programs, (SHAPES.len() + NEAR_MISSES.len()) * 3);
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub struct SparseProgram {
     /// The dispatch tier the driver must assign the main loop.
     pub expected_tier: ExpectedTier,
     /// The strategy facts (`StrategyFacts::name()`) the verdict must
-    /// carry: `"none"`, `"disjoint-affine"`, or `"consecutive-append"`.
+    /// carry: `"none"`, one of the in-place shapes (`"disjoint-affine"`,
+    /// `"offset-length-segment"`, `"certified-scatter"`), or
+    /// `"consecutive-append"`.
     pub expected_facts: &'static str,
 }
 
@@ -211,7 +213,7 @@ end
             ("x", real_array(&dense_reals(m.cols, scale.seed ^ 0x51))),
         ],
         expected_tier: ExpectedTier::CompileTimeParallel,
-        expected_facts: "none",
+        expected_facts: "disjoint-affine",
     }
 }
 
@@ -253,7 +255,7 @@ end
             ("dinv", real_array(&dense_reals(r, scale.seed ^ 0x54))),
         ],
         expected_tier: ExpectedTier::CompileTimeParallel,
-        expected_facts: "none",
+        expected_facts: "disjoint-affine",
     }
 }
 
@@ -335,7 +337,7 @@ end
             ("front", real_array(&front)),
         ],
         expected_tier: ExpectedTier::RuntimeGuarded,
-        expected_facts: "none",
+        expected_facts: "offset-length-segment",
     }
 }
 
@@ -387,7 +389,7 @@ end
             ("front", real_array(&front)),
         ],
         expected_tier: ExpectedTier::CompileTimeParallel,
-        expected_facts: "none",
+        expected_facts: "offset-length-segment",
     }
 }
 
@@ -424,7 +426,7 @@ end
             ("cval", real_array(&m.val)),
         ],
         expected_tier: ExpectedTier::RuntimeGuarded,
-        expected_facts: "none",
+        expected_facts: "offset-length-segment",
     }
 }
 
@@ -472,7 +474,7 @@ end
             ("cval", real_array(&m.val)),
         ],
         expected_tier: ExpectedTier::CompileTimeParallel,
-        expected_facts: "none",
+        expected_facts: "offset-length-segment",
     }
 }
 
@@ -520,7 +522,7 @@ end
             ("w", real_array(&dense_reals(nodes, scale.seed ^ 0x5a))),
         ],
         expected_tier: ExpectedTier::CompileTimeParallel,
-        expected_facts: "none",
+        expected_facts: "disjoint-affine",
     }
 }
 
@@ -583,7 +585,7 @@ end
             ("aval", real_array(&m.val)),
         ],
         expected_tier: ExpectedTier::RuntimeGuarded,
-        expected_facts: "none",
+        expected_facts: "certified-scatter",
     }
 }
 
@@ -672,7 +674,7 @@ end
             ("front", real_array(&front)),
         ],
         expected_tier: ExpectedTier::CompileTimeParallel,
-        expected_facts: "none",
+        expected_facts: "offset-length-segment",
     }
 }
 

@@ -22,12 +22,17 @@
 //! stays measurable (see the `runtime-vs-compile-time` bench group and
 //! `examples/hybrid_fallback.rs`).
 //!
-//! Parallel dispatches go through the exec crate's write-log executor:
+//! Parallel dispatches go through the exec crate's chunked executor:
 //! each chunk runs on a copy-on-write clone of the live store — on the
 //! dispatching thread or on one of the run's pooled worker threads
-//! (created once per run, [`Telemetry::worker_threads_spawned`]) — and
+//! (created once per run, [`Telemetry::worker_threads_spawned`]). A
+//! loop whose verdict carries in-place facts writes the master's
+//! buffers directly, each chunk confined to its own windows — or, for a
+//! scatter, under the [`InjectiveCertificate`] the guard's own
+//! inspection issued, which this dispatcher keeps per loop and hands to
+//! every entry that inspection's verdict clears. Everything else
 //! returns a write log, merged in `O(total writes)` with positional
-//! conflict detection; worker statement costs and loop statistics are
+//! conflict detection. Worker statement costs and loop statistics are
 //! aggregated back into the dispatched interpreter, so a hybrid run's
 //! [`ExecOutcome`] stats match the sequential run's.
 
@@ -41,19 +46,20 @@ use irr_driver::{
     CompilationReport, DispatchTier, GuardPlan, ReductionOp, ResidualCheck, StrategyFacts,
 };
 use irr_exec::{
-    inspect_injective, inspect_injective_parallel, inspect_offset_length, ChunkEngine, Committed,
-    ExecError, ExecOutcome, ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, Inspection,
+    certify_injective, inspect_offset_length, ChunkEngine, Committed, ExecError, ExecOutcome,
+    ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, InjectiveCertificate, Inspection,
     Interp, LoopDecision, LoopDispatcher, ParallelPlan, ReduceOp, Store,
 };
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
 
 /// Minimum inspected section length before a guarded loop's
-/// injectivity inspector runs its chunked parallel variant; shorter
-/// sections stay on the sequential scan (thread spawn would cost more
-/// than it saves — inspectors still open a `thread::scope` per
-/// inspection, unlike loop dispatches, which run on the interpreter's
-/// pool; an inspection is once per mutation, not once per entry).
+/// injectivity inspector splits its scan over the configured threads;
+/// shorter sections are scanned in one chunk, inline (thread spawn
+/// would cost more than it saves — inspectors still open a
+/// `thread::scope` per inspection, unlike loop dispatches, which run on
+/// the interpreter's pool; an inspection is once per mutation, not once
+/// per entry).
 const PARALLEL_INSPECT_THRESHOLD: i64 = 2048;
 
 /// Configuration of the hybrid runtime.
@@ -142,6 +148,11 @@ pub struct HybridDispatcher {
     loops: HashMap<StmtId, LoopEntry>,
     config: HybridConfig,
     cache: ScheduleCache,
+    /// What each guarded loop's last inspection certified, out of the
+    /// scan that cleared its guard: handed to every dispatch of the
+    /// loop that verdict (fresh or cached) clears, and re-checked there
+    /// against the live store.
+    certificates: HashMap<StmtId, Vec<InjectiveCertificate>>,
     /// Injected fault schedule for chaos testing; `None` (the default)
     /// keeps every dispatch on the ordinary path at the cost of a
     /// single `Option` check.
@@ -180,7 +191,7 @@ impl HybridDispatcher {
                 })
                 .collect();
             let strategy = match &v.strategy_facts {
-                StrategyFacts::DisjointAffine { .. } => ExecutionStrategy::InPlaceDisjoint,
+                StrategyFacts::InPlace { .. } => ExecutionStrategy::InPlaceDisjoint,
                 StrategyFacts::ConsecutiveAppend { .. } => ExecutionStrategy::PrivatizeAndConcat,
                 StrategyFacts::None => ExecutionStrategy::WriteLog,
             };
@@ -213,6 +224,7 @@ impl HybridDispatcher {
             loops,
             config,
             cache: ScheduleCache::new(),
+            certificates: HashMap::new(),
             fault: None,
             last_parallel: None,
             telemetry: Telemetry::default(),
@@ -259,7 +271,12 @@ impl HybridDispatcher {
         }
     }
 
-    fn plan_for(&mut self, entry: &LoopEntry, fault: Option<FaultKind>) -> ParallelPlan {
+    fn plan_for(
+        &mut self,
+        entry: &LoopEntry,
+        fault: Option<FaultKind>,
+        certificates: Vec<InjectiveCertificate>,
+    ) -> ParallelPlan {
         // A request, not a promise: the master re-lowers before
         // dispatching and workers silently tree-walk when it fails.
         let compiled = self.config.enable_compiled && entry.compiled_plan;
@@ -278,6 +295,7 @@ impl HybridDispatcher {
                 ExecutionStrategy::WriteLog
             },
             compiled,
+            certificates,
         }
     }
 
@@ -306,39 +324,45 @@ impl HybridDispatcher {
     /// cleared, and a group is cleared when *any one* of its checks
     /// passes (each check would alone establish that array's
     /// independence — the tester's symmetric candidates include checks
-    /// that legitimately fail while a sibling passes).
-    fn inspect(&mut self, store: &Store, guard: &GuardPlan, lo: i64, hi: i64) -> bool {
+    /// that legitimately fail while a sibling passes). `None` when some
+    /// group is not; else what the injectivity checks that cleared
+    /// theirs certified, out of the same scan.
+    fn inspect(
+        &mut self,
+        store: &Store,
+        guard: &GuardPlan,
+        lo: i64,
+        hi: i64,
+    ) -> Option<Vec<InjectiveCertificate>> {
+        let mut certificates = Vec::new();
         'groups: for group in &guard.groups {
             for check in group {
                 self.telemetry.inspections_run += 1;
-                let verdict = match check {
+                let passed = match check {
+                    // An empty section is vacuously injective, and a
+                    // zero-trip dispatch needs no certificate.
+                    ResidualCheck::Injective { .. } if hi < lo => true,
                     ResidualCheck::Injective { array } => {
-                        // Long sections amortize thread spawn: the chunked
-                        // parallel inspector marks per-chunk bitmaps and
-                        // merges them at chunk granularity.
-                        if hi.saturating_sub(lo) + 1 >= PARALLEL_INSPECT_THRESHOLD {
-                            inspect_injective_parallel(
-                                store,
-                                *array,
-                                lo,
-                                hi,
-                                self.config.threads.max(1),
-                            )
-                        } else {
-                            inspect_injective(store, *array, lo, hi)
-                        }
+                        // Long sections amortize thread spawn: the scan
+                        // marks per-chunk bitmaps and merges them at
+                        // chunk granularity.
+                        let long = hi.saturating_sub(lo) + 1 >= PARALLEL_INSPECT_THRESHOLD;
+                        let threads = if long { self.config.threads.max(1) } else { 1 };
+                        let certificate = certify_injective(store, *array, lo, hi, threads);
+                        certificates.extend(certificate);
+                        certificate.is_some()
                     }
                     ResidualCheck::OffsetLength { ptr, len } => {
-                        inspect_offset_length(store, *ptr, *len, lo, hi)
+                        inspect_offset_length(store, *ptr, *len, lo, hi) == Inspection::ParallelOk
                     }
                 };
-                if verdict == Inspection::ParallelOk {
+                if passed {
                     continue 'groups;
                 }
             }
-            return false;
+            return None;
         }
-        true
+        Some(certificates)
     }
 }
 
@@ -399,7 +423,7 @@ impl LoopDispatcher for HybridDispatcher {
                     let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
                     self.telemetry.concat_parallel += 1;
                     self.last_parallel = Some((loop_stmt, key));
-                    return LoopDecision::Parallel(self.plan_for(&entry, fault));
+                    return LoopDecision::Parallel(self.plan_for(&entry, fault, Vec::new()));
                 }
                 self.telemetry.sequential_proven += 1;
                 // The compiled tier changes the engine, not the
@@ -437,7 +461,7 @@ impl LoopDispatcher for HybridDispatcher {
                     }
                 }
                 self.last_parallel = Some((loop_stmt, key));
-                LoopDecision::Parallel(self.plan_for(&entry, fault))
+                LoopDecision::Parallel(self.plan_for(&entry, fault, Vec::new()))
             }
             DispatchTier::RuntimeGuarded(guard) => {
                 let key = ScheduleKey::new(
@@ -457,33 +481,43 @@ impl LoopDispatcher for HybridDispatcher {
                 self.telemetry.inspections_retired += entry.retired;
                 let fault = if lo <= hi { self.decide_fault() } else { None };
                 let lie = fault == Some(FaultKind::LieInspector);
-                let parallel_ok = if lie {
+                let hit = if lie {
                     // The inspector "passes" a guard it never ran. The
                     // forged verdict is deliberately not cached: the
                     // lie corrupts one dispatch, not the cache.
                     if let Some(plan) = self.fault.as_mut() {
                         plan.record_fired(FaultKind::LieInspector);
                     }
-                    true
+                    Some(true)
                 } else if self.config.cache_schedules {
                     match self.cache.probe(loop_stmt, &key) {
                         CacheProbe::Hit(v) => {
                             self.telemetry.cache_hits += 1;
-                            v
+                            Some(v)
                         }
                         probe => {
                             if probe == CacheProbe::Stale {
                                 self.telemetry.cache_invalidations += 1;
                             }
-                            let v = self.inspect(store, guard, lo, hi);
-                            self.cache.insert(loop_stmt, key.clone(), v);
-                            self.telemetry.cache_evictions = self.cache.evictions();
-                            v
+                            None
                         }
                     }
                 } else {
-                    self.inspect(store, guard, lo, hi)
+                    None
                 };
+                // A miss inspects, and the scan that clears the guard
+                // leaves the loop's certificates.
+                let parallel_ok = hit.unwrap_or_else(|| {
+                    let inspected = self.inspect(store, guard, lo, hi);
+                    let v = inspected.is_some();
+                    if self.config.cache_schedules {
+                        self.cache.insert(loop_stmt, key.clone(), v);
+                        self.telemetry.cache_evictions = self.cache.evictions();
+                    }
+                    self.certificates
+                        .insert(loop_stmt, inspected.unwrap_or_default());
+                    v
+                });
                 if parallel_ok {
                     // Executor-level faults go live only on a dispatch
                     // that actually happens; a fault decided for a
@@ -491,7 +525,13 @@ impl LoopDispatcher for HybridDispatcher {
                     let fault = self.arm_fault(if lie { None } else { fault });
                     self.telemetry.guarded_parallel += 1;
                     self.last_parallel = Some((loop_stmt, key));
-                    LoopDecision::Parallel(self.plan_for(&entry, fault))
+                    // A lie ran no scan, so it carries no certificate;
+                    // a cache hit carries the ones its inspection left.
+                    let certificates = match self.certificates.get(&loop_stmt) {
+                        Some(certificates) if !lie => certificates.clone(),
+                        _ => Vec::new(),
+                    };
+                    LoopDecision::Parallel(self.plan_for(&entry, fault, certificates))
                 } else {
                     self.telemetry.guarded_sequential += 1;
                     LoopDecision::Sequential
@@ -657,6 +697,11 @@ mod tests {
         assert_eq!(hybrid.outcome.output, seq.output);
         assert_eq!(hybrid.telemetry.guarded_parallel, 1);
         assert_eq!(hybrid.telemetry.inspections_run, 1);
+        // The scan that cleared the guard certified `p`, so the scatter
+        // (like the producer loop before it) committed in place.
+        assert_eq!(v.strategy_facts.name(), "certified-scatter");
+        assert_eq!(hybrid.telemetry.strategy_in_place, 2);
+        assert_eq!(hybrid.telemetry.strategy_write_log, 0);
     }
 
     #[test]
@@ -913,6 +958,9 @@ mod tests {
             cached.telemetry
         );
         assert_eq!(cached.telemetry.cache_hits, 2);
+        // The one certificate serves the two cache hits as well.
+        assert_eq!(cached.telemetry.strategy_in_place, 4);
+        assert_eq!(cached.telemetry.strategy_write_log, 0);
         let uncached = run_hybrid(
             &rep,
             HybridConfig {
@@ -923,6 +971,7 @@ mod tests {
         .unwrap();
         assert_eq!(uncached.telemetry.inspections_run, 3);
         assert_eq!(uncached.telemetry.cache_hits, 0);
+        assert_eq!(uncached.telemetry.strategy_in_place, 4);
     }
 
     #[test]

@@ -56,8 +56,9 @@ pub struct Telemetry {
     /// strategy downgrades).
     pub strategy_write_log: u64,
     /// Committed parallel dispatches that wrote the master buffers in
-    /// place under a re-proven disjointness fact — no clone, no log,
-    /// no merge.
+    /// place — no clone, no log, no merge — under write shapes the
+    /// executor re-derived: affine or offset–length windows it
+    /// enforced, or a scatter it held a live certificate for.
     pub strategy_in_place: u64,
     /// Committed parallel dispatches that concatenated per-worker
     /// append buffers positionally.

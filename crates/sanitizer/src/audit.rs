@@ -355,11 +355,15 @@ fn tier_name(tier: &DispatchTier) -> &'static str {
 /// The execution strategy a falsified verdict would have selected, so a
 /// violation witness attributes not just the wrong tier but the exact
 /// commit path (in-place writes, positional concat) the lie would have
-/// driven. Names match [`irr_exec::ExecutionStrategy::name`].
+/// driven — and, for in-place facts, the write shape they claimed.
+/// Names match [`irr_exec::ExecutionStrategy::name`] and
+/// [`StrategyFacts::name`].
 fn strategy_suffix(facts: &StrategyFacts) -> String {
     match facts {
         StrategyFacts::None => String::new(),
-        StrategyFacts::DisjointAffine { .. } => " (strategy in-place-disjoint)".to_string(),
+        StrategyFacts::InPlace { .. } => {
+            format!(" (strategy in-place-disjoint, {})", facts.name())
+        }
         StrategyFacts::ConsecutiveAppend { .. } => " (strategy privatize-concat)".to_string(),
     }
 }
@@ -499,7 +503,7 @@ pub fn figures() -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irr_driver::{compile_source, DriverOptions};
+    use irr_driver::{compile_source, DriverOptions, InPlaceTarget, WriteShape};
 
     fn cfg(mode: AuditMode) -> AuditConfig {
         AuditConfig {
@@ -604,8 +608,13 @@ mod tests {
         assert!(!v.parallel);
         v.parallel = true;
         v.tier = DispatchTier::CompileTimeParallel;
-        v.strategy_facts = StrategyFacts::DisjointAffine {
-            arrays: vec![(x, 0)],
+        v.strategy_facts = StrategyFacts::InPlace {
+            targets: vec![InPlaceTarget {
+                array: x,
+                shape: WriteShape::Affine { off: 0 },
+                read: true,
+                always_written: true,
+            }],
         };
         let audit = audit_report(&rep, &cfg(AuditMode::Soundness));
         assert_eq!(audit.violations(), 1, "{:?}", audit.findings);
@@ -613,8 +622,9 @@ mod tests {
         assert_eq!(f.kind, FindingKind::SoundnessViolation);
         assert_eq!(f.label, "T/do10");
         assert!(
-            f.detail.contains("in-place-disjoint"),
-            "witness must name the strategy: {}",
+            f.detail
+                .contains("(strategy in-place-disjoint, disjoint-affine)"),
+            "witness must name the strategy and the shape: {}",
             f.detail
         );
         assert!(f.detail.contains("flow dependence on `x`"), "{}", f.detail);

@@ -51,6 +51,12 @@
 //! strengthened verdict or a contradicted degraded verdict is a
 //! violation.
 //!
+//! Every audited program's line ends with how one hybrid run of it
+//! (four chunks) committed its parallel dispatches — in place, by
+//! concatenation, through the write-log — and the kernel sweeps name
+//! the main loop's strategy facts: the running answer to "what still
+//! needs the log".
+//!
 //! Exits nonzero iff any soundness violation is found, so the command
 //! doubles as a CI gate. Precision gaps (full mode) are informational.
 
@@ -62,7 +68,7 @@ use irr_programs::sparse::{
     interproc_kernels, kernels, producer_kernels, SparseProgram, SparseScale, STRUCTURES,
 };
 use irr_programs::{all, Scale};
-use irr_runtime::{run_hybrid_with_faults, HybridConfig};
+use irr_runtime::{run_hybrid_seeded, run_hybrid_with_faults, HybridConfig};
 use irr_sanitizer::{
     audit_report, audit_report_seeded, figures, AuditConfig, AuditMode, AuditReport, FindingKind,
 };
@@ -170,13 +176,14 @@ fn main() {
         let audit = audit_report(&rep, &config);
         println!(
             "{name}: {} loop(s) audited, {} traced execution(s), {} run(s) ok, {} failed, \
-             {} violation(s), {} precision gap(s)",
+             {} violation(s), {} precision gap(s); commits: {}",
             audit.loops_audited,
             audit.executions_traced,
             audit.runs_completed,
             audit.runs_failed,
             audit.violations(),
             audit.precision_gaps(),
+            commits(&rep, &[]),
         );
         print_findings(&audit);
         total_violations += audit.violations();
@@ -245,6 +252,33 @@ fn main() {
     );
     if total_violations > 0 {
         std::process::exit(1);
+    }
+}
+
+/// How one hybrid run of `rep` commits its parallel dispatches, per
+/// strategy: what still goes through the write-log is what the
+/// in-place shapes and the concat proof do not cover.
+fn commits(
+    rep: &CompilationReport,
+    presets: &[(irr_frontend::VarId, irr_exec::ArrayData)],
+) -> String {
+    // Pinned like the chaos sweep's, so the line repeats on every host.
+    let config = HybridConfig {
+        threads: 4,
+        ..HybridConfig::default()
+    };
+    match run_hybrid_seeded(rep, config, presets) {
+        Ok(out) => {
+            let t = out.telemetry;
+            format!(
+                "{} in place, {} concat, {} write-log, {} fallback(s)",
+                t.strategy_in_place,
+                t.strategy_concat,
+                t.strategy_write_log,
+                t.fallbacks()
+            )
+        }
+        Err(e) => format!("hybrid run failed: {e}"),
     }
 }
 
@@ -373,7 +407,7 @@ fn kernel_sweep(
             let audit = audit_report_seeded(&rep, config, &presets);
             println!(
                 "{tag} {} ({}, seed {seed}): {}{} loop(s) audited, {} run(s) ok, {} failed, \
-                 {} violation(s), {} precision gap(s)",
+                 {} violation(s), {} precision gap(s); facts {}, commits: {}",
                 k.name,
                 structure.tag(),
                 judged.as_ref().map_or("", |(_, p)| p.detail.as_str()),
@@ -382,6 +416,9 @@ fn kernel_sweep(
                 audit.runs_failed,
                 audit.violations(),
                 audit.precision_gaps(),
+                rep.verdict(&k.label)
+                    .map_or("none", |v| v.strategy_facts.name()),
+                commits(&rep, &presets),
             );
             print_findings(&audit);
             if audit.runs_failed > 0 {

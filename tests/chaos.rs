@@ -9,7 +9,10 @@
 //! kernels and the paper figures under fault schedules; re-running with
 //! the same seed replays the identical schedule (CI pins one).
 
-use irr_driver::{compile_source, CompilationReport, DispatchTier, DriverOptions, StrategyFacts};
+use irr_driver::{
+    compile_source, CompilationReport, DispatchTier, DriverOptions, InPlaceTarget, StrategyFacts,
+    WriteShape,
+};
 use irr_exec::{FaultKind, FaultPlan, Interp, Store, TraceConfig, Value};
 use irr_programs::{all, Scale};
 use irr_runtime::{
@@ -71,6 +74,18 @@ const REENTRANT_SRC: &str = "program t
 
 fn compiled(src: &str) -> CompilationReport {
     compile_source(src, DriverOptions::with_iaa()).expect("compiles")
+}
+
+/// Forged in-place facts: `array`, write-only, under `shape`.
+fn in_place_facts(array: irr_frontend::VarId, shape: WriteShape) -> StrategyFacts {
+    StrategyFacts::InPlace {
+        targets: vec![InPlaceTarget {
+            array,
+            shape,
+            read: false,
+            always_written: true,
+        }],
+    }
 }
 
 /// Exact-attribution tests leave the watchdog off: these tests assert
@@ -358,9 +373,7 @@ fn lie_inspector_under_in_place_strategies_attributes_exactly() {
         .unwrap();
     v.parallel = true;
     v.tier = DispatchTier::CompileTimeParallel;
-    v.strategy_facts = StrategyFacts::DisjointAffine {
-        arrays: vec![(z, 0)],
-    };
+    v.strategy_facts = in_place_facts(z, WriteShape::Affine { off: 0 });
     let audit = audit_report(
         &forged,
         &AuditConfig {
@@ -411,9 +424,7 @@ fn forged_disjointness_facts_are_refused_by_the_executor() {
         assert!(!v.parallel, "honest verdict is sequential: {v:?}");
         v.parallel = true;
         v.tier = DispatchTier::CompileTimeParallel;
-        v.strategy_facts = StrategyFacts::DisjointAffine {
-            arrays: vec![(x, 0)],
-        };
+        v.strategy_facts = in_place_facts(x, WriteShape::Affine { off: 0 });
     }
     let hybrid = run_hybrid(&rep, chaos_config()).unwrap();
     assert_sequential_parity("forged-facts", &rep, &hybrid);
@@ -432,6 +443,339 @@ fn forged_disjointness_facts_are_refused_by_the_executor() {
         t.fallback_strategy, 0,
         "the downgrade is silent, not a violation: {t:?}"
     );
+}
+
+#[test]
+fn forged_shape_facts_are_refused_by_the_executor() {
+    // The same forgery for the two shapes that lean on run-time input.
+    // A segment claim on a loop that has no such subscript: the
+    // executor's own derivation finds no shape and downgrades. A
+    // scatter claim on a loop that *is* a scatter, through a colliding
+    // index array, promoted past its guard: the shape derives, but no
+    // inspection ran, so no certificate exists, and the executor
+    // downgrades again. Either way the write-log's merge catches the
+    // genuine conflict and nothing was written through a master buffer
+    // on the word of the verdict.
+    let all_write_x1 = "program t
+         integer i, n, p(8)
+         real x(8), y(8)
+         n = 8
+         do i = 1, n
+           y(i) = i * 1.0
+           p(i) = i
+         enddo
+         do 20 i = 1, n
+           x(1) = y(i) * 2.0
+ 20      continue
+         print x(1)
+         end";
+    for (src, target, shape) in [
+        (all_write_x1, "x", "segment"),
+        (COLLIDING_SRC, "z", "scatter"),
+    ] {
+        let mut rep = compiled(src);
+        let array = rep.program.symbols.lookup(target).unwrap();
+        let p = rep.program.symbols.lookup("p").unwrap();
+        let v = rep
+            .verdicts
+            .iter_mut()
+            .find(|v| v.label == "T/do20")
+            .unwrap();
+        assert!(!v.parallel, "{shape}: honest verdict: {v:?}");
+        v.parallel = true;
+        v.tier = DispatchTier::CompileTimeParallel;
+        v.strategy_facts = in_place_facts(
+            array,
+            match shape {
+                "segment" => WriteShape::Segment { ptr: p },
+                _ => WriteShape::Scatter { index: p, off: 0 },
+            },
+        );
+        let hybrid = run_hybrid(&rep, chaos_config()).unwrap();
+        assert_sequential_parity(shape, &rep, &hybrid);
+        let t = hybrid.telemetry;
+        assert_eq!(t.compile_time_parallel, 2, "{shape}: {t:?}");
+        assert_eq!(t.fallback_conflict, 1, "{shape}: {t:?}");
+        assert_eq!(
+            t.strategy_in_place, 1,
+            "{shape}: only the honest init loop committed in place: {t:?}"
+        );
+        assert_eq!(t.strategy_write_log, 0, "{shape}: {t:?}");
+        assert_eq!(
+            t.fallback_strategy, 0,
+            "{shape}: the downgrade is silent, not a violation: {t:?}"
+        );
+    }
+}
+
+/// A guarded scatter re-entered three times, its index array preset to
+/// a permutation and two of its entries swapped after the second entry.
+const MUTATED_SWEEP_SRC: &str = "program t
+     integer i, r, n, t, p(8)
+     real z(8), x(8)
+     n = 8
+     do i = 1, n
+       x(i) = i * 1.0
+     enddo
+     do r = 1, 3
+       do 20 i = 1, n
+         z(p(i)) = x(i) + r
+ 20    continue
+       if (r == 2) then
+         t = p(1)
+         p(1) = p(2)
+         p(2) = t
+       endif
+     enddo
+     print z(1), z(8)
+     end";
+
+#[test]
+fn a_stale_certificate_is_never_written_through() {
+    // Entry 1 inspects `p` and commits in place under the certificate
+    // the scan issued; entry 2 hits the schedule cache and commits
+    // under the same one. Then `p` is written. Entry 3's schedule key
+    // is stale, the guard re-inspects, and the dispatch runs under a
+    // *fresh* certificate: the old one names a write-version of `p`
+    // that is gone, and the executor would refuse it (see
+    // `a_scatter_commits_in_place_only_under_a_live_certificate` in
+    // `irr_exec`, which hands it one).
+    let rep = compiled(MUTATED_SWEEP_SRC);
+    let v = rep.verdict("T/do20").unwrap();
+    assert!(matches!(v.tier, DispatchTier::RuntimeGuarded(_)), "{v:?}");
+    assert_eq!(v.strategy_facts.name(), "certified-scatter");
+    let p = rep.program.symbols.lookup("p").unwrap();
+    let presets = [(
+        p,
+        irr_exec::ArrayData::Int {
+            data: vec![3, 1, 4, 8, 5, 2, 6, 7],
+            dims: vec![8],
+        },
+    )];
+    let hybrid = irr_runtime::run_hybrid_seeded(&rep, chaos_config(), &presets).unwrap();
+    let t = &hybrid.telemetry;
+    assert_eq!(t.guarded_parallel, 3, "{t:?}");
+    assert_eq!(t.inspections_run, 2, "{t:?}");
+    assert_eq!((t.cache_hits, t.cache_invalidations), (1, 1), "{t:?}");
+    assert_eq!(
+        (t.strategy_in_place, t.strategy_write_log),
+        (4, 0),
+        "the init loop and all three entries: {t:?}"
+    );
+    assert_eq!(t.fallbacks(), 0, "{t:?}");
+    let mut seq = Interp::new(&rep.program);
+    seq.preset_array(p, presets[0].1.clone());
+    let seq = seq.run().unwrap();
+    assert_eq!(hybrid.outcome.output, seq.output);
+    assert_store_eq("mutated-sweep", &rep, &seq.store, &hybrid.outcome.store);
+    // A lie runs no scan and so carries no certificate, even into a
+    // loop whose earlier, honest inspections left some: at the lied
+    // site the same scatter runs — correctly, `p` being a permutation —
+    // under the write-log.
+    let mut d = HybridDispatcher::new(&rep, chaos_config());
+    d.set_fault_plan(FaultPlan::scripted([(2, FaultKind::LieInspector)]));
+    let mut it = Interp::new(&rep.program);
+    it.preset_array(p, presets[0].1.clone());
+    let lied = it.run_dispatched(&mut d).unwrap();
+    assert_eq!(lied.output, seq.output);
+    let t = &d.telemetry;
+    assert_eq!((t.strategy_in_place, t.strategy_write_log), (3, 1), "{t:?}");
+    assert_eq!(t.fallbacks(), 0, "{t:?}");
+}
+
+/// The colscale shape with its offset–length chain built in the
+/// program: every element of `c` is read, halved and written back
+/// through `c(ptr(i) + j - 1)`, in place.
+const SEGMENT_RMW_SRC: &str = "program t
+     integer i, j, n, ptr(9), len(8)
+     real c(17)
+     n = 8
+     do i = 1, n
+       len(i) = mod(i, 3) + 1
+     enddo
+     ptr(1) = 1
+     do i = 1, n
+       ptr(i + 1) = ptr(i) + len(i)
+     enddo
+     do i = 1, 17
+       c(i) = i * 0.5
+     enddo
+     do 20 i = 1, n
+       do j = 1, len(i)
+         c(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + 1.0
+       enddo
+ 20  continue
+     print c(1), c(17)
+     end";
+
+#[test]
+fn a_failed_read_modify_write_dispatch_leaves_no_trace() {
+    // By the time any of these faults is noticed the chunks have
+    // halved their windows of `c` in the master's buffer. The dispatch
+    // must hand `c` back as it found it, or the sequential fallback
+    // halves it a second time.
+    let rep = compiled(SEGMENT_RMW_SRC);
+    let c = rep.program.symbols.lookup("c").unwrap();
+    let honest = run_hybrid(&rep, watchdog_config()).unwrap();
+    let t = &honest.telemetry;
+    assert_eq!(
+        (t.strategy_in_place, t.strategy_write_log, t.fallbacks()),
+        (3, 0, 0),
+        "{t:?}"
+    );
+    // The walk is the run's last dispatch site.
+    let site = t.parallel_dispatches() - 1;
+    let seq = Interp::new(&rep.program).run().unwrap();
+    let bits = |st: &Store| -> Vec<u64> {
+        let held = st.array_as_reals(c).unwrap();
+        held.iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&honest.outcome.store), bits(&seq.store));
+    let faults = [
+        FaultKind::ForgeConflict,
+        FaultKind::PanicWorker { worker: 0 },
+        FaultKind::PanicWorker { worker: 3 },
+        FaultKind::StallWorker {
+            worker: 2,
+            stall_ms: STALL_MS,
+        },
+    ];
+    for kind in faults {
+        let plan = FaultPlan::scripted([(site, kind)]);
+        let (hybrid, plan) = run_hybrid_with_faults(&rep, watchdog_config(), plan).unwrap();
+        assert_sequential_parity(kind.name(), &rep, &hybrid);
+        assert_eq!(
+            bits(&hybrid.outcome.store),
+            bits(&seq.store),
+            "{}",
+            kind.name()
+        );
+        let t = &hybrid.telemetry;
+        assert_eq!(t.fallbacks(), 1, "{}: {t:?}", kind.name());
+        assert_eq!(t.strategy_in_place, 2, "{}: {t:?}", kind.name());
+        assert_eq!(plan.fired_count(kind.name()), 1);
+    }
+}
+
+#[test]
+fn an_inspector_lie_about_segments_is_caught_by_the_windows() {
+    // `ptr`/`len` are not an offset–length chain: row 2 is one element
+    // longer than its segment and walks into `c(5)`, which is row 3's.
+    // The honest guard fails; the lie dispatches the walk in place,
+    // two chunks of two rows. The first chunk's window refuses `c(5)`
+    // — a violation at that access. The second meanwhile divides by
+    // what row 3 makes of `c(5)` less one: 0.5 after the overreach,
+    // 0.0 without it — an error the program does not have, raised
+    // beside a violation. The dispatch must report the violation, put
+    // `c` back, and let the sequential run finish.
+    let src = "program t
+         integer i, j, n, ptr(5), len(4)
+         real c(8), x(4)
+         n = 4
+         do i = 1, n
+           ptr(i) = 2 * i - 1 - i / 4
+           len(i) = 2 + (i / 2) * (1 - (i / 3) * 2) + (i / 4) * 2
+           x(i) = 0.0
+         enddo
+         ptr(5) = 8
+         do i = 1, 8
+           c(i) = 0.5 - (i / 5) * (1 - i / 6) * 0.5
+         enddo
+         do 20 i = 1, n
+           do j = 1, len(i)
+             c(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + 1.0
+             if (i > 2) then
+               x(i) = 1.0 / (c(ptr(i) + j - 1) - 1.0)
+             endif
+           enddo
+ 20      continue
+         print x(3), c(5)
+         end";
+    let rep = compiled(src);
+    let v = rep.verdict("T/do20").unwrap();
+    assert!(matches!(v.tier, DispatchTier::RuntimeGuarded(_)), "{v:?}");
+    assert_eq!(v.strategy_facts.name(), "offset-length-segment");
+    let seq = Interp::new(&rep.program).run().unwrap();
+    let var = |name: &str| rep.program.symbols.lookup(name).unwrap();
+    assert_eq!(
+        seq.store.array_as_reals(var("ptr")).unwrap(),
+        [1.0, 3.0, 5.0, 6.0, 8.0]
+    );
+    assert_eq!(
+        seq.store.array_as_reals(var("len")).unwrap(),
+        [2.0, 3.0, 1.0, 2.0]
+    );
+    assert_eq!(seq.output, ["2 1.5"]);
+    let config = HybridConfig {
+        threads: 2,
+        ..HybridConfig::default()
+    };
+    let honest = run_hybrid(&rep, config).unwrap();
+    assert_eq!(honest.telemetry.guarded_sequential, 1);
+    let site = honest.telemetry.parallel_dispatches();
+    let plan = FaultPlan::scripted([(site, FaultKind::LieInspector)]);
+    let (hybrid, plan) = run_hybrid_with_faults(&rep, config, plan).unwrap();
+    assert_sequential_parity("segment-lie", &rep, &hybrid);
+    let t = hybrid.telemetry;
+    assert_eq!(t.guarded_parallel, 1, "{t:?}");
+    assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
+    assert_eq!(plan.fired_count("lie-inspector"), 1);
+}
+
+#[test]
+fn a_chunk_that_branched_beside_a_violation_leaves_no_stray_write() {
+    // The same broken chain, with the second chunk *branching* on what
+    // it finds: `x(i)` is set when a walked element comes out below
+    // 1.2. Sequentially row 2 overreaches into `c(5)` (0.0 -> 1.0, so
+    // `x(2)` is set) and row 3 then makes 1.5 of it: `x(3)` stays 0.
+    // Under the lie the first chunk's overreach is refused, so the
+    // second finds `c(5)` still 0.0, makes 1.0 of it and sets `x(3)`
+    // in the master's buffer — a location the sequential fallback
+    // never writes. `x` is write-only, but in a nest that reads `c` it
+    // must be copied aside and put back like `c`.
+    let src = "program t
+         integer i, j, n, ptr(5), len(4)
+         real c(8), x(4)
+         n = 4
+         do i = 1, n
+           ptr(i) = 2 * i - 1 - i / 4
+           len(i) = 2 + (i / 2) * (1 - (i / 3) * 2) + (i / 4) * 2
+           x(i) = 0.0
+         enddo
+         ptr(5) = 8
+         do i = 1, 8
+           c(i) = 0.5 - (i / 5) * (1 - i / 6) * 0.5
+         enddo
+         do 20 i = 1, n
+           do j = 1, len(i)
+             c(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + 1.0
+             if (c(ptr(i) + j - 1) < 1.2) then
+               x(i) = 1.0
+             endif
+           enddo
+ 20      continue
+         print x(2), x(3), c(5)
+         end";
+    let rep = compiled(src);
+    let v = rep.verdict("T/do20").unwrap();
+    assert!(matches!(v.tier, DispatchTier::RuntimeGuarded(_)), "{v:?}");
+    assert_eq!(v.strategy_facts.name(), "offset-length-segment");
+    let seq = Interp::new(&rep.program).run().unwrap();
+    assert_eq!(seq.output, ["1 0 1.5"]);
+    let config = HybridConfig {
+        threads: 2,
+        ..HybridConfig::default()
+    };
+    let honest = run_hybrid(&rep, config).unwrap();
+    assert_eq!(honest.telemetry.guarded_sequential, 1);
+    let site = honest.telemetry.parallel_dispatches();
+    let plan = FaultPlan::scripted([(site, FaultKind::LieInspector)]);
+    let (hybrid, plan) = run_hybrid_with_faults(&rep, config, plan).unwrap();
+    assert_sequential_parity("segment-lie-branch", &rep, &hybrid);
+    let t = hybrid.telemetry;
+    assert_eq!(t.guarded_parallel, 1, "{t:?}");
+    assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
+    assert_eq!(plan.fired_count("lie-inspector"), 1);
 }
 
 #[test]

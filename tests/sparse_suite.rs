@@ -4,7 +4,8 @@
 use irr_repro::driver::{compile_source, CompilationReport, DispatchTier, DriverOptions};
 use irr_repro::exec::{ExecOutcome, Interp};
 use irr_repro::programs::sparse::{
-    kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale, STRUCTURES,
+    interproc_kernels, kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale,
+    STRUCTURES,
 };
 use irr_repro::runtime::{run_hybrid_seeded, HybridConfig, HybridOutcome};
 use irr_repro::sparse::Structure;
@@ -173,9 +174,16 @@ fn dispatch_telemetry_matches_the_tier_map() {
             }
         }
         match k.expected_facts {
-            "disjoint-affine" => assert!(t.strategy_in_place >= 1, "{}: {t:?}", k.name),
+            // The three in-place shapes: the main loop's dispatch
+            // commits through the master's buffers, and nothing in the
+            // program needs the log.
+            "disjoint-affine" | "offset-length-segment" | "certified-scatter" => {
+                assert!(t.strategy_in_place >= 1, "{}: {t:?}", k.name);
+                assert_eq!(t.strategy_write_log, 0, "{}: {t:?}", k.name);
+            }
             "consecutive-append" => assert!(t.strategy_concat >= 1, "{}: {t:?}", k.name),
-            _ => {}
+            "none" => assert_eq!(t.strategy_in_place, 0, "{}: {t:?}", k.name),
+            other => panic!("{}: unknown expected facts `{other}`", k.name),
         }
     }
 }
@@ -261,7 +269,13 @@ fn inspectors_survive_ten_million_nonzeros() {
 fn producer_kernels_promote_across_structures() {
     for structure in STRUCTURES {
         let mut promoted = 0;
-        for k in producer_kernels(&SparseScale::test(structure, 42)) {
+        let scale = SparseScale::test(structure, 42);
+        // ... and their call-structured forms, which promote through
+        // the interprocedural summaries.
+        for k in producer_kernels(&scale)
+            .into_iter()
+            .chain(interproc_kernels(&scale))
+        {
             let rep = compile_kernel(&k);
             let v = rep
                 .verdict(&k.label)
@@ -280,9 +294,20 @@ fn producer_kernels_promote_across_structures() {
                 k.name,
                 structure.tag()
             );
+            // The segment walks commit in place with no inspection at
+            // all; the scatter has no certificate to commit under (the
+            // analysis retired the scan that would issue one) and
+            // keeps the write-log.
+            assert_eq!(
+                v.strategy_facts.name(),
+                k.expected_facts,
+                "{} ({}): strategy facts",
+                k.name,
+                structure.tag()
+            );
             promoted += 1;
         }
-        assert!(promoted >= 3, "{}: {promoted} promoted", structure.tag());
+        assert_eq!(promoted, 5, "{}", structure.tag());
     }
 }
 

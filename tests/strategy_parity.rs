@@ -14,10 +14,10 @@
 //! program sweep, plus dedicated kernels for the zero-trip,
 //! single-iteration, and consecutively-written (concat) edge cases.
 
-use irr_driver::{compile_source, CompilationReport, DriverOptions};
+use irr_driver::{compile_source, CompilationReport, DispatchTier, DriverOptions, StrategyFacts};
 use irr_exec::{ArrayData, ExecOutcome, Interp, SplitMix64, Store, Value};
 use irr_frontend::VarId;
-use irr_programs::fuzz::random_loop_program;
+use irr_programs::fuzz::{random_loop_program, strategy_programs};
 use irr_programs::sparse::{kernels, SparseScale};
 use irr_programs::{all, Scale};
 use irr_runtime::{run_hybrid_seeded, HybridConfig, HybridOutcome};
@@ -45,6 +45,11 @@ fn mode_config(enable_compiled: bool, enable_strategies: bool) -> HybridConfig {
         enable_strategies,
         ..HybridConfig::default()
     }
+}
+
+/// The host's thread count, as `HybridConfig::default()` takes it.
+fn host_threads() -> usize {
+    HybridConfig::default().threads
 }
 
 fn reals_eq(a: f64, b: f64) -> bool {
@@ -172,10 +177,24 @@ fn assert_store_eq(name: &str, rep: &CompilationReport, seq: &Store, got: &Store
 /// the hybrid outcomes in [`MODES`] order (compiled, strategies,
 /// write-log) for telemetry assertions.
 fn four_way(name: &str, rep: &CompilationReport, presets: &Presets) -> Vec<HybridOutcome> {
+    four_way_at(name, rep, presets, host_threads())
+}
+
+/// [`four_way`] with the chunk count pinned.
+fn four_way_at(
+    name: &str,
+    rep: &CompilationReport,
+    presets: &Presets,
+    threads: usize,
+) -> Vec<HybridOutcome> {
     MODES
         .iter()
         .map(|(mode, compiled, strategies)| {
-            let out = run_hybrid_seeded(rep, mode_config(*compiled, *strategies), presets)
+            let config = HybridConfig {
+                threads,
+                ..mode_config(*compiled, *strategies)
+            };
+            let out = run_hybrid_seeded(rep, config, presets)
                 .unwrap_or_else(|e| panic!("{name} ({mode}): {e}"));
             assert_sequential_parity(&format!("{name} ({mode})"), rep, presets, &out);
             out
@@ -241,6 +260,72 @@ fn randomized_programs_agree_under_all_modes() {
         let rep = compile(&src);
         four_way(&format!("random-{case}"), &rep, &Vec::new());
     }
+}
+
+/// Soundness of the three in-place write shapes: every template of
+/// `strategy_programs` at every trip count (zero, one, many), through
+/// the whole matrix at 1, 2, 3 and 7 chunks. All four ways must agree
+/// on the store, whatever the program; on top of that a *shape* must
+/// commit every entry of its loop in place (no log, no fallback), and a
+/// *near-miss* — a dependent loop, or a parallel one the executor has
+/// no business writing through a master buffer for — must not commit
+/// in place once it has two iterations to collide: it ends on the
+/// write-log, in a fallback, or sequential.
+#[test]
+fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
+    let mut logged = std::collections::BTreeSet::new();
+    for case in strategy_programs() {
+        let rep = compile(&case.source);
+        // What the loops around the one under test commit in place:
+        // the same program with `F/do20` pinned sequential.
+        let mut pinned = rep.clone();
+        let v = pinned
+            .verdicts
+            .iter_mut()
+            .find(|v| v.label == "F/do20")
+            .expect("the labeled loop has a verdict");
+        let honest_tier = std::mem::replace(&mut v.tier, DispatchTier::Sequential);
+        v.strategy_facts = StrategyFacts::None;
+        for threads in [1, 2, 3, 7] {
+            let name = format!("{} x{threads}", case.what);
+            let around = four_way_at(&name, &pinned, &Vec::new(), threads);
+            let outs = four_way_at(&name, &rep, &Vec::new(), threads);
+            // compiled and tree-walk workers, strategies on
+            for (out, around) in outs.iter().zip(&around).take(2) {
+                let t = &out.telemetry;
+                let in_place = t.strategy_in_place - around.telemetry.strategy_in_place;
+                if case.in_place {
+                    assert_eq!(
+                        (in_place, t.strategy_write_log, t.fallbacks()),
+                        (1, 0, 0),
+                        "{name}: a shape must commit in place ({honest_tier:?}): {t:?}"
+                    );
+                } else if case.iterations > 1 {
+                    assert_eq!(
+                        in_place, 0,
+                        "{name}: a near-miss must not ({honest_tier:?}): {t:?}"
+                    );
+                    if t.strategy_write_log > around.telemetry.strategy_write_log {
+                        logged.insert(case.what);
+                    }
+                }
+            }
+            assert_eq!(outs[2].telemetry.strategy_in_place, 0, "{name}");
+        }
+    }
+    // The near-misses that are parallel loops reach the executor, whose
+    // own derivation (or certificate check, or liveness check) is what
+    // keeps them on the write-log; the rest are dependent and never
+    // dispatch.
+    assert_eq!(
+        logged.into_iter().collect::<Vec<_>>(),
+        [
+            "conditional-write-to-dead-array",
+            "scatter-rmw",
+            "scatter-under-a-branch-on-a-read-target",
+            "strided-affine"
+        ]
+    );
 }
 
 #[test]
