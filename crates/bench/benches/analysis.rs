@@ -7,8 +7,14 @@
 //! - reverse-topological priority worklist vs FIFO (§3.2.2);
 //! - interprocedural vs intraprocedural (the Fig. 15 reorganization);
 //! - the §2 single-indexed analyses (bDFS-based);
-//! - the §1 run-time-vs-compile-time trade-off, now including the
-//!   hybrid runtime's versioned schedule cache.
+//! - the §1 run-time-vs-compile-time trade-off: inspector per
+//!   execution, compile-time query once, and the hybrid runtime's
+//!   versioned schedule cache in between.
+//!
+//! These time the *analyses*. What execution costs — tree-walk, typed
+//! loop, hybrid dispatch, commit strategies, the service — is measured
+//! by `benchmark/`, per matrix structure and checked against native
+//! kernels.
 
 use irr_bench::harness::Runner;
 use irr_core::property::{ArrayPropertyAnalysis, SolverOptions};
@@ -17,14 +23,10 @@ use irr_core::{
     AnalysisCtx, DistanceSpec, Property, PropertyQuery,
 };
 use irr_driver::{DispatchTier, DriverOptions};
-use irr_exec::{
-    exec_do_parallel, inspect_offset_length, ExecutionStrategy, FallbackReason, FaultKind,
-    FaultPlan, Interp, LoopDispatcher, ParallelPlan,
-};
+use irr_exec::{inspect_offset_length, Interp, LoopDispatcher};
 use irr_frontend::{parse_program, Program, StmtId, StmtKind};
 use irr_programs::{all, Scale};
-use irr_runtime::{run_hybrid, run_hybrid_with_faults, HybridConfig, HybridDispatcher};
-use irr_sanitizer::{audit_report, AuditConfig, AuditMode, DependenceTracer};
+use irr_runtime::{HybridConfig, HybridDispatcher};
 use irr_symbolic::{Section, SymExpr};
 
 fn compile_benchmarks(r: &Runner) {
@@ -43,7 +45,6 @@ fn compile_benchmarks(r: &Runner) {
             |p| irr_driver::compile(p, DriverOptions::without_iaa()),
         );
     }
-    g.finish();
 }
 
 /// The DYFESM setup + query scenario used by several ablations.
@@ -143,7 +144,6 @@ fn solver_ablations(r: &Runner) {
         apa.check(&q);
         g.bench_function("cached-requery", || apa.check(&q));
     }
-    g.finish();
 }
 
 /// Demand-driven (only the queries clients need) vs exhaustive (verify a
@@ -197,7 +197,6 @@ fn demand_vs_exhaustive(r: &Runner) {
         }
         verified
     });
-    g.finish();
 }
 
 fn single_indexed_analyses(r: &Runner) {
@@ -233,7 +232,6 @@ fn single_indexed_analyses(r: &Runner) {
     g.bench_function("consecutively-written", || {
         consecutively_written(&bctx, gather, ind, q)
     });
-    g.finish();
 }
 
 /// The flagship guarded loop: `p(i) = mod(i*3, n) + 1` is a permutation
@@ -302,299 +300,6 @@ fn runtime_vs_compile_time(r: &Runner) {
     g.bench_function("hybrid-guarded-cached-reentry", || {
         cached.dispatch(&guarded_store, loop_stmt, 1, 512, 1)
     });
-
-    // Write-log merge scaling: the same 16-element write set executed in
-    // parallel against a small and a 16×-larger store. Worker clones are
-    // copy-on-write and the merge replays write logs, so the cost tracks
-    // the write volume, not the store size — `store-8192` must land
-    // within ~2× of `store-512` (the old snapshot-diff merge cloned and
-    // diffed every element, scaling with the store instead).
-    for n in [512usize, 8192] {
-        let (program, fill, target) = sixteen_writes_scenario(n);
-        g.bench_with_setup(
-            &format!("parallel-exec-16-writes/store-{n}"),
-            || {
-                // Fill the big array sequentially so the workers fork
-                // from a store that really holds `n` live elements.
-                let mut it = Interp::new(&program);
-                it.exec_stmt(fill).unwrap();
-                it
-            },
-            |mut it| {
-                exec_do_parallel(&mut it, target, &ParallelPlan::with_threads(4), 1, 16, 1).unwrap()
-            },
-        );
-    }
-    g.finish();
-}
-
-/// A loop writing 16 elements of a `y` array backed by an `n`-element
-/// store — the write-log merge scaling scenario, shared by the
-/// parallel-exec, fallback, and parallel-strategy groups. The fill loop
-/// materializes both arrays, so workers fork from a store holding `2n`
-/// live elements and a worker's first write to `y` pays the
-/// copy-on-write clone of the full payload on the write-log path.
-/// Returns the program, the fill loop, and the 16-write target loop.
-fn sixteen_writes_scenario(n: usize) -> (Program, StmtId, StmtId) {
-    let src = format!(
-        "program t
-         integer i
-         real big({n}), y({n})
-         do i = 1, {n}
-           big(i) = i * 0.5
-           y(i) = 0.0
-         enddo
-         do i = 1, 16
-           y(i) = big(i) + i
-         enddo
-         end"
-    );
-    let program = parse_program(&src).unwrap();
-    let loops: Vec<StmtId> = program
-        .stmts_in(&program.procedure(program.main()).body)
-        .into_iter()
-        .filter(|s| matches!(program.stmt(*s).kind, StmtKind::Do { .. }))
-        .collect();
-    let (fill, target) = (loops[0], loops[1]);
-    (program, fill, target)
-}
-
-/// A consecutively-written gather (§2.2): the sequential-tier loop the
-/// privatize-and-concat strategy promotes to parallel dispatch.
-const GATHER_SRC: &str = "program t
-     integer i, n, q, ind(512)
-     real x(512)
-     n = 512
-     q = 0
-     do i = 1, n
-       x(i) = mod(i, 3) * 1.0
-     enddo
-     do 20 i = 1, n
-       if (x(i) > 0.5) then
-         q = q + 1
-         ind(q) = i
-       endif
- 20  continue
-     print q, ind(1)
-     end";
-
-/// The tentpole measurement: proof-directed in-place commits against
-/// the transactional write-log on the identical 16-writes kernel, swept
-/// across store sizes. The write-log path pays a per-worker
-/// copy-on-write clone of the written array's full payload plus the
-/// log-and-merge round trip, so its cost tracks the store size; the
-/// in-place path re-proves disjointness and issues 16 raw writes into
-/// the master buffer, so its cost tracks the write volume. The gap must
-/// widen as the store grows (CI keeps the sweep honest through the
-/// `--baseline` soft gate).
-fn strategy_sweep(r: &Runner) {
-    let mut g = r.group("parallel-strategy");
-    g.sample_size(20);
-    for n in [512usize, 4096, 16384, 65536] {
-        let (program, fill, target) = sixteen_writes_scenario(n);
-        let write_log = ParallelPlan {
-            deadline_ms: None,
-            fault: None,
-            ..ParallelPlan::with_threads(4)
-        };
-        let in_place = ParallelPlan {
-            strategy: ExecutionStrategy::InPlaceDisjoint,
-            deadline_ms: None,
-            fault: None,
-            ..ParallelPlan::with_threads(4)
-        };
-        // The request must hold, not silently downgrade: the executor
-        // re-derives the disjointness facts and reports what committed.
-        {
-            let mut it = Interp::new(&program);
-            it.exec_stmt(fill).unwrap();
-            let committed = exec_do_parallel(&mut it, target, &in_place, 1, 16, 1).unwrap();
-            assert_eq!(committed.strategy, ExecutionStrategy::InPlaceDisjoint);
-        }
-        g.bench_with_setup(
-            &format!("write-log-16-writes/store-{n}"),
-            || {
-                let mut it = Interp::new(&program);
-                it.exec_stmt(fill).unwrap();
-                it
-            },
-            |mut it| exec_do_parallel(&mut it, target, &write_log, 1, 16, 1).unwrap(),
-        );
-        g.bench_with_setup(
-            &format!("in-place-16-writes/store-{n}"),
-            || {
-                let mut it = Interp::new(&program);
-                it.exec_stmt(fill).unwrap();
-                it
-            },
-            |mut it| exec_do_parallel(&mut it, target, &in_place, 1, 16, 1).unwrap(),
-        );
-    }
-    g.finish();
-
-    // The per-strategy dispatch counts behind representative hybrid
-    // runs, recorded next to the sweep timings (the JSON report is the
-    // cross-commit record of which commit path each kernel took).
-    let guarded = irr_driver::compile_source(GUARDED_SRC, DriverOptions::with_iaa()).unwrap();
-    let out = run_hybrid(&guarded, HybridConfig::default()).unwrap();
-    for (name, v) in out.strategy_counts() {
-        r.annotate(&format!("parallel-strategy/hybrid-modperm/{name}"), v);
-    }
-    for (name, v) in compiled_counts(&out) {
-        r.annotate(&format!("parallel-strategy/hybrid-modperm/{name}"), v);
-    }
-    let gather = irr_driver::compile_source(GATHER_SRC, DriverOptions::with_iaa()).unwrap();
-    let out = run_hybrid(&gather, HybridConfig::default()).unwrap();
-    for (name, v) in out.strategy_counts() {
-        r.annotate(&format!("parallel-strategy/hybrid-gather/{name}"), v);
-    }
-    for (name, v) in compiled_counts(&out) {
-        r.annotate(&format!("parallel-strategy/hybrid-gather/{name}"), v);
-    }
-}
-
-/// Compiled-tier engagement counters recorded alongside the strategy
-/// counts: sequential-tier bytecode entries, parallel dispatches with
-/// bytecode workers, the engine their chunks actually finished on and
-/// the threads the whole run created for them, and reason-coded
-/// tree-walk fallbacks.
-fn compiled_counts(out: &irr_runtime::HybridOutcome) -> [(&'static str, u64); 6] {
-    let t = &out.telemetry;
-    [
-        ("compiled_loops", t.compiled_loops),
-        ("compiled_worker_dispatches", t.compiled_worker_dispatches),
-        ("worker_chunks_typed", t.worker_chunks_typed),
-        ("worker_chunks_tree_walk", t.worker_chunks_tree_walk),
-        ("worker_threads_spawned", t.worker_threads_spawned),
-        ("compiled_fallbacks", t.compiled_fallbacks()),
-    ]
-}
-
-/// The transactional-fallback costs:
-///
-/// - `parallel-hot-path-hooks-off` — the exact `parallel-exec-16-writes`
-///   scenario through a plan with no fault armed and no deadline; every
-///   fault hook is a `None` check, so this must land within noise of
-///   `runtime-vs-compile-time/parallel-exec-16-writes/store-512` (CI
-///   enforces a same-run ratio).
-/// - `hybrid-fault-free-run` / `hybrid-conflict-recovery-run` — a whole
-///   guarded-kernel hybrid execution without faults vs with a forged
-///   conflict, which pays one discarded parallel attempt plus the
-///   sequential re-execution of the loop.
-/// - `hybrid-quarantined-reentry-dispatch` — dispatching a poisoned
-///   schedule: a cache probe and a counter decrement, no inspection.
-fn fallback_overhead(r: &Runner) {
-    let mut g = r.group("fallback");
-    g.sample_size(20);
-    let (program, fill, target) = sixteen_writes_scenario(512);
-    g.bench_with_setup(
-        "parallel-hot-path-hooks-off/store-512",
-        || {
-            let mut it = Interp::new(&program);
-            it.exec_stmt(fill).unwrap();
-            it
-        },
-        |mut it| {
-            let plan = ParallelPlan {
-                deadline_ms: None,
-                fault: None,
-                ..ParallelPlan::with_threads(4)
-            };
-            exec_do_parallel(&mut it, target, &plan, 1, 16, 1).unwrap()
-        },
-    );
-
-    let rep = irr_driver::compile_source(GUARDED_SRC, DriverOptions::with_iaa()).unwrap();
-    g.bench_function("hybrid-fault-free-run", || {
-        run_hybrid(&rep, HybridConfig::default()).unwrap()
-    });
-    g.bench_function("hybrid-conflict-recovery-run", || {
-        // Site 0 is the compile-time-parallel fill loop; site 1 is the
-        // guarded `do 20`, which the forged conflict rolls back.
-        let plan = FaultPlan::scripted([(1, FaultKind::ForgeConflict)]);
-        let (out, plan) = run_hybrid_with_faults(&rep, HybridConfig::default(), plan).unwrap();
-        assert_eq!(out.telemetry.fallbacks(), 1, "{:?}", plan.fired());
-        out
-    });
-    // The reason-coded dispatch counters behind the recovery scenario,
-    // recorded into the JSON report next to its timing.
-    {
-        let plan = FaultPlan::scripted([(1, FaultKind::ForgeConflict)]);
-        let (out, _) = run_hybrid_with_faults(&rep, HybridConfig::default(), plan).unwrap();
-        let t = out.telemetry;
-        for (key, v) in [
-            ("fallback-conflict", t.fallback_conflict),
-            ("quarantine-poisonings", t.quarantine_poisonings),
-            ("sequential-proven", t.sequential_proven),
-            ("sequential-unknown-loop", t.sequential_unknown_loop),
-            ("sequential-non-unit-step", t.sequential_non_unit_step),
-        ] {
-            r.annotate(&format!("fallback/hybrid-conflict-recovery-run/{key}"), v);
-        }
-    }
-
-    // A dispatcher whose guarded schedule is pinned sequential: the
-    // re-entry cost of a quarantined loop.
-    let v = rep.verdict("T/do20").expect("verdict for do20");
-    let store = Interp::new(&rep.program).run().unwrap().store;
-    let mut quarantined = HybridDispatcher::new(
-        &rep,
-        HybridConfig {
-            quarantine_retries: u32::MAX,
-            ..HybridConfig::default()
-        },
-    );
-    quarantined.dispatch(&store, v.loop_stmt, 1, 512, 1);
-    quarantined.parallel_failed(v.loop_stmt, FallbackReason::Conflict);
-    // One explicit poisoned re-entry, so the scenario holds even when a
-    // command-line filter skips the timed entry below.
-    quarantined.dispatch(&store, v.loop_stmt, 1, 512, 1);
-    assert!(
-        quarantined.telemetry.quarantined > 0,
-        "{:?}",
-        quarantined.telemetry
-    );
-    g.bench_function("hybrid-quarantined-reentry-dispatch", || {
-        quarantined.dispatch(&store, v.loop_stmt, 1, 512, 1)
-    });
-    g.finish();
-}
-
-/// The dependence sanitizer's costs: the interpreter with no tracer
-/// attached (every hook site is one null check — the tracing-off
-/// overhead must stay within noise of the pre-sanitizer interpreter),
-/// the same run under full shadow-memory tracing, and a complete audit
-/// of the guarded mod-permutation kernel.
-fn sanitizer_overhead(r: &Runner) {
-    let trfd = all(Scale::Test)
-        .into_iter()
-        .find(|b| b.name == "TRFD")
-        .unwrap();
-    let rep = irr_driver::compile_source(&trfd.source, DriverOptions::with_iaa()).unwrap();
-    let mut g = r.group("sanitizer");
-    g.sample_size(20);
-    g.bench_function("interp-tracing-off", || {
-        Interp::new(&rep.program).run().unwrap()
-    });
-    g.bench_function("interp-tracing-on", || {
-        let (tracer, _handle) = DependenceTracer::from_report(&rep);
-        let mut it = Interp::new(&rep.program);
-        it.attach_tracer(irr_exec::TraceConfig::all(), Box::new(tracer));
-        it.run().unwrap()
-    });
-    let guarded = irr_driver::compile_source(GUARDED_SRC, DriverOptions::with_iaa()).unwrap();
-    g.sample_size(10);
-    g.bench_function("audit-soundness-modperm-4-inputs", || {
-        audit_report(
-            &guarded,
-            &AuditConfig {
-                seed: 42,
-                inputs: 4,
-                mode: AuditMode::Soundness,
-            },
-        )
-    });
-    g.finish();
 }
 
 fn main() {
@@ -604,8 +309,5 @@ fn main() {
     demand_vs_exhaustive(&r);
     single_indexed_analyses(&r);
     runtime_vs_compile_time(&r);
-    strategy_sweep(&r);
-    fallback_overhead(&r);
-    sanitizer_overhead(&r);
     std::process::exit(r.finalize());
 }

@@ -49,7 +49,6 @@ fn passes(r: &Runner) {
         || program.clone(),
         |mut p| eliminate_dead_code(&mut p),
     );
-    g.finish();
 }
 
 fn graphs(r: &Runner) {
@@ -62,7 +61,6 @@ fn graphs(r: &Runner) {
     g.bench_function("hcg-build", || Hcg::build(&program));
     let main_body = program.procedures[program.main().index()].body.clone();
     g.bench_function("cfg-build", || Cfg::build(&program, &main_body));
-    g.finish();
 }
 
 fn execution(r: &Runner) {
@@ -84,7 +82,6 @@ fn execution(r: &Runner) {
     g.bench_function("simulate-speedup-32", || {
         simulate_speedup(&run.profile, 32, &origin)
     });
-    g.finish();
 }
 
 fn main() {

@@ -4,56 +4,35 @@
 //! depend on an external framework such as criterion. This harness
 //! keeps the familiar group / `bench_function` shape: each benchmark
 //! warms up, takes `samples` wall-clock samples of the closure, and
-//! prints min / median / mean nanoseconds per call.
+//! prints min / median / mean nanoseconds per call. It prints and
+//! nothing else: a number that is recorded, compared or gated comes
+//! from `benchmark/` (see `benchmark/README.md`), which carries the
+//! host, thread count, toolchain and commit with it.
 //!
 //! Command-line behavior (so the binaries stay friendly to `cargo
 //! bench` and `cargo test --benches`):
 //!
-//! - a bare argument is a substring filter on `group/name`;
+//! - a bare argument is a substring filter on `group/name`; a filter
+//!   that matches no entry of the binary is reported on stderr by
+//!   [`Runner::finalize`] (the exit code stays 0: `cargo bench -p
+//!   irr-bench -- <filter>` hands the filter to every bench binary, and
+//!   it rightly matches nothing in all but one);
 //! - `--test` (passed by `cargo test --benches`) runs every benchmark
 //!   exactly once, as a smoke test, without timing loops;
-//! - `--samples N` overrides every group's sample count (fast CI runs);
-//! - `--json PATH` additionally writes the timed results as a JSON
-//!   document when the runner is dropped, so the perf trajectory is
-//!   machine-readable across commits (see `BENCH_parallel.json`);
-//! - `--baseline PATH` compares every timed result against a previous
-//!   `--json` report: per-id median ratios are printed and
-//!   [`Runner::finalize`] returns a nonzero exit code when any
-//!   benchmark regressed past the threshold (the CI soft perf gate);
-//! - `--regress-threshold R` sets that threshold as a ratio (default
-//!   1.5: a benchmark 50% over its baseline median is a regression);
+//! - `--samples N` overrides every group's sample count;
 //! - other flags (`--bench`, etc.) are ignored.
-//!
-//! `cargo bench` runs the binary with the *package* directory
-//! (`crates/bench`) as its working directory, so relative `--json` and
-//! `--baseline` paths are resolved against the workspace root (the
-//! nearest ancestor holding a `Cargo.lock`) — `--json
-//! BENCH_parallel.json` lands next to the committed baselines however
-//! the bench is invoked. Absolute paths are used as given.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// One timed benchmark result, recorded for `--json`.
-struct Record {
-    id: String,
-    median_ns: u128,
-    min_ns: u128,
-    mean_ns: u128,
-    samples: usize,
-}
 
 /// Top-level runner; parses the command line once per bench binary.
 pub struct Runner {
     filter: Option<String>,
     check_only: bool,
     samples_override: Option<usize>,
-    json_path: Option<String>,
-    baseline_path: Option<String>,
-    regress_threshold: f64,
-    results: RefCell<Vec<Record>>,
-    annotations: RefCell<Vec<(String, u64)>>,
+    ran: Cell<usize>,
+    skipped: Cell<usize>,
 }
 
 impl Runner {
@@ -62,9 +41,6 @@ impl Runner {
         let mut filter = None;
         let mut check_only = false;
         let mut samples_override = None;
-        let mut json_path = None;
-        let mut baseline_path = None;
-        let mut regress_threshold = 1.5;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             if a == "--test" {
@@ -74,14 +50,6 @@ impl Runner {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .map(|n: usize| n.max(1));
-            } else if a == "--json" {
-                json_path = args.next().map(|p| resolve_report_path(&p));
-            } else if a == "--baseline" {
-                baseline_path = args.next().map(|p| resolve_report_path(&p));
-            } else if a == "--regress-threshold" {
-                if let Some(t) = args.next().and_then(|v| v.parse().ok()) {
-                    regress_threshold = t;
-                }
             } else if !a.starts_with('-') && filter.is_none() {
                 filter = Some(a);
             }
@@ -90,45 +58,9 @@ impl Runner {
             filter,
             check_only,
             samples_override,
-            json_path,
-            baseline_path,
-            regress_threshold,
-            results: RefCell::new(Vec::new()),
-            annotations: RefCell::new(Vec::new()),
+            ran: Cell::new(0),
+            skipped: Cell::new(0),
         }
-    }
-
-    /// Records a non-timing fact (e.g. a telemetry counter behind a
-    /// benchmark scenario) for the `--json` report's `annotations`
-    /// object.
-    pub fn annotate(&self, key: &str, value: u64) {
-        if self.json_path.is_some() {
-            self.annotations.borrow_mut().push((key.to_string(), value));
-        }
-    }
-
-    /// Whether the binary runs in `--test` smoke mode (one pass, no
-    /// timing loops) — load generators use this to shrink the request
-    /// stream.
-    pub fn is_check_only(&self) -> bool {
-        self.check_only
-    }
-
-    /// Records an externally measured value (e.g. a latency percentile
-    /// computed by a load generator) as a one-sample benchmark entry,
-    /// so it lands in `--json` and is gated by `--baseline` like any
-    /// timed result. No-op in check mode.
-    pub fn record_value(&self, id: &str, ns: u128) {
-        if self.check_only {
-            return;
-        }
-        self.record(Record {
-            id: id.to_string(),
-            median_ns: ns,
-            min_ns: ns,
-            mean_ns: ns,
-            samples: 1,
-        });
     }
 
     /// Starts a named benchmark group (default 50 samples per entry).
@@ -140,189 +72,25 @@ impl Runner {
         }
     }
 
-    fn record(&self, rec: Record) {
-        if self.json_path.is_some() || self.baseline_path.is_some() {
-            self.results.borrow_mut().push(rec);
-        }
+    /// The line [`Runner::finalize`] prints when a filter was given and
+    /// no entry matched it.
+    fn unmatched_filter_note(&self) -> Option<String> {
+        let filter = self.filter.as_ref()?;
+        (self.ran.get() == 0).then(|| {
+            format!(
+                "bench harness: filter {filter:?} matched none of this binary's {} entries",
+                self.skipped.get()
+            )
+        })
     }
 
-    /// Median of an already-timed benchmark by its full `group/id`
-    /// name, so bench binaries can derive facts across entries (e.g.
-    /// a sequential/parallel speedup annotation). `None` in check mode
-    /// or when the result was not recorded (no `--json`/`--baseline`).
-    pub fn median_of(&self, id: &str) -> Option<u128> {
-        self.results
-            .borrow()
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.median_ns)
-    }
-
-    /// Writes the `--json` report (if requested), compares the timed
-    /// results against the `--baseline` report (if given), and returns
-    /// the process exit code: nonzero iff any benchmark's median
-    /// regressed past `--regress-threshold` times its baseline median.
-    /// Bench binaries end with `std::process::exit(runner.finalize())`.
-    pub fn finalize(mut self) -> i32 {
-        if let Some(path) = self.json_path.take() {
-            if let Err(e) = std::fs::write(&path, self.render_json()) {
-                eprintln!("bench harness: cannot write {path}: {e}");
-            } else {
-                println!("bench results written to {path}");
-            }
+    /// Ends the run and returns the process exit code. Bench binaries
+    /// end with `std::process::exit(runner.finalize())`.
+    pub fn finalize(self) -> i32 {
+        if let Some(note) = self.unmatched_filter_note() {
+            eprintln!("{note}");
         }
-        let Some(path) = self.baseline_path.take() else {
-            return 0;
-        };
-        if self.check_only {
-            return 0;
-        }
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bench harness: cannot read baseline {path}: {e}");
-                return 2;
-            }
-        };
-        let baseline = parse_baseline(&text);
-        println!(
-            "\nbaseline comparison against {path} (regression threshold {:.2}x):",
-            self.regress_threshold
-        );
-        let results = self.results.borrow();
-        let regressions = report_ratios(&results, &baseline, self.regress_threshold);
-        if regressions > 0 {
-            eprintln!(
-                "bench harness: {regressions} benchmark(s) regressed past {:.2}x of baseline",
-                self.regress_threshold
-            );
-            1
-        } else {
-            0
-        }
-    }
-
-    fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"irr-bench/1\",\n  \"benchmarks\": [\n");
-        let results = self.results.borrow();
-        for (i, r) in results.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"mean_ns\": {}, \
-                 \"samples\": {}}}{}\n",
-                r.id.replace('"', "'"),
-                r.median_ns,
-                r.min_ns,
-                r.mean_ns,
-                r.samples,
-                if i + 1 < results.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"annotations\": {\n");
-        // Sorted by key so the report is byte-stable regardless of the
-        // order benchmarks ran (and diffs cleanly across runs).
-        let mut annotations = self.annotations.borrow().clone();
-        annotations.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (k, v)) in annotations.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {}{}\n",
-                k.replace('"', "'"),
-                v,
-                if i + 1 < annotations.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-}
-
-/// Extracts `(id, median_ns)` pairs from an `irr-bench/1` report. The
-/// parser is deliberately minimal — the repository builds without a
-/// JSON dependency — and reads exactly the shape `render_json` writes:
-/// one benchmark object per line.
-/// Resolves a `--json`/`--baseline` path: absolute paths pass through;
-/// relative paths anchor at the workspace root (the nearest ancestor
-/// of the working directory holding a `Cargo.lock`), because `cargo
-/// bench` starts the binary in the bench *package* directory, not the
-/// directory the command was typed in.
-fn resolve_report_path(path: &str) -> String {
-    let p = std::path::Path::new(path);
-    if p.is_absolute() {
-        return path.to_string();
-    }
-    let Ok(cwd) = std::env::current_dir() else {
-        return path.to_string();
-    };
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.join(p).to_string_lossy().into_owned();
-        }
-        match dir.parent() {
-            Some(parent) => dir = parent,
-            None => return path.to_string(),
-        }
-    }
-}
-
-fn parse_baseline(text: &str) -> Vec<(String, u128)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(id) = extract_string(line, "\"id\": \"") else {
-            continue;
-        };
-        let Some(median) = extract_number(line, "\"median_ns\": ") else {
-            continue;
-        };
-        out.push((id, median));
-    }
-    out
-}
-
-fn extract_string(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn extract_number(line: &str, key: &str) -> Option<u128> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Prints one ratio line per timed result and returns how many
-/// regressed past `threshold` times their baseline median.
-fn report_ratios(results: &[Record], baseline: &[(String, u128)], threshold: f64) -> usize {
-    let mut regressions = 0;
-    for r in results {
-        match baseline.iter().find(|(id, _)| *id == r.id) {
-            Some((_, base)) if *base > 0 => {
-                let ratio = r.median_ns as f64 / *base as f64;
-                let flag = if ratio > threshold {
-                    regressions += 1;
-                    "  REGRESSION"
-                } else {
-                    ""
-                };
-                println!(
-                    "  {}: {} ns -> {} ns ({ratio:.2}x){flag}",
-                    r.id, base, r.median_ns
-                );
-            }
-            _ => println!("  {}: {} ns (no baseline entry)", r.id, r.median_ns),
-        }
-    }
-    regressions
-}
-
-impl Drop for Runner {
-    fn drop(&mut self) {
-        if let Some(path) = &self.json_path {
-            if let Err(e) = std::fs::write(path, self.render_json()) {
-                eprintln!("bench harness: cannot write {path}: {e}");
-            } else {
-                println!("bench results written to {path}");
-            }
-        }
+        0
     }
 }
 
@@ -349,12 +117,15 @@ impl Group<'_> {
         mut f: impl FnMut(S) -> R,
     ) {
         let full = format!("{}/{}", self.name, id);
-        if let Some(filter) = &self.runner.filter {
+        let runner = self.runner;
+        if let Some(filter) = &runner.filter {
             if !full.contains(filter.as_str()) {
+                runner.skipped.set(runner.skipped.get() + 1);
                 return;
             }
         }
-        if self.runner.check_only {
+        runner.ran.set(runner.ran.get() + 1);
+        if runner.check_only {
             black_box(f(setup()));
             println!("{full}: ok (check mode)");
             return;
@@ -378,23 +149,12 @@ impl Group<'_> {
             "{full}: median {median} ns, min {min} ns, mean {mean} ns ({} samples)",
             ns.len()
         );
-        self.runner.record(Record {
-            id: full,
-            median_ns: median,
-            min_ns: min,
-            mean_ns: mean,
-            samples: ns.len(),
-        });
     }
 
     /// Times a closure with no per-call setup.
     pub fn bench_function<R>(&mut self, id: &str, mut f: impl FnMut() -> R) {
         self.bench_with_setup(id, || (), |()| f());
     }
-
-    /// Ends the group (kept for call-site symmetry with the former
-    /// criterion API; prints nothing).
-    pub fn finish(self) {}
 }
 
 #[cfg(test)]
@@ -406,11 +166,8 @@ mod tests {
             filter: filter.map(str::to_string),
             check_only,
             samples_override: None,
-            json_path: None,
-            baseline_path: None,
-            regress_threshold: 1.5,
-            results: RefCell::new(Vec::new()),
-            annotations: RefCell::new(Vec::new()),
+            ran: Cell::new(0),
+            skipped: Cell::new(0),
         }
     }
 
@@ -418,88 +175,45 @@ mod tests {
     fn bench_function_runs_closure() {
         let runner = test_runner(None, true);
         let mut called = 0;
-        let mut g = runner.group("g");
-        g.bench_function("f", || called += 1);
+        runner.group("g").bench_function("f", || called += 1);
         assert_eq!(called, 1);
-        g.finish();
+        assert_eq!(runner.unmatched_filter_note(), None);
     }
 
+    /// A filter that matches nothing runs nothing — and says so, naming
+    /// the filter and how many entries it passed over; one that matches
+    /// something stays silent about the rest.
     #[test]
-    fn filter_skips_nonmatching() {
-        let runner = test_runner(Some("other"), true);
+    fn a_filter_that_matches_nothing_is_reported() {
+        let runner = test_runner(Some("BENCH_x.json"), true);
         let mut called = 0;
         let mut g = runner.group("g");
         g.bench_function("f", || called += 1);
+        g.bench_function("h", || called += 1);
         assert_eq!(called, 0);
+        let note = runner.unmatched_filter_note().expect("reported");
+        assert!(
+            note.contains("\"BENCH_x.json\"") && note.contains("2 entries"),
+            "{note}"
+        );
+
+        let runner = test_runner(Some("g/f"), true);
+        let mut g = runner.group("g");
+        g.bench_function("f", || called += 1);
+        g.bench_function("h", || called += 1);
+        assert_eq!(called, 1);
+        assert_eq!(runner.unmatched_filter_note(), None);
     }
 
     #[test]
-    fn json_records_timed_results() {
+    fn samples_override_wins_over_the_group_setting() {
         let mut runner = test_runner(None, false);
         runner.samples_override = Some(2);
-        runner.json_path = Some("unused".into());
-        {
-            let mut g = runner.group("g");
-            g.sample_size(50); // the override wins
-            g.bench_function("f", || 1 + 1);
-            g.finish();
-        }
-        runner.annotate("g/telemetry/fallbacks", 3);
-        let json = runner.render_json();
-        assert!(json.contains("\"id\": \"g/f\""), "{json}");
-        assert!(json.contains("\"samples\": 2"), "{json}");
-        assert!(json.contains("\"schema\": \"irr-bench/1\""), "{json}");
-        assert!(json.contains("\"g/telemetry/fallbacks\": 3"), "{json}");
-        // Don't let Drop write a stray file from the test.
-        runner.json_path = None;
-    }
-
-    #[test]
-    fn baseline_roundtrips_through_render_json() {
-        let mut runner = test_runner(None, false);
-        runner.samples_override = Some(2);
-        runner.json_path = Some("unused".into());
-        {
-            let mut g = runner.group("g");
-            g.bench_function("f", || 1 + 1);
-            g.finish();
-        }
-        let parsed = parse_baseline(&runner.render_json());
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, "g/f");
-        assert_eq!(parsed[0].1, runner.results.borrow()[0].median_ns);
-        runner.json_path = None;
-    }
-
-    #[test]
-    fn ratios_flag_only_past_threshold_regressions() {
-        let results = vec![
-            Record {
-                id: "g/fast".into(),
-                median_ns: 100,
-                min_ns: 90,
-                mean_ns: 100,
-                samples: 2,
-            },
-            Record {
-                id: "g/slow".into(),
-                median_ns: 400,
-                min_ns: 380,
-                mean_ns: 400,
-                samples: 2,
-            },
-            Record {
-                id: "g/new".into(),
-                median_ns: 50,
-                min_ns: 50,
-                mean_ns: 50,
-                samples: 2,
-            },
-        ];
-        let baseline = vec![("g/fast".to_string(), 110u128), ("g/slow".to_string(), 100)];
-        // g/slow is 4.0x its baseline; g/fast improved; g/new has no
-        // baseline entry and must not count as a regression.
-        assert_eq!(report_ratios(&results, &baseline, 1.5), 1);
-        assert_eq!(report_ratios(&results, &baseline, 5.0), 0);
+        let mut calls = 0;
+        let mut g = runner.group("g");
+        g.sample_size(50);
+        g.bench_function("f", || calls += 1);
+        // Two warm-up calls, then the two samples.
+        assert_eq!(calls, 4);
     }
 }

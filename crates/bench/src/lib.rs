@@ -15,8 +15,8 @@
 pub mod harness;
 
 use irr_driver::{CompilationReport, DriverOptions};
-use irr_exec::{ArrayData, Interp, MachineModel, ProgramProfile};
-use irr_frontend::{ProcId, Program, StmtId, StmtKind, VarId};
+use irr_exec::{Interp, MachineModel, ProgramProfile};
+use irr_frontend::{ProcId, Program, StmtId, StmtKind};
 use std::collections::HashSet;
 
 /// A compiler configuration of Fig. 16.
@@ -82,38 +82,16 @@ fn reachable_procs(program: &Program, body: &[StmtId]) -> HashSet<ProcId> {
 /// verdicts whose loops are not dynamically enclosed by another chosen
 /// parallel loop.
 pub fn parallel_loop_set(report: &CompilationReport) -> Vec<StmtId> {
-    outermost_disjoint(
-        report,
-        report
-            .verdicts
-            .iter()
-            .filter(|v| v.parallel)
-            .map(|v| (v.loop_stmt, v.proc))
-            .collect(),
-    )
-}
-
-/// Like [`parallel_loop_set`] but for the hybrid runtime's view: every
-/// loop the dispatcher may run in parallel, i.e. compile-time parallel
-/// *and* runtime-guarded verdicts (whose guards the inspector clears at
-/// entry when the preset index arrays are well-formed).
-pub fn dispatchable_loop_set(report: &CompilationReport) -> Vec<StmtId> {
-    outermost_disjoint(
-        report,
-        report
-            .verdicts
-            .iter()
-            .filter(|v| !matches!(v.tier, irr_driver::DispatchTier::Sequential))
-            .map(|v| (v.loop_stmt, v.proc))
-            .collect(),
-    )
-}
-
-fn outermost_disjoint(report: &CompilationReport, parallel: Vec<(StmtId, ProcId)>) -> Vec<StmtId> {
     let program = &report.program;
+    let parallel: Vec<StmtId> = report
+        .verdicts
+        .iter()
+        .filter(|v| v.parallel)
+        .map(|v| v.loop_stmt)
+        .collect();
     let mut chosen: Vec<StmtId> = Vec::new();
-    for &(s, _proc) in &parallel {
-        let enclosed = parallel.iter().any(|&(outer, _)| {
+    for &s in &parallel {
+        let enclosed = parallel.iter().any(|&outer| {
             if outer == s {
                 return false;
             }
@@ -177,32 +155,6 @@ pub fn profile_run(source: &str, config: Config) -> ProfiledRun {
     }
 }
 
-/// Profiles an already-compiled report with preset arrays installed
-/// before the run — the path for generated sparse kernels, whose index
-/// arrays come from the matrix generator rather than interpreted
-/// initialization loops. Returns the measured [`ProgramProfile`] over
-/// the report's outermost parallel loop set, ready for
-/// [`irr_exec::simulate_speedup`].
-///
-/// # Panics
-///
-/// Panics if the program fails to execute — kernels are trusted inputs.
-pub fn profile_report_seeded(
-    report: &CompilationReport,
-    presets: &[(VarId, ArrayData)],
-) -> ProgramProfile {
-    let parallel = dispatchable_loop_set(report);
-    let mut interp = Interp::new(&report.program);
-    for (var, data) in presets {
-        interp.preset_array(*var, data.clone());
-    }
-    for &l in &parallel {
-        interp.record_loops.insert(l);
-    }
-    let outcome = interp.run().expect("kernel executes");
-    ProgramProfile::from_stats(&outcome.stats, &parallel)
-}
-
 /// Speedup curve for the run on `machine` over the given processor
 /// counts.
 pub fn speedup_curve(run: &ProfiledRun, machine: &MachineModel, procs: &[usize]) -> Vec<f64> {
@@ -210,16 +162,6 @@ pub fn speedup_curve(run: &ProfiledRun, machine: &MachineModel, procs: &[usize])
         .iter()
         .map(|&p| irr_exec::simulate_speedup(&run.profile, p, machine))
         .collect()
-}
-
-/// Formats a row of fixed-width cells.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths.iter())
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
 }
 
 #[cfg(test)]

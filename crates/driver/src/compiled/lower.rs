@@ -47,7 +47,8 @@ type Lower<T> = Result<T, LowerReject>;
 /// executor does not replicate bit-for-bit: procedure calls, `print`,
 /// `return`, logical/comparison operators in numeric position,
 /// intrinsics with too few arguments, subscripted scalars, or a nest
-/// large enough to overflow the `u16` register file.
+/// large enough to overflow the `u16` register file or the `u16` block
+/// indices.
 pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody> {
     let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
         return Err(LowerReject("not-a-do-loop"));
@@ -58,7 +59,7 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         n_temps: 0,
         loops: vec![loop_stmt],
     };
-    let root = l.new_block();
+    let root = l.new_block()?;
     l.lower_stmts(root, body)?;
     Ok(CompiledBody {
         blocks: l.blocks,
@@ -78,15 +79,14 @@ struct Lowerer<'p> {
 }
 
 impl<'p> Lowerer<'p> {
-    fn new_block(&mut self) -> usize {
-        self.blocks.push(Vec::new());
-        let idx = self.blocks.len() - 1;
-        if idx > u16::MAX as usize {
-            // Unreachable in practice; kept as a guard for the u16
-            // block indices.
-            panic!("block count overflow");
+    /// Ops address blocks by `u16`; a nest with more inner loops than
+    /// that rejects like one with too many temps.
+    fn new_block(&mut self) -> Lower<usize> {
+        if self.blocks.len() > usize::from(u16::MAX) {
+            return Err(LowerReject("block-count-overflow"));
         }
-        idx
+        self.blocks.push(Vec::new());
+        Ok(self.blocks.len() - 1)
     }
 
     fn temp(&mut self) -> Lower<u16> {
@@ -271,7 +271,7 @@ impl<'p> Lowerer<'p> {
                     None => Opnd::I(1),
                 };
                 self.loops.push(s);
-                let body_b = self.new_block();
+                let body_b = self.new_block()?;
                 self.lower_stmts(body_b, body)?;
                 self.emit(
                     b,
@@ -290,10 +290,10 @@ impl<'p> Lowerer<'p> {
             StmtKind::While { cond, body } => {
                 self.emit(b, Op::Charge(1));
                 self.loops.push(s);
-                let cond_b = self.new_block();
+                let cond_b = self.new_block()?;
                 let t = self.temp()?;
                 self.lower_cond(cond_b, cond, t)?;
-                let body_b = self.new_block();
+                let body_b = self.new_block()?;
                 self.lower_stmts(body_b, body)?;
                 self.emit(
                     b,

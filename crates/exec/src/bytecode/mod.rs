@@ -645,6 +645,33 @@ mod tests {
         assert!(ran.comp.fast_body_for(s, &cb).is_none());
     }
 
+    /// Hand-over (e'): a nest past the lowering's other size limit —
+    /// 65 536 inner loops, one block more than a `u16` addresses — is
+    /// rejected by the lowering, reason-coded like any construct it
+    /// does not replicate, everywhere the lowering runs: the driver's
+    /// advisory plan is absent and the dispatch falls back before the
+    /// first iteration. (The inner loops, offered one by one by the
+    /// `Do` arm, each lower and run typed.)
+    #[test]
+    fn a_nest_with_more_blocks_than_a_u16_addresses_is_rejected_not_a_panic() {
+        let body = "do j = 1, 1\ns = s + i\nenddo\n".repeat(usize::from(u16::MAX) + 1);
+        let src = format!("program t\ninteger i, j, s\ndo i = 1, 1\n{body}enddo\nprint s\nend\n");
+        let p = parse_program(&src).unwrap();
+        let s = p.procedure(p.main()).body[0];
+        assert_eq!(
+            lower_do_loop(&p, s).err(),
+            Some(LowerReject("block-count-overflow"))
+        );
+        assert_eq!(irr_driver::derive_compiled_plan(&p, s), None);
+        let ran = assert_same_run(&p, |_| {});
+        assert_eq!(ran.res, Ok(()));
+        assert_eq!(ran.comp.output, vec!["65536"]);
+        assert_eq!(
+            ran.dispatch.fallbacks,
+            vec![(FallbackReason::Unsupported, 1)]
+        );
+    }
+
     /// Division, remainder, negation and `abs` wrap at `i64::MIN` like
     /// `+ - *` do, at compile time (constant folding) and on every
     /// executor: with constant operands, with operands read from

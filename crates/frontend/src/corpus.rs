@@ -6,8 +6,8 @@
 //! - `tests/parser_robustness.rs` feeds every case to [`crate::parse_program`]
 //!   and asserts a clean `Ok`/`Err`;
 //! - the driver's no-panic test compiles whatever parses;
-//! - the `irr-service` load generator mixes these cases into its
-//!   request stream so the pool's panic isolation is exercised by
+//! - the `irr-service` chaos sweep mixes these cases into its
+//!   request streams so the pool's panic isolation is exercised by
 //!   realistic garbage, not just synthetic faults.
 //!
 //! Every case is generated (no fixture files) and fully deterministic:

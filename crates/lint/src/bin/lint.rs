@@ -16,8 +16,7 @@ use irr_driver::{compile_source, DriverOptions};
 use irr_frontend::StmtKind;
 use irr_lint::{lint_report, DiagClass};
 use irr_programs::sparse::{interproc_kernels, kernels, producer_kernels, SparseScale, STRUCTURES};
-use irr_programs::{all, Scale};
-use irr_sanitizer::figures;
+use irr_programs::{named_sources, Scale};
 
 fn main() {
     let mut check = false;
@@ -43,15 +42,7 @@ fn main() {
         }
     }
 
-    let mut targets: Vec<(String, String)> = all(scale)
-        .into_iter()
-        .map(|b| (b.name.to_string(), b.source))
-        .collect();
-    targets.extend(
-        figures()
-            .into_iter()
-            .map(|f| (f.name.to_string(), f.source.to_string())),
-    );
+    let mut targets = named_sources(scale);
     for (i, structure) in STRUCTURES.iter().enumerate() {
         let s = SparseScale::test(*structure, 0x11A7 + i as u64);
         for k in kernels(&s)

@@ -14,11 +14,14 @@
 
 pub mod bdna;
 pub mod dyfesm;
+mod figures;
 pub mod fuzz;
 pub mod p3m;
 pub mod sparse;
 pub mod tree;
 pub mod trfd;
+
+pub use figures::{figures, Figure};
 
 /// Workload size.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,6 +56,20 @@ pub fn all(scale: Scale) -> Vec<Benchmark> {
         p3m::benchmark(scale),
         tree::benchmark(scale),
     ]
+}
+
+/// "The paper's programs" as `(name, source)` pairs: the five
+/// benchmarks at `scale`, then the worked [`figures`] — the corpus the
+/// sanitizer audit, the static lint and the parity and chaos suites
+/// all start from.
+pub fn named_sources(scale: Scale) -> Vec<(String, String)> {
+    let benchmarks = all(scale)
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.source));
+    let figures = figures()
+        .into_iter()
+        .map(|f| (f.name.to_string(), f.source.to_string()));
+    benchmarks.chain(figures).collect()
 }
 
 /// Lines of code of a source (non-empty lines, as Table 2 counts).

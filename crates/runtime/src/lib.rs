@@ -110,10 +110,6 @@ impl Default for HybridConfig {
 }
 
 /// Everything the dispatcher needs to know about one compiled loop.
-/// A loop verdict's parallel-plan attribution: the privatized variables
-/// and the reduction assignments (see [`HybridDispatcher::loop_attribution`]).
-pub type LoopAttribution<'a> = (&'a [VarId], &'a [(VarId, ReduceOp)]);
-
 #[derive(Clone, Debug)]
 struct LoopEntry {
     tier: DispatchTier,
@@ -242,21 +238,6 @@ impl HybridDispatcher {
     /// Detaches the fault plan (with its fired-fault record), if any.
     pub fn take_fault_plan(&mut self) -> Option<FaultPlan> {
         self.fault.take()
-    }
-
-    /// The schedule cache (for inspection in tests and examples).
-    pub fn cache(&self) -> &ScheduleCache {
-        &self.cache
-    }
-
-    /// Per-array attribution for `loop_stmt`'s verdict: the privatized
-    /// variables and the reduction assignments the dispatcher would hand
-    /// to a parallel plan. The dependence sanitizer uses these to decide
-    /// which observed dependences a parallel verdict already explains.
-    pub fn loop_attribution(&self, loop_stmt: StmtId) -> Option<LoopAttribution<'_>> {
-        self.loops
-            .get(&loop_stmt)
-            .map(|e| (e.privatized.as_slice(), e.reductions.as_slice()))
     }
 
     /// Closes the run's telemetry with the two end-of-run readings (the
@@ -582,14 +563,6 @@ pub struct HybridOutcome {
     pub outcome: ExecOutcome,
     /// What the runtime did to get there.
     pub telemetry: Telemetry,
-}
-
-impl HybridOutcome {
-    /// Committed parallel dispatches per execution strategy, as
-    /// `(strategy name, count)` — ready for bench annotations.
-    pub fn strategy_counts(&self) -> [(&'static str, u64); 3] {
-        self.telemetry.strategy_counts()
-    }
 }
 
 /// Compiles-and-runs glue: executes a compiled program under the hybrid

@@ -145,24 +145,6 @@ impl Telemetry {
         self.compile_time_parallel + self.guarded_parallel + self.concat_parallel
     }
 
-    /// Committed parallel dispatches per execution strategy, as
-    /// `(strategy name, count)` — the names match
-    /// [`irr_exec::ExecutionStrategy::name`].
-    pub fn strategy_counts(&self) -> [(&'static str, u64); 3] {
-        [
-            ("write-log", self.strategy_write_log),
-            ("in-place-disjoint", self.strategy_in_place),
-            ("privatize-concat", self.strategy_concat),
-        ]
-    }
-
-    /// Total loop entries dispatched sequential (for any reason,
-    /// including quarantine pins; fallbacks re-execute a *parallel*
-    /// dispatch and are counted separately).
-    pub fn sequential_dispatches(&self) -> u64 {
-        self.guarded_sequential + self.sequential_unguarded() + self.quarantined
-    }
-
     /// Loop entries dispatched sequential without any guard: proven
     /// sequential, unknown loop, or non-unit step.
     pub fn sequential_unguarded(&self) -> u64 {
@@ -226,10 +208,5 @@ impl Telemetry {
             FallbackReason::Strategy => self.fallback_strategy,
             FallbackReason::Traced => self.compiled_fallback_traced,
         }
-    }
-
-    /// Total sanitizer findings (violations plus precision gaps).
-    pub fn audit_findings(&self) -> u64 {
-        self.audit_violations + self.audit_precision_gaps
     }
 }

@@ -67,10 +67,10 @@ use irr_programs::fuzz::random_loop_program;
 use irr_programs::sparse::{
     interproc_kernels, kernels, producer_kernels, SparseProgram, SparseScale, STRUCTURES,
 };
-use irr_programs::{all, Scale};
+use irr_programs::{named_sources, Scale};
 use irr_runtime::{run_hybrid_seeded, run_hybrid_with_faults, HybridConfig};
 use irr_sanitizer::{
-    audit_report, audit_report_seeded, figures, AuditConfig, AuditMode, AuditReport, FindingKind,
+    audit_report, audit_report_seeded, AuditConfig, AuditMode, AuditReport, FindingKind,
 };
 use irr_sparse::Structure;
 
@@ -145,15 +145,7 @@ fn main() {
         }
     }
 
-    let mut targets: Vec<(String, String)> = all(scale)
-        .into_iter()
-        .map(|b| (b.name.to_string(), b.source))
-        .collect();
-    targets.extend(
-        figures()
-            .into_iter()
-            .map(|f| (f.name.to_string(), f.source.to_string())),
-    );
+    let mut targets = named_sources(scale);
     if let Some(filter) = &only {
         targets.retain(|(name, _)| name.contains(filter.as_str()));
     }

@@ -4,9 +4,11 @@
 //! (same fingerprint) and its key quarantined, then re-admitted after
 //! `quarantine_retries` degraded responses.
 
+use irr_programs::sparse::{kernels, producer_kernels, SparseScale};
 use irr_service::{
     DegradeLevel, Service, ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan,
 };
+use irr_sparse::Structure;
 use std::time::Duration;
 
 const VICTIM: &str = "program v
@@ -182,56 +184,123 @@ fn poisoned_cache_entry_is_evicted_and_recomputed_never_served() {
     assert!(svc.analyze("hit", VICTIM).result.unwrap().cache_hit);
 }
 
+/// Two request streams through the same body. The first is every
+/// benchmark four times plus the malformed corpus, at generous budgets
+/// and a 15 % fault rate, into a queue that holds the whole stream.
+/// The second is a load generator's: 1 000 requests drawn 70 : 30 from
+/// the well-formed pool (sparse and producer kernels on two matrix
+/// structures, the benchmarks) and the malformed corpus, at starved
+/// budgets and a 5 % fault rate, handed over in slices a little larger
+/// than the queue — a bounded in-flight window, so admission control
+/// sheds the tail of a slice without shedding most of the stream.
 #[test]
 fn randomized_chaos_sweep_never_escapes_a_panic() {
-    let corpus = irr_frontend::malformed_corpus(40);
+    let malformed: Vec<(String, String)> = irr_frontend::malformed_corpus(40)
+        .into_iter()
+        .map(|c| (c.name.to_string(), c.source))
+        .collect();
     let benchmarks = irr_programs::all(irr_programs::Scale::Test);
-    let mut requests: Vec<(String, String)> = Vec::new();
+
+    let mut fixed: Vec<(String, String)> = Vec::new();
     for round in 0..4 {
         for b in &benchmarks {
-            requests.push((format!("{}-{round}", b.name), b.source.clone()));
+            fixed.push((format!("{}-{round}", b.name), b.source.clone()));
         }
     }
-    for c in &corpus {
-        requests.push((c.name.to_string(), c.source.clone()));
-    }
+    fixed.extend(malformed.iter().cloned());
 
-    let svc = Service::start(ServiceConfig {
-        workers: 4,
-        queue_capacity: requests.len(),
-        fuel: Some(200_000),
-        wall_budget: Some(Duration::from_millis(250)),
-        fault_plan: ServiceFaultPlan::randomized(0xc4a05, 150, 5),
-        ..ServiceConfig::default()
-    });
-    let responses = svc.analyze_batch(requests.iter().map(|(n, s)| (n.as_str(), s.as_str())));
-    assert_eq!(responses.len(), requests.len());
-
-    let known = [
-        "ok",
-        "fuel",
-        "wall-clock",
-        "quarantined",
-        "parse-error",
-        "panic",
-        "shed:queue-full",
-        "shed:shutting-down",
-    ];
-    for resp in &responses {
-        assert!(
-            known.contains(&resp.reason_code()),
-            "{}: unknown reason {}",
-            resp.name,
-            resp.reason_code()
-        );
+    let mut well_formed: Vec<(String, String)> = Vec::new();
+    for (structure, tag) in [(Structure::Uniform, "uni"), (Structure::PowerLaw, "pow")] {
+        let scale = SparseScale::test(structure, 0xbeef);
+        for k in kernels(&scale).into_iter().chain(producer_kernels(&scale)) {
+            well_formed.push((format!("{}-{tag}", k.name), k.source));
+        }
     }
-    // The only panics are the injected ones, each one attributed.
-    let injected = svc.faults_fired_count("panic-in-analysis") as u64;
-    assert_eq!(svc.stats().panics_caught, injected);
-    assert!(
-        !svc.faults_fired().is_empty(),
-        "the randomized plan never fired at rate 150/1000"
+    well_formed.extend(
+        benchmarks
+            .into_iter()
+            .map(|b| (b.name.to_string(), b.source)),
     );
-    let stats = svc.shutdown();
-    assert_eq!(stats.completed, requests.len() as u64);
+    let mut rng = irr_exec::SplitMix64::new(0x5eed);
+    let drawn: Vec<(String, String)> = (0..1000)
+        .map(|_| {
+            let from = if rng.next_u64() % 10 < 7 {
+                &well_formed
+            } else {
+                &malformed
+            };
+            from[(rng.next_u64() % from.len() as u64) as usize].clone()
+        })
+        .collect();
+
+    let inputs = [
+        (
+            ServiceConfig {
+                workers: 4,
+                queue_capacity: fixed.len(),
+                fuel: Some(200_000),
+                wall_budget: Some(Duration::from_millis(250)),
+                fault_plan: ServiceFaultPlan::randomized(0xc4a05, 150, 5),
+                ..ServiceConfig::default()
+            },
+            fixed,
+        ),
+        (
+            ServiceConfig {
+                workers: 4,
+                queue_capacity: 64,
+                fuel: Some(30_000),
+                wall_budget: Some(Duration::from_millis(50)),
+                fault_plan: ServiceFaultPlan::randomized(0x5eed, 50, 5),
+                ..ServiceConfig::default()
+            },
+            drawn,
+        ),
+    ];
+    for (config, requests) in inputs {
+        let queue = config.queue_capacity;
+        let svc = Service::start(config);
+        let responses: Vec<_> = requests
+            .chunks(queue + queue / 4)
+            .flat_map(|slice| {
+                svc.analyze_batch(slice.iter().map(|(n, s)| (n.as_str(), s.as_str())))
+            })
+            .collect();
+        assert_eq!(responses.len(), requests.len());
+
+        let known = [
+            "ok",
+            "fuel",
+            "wall-clock",
+            "quarantined",
+            "parse-error",
+            "panic",
+            "shed:queue-full",
+            "shed:shutting-down",
+        ];
+        for resp in &responses {
+            assert!(
+                known.contains(&resp.reason_code()),
+                "{}: unknown reason {}",
+                resp.name,
+                resp.reason_code()
+            );
+        }
+        // The only panics are the injected ones, each one attributed.
+        let injected = svc.faults_fired_count("panic-in-analysis") as u64;
+        assert_eq!(svc.stats().panics_caught, injected);
+        assert!(
+            !svc.faults_fired().is_empty(),
+            "the randomized plan never fired"
+        );
+        // Nothing is lost in flight, and a queue that holds the whole
+        // stream sheds none of it.
+        let stats = svc.shutdown();
+        assert_eq!(stats.submitted, requests.len() as u64);
+        assert_eq!(
+            stats.completed + stats.shed_queue_full + stats.shed_shutdown,
+            stats.submitted
+        );
+        assert!(stats.shed_queue_full == 0 || requests.len() > queue);
+    }
 }

@@ -14,11 +14,11 @@ use irr_driver::{
     WriteShape,
 };
 use irr_exec::{FaultKind, FaultPlan, Interp, Store, TraceConfig, Value};
-use irr_programs::{all, Scale};
+use irr_programs::{all, named_sources, Scale};
 use irr_runtime::{
     run_hybrid, run_hybrid_with_faults, HybridConfig, HybridDispatcher, HybridOutcome,
 };
-use irr_sanitizer::{audit_report, figures, AuditConfig, AuditMode};
+use irr_sanitizer::{audit_report, AuditConfig, AuditMode};
 
 /// `p(i) = mod(i*3, n) + 1` is a permutation for `n = 8` — guarded at
 /// compile time, passes inspection at run time, so without injected
@@ -1019,15 +1019,7 @@ fn fallback_under_tracer_records_the_sequential_re_execution() {
 
 #[test]
 fn randomized_chaos_sweep_preserves_sequential_semantics() {
-    let mut targets: Vec<(String, String)> = all(Scale::Test)
-        .into_iter()
-        .map(|b| (b.name.to_string(), b.source))
-        .collect();
-    targets.extend(
-        figures()
-            .into_iter()
-            .map(|f| (f.name.to_string(), f.source.to_string())),
-    );
+    let targets = named_sources(Scale::Test);
     let config = HybridConfig {
         quarantine_retries: 1,
         ..watchdog_config()

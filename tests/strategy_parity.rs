@@ -19,9 +19,8 @@ use irr_exec::{ArrayData, ExecOutcome, Interp, SplitMix64, Store, Value};
 use irr_frontend::VarId;
 use irr_programs::fuzz::{random_loop_program, strategy_programs};
 use irr_programs::sparse::{kernels, SparseScale};
-use irr_programs::{all, Scale};
+use irr_programs::{named_sources, Scale};
 use irr_runtime::{run_hybrid_seeded, HybridConfig, HybridOutcome};
-use irr_sanitizer::figures;
 use irr_sparse::Structure;
 
 type Presets = Vec<(VarId, ArrayData)>;
@@ -204,15 +203,7 @@ fn four_way_at(
 
 #[test]
 fn benchmarks_and_figures_agree_under_all_modes() {
-    let mut targets: Vec<(String, String)> = all(Scale::Test)
-        .into_iter()
-        .map(|b| (b.name.to_string(), b.source))
-        .collect();
-    targets.extend(
-        figures()
-            .into_iter()
-            .map(|f| (f.name.to_string(), f.source.to_string())),
-    );
+    let targets = named_sources(Scale::Test);
     let mut in_place_commits = 0u64;
     let mut compiled_commits = 0u64;
     for (name, src) in &targets {
