@@ -1,16 +1,35 @@
-//! The compiled tier's compile-time artefact: the register bytecode IR,
-//! its lowering, and the advisory [`CompiledPlan`] read off a lowered
-//! nest.
+//! The compiled tier's one instruction set, its one producer, and the
+//! advisory [`CompiledPlan`] read off a lowered nest.
 //!
-//! [`lower_do_loop`] is the one function in the workspace that decides
-//! whether a `do` nest can be offered to the compiled backend, and it
-//! decides by producing the [`CompiledBody`] the backend types and runs
-//! (a lowered nest the backend cannot type falls back like one that
-//! does not lower; the corpus has none). The driver
-//! annotates each verdict with [`CompiledBody::plan`] of that body, next
-//! to the strategy facts; the lint layer re-derives the plan with
-//! [`derive_compiled_plan`] and flags verdicts whose plan was tampered
-//! with.
+//! [`lower_do_loop`] is the only function in the workspace that builds
+//! a [`CompiledBody`], and a body is exactly what the executor's typed
+//! loop runs: instructions over split `i64` / `f64` register planes
+//! ([`FOp`], [`IOpnd`], [`FOpnd`]), the scalars the nest references
+//! promoted to registers, and the arrays it references numbered into
+//! pin slots. Whether a `do` nest can be offered to the compiled
+//! backend is therefore one question with one answer — "does it
+//! lower" — asked by the driver at compile time and by the executor at
+//! dispatch.
+//!
+//! A body's fields are private and only the lowering fills them, which
+//! is what the executor's unchecked register and pin accesses rest on:
+//!
+//! - every register number in an instruction, a [`Promoted`] scalar or
+//!   [`CompiledBody::root_reg`] came out of the lowering's per-plane
+//!   allocator, below the plane size the body reports
+//!   ([`CompiledBody::int_registers`] / [`CompiledBody::real_registers`]);
+//! - every pin slot is an index into [`CompiledBody::arrays`], and
+//!   every slot some instruction stores to is marked in
+//!   [`CompiledBody::stored`];
+//! - every block index and jump target lies inside
+//!   [`CompiledBody::blocks`], every `lidx` inside
+//!   [`CompiledBody::inner_loops`].
+//!
+//! The driver annotates each verdict with [`CompiledBody::plan`] of its
+//! body, next to the strategy facts; the lint layer re-derives the plan
+//! with [`derive_compiled_plan`] and flags verdicts whose plan was
+//! tampered with. A verdict carries a plan exactly when the typed loop
+//! can run the nest.
 //!
 //! The executor (`irr-exec`'s `bytecode` module) *never* trusts a
 //! verdict's plan: at dispatch it calls the same [`lower_do_loop`] on
@@ -25,7 +44,7 @@ mod lower;
 
 pub use lower::{lower_do_loop, LowerReject};
 
-use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
+use irr_frontend::{BinOp, Intrinsic, Program, StmtId, VarId};
 
 /// What the compiled tier will do with a loop nest: a summary of its
 /// lowered body. Also a fingerprint: the lint layer re-derives the plan
@@ -33,7 +52,7 @@ use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, StmtId, VarId};
 /// program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CompiledPlan {
-    /// Registers the bytecode body allocates
+    /// Registers the body allocates, both planes
     /// ([`CompiledBody::register_count`]).
     pub registers: u32,
     /// Inner loops (`do` and `while`) in the nest, root excluded.
@@ -44,8 +63,9 @@ pub struct CompiledPlan {
     pub indirect_accesses: u32,
     /// Append-through-pointer fusions `a(p) = e` + `p = p + 1`.
     pub appends: u32,
-    /// Scalar reduction accumulates `s = s op e` / `s = e op s`.
-    pub accumulates: u32,
+    /// Fused multiply–adds `x + b * c`, the reduction `s = s + b * c`
+    /// included.
+    pub multiply_adds: u32,
 }
 
 /// The advisory compiled-tier plan for the `do` loop at `loop_stmt`:
@@ -55,196 +75,346 @@ pub fn derive_compiled_plan(program: &Program, loop_stmt: StmtId) -> Option<Comp
     lower_do_loop(program, loop_stmt).ok().map(|cb| cb.plan())
 }
 
-/// An instruction operand: a temp register, a scalar store slot, or an
-/// immediate. Scalar reads are deferred to the consuming instruction —
-/// expressions cannot write scalars, so the deferred read observes the
-/// same value the interpreter's eager left-to-right evaluation would.
-#[derive(Clone, Copy, Debug)]
-pub enum Opnd {
-    /// Temp register.
-    T(u16),
-    /// Scalar store slot (dense `VarId` index).
-    S(VarId),
-    /// Integer immediate.
-    I(i64),
-    /// Real immediate.
-    R(f64),
+/// Integer-plane operand: a register, an immediate, or a float
+/// register read through Fortran-`INT` truncation (`Value::as_int`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum IOpnd {
+    Reg(u16),
+    Const(i64),
+    FReg(u16),
 }
 
-/// One bytecode instruction. Temp register indices (`u16`) index the
-/// per-execution register file; jump targets are indices into the
-/// instruction's own block. Nothing executes an `Op`: the executor's
-/// `specialize` types a body into its own instruction set, and each
-/// variant documents the tree-walk semantics that translation keeps.
-/// Array accesses say nothing about materialization — the typed loop
+/// Float-plane operand: a register, an immediate, or an integer
+/// register widened (`Value::as_real`). Immediates compare by bit
+/// pattern, so `0.0` and `-0.0` are different operands.
+#[derive(Clone, Copy, Debug)]
+pub enum FOpnd {
+    Reg(u16),
+    Const(f64),
+    IReg(u16),
+}
+
+impl PartialEq for FOpnd {
+    fn eq(&self, other: &FOpnd) -> bool {
+        match (*self, *other) {
+            (FOpnd::Reg(a), FOpnd::Reg(b)) | (FOpnd::IReg(a), FOpnd::IReg(b)) => a == b,
+            (FOpnd::Const(a), FOpnd::Const(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for FOpnd {}
+
+/// One instruction of a [`CompiledBody`], split per register plane
+/// (`…I` integer, `…F` float). Register numbers index the plane the
+/// variant names, `slot` fields the body's pinned-array table, jump
+/// targets the instruction's own block, `body` / `cond` the body's
+/// block list. Each variant keeps the tree-walk's semantics for the
+/// construct it stands for — wrapping integer arithmetic, euclidean
+/// `/` and `mod` with zero checks, `eval_cond`'s comparison rules, the
+/// store's bounds checks in the store's order — and only
+/// [`FOp::Charge`], the appends and the loop ops touch the fuel ledger.
+/// Array accesses say nothing about materialization: the typed loop
 /// runs only once every referenced array is live, and until then the
 /// tree-walk materializes lazily in its own order.
 #[derive(Clone, Debug)]
-pub enum Op {
+pub enum FOp {
     /// Charge `n` cost/fuel units — emitted at every statement entry
     /// (and nowhere else), so total cost and the out-of-fuel point
     /// match the interpreter exactly.
     Charge(u64),
-    /// `t[dst] = src`.
-    Mov { dst: u16, src: Opnd },
-    /// `t[dst] = a op b` with the interpreter's `apply_bin` semantics
-    /// (wrapping integer arithmetic, euclidean div/mod, zero checks).
-    Bin {
+    /// `dst = src`; also `int()`, `real()` and a scalar assignment,
+    /// whose declared-type coercion is the operand conversion.
+    MovI {
+        dst: u16,
+        src: IOpnd,
+    },
+    MovF {
+        dst: u16,
+        src: FOpnd,
+    },
+    /// `dst = a op b` with `apply_bin`'s semantics for the plane.
+    BinI {
         op: BinOp,
         dst: u16,
-        a: Opnd,
-        b: Opnd,
+        a: IOpnd,
+        b: IOpnd,
     },
-    /// `t[dst] = -src`.
-    Neg { dst: u16, src: Opnd },
-    /// `t[dst] = (a op b) as 0/1` with `eval_cond` ordering semantics
-    /// (exact integer compare, NaN compares equal).
-    Cmp {
+    BinF {
         op: BinOp,
         dst: u16,
-        a: Opnd,
-        b: Opnd,
+        a: FOpnd,
+        b: FOpnd,
     },
-    /// `t[dst] = (src != 0.0) as 0/1` (condition fallback truthiness).
-    Truthy { dst: u16, src: Opnd },
-    /// `t[t] = 1 - t[t]` (logical not over a 0/1 condition register).
-    Not { t: u16 },
-    /// One-argument intrinsic.
-    Intr1 { f: Intrinsic, dst: u16, a: Opnd },
-    /// Two-argument intrinsic.
-    Intr2 {
+    NegI {
+        dst: u16,
+        src: IOpnd,
+    },
+    NegF {
+        dst: u16,
+        src: FOpnd,
+    },
+    /// `dst = (a op b) as 0/1` into the integer plane: exact integer
+    /// compare when both sides are integers, else float compare with
+    /// NaN comparing equal.
+    CmpI {
+        op: BinOp,
+        dst: u16,
+        a: IOpnd,
+        b: IOpnd,
+    },
+    CmpF {
+        op: BinOp,
+        dst: u16,
+        a: FOpnd,
+        b: FOpnd,
+    },
+    /// `dst = (src != 0) as 0/1` (condition fallback truthiness).
+    TruthyI {
+        dst: u16,
+        src: IOpnd,
+    },
+    TruthyF {
+        dst: u16,
+        src: FOpnd,
+    },
+    /// Logical not over a 0/1 condition register, in place.
+    Not {
+        t: u16,
+    },
+    MinMaxI {
+        max: bool,
+        dst: u16,
+        a: IOpnd,
+        b: IOpnd,
+    },
+    MinMaxF {
+        max: bool,
+        dst: u16,
+        a: FOpnd,
+        b: FOpnd,
+    },
+    AbsI {
+        dst: u16,
+        src: IOpnd,
+    },
+    AbsF {
+        dst: u16,
+        src: FOpnd,
+    },
+    /// `sqrt` / `sin` / `cos` / `exp` / `log`.
+    Real1 {
         f: Intrinsic,
         dst: u16,
-        a: Opnd,
-        b: Opnd,
+        src: FOpnd,
     },
-    /// Unconditional jump within the block.
-    Jump { target: u32 },
+    Jump {
+        target: u32,
+    },
     /// Jump when the 0/1 condition register is 0.
-    JumpIfZero { src: u16, target: u32 },
-    /// Jump when the 0/1 condition register is non-0.
-    JumpIfNonZero { src: u16, target: u32 },
-    /// Column-major flat index of `n` subscripts held in consecutive
-    /// temps `t[base..base+n]`, bounds-checked per dimension;
-    /// `t[dst] = flat index`.
+    JumpIfZero {
+        src: u16,
+        target: u32,
+    },
+    JumpIfNonZero {
+        src: u16,
+        target: u32,
+    },
+    /// Column-major flat index of the subscripts, bounds-checked per
+    /// dimension, left to right; `dst` feeds a `LoadAt*` / `StoreAt*`.
     IndexN {
-        arr: VarId,
-        base: u16,
-        n: u8,
+        slot: u16,
+        subs: Box<[IOpnd]>,
         dst: u16,
     },
-    /// `t[dst] = arr[t[idx]]` (flat index previously checked).
-    LoadAt { arr: VarId, idx: u16, dst: u16 },
-    /// `arr[t[idx]] = src` through the store's full write path
-    /// (overlay intercept, copy-on-write, version bump, write log).
-    StoreAt { arr: VarId, idx: u16, src: Opnd },
-    /// Fused 1-subscript load: bounds-check `sub` against the first
-    /// extent, read.
-    LoadElem1 { arr: VarId, sub: Opnd, dst: u16 },
-    /// Fused 1-subscript store.
-    StoreElem1 { arr: VarId, sub: Opnd, src: Opnd },
-    /// Fused affine load `arr(base + off)`; `base` is an
-    /// integer-typed scalar slot.
-    LoadAffine {
-        arr: VarId,
-        base: VarId,
-        off: i64,
+    /// `dst = arr[idx]`, flat index previously checked by `IndexN`.
+    LoadAtI {
+        slot: u16,
+        idx: u16,
         dst: u16,
     },
-    /// Fused affine store `arr(base + off) = src` — the proven
+    LoadAtF {
+        slot: u16,
+        idx: u16,
+        dst: u16,
+    },
+    StoreAtI {
+        slot: u16,
+        idx: u16,
+        src: IOpnd,
+    },
+    StoreAtF {
+        slot: u16,
+        idx: u16,
+        src: FOpnd,
+    },
+    /// One-subscript access `arr(sub)`, checked against the first
+    /// extent.
+    LoadElemI {
+        slot: u16,
+        sub: IOpnd,
+        dst: u16,
+    },
+    LoadElemF {
+        slot: u16,
+        sub: IOpnd,
+        dst: u16,
+    },
+    StoreElemI {
+        slot: u16,
+        sub: IOpnd,
+        src: IOpnd,
+    },
+    StoreElemF {
+        slot: u16,
+        sub: IOpnd,
+        src: FOpnd,
+    },
+    /// Affine access `arr(base + off)`; `base` is the register of an
+    /// integer-declared scalar. The store is the proven
     /// in-place-disjoint write pattern.
-    StoreAffine {
-        arr: VarId,
-        base: VarId,
+    LoadAffI {
+        slot: u16,
+        base: u16,
         off: i64,
-        src: Opnd,
-    },
-    /// Fused gather `arr(idx_arr(sub))`: both subscripts
-    /// bounds-checked, the index array's first.
-    Gather {
-        arr: VarId,
-        idx_arr: VarId,
-        sub: Opnd,
         dst: u16,
     },
-    /// Fused gather-store `arr(idx_arr(sub)) = src`.
-    Scatter {
-        arr: VarId,
-        idx_arr: VarId,
-        sub: Opnd,
-        src: Opnd,
+    LoadAffF {
+        slot: u16,
+        base: u16,
+        off: i64,
+        dst: u16,
     },
-    /// Scalar write with declared-type coercion and write-log record.
-    SetScalar {
-        var: VarId,
-        ty: ScalarType,
-        src: Opnd,
+    StoreAffI {
+        slot: u16,
+        base: u16,
+        off: i64,
+        src: IOpnd,
     },
-    /// Fused reduction accumulate `var = var op src` (`rev` swaps the
-    /// operand order: `var = src op var`).
-    Accum {
-        var: VarId,
-        ty: ScalarType,
-        op: BinOp,
-        rev: bool,
-        src: Opnd,
+    StoreAffF {
+        slot: u16,
+        base: u16,
+        off: i64,
+        src: FOpnd,
     },
-    /// Fused append-through-pointer: `arr(ptr) = src` followed by the
-    /// second statement's charge and `ptr = ptr + 1` — the
+    /// Subscripted subscript `arr(idx_arr(sub))`: both subscripts
+    /// bounds-checked, the index array's first.
+    GatherI {
+        slot: u16,
+        idx_slot: u16,
+        sub: IOpnd,
+        dst: u16,
+    },
+    GatherF {
+        slot: u16,
+        idx_slot: u16,
+        sub: IOpnd,
+        dst: u16,
+    },
+    ScatterI {
+        slot: u16,
+        idx_slot: u16,
+        sub: IOpnd,
+        src: IOpnd,
+    },
+    ScatterF {
+        slot: u16,
+        idx_slot: u16,
+        sub: IOpnd,
+        src: FOpnd,
+    },
+    /// Append-through-pointer: `arr(ptr) = src`, then the second
+    /// statement's charge, then `ptr = ptr + 1` — the
     /// privatize-and-concat write pattern.
-    Append {
-        arr: VarId,
-        ptr: VarId,
-        ty: ScalarType,
-        src: Opnd,
+    AppendI {
+        slot: u16,
+        ptr: u16,
+        src: IOpnd,
     },
-    /// A nested `do` loop: bounds read from operands (already
-    /// evaluated in-order by preceding ops), induction writes logged,
-    /// per-loop statistics maintained exactly as the interpreter's.
+    AppendF {
+        slot: u16,
+        ptr: u16,
+        src: FOpnd,
+    },
+    /// Three-term address `dst = a + b + off`, all wrapping (so folding
+    /// `- c` into `off` is exact mod 2^64).
+    LeaI {
+        dst: u16,
+        a: IOpnd,
+        b: IOpnd,
+        off: i64,
+    },
+    /// `dst = a + b * c` with the two roundings of the separate ops
+    /// (never an actual FMA), operand order kept.
+    MulAddF {
+        dst: u16,
+        a: FOpnd,
+        b: FOpnd,
+        c: FOpnd,
+    },
+    /// A nested `do` loop: bounds already evaluated in order by the
+    /// preceding ops, per-loop statistics kept under `lidx` exactly as
+    /// the interpreter's.
     DoLoop {
-        var: VarId,
-        ty: ScalarType,
-        stmt: StmtId,
-        lo: Opnd,
-        hi: Opnd,
-        step: Opnd,
+        var: u16,
+        var_real: bool,
+        lidx: u16,
+        lo: IOpnd,
+        hi: IOpnd,
+        step: IOpnd,
         body: u16,
     },
     /// A nested `while` loop: the condition block leaves 0/1 in
     /// `cond_temp` before every iteration.
     WhileLoop {
-        stmt: StmtId,
+        lidx: u16,
         cond: u16,
         cond_temp: u16,
         body: u16,
     },
 }
 
-/// A lowered `do`-loop nest: blocks of instructions (the root block is
-/// one iteration of the outermost body; nested loop bodies and `while`
-/// conditions get their own blocks) plus the register-file size and
-/// the loop metadata the drivers need.
+/// A scalar promoted to a register for the length of a typed run.
+#[derive(Clone, Copy, Debug)]
+pub struct Promoted {
+    pub var: VarId,
+    pub reg: u16,
+    /// `f64` plane (real-declared) rather than `i64`.
+    pub real: bool,
+    /// Whether the nest can assign it: the target of a scalar
+    /// assignment, an append pointer, or a loop's induction variable
+    /// (the root's included). Only these are written back at exit.
+    pub assigned: bool,
+}
+
+/// A lowered `do`-loop nest, as the typed loop runs it: blocks of
+/// instructions (the root block is one iteration of the outermost
+/// body; nested loop bodies and `while` conditions get their own
+/// blocks), the sizes of the two register planes, and the tables that
+/// tie registers and pin slots back to the program's variables. Plain
+/// data (`Send + Sync`): the executor caches one per loop statement
+/// and shares it with parallel workers via `Arc`.
 #[derive(Debug)]
 pub struct CompiledBody {
-    blocks: Vec<Vec<Op>>,
-    /// Block holding one iteration of the outermost loop body.
+    blocks: Vec<Vec<FOp>>,
     root: u16,
-    /// Register-file size.
-    n_temps: u16,
-    /// The outermost loop's induction variable and its declared type.
-    root_var: VarId,
-    root_ty: ScalarType,
-    /// Every loop statement in the nest (root first) — checked against
-    /// `record_loops` at dispatch, since per-iteration cost recording
-    /// is an interpreter-only instrument.
+    n_iregs: u16,
+    n_fregs: u16,
+    scalars: Vec<Promoted>,
+    arrays: Vec<VarId>,
+    stored: Vec<bool>,
     loops: Vec<StmtId>,
+    root_var: VarId,
+    root_reg: u16,
+    root_real: bool,
 }
 
 impl CompiledBody {
-    /// The instruction blocks; [`Op::DoLoop`] and [`Op::WhileLoop`]
+    /// The instruction blocks; [`FOp::DoLoop`] and [`FOp::WhileLoop`]
     /// name their body and condition blocks by index.
     #[inline]
-    pub fn blocks(&self) -> &[Vec<Op>] {
+    pub fn blocks(&self) -> &[Vec<FOp>] {
         &self.blocks
     }
 
@@ -254,10 +424,22 @@ impl CompiledBody {
         self.root
     }
 
-    /// The outermost loop's induction variable and its declared type.
+    /// Size of the `i64` register plane.
     #[inline]
-    pub fn root_var(&self) -> (VarId, ScalarType) {
-        (self.root_var, self.root_ty)
+    pub fn int_registers(&self) -> usize {
+        usize::from(self.n_iregs)
+    }
+
+    /// Size of the `f64` register plane.
+    #[inline]
+    pub fn real_registers(&self) -> usize {
+        usize::from(self.n_fregs)
+    }
+
+    /// Registers an executor must provide to run the body, both planes.
+    #[inline]
+    pub fn register_count(&self) -> usize {
+        self.int_registers() + self.real_registers()
     }
 
     /// Total instruction count across all blocks.
@@ -265,31 +447,90 @@ impl CompiledBody {
         self.blocks.iter().map(Vec::len).sum()
     }
 
-    /// Register-file size an executor must provide to run the body.
+    /// Every scalar the nest references, in `VarId` order.
     #[inline]
-    pub fn register_count(&self) -> usize {
-        self.n_temps as usize
+    pub fn scalars(&self) -> &[Promoted] {
+        &self.scalars
     }
 
-    /// Loop statements in the nest (outermost first).
+    /// The scalars the nest can assign, the root induction variable
+    /// aside — what a worker's write-back will log.
+    pub fn assigned_scalars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.scalars
+            .iter()
+            .filter(|p| p.assigned && p.var != self.root_var)
+            .map(|p| p.var)
+    }
+
+    /// Every array the nest references, in pin-slot order.
+    #[inline]
+    pub fn arrays(&self) -> &[VarId] {
+        &self.arrays
+    }
+
+    /// Per pin slot: whether some instruction stores to the array. A
+    /// slot the body only reads is pinned shared; a stored slot gets a
+    /// write sink.
+    #[inline]
+    pub fn stored(&self) -> &[bool] {
+        &self.stored
+    }
+
+    /// Every loop statement in the nest, the root first — checked
+    /// against `record_loops` at dispatch, since per-iteration cost
+    /// recording is an interpreter-only instrument.
+    #[inline]
     pub fn loop_stmts(&self) -> &[StmtId] {
         &self.loops
     }
 
+    /// The inner loop statements in dense `lidx` order: per-loop stats
+    /// accumulate in flat counters during a run and fold into the
+    /// per-statement map once per entry.
+    #[inline]
+    pub fn inner_loops(&self) -> &[StmtId] {
+        &self.loops[1..]
+    }
+
+    /// The outermost loop's induction variable.
+    #[inline]
+    pub fn root_var(&self) -> VarId {
+        self.root_var
+    }
+
+    /// The register promoted for the root induction variable, which
+    /// the chunk driver writes before every root iteration.
+    #[inline]
+    pub fn root_reg(&self) -> u16 {
+        self.root_reg
+    }
+
+    /// Whether [`CompiledBody::root_reg`] is in the `f64` plane.
+    #[inline]
+    pub fn root_real(&self) -> bool {
+        self.root_real
+    }
+
     /// The advisory summary of this body: register count, inner loops,
-    /// and how many of each fused access pattern the lowering emitted.
+    /// and how many of each fused pattern the lowering emitted.
     pub fn plan(&self) -> CompiledPlan {
         let mut plan = CompiledPlan {
-            registers: u32::from(self.n_temps),
+            registers: self.register_count() as u32,
+            inner_loops: self.inner_loops().len() as u32,
             ..CompiledPlan::default()
         };
         for op in self.blocks.iter().flatten() {
             match op {
-                Op::DoLoop { .. } | Op::WhileLoop { .. } => plan.inner_loops += 1,
-                Op::LoadAffine { .. } | Op::StoreAffine { .. } => plan.affine_accesses += 1,
-                Op::Gather { .. } | Op::Scatter { .. } => plan.indirect_accesses += 1,
-                Op::Append { .. } => plan.appends += 1,
-                Op::Accum { .. } => plan.accumulates += 1,
+                FOp::LoadAffI { .. }
+                | FOp::LoadAffF { .. }
+                | FOp::StoreAffI { .. }
+                | FOp::StoreAffF { .. } => plan.affine_accesses += 1,
+                FOp::GatherI { .. }
+                | FOp::GatherF { .. }
+                | FOp::ScatterI { .. }
+                | FOp::ScatterF { .. } => plan.indirect_accesses += 1,
+                FOp::AppendI { .. } | FOp::AppendF { .. } => plan.appends += 1,
+                FOp::MulAddF { .. } => plan.multiply_adds += 1,
                 _ => {}
             }
         }
@@ -331,7 +572,7 @@ mod tests {
         let plan = derive_compiled_plan(&p, first_do(&p)).unwrap();
         assert_eq!(plan.inner_loops, 1);
         assert!(plan.indirect_accesses >= 1, "{plan:?}");
-        assert!(plan.accumulates >= 1, "{plan:?}");
+        assert!(plan.multiply_adds >= 1, "{plan:?}");
         assert!(plan.registers > 0);
         let body = lower_do_loop(&p, first_do(&p)).unwrap();
         assert_eq!(plan.registers as usize, body.register_count());

@@ -1,21 +1,48 @@
-//! AST → register bytecode lowering: the single decision point for
-//! "can this nest run on the bytecode backend".
+//! AST → [`CompiledBody`] lowering: the single decision point for
+//! "can this nest run on the compiled backend", and the only producer
+//! of the instructions the typed loop executes.
 //!
 //! The lowering is a pure function of the program: no store state is
-//! consulted, so the driver can summarise a [`CompiledBody`] into a
-//! verdict's advisory plan at compile time, and the executor can lower
-//! the same nest again at dispatch, cache the body per loop `StmtId`
-//! for the lifetime of the interpreter and share it (via `Arc`) with
-//! parallel workers. Anything the executor cannot replay
-//! bit-identically to the tree-walk rejects with a [`LowerReject`];
-//! the verdict then carries no plan and the dispatch site falls back
-//! to the interpreter.
+//! consulted, so the driver can summarise a body into a verdict's
+//! advisory plan at compile time, and the executor can lower the same
+//! nest again at dispatch, cache the body per loop `StmtId` for the
+//! lifetime of the interpreter and share it (via `Arc`) with parallel
+//! workers. Anything the typed loop cannot replay bit-identically to
+//! the tree-walk rejects with a [`LowerReject`]; the verdict then
+//! carries no plan and the dispatch site falls back to the interpreter.
+//!
+//! It is one pass over the tree, and everything about an instruction
+//! is decided where the tree shows it:
+//!
+//! - **Types are syntax-directed.** Scalar and array element types are
+//!   declared and every arithmetic result follows `apply_bin`'s rule
+//!   (`Int op Int → Int`, anything else `→ Real`), so lowering an
+//!   expression returns a typed value ([`Val`]) and picks the
+//!   instruction's plane on the spot. `Int → Real` widening and
+//!   Fortran-`INT` truncation are operand forms ([`IOpnd::FReg`] /
+//!   [`FOpnd::IReg`], literals folded), placed exactly where
+//!   `Value::as_real` / `Value::as_int` would have run.
+//! - **Registers are allocated as values are created**, per plane; a
+//!   referenced scalar is promoted to one register for the whole nest
+//!   (expressions cannot write scalars, so a read deferred to the
+//!   consuming instruction sees what the interpreter's eager
+//!   left-to-right evaluation would).
+//! - **Fusions are tree shapes**: affine `a(v ± c)`, subscripted
+//!   subscript `a(idx(e))`, append-through-pointer `a(p) = e; p = p + 1`,
+//!   the three-term address `(a + b) ± c`, the multiply–add `x + b * c`,
+//!   and a reduction `s = s op e` computed straight into `s`'s register.
+//! - **Local value numbering** happens at emission: a pure instruction
+//!   whose value is already available in the straight-line region is
+//!   not emitted again. Safe because compute ops never charge fuel, so
+//!   the cost ledger is untouched; availability ends at jump targets,
+//!   loop ops, stores to the array and writes to the scalar involved.
 //!
 //! Ordering rules the emitted code preserves (see the interpreter for
 //! the authoritative semantics):
 //!
-//! - one [`Op::Charge`] per statement at its entry, nothing coalesced
-//!   across potentially-faulting instructions;
+//! - one [`FOp::Charge`] per statement at its entry (the append's
+//!   second charge sits inside the fused op), nothing coalesced across
+//!   potentially-faulting instructions;
 //! - assignment right-hand sides evaluate before the target's
 //!   subscripts and bounds checks;
 //! - nothing is emitted for array materialization: the typed loop runs
@@ -25,7 +52,7 @@
 //! - condition short-circuiting skips the untaken operand's side
 //!   effects exactly like `eval_cond`.
 
-use super::{CompiledBody, Op, Opnd};
+use super::{CompiledBody, FOp, FOpnd, IOpnd, Promoted};
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
 };
@@ -43,12 +70,12 @@ type Lower<T> = Result<T, LowerReject>;
 ///
 /// # Errors
 ///
-/// [`LowerReject`] when the nest contains a construct the bytecode
-/// executor does not replicate bit-for-bit: procedure calls, `print`,
-/// `return`, logical/comparison operators in numeric position,
-/// intrinsics with too few arguments, subscripted scalars, or a nest
-/// large enough to overflow the `u16` register file or the `u16` block
-/// indices.
+/// [`LowerReject`] when the nest contains a construct the typed loop
+/// does not replicate bit-for-bit: procedure calls, `print`, `return`,
+/// logical/comparison operators in numeric position, intrinsics with
+/// too few arguments, subscripted scalars, or a nest large enough to
+/// overflow a `u16` register plane, the `u16` block indices or the
+/// `u16` pin slots.
 pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody> {
     let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
         return Err(LowerReject("not-a-do-loop"));
@@ -56,78 +83,362 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
     let mut l = Lowerer {
         program,
         blocks: Vec::new(),
-        n_temps: 0,
+        n_iregs: 0,
+        n_fregs: 0,
+        vars: vec![VarUse::default(); program.symbols.len()],
+        arrays: Vec::new(),
+        stored: Vec::new(),
         loops: vec![loop_stmt],
+        avail: Vec::new(),
     };
+    let (root_real, root_reg) = l.assigned_scalar(*var)?;
     let root = l.new_block()?;
     l.lower_stmts(root, body)?;
+    let scalars = (l.vars.iter().enumerate())
+        .filter_map(|(k, u)| {
+            let var = VarId::from_index(k);
+            Some(Promoted {
+                var,
+                reg: u.reg?,
+                real: l.is_real(var),
+                assigned: u.assigned,
+            })
+        })
+        .collect();
     Ok(CompiledBody {
         blocks: l.blocks,
         root: root as u16,
-        n_temps: l.n_temps,
-        root_var: *var,
-        root_ty: program.symbols.var(*var).ty,
+        n_iregs: l.n_iregs,
+        n_fregs: l.n_fregs,
+        scalars,
+        arrays: l.arrays,
+        stored: l.stored,
         loops: l.loops,
+        root_var: *var,
+        root_reg,
+        root_real,
     })
 }
 
+/// A lowered expression's value: where it lives and, by that, its type.
+#[derive(Clone, Copy)]
+enum Val {
+    IReg(u16),
+    FReg(u16),
+    IConst(i64),
+    FConst(f64),
+}
+
+impl Val {
+    fn reg(real: bool, r: u16) -> Val {
+        if real {
+            Val::FReg(r)
+        } else {
+            Val::IReg(r)
+        }
+    }
+
+    fn is_int(self) -> bool {
+        matches!(self, Val::IReg(_) | Val::IConst(_))
+    }
+
+    /// Read as an integer (`Value::as_int`; a literal folds now).
+    fn i(self) -> IOpnd {
+        match self {
+            Val::IReg(r) => IOpnd::Reg(r),
+            Val::FReg(r) => IOpnd::FReg(r),
+            Val::IConst(c) => IOpnd::Const(c),
+            Val::FConst(c) => IOpnd::Const(c as i64),
+        }
+    }
+
+    /// Read as a real (`Value::as_real`; a literal folds now).
+    fn f(self) -> FOpnd {
+        match self {
+            Val::IReg(r) => FOpnd::IReg(r),
+            Val::FReg(r) => FOpnd::Reg(r),
+            Val::IConst(c) => FOpnd::Const(c as f64),
+            Val::FConst(c) => FOpnd::Const(c),
+        }
+    }
+}
+
+/// A pure instruction minus its destination: what value numbering
+/// compares. The loads carry their array's element plane.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pure {
+    BinI(BinOp, IOpnd, IOpnd),
+    BinF(BinOp, FOpnd, FOpnd),
+    Lea(IOpnd, IOpnd, i64),
+    MulAdd(FOpnd, FOpnd, FOpnd),
+    /// `slot`, subscript, real.
+    LoadElem(u16, IOpnd, bool),
+    /// `slot`, base register, offset, real.
+    LoadAff(u16, u16, i64, bool),
+    /// `slot`, index array's slot, its subscript, real.
+    Gather(u16, u16, IOpnd, bool),
+}
+
+impl Pure {
+    /// `a op b` under `apply_bin`'s promotion: `Int op Int → Int`, else
+    /// real arithmetic over both operands read as reals.
+    fn arith(op: BinOp, a: Val, b: Val) -> Pure {
+        if a.is_int() && b.is_int() {
+            Pure::BinI(op, a.i(), b.i())
+        } else {
+            Pure::BinF(op, a.f(), b.f())
+        }
+    }
+
+    /// The one-subscript load `arr(sub)` of the array at `slot`.
+    fn load(slot: u16, sub: Sub1, real: bool) -> Pure {
+        match sub {
+            Sub1::Affine(base, off) => Pure::LoadAff(slot, base, off, real),
+            Sub1::Indirect(idx_slot, sub) => Pure::Gather(slot, idx_slot, sub, real),
+            Sub1::Plain(sub) => Pure::LoadElem(slot, sub, real),
+        }
+    }
+
+    fn is_real(self) -> bool {
+        match self {
+            Pure::BinI(..) | Pure::Lea(..) => false,
+            Pure::BinF(..) | Pure::MulAdd(..) => true,
+            Pure::LoadElem(.., real) | Pure::LoadAff(.., real) | Pure::Gather(.., real) => real,
+        }
+    }
+
+    /// The instruction computing this value into `dst`.
+    fn op(self, dst: u16) -> FOp {
+        match self {
+            Pure::BinI(op, a, b) => FOp::BinI { op, dst, a, b },
+            Pure::BinF(op, a, b) => FOp::BinF { op, dst, a, b },
+            Pure::Lea(a, b, off) => FOp::LeaI { dst, a, b, off },
+            Pure::MulAdd(a, b, c) => FOp::MulAddF { dst, a, b, c },
+            Pure::LoadElem(slot, sub, false) => FOp::LoadElemI { slot, sub, dst },
+            Pure::LoadElem(slot, sub, true) => FOp::LoadElemF { slot, sub, dst },
+            Pure::LoadAff(slot, base, off, false) => FOp::LoadAffI {
+                slot,
+                base,
+                off,
+                dst,
+            },
+            Pure::LoadAff(slot, base, off, true) => FOp::LoadAffF {
+                slot,
+                base,
+                off,
+                dst,
+            },
+            Pure::Gather(slot, idx_slot, sub, false) => FOp::GatherI {
+                slot,
+                idx_slot,
+                sub,
+                dst,
+            },
+            Pure::Gather(slot, idx_slot, sub, true) => FOp::GatherF {
+                slot,
+                idx_slot,
+                sub,
+                dst,
+            },
+        }
+    }
+
+    /// Whether the value was computed from register `r` of a plane.
+    fn reads(self, real: bool, r: u16) -> bool {
+        let i = |o: IOpnd| o == if real { IOpnd::FReg(r) } else { IOpnd::Reg(r) };
+        let f = |o: FOpnd| o == if real { FOpnd::Reg(r) } else { FOpnd::IReg(r) };
+        match self {
+            Pure::BinI(_, a, b) | Pure::Lea(a, b, _) => i(a) || i(b),
+            Pure::BinF(_, a, b) => f(a) || f(b),
+            Pure::MulAdd(a, b, c) => f(a) || f(b) || f(c),
+            Pure::LoadAff(_, base, ..) => !real && base == r,
+            Pure::LoadElem(_, sub, _) | Pure::Gather(_, _, sub, _) => i(sub),
+        }
+    }
+
+    /// Whether the value was loaded from the array pinned at `slot`.
+    fn loads(self, slot: u16) -> bool {
+        match self {
+            Pure::LoadElem(s, ..) | Pure::LoadAff(s, ..) => s == slot,
+            Pure::Gather(s, idx, ..) => s == slot || idx == slot,
+            _ => false,
+        }
+    }
+}
+
+/// The fused form of a one-subscript access, operands lowered.
+enum Sub1 {
+    /// `a(v + off)`, `v`'s register.
+    Affine(u16, i64),
+    /// `a(idx(e))`: the index array's slot and `e`.
+    Indirect(u16, IOpnd),
+    Plain(IOpnd),
+}
+
+/// What the nest does with one variable, by dense `VarId` index.
+#[derive(Clone, Copy, Default)]
+struct VarUse {
+    /// The register a referenced scalar is promoted to.
+    reg: Option<u16>,
+    /// Whether the nest can assign the scalar.
+    assigned: bool,
+    /// The pin slot of a referenced array.
+    slot: Option<u16>,
+}
+
+/// Values remembered per straight-line region. A region that computes
+/// more starts over, so lowering stays linear in the size of the nest.
+const AVAIL_CAP: usize = 64;
+
 struct Lowerer<'p> {
     program: &'p Program,
-    blocks: Vec<Vec<Op>>,
-    n_temps: u16,
+    blocks: Vec<Vec<FOp>>,
+    n_iregs: u16,
+    n_fregs: u16,
+    vars: Vec<VarUse>,
+    arrays: Vec<VarId>,
+    stored: Vec<bool>,
     loops: Vec<StmtId>,
+    /// Pure values computed since the last join point of the block
+    /// being emitted, with the temp holding each.
+    avail: Vec<(Pure, u16)>,
 }
 
 impl<'p> Lowerer<'p> {
     /// Ops address blocks by `u16`; a nest with more inner loops than
-    /// that rejects like one with too many temps.
+    /// that rejects like one with too many temps. Nothing computed
+    /// outside a block is available inside it.
     fn new_block(&mut self) -> Lower<usize> {
         if self.blocks.len() > usize::from(u16::MAX) {
             return Err(LowerReject("block-count-overflow"));
         }
+        self.avail.clear();
         self.blocks.push(Vec::new());
         Ok(self.blocks.len() - 1)
     }
 
-    fn temp(&mut self) -> Lower<u16> {
-        let t = self.n_temps;
-        self.n_temps = self
-            .n_temps
+    /// Dense counter slot for an inner loop statement.
+    fn enter_loop(&mut self, s: StmtId) -> Lower<u16> {
+        let lidx =
+            u16::try_from(self.loops.len() - 1).map_err(|_| LowerReject("block-count-overflow"))?;
+        self.loops.push(s);
+        Ok(lidx)
+    }
+
+    /// A fresh register of one plane.
+    fn alloc(&mut self, real: bool) -> Lower<u16> {
+        let n = if real {
+            &mut self.n_fregs
+        } else {
+            &mut self.n_iregs
+        };
+        let r = *n;
+        *n = n
             .checked_add(1)
             .ok_or(LowerReject("register-file-overflow"))?;
-        Ok(t)
+        Ok(r)
     }
 
-    fn ty(&self, v: VarId) -> ScalarType {
-        self.program.symbols.var(v).ty
+    fn is_real(&self, v: VarId) -> bool {
+        self.program.symbols.var(v).ty == ScalarType::Real
     }
 
-    fn emit(&mut self, b: usize, op: Op) -> usize {
+    /// The register scalar `v` is promoted to, in the plane of its
+    /// declared type.
+    fn scalar(&mut self, v: VarId) -> Lower<(bool, u16)> {
+        let real = self.is_real(v);
+        if let Some(r) = self.vars[v.index()].reg {
+            return Ok((real, r));
+        }
+        let r = self.alloc(real)?;
+        self.vars[v.index()].reg = Some(r);
+        Ok((real, r))
+    }
+
+    /// The register of a scalar the nest assigns.
+    fn assigned_scalar(&mut self, v: VarId) -> Lower<(bool, u16)> {
+        self.vars[v.index()].assigned = true;
+        self.scalar(v)
+    }
+
+    /// The pin slot of array `a`.
+    fn slot(&mut self, a: VarId) -> Lower<u16> {
+        if let Some(s) = self.vars[a.index()].slot {
+            return Ok(s);
+        }
+        let s = u16::try_from(self.arrays.len()).map_err(|_| LowerReject("array-slot-overflow"))?;
+        self.vars[a.index()].slot = Some(s);
+        self.arrays.push(a);
+        self.stored.push(false);
+        Ok(s)
+    }
+
+    /// The pin slot of an array the instruction about to be emitted
+    /// stores to (its operands are lowered): nothing loaded from the
+    /// array stays available.
+    fn store_slot(&mut self, a: VarId) -> Lower<u16> {
+        let s = self.slot(a)?;
+        self.stored[usize::from(s)] = true;
+        self.avail.retain(|(p, _)| !p.loads(s));
+        Ok(s)
+    }
+
+    /// A write to scalar register `r`: nothing computed from it stays
+    /// available. (Temps are written once, where they are created.)
+    fn kill_reg(&mut self, real: bool, r: u16) {
+        self.avail.retain(|(p, _)| !p.reads(real, r));
+    }
+
+    fn emit(&mut self, b: usize, op: FOp) -> usize {
         self.blocks[b].push(op);
         self.blocks[b].len() - 1
     }
 
+    /// Emits `op(dst)` for a fresh `dst`; the value it leaves there.
+    fn emit_fresh(&mut self, b: usize, real: bool, op: impl FnOnce(u16) -> FOp) -> Lower<Val> {
+        let dst = self.alloc(real)?;
+        self.emit(b, op(dst));
+        Ok(Val::reg(real, dst))
+    }
+
+    /// Emits the pure instruction `p` unless its value is already
+    /// available; either way, where the value lives.
+    fn pure(&mut self, b: usize, p: Pure) -> Lower<Val> {
+        let real = p.is_real();
+        if let Some(&(_, r)) = self.avail.iter().find(|(k, _)| *k == p) {
+            return Ok(Val::reg(real, r));
+        }
+        let dst = self.alloc(real)?;
+        self.emit(b, p.op(dst));
+        if self.avail.len() == AVAIL_CAP {
+            self.avail.clear();
+        }
+        self.avail.push((p, dst));
+        Ok(Val::reg(real, dst))
+    }
+
+    /// Points the jump at `at` to the next instruction — a join point,
+    /// which value availability must not cross.
     fn patch(&mut self, b: usize, at: usize) {
         let target = self.blocks[b].len() as u32;
         match &mut self.blocks[b][at] {
-            Op::Jump { target: t }
-            | Op::JumpIfZero { target: t, .. }
-            | Op::JumpIfNonZero { target: t, .. } => *t = target,
+            FOp::Jump { target: t }
+            | FOp::JumpIfZero { target: t, .. }
+            | FOp::JumpIfNonZero { target: t, .. } => *t = target,
             other => unreachable!("patching non-jump {other:?}"),
         }
+        self.avail.clear();
     }
 
     fn lower_stmts(&mut self, b: usize, body: &[StmtId]) -> Lower<()> {
         let mut k = 0;
         while k < body.len() {
-            // Append-through-pointer peephole: `a(p) = e` immediately
-            // followed by `p = p + 1` fuses into one superinstruction
-            // (the second statement's charge is replayed inside it).
-            if k + 1 < body.len() {
-                if let Some(()) = self.try_lower_append(b, body[k], body[k + 1])? {
-                    k += 2;
-                    continue;
-                }
+            // Append-through-pointer: `a(p) = e` immediately followed
+            // by `p = p + 1` fuses into one superinstruction (the
+            // second statement's charge is replayed inside it).
+            if k + 1 < body.len() && self.try_lower_append(b, body[k], body[k + 1])? {
+                k += 2;
+                continue;
             }
             self.lower_stmt(b, body[k])?;
             k += 1;
@@ -135,24 +446,24 @@ impl<'p> Lowerer<'p> {
         Ok(())
     }
 
-    /// `Some(())` when the two statements fused into [`Op::Append`].
-    fn try_lower_append(&mut self, b: usize, s1: StmtId, s2: StmtId) -> Lower<Option<()>> {
+    /// Whether the two statements fused into an append op.
+    fn try_lower_append(&mut self, b: usize, s1: StmtId, s2: StmtId) -> Lower<bool> {
         let StmtKind::Assign {
             lhs: LValue::Element(arr, subs),
             rhs,
         } = &self.program.stmt(s1).kind
         else {
-            return Ok(None);
+            return Ok(false);
         };
         let [Expr::Var(p)] = subs.as_slice() else {
-            return Ok(None);
+            return Ok(false);
         };
         let StmtKind::Assign {
             lhs: LValue::Scalar(p2),
             rhs: inc,
         } = &self.program.stmt(s2).kind
         else {
-            return Ok(None);
+            return Ok(false);
         };
         let bumps = matches!(
             inc,
@@ -160,95 +471,53 @@ impl<'p> Lowerer<'p> {
                 if (x.is_var(*p) && y.as_int_lit() == Some(1))
                     || (y.is_var(*p) && x.as_int_lit() == Some(1))
         );
-        if p2 != p
-            || !bumps
-            || self.ty(*p) != ScalarType::Int
-            || self.program.symbols.var(*arr).rank() != 1
-        {
-            return Ok(None);
+        if p2 != p || !bumps || self.is_real(*p) || self.program.symbols.var(*arr).rank() != 1 {
+            return Ok(false);
         }
-        self.emit(b, Op::Charge(1));
+        self.emit(b, FOp::Charge(1));
         let src = self.lower_expr(b, rhs)?;
-        self.emit(
-            b,
-            Op::Append {
-                arr: *arr,
-                ptr: *p,
-                ty: ScalarType::Int,
-                src,
-            },
-        );
-        Ok(Some(()))
+        let slot = self.store_slot(*arr)?;
+        let (_, ptr) = self.assigned_scalar(*p)?;
+        self.kill_reg(false, ptr);
+        let op = if self.is_real(*arr) {
+            let src = src.f();
+            FOp::AppendF { slot, ptr, src }
+        } else {
+            let src = src.i();
+            FOp::AppendI { slot, ptr, src }
+        };
+        self.emit(b, op);
+        Ok(true)
     }
 
     fn lower_stmt(&mut self, b: usize, s: StmtId) -> Lower<()> {
         match &self.program.stmt(s).kind {
             StmtKind::Assign { lhs, rhs } => {
-                self.emit(b, Op::Charge(1));
+                self.emit(b, FOp::Charge(1));
                 match lhs {
-                    LValue::Scalar(v) => {
-                        let v = *v;
-                        let ty = self.ty(v);
-                        // Reduction-accumulate peephole `s = s op e`
-                        // (or `s = e op s`): the scalar read defers to
-                        // the accumulate, which is safe — expressions
-                        // cannot write scalars.
-                        if let Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), x, y) = rhs {
-                            if x.is_var(v) {
-                                let src = self.lower_expr(b, y)?;
-                                self.emit(
-                                    b,
-                                    Op::Accum {
-                                        var: v,
-                                        ty,
-                                        op: *op,
-                                        rev: false,
-                                        src,
-                                    },
-                                );
-                                return Ok(());
-                            }
-                            if matches!(op, BinOp::Add | BinOp::Mul) && y.is_var(v) {
-                                let src = self.lower_expr(b, x)?;
-                                self.emit(
-                                    b,
-                                    Op::Accum {
-                                        var: v,
-                                        ty,
-                                        op: *op,
-                                        rev: true,
-                                        src,
-                                    },
-                                );
-                                return Ok(());
-                            }
-                        }
-                        let src = self.lower_expr(b, rhs)?;
-                        self.emit(b, Op::SetScalar { var: v, ty, src });
-                    }
+                    LValue::Scalar(v) => self.lower_scalar_assign(b, *v, rhs),
                     LValue::Element(a, subs) => {
                         // Interpreter order: right-hand side first,
                         // then the target's subscripts.
                         let src = self.lower_expr(b, rhs)?;
-                        self.lower_element_store(b, *a, subs, src)?;
+                        self.lower_element_store(b, *a, subs, src)
                     }
                 }
-                Ok(())
             }
             StmtKind::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                self.emit(b, Op::Charge(1));
-                let t = self.temp()?;
+                self.emit(b, FOp::Charge(1));
+                let t = self.alloc(false)?;
                 self.lower_cond(b, cond, t)?;
-                let jf = self.emit(b, Op::JumpIfZero { src: t, target: 0 });
+                let jf = self.emit(b, FOp::JumpIfZero { src: t, target: 0 });
                 self.lower_stmts(b, then_body)?;
                 if else_body.is_empty() {
                     self.patch(b, jf);
                 } else {
-                    let jend = self.emit(b, Op::Jump { target: 0 });
+                    let jend = self.emit(b, FOp::Jump { target: 0 });
                     self.patch(b, jf);
                     self.lower_stmts(b, else_body)?;
                     self.patch(b, jend);
@@ -263,22 +532,25 @@ impl<'p> Lowerer<'p> {
                 body,
                 ..
             } => {
-                self.emit(b, Op::Charge(1));
-                let lo = self.lower_expr(b, lo)?;
-                let hi = self.lower_expr(b, hi)?;
+                self.emit(b, FOp::Charge(1));
+                let lo = self.lower_expr(b, lo)?.i();
+                let hi = self.lower_expr(b, hi)?.i();
                 let step = match step {
-                    Some(e) => self.lower_expr(b, e)?,
-                    None => Opnd::I(1),
+                    Some(e) => self.lower_expr(b, e)?.i(),
+                    None => IOpnd::Const(1),
                 };
-                self.loops.push(s);
+                let lidx = self.enter_loop(s)?;
                 let body_b = self.new_block()?;
                 self.lower_stmts(body_b, body)?;
+                let (var_real, var) = self.assigned_scalar(*var)?;
+                // The loop writes whatever its body does.
+                self.avail.clear();
                 self.emit(
                     b,
-                    Op::DoLoop {
-                        var: *var,
-                        ty: self.ty(*var),
-                        stmt: s,
+                    FOp::DoLoop {
+                        var,
+                        var_real,
+                        lidx,
                         lo,
                         hi,
                         step,
@@ -288,19 +560,20 @@ impl<'p> Lowerer<'p> {
                 Ok(())
             }
             StmtKind::While { cond, body } => {
-                self.emit(b, Op::Charge(1));
-                self.loops.push(s);
+                self.emit(b, FOp::Charge(1));
+                let lidx = self.enter_loop(s)?;
                 let cond_b = self.new_block()?;
-                let t = self.temp()?;
-                self.lower_cond(cond_b, cond, t)?;
+                let cond_temp = self.alloc(false)?;
+                self.lower_cond(cond_b, cond, cond_temp)?;
                 let body_b = self.new_block()?;
                 self.lower_stmts(body_b, body)?;
+                self.avail.clear();
                 self.emit(
                     b,
-                    Op::WhileLoop {
-                        stmt: s,
+                    FOp::WhileLoop {
+                        lidx,
                         cond: cond_b as u16,
-                        cond_temp: t,
+                        cond_temp,
                         body: body_b as u16,
                     },
                 );
@@ -312,312 +585,355 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    /// Lowers a numeric expression; returns the operand holding its
-    /// value. Emits nothing for literals and scalar reads.
-    fn lower_expr(&mut self, b: usize, e: &Expr) -> Lower<Opnd> {
+    /// `v = rhs`: `set_scalar`'s declared-type coercion is the operand
+    /// conversion of a move. A reduction accumulate `v = v op e` (or
+    /// `v = e op v`) skips the move and computes straight into `v`'s
+    /// register when the arithmetic is in `v`'s plane; a mixed one into
+    /// an integer scalar is real arithmetic, then the move's truncation.
+    fn lower_scalar_assign(&mut self, b: usize, v: VarId, rhs: &Expr) -> Lower<()> {
+        let accumulate = match rhs {
+            Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), x, y)
+                if x.is_var(v) || (*op != BinOp::Sub && y.is_var(v)) =>
+            {
+                Some(self.lower_bin(b, *op, x, y)?)
+            }
+            _ => None,
+        };
+        let (real, dst) = self.assigned_scalar(v)?;
+        let op = match accumulate {
+            Some(p) if p.is_real() == real => p.op(dst),
+            mixed => {
+                let src = match mixed {
+                    Some(p) => self.pure(b, p)?,
+                    None => self.lower_expr(b, rhs)?,
+                };
+                if real {
+                    FOp::MovF { dst, src: src.f() }
+                } else {
+                    FOp::MovI { dst, src: src.i() }
+                }
+            }
+        };
+        self.kill_reg(real, dst);
+        self.emit(b, op);
+        Ok(())
+    }
+
+    /// Lowers a numeric expression; returns its typed value. Emits
+    /// nothing for literals and scalar reads.
+    fn lower_expr(&mut self, b: usize, e: &Expr) -> Lower<Val> {
         match e {
-            Expr::IntLit(v) => Ok(Opnd::I(*v)),
-            Expr::RealLit(v) => Ok(Opnd::R(*v)),
-            Expr::Var(v) => Ok(Opnd::S(*v)),
+            Expr::IntLit(v) => Ok(Val::IConst(*v)),
+            Expr::RealLit(v) => Ok(Val::FConst(*v)),
+            Expr::Var(v) => {
+                let (real, r) = self.scalar(*v)?;
+                Ok(Val::reg(real, r))
+            }
             Expr::Element(a, subs) => self.lower_element_load(b, *a, subs),
             Expr::Bin(op, x, y) => {
-                if op.is_comparison() || op.is_logical() {
-                    // The interpreter evaluates the left operand, then
-                    // re-evaluates the whole expression as a condition
-                    // — a double-evaluation quirk the bytecode does
-                    // not replicate.
-                    return Err(LowerReject("logical-in-numeric-position"));
-                }
-                let a = self.lower_expr(b, x)?;
-                let bb = self.lower_expr(b, y)?;
-                let dst = self.temp()?;
-                self.emit(
-                    b,
-                    Op::Bin {
-                        op: *op,
-                        dst,
-                        a,
-                        b: bb,
-                    },
-                );
-                Ok(Opnd::T(dst))
+                let p = self.lower_bin(b, *op, x, y)?;
+                self.pure(b, p)
             }
             Expr::Un(UnOp::Neg, x) => {
                 let src = self.lower_expr(b, x)?;
-                let dst = self.temp()?;
-                self.emit(b, Op::Neg { dst, src });
-                Ok(Opnd::T(dst))
+                if src.is_int() {
+                    self.emit_fresh(b, false, |dst| FOp::NegI { dst, src: src.i() })
+                } else {
+                    self.emit_fresh(b, true, |dst| FOp::NegF { dst, src: src.f() })
+                }
             }
             Expr::Un(UnOp::Not, _) => Err(LowerReject("not-in-numeric-position")),
-            Expr::Call(f, args) => {
-                let needed = match f {
-                    Intrinsic::Min | Intrinsic::Max | Intrinsic::Mod => 2,
-                    _ => 1,
-                };
-                if args.len() < needed {
-                    // The interpreter panics on missing intrinsic
-                    // arguments; the fallback preserves that.
-                    return Err(LowerReject("intrinsic-arity"));
-                }
-                // Every argument is evaluated (for its side effects),
-                // in order, even those past the intrinsic's arity.
-                let mut opnds = Vec::with_capacity(args.len());
-                for a in args {
-                    opnds.push(self.lower_expr(b, a)?);
-                }
-                let dst = self.temp()?;
-                if needed == 2 {
-                    self.emit(
-                        b,
-                        Op::Intr2 {
-                            f: *f,
-                            dst,
-                            a: opnds[0],
-                            b: opnds[1],
-                        },
-                    );
+            Expr::Call(f, args) => self.lower_intrinsic(b, *f, args),
+        }
+    }
+
+    /// Lowers the operands of `x op y` and returns the instruction that
+    /// computes it, for the caller to emit (into a fresh temp, or for
+    /// an accumulate into the scalar's register) — or to fuse, which is
+    /// how the two arithmetic fusions are recognized on the tree.
+    fn lower_bin(&mut self, b: usize, op: BinOp, x: &Expr, y: &Expr) -> Lower<Pure> {
+        if op.is_comparison() || op.is_logical() {
+            // The interpreter evaluates the left operand, then
+            // re-evaluates the whole expression as a condition — a
+            // double-evaluation quirk the typed loop does not
+            // replicate.
+            return Err(LowerReject("logical-in-numeric-position"));
+        }
+        // `(p + q) ± c`, all integer: one three-term address op.
+        let three_term = match (op, x, y) {
+            (BinOp::Add | BinOp::Sub, Expr::Bin(BinOp::Add, p, q), Expr::IntLit(c)) => {
+                Some((p, q, *c, false))
+            }
+            (BinOp::Add, Expr::IntLit(c), Expr::Bin(BinOp::Add, p, q)) => Some((p, q, *c, true)),
+            _ => None,
+        };
+        if let Some((p, q, c, literal_first)) = three_term {
+            let sum = self.lower_bin(b, BinOp::Add, p, q)?;
+            if let Pure::BinI(BinOp::Add, p, q) = sum {
+                let off = if op == BinOp::Sub {
+                    0i64.wrapping_sub(c)
                 } else {
-                    self.emit(
-                        b,
-                        Op::Intr1 {
-                            f: *f,
-                            dst,
-                            a: opnds[0],
-                        },
-                    );
+                    c
+                };
+                return Ok(Pure::Lea(p, q, off));
+            }
+            let (sum, c) = (self.pure(b, sum)?, Val::IConst(c));
+            return Ok(if literal_first {
+                Pure::arith(op, c, sum)
+            } else {
+                Pure::arith(op, sum, c)
+            });
+        }
+        // `x + m * n` with a real product: one multiply–add. The
+        // product is the *second* operand — float add is not commuted,
+        // keeping NaN payloads and signed zeros bit-exact.
+        if let (BinOp::Add, Expr::Bin(BinOp::Mul, m, n)) = (op, y) {
+            let a = self.lower_expr(b, x)?;
+            let product = self.lower_bin(b, BinOp::Mul, m, n)?;
+            if let Pure::BinF(BinOp::Mul, m, n) = product {
+                return Ok(Pure::MulAdd(a.f(), m, n));
+            }
+            let product = self.pure(b, product)?;
+            return Ok(Pure::arith(op, a, product));
+        }
+        let a = self.lower_expr(b, x)?;
+        let c = self.lower_expr(b, y)?;
+        Ok(Pure::arith(op, a, c))
+    }
+
+    fn lower_intrinsic(&mut self, b: usize, f: Intrinsic, args: &[Expr]) -> Lower<Val> {
+        let binary = matches!(f, Intrinsic::Min | Intrinsic::Max | Intrinsic::Mod);
+        if args.len() < 1 + usize::from(binary) {
+            // The interpreter panics on missing intrinsic arguments;
+            // the fallback preserves that.
+            return Err(LowerReject("intrinsic-arity"));
+        }
+        // Every argument is evaluated (for its side effects), in
+        // order, even those past the intrinsic's arity.
+        let mut vals = [Val::IConst(0); 2];
+        for (k, a) in args.iter().enumerate() {
+            let v = self.lower_expr(b, a)?;
+            if let Some(slot) = vals.get_mut(k) {
+                *slot = v;
+            }
+        }
+        let [x, y] = vals;
+        let int = x.is_int() && (!binary || y.is_int());
+        match f {
+            Intrinsic::Mod => self.pure(b, Pure::arith(BinOp::Mod, x, y)),
+            Intrinsic::Min | Intrinsic::Max => {
+                let max = f == Intrinsic::Max;
+                if int {
+                    let (a, c) = (x.i(), y.i());
+                    self.emit_fresh(b, false, |dst| FOp::MinMaxI { max, dst, a, b: c })
+                } else {
+                    let (a, c) = (x.f(), y.f());
+                    self.emit_fresh(b, true, |dst| FOp::MinMaxF { max, dst, a, b: c })
                 }
-                Ok(Opnd::T(dst))
+            }
+            Intrinsic::Abs if int => self.emit_fresh(b, false, |dst| FOp::AbsI { dst, src: x.i() }),
+            Intrinsic::Abs => self.emit_fresh(b, true, |dst| FOp::AbsF { dst, src: x.f() }),
+            Intrinsic::Int => self.emit_fresh(b, false, |dst| FOp::MovI { dst, src: x.i() }),
+            Intrinsic::Real => self.emit_fresh(b, true, |dst| FOp::MovF { dst, src: x.f() }),
+            Intrinsic::Sqrt | Intrinsic::Sin | Intrinsic::Cos | Intrinsic::Exp | Intrinsic::Log => {
+                self.emit_fresh(b, true, |dst| FOp::Real1 { f, dst, src: x.f() })
             }
         }
     }
 
-    /// Lowers a condition into 0/1 in temp `dst`, with `eval_cond`'s
-    /// short-circuit structure.
+    /// Lowers a condition into 0/1 in integer register `dst`, with
+    /// `eval_cond`'s short-circuit structure.
     fn lower_cond(&mut self, b: usize, e: &Expr, dst: u16) -> Lower<()> {
         match e {
             Expr::Bin(op, x, y) if op.is_comparison() => {
-                let a = self.lower_expr(b, x)?;
-                let bb = self.lower_expr(b, y)?;
-                self.emit(
-                    b,
-                    Op::Cmp {
-                        op: *op,
-                        dst,
-                        a,
-                        b: bb,
-                    },
-                );
-                Ok(())
+                let op = *op;
+                let x = self.lower_expr(b, x)?;
+                let y = self.lower_expr(b, y)?;
+                // Exact integer compare only when both sides are
+                // integers.
+                let cmp = if x.is_int() && y.is_int() {
+                    let (a, c) = (x.i(), y.i());
+                    FOp::CmpI { op, dst, a, b: c }
+                } else {
+                    let (a, c) = (x.f(), y.f());
+                    FOp::CmpF { op, dst, a, b: c }
+                };
+                self.emit(b, cmp);
             }
-            Expr::Bin(BinOp::And, x, y) => {
+            Expr::Bin(op @ (BinOp::And | BinOp::Or), x, y) => {
                 self.lower_cond(b, x, dst)?;
+                let (src, target) = (dst, 0);
                 let j = self.emit(
                     b,
-                    Op::JumpIfZero {
-                        src: dst,
-                        target: 0,
+                    if *op == BinOp::And {
+                        FOp::JumpIfZero { src, target }
+                    } else {
+                        FOp::JumpIfNonZero { src, target }
                     },
                 );
                 self.lower_cond(b, y, dst)?;
                 self.patch(b, j);
-                Ok(())
-            }
-            Expr::Bin(BinOp::Or, x, y) => {
-                self.lower_cond(b, x, dst)?;
-                let j = self.emit(
-                    b,
-                    Op::JumpIfNonZero {
-                        src: dst,
-                        target: 0,
-                    },
-                );
-                self.lower_cond(b, y, dst)?;
-                self.patch(b, j);
-                Ok(())
             }
             Expr::Un(UnOp::Not, x) => {
                 self.lower_cond(b, x, dst)?;
-                self.emit(b, Op::Not { t: dst });
-                Ok(())
+                self.emit(b, FOp::Not { t: dst });
             }
             other => {
                 let src = self.lower_expr(b, other)?;
-                self.emit(b, Op::Truthy { dst, src });
-                Ok(())
+                let truthy = if src.is_int() {
+                    FOp::TruthyI { dst, src: src.i() }
+                } else {
+                    FOp::TruthyF { dst, src: src.f() }
+                };
+                self.emit(b, truthy);
             }
         }
+        Ok(())
+    }
+
+    /// Subscripted scalars and over-subscripted arrays panic in the
+    /// interpreter's `flat_index`; keep that behavior there.
+    fn check_shape(&self, a: VarId, subs: &[Expr]) -> Lower<()> {
+        let rank = self.program.symbols.var(a).rank();
+        if rank == 0 || subs.is_empty() || subs.len() > rank {
+            return Err(LowerReject("subscript-shape"));
+        }
+        Ok(())
     }
 
     /// Lowers an array element load, fusing the recognized access
     /// patterns into superinstructions.
-    fn lower_element_load(&mut self, b: usize, a: VarId, subs: &[Expr]) -> Lower<Opnd> {
-        let rank = self.program.symbols.var(a).rank();
-        if rank == 0 || subs.is_empty() || subs.len() > rank {
-            // Subscripted scalars and over-subscripted arrays panic in
-            // the interpreter's flat_index; keep that behavior there.
-            return Err(LowerReject("subscript-shape"));
+    fn lower_element_load(&mut self, b: usize, a: VarId, subs: &[Expr]) -> Lower<Val> {
+        self.check_shape(a, subs)?;
+        let real = self.is_real(a);
+        if let [sub] = subs {
+            let sub = self.lower_sub1(b, sub)?;
+            let slot = self.slot(a)?;
+            return self.pure(b, Pure::load(slot, sub, real));
         }
-        if subs.len() == 1 {
-            let dst = self.temp()?;
-            if let Some(op) = self.fuse_sub1_load(a, &subs[0], dst) {
-                self.emit(b, op);
-                return Ok(Opnd::T(dst));
-            }
-            // General single-subscript access.
-            let sub = self.lower_expr(b, &subs[0])?;
-            self.emit(b, Op::LoadElem1 { arr: a, sub, dst });
-            return Ok(Opnd::T(dst));
-        }
-        let base = self.lower_subscripts(b, subs)?;
-        let idx = self.temp()?;
+        let subs = self.lower_subscripts(b, subs)?;
+        let slot = self.slot(a)?;
+        let idx = self.alloc(false)?;
         self.emit(
             b,
-            Op::IndexN {
-                arr: a,
-                base,
-                n: subs.len() as u8,
+            FOp::IndexN {
+                slot,
+                subs,
                 dst: idx,
             },
         );
-        let dst = self.temp()?;
-        self.emit(b, Op::LoadAt { arr: a, idx, dst });
-        Ok(Opnd::T(dst))
+        self.emit_fresh(b, real, |dst| {
+            if real {
+                FOp::LoadAtF { slot, idx, dst }
+            } else {
+                FOp::LoadAtI { slot, idx, dst }
+            }
+        })
     }
 
-    fn lower_element_store(&mut self, b: usize, a: VarId, subs: &[Expr], src: Opnd) -> Lower<()> {
-        let rank = self.program.symbols.var(a).rank();
-        if rank == 0 || subs.is_empty() || subs.len() > rank {
-            return Err(LowerReject("subscript-shape"));
-        }
-        if subs.len() == 1 {
-            if let Some(op) = self.fuse_sub1_store(a, &subs[0], src) {
-                self.emit(b, op);
-                return Ok(());
+    /// `a(subs) = src`, the element type's coercion as the operand
+    /// conversion.
+    fn lower_element_store(&mut self, b: usize, a: VarId, subs: &[Expr], src: Val) -> Lower<()> {
+        self.check_shape(a, subs)?;
+        let real = self.is_real(a);
+        let (si, sf) = (src.i(), src.f());
+        let op = if let [sub] = subs {
+            let sub = self.lower_sub1(b, sub)?;
+            let slot = self.store_slot(a)?;
+            match (sub, real) {
+                (Sub1::Affine(base, off), false) => FOp::StoreAffI {
+                    slot,
+                    base,
+                    off,
+                    src: si,
+                },
+                (Sub1::Affine(base, off), true) => FOp::StoreAffF {
+                    slot,
+                    base,
+                    off,
+                    src: sf,
+                },
+                (Sub1::Indirect(idx_slot, sub), false) => FOp::ScatterI {
+                    slot,
+                    idx_slot,
+                    sub,
+                    src: si,
+                },
+                (Sub1::Indirect(idx_slot, sub), true) => FOp::ScatterF {
+                    slot,
+                    idx_slot,
+                    sub,
+                    src: sf,
+                },
+                (Sub1::Plain(sub), false) => FOp::StoreElemI { slot, sub, src: si },
+                (Sub1::Plain(sub), true) => FOp::StoreElemF { slot, sub, src: sf },
             }
-            let sub = self.lower_expr(b, &subs[0])?;
-            self.emit(b, Op::StoreElem1 { arr: a, sub, src });
-            return Ok(());
-        }
-        let base = self.lower_subscripts(b, subs)?;
-        let idx = self.temp()?;
-        self.emit(
-            b,
-            Op::IndexN {
-                arr: a,
-                base,
-                n: subs.len() as u8,
-                dst: idx,
-            },
-        );
-        self.emit(b, Op::StoreAt { arr: a, idx, src });
+        } else {
+            let subs = self.lower_subscripts(b, subs)?;
+            let slot = self.store_slot(a)?;
+            let idx = self.alloc(false)?;
+            self.emit(
+                b,
+                FOp::IndexN {
+                    slot,
+                    subs,
+                    dst: idx,
+                },
+            );
+            if real {
+                FOp::StoreAtF { slot, idx, src: sf }
+            } else {
+                FOp::StoreAtI { slot, idx, src: si }
+            }
+        };
+        self.emit(b, op);
         Ok(())
     }
 
-    /// Evaluates `subs` left-to-right, then moves the results into a
-    /// fresh run of consecutive temps (the move is a pure register
-    /// copy, so evaluation order is unchanged). Returns the base temp.
-    fn lower_subscripts(&mut self, b: usize, subs: &[Expr]) -> Lower<u16> {
-        let mut opnds = Vec::with_capacity(subs.len());
-        for s in subs {
-            opnds.push(self.lower_expr(b, s)?);
-        }
-        let base = self.n_temps;
-        for o in opnds {
-            let dst = self.temp()?;
-            self.emit(b, Op::Mov { dst, src: o });
-        }
-        Ok(base)
+    /// Evaluates `subs` left to right, each read as an integer.
+    fn lower_subscripts(&mut self, b: usize, subs: &[Expr]) -> Lower<Box<[IOpnd]>> {
+        subs.iter()
+            .map(|s| Ok(self.lower_expr(b, s)?.i()))
+            .collect()
     }
 
-    /// The single-subscript superinstruction patterns. `None` sends
-    /// the access down the general path. All fused subscript forms are
-    /// side-effect-free.
-    fn fuse_sub1_load(&self, a: VarId, sub: &Expr, dst: u16) -> Option<Op> {
-        match self.fused_sub(sub)? {
-            FusedSub::Direct(opnd) => Some(Op::LoadElem1 {
-                arr: a,
-                sub: opnd,
-                dst,
-            }),
-            FusedSub::Affine(base, off) => Some(Op::LoadAffine {
-                arr: a,
-                base,
-                off,
-                dst,
-            }),
-            FusedSub::Gather(idx_arr, opnd) => Some(Op::Gather {
-                arr: a,
-                idx_arr,
-                sub: opnd,
-                dst,
-            }),
-        }
-    }
-
-    fn fuse_sub1_store(&self, a: VarId, sub: &Expr, src: Opnd) -> Option<Op> {
-        match self.fused_sub(sub)? {
-            FusedSub::Direct(opnd) => Some(Op::StoreElem1 {
-                arr: a,
-                sub: opnd,
-                src,
-            }),
-            FusedSub::Affine(base, off) => Some(Op::StoreAffine {
-                arr: a,
-                base,
-                off,
-                src,
-            }),
-            FusedSub::Gather(idx_arr, opnd) => Some(Op::Scatter {
-                arr: a,
-                idx_arr,
-                sub: opnd,
-                src,
-            }),
-        }
-    }
-
-    fn fused_sub(&self, sub: &Expr) -> Option<FusedSub> {
+    /// Lowers the subscript of a one-subscript access into its fused
+    /// form. The affine base is an integer-declared scalar, so the
+    /// wrapping integer add matches `apply_bin`.
+    fn lower_sub1(&mut self, b: usize, sub: &Expr) -> Lower<Sub1> {
         let int_scalar = |e: &Expr| match e {
-            Expr::Var(v) if self.ty(*v) == ScalarType::Int => Some(*v),
+            Expr::Var(v) if !self.is_real(*v) => Some(*v),
             _ => None,
         };
-        let simple = |e: &Expr| match e {
-            Expr::Var(v) => Some(Opnd::S(*v)),
-            Expr::IntLit(c) => Some(Opnd::I(*c)),
-            _ => None,
-        };
-        match sub {
-            Expr::Var(v) => Some(FusedSub::Direct(Opnd::S(*v))),
-            Expr::IntLit(c) => Some(FusedSub::Direct(Opnd::I(*c))),
-            // Affine `v + c` / `c + v` / `v - c`: integer-typed base
-            // only, so the wrapping integer add matches apply_bin.
+        let affine = match sub {
             Expr::Bin(BinOp::Add, x, y) => match (int_scalar(x), y.as_int_lit()) {
-                (Some(v), Some(c)) => Some(FusedSub::Affine(v, c)),
-                _ => match (x.as_int_lit(), int_scalar(y)) {
-                    (Some(c), Some(v)) => Some(FusedSub::Affine(v, c)),
-                    _ => None,
-                },
+                (Some(v), Some(c)) => Some((v, c)),
+                _ => int_scalar(y).zip(x.as_int_lit()),
             },
-            Expr::Bin(BinOp::Sub, x, y) => match (int_scalar(x), y.as_int_lit()) {
-                (Some(v), Some(c)) => Some(FusedSub::Affine(v, c.checked_neg()?)),
-                _ => None,
-            },
-            Expr::Element(idx_arr, inner) => {
-                let [inner] = inner.as_slice() else {
-                    return None;
-                };
-                if self.program.symbols.var(*idx_arr).rank() < 1 {
-                    return None;
-                }
-                Some(FusedSub::Gather(*idx_arr, simple(inner)?))
+            Expr::Bin(BinOp::Sub, x, y) => {
+                int_scalar(x).zip(y.as_int_lit().and_then(i64::checked_neg))
             }
             _ => None,
+        };
+        if let Some((v, off)) = affine {
+            let (_, base) = self.scalar(v)?;
+            return Ok(Sub1::Affine(base, off));
         }
+        // `a(idx(e))` with `idx(e)` a plain one-subscript load: the
+        // gather reads the index array itself. An index load that is
+        // itself fused stays a load of its own.
+        if let Expr::Element(idx_arr, inner) = sub {
+            let idx = self.program.symbols.var(*idx_arr);
+            if let ([inner], true) = (inner.as_slice(), idx.rank() >= 1) {
+                let real = idx.ty == ScalarType::Real;
+                let inner = self.lower_sub1(b, inner)?;
+                let idx_slot = self.slot(*idx_arr)?;
+                return Ok(match inner {
+                    Sub1::Plain(e) => Sub1::Indirect(idx_slot, e),
+                    fused => Sub1::Plain(self.pure(b, Pure::load(idx_slot, fused, real))?.i()),
+                });
+            }
+        }
+        Ok(Sub1::Plain(self.lower_expr(b, sub)?.i()))
     }
-}
-
-enum FusedSub {
-    Direct(Opnd),
-    Affine(VarId, i64),
-    Gather(VarId, Opnd),
 }

@@ -3,13 +3,13 @@
 //!
 //! At every root-iteration boundary [`Interp::run_chunk`] hands the
 //! rest of the range to the typed loop ([`Interp::run_fast_iters`]) if
-//! a [`FastBody`] exists and every array it references is live;
+//! the nest lowered and every array its body references is live;
 //! otherwise it runs **one** iteration on the reference tree-walk and
 //! looks again. Both engines work on the interpreter's own store,
 //! stats and fuel, so they are interchangeable at any boundary. See the
 //! module docs for the parity contract.
 
-use super::{ChunkAbort, ChunkEngine, ChunkWatch, FastBody};
+use super::{ChunkAbort, ChunkEngine, ChunkWatch, CompiledBody};
 use crate::interp::{advance_induction, ExecError, Interp, Value};
 use irr_frontend::{StmtId, StmtKind};
 
@@ -23,12 +23,12 @@ impl<'p> Interp<'p> {
     pub(crate) fn exec_do_compiled(
         &mut self,
         s: StmtId,
-        fb: &FastBody,
+        cb: &CompiledBody,
         lo: i64,
         hi: i64,
         step: i64,
     ) -> Result<ChunkEngine, ExecError> {
-        match self.run_chunk(s, Some(fb), lo, hi, step, None) {
+        match self.run_chunk(s, Some(cb), lo, hi, step, None) {
             Ok(engine) => Ok(engine),
             Err(ChunkAbort::Exec(e)) => Err(e),
             Err(ChunkAbort::TimedOut | ChunkAbort::Violated(_)) => {
@@ -43,7 +43,7 @@ impl<'p> Interp<'p> {
     /// `Some` for one parallel worker's share of the iterations; see
     /// [`ChunkWatch`] for what differs.
     ///
-    /// When a typed specialization exists (`fb`), every iteration
+    /// When the nest has a compiled body (`cb`), every iteration
     /// boundary — the one before the first iteration included — checks
     /// its precondition and hands the remaining iterations to the typed
     /// loop as soon as it holds. Iterations before that (some
@@ -57,7 +57,7 @@ impl<'p> Interp<'p> {
     pub(crate) fn run_chunk(
         &mut self,
         s: StmtId,
-        fb: Option<&FastBody>,
+        cb: Option<&CompiledBody>,
         lo: i64,
         hi: i64,
         step: i64,
@@ -73,9 +73,9 @@ impl<'p> Interp<'p> {
         let cost_at_entry = self.stats.total_cost;
         let mut i = lo;
         while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
-            if let Some(fb) = fb {
-                if self.fast_ready(fb) {
-                    self.run_fast_iters(s, fb, i, hi, step, cost_at_entry, watch)?;
+            if let Some(cb) = cb {
+                if self.fast_ready(cb) {
+                    self.run_fast_iters(s, cb, i, hi, step, cost_at_entry, watch)?;
                     return Ok(ChunkEngine::Typed);
                 }
             }

@@ -7,25 +7,25 @@
 //! scalar write. For the loops the analysis already understands — the
 //! sparse kernels and figure loops of the paper — none of that varies
 //! between iterations. The compiler side (`irr_driver::compiled`) owns
-//! the IR and lowers such a loop nest **once** into a flat register
-//! program ([`CompiledBody`]); `fast` types that program (`specialize`)
-//! into split `i64`/`f64` register planes over pre-pinned array
-//! payloads and runs it:
+//! the one instruction set and lowers such a loop nest **once**,
+//! straight from the AST, into a [`CompiledBody`]; `fast` runs that
+//! body over split `i64`/`f64` register planes and pre-pinned array
+//! payloads:
 //!
 //! - **Registers, not a tree.** Expression temporaries and the scalars
-//!   the nest references live in flat register planes sized at
-//!   specialization; the declared type of every scalar write is baked
-//!   into the writing instruction (the tree-walk retires the same
+//!   the nest references live in flat register planes sized by the
+//!   lowering; the declared type of every scalar write is baked into
+//!   the writing instruction (the tree-walk retires the same
 //!   symbol-table lookups through its [`ScalarLayout`] table).
 //! - **Resolved array operands.** Array accesses carry their pin slot
 //!   and are bounds-checked against the live extents without
 //!   allocating a subscript vector.
-//! - **Superinstructions** for the proven patterns the analysis
-//!   recognizes: affine store `a(i+c) = e` (`Op::StoreAffine`), gather
-//!   through an index array `a(idx(i))` (`Op::Gather`) and its store
-//!   dual (`Op::Scatter`), scalar reduction accumulate `s = s op e`
-//!   (`Op::Accum`), and append-through-pointer `a(p) = e; p = p + 1`
-//!   (`Op::Append`).
+//! - **Superinstructions** for the paper's access idioms: affine
+//!   `a(i+c)` (`FOp::LoadAff*` / `StoreAff*`), subscripted subscript
+//!   `x(idx(e))` (`Gather*` / `Scatter*`), the offset–length address
+//!   `ptr(j)+k-1` (`LeaI`), the accumulate `s = s + b * c`
+//!   (`MulAddF`), and append-through-pointer `a(p) = e; p = p + 1`
+//!   (`Append*`).
 //!
 //! **Parity is the contract.** A compiled loop must be byte-identical
 //! to the tree-walk in store contents, printed output, statement
@@ -33,12 +33,11 @@
 //! harness in `tests/strategy_parity.rs` and `sanitizer-audit
 //! --compiled` enforce this across the whole corpus. To that end the
 //! lowering is deliberately conservative: fuel is charged per
-//! statement entry at the same program points (`Op::Charge`), and any
+//! statement entry at the same program points (`FOp::Charge`), and any
 //! construct whose interpreter semantics are not replicated
 //! bit-for-bit — procedure calls, `print`, `return`, logical operators
 //! in numeric position — rejects the lowering and falls back to the
-//! interpreter via a reason-coded [`FallbackReason`], as does a nest
-//! the specialization cannot type.
+//! interpreter via a reason-coded [`FallbackReason`].
 //!
 //! **Two engines, one chunk entry.** There are exactly two executors
 //! under that contract: the typed loop and the reference tree-walk.
@@ -52,8 +51,7 @@
 //! through that same entry, `Interp::run_chunk`; what differs for a
 //! worker is in `ChunkWatch`, and where its stores go is decided by the
 //! worker's store, which lends the typed loop a `WriteSink` per stored
-//! array. The [`CompiledBody`] itself is never executed: it is the
-//! lowering's hand-off to `specialize`.
+//! array.
 //!
 //! Trust discipline is the one the raw-pointer strategies use: a
 //! verdict's `CompiledPlan` is the lowering's own summary, and still
@@ -67,7 +65,6 @@
 mod exec;
 mod fast;
 
-pub(crate) use fast::{specialize, FastBody};
 pub use irr_driver::compiled::{lower_do_loop, CompiledBody, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
@@ -126,11 +123,11 @@ impl From<ExecError> for ChunkAbort {
 /// Which engine finished a chunk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChunkEngine {
-    /// The typed `FastBody` loop (possibly after a walked prefix that
+    /// The typed loop (possibly after a walked prefix that
     /// materialized its arrays).
     Typed,
-    /// The tree-walk, for the whole chunk: no typed body was offered,
-    /// or its arrays were never all live.
+    /// The tree-walk, for the whole chunk: no compiled body was
+    /// offered, or its arrays were never all live.
     TreeWalk,
 }
 
@@ -157,7 +154,7 @@ impl ScalarLayout {
 }
 
 /// The all-compiled dispatcher: every `do` loop entry requests the
-/// compiled tier; unlowerable, untypeable or instrumented loops fall
+/// compiled tier; unlowerable or instrumented loops fall
 /// back to the tree-walk per the interpreter's own guard. This is the
 /// single-thread "compiled" arm of the differential parity matrix and
 /// of the benchmark's `exec.bytecode_ms`.
@@ -605,44 +602,50 @@ mod tests {
         assert_eq!(ran.res, Ok(()));
         assert_eq!(ran.typed_iters(), 0);
         assert_eq!((ran.dispatch.compiled, ran.dispatch.typed), (1, 0));
-        // Not for want of a typed body: the nest specializes, its
-        // arrays are just never all live.
+        // Not for want of a compiled body: the nest lowers, its arrays
+        // are just never all live.
         let s = p
             .stmts_in(&p.procedure(p.main()).body)
             .into_iter()
             .find(|s| p.stmt(*s).kind.is_loop())
             .unwrap();
-        let cb = ran.comp.compiled_body_for(s).unwrap();
-        let fb = ran.comp.fast_body_for(s, &cb).expect("specializes");
-        assert!(!ran.comp.fast_ready(&fb));
+        let cb = ran.comp.compiled_body_for(s).expect("lowers");
+        assert!(!ran.comp.fast_ready(&cb));
     }
 
-    /// Hand-over (e): a nest that lowers but does not type falls back
-    /// before its first iteration, reason-coded, and the ordinary `Do`
-    /// arm is the execution. The only such nest the lowering can
-    /// produce is one at its own size limit: 65 535 integer temps fill
-    /// the `u16` register file, and the typed integer plane has to hold
-    /// the two scalars as well.
+    /// Hand-over (e): a nest past a register plane — 65 535 distinct
+    /// products beside the promoted scalars, in a plane a `u16` numbers
+    /// — is rejected by the lowering, so nothing is offered that the
+    /// typed loop cannot run: the driver's advisory plan is absent and
+    /// the dispatch falls back before the first iteration,
+    /// reason-coded, with the ordinary `Do` arm as the execution. Once
+    /// per plane.
     #[test]
-    fn a_nest_that_lowers_but_does_not_type_falls_back_before_it_starts() {
-        let sum = vec!["i"; 16].join(" + ");
-        let body = format!("s = {sum}\n").repeat(4369);
-        let src = format!("program t\ninteger i, s\ndo i = 1, 2\n{body}enddo\nprint s\nend\n");
-        let p = parse_program(&src).unwrap();
-        let mut ran = assert_same_run(&p, |_| {});
-        assert_eq!(ran.res, Ok(()));
-        assert_eq!(ran.comp.output, vec!["32"]);
-        assert_eq!(ran.dispatch.compiled, 0);
-        assert_eq!(
-            ran.dispatch.fallbacks,
-            vec![(FallbackReason::Unsupported, 1)]
-        );
-        assert_eq!(ran.typed_iters(), 0);
-        // The typing refused it, not the lowering.
-        let s = p.procedure(p.main()).body[0];
-        let cb = ran.comp.compiled_body_for(s).expect("lowers");
-        assert_eq!(cb.register_count(), usize::from(u16::MAX));
-        assert!(ran.comp.fast_body_for(s, &cb).is_none());
+    fn a_nest_past_a_register_plane_is_rejected_by_the_lowering() {
+        for (ty, frac, last) in [("integer", "", "131070"), ("real", ".5", "131071")] {
+            let body: String = (1..=u16::MAX)
+                .map(|k| format!("s = i * {k}{frac}\n"))
+                .collect();
+            let src =
+                format!("program t\ninteger i\n{ty} s\ndo i = 1, 2\n{body}enddo\nprint s\nend\n");
+            let p = parse_program(&src).unwrap();
+            let s = p.procedure(p.main()).body[0];
+            assert_eq!(
+                lower_do_loop(&p, s).err(),
+                Some(LowerReject("register-file-overflow")),
+                "{ty}"
+            );
+            assert_eq!(irr_driver::derive_compiled_plan(&p, s), None);
+            let ran = assert_same_run(&p, |_| {});
+            assert_eq!(ran.res, Ok(()));
+            assert_eq!(ran.comp.output, vec![last]);
+            assert_eq!(ran.dispatch.compiled, 0);
+            assert_eq!(
+                ran.dispatch.fallbacks,
+                vec![(FallbackReason::Unsupported, 1)]
+            );
+            assert_eq!(ran.typed_iters(), 0);
+        }
     }
 
     /// Hand-over (e'): a nest past the lowering's other size limit —
@@ -670,6 +673,72 @@ mod tests {
             ran.dispatch.fallbacks,
             vec![(FallbackReason::Unsupported, 1)]
         );
+    }
+
+    /// The lowering rules the corpus does not reach, run for parity:
+    /// gather and scatter through a computed subscript (through an
+    /// integer and a real index array), an index load that is itself
+    /// fused, the literal-first three-term address, a repeated real
+    /// `mod` (value-numbered), a mixed accumulate into an integer
+    /// scalar, a real product accumulated product-first (not fused),
+    /// and a store that must end the availability of loads from the
+    /// array it writes — its own index loads included.
+    #[test]
+    fn lowering_rules_off_the_corpus_keep_parity() {
+        let d = assert_parity(
+            "program t
+             integer i, k, m, idx(40), a(40)
+             real s, r, ridx(40), x(40), y(40), z(40)
+             do i = 1, 40
+               idx(i) = mod(i * 7, 40) + 1
+               ridx(i) = mod(i * 3, 40) + 1.75
+               a(i) = mod(i * 11, 20) + 1
+               x(i) = i * 0.5
+             enddo
+             do i = 1, 18
+               y(idx(i * 2)) = x(idx(i * 2 + 1)) + x(ridx(i + i))
+               z(ridx(2 * i)) = x(idx(i + 1)) - x(1 + (i + i))
+               r = mod(x(i), 0.75) + mod(x(i), 0.75) * 2.0
+               k = k + x(i) * 1.5
+               m = m * 2 + 1.5
+               s = x(i) * r + s
+               a(a(i)) = mod(a(a(i)) + a(i), 40) + 1
+               y(i) = y(i) + a(a(i)) * r
+             enddo
+             print k, m, s, r, y(3), z(7), a(5)
+             end",
+        );
+        assert_eq!((d.compiled, d.typed, d.fallback_count()), (2, 2, 0));
+    }
+
+    /// An `IndexN` takes its subscripts as a slice, however many there
+    /// are: at the parent commit their count passed through a `u8`, so
+    /// at rank 256 it wrapped to 0 and at 257 to 1, and the typed loop
+    /// read and wrote element 0 whatever the subscripts said (`7 7`
+    /// against the walk's `5 9`).
+    #[test]
+    fn an_array_of_rank_256_or_more_indexes_the_same_element_on_both_engines() {
+        for rank in [255, 256, 257] {
+            let ones = "1, ".repeat(rank - 1);
+            let (first, last) = (format!("a({ones}1)"), format!("a({ones}2)"));
+            let src = format!(
+                "program t
+                 integer i
+                 real a({ones}2)
+                 {first} = 5.0
+                 {last} = 7.0
+                 do i = 1, 2
+                   {last} = {last} + 1.0
+                 enddo
+                 print {first}, {last}
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            let ran = assert_same_run(&p, |_| {});
+            assert_eq!(ran.res, Ok(()));
+            assert_eq!(ran.comp.output, vec!["5 9"], "rank {rank}");
+            assert_eq!((ran.dispatch.typed, ran.typed_iters()), (1, 2));
+        }
     }
 
     /// Division, remainder, negation and `abs` wrap at `i64::MIN` like

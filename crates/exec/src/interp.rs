@@ -1,6 +1,6 @@
 //! The instrumenting tree-walking interpreter.
 
-use crate::bytecode::{CompiledBody, FastBody, ScalarLayout};
+use crate::bytecode::{CompiledBody, ScalarLayout};
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
@@ -976,10 +976,6 @@ pub struct Interp<'p> {
     /// valid for the interpreter's lifetime; `Arc` lets parallel
     /// workers share one body.
     compiled_cache: HashMap<StmtId, Option<Arc<CompiledBody>>>,
-    /// Typed specializations of cached bodies (`None` caches a nest
-    /// the type inference cannot specialize). Like the lowering, the
-    /// specialization is a pure function of the immutable program.
-    fast_cache: HashMap<StmtId, Option<Arc<FastBody>>>,
     /// The run's worker pool: `None` until the first parallel dispatch
     /// with more than one chunk; dropping the interpreter — on `Ok`, on
     /// an error, or while unwinding — closes its queue and joins its
@@ -1013,7 +1009,6 @@ impl<'p> Interp<'p> {
             random_fill: None,
             layout: ScalarLayout::new(program),
             compiled_cache: HashMap::new(),
-            fast_cache: HashMap::new(),
             pool: None,
             #[cfg(test)]
             typed_root_iters: 0,
@@ -1040,25 +1035,14 @@ impl<'p> Interp<'p> {
         lowered
     }
 
-    /// The cached typed specialization of the loop at `s` (`None` when
-    /// the nest cannot be statically typed).
-    pub(crate) fn fast_body_for(&mut self, s: StmtId, cb: &CompiledBody) -> Option<Arc<FastBody>> {
-        if let Some(cached) = self.fast_cache.get(&s) {
-            return cached.clone();
-        }
-        let fb = crate::bytecode::specialize(self.program, cb).map(Arc::new);
-        self.fast_cache.insert(s, fb.clone());
-        fb
-    }
-
     /// Whether a [`LoopDecision::Compiled`] dispatch of `s` can run, and
-    /// with which typed body. Interpreter-only instrumentation (an
-    /// attached tracer — whose access hooks fire on every read — or
+    /// with which body. Interpreter-only instrumentation (an attached
+    /// tracer — whose access hooks fire on every read — or
     /// per-iteration cost recording on any loop of the nest) forces the
-    /// instrumented tree-walk; so does a nest that does not lower or
-    /// does not type, before its first iteration, so the ordinary `Do`
-    /// arm still offers its inner loops to the dispatcher.
-    fn compiled_decision(&mut self, s: StmtId) -> Result<Arc<FastBody>, FallbackReason> {
+    /// instrumented tree-walk; so does a nest that does not lower,
+    /// before its first iteration, so the ordinary `Do` arm still
+    /// offers its inner loops to the dispatcher.
+    fn compiled_decision(&mut self, s: StmtId) -> Result<Arc<CompiledBody>, FallbackReason> {
         if self.tracer.is_some() {
             return Err(FallbackReason::Traced);
         }
@@ -1072,8 +1056,7 @@ impl<'p> Interp<'p> {
         {
             return Err(FallbackReason::Traced);
         }
-        self.fast_body_for(s, &cb)
-            .ok_or(FallbackReason::Unsupported)
+        Ok(cb)
     }
 
     /// Attaches an access tracer: `hook` receives loop events for the
@@ -1263,14 +1246,14 @@ impl<'p> Interp<'p> {
                         }
                     }
                     LoopDecision::Compiled => match self.compiled_decision(s) {
-                        Ok(fb) => {
-                            let engine = self.exec_do_compiled(s, &fb, lo, hi, step)?;
+                        Ok(cb) => {
+                            let engine = self.exec_do_compiled(s, &cb, lo, hi, step)?;
                             dispatcher.compiled_committed(s, engine);
                             return Ok(());
                         }
-                        // Unlowerable, untypeable or instrumented: the
-                        // sequential walk below is the execution; the
-                        // failed dispatch cost two cached lookups.
+                        // Unlowerable or instrumented: the sequential
+                        // walk below is the execution; the failed
+                        // dispatch cost one cached lookup.
                         Err(reason) => dispatcher.compiled_fallback(s, reason),
                     },
                     LoopDecision::Sequential => {}

@@ -1,9 +1,30 @@
-//! Execution substrate: an instrumenting interpreter for the
-//! mini-Fortran language, a thread-based parallel executor used to
-//! *verify* parallelization decisions (workers on copy-on-write store
-//! clones hand back [`WriteLog`]s, merged in `O(total writes)` with
-//! positional conflict detection), and a machine-model simulator that
-//! reproduces the paper's speedup experiments (Fig. 16).
+//! Execution substrate for the mini-Fortran language.
+//!
+//! - [`interp`]: the instrumenting tree-walk interpreter — the
+//!   reference semantics every other engine is byte-compared against —
+//!   with per-array write-version counters and a [`LoopDispatcher`]
+//!   hook at every dynamic `do`-loop entry.
+//! - [`bytecode`]: the compiled tier's executor. `irr_driver::compiled`
+//!   lowers a nest once to a typed [`CompiledBody`]; the typed loop
+//!   runs it over split `i64`/`f64` register planes and pinned
+//!   payloads. There are exactly two engines, the typed loop and the
+//!   tree-walk, behind one chunk entry (`Interp::run_chunk`) that a
+//!   sequential loop entry and every parallel worker share.
+//! - [`parallel`]: the chunked parallel executor, a transaction on the
+//!   master store with three commit strategies the executor re-derives
+//!   itself ([`ExecutionStrategy`]): the write-log (workers on
+//!   copy-on-write store clones hand back [`WriteLog`]s, merged in
+//!   `O(total writes)` with positional conflict detection), in-place
+//!   disjoint windows (affine, offset–length segment, certified
+//!   scatter — no log, no clone, no merge), and privatize-and-concat
+//!   for append-through-pointer loops. Chunks run on the interpreter's
+//!   per-run worker pool (`pool`), the master taking the first one;
+//!   [`fault`] injects panics, stalls and lies into it.
+//! - [`runtime_test`]: the run-time inspectors (injectivity,
+//!   offset–length) the hybrid runtime's guarded tier calls, and the
+//!   certificates in-place scatters are written under.
+//! - [`machine`]: the machine-model simulator that reproduces the
+//!   paper's speedup experiments (Fig. 16).
 //!
 //! The original evaluation ran on an SGI Origin 2000 (up to 32 of 56
 //! R10k processors) and a 4-processor SGI Challenge. Neither machine is

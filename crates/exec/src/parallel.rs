@@ -39,18 +39,18 @@
 //!
 //! # What a worker runs
 //!
-//! The master lowers and specializes the loop once and hands every
-//! worker the `Arc`'d typed body; a worker makes **one call**, the
+//! The master lowers the loop once and hands every
+//! worker the `Arc`'d compiled body; a worker makes **one call**, the
 //! chunk entry the sequential compiled tier also uses
 //! (`Interp::run_chunk`): the tree-walk, one root iteration at a time,
 //! until every array the body references is live in the worker's
-//! store, then the typed `FastBody` loop for the rest of the chunk —
+//! store, then the typed loop for the rest of the chunk —
 //! induction loop, per-iteration charge, deadline poll and strategy
 //! check all inside it. The typed loop's stores reach the log, the
 //! in-place windows or the append buffers through the per-array sinks
 //! the worker's store lends it (`WriteSink`), applying the same rules
 //! the per-element interception applies for the tree-walk; both
-//! executors fill the same log. Nests that do not lower or type, or
+//! executors fill the same log. Nests that do not lower, or
 //! that can assign a scalar the merge would claim, walk the AST for
 //! the whole chunk. [`WorkerEngines`] reports which it was.
 //!
@@ -110,7 +110,7 @@
 //!   re-validated dynamically (contiguous positions, pointer delta ==
 //!   buffer length per chunk).
 
-use crate::bytecode::{ChunkAbort, ChunkEngine, ChunkWatch, FastBody};
+use crate::bytecode::{ChunkAbort, ChunkEngine, ChunkWatch, CompiledBody};
 use crate::fault::FaultKind;
 use crate::interp::{
     ArrayData, ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf,
@@ -177,11 +177,11 @@ pub enum ReduceOp {
 /// program's execution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WorkerEngines {
-    /// Chunks finished on the typed `FastBody` loop (after a walked
+    /// Chunks finished on the typed loop (after a walked
     /// prefix, when some array had yet to materialize).
     pub typed: u64,
     /// Chunks run on the tree-walk throughout: the plan did not ask for
-    /// compiled workers, the nest does not lower or type, it assigns a
+    /// compiled workers, the nest does not lower, it assigns a
     /// scalar the plan neither privatizes nor reduces, or it never had
     /// all its arrays live.
     pub tree_walk: u64,
@@ -782,10 +782,10 @@ pub fn exec_do_parallel(
             None => Mode::WriteLog,
         },
     };
-    // Lower and specialize the loop body once on the master so every
-    // worker chunk can run it (pure functions of the program, so the
-    // master's cache entry is shared via Arc). A body the lowering or
-    // the typing rejects leaves `None` and the workers walk the AST.
+    // Lower the loop body once on the master so every worker chunk can
+    // run it (a pure function of the program, so the master's cache
+    // entry is shared via Arc). A nest the lowering rejects leaves
+    // `None` and the workers walk the AST.
     //
     // The typed loop writes the scalars its nest can assign back once,
     // at chunk exit, and a worker's write-back is logged — where the
@@ -799,12 +799,11 @@ pub fn exec_do_parallel(
             || plan.reductions.iter().any(|(r, _)| *r == v)
             || matches!(&mode, Mode::Concat { ptr, .. } if *ptr == v)
     };
-    let typed_body: Option<Arc<FastBody>> = plan
+    let typed_body: Option<Arc<CompiledBody>> = plan
         .compiled
         .then(|| interp.compiled_body_for(loop_stmt))
         .flatten()
-        .and_then(|cb| interp.fast_body_for(loop_stmt, &cb))
-        .filter(|fb| fb.assigned_scalars().all(claim_exempt));
+        .filter(|cb| cb.assigned_scalars().all(claim_exempt));
     // Run each chunk on a copy-on-write clone of the live store;
     // workers return only their logs/buffers and stats. In-place
     // workers skip write logging entirely — their target accesses go
@@ -816,7 +815,7 @@ pub fn exec_do_parallel(
         .enumerate()
         .map(|(widx, &(clo, chi))| {
             let snapshot = interp.store.clone();
-            let fbody = typed_body.clone();
+            let body = typed_body.clone();
             Box::new(move || {
                 if panic_chunk == Some(widx) {
                     panic!("injected fault: worker {widx} panic");
@@ -864,7 +863,7 @@ pub fn exec_do_parallel(
                     }
                 }
                 let engine =
-                    worker.run_chunk(loop_stmt, fbody.as_deref(), clo, chi, 1, Some(&watch))?;
+                    worker.run_chunk(loop_stmt, body.as_deref(), clo, chi, 1, Some(&watch))?;
                 let reduction_finals = plan
                     .reductions
                     .iter()
@@ -2419,9 +2418,8 @@ mod tests {
             .store
             .install_overlay(WriteOverlay::in_place(vec![window]));
         let cb = worker.compiled_body_for(s).unwrap();
-        let fb = worker.fast_body_for(s, &cb).unwrap();
         let watch = ChunkWatch { deadline: None };
-        let res = worker.run_chunk(s, typed.then_some(&*fb), 3, 8, 1, Some(&watch));
+        let res = worker.run_chunk(s, typed.then_some(&*cb), 3, 8, 1, Some(&watch));
         let violated = matches!(res, Err(ChunkAbort::Violated(v)) if v == x);
         assert_eq!(worker.store.overlay_violation(), violated.then_some(x));
         let held = worker.store.array_as_reals(x).unwrap();

@@ -103,13 +103,13 @@ pub struct Telemetry {
     /// silently tree-walk when that fails.
     pub compiled_worker_dispatches: u64,
     /// Worker chunks of committed parallel dispatches that finished on
-    /// the typed `FastBody` loop — what a `compiled_worker_dispatches`
+    /// the typed loop — what a `compiled_worker_dispatches`
     /// request is for.
     pub worker_chunks_typed: u64,
     /// Worker chunks of committed dispatches that ran the tree-walk
-    /// throughout (no compiled request, a nest that does not lower or
-    /// type, a claimed scalar assigned in the body, or an array that
-    /// never materialized).
+    /// throughout (no compiled request, a nest that does not lower, a
+    /// claimed scalar assigned in the body, or an array that never
+    /// materialized).
     pub worker_chunks_tree_walk: u64,
     /// Worker threads the run created for all its parallel dispatches
     /// together: at most its largest chunk count minus one (the master
@@ -118,9 +118,10 @@ pub struct Telemetry {
     /// pool at the end of the run.
     pub worker_threads_spawned: u64,
     /// Compiled-tier dispatches that fell back to the tree-walk because
-    /// the executor's own lowering rejected the nest (the verdict's
+    /// the executor's own lowering rejected the nest — the verdict's
     /// advisory plan was forged or stale: both sides call one
-    /// `lower_do_loop`) or its typing did.
+    /// `lower_do_loop`, and a nest that lowers is one the typed loop
+    /// can run.
     pub compiled_fallback_unsupported: u64,
     /// Compiled-tier dispatches that fell back because instrumentation
     /// (access tracing or per-loop recording) was attached — the

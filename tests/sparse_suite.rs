@@ -441,3 +441,56 @@ fn edge_matrices_keep_parity() {
         }
     }
 }
+
+/// The typed bodies the exec workloads rest on. The parity suites
+/// compare results and the benchmark's ratio gates divide two runs of
+/// the same body, so neither sees a lost fusion or a lost common
+/// subexpression; this does. Each kernel's labelled loop lowers to at
+/// most the instructions it has today, and the SpMV inner block — the
+/// paper's offset–length walk feeding a subscripted subscript — is
+/// pinned instruction for instruction.
+#[test]
+fn kernel_bodies_keep_their_fusions() {
+    use irr_repro::driver::compiled::{lower_do_loop, FOp};
+    const MAX_OPS: [(&str, usize); 9] = [
+        ("spmv", 13),
+        ("jacobi", 20),
+        ("trisolve", 20),
+        ("lufront", 11),
+        ("colscale", 10),
+        ("chase", 20),
+        ("scale", 5),
+        ("permute", 4),
+        ("rowgather", 8),
+    ];
+    let kernels = kernels(&SparseScale::test(Structure::Uniform, 11));
+    assert_eq!(kernels.len(), MAX_OPS.len());
+    for (k, (name, max_ops)) in kernels.iter().zip(MAX_OPS) {
+        assert_eq!(k.name, name);
+        let rep = compile_kernel(k);
+        let v = rep.verdicts.iter().find(|v| v.label == k.label).unwrap();
+        let body = lower_do_loop(&rep.program, v.loop_stmt).unwrap();
+        assert!(
+            body.op_count() <= max_ops,
+            "{name}: {} ops, at most {max_ops} expected: {:#?}",
+            body.op_count(),
+            body.blocks()
+        );
+        if name != "spmv" {
+            continue;
+        }
+        // `y(i) = y(i) + aval(rowptr(i)+j-1) * x(colidx(rowptr(i)+j-1))`:
+        // `y(i)` and `rowptr(i)` loaded once each, one three-term
+        // address for both uses, one gather, one multiply–add — and no
+        // register move anywhere in the nest.
+        let mnemonic = |op: &FOp| {
+            let text = format!("{op:?}");
+            text[..text.find([' ', '(']).unwrap()].to_string()
+        };
+        let inner: Vec<String> = body.blocks()[1].iter().map(mnemonic).collect();
+        let expected = "Charge LoadElemF LoadElemI LeaI LoadElemF GatherF MulAddF StoreElemF";
+        assert_eq!(inner.join(" "), expected, "{:#?}", body.blocks()[1]);
+        let moves = body.blocks().iter().flatten().map(mnemonic);
+        assert_eq!(moves.filter(|m| m.starts_with("Mov")).count(), 0);
+    }
+}
