@@ -38,6 +38,7 @@ use irr_passes::{
     propagate_constants, recognize_reductions, substitute_induction_variables,
 };
 use irr_privatize::Privatizer;
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Phase organization (Fig. 15).
@@ -223,6 +224,15 @@ pub struct LoopVerdict {
     pub compiled: Option<CompiledPlan>,
 }
 
+impl LoopVerdict {
+    /// The scalars and arrays the verdict privatizes: per-worker scratch
+    /// of a parallel execution of this loop.
+    pub fn privatized_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        let arrays = self.privatized_arrays.iter().map(|(a, _)| *a);
+        self.privatized_scalars.iter().copied().chain(arrays)
+    }
+}
+
 /// Timings and counters for Table 2.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CompileStats {
@@ -261,6 +271,17 @@ impl CompilationReport {
             .iter()
             .filter(|v| v.parallel)
             .map(|v| v.label.as_str())
+            .collect()
+    }
+
+    /// Every variable some verdict privatizes. The compiler only
+    /// privatizes values that are dead after their loop, and a parallel
+    /// commit leaves them out, so their final values are unobservable
+    /// and legitimately differ between ways of running the program.
+    pub fn privatized_vars(&self) -> HashSet<VarId> {
+        self.verdicts
+            .iter()
+            .flat_map(LoopVerdict::privatized_vars)
             .collect()
     }
 }
@@ -607,12 +628,7 @@ fn judge_loop<'c, 'p>(
     };
     // Strategy facts: with the tier fixed, look for a proof that lets
     // the runtime skip the write-log transaction entirely.
-    let privatized: Vec<VarId> = v
-        .privatized_scalars
-        .iter()
-        .copied()
-        .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
-        .collect();
+    let privatized: Vec<VarId> = v.privatized_vars().collect();
     let mergeable_vars: Vec<VarId> = v
         .reductions
         .iter()

@@ -741,8 +741,8 @@ impl Store {
     }
 
     /// The payload of `arr`, if materialized (the typed loop's read
-    /// path).
-    pub(crate) fn array_ref(&self, arr: VarId) -> Option<&ArrayData> {
+    /// path, and how the parity oracle compares integers as integers).
+    pub fn array_ref(&self, arr: VarId) -> Option<&ArrayData> {
         self.arrays[arr.index()].as_deref()
     }
 

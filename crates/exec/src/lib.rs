@@ -69,7 +69,6 @@ pub use parallel::{
 };
 pub use rng::SplitMix64;
 pub use runtime_test::{
-    certify_injective, inspect_injective, inspect_injective_parallel, inspect_offset_length,
-    InjectiveCertificate, Inspection,
+    certify_injective, inspect_injective, inspect_offset_length, InjectiveCertificate, Inspection,
 };
 pub use trace::{AccessTracer, TraceConfig};

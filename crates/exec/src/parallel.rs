@@ -118,7 +118,7 @@ use crate::interp::{
 };
 use crate::pool::{Job, WorkerPool};
 use crate::runtime_test::InjectiveCertificate;
-use irr_driver::{InPlaceTarget, WriteShape};
+use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -272,6 +272,28 @@ impl ParallelPlan {
     pub fn with_threads(threads: usize) -> ParallelPlan {
         ParallelPlan {
             threads,
+            ..ParallelPlan::default()
+        }
+    }
+
+    /// What a verdict says about running its loop in chunks: the
+    /// variables it privatizes and the reductions it recognizes, each
+    /// with its merge operator. A product has none — partial products
+    /// do not combine by deltas, and the driver never tiers such a loop
+    /// parallel — so it is left out. Everything else is the default.
+    pub fn for_verdict(verdict: &LoopVerdict) -> ParallelPlan {
+        let reductions = verdict.reductions.iter().filter_map(|(var, op)| {
+            let op = match op {
+                ReductionOp::Sum => ReduceOp::Sum,
+                ReductionOp::Min => ReduceOp::Min,
+                ReductionOp::Max => ReduceOp::Max,
+                ReductionOp::Product => return None,
+            };
+            Some((*var, op))
+        });
+        ParallelPlan {
+            privatized: verdict.privatized_vars().collect(),
+            reductions: reductions.collect(),
             ..ParallelPlan::default()
         }
     }
@@ -1966,8 +1988,8 @@ mod tests {
         }
     }
 
-    /// The defect as reported: at the parent this plan panicked the
-    /// master from inside `thread::scope` ("failed to spawn thread ...
+    /// The defect as reported: with a scoped thread spawned per chunk
+    /// this plan panicked the master ("failed to spawn thread ...
     /// WouldBlock"). The chunk count is still the plan's; the threads
     /// are the pool's ceiling, and the queue does the rest.
     #[test]
@@ -2713,7 +2735,7 @@ mod tests {
             got.strategy
         };
         let certify = |it: &Interp<'_>, a: &str, lo, hi| {
-            crate::certify_injective(&it.store, var(a), lo, hi, 1).expect("injective")
+            crate::certify_injective(&it.store, var(a), lo, hi).expect("injective")
         };
         let mut master = fresh();
         let whole = certify(&master, "p", 1, 8);
@@ -2790,7 +2812,7 @@ mod tests {
             let mut seq = fresh();
             seq.exec_stmt(first_do(&p)).unwrap();
             let mut master = fresh();
-            let certificate = crate::certify_injective(&master.store, var("p"), 1, 8, 1);
+            let certificate = crate::certify_injective(&master.store, var("p"), 1, 8);
             let plan = ParallelPlan {
                 strategy: ExecutionStrategy::InPlaceDisjoint,
                 certificates: certificate.into_iter().collect(),

@@ -74,18 +74,11 @@ impl<'a> IndexView<'a> {
         if lo < 1 || hi as usize > data.len() {
             return None;
         }
-        let view = match data {
-            ArrayData::Int { data, .. } => IndexView::Int(data),
-            ArrayData::Real { data, .. } => IndexView::Real(data),
-        };
-        Some(view.slice((lo - 1) as usize, hi as usize))
-    }
-
-    fn slice(self, from: usize, to: usize) -> IndexView<'a> {
-        match self {
-            IndexView::Int(d) => IndexView::Int(&d[from..to]),
-            IndexView::Real(d) => IndexView::Real(&d[from..to]),
-        }
+        let (from, to) = ((lo - 1) as usize, hi as usize);
+        Some(match data {
+            ArrayData::Int { data, .. } => IndexView::Int(&data[from..to]),
+            ArrayData::Real { data, .. } => IndexView::Real(&data[from..to]),
+        })
     }
 
     fn len(self) -> usize {
@@ -105,28 +98,6 @@ impl<'a> IndexView<'a> {
     fn iter(self) -> impl Iterator<Item = i64> + 'a {
         (0..self.len()).map(move |k| self.get(k))
     }
-
-    /// Runs `f` over contiguous sub-sections of at most `chunk_len`
-    /// elements and returns the results in section order: on scoped
-    /// threads, one a chunk — or inline when the whole section is one
-    /// chunk, so a one-thread inspection creates no thread.
-    fn per_chunk<T: Send>(self, chunk_len: usize, f: impl Fn(IndexView<'a>) -> T + Sync) -> Vec<T> {
-        if chunk_len >= self.len() {
-            return vec![f(self)];
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.len())
-                .step_by(chunk_len)
-                .map(|from| self.slice(from, (from + chunk_len).min(self.len())))
-                .map(|c| scope.spawn(move || f(c)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("inspector worker panicked"))
-                .collect()
-        })
-    }
 }
 
 /// Inspects whether `idx(lo..=hi)` holds pairwise-distinct values — the
@@ -138,20 +109,7 @@ impl<'a> IndexView<'a> {
 /// Otherwise returns `Sequential` when the section is out of bounds or
 /// the array has not been materialized.
 pub fn inspect_injective(store: &Store, idx: VarId, lo: i64, hi: i64) -> Inspection {
-    inspect_injective_parallel(store, idx, lo, hi, 1)
-}
-
-/// [`inspect_injective`] over `threads` contiguous chunks of the
-/// section; see [`certify_injective`] for the scan. Verdicts do not
-/// depend on `threads`.
-pub fn inspect_injective_parallel(
-    store: &Store,
-    idx: VarId,
-    lo: i64,
-    hi: i64,
-    threads: usize,
-) -> Inspection {
-    if hi < lo || certify_injective(store, idx, lo, hi, threads).is_some() {
+    if hi < lo || certify_injective(store, idx, lo, hi).is_some() {
         Inspection::ParallelOk
     } else {
         Inspection::Sequential
@@ -164,71 +122,46 @@ pub fn inspect_injective_parallel(
 /// an empty or out-of-bounds section, or an array not yet
 /// materialized).
 ///
-/// The section is split into `threads` contiguous chunks (one chunk
-/// runs inline, with no thread created). A min/max pass gives the
-/// value range, widened in `i128` so index values near the `i64`
-/// extremes cannot overflow it; each chunk then marks the values it
-/// sees in a private bitmap over that range and the merge ORs the
-/// bitmaps — a set bit seen twice, within a chunk or across chunks, is
-/// a duplicate. When the range is much larger than the section (huge
-/// max, tiny nonzero count) the bitmaps would be mostly empty pages, so
-/// below that density the scan switches to a sparse-set variant: each
-/// chunk sorts its values and a k-way merge catches duplicates across
-/// chunks, in `O(section)` memory whatever the range.
+/// One pass on the calling thread (splitting the scan over threads lost
+/// to this at every section length the benchmark reaches — table in
+/// EXPERIMENTS.md, "One injectivity inspector"). A min/max pass gives
+/// the value range, widened in `i128` so index values near the `i64`
+/// extremes cannot overflow it; the scan then marks the values it sees
+/// in a bitmap over that range — a set bit seen twice is a duplicate.
+/// When the range is much larger than the section (huge max, tiny
+/// nonzero count) the bitmap would be mostly empty pages, so below that
+/// density the values are sorted instead and a duplicate is two equal
+/// neighbours, in `O(section)` memory whatever the range.
 pub fn certify_injective(
     store: &Store,
     idx: VarId,
     lo: i64,
     hi: i64,
-    threads: usize,
 ) -> Option<InjectiveCertificate> {
     if hi < lo {
         return None;
     }
     let section = IndexView::section(store, idx, lo, hi)?;
-    let chunk_len = section.len().div_ceil(threads.clamp(1, section.len()));
     let (min, max) = section
-        .per_chunk(chunk_len, |c| {
-            c.iter()
-                .fold((i64::MAX, i64::MIN), |(mn, mx), v| (mn.min(v), mx.max(v)))
-        })
-        .into_iter()
-        .fold((i64::MAX, i64::MIN), |(amn, amx), (mn, mx)| {
-            (amn.min(mn), amx.max(mx))
-        });
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(mn, mx), v| (mn.min(v), mx.max(v)));
     // Widen before subtracting: with index values near the i64
     // extremes (max - min + 1) overflows i64.
     let range = (max as i128 - min as i128 + 1) as u128;
     let distinct = if range > 4 * section.len() as u128 + 1024 {
         // Sparse values: the bitmap would be mostly empty pages (and
         // for extreme ranges could not even be allocated).
-        inspect_injective_sparse_set(section, chunk_len)
+        let mut sorted: Vec<i64> = section.iter().collect();
+        sorted.sort_unstable();
+        sorted.windows(2).all(|w| w[0] != w[1])
     } else {
-        let words = (range as usize).div_ceil(64);
-        // Each chunk owns a private bitmap; `None` is a duplicate
-        // inside the chunk.
-        let bitmaps = section.per_chunk(chunk_len, |c| {
-            let mut bits = vec![0u64; words];
-            for v in c.iter() {
-                let d = (v - min) as usize;
-                let (w, b) = (d / 64, d % 64);
-                if bits[w] & (1 << b) != 0 {
-                    return None;
-                }
-                bits[w] |= 1 << b;
-            }
-            Some(bits)
-        });
-        let mut merged = vec![0u64; words];
-        bitmaps.into_iter().all(|bits| {
-            bits.is_some_and(|bits| {
-                // A bit two chunks both set is a cross-chunk duplicate.
-                merged.iter_mut().zip(&bits).all(|(m, b)| {
-                    let fresh = *m & *b == 0;
-                    *m |= *b;
-                    fresh
-                })
-            })
+        let mut bits = vec![0u64; (range as usize).div_ceil(64)];
+        section.iter().all(|v| {
+            let d = (v - min) as usize;
+            let (w, b) = (d / 64, d % 64);
+            let fresh = bits[w] & (1 << b) == 0;
+            bits[w] |= 1 << b;
+            fresh
         })
     };
     distinct.then(|| InjectiveCertificate {
@@ -238,46 +171,6 @@ pub fn certify_injective(
         hi,
         version: store.array_version(idx),
     })
-}
-
-/// Sparse-set injectivity scan: the fallback for sections whose value
-/// range is too wide for per-chunk bitmaps (huge max, tiny nonzero
-/// count). Each chunk sorts its values — a duplicate inside a chunk
-/// surfaces as adjacent equal elements — and a k-way merge scan over
-/// the sorted chunks catches duplicates across chunks. Memory is
-/// `O(section)` regardless of the value range. Returns whether the
-/// values are pairwise distinct.
-fn inspect_injective_sparse_set(section: IndexView<'_>, chunk_len: usize) -> bool {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let sorted = section.per_chunk(chunk_len, |c| {
-        let mut v: Vec<i64> = c.iter().collect();
-        v.sort_unstable();
-        // `None`: a duplicate inside this chunk.
-        v.windows(2).all(|w| w[0] != w[1]).then_some(v)
-    });
-    let Some(chunks) = sorted.into_iter().collect::<Option<Vec<Vec<i64>>>>() else {
-        return false;
-    };
-    // K-way merge scan: pop values in ascending order; two equal values
-    // in a row are a cross-chunk duplicate.
-    let mut heap: BinaryHeap<Reverse<(i64, usize, usize)>> = chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !c.is_empty())
-        .map(|(ci, c)| Reverse((c[0], ci, 0)))
-        .collect();
-    let mut prev: Option<i64> = None;
-    while let Some(Reverse((v, ci, pos))) = heap.pop() {
-        if prev == Some(v) {
-            return false;
-        }
-        prev = Some(v);
-        if let Some(&next) = chunks[ci].get(pos + 1) {
-            heap.push(Reverse((next, ci, pos + 1)));
-        }
-    }
-    true
 }
 
 /// Inspects whether `ptr` is a proper offset array for lengths `len`
@@ -361,25 +254,18 @@ mod tests {
         let idx = p.symbols.lookup("idx").unwrap();
         let other = p.symbols.lookup("other").unwrap();
         // The duplicate 2 is at both ends: only `1..=5` certifies.
-        assert_eq!(certify_injective(&store, idx, 1, 6, 1), None);
-        assert_eq!(certify_injective(&store, idx, 4, 3, 1), None, "empty");
-        assert_eq!(
-            certify_injective(&store, idx, 1, 7, 1),
-            None,
-            "past the end"
-        );
-        assert_eq!(certify_injective(&store, other, 1, 6, 1), None, "not live");
-        for threads in [1, 2, 5] {
-            let c = certify_injective(&store, idx, 1, 5, threads).expect("distinct");
-            assert!(c.covers(&store, idx, 1, 5) && c.covers(&store, idx, 2, 4));
-            assert!(!c.covers(&store, idx, 1, 6) && !c.covers(&store, idx, 0, 5));
-            assert!(!c.covers(&store, other, 1, 5));
-        }
-        let c = certify_injective(&store, idx, 1, 5, 1).expect("distinct");
+        assert_eq!(certify_injective(&store, idx, 1, 6), None);
+        assert_eq!(certify_injective(&store, idx, 4, 3), None, "empty");
+        assert_eq!(certify_injective(&store, idx, 1, 7), None, "past the end");
+        assert_eq!(certify_injective(&store, other, 1, 6), None, "not live");
+        let c = certify_injective(&store, idx, 1, 5).expect("distinct");
+        assert!(c.covers(&store, idx, 1, 5) && c.covers(&store, idx, 2, 4));
+        assert!(!c.covers(&store, idx, 1, 6) && !c.covers(&store, idx, 0, 5));
+        assert!(!c.covers(&store, other, 1, 5));
         // Any write moves the version, the value written or not.
         store.write_element(idx, 0, crate::interp::Value::Int(4));
         assert!(!c.covers(&store, idx, 1, 5));
-        let fresh = certify_injective(&store, idx, 1, 5, 1).expect("still distinct");
+        let fresh = certify_injective(&store, idx, 1, 5).expect("still distinct");
         assert!(fresh != c && fresh.covers(&store, idx, 1, 5));
     }
 
@@ -392,7 +278,7 @@ mod tests {
         let (_, colliding) = store_with("idx(4)", &[("idx", vec![2, 2, 2, 2])]);
         let idx = p.symbols.lookup("idx").unwrap();
         assert_eq!(scanned.array_version(idx), colliding.array_version(idx));
-        let c = certify_injective(&scanned, idx, 1, 4, 1).expect("distinct");
+        let c = certify_injective(&scanned, idx, 1, 4).expect("distinct");
         assert!(c.covers(&scanned, idx, 1, 4));
         assert!(!c.covers(&colliding, idx, 1, 4));
         // A clone forks the history: it may be written independently.
@@ -400,9 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_inspectors_agree_with_sequential() {
-        // Permutation with one duplicate injected at the far end: the
-        // duplicate pair spans chunks, so only the merge can see it.
+    fn a_duplicate_at_the_far_end_of_a_dense_section_is_caught() {
+        // A permutation with its last element repeating one from the
+        // other half: the bitmap sees the bit set 31 elements earlier.
         let (p, store) = store_of(
             "program t
              integer idx(64), i
@@ -413,130 +299,55 @@ mod tests {
              end",
         );
         let idx = p.symbols.lookup("idx").unwrap();
-        for threads in [1, 2, 3, 4, 8] {
-            assert_eq!(
-                inspect_injective_parallel(&store, idx, 1, 63, threads),
-                inspect_injective(&store, idx, 1, 63),
-                "threads={threads}"
-            );
-            assert_eq!(
-                inspect_injective_parallel(&store, idx, 1, 64, threads),
-                Inspection::Sequential,
-                "threads={threads}"
-            );
-        }
-        // Empty section and out-of-bounds behave like the sequential
-        // inspectors.
         assert_eq!(
-            inspect_injective_parallel(&store, idx, 5, 4, 4),
+            inspect_injective(&store, idx, 1, 63),
             Inspection::ParallelOk
         );
         assert_eq!(
-            inspect_injective_parallel(&store, idx, 1, 65, 4),
+            inspect_injective(&store, idx, 1, 64),
             Inspection::Sequential
         );
     }
 
     #[test]
-    fn parallel_injective_sparse_values_fall_back_to_sparse_set() {
-        // Values spread over a range ~1000x the section length: the
-        // bitmap path declines and the sparse-set fallback must still
-        // give the sequential inspector's verdict (distinct here).
-        let (p, store) = store_of(
-            "program t
-             integer idx(32), i
-             do i = 1, 32
-               idx(i) = i * 100000
-             enddo
-             end",
-        );
-        let idx = p.symbols.lookup("idx").unwrap();
-        assert_eq!(
-            inspect_injective_parallel(&store, idx, 1, 32, 4),
-            Inspection::ParallelOk
-        );
-        // Duplicate far apart is still caught by the fallback.
-        let (p2, store2) = store_of(
-            "program t
-             integer idx(32), i
-             do i = 1, 32
-               idx(i) = i * 100000
-             enddo
-             idx(32) = 100000
-             end",
-        );
-        let idx2 = p2.symbols.lookup("idx").unwrap();
-        assert_eq!(
-            inspect_injective_parallel(&store2, idx2, 1, 32, 4),
-            Inspection::Sequential
-        );
-    }
-
-    #[test]
-    fn sparse_set_fallback_matches_sequential_across_thread_counts() {
+    fn sparse_values_are_sorted_not_bitmapped() {
         // 4096 entries spread over a ~40M value range: far below the
-        // bitmap density threshold, so every parallel call below takes
-        // the sparse-set path.
-        let (p, store) = store_of(
-            "program t
-             integer idx(4096), i
-             do i = 1, 4096
-               idx(i) = i * 9973
-             enddo
-             end",
-        );
+        // bitmap density threshold, so the scan sorts.
+        let spread = |last: i64| {
+            let mut values: Vec<i64> = (1..=4096).map(|i| i * 9973).collect();
+            values[4095] = last;
+            store_with("idx(4096)", &[("idx", values)])
+        };
+        let (p, store) = spread(4096 * 9973);
         let idx = p.symbols.lookup("idx").unwrap();
-        for threads in [2, 3, 4, 7, 16] {
-            assert_eq!(
-                inspect_injective_parallel(&store, idx, 1, 4096, threads),
-                Inspection::ParallelOk,
-                "threads={threads}"
-            );
-        }
-        // A duplicate pair spanning chunk boundaries is only visible to
-        // the k-way merge.
-        let (p2, store2) = store_of(
-            "program t
-             integer idx(4096), i
-             do i = 1, 4096
-               idx(i) = i * 9973
-             enddo
-             idx(4096) = 9973
-             end",
+        assert_eq!(
+            inspect_injective(&store, idx, 1, 4096),
+            Inspection::ParallelOk
         );
-        let idx2 = p2.symbols.lookup("idx").unwrap();
-        for threads in [2, 3, 4, 7, 16] {
-            assert_eq!(
-                inspect_injective_parallel(&store2, idx2, 1, 4096, threads),
-                Inspection::Sequential,
-                "threads={threads}"
-            );
-        }
+        // A duplicate of the first value at the far end is two equal
+        // neighbours once sorted.
+        let (_, store) = spread(9973);
+        assert_eq!(
+            inspect_injective(&store, idx, 1, 4096),
+            Inspection::Sequential
+        );
     }
 
     #[test]
     fn extreme_index_range_does_not_overflow_the_range_computation() {
         // Values at the far ends of the representable range: computing
         // (max - min + 1) in i64 overflows; the widened computation
-        // must route to the sparse-set path and return the sequential
-        // inspector's verdict.
+        // must route to the sort.
         let (p, store) = store_with("idx(4)", &[("idx", vec![-(1i64 << 62), 1i64 << 62, 0, 1])]);
         let idx = p.symbols.lookup("idx").unwrap();
-        assert_eq!(
-            inspect_injective_parallel(&store, idx, 1, 4, 4),
-            inspect_injective(&store, idx, 1, 4)
-        );
-        assert_eq!(
-            inspect_injective_parallel(&store, idx, 1, 4, 4),
-            Inspection::ParallelOk
-        );
+        assert_eq!(inspect_injective(&store, idx, 1, 4), Inspection::ParallelOk);
         // And with a duplicated extreme value.
         let (_, store2) = store_with(
             "idx(4)",
             &[("idx", vec![-(1i64 << 62), 1i64 << 62, -(1i64 << 62), 1])],
         );
         assert_eq!(
-            inspect_injective_parallel(&store2, idx, 1, 4, 4),
+            inspect_injective(&store2, idx, 1, 4),
             Inspection::Sequential
         );
     }
@@ -560,15 +371,11 @@ mod tests {
     /// Past 2^53 neighbouring integers share an `f64`: an inspector
     /// reading through a real copy calls distinct values duplicates.
     #[test]
-    fn injective_inspectors_read_integers_past_2_53_exactly() {
+    fn injective_inspector_reads_integers_past_2_53_exactly() {
         let big = 1i64 << 53;
         let (p, store) = store_with("idx(2)", &[("idx", vec![big, big + 1])]);
         let idx = p.symbols.lookup("idx").unwrap();
         assert_eq!(inspect_injective(&store, idx, 1, 2), Inspection::ParallelOk);
-        assert_eq!(
-            inspect_injective_parallel(&store, idx, 1, 2, 2),
-            Inspection::ParallelOk
-        );
     }
 
     /// The unsound direction of the same rounding: `2^53 + 1` read as a

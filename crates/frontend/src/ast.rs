@@ -359,8 +359,8 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if the program has no main unit (cannot happen for parsed or
-    /// builder-produced programs).
+    /// Panics if the program has no main unit (cannot happen for a parsed
+    /// program).
     pub fn main(&self) -> ProcId {
         ProcId(
             self.procedures
@@ -411,7 +411,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
+    use crate::parse_program;
 
     #[test]
     fn expr_helpers_build_expected_shapes() {
@@ -430,10 +430,23 @@ mod tests {
 
     #[test]
     fn collect_vars_sees_subscripts() {
-        let mut b = ProgramBuilder::new("t");
-        let a = b.declare_array("a", crate::ScalarType::Real, &[Expr::int(10)]);
-        let i = b.scalar("i");
-        let e = Expr::Element(a, vec![Expr::Var(i)]);
+        let p = parse_program(
+            "program t
+             integer i
+             real a(10), x
+             x = a(i)
+             end",
+        )
+        .unwrap();
+        let (a, i) = (
+            p.symbols.lookup("a").unwrap(),
+            p.symbols.lookup("i").unwrap(),
+        );
+        let main = p.main();
+        let StmtKind::Assign { rhs: e, .. } = &p.stmt(p.procedure(main).body[0]).kind else {
+            panic!("the program is one assignment");
+        };
+        assert_eq!(*e, Expr::Element(a, vec![Expr::Var(i)]));
         let mut vars = Vec::new();
         e.collect_vars(&mut vars);
         assert!(vars.contains(&a) && vars.contains(&i));
@@ -442,14 +455,16 @@ mod tests {
 
     #[test]
     fn stmts_in_is_preorder() {
-        let mut b = ProgramBuilder::new("t");
-        let i = b.scalar("i");
-        let x = b.scalar("x");
-        b.do_loop(i, Expr::int(1), Expr::int(10), |b| {
-            b.assign_scalar(x, Expr::int(1));
-            b.assign_scalar(x, Expr::int(2));
-        });
-        let p = b.finish();
+        let p = parse_program(
+            "program t
+             integer i, x
+             do i = 1, 10
+               x = 1
+               x = 2
+             enddo
+             end",
+        )
+        .unwrap();
         let main = p.main();
         let all = p.stmts_in(&p.procedure(main).body);
         assert_eq!(all.len(), 3); // do + two assigns

@@ -31,7 +31,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod corpus;
 pub mod diag;
 pub mod lexer;
@@ -41,7 +40,6 @@ pub mod symbols;
 pub mod visit;
 
 pub use ast::{BinOp, Expr, Intrinsic, LValue, Procedure, Program, Stmt, StmtId, StmtKind, UnOp};
-pub use builder::ProgramBuilder;
 pub use corpus::{malformed_corpus, CorpusCase};
 pub use diag::{ParseError, SourceLoc};
 pub use parser::parse_program;

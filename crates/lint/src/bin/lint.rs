@@ -16,7 +16,7 @@ use irr_driver::{compile_source, DriverOptions};
 use irr_frontend::StmtKind;
 use irr_lint::{lint_report, DiagClass};
 use irr_programs::sparse::{interproc_kernels, kernels, producer_kernels, SparseScale, STRUCTURES};
-use irr_programs::{named_sources, Scale};
+use irr_programs::{paper_cases, Case, Scale};
 
 fn main() {
     let mut check = false;
@@ -42,7 +42,7 @@ fn main() {
         }
     }
 
-    let mut targets = named_sources(scale);
+    let mut targets = paper_cases(scale);
     for (i, structure) in STRUCTURES.iter().enumerate() {
         let s = SparseScale::test(*structure, 0x11A7 + i as u64);
         for k in kernels(&s)
@@ -50,17 +50,18 @@ fn main() {
             .chain(producer_kernels(&s))
             .chain(interproc_kernels(&s))
         {
-            targets.push((format!("sparse:{}:{}", k.name, structure.tag()), k.source));
+            let name = format!("sparse:{}:{}", k.name, structure.tag());
+            targets.push(Case::new(name, k.source));
         }
     }
     if let Some(filter) = &only {
-        targets.retain(|(name, _)| name.contains(filter.as_str()));
+        targets.retain(|case| case.name.contains(filter.as_str()));
     }
 
     let (mut programs, mut loops) = (0usize, 0usize);
     let (mut soundness, mut precision, mut explain) = (0usize, 0usize, 0usize);
-    for (name, src) in &targets {
-        let rep = match compile_source(src, DriverOptions::with_iaa()) {
+    for Case { name, source, .. } in &targets {
+        let rep = match compile_source(source, DriverOptions::with_iaa()) {
             Ok(r) => r,
             Err(e) => die(&format!("{name}: parse error: {e}")),
         };

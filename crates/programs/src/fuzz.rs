@@ -10,6 +10,7 @@
 //! construction, so every generated program runs error-free and
 //! differential comparisons are exact.
 
+use crate::Case;
 use irr_exec::SplitMix64;
 
 /// Loop-body statement templates. Kept as a named constant so the
@@ -53,13 +54,21 @@ pub fn random_loop_program(rng: &mut SplitMix64) -> String {
     )
 }
 
+/// `count` programs drawn by [`random_loop_program`] from one stream
+/// seeded with `seed`, named `random-0`, `random-1`, ...
+pub fn random_cases(seed: u64, count: usize) -> Vec<Case> {
+    let mut rng = SplitMix64::new(seed);
+    (0..count)
+        .map(|i| Case::new(format!("random-{i}"), random_loop_program(&mut rng)))
+        .collect()
+}
+
 /// One program of [`strategy_programs`].
 #[derive(Clone, Debug)]
 pub struct StrategyProgram {
-    /// Mini-Fortran source; the loop under test is labeled `F/do20`.
-    pub source: String,
-    /// Which template the loop body came from.
-    pub what: &'static str,
+    /// The program, named after the template its loop body came from;
+    /// the loop under test is labeled `F/do20`.
+    pub case: Case,
     /// Whether every entry of `F/do20` must commit in place. `false`
     /// is a near-miss: the loop is dependent, or parallel under a shape
     /// the executor must not write through a master buffer for — with
@@ -156,8 +165,7 @@ pub fn strategy_programs() -> impl Iterator<Item = StrategyProgram> {
             TRIPS
                 .iter()
                 .map(move |&(trip, iterations)| StrategyProgram {
-                    source: strategy_source(body, trip),
-                    what,
+                    case: Case::new(what, strategy_source(body, trip)),
                     in_place,
                     iterations,
                 })
@@ -213,9 +221,9 @@ mod tests {
     #[test]
     fn every_strategy_program_parses() {
         let mut programs = 0;
-        for case in strategy_programs() {
+        for StrategyProgram { case, .. } in strategy_programs() {
             irr_frontend::parse_program(&case.source)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{}", case.what, case.source));
+                .unwrap_or_else(|e| panic!("{}: {e}\n{}", case.name, case.source));
             programs += 1;
         }
         assert_eq!(programs, (SHAPES.len() + NEAR_MISSES.len()) * 3);

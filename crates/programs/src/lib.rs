@@ -23,6 +23,9 @@ pub mod trfd;
 
 pub use figures::{figures, Figure};
 
+use irr_exec::ArrayData;
+use irr_frontend::{Program, VarId};
+
 /// Workload size.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
@@ -58,17 +61,57 @@ pub fn all(scale: Scale) -> Vec<Benchmark> {
     ]
 }
 
-/// "The paper's programs" as `(name, source)` pairs: the five
-/// benchmarks at `scale`, then the worked [`figures`] — the corpus the
-/// sanitizer audit, the static lint and the parity and chaos suites
-/// all start from.
-pub fn named_sources(scale: Scale) -> Vec<(String, String)> {
-    let benchmarks = all(scale)
-        .into_iter()
-        .map(|b| (b.name.to_string(), b.source));
-    let figures = figures()
-        .into_iter()
-        .map(|f| (f.name.to_string(), f.source.to_string()));
+/// One item of a corpus: what every cross-check — the sanitizer's
+/// sweeps, the static lint, the parity, chaos and degradation suites —
+/// takes as its input. Every program family of this crate produces
+/// them: [`paper_cases`], the [`sparse`] kernel families (`Case::from`
+/// a [`sparse::SparseProgram`]), [`fuzz::random_cases`] and
+/// [`fuzz::strategy_programs`].
+#[derive(Clone, Debug)]
+pub struct Case {
+    /// What reports call the program.
+    pub name: String,
+    /// Mini-Fortran source.
+    pub source: String,
+    /// `(array name, data)` presets to install before every run of the
+    /// program (the generated index and value arrays of a sparse
+    /// kernel); empty for a program that builds its own data.
+    pub presets: Vec<(&'static str, ArrayData)>,
+}
+
+impl Case {
+    /// A program that builds its own data.
+    pub fn new(name: impl Into<String>, source: impl Into<String>) -> Case {
+        Case {
+            name: name.into(),
+            source: source.into(),
+            presets: Vec::new(),
+        }
+    }
+
+    /// Resolves the named presets against a compiled program's symbol
+    /// table. Panics if a preset array does not survive to the symbol
+    /// table (they are all printed or read, so dead-code elimination
+    /// never drops them).
+    pub fn resolve_presets(&self, program: &Program) -> Vec<(VarId, ArrayData)> {
+        self.presets
+            .iter()
+            .map(|(name, data)| {
+                let var = program.symbols.lookup(name).unwrap_or_else(|| {
+                    panic!("{}: preset array `{name}` not in symbols", self.name)
+                });
+                (var, data.clone())
+            })
+            .collect()
+    }
+}
+
+/// "The paper's programs": the five benchmarks at `scale`, then the
+/// worked [`figures`] — the corpus the sanitizer audit, the static lint
+/// and the parity and chaos suites all start from.
+pub fn paper_cases(scale: Scale) -> Vec<Case> {
+    let benchmarks = all(scale).into_iter().map(|b| Case::new(b.name, b.source));
+    let figures = figures().into_iter().map(|f| Case::new(f.name, f.source));
     benchmarks.chain(figures).collect()
 }
 

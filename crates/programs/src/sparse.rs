@@ -17,8 +17,8 @@
 //! them — so the compile-time verdicts and the runtime inspections see
 //! the same arrays.
 
+use crate::Case;
 use irr_exec::{ArrayData, SplitMix64};
-use irr_frontend::{Program, VarId};
 use irr_sparse::{
     generate, int_array, random_permutation, random_successors, real_array, Layout, MatrixSpec,
     SparseMatrix, Structure,
@@ -54,21 +54,14 @@ pub struct SparseProgram {
     pub expected_facts: &'static str,
 }
 
-impl SparseProgram {
-    /// Resolves the named presets against a compiled program's symbol
-    /// table. Panics if a preset array does not survive to the symbol
-    /// table (they are all printed or read, so dead-code elimination
-    /// never drops them).
-    pub fn resolve_presets(&self, program: &Program) -> Vec<(VarId, ArrayData)> {
-        self.presets
-            .iter()
-            .map(|(name, data)| {
-                let var = program.symbols.lookup(name).unwrap_or_else(|| {
-                    panic!("{}: preset array `{name}` not in symbols", self.name)
-                });
-                (var, data.clone())
-            })
-            .collect()
+/// The kernel as a corpus item, under its own name.
+impl From<&SparseProgram> for Case {
+    fn from(k: &SparseProgram) -> Case {
+        Case {
+            name: k.name.to_string(),
+            source: k.source.clone(),
+            presets: k.presets.clone(),
+        }
     }
 }
 

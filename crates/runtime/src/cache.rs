@@ -26,6 +26,7 @@
 //! budget is exhausted the entry is dropped entirely and the next entry
 //! re-inspects from scratch.
 
+use irr_exec::InjectiveCertificate;
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
 
@@ -66,6 +67,11 @@ pub enum CacheProbe {
 struct Slot {
     key: ScheduleKey,
     parallel_ok: bool,
+    /// What the inspection behind `parallel_ok` certified: kept with
+    /// the key, so a hit on *any* live key of a loop hands its dispatch
+    /// the certificates of the scan that cleared that key, and eviction
+    /// drops both together.
+    certificates: Vec<InjectiveCertificate>,
     /// Remaining entries this schedule is pinned sequential for; 0
     /// means not quarantined.
     quarantined: u32,
@@ -119,16 +125,26 @@ impl ScheduleCache {
     /// Probes for a reusable schedule for `loop_stmt` under `key`.
     /// A hit refreshes the slot's LRU position.
     pub fn probe(&mut self, loop_stmt: StmtId, key: &ScheduleKey) -> CacheProbe {
+        self.probe_certified(loop_stmt, key).0
+    }
+
+    /// [`Self::probe`], and on a hit the certificates stored with the
+    /// schedule (see [`Self::insert_certified`]).
+    pub fn probe_certified(
+        &mut self,
+        loop_stmt: StmtId,
+        key: &ScheduleKey,
+    ) -> (CacheProbe, Vec<InjectiveCertificate>) {
         self.tick += 1;
         let tick = self.tick;
         match self.entries.get_mut(&loop_stmt) {
-            None => CacheProbe::Miss,
+            None => (CacheProbe::Miss, Vec::new()),
             Some(slots) => match slots.iter_mut().find(|s| s.key == *key) {
                 Some(slot) => {
                     slot.last_used = tick;
-                    CacheProbe::Hit(slot.parallel_ok)
+                    (CacheProbe::Hit(slot.parallel_ok), slot.certificates.clone())
                 }
-                None => CacheProbe::Stale,
+                None => (CacheProbe::Stale, Vec::new()),
             },
         }
     }
@@ -137,11 +153,24 @@ impl ScheduleCache {
     /// evicting the least-recently-used schedule when the per-loop or
     /// global bound is exceeded.
     pub fn insert(&mut self, loop_stmt: StmtId, key: ScheduleKey, parallel_ok: bool) {
+        self.insert_certified(loop_stmt, key, parallel_ok, Vec::new());
+    }
+
+    /// [`Self::insert`] with what the inspection certified on the way
+    /// to `parallel_ok`.
+    pub fn insert_certified(
+        &mut self,
+        loop_stmt: StmtId,
+        key: ScheduleKey,
+        parallel_ok: bool,
+        certificates: Vec<InjectiveCertificate>,
+    ) {
         self.tick += 1;
         let tick = self.tick;
         let slots = self.entries.entry(loop_stmt).or_default();
         if let Some(slot) = slots.iter_mut().find(|s| s.key == key) {
             slot.parallel_ok = parallel_ok;
+            slot.certificates = certificates;
             slot.quarantined = 0;
             slot.last_used = tick;
             return;
@@ -149,6 +178,7 @@ impl ScheduleCache {
         slots.push(Slot {
             key,
             parallel_ok,
+            certificates,
             quarantined: 0,
             last_used: tick,
         });
@@ -179,6 +209,7 @@ impl ScheduleCache {
             }
             let slot = &mut slots[pos];
             slot.parallel_ok = false;
+            slot.certificates.clear();
             slot.quarantined = budget;
             slot.last_used = tick;
             return;
@@ -192,6 +223,7 @@ impl ScheduleCache {
         slots.push(Slot {
             key,
             parallel_ok: false,
+            certificates: Vec::new(),
             quarantined: budget,
             last_used: tick,
         });

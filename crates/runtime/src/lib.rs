@@ -29,8 +29,9 @@
 //! loop whose verdict carries in-place facts writes the master's
 //! buffers directly, each chunk confined to its own windows — or, for a
 //! scatter, under the [`InjectiveCertificate`] the guard's own
-//! inspection issued, which this dispatcher keeps per loop and hands to
-//! every entry that inspection's verdict clears. Everything else
+//! inspection issued, which the [`ScheduleCache`] keeps with the
+//! schedule key it cleared and hands to every entry that hits that key.
+//! Everything else
 //! returns a write log, merged in `O(total writes)` with positional
 //! conflict detection. Worker statement costs and loop statistics are
 //! aggregated back into the dispatched interpreter, so a hybrid run's
@@ -42,25 +43,14 @@ pub mod telemetry;
 pub use cache::{CacheProbe, ScheduleCache, ScheduleKey};
 pub use telemetry::Telemetry;
 
-use irr_driver::{
-    CompilationReport, DispatchTier, GuardPlan, ReductionOp, ResidualCheck, StrategyFacts,
-};
+use irr_driver::{CompilationReport, DispatchTier, GuardPlan, ResidualCheck, StrategyFacts};
 use irr_exec::{
     certify_injective, inspect_offset_length, ChunkEngine, Committed, ExecError, ExecOutcome,
     ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, InjectiveCertificate, Inspection,
-    Interp, LoopDecision, LoopDispatcher, ParallelPlan, ReduceOp, Store,
+    Interp, LoopDecision, LoopDispatcher, ParallelPlan, Store,
 };
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
-
-/// Minimum inspected section length before a guarded loop's
-/// injectivity inspector splits its scan over the configured threads;
-/// shorter sections are scanned in one chunk, inline (thread spawn
-/// would cost more than it saves — inspectors still open a
-/// `thread::scope` per inspection, unlike loop dispatches, which run on
-/// the interpreter's pool; an inspection is once per mutation, not once
-/// per entry).
-const PARALLEL_INSPECT_THRESHOLD: i64 = 2048;
 
 /// Configuration of the hybrid runtime.
 #[derive(Clone, Copy, Debug)]
@@ -113,8 +103,9 @@ impl Default for HybridConfig {
 #[derive(Clone, Debug)]
 struct LoopEntry {
     tier: DispatchTier,
-    privatized: Vec<VarId>,
-    reductions: Vec<(VarId, ReduceOp)>,
+    /// [`ParallelPlan::for_verdict`]: what every dispatch of the loop
+    /// privatizes and reduces.
+    plan: ParallelPlan,
     /// Strategy requested from the verdict's proven facts. The executor
     /// re-derives the facts itself on every dispatch, so a wrong entry
     /// here (or a forged verdict) downgrades safely to the write-log.
@@ -144,11 +135,6 @@ pub struct HybridDispatcher {
     loops: HashMap<StmtId, LoopEntry>,
     config: HybridConfig,
     cache: ScheduleCache,
-    /// What each guarded loop's last inspection certified, out of the
-    /// scan that cleared its guard: handed to every dispatch of the
-    /// loop that verdict (fresh or cached) clears, and re-checked there
-    /// against the live store.
-    certificates: HashMap<StmtId, Vec<InjectiveCertificate>>,
     /// Injected fault schedule for chaos testing; `None` (the default)
     /// keeps every dispatch on the ordinary path at the cost of a
     /// single `Option` check.
@@ -166,26 +152,6 @@ impl HybridDispatcher {
     pub fn new(report: &CompilationReport, config: HybridConfig) -> HybridDispatcher {
         let mut loops = HashMap::new();
         for v in &report.verdicts {
-            let privatized: Vec<VarId> = v
-                .privatized_scalars
-                .iter()
-                .copied()
-                .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
-                .collect();
-            let reductions: Vec<(VarId, ReduceOp)> = v
-                .reductions
-                .iter()
-                .filter_map(|(var, op)| {
-                    let op = match op {
-                        ReductionOp::Sum => ReduceOp::Sum,
-                        ReductionOp::Min => ReduceOp::Min,
-                        ReductionOp::Max => ReduceOp::Max,
-                        // Tiering already forced Sequential for products.
-                        ReductionOp::Product => return None,
-                    };
-                    Some((*var, op))
-                })
-                .collect();
             let strategy = match &v.strategy_facts {
                 StrategyFacts::InPlace { .. } => ExecutionStrategy::InPlaceDisjoint,
                 StrategyFacts::ConsecutiveAppend { .. } => ExecutionStrategy::PrivatizeAndConcat,
@@ -206,8 +172,7 @@ impl HybridDispatcher {
                 v.loop_stmt,
                 LoopEntry {
                     tier: v.tier.clone(),
-                    privatized,
-                    reductions,
+                    plan: ParallelPlan::for_verdict(v),
                     strategy,
                     retired: v.retired_checks.len() as u64,
                     interproc: v.promoted_interproc,
@@ -220,7 +185,6 @@ impl HybridDispatcher {
             loops,
             config,
             cache: ScheduleCache::new(),
-            certificates: HashMap::new(),
             fault: None,
             last_parallel: None,
             telemetry: Telemetry::default(),
@@ -266,8 +230,6 @@ impl HybridDispatcher {
         }
         ParallelPlan {
             threads: self.config.threads.max(1),
-            privatized: entry.privatized.clone(),
-            reductions: entry.reductions.clone(),
             deadline_ms: self.config.worker_deadline_ms,
             fault,
             strategy: if self.config.enable_strategies {
@@ -277,6 +239,7 @@ impl HybridDispatcher {
             },
             compiled,
             certificates,
+            ..entry.plan.clone()
         }
     }
 
@@ -324,12 +287,7 @@ impl HybridDispatcher {
                     // zero-trip dispatch needs no certificate.
                     ResidualCheck::Injective { .. } if hi < lo => true,
                     ResidualCheck::Injective { array } => {
-                        // Long sections amortize thread spawn: the scan
-                        // marks per-chunk bitmaps and merges them at
-                        // chunk granularity.
-                        let long = hi.saturating_sub(lo) + 1 >= PARALLEL_INSPECT_THRESHOLD;
-                        let threads = if long { self.config.threads.max(1) } else { 1 };
-                        let certificate = certify_injective(store, *array, lo, hi, threads);
+                        let certificate = certify_injective(store, *array, lo, hi);
                         certificates.extend(certificate);
                         certificate.is_some()
                     }
@@ -462,21 +420,26 @@ impl LoopDispatcher for HybridDispatcher {
                 self.telemetry.inspections_retired += entry.retired;
                 let fault = if lo <= hi { self.decide_fault() } else { None };
                 let lie = fault == Some(FaultKind::LieInspector);
+                // A cached verdict comes with what its inspection
+                // certified: the certificates belong to the schedule
+                // key, not to the loop, so a hit on any live key of the
+                // loop commits under the scan that cleared that key.
                 let hit = if lie {
                     // The inspector "passes" a guard it never ran. The
                     // forged verdict is deliberately not cached: the
-                    // lie corrupts one dispatch, not the cache.
+                    // lie corrupts one dispatch, not the cache. It ran
+                    // no scan, so it carries no certificate either.
                     if let Some(plan) = self.fault.as_mut() {
                         plan.record_fired(FaultKind::LieInspector);
                     }
-                    Some(true)
+                    Some((true, Vec::new()))
                 } else if self.config.cache_schedules {
-                    match self.cache.probe(loop_stmt, &key) {
-                        CacheProbe::Hit(v) => {
+                    match self.cache.probe_certified(loop_stmt, &key) {
+                        (CacheProbe::Hit(v), certificates) => {
                             self.telemetry.cache_hits += 1;
-                            Some(v)
+                            Some((v, certificates))
                         }
-                        probe => {
+                        (probe, _) => {
                             if probe == CacheProbe::Stale {
                                 self.telemetry.cache_invalidations += 1;
                             }
@@ -487,17 +450,21 @@ impl LoopDispatcher for HybridDispatcher {
                     None
                 };
                 // A miss inspects, and the scan that clears the guard
-                // leaves the loop's certificates.
-                let parallel_ok = hit.unwrap_or_else(|| {
+                // leaves the key's certificates.
+                let (parallel_ok, certificates) = hit.unwrap_or_else(|| {
                     let inspected = self.inspect(store, guard, lo, hi);
                     let v = inspected.is_some();
+                    let certificates = inspected.unwrap_or_default();
                     if self.config.cache_schedules {
-                        self.cache.insert(loop_stmt, key.clone(), v);
+                        self.cache.insert_certified(
+                            loop_stmt,
+                            key.clone(),
+                            v,
+                            certificates.clone(),
+                        );
                         self.telemetry.cache_evictions = self.cache.evictions();
                     }
-                    self.certificates
-                        .insert(loop_stmt, inspected.unwrap_or_default());
-                    v
+                    (v, certificates)
                 });
                 if parallel_ok {
                     // Executor-level faults go live only on a dispatch
@@ -506,12 +473,6 @@ impl LoopDispatcher for HybridDispatcher {
                     let fault = self.arm_fault(if lie { None } else { fault });
                     self.telemetry.guarded_parallel += 1;
                     self.last_parallel = Some((loop_stmt, key));
-                    // A lie ran no scan, so it carries no certificate;
-                    // a cache hit carries the ones its inspection left.
-                    let certificates = match self.certificates.get(&loop_stmt) {
-                        Some(certificates) if !lie => certificates.clone(),
-                        _ => Vec::new(),
-                    };
                     LoopDecision::Parallel(self.plan_for(&entry, fault, certificates))
                 } else {
                     self.telemetry.guarded_sequential += 1;

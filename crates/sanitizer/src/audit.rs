@@ -332,10 +332,7 @@ pub fn audit_source(
 /// reductions.
 fn exonerated_vars(program: &irr_frontend::Program, v: &LoopVerdict) -> HashSet<VarId> {
     let mut set: HashSet<VarId> = v
-        .privatized_scalars
-        .iter()
-        .copied()
-        .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
+        .privatized_vars()
         .chain(v.reductions.iter().map(|(r, _)| *r))
         .collect();
     if let StmtKind::Do { var, .. } = &program.stmt(v.loop_stmt).kind {

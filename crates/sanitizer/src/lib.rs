@@ -17,10 +17,18 @@
 //!   pristine and randomized inputs is a **precision gap**.
 //!
 //! See [`shadow`] for the tracer and [`audit`] for the replay/cross-check
-//! logic. The `sanitizer-audit` binary runs the audit over the benchmark
-//! suite and the paper figures (the CI soundness gate).
+//! logic. The crate is also where every *other* cross-check of the
+//! repository is written, once: [`parity`] is the differential oracle
+//! (what "this run reproduced the sequential run" means, one real-number
+//! tolerance), and [`checks`] holds one function per property — shadow
+//! replay, seeded chaos, promotion gates, the degradation ladder, the
+//! compiled tier's exact replay — that the `sanitizer-audit` binary (the
+//! CI soundness gate) runs over its corpora and the integration suites
+//! assert on theirs.
 
 pub mod audit;
+pub mod checks;
+pub mod parity;
 pub mod shadow;
 
 pub use audit::{

@@ -1,44 +1,23 @@
-//! Degradation-monotonicity property: on every sparse kernel and every
-//! figure benchmark, each rung of the ladder is at least as
+//! Degradation-monotonicity property: on every sparse kernel, every
+//! benchmark and every figure, each rung of the ladder is at least as
 //! conservative as the one above it — a degraded verdict only ever
-//! moves toward Sequential, never from Sequential toward parallel.
-//! The sanitizer audit then replays the degraded reports to confirm
-//! the weaker verdicts are still dependence-clean (sound), not merely
-//! different.
+//! moves toward Sequential, never from Sequential toward parallel —
+//! and the degraded reports still replay dependence-clean; a starved
+//! analysis budget obeys the same rule.
 
 use irr_core::AnalysisBudget;
-use irr_sanitizer::{audit_report_seeded, AuditConfig, AuditMode};
+use irr_programs::sparse::{kernels, producer_kernels, SparseScale};
+use irr_programs::{paper_cases, Case, Scale};
+use irr_sanitizer::{checks, AuditConfig, AuditMode};
 use irr_service::{tier_rank, CompilationReport, DegradeLevel, DriverOptions};
 use irr_sparse::Structure;
 use std::collections::HashMap;
 
-struct Case {
-    name: String,
-    source: String,
-    /// `(array name, data)` presets for the audit interpreter.
-    presets: Vec<(&'static str, irr_exec::ArrayData)>,
-}
-
 fn cases() -> Vec<Case> {
-    let scale = irr_programs::sparse::SparseScale::test(Structure::Uniform, 0xdecaf);
-    let mut out: Vec<Case> = irr_programs::sparse::kernels(&scale)
-        .into_iter()
-        .chain(irr_programs::sparse::producer_kernels(&scale))
-        .map(|k| Case {
-            name: k.name.to_string(),
-            source: k.source,
-            presets: k.presets,
-        })
-        .collect();
-    out.extend(
-        irr_programs::all(irr_programs::Scale::Test)
-            .into_iter()
-            .map(|b| Case {
-                name: b.name.to_string(),
-                source: b.source,
-                presets: Vec::new(),
-            }),
-    );
+    let scale = SparseScale::test(Structure::Uniform, 0xdecaf);
+    let sparse = kernels(&scale).into_iter().chain(producer_kernels(&scale));
+    let mut out: Vec<Case> = sparse.map(|k| Case::from(&k)).collect();
+    out.extend(paper_cases(Scale::Test));
     out
 }
 
@@ -50,55 +29,35 @@ fn ranks(report: &CompilationReport) -> HashMap<String, u8> {
         .collect()
 }
 
-fn compile_rung(source: &str, level: DegradeLevel) -> CompilationReport {
-    let program = irr_frontend::parse_program(source).expect("case parses");
-    level.compile_at(program, DriverOptions::with_iaa(), None)
-}
-
+/// The check `sanitizer-audit`'s `ladder` sweep runs
+/// (`irr_sanitizer::checks::ladder`): each rung at least as
+/// conservative as the one above, the bottom rung claiming nothing,
+/// and every rung's report replaying dependence-clean under shadow
+/// tracing — the weaker verdicts are still sound, not merely different.
 #[test]
-fn every_rung_is_more_conservative_than_the_one_above() {
+fn every_rung_is_more_conservative_and_replays_dependence_clean() {
+    let config = AuditConfig {
+        inputs: 2,
+        mode: AuditMode::Soundness,
+        ..AuditConfig::default()
+    };
     for case in cases() {
-        let reports: Vec<(DegradeLevel, CompilationReport)> = DegradeLevel::ALL
-            .iter()
-            .map(|&l| (l, compile_rung(&case.source, l)))
-            .collect();
-        for pair in reports.windows(2) {
-            let (upper_level, upper) = &pair[0];
-            let (lower_level, lower) = &pair[1];
-            let upper = ranks(upper);
-            for (label, lower_rank) in ranks(lower) {
-                let Some(&upper_rank) = upper.get(&label) else {
-                    continue;
-                };
-                assert!(
-                    lower_rank <= upper_rank,
-                    "{}: {label} strengthened from rank {upper_rank} ({}) to \
-                     rank {lower_rank} ({})",
-                    case.name,
-                    upper_level.name(),
-                    lower_level.name(),
-                );
-            }
-        }
-        // The bottom rung trusts nothing.
-        let (_, parse_only) = &reports[3];
-        assert!(
-            parse_only.verdicts.iter().all(|v| !v.parallel),
-            "{}: parse-only emitted a parallel verdict",
-            case.name
-        );
+        let checked = checks::ladder(&case, &config);
+        assert!(checked.violations.is_empty(), "{}: {checked:#?}", case.name);
     }
 }
 
 #[test]
 fn starved_budgets_never_strengthen_a_verdict() {
     for case in cases() {
-        let full = ranks(&compile_rung(&case.source, DegradeLevel::Full));
+        let compile = |budget: Option<&AnalysisBudget>| {
+            let program = irr_frontend::parse_program(&case.source).expect("case parses");
+            DegradeLevel::Full.compile_at(program, DriverOptions::with_iaa(), budget)
+        };
+        let full = ranks(&compile(None));
         for fuel in [0, 64, 4096] {
-            let program = irr_frontend::parse_program(&case.source).unwrap();
             let budget = AnalysisBudget::limited(Some(fuel), None);
-            let starved =
-                DegradeLevel::Full.compile_at(program, DriverOptions::with_iaa(), Some(&budget));
+            let starved = compile(Some(&budget));
             for (label, rank) in ranks(&starved) {
                 let Some(&full_rank) = full.get(&label) else {
                     continue;
@@ -109,43 +68,6 @@ fn starved_budgets_never_strengthen_a_verdict() {
                     case.name
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn degraded_verdicts_replay_dependence_clean() {
-    let config = AuditConfig {
-        inputs: 2,
-        mode: AuditMode::Soundness,
-        ..AuditConfig::default()
-    };
-    for case in cases() {
-        for level in DegradeLevel::ALL {
-            let report = compile_rung(&case.source, level);
-            let presets: Vec<_> =
-                case.presets
-                    .iter()
-                    .map(|(name, data)| {
-                        let var =
-                            report.program.symbols.lookup(name).unwrap_or_else(|| {
-                                panic!("{}: preset `{name}` missing", case.name)
-                            });
-                        (var, data.clone())
-                    })
-                    .collect();
-            let audit = audit_report_seeded(&report, &config, &presets);
-            assert!(
-                audit.is_sound(),
-                "{} at {}: degraded verdict contradicted by replay: {:?}",
-                case.name,
-                level.name(),
-                audit
-                    .findings
-                    .iter()
-                    .map(|f| f.detail.clone())
-                    .collect::<Vec<_>>()
-            );
         }
     }
 }

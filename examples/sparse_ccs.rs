@@ -13,9 +13,10 @@
 
 use irr_repro::driver::DispatchTier;
 use irr_repro::driver::{compile_source, DriverOptions};
-use irr_repro::exec::Interp;
 use irr_repro::programs::sparse::{kernels, SparseScale};
+use irr_repro::programs::Case;
 use irr_repro::runtime::{run_hybrid_seeded, HybridConfig};
+use irr_repro::sanitizer::parity::{first_divergence, sequential, Reals};
 use irr_repro::sparse::Structure;
 
 fn main() {
@@ -66,22 +67,11 @@ fn main() {
         .find(|k| k.name == "colscale")
         .expect("colscale kernel");
     let rep = compile_source(&colscale.source, DriverOptions::with_iaa()).expect("parses");
-    let presets = colscale.resolve_presets(&rep.program);
-
-    let mut seq = Interp::new(&rep.program);
-    for (var, data) in &presets {
-        seq.preset_array(*var, data.clone());
-    }
-    let seq = seq.run().expect("sequential run");
-
+    let presets = Case::from(&colscale).resolve_presets(&rep.program);
+    let seq = sequential(&rep, &presets).expect("sequential run");
     let hybrid = run_hybrid_seeded(&rep, HybridConfig::default(), &presets).expect("hybrid run");
-    assert_eq!(seq.output, hybrid.outcome.output, "printed output parity");
-    let cval = rep.program.symbols.lookup("cval").unwrap();
-    assert_eq!(
-        seq.store.array_as_reals(cval),
-        hybrid.outcome.store.array_as_reals(cval),
-        "scaled values parity"
-    );
+    let diff = first_divergence(&rep, &seq, &hybrid.outcome, Reals::Exact);
+    assert_eq!(diff, None, "hybrid / sequential parity");
     let t = &hybrid.telemetry;
     assert!(t.guarded_parallel >= 1, "guard cleared: {t:?}");
     assert_eq!(t.guarded_sequential, 0, "no guard rejections: {t:?}");

@@ -13,12 +13,13 @@ use irr_driver::{
     compile_source, CompilationReport, DispatchTier, DriverOptions, InPlaceTarget, StrategyFacts,
     WriteShape,
 };
-use irr_exec::{FaultKind, FaultPlan, Interp, Store, TraceConfig, Value};
-use irr_programs::{all, named_sources, Scale};
+use irr_exec::{FaultKind, FaultPlan, Interp, Store, TraceConfig};
+use irr_programs::{paper_cases, Scale};
 use irr_runtime::{
     run_hybrid, run_hybrid_with_faults, HybridConfig, HybridDispatcher, HybridOutcome,
 };
-use irr_sanitizer::{audit_report, AuditConfig, AuditMode};
+use irr_sanitizer::parity::{dispatched, first_divergence, sequential, Reals};
+use irr_sanitizer::{audit_report, checks, AuditConfig, AuditMode};
 
 /// `p(i) = mod(i*3, n) + 1` is a permutation for `n = 8` — guarded at
 /// compile time, passes inspection at run time, so without injected
@@ -111,107 +112,14 @@ fn watchdog_config() -> HybridConfig {
 
 const STALL_MS: u64 = 150;
 
-/// Floating-point equality modulo reassociation: a parallel `Sum`
-/// reduction combines per-worker partials in a different association
-/// order than the sequential loop, which can move the last ulp. A
-/// tight relative tolerance accepts exactly that and still catches any
-/// genuine corruption (lost writes, wrong values, double-applied
-/// merges).
-fn reals_eq(a: f64, b: f64) -> bool {
-    a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
-}
-
-/// Asserts the chaos run is observably identical to the sequential run:
-/// printed output, every scalar and array of the final store, total
-/// statement cost, and per-loop invocation counts and costs. Integers,
-/// strings, and costs compare exactly; reals modulo reassociation.
-fn assert_sequential_parity(name: &str, rep: &CompilationReport, hybrid: &HybridOutcome) {
-    let seq = Interp::new(&rep.program).run().expect("sequential run");
-    assert_eq!(
-        hybrid.outcome.output.len(),
-        seq.output.len(),
-        "{name}: output length differs"
-    );
-    for (got, want) in hybrid.outcome.output.iter().zip(&seq.output) {
-        let close = match (got.parse::<f64>(), want.parse::<f64>()) {
-            (Ok(g), Ok(w)) => reals_eq(g, w),
-            _ => got == want,
-        };
-        assert!(close, "{name}: output differs: {got} vs {want}");
-    }
-    assert_store_eq(name, rep, &seq.store, &hybrid.outcome.store);
-    assert_eq!(
-        hybrid.outcome.stats.total_cost, seq.stats.total_cost,
-        "{name}: total cost differs"
-    );
-    for (stmt, seq_stats) in &seq.stats.loops {
-        let got = hybrid
-            .outcome
-            .stats
-            .loops
-            .get(stmt)
-            .unwrap_or_else(|| panic!("{name}: loop stats dropped for {stmt:?}"));
-        assert_eq!(got.invocations, seq_stats.invocations, "{name}: {stmt:?}");
-        assert_eq!(got.total_cost, seq_stats.total_cost, "{name}: {stmt:?}");
-    }
-}
-
-fn assert_store_eq(name: &str, rep: &CompilationReport, seq: &Store, got: &Store) {
-    // Privatized variables are per-worker scratch: the compiler only
-    // privatizes values that are dead after the loop, and the parallel
-    // merge excludes them even on success — their post-loop values are
-    // unobservable and legitimately differ between dispatch paths.
-    let privatized: std::collections::HashSet<irr_frontend::VarId> = rep
-        .verdicts
-        .iter()
-        .flat_map(|v| {
-            v.privatized_scalars
-                .iter()
-                .copied()
-                .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
-        })
-        .collect();
-    for (vid, info) in rep.program.symbols.iter() {
-        if privatized.contains(&vid) {
-            continue;
-        }
-        if info.is_array() {
-            match (seq.array_as_reals(vid), got.array_as_reals(vid)) {
-                (Some(want), Some(have)) => {
-                    assert_eq!(
-                        want.len(),
-                        have.len(),
-                        "{name}: array {} length differs",
-                        info.name
-                    );
-                    for (k, (w, h)) in want.iter().zip(&have).enumerate() {
-                        assert!(
-                            reals_eq(*w, *h),
-                            "{name}: array {}({}) differs: {w} vs {h}",
-                            info.name,
-                            k + 1
-                        );
-                    }
-                }
-                (want, have) => assert_eq!(
-                    want, have,
-                    "{name}: array {} materialization differs",
-                    info.name
-                ),
-            }
-        } else {
-            let (want, have) = (seq.scalar(vid), got.scalar(vid));
-            let close = match (want, have) {
-                (Value::Real(w), Value::Real(h)) => reals_eq(w, h),
-                _ => want == have,
-            };
-            assert!(
-                close,
-                "{name}: scalar {} differs: {want:?} vs {have:?}",
-                info.name
-            );
-        }
-    }
+/// Asserts the chaos run reproduced the sequential run, to the oracle:
+/// printed output, every scalar and array the verdicts do not
+/// privatize, total statement cost, per-loop invocations and costs;
+/// reals modulo reassociation.
+fn expect_parity(name: &str, rep: &CompilationReport, hybrid: &HybridOutcome) {
+    let seq = sequential(rep, &[]).expect("sequential run");
+    let diff = first_divergence(rep, &seq, &hybrid.outcome, Reals::Reassociated);
+    assert_eq!(diff, None, "{name}");
 }
 
 // ---- scripted faults: one test per failure class, exact attribution ----
@@ -225,7 +133,7 @@ fn forged_conflict_falls_back_and_quarantines() {
     let rep = compiled(GUARDED_SRC);
     let plan = FaultPlan::scripted([(1, FaultKind::ForgeConflict)]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-    assert_sequential_parity("forge", &rep, &hybrid);
+    expect_parity("forge", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.fallback_conflict, 1, "{t:?}");
     assert_eq!(t.fallbacks(), 1, "{t:?}");
@@ -260,7 +168,7 @@ fn worker_panic_falls_back_with_attribution() {
     for worker in MASTER_AND_POOLED_CHUNK {
         let plan = FaultPlan::scripted([(1, FaultKind::PanicWorker { worker })]);
         let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-        assert_sequential_parity("panic", &rep, &hybrid);
+        expect_parity("panic", &rep, &hybrid);
         let t = hybrid.telemetry;
         assert_eq!(t.fallback_panic, 1, "chunk {worker}: {t:?}");
         assert_eq!(t.fallbacks(), 1, "chunk {worker}: {t:?}");
@@ -281,7 +189,7 @@ fn stalled_worker_times_out_and_falls_back() {
             },
         )]);
         let (hybrid, plan) = run_hybrid_with_faults(&rep, watchdog_config(), plan).unwrap();
-        assert_sequential_parity("stall", &rep, &hybrid);
+        expect_parity("stall", &rep, &hybrid);
         let t = hybrid.telemetry;
         assert_eq!(t.fallback_timeout, 1, "chunk {worker}: {t:?}");
         assert_eq!(t.fallbacks(), 1, "chunk {worker}: {t:?}");
@@ -306,7 +214,7 @@ fn stall_without_watchdog_only_delays() {
         ..HybridConfig::default()
     };
     let (hybrid, _) = run_hybrid_with_faults(&rep, config, plan).unwrap();
-    assert_sequential_parity("stall-no-watchdog", &rep, &hybrid);
+    expect_parity("stall-no-watchdog", &rep, &hybrid);
     assert_eq!(hybrid.telemetry.fallbacks(), 0, "{:?}", hybrid.telemetry);
 }
 
@@ -323,7 +231,7 @@ fn inspector_lie_is_caught_by_the_merge() {
 
     let plan = FaultPlan::scripted([(1, FaultKind::LieInspector)]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-    assert_sequential_parity("lie", &rep, &hybrid);
+    expect_parity("lie", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.guarded_parallel, 1, "the lie dispatched parallel: {t:?}");
     assert_eq!(t.fallback_conflict, 1, "{t:?}");
@@ -345,7 +253,7 @@ fn lie_inspector_under_in_place_strategies_attributes_exactly() {
     let rep = compiled(COLLIDING_SRC);
     let plan = FaultPlan::scripted([(1, FaultKind::LieInspector)]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-    assert_sequential_parity("lie-under-strategies", &rep, &hybrid);
+    expect_parity("lie-under-strategies", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.guarded_parallel, 1, "{t:?}");
     assert_eq!(t.fallback_conflict, 1, "{t:?}");
@@ -427,7 +335,7 @@ fn forged_disjointness_facts_are_refused_by_the_executor() {
         v.strategy_facts = in_place_facts(x, WriteShape::Affine { off: 0 });
     }
     let hybrid = run_hybrid(&rep, chaos_config()).unwrap();
-    assert_sequential_parity("forged-facts", &rep, &hybrid);
+    expect_parity("forged-facts", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.compile_time_parallel, 2, "{t:?}");
     assert_eq!(
@@ -492,7 +400,7 @@ fn forged_shape_facts_are_refused_by_the_executor() {
             },
         );
         let hybrid = run_hybrid(&rep, chaos_config()).unwrap();
-        assert_sequential_parity(shape, &rep, &hybrid);
+        expect_parity(shape, &rep, &hybrid);
         let t = hybrid.telemetry;
         assert_eq!(t.compile_time_parallel, 2, "{shape}: {t:?}");
         assert_eq!(t.fallback_conflict, 1, "{shape}: {t:?}");
@@ -563,21 +471,17 @@ fn a_stale_certificate_is_never_written_through() {
         "the init loop and all three entries: {t:?}"
     );
     assert_eq!(t.fallbacks(), 0, "{t:?}");
-    let mut seq = Interp::new(&rep.program);
-    seq.preset_array(p, presets[0].1.clone());
-    let seq = seq.run().unwrap();
-    assert_eq!(hybrid.outcome.output, seq.output);
-    assert_store_eq("mutated-sweep", &rep, &seq.store, &hybrid.outcome.store);
+    let seq = sequential(&rep, &presets).unwrap();
+    let diff = first_divergence(&rep, &seq, &hybrid.outcome, Reals::Exact);
+    assert_eq!(diff, None, "mutated-sweep");
     // A lie runs no scan and so carries no certificate, even into a
     // loop whose earlier, honest inspections left some: at the lied
     // site the same scatter runs — correctly, `p` being a permutation —
     // under the write-log.
     let mut d = HybridDispatcher::new(&rep, chaos_config());
     d.set_fault_plan(FaultPlan::scripted([(2, FaultKind::LieInspector)]));
-    let mut it = Interp::new(&rep.program);
-    it.preset_array(p, presets[0].1.clone());
-    let lied = it.run_dispatched(&mut d).unwrap();
-    assert_eq!(lied.output, seq.output);
+    let lied = dispatched(&rep, &presets, &mut d).unwrap();
+    assert_eq!(first_divergence(&rep, &seq, &lied, Reals::Exact), None);
     let t = &d.telemetry;
     assert_eq!((t.strategy_in_place, t.strategy_write_log), (3, 1), "{t:?}");
     assert_eq!(t.fallbacks(), 0, "{t:?}");
@@ -643,7 +547,7 @@ fn a_failed_read_modify_write_dispatch_leaves_no_trace() {
     for kind in faults {
         let plan = FaultPlan::scripted([(site, kind)]);
         let (hybrid, plan) = run_hybrid_with_faults(&rep, watchdog_config(), plan).unwrap();
-        assert_sequential_parity(kind.name(), &rep, &hybrid);
+        expect_parity(kind.name(), &rep, &hybrid);
         assert_eq!(
             bits(&hybrid.outcome.store),
             bits(&seq.store),
@@ -715,7 +619,7 @@ fn an_inspector_lie_about_segments_is_caught_by_the_windows() {
     let site = honest.telemetry.parallel_dispatches();
     let plan = FaultPlan::scripted([(site, FaultKind::LieInspector)]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, config, plan).unwrap();
-    assert_sequential_parity("segment-lie", &rep, &hybrid);
+    expect_parity("segment-lie", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.guarded_parallel, 1, "{t:?}");
     assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
@@ -771,7 +675,7 @@ fn a_chunk_that_branched_beside_a_violation_leaves_no_stray_write() {
     let site = honest.telemetry.parallel_dispatches();
     let plan = FaultPlan::scripted([(site, FaultKind::LieInspector)]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, config, plan).unwrap();
-    assert_sequential_parity("segment-lie-branch", &rep, &hybrid);
+    expect_parity("segment-lie-branch", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.guarded_parallel, 1, "{t:?}");
     assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
@@ -800,7 +704,7 @@ fn compile_time_parallel_dispatch_also_recovers() {
         (1, FaultKind::PanicWorker { worker: 2 }),
     ]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-    assert_sequential_parity("ct-parallel", &rep, &hybrid);
+    expect_parity("ct-parallel", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.fallback_conflict, 1, "{t:?}");
     assert_eq!(t.fallback_panic, 1, "{t:?}");
@@ -835,7 +739,7 @@ fn zero_trip_dispatch_consumes_no_fault_site() {
     // scripted fault must stay idle.
     let plan = FaultPlan::scripted([(1, FaultKind::ForgeConflict)]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-    assert_sequential_parity("zero-trip", &rep, &hybrid);
+    expect_parity("zero-trip", &rep, &hybrid);
     assert_eq!(hybrid.telemetry.fallbacks(), 0, "{:?}", hybrid.telemetry);
     assert_eq!(
         plan.sites(),
@@ -876,7 +780,7 @@ fn single_iteration_loop_survives_every_fault_class() {
     for kind in faults {
         let plan = FaultPlan::scripted([(1, kind)]);
         let (hybrid, plan) = run_hybrid_with_faults(&rep, watchdog_config(), plan).unwrap();
-        assert_sequential_parity(kind.name(), &rep, &hybrid);
+        expect_parity(kind.name(), &rep, &hybrid);
         assert_eq!(
             hybrid.telemetry.fallbacks(),
             1,
@@ -902,7 +806,7 @@ fn nested_fallback_quarantines_then_retries_after_budget() {
     };
     let plan = FaultPlan::scripted([(2, FaultKind::ForgeConflict)]);
     let (hybrid, plan) = run_hybrid_with_faults(&rep, config, plan).unwrap();
-    assert_sequential_parity("nested", &rep, &hybrid);
+    expect_parity("nested", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.fallback_conflict, 1, "{t:?}");
     assert_eq!(t.quarantine_poisonings, 1, "{t:?}");
@@ -924,7 +828,7 @@ fn a_worker_panic_leaves_the_pool_serving_later_dispatches() {
     for worker in MASTER_AND_POOLED_CHUNK {
         let plan = FaultPlan::scripted([(2, FaultKind::PanicWorker { worker })]);
         let (hybrid, _) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
-        assert_sequential_parity("panic-then-reuse", &rep, &hybrid);
+        expect_parity("panic-then-reuse", &rep, &hybrid);
         let t = hybrid.telemetry;
         assert_eq!(t.fallback_panic, 1, "chunk {worker}: {t:?}");
         assert_eq!(t.quarantined, 2, "chunk {worker}: {t:?}");
@@ -946,7 +850,7 @@ fn zero_retry_budget_drops_the_schedule_immediately() {
     };
     let plan = FaultPlan::scripted([(2, FaultKind::ForgeConflict)]);
     let (hybrid, _) = run_hybrid_with_faults(&rep, config, plan).unwrap();
-    assert_sequential_parity("zero-budget", &rep, &hybrid);
+    expect_parity("zero-budget", &rep, &hybrid);
     let t = hybrid.telemetry;
     assert_eq!(t.quarantined, 0, "{t:?}");
     assert_eq!(t.guarded_parallel, 5, "every entry dispatches: {t:?}");
@@ -1017,50 +921,21 @@ fn fallback_under_tracer_records_the_sequential_re_execution() {
 
 // ---- randomized sweep over the benchmark suite and paper figures ----
 
+/// The check `sanitizer-audit` runs on the same programs at CI's seed
+/// (`irr_sanitizer::checks::chaos`: parity to the oracle under every
+/// schedule, every fired fault attributed under its reason code), here
+/// under three other schedules a program.
 #[test]
 fn randomized_chaos_sweep_preserves_sequential_semantics() {
-    let targets = named_sources(Scale::Test);
-    let config = HybridConfig {
-        quarantine_retries: 1,
-        ..watchdog_config()
+    let config = AuditConfig {
+        seed: 1,
+        inputs: 3,
+        mode: AuditMode::Soundness,
     };
-    for (name, src) in &targets {
-        let rep = compiled(src);
-        for seed in 1..=3u64 {
-            // 40% of dispatch sites draw a fault; stalls sleep past the
-            // watchdog deadline.
-            let plan = FaultPlan::randomized(seed, 400, STALL_MS);
-            let (hybrid, plan) = run_hybrid_with_faults(&rep, config, plan).unwrap();
-            let label = format!("{name} seed {seed}");
-            assert_sequential_parity(&label, &rep, &hybrid);
-            let t = hybrid.telemetry;
-            // Attribution: every fired fault of a deterministic class
-            // shows up under its reason code. Only an inspector lie may
-            // produce no fallback (when the schedule happened to be
-            // conflict-free anyway).
-            let forged = plan.fired_count("forge-conflict") as u64;
-            let lied = plan.fired_count("lie-inspector") as u64;
-            assert_eq!(
-                t.fallback_panic,
-                plan.fired_count("panic-worker") as u64,
-                "{label}: {t:?}"
-            );
-            // `>=`, not `==`: with the watchdog armed, an honest worker
-            // the OS deschedules past the deadline under load is a
-            // legitimate extra timeout fallback (still sequential-exact).
-            assert!(
-                t.fallback_timeout >= plan.fired_count("stall-worker") as u64,
-                "{label}: {t:?}"
-            );
-            assert!(
-                t.fallback_conflict >= forged && t.fallback_conflict <= forged + lied,
-                "{label}: conflicts {} outside [{}, {}]: {t:?}",
-                t.fallback_conflict,
-                forged,
-                forged + lied
-            );
-            assert_eq!(t.fallback_shape, 0, "{label}: {t:?}");
-        }
+    for case in paper_cases(Scale::Test) {
+        let checked = checks::chaos(&case, &config);
+        assert!(checked.violations.is_empty(), "{}: {checked:#?}", case.name);
+        assert!(checked.summary.contains("3 schedule(s)"), "{checked:?}");
     }
 }
 
@@ -1082,16 +957,15 @@ fn same_seed_replays_identical_fault_schedule() {
 fn sanitizer_audit_stays_clean_on_chaos_targets() {
     // The dependence sanitizer audits the *sequential* semantics every
     // fallback must reproduce. It must stay clean on exactly the
-    // programs the chaos sweep replays — this is the same invariant
-    // `sanitizer-audit --chaos` gates in CI.
+    // programs the chaos sweep replays — the other check of the `paper`
+    // sweep `sanitizer-audit` gates in CI.
     let config = AuditConfig {
         seed: 42,
         inputs: 2,
         mode: AuditMode::Soundness,
     };
-    for b in all(Scale::Test) {
-        let rep = compiled(&b.source);
-        let audit = audit_report(&rep, &config);
-        assert_eq!(audit.violations(), 0, "{}: {:?}", b.name, audit.findings);
+    for case in paper_cases(Scale::Test) {
+        let checked = checks::replay(&case, &config);
+        assert!(checked.violations.is_empty(), "{}: {checked:#?}", case.name);
     }
 }

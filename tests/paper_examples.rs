@@ -2,24 +2,10 @@
 //! thread-level verification that the benchmark kernels' irregular
 //! loops really are parallel.
 
-use irr_driver::{compile_source, DriverOptions, PhaseOrder, ReductionOp};
-use irr_exec::{run_loop_parallel, Interp, ParallelPlan, ReduceOp};
-use irr_frontend::VarId;
-
-fn map_reductions(rs: &[(VarId, ReductionOp)]) -> Vec<(VarId, ReduceOp)> {
-    rs.iter()
-        .filter_map(|(v, op)| {
-            let op = match op {
-                ReductionOp::Sum => ReduceOp::Sum,
-                ReductionOp::Min => ReduceOp::Min,
-                ReductionOp::Max => ReduceOp::Max,
-                ReductionOp::Product => return None,
-            };
-            Some((*v, op))
-        })
-        .collect()
-}
+use irr_driver::{compile_source, DriverOptions, PhaseOrder};
+use irr_exec::{run_loop_parallel, Interp, ParallelPlan};
 use irr_programs::{all, Scale};
+use irr_sanitizer::parity::{store_divergence, Reals};
 
 /// Fig. 1(b): the array stack. The outer loop parallelizes via the
 /// STACK evidence.
@@ -168,32 +154,16 @@ fn benchmark_irregular_loops_execute_in_parallel() {
         let v = rep.verdict(label).unwrap();
         let plan = ParallelPlan {
             threads: 3,
-            privatized: v
-                .privatized_scalars
-                .iter()
-                .copied()
-                .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
-                .collect(),
-            reductions: map_reductions(&v.reductions),
-            ..ParallelPlan::default()
+            ..ParallelPlan::for_verdict(v)
         };
         let par = match run_loop_parallel(&rep.program, v.loop_stmt, &plan) {
             Ok(st) => st,
             Err(e) => panic!("{}: {label}: {e}", b.name),
         };
-        // Every non-privatized array must match exactly.
-        for (vid, info) in rep.program.symbols.iter() {
-            if !info.is_array() || plan.privatized.contains(&vid) {
-                continue;
-            }
-            assert_eq!(
-                seq.store.array_as_reals(vid),
-                par.array_as_reals(vid),
-                "{}: array {} differs after parallel {label}",
-                b.name,
-                info.name
-            );
-        }
+        // Everything the loop does not privatize must match.
+        let exempt = v.privatized_vars().collect();
+        let diff = store_divergence(&rep.program, &exempt, &seq.store, &par, Reals::Exact);
+        assert_eq!(diff, None, "{}: after parallel {label}", b.name);
     }
 }
 

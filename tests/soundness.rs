@@ -16,27 +16,10 @@
 //! reductions. Cases are drawn from an in-tree [`SplitMix64`] stream so
 //! the suite is reproducible without a property-testing framework.
 
-use irr_driver::{compile_source, DriverOptions, ReductionOp};
-use irr_exec::{run_loop_parallel, Interp, ParallelPlan, ReduceOp, SplitMix64, Value};
-use irr_frontend::VarId;
-
-/// Maps the driver's recognized reduction operators onto the executor's
-/// merge operators (products are not chunk-mergeable; none are generated
-/// here).
-fn map_reductions(rs: &[(VarId, ReductionOp)]) -> Vec<(VarId, ReduceOp)> {
-    rs.iter()
-        .filter_map(|(v, op)| {
-            let op = match op {
-                ReductionOp::Sum => ReduceOp::Sum,
-                ReductionOp::Min => ReduceOp::Min,
-                ReductionOp::Max => ReduceOp::Max,
-                ReductionOp::Product => return None,
-            };
-            Some((*v, op))
-        })
-        .collect()
-}
+use irr_driver::{compile_source, DriverOptions};
+use irr_exec::{run_loop_parallel, Interp, ParallelPlan, SplitMix64};
 use irr_frontend::StmtKind;
+use irr_sanitizer::parity::{store_divergence, Reals};
 
 /// One candidate loop-body shape for the generated outer loop.
 #[derive(Clone, Copy, Debug)]
@@ -174,45 +157,18 @@ fn parallel_verdicts_are_sound() {
             }
             let plan = ParallelPlan {
                 threads,
-                privatized: v
-                    .privatized_scalars
-                    .iter()
-                    .copied()
-                    .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
-                    .collect(),
-                reductions: map_reductions(&v.reductions),
-                ..ParallelPlan::default()
+                ..ParallelPlan::for_verdict(v)
             };
             let par = run_loop_parallel(&rep.program, v.loop_stmt, &plan)
                 .unwrap_or_else(|e| panic!("{}: {e}\n{src}", v.label));
-            // Compare non-privatized state. Reductions compare with a
-            // floating-point tolerance (chunked summation reassociates).
-            for (vid, info) in rep.program.symbols.iter() {
-                if plan.privatized.contains(&vid) {
-                    continue;
-                }
-                if info.is_array() {
-                    let a = seq.store.array_as_reals(vid);
-                    let b = par.array_as_reals(vid);
-                    assert_eq!(a, b, "array {} differs\n{}", info.name, src);
-                } else if plan.reductions.iter().any(|(r, _)| *r == vid) {
-                    let (x, y) = (seq.store.scalar(vid).as_real(), par.scalar(vid).as_real());
-                    assert!(
-                        (x - y).abs() <= 1e-9 * (1.0 + x.abs()),
-                        "reduction {} differs: {x} vs {y}",
-                        info.name
-                    );
-                } else {
-                    // The loop variable's final value is restored by the
-                    // executor; everything else must match exactly.
-                    let (x, y) = (seq.store.scalar(vid), par.scalar(vid));
-                    let same = match (x, y) {
-                        (Value::Int(p), Value::Int(r)) => p == r,
-                        (p, r) => p.as_real() == r.as_real(),
-                    };
-                    assert!(same, "scalar {} differs: {x:?} vs {y:?}\n{src}", info.name);
-                }
-            }
+            // Compare the state this loop does not privatize, reals
+            // modulo reassociation (chunked summation reassociates).
+            // The loop variable's final value is restored by the
+            // executor.
+            let exempt = v.privatized_vars().collect();
+            let diff =
+                store_divergence(&rep.program, &exempt, &seq.store, &par, Reals::Reassociated);
+            assert_eq!(diff, None, "{}\n{src}", v.label);
         }
     }
 }

@@ -2,12 +2,15 @@
 //! parity, and edge matrices for every generated kernel.
 
 use irr_repro::driver::{compile_source, CompilationReport, DispatchTier, DriverOptions};
-use irr_repro::exec::{ExecOutcome, Interp};
+use irr_repro::exec::Interp;
 use irr_repro::programs::sparse::{
     interproc_kernels, kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale,
     STRUCTURES,
 };
+use irr_repro::programs::Case;
 use irr_repro::runtime::{run_hybrid_seeded, HybridConfig, HybridOutcome};
+use irr_repro::sanitizer::parity::{first_divergence, sequential, Reals};
+use irr_repro::sanitizer::{checks, AuditConfig};
 use irr_repro::sparse::Structure;
 
 fn compile_kernel(k: &SparseProgram) -> CompilationReport {
@@ -15,65 +18,35 @@ fn compile_kernel(k: &SparseProgram) -> CompilationReport {
         .unwrap_or_else(|e| panic!("{}: parse error: {e}", k.name))
 }
 
-fn run_sequential(k: &SparseProgram, rep: &CompilationReport) -> ExecOutcome {
-    let mut it = Interp::new(&rep.program);
-    for (var, data) in k.resolve_presets(&rep.program) {
-        it.preset_array(var, data);
-    }
-    it.run()
-        .unwrap_or_else(|e| panic!("{}: sequential run: {e}", k.name))
-}
-
-fn run_hybrid_config(
+/// Runs `k` under each of `configs` and asserts every run reproduced
+/// the sequential interpreter exactly, to the oracle (output, every
+/// non-privatized variable, costs and loop statistics; no tolerance:
+/// no kernel merges a real reduction). Returns the hybrid outcomes.
+fn expect_parity<const N: usize>(
     k: &SparseProgram,
     rep: &CompilationReport,
-    config: HybridConfig,
-) -> HybridOutcome {
-    run_hybrid_seeded(rep, config, &k.resolve_presets(&rep.program))
-        .unwrap_or_else(|e| panic!("{}: hybrid run: {e}", k.name))
+    configs: [HybridConfig; N],
+) -> [HybridOutcome; N] {
+    let presets = Case::from(k).resolve_presets(&rep.program);
+    let seq =
+        sequential(rep, &presets).unwrap_or_else(|e| panic!("{}: sequential run: {e}", k.name));
+    configs.map(|config| {
+        let out = run_hybrid_seeded(rep, config, &presets)
+            .unwrap_or_else(|e| panic!("{}: hybrid run: {e}", k.name));
+        let diff = first_divergence(rep, &seq, &out.outcome, Reals::Exact);
+        assert_eq!(diff, None, "{} under {config:?}", k.name);
+        out
+    })
 }
 
-/// Asserts `got` and `want` agree on printed output and on every
-/// non-privatized variable in the final store.
-fn assert_parity(
-    k: &SparseProgram,
-    rep: &CompilationReport,
-    got: &ExecOutcome,
-    want: &ExecOutcome,
-) {
-    assert_eq!(got.output, want.output, "{}: printed output", k.name);
-    let privatized: std::collections::HashSet<_> = rep
-        .verdicts
-        .iter()
-        .flat_map(|v| {
-            v.privatized_scalars
-                .iter()
-                .copied()
-                .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
-        })
-        .collect();
-    for (vid, info) in rep.program.symbols.iter() {
-        if privatized.contains(&vid) {
-            continue;
-        }
-        if info.is_array() {
-            assert_eq!(
-                got.store.array_as_reals(vid),
-                want.store.array_as_reals(vid),
-                "{}: array {}",
-                k.name,
-                info.name
-            );
-        } else {
-            assert_eq!(
-                got.store.scalar(vid),
-                want.store.scalar(vid),
-                "{}: scalar {}",
-                k.name,
-                info.name
-            );
-        }
-    }
+/// Strategies on (the default), and every dispatch through the
+/// write-log.
+fn strategies_on_and_off() -> [HybridConfig; 2] {
+    let off = HybridConfig {
+        enable_strategies: false,
+        ..HybridConfig::default()
+    };
+    [HybridConfig::default(), off]
 }
 
 /// Every kernel's main loop lands on its expected dispatch tier with
@@ -120,18 +93,7 @@ fn verdicts_are_stable() {
 fn three_way_parity_for_every_kernel() {
     for k in kernels(&SparseScale::test(Structure::Uniform, 7)) {
         let rep = compile_kernel(&k);
-        let seq = run_sequential(&k, &rep);
-        let on = run_hybrid_config(&k, &rep, HybridConfig::default());
-        let off = run_hybrid_config(
-            &k,
-            &rep,
-            HybridConfig {
-                enable_strategies: false,
-                ..HybridConfig::default()
-            },
-        );
-        assert_parity(&k, &rep, &on.outcome, &seq);
-        assert_parity(&k, &rep, &off.outcome, &seq);
+        let [on, off] = expect_parity(&k, &rep, strategies_on_and_off());
         assert_eq!(
             on.telemetry.fallbacks(),
             0,
@@ -155,7 +117,7 @@ fn three_way_parity_for_every_kernel() {
 fn dispatch_telemetry_matches_the_tier_map() {
     for k in kernels(&SparseScale::test(Structure::Uniform, 21)) {
         let rep = compile_kernel(&k);
-        let out = run_hybrid_config(&k, &rep, HybridConfig::default());
+        let [out] = expect_parity(&k, &rep, [HybridConfig::default()]);
         let t = &out.telemetry;
         match k.expected_tier {
             ExpectedTier::CompileTimeParallel => {
@@ -189,16 +151,13 @@ fn dispatch_telemetry_matches_the_tier_map() {
 }
 
 /// The runtime inspectors survive 10M-nonzero index arrays: the
-/// offset–length scan over a 10M-element prefix-sum chain, the chunked
-/// parallel bitmap injectivity inspector over a 10M permutation (dense
-/// range), and the sparse-set fallback over 10M widely-scattered
-/// values. Inspectors are called directly on a preset store — no
+/// offset–length scan over a 10M-element prefix-sum chain, the bitmap
+/// injectivity scan over a 10M permutation (dense range), and its
+/// sorting fallback over 10M widely-scattered values. Inspectors are called directly on a preset store — no
 /// interpreted initialization loops — so the test stays fast.
 #[test]
 fn inspectors_survive_ten_million_nonzeros() {
-    use irr_repro::exec::{
-        inspect_injective, inspect_injective_parallel, inspect_offset_length, Inspection,
-    };
+    use irr_repro::exec::{inspect_injective, inspect_offset_length, Inspection};
     use irr_repro::frontend::parse_program;
     use irr_repro::sparse::{generate, int_array, random_permutation, MatrixSpec};
 
@@ -228,7 +187,7 @@ fn inspectors_survive_ten_million_nonzeros() {
     it.preset_array(len, int_array(&m.len));
     it.preset_array(perm, int_array(&random_permutation(NNZ, 7)));
     // Widely-scattered distinct values: range ~1000x the section, so
-    // the parallel inspector takes the sparse-set path.
+    // the inspector sorts instead of marking a bitmap.
     let scattered: Vec<i64> = (1..=NNZ as i64).map(|k| k * 1009).collect();
     it.preset_array(wide, int_array(&scattered));
     let store = it.run().unwrap().store;
@@ -238,11 +197,11 @@ fn inspectors_survive_ten_million_nonzeros() {
         Inspection::ParallelOk
     );
     assert_eq!(
-        inspect_injective_parallel(&store, perm, 1, NNZ as i64, 8),
+        inspect_injective(&store, perm, 1, NNZ as i64),
         Inspection::ParallelOk
     );
     assert_eq!(
-        inspect_injective_parallel(&store, wide, 1, NNZ as i64, 8),
+        inspect_injective(&store, wide, 1, NNZ as i64),
         Inspection::ParallelOk
     );
     // A single duplicate at the far end must still be caught.
@@ -252,10 +211,6 @@ fn inspectors_survive_ten_million_nonzeros() {
     it2.preset_array(perm, int_array(&broken));
     let store2 = it2.run().unwrap().store;
     assert_eq!(
-        inspect_injective_parallel(&store2, perm, 1, NNZ as i64, 8),
-        Inspection::Sequential
-    );
-    assert_eq!(
         inspect_injective(&store2, perm, 1, NNZ as i64),
         Inspection::Sequential
     );
@@ -264,48 +219,37 @@ fn inspectors_survive_ten_million_nonzeros() {
 /// Every producer kernel's consumer loop promotes to compile-time
 /// parallel with at least one retired residual check, for all three
 /// matrix structures — the value-evolution analysis proves the
-/// in-program offset–length chains and the reversal-fill injectivity.
+/// in-program offset–length chains and the reversal-fill injectivity —
+/// and so do their call-structured forms, through the interprocedural
+/// summaries: the gate `sanitizer-audit`'s `evolution` and `interproc`
+/// sweeps apply (`checks::promotion`, `checks::interproc_promotion`),
+/// five of five per structure.
 #[test]
 fn producer_kernels_promote_across_structures() {
+    type Family = fn(&SparseScale) -> Vec<SparseProgram>;
+    let gates: [(Family, checks::Check); 2] = [
+        (producer_kernels, checks::promotion),
+        (interproc_kernels, checks::interproc_promotion),
+    ];
     for structure in STRUCTURES {
-        let mut promoted = 0;
         let scale = SparseScale::test(structure, 42);
-        // ... and their call-structured forms, which promote through
-        // the interprocedural summaries.
-        for k in producer_kernels(&scale)
-            .into_iter()
-            .chain(interproc_kernels(&scale))
-        {
-            let rep = compile_kernel(&k);
-            let v = rep
-                .verdict(&k.label)
-                .unwrap_or_else(|| panic!("{}: no verdict for {}", k.name, k.label));
-            assert!(
-                matches!(v.tier, DispatchTier::CompileTimeParallel),
-                "{} ({}): expected promotion, got {:?} (blockers: {:?})",
-                k.name,
-                structure.tag(),
-                v.tier,
-                v.blockers
-            );
-            assert!(
-                !v.retired_checks.is_empty(),
-                "{} ({}): promoted but no retired checks — the tier is not owed to evolution",
-                k.name,
-                structure.tag()
-            );
-            // The segment walks commit in place with no inspection at
-            // all; the scatter has no certificate to commit under (the
-            // analysis retired the scan that would issue one) and
-            // keeps the write-log.
-            assert_eq!(
-                v.strategy_facts.name(),
-                k.expected_facts,
-                "{} ({}): strategy facts",
-                k.name,
-                structure.tag()
-            );
-            promoted += 1;
+        let mut promoted = 0;
+        for (family, gate) in gates {
+            for k in family(&scale) {
+                let what = format!("{} ({})", k.name, structure.tag());
+                let checked = gate(&Case::from(&k), &AuditConfig::default());
+                assert!(checked.violations.is_empty(), "{what}: {checked:#?}");
+                // The promoted loop is the kernel's main loop. The
+                // segment walks commit in place with no inspection at
+                // all; the scatter has no certificate to commit under
+                // (the analysis retired the scan that would issue one)
+                // and keeps the write-log.
+                let rep = compile_kernel(&k);
+                let v = rep.verdict(&k.label).expect("the main loop has a verdict");
+                assert!(!v.retired_checks.is_empty(), "{what}: {v:?}");
+                assert_eq!(v.strategy_facts.name(), k.expected_facts, "{what}");
+                promoted += 1;
+            }
         }
         assert_eq!(promoted, 5, "{}", structure.tag());
     }
@@ -320,18 +264,7 @@ fn producer_kernels_promote_across_structures() {
 fn producer_kernels_keep_parity_and_retire_inspections() {
     for k in producer_kernels(&SparseScale::test(Structure::Uniform, 7)) {
         let rep = compile_kernel(&k);
-        let seq = run_sequential(&k, &rep);
-        let on = run_hybrid_config(&k, &rep, HybridConfig::default());
-        let off = run_hybrid_config(
-            &k,
-            &rep,
-            HybridConfig {
-                enable_strategies: false,
-                ..HybridConfig::default()
-            },
-        );
-        assert_parity(&k, &rep, &on.outcome, &seq);
-        assert_parity(&k, &rep, &off.outcome, &seq);
+        let [on, _] = expect_parity(&k, &rep, strategies_on_and_off());
         let t = &on.telemetry;
         assert_eq!(t.fallbacks(), 0, "{}: {t:?}", k.name);
         assert!(t.promoted_by_evolution >= 1, "{}: {t:?}", k.name);
@@ -340,33 +273,26 @@ fn producer_kernels_keep_parity_and_retire_inspections() {
     }
 }
 
-/// Satellite check for the sanitizer: the shadow tracer replays every
-/// evolution-retired check against the live store at each promoted
-/// loop entry. A promotion the tracer contradicts is a soundness bug,
-/// so a clean audit across structures is the ground truth that the
-/// compile-time proofs match the data the inspectors used to see.
+/// The shadow tracer replays every evolution-retired check against the
+/// live store at each promoted loop entry. A promotion the tracer
+/// contradicts is a soundness bug, so a clean replay across structures
+/// (`checks::replay`, the second check of `sanitizer-audit`'s
+/// `evolution` sweep) is the ground truth that the compile-time proofs
+/// match the data the inspectors used to see.
 #[test]
 fn sanitizer_confirms_every_promotion() {
-    use irr_repro::sanitizer::{audit_report_seeded, AuditConfig};
+    let config = AuditConfig {
+        inputs: 2,
+        ..AuditConfig::default()
+    };
     for structure in STRUCTURES {
         for k in producer_kernels(&SparseScale::test(structure, 13)) {
-            let rep = compile_kernel(&k);
-            let audit = audit_report_seeded(
-                &rep,
-                &AuditConfig {
-                    inputs: 2,
-                    ..AuditConfig::default()
-                },
-                &k.resolve_presets(&rep.program),
-            );
-            assert_eq!(audit.runs_failed, 0, "{}: {:?}", k.name, audit.findings);
-            assert_eq!(
-                audit.violations(),
-                0,
-                "{} ({}): evolution promotion contradicted: {:?}",
+            let checked = checks::replay(&Case::from(&k), &config);
+            assert!(
+                checked.violations.is_empty(),
+                "{} ({}): evolution promotion contradicted: {checked:#?}",
                 k.name,
-                structure.tag(),
-                audit.findings
+                structure.tag()
             );
         }
     }
@@ -407,9 +333,7 @@ fn producer_kernels_keep_promotion_at_edge_scales() {
                 v.tier,
                 v.blockers
             );
-            let seq = run_sequential(&k, &rep);
-            let on = run_hybrid_config(&k, &rep, HybridConfig::default());
-            assert_parity(&k, &rep, &on.outcome, &seq);
+            expect_parity(&k, &rep, [HybridConfig::default()]);
         }
     }
 }
@@ -435,9 +359,7 @@ fn edge_matrices_keep_parity() {
     ] {
         for k in kernels(&scale) {
             let rep = compile_kernel(&k);
-            let seq = run_sequential(&k, &rep);
-            let on = run_hybrid_config(&k, &rep, HybridConfig::default());
-            assert_parity(&k, &rep, &on.outcome, &seq);
+            expect_parity(&k, &rep, [HybridConfig::default()]);
         }
     }
 }

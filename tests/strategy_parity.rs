@@ -15,18 +15,16 @@
 //! single-iteration, and consecutively-written (concat) edge cases.
 
 use irr_driver::{compile_source, CompilationReport, DispatchTier, DriverOptions, StrategyFacts};
-use irr_exec::{ArrayData, ExecOutcome, Interp, SplitMix64, Store, Value};
-use irr_frontend::VarId;
-use irr_programs::fuzz::{random_loop_program, strategy_programs};
+use irr_programs::fuzz::{random_cases, strategy_programs};
 use irr_programs::sparse::{kernels, SparseScale};
-use irr_programs::{named_sources, Scale};
+use irr_programs::{paper_cases, Case, Scale};
 use irr_runtime::{run_hybrid_seeded, HybridConfig, HybridOutcome};
+use irr_sanitizer::parity::{first_divergence, sequential, Reals};
+use irr_sanitizer::{checks, AuditConfig};
 use irr_sparse::Structure;
 
-type Presets = Vec<(VarId, ArrayData)>;
-
-fn compile(src: &str) -> CompilationReport {
-    compile_source(src, DriverOptions::with_iaa()).expect("compiles")
+fn compile(case: &Case) -> CompilationReport {
+    compile_source(&case.source, DriverOptions::with_iaa()).expect("compiles")
 }
 
 /// The three hybrid modes of the matrix; the fourth way is the pure
@@ -38,177 +36,61 @@ const MODES: [(&str, bool, bool); 3] = [
     ("write-log", false, false),
 ];
 
-fn mode_config(enable_compiled: bool, enable_strategies: bool) -> HybridConfig {
-    HybridConfig {
-        enable_compiled,
-        enable_strategies,
-        ..HybridConfig::default()
-    }
-}
-
 /// The host's thread count, as `HybridConfig::default()` takes it.
 fn host_threads() -> usize {
     HybridConfig::default().threads
 }
 
-fn reals_eq(a: f64, b: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= 1e-9 * scale
-}
-
-fn run_sequential(rep: &CompilationReport, presets: &Presets) -> ExecOutcome {
-    let mut it = Interp::new(&rep.program);
-    for (var, data) in presets {
-        it.preset_array(*var, data.clone());
-    }
-    it.run().expect("sequential run")
-}
-
-/// Asserts `hybrid` reproduced the sequential run exactly: output,
-/// store (privatized scratch excluded), and per-loop statistics.
-fn assert_sequential_parity(
-    name: &str,
-    rep: &CompilationReport,
-    presets: &Presets,
-    hybrid: &HybridOutcome,
-) {
-    let seq = run_sequential(rep, presets);
-    assert_eq!(
-        hybrid.outcome.output.len(),
-        seq.output.len(),
-        "{name}: output length differs"
-    );
-    for (got, want) in hybrid.outcome.output.iter().zip(&seq.output) {
-        let (g_toks, w_toks): (Vec<&str>, Vec<&str>) = (
-            got.split_whitespace().collect(),
-            want.split_whitespace().collect(),
-        );
-        assert_eq!(
-            g_toks.len(),
-            w_toks.len(),
-            "{name}: output differs: {got} vs {want}"
-        );
-        for (g, w) in g_toks.iter().zip(&w_toks) {
-            // Token-wise approximate compare: parallel reductions may
-            // reassociate float sums across chunk boundaries.
-            let close = match (g.parse::<f64>(), w.parse::<f64>()) {
-                (Ok(g), Ok(w)) => reals_eq(g, w),
-                _ => g == w,
-            };
-            assert!(close, "{name}: output differs: {got} vs {want}");
-        }
-    }
-    assert_store_eq(name, rep, &seq.store, &hybrid.outcome.store);
-    assert_eq!(
-        hybrid.outcome.stats.total_cost, seq.stats.total_cost,
-        "{name}: total cost differs"
-    );
-    for (stmt, seq_stats) in &seq.stats.loops {
-        let got = hybrid
-            .outcome
-            .stats
-            .loops
-            .get(stmt)
-            .unwrap_or_else(|| panic!("{name}: loop stats dropped for {stmt:?}"));
-        assert_eq!(got.invocations, seq_stats.invocations, "{name}: {stmt:?}");
-        assert_eq!(got.total_cost, seq_stats.total_cost, "{name}: {stmt:?}");
-    }
-}
-
-fn assert_store_eq(name: &str, rep: &CompilationReport, seq: &Store, got: &Store) {
-    // Privatized variables are per-worker scratch whose post-loop
-    // values are unobservable; every other variable must match.
-    let privatized: std::collections::HashSet<irr_frontend::VarId> = rep
-        .verdicts
-        .iter()
-        .flat_map(|v| {
-            v.privatized_scalars
-                .iter()
-                .copied()
-                .chain(v.privatized_arrays.iter().map(|(a, _)| *a))
-        })
-        .collect();
-    for (vid, info) in rep.program.symbols.iter() {
-        if privatized.contains(&vid) {
-            continue;
-        }
-        if info.is_array() {
-            match (seq.array_as_reals(vid), got.array_as_reals(vid)) {
-                (Some(want), Some(have)) => {
-                    assert_eq!(
-                        want.len(),
-                        have.len(),
-                        "{name}: array {} length differs",
-                        info.name
-                    );
-                    for (k, (w, h)) in want.iter().zip(&have).enumerate() {
-                        assert!(
-                            reals_eq(*w, *h),
-                            "{name}: {}({}) differs: {w} vs {h}",
-                            info.name,
-                            k + 1
-                        );
-                    }
-                }
-                (want, have) => assert_eq!(
-                    want.is_some(),
-                    have.is_some(),
-                    "{name}: array {} materialization differs",
-                    info.name
-                ),
-            }
-        } else {
-            let (want, have) = (seq.scalar(vid), got.scalar(vid));
-            let close = match (want, have) {
-                (Value::Real(w), Value::Real(h)) => reals_eq(w, h),
-                _ => want == have,
-            };
-            assert!(
-                close,
-                "{name}: scalar {} differs: {want:?} vs {have:?}",
-                info.name
-            );
-        }
-    }
-}
-
 /// Runs the full mode matrix against the sequential baseline; returns
 /// the hybrid outcomes in [`MODES`] order (compiled, strategies,
 /// write-log) for telemetry assertions.
-fn four_way(name: &str, rep: &CompilationReport, presets: &Presets) -> Vec<HybridOutcome> {
-    four_way_at(name, rep, presets, host_threads())
+fn four_way(case: &Case, rep: &CompilationReport) -> Vec<HybridOutcome> {
+    four_way_at(case, rep, host_threads())
 }
 
-/// [`four_way`] with the chunk count pinned.
-fn four_way_at(
-    name: &str,
-    rep: &CompilationReport,
-    presets: &Presets,
-    threads: usize,
-) -> Vec<HybridOutcome> {
+/// [`four_way`] with the chunk count pinned. Every mode must reproduce
+/// the sequential run to the oracle: output, store (privatized scratch
+/// excluded), total cost and per-loop statistics, reals modulo
+/// reassociation.
+fn four_way_at(case: &Case, rep: &CompilationReport, threads: usize) -> Vec<HybridOutcome> {
+    let name = &case.name;
+    let presets = case.resolve_presets(&rep.program);
+    let seq = sequential(rep, &presets).expect("sequential run");
     MODES
         .iter()
-        .map(|(mode, compiled, strategies)| {
+        .map(|&(mode, enable_compiled, enable_strategies)| {
             let config = HybridConfig {
                 threads,
-                ..mode_config(*compiled, *strategies)
+                enable_compiled,
+                enable_strategies,
+                ..HybridConfig::default()
             };
-            let out = run_hybrid_seeded(rep, config, presets)
+            let out = run_hybrid_seeded(rep, config, &presets)
                 .unwrap_or_else(|e| panic!("{name} ({mode}): {e}"));
-            assert_sequential_parity(&format!("{name} ({mode})"), rep, presets, &out);
+            let diff = first_divergence(rep, &seq, &out.outcome, Reals::Reassociated);
+            assert_eq!(diff, None, "{name} ({mode}) x{threads}");
             out
         })
         .collect()
 }
 
+/// The corpus tests also hold every program to the check
+/// `sanitizer-audit`'s `compiled` sweep runs: the compiled tier's own
+/// dispatcher against the tree-walk, exactly.
+fn expect_compiled_parity(case: &Case) {
+    let checked = checks::compiled(case, &AuditConfig::default());
+    assert!(checked.violations.is_empty(), "{}: {checked:#?}", case.name);
+}
+
 #[test]
 fn benchmarks_and_figures_agree_under_all_modes() {
-    let targets = named_sources(Scale::Test);
     let mut in_place_commits = 0u64;
     let mut compiled_commits = 0u64;
-    for (name, src) in &targets {
-        let rep = compile(src);
-        let outs = four_way(name, &rep, &Vec::new());
+    for case in &paper_cases(Scale::Test) {
+        let name = &case.name;
+        expect_compiled_parity(case);
+        let rep = compile(case);
+        let outs = four_way(case, &rep);
         let (with_compiled, with, without) = (&outs[0], &outs[1], &outs[2]);
         in_place_commits += with.telemetry.strategy_in_place;
         compiled_commits += with_compiled.telemetry.compiled_loops;
@@ -237,19 +119,17 @@ fn benchmarks_and_figures_agree_under_all_modes() {
 #[test]
 fn sparse_kernels_agree_under_all_modes() {
     for k in kernels(&SparseScale::test(Structure::Uniform, 11)) {
-        let rep = compile(&k.source);
-        let presets = k.resolve_presets(&rep.program);
-        four_way(k.name, &rep, &presets);
+        let case = Case::from(&k);
+        expect_compiled_parity(&case);
+        four_way(&case, &compile(&case));
     }
 }
 
 #[test]
 fn randomized_programs_agree_under_all_modes() {
-    let mut rng = SplitMix64::new(0xC0FFEE);
-    for case in 0..16 {
-        let src = random_loop_program(&mut rng);
-        let rep = compile(&src);
-        four_way(&format!("random-{case}"), &rep, &Vec::new());
+    for case in random_cases(0xC0FFEE, 16) {
+        expect_compiled_parity(&case);
+        four_way(&case, &compile(&case));
     }
 }
 
@@ -265,8 +145,8 @@ fn randomized_programs_agree_under_all_modes() {
 #[test]
 fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
     let mut logged = std::collections::BTreeSet::new();
-    for case in strategy_programs() {
-        let rep = compile(&case.source);
+    for program in strategy_programs() {
+        let rep = compile(&program.case);
         // What the loops around the one under test commit in place:
         // the same program with `F/do20` pinned sequential.
         let mut pinned = rep.clone();
@@ -278,26 +158,26 @@ fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
         let honest_tier = std::mem::replace(&mut v.tier, DispatchTier::Sequential);
         v.strategy_facts = StrategyFacts::None;
         for threads in [1, 2, 3, 7] {
-            let name = format!("{} x{threads}", case.what);
-            let around = four_way_at(&name, &pinned, &Vec::new(), threads);
-            let outs = four_way_at(&name, &rep, &Vec::new(), threads);
+            let name = format!("{} x{threads}", program.case.name);
+            let around = four_way_at(&program.case, &pinned, threads);
+            let outs = four_way_at(&program.case, &rep, threads);
             // compiled and tree-walk workers, strategies on
             for (out, around) in outs.iter().zip(&around).take(2) {
                 let t = &out.telemetry;
                 let in_place = t.strategy_in_place - around.telemetry.strategy_in_place;
-                if case.in_place {
+                if program.in_place {
                     assert_eq!(
                         (in_place, t.strategy_write_log, t.fallbacks()),
                         (1, 0, 0),
                         "{name}: a shape must commit in place ({honest_tier:?}): {t:?}"
                     );
-                } else if case.iterations > 1 {
+                } else if program.iterations > 1 {
                     assert_eq!(
                         in_place, 0,
                         "{name}: a near-miss must not ({honest_tier:?}): {t:?}"
                     );
                     if t.strategy_write_log > around.telemetry.strategy_write_log {
-                        logged.insert(case.what);
+                        logged.insert(program.case.name.clone());
                     }
                 }
             }
@@ -341,8 +221,8 @@ fn zero_trip_and_single_iteration_loops_are_strategy_safe() {
              print x(1), m
              end"
         );
-        let rep = compile(&src);
-        let outs = four_way(name, &rep, &Vec::new());
+        let case = Case::new(name, src);
+        let outs = four_way(&case, &compile(&case));
         let with = &outs[1];
         assert_eq!(
             with.telemetry.fallbacks(),
@@ -377,8 +257,8 @@ fn in_place_write_log_and_sequential_agree_on_affine_offsets() {
  20      continue
          print y(2), y(129), s
          end";
-    let rep = compile(src);
-    let outs = four_way("affine-offset", &rep, &Vec::new());
+    let case = Case::new("affine-offset", src);
+    let outs = four_way(&case, &compile(&case));
     let (with, without) = (&outs[1], &outs[2]);
     assert!(
         with.telemetry.strategy_in_place >= 1,
@@ -416,8 +296,8 @@ fn concat_kernel_agrees_and_commits_positionally() {
  20      continue
          print q, ind(1)
          end";
-    let rep = compile(src);
-    let outs = four_way("concat-gather", &rep, &Vec::new());
+    let case = Case::new("concat-gather", src);
+    let outs = four_way(&case, &compile(&case));
     let (with, without) = (&outs[1], &outs[2]);
     assert!(
         with.telemetry.strategy_concat >= 1,
