@@ -8,6 +8,12 @@
 //! fuel counter (analysis steps) plus an optional wall-clock deadline,
 //! checked cooperatively at the passes' work sites.
 //!
+//! What each phase charges: the summary pass `1 + statements` per
+//! routine it summarizes — the routines that have a call site, so a
+//! call-free program spends nothing there; the evolution walk 1 per
+//! statement visited plus `1 + body length` per `do` loop; the property
+//! solver 1 per worklist node.
+//!
 //! The contract that keeps exhaustion *sound* is the same one the
 //! solver already obeys: every budgeted question answers "could not be
 //! verified" when the meter runs dry. Unverified properties only ever

@@ -1,84 +1,228 @@
 //! Shared analysis context: the program, its graphs, and common helpers.
 
+use crate::single_indexed::SingleIndexed;
+use irr_frontend::visit::{stmt_array_accesses, ArrayAccess};
 use irr_frontend::{Expr, LValue, ProcId, Program, StmtId, StmtKind, VarId};
 use irr_graph::{Cfg, CfgNodeId, CfgNodeKind, Hcg};
 use irr_symbolic::{expr_to_sym, RangeEnv, SymExpr};
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::OnceCell;
+use std::rc::Rc;
+
+/// What the statements (transitively) inside one statement list touch,
+/// from a single walk. Every list is in program pre-order, which the
+/// verdicts' array and blocker order (hence `emit_annotated` and the lint
+/// output) inherits.
+pub struct BodyTable<'p> {
+    /// The statements themselves ([`Program::stmts_in`]).
+    pub stmts: Vec<StmtId>,
+    /// Every array access, subscripts borrowed from the program
+    /// ([`irr_frontend::visit::collect_array_accesses`]).
+    pub accesses: Vec<ArrayAccess<'p>>,
+    /// Arrays written, by first write
+    /// ([`irr_frontend::visit::arrays_written_in`]).
+    pub written_arrays: Vec<VarId>,
+    /// Scalars assigned, `do` variables included, by first assignment
+    /// ([`irr_frontend::visit::scalars_assigned_in`]).
+    pub assigned_scalars: Vec<VarId>,
+    /// Callees of the `call` statements, by first call.
+    pub callees: Vec<ProcId>,
+    /// Whether some statement is a `print`.
+    pub has_io: bool,
+    /// Arrays whose every access is 1-D through the same bare scalar, by
+    /// first access (§2's single-indexed arrays, before a loop's own
+    /// induction variable is excluded).
+    pub single_indexed: Vec<SingleIndexed>,
+}
+
+impl<'p> BodyTable<'p> {
+    /// Walks `body` once.
+    pub fn of(program: &'p Program, body: &[StmtId]) -> BodyTable<'p> {
+        let stmts = program.stmts_in(body);
+        let mut t = BodyTable {
+            accesses: Vec::new(),
+            written_arrays: Vec::new(),
+            assigned_scalars: Vec::new(),
+            callees: Vec::new(),
+            has_io: false,
+            single_indexed: Vec::new(),
+            stmts,
+        };
+        fn note<T: PartialEq>(seen: &mut Vec<T>, x: T) {
+            if !seen.contains(&x) {
+                seen.push(x);
+            }
+        }
+        for &s in &t.stmts {
+            match &program.stmt(s).kind {
+                StmtKind::Assign { lhs, .. } => match lhs {
+                    LValue::Scalar(v) => note(&mut t.assigned_scalars, *v),
+                    LValue::Element(a, _) => note(&mut t.written_arrays, *a),
+                },
+                StmtKind::Do { var, .. } => note(&mut t.assigned_scalars, *var),
+                StmtKind::Call { proc } => note(&mut t.callees, *proc),
+                StmtKind::Print { .. } => t.has_io = true,
+                _ => {}
+            }
+            stmt_array_accesses(program, s, &mut t.accesses);
+        }
+        // `None`: some access is not `a(scalar)` or uses another scalar.
+        let mut index_of: Vec<(VarId, Option<VarId>)> = Vec::new();
+        for acc in &t.accesses {
+            let idx = match acc.subscripts {
+                [Expr::Var(v)] => Some(*v),
+                _ => None,
+            };
+            match index_of.iter_mut().find(|(a, _)| *a == acc.array) {
+                None => index_of.push((acc.array, idx)),
+                Some((_, slot)) if *slot != idx => *slot = None,
+                Some(_) => {}
+            }
+        }
+        t.single_indexed = index_of
+            .into_iter()
+            .filter_map(|(array, idx)| Some(SingleIndexed { array, index: idx? }))
+            .collect();
+        t
+    }
+
+    /// The accesses to `array`, in order.
+    pub fn accesses_of(&self, array: VarId) -> impl Iterator<Item = &ArrayAccess<'p>> {
+        self.accesses.iter().filter(move |a| a.array == array)
+    }
+
+    /// Whether some statement reads an element of `array`.
+    pub fn reads(&self, array: VarId) -> bool {
+        self.accesses_of(array).any(|a| !a.is_write)
+    }
+}
 
 /// Analysis context over one program: owns the hierarchical control
-/// graph, caches per-region CFGs, and provides the common "what does this
-/// statement read/write" and "what ranges hold here" helpers all the
-/// analyses share.
+/// graph, memoizes per-loop CFGs and body tables, and provides the
+/// common "what does this statement read/write" and "what ranges hold
+/// here" helpers all the analyses share.
 pub struct AnalysisCtx<'p> {
     /// The program under analysis.
     pub program: &'p Program,
     /// The hierarchical control graph (§3.2.1).
     pub hcg: Hcg,
-    /// Enclosing loop statement for each statement (innermost first).
-    parents: HashMap<StmtId, Vec<StmtId>>,
+    /// Per statement, the index in `chains` of its enclosing-loop chain;
+    /// the statements directly under one loop share one.
+    chain_of: Vec<u32>,
+    /// Enclosing-loop chains, innermost first; `chains[0]` is empty.
+    chains: Vec<Vec<StmtId>>,
     /// Procedure containing each statement.
-    proc_of: HashMap<StmtId, ProcId>,
-    cfg_cache: RefCell<HashMap<StmtId, std::rc::Rc<Cfg>>>,
+    proc_of: Vec<Option<ProcId>>,
+    cfgs: Vec<OnceCell<Rc<Cfg>>>,
+    loop_tables: Vec<OnceCell<Box<BodyTable<'p>>>>,
+    /// Per array, the statements that read an element of it.
+    readers: OnceCell<Vec<Vec<StmtId>>>,
 }
 
 impl<'p> AnalysisCtx<'p> {
     /// Builds the context (and the HCG) for `program`.
     pub fn new(program: &'p Program) -> AnalysisCtx<'p> {
         let hcg = Hcg::build(program);
-        let mut parents: HashMap<StmtId, Vec<StmtId>> = HashMap::new();
-        let mut proc_of = HashMap::new();
+        let n = program.stmts.len();
+        let mut chain_of = vec![0u32; n];
+        let mut chains: Vec<Vec<StmtId>> = vec![Vec::new()];
+        let mut proc_of = vec![None; n];
+        let mut stack: Vec<(StmtId, u32)> = Vec::new();
         for (i, proc) in program.procedures.iter().enumerate() {
             let pid = ProcId(i as u32);
-            let mut stack: Vec<(StmtId, Vec<StmtId>)> =
-                proc.body.iter().map(|s| (*s, Vec::new())).collect();
+            stack.extend(proc.body.iter().map(|s| (*s, 0)));
             while let Some((s, chain)) = stack.pop() {
-                parents.insert(s, chain.clone());
-                proc_of.insert(s, pid);
-                let stmt = program.stmt(s);
-                let child_chain = if stmt.kind.is_loop() {
-                    let mut c = vec![s];
-                    c.extend(chain.iter().copied());
-                    c
-                } else {
-                    chain.clone()
+                chain_of[s.index()] = chain;
+                proc_of[s.index()] = Some(pid);
+                let mut push = |body: &[StmtId], chain| {
+                    stack.extend(body.iter().map(|b| (*b, chain)));
                 };
-                for body in stmt.kind.bodies() {
-                    for &b in body {
-                        stack.push((b, child_chain.clone()));
+                match &program.stmt(s).kind {
+                    StmtKind::Do { body, .. } | StmtKind::While { body, .. } => {
+                        let mut inner = Vec::with_capacity(chains[chain as usize].len() + 1);
+                        inner.push(s);
+                        inner.extend_from_slice(&chains[chain as usize]);
+                        chains.push(inner);
+                        push(body, chains.len() as u32 - 1);
                     }
+                    StmtKind::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => {
+                        push(then_body, chain);
+                        push(else_body, chain);
+                    }
+                    _ => {}
                 }
             }
         }
         AnalysisCtx {
             program,
             hcg,
-            parents,
+            chain_of,
+            chains,
             proc_of,
-            cfg_cache: RefCell::new(HashMap::new()),
+            cfgs: std::iter::repeat_with(OnceCell::new).take(n).collect(),
+            loop_tables: std::iter::repeat_with(OnceCell::new).take(n).collect(),
+            readers: OnceCell::new(),
         }
     }
 
     /// Enclosing loop statements of `stmt`, innermost first.
     pub fn enclosing_loops(&self, stmt: StmtId) -> &[StmtId] {
-        self.parents.get(&stmt).map(Vec::as_slice).unwrap_or(&[])
+        &self.chains[self.chain_of[stmt.index()] as usize]
     }
 
     /// The procedure containing `stmt`.
     pub fn proc_of(&self, stmt: StmtId) -> Option<ProcId> {
-        self.proc_of.get(&stmt).copied()
+        self.proc_of[stmt.index()]
     }
 
-    /// The (cached) flat CFG of a loop statement — the region the bounded
+    /// The (memoized) flat CFG of a loop statement — the region the bounded
     /// DFS searches, including the back edge.
-    pub fn loop_cfg(&self, loop_stmt: StmtId) -> std::rc::Rc<Cfg> {
-        let mut cache = self.cfg_cache.borrow_mut();
-        cache
-            .entry(loop_stmt)
-            .or_insert_with(|| {
-                std::rc::Rc::new(Cfg::build(self.program, std::slice::from_ref(&loop_stmt)))
-            })
+    pub fn loop_cfg(&self, loop_stmt: StmtId) -> Rc<Cfg> {
+        self.cfgs[loop_stmt.index()]
+            .get_or_init(|| Rc::new(Cfg::build(self.program, std::slice::from_ref(&loop_stmt))))
             .clone()
+    }
+
+    /// The body of a `do` or `while` statement (empty for anything else).
+    pub fn loop_body(&self, loop_stmt: StmtId) -> &'p [StmtId] {
+        match &self.program.stmt(loop_stmt).kind {
+            StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body,
+            _ => &[],
+        }
+    }
+
+    /// The (memoized) [`BodyTable`] of a loop statement's body.
+    pub fn loop_table(&self, loop_stmt: StmtId) -> &BodyTable<'p> {
+        self.loop_tables[loop_stmt.index()]
+            .get_or_init(|| Box::new(BodyTable::of(self.program, self.loop_body(loop_stmt))))
+    }
+
+    /// Whether every read of an element of `array` in the whole program
+    /// is by a statement inside the body of `loop_stmt`.
+    pub fn reads_confined_to(&self, array: VarId, loop_stmt: StmtId) -> bool {
+        let readers = self.readers.get_or_init(|| {
+            let mut readers = vec![Vec::new(); self.program.symbols.len()];
+            let mut accesses = Vec::new();
+            for proc in &self.program.procedures {
+                for s in self.program.stmts_in(&proc.body) {
+                    accesses.clear();
+                    stmt_array_accesses(self.program, s, &mut accesses);
+                    for acc in accesses.iter().filter(|a| !a.is_write) {
+                        let of: &mut Vec<StmtId> = &mut readers[acc.array.index()];
+                        if of.last() != Some(&s) {
+                            of.push(s);
+                        }
+                    }
+                }
+            }
+            readers
+        });
+        readers[array.index()]
+            .iter()
+            .all(|s| self.enclosing_loops(*s).contains(&loop_stmt))
     }
 
     /// A [`RangeEnv`] with the ranges of every `do` variable enclosing
@@ -200,18 +344,11 @@ impl<'p> AnalysisCtx<'p> {
         false
     }
 
-    /// Whether any procedure transitively reachable from a `call` in
-    /// `body` references `var` (read or write) — used to bail out of the
+    /// Whether any procedure transitively reachable from `callees`
+    /// references `var` (read or write) — used to bail out of the
     /// single-indexed analyses when calls could disturb the index.
-    pub fn calls_touch_var(&self, body: &[StmtId], var: VarId) -> bool {
-        let mut procs: Vec<ProcId> = Vec::new();
-        for s in self.program.stmts_in(body) {
-            if let StmtKind::Call { proc } = &self.program.stmt(s).kind {
-                if !procs.contains(proc) {
-                    procs.push(*proc);
-                }
-            }
-        }
+    pub fn calls_touch_var(&self, callees: &[ProcId], var: VarId) -> bool {
+        let mut procs = callees.to_vec();
         let mut i = 0;
         while i < procs.len() {
             let p = procs[i];
@@ -279,6 +416,75 @@ mod tests {
     }
 
     #[test]
+    fn loop_table_equals_the_walks_it_replaces() {
+        use irr_frontend::visit::{arrays_written_in, collect_array_accesses, scalars_assigned_in};
+        let p = parse_program(
+            "program t
+             integer i, j, k, n, q, idx(10), cnt(10)
+             real x(10), y(10, 10), s
+             do i = 1, n
+               q = idx(i)
+               if (x(q) > 0) then
+                 cnt(q) = cnt(q) + 1
+               else
+                 s = s + x(i)
+               endif
+               do j = 1, cnt(i)
+                 y(i, j) = x(idx(j)) * s
+               enddo
+               k = 0
+               while (k < q)
+                 k = k + 1
+                 x(k) = y(k, i)
+               endwhile
+               print s
+             enddo
+             call side
+             end
+             subroutine side
+             integer q
+             q = 0
+             end",
+        )
+        .unwrap();
+        let ctx = AnalysisCtx::new(&p);
+        let loops: Vec<StmtId> = p
+            .stmts_in(&p.procedure(p.main()).body)
+            .into_iter()
+            .filter(|s| p.stmt(*s).kind.is_loop())
+            .collect();
+        assert_eq!(loops.len(), 3, "the nest, its inner do, its while");
+        for l in loops {
+            let body = ctx.loop_body(l);
+            let t = ctx.loop_table(l);
+            assert_eq!(t.stmts, p.stmts_in(body));
+            assert_eq!(t.accesses, collect_array_accesses(&p, body));
+            assert_eq!(t.written_arrays, arrays_written_in(&p, body));
+            assert_eq!(t.assigned_scalars, scalars_assigned_in(&p, body));
+            assert!(std::ptr::eq(t, ctx.loop_table(l)), "memoized");
+        }
+        // Nest body: q = .., if, do j, k = 0, while, print.
+        let nest = p.procedure(p.main()).body[0];
+        let inner_while = ctx.loop_body(nest)[4];
+        let outer = ctx.loop_table(nest);
+        assert!(outer.has_io && outer.callees.is_empty());
+        // `cnt(q)` is single-indexed until `cnt(i)` in the inner bound.
+        assert!(outer.single_indexed.is_empty());
+        let si: Vec<_> = ctx
+            .loop_table(inner_while)
+            .single_indexed
+            .iter()
+            .map(|s| (p.symbols.name(s.array), p.symbols.name(s.index)))
+            .collect();
+        assert_eq!(si, [("x", "k")]);
+        // Whole-program reader index: every read of `cnt` is inside the
+        // nest, but not inside its `while`.
+        let cnt = p.symbols.lookup("cnt").unwrap();
+        assert!(ctx.reads_confined_to(cnt, nest));
+        assert!(!ctx.reads_confined_to(cnt, inner_while));
+    }
+
+    #[test]
     fn range_env_includes_loop_bounds() {
         let p = parse_program(
             "program t
@@ -320,10 +526,10 @@ mod tests {
         )
         .unwrap();
         let ctx = AnalysisCtx::new(&p);
-        let body = p.procedure(p.main()).body.clone();
+        let callees = BodyTable::of(&p, &p.procedure(p.main()).body).callees;
         let pv = p.symbols.lookup("p").unwrap();
         let qv = p.symbols.lookup("q").unwrap();
-        assert!(ctx.calls_touch_var(&body, pv));
-        assert!(!ctx.calls_touch_var(&body, qv));
+        assert!(ctx.calls_touch_var(&callees, pv));
+        assert!(!ctx.calls_touch_var(&callees, qv));
     }
 }

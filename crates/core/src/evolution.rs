@@ -54,8 +54,8 @@
 //! [`inspect_offset_length`]: https://docs.rs/irr-exec
 
 use crate::budget::AnalysisBudget;
+use crate::ctx::{AnalysisCtx, BodyTable};
 use crate::summaries::SummaryAnalysis;
-use crate::AnalysisCtx;
 use irr_frontend::{BinOp, Expr, LValue, StmtId, StmtKind, VarId};
 use irr_symbolic::{expr_to_sym, prove_ge0, prove_gt0, prove_le, Atom, RangeEnv, SymExpr};
 use std::collections::{HashMap, HashSet};
@@ -257,8 +257,8 @@ impl EvolutionAnalysis {
                     }
                 },
                 StmtKind::Do { .. } => self.handle_do(ctx, s, facts, summaries, budget),
-                StmtKind::While { body, .. } => {
-                    kill_for_subtree(ctx, body, facts, summaries);
+                StmtKind::While { .. } => {
+                    kill_for_subtree(ctx.loop_table(s), facts, summaries);
                 }
                 StmtKind::If {
                     then_body,
@@ -267,7 +267,7 @@ impl EvolutionAnalysis {
                 } => {
                     let both: Vec<StmtId> =
                         then_body.iter().chain(else_body.iter()).copied().collect();
-                    kill_for_subtree(ctx, &both, facts, summaries);
+                    kill_for_subtree(&BodyTable::of(program, &both), facts, summaries);
                 }
                 StmtKind::Call { proc } => {
                     match summaries.map(|sa| sa.summary(*proc)) {
@@ -286,8 +286,8 @@ impl EvolutionAnalysis {
                                 // Bottom-up summary construction
                                 // guarantees the callee's own calls are
                                 // already summarized and acyclic.
-                                let callee_body = program.procedure(*proc).body.clone();
-                                self.walk_body(ctx, &callee_body, facts, summaries, budget);
+                                let callee_body = &program.procedure(*proc).body;
+                                self.walk_body(ctx, callee_body, facts, summaries, budget);
                             }
                             for f in facts.values_mut() {
                                 f.interproc = true;
@@ -314,7 +314,7 @@ impl EvolutionAnalysis {
             unreachable!("handle_do on a non-do statement");
         };
         let loop_var = *var;
-        let body = body.clone();
+        let table = ctx.loop_table(loop_stmt);
         // The kill-set and producer analyses below walk the whole
         // subtree: charge proportionally, and record nothing when dry
         // (no snapshot ⇒ `facts_at` is `None` ⇒ every discharge fails).
@@ -323,7 +323,7 @@ impl EvolutionAnalysis {
             return;
         }
         let pre = facts.clone();
-        let kills = kill_sets(ctx, &body, summaries).map(|(mut ks, ka, via_call)| {
+        let kills = kill_sets(table, summaries).map(|(mut ks, ka, via_call)| {
             ks.insert(loop_var);
             (ks, ka, via_call)
         });
@@ -344,14 +344,14 @@ impl EvolutionAnalysis {
         // they hold at entry to the loop and to every loop nested in
         // it.
         self.snapshot(loop_stmt, facts);
-        for s in program.stmts_in(&body) {
+        for &s in &table.stmts {
             if matches!(program.stmt(s).kind, StmtKind::Do { .. }) {
                 self.snapshot(s, facts);
             }
         }
         if let Some((ks, ka, _)) = &kills {
             if let Some((arr, f)) =
-                recognize_producer(ctx, loop_stmt, loop_var, &body, facts, &pre, ks, ka)
+                recognize_producer(ctx, loop_stmt, loop_var, body, facts, &pre, ks, ka)
             {
                 facts.insert(arr, f);
             }
@@ -383,47 +383,32 @@ impl EvolutionAnalysis {
 }
 
 /// `(scalars assigned, arrays written, any-of-it-via-call)` anywhere
-/// under `body`, or `None` when the subtree contains a call to an
-/// unsummarized or opaque routine (kill everything).
+/// under the walked body, or `None` when the subtree contains a call to
+/// an unsummarized or opaque routine (kill everything).
 fn kill_sets(
-    ctx: &AnalysisCtx<'_>,
-    body: &[StmtId],
+    table: &BodyTable<'_>,
     summaries: Option<&SummaryAnalysis>,
 ) -> Option<(HashSet<VarId>, HashSet<VarId>, bool)> {
-    let program = ctx.program;
-    let mut scalars: HashSet<VarId> = irr_frontend::visit::scalars_assigned_in(program, body)
-        .into_iter()
-        .collect();
-    let mut arrays: HashSet<VarId> = irr_frontend::visit::arrays_written_in(program, body)
-        .into_iter()
-        .collect();
-    let mut via_call = false;
-    for s in program.stmts_in(body) {
-        match &program.stmt(s).kind {
-            StmtKind::Call { proc } => match summaries.map(|sa| sa.summary(*proc)) {
-                Some(sum) if !sum.opaque => {
-                    via_call = true;
-                    scalars.extend(sum.mod_scalars.iter().copied());
-                    arrays.extend(sum.mod_arrays.iter().copied());
-                }
-                _ => return None,
-            },
-            StmtKind::Do { var, .. } => {
-                scalars.insert(*var);
+    let mut scalars: HashSet<VarId> = table.assigned_scalars.iter().copied().collect();
+    let mut arrays: HashSet<VarId> = table.written_arrays.iter().copied().collect();
+    for proc in &table.callees {
+        match summaries.map(|sa| sa.summary(*proc)) {
+            Some(sum) if !sum.opaque => {
+                scalars.extend(sum.mod_scalars.iter().copied());
+                arrays.extend(sum.mod_arrays.iter().copied());
             }
-            _ => {}
+            _ => return None,
         }
     }
-    Some((scalars, arrays, via_call))
+    Some((scalars, arrays, !table.callees.is_empty()))
 }
 
 fn kill_for_subtree(
-    ctx: &AnalysisCtx<'_>,
-    body: &[StmtId],
+    table: &BodyTable<'_>,
     facts: &mut HashMap<VarId, EvoFacts>,
     summaries: Option<&SummaryAnalysis>,
 ) {
-    match kill_sets(ctx, body, summaries) {
+    match kill_sets(table, summaries) {
         None => facts.clear(),
         Some((ks, ka, via_call)) => {
             apply_kills(facts, &ks, &ka);

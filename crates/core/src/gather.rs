@@ -56,7 +56,7 @@ pub struct IndexGatherInfo {
 /// and injective).
 pub fn index_gathering_info(ctx: &AnalysisCtx<'_>, loop_stmt: StmtId) -> Vec<IndexGatherInfo> {
     let program = ctx.program;
-    let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
+    let StmtKind::Do { var, .. } = &program.stmt(loop_stmt).kind else {
         return Vec::new();
     };
     if !ctx.unit_step(loop_stmt) {
@@ -66,7 +66,6 @@ pub fn index_gathering_info(ctx: &AnalysisCtx<'_>, loop_stmt: StmtId) -> Vec<Ind
         return Vec::new();
     };
     debug_assert_eq!(loop_var, *var);
-    let body = body.clone();
     let mut out = Vec::new();
     for si in single_indexed_arrays(ctx, loop_stmt) {
         // Condition 3: consecutively written (also validates that the
@@ -78,7 +77,7 @@ pub fn index_gathering_info(ctx: &AnalysisCtx<'_>, loop_stmt: StmtId) -> Vec<Ind
         // loop index.
         let mut assigns: Vec<StmtId> = Vec::new();
         let mut all_store_index = true;
-        for s in program.stmts_in(&body) {
+        for &s in &ctx.loop_table(loop_stmt).stmts {
             if let StmtKind::Assign {
                 lhs: LValue::Element(a, _),
                 rhs,

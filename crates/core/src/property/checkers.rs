@@ -173,15 +173,14 @@ impl PropertyChecker {
             return None;
         };
         let (var, lo, hi) = ctx.do_bounds_sym(loop_stmt)?;
-        let body = body.clone();
         let env = ctx.range_env_at(loop_stmt);
         match &self.property {
             Property::ClosedFormDistance { distance } => {
-                self.cfd_loop_patterns(ctx, &body, var, &lo, &hi, distance, &env)
+                self.cfd_loop_patterns(ctx, body, var, &lo, &hi, distance, &env)
             }
             Property::Injective | Property::MonotoneNonDecreasing => {
                 // Identity loop: do i = lo, hi { x(i) = i }.
-                if let Some((kill, gen)) = self.identity_loop(ctx, &body, var, &lo, &hi) {
+                if let Some((kill, gen)) = self.identity_loop(ctx, body, var, &lo, &hi) {
                     return Some((kill, gen));
                 }
                 self.gather_loop(ctx, loop_stmt)

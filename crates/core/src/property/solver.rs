@@ -456,15 +456,11 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                 // loop cannot be tracked across it — unless the loop's
                 // Gen already resolved them.
                 if !remaining.is_empty() {
-                    let body: Vec<StmtId> = match &self.ctx.program.stmt(stmt).kind {
-                        StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-                        _ => Vec::new(),
-                    };
                     let loop_var = match &self.ctx.program.stmt(stmt).kind {
                         StmtKind::Do { var, .. } => Some(*var),
                         _ => None,
                     };
-                    for v in irr_frontend::visit::scalars_assigned_in(self.ctx.program, &body) {
+                    for &v in &self.ctx.loop_table(stmt).assigned_scalars {
                         if Some(v) != loop_var && remaining.mentions_var(v) {
                             return Err(());
                         }
@@ -565,11 +561,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                 // iterations.
                 let rem = rem_i.aggregate(var, &lo, &hi, &env, AggMode::May);
                 // Scalars assigned in the body make the bounds untrackable.
-                let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-                    StmtKind::Do { body, .. } => body.clone(),
-                    _ => Vec::new(),
-                };
-                for v in irr_frontend::visit::scalars_assigned_in(self.ctx.program, &body) {
+                for &v in &self.ctx.loop_table(loop_stmt).assigned_scalars {
                     if v != var && rem.mentions_var(v) {
                         return None;
                     }
@@ -587,13 +579,14 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                 let _ = gen_b;
                 // The query bounds must survive the body's scalar
                 // assignments.
-                let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-                    StmtKind::While { body, .. } => body.clone(),
-                    _ => Vec::new(),
-                };
-                for v in irr_frontend::visit::scalars_assigned_in(self.ctx.program, &body) {
-                    if set.mentions_var(v) {
-                        return None;
+                if matches!(
+                    self.ctx.program.stmt(loop_stmt).kind,
+                    StmtKind::While { .. }
+                ) {
+                    for &v in &self.ctx.loop_table(loop_stmt).assigned_scalars {
+                        if set.mentions_var(v) {
+                            return None;
+                        }
                     }
                 }
                 Some(set.clone())
@@ -632,11 +625,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
             return (Section::Universal, Section::Empty);
         };
         let (kill_b, gen_b) = self.summarize_section(chk, body_sec, visited_procs);
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-            _ => Vec::new(),
-        };
-        let assigned = irr_frontend::visit::scalars_assigned_in(self.ctx.program, &body);
+        let assigned = &self.ctx.loop_table(loop_stmt).assigned_scalars;
         match self.ctx.do_bounds_sym(loop_stmt) {
             Some((var, lo, hi)) => {
                 let env = self.ctx.range_env_at(loop_stmt);

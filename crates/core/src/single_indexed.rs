@@ -65,20 +65,17 @@ pub fn classify_index_def(ctx: &AnalysisCtx<'_>, stmt: StmtId, var: VarId) -> Op
     }
 }
 
-/// All definitions of `var` in the (transitive) statements of a region,
-/// with their classification.
+/// All definitions of `var` among `stmts` (a region's flattened
+/// statements), with their classification.
 pub fn index_defs(
     ctx: &AnalysisCtx<'_>,
-    body: &[StmtId],
+    stmts: &[StmtId],
     var: VarId,
 ) -> Vec<(StmtId, IndexDefKind)> {
-    let mut out = Vec::new();
-    for s in ctx.program.stmts_in(body) {
-        if let Some(kind) = classify_index_def(ctx, s, var) {
-            out.push((s, kind));
-        }
-    }
-    out
+    stmts
+        .iter()
+        .filter_map(|&s| Some((s, classify_index_def(ctx, s, var)?)))
+        .collect()
 }
 
 /// Finds the arrays that are single-indexed inside the body of
@@ -86,41 +83,15 @@ pub fn index_defs(
 /// scalar subscript. The loop's own induction variable does not count —
 /// accesses through it are regular.
 pub fn single_indexed_arrays(ctx: &AnalysisCtx<'_>, loop_stmt: StmtId) -> Vec<SingleIndexed> {
-    let program = ctx.program;
-    let body: Vec<StmtId> = match &program.stmt(loop_stmt).kind {
-        StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-        _ => return Vec::new(),
-    };
-    let accesses = irr_frontend::visit::collect_array_accesses(program, &body);
-    let mut result: Vec<(VarId, Option<VarId>)> = Vec::new(); // None = disqualified
-    let loop_var = match &program.stmt(loop_stmt).kind {
+    let loop_var = match &ctx.program.stmt(loop_stmt).kind {
         StmtKind::Do { var, .. } => Some(*var),
         _ => None,
     };
-    for acc in &accesses {
-        let idx = match acc.subscripts.as_slice() {
-            [Expr::Var(v)] => Some(*v),
-            _ => None,
-        };
-        let entry = result.iter_mut().find(|(a, _)| *a == acc.array);
-        match entry {
-            None => result.push((acc.array, idx)),
-            Some((_, slot)) => {
-                if *slot != idx {
-                    *slot = None;
-                }
-            }
-        }
-    }
-    result
-        .into_iter()
-        .filter_map(|(array, idx)| {
-            let index = idx?;
-            if Some(index) == loop_var {
-                return None; // regular access, not irregular
-            }
-            Some(SingleIndexed { array, index })
-        })
+    ctx.loop_table(loop_stmt)
+        .single_indexed
+        .iter()
+        .filter(|si| Some(si.index) != loop_var) // regular access, not irregular
+        .copied()
         .collect()
 }
 
@@ -153,28 +124,21 @@ pub fn consecutively_written(
     array: VarId,
     index: VarId,
 ) -> Option<ConsecutivelyWritten> {
-    let program = ctx.program;
-    let body: Vec<StmtId> = match &program.stmt(loop_stmt).kind {
-        StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-        _ => return None,
-    };
+    let table = ctx.loop_table(loop_stmt);
     // Calls inside the loop must not touch the index or the array.
-    if ctx.calls_touch_var(&body, index) || ctx.calls_touch_var(&body, array) {
+    if ctx.calls_touch_var(&table.callees, index) || ctx.calls_touch_var(&table.callees, array) {
         return None;
     }
-    let defs = index_defs(ctx, &body, index);
+    let defs = index_defs(ctx, &table.stmts, index);
     if defs.is_empty() || !defs.iter().all(|(_, k)| *k == IndexDefKind::Increment) {
         return None;
     }
     let increments: Vec<StmtId> = defs.into_iter().map(|(s, _)| s).collect();
     // Writes of the array must all be through `index` (single-indexed
     // callers guarantee this, but re-check writes specifically).
-    for acc in irr_frontend::visit::collect_array_accesses(program, &body) {
-        if acc.array == array && acc.is_write {
-            let ok = matches!(acc.subscripts.as_slice(), [Expr::Var(v)] if *v == index);
-            if !ok {
-                return None;
-            }
+    for acc in table.accesses_of(array).filter(|acc| acc.is_write) {
+        if !matches!(acc.subscripts, [Expr::Var(v)] if *v == index) {
+            return None;
         }
     }
     let cfg = ctx.loop_cfg(loop_stmt);

@@ -22,7 +22,7 @@
 
 use crate::ctx::AnalysisCtx;
 use crate::single_indexed::{classify_index_def, index_defs, IndexDefKind};
-use irr_frontend::{StmtId, StmtKind, VarId};
+use irr_frontend::{StmtId, VarId};
 use irr_graph::bdfs::{bounded_dfs, BdfsOutcome};
 use irr_graph::{CfgNodeId, CfgNodeKind};
 use irr_symbolic::SymExpr;
@@ -60,17 +60,13 @@ pub fn stack_access(
     array: VarId,
     index: VarId,
 ) -> Option<StackAccess> {
-    let program = ctx.program;
-    let body: Vec<StmtId> = match &program.stmt(loop_stmt).kind {
-        StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-        _ => return None,
-    };
-    if ctx.calls_touch_var(&body, index) || ctx.calls_touch_var(&body, array) {
+    let table = ctx.loop_table(loop_stmt);
+    if ctx.calls_touch_var(&table.callees, index) || ctx.calls_touch_var(&table.callees, array) {
         return None;
     }
     // 1. Index defined only as p+1, p-1, or p = C_bottom, with a single
     //    C_bottom value.
-    let defs = index_defs(ctx, &body, index);
+    let defs = index_defs(ctx, &table.stmts, index);
     if defs.is_empty() {
         return None;
     }
@@ -87,13 +83,9 @@ pub fn stack_access(
         }
     }
     // Writes of the array must all be x(p).
-    for acc in irr_frontend::visit::collect_array_accesses(program, &body) {
-        if acc.array == array {
-            let ok =
-                matches!(acc.subscripts.as_slice(), [irr_frontend::Expr::Var(v)] if *v == index);
-            if !ok {
-                return None;
-            }
+    for acc in table.accesses_of(array) {
+        if !matches!(acc.subscripts, [irr_frontend::Expr::Var(v)] if *v == index) {
+            return None;
         }
     }
     let cfg = ctx.loop_cfg(loop_stmt);

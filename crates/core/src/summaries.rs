@@ -10,9 +10,12 @@
 //! clears all facts and the property solver refuses to look across
 //! non-inlined calls.
 //!
-//! This module computes one [`ProcSummary`] per routine by a bottom-up
-//! pass over the call graph (`Hcg::bottom_up_procs`): callees first,
-//! so a caller's summary composes its callees'. Each summary holds
+//! This module computes one [`ProcSummary`] per *called* routine by a
+//! bottom-up pass over the call graph (`Hcg::bottom_up_procs`): callees
+//! first, so a caller's summary composes its callees'. A summary is only
+//! ever looked up at a `call` statement, so a routine nothing calls —
+//! the main unit, a dead subroutine — is never summarized and keeps the
+//! opaque default. Each summary holds
 //!
 //! - **MOD/REF sets** over the global symbol table (the mini-Fortran
 //!   dialect has no parameters — every routine reads and writes
@@ -42,7 +45,7 @@
 use crate::budget::AnalysisBudget;
 use crate::evolution::{self, EvoFacts};
 use crate::AnalysisCtx;
-use irr_frontend::{Expr, LValue, ProcId, StmtKind, VarId};
+use irr_frontend::{Expr, LValue, ProcId, StmtId, StmtKind, VarId};
 use irr_symbolic::{expr_to_sym, AggMode, RangeEnv, Section, SymExpr};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -121,23 +124,26 @@ impl ProcSummary {
 }
 
 /// Per-routine summaries for a whole program, bottom-up over the call
-/// graph.
+/// graph: computed for exactly the routines that have a call site,
+/// [`ProcSummary::opaque`] for the rest.
 pub struct SummaryAnalysis {
     summaries: Vec<ProcSummary>,
 }
 
 impl SummaryAnalysis {
-    /// Computes summaries for every routine, callees before callers.
-    /// Routines on call-graph cycles stay [`ProcSummary::opaque`].
+    /// Computes the summary of every called routine, callees before
+    /// callers. Routines on call-graph cycles, and routines without a
+    /// call site, stay [`ProcSummary::opaque`].
     pub fn new(ctx: &AnalysisCtx<'_>) -> SummaryAnalysis {
         Self::new_budgeted(ctx, None)
     }
 
-    /// [`new`](Self::new) under an [`AnalysisBudget`]: each routine is
-    /// charged proportionally to its body before being summarized, and
-    /// once the meter runs dry every remaining routine keeps its
-    /// `unknown` (opaque) summary — callers then treat its calls as
-    /// clobbering everything, which is the sound direction.
+    /// [`new`](Self::new) under an [`AnalysisBudget`]: each summarized
+    /// routine is charged `1 + statements` before being summarized (a
+    /// routine without a call site costs nothing, so a call-free program
+    /// spends no fuel here), and once the meter runs dry every remaining
+    /// routine keeps its `unknown` (opaque) summary — callers then treat
+    /// its calls as clobbering everything, which is the sound direction.
     pub fn new_budgeted(ctx: &AnalysisCtx<'_>, budget: Option<&AnalysisBudget>) -> SummaryAnalysis {
         let nprocs = ctx.program.procedures.len();
         let mut sa = SummaryAnalysis {
@@ -145,14 +151,14 @@ impl SummaryAnalysis {
         };
         let recursive = ctx.hcg.recursive_procs();
         for p in ctx.hcg.bottom_up_procs() {
-            if recursive.contains(&p) {
+            if recursive.contains(&p) || ctx.hcg.call_sites(p).is_empty() {
                 continue; // stays opaque
             }
-            let cost = 1 + ctx.program.stmts_in(&ctx.program.procedure(p).body).len() as u64;
-            if budget.is_some_and(|b| !b.spend(cost)) {
+            let stmts = ctx.program.stmts_in(&ctx.program.procedure(p).body);
+            if budget.is_some_and(|b| !b.spend(1 + stmts.len() as u64)) {
                 break; // the rest stay opaque
             }
-            sa.summaries[p.index()] = compute_summary(ctx, p, &sa);
+            sa.summaries[p.index()] = compute_summary(ctx, p, &stmts, &sa);
         }
         sa
     }
@@ -163,7 +169,13 @@ impl SummaryAnalysis {
     }
 }
 
-fn compute_summary(ctx: &AnalysisCtx<'_>, p: ProcId, partial: &SummaryAnalysis) -> ProcSummary {
+/// The summary of routine `p`, whose flattened statements are `all`.
+fn compute_summary(
+    ctx: &AnalysisCtx<'_>,
+    p: ProcId,
+    all: &[StmtId],
+    partial: &SummaryAnalysis,
+) -> ProcSummary {
     let program = ctx.program;
     let body = &program.procedure(p).body;
     let mut sum = ProcSummary {
@@ -171,8 +183,7 @@ fn compute_summary(ctx: &AnalysisCtx<'_>, p: ProcId, partial: &SummaryAnalysis) 
         ..ProcSummary::unknown()
     };
 
-    let all = program.stmts_in(body);
-    for &s in &all {
+    for &s in all {
         match &program.stmt(s).kind {
             StmtKind::Assign { lhs, .. } => match lhs {
                 LValue::Scalar(v) => {
@@ -216,7 +227,7 @@ fn compute_summary(ctx: &AnalysisCtx<'_>, p: ProcId, partial: &SummaryAnalysis) 
         });
     }
 
-    sum.mod_sections = mod_sections(ctx, p, partial, &sum);
+    sum.mod_sections = mod_sections(ctx, all, partial, &sum);
     if !sum.early_return {
         sum.establishes = evolution::facts_at_exit(ctx, body, partial)
             .into_iter()
@@ -232,12 +243,11 @@ fn compute_summary(ctx: &AnalysisCtx<'_>, p: ProcId, partial: &SummaryAnalysis) 
 /// mid-execution value).
 fn mod_sections(
     ctx: &AnalysisCtx<'_>,
-    p: ProcId,
+    all: &[StmtId],
     partial: &SummaryAnalysis,
     sum: &ProcSummary,
 ) -> BTreeMap<VarId, Section> {
     let program = ctx.program;
-    let body = &program.procedure(p).body;
     let env = RangeEnv::new();
     let mut sections: BTreeMap<VarId, Section> = BTreeMap::new();
     let add = |arr: VarId, sec: Section, sections: &mut BTreeMap<VarId, Section>| {
@@ -247,7 +257,7 @@ fn mod_sections(
         };
         sections.insert(arr, merged);
     };
-    for s in program.stmts_in(body) {
+    for &s in all {
         match &program.stmt(s).kind {
             StmtKind::Assign {
                 lhs: LValue::Element(a, subs),
@@ -283,7 +293,7 @@ fn mod_sections(
 
 /// The section one `Assign` to `arr(subs...)` writes, aggregated
 /// (May) over every enclosing loop of the statement.
-fn write_section(ctx: &AnalysisCtx<'_>, s: irr_frontend::StmtId, subs: &[Expr]) -> Option<Section> {
+fn write_section(ctx: &AnalysisCtx<'_>, s: StmtId, subs: &[Expr]) -> Option<Section> {
     let syms: Vec<SymExpr> = subs.iter().map(expr_to_sym).collect::<Option<_>>()?;
     let mut sec = Section::point(syms);
     let env = RangeEnv::new();
@@ -354,6 +364,61 @@ mod tests {
         assert!(outer.ref_scalars.contains(&var(&p, "n")));
         assert!(outer.ref_arrays.contains(&var(&p, "b")));
         assert!(outer.mod_scalars.contains(&var(&p, "i")), "loop variable");
+    }
+
+    #[test]
+    fn a_routine_nobody_calls_is_never_summarized() {
+        // `fill` is called; the main unit and `dead` are not. Both write
+        // `a`, so a computed summary of either would be non-opaque.
+        let p = parse_program(
+            "program t
+             integer i, a(8)
+             call fill
+             a(1) = 0
+             end
+             subroutine fill
+             integer i, a(8)
+             do i = 1, 8
+               a(i) = i
+             enddo
+             end
+             subroutine dead
+             integer a(8)
+             a(2) = 0
+             end",
+        )
+        .unwrap();
+        let ctx = AnalysisCtx::new(&p);
+        let budget = AnalysisBudget::limited(Some(1_000), None);
+        let sa = SummaryAnalysis::new_budgeted(&ctx, Some(&budget));
+        for name in ["t", "dead"] {
+            let s = sa.summary(pid(&p, name));
+            assert!(s.opaque, "`{name}` has no call site");
+            assert!(s.mod_arrays.is_empty(), "`{name}` was never walked");
+        }
+        let fill = sa.summary(pid(&p, "fill"));
+        assert!(!fill.opaque && fill.may_write_array(var(&p, "a")));
+        assert!(fill.establishes.contains_key(&var(&p, "a")));
+        // Only `fill` was charged: 1 + its two statements.
+        assert_eq!(budget.fuel_left(), 1_000 - 3);
+    }
+
+    #[test]
+    fn a_call_free_program_spends_no_summary_fuel() {
+        let p = parse_program(
+            "program t
+             integer i, a(8)
+             do i = 1, 8
+               a(i) = i
+             enddo
+             end",
+        )
+        .unwrap();
+        let ctx = AnalysisCtx::new(&p);
+        let budget = AnalysisBudget::limited(Some(10), None);
+        let sa = SummaryAnalysis::new_budgeted(&ctx, Some(&budget));
+        assert_eq!(budget.fuel_left(), 10);
+        assert!(sa.summary(p.main()).opaque);
     }
 
     #[test]

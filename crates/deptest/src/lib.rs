@@ -22,8 +22,8 @@
 
 use irr_core::property::ArrayPropertyAnalysis;
 use irr_core::{AnalysisCtx, DistanceSpec, Property, PropertyQuery, INDEX_VAR};
-use irr_frontend::visit::{collect_array_accesses, ArrayAccess};
-use irr_frontend::{Expr, StmtId, StmtKind, VarId};
+use irr_frontend::visit::ArrayAccess;
+use irr_frontend::{Expr, StmtId, VarId};
 use irr_symbolic::{
     expr_to_sym, extremes_over, prove_ge0, prove_gt0, Atom, Bound, RangeEnv, Section, SymExpr,
     SymRange,
@@ -128,13 +128,11 @@ impl<'a, 'c, 'p> DependenceTester<'a, 'c, 'p> {
     /// Tests every array *written* in `loop_stmt` for loop-carried
     /// dependence.
     pub fn analyze_loop(&mut self, loop_stmt: StmtId) -> Vec<ArrayDepResult> {
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-            _ => return Vec::new(),
-        };
-        irr_frontend::visit::arrays_written_in(self.ctx.program, &body)
-            .into_iter()
-            .map(|a| self.analyze_array(loop_stmt, a))
+        let ctx = self.ctx;
+        ctx.loop_table(loop_stmt)
+            .written_arrays
+            .iter()
+            .map(|&a| self.analyze_array(loop_stmt, a))
             .collect()
     }
 
@@ -150,13 +148,11 @@ impl<'a, 'c, 'p> DependenceTester<'a, 'c, 'p> {
         let Some((var, lo, hi)) = self.ctx.do_bounds_sym(loop_stmt) else {
             return result; // while loops carry unknown dependences
         };
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } => body.clone(),
-            _ => return result,
-        };
-        let accesses: Vec<ArrayAccess> = collect_array_accesses(self.ctx.program, &body)
-            .into_iter()
-            .filter(|a| a.array == array)
+        let accesses: Vec<ArrayAccess> = self
+            .ctx
+            .loop_table(loop_stmt)
+            .accesses_of(array)
+            .copied()
             .collect();
         if accesses.is_empty() || accesses.iter().all(|a| !a.is_write) {
             result.independent = true;
@@ -281,18 +277,15 @@ impl<'a, 'c, 'p> DependenceTester<'a, 'c, 'p> {
         };
         // Scalars assigned inside the loop (other than the index) make
         // the hull meaningless across iterations.
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } => body.clone(),
-            _ => return None,
-        };
-        for v in irr_frontend::visit::scalars_assigned_in(self.ctx.program, &body) {
+        let table = self.ctx.loop_table(loop_stmt);
+        for &v in &table.assigned_scalars {
             if v != var && (h_lo.mentions_var(v) || h_hi.mentions_var(v)) {
                 return None;
             }
         }
         // Index arrays written inside the loop disqualify property use
         // (and make even the plain hull dubious if they feed subscripts).
-        let written = irr_frontend::visit::arrays_written_in(self.ctx.program, &body);
+        let written = &table.written_arrays;
         for a in h_lo.atoms().iter().chain(h_hi.atoms().iter()) {
             if let Atom::Elem(arr, _) = a {
                 if written.contains(arr) {
@@ -496,11 +489,7 @@ impl<'a, 'c, 'p> DependenceTester<'a, 'c, 'p> {
         }
         let p = p_arr?;
         // p must not be written inside the loop.
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } => body.clone(),
-            _ => return None,
-        };
-        if irr_frontend::visit::arrays_written_in(self.ctx.program, &body).contains(&p) {
+        if self.ctx.loop_table(loop_stmt).written_arrays.contains(&p) {
             return None;
         }
         let q = PropertyQuery {
@@ -633,20 +622,10 @@ impl<'a, 'c, 'p> SimpleOffsetLengthTest<'a, 'c, 'p> {
         let Some((var, lo, hi)) = self.ctx.do_bounds_sym(loop_stmt) else {
             return false;
         };
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } => body.clone(),
-            _ => return false,
-        };
-        let accesses: Vec<ArrayAccess> = collect_array_accesses(self.ctx.program, &body)
-            .into_iter()
-            .filter(|a| a.array == array)
-            .collect();
-        if accesses.is_empty() {
-            return false;
-        }
+        let table = self.ctx.loop_table(loop_stmt);
         // All accesses must share one (ptr, len) pair.
         let mut pair: Option<(VarId, VarId)> = None;
-        for acc in &accesses {
+        for acc in table.accesses_of(array) {
             if acc.subscripts.len() != 1 {
                 return false;
             }
@@ -711,9 +690,11 @@ impl<'a, 'c, 'p> SimpleOffsetLengthTest<'a, 'c, 'p> {
                 _ => return false,
             }
         }
-        let (ptr, len) = pair.expect("accesses nonempty");
+        let Some((ptr, len)) = pair else {
+            return false; // no access at all
+        };
         // ptr/len must be loop-invariant.
-        let written = irr_frontend::visit::arrays_written_in(self.ctx.program, &body);
+        let written = &table.written_arrays;
         if written.contains(&ptr) || written.contains(&len) {
             return false;
         }

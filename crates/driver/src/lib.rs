@@ -458,30 +458,22 @@ fn judge_loop<'c, 'p>(
         strategy_facts: StrategyFacts::None,
         compiled: derive_compiled_plan(ctx.program, loop_stmt),
     };
-    let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
+    let StmtKind::Do { var, .. } = &program.stmt(loop_stmt).kind else {
         v.blockers.push("not a do loop".into());
         return v;
     };
     let loop_var = *var;
-    let body = body.clone();
+    let table = ctx.loop_table(loop_stmt);
 
     // Calls inside the loop: only tolerated when the callee is pure
     // w.r.t. nothing — conservatively reject (the inliner flattened the
     // eligible ones already).
-    if program
-        .stmts_in(&body)
-        .iter()
-        .any(|s| matches!(program.stmt(*s).kind, StmtKind::Call { .. }))
-    {
+    if !table.callees.is_empty() {
         v.blockers.push("call inside loop".into());
         return v;
     }
     // Print statements force sequential execution.
-    if program
-        .stmts_in(&body)
-        .iter()
-        .any(|s| matches!(program.stmt(*s).kind, StmtKind::Print { .. }))
-    {
+    if table.has_io {
         v.blockers.push("i/o inside loop".into());
         return v;
     }
@@ -497,7 +489,7 @@ fn judge_loop<'c, 'p>(
         v.reductions.push((r.var, r.op));
     }
     let reduction_vars: Vec<VarId> = reductions.iter().map(|r| r.var).collect();
-    for scalar in irr_frontend::visit::scalars_assigned_in(program, &body) {
+    for &scalar in &table.assigned_scalars {
         if scalar == loop_var || reduction_vars.contains(&scalar) {
             continue;
         }
@@ -513,8 +505,7 @@ fn judge_loop<'c, 'p>(
     }
 
     // ---- arrays -----------------------------------------------------------
-    let written = irr_frontend::visit::arrays_written_in(program, &body);
-    for array in written {
+    for &array in &table.written_arrays {
         // Dependence test first.
         let mut dt = DependenceTester::new(ctx, apa);
         dt.enable_property_queries = opts.enable_iaa;
@@ -528,12 +519,12 @@ fn judge_loop<'c, 'p>(
             }
             continue;
         }
-        // Then privatization — accepted only for scratch arrays (never
-        // read outside this loop), so no copy-out semantics are needed.
         let mut pv = Privatizer::new(ctx, apa);
         pv.enable_iaa = opts.enable_iaa;
         let priv_res = pv.analyze_array(loop_stmt, array);
-        if priv_res.privatizable && array_is_scratch(program, &body, array) {
+        // Privatization is accepted only for scratch arrays — never read
+        // outside this loop's body — so no copy-out is needed.
+        if priv_res.privatizable && ctx.reads_confined_to(array, loop_stmt) {
             let tag = priv_res.evidence.map(|e| e.tag()).unwrap_or("REG");
             v.privatized_arrays.push((array, tag));
             for (a, t) in priv_res.properties_used {
@@ -637,13 +628,7 @@ fn judge_loop<'c, 'p>(
         .collect();
     v.strategy_facts = match &v.tier {
         DispatchTier::CompileTimeParallel | DispatchTier::RuntimeGuarded(_) => {
-            strategy::in_place_facts(
-                program,
-                loop_stmt,
-                &privatized,
-                &mergeable_vars,
-                v.tier.guard(),
-            )
+            strategy::in_place_facts(ctx, loop_stmt, &privatized, &mergeable_vars, v.tier.guard())
         }
         DispatchTier::Sequential if opts.enable_iaa => {
             let independent: Vec<VarId> = v.independent_arrays.iter().map(|(a, _)| *a).collect();
@@ -682,32 +667,6 @@ fn evolution_discharge(
             }
         })
         .cloned()
-}
-
-/// Whether every *read* of `array` in the whole program happens inside
-/// the loop body — i.e. the array is scratch storage whose values never
-/// escape the loop, so privatizing it requires no copy-out.
-fn array_is_scratch(program: &Program, body: &[StmtId], array: VarId) -> bool {
-    let inside: std::collections::HashSet<StmtId> = program.stmts_in(body).into_iter().collect();
-    for proc in &program.procedures {
-        for s in program.stmts_in(&proc.body) {
-            if inside.contains(&s) {
-                continue;
-            }
-            let mut reads = false;
-            irr_frontend::visit::for_each_expr_in_stmt(program, s, |e| {
-                irr_frontend::visit::for_each_subexpr(e, &mut |sub| {
-                    if matches!(sub, irr_frontend::Expr::Element(a, _) if *a == array) {
-                        reads = true;
-                    }
-                });
-            });
-            if reads {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// A scalar is privatizable for the loop when, in each iteration, every
@@ -982,22 +941,57 @@ mod tests {
  330     continue
          end";
 
+    // `permute_callchain`'s shape: the reversal fill that makes `perm`
+    // injective sits behind a call the inliner skips.
+    const CALL_STRUCTURED_PERMUTE: &str = "program t
+         integer k, nnz, perm(16)
+         real aval(16), pval(16)
+         nnz = 16
+         call permbld
+         do 800 k = 1, nnz
+           pval(perm(k)) = aval(k) * 2.0
+ 800     continue
+         print pval(1)
+         end
+         subroutine permbld
+         integer k, perm(16)
+         do 710 k = 1, 16
+           perm(k) = 16 + 1 - k
+ 710     continue
+         end";
+
+    /// The two interprocedural promotions of the sparse suite
+    /// (`lufront_callchain`, `permute_callchain`), pinned to the exact
+    /// check each retires: both need the summary of a routine that is
+    /// only ever *called*, so an under-demanded summary pass loses them.
     #[test]
     fn call_structured_producer_promotes_only_with_summaries() {
-        let rep = compile_source(CALL_STRUCTURED_CRS, DriverOptions::with_iaa()).unwrap();
-        let v = rep.verdict("T/do400").unwrap();
-        assert!(matches!(v.tier, DispatchTier::CompileTimeParallel), "{v:?}");
-        assert!(v.promoted_interproc, "{v:?}");
-        assert!(matches!(
-            v.retired_checks[..],
-            [ResidualCheck::OffsetLength { .. }]
-        ));
+        type Retired = fn(&dyn Fn(&str) -> VarId) -> ResidualCheck;
+        let cases: [(&str, &str, Retired); 2] = [
+            (CALL_STRUCTURED_CRS, "T/do400", |var| {
+                ResidualCheck::OffsetLength {
+                    ptr: var("rowptr"),
+                    len: var("rowlen"),
+                }
+            }),
+            (CALL_STRUCTURED_PERMUTE, "T/do800", |var| {
+                ResidualCheck::Injective { array: var("perm") }
+            }),
+        ];
+        for (src, label, retired) in cases {
+            let rep = compile_source(src, DriverOptions::with_iaa()).unwrap();
+            let v = rep.verdict(label).unwrap();
+            assert!(matches!(v.tier, DispatchTier::CompileTimeParallel), "{v:?}");
+            assert!(v.promoted_interproc, "{v:?}");
+            let var = |name: &str| rep.program.symbols.lookup(name).unwrap();
+            assert_eq!(v.retired_checks, [retired(&var)], "{v:?}");
 
-        let cold = compile_source(CALL_STRUCTURED_CRS, DriverOptions::without_summaries()).unwrap();
-        let cv = cold.verdict("T/do400").unwrap();
-        assert!(matches!(cv.tier, DispatchTier::RuntimeGuarded(_)), "{cv:?}");
-        assert!(!cv.promoted_interproc);
-        assert!(cv.retired_checks.is_empty());
+            let cold = compile_source(src, DriverOptions::without_summaries()).unwrap();
+            let cv = cold.verdict(label).unwrap();
+            assert!(matches!(cv.tier, DispatchTier::RuntimeGuarded(_)), "{cv:?}");
+            assert!(!cv.promoted_interproc);
+            assert!(cv.retired_checks.is_empty());
+        }
     }
 
     #[test]

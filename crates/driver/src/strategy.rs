@@ -18,16 +18,17 @@
 //!   single pointer scalar, so per-worker private buffers concatenate
 //!   positionally.
 //!
-//! `derive_in_place_facts` and `derive_concat_shape` deliberately use
-//! only `irr_frontend` types: the executor re-derives them per
-//! dispatch and trusts *only* its own derivation, so a forged verdict
-//! can never reach the in-place write path.
+//! `derive_in_place_facts` and `derive_concat_shape` are pure functions
+//! of the program text (one [`BodyTable`] walk of the nest, no analysis
+//! context): the executor re-derives them per dispatch and trusts *only*
+//! its own derivation, so a forged verdict can never reach the in-place
+//! write path. The driver runs the same code on the context's memoized
+//! table.
 
 use crate::{GuardPlan, ResidualCheck};
-use irr_core::{consecutively_written, AnalysisCtx};
+use irr_core::{consecutively_written, AnalysisCtx, BodyTable};
 use irr_frontend::ast::{BinOp, Expr, LValue, StmtKind};
 use irr_frontend::symbols::VarId;
-use irr_frontend::visit::{collect_array_accesses, scalars_assigned_in};
 use irr_frontend::{Program, StmtId};
 
 /// How a loop touches one in-place target: the one subscript form
@@ -221,10 +222,10 @@ fn unify(a: WriteShape, b: WriteShape) -> Option<WriteShape> {
 /// loops and calls are rejected: they make the per-iteration append
 /// sequence non-obvious and bring in side effects the derivation
 /// cannot see.
-fn body_is_straightline(program: &Program, body: &[StmtId]) -> bool {
-    program.stmts_in(body).into_iter().all(|s| {
+fn body_is_straightline(program: &Program, stmts: &[StmtId]) -> bool {
+    stmts.iter().all(|s| {
         matches!(
-            program.stmt(s).kind,
+            program.stmt(*s).kind,
             StmtKind::Assign { .. }
                 | StmtKind::If { .. }
                 | StmtKind::Print { .. }
@@ -265,6 +266,21 @@ pub fn derive_in_place_facts(
     privatized: &[VarId],
     reductions: &[VarId],
 ) -> Option<Vec<InPlaceTarget>> {
+    let StmtKind::Do { body, .. } = &program.stmt(loop_stmt).kind else {
+        return None;
+    };
+    let table = BodyTable::of(program, body);
+    in_place_targets(program, loop_stmt, &table, privatized, reductions)
+}
+
+/// [`derive_in_place_facts`] over the already-walked body of `loop_stmt`.
+fn in_place_targets(
+    program: &Program,
+    loop_stmt: StmtId,
+    table: &BodyTable<'_>,
+    privatized: &[VarId],
+    reductions: &[VarId],
+) -> Option<Vec<InPlaceTarget>> {
     let StmtKind::Do {
         var: loop_var,
         body,
@@ -274,14 +290,10 @@ pub fn derive_in_place_facts(
         return None;
     };
     let loop_var = *loop_var;
-    if program
-        .stmts_in(body)
-        .into_iter()
-        .any(|s| matches!(program.stmt(s).kind, StmtKind::Call { .. }))
-    {
+    if !table.callees.is_empty() {
         return None;
     }
-    let assigned = scalars_assigned_in(program, body);
+    let assigned = &table.assigned_scalars;
     if assigned.contains(&loop_var) {
         return None;
     }
@@ -291,13 +303,13 @@ pub fn derive_in_place_facts(
     {
         return None;
     }
-    let accesses = collect_array_accesses(program, body);
+    let accesses = &table.accesses;
     let mut targets: Vec<InPlaceTarget> = Vec::new();
-    for acc in &accesses {
+    for acc in accesses {
         if !acc.is_write || privatized.contains(&acc.array) {
             continue;
         }
-        let shape = shape_of(&acc.subscripts, loop_var)?;
+        let shape = shape_of(acc.subscripts, loop_var)?;
         match targets.iter_mut().find(|t| t.array == acc.array) {
             None => targets.push(InPlaceTarget {
                 array: acc.array,
@@ -318,7 +330,7 @@ pub fn derive_in_place_facts(
         let Some(t) = targets.iter_mut().find(|t| t.array == acc.array) else {
             continue;
         };
-        t.shape = unify(t.shape, shape_of(&acc.subscripts, loop_var)?)?;
+        t.shape = unify(t.shape, shape_of(acc.subscripts, loop_var)?)?;
         if matches!(t.shape, WriteShape::Scatter { .. }) {
             return None;
         }
@@ -326,7 +338,7 @@ pub fn derive_in_place_facts(
     }
     for t in &mut targets {
         if let WriteShape::Segment { ptr: via } | WriteShape::Scatter { index: via, .. } = t.shape {
-            if accesses.iter().any(|acc| acc.is_write && acc.array == via) {
+            if table.written_arrays.contains(&via) {
                 return None;
             }
         }
@@ -352,13 +364,15 @@ pub fn derive_in_place_facts(
 /// (compile-time parallel, or guarded by something else) keeps the
 /// write-log.
 pub(crate) fn in_place_facts(
-    program: &Program,
+    ctx: &AnalysisCtx<'_>,
     loop_stmt: StmtId,
     privatized: &[VarId],
     reductions: &[VarId],
     guard: Option<&GuardPlan>,
 ) -> StrategyFacts {
-    let Some(targets) = derive_in_place_facts(program, loop_stmt, privatized, reductions) else {
+    let table = ctx.loop_table(loop_stmt);
+    let Some(targets) = in_place_targets(ctx.program, loop_stmt, table, privatized, reductions)
+    else {
         return StrategyFacts::None;
     };
     let inspected = |index: VarId| {
@@ -393,31 +407,41 @@ pub fn derive_concat_shape(
     privatized: &[VarId],
     reductions: &[VarId],
 ) -> Option<(VarId, Vec<VarId>)> {
-    let StmtKind::Do {
-        var: loop_var,
-        body,
-        ..
-    } = &program.stmt(loop_stmt).kind
-    else {
+    let StmtKind::Do { body, .. } = &program.stmt(loop_stmt).kind else {
+        return None;
+    };
+    let table = BodyTable::of(program, body);
+    concat_shape(program, loop_stmt, &table, privatized, reductions)
+}
+
+/// [`derive_concat_shape`] over the already-walked body of `loop_stmt`.
+fn concat_shape(
+    program: &Program,
+    loop_stmt: StmtId,
+    table: &BodyTable<'_>,
+    privatized: &[VarId],
+    reductions: &[VarId],
+) -> Option<(VarId, Vec<VarId>)> {
+    let StmtKind::Do { var: loop_var, .. } = &program.stmt(loop_stmt).kind else {
         return None;
     };
     let loop_var = *loop_var;
-    if !body_is_straightline(program, body) {
+    if !body_is_straightline(program, &table.stmts) {
         return None;
     }
-    let assigned = scalars_assigned_in(program, body);
+    let assigned = &table.assigned_scalars;
     if assigned.contains(&loop_var) {
         return None;
     }
     // The pointer: the unique non-privatized, non-reduction scalar
     // used as the whole subscript of a write.
-    let accesses = collect_array_accesses(program, body);
+    let accesses = &table.accesses;
     let mut ptr: Option<VarId> = None;
-    for acc in &accesses {
+    for acc in accesses {
         if !acc.is_write || privatized.contains(&acc.array) {
             continue;
         }
-        if let [Expr::Var(p)] = acc.subscripts.as_slice() {
+        if let [Expr::Var(p)] = acc.subscripts {
             if *p != loop_var
                 && !program.symbols.var(*p).is_array()
                 && !privatized.contains(p)
@@ -433,10 +457,10 @@ pub fn derive_concat_shape(
     }
     let ptr = ptr?;
     let mut targets: Vec<VarId> = Vec::new();
-    for acc in &accesses {
+    for acc in accesses {
         if acc.is_write
             && !privatized.contains(&acc.array)
-            && matches!(acc.subscripts.as_slice(), [Expr::Var(p)] if *p == ptr)
+            && matches!(acc.subscripts, [Expr::Var(p)] if *p == ptr)
             && !targets.contains(&acc.array)
         {
             targets.push(acc.array);
@@ -445,9 +469,9 @@ pub fn derive_concat_shape(
     // Every access to a target must be exactly such a write: a read
     // would observe the worker's stale private copy instead of the
     // appended values, and any other write shape breaks contiguity.
-    for acc in &accesses {
+    for acc in accesses {
         if targets.contains(&acc.array)
-            && !(acc.is_write && matches!(acc.subscripts.as_slice(), [Expr::Var(p)] if *p == ptr))
+            && !(acc.is_write && matches!(acc.subscripts, [Expr::Var(p)] if *p == ptr))
         {
             return None;
         }
@@ -464,7 +488,7 @@ pub fn derive_concat_shape(
         _ => false,
     };
     let mut increments = 0usize;
-    for s in program.stmts_in(body) {
+    for &s in &table.stmts {
         match &program.stmt(s).kind {
             StmtKind::Assign {
                 lhs: LValue::Scalar(v),
@@ -541,22 +565,15 @@ pub(crate) fn derive_concat_facts(
     reductions: &[VarId],
     independent: &[VarId],
 ) -> StrategyFacts {
-    let program = ctx.program;
-    let Some((ptr, targets)) = derive_concat_shape(program, loop_stmt, privatized, reductions)
+    let table = ctx.loop_table(loop_stmt);
+    let Some((ptr, targets)) = concat_shape(ctx.program, loop_stmt, table, privatized, reductions)
     else {
         return StrategyFacts::None;
     };
-    let StmtKind::Do { body, .. } = &program.stmt(loop_stmt).kind else {
+    let covered =
+        |a: &VarId| targets.contains(a) || privatized.contains(a) || independent.contains(a);
+    if !table.written_arrays.iter().all(covered) {
         return StrategyFacts::None;
-    };
-    for acc in collect_array_accesses(program, body) {
-        if acc.is_write
-            && !targets.contains(&acc.array)
-            && !privatized.contains(&acc.array)
-            && !independent.contains(&acc.array)
-        {
-            return StrategyFacts::None;
-        }
     }
     for &a in &targets {
         match consecutively_written(ctx, loop_stmt, a, ptr) {
@@ -911,7 +928,8 @@ mod tests {
     fn facts_name_the_shape_that_leans_most_on_the_run() {
         let name = |body: &str, guard: Option<&GuardPlan>| {
             let (p, _) = derive_body(body);
-            in_place_facts(&p, first_do(&p), &[var(&p, "j")], &[], guard)
+            let ctx = AnalysisCtx::new(&p);
+            in_place_facts(&ctx, first_do(&p), &[var(&p, "j")], &[], guard)
                 .name()
                 .to_string()
         };

@@ -385,26 +385,27 @@ impl Program {
     /// All statements (transitively) inside `body`, in pre-order.
     pub fn stmts_in(&self, body: &[StmtId]) -> Vec<StmtId> {
         let mut out = Vec::new();
-        let mut stack: Vec<StmtId> = body.iter().rev().copied().collect();
-        while let Some(id) = stack.pop() {
+        let mut stack = vec![body.iter()];
+        while let Some(top) = stack.last_mut() {
+            let Some(&id) = top.next() else {
+                stack.pop();
+                continue;
+            };
             out.push(id);
-            for b in self.stmt(id).kind.bodies().into_iter().rev() {
-                for s in b.iter().rev() {
-                    stack.push(*s);
+            match &self.stmt(id).kind {
+                StmtKind::Do { body, .. } | StmtKind::While { body, .. } => stack.push(body.iter()),
+                StmtKind::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    stack.push(else_body.iter());
+                    stack.push(then_body.iter());
                 }
+                _ => {}
             }
         }
         out
-    }
-
-    /// The procedure that contains `stmt`, if any.
-    pub fn containing_procedure(&self, stmt: StmtId) -> Option<ProcId> {
-        for (i, p) in self.procedures.iter().enumerate() {
-            if self.stmts_in(&p.body).contains(&stmt) {
-                return Some(ProcId(i as u32));
-            }
-        }
-        None
     }
 }
 

@@ -6,12 +6,14 @@
 //! style (`.and.`, `.le.`, ...) or in symbolic style (`<=`, `==`, ...).
 
 use crate::diag::{ParseError, SourceLoc};
+use std::borrow::Cow;
 
 /// A lexical token.
 #[derive(Clone, PartialEq, Debug)]
-pub enum Token {
-    /// Identifier or keyword, lower-cased.
-    Ident(String),
+pub enum Token<'s> {
+    /// Identifier or keyword, lower-cased: borrowed from the source
+    /// unless it had an upper-case letter to fold.
+    Ident(Cow<'s, str>),
     /// Integer literal.
     Int(i64),
     /// Real literal.
@@ -39,7 +41,7 @@ pub enum Token {
     Eof,
 }
 
-impl Token {
+impl Token<'_> {
     /// Whether this token is the identifier/keyword `kw` (already
     /// lower-case).
     pub fn is_kw(&self, kw: &str) -> bool {
@@ -49,8 +51,8 @@ impl Token {
 
 /// A token plus its source location.
 #[derive(Clone, Debug)]
-pub struct Spanned {
-    pub token: Token,
+pub struct Spanned<'s> {
+    pub token: Token<'s>,
     pub loc: SourceLoc,
 }
 
@@ -61,8 +63,8 @@ pub struct Spanned {
 ///
 /// Returns a [`ParseError`] on malformed numeric literals or unknown
 /// characters.
-pub fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
-    let mut out: Vec<Spanned> = Vec::new();
+pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
+    let mut out: Vec<Spanned<'_>> = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0usize;
     let mut line: u32 = 1;
@@ -227,7 +229,13 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
                 {
                     i += 1;
                 }
-                push!(Token::Ident(src[start..i].to_ascii_lowercase()), start);
+                let word = &src[start..i];
+                let ident = if word.bytes().any(|b| b.is_ascii_uppercase()) {
+                    Cow::Owned(word.to_ascii_lowercase())
+                } else {
+                    Cow::Borrowed(word)
+                };
+                push!(Token::Ident(ident), start);
             }
             other => {
                 return Err(ParseError::new(
@@ -251,7 +259,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
 }
 
 /// Lexes a number at the start of `s`; returns the token and byte length.
-fn lex_number(s: &str, at: SourceLoc) -> Result<(Token, usize), ParseError> {
+fn lex_number(s: &str, at: SourceLoc) -> Result<(Token<'static>, usize), ParseError> {
     let bytes = s.as_bytes();
     let mut i = 0;
     let mut is_real = false;
@@ -304,7 +312,7 @@ fn lex_number(s: &str, at: SourceLoc) -> Result<(Token, usize), ParseError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         tokenize(src)
             .unwrap()
             .into_iter()

@@ -18,7 +18,7 @@ use crate::symbols::{ProcId, ScalarType, SymbolTable};
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(src)?;
     let parser = Parser {
-        tokens,
+        tokens: &tokens,
         pos: 0,
         depth: 0,
         symbols: SymbolTable::new(),
@@ -36,8 +36,10 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// cannot be caught by a service's `catch_unwind`.
 pub const MAX_NESTING_DEPTH: usize = 200;
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'t> {
+    /// Borrowed, so a token (and an identifier's text) can be held across
+    /// `&mut self` calls without cloning it.
+    tokens: &'t [Spanned<'t>],
     pos: usize,
     /// Current recursion depth (statements + expressions combined).
     depth: usize,
@@ -46,15 +48,15 @@ struct Parser {
     procedures: Vec<Procedure>,
     /// `(stmt, callee-name, loc)` — resolved after all units are parsed so
     /// that forward calls work.
-    pending_calls: Vec<(StmtId, String, SourceLoc)>,
+    pending_calls: Vec<(StmtId, &'t str, SourceLoc)>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'t> Parser<'t> {
+    fn peek(&self) -> &'t Token<'t> {
         &self.tokens[self.pos].token
     }
 
-    fn peek2(&self) -> &Token {
+    fn peek2(&self) -> &'t Token<'t> {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].token
     }
 
@@ -62,8 +64,10 @@ impl Parser {
         self.tokens[self.pos].loc
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].token.clone();
+    /// Consumes and returns the current token; the final `Eof` is never
+    /// stepped past.
+    fn bump(&mut self) -> &'t Token<'t> {
+        let t = self.peek();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -74,7 +78,7 @@ impl Parser {
         ParseError::new(msg, self.loc())
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: &Token<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == t {
             self.bump();
             Ok(())
@@ -109,7 +113,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'t str, ParseError> {
         match self.bump() {
             Token::Ident(s) => Ok(s),
             other => Err(ParseError::new(
@@ -191,7 +195,7 @@ impl Parser {
         }
         self.expect_newline()?;
         self.procedures.push(Procedure {
-            name,
+            name: name.to_string(),
             is_main,
             body,
         });
@@ -208,7 +212,7 @@ impl Parser {
                 Token::Eof => return Ok(out),
                 Token::Ident(s)
                     if matches!(
-                        s.as_str(),
+                        &**s,
                         "end" | "enddo" | "endif" | "endwhile" | "else" | "elseif"
                     ) =>
                 {
@@ -243,11 +247,11 @@ impl Parser {
 
     fn parse_stmt_inner(&mut self) -> Result<Option<StmtId>, ParseError> {
         let loc = self.loc();
-        let head = match self.peek() {
-            Token::Ident(s) => s.clone(),
+        let head: &str = match self.peek() {
+            Token::Ident(s) => s,
             other => return Err(self.err(format!("expected statement, found {other:?}"))),
         };
-        match head.as_str() {
+        match head {
             "integer" | "real" => {
                 self.parse_decl()?;
                 Ok(None)
@@ -322,7 +326,7 @@ impl Parser {
                 self.expect(&Token::RParen, "`)`")?;
             }
             self.symbols
-                .declare(&name, ty, dims)
+                .declare(name, ty, dims)
                 .map_err(|m| ParseError::new(m, loc))?;
             if matches!(self.peek(), Token::Comma) {
                 self.bump();
@@ -348,7 +352,7 @@ impl Parser {
             _ => None,
         };
         let var_name = self.expect_ident("loop variable")?;
-        let var = self.symbols.intern_scalar(&var_name);
+        let var = self.symbols.intern_scalar(var_name);
         self.expect(&Token::Assign, "`=`")?;
         let lo = self.parse_expr()?;
         self.expect(&Token::Comma, "`,`")?;
@@ -538,7 +542,7 @@ impl Parser {
         let lhs = if matches!(self.peek(), Token::LParen) {
             let var = self
                 .symbols
-                .lookup(&name)
+                .lookup(name)
                 .filter(|v| self.symbols.var(*v).is_array())
                 .ok_or_else(|| self.err(format!("assignment to undeclared array `{name}`")))?;
             self.bump();
@@ -557,7 +561,7 @@ impl Parser {
             }
             LValue::Element(var, subs)
         } else {
-            LValue::Scalar(self.symbols.intern_scalar(&name))
+            LValue::Scalar(self.symbols.intern_scalar(name))
         };
         self.expect(&Token::Assign, "`=`")?;
         let rhs = self.parse_expr()?;
@@ -664,8 +668,8 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
         let loc = self.loc();
         match self.bump() {
-            Token::Int(v) => Ok(Expr::IntLit(v)),
-            Token::Real(v) => Ok(Expr::RealLit(v)),
+            Token::Int(v) => Ok(Expr::IntLit(*v)),
+            Token::Real(v) => Ok(Expr::RealLit(*v)),
             Token::LParen => {
                 let inner = self.parse_expr()?;
                 self.expect(&Token::RParen, "`)`")?;
@@ -676,7 +680,7 @@ impl Parser {
                     // Array reference or intrinsic call.
                     let declared_array = self
                         .symbols
-                        .lookup(&name)
+                        .lookup(name)
                         .filter(|v| self.symbols.var(*v).is_array());
                     self.bump();
                     let mut args = vec![self.parse_expr()?];
@@ -698,7 +702,7 @@ impl Parser {
                         }
                         return Ok(Expr::Element(var, args));
                     }
-                    if let Some(intr) = Intrinsic::from_name(&name) {
+                    if let Some(intr) = Intrinsic::from_name(name) {
                         return Ok(Expr::Call(intr, args));
                     }
                     Err(ParseError::new(
@@ -706,7 +710,7 @@ impl Parser {
                         loc,
                     ))
                 } else {
-                    Ok(Expr::Var(self.symbols.intern_scalar(&name)))
+                    Ok(Expr::Var(self.symbols.intern_scalar(name)))
                 }
             }
             other => Err(ParseError::new(

@@ -115,10 +115,10 @@ impl SymbolTable {
 
     /// Looks a variable up by (case-insensitive) name.
     pub fn lookup(&self, name: &str) -> Option<VarId> {
-        let lower = name.to_ascii_lowercase();
+        // Names are stored lower-cased, so folding only `name` suffices.
         self.vars
             .iter()
-            .position(|v| v.name == lower)
+            .position(|v| v.name.eq_ignore_ascii_case(name))
             .map(|i| VarId(i as u32))
     }
 
@@ -130,32 +130,31 @@ impl SymbolTable {
         ty: ScalarType,
         dims: Vec<Expr>,
     ) -> Result<VarId, String> {
-        let lower = name.to_ascii_lowercase();
-        if let Some(id) = self.lookup(&lower) {
+        if let Some(id) = self.lookup(name) {
             let existing = &self.vars[id.index()];
             if existing.ty != ty || existing.dims.len() != dims.len() {
-                return Err(format!("conflicting redeclaration of `{lower}`"));
+                return Err(format!("conflicting redeclaration of `{}`", existing.name));
             }
             return Ok(id);
         }
-        let id = VarId(self.vars.len() as u32);
-        self.vars.push(VarInfo {
-            name: lower,
-            ty,
-            dims,
-        });
-        Ok(id)
+        Ok(self.push(name, ty, dims))
     }
 
     /// Returns an existing variable or declares a scalar with implicit
     /// typing.
     pub fn intern_scalar(&mut self, name: &str) -> VarId {
-        if let Some(id) = self.lookup(name) {
-            return id;
-        }
-        let ty = ScalarType::implicit_for(name);
-        self.declare(name, ty, Vec::new())
-            .expect("fresh scalar declaration cannot conflict")
+        self.lookup(name)
+            .unwrap_or_else(|| self.push(name, ScalarType::implicit_for(name), Vec::new()))
+    }
+
+    fn push(&mut self, name: &str, ty: ScalarType, dims: Vec<Expr>) -> VarId {
+        let id = VarId(self.vars.len() as u32);
+        self.vars.push(VarInfo {
+            name: name.to_ascii_lowercase(),
+            ty,
+            dims,
+        });
+        id
     }
 
     /// Variable record for `id`.

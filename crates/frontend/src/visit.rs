@@ -6,7 +6,7 @@ use crate::symbols::VarId;
 /// Calls `f` on every expression appearing in statement `id` (not
 /// recursing into nested statements): assignment right-hand sides and
 /// subscripts, loop bounds, conditions, print arguments.
-pub fn for_each_expr_in_stmt(p: &Program, id: StmtId, mut f: impl FnMut(&Expr)) {
+pub fn for_each_expr_in_stmt<'p>(p: &'p Program, id: StmtId, mut f: impl FnMut(&'p Expr)) {
     match &p.stmt(id).kind {
         StmtKind::Assign { lhs, rhs } => {
             for s in lhs.subscripts() {
@@ -34,7 +34,7 @@ pub fn for_each_expr_in_stmt(p: &Program, id: StmtId, mut f: impl FnMut(&Expr)) 
 
 /// Calls `f` on every sub-expression of `e`, in pre-order (including `e`
 /// itself).
-pub fn for_each_subexpr(e: &Expr, f: &mut impl FnMut(&Expr)) {
+pub fn for_each_subexpr<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
     f(e);
     match e {
         Expr::IntLit(_) | Expr::RealLit(_) | Expr::Var(_) => {}
@@ -56,49 +56,57 @@ pub fn for_each_subexpr(e: &Expr, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// One syntactic access to an array: the base variable, the subscripts,
-/// whether it is a write, and the statement it appears in.
-#[derive(Clone, Debug)]
-pub struct ArrayAccess {
+/// One syntactic access to an array: the base variable, the subscripts
+/// (borrowed from the program), whether it is a write, and the statement
+/// it appears in.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct ArrayAccess<'p> {
     /// Array variable.
     pub array: VarId,
     /// Subscript expressions.
-    pub subscripts: Vec<Expr>,
+    pub subscripts: &'p [Expr],
     /// Whether this access stores to the array.
     pub is_write: bool,
     /// The statement containing the access.
     pub stmt: StmtId,
 }
 
+/// Appends the array accesses of statement `id`'s own expressions (not
+/// of nested statements): the write of an element assignment first, then
+/// every read in evaluation pre-order.
+pub fn stmt_array_accesses<'p>(p: &'p Program, id: StmtId, out: &mut Vec<ArrayAccess<'p>>) {
+    if let StmtKind::Assign {
+        lhs: LValue::Element(v, subs),
+        ..
+    } = &p.stmt(id).kind
+    {
+        out.push(ArrayAccess {
+            array: *v,
+            subscripts: subs,
+            is_write: true,
+            stmt: id,
+        });
+    }
+    for_each_expr_in_stmt(p, id, |e| {
+        for_each_subexpr(e, &mut |sub| {
+            if let Expr::Element(v, subs) = sub {
+                out.push(ArrayAccess {
+                    array: *v,
+                    subscripts: subs,
+                    is_write: false,
+                    stmt: id,
+                });
+            }
+        });
+    });
+}
+
 /// Collects every array access in the statements of `body`
 /// (transitively), in program pre-order.
-pub fn collect_array_accesses(p: &Program, body: &[StmtId]) -> Vec<ArrayAccess> {
+pub fn collect_array_accesses<'p>(p: &'p Program, body: &[StmtId]) -> Vec<ArrayAccess<'p>> {
     let mut out = Vec::new();
     for id in p.stmts_in(body) {
-        if let StmtKind::Assign {
-            lhs: LValue::Element(v, subs),
-            ..
-        } = &p.stmt(id).kind
-        {
-            out.push(ArrayAccess {
-                array: *v,
-                subscripts: subs.clone(),
-                is_write: true,
-                stmt: id,
-            });
-        }
-        for_each_expr_in_stmt(p, id, |e| {
-            for_each_subexpr(e, &mut |sub| {
-                if let Expr::Element(v, subs) = sub {
-                    out.push(ArrayAccess {
-                        array: *v,
-                        subscripts: subs.clone(),
-                        is_write: false,
-                        stmt: id,
-                    });
-                }
-            });
-        });
+        stmt_array_accesses(p, id, &mut out);
     }
     out
 }

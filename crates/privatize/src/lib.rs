@@ -24,8 +24,10 @@
 //! read bound `phi` meet in the same symbol.
 
 use irr_core::property::ArrayPropertyAnalysis;
-use irr_core::{consecutively_written, stack_access, AnalysisCtx, Property, PropertyQuery};
-use irr_frontend::visit::for_each_subexpr;
+use irr_core::{
+    consecutively_written, stack_access, AnalysisCtx, BodyTable, Property, PropertyQuery,
+};
+use irr_frontend::visit::stmt_array_accesses;
 use irr_frontend::{Expr, LValue, StmtId, StmtKind, VarId};
 use irr_symbolic::{expr_to_sym, AggMode, Atom, Bound, RangeEnv, Section, SymExpr};
 use std::collections::HashMap;
@@ -154,13 +156,11 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
 
     /// Analyzes every array written in the loop.
     pub fn analyze_loop(&mut self, loop_stmt: StmtId) -> Vec<PrivatizationResult> {
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-            _ => return Vec::new(),
-        };
-        irr_frontend::visit::arrays_written_in(self.ctx.program, &body)
-            .into_iter()
-            .map(|a| self.analyze_array(loop_stmt, a))
+        let ctx = self.ctx;
+        ctx.loop_table(loop_stmt)
+            .written_arrays
+            .iter()
+            .map(|&a| self.analyze_array(loop_stmt, a))
             .collect()
     }
 
@@ -173,10 +173,9 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
             evidence: None,
             properties_used: Vec::new(),
         };
-        let body: Vec<StmtId> = match &self.ctx.program.stmt(loop_stmt).kind {
-            StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
-            _ => return result,
-        };
+        if !self.ctx.program.stmt(loop_stmt).kind.is_loop() {
+            return result;
+        }
         // Stack shortcut (§2.3).
         if self.enable_iaa {
             for si in irr_core::single_indexed_arrays(self.ctx, loop_stmt) {
@@ -193,7 +192,7 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
         }
         let mut scan = Scan::new();
         let env = self.ctx.range_env_at(loop_stmt);
-        let ok = self.scan_body(&body, array, &mut scan, &env);
+        let ok = self.scan_body(self.ctx.loop_body(loop_stmt), array, &mut scan, &env);
         result.properties_used = scan.properties.clone();
         if ok {
             result.privatizable = true;
@@ -206,22 +205,6 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
             });
         }
         result
-    }
-
-    /// Whether `array` is read anywhere inside `body` (transitively).
-    fn array_read_inside(&self, body: &[StmtId], array: VarId) -> bool {
-        let program = self.ctx.program;
-        let mut found = false;
-        for t in program.stmts_in(body) {
-            irr_frontend::visit::for_each_expr_in_stmt(program, t, |e| {
-                for_each_subexpr(e, &mut |sub| {
-                    if matches!(sub, Expr::Element(a, _) if *a == array) {
-                        found = true;
-                    }
-                });
-            });
-        }
-        found
     }
 
     /// The CW index variable when `array` is consecutively written in
@@ -301,29 +284,14 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
         true
     }
 
-    /// All reads of `array` in the statement's own expressions, as full
-    /// subscript lists.
-    fn reads_of(&self, s: StmtId, array: VarId) -> Vec<Vec<Expr>> {
-        let mut reads = Vec::new();
-        irr_frontend::visit::for_each_expr_in_stmt(self.ctx.program, s, |e| {
-            for_each_subexpr(e, &mut |sub| {
-                if let Expr::Element(a, subs) = sub {
-                    if *a == array {
-                        reads.push(subs.clone());
-                    }
-                }
-            });
-        });
-        reads
-    }
-
+    /// Checks every read of `array` in the statement's own expressions.
     fn check_reads(&mut self, s: StmtId, array: VarId, scan: &mut Scan, env: &RangeEnv) -> bool {
-        for subs in self.reads_of(s, array) {
-            if !self.read_covered(s, &subs, scan, env) {
-                return false;
-            }
-        }
-        true
+        let mut accesses = Vec::new();
+        stmt_array_accesses(self.ctx.program, s, &mut accesses);
+        accesses
+            .iter()
+            .filter(|acc| !acc.is_write && acc.array == array)
+            .all(|acc| self.read_covered(s, acc.subscripts, scan, env))
     }
 
     /// Checks that reading `array(subs...)` at `stmt` is covered by `W`.
@@ -441,22 +409,22 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
 
     fn scan_stmt(&mut self, s: StmtId, array: VarId, scan: &mut Scan, env: &RangeEnv) -> bool {
         let program = self.ctx.program;
-        match program.stmt(s).kind.clone() {
+        match &program.stmt(s).kind {
             StmtKind::Assign { lhs, rhs } => {
                 if !self.check_reads(s, array, scan, env) {
                     return false;
                 }
                 match lhs {
-                    LValue::Scalar(v) => match self.to_value(&rhs, scan) {
+                    LValue::Scalar(v) => match self.to_value(rhs, scan) {
                         Some(val) => {
-                            scan.vals.insert(v, val);
+                            scan.vals.insert(*v, val);
                         }
                         None => {
-                            self.freshen(scan, v);
+                            self.freshen(scan, *v);
                         }
                     },
                     LValue::Element(a, subs) => {
-                        if a == array {
+                        if *a == array {
                             let vals: Option<Vec<SymExpr>> =
                                 subs.iter().map(|e| self.to_value(e, scan)).collect();
                             if let Some(vals) = vals {
@@ -478,8 +446,8 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                 }
                 let mut scan_t = scan.clone();
                 let mut scan_e = scan.clone();
-                if !self.scan_body(&then_body, array, &mut scan_t, env)
-                    || !self.scan_body(&else_body, array, &mut scan_e, env)
+                if !self.scan_body(then_body, array, &mut scan_t, env)
+                    || !self.scan_body(else_body, array, &mut scan_e, env)
                 {
                     return false;
                 }
@@ -518,7 +486,8 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                 // A consecutively-written inner do loop (e.g. an index
                 // gathering loop) contributes the section
                 // [p_entry+1 : p_exit] just like the while-loop case.
-                if self.enable_iaa && !self.array_read_inside(&body, array) {
+                let (var, table) = (*var, self.ctx.loop_table(s));
+                if self.enable_iaa && !table.reads(array) {
                     if let Some(cw_index) = self.cw_index_of(s, array) {
                         let p_entry = scan
                             .vals
@@ -532,7 +501,7 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                         let delta = Section::range1(p_entry.add(&SymExpr::int(1)), p_exit.clone());
                         scan.w = delta.union_must(&scan.w, env);
                         scan.used_cw = true;
-                        for v in irr_frontend::visit::scalars_assigned_in(program, &body) {
+                        for &v in &table.assigned_scalars {
                             if v == cw_index {
                                 continue;
                             }
@@ -543,13 +512,13 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                         return true;
                     }
                 }
-                let lo_v = self.to_value(&lo, scan);
-                let hi_v = self.to_value(&hi, scan);
+                let lo_v = self.to_value(lo, scan);
+                let hi_v = self.to_value(hi, scan);
                 let mut inner = scan.clone();
                 // Scalars carried across the inner loop's iterations have
                 // unknown values at a generic iteration's entry — the
                 // outer valuation is only valid for iteration 1.
-                for v in irr_frontend::visit::scalars_assigned_in(program, &body) {
+                for &v in &table.assigned_scalars {
                     if v != var {
                         self.freshen(&mut inner, v);
                     }
@@ -561,7 +530,7 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                 if let (Some(l), Some(h)) = (&lo_v, &hi_v) {
                     env_inner.set_var_range(var, l.clone(), h.clone());
                 }
-                if !self.scan_body(&body, array, &mut inner, &env_inner) {
+                if !self.scan_body(body, array, &mut inner, &env_inner) {
                     return false;
                 }
                 // MUST-aggregate the writes over the loop range and keep
@@ -570,7 +539,7 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                     let agg = inner.w.aggregate(var, &l, &h, env, AggMode::Must);
                     scan.w = agg.union_must(&scan.w, env);
                 }
-                for v in irr_frontend::visit::scalars_assigned_in(program, &body) {
+                for &v in &table.assigned_scalars {
                     self.freshen(scan, v);
                 }
                 self.freshen(scan, var);
@@ -587,21 +556,9 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                 // writes cover [p_entry+1 : p_exit]. Only usable when
                 // the array is not read inside the loop (a read could
                 // precede the covering write).
-                let array_read_inside = {
-                    let mut found = false;
-                    for t in program.stmts_in(&body) {
-                        irr_frontend::visit::for_each_expr_in_stmt(program, t, |e| {
-                            for_each_subexpr(e, &mut |sub| {
-                                if matches!(sub, Expr::Element(a, _) if *a == array) {
-                                    found = true;
-                                }
-                            });
-                        });
-                    }
-                    found
-                };
+                let table = self.ctx.loop_table(s);
                 let mut handled_index: Option<VarId> = None;
-                if self.enable_iaa && !array_read_inside {
+                if self.enable_iaa && !table.reads(array) {
                     for si in irr_core::single_indexed_arrays(self.ctx, s) {
                         if si.array == array
                             && consecutively_written(self.ctx, s, array, si.index).is_some()
@@ -631,15 +588,15 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                     // Iteration-carried scalars are unknown at a generic
                     // iteration entry.
                     let mut inner = scan.clone();
-                    for v in irr_frontend::visit::scalars_assigned_in(program, &body) {
+                    for &v in &table.assigned_scalars {
                         self.freshen(&mut inner, v);
                     }
-                    if !self.scan_body(&body, array, &mut inner, env) {
+                    if !self.scan_body(body, array, &mut inner, env) {
                         return false;
                     }
                     scan.properties.extend(inner.properties);
                 }
-                for v in irr_frontend::visit::scalars_assigned_in(program, &body) {
+                for &v in &table.assigned_scalars {
                     if Some(v) == handled_index {
                         continue; // already given its exit symbol
                     }
@@ -648,21 +605,17 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                 true
             }
             StmtKind::Call { proc } => {
-                let pbody = program.procedures[proc.index()].body.clone();
-                let writes_it =
-                    irr_frontend::visit::arrays_written_in(program, &pbody).contains(&array);
-                let mut reads_it = false;
-                for t in program.stmts_in(&pbody) {
+                let callee = BodyTable::of(program, &program.procedure(*proc).body);
+                let mut mentions_it = callee.written_arrays.contains(&array);
+                for &t in &callee.stmts {
                     irr_frontend::visit::for_each_expr_in_stmt(program, t, |e| {
-                        if e.mentions(array) {
-                            reads_it = true;
-                        }
+                        mentions_it |= e.mentions(array);
                     });
                 }
-                if writes_it || reads_it {
+                if mentions_it {
                     return false;
                 }
-                for v in irr_frontend::visit::scalars_assigned_in(program, &pbody) {
+                for &v in &callee.assigned_scalars {
                     self.freshen(scan, v);
                 }
                 true
