@@ -66,6 +66,8 @@ pub struct CompiledPlan {
     /// Fused multiply–adds `x + b * c`, the reduction `s = s + b * c`
     /// included.
     pub multiply_adds: u32,
+    /// Innermost `do` loops (the root included) that carry a [`Stream`].
+    pub stream_loops: u32,
 }
 
 /// The advisory compiled-tier plan for the `do` loop at `loop_stmt`:
@@ -375,6 +377,89 @@ pub enum FOp {
     },
 }
 
+/// The loop-invariant part of a stream subscript `inv + j`: a literal
+/// plus signed terms (`true` subtracts) over integer scalars and loads
+/// `ptr(inv)` from integer rank-1 arrays, none of which the loop's one
+/// statement writes — `rowptr(i) + j - 1` is `-1 + rowptr(i)`. Kept as
+/// an expression, not hoisted: the executor evaluates it at loop entry,
+/// only for a loop that iterates, with checked arithmetic and the
+/// pin's own bounds check, and declines the stream when either fails.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Inv {
+    pub off: i64,
+    pub terms: Box<[(bool, InvTerm)]>,
+}
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InvTerm {
+    /// The register of an integer-declared scalar.
+    Reg(u16),
+    /// `ptr(at)`, `ptr` an integer rank-1 array.
+    Load { slot: u16, at: Inv },
+}
+
+/// A per-iteration location of a stream over a real rank-1 array:
+/// LINEAR `arr(base + j)`, or INDIRECT `arr(idx(base + j))` through the
+/// integer rank-1 array at `idx_slot` (gem-forge's access-pattern
+/// classes, decided here from the tree).
+#[derive(Clone, Debug)]
+pub struct StreamAt {
+    pub slot: u16,
+    pub idx_slot: Option<u16>,
+    pub base: Inv,
+}
+
+/// One operand of a stream, read as a real.
+#[derive(Clone, Debug)]
+pub enum StreamRef {
+    /// A literal, or a scalar the statement does not assign.
+    Inv(FOpnd),
+    At(StreamAt),
+    /// The sink's own running value: the `c` of a reduction.
+    Acc,
+}
+
+/// Where a stream's value goes each iteration.
+#[derive(Clone, Debug)]
+pub enum StreamSink {
+    /// A store at `base + j`, or a scatter through `idx(base + j)`.
+    At(StreamAt),
+    /// A reduction into a real scalar's register.
+    Scalar(u16),
+    /// A reduction into `arr(at)`, `at` loop-invariant; no operand
+    /// reads `arr`.
+    Elem { slot: u16, at: Inv },
+}
+
+/// How a stream's product `P` and its third operand `c` combine.
+/// Operand order is the source's: float `+` is never commuted.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StreamTail {
+    /// `P + c`
+    PAddC,
+    /// `P - c`
+    PSubC,
+    /// `c + P`
+    CAddP,
+    /// `c - P`
+    CSubP,
+}
+
+/// An innermost unit-step `do j` whose body is the one assignment
+/// `sink = P`, `P ± c` or `c ± P` with `P = a` or `a * b`, every
+/// binary operation real: what the typed loop may fast-forward as one
+/// guarded stream instead of dispatching the loop's block per
+/// iteration. The block is still lowered — it runs every iteration the
+/// stream's guards do not cover — and computes exactly this: two
+/// roundings, no reassociation.
+#[derive(Clone, Debug)]
+pub struct Stream {
+    pub sink: StreamSink,
+    pub a: StreamRef,
+    pub b: Option<StreamRef>,
+    pub tail: Option<(StreamTail, StreamRef)>,
+}
+
 /// A scalar promoted to a register for the length of a typed run.
 #[derive(Clone, Copy, Debug)]
 pub struct Promoted {
@@ -405,6 +490,7 @@ pub struct CompiledBody {
     arrays: Vec<VarId>,
     stored: Vec<bool>,
     loops: Vec<StmtId>,
+    streams: Vec<Option<Stream>>,
     root_var: VarId,
     root_reg: u16,
     root_real: bool,
@@ -492,6 +578,18 @@ impl CompiledBody {
         &self.loops[1..]
     }
 
+    /// The stream of the root loop itself, when its body is one.
+    #[inline]
+    pub fn root_stream(&self) -> Option<&Stream> {
+        self.streams[0].as_ref()
+    }
+
+    /// The stream of the inner `do` loop counted under `lidx`.
+    #[inline]
+    pub fn stream(&self, lidx: u16) -> Option<&Stream> {
+        self.streams[usize::from(lidx) + 1].as_ref()
+    }
+
     /// The outermost loop's induction variable.
     #[inline]
     pub fn root_var(&self) -> VarId {
@@ -517,6 +615,7 @@ impl CompiledBody {
         let mut plan = CompiledPlan {
             registers: self.register_count() as u32,
             inner_loops: self.inner_loops().len() as u32,
+            stream_loops: self.streams.iter().flatten().count() as u32,
             ..CompiledPlan::default()
         };
         for op in self.blocks.iter().flatten() {
@@ -617,6 +716,56 @@ mod tests {
         let plan = derive_compiled_plan(&p, first_do(&p)).unwrap();
         assert_eq!(plan.appends, 1, "{plan:?}");
         assert!(plan.affine_accesses >= 1, "{plan:?}");
+    }
+
+    /// The stream family, shape by shape: what gets a `Stream` beside
+    /// its block and what stays on the per-iteration instructions.
+    #[test]
+    fn the_stream_family_is_closed() {
+        let streams = |body: &str| {
+            let src = format!(
+                "program t
+                 integer i, j, k, m, ptr(9), idx(16), cnt(16)
+                 real r, s, a(16), b(16), c(16), z(4, 4)
+                 do i = 1, 8
+                   {body}
+                 enddo
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            derive_compiled_plan(&p, first_do(&p)).unwrap().stream_loops
+        };
+        for body in [
+            "a(i) = 0.0",
+            "a(i) = 2",
+            "a(i + 1) = b(i) * 1.5 + 0.25",
+            "a(idx(i)) = b(i) * 2",
+            "a(i) = c(i) - b(idx(i + k)) * s",
+            "a(i) = b(i) + k",
+            "s = s + a(i) * b(idx(i))",
+            "s = a(i) - s",
+            "do j = 1, 4\n a(k) = a(k) - b(ptr(i) + j - 1) * c(idx(ptr(i) + j - 1))\n enddo",
+            "do j = ptr(i), ptr(i + 1) - 1\n a(j) = a(j) * 0.5 + 1.0\n enddo",
+        ] {
+            assert_eq!(streams(body), 1, "{body}");
+        }
+        for body in [
+            "cnt(i) = 0",                          // integer-typed sink
+            "z(i, 1) = 0.0",                       // multi-dimensional target
+            "a(i) = i * 0.5",                      // the induction variable as a value
+            "a(i) = b(k) * 2.0",                   // an invariant element operand
+            "a(i) = 2 + k",                        // integer arithmetic
+            "a(i) = b(i) * c(i) + a(i) * 0.5",     // two products
+            "a(i) = sqrt(b(i))",                   // an intrinsic
+            "a(2 * i) = b(i)",                     // a strided subscript
+            "a(idx(idx(i))) = b(i)",               // two levels of indirection
+            "s = a(i) * b(i)",                     // a scalar sink that does not accumulate
+            "a(k) = a(k) + a(i)",                  // a reduction reading its own array
+            "a(i) = b(i)\n c(i) = b(i)",           // two statements
+            "do j = 1, 8, 2\n a(j) = 0.0\n enddo", // a stride
+        ] {
+            assert_eq!(streams(body), 0, "{body}");
+        }
     }
 
     #[test]

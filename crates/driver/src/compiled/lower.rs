@@ -31,6 +31,11 @@
 //!   subscript `a(idx(e))`, append-through-pointer `a(p) = e; p = p + 1`,
 //!   the three-term address `(a + b) ± c`, the multiply–add `x + b * c`,
 //!   and a reduction `s = s op e` computed straight into `s`'s register.
+//! - **A stream is a loop shape**: an innermost unit-step `do` whose
+//!   body is one assignment `sink = a * b ± c` over LINEAR / INDIRECT
+//!   references gets a [`Stream`] recorded *beside* its block
+//!   (`Lowerer::stream_of`); the block is what runs whenever the
+//!   executor's guards do not cover an iteration.
 //! - **Local value numbering** happens at emission: a pure instruction
 //!   whose value is already available in the straight-line region is
 //!   not emitted again. Safe because compute ops never charge fuel, so
@@ -52,7 +57,10 @@
 //! - condition short-circuiting skips the untaken operand's side
 //!   effects exactly like `eval_cond`.
 
-use super::{CompiledBody, FOp, FOpnd, IOpnd, Promoted};
+use super::{
+    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, Stream, StreamAt, StreamRef,
+    StreamSink, StreamTail,
+};
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
 };
@@ -77,7 +85,10 @@ type Lower<T> = Result<T, LowerReject>;
 /// overflow a `u16` register plane, the `u16` block indices or the
 /// `u16` pin slots.
 pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody> {
-    let StmtKind::Do { var, body, .. } = &program.stmt(loop_stmt).kind else {
+    let StmtKind::Do {
+        var, step, body, ..
+    } = &program.stmt(loop_stmt).kind
+    else {
         return Err(LowerReject("not-a-do-loop"));
     };
     let mut l = Lowerer {
@@ -89,11 +100,13 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         arrays: Vec::new(),
         stored: Vec::new(),
         loops: vec![loop_stmt],
+        streams: vec![None],
         avail: Vec::new(),
     };
     let (root_real, root_reg) = l.assigned_scalar(*var)?;
     let root = l.new_block()?;
     l.lower_stmts(root, body)?;
+    l.streams[0] = l.stream_of(*var, step.as_ref(), body);
     let scalars = (l.vars.iter().enumerate())
         .filter_map(|(k, u)| {
             let var = VarId::from_index(k);
@@ -114,6 +127,7 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         arrays: l.arrays,
         stored: l.stored,
         loops: l.loops,
+        streams: l.streams,
         root_var: *var,
         root_reg,
         root_real,
@@ -299,6 +313,8 @@ struct Lowerer<'p> {
     arrays: Vec<VarId>,
     stored: Vec<bool>,
     loops: Vec<StmtId>,
+    /// Per entry of `loops`: the stream an innermost `do` runs as.
+    streams: Vec<Option<Stream>>,
     /// Pure values computed since the last join point of the block
     /// being emitted, with the temp holding each.
     avail: Vec<(Pure, u16)>,
@@ -322,6 +338,7 @@ impl<'p> Lowerer<'p> {
         let lidx =
             u16::try_from(self.loops.len() - 1).map_err(|_| LowerReject("block-count-overflow"))?;
         self.loops.push(s);
+        self.streams.push(None);
         Ok(lidx)
     }
 
@@ -535,13 +552,14 @@ impl<'p> Lowerer<'p> {
                 self.emit(b, FOp::Charge(1));
                 let lo = self.lower_expr(b, lo)?.i();
                 let hi = self.lower_expr(b, hi)?.i();
-                let step = match step {
+                let step_op = match step {
                     Some(e) => self.lower_expr(b, e)?.i(),
                     None => IOpnd::Const(1),
                 };
                 let lidx = self.enter_loop(s)?;
                 let body_b = self.new_block()?;
                 self.lower_stmts(body_b, body)?;
+                self.streams[usize::from(lidx) + 1] = self.stream_of(*var, step.as_ref(), body);
                 let (var_real, var) = self.assigned_scalar(*var)?;
                 // The loop writes whatever its body does.
                 self.avail.clear();
@@ -553,7 +571,7 @@ impl<'p> Lowerer<'p> {
                         lidx,
                         lo,
                         hi,
-                        step,
+                        step: step_op,
                         body: body_b as u16,
                     },
                 );
@@ -935,5 +953,203 @@ impl<'p> Lowerer<'p> {
             }
         }
         Ok(Sub1::Plain(self.lower_expr(b, sub)?.i()))
+    }
+
+    /// The [`Stream`] of the `do j` loop with this `step` and `body`,
+    /// already lowered (so every register and slot it names exists):
+    /// `Some` when `j` is an integer, the step is 1 and the body is one
+    /// assignment of the stream family. Anything else stays on the
+    /// per-iteration block alone.
+    fn stream_of(&self, j: VarId, step: Option<&Expr>, body: &[StmtId]) -> Option<Stream> {
+        let [s] = body else { return None };
+        let StmtKind::Assign { lhs, rhs } = &self.program.stmt(*s).kind else {
+            return None;
+        };
+        if self.is_real(j) || step.is_some_and(|e| e.as_int_lit() != Some(1)) {
+            return None;
+        }
+        let cx = StreamCx { l: self, j, lhs };
+        let sink = match lhs {
+            LValue::Scalar(v) if self.is_real(*v) => StreamSink::Scalar(self.vars[v.index()].reg?),
+            LValue::Scalar(_) => return None,
+            LValue::Element(a, subs) => match cx.place(*a, subs)? {
+                Place::Varying(at) => StreamSink::At(at),
+                Place::Fixed(slot, at) => StreamSink::Elem { slot, at },
+            },
+        };
+        // `P` is the product when there is one, else the operand that
+        // is not the sink read back, else the left one.
+        let (p, tail) = match rhs {
+            Expr::Bin(op @ (BinOp::Add | BinOp::Sub), x, y) => {
+                let sub = *op == BinOp::Sub;
+                let product = |e: &Expr| matches!(e, Expr::Bin(BinOp::Mul, ..));
+                if product(y) || (cx.is_sink(x) && !product(x)) {
+                    let t = [StreamTail::CAddP, StreamTail::CSubP][usize::from(sub)];
+                    (&**y, Some((t, &**x)))
+                } else {
+                    let t = [StreamTail::PAddC, StreamTail::PSubC][usize::from(sub)];
+                    (&**x, Some((t, &**y)))
+                }
+            }
+            p => (p, None),
+        };
+        // Every operation must be real: integer arithmetic wraps.
+        let (a, b, p_int) = match p {
+            Expr::Bin(BinOp::Mul, x, y) => {
+                let ((a, a_int), (b, b_int)) = (cx.operand(x)?, cx.operand(y)?);
+                if a_int && b_int {
+                    return None;
+                }
+                (a, Some(b), false)
+            }
+            x => {
+                let (a, a_int) = cx.operand(x)?;
+                (a, None, a_int)
+            }
+        };
+        let tail = match tail {
+            Some((t, c)) => match cx.operand(c)? {
+                (_, true) if p_int => return None,
+                (c, _) => Some((t, c)),
+            },
+            None => None,
+        };
+        // A reduction's running value is its `c`, and nothing else.
+        let acc = |r: &StreamRef| matches!(r, StreamRef::Acc);
+        let reduces = !matches!(sink, StreamSink::At(_));
+        if acc(&a)
+            || b.as_ref().is_some_and(acc)
+            || reduces != tail.as_ref().is_some_and(|(_, c)| acc(c))
+        {
+            return None;
+        }
+        // An accumulator is stored once, so nothing may read its array.
+        if let StreamSink::Elem { slot, .. } = sink {
+            let reads = |r: &StreamRef| matches!(r, StreamRef::At(at) if at.slot == slot);
+            if reads(&a) || b.as_ref().is_some_and(reads) {
+                return None;
+            }
+        }
+        Some(Stream { sink, a, b, tail })
+    }
+}
+
+/// A one-subscript element of a real rank-1 array in a candidate
+/// stream statement: moving with `j`, or at a loop-invariant subscript
+/// of the array at a slot.
+enum Place {
+    Varying(StreamAt),
+    Fixed(u16, Inv),
+}
+
+/// Recognizes the operands of one candidate stream statement.
+struct StreamCx<'l, 'p> {
+    l: &'l Lowerer<'p>,
+    j: VarId,
+    lhs: &'p LValue,
+}
+
+impl StreamCx<'_, '_> {
+    /// Whether `v` is a rank-1 array of the wanted plane.
+    fn rank1(&self, v: VarId, real: bool) -> bool {
+        self.l.program.symbols.var(v).rank() == 1 && self.l.is_real(v) == real
+    }
+
+    /// Adds `±e` to `inv` when `e` is a `+`/`−` tree over literals,
+    /// integer scalars, invariant loads from integer rank-1 arrays and
+    /// at most one `+ j`; whether it met the `j`.
+    fn affine(&self, e: &Expr, neg: bool, inv: &mut (i64, Vec<(bool, InvTerm)>)) -> Option<bool> {
+        match e {
+            Expr::IntLit(c) => {
+                let c = if neg { c.checked_neg()? } else { *c };
+                inv.0 = inv.0.checked_add(c)?;
+            }
+            Expr::Var(v) if *v == self.j => return (!neg).then_some(true),
+            Expr::Var(v) if !self.l.is_real(*v) => {
+                inv.1.push((neg, InvTerm::Reg(self.l.vars[v.index()].reg?)));
+            }
+            Expr::Element(ptr, subs) if self.rank1(*ptr, false) => {
+                let ([sub], slot) = (subs.as_slice(), self.l.vars[ptr.index()].slot?) else {
+                    return None;
+                };
+                let (at, false) = self.inv(sub)? else {
+                    return None;
+                };
+                inv.1.push((neg, InvTerm::Load { slot, at }));
+            }
+            Expr::Bin(op @ (BinOp::Add | BinOp::Sub), x, y) => {
+                let has_x = self.affine(x, neg, inv)?;
+                let has_y = self.affine(y, neg != (*op == BinOp::Sub), inv)?;
+                return (!(has_x && has_y)).then_some(has_x || has_y);
+            }
+            _ => return None,
+        }
+        Some(false)
+    }
+
+    /// `e` less its `+ j`, and whether it had one.
+    fn inv(&self, e: &Expr) -> Option<(Inv, bool)> {
+        let mut sum = (0, Vec::new());
+        let has_j = self.affine(e, false, &mut sum)?;
+        let (off, terms) = (sum.0, sum.1.into());
+        Some((Inv { off, terms }, has_j))
+    }
+
+    fn place(&self, arr: VarId, subs: &[Expr]) -> Option<Place> {
+        let ([sub], true) = (subs, self.rank1(arr, true)) else {
+            return None;
+        };
+        let slot = self.l.vars[arr.index()].slot?;
+        if let Expr::Element(idx, inner) = sub {
+            if let ([inner], true) = (inner.as_slice(), self.rank1(*idx, false)) {
+                if let (base, true) = self.inv(inner)? {
+                    let idx_slot = Some(self.l.vars[idx.index()].slot?);
+                    return Some(Place::Varying(StreamAt {
+                        slot,
+                        idx_slot,
+                        base,
+                    }));
+                }
+            }
+        }
+        Some(match self.inv(sub)? {
+            (base, true) => Place::Varying(StreamAt {
+                slot,
+                idx_slot: None,
+                base,
+            }),
+            (at, false) => Place::Fixed(slot, at),
+        })
+    }
+
+    /// Whether `e` reads the assignment's own target back.
+    fn is_sink(&self, e: &Expr) -> bool {
+        match (e, self.lhs) {
+            (Expr::Var(v), LValue::Scalar(s)) => v == s,
+            (Expr::Element(a, subs), LValue::Element(t, ts)) => a == t && subs == ts,
+            _ => false,
+        }
+    }
+
+    /// One operand and whether it is an integer: a literal, a scalar
+    /// the loop does not assign, a LINEAR / INDIRECT element, or the
+    /// sink read back.
+    fn operand(&self, e: &Expr) -> Option<(StreamRef, bool)> {
+        Some(match e {
+            Expr::IntLit(c) => (StreamRef::Inv(FOpnd::Const(*c as f64)), true),
+            Expr::RealLit(c) => (StreamRef::Inv(FOpnd::Const(*c)), false),
+            Expr::Var(_) if self.is_sink(e) => (StreamRef::Acc, false),
+            Expr::Var(v) if *v != self.j => {
+                let (r, real) = (self.l.vars[v.index()].reg?, self.l.is_real(*v));
+                let r = if real { FOpnd::Reg(r) } else { FOpnd::IReg(r) };
+                (StreamRef::Inv(r), !real)
+            }
+            Expr::Element(a, subs) => match self.place(*a, subs)? {
+                Place::Varying(at) => (StreamRef::At(at), false),
+                Place::Fixed(..) if self.is_sink(e) => (StreamRef::Acc, false),
+                Place::Fixed(..) => return None,
+            },
+            _ => return None,
+        })
     }
 }

@@ -27,9 +27,17 @@
 //!   the in-place window or the append buffer of the dispatch's commit
 //!   strategy (see [`RawPin`]).
 //!
-//! [`Interp::run_fblock`] is the only place an instruction's semantics
-//! are written outside the tree-walk. Parity is the contract: same
-//! fuel ledger positions, same error identities, same store at exit.
+//! [`Interp::run_fblock`] and the one [`stream_kernel`] are the only
+//! places an instruction's semantics are written outside the
+//! tree-walk. Parity is the contract: same fuel ledger positions, same
+//! error identities, same store at exit.
+//!
+//! - **Streams are a fast-forward, not a second path.** Where the
+//!   lowering recorded a [`Stream`] for an innermost loop,
+//!   [`FState::run_stream`] runs the prefix of its iterations every
+//!   one of whose checks is known to pass as one tight loop, and the
+//!   unchanged per-iteration loop continues from there — so whatever
+//!   fails, fails on the per-iteration ops, where the tree-walk fails.
 //!
 //! **The `unsafe` here leans on one invariant, established elsewhere.**
 //! A `CompiledBody` can only come out of `lower_do_loop` (its fields
@@ -41,7 +49,10 @@
 
 use super::{ChunkAbort, ChunkWatch};
 use crate::interp::{advance_induction, ArrayData, ExecError, Interp, RawSlice, Value, WriteSink};
-use irr_driver::compiled::{CompiledBody, FOp, FOpnd, IOpnd};
+use irr_driver::compiled::{
+    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Stream, StreamAt, StreamRef, StreamSink,
+    StreamTail,
+};
 use irr_frontend::{BinOp, Intrinsic, ScalarType, StmtId};
 use std::cell::Cell;
 
@@ -243,13 +254,132 @@ impl RawPin {
     /// into one compare (anything below the origin wraps past any extent).
     #[inline]
     fn chk(&self, v: i64) -> Option<usize> {
-        let k = (v as u64).wrapping_sub(self.origin);
-        if k >= self.dim0 {
-            None
+        in_view(v, self.origin, self.dim0)
+    }
+}
+
+/// [`RawPin::chk`] on a copy of the pin's view.
+#[inline(always)]
+fn in_view(v: i64, origin: u64, dim0: u64) -> Option<usize> {
+    let k = (v as u64).wrapping_sub(origin);
+    if k >= dim0 {
+        None
+    } else {
+        Some(k as usize)
+    }
+}
+
+/// Root iterations a stream fast-forwards between two polls of the
+/// chunk's watch.
+const STRIP: i64 = 1024;
+
+/// One [`StreamAt`] resolved for `n` iterations of one loop entry.
+///
+/// LINEAR: `data` is the first iteration's element and iteration `t`
+/// is `data[t]`; both ends of the subscript range passed the pin's
+/// `chk` (`FState::span`) and `len` counts what the pin holds from
+/// `data` on, so `t < n <= len`. INDIRECT: `idx` is the index array
+/// resolved that way, `data` the data pin's origin, and every
+/// subscript read from `idx` passes the data pin's `chk` — on the
+/// copy of its view in `origin` / `dim0 <= len` — before it is used.
+#[derive(Clone, Copy)]
+struct Lane {
+    data: *mut f64,
+    len: usize,
+    /// Null for LINEAR.
+    idx: *const i64,
+    idx_len: usize,
+    origin: u64,
+    dim0: u64,
+}
+
+impl Lane {
+    /// Iteration `t`'s element, `None` when an INDIRECT subscript
+    /// misses the pin's view.
+    #[inline(always)]
+    fn at(&self, t: usize) -> Option<*mut f64> {
+        let k = if self.idx.is_null() {
+            t
         } else {
-            Some(k as usize)
+            debug_assert!(t < self.idx_len);
+            // SAFETY: `idx[0..n]` passed `chk` at both ends (`span`)
+            // and `t < n`; the pin is an `i64` payload (the lowering
+            // takes integer-declared index arrays, `fast_ready`).
+            in_view(unsafe { *self.idx.add(t) }, self.origin, self.dim0)?
+        };
+        debug_assert!(k < self.len);
+        Some(self.data.wrapping_add(k))
+    }
+}
+
+/// A stream's sink, resolved: a store's slot and lane, or where a
+/// reduction's running value lives — a real register, or a position
+/// in a slot's view.
+#[derive(Clone, Copy)]
+enum Out {
+    Store(u16, Lane),
+    Scalar(u16),
+    Elem(u16, usize),
+}
+
+/// A stream operand, resolved.
+#[derive(Clone, Copy)]
+enum Src {
+    Val(f64),
+    At(Lane),
+    Acc,
+}
+
+/// The one stream kernel: iterations `0..n` of `sink = P`, `P ± c`,
+/// `c ± P`, `P = a` or `a * b`, in order, each operation rounded on
+/// its own in the source's operand order. Stops *before* the first
+/// iteration one of whose INDIRECT subscripts misses its pin's view,
+/// with nothing of that iteration done; returns how many ran. `sink`
+/// is `None` for a reduction, which runs in `acc`.
+#[inline(never)]
+fn stream_kernel(
+    n: usize,
+    a: Src,
+    b: Option<Src>,
+    tail: Option<(StreamTail, Src)>,
+    sink: Option<Lane>,
+    acc: &mut f64,
+) -> usize {
+    for t in 0..n {
+        let rd = |s: Src| match s {
+            Src::Val(v) => Some(v),
+            // SAFETY: `Lane::at` hands out elements of a live `f64`
+            // payload only (see `Lane`, and `RawPin` for liveness).
+            Src::At(l) => l.at(t).map(|p| unsafe { *p }),
+            Src::Acc => Some(*acc),
+        };
+        let Some(mut v) = rd(a) else { return t };
+        if let Some(b) = b {
+            let Some(b) = rd(b) else { return t };
+            v *= b;
+        }
+        if let Some((op, c)) = tail {
+            let Some(c) = rd(c) else { return t };
+            v = match op {
+                StreamTail::PAddC => v + c,
+                StreamTail::PSubC => v - c,
+                StreamTail::CAddP => c + v,
+                StreamTail::CSubP => c - v,
+            };
+        }
+        match sink {
+            Some(l) => {
+                let Some(p) = l.at(t) else { return t };
+                // SAFETY: as the reads; the sink's pin is `raw`
+                // (`FState::try_stream`), so it owns its payload or
+                // the element is in its window. Reads and writes of
+                // one payload go through raw pointers in program order.
+                unsafe { *p = v }
+            }
+            None => *acc = v,
         }
     }
+    n
 }
 
 /// Per-entry run state: the typed register planes, pinned payloads,
@@ -266,6 +396,12 @@ struct FState {
     /// Inner-loop attributed cost, indexed by `lidx` (completed
     /// entries only, matching the tree walk's error semantics).
     lcost: Vec<u64>,
+    /// Loop entries a stream fast-forwarded (`ExecStats::stream_entries`).
+    streamed: u64,
+    /// Every stored pin is a raw write, so a stream can have a sink:
+    /// under a write-log or an append buffer no loop entry so much as
+    /// looks its stream up. (`try_stream` still checks its own sink.)
+    streams: bool,
 }
 
 impl FState {
@@ -323,6 +459,148 @@ impl FState {
     fn pinw(&mut self, s: u16) -> &mut RawPin {
         debug_assert!((s as usize) < self.pins.len());
         unsafe { self.pins.get_unchecked_mut(s as usize) }
+    }
+
+    /// `inv` over the live registers and pins, or `None` when the sum
+    /// leaves `i64` or a load misses its pin's view.
+    fn eval_inv(&self, inv: &Inv) -> Option<i64> {
+        inv.terms.iter().try_fold(inv.off, |sum, (neg, term)| {
+            let v = match term {
+                InvTerm::Reg(r) => self.irg(*r),
+                InvTerm::Load { slot, at } => {
+                    let pin = self.pinr(*slot);
+                    pin.rd_i(pin.chk(self.eval_inv(at)?)?)
+                }
+            };
+            if *neg {
+                sum.checked_sub(v)
+            } else {
+                sum.checked_add(v)
+            }
+        })
+    }
+
+    /// The position in `slot`'s view of subscript `base + lo`, when
+    /// that and `base + lo + n - 1` — hence everything between — pass
+    /// the pin's `chk`: the window of an in-place pin, not the array.
+    fn span(&self, slot: u16, base: &Inv, lo: i64, n: usize) -> Option<usize> {
+        let first = self.eval_inv(base)?.checked_add(lo)?;
+        let last = first.checked_add(n as i64 - 1)?;
+        let pin = self.pinr(slot);
+        let (k0, k1) = (pin.chk(first)?, pin.chk(last)?);
+        debug_assert!(k1 - k0 == n - 1 && k1 < pin.len);
+        Some(k0)
+    }
+
+    fn lane(&self, at: &StreamAt, lo: i64, n: usize) -> Option<Lane> {
+        let pin = self.pinr(at.slot);
+        debug_assert!(!pin.is_int);
+        let mut lane = Lane {
+            data: pin.fp,
+            len: pin.len,
+            idx: std::ptr::null(),
+            idx_len: 0,
+            origin: pin.origin,
+            dim0: pin.dim0,
+        };
+        match at.idx_slot {
+            None => {
+                let k0 = self.span(at.slot, &at.base, lo, n)?;
+                (lane.data, lane.len) = (pin.fp.wrapping_add(k0), pin.len - k0);
+            }
+            Some(idx_slot) => {
+                let (k0, idx) = (self.span(idx_slot, &at.base, lo, n)?, self.pinr(idx_slot));
+                debug_assert!(idx.is_int);
+                (lane.idx, lane.idx_len) = (idx.ip.wrapping_add(k0).cast_const(), idx.len - k0);
+            }
+        }
+        Some(lane)
+    }
+
+    /// Fast-forwards the loop `do j = lo, hi` whose body is `sd`:
+    /// runs its first `m` iterations as one stream and returns `m`,
+    /// having charged them (a statement and a bookkeeping unit each).
+    /// Every check of those `m` iterations is known to pass — fuel
+    /// for `2 m`, both ends of each LINEAR range inside its pin's
+    /// view, each INDIRECT subscript as it is read — so the caller's
+    /// per-iteration loop, continued at `lo + m`, meets whatever fails
+    /// exactly where the tree-walk does. Declines (`0`) before
+    /// resolving anything when the sink is not a raw write. `lo + m`
+    /// fits an `i64`.
+    fn run_stream(&mut self, sd: &Stream, lo: i64, hi: i64) -> i64 {
+        if lo > hi {
+            return 0;
+        }
+        let n = (hi.abs_diff(lo).saturating_add(1))
+            .min(i64::MAX.abs_diff(lo))
+            .min(self.fuel / 2);
+        let Ok(n @ 1..) = usize::try_from(n) else {
+            return 0;
+        };
+        let m = self.try_stream(sd, lo, n).unwrap_or(0) as u64;
+        self.spent += 2 * m;
+        self.fuel -= 2 * m;
+        m as i64
+    }
+
+    /// [`FState::run_stream`] for one entry of a nested loop, counted.
+    #[inline(never)]
+    fn enter_stream(&mut self, sd: &Stream, lo: i64, hi: i64) -> i64 {
+        let m = self.run_stream(sd, lo, hi);
+        self.streamed += u64::from(m > 0);
+        m
+    }
+
+    fn try_stream(&mut self, sd: &Stream, lo: i64, n: usize) -> Option<usize> {
+        let src = |st: &FState, r: &StreamRef| {
+            Some(match r {
+                StreamRef::Inv(v) => Src::Val(st.frd(*v)),
+                StreamRef::At(at) => Src::At(st.lane(at, lo, n)?),
+                StreamRef::Acc => Src::Acc,
+            })
+        };
+        let raw = |slot: u16| self.pinr(slot).raw.then_some(());
+        let (out, mut acc) = match &sd.sink {
+            StreamSink::At(at) => {
+                raw(at.slot)?;
+                (Out::Store(at.slot, self.lane(at, lo, n)?), 0.0)
+            }
+            StreamSink::Scalar(r) => (Out::Scalar(*r), self.frg(*r)),
+            StreamSink::Elem { slot, at } => {
+                raw(*slot)?;
+                let pin = self.pinr(*slot);
+                let k = pin.chk(self.eval_inv(at)?)?;
+                (Out::Elem(*slot, k), pin.rd_f(k))
+            }
+        };
+        let a = src(self, &sd.a)?;
+        let b = match &sd.b {
+            Some(b) => Some(src(self, b)?),
+            None => None,
+        };
+        let tail = match &sd.tail {
+            Some((op, c)) => Some((*op, src(self, c)?)),
+            None => None,
+        };
+        let lane = match out {
+            Out::Store(_, lane) => Some(lane),
+            _ => None,
+        };
+        let m = stream_kernel(n, a, b, tail, lane, &mut acc);
+        if m > 0 {
+            match out {
+                Out::Store(slot, _) => self.pinw(slot).writes += m as u64,
+                Out::Scalar(r) => self.frs(r, acc),
+                Out::Elem(slot, k) => {
+                    // One store of the last value, every iteration's
+                    // write counted.
+                    let pin = self.pinw(slot);
+                    pin.writes += m as u64 - 1;
+                    pin.wr_f(k, acc);
+                }
+            }
+        }
+        Some(m)
     }
 
     #[inline]
@@ -461,6 +739,8 @@ impl<'p> Interp<'p> {
             spent: 0,
             linv: vec![0; cb.inner_loops().len()],
             lcost: vec![0; cb.inner_loops().len()],
+            streamed: 0,
+            streams: false,
         };
         for (&a, &stored) in cb.arrays().iter().zip(cb.stored()) {
             let sink = stored.then(|| self.store.take_sink(a));
@@ -481,6 +761,7 @@ impl<'p> Interp<'p> {
                 st.ir[p.reg as usize] = v.as_int();
             }
         }
+        st.streams = st.pins.iter().all(|p| p.sink.is_none() || p.raw);
         // Only an append sink can refuse a store, so only a chunk that
         // has one checks for violations per iteration.
         let append_sinks = st
@@ -488,6 +769,14 @@ impl<'p> Interp<'p> {
             .iter()
             .any(|p| matches!(p.sink, Some(WriteSink::Append { .. })));
         let violated = |st: &FState| st.pins.iter().position(|p| p.violated.get());
+        let set_root = |st: &mut FState, i: i64| {
+            if cb.root_real() {
+                st.fr[cb.root_reg() as usize] = i as f64;
+            } else {
+                st.ir[cb.root_reg() as usize] = i;
+            }
+        };
+        let mut stream = cb.root_stream().filter(|_| step == 1 && st.streams);
         let mut i = lo;
         let res = loop {
             if !((step > 0 && i <= hi) || (step < 0 && i >= hi)) {
@@ -496,15 +785,30 @@ impl<'p> Interp<'p> {
             if let Some(Err(e)) = watch.map(ChunkWatch::poll) {
                 break Err(e);
             }
+            if let Some(sd) = stream {
+                // A strip that comes back short met a check that is
+                // about to fail: on the per-iteration ops, from here.
+                let strip_hi = hi.min(i.saturating_add(STRIP - 1));
+                let m = st.run_stream(sd, i, strip_hi);
+                i += m;
+                if i <= strip_hi {
+                    stream = None;
+                }
+                if m > 0 {
+                    #[cfg(test)]
+                    {
+                        self.typed_root_iters += m as u64;
+                    }
+                    st.streamed = 1;
+                    set_root(&mut st, i - 1);
+                    continue;
+                }
+            }
             #[cfg(test)]
             {
                 self.typed_root_iters += 1;
             }
-            if cb.root_real() {
-                st.fr[cb.root_reg() as usize] = i as f64;
-            } else {
-                st.ir[cb.root_reg() as usize] = i;
-            }
+            set_root(&mut st, i);
             if let Err(e) = self.run_fblock(cb, cb.root(), &mut st) {
                 // A window miss ends its op with a placeholder error.
                 break Err(violated(&st).map_or(e.into(), |k| ChunkAbort::Violated(cb.arrays()[k])));
@@ -522,15 +826,12 @@ impl<'p> Interp<'p> {
         if res.is_ok() && watch.is_none() {
             // Fortran leaves the induction variable at the first
             // out-of-range value.
-            if cb.root_real() {
-                st.fr[cb.root_reg() as usize] = i as f64;
-            } else {
-                st.ir[cb.root_reg() as usize] = i;
-            }
+            set_root(&mut st, i);
         }
         // Flush on every exit — success or error — so observable
         // state is indistinguishable from per-access traffic.
         self.stats.total_cost += st.spent;
+        self.stats.stream_entries += st.streamed;
         self.fuel = st.fuel;
         for (&a, p) in cb.arrays().iter().zip(st.pins) {
             if p.writes > 0 {
@@ -883,6 +1184,10 @@ impl<'p> Interp<'p> {
                     st.linv[*lidx as usize] += 1;
                     let spent_at_entry = st.spent;
                     let mut i = lo;
+                    if let Some(sd) = st.streams.then(|| cb.stream(*lidx)).flatten() {
+                        debug_assert_eq!(stp, 1, "the lowering takes unit steps");
+                        i += st.enter_stream(sd, lo, hi);
+                    }
                     while (stp > 0 && i <= hi) || (stp < 0 && i >= hi) {
                         if *var_real {
                             st.frs(*var, i as f64);

@@ -26,6 +26,11 @@
 //!   `ptr(j)+k-1` (`LeaI`), the accumulate `s = s + b * c`
 //!   (`MulAddF`), and append-through-pointer `a(p) = e; p = p + 1`
 //!   (`Append*`).
+//! - **Streams.** An innermost `do` whose body is one assignment
+//!   `sink = a * b ± c` over LINEAR / INDIRECT rank-1 references does
+//!   not dispatch per iteration: the typed loop fast-forwards the
+//!   iterations whose checks it can prove pass as one guarded stream
+//!   (`irr_driver::compiled::Stream`), then continues per iteration.
 //!
 //! **Parity is the contract.** A compiled loop must be byte-identical
 //! to the tree-walk in store contents, printed output, statement
@@ -857,6 +862,348 @@ mod tests {
             par.store.array_as_reals(y),
             ran.comp.store.array_as_reals(y)
         );
+    }
+
+    /// Streams in the lowered bodies of `p`'s top-level `do` loops.
+    fn stream_loops(p: &Program) -> u32 {
+        let top = &p.procedure(p.main()).body;
+        let lowered = top.iter().filter_map(|s| lower_do_loop(p, *s).ok());
+        lowered.map(|cb| cb.plan().stream_loops).sum()
+    }
+
+    fn preset_reals(it: &mut Interp<'_>, name: &str, data: &[f64]) {
+        let v = it.program().symbols.lookup(name).unwrap();
+        let (dims, data) = (vec![data.len()], data.to_vec());
+        it.preset_array(v, ArrayData::Real { dims, data });
+    }
+
+    /// A 5-iteration root stream, then a 5-iteration nested stream
+    /// entered twice (SpMV's shape), over arrays the set-up loops have
+    /// made live.
+    const STREAMS_SRC: &str = "program t
+         integer i, j, k, ptr(3), idx(12)
+         real a(12), x(12), y(2), z(5)
+         do k = 1, 12
+           a(k) = k * 0.5
+           x(k) = 13 - k
+           idx(k) = 13 - k
+         enddo
+         do k = 1, 3
+           ptr(k) = (k - 1) * 5 + 1
+           z(k) = 0.0
+           y(mod(k, 2) + 1) = 0.0
+         enddo
+         do k = 1, 5
+           z(k) = a(k) * 1.5 + 0.25
+         enddo
+         do i = 1, 2
+           y(i) = 0.0
+           do j = 1, 5
+             y(i) = y(i) + a(ptr(i) + j - 1) * x(idx(ptr(i) + j - 1))
+           enddo
+         enddo
+         print z(5), y(1), y(2), k, j
+         end";
+
+    /// Fuel running out at every position of a streamed loop — before
+    /// the statement's charge and before the bookkeeping charge of each
+    /// of its five iterations, at the root and nested — stops both
+    /// engines at the same point: the stream takes `fuel / 2`
+    /// iterations and the per-iteration ops meet the exhaustion.
+    #[test]
+    fn a_stream_runs_out_of_fuel_where_the_tree_walk_does() {
+        let p = parse_program(STREAMS_SRC).unwrap();
+        assert_eq!(stream_loops(&p), 2);
+        let full = assert_same_run(&p, |_| {});
+        assert_eq!(
+            (full.res.clone(), full.comp.stats.stream_entries),
+            (Ok(()), 3)
+        );
+        let total = full.comp.stats.total_cost;
+        let mut cut_short = 0;
+        for fuel in 0..total {
+            let ran = assert_same_run(&p, |it| it.fuel = fuel);
+            assert_eq!(ran.res, Err(ExecError::OutOfFuel), "fuel {fuel}");
+            cut_short += ran.comp.stats.stream_entries;
+        }
+        // Well over the 20 budgets that end inside a streamed entry.
+        assert!(cut_short > 40, "{cut_short}");
+    }
+
+    /// An INDIRECT subscript out of range at the first, a middle and
+    /// the last element, read and as the scatter target: the stream
+    /// stops before the offending iteration and the per-iteration op
+    /// raises the program's own error over the tree-walk's store.
+    #[test]
+    fn a_stream_stops_before_an_indirect_subscript_out_of_range() {
+        let forms = [
+            ("x", "z(k) = x(idx(k)) * 2.0"),
+            ("z", "z(idx(k)) = x(k) * 2.0"),
+        ];
+        for (array, form) in forms {
+            for bad in [1, 3, 5] {
+                let src = format!(
+                    "program t
+                     integer k, idx(5)
+                     real x(5), z(5)
+                     do k = 1, 5
+                       idx(k) = 6 - k
+                       x(k) = k * 0.5
+                       z(k) = 0.0
+                     enddo
+                     idx({bad}) = 6
+                     do k = 1, 5
+                       {form}
+                     enddo
+                     end"
+                );
+                let p = parse_program(&src).unwrap();
+                assert_eq!(stream_loops(&p), 1, "{form}");
+                let ran = assert_same_run(&p, |_| {});
+                let (array, index, extent) = (array.to_string(), 6, 5);
+                let oob = ExecError::OutOfBounds {
+                    array,
+                    index,
+                    extent,
+                };
+                assert_eq!(ran.res, Err(oob), "{form} at {bad}");
+                assert_eq!(ran.comp.stats.stream_entries, u64::from(bad > 1));
+            }
+        }
+    }
+
+    /// The range edges a stream's guard must decline on, leaving the
+    /// outcome to the per-iteration ops: a LINEAR range one past the
+    /// extent; a base past `i64` (which wraps, on both engines, to the
+    /// program's own out-of-bounds index) and one that wraps back into
+    /// range; a zero-trip loop, whose `ptr(i + 5)` nobody may evaluate;
+    /// and a loop ending at `i64::MAX`, root and nested.
+    #[test]
+    fn stream_guards_decline_at_the_range_edges() {
+        let run = |decls: &str, body: &str| {
+            let src = format!(
+                "program t
+                 integer i, j, k, m, ptr(2)
+                 real s, x(6), z(5)
+                 {decls}
+                 do k = 1, 5
+                   x(k) = k * 0.5
+                   z(k) = 0.0
+                 enddo
+                 x(6) = 3.0
+                 ptr(1) = 1
+                 {body}
+                 print s, i, j, k, z(1), z(5)
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            assert!(stream_loops(&p) > 0, "{body}");
+            let ran = assert_same_run(&p, |_| {});
+            (ran.res.clone(), ran.comp.stats.stream_entries)
+        };
+        let oob = |index| {
+            let array = "z".to_string();
+            Err(ExecError::OutOfBounds {
+                array,
+                index,
+                extent: 5,
+            })
+        };
+        let past = "do k = 1, 6\n z(k) = x(k) * 2.0\n enddo";
+        assert_eq!(run("", past), (oob(6), 0));
+        let max = "m = 9223372036854775807";
+        let wraps = "do k = 1, 3\n z(m + k) = x(k)\n enddo";
+        assert_eq!(run(max, wraps), (oob(i64::MIN), 0));
+        let wraps_back = "do k = 1, 3\n z(k + m - m) = x(k)\n enddo";
+        assert_eq!(run(max, wraps_back), (Ok(()), 1));
+        let zero_trip = "do i = 1, 2\n do j = 1, 0\n z(ptr(i + 5) + j) = x(j)\n enddo\n enddo";
+        assert_eq!(run("", zero_trip), (Ok(()), 0));
+        let to_max = "do k = 9223372036854775805, 9223372036854775807\n s = s + 1.5\n enddo";
+        assert_eq!(run("", to_max), (Ok(()), 1));
+        let nested = "do i = 1, 2\n do j = 9223372036854775805, 9223372036854775807
+             s = s + 0.5\n enddo\n enddo";
+        assert_eq!(run("", nested), (Ok(()), 2));
+    }
+
+    /// A reduction into `y(i)` streams (Jacobi's `y(i) = y(i) - a * x`)
+    /// unless an operand reads the array it accumulates into — the
+    /// triangular solve, whose running value would go stale in a
+    /// register — which stays on the per-iteration ops.
+    #[test]
+    fn a_reduction_streams_unless_an_operand_reads_its_array() {
+        for (reads, streams) in [("xold", 1), ("y", 0)] {
+            let src = format!(
+                "program t
+                 integer i, j, ptr(5), len(4), idx(8)
+                 real val(8), xold(4), y(4), b(4)
+                 do i = 1, 8
+                   idx(i) = mod(i * 3, 4) + 1
+                   val(i) = i * 0.25
+                 enddo
+                 do i = 1, 4
+                   ptr(i) = (i - 1) * 2 + 1
+                   len(i) = 2
+                   xold(i) = i
+                   b(i) = 10 - i
+                   y(i) = 0.0
+                 enddo
+                 do i = 1, 4
+                   y(i) = b(i)
+                   do j = 1, len(i)
+                     y(i) = y(i) - val(ptr(i) + j - 1) * {reads}(idx(ptr(i) + j - 1))
+                   enddo
+                 enddo
+                 print y(1), y(2), y(3), y(4)
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            assert_eq!(stream_loops(&p), streams, "{reads}");
+            let ran = assert_same_run(&p, |_| {});
+            assert_eq!(ran.res, Ok(()));
+            assert_eq!(ran.comp.stats.stream_entries, 4 * u64::from(streams));
+        }
+    }
+
+    /// A store sink runs in program order through one payload: a
+    /// recurrence reads what the iteration before wrote, an
+    /// anti-dependence what no iteration has written yet, and a
+    /// scatter may read the array it permutes.
+    #[test]
+    fn a_stream_through_its_own_sink_keeps_program_order() {
+        let d = assert_parity(
+            "program t
+             integer j, idx(8)
+             real t(9), u(9), w(8)
+             do j = 1, 8
+               idx(j) = 9 - j
+               u(j) = j * 0.5
+               w(j) = j
+               t(j) = 0.0
+             enddo
+             u(9) = 7.0
+             t(1) = 1.0
+             do j = 2, 8
+               t(j) = t(j - 1) * 1.5
+             enddo
+             do j = 1, 8
+               u(j) = u(j + 1) * 2.0 + u(j)
+             enddo
+             do j = 1, 8
+               w(idx(j)) = w(j) * 2.0
+             enddo
+             print t(8), u(1), u(8), w(1), w(8)
+             end",
+        );
+        assert_eq!((d.compiled, d.typed, d.fallback_count()), (4, 4, 0));
+    }
+
+    /// Signed zeros, infinities and a NaN through each of the five
+    /// forms (and a product-less difference): bit for bit what the
+    /// tree-walk computes. No operation here meets two NaNs — which of
+    /// two payloads an addition returns is the code generator's choice
+    /// at every site, on every engine.
+    #[test]
+    fn stream_forms_are_bit_exact_on_zeros_infinities_and_nans() {
+        let src = "program t
+             integer k
+             real a(8), b(8), c(8), r1(8), r2(8), r3(8), r4(8), r5(8), r6(8)
+             do k = 1, 8
+               r1(k) = a(k)
+             enddo
+             do k = 1, 8
+               r2(k) = a(k) * b(k) + c(k)
+             enddo
+             do k = 1, 8
+               r3(k) = a(k) * b(k) - c(k)
+             enddo
+             do k = 1, 8
+               r4(k) = c(k) + a(k) * b(k)
+             enddo
+             do k = 1, 8
+               r5(k) = c(k) - a(k) * b(k)
+             enddo
+             do k = 1, 8
+               r6(k) = a(k) - c(k)
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        assert_eq!(stream_loops(&p), 6);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let setup = |it: &mut Interp<'_>| {
+            preset_reals(it, "a", &[0.0, -0.0, 0.0, -0.0, nan, 2.0, inf, -1.0]);
+            preset_reals(it, "b", &[1.0, 1.0, -1.0, 0.0, 1.0, nan, 0.0, inf]);
+            preset_reals(it, "c", &[0.0, 0.0, -0.0, -0.0, 1.0, 1.0, 1.0, nan]);
+            for r in ["r1", "r2", "r3", "r4", "r5", "r6"] {
+                preset_reals(it, r, &[0.0; 8]);
+            }
+        };
+        let mut seq = Interp::new(&p);
+        setup(&mut seq);
+        seq.exec_proc(p.main()).unwrap();
+        let mut comp = Interp::new(&p);
+        setup(&mut comp);
+        let mut dispatch = CompiledDispatch::new();
+        comp.exec_proc_with(p.main(), &mut dispatch).unwrap();
+        assert_eq!((dispatch.typed, comp.stats.stream_entries), (6, 6));
+        for r in ["r1", "r2", "r3", "r4", "r5", "r6"] {
+            let v = p.symbols.lookup(r).unwrap();
+            let bits = |it: &Interp<'_>| -> Vec<u64> {
+                let reals = it.store.array_as_reals(v).unwrap();
+                reals.into_iter().map(f64::to_bits).collect()
+            };
+            assert_eq!(bits(&seq), bits(&comp), "{r}");
+        }
+        let r2 = p.symbols.lookup("r2").unwrap();
+        let r2 = comp.store.array_as_reals(r2).unwrap();
+        assert!(r2[1].is_sign_positive() && r2[2].is_sign_negative() && r2[4].is_nan());
+    }
+
+    /// A root-level stream polls the chunk's deadline between strips: a
+    /// chunk of 3 000 iterations that times out has run a whole number
+    /// of strips, none when the deadline had passed at entry, and an
+    /// armed deadline that does not pass changes nothing.
+    #[test]
+    fn a_root_stream_polls_its_deadline_between_strips() {
+        let src = "program t
+             integer k
+             real x(3000), z(3000)
+             do k = 1, 3000
+               z(k) = x(k) * 1.5 + 0.25
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let s = p.procedure(p.main()).body[0];
+        let mut ran_short = false;
+        for micros in [0, 1, 2, 4, 8, 16, 3_600_000_000] {
+            let mut it = Interp::new(&p);
+            preset_reals(&mut it, "x", &[2.0; 3000]);
+            preset_reals(&mut it, "z", &[0.0; 3000]);
+            let cb = it.compiled_body_for(s).unwrap();
+            let deadline = Some((Instant::now(), Duration::from_micros(micros)));
+            let watch = ChunkWatch { deadline };
+            let res = it.run_chunk(s, Some(&cb), 1, 3000, 1, Some(&watch));
+            let z = it
+                .store
+                .array_as_reals(p.symbols.lookup("z").unwrap())
+                .unwrap();
+            let done = z.iter().take_while(|v| **v == 3.25).count();
+            assert!(z[done..].iter().all(|v| *v == 0.0));
+            assert_eq!(it.typed_root_iters, done as u64);
+            match res {
+                Ok(engine) => assert_eq!((engine, done), (ChunkEngine::Typed, 3000)),
+                Err(ChunkAbort::TimedOut) => {
+                    assert!(
+                        done % 1024 == 0 && done < 3000,
+                        "stopped inside a strip: {done}"
+                    );
+                    ran_short = true;
+                }
+                Err(e) => panic!("{e:?}"),
+            }
+            assert!(micros > 0 || done == 0);
+            assert!(micros < 1_000_000 || done == 3000);
+        }
+        assert!(ran_short);
     }
 
     /// Requests the parallel executor at every loop entry — the

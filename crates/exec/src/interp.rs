@@ -883,6 +883,10 @@ pub struct ExecStats {
     pub total_cost: u64,
     /// Per-loop stats.
     pub loops: HashMap<StmtId, LoopStats>,
+    /// Loop entries whose first iterations the typed loop ran as one
+    /// stream. Describes the engine, not the program: the tree-walk
+    /// leaves it 0 and no parity oracle compares it.
+    pub stream_entries: u64,
 }
 
 /// Runtime errors.
@@ -976,6 +980,9 @@ pub struct Interp<'p> {
     /// valid for the interpreter's lifetime; `Arc` lets parallel
     /// workers share one body.
     compiled_cache: HashMap<StmtId, Option<Arc<CompiledBody>>>,
+    /// Per-loop strategy derivations of the parallel executor, cached
+    /// for the same reason (see [`crate::parallel::DerivedShapes`]).
+    pub(crate) derived_shapes: HashMap<StmtId, crate::parallel::DerivedShapes>,
     /// The run's worker pool: `None` until the first parallel dispatch
     /// with more than one chunk; dropping the interpreter — on `Ok`, on
     /// an error, or while unwinding — closes its queue and joins its
@@ -1009,6 +1016,7 @@ impl<'p> Interp<'p> {
             random_fill: None,
             layout: ScalarLayout::new(program),
             compiled_cache: HashMap::new(),
+            derived_shapes: HashMap::new(),
             pool: None,
             #[cfg(test)]
             typed_root_iters: 0,

@@ -593,6 +593,42 @@ fn chunk_windows(
     }
 }
 
+/// The executor's own strategy derivations for one loop statement,
+/// kept on the [`Interp`] beside its lowered body. Both are pure
+/// functions of the AST and of the plan's privatized and reduction
+/// lists, so a re-entered loop derives them once per pair of lists —
+/// still by the executor, still never read off the verdict. Windows,
+/// certificates and undo images depend on the live store and are
+/// derived at every dispatch.
+#[derive(Default)]
+pub(crate) struct DerivedShapes {
+    privatized: Vec<VarId>,
+    reductions: Vec<VarId>,
+    in_place: Option<Option<Vec<InPlaceTarget>>>,
+    concat: Option<Option<(VarId, Vec<VarId>)>>,
+}
+
+impl DerivedShapes {
+    /// The memo of `loop_stmt`, emptied if `plan` names other lists
+    /// than the ones it was derived under.
+    fn of<'a>(
+        interp: &'a mut Interp<'_>,
+        loop_stmt: StmtId,
+        plan: &ParallelPlan,
+    ) -> &'a mut DerivedShapes {
+        let memo = interp.derived_shapes.entry(loop_stmt).or_default();
+        let reductions: Vec<VarId> = plan.reductions.iter().map(|(v, _)| *v).collect();
+        if memo.privatized != plan.privatized || memo.reductions != reductions {
+            *memo = DerivedShapes {
+                privatized: plan.privatized.clone(),
+                reductions,
+                ..DerivedShapes::default()
+            };
+        }
+        memo
+    }
+}
+
 /// Re-derives the in-place shapes for this dispatch and prepares the
 /// master buffers, undo images included. Returns `None` — downgrade to
 /// the write-log — when the derivation fails, a target is not (and may
@@ -611,9 +647,13 @@ fn prepare_in_place(
     chunks: &[(i64, i64)],
 ) -> Option<Vec<InPlaceSpec>> {
     let program = interp.program();
-    let reductions: Vec<VarId> = plan.reductions.iter().map(|(v, _)| *v).collect();
-    let facts =
-        irr_driver::derive_in_place_facts(program, loop_stmt, &plan.privatized, &reductions)?;
+    let memo = DerivedShapes::of(interp, loop_stmt, plan);
+    let facts = (memo.in_place)
+        .get_or_insert_with(|| {
+            let (privatized, reductions) = (&memo.privatized, &memo.reductions);
+            irr_driver::derive_in_place_facts(program, loop_stmt, privatized, reductions)
+        })
+        .clone()?;
     let any_read = facts.iter().any(|t| t.read);
     let mut specs = Vec::with_capacity(facts.len());
     for t in &facts {
@@ -670,9 +710,13 @@ fn prepare_concat(
     plan: &ParallelPlan,
 ) -> Option<(VarId, Vec<VarId>, i64)> {
     let program = interp.program();
-    let reductions: Vec<VarId> = plan.reductions.iter().map(|(v, _)| *v).collect();
-    let (ptr, targets) =
-        irr_driver::derive_concat_shape(program, loop_stmt, &plan.privatized, &reductions)?;
+    let memo = DerivedShapes::of(interp, loop_stmt, plan);
+    let (ptr, targets) = (memo.concat)
+        .get_or_insert_with(|| {
+            let (privatized, reductions) = (&memo.privatized, &memo.reductions);
+            irr_driver::derive_concat_shape(program, loop_stmt, privatized, reductions)
+        })
+        .clone()?;
     let p0 = interp.store.scalar(ptr).as_int();
     if p0 < 0 {
         return None;
@@ -975,6 +1019,7 @@ pub fn exec_do_parallel(
     let mut engines = WorkerEngines::default();
     for c in outcomes {
         engines.count(c.engine);
+        interp.stats.stream_entries += c.stats.stream_entries;
         for (s, ls) in c.stats.loops {
             let e = interp.stats.loops.entry(s).or_default();
             e.invocations += ls.invocations;
@@ -2235,6 +2280,50 @@ mod tests {
         assert_eq!(interp.store.array_as_reals(x), seq.store.array_as_reals(x));
     }
 
+    /// The shapes memoized per loop statement belong to the plan's
+    /// lists they were derived under: the same loop dispatched without
+    /// its reduction declared has no in-place shape (`s` is an
+    /// unexplained scalar write) and with it does, in either order on
+    /// one interpreter, and a repeat dispatch is answered from the memo.
+    #[test]
+    fn memoized_shapes_follow_the_plans_privatized_and_reduction_lists() {
+        let src = "program t
+             integer i
+             real s, x(100), z(100)
+             do i = 1, 100
+               s = s + z(i)
+               x(i) = z(i) + 1.0
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let s = p.symbols.lookup("s").unwrap();
+        // One chunk: undeclared, `s` would be a write conflict.
+        let plan = |reductions| ParallelPlan {
+            threads: 1,
+            reductions,
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            ..ParallelPlan::default()
+        };
+        let (bare, reducing) = (plan(vec![]), plan(vec![(s, ReduceOp::Sum)]));
+        for order in [[&bare, &reducing, &reducing], [&reducing, &bare, &bare]] {
+            let mut interp = Interp::new(&p);
+            for plan in order {
+                let got = exec_do_parallel(&mut interp, first_do(&p), plan, 1, 100, 1).unwrap();
+                let want = if plan.reductions.is_empty() {
+                    ExecutionStrategy::WriteLog
+                } else {
+                    ExecutionStrategy::InPlaceDisjoint
+                };
+                assert_eq!(got.strategy, want);
+                let memo = &interp.derived_shapes[&first_do(&p)];
+                assert_eq!(
+                    memo.in_place.as_ref().unwrap().is_some(),
+                    want != ExecutionStrategy::WriteLog
+                );
+            }
+        }
+    }
+
     /// An in-place request for the second loop of a program whose
     /// first loop fills `x`; returns what committed and whether the
     /// master equals the sequential run's store.
@@ -2459,6 +2548,20 @@ mod tests {
             // Iterations 3..=6 stored; iteration 7 was refused.
             assert_eq!(typed_iters, if typed { 5 } else { 0 });
             assert_eq!(x, [0.0, 0.0, 4.5, 6.0, 7.5, 9.0, 0.0, 0.0]);
+        }
+    }
+
+    /// A stream takes a LINEAR range only when both its ends pass the
+    /// window's own check: over a window two elements short of the
+    /// chunk it declines, and the per-iteration stores run up to the
+    /// same refused access, on the same array.
+    #[test]
+    fn a_stream_declines_a_window_its_range_does_not_fit() {
+        for typed in [true, false] {
+            let (res, typed_iters, x) = narrowed_chunk("x(i) = y(i) * 1.5 + 0.25", typed);
+            assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
+            assert_eq!(typed_iters, if typed { 5 } else { 0 });
+            assert_eq!(x, [0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]);
         }
     }
 

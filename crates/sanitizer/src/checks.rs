@@ -338,8 +338,9 @@ pub fn ladder(case: &Case, config: &AuditConfig) -> Checked {
 /// not). The tier's contract is exact replay, so there is no tolerance
 /// ([`Reals::Exact`]) and no exemption: both runs are sequential, so
 /// even the scratch the verdicts privatize must agree. The summary says
-/// how many entries the typed loop finished and how many the chunk
-/// entry walked throughout, so a nest sliding from one to the other
+/// how many entries the typed loop finished, how many the chunk entry
+/// walked throughout, and how many loop entries — inner ones included —
+/// a stream fast-forwarded, so a nest sliding from one to the other
 /// shows in the log.
 pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
     let (rep, presets) = match compile(case) {
@@ -351,6 +352,7 @@ pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
         sequential(&rep, &presets),
         dispatched(&rep, &presets, &mut dispatch),
     );
+    let streamed = runs.1.as_ref().map_or(0, |comp| comp.stats.stream_entries);
     let diverged = match runs {
         (Ok(seq), Ok(comp)) => first_divergence(&rep, &seq, &comp, Reals::Exact).or_else(|| {
             let none = HashSet::new();
@@ -361,7 +363,7 @@ pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
     };
     Checked {
         summary: format!(
-            "{} loop entr(ies) typed, {} walked, {} fallback(s), {}",
+            "{} loop entr(ies) typed, {} walked, {} fallback(s), {streamed} streamed, {}",
             dispatch.typed,
             dispatch.compiled - dispatch.typed,
             dispatch.fallback_count(),

@@ -627,6 +627,113 @@ fn an_inspector_lie_about_segments_is_caught_by_the_windows() {
 }
 
 #[test]
+fn a_stream_declines_a_window_one_element_short_and_the_checked_path_attributes_it() {
+    // The same overreach with a body the typed loop fast-forwards as a
+    // stream. Row 2's range `c(3..=5)` ends one element past the first
+    // chunk's window: the stream's guard — both ends of the range
+    // through the window's own check — declines, and the per-iteration
+    // ops write `c(3)`, `c(4)` and are refused `c(5)`: a violation on
+    // `c`, at that access, exactly as without streams.
+    let src = "program t
+         integer i, j, n, ptr(5), len(4)
+         real c(8)
+         n = 4
+         do i = 1, n
+           ptr(i) = 2 * i - 1 - i / 4
+           len(i) = 2 + (i / 2) * (1 - (i / 3) * 2) + (i / 4) * 2
+         enddo
+         ptr(5) = 8
+         do i = 1, 8
+           c(i) = i * 0.5
+         enddo
+         do 20 i = 1, n
+           do j = 1, len(i)
+             c(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + 1.0
+           enddo
+ 20      continue
+         print c(4), c(5)
+         end";
+    let rep = compiled(src);
+    let plan = rep.verdict("T/do20").unwrap().compiled.unwrap();
+    assert_eq!(plan.stream_loops, 1, "{plan:?}");
+    let v = rep.verdict("T/do20").unwrap();
+    assert!(matches!(v.tier, DispatchTier::RuntimeGuarded(_)), "{v:?}");
+    let seq = Interp::new(&rep.program).run().unwrap();
+    let config = HybridConfig {
+        threads: 2,
+        ..HybridConfig::default()
+    };
+    let honest = run_hybrid(&rep, config).unwrap();
+    assert_eq!(honest.telemetry.guarded_sequential, 1);
+    // Site 2: the two set-up loops dispatch before the walk. (Once the
+    // honest guard fails, each row's inner loop dispatches on its own.)
+    let plan = FaultPlan::scripted([(2, FaultKind::LieInspector)]);
+    let (hybrid, plan) = run_hybrid_with_faults(&rep, config, plan).unwrap();
+    assert_eq!(plan.fired_count("lie-inspector"), 1);
+    let diff = first_divergence(&rep, &seq, &hybrid.outcome, Reals::Exact);
+    assert_eq!(diff, None);
+    let t = hybrid.telemetry;
+    assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
+}
+
+/// [`MUTATED_SWEEP_SRC`] with the index array smashed, not permuted,
+/// after the second entry.
+const SMASHED_SWEEP_SRC: &str = "program t
+     integer i, r, n, p(8)
+     real z(8), x(8)
+     n = 8
+     do i = 1, n
+       x(i) = i * 1.0
+     enddo
+     do r = 1, 3
+       do 20 i = 1, n
+         z(p(i)) = x(i) + r
+ 20    continue
+       if (r == 2) then
+         p(5) = 99
+       endif
+     enddo
+     print z(1), z(8)
+     end";
+
+#[test]
+fn an_index_array_smashed_between_entries_ends_in_the_programs_own_error() {
+    // Entries 1 and 2 scatter through a stream under a certificate;
+    // then `p(5)` leaves `z`. The certificate is stale at entry 3 and
+    // whatever replaces it — an honest re-inspection that fails (the
+    // sequential typed loop streams four iterations and stops before
+    // the fifth), or a lie that dispatches the chunks on the write-log
+    // (a sink no stream takes) — the run ends in the out-of-bounds
+    // error of the sequential run, from the per-iteration scatter.
+    let rep = compiled(SMASHED_SWEEP_SRC);
+    let plan = rep.verdict("T/do20").unwrap().compiled.unwrap();
+    assert_eq!(plan.stream_loops, 1, "{plan:?}");
+    let p = rep.program.symbols.lookup("p").unwrap();
+    let presets = [(
+        p,
+        irr_exec::ArrayData::Int {
+            data: vec![3, 1, 4, 8, 5, 2, 6, 7],
+            dims: vec![8],
+        },
+    )];
+    let own = sequential(&rep, &presets).unwrap_err();
+    let (array, index, extent) = ("z".to_string(), 99, 8);
+    let oob = irr_exec::ExecError::OutOfBounds {
+        array,
+        index,
+        extent,
+    };
+    assert_eq!(own, oob);
+    let honest = irr_runtime::run_hybrid_seeded(&rep, chaos_config(), &presets).unwrap_err();
+    assert_eq!(honest, own);
+    let mut d = HybridDispatcher::new(&rep, chaos_config());
+    d.set_fault_plan(FaultPlan::scripted([(3, FaultKind::LieInspector)]));
+    assert_eq!(dispatched(&rep, &presets, &mut d).unwrap_err(), own);
+    let t = &d.telemetry;
+    assert_eq!((t.guarded_parallel, t.strategy_in_place), (3, 3), "{t:?}");
+}
+
+#[test]
 fn a_chunk_that_branched_beside_a_violation_leaves_no_stray_write() {
     // The same broken chain, with the second chunk *branching* on what
     // it finds: `x(i)` is set when a walked element comes out below

@@ -374,20 +374,21 @@ fn edge_matrices_keep_parity() {
 #[test]
 fn kernel_bodies_keep_their_fusions() {
     use irr_repro::driver::compiled::{lower_do_loop, FOp};
-    const MAX_OPS: [(&str, usize); 9] = [
-        ("spmv", 13),
-        ("jacobi", 20),
-        ("trisolve", 20),
-        ("lufront", 11),
-        ("colscale", 10),
-        ("chase", 20),
-        ("scale", 5),
-        ("permute", 4),
-        ("rowgather", 8),
+    // Kernel, most instructions in its per-iteration blocks, streams.
+    const MAX_OPS: [(&str, usize, u32); 9] = [
+        ("spmv", 13, 1),
+        ("jacobi", 20, 1),
+        ("trisolve", 20, 0),
+        ("lufront", 11, 1),
+        ("colscale", 10, 1),
+        ("chase", 20, 0),
+        ("scale", 5, 1),
+        ("permute", 4, 1),
+        ("rowgather", 8, 0),
     ];
     let kernels = kernels(&SparseScale::test(Structure::Uniform, 11));
     assert_eq!(kernels.len(), MAX_OPS.len());
-    for (k, (name, max_ops)) in kernels.iter().zip(MAX_OPS) {
+    for (k, (name, max_ops, streams)) in kernels.iter().zip(MAX_OPS) {
         assert_eq!(k.name, name);
         let rep = compile_kernel(k);
         let v = rep.verdicts.iter().find(|v| v.label == k.label).unwrap();
@@ -398,6 +399,9 @@ fn kernel_bodies_keep_their_fusions() {
             body.op_count(),
             body.blocks()
         );
+        // A stream sits beside its block; the triangular solve reads
+        // the array it accumulates into and must not get one.
+        assert_eq!(body.plan().stream_loops, streams, "{name}");
         if name != "spmv" {
             continue;
         }

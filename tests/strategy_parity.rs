@@ -199,6 +199,107 @@ fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
     );
 }
 
+/// The three write shapes with a body the typed loop runs as a stream
+/// — a read-modify-write at `i`, a segment walk, a certified scatter —
+/// at one chunk, two, and more threads than the pool creates or the
+/// loop has iterations: the workers stream through their windows
+/// (the tree-walk modes stream nothing) and every mode agrees.
+#[test]
+fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
+    let streamed = ["affine-rmw", "segment-and-affine", "scatter"];
+    let programs = strategy_programs()
+        .filter(|p| p.iterations == 32 && streamed.contains(&p.case.name.as_str()));
+    for program in programs {
+        let rep = compile(&program.case);
+        let plan = rep.verdict("F/do20").unwrap().compiled.unwrap();
+        assert_eq!(plan.stream_loops, 1, "{}: {plan:?}", program.case.name);
+        for threads in [1, 2, 300] {
+            let name = format!("{} x{threads}", program.case.name);
+            let outs = four_way_at(&program.case, &rep, threads);
+            let t = &outs[0].telemetry;
+            assert_eq!(
+                (t.strategy_write_log, t.fallbacks()),
+                (0, 0),
+                "{name}: {t:?}"
+            );
+            let entries = |k: usize| outs[k].outcome.stats.stream_entries;
+            assert!(entries(0) > 0, "{name}");
+            assert_eq!((entries(1), entries(2)), (0, 0), "{name}");
+        }
+    }
+}
+
+/// Stream coverage, read off the verdicts' plans (a `CompiledPlan` of
+/// an innermost `do` counts its own stream and nothing else): per
+/// program, `(streams, innermost do loops)` — the table in
+/// EXPERIMENTS.md, "The typed loop stops dispatching per nonzero". A
+/// lowering that loses a stream, or a family widened by accident,
+/// changes a row here before it changes a timing.
+#[test]
+fn stream_coverage_is_the_table_in_experiments_md() {
+    use irr_frontend::StmtKind;
+    use irr_programs::sparse::{interproc_kernels, producer_kernels};
+    let coverage = |source: &str| {
+        let rep = compile_source(source, DriverOptions::with_iaa()).expect("compiles");
+        let p = &rep.program;
+        let innermost = rep
+            .verdicts
+            .iter()
+            .filter(|v| match &p.stmt(v.loop_stmt).kind {
+                StmtKind::Do { body, .. } => {
+                    !p.stmts_in(body).iter().any(|s| p.stmt(*s).kind.is_loop())
+                }
+                _ => false,
+            });
+        let streams = |v: &irr_driver::LoopVerdict| v.compiled.map_or(0, |plan| plan.stream_loops);
+        innermost.fold((0, 0), |(s, n), v| (s + streams(v), n + 1))
+    };
+    let scale = SparseScale::test(Structure::Uniform, 11);
+    let sparse = kernels(&scale)
+        .into_iter()
+        .chain(producer_kernels(&scale))
+        .chain(interproc_kernels(&scale))
+        .map(|k| (k.name.to_string(), k.source));
+    let paper = paper_cases(Scale::Test)
+        .into_iter()
+        .map(|c| (c.name, c.source));
+    let got: Vec<(String, (u32, u32))> = paper
+        .chain(sparse)
+        .map(|(name, source)| (name, coverage(&source)))
+        .collect();
+    let want = [
+        ("TRFD", (0, 11)),
+        ("DYFESM", (6, 16)),
+        ("BDNA", (3, 10)),
+        ("P3M", (3, 10)),
+        ("TREE", (3, 7)),
+        ("FIG1A", (0, 5)),
+        ("FIG1B", (0, 2)),
+        ("FIG1C", (0, 6)),
+        ("MODPERM", (1, 2)),
+        ("spmv", (1, 1)),
+        ("jacobi", (1, 1)),
+        ("trisolve", (0, 1)),
+        ("lufront", (1, 1)),
+        ("colscale", (1, 1)),
+        ("chase", (0, 0)),
+        ("scale", (1, 1)),
+        ("permute", (1, 1)),
+        ("rowgather", (0, 1)),
+        ("lufront_producer", (1, 4)),
+        ("colscale_producer", (1, 4)),
+        ("permute_producer", (1, 2)),
+        ("lufront_callchain", (1, 4)),
+        ("permute_callchain", (1, 2)),
+    ];
+    let got: Vec<(&str, (u32, u32))> = got.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+    assert_eq!(got, want);
+    let fuzz = random_cases(42, 64)
+        .into_iter()
+        .map(|c| coverage(&c.source));
+    assert_eq!(fuzz.fold((0, 0), |(s, n), c| (s + c.0, n + c.1)), (26, 131));
+}
+
 #[test]
 fn zero_trip_and_single_iteration_loops_are_strategy_safe() {
     // `mod(n, 2) = 0` for n = 8: the proven-disjoint loop is zero-trip
