@@ -15,26 +15,50 @@
 //! nothing is inserted until a report completed at the requested rung,
 //! which is what makes "a panicking request leaves the cache
 //! byte-identical" a one-line invariant instead of a cleanup path.
+//!
+//! Reports are shared, never copied: an entry holds an
+//! `Arc<CompilationReport>`, a hit hands out another handle to it, and
+//! a report is never mutated once inserted. Eviction, invalidation and
+//! quarantine drop the cache's handle only; a report dies with its
+//! last holder.
 
 use irr_driver::{ladder::tier_rank, CompilationReport, DegradeLevel};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// FNV-1a over the program source: stable, dependency-free, and fast
-/// enough that hashing never shows up next to an analysis run.
+/// Hash of the program source, eight bytes a step: stable across runs
+/// and hosts, unkeyed, dependency-free. The length is folded in first
+/// (a zero-padded tail word cannot stand for a longer source) and
+/// every step is a bijection of the state, so two sources that differ
+/// in one word never collide; the closing avalanche is SplitMix64's.
 pub fn program_hash(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in source.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, word: [u8; 8]| {
+        let h = (h ^ u64::from_le_bytes(word)).wrapping_mul(K);
+        h ^ (h >> 32)
+    };
+    let bytes = source.as_bytes();
+    let mut h = step(0xcbf2_9ce4_8422_2325, (bytes.len() as u64).to_le_bytes());
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, w.try_into().expect("an 8-byte chunk"));
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, last);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 /// Cache key: program hash plus the rung the report was computed at.
 pub type VerdictKey = (u64, DegradeLevel);
 
 struct Entry {
-    report: CompilationReport,
+    report: Arc<CompilationReport>,
     version: u64,
     /// LRU tick of the last probe hit (or insert).
     last_used: u64,
@@ -43,8 +67,8 @@ struct Entry {
 
 /// Outcome of a cache probe.
 pub enum VerdictProbe {
-    /// A valid entry: the caller gets a clone of the memoized report.
-    Hit(Box<CompilationReport>),
+    /// A valid entry: the caller shares the memoized report.
+    Hit(Arc<CompilationReport>),
     /// No entry (or a stale-version entry, lazily discarded).
     Miss,
     /// The key is quarantined: serve a degraded response. One retry
@@ -102,7 +126,7 @@ impl VerdictCache {
             }
             Some(e) if e.version == self.version => {
                 e.last_used = self.tick;
-                VerdictProbe::Hit(Box::new(e.report.clone()))
+                VerdictProbe::Hit(Arc::clone(&e.report))
             }
             Some(_) => {
                 // Stale generation: lazy invalidation.
@@ -115,9 +139,17 @@ impl VerdictCache {
 
     /// Inserts a completed report. Callers only insert results that
     /// finished at the requested rung with an unexhausted budget —
-    /// degraded or suspect reports never enter the table.
-    pub fn insert(&mut self, key: VerdictKey, report: CompilationReport) {
+    /// degraded or suspect reports never enter the table. Returns the
+    /// report this one displaced — the entry it replaced, or the LRU
+    /// victim of a full cache — so that a caller holding a lock around
+    /// the cache can free it after releasing the lock.
+    pub fn insert(
+        &mut self,
+        key: VerdictKey,
+        report: impl Into<Arc<CompilationReport>>,
+    ) -> Option<Arc<CompilationReport>> {
         self.tick += 1;
+        let mut victim = None;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             if let Some(lru) = self
                 .entries
@@ -125,19 +157,17 @@ impl VerdictCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
             {
-                self.entries.remove(&lru);
+                victim = self.entries.remove(&lru);
                 self.evictions += 1;
             }
         }
-        self.entries.insert(
-            key,
-            Entry {
-                report,
-                version: self.version,
-                last_used: self.tick,
-                poisoned: false,
-            },
-        );
+        let entry = Entry {
+            report: report.into(),
+            version: self.version,
+            last_used: self.tick,
+            poisoned: false,
+        };
+        self.entries.insert(key, entry).or(victim).map(|e| e.report)
     }
 
     /// Quarantines `key` for `retries` probes and drops any stored
@@ -227,6 +257,14 @@ impl VerdictCache {
 mod tests {
     use super::*;
     use irr_driver::{compile_source, DriverOptions};
+    use irr_exec::SplitMix64;
+    use irr_programs::fuzz::{random_loop_program, strategy_programs};
+    use irr_programs::sparse::{
+        interproc_kernels, kernels, producer_kernels, SparseScale, STRUCTURES,
+    };
+    use irr_programs::{paper_cases, Scale};
+    use irr_sparse::Structure;
+    use std::collections::HashSet;
 
     fn report() -> CompilationReport {
         compile_source(
@@ -237,6 +275,7 @@ mod tests {
     }
 
     const KEY: VerdictKey = (42, DegradeLevel::Full);
+    const OTHER: VerdictKey = (7, DegradeLevel::Full);
 
     #[test]
     fn probe_insert_roundtrip() {
@@ -301,6 +340,187 @@ mod tests {
         assert!(matches!(c.probe(&KEY), VerdictProbe::Miss));
         assert_eq!(c.poison_evictions(), 1);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn a_hit_shares_the_entry_and_insert_returns_what_it_displaced() {
+        let mut c = VerdictCache::new(2);
+        let first = Arc::new(report());
+        assert!(c.insert(KEY, Arc::clone(&first)).is_none());
+        let (VerdictProbe::Hit(a), VerdictProbe::Hit(b)) = (c.probe(&KEY), c.probe(&KEY)) else {
+            panic!("a live key missed");
+        };
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &first));
+        // Over a live key: the replaced report, and no eviction.
+        let replaced = c.insert(KEY, report()).expect("the key was live");
+        assert!(Arc::ptr_eq(&replaced, &first));
+        assert_eq!((c.len(), c.evictions()), (1, 0));
+        // Into a full cache: the LRU victim (OTHER; KEY was touched since).
+        let second = Arc::new(report());
+        assert!(c.insert(OTHER, Arc::clone(&second)).is_none());
+        assert!(matches!(c.probe(&KEY), VerdictProbe::Hit(_)));
+        let victim = c.insert((8, DegradeLevel::Full), report()).expect("full");
+        assert!(Arc::ptr_eq(&victim, &second));
+        assert_eq!((c.len(), c.evictions()), (2, 1));
+    }
+
+    /// Every way an entry leaves the table drops the cache's handle and
+    /// nothing else: a client that got the report earlier keeps reading
+    /// it, no later probe serves it, and it dies with its last holder.
+    #[test]
+    fn a_report_handed_out_outlives_its_entry_and_is_never_served_again() {
+        type Removal = fn(&mut VerdictCache);
+        let removals: [(&str, Removal); 4] = [
+            ("invalidate_all", |c| c.invalidate_all()),
+            ("quarantine", |c| c.quarantine(KEY, 0)),
+            ("poison_entry", |c| assert!(c.poison_entry(&KEY))),
+            ("lru eviction", |c| {
+                drop(c.insert(OTHER, report()));
+                drop(c.insert((8, DegradeLevel::Full), report()));
+            }),
+        ];
+        for (what, remove) in removals {
+            let mut c = VerdictCache::new(2);
+            c.insert(KEY, report());
+            let VerdictProbe::Hit(held) = c.probe(&KEY) else {
+                panic!("{what}: a live key missed");
+            };
+            let loops = held.verdicts.len();
+            assert_eq!(Arc::strong_count(&held), 2, "{what}: cache + holder");
+            remove(&mut c);
+            assert!(matches!(c.probe(&KEY), VerdictProbe::Miss), "{what}");
+            assert_eq!(Arc::strong_count(&held), 1, "{what}: the cache let go");
+            assert_eq!(held.verdicts.len(), loops, "{what}: still readable");
+            let weak = Arc::downgrade(&held);
+            drop(held);
+            assert!(weak.upgrade().is_none(), "{what}: leaked");
+            // The table still works for its other keys.
+            c.insert(OTHER, report());
+            assert!(matches!(c.probe(&OTHER), VerdictProbe::Hit(_)), "{what}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_does_not_depend_on_fill_order() {
+        let sources = [
+            "program a\ninteger i\nreal x(10)\ndo i = 1, 10\nx(i) = 1\nenddo\nend\n",
+            "program b\ninteger i\nreal y(9)\ndo 10 i = 2, 9\ny(i) = y(i - 1)\n10 continue\nend\n",
+            "program c\ninteger i, k(5)\nreal z(5)\ndo i = 1, 5\nz(k(i)) = 2\nenddo\nend\n",
+        ];
+        let fill = |order: [usize; 3]| {
+            let mut c = VerdictCache::new(8);
+            for i in order {
+                let rep = compile_source(sources[i], DriverOptions::with_iaa()).unwrap();
+                c.insert((program_hash(sources[i]), DegradeLevel::Full), rep);
+            }
+            c.fingerprint()
+        };
+        assert_eq!(fill([0, 1, 2]), fill([2, 0, 1]));
+        assert_ne!(fill([0, 1, 2]), VerdictCache::new(8).fingerprint());
+    }
+
+    /// The sources of the three sparse kernel families on one structure.
+    fn kernel_sources(structure: Structure, seed: u64) -> impl Iterator<Item = String> {
+        let scale = SparseScale::test(structure, seed);
+        let families = kernels(&scale)
+            .into_iter()
+            .chain(producer_kernels(&scale))
+            .chain(interproc_kernels(&scale));
+        families.map(|k| k.source)
+    }
+
+    /// `service-warm`'s hot set, as `benchmark/` builds it.
+    fn hot_sources() -> Vec<String> {
+        let mut out = Vec::new();
+        for structure in [Structure::Uniform, Structure::PowerLaw] {
+            out.extend(kernel_sources(structure, 0xCC5));
+        }
+        out.extend(irr_programs::all(Scale::Test).into_iter().map(|b| b.source));
+        out
+    }
+
+    #[test]
+    fn program_hash_has_no_collision_over_the_corpora() {
+        let mut texts: HashSet<String> = irr_frontend::malformed_corpus(40)
+            .into_iter()
+            .map(|c| c.source)
+            .collect();
+        texts.extend(hot_sources());
+        for scale in [Scale::Test, Scale::Paper] {
+            texts.extend(paper_cases(scale).into_iter().map(|c| c.source));
+        }
+        for structure in STRUCTURES {
+            texts.extend(kernel_sources(structure, 0xdecaf));
+        }
+        texts.extend(strategy_programs().map(|p| p.case.source));
+        // 100 000 fuzz draws, renamed as `benchmark/`'s cold clients
+        // rename theirs: few distinct bodies, one distinct name each.
+        let mut rng = SplitMix64::new(0xCC5);
+        for client in 1..=2 {
+            for n in 0..50_000 {
+                let base = random_loop_program(&mut rng);
+                texts.insert(base.replacen("program f", &format!("program f{client}x{n}"), 1));
+            }
+        }
+        assert!(texts.len() > 100_000);
+        let hashes: HashSet<u64> = texts.iter().map(|t| program_hash(t)).collect();
+        assert_eq!(hashes.len(), texts.len());
+    }
+
+    #[test]
+    fn program_hash_sees_every_byte_and_the_length() {
+        for src in hot_sources() {
+            assert!(src.is_ascii());
+            let h = program_hash(&src);
+            let mut edited = src.clone().into_bytes();
+            for i in 0..edited.len() {
+                for flip in [0x01, 0x20, 0x7f] {
+                    edited[i] ^= flip;
+                    let text = std::str::from_utf8(&edited).expect("ascii stays ascii");
+                    assert_ne!(program_hash(text), h, "byte {i} ^ {flip:#x}");
+                    edited[i] ^= flip;
+                }
+            }
+            assert_ne!(program_hash(&src[..src.len() - 1]), h, "truncation");
+            for pad in ['\0', ' '] {
+                let mut longer = src.clone();
+                for _ in 0..9 {
+                    longer.push(pad);
+                    assert_ne!(program_hash(&longer), h, "{pad:?} extension");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn program_hash_avalanches() {
+        // Every output bit should flip for about half of all single-bit
+        // input flips (bit 7 left alone: the sources stay ASCII).
+        let mut flipped = [0u64; 64];
+        let mut flips = 0u64;
+        for src in hot_sources() {
+            let h = program_hash(&src);
+            let mut edited = src.into_bytes();
+            for i in 0..edited.len() {
+                for bit in 0..7 {
+                    edited[i] ^= 1 << bit;
+                    let text = std::str::from_utf8(&edited).expect("ascii stays ascii");
+                    let diff = program_hash(text) ^ h;
+                    edited[i] ^= 1 << bit;
+                    flips += 1;
+                    for (out, count) in flipped.iter_mut().enumerate() {
+                        *count += (diff >> out) & 1;
+                    }
+                }
+            }
+        }
+        for (out, count) in flipped.iter().enumerate() {
+            let share = *count as f64 / flips as f64;
+            assert!(
+                (0.35..=0.65).contains(&share),
+                "output bit {out} flips for {share:.3} of {flips} input flips"
+            );
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   panicking program yields a typed [`ServiceError`], quarantines its
 //!   cache key, and cannot take down a worker or leave a partial cache
 //!   entry;
-//! - **memoization** — completed reports are shared through a
-//!   versioned, LRU, quarantine-aware [`VerdictCache`];
+//! - **memoization** — completed reports are shared, not copied,
+//!   through a versioned, LRU, quarantine-aware [`VerdictCache`]: a
+//!   hit costs a reference count;
 //! - **fault injection** — [`ServiceFaultPlan`] scripts the four
 //!   service-level faults the chaos suite must catch with exact
 //!   attribution.
@@ -164,8 +165,10 @@ impl ServiceError {
 /// A successful analysis (possibly degraded, possibly memoized).
 #[derive(Debug)]
 pub struct Analyzed {
-    /// The report — computed at [`Analyzed::level`].
-    pub report: CompilationReport,
+    /// The report — computed at [`Analyzed::level`]. Shared with the
+    /// verdict cache (and every other client served from it) when
+    /// memoized, so it is immutable; dropping it is a decrement.
+    pub report: Arc<CompilationReport>,
     /// The ladder rung that produced the report.
     pub level: DegradeLevel,
     /// Why the response is below `start_level`; `None` at full
@@ -184,6 +187,9 @@ pub struct AnalysisResponse {
     pub name: String,
     /// Submission-to-response latency (includes queue wait).
     pub latency: Duration,
+    /// The part of `latency` spent queued before a worker took the
+    /// request; the rest is service time. Zero for a shed.
+    pub queue_wait: Duration,
     /// The analysis or its typed failure.
     pub result: Result<Analyzed, ServiceError>,
 }
@@ -215,6 +221,7 @@ struct Stats {
     fuel_exhaustions: AtomicU64,
     wall_exhaustions: AtomicU64,
     busy_ns: AtomicU64,
+    queue_wait_ns: AtomicU64,
 }
 
 /// A point-in-time copy of the service counters.
@@ -230,7 +237,9 @@ pub struct StatsSnapshot {
     pub completed: u64,
     /// Served from the verdict cache.
     pub cache_hits: u64,
-    /// Probes that missed (and went on to analyze).
+    /// Probes that missed (and went on to analyze). A request whose
+    /// injected fault bypasses the cache probes nothing and counts
+    /// neither as a hit nor as a miss.
     pub cache_misses: u64,
     /// Requests whose program did not parse.
     pub parse_errors: u64,
@@ -246,6 +255,13 @@ pub struct StatsSnapshot {
     pub wall_exhaustions: u64,
     /// Total worker-busy nanoseconds (drives retry-after estimates).
     pub busy_ns: u64,
+    /// Total nanoseconds completed requests waited in the queue. A
+    /// latency is its queue wait plus its service time, and `busy_ns`
+    /// is the service times plus whatever passes between a worker's
+    /// send and its next clock read (its own frees; on a shared core,
+    /// the client it just woke), so `busy_ns + queue_wait_ns` bounds the
+    /// summed latencies from above.
+    pub queue_wait_ns: u64,
 }
 
 impl StatsSnapshot {
@@ -274,7 +290,7 @@ struct Job {
     name: String,
     source: String,
     enqueued: Instant,
-    reply: mpsc::Sender<AnalysisResponse>,
+    reply: mpsc::SyncSender<AnalysisResponse>,
 }
 
 struct QueueState {
@@ -355,6 +371,7 @@ impl Service {
                 seq,
                 name: name.to_string(),
                 latency: Duration::ZERO,
+                queue_wait: Duration::ZERO,
                 result: Err(ServiceError::Shed(reason)),
             }))
         };
@@ -372,7 +389,9 @@ impl Service {
                 retry_after_ms: self.retry_after_ms(backlog),
             });
         }
-        let (tx, rx) = mpsc::channel();
+        // One reply per request: one slot, so the worker's send never
+        // blocks and nothing is allocated per message.
+        let (tx, rx) = mpsc::sync_channel(1);
         q.jobs.push_back(Job {
             seq,
             name: name.to_string(),
@@ -390,12 +409,7 @@ impl Service {
     pub fn analyze(&self, name: &str, source: &str) -> AnalysisResponse {
         match self.submit(name, source) {
             Submitted::Shed(resp) => *resp,
-            Submitted::Accepted(rx) => rx.recv().unwrap_or(AnalysisResponse {
-                seq: u64::MAX,
-                name: name.to_string(),
-                latency: Duration::ZERO,
-                result: Err(ServiceError::ReplyLost),
-            }),
+            Submitted::Accepted(rx) => rx.recv().unwrap_or_else(|_| reply_lost(name.to_string())),
         }
     }
 
@@ -413,12 +427,7 @@ impl Service {
             .into_iter()
             .map(|(name, sub)| match sub {
                 Submitted::Shed(resp) => *resp,
-                Submitted::Accepted(rx) => rx.recv().unwrap_or(AnalysisResponse {
-                    seq: u64::MAX,
-                    name,
-                    latency: Duration::ZERO,
-                    result: Err(ServiceError::ReplyLost),
-                }),
+                Submitted::Accepted(rx) => rx.recv().unwrap_or_else(|_| reply_lost(name)),
             })
             .collect()
     }
@@ -450,6 +459,7 @@ impl Service {
             fuel_exhaustions: s.fuel_exhaustions.load(Relaxed),
             wall_exhaustions: s.wall_exhaustions.load(Relaxed),
             busy_ns: s.busy_ns.load(Relaxed),
+            queue_wait_ns: s.queue_wait_ns.load(Relaxed),
         }
     }
 
@@ -508,6 +518,17 @@ impl Service {
     }
 }
 
+/// What a caller gets when the worker's reply channel vanished.
+fn reply_lost(name: String) -> AnalysisResponse {
+    AnalysisResponse {
+        seq: u64::MAX,
+        name,
+        latency: Duration::ZERO,
+        queue_wait: Duration::ZERO,
+        result: Err(ServiceError::ReplyLost),
+    }
+}
+
 impl Drop for Service {
     fn drop(&mut self) {
         self.stop_and_join();
@@ -529,11 +550,15 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let started = Instant::now();
-        process(shared, job);
-        shared
-            .stats
+        let queue_wait = started.duration_since(job.enqueued);
+        process(shared, job, queue_wait);
+        let stats = &shared.stats;
+        stats
             .busy_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Relaxed);
+        stats
+            .queue_wait_ns
+            .fetch_add(queue_wait.as_nanos() as u64, Relaxed);
     }
 }
 
@@ -541,7 +566,7 @@ fn worker_loop(shared: &Shared) {
 /// reason-coded response; no panic can escape (analysis runs under
 /// `catch_unwind`, and everything outside it is non-panicking by
 /// construction and covered by the corpus tests).
-fn process(shared: &Shared, job: Job) {
+fn process(shared: &Shared, job: Job, queue_wait: Duration) {
     let fault = shared.faults.lock().unwrap().decide(job.seq);
     let requested = shared.start_level;
     // The deadline holder carries the request-wide wall clock. It is
@@ -551,6 +576,8 @@ fn process(shared: &Shared, job: Job) {
     // global.
     let deadline = AnalysisBudget::limited(None, shared.wall_budget);
     let key: VerdictKey = (program_hash(&job.source), requested);
+    // Called once on every path; a client that dropped its receiver
+    // loses the reply, nothing else.
     let respond = |result: Result<Analyzed, ServiceError>| {
         shared.stats.completed.fetch_add(1, Relaxed);
         if let Ok(a) = &result {
@@ -560,8 +587,9 @@ fn process(shared: &Shared, job: Job) {
         }
         let _ = job.reply.send(AnalysisResponse {
             seq: job.seq,
-            name: job.name.clone(),
+            name: job.name,
             latency: job.enqueued.elapsed(),
+            queue_wait,
             result,
         });
     };
@@ -589,27 +617,23 @@ fn process(shared: &Shared, job: Job) {
                 | ServiceFault::BudgetStarvation
         )
     );
-    let probe = if bypass_cache {
-        VerdictProbe::Miss
-    } else {
-        shared.cache.lock().unwrap().probe(&key)
-    };
+    let probe = (!bypass_cache).then(|| shared.cache.lock().unwrap().probe(&key));
     match probe {
-        VerdictProbe::Hit(report) => {
+        Some(VerdictProbe::Hit(report)) => {
             shared.stats.cache_hits.fetch_add(1, Relaxed);
             respond(Ok(Analyzed {
-                report: *report,
+                report,
                 level: requested,
                 degraded: None,
                 cache_hit: true,
             }));
             return;
         }
-        VerdictProbe::Quarantined => {
+        Some(VerdictProbe::Quarantined) => {
             shared.stats.quarantined_served.fetch_add(1, Relaxed);
             match parse_isolated(&job.source) {
                 Ok(program) => respond(Ok(Analyzed {
-                    report: parse_only_report(program),
+                    report: Arc::new(parse_only_report(program)),
                     level: DegradeLevel::ParseOnly,
                     degraded: Some(DegradeReason::Quarantined),
                     cache_hit: false,
@@ -621,13 +645,18 @@ fn process(shared: &Shared, job: Job) {
             }
             return;
         }
-        VerdictProbe::Miss => {
+        Some(VerdictProbe::Miss) => {
             shared.stats.cache_misses.fetch_add(1, Relaxed);
         }
+        // Bypassed: no probe ran, so there is no miss to count.
+        None => {}
     }
 
-    let program = match parse_isolated(&job.source) {
-        Ok(p) => p,
+    // The first rung takes this parse by value; a descent (the rare
+    // case) parses the source again instead of every request cloning
+    // the program once per rung.
+    let mut parsed = match parse_isolated(&job.source) {
+        Ok(p) => Some(p),
         Err(e) => {
             shared.stats.parse_errors.fetch_add(1, Relaxed);
             respond(Err(e));
@@ -667,10 +696,20 @@ fn process(shared: &Shared, job: Job) {
             degrade_reason = Some(DegradeReason::WallClock);
             level = DegradeLevel::ParseOnly;
         }
+        let program = match parsed
+            .take()
+            .map_or_else(|| parse_isolated(&job.source), Ok)
+        {
+            Ok(p) => p,
+            Err(e) => {
+                respond(Err(e));
+                return;
+            }
+        };
         if level == DegradeLevel::ParseOnly {
-            let report = parse_only_report(program.clone());
+            let report = Arc::new(parse_only_report(program));
             if requested == DegradeLevel::ParseOnly {
-                shared.cache.lock().unwrap().insert(key, report.clone());
+                memoize(shared, key, &report);
                 degrade_reason = None;
             }
             respond(Ok(Analyzed {
@@ -687,7 +726,7 @@ fn process(shared: &Shared, job: Job) {
             if inject_panic {
                 panic!("injected analysis fault");
             }
-            level.compile_at(program.clone(), shared.options, Some(&budget))
+            level.compile_at(program, shared.options, Some(&budget))
         }));
         match outcome {
             Err(payload) => {
@@ -713,8 +752,9 @@ fn process(shared: &Shared, job: Job) {
             }
             Ok(report) => match budget.exhausted() {
                 None => {
+                    let report = Arc::new(report);
                     if level == requested {
-                        shared.cache.lock().unwrap().insert(key, report.clone());
+                        memoize(shared, key, &report);
                     }
                     respond(Ok(Analyzed {
                         report,
@@ -737,6 +777,14 @@ fn process(shared: &Shared, job: Job) {
             },
         }
     }
+}
+
+/// Memoizes `report`: the cache and the reply hold the same allocation.
+/// What the insert displaced is freed here, after the cache mutex —
+/// the one lock every worker needs — is released.
+fn memoize(shared: &Shared, key: VerdictKey, report: &Arc<CompilationReport>) {
+    let displaced = shared.cache.lock().unwrap().insert(key, Arc::clone(report));
+    drop(displaced);
 }
 
 /// Parses under `catch_unwind`: a parse panic (there should be none —

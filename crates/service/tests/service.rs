@@ -2,10 +2,13 @@
 //! admission control, budget-driven degradation, typed parse errors,
 //! and reason-coded responses for a mixed workload.
 
+use irr_driver::compile_source;
 use irr_service::{
-    AnalysisResponse, DegradeLevel, Service, ServiceConfig, ServiceError, ServiceFault,
-    ServiceFaultPlan, ShedReason, Submitted,
+    tier_rank, AnalysisResponse, CompilationReport, DegradeLevel, DriverOptions, Service,
+    ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan, ShedReason, Submitted,
 };
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::Arc;
 use std::time::Duration;
 
 const GOOD: &str = "program t
@@ -189,4 +192,145 @@ fn batch_of_mixed_good_and_malformed_is_fully_reason_coded() {
     assert_eq!(stats.completed, (requests.len() + again.len()) as u64);
     assert_eq!(stats.panics_caught, 0);
     assert_eq!(stats.cache_hits, benchmarks.len() as u64);
+}
+
+#[test]
+fn two_hits_share_one_report() {
+    let svc = Service::start(ServiceConfig::default());
+    let miss = svc.analyze("fill", GOOD).result.expect("analyzes");
+    let hit = svc.analyze("hit", GOOD).result.expect("cached");
+    let again = svc.analyze("again", GOOD).result.expect("cached");
+    assert!(!miss.cache_hit && hit.cache_hit && again.cache_hit);
+    // The miss's reply, the cache and both hits hold one allocation.
+    assert!(Arc::ptr_eq(&miss.report, &hit.report));
+    assert!(Arc::ptr_eq(&hit.report, &again.report));
+    assert_eq!(Arc::strong_count(&hit.report), 4);
+}
+
+fn verdict_summary(report: &CompilationReport) -> Vec<(String, u8, bool)> {
+    let summary = |v: &irr_driver::LoopVerdict| (v.label.clone(), tier_rank(&v.tier), v.parallel);
+    report.verdicts.iter().map(summary).collect()
+}
+
+#[test]
+fn hits_stay_correct_while_the_cache_is_invalidated_and_refilled_under_them() {
+    // Eight keys: the same two loops over eight array extents.
+    let sources: Vec<String> = (0..8)
+        .map(|k| GOOD.replace("(10)", &format!("({})", 10 + k)))
+        .collect();
+    let expected: Vec<_> = sources
+        .iter()
+        .map(|s| verdict_summary(&compile_source(s, DriverOptions::with_iaa()).unwrap()))
+        .collect();
+    let svc = Service::start(ServiceConfig {
+        cache_capacity: 8,
+        ..ServiceConfig::default()
+    });
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|client| {
+                let (svc, sources, expected) = (&svc, &sources, &expected);
+                scope.spawn(move || {
+                    for n in 0..2000 {
+                        let k = (client + n) % sources.len();
+                        let resp = svc.analyze("hit", &sources[k]);
+                        assert_eq!(resp.reason_code(), "ok");
+                        let a = resp.result.expect("ok");
+                        assert_eq!(a.level, DegradeLevel::Full);
+                        assert_eq!(verdict_summary(&a.report), expected[k], "key {k}");
+                    }
+                })
+            })
+            .collect();
+        let invalidator = scope.spawn(|| {
+            let mut rounds = 0;
+            while !done.load(SeqCst) {
+                svc.cache_invalidate_all();
+                for s in &sources {
+                    assert_eq!(svc.analyze("refill", s).reason_code(), "ok");
+                }
+                rounds += 1;
+            }
+            rounds
+        });
+        for c in clients {
+            c.join().expect("client panicked");
+        }
+        done.store(true, SeqCst);
+        assert!(invalidator.join().expect("invalidator panicked") > 0);
+    });
+    assert!(svc.cache_len() <= 8);
+    let stats = svc.shutdown();
+    assert_eq!(stats.completed, stats.submitted);
+    assert_eq!(stats.cache_hits + stats.cache_misses, stats.completed);
+    assert!(stats.cache_hits > 0 && stats.cache_misses >= 8);
+}
+
+#[test]
+fn a_dropped_receiver_loses_its_reply_and_nothing_else() {
+    // The one worker is stalled in request 0 while request 1 is
+    // submitted and its receiver dropped, so its reply has nowhere to go.
+    let svc = Service::start(ServiceConfig {
+        workers: 1,
+        fault_plan: ServiceFaultPlan::scripted([(0, ServiceFault::StallWorker { ms: 200 })]),
+        ..ServiceConfig::default()
+    });
+    let Submitted::Accepted(stalled) = svc.submit("stalled", GOOD) else {
+        panic!("an empty queue shed");
+    };
+    match svc.submit("abandoned", GOOD) {
+        Submitted::Accepted(rx) => drop(rx),
+        Submitted::Shed(_) => panic!("a queue of 64 shed its second request"),
+    }
+    assert!(stalled
+        .recv()
+        .expect("the stalled request completes")
+        .result
+        .is_ok());
+    let after = svc.analyze("after", GOOD);
+    assert!(after.result.expect("the worker is alive").cache_hit);
+    let stats = svc.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (3, 3));
+}
+
+#[test]
+fn queue_wait_and_busy_time_add_up_to_the_latencies() {
+    let benchmarks = irr_programs::all(irr_programs::Scale::Test);
+    let malformed = irr_frontend::malformed_corpus(5);
+    let pool: Vec<(&str, &str)> = benchmarks
+        .iter()
+        .map(|b| (b.name, b.source.as_str()))
+        .chain(malformed.iter().map(|c| (c.name, c.source.as_str())))
+        .collect();
+    // 200 requests, each source many times over: misses, hits and
+    // parse errors, most of them queued behind others.
+    let requests: Vec<(&str, &str)> = pool.iter().cycle().take(200).copied().collect();
+    let svc = Service::start(ServiceConfig {
+        workers: 2,
+        queue_capacity: requests.len(),
+        ..ServiceConfig::default()
+    });
+    let responses = svc.analyze_batch(requests.iter().copied());
+    let stats = svc.shutdown();
+    assert_eq!(stats.completed, 200);
+    assert!(stats.cache_hits > 0 && stats.cache_misses > 0 && stats.parse_errors > 0);
+    for r in &responses {
+        assert!(
+            r.queue_wait <= r.latency,
+            "{}: waited longer than it took",
+            r.name
+        );
+    }
+    let waited: u128 = responses.iter().map(|r| r.queue_wait.as_nanos()).sum();
+    assert_eq!(waited, stats.queue_wait_ns as u128);
+    let latencies: u128 = responses.iter().map(|r| r.latency.as_nanos()).sum();
+    let accounted = (stats.busy_ns + stats.queue_wait_ns) as f64;
+    let ratio = accounted / latencies as f64;
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "busy {} + queue wait {} ns against {latencies} ns of latency",
+        stats.busy_ns,
+        stats.queue_wait_ns
+    );
 }

@@ -126,6 +126,36 @@ fn panicking_request_leaves_the_cache_byte_identical() {
 }
 
 #[test]
+fn a_request_that_bypasses_the_cache_counts_no_probe() {
+    // A scripted panic on a *cached* key: the fault skips the probe, so
+    // the request is neither a hit nor a miss and the hit rate stays a
+    // rate over probes that ran.
+    let svc = single_worker(ServiceFaultPlan::scripted([(
+        2,
+        ServiceFault::PanicInAnalysis,
+    )]));
+    assert!(!svc.analyze("fill", VICTIM).result.unwrap().cache_hit); // seq 0: miss
+    assert!(svc.analyze("hit", VICTIM).result.unwrap().cache_hit); // seq 1: hit
+    assert_eq!(svc.analyze("panicker", VICTIM).reason_code(), "panic"); // seq 2: no probe
+    let stats = svc.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+    assert!((stats.cache_hit_rate() - 0.5).abs() < 1e-9);
+
+    // Every later request probes: two quarantined, then a miss.
+    for _ in 0..2 {
+        assert_eq!(svc.analyze("q", VICTIM).reason_code(), "quarantined");
+    }
+    assert!(!svc.analyze("readmitted", VICTIM).result.unwrap().cache_hit);
+    let stats = svc.shutdown();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2));
+    let bypassed = 1;
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses + stats.quarantined_served,
+        stats.completed - bypassed
+    );
+}
+
+#[test]
 fn stalled_worker_degrades_on_the_wall_clock() {
     let svc = Service::start(ServiceConfig {
         workers: 1,
