@@ -384,29 +384,36 @@ pub enum FOp {
 /// an expression, not hoisted: the executor evaluates it at loop entry,
 /// only for a loop that iterates, with checked arithmetic and the
 /// pin's own bounds check, and declines the stream when either fails.
+///
+/// A stream keeps its parts in one table ([`Stream::invs`]), each
+/// distinct part once, and everything else names them by position: the
+/// three `rowptr(i) + j - 1` of an SpMV row are one entry, and its
+/// `rowptr(i)` loads at the entry before it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Inv {
     pub off: i64,
     pub terms: Box<[(bool, InvTerm)]>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InvTerm {
     /// The register of an integer-declared scalar.
     Reg(u16),
-    /// `ptr(at)`, `ptr` an integer rank-1 array.
-    Load { slot: u16, at: Inv },
+    /// `ptr(at)`, `ptr` an integer rank-1 array and `at` an *earlier*
+    /// entry of the table.
+    Load { slot: u16, at: u16 },
 }
 
 /// A per-iteration location of a stream over a real rank-1 array:
 /// LINEAR `arr(base + j)`, or INDIRECT `arr(idx(base + j))` through the
 /// integer rank-1 array at `idx_slot` (gem-forge's access-pattern
-/// classes, decided here from the tree).
+/// classes, decided here from the tree). `base` is an entry of
+/// [`Stream::invs`].
 #[derive(Clone, Debug)]
 pub struct StreamAt {
     pub slot: u16,
     pub idx_slot: Option<u16>,
-    pub base: Inv,
+    pub base: u16,
 }
 
 /// One operand of a stream, read as a real.
@@ -426,9 +433,9 @@ pub enum StreamSink {
     At(StreamAt),
     /// A reduction into a real scalar's register.
     Scalar(u16),
-    /// A reduction into `arr(at)`, `at` loop-invariant; no operand
-    /// reads `arr`.
-    Elem { slot: u16, at: Inv },
+    /// A reduction into `arr(at)`, `at` an entry of [`Stream::invs`];
+    /// no operand reads `arr`.
+    Elem { slot: u16, at: u16 },
 }
 
 /// How a stream's product `P` and its third operand `c` combine.
@@ -458,6 +465,41 @@ pub struct Stream {
     pub a: StreamRef,
     pub b: Option<StreamRef>,
     pub tail: Option<(StreamTail, StreamRef)>,
+    /// The distinct loop-invariant subscript parts of the statement, a
+    /// load's subscript before the load: one pass in order evaluates
+    /// every entry once.
+    pub invs: Box<[Inv]>,
+}
+
+impl Stream {
+    /// The statement by operand kind, in source order —
+    /// `lin = lin·val + val`, `elem = acc + lin·ind`: what the executor
+    /// picks its kernel instantiation by, and the rows of the shape
+    /// histogram in EXPERIMENTS.md.
+    pub fn shape(&self) -> String {
+        let lane = |at: &StreamAt| ["lin", "ind"][usize::from(at.idx_slot.is_some())];
+        let kind = |r: &StreamRef| match r {
+            StreamRef::Inv(_) => "val",
+            StreamRef::At(at) => lane(at),
+            StreamRef::Acc => "acc",
+        };
+        let sink = match &self.sink {
+            StreamSink::At(at) => lane(at),
+            StreamSink::Scalar(_) => "scalar",
+            StreamSink::Elem { .. } => "elem",
+        };
+        let p = match &self.b {
+            Some(b) => format!("{}·{}", kind(&self.a), kind(b)),
+            None => kind(&self.a).to_string(),
+        };
+        match &self.tail {
+            None => format!("{sink} = {p}"),
+            Some((StreamTail::PAddC, c)) => format!("{sink} = {p} + {}", kind(c)),
+            Some((StreamTail::PSubC, c)) => format!("{sink} = {p} − {}", kind(c)),
+            Some((StreamTail::CAddP, c)) => format!("{sink} = {} + {p}", kind(c)),
+            Some((StreamTail::CSubP, c)) => format!("{sink} = {} − {p}", kind(c)),
+        }
+    }
 }
 
 /// A scalar promoted to a register for the length of a typed run.
@@ -590,6 +632,11 @@ impl CompiledBody {
         self.streams[usize::from(lidx) + 1].as_ref()
     }
 
+    /// Every stream of the nest, the root's first.
+    pub fn streams(&self) -> impl Iterator<Item = &Stream> {
+        self.streams.iter().flatten()
+    }
+
     /// The outermost loop's induction variable.
     #[inline]
     pub fn root_var(&self) -> VarId {
@@ -615,7 +662,7 @@ impl CompiledBody {
         let mut plan = CompiledPlan {
             registers: self.register_count() as u32,
             inner_loops: self.inner_loops().len() as u32,
-            stream_loops: self.streams.iter().flatten().count() as u32,
+            stream_loops: self.streams().count() as u32,
             ..CompiledPlan::default()
         };
         for op in self.blocks.iter().flatten() {

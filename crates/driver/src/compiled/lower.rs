@@ -64,6 +64,7 @@ use super::{
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
 };
+use std::cell::RefCell;
 
 /// Why a loop nest could not be lowered. The reason string is a stable
 /// token for telemetry and tests.
@@ -968,7 +969,13 @@ impl<'p> Lowerer<'p> {
         if self.is_real(j) || step.is_some_and(|e| e.as_int_lit() != Some(1)) {
             return None;
         }
-        let cx = StreamCx { l: self, j, lhs };
+        let invs = RefCell::default();
+        let cx = StreamCx {
+            l: self,
+            j,
+            lhs,
+            invs: &invs,
+        };
         let sink = match lhs {
             LValue::Scalar(v) if self.is_real(*v) => StreamSink::Scalar(self.vars[v.index()].reg?),
             LValue::Scalar(_) => return None,
@@ -1030,7 +1037,14 @@ impl<'p> Lowerer<'p> {
                 return None;
             }
         }
-        Some(Stream { sink, a, b, tail })
+        let invs = invs.into_inner().into();
+        Some(Stream {
+            sink,
+            a,
+            b,
+            tail,
+            invs,
+        })
     }
 }
 
@@ -1039,7 +1053,7 @@ impl<'p> Lowerer<'p> {
 /// of the array at a slot.
 enum Place {
     Varying(StreamAt),
-    Fixed(u16, Inv),
+    Fixed(u16, u16),
 }
 
 /// Recognizes the operands of one candidate stream statement.
@@ -1047,6 +1061,8 @@ struct StreamCx<'l, 'p> {
     l: &'l Lowerer<'p>,
     j: VarId,
     lhs: &'p LValue,
+    /// The statement's [`Stream::invs`], as met.
+    invs: &'l RefCell<Vec<Inv>>,
 }
 
 impl StreamCx<'_, '_> {
@@ -1087,12 +1103,23 @@ impl StreamCx<'_, '_> {
         Some(false)
     }
 
-    /// `e` less its `+ j`, and whether it had one.
-    fn inv(&self, e: &Expr) -> Option<(Inv, bool)> {
+    /// The table entry of `e` less its `+ j`, and whether it had one.
+    /// A load's subscript is entered before the load, an expression
+    /// met again is the entry it was.
+    fn inv(&self, e: &Expr) -> Option<(u16, bool)> {
         let mut sum = (0, Vec::new());
         let has_j = self.affine(e, false, &mut sum)?;
-        let (off, terms) = (sum.0, sum.1.into());
-        Some((Inv { off, terms }, has_j))
+        let inv = Inv {
+            off: sum.0,
+            terms: sum.1.into(),
+        };
+        let mut invs = self.invs.borrow_mut();
+        let at = invs.iter().position(|known| *known == inv);
+        let at = at.unwrap_or_else(|| {
+            invs.push(inv);
+            invs.len() - 1
+        });
+        Some((u16::try_from(at).ok()?, has_j))
     }
 
     fn place(&self, arr: VarId, subs: &[Expr]) -> Option<Place> {

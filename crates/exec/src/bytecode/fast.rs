@@ -38,6 +38,11 @@
 //!   one of whose checks is known to pass as one tight loop, and the
 //!   unchanged per-iteration loop continues from there — so whatever
 //!   fails, fails on the per-iteration ops, where the tree-walk fails.
+//!   What a loop entry can decide, it decides once: each distinct
+//!   invariant subscript part is evaluated once, each LINEAR range
+//!   checked at both ends, and the kernel picked by the operands'
+//!   kinds; per element there is the arithmetic and an INDIRECT
+//!   subscript's bounds check.
 //!
 //! **The `unsafe` here leans on one invariant, established elsewhere.**
 //! A `CompiledBody` can only come out of `lower_do_loop` (its fields
@@ -155,10 +160,11 @@ impl RawPin {
             ArrayData::Real { data, .. } => pin.fp = data.as_ptr().cast_mut(),
         }
         if let Some(WriteSink::Window(w)) = &pin.sink {
+            debug_assert!(w.lo + w.len <= w.slice.len());
             (pin.origin, pin.dim0, pin.len) = (w.lo as u64 + 1, w.len as u64, w.len);
             match w.slice {
-                RawSlice::Int(p) => pin.ip = p.wrapping_add(w.lo),
-                RawSlice::Real(p) => pin.fp = p.wrapping_add(w.lo),
+                RawSlice::Int(p, _) => pin.ip = p.wrapping_add(w.lo),
+                RawSlice::Real(p, _) => pin.fp = p.wrapping_add(w.lo),
             }
         }
         pin
@@ -256,6 +262,20 @@ impl RawPin {
     fn chk(&self, v: i64) -> Option<usize> {
         in_view(v, self.origin, self.dim0)
     }
+
+    /// The elements at subscripts `first ..= first + n - 1` of the
+    /// payload at `p` (`ip` or `fp`), when both ends — hence everything
+    /// between — pass `chk`: the window of an in-place pin, not the
+    /// array.
+    fn lin<T>(&self, p: *mut T, first: i64, n: usize) -> Option<Lin<T>> {
+        let last = first.checked_add(n as i64 - 1)?;
+        let (k0, k1) = (self.chk(first)?, self.chk(last)?);
+        debug_assert!(k1 - k0 == n - 1 && k1 < self.len);
+        Some(Lin {
+            p: p.wrapping_add(k0),
+            len: self.len - k0,
+        })
+    }
 }
 
 /// [`RawPin::chk`] on a copy of the pin's view.
@@ -273,93 +293,177 @@ fn in_view(v: i64, origin: u64, dim0: u64) -> Option<usize> {
 /// chunk's watch.
 const STRIP: i64 = 1024;
 
-/// One [`StreamAt`] resolved for `n` iterations of one loop entry.
-///
-/// LINEAR: `data` is the first iteration's element and iteration `t`
-/// is `data[t]`; both ends of the subscript range passed the pin's
-/// `chk` (`FState::span`) and `len` counts what the pin holds from
-/// `data` on, so `t < n <= len`. INDIRECT: `idx` is the index array
-/// resolved that way, `data` the data pin's origin, and every
-/// subscript read from `idx` passes the data pin's `chk` — on the
-/// copy of its view in `origin` / `dim0 <= len` — before it is used.
+/// Where iteration `t` of one resolved [`StreamAt`] lives, `None` when
+/// an INDIRECT subscript misses its pin's view.
+trait Lane: Copy {
+    fn at(self, t: usize) -> Option<*mut f64>;
+}
+
+/// LINEAR: iteration `t` is `p[t]`. Both ends of the subscript range
+/// passed the pin's `chk` (`RawPin::lin`) and `len` counts what the pin
+/// holds from `p` on, so `t < n <= len`.
 #[derive(Clone, Copy)]
-struct Lane {
+struct Lin<T> {
+    p: *mut T,
+    len: usize,
+}
+
+impl Lane for Lin<f64> {
+    #[inline(always)]
+    fn at(self, t: usize) -> Option<*mut f64> {
+        debug_assert!(t < self.len);
+        Some(self.p.wrapping_add(t))
+    }
+}
+
+/// INDIRECT: `idx` is the index array resolved as a [`Lin`], `data`
+/// the data pin's first element, and every subscript read from `idx`
+/// passes the data pin's `chk` — on the copy of its view in `origin` /
+/// `dim0 <= len` — before it is used.
+#[derive(Clone, Copy)]
+struct Ind {
+    idx: Lin<i64>,
     data: *mut f64,
     len: usize,
-    /// Null for LINEAR.
-    idx: *const i64,
-    idx_len: usize,
     origin: u64,
     dim0: u64,
 }
 
-impl Lane {
-    /// Iteration `t`'s element, `None` when an INDIRECT subscript
-    /// misses the pin's view.
+impl Lane for Ind {
     #[inline(always)]
-    fn at(&self, t: usize) -> Option<*mut f64> {
-        let k = if self.idx.is_null() {
-            t
-        } else {
-            debug_assert!(t < self.idx_len);
-            // SAFETY: `idx[0..n]` passed `chk` at both ends (`span`)
-            // and `t < n`; the pin is an `i64` payload (the lowering
-            // takes integer-declared index arrays, `fast_ready`).
-            in_view(unsafe { *self.idx.add(t) }, self.origin, self.dim0)?
-        };
+    fn at(self, t: usize) -> Option<*mut f64> {
+        debug_assert!(t < self.idx.len);
+        // SAFETY: `idx.p[0..n]` passed `chk` at both ends (`lin`) and
+        // `t < n`; the pin is an `i64` payload (the lowering takes
+        // integer-declared index arrays, `fast_ready`).
+        let k = in_view(unsafe { *self.idx.p.add(t) }, self.origin, self.dim0)?;
         debug_assert!(k < self.len);
         Some(self.data.wrapping_add(k))
     }
 }
 
-/// A stream's sink, resolved: a store's slot and lane, or where a
-/// reduction's running value lives — a real register, or a position
-/// in a slot's view.
+/// A loop-invariant value.
 #[derive(Clone, Copy)]
-enum Out {
-    Store(u16, Lane),
-    Scalar(u16),
-    Elem(u16, usize),
+struct Val(f64);
+
+/// The reduction's running value.
+#[derive(Clone, Copy)]
+struct Acc;
+
+/// A stream operand: iteration `t`'s value, given the running value.
+trait Rd: Copy {
+    fn rd(self, t: usize, acc: f64) -> Option<f64>;
 }
 
-/// A stream operand, resolved.
+impl<L: Lane> Rd for L {
+    #[inline(always)]
+    fn rd(self, t: usize, _: f64) -> Option<f64> {
+        // SAFETY: a `Lane` hands out elements of a live `f64` payload
+        // only (see `Lin` and `Ind`, and `RawPin` for liveness).
+        self.at(t).map(|p| unsafe { *p })
+    }
+}
+
+impl Rd for Val {
+    #[inline(always)]
+    fn rd(self, _: usize, _: f64) -> Option<f64> {
+        Some(self.0)
+    }
+}
+
+impl Rd for Acc {
+    #[inline(always)]
+    fn rd(self, _: usize, acc: f64) -> Option<f64> {
+        Some(acc)
+    }
+}
+
+/// A stream sink: takes iteration `t`'s value, `None` when a scatter's
+/// subscript misses.
+trait Wr: Copy {
+    fn wr(self, t: usize, v: f64, acc: &mut f64) -> Option<()>;
+}
+
+impl<L: Lane> Wr for L {
+    #[inline(always)]
+    fn wr(self, t: usize, v: f64, _: &mut f64) -> Option<()> {
+        // SAFETY: as the reads; the sink's pin is `raw`
+        // (`FState::try_stream`), so it owns its payload or the element
+        // is in its window. Reads and writes of one payload go through
+        // raw pointers in program order.
+        self.at(t).map(|p| unsafe { *p = v })
+    }
+}
+
+impl Wr for Acc {
+    #[inline(always)]
+    fn wr(self, _: usize, v: f64, acc: &mut f64) -> Option<()> {
+        *acc = v;
+        Some(())
+    }
+}
+
+/// A resolved operand or sink of any kind: what `try_stream` picks the
+/// kernel's instantiation by, and — as a reader and a sink itself,
+/// deciding per element — what the catch-all instantiation runs on.
 #[derive(Clone, Copy)]
-enum Src {
-    Val(f64),
-    At(Lane),
-    Acc,
+enum Opnd {
+    Val(Val),
+    Lin(Lin<f64>),
+    Ind(Ind),
+    Acc(Acc),
+}
+
+impl Rd for Opnd {
+    #[inline(always)]
+    fn rd(self, t: usize, acc: f64) -> Option<f64> {
+        match self {
+            Opnd::Val(o) => o.rd(t, acc),
+            Opnd::Lin(o) => o.rd(t, acc),
+            Opnd::Ind(o) => o.rd(t, acc),
+            Opnd::Acc(o) => o.rd(t, acc),
+        }
+    }
+}
+
+impl Wr for Opnd {
+    #[inline(always)]
+    fn wr(self, t: usize, v: f64, acc: &mut f64) -> Option<()> {
+        match self {
+            Opnd::Lin(o) => o.wr(t, v, acc),
+            Opnd::Ind(o) => o.wr(t, v, acc),
+            Opnd::Acc(o) => o.wr(t, v, acc),
+            Opnd::Val(_) => unreachable!("a sink is a lane or the accumulator"),
+        }
+    }
 }
 
 /// The one stream kernel: iterations `0..n` of `sink = P`, `P ± c`,
 /// `c ± P`, `P = a` or `a * b`, in order, each operation rounded on
 /// its own in the source's operand order. Stops *before* the first
 /// iteration one of whose INDIRECT subscripts misses its pin's view,
-/// with nothing of that iteration done; returns how many ran. `sink`
-/// is `None` for a reduction, which runs in `acc`.
-#[inline(never)]
-fn stream_kernel(
+/// with nothing of that iteration done; returns how many ran.
+///
+/// Inlined into each arm of `try_stream`'s one `match`, where the
+/// operand types are concrete and `b` and `tail` literals: an
+/// instantiated shape decides nothing per element but its `in_view`s.
+#[inline(always)]
+fn stream_kernel<A: Rd, B: Rd, C: Rd, S: Wr>(
     n: usize,
-    a: Src,
-    b: Option<Src>,
-    tail: Option<(StreamTail, Src)>,
-    sink: Option<Lane>,
+    a: A,
+    b: Option<B>,
+    tail: Option<(StreamTail, C)>,
+    sink: S,
     acc: &mut f64,
 ) -> usize {
     for t in 0..n {
-        let rd = |s: Src| match s {
-            Src::Val(v) => Some(v),
-            // SAFETY: `Lane::at` hands out elements of a live `f64`
-            // payload only (see `Lane`, and `RawPin` for liveness).
-            Src::At(l) => l.at(t).map(|p| unsafe { *p }),
-            Src::Acc => Some(*acc),
-        };
-        let Some(mut v) = rd(a) else { return t };
+        let Some(mut v) = a.rd(t, *acc) else { return t };
         if let Some(b) = b {
-            let Some(b) = rd(b) else { return t };
+            let Some(b) = b.rd(t, *acc) else { return t };
             v *= b;
         }
         if let Some((op, c)) = tail {
-            let Some(c) = rd(c) else { return t };
+            let Some(c) = c.rd(t, *acc) else { return t };
             v = match op {
                 StreamTail::PAddC => v + c,
                 StreamTail::PSubC => v - c,
@@ -367,16 +471,8 @@ fn stream_kernel(
                 StreamTail::CSubP => c - v,
             };
         }
-        match sink {
-            Some(l) => {
-                let Some(p) = l.at(t) else { return t };
-                // SAFETY: as the reads; the sink's pin is `raw`
-                // (`FState::try_stream`), so it owns its payload or
-                // the element is in its window. Reads and writes of
-                // one payload go through raw pointers in program order.
-                unsafe { *p = v }
-            }
-            None => *acc = v,
+        if sink.wr(t, v, acc).is_none() {
+            return t;
         }
     }
     n
@@ -396,8 +492,17 @@ struct FState {
     /// Inner-loop attributed cost, indexed by `lidx` (completed
     /// entries only, matching the tree walk's error semantics).
     lcost: Vec<u64>,
-    /// Loop entries a stream fast-forwarded (`ExecStats::stream_entries`).
+    /// Loop entries a stream fast-forwarded and the iterations it ran
+    /// (`ExecStats::stream_entries`, `stream_iters`).
     streamed: u64,
+    stream_iters: u64,
+    /// The values of the entered stream's `Stream::invs`, kept between
+    /// entries for its allocation.
+    invs: Vec<i64>,
+    /// Entries per kernel instantiation, as `try_stream` numbers them
+    /// (0 the catch-all).
+    #[cfg(test)]
+    shapes: [u64; 10],
     /// Every stored pin is a raw write, so a stream can have a sink:
     /// under a write-log or an append buffer no loop entry so much as
     /// looks its stream up. (`try_stream` still checks its own sink.)
@@ -461,60 +566,66 @@ impl FState {
         unsafe { self.pins.get_unchecked_mut(s as usize) }
     }
 
-    /// `inv` over the live registers and pins, or `None` when the sum
-    /// leaves `i64` or a load misses its pin's view.
-    fn eval_inv(&self, inv: &Inv) -> Option<i64> {
-        inv.terms.iter().try_fold(inv.off, |sum, (neg, term)| {
-            let v = match term {
-                InvTerm::Reg(r) => self.irg(*r),
-                InvTerm::Load { slot, at } => {
-                    let pin = self.pinr(*slot);
-                    pin.rd_i(pin.chk(self.eval_inv(at)?)?)
-                }
-            };
-            if *neg {
-                sum.checked_sub(v)
-            } else {
-                sum.checked_add(v)
+    /// Every entry of `invs` over the live registers and pins, in
+    /// table order, into `self.invs`: each distinct subscript part of
+    /// the statement once per loop entry. `None` when a sum leaves
+    /// `i64` or a load misses its pin's view.
+    fn eval_invs(&mut self, invs: &[Inv]) -> Option<()> {
+        let (ir, pins, vals) = (&self.ir, &self.pins, &mut self.invs);
+        vals.clear();
+        for inv in invs {
+            let mut sum = inv.off;
+            for &(neg, term) in inv.terms.iter() {
+                let v = match term {
+                    InvTerm::Reg(r) => ir[usize::from(r)],
+                    InvTerm::Load { slot, at } => {
+                        let pin = &pins[usize::from(slot)];
+                        pin.rd_i(pin.chk(vals[usize::from(at)])?)
+                    }
+                };
+                sum = if neg {
+                    sum.checked_sub(v)?
+                } else {
+                    sum.checked_add(v)?
+                };
+            }
+            vals.push(sum);
+        }
+        Some(())
+    }
+
+    /// `at` resolved for iterations `lo .. lo + n`, over the parts
+    /// `eval_invs` left in `self.invs`. Each reference checks its own
+    /// range against its own pin, whatever part it shares with another.
+    #[inline(always)]
+    fn lane(&self, at: &StreamAt, lo: i64, n: usize) -> Option<Opnd> {
+        let first = self.invs[usize::from(at.base)].checked_add(lo)?;
+        let pin = self.pinr(at.slot);
+        debug_assert!(!pin.is_int);
+        Some(match at.idx_slot {
+            None => Opnd::Lin(pin.lin(pin.fp, first, n)?),
+            Some(idx_slot) => {
+                let idx = self.pinr(idx_slot);
+                debug_assert!(idx.is_int);
+                Opnd::Ind(Ind {
+                    idx: idx.lin(idx.ip, first, n)?,
+                    data: pin.fp,
+                    len: pin.len,
+                    origin: pin.origin,
+                    dim0: pin.dim0,
+                })
             }
         })
     }
 
-    /// The position in `slot`'s view of subscript `base + lo`, when
-    /// that and `base + lo + n - 1` — hence everything between — pass
-    /// the pin's `chk`: the window of an in-place pin, not the array.
-    fn span(&self, slot: u16, base: &Inv, lo: i64, n: usize) -> Option<usize> {
-        let first = self.eval_inv(base)?.checked_add(lo)?;
-        let last = first.checked_add(n as i64 - 1)?;
-        let pin = self.pinr(slot);
-        let (k0, k1) = (pin.chk(first)?, pin.chk(last)?);
-        debug_assert!(k1 - k0 == n - 1 && k1 < pin.len);
-        Some(k0)
-    }
-
-    fn lane(&self, at: &StreamAt, lo: i64, n: usize) -> Option<Lane> {
-        let pin = self.pinr(at.slot);
-        debug_assert!(!pin.is_int);
-        let mut lane = Lane {
-            data: pin.fp,
-            len: pin.len,
-            idx: std::ptr::null(),
-            idx_len: 0,
-            origin: pin.origin,
-            dim0: pin.dim0,
-        };
-        match at.idx_slot {
-            None => {
-                let k0 = self.span(at.slot, &at.base, lo, n)?;
-                (lane.data, lane.len) = (pin.fp.wrapping_add(k0), pin.len - k0);
-            }
-            Some(idx_slot) => {
-                let (k0, idx) = (self.span(idx_slot, &at.base, lo, n)?, self.pinr(idx_slot));
-                debug_assert!(idx.is_int);
-                (lane.idx, lane.idx_len) = (idx.ip.wrapping_add(k0).cast_const(), idx.len - k0);
-            }
-        }
-        Some(lane)
+    /// One operand resolved, as [`FState::lane`].
+    #[inline(always)]
+    fn src(&self, r: &StreamRef, lo: i64, n: usize) -> Option<Opnd> {
+        Some(match r {
+            StreamRef::Inv(v) => Opnd::Val(Val(self.frd(*v))),
+            StreamRef::At(at) => self.lane(at, lo, n)?,
+            StreamRef::Acc => Opnd::Acc(Acc),
+        })
     }
 
     /// Fast-forwards the loop `do j = lo, hi` whose body is `sd`:
@@ -540,6 +651,7 @@ impl FState {
         let m = self.try_stream(sd, lo, n).unwrap_or(0) as u64;
         self.spent += 2 * m;
         self.fuel -= 2 * m;
+        self.stream_iters += m;
         m as i64
     }
 
@@ -552,49 +664,96 @@ impl FState {
     }
 
     fn try_stream(&mut self, sd: &Stream, lo: i64, n: usize) -> Option<usize> {
-        let src = |st: &FState, r: &StreamRef| {
-            Some(match r {
-                StreamRef::Inv(v) => Src::Val(st.frd(*v)),
-                StreamRef::At(at) => Src::At(st.lane(at, lo, n)?),
-                StreamRef::Acc => Src::Acc,
-            })
+        let stored = match sd.sink {
+            StreamSink::At(StreamAt { slot, .. }) | StreamSink::Elem { slot, .. } => Some(slot),
+            StreamSink::Scalar(_) => None,
         };
-        let raw = |slot: u16| self.pinr(slot).raw.then_some(());
-        let (out, mut acc) = match &sd.sink {
-            StreamSink::At(at) => {
-                raw(at.slot)?;
-                (Out::Store(at.slot, self.lane(at, lo, n)?), 0.0)
-            }
-            StreamSink::Scalar(r) => (Out::Scalar(*r), self.frg(*r)),
+        if stored.is_some_and(|slot| !self.pinr(slot).raw) {
+            return None;
+        }
+        self.eval_invs(&sd.invs)?;
+        // A reduction runs in `acc`, from the register or the element
+        // (at `k` of its pin's view) it is stored to once, after.
+        let (sink, mut acc, k) = match &sd.sink {
+            StreamSink::At(at) => (self.lane(at, lo, n)?, 0.0, 0),
+            StreamSink::Scalar(r) => (Opnd::Acc(Acc), self.frg(*r), 0),
             StreamSink::Elem { slot, at } => {
-                raw(*slot)?;
                 let pin = self.pinr(*slot);
-                let k = pin.chk(self.eval_inv(at)?)?;
-                (Out::Elem(*slot, k), pin.rd_f(k))
+                let k = pin.chk(self.invs[usize::from(*at)])?;
+                (Opnd::Acc(Acc), pin.rd_f(k), k)
             }
         };
-        let a = src(self, &sd.a)?;
+        let a = self.src(&sd.a, lo, n)?;
         let b = match &sd.b {
-            Some(b) => Some(src(self, b)?),
+            Some(b) => Some(self.src(b, lo, n)?),
             None => None,
         };
         let tail = match &sd.tail {
-            Some((op, c)) => Some((*op, src(self, c)?)),
+            Some((op, c)) => Some((*op, self.src(c, lo, n)?)),
             None => None,
         };
-        let lane = match out {
-            Out::Store(_, lane) => Some(lane),
-            _ => None,
+        // The one decision of the entry: the nine shapes the corpus and
+        // the benchmark rows take (EXPERIMENTS.md has the histogram),
+        // most frequent first, each get the kernel over their own
+        // operand types; anything else runs it over `Opnd`s, which
+        // decide per element.
+        use {Opnd as O, StreamTail::*};
+        const NO_B: Option<Val> = None;
+        const NO_TAIL: Option<(StreamTail, Val)> = None;
+        macro_rules! run {
+            ($shape:literal: $a:expr, $b:expr, $tail:expr, $sink:expr) => {{
+                #[cfg(test)]
+                {
+                    self.shapes[$shape] += 1;
+                }
+                stream_kernel(n, $a, $b, $tail, $sink, &mut acc)
+            }};
+        }
+        let m = match (a, b, tail, sink) {
+            // `acc = acc + val`
+            (O::Val(a), None, Some((CAddP, O::Acc(c))), O::Acc(s)) => {
+                run!(1: a, NO_B, Some((CAddP, c)), s)
+            }
+            // `lin = lin·val + val`: scale, colscale
+            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), O::Lin(s)) => {
+                run!(2: a, Some(b), Some((PAddC, c)), s)
+            }
+            // `ind = lin·val`: permute
+            (O::Lin(a), Some(O::Val(b)), None, O::Ind(s)) => run!(3: a, Some(b), NO_TAIL, s),
+            // `acc = acc + lin`
+            (O::Lin(a), None, Some((CAddP, O::Acc(c))), O::Acc(s)) => {
+                run!(4: a, NO_B, Some((CAddP, c)), s)
+            }
+            // `lin = lin·val + lin`: lufront
+            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Lin(c))), O::Lin(s)) => {
+                run!(5: a, Some(b), Some((PAddC, c)), s)
+            }
+            // `lin = lin + lin·val`
+            (O::Lin(a), Some(O::Val(b)), Some((CAddP, O::Lin(c))), O::Lin(s)) => {
+                run!(6: a, Some(b), Some((CAddP, c)), s)
+            }
+            // `acc = acc + lin·ind`: spmv
+            (O::Lin(a), Some(O::Ind(b)), Some((CAddP, O::Acc(c))), O::Acc(s)) => {
+                run!(7: a, Some(b), Some((CAddP, c)), s)
+            }
+            // `acc = acc − lin·ind`: jacobi
+            (O::Lin(a), Some(O::Ind(b)), Some((CSubP, O::Acc(c))), O::Acc(s)) => {
+                run!(8: a, Some(b), Some((CSubP, c)), s)
+            }
+            // `lin = lin + lin`
+            (O::Lin(a), None, Some((PAddC, O::Lin(c))), O::Lin(s)) => {
+                run!(9: a, NO_B, Some((PAddC, c)), s)
+            }
+            (a, b, tail, s) => run!(0: a, b, tail, s),
         };
-        let m = stream_kernel(n, a, b, tail, lane, &mut acc);
         if m > 0 {
-            match out {
-                Out::Store(slot, _) => self.pinw(slot).writes += m as u64,
-                Out::Scalar(r) => self.frs(r, acc),
-                Out::Elem(slot, k) => {
+            match &sd.sink {
+                StreamSink::At(at) => self.pinw(at.slot).writes += m as u64,
+                StreamSink::Scalar(r) => self.frs(*r, acc),
+                StreamSink::Elem { slot, .. } => {
                     // One store of the last value, every iteration's
                     // write counted.
-                    let pin = self.pinw(slot);
+                    let pin = self.pinw(*slot);
                     pin.writes += m as u64 - 1;
                     pin.wr_f(k, acc);
                 }
@@ -740,6 +899,10 @@ impl<'p> Interp<'p> {
             linv: vec![0; cb.inner_loops().len()],
             lcost: vec![0; cb.inner_loops().len()],
             streamed: 0,
+            stream_iters: 0,
+            invs: Vec::new(),
+            #[cfg(test)]
+            shapes: [0; 10],
             streams: false,
         };
         for (&a, &stored) in cb.arrays().iter().zip(cb.stored()) {
@@ -832,6 +995,11 @@ impl<'p> Interp<'p> {
         // state is indistinguishable from per-access traffic.
         self.stats.total_cost += st.spent;
         self.stats.stream_entries += st.streamed;
+        self.stats.stream_iters += st.stream_iters;
+        #[cfg(test)]
+        for (total, n) in self.stream_shapes.iter_mut().zip(st.shapes) {
+            *total += n;
+        }
         self.fuel = st.fuel;
         for (&a, p) in cb.arrays().iter().zip(st.pins) {
             if p.writes > 0 {

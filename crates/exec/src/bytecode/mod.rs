@@ -218,6 +218,7 @@ mod tests {
     use super::*;
     use crate::interp::{ArrayData, ExecError, ExecStats, Interp};
     use crate::parallel::ParallelPlan;
+    use irr_driver::compiled::Stream;
     use irr_frontend::parse_program;
 
     /// [`assert_same_run`] of a program that must complete; returns the
@@ -864,11 +865,18 @@ mod tests {
         );
     }
 
-    /// Streams in the lowered bodies of `p`'s top-level `do` loops.
-    fn stream_loops(p: &Program) -> u32 {
+    /// The streams in the lowered bodies of `p`'s top-level `do`
+    /// loops, by [`Stream::shape`].
+    fn stream_shapes(p: &Program) -> Vec<String> {
         let top = &p.procedure(p.main()).body;
         let lowered = top.iter().filter_map(|s| lower_do_loop(p, *s).ok());
-        lowered.map(|cb| cb.plan().stream_loops).sum()
+        lowered
+            .flat_map(|cb| cb.streams().map(Stream::shape).collect::<Vec<_>>())
+            .collect()
+    }
+
+    fn stream_loops(p: &Program) -> u32 {
+        stream_shapes(p).len() as u32
     }
 
     fn preset_reals(it: &mut Interp<'_>, name: &str, data: &[f64]) {
@@ -905,90 +913,250 @@ mod tests {
          print z(5), y(1), y(2), k, j
          end";
 
-    /// Fuel running out at every position of a streamed loop — before
-    /// the statement's charge and before the bookkeeping charge of each
-    /// of its five iterations, at the root and nested — stops both
-    /// engines at the same point: the stream takes `fuel / 2`
-    /// iterations and the per-iteration ops meet the exhaustion.
-    #[test]
-    fn a_stream_runs_out_of_fuel_where_the_tree_walk_does() {
-        let p = parse_program(STREAMS_SRC).unwrap();
-        assert_eq!(stream_loops(&p), 2);
-        let full = assert_same_run(&p, |_| {});
-        assert_eq!(
-            (full.res.clone(), full.comp.stats.stream_entries),
-            (Ok(()), 3)
-        );
-        let total = full.comp.stats.total_cost;
-        let mut cut_short = 0;
-        for fuel in 0..total {
-            let ran = assert_same_run(&p, |it| it.fuel = fuel);
-            assert_eq!(ran.res, Err(ExecError::OutOfFuel), "fuel {fuel}");
-            cut_short += ran.comp.stats.stream_entries;
-        }
-        // Well over the 20 budgets that end inside a streamed entry.
-        assert!(cut_short > 40, "{cut_short}");
+    /// One statement per kernel instantiation — `FState::try_stream`'s
+    /// arm, the statement's [`Stream::shape`], the statement over
+    /// [`shape_src`]'s arrays and, where a store can, the same shape
+    /// with its sink aliasing an operand at another offset — and, last,
+    /// one that lands in the catch-all.
+    const SHAPES: [(usize, &str, &str, Option<&str>); 10] = [
+        (1, "elem = acc + val", "w(3) = w(3) + 1.5", None),
+        (
+            2,
+            "lin = lin·val + val",
+            "z(k) = x(k) * 1.5 + 0.25",
+            Some("z(k + 1) = z(k) * 1.5 + 0.25"),
+        ),
+        (
+            3,
+            "ind = lin·val",
+            "z(idx(k)) = x(k) * 2.0",
+            Some("z(idx(k)) = z(k) * 2.0"),
+        ),
+        (4, "scalar = acc + lin", "s = s + x(k)", None),
+        (
+            5,
+            "lin = lin·val + lin",
+            "z(k) = x(k) * 0.98 + y(k)",
+            Some("z(k + 1) = z(k) * 0.98 + z(k + 2)"),
+        ),
+        (
+            6,
+            "lin = lin + lin·val",
+            "z(k) = y(k) + x(k) * 0.5",
+            Some("z(k) = z(k + 1) + z(k + 2) * 0.5"),
+        ),
+        (
+            7,
+            "elem = acc + lin·ind",
+            "w(3) = w(3) + x(k) * y(idx(k))",
+            None,
+        ),
+        (
+            8,
+            "elem = acc − lin·ind",
+            "w(3) = w(3) - x(k) * y(idx(k))",
+            None,
+        ),
+        (
+            9,
+            "lin = lin + lin",
+            "z(k) = x(k) + y(k)",
+            Some("z(k + 1) = z(k) + z(k + 2)"),
+        ),
+        (
+            0,
+            "ind = lin + val",
+            "z(idx(k)) = x(k) + 1.0",
+            Some("z(idx(k)) = z(k) + 1.0"),
+        ),
+    ];
+
+    /// `stmt` as the body of `do k = 1, hi` over `n`-element arrays a
+    /// four-statement loop has made live — the root of a typed run, or
+    /// (`nest`) entered twice inside one. `smash` runs between the fill
+    /// and the loop.
+    fn shape_src(stmt: &str, n: usize, hi: usize, smash: &str, nest: bool) -> String {
+        let (open, close) = if nest {
+            ("do i = 1, 2", "enddo")
+        } else {
+            ("", "")
+        };
+        format!(
+            "program t
+             integer i, k, idx({n})
+             real s, w(4), x({n}), y({n}), z({n})
+             do k = 1, {n}
+               idx(k) = {n} + 1 - k
+               x(k) = k * 0.5
+               y(k) = 3.0 - k * 0.25
+               z(k) = k
+             enddo
+             w(3) = 2.0
+             s = 1.0
+             {smash}
+             {open}
+             do k = 1, {hi}
+               {stmt}
+             enddo
+             {close}
+             print s, i, k, w(3), z(1), z({n})
+             end"
+        )
     }
 
-    /// An INDIRECT subscript out of range at the first, a middle and
-    /// the last element, read and as the scatter target: the stream
-    /// stops before the offending iteration and the per-iteration op
-    /// raises the program's own error over the tree-walk's store.
+    /// Parses [`shape_src`] and checks its one stream is of `shape`.
+    fn shape_program(row: (&str, &str), n: usize, hi: usize, smash: &str, nest: bool) -> Program {
+        let (shape, stmt) = row;
+        let p = parse_program(&shape_src(stmt, n, hi, smash, nest)).unwrap();
+        assert_eq!(stream_shapes(&p), [shape], "{stmt}");
+        p
+    }
+
+    /// Every kernel the run entered was instantiation `arm`, and it
+    /// entered one `entered` times (a root stream: once a strip).
+    fn assert_only_arm(ran: &Ran<'_>, arm: usize, entered: u64, what: &str) {
+        let mut want = [0; 10];
+        want[arm] = entered;
+        assert_eq!(ran.comp.stream_shapes, want, "{what}");
+    }
+
+    /// Every instantiation, at the root and nested, is entered by the
+    /// statement the table says, runs every iteration, and leaves what
+    /// the tree-walk leaves.
+    #[test]
+    fn every_kernel_instantiation_is_entered_and_matches_the_tree_walk() {
+        for (arm, shape, stmt, _) in SHAPES {
+            for nest in [false, true] {
+                let p = shape_program((shape, stmt), 40, 40, "", nest);
+                let ran = assert_same_run(&p, |_| {});
+                assert_eq!(ran.res, Ok(()), "{stmt}");
+                let entries = 1 + u64::from(nest);
+                assert_only_arm(&ran, arm, entries, stmt);
+                let stats = &ran.comp.stats;
+                assert_eq!(
+                    (stats.stream_entries, stats.stream_iters),
+                    (entries, 40 * entries),
+                    "{stmt}"
+                );
+            }
+        }
+    }
+
+    /// Fuel running out at every position of a streamed loop — before
+    /// the statement's charge and before the bookkeeping charge of each
+    /// of its iterations, at the root and nested, in every
+    /// instantiation — stops both engines at the same point: the stream
+    /// takes `fuel / 2` iterations and the per-iteration ops meet the
+    /// exhaustion.
+    #[test]
+    fn a_stream_runs_out_of_fuel_where_the_tree_walk_does() {
+        let sweep = |p: &Program| {
+            let full = assert_same_run(p, |_| {});
+            assert_eq!(full.res, Ok(()));
+            let mut cut_short = 0;
+            for fuel in 0..full.comp.stats.total_cost {
+                let ran = assert_same_run(p, |it| it.fuel = fuel);
+                assert_eq!(ran.res, Err(ExecError::OutOfFuel), "fuel {fuel}");
+                cut_short += ran.comp.stats.stream_entries;
+            }
+            (full.comp.stats.stream_entries, cut_short)
+        };
+        let p = parse_program(STREAMS_SRC).unwrap();
+        assert_eq!(stream_loops(&p), 2);
+        let (entries, cut_short) = sweep(&p);
+        // Well over the 20 budgets that end inside a streamed entry.
+        assert!(entries == 3 && cut_short > 40, "{entries} {cut_short}");
+        for (_, shape, stmt, _) in SHAPES {
+            for nest in [false, true] {
+                let (_, cut_short) = sweep(&shape_program((shape, stmt), 5, 5, "", nest));
+                assert!(cut_short >= 8, "{stmt}: {cut_short}");
+            }
+        }
+    }
+
+    /// An INDIRECT subscript out of range at the first iteration, in
+    /// the middle of a strip, at a strip's last iteration and at the
+    /// next strip's first, at the root and nested: the stream stops
+    /// before the offending iteration and the per-iteration op raises
+    /// the program's own error over the tree-walk's store. A shape
+    /// without an INDIRECT reference never reads the smashed element.
     #[test]
     fn a_stream_stops_before_an_indirect_subscript_out_of_range() {
-        let forms = [
-            ("x", "z(k) = x(idx(k)) * 2.0"),
-            ("z", "z(idx(k)) = x(k) * 2.0"),
-        ];
-        for (array, form) in forms {
-            for bad in [1, 3, 5] {
-                let src = format!(
-                    "program t
-                     integer k, idx(5)
-                     real x(5), z(5)
-                     do k = 1, 5
-                       idx(k) = 6 - k
-                       x(k) = k * 0.5
-                       z(k) = 0.0
-                     enddo
-                     idx({bad}) = 6
-                     do k = 1, 5
-                       {form}
-                     enddo
-                     end"
-                );
-                let p = parse_program(&src).unwrap();
-                assert_eq!(stream_loops(&p), 1, "{form}");
-                let ran = assert_same_run(&p, |_| {});
-                let (array, index, extent) = (array.to_string(), 6, 5);
-                let oob = ExecError::OutOfBounds {
-                    array,
-                    index,
-                    extent,
-                };
-                assert_eq!(ran.res, Err(oob), "{form} at {bad}");
-                assert_eq!(ran.comp.stats.stream_entries, u64::from(bad > 1));
+        const N: usize = 1100;
+        for (arm, shape, stmt, _) in SHAPES {
+            for bad in [1, 500, 1024, 1025] {
+                for nest in [false, true] {
+                    let smash = format!("idx({bad}) = {}", N + 1);
+                    let p = shape_program((shape, stmt), N, N, &smash, nest);
+                    let ran = assert_same_run(&p, |_| {});
+                    let what = format!("{stmt}, bad {bad}, nest {nest}");
+                    let iters = ran.comp.stats.stream_iters;
+                    if shape.contains("ind") {
+                        let index = N as i64 + 1;
+                        assert!(
+                            matches!(&ran.res, Err(ExecError::OutOfBounds { index: i, .. }) if *i == index),
+                            "{what}: {:?}",
+                            ran.res
+                        );
+                        assert_eq!(iters, bad - 1, "{what}");
+                        // The strips before the bad one, and the bad one.
+                        let strips = if nest { 1 } else { (bad - 1) / 1024 + 1 };
+                        assert_only_arm(&ran, arm, strips, &what);
+                    } else {
+                        assert_eq!(ran.res, Ok(()), "{what}");
+                        assert_eq!(iters, N as u64 * (1 + u64::from(nest)), "{what}");
+                    }
+                }
             }
         }
     }
 
     /// The range edges a stream's guard must decline on, leaving the
     /// outcome to the per-iteration ops: a LINEAR range one past the
-    /// extent; a base past `i64` (which wraps, on both engines, to the
-    /// program's own out-of-bounds index) and one that wraps back into
-    /// range; a zero-trip loop, whose `ptr(i + 5)` nobody may evaluate;
-    /// and a loop ending at `i64::MAX`, root and nested.
+    /// extent, in every instantiation (at the root the strip before it
+    /// still streams) and in the second of two references that share
+    /// their invariant part; a base past `i64` (which wraps, on both
+    /// engines, to the program's own out-of-bounds index) and one that
+    /// wraps back into range; a zero-trip loop, whose `ptr(i + 5)`
+    /// nobody may evaluate; and a loop ending at `i64::MAX`, root and
+    /// nested.
     #[test]
     fn stream_guards_decline_at_the_range_edges() {
+        const N: usize = 1100;
+        for (arm, shape, stmt, _) in SHAPES {
+            for nest in [false, true] {
+                let p = shape_program((shape, stmt), N, N + 1, "", nest);
+                let ran = assert_same_run(&p, |_| {});
+                let what = format!("{stmt}, nest {nest}");
+                let (iters, entered) = if shape.contains("lin") || shape.contains("ind") {
+                    assert!(
+                        matches!(ran.res, Err(ExecError::OutOfBounds { index: 1101, .. })),
+                        "{what}: {:?}",
+                        ran.res
+                    );
+                    // The second strip (or the one nested entry) is
+                    // declined before any kernel is picked.
+                    (if nest { 0 } else { 1024 }, u64::from(!nest))
+                } else {
+                    assert_eq!(ran.res, Ok(()), "{what}");
+                    // Two strips, or two nested entries.
+                    (1101 * (1 + u64::from(nest)), 2)
+                };
+                assert_eq!(ran.comp.stats.stream_iters, iters, "{what}");
+                assert_only_arm(&ran, arm, entered, &what);
+            }
+        }
         let run = |decls: &str, body: &str| {
             let src = format!(
                 "program t
                  integer i, j, k, m, ptr(2)
-                 real s, x(6), z(5)
+                 real s, x(6), z(5), u(6), v(5)
                  {decls}
                  do k = 1, 5
                    x(k) = k * 0.5
                    z(k) = 0.0
+                   u(k) = 0.0
+                   v(k) = k
                  enddo
                  x(6) = 3.0
                  ptr(1) = 1
@@ -1001,8 +1169,8 @@ mod tests {
             let ran = assert_same_run(&p, |_| {});
             (ran.res.clone(), ran.comp.stats.stream_entries)
         };
-        let oob = |index| {
-            let array = "z".to_string();
+        let oob = |array: &str, index| {
+            let array = array.to_string();
             Err(ExecError::OutOfBounds {
                 array,
                 index,
@@ -1010,10 +1178,14 @@ mod tests {
             })
         };
         let past = "do k = 1, 6\n z(k) = x(k) * 2.0\n enddo";
-        assert_eq!(run("", past), (oob(6), 0));
+        assert_eq!(run("", past), (oob("z", 6), 0));
+        // `u(k)` and `x(k)` hold six elements, `v(k)` — the same `k`,
+        // evaluated once for the three — five.
+        let second = "do k = 1, 6\n u(k) = x(k) * 2.0 + v(k)\n enddo";
+        assert_eq!(run("", second), (oob("v", 6), 0));
         let max = "m = 9223372036854775807";
         let wraps = "do k = 1, 3\n z(m + k) = x(k)\n enddo";
-        assert_eq!(run(max, wraps), (oob(i64::MIN), 0));
+        assert_eq!(run(max, wraps), (oob("z", i64::MIN), 0));
         let wraps_back = "do k = 1, 3\n z(k + m - m) = x(k)\n enddo";
         assert_eq!(run(max, wraps_back), (Ok(()), 1));
         let zero_trip = "do i = 1, 2\n do j = 1, 0\n z(ptr(i + 5) + j) = x(j)\n enddo\n enddo";
@@ -1064,98 +1236,86 @@ mod tests {
         }
     }
 
-    /// A store sink runs in program order through one payload: a
-    /// recurrence reads what the iteration before wrote, an
-    /// anti-dependence what no iteration has written yet, and a
-    /// scatter may read the array it permutes.
+    /// A store sink runs in program order through one payload, in every
+    /// instantiation that stores: a recurrence reads what the iteration
+    /// before wrote, an anti-dependence what no iteration has written
+    /// yet, and a scatter may read the array it permutes.
     #[test]
     fn a_stream_through_its_own_sink_keeps_program_order() {
-        let d = assert_parity(
-            "program t
-             integer j, idx(8)
-             real t(9), u(9), w(8)
-             do j = 1, 8
-               idx(j) = 9 - j
-               u(j) = j * 0.5
-               w(j) = j
-               t(j) = 0.0
-             enddo
-             u(9) = 7.0
-             t(1) = 1.0
-             do j = 2, 8
-               t(j) = t(j - 1) * 1.5
-             enddo
-             do j = 1, 8
-               u(j) = u(j + 1) * 2.0 + u(j)
-             enddo
-             do j = 1, 8
-               w(idx(j)) = w(j) * 2.0
-             enddo
-             print t(8), u(1), u(8), w(1), w(8)
-             end",
-        );
-        assert_eq!((d.compiled, d.typed, d.fallback_count()), (4, 4, 0));
+        for (arm, shape, _, aliased) in SHAPES {
+            let Some(stmt) = aliased else { continue };
+            for nest in [false, true] {
+                let p = shape_program((shape, stmt), 40, 38, "", nest);
+                let ran = assert_same_run(&p, |_| {});
+                assert_eq!(ran.res, Ok(()), "{stmt}");
+                assert_only_arm(&ran, arm, 1 + u64::from(nest), stmt);
+            }
+        }
     }
 
-    /// Signed zeros, infinities and a NaN through each of the five
-    /// forms (and a product-less difference): bit for bit what the
-    /// tree-walk computes. No operation here meets two NaNs — which of
-    /// two payloads an addition returns is the code generator's choice
-    /// at every site, on every engine.
+    /// Signed zeros, infinities, an overflow and NaNs of two payloads
+    /// through every instantiation and every form of the tail — `c − P`
+    /// beside `P − c`, whose zeros and payloads tell them apart — bit
+    /// for bit what the tree-walk computes. No operation here meets two
+    /// NaNs — which of two payloads an addition returns is the code
+    /// generator's choice at every site, on every engine.
     #[test]
     fn stream_forms_are_bit_exact_on_zeros_infinities_and_nans() {
-        let src = "program t
-             integer k
-             real a(8), b(8), c(8), r1(8), r2(8), r3(8), r4(8), r5(8), r6(8)
-             do k = 1, 8
-               r1(k) = a(k)
-             enddo
-             do k = 1, 8
-               r2(k) = a(k) * b(k) + c(k)
-             enddo
-             do k = 1, 8
-               r3(k) = a(k) * b(k) - c(k)
-             enddo
-             do k = 1, 8
-               r4(k) = c(k) + a(k) * b(k)
-             enddo
-             do k = 1, 8
-               r5(k) = c(k) - a(k) * b(k)
-             enddo
-             do k = 1, 8
-               r6(k) = a(k) - c(k)
-             enddo
-             end";
-        let p = parse_program(src).unwrap();
-        assert_eq!(stream_loops(&p), 6);
-        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let forms = [
+            "z(k) = x(k)",
+            "z(k) = x(k) * y(k) + z(k)",
+            "z(k) = x(k) * y(k) - z(k)",
+            "z(k) = z(k) + x(k) * y(k)",
+            "z(k) = z(k) - x(k) * y(k)",
+            "z(k) = x(k) - y(k)",
+            "z(k) = x(k) * 1.0 - z(k)",
+            "z(k) = z(k) - x(k) * 1.0",
+        ];
+        let table = SHAPES.map(|(arm, _, stmt, _)| (arm, stmt));
+        let (inf, nan_a, nan_b) = (
+            f64::INFINITY,
+            f64::from_bits(0x7ff8_0000_0000_1234),
+            f64::from_bits(0xfff8_0000_0000_0abc),
+        );
         let setup = |it: &mut Interp<'_>| {
-            preset_reals(it, "a", &[0.0, -0.0, 0.0, -0.0, nan, 2.0, inf, -1.0]);
-            preset_reals(it, "b", &[1.0, 1.0, -1.0, 0.0, 1.0, nan, 0.0, inf]);
-            preset_reals(it, "c", &[0.0, 0.0, -0.0, -0.0, 1.0, 1.0, 1.0, nan]);
-            for r in ["r1", "r2", "r3", "r4", "r5", "r6"] {
-                preset_reals(it, r, &[0.0; 8]);
-            }
+            preset_reals(it, "x", &[0.0, -0.0, 0.0, -0.0, 1.0e308, 2.0, inf, nan_a]);
+            preset_reals(it, "y", &[1.0, 1.0, -0.0, 0.0, 10.0, -1.0, 1.0, 1.0]);
+            preset_reals(it, "z", &[0.0, 0.0, -0.0, 0.0, nan_b, inf, -inf, 1.0]);
+            preset_reals(it, "w", &[0.0, 0.0, -0.0, 0.0]);
+            let idx = it.program().symbols.lookup("idx").unwrap();
+            let (dims, data) = (vec![8], (1..=8).rev().collect());
+            it.preset_array(idx, ArrayData::Int { dims, data });
         };
-        let mut seq = Interp::new(&p);
-        setup(&mut seq);
-        seq.exec_proc(p.main()).unwrap();
-        let mut comp = Interp::new(&p);
-        setup(&mut comp);
-        let mut dispatch = CompiledDispatch::new();
-        comp.exec_proc_with(p.main(), &mut dispatch).unwrap();
-        assert_eq!((dispatch.typed, comp.stats.stream_entries), (6, 6));
-        for r in ["r1", "r2", "r3", "r4", "r5", "r6"] {
-            let v = p.symbols.lookup(r).unwrap();
+        for (arm, stmt) in table.into_iter().chain(forms.map(|f| (0, f))) {
+            let src = format!(
+                "program t
+                 integer k, idx(8)
+                 real s, w(4), x(8), y(8), z(8)
+                 do k = 1, 8
+                   {stmt}
+                 enddo
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            assert_eq!(stream_loops(&p), 1, "{stmt}");
+            let mut seq = Interp::new(&p);
+            setup(&mut seq);
+            seq.exec_proc(p.main()).unwrap();
+            let mut comp = Interp::new(&p);
+            setup(&mut comp);
+            let mut dispatch = CompiledDispatch::new();
+            comp.exec_proc_with(p.main(), &mut dispatch).unwrap();
+            assert_eq!((dispatch.typed, comp.stats.stream_iters), (1, 8), "{stmt}");
+            assert_eq!(comp.stream_shapes[arm], 1, "{stmt}");
             let bits = |it: &Interp<'_>| -> Vec<u64> {
-                let reals = it.store.array_as_reals(v).unwrap();
-                reals.into_iter().map(f64::to_bits).collect()
+                let var = |name| p.symbols.lookup(name).unwrap();
+                let reals = |name| it.store.array_as_reals(var(name)).unwrap();
+                let s = it.store.scalar(var("s")).as_real();
+                let all = reals("z").into_iter().chain(reals("w")).chain([s]);
+                all.map(f64::to_bits).collect()
             };
-            assert_eq!(bits(&seq), bits(&comp), "{r}");
+            assert_eq!(bits(&seq), bits(&comp), "{stmt}");
         }
-        let r2 = p.symbols.lookup("r2").unwrap();
-        let r2 = comp.store.array_as_reals(r2).unwrap();
-        assert!(r2[1].is_sign_positive() && r2[2].is_sign_negative() && r2[4].is_nan());
     }
 
     /// A root-level stream polls the chunk's deadline between strips: a

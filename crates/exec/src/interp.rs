@@ -183,11 +183,12 @@ impl ElemColumn {
 /// [`Arc::make_mut`]) and hands copies to the workers, whose snapshots
 /// share the same allocation. A worker reaches the buffer only through
 /// its [`InPlaceWindow`], so no two threads ever touch the same
-/// element.
+/// element. Each carries the buffer's length, for the debug-build
+/// audit of every access through it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum RawSlice {
-    Int(*mut i64),
-    Real(*mut f64),
+    Int(*mut i64, usize),
+    Real(*mut f64, usize),
 }
 
 // SAFETY: a RawSlice is only ever dereferenced through an
@@ -214,9 +215,10 @@ impl RawSlice {
     /// `idx` must be inside the allocation and inside the caller's
     /// window; no other thread may read or write the element.
     unsafe fn write(self, idx: usize, val: Value) {
+        debug_assert!(idx < self.len());
         match self {
-            RawSlice::Int(p) => *p.add(idx) = val.as_int(),
-            RawSlice::Real(p) => *p.add(idx) = val.as_real(),
+            RawSlice::Int(p, _) => *p.add(idx) = val.as_int(),
+            RawSlice::Real(p, _) => *p.add(idx) = val.as_real(),
         }
     }
 
@@ -224,9 +226,17 @@ impl RawSlice {
     ///
     /// As [`RawSlice::write`]: no other thread may write the element.
     unsafe fn read(self, idx: usize) -> Value {
+        debug_assert!(idx < self.len());
         match self {
-            RawSlice::Int(p) => Value::Int(*p.add(idx)),
-            RawSlice::Real(p) => Value::Real(*p.add(idx)),
+            RawSlice::Int(p, _) => Value::Int(*p.add(idx)),
+            RawSlice::Real(p, _) => Value::Real(*p.add(idx)),
+        }
+    }
+
+    /// Elements in the buffer.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            RawSlice::Int(_, n) | RawSlice::Real(_, n) => n,
         }
     }
 }
@@ -609,7 +619,7 @@ impl Store {
         }
     }
 
-    /// Raw pointer to the element buffer of materialized `arr`, plus
+    /// Raw pointer to the element buffer of materialized `arr`, with
     /// its flat length. Forces payload uniqueness first
     /// ([`Arc::make_mut`]), so snapshots cloned *afterwards* share
     /// exactly this allocation — which is what lets in-place workers
@@ -618,11 +628,11 @@ impl Store {
     /// # Panics
     ///
     /// Panics if `arr` is not materialized.
-    pub(crate) fn payload_raw(&mut self, arr: VarId) -> (RawSlice, usize) {
+    pub(crate) fn payload_raw(&mut self, arr: VarId) -> RawSlice {
         let data = Arc::make_mut(self.arrays[arr.index()].as_mut().expect("materialized"));
         match data {
-            ArrayData::Int { data, .. } => (RawSlice::Int(data.as_mut_ptr()), data.len()),
-            ArrayData::Real { data, .. } => (RawSlice::Real(data.as_mut_ptr()), data.len()),
+            ArrayData::Int { data, .. } => RawSlice::Int(data.as_mut_ptr(), data.len()),
+            ArrayData::Real { data, .. } => RawSlice::Real(data.as_mut_ptr(), data.len()),
         }
     }
 
@@ -887,6 +897,9 @@ pub struct ExecStats {
     /// stream. Describes the engine, not the program: the tree-walk
     /// leaves it 0 and no parity oracle compares it.
     pub stream_entries: u64,
+    /// Iterations those streams ran, each in place of a dispatch of its
+    /// loop's block; over `stream_entries`, the mean trip of a stream.
+    pub stream_iters: u64,
 }
 
 /// Runtime errors.
@@ -995,6 +1008,10 @@ pub struct Interp<'p> {
     /// byte-identical by contract).
     #[cfg(test)]
     pub(crate) typed_root_iters: u64,
+    /// Stream entries per kernel instantiation, as
+    /// `FState::try_stream` numbers its arms (0 the catch-all).
+    #[cfg(test)]
+    pub(crate) stream_shapes: [u64; 10],
 }
 
 impl<'p> Interp<'p> {
@@ -1020,6 +1037,8 @@ impl<'p> Interp<'p> {
             pool: None,
             #[cfg(test)]
             typed_root_iters: 0,
+            #[cfg(test)]
+            stream_shapes: [0; 10],
         }
     }
 

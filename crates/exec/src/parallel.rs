@@ -688,7 +688,7 @@ fn prepare_in_place(
         // `payload_raw` forces payload uniqueness on the master before
         // the worker snapshots are cloned, so every snapshot Arc-shares
         // exactly this allocation.
-        let (slice, _) = interp.store.payload_raw(t.array);
+        let slice = interp.store.payload_raw(t.array);
         specs.push(InPlaceSpec {
             var: t.array,
             slice,
@@ -1020,6 +1020,7 @@ pub fn exec_do_parallel(
     for c in outcomes {
         engines.count(c.engine);
         interp.stats.stream_entries += c.stats.stream_entries;
+        interp.stats.stream_iters += c.stats.stream_iters;
         for (s, ls) in c.stats.loops {
             let e = interp.stats.loops.entry(s).or_default();
             e.invocations += ls.invocations;
@@ -2518,7 +2519,7 @@ mod tests {
         let mut worker = Interp::new(&p);
         worker.ensure_materialized(x).unwrap();
         worker.ensure_materialized(y).unwrap();
-        let (slice, _) = worker.store.payload_raw(x);
+        let slice = worker.store.payload_raw(x);
         let window = InPlaceWindow {
             var: x,
             slice,

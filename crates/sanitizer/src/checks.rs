@@ -340,8 +340,8 @@ pub fn ladder(case: &Case, config: &AuditConfig) -> Checked {
 /// even the scratch the verdicts privatize must agree. The summary says
 /// how many entries the typed loop finished, how many the chunk entry
 /// walked throughout, and how many loop entries — inner ones included —
-/// a stream fast-forwarded, so a nest sliding from one to the other
-/// shows in the log.
+/// a stream fast-forwarded over how many iterations, so a nest sliding
+/// from one to the other shows in the log.
 pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
     let (rep, presets) = match compile(case) {
         Ok(compiled) => compiled,
@@ -352,7 +352,9 @@ pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
         sequential(&rep, &presets),
         dispatched(&rep, &presets, &mut dispatch),
     );
-    let streamed = runs.1.as_ref().map_or(0, |comp| comp.stats.stream_entries);
+    let (streamed, iters) = runs.1.as_ref().map_or((0, 0), |comp| {
+        (comp.stats.stream_entries, comp.stats.stream_iters)
+    });
     let diverged = match runs {
         (Ok(seq), Ok(comp)) => first_divergence(&rep, &seq, &comp, Reals::Exact).or_else(|| {
             let none = HashSet::new();
@@ -363,7 +365,7 @@ pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
     };
     Checked {
         summary: format!(
-            "{} loop entr(ies) typed, {} walked, {} fallback(s), {streamed} streamed, {}",
+            "{} loop entr(ies) typed, {} walked, {} fallback(s), {streamed} streamed over {iters} iteration(s), {}",
             dispatch.typed,
             dispatch.compiled - dispatch.typed,
             dispatch.fallback_count(),

@@ -213,6 +213,7 @@ fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
         let rep = compile(&program.case);
         let plan = rep.verdict("F/do20").unwrap().compiled.unwrap();
         assert_eq!(plan.stream_loops, 1, "{}: {plan:?}", program.case.name);
+        let mut streamed_iters = None;
         for threads in [1, 2, 300] {
             let name = format!("{} x{threads}", program.case.name);
             let outs = four_way_at(&program.case, &rep, threads);
@@ -225,6 +226,11 @@ fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
             let entries = |k: usize| outs[k].outcome.stats.stream_entries;
             assert!(entries(0) > 0, "{name}");
             assert_eq!((entries(1), entries(2)), (0, 0), "{name}");
+            // However the loop is chunked, its workers stream every
+            // iteration between them, and the master adds theirs up.
+            let iters = outs[0].outcome.stats.stream_iters;
+            assert_eq!(iters, *streamed_iters.get_or_insert(iters), "{name}");
+            assert!(iters >= 32, "{name}");
         }
     }
 }
@@ -232,13 +238,20 @@ fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
 /// Stream coverage, read off the verdicts' plans (a `CompiledPlan` of
 /// an innermost `do` counts its own stream and nothing else): per
 /// program, `(streams, innermost do loops)` — the table in
-/// EXPERIMENTS.md, "The typed loop stops dispatching per nonzero". A
-/// lowering that loses a stream, or a family widened by accident,
-/// changes a row here before it changes a timing.
+/// EXPERIMENTS.md, "The typed loop stops dispatching per nonzero" —
+/// and, over the corpus and the benchmark's three sweep sources, the
+/// streams by [`Stream::shape`](irr_driver::compiled::Stream::shape) —
+/// the histogram in "A stream stops deciding per element". A lowering
+/// that loses a stream, or a family widened by accident, changes a row
+/// here before it changes a timing; a shape that appears here without
+/// an arm in the typed loop's `try_stream` runs on the catch-all.
 #[test]
 fn stream_coverage_is_the_table_in_experiments_md() {
+    use irr_driver::compiled::lower_do_loop;
     use irr_frontend::StmtKind;
     use irr_programs::sparse::{interproc_kernels, producer_kernels};
+    use std::collections::BTreeMap;
+    // The shapes of a program's streams, and its innermost `do` loops.
     let coverage = |source: &str| {
         let rep = compile_source(source, DriverOptions::with_iaa()).expect("compiles");
         let p = &rep.program;
@@ -251,8 +264,19 @@ fn stream_coverage_is_the_table_in_experiments_md() {
                 }
                 _ => false,
             });
-        let streams = |v: &irr_driver::LoopVerdict| v.compiled.map_or(0, |plan| plan.stream_loops);
-        innermost.fold((0, 0), |(s, n), v| (s + streams(v), n + 1))
+        let (mut shapes, mut loops) = (Vec::new(), 0);
+        for v in innermost {
+            loops += 1;
+            let stream = lower_do_loop(p, v.loop_stmt)
+                .ok()
+                .and_then(|cb| cb.root_stream().map(|sd| sd.shape()));
+            assert_eq!(
+                v.compiled.map_or(0, |plan| plan.stream_loops),
+                stream.is_some() as u32
+            );
+            shapes.extend(stream);
+        }
+        (shapes, loops)
     };
     let scale = SparseScale::test(Structure::Uniform, 11);
     let sparse = kernels(&scale)
@@ -263,7 +287,7 @@ fn stream_coverage_is_the_table_in_experiments_md() {
     let paper = paper_cases(Scale::Test)
         .into_iter()
         .map(|c| (c.name, c.source));
-    let got: Vec<(String, (u32, u32))> = paper
+    let got: Vec<(String, (Vec<String>, u32))> = paper
         .chain(sparse)
         .map(|(name, source)| (name, coverage(&source)))
         .collect();
@@ -292,12 +316,50 @@ fn stream_coverage_is_the_table_in_experiments_md() {
         ("lufront_callchain", (1, 4)),
         ("permute_callchain", (1, 2)),
     ];
-    let got: Vec<(&str, (u32, u32))> = got.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-    assert_eq!(got, want);
-    let fuzz = random_cases(42, 64)
+    let counts: Vec<(&str, (usize, u32))> = got
+        .iter()
+        .map(|(n, (shapes, loops))| (n.as_str(), (shapes.len(), *loops)))
+        .collect();
+    assert_eq!(counts, want);
+    let fuzz: Vec<(Vec<String>, u32)> = random_cases(42, 64)
         .into_iter()
-        .map(|c| coverage(&c.source));
-    assert_eq!(fuzz.fold((0, 0), |(s, n), c| (s + c.0, n + c.1)), (26, 131));
+        .map(|c| coverage(&c.source))
+        .collect();
+    let total = fuzz
+        .iter()
+        .fold((0, 0), |(s, n), c| (s + c.0.len(), n + c.1));
+    assert_eq!(total, (26, 131));
+    // The sweep sources are the benchmark's templates: any extent does.
+    let sweeps = ["permute", "spmv", "scale"].map(|kernel| {
+        let path = format!(
+            "{}/benchmark/sources/sweep_{kernel}.f",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let template = std::fs::read_to_string(path).expect("a sweep source");
+        let filled = template.split('@').enumerate();
+        let filled: String = filled.map(|(k, s)| [s, "8"][k % 2]).collect();
+        coverage(&filled)
+    });
+    let mut histogram = BTreeMap::new();
+    let all = got.into_iter().map(|(_, c)| c).chain(fuzz).chain(sweeps);
+    for shape in all.flat_map(|(shapes, _)| shapes) {
+        *histogram.entry(shape).or_insert(0) += 1;
+    }
+    let mut histogram: Vec<(String, u32)> = histogram.into_iter().collect();
+    histogram.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let want = [
+        ("elem = acc + val", 26),
+        ("lin = lin·val + val", 11),
+        ("ind = lin·val", 5),
+        ("scalar = acc + lin", 5),
+        ("lin = lin·val + lin", 3),
+        ("elem = acc + lin·ind", 2),
+        ("lin = lin + lin·val", 2),
+        ("elem = acc − lin·ind", 1),
+        ("lin = lin + lin", 1),
+    ];
+    let got: Vec<(&str, u32)> = histogram.iter().map(|(s, n)| (s.as_str(), *n)).collect();
+    assert_eq!(got, want);
 }
 
 #[test]
