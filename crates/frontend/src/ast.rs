@@ -207,11 +207,17 @@ impl Expr {
         }
     }
 
-    /// Whether variable `v` occurs anywhere in the expression.
+    /// Whether variable `v` occurs anywhere in the expression (as a
+    /// scalar use, an array base or inside a subscript).
     pub fn mentions(&self, v: VarId) -> bool {
-        let mut vars = Vec::new();
-        self.collect_vars(&mut vars);
-        vars.contains(&v)
+        match self {
+            Expr::IntLit(_) | Expr::RealLit(_) => false,
+            Expr::Var(w) => *w == v,
+            Expr::Element(w, subs) => *w == v || subs.iter().any(|s| s.mentions(v)),
+            Expr::Bin(_, a, b) => a.mentions(v) || b.mentions(v),
+            Expr::Un(_, a) => a.mentions(v),
+            Expr::Call(_, args) => args.iter().any(|a| a.mentions(v)),
+        }
     }
 }
 

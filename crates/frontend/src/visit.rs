@@ -1,4 +1,5 @@
-//! Read-only traversal helpers over programs and statements.
+//! Traversal helpers over programs and statements: read-only walks, and
+//! the mutable twin the scalar passes rewrite expressions through.
 
 use crate::ast::{Expr, LValue, Program, StmtId, StmtKind};
 use crate::symbols::VarId;
@@ -29,6 +30,58 @@ pub fn for_each_expr_in_stmt<'p>(p: &'p Program, id: StmtId, mut f: impl FnMut(&
             }
         }
         StmtKind::Call { .. } | StmtKind::Return => {}
+    }
+}
+
+/// [`for_each_expr_in_stmt`] for in-place rewriting: the same
+/// expressions in the same order, mutably. Nothing else of the statement
+/// (targets, bodies) is reachable through it.
+pub fn for_each_expr_in_stmt_mut(p: &mut Program, id: StmtId, mut f: impl FnMut(&mut Expr)) {
+    match &mut p.stmt_mut(id).kind {
+        StmtKind::Assign { lhs, rhs } => {
+            if let LValue::Element(_, subs) = lhs {
+                for s in subs {
+                    f(s);
+                }
+            }
+            f(rhs);
+        }
+        StmtKind::Do { lo, hi, step, .. } => {
+            f(lo);
+            f(hi);
+            if let Some(s) = step {
+                f(s);
+            }
+        }
+        StmtKind::While { cond, .. } => f(cond),
+        StmtKind::If { cond, .. } => f(cond),
+        StmtKind::Print { args } => {
+            for a in args {
+                f(a);
+            }
+        }
+        StmtKind::Call { .. } | StmtKind::Return => {}
+    }
+}
+
+/// Replaces each scalar use `Var(v)` in `e` for which `f` returns an
+/// expression by that expression, which is not itself revisited; array
+/// bases are not uses. Returns how many uses were replaced.
+pub fn substitute_vars(e: &mut Expr, f: &mut impl FnMut(VarId) -> Option<Expr>) -> usize {
+    match e {
+        Expr::Var(v) => match f(*v) {
+            Some(r) => {
+                *e = r;
+                1
+            }
+            None => 0,
+        },
+        Expr::IntLit(_) | Expr::RealLit(_) => 0,
+        Expr::Element(_, args) | Expr::Call(_, args) => {
+            args.iter_mut().map(|a| substitute_vars(a, f)).sum()
+        }
+        Expr::Bin(_, a, b) => substitute_vars(a, f) + substitute_vars(b, f),
+        Expr::Un(_, a) => substitute_vars(a, f),
     }
 }
 

@@ -1,10 +1,8 @@
 //! Flow-sensitive scalar constant propagation, with a simple
 //! interprocedural fixpoint across call sites.
 
-use irr_frontend::{
-    BinOp, Expr, Intrinsic, LValue, ProcId, Program, StmtId, StmtKind, UnOp, VarId,
-};
-use std::collections::HashMap;
+use crate::{apply_edits, record_edits, Kills};
+use irr_frontend::{BinOp, Expr, Intrinsic, LValue, Program, StmtId, StmtKind, UnOp};
 
 /// The abstract value of a scalar.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -26,20 +24,13 @@ impl Lattice {
     }
 }
 
-type State = HashMap<VarId, Lattice>;
+/// The abstract value of every variable, by `VarId`.
+type State = Vec<Lattice>;
 
-fn join_states(a: &State, b: &State) -> State {
-    let mut out = State::new();
-    for (v, &la) in a {
-        let lb = b.get(v).copied().unwrap_or(Lattice::Bottom);
-        out.insert(*v, la.join(lb));
+fn join_into(a: &mut State, b: &State) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = x.join(*y);
     }
-    // Vars only in b join with Bottom (absent means Bottom).
-    for v in b.keys() {
-        out.entry(*v).or_insert(Lattice::Bottom);
-    }
-    out.retain(|_, l| !matches!(l, Lattice::Bottom));
-    out
 }
 
 /// Propagates scalar constants through the whole program, rewriting uses
@@ -50,19 +41,14 @@ fn join_states(a: &State, b: &State) -> State {
 /// the states at all of its call sites, iterated to a fixpoint; this is
 /// the "interprocedural constant propagation" phase of Fig. 15.
 pub fn propagate_constants(program: &mut Program) -> usize {
+    let kills = Kills::new(program);
     // Fixpoint over procedure entry states.
     let nprocs = program.procedures.len();
-    let mut entry_states: Vec<State> = vec![State::new()]
-        .into_iter()
-        .cycle()
-        .take(nprocs)
-        .collect();
-    // Main starts with everything unknown-but-joinable (Top is implicit:
-    // absent vars in a *seen* state are Bottom, so track "never called"
-    // separately).
+    let mut entry_states = vec![vec![Lattice::Bottom; program.symbols.len()]; nprocs];
+    // Main starts with everything unknown; a procedure's entry state is
+    // only meaningful once it is seen to be called.
     let mut seen: Vec<bool> = vec![false; nprocs];
-    let main = program.main();
-    seen[main.index()] = true;
+    seen[program.main().index()] = true;
     for _ in 0..4 {
         let mut next_states = entry_states.clone();
         let mut next_seen = seen.clone();
@@ -71,17 +57,21 @@ pub fn propagate_constants(program: &mut Program) -> usize {
                 continue;
             }
             let mut st = entry_states[i].clone();
-            walk_collect(
+            walk(
                 program,
-                &proc.body.clone(),
+                &kills,
+                &proc.body,
                 &mut st,
-                &mut |callee, call_state| {
+                &mut |s, call_state| {
+                    let StmtKind::Call { proc: callee } = program.stmt(s).kind else {
+                        return;
+                    };
                     let ci = callee.index();
                     if !next_seen[ci] {
                         next_seen[ci] = true;
                         next_states[ci] = call_state.clone();
                     } else {
-                        next_states[ci] = join_states(&next_states[ci], call_state);
+                        join_into(&mut next_states[ci], call_state);
                     }
                 },
             );
@@ -92,18 +82,23 @@ pub fn propagate_constants(program: &mut Program) -> usize {
         entry_states = next_states;
         seen = next_seen;
     }
-    // Rewrite pass: walk each procedure with its entry state and fold
-    // constant uses.
-    let mut rewrites = 0;
-    for i in 0..nprocs {
+    // Walk each procedure once more from its entry state, recording the
+    // constant uses, then fold them in place.
+    let mut edits = Vec::new();
+    for (i, proc) in program.procedures.iter().enumerate() {
         if !seen[i] {
             continue;
         }
-        let body = program.procedures[i].body.clone();
         let mut st = entry_states[i].clone();
-        rewrites += walk_rewrite(program, &body, &mut st);
+        walk(program, &kills, &proc.body, &mut st, &mut |s, state| {
+            record_edits(program, s, &mut edits, |v| match state[v.index()] {
+                Lattice::Int(c) => Some(Expr::IntLit(c)),
+                Lattice::Real(c) => Some(Expr::RealLit(c)),
+                Lattice::Bottom => None,
+            });
+        });
     }
-    rewrites
+    apply_edits(program, &edits)
 }
 
 /// Effect of an assignment on the state.
@@ -111,7 +106,7 @@ fn eval(state: &State, e: &Expr) -> Lattice {
     match e {
         Expr::IntLit(v) => Lattice::Int(*v),
         Expr::RealLit(v) => Lattice::Real(*v),
-        Expr::Var(v) => state.get(v).copied().unwrap_or(Lattice::Bottom),
+        Expr::Var(v) => state[v.index()],
         Expr::Bin(op, a, b) => {
             let (la, lb) = (eval(state, a), eval(state, b));
             match (la, lb) {
@@ -147,221 +142,64 @@ fn eval(state: &State, e: &Expr) -> Lattice {
     }
 }
 
-/// Walks a body updating `state`, reporting call-site states to `on_call`.
-fn walk_collect(
+/// Walks `body` updating `state`, calling `on` with every statement and
+/// the state its expressions see (a `while` condition sees the state
+/// after the body's effects, since it is evaluated after them too).
+fn walk(
     program: &Program,
+    kills: &Kills,
     body: &[StmtId],
     state: &mut State,
-    on_call: &mut impl FnMut(ProcId, &State),
+    on: &mut impl FnMut(StmtId, &State),
 ) {
+    // A loop runs its body's effects on both sides of the walk, so
+    // constants established in the first iteration don't leak.
+    let kill = |s, state: &mut State| {
+        for v in &kills.of_loop(s).vars {
+            state[v.index()] = Lattice::Bottom;
+        }
+    };
     for &s in body {
         match &program.stmt(s).kind {
             StmtKind::Assign { lhs, rhs } => {
+                on(s, state);
                 if let LValue::Scalar(v) = lhs {
-                    let l = eval(state, rhs);
-                    match l {
-                        Lattice::Bottom => {
-                            state.remove(v);
-                        }
-                        _ => {
-                            state.insert(*v, l);
-                        }
-                    }
+                    state[v.index()] = eval(state, rhs);
                 }
             }
             StmtKind::Do { var, body, .. } => {
-                // The induction variable and everything assigned in the
-                // body become unknown.
-                state.remove(var);
-                kill_assigned(program, body, state);
-                walk_collect(program, &body.clone(), state, on_call);
-                // Run the body effects twice so constants established in
-                // the first iteration don't leak (conservative).
-                kill_assigned(program, body, state);
+                on(s, state);
+                state[var.index()] = Lattice::Bottom;
+                kill(s, state);
+                walk(program, kills, body, state, on);
+                kill(s, state);
             }
             StmtKind::While { body, .. } => {
-                kill_assigned(program, body, state);
-                walk_collect(program, &body.clone(), state, on_call);
-                kill_assigned(program, body, state);
+                kill(s, state);
+                on(s, state);
+                walk(program, kills, body, state, on);
+                kill(s, state);
             }
             StmtKind::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                let mut st_then = state.clone();
+                on(s, state);
                 let mut st_else = state.clone();
-                walk_collect(program, &then_body.clone(), &mut st_then, on_call);
-                walk_collect(program, &else_body.clone(), &mut st_else, on_call);
-                *state = join_states(&st_then, &st_else);
+                walk(program, kills, then_body, state, on);
+                walk(program, kills, else_body, &mut st_else, on);
+                join_into(state, &st_else);
             }
             StmtKind::Call { proc } => {
-                on_call(*proc, state);
+                on(s, state);
                 // Everything the callee (transitively) assigns is killed.
-                kill_callee_effects(program, *proc, state, &mut Vec::new());
-            }
-            StmtKind::Print { .. } | StmtKind::Return => {}
-        }
-    }
-}
-
-fn kill_assigned(program: &Program, body: &[StmtId], state: &mut State) {
-    for v in irr_frontend::visit::scalars_assigned_in(program, body) {
-        state.remove(&v);
-    }
-    // Calls in the body kill their callees' effects too.
-    for s in program.stmts_in(body) {
-        if let StmtKind::Call { proc } = &program.stmt(s).kind {
-            kill_callee_effects(program, *proc, state, &mut Vec::new());
-        }
-    }
-}
-
-fn kill_callee_effects(
-    program: &Program,
-    proc: ProcId,
-    state: &mut State,
-    visiting: &mut Vec<ProcId>,
-) {
-    if visiting.contains(&proc) {
-        return;
-    }
-    visiting.push(proc);
-    let body = &program.procedures[proc.index()].body;
-    for v in irr_frontend::visit::scalars_assigned_in(program, body) {
-        state.remove(&v);
-    }
-    for s in program.stmts_in(body) {
-        if let StmtKind::Call { proc: q } = &program.stmt(s).kind {
-            kill_callee_effects(program, *q, state, visiting);
-        }
-    }
-    visiting.pop();
-}
-
-/// Walks and rewrites: replaces constant scalar uses with literals.
-fn walk_rewrite(program: &mut Program, body: &[StmtId], state: &mut State) -> usize {
-    let mut rewrites = 0;
-    for &s in body {
-        // Rewrite the expressions of this statement first (uses see the
-        // state *before* the statement executes).
-        let kind = program.stmt(s).kind.clone();
-        match kind {
-            StmtKind::Assign { lhs, rhs } => {
-                let mut rhs = rhs;
-                rewrites += rewrite_expr(&mut rhs, state);
-                let lhs = match lhs {
-                    LValue::Scalar(v) => LValue::Scalar(v),
-                    LValue::Element(a, mut subs) => {
-                        for e in &mut subs {
-                            rewrites += rewrite_expr(e, state);
-                        }
-                        LValue::Element(a, subs)
-                    }
-                };
-                if let LValue::Scalar(v) = &lhs {
-                    let l = eval(state, &rhs);
-                    match l {
-                        Lattice::Bottom => {
-                            state.remove(v);
-                        }
-                        _ => {
-                            state.insert(*v, l);
-                        }
-                    }
+                for v in kills.of_call(*proc) {
+                    state[v.index()] = Lattice::Bottom;
                 }
-                program.stmt_mut(s).kind = StmtKind::Assign { lhs, rhs };
             }
-            StmtKind::Do {
-                var,
-                mut lo,
-                mut hi,
-                mut step,
-                body: inner,
-                label,
-            } => {
-                rewrites += rewrite_expr(&mut lo, state);
-                rewrites += rewrite_expr(&mut hi, state);
-                if let Some(st) = &mut step {
-                    rewrites += rewrite_expr(st, state);
-                }
-                program.stmt_mut(s).kind = StmtKind::Do {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body: inner.clone(),
-                    label,
-                };
-                state.remove(&var);
-                kill_assigned(program, &inner, state);
-                rewrites += walk_rewrite(program, &inner, state);
-                kill_assigned(program, &inner, state);
-            }
-            StmtKind::While {
-                mut cond,
-                body: inner,
-            } => {
-                // The condition is evaluated after body effects too.
-                kill_assigned(program, &inner, state);
-                rewrites += rewrite_expr(&mut cond, state);
-                program.stmt_mut(s).kind = StmtKind::While {
-                    cond,
-                    body: inner.clone(),
-                };
-                rewrites += walk_rewrite(program, &inner, state);
-                kill_assigned(program, &inner, state);
-            }
-            StmtKind::If {
-                mut cond,
-                then_body,
-                else_body,
-            } => {
-                rewrites += rewrite_expr(&mut cond, state);
-                program.stmt_mut(s).kind = StmtKind::If {
-                    cond,
-                    then_body: then_body.clone(),
-                    else_body: else_body.clone(),
-                };
-                let mut st_then = state.clone();
-                let mut st_else = state.clone();
-                rewrites += walk_rewrite(program, &then_body, &mut st_then);
-                rewrites += walk_rewrite(program, &else_body, &mut st_else);
-                *state = join_states(&st_then, &st_else);
-            }
-            StmtKind::Call { proc } => {
-                kill_callee_effects(program, proc, state, &mut Vec::new());
-            }
-            StmtKind::Print { mut args } => {
-                for e in &mut args {
-                    rewrites += rewrite_expr(e, state);
-                }
-                program.stmt_mut(s).kind = StmtKind::Print { args };
-            }
-            StmtKind::Return => {}
+            StmtKind::Print { .. } | StmtKind::Return => on(s, state),
         }
-    }
-    rewrites
-}
-
-fn rewrite_expr(e: &mut Expr, state: &State) -> usize {
-    match e {
-        Expr::Var(v) => match state.get(v) {
-            Some(Lattice::Int(c)) => {
-                *e = Expr::IntLit(*c);
-                1
-            }
-            Some(Lattice::Real(c)) => {
-                *e = Expr::RealLit(*c);
-                1
-            }
-            _ => 0,
-        },
-        Expr::IntLit(_) | Expr::RealLit(_) => 0,
-        Expr::Element(_, subs) => subs.iter_mut().map(|x| rewrite_expr(x, state)).sum(),
-        Expr::Bin(_, a, b) => rewrite_expr(a, state) + rewrite_expr(b, state),
-        Expr::Un(_, a) => rewrite_expr(a, state),
-        Expr::Call(_, args) => args.iter_mut().map(|x| rewrite_expr(x, state)).sum(),
     }
 }
 

@@ -4,129 +4,72 @@
 //! program (after the other scalar passes have rewritten uses away).
 //! Array writes and anything with observable effects are kept.
 
+use crate::{edit_bodies, edit_procedures};
+use irr_frontend::visit::{for_each_expr_in_stmt, for_each_subexpr};
 use irr_frontend::{Expr, LValue, Program, StmtId, StmtKind, VarId};
-use std::collections::HashSet;
 
 /// Removes dead scalar assignments; returns how many were removed.
+///
+/// One walk counts every scalar read — in any expression, a loop index
+/// as always read (its value is observable after the loop) — and lists
+/// the scalar assignments. An assignment to an unread scalar is dead;
+/// removing it un-reads what its right-hand side read, which may kill
+/// more, so the list is swept until nothing changes. Only then are the
+/// dead statements cut out of their bodies.
 pub fn eliminate_dead_code(program: &mut Program) -> usize {
+    let mut reads = vec![0u32; program.symbols.len()];
+    let mut assigns: Vec<(StmtId, VarId)> = Vec::new();
+    for proc in &program.procedures {
+        for s in program.stmts_in(&proc.body) {
+            for_each_read(program, s, |v| reads[v.index()] += 1);
+            match &program.stmt(s).kind {
+                StmtKind::Assign {
+                    lhs: LValue::Scalar(v),
+                    ..
+                } => assigns.push((s, *v)),
+                StmtKind::Do { var, .. } => reads[var.index()] += 1,
+                _ => {}
+            }
+        }
+    }
+    let mut dead = vec![false; program.stmts.len()];
     let mut removed = 0;
     loop {
-        let live = collect_read_vars(program);
-        let mut removed_this_round = 0;
-        for i in 0..program.procedures.len() {
-            let body = program.procedures[i].body.clone();
-            let new_body = prune_body(program, body, &live, &mut removed_this_round);
-            program.procedures[i].body = new_body;
+        let before = removed;
+        for &(s, v) in &assigns {
+            if reads[v.index()] == 0 && !dead[s.index()] {
+                dead[s.index()] = true;
+                removed += 1;
+                for_each_read(program, s, |v| reads[v.index()] -= 1);
+            }
         }
-        if removed_this_round == 0 {
+        if removed == before {
             break;
         }
-        removed += removed_this_round;
+    }
+    if removed > 0 {
+        edit_procedures(program, |p, _, body| prune_body(p, body, &dead));
     }
     removed
 }
 
-/// Every scalar that is *read* somewhere: in any expression, as a loop
-/// induction variable (its value is observable after the loop), or
-/// printed.
-fn collect_read_vars(program: &Program) -> HashSet<VarId> {
-    let mut live = HashSet::new();
-    fn record(live: &mut HashSet<VarId>, e: &Expr) {
-        let mut vars = Vec::new();
-        e.collect_vars(&mut vars);
-        live.extend(vars);
-    }
-    for proc in &program.procedures {
-        for s in program.stmts_in(&proc.body) {
-            match &program.stmt(s).kind {
-                StmtKind::Assign { lhs, rhs } => {
-                    record(&mut live, rhs);
-                    for e in lhs.subscripts() {
-                        record(&mut live, e);
-                    }
-                }
-                StmtKind::Do {
-                    var, lo, hi, step, ..
-                } => {
-                    live.insert(*var);
-                    record(&mut live, lo);
-                    record(&mut live, hi);
-                    if let Some(st) = step {
-                        record(&mut live, st);
-                    }
-                }
-                StmtKind::While { cond, .. } => record(&mut live, cond),
-                StmtKind::If { cond, .. } => record(&mut live, cond),
-                StmtKind::Print { args } => {
-                    for e in args {
-                        record(&mut live, e);
-                    }
-                }
-                StmtKind::Call { .. } | StmtKind::Return => {}
+/// Calls `f` on every variable statement `s` reads (array bases
+/// included).
+fn for_each_read(program: &Program, s: StmtId, mut f: impl FnMut(VarId)) {
+    for_each_expr_in_stmt(program, s, |e| {
+        for_each_subexpr(e, &mut |sub| {
+            if let Expr::Var(v) | Expr::Element(v, _) = sub {
+                f(*v);
             }
-        }
-    }
-    live
+        })
+    });
 }
 
-fn prune_body(
-    program: &mut Program,
-    body: Vec<StmtId>,
-    live: &HashSet<VarId>,
-    removed: &mut usize,
-) -> Vec<StmtId> {
-    let mut out = Vec::with_capacity(body.len());
-    for s in body {
-        let kind = program.stmt(s).kind.clone();
-        match kind {
-            StmtKind::Assign {
-                lhs: LValue::Scalar(v),
-                ..
-            } if !live.contains(&v) => {
-                *removed += 1;
-            }
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body: inner,
-                label,
-            } => {
-                let inner = prune_body(program, inner, live, removed);
-                program.stmt_mut(s).kind = StmtKind::Do {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body: inner,
-                    label,
-                };
-                out.push(s);
-            }
-            StmtKind::While { cond, body: inner } => {
-                let inner = prune_body(program, inner, live, removed);
-                program.stmt_mut(s).kind = StmtKind::While { cond, body: inner };
-                out.push(s);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let then_body = prune_body(program, then_body, live, removed);
-                let else_body = prune_body(program, else_body, live, removed);
-                program.stmt_mut(s).kind = StmtKind::If {
-                    cond,
-                    then_body,
-                    else_body,
-                };
-                out.push(s);
-            }
-            _ => out.push(s),
-        }
+fn prune_body(program: &mut Program, body: &mut Vec<StmtId>, dead: &[bool]) {
+    body.retain(|s| !dead[s.index()]);
+    for &s in body.iter() {
+        edit_bodies(program, s, |p, inner| prune_body(p, inner, dead));
     }
-    out
 }
 
 #[cfg(test)]

@@ -8,41 +8,46 @@
 //! analyses), only while the defined variable and every variable in its
 //! defining expression remain unmodified, and never across calls.
 
+use crate::{apply_edits, record_edits, Edit, Kills};
+use irr_frontend::visit::substitute_vars;
 use irr_frontend::{Expr, LValue, Program, StmtId, StmtKind, VarId};
 use std::collections::HashMap;
+
+/// What one walk carries: the pass's kill sets, which scalars the
+/// procedure defines once (by `VarId`), and the rewrites found so far.
+struct Walk<'a> {
+    kills: &'a Kills,
+    single_def: Vec<bool>,
+    edits: Vec<Edit>,
+}
 
 /// Applies forward substitution in every procedure. Returns the number
 /// of use sites rewritten.
 pub fn forward_substitute(program: &mut Program) -> usize {
-    let mut rewrites = 0;
-    for i in 0..program.procedures.len() {
-        let body = program.procedures[i].body.clone();
+    let kills = Kills::new(program);
+    let mut w = Walk {
+        kills: &kills,
+        single_def: Vec::new(),
+        edits: Vec::new(),
+    };
+    for proc in &program.procedures {
         // Scalars assigned more than once in this procedure are index
         // variables, accumulators, or state: never substitute them.
-        let mut counts: HashMap<VarId, usize> = HashMap::new();
-        for s in program.stmts_in(&body) {
+        let mut counts = vec![0u32; program.symbols.len()];
+        for s in program.stmts_in(&proc.body) {
             match &program.stmt(s).kind {
                 StmtKind::Assign {
                     lhs: LValue::Scalar(v),
                     ..
-                } => {
-                    *counts.entry(*v).or_insert(0) += 1;
-                }
-                StmtKind::Do { var, .. } => {
-                    *counts.entry(*var).or_insert(0) += 2;
-                }
+                } => counts[v.index()] += 1,
+                StmtKind::Do { var, .. } => counts[var.index()] += 2,
                 _ => {}
             }
         }
-        let single_def: std::collections::HashSet<VarId> = counts
-            .into_iter()
-            .filter(|(_, c)| *c == 1)
-            .map(|(v, _)| v)
-            .collect();
-        let mut defs: HashMap<VarId, Expr> = HashMap::new();
-        rewrites += walk(program, &body, &mut defs, &single_def);
+        w.single_def = counts.iter().map(|c| *c == 1).collect();
+        w.walk(program, &proc.body, &mut HashMap::new());
     }
-    rewrites
+    apply_edits(program, &w.edits)
 }
 
 /// Whether `e` is simple enough to copy: scalars, literals, arithmetic —
@@ -64,134 +69,74 @@ fn invalidate(defs: &mut HashMap<VarId, Expr>, killed: VarId) {
     defs.retain(|_, e| !e.mentions(killed));
 }
 
-fn kill_region(program: &Program, body: &[StmtId], defs: &mut HashMap<VarId, Expr>) {
-    for v in irr_frontend::visit::scalars_assigned_in(program, body) {
-        invalidate(defs, v);
-    }
-    for s in program.stmts_in(body) {
-        if matches!(program.stmt(s).kind, StmtKind::Call { .. }) {
+impl Walk<'_> {
+    /// Loop `s`'s body may have run: drop what it assigns (everything,
+    /// if it calls).
+    fn kill(&self, s: StmtId, defs: &mut HashMap<VarId, Expr>) {
+        let kill = self.kills.of_loop(s);
+        if kill.calls {
             defs.clear();
         }
+        for v in &kill.vars {
+            invalidate(defs, *v);
+        }
     }
-}
 
-fn walk(
-    program: &mut Program,
-    body: &[StmtId],
-    defs: &mut HashMap<VarId, Expr>,
-    single_def: &std::collections::HashSet<VarId>,
-) -> usize {
-    let mut rewrites = 0;
-    for &s in body {
-        let kind = program.stmt(s).kind.clone();
-        match kind {
-            StmtKind::Assign { lhs, mut rhs } => {
-                rewrites += subst_expr(&mut rhs, defs);
-                let lhs = match lhs {
-                    LValue::Scalar(v) => LValue::Scalar(v),
-                    LValue::Element(a, mut subs) => {
-                        for e in &mut subs {
-                            rewrites += subst_expr(e, defs);
+    fn record(&mut self, program: &Program, s: StmtId, defs: &HashMap<VarId, Expr>) {
+        record_edits(program, s, &mut self.edits, |v| defs.get(&v).cloned());
+    }
+
+    fn walk(&mut self, program: &Program, body: &[StmtId], defs: &mut HashMap<VarId, Expr>) {
+        for &s in body {
+            match &program.stmt(s).kind {
+                StmtKind::Assign { lhs, rhs } => {
+                    self.record(program, s, defs);
+                    if let LValue::Scalar(v) = lhs {
+                        // The definition is the right-hand side as
+                        // rewritten.
+                        let def = (self.single_def[v.index()] && substitutable(rhs)).then(|| {
+                            let mut def = rhs.clone();
+                            substitute_vars(&mut def, &mut |u| defs.get(&u).cloned());
+                            def
+                        });
+                        invalidate(defs, *v);
+                        if let Some(def) = def.filter(|d| !d.mentions(*v)) {
+                            defs.insert(*v, def);
                         }
-                        LValue::Element(a, subs)
-                    }
-                };
-                if let LValue::Scalar(v) = &lhs {
-                    invalidate(defs, *v);
-                    if single_def.contains(v) && substitutable(&rhs) && !rhs.mentions(*v) {
-                        defs.insert(*v, rhs.clone());
                     }
                 }
-                program.stmt_mut(s).kind = StmtKind::Assign { lhs, rhs };
-            }
-            StmtKind::Do {
-                var,
-                mut lo,
-                mut hi,
-                mut step,
-                body: inner,
-                label,
-            } => {
-                rewrites += subst_expr(&mut lo, defs);
-                rewrites += subst_expr(&mut hi, defs);
-                if let Some(st) = &mut step {
-                    rewrites += subst_expr(st, defs);
+                StmtKind::Do { var, body, .. } => {
+                    self.record(program, s, defs);
+                    invalidate(defs, *var);
+                    self.kill(s, defs);
+                    self.walk(program, body, defs);
+                    self.kill(s, defs);
                 }
-                program.stmt_mut(s).kind = StmtKind::Do {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body: inner.clone(),
-                    label,
-                };
-                invalidate(defs, var);
-                kill_region(program, &inner, defs);
-                rewrites += walk(program, &inner, defs, single_def);
-                kill_region(program, &inner, defs);
-            }
-            StmtKind::While {
-                mut cond,
-                body: inner,
-            } => {
-                kill_region(program, &inner, defs);
-                rewrites += subst_expr(&mut cond, defs);
-                program.stmt_mut(s).kind = StmtKind::While {
-                    cond,
-                    body: inner.clone(),
-                };
-                rewrites += walk(program, &inner, defs, single_def);
-                kill_region(program, &inner, defs);
-            }
-            StmtKind::If {
-                mut cond,
-                then_body,
-                else_body,
-            } => {
-                rewrites += subst_expr(&mut cond, defs);
-                program.stmt_mut(s).kind = StmtKind::If {
-                    cond,
-                    then_body: then_body.clone(),
-                    else_body: else_body.clone(),
-                };
-                let mut d_then = defs.clone();
-                let mut d_else = defs.clone();
-                rewrites += walk(program, &then_body, &mut d_then, single_def);
-                rewrites += walk(program, &else_body, &mut d_else, single_def);
-                // Keep only definitions that survived both arms
-                // unchanged.
-                defs.retain(|v, e| d_then.get(v) == Some(e) && d_else.get(v) == Some(e));
-            }
-            StmtKind::Call { .. } => {
-                defs.clear();
-            }
-            StmtKind::Print { mut args } => {
-                for e in &mut args {
-                    rewrites += subst_expr(e, defs);
+                StmtKind::While { body, .. } => {
+                    self.kill(s, defs);
+                    self.record(program, s, defs);
+                    self.walk(program, body, defs);
+                    self.kill(s, defs);
                 }
-                program.stmt_mut(s).kind = StmtKind::Print { args };
-            }
-            StmtKind::Return => {}
-        }
-    }
-    rewrites
-}
-
-fn subst_expr(e: &mut Expr, defs: &HashMap<VarId, Expr>) -> usize {
-    match e {
-        Expr::Var(v) => {
-            if let Some(def) = defs.get(v) {
-                *e = def.clone();
-                1
-            } else {
-                0
+                StmtKind::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    self.record(program, s, defs);
+                    let mut d_then = defs.clone();
+                    let mut d_else = defs.clone();
+                    self.walk(program, then_body, &mut d_then);
+                    self.walk(program, else_body, &mut d_else);
+                    // Keep only definitions that survived both arms
+                    // unchanged.
+                    defs.retain(|v, e| d_then.get(v) == Some(e) && d_else.get(v) == Some(e));
+                }
+                StmtKind::Call { .. } => defs.clear(),
+                StmtKind::Print { .. } => self.record(program, s, defs),
+                StmtKind::Return => {}
             }
         }
-        Expr::IntLit(_) | Expr::RealLit(_) => 0,
-        Expr::Element(_, subs) => subs.iter_mut().map(|x| subst_expr(x, defs)).sum(),
-        Expr::Bin(_, a, b) => subst_expr(a, defs) + subst_expr(b, defs),
-        Expr::Un(_, a) => subst_expr(a, defs),
-        Expr::Call(_, args) => args.iter_mut().map(|x| subst_expr(x, defs)).sum(),
     }
 }
 

@@ -7,79 +7,25 @@
 //! always holds its loop-entry value), and appends
 //! `q = q + c * max(hi - lo + 1, 0)` after the loop to restore the final
 //! value. Irregular-looking subscripts like `x(q)` thus become affine in
-//! the loop index.
+//! the loop index. Both rewrites re-read `lo` and `hi`, so the loop's
+//! bounds must hold their values through it: nothing in the body may
+//! call, assign a scalar or write an array either mentions.
 //!
 //! Conditional increments (the gather loops of §4) are deliberately
 //! *not* substituted — those are exactly the cases the paper's irregular
 //! analyses exist for.
 
-use irr_frontend::diag::SourceLoc;
-use irr_frontend::{BinOp, Expr, Intrinsic, LValue, Program, Stmt, StmtId, StmtKind, VarId};
+use crate::{bounds_invariant, edit_bodies, push_stmt, rewrite_innermost_first};
+use irr_frontend::visit::{for_each_expr_in_stmt_mut, substitute_vars};
+use irr_frontend::{BinOp, Expr, Intrinsic, LValue, Program, StmtId, StmtKind, VarId};
 
 /// Applies induction variable substitution to every `do` loop in the
-/// program. Returns the number of variables substituted.
+/// program, innermost first, splicing each loop's adjustments in right
+/// after it. Returns the number of variables substituted.
 pub fn substitute_induction_variables(program: &mut Program) -> usize {
     let mut count = 0;
-    for i in 0..program.procedures.len() {
-        let body = program.procedures[i].body.clone();
-        let new_body = walk_body(program, body, &mut count);
-        program.procedures[i].body = new_body;
-    }
+    rewrite_innermost_first(program, |p, s| substitute_in_loop(p, s, &mut count));
     count
-}
-
-/// Processes a body list, returning the (possibly longer) replacement.
-fn walk_body(program: &mut Program, body: Vec<StmtId>, count: &mut usize) -> Vec<StmtId> {
-    let mut out = Vec::with_capacity(body.len());
-    for s in body {
-        // Recurse into nested bodies first.
-        match program.stmt(s).kind.clone() {
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body: inner,
-                label,
-            } => {
-                let inner = walk_body(program, inner, count);
-                program.stmt_mut(s).kind = StmtKind::Do {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body: inner,
-                    label,
-                };
-                out.push(s);
-                // Try to substitute in this loop; may append adjustments.
-                for adj in substitute_in_loop(program, s, count) {
-                    out.push(adj);
-                }
-            }
-            StmtKind::While { cond, body: inner } => {
-                let inner = walk_body(program, inner, count);
-                program.stmt_mut(s).kind = StmtKind::While { cond, body: inner };
-                out.push(s);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let then_body = walk_body(program, then_body, count);
-                let else_body = walk_body(program, else_body, count);
-                program.stmt_mut(s).kind = StmtKind::If {
-                    cond,
-                    then_body,
-                    else_body,
-                };
-                out.push(s);
-            }
-            _ => out.push(s),
-        }
-    }
-    out
 }
 
 /// Recognizes `q = q + c` / `q = q - c` and returns `(q, c)`.
@@ -124,35 +70,23 @@ fn substitute_in_loop(program: &mut Program, loop_stmt: StmtId, count: &mut usiz
         hi,
         step,
         body,
-        label,
-    } = program.stmt(loop_stmt).kind.clone()
+        ..
+    } = &program.stmt(loop_stmt).kind
     else {
         return Vec::new();
     };
-    if step.as_ref().and_then(|e| e.as_int_lit()).unwrap_or(1) != 1 {
-        return Vec::new();
-    }
-    let all = program.stmts_in(&body);
-    // Bail out if calls are present (they might touch the candidates).
-    if all
-        .iter()
-        .any(|s| matches!(program.stmt(*s).kind, StmtKind::Call { .. }))
+    if step.as_ref().and_then(|e| e.as_int_lit()).unwrap_or(1) != 1
+        || !bounds_invariant(program, *var, lo, hi, body)
     {
         return Vec::new();
     }
-    // The adjustment uses lo/hi after the loop, so the body must not
-    // assign anything they mention.
-    let assigned = irr_frontend::visit::scalars_assigned_in(program, &body);
-    let bounds_stable = !assigned.iter().any(|v| lo.mentions(*v) || hi.mentions(*v));
-    if !bounds_stable {
-        return Vec::new();
-    }
+    let all = program.stmts_in(body);
     let candidates: Vec<(usize, StmtId, VarId, i64)> = body
         .iter()
         .enumerate()
         .filter_map(|(pos, s)| increment_of(program, *s).map(|(q, c)| (pos, *s, q, c)))
         .filter(|(_, inc_stmt, q, _)| {
-            *q != var
+            q != var
                 && !all.iter().any(|s| {
                     *s != *inc_stmt
                         && match &program.stmt(*s).kind {
@@ -166,119 +100,49 @@ fn substitute_in_loop(program: &mut Program, loop_stmt: StmtId, count: &mut usiz
                 })
         })
         .collect();
+    if candidates.is_empty() {
+        return Vec::new();
+    }
+    let (var, lo, hi) = (*var, lo.clone(), hi.clone());
     let mut adjustments = Vec::new();
-    let mut new_body = body.clone();
-    for (pos, inc_stmt, q, c) in candidates {
-        // Rewrite every use of q in the loop (except the increment
-        // itself, which is removed): before the increment the value is
-        // q + c*(i - lo), after it q + c*(i - lo + 1).
-        let make = |extra: i64| {
-            let delta = Expr::add(Expr::sub(Expr::Var(var), lo.clone()), Expr::int(extra));
-            Expr::add(Expr::Var(q), Expr::mul(Expr::int(c), delta))
-        };
-        let before = make(0);
-        let after = make(1);
-        for (k, s) in body.iter().enumerate() {
-            if *s == inc_stmt {
-                continue;
+    edit_bodies(program, loop_stmt, |program, body| {
+        for &(pos, inc_stmt, q, c) in &candidates {
+            // Rewrite every use of q in the loop (except the increment
+            // itself, which is removed): before the increment the value
+            // is q + c*(i - lo), after it q + c*(i - lo + 1).
+            let make = |extra: i64| {
+                let delta = Expr::add(Expr::sub(Expr::Var(var), lo.clone()), Expr::int(extra));
+                Expr::add(Expr::Var(q), Expr::mul(Expr::int(c), delta))
+            };
+            let (before, after) = (make(0), make(1));
+            for (k, s) in body.iter().enumerate() {
+                if *s == inc_stmt {
+                    continue;
+                }
+                let replacement = if k < pos { &before } else { &after };
+                for t in program.stmts_in(std::slice::from_ref(s)) {
+                    for_each_expr_in_stmt_mut(program, t, |e| {
+                        substitute_vars(e, &mut |v| (v == q).then(|| replacement.clone()));
+                    });
+                }
             }
-            let replacement = if k < pos { &before } else { &after };
-            for t in program.stmts_in(std::slice::from_ref(s)) {
-                rewrite_stmt_uses(program, t, q, replacement);
-            }
+            // q = q + c * max(hi - lo + 1, 0) after the loop.
+            let trip = Expr::Call(
+                Intrinsic::Max,
+                vec![
+                    Expr::add(Expr::sub(hi.clone(), lo.clone()), Expr::int(1)),
+                    Expr::int(0),
+                ],
+            );
+            let rhs = Expr::add(Expr::Var(q), Expr::mul(Expr::int(c), trip));
+            let lhs = LValue::Scalar(q);
+            adjustments.push(push_stmt(program, StmtKind::Assign { lhs, rhs }));
+            *count += 1;
         }
-        // Remove the increment from the body.
-        new_body.retain(|s| *s != inc_stmt);
-        // q = q + c * max(hi - lo + 1, 0) after the loop.
-        let trip = Expr::Call(
-            Intrinsic::Max,
-            vec![
-                Expr::add(Expr::sub(hi.clone(), lo.clone()), Expr::int(1)),
-                Expr::int(0),
-            ],
-        );
-        let adj_kind = StmtKind::Assign {
-            lhs: LValue::Scalar(q),
-            rhs: Expr::add(Expr::Var(q), Expr::mul(Expr::int(c), trip)),
-        };
-        let id = StmtId(program.stmts.len() as u32);
-        program.stmts.push(Stmt {
-            id,
-            kind: adj_kind,
-            loc: SourceLoc::synthetic(),
-        });
-        adjustments.push(id);
-        *count += 1;
-    }
-    if !adjustments.is_empty() {
-        program.stmt_mut(loop_stmt).kind = StmtKind::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body: new_body,
-            label,
-        };
-    }
+        // The increments go.
+        body.retain(|s| !candidates.iter().any(|c| c.1 == *s));
+    });
     adjustments
-}
-
-fn rewrite_stmt_uses(program: &mut Program, s: StmtId, q: VarId, replacement: &Expr) {
-    let mut kind = program.stmt(s).kind.clone();
-    let mut n = 0usize;
-    {
-        let mut fix = |e: &mut Expr| n += rewrite_expr_uses(e, q, replacement);
-        match &mut kind {
-            StmtKind::Assign { lhs, rhs } => {
-                fix(rhs);
-                if let LValue::Element(_, subs) = lhs {
-                    for e in subs {
-                        fix(e);
-                    }
-                }
-            }
-            StmtKind::Do { lo, hi, step, .. } => {
-                fix(lo);
-                fix(hi);
-                if let Some(st) = step {
-                    fix(st);
-                }
-            }
-            StmtKind::While { cond, .. } => fix(cond),
-            StmtKind::If { cond, .. } => fix(cond),
-            StmtKind::Print { args } => {
-                for e in args {
-                    fix(e);
-                }
-            }
-            StmtKind::Call { .. } | StmtKind::Return => {}
-        }
-    }
-    if n > 0 {
-        program.stmt_mut(s).kind = kind;
-    }
-}
-
-fn rewrite_expr_uses(e: &mut Expr, q: VarId, replacement: &Expr) -> usize {
-    match e {
-        Expr::Var(v) if *v == q => {
-            *e = replacement.clone();
-            1
-        }
-        Expr::Var(_) | Expr::IntLit(_) | Expr::RealLit(_) => 0,
-        Expr::Element(_, subs) => subs
-            .iter_mut()
-            .map(|x| rewrite_expr_uses(x, q, replacement))
-            .sum(),
-        Expr::Bin(_, a, b) => {
-            rewrite_expr_uses(a, q, replacement) + rewrite_expr_uses(b, q, replacement)
-        }
-        Expr::Un(_, a) => rewrite_expr_uses(a, q, replacement),
-        Expr::Call(_, args) => args
-            .iter_mut()
-            .map(|x| rewrite_expr_uses(x, q, replacement))
-            .sum(),
-    }
 }
 
 #[cfg(test)]

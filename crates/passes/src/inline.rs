@@ -5,22 +5,28 @@
 //! Because the language passes everything through globals, inlining is a
 //! pure statement-tree clone.
 
+use crate::{body_list, edit_bodies, edit_procedures};
 use irr_frontend::{ProcId, Program, Stmt, StmtId, StmtKind};
 
 /// Inlines eligible calls (callee has fewer than `max_stmts` statements,
 /// no `print`, no `return`, and is not (mutually) recursive). Returns
 /// the number of call sites inlined.
 pub fn inline_small_procedures(program: &mut Program, max_stmts: usize) -> usize {
+    if !program
+        .stmts
+        .iter()
+        .any(|s| matches!(s.kind, StmtKind::Call { .. }))
+    {
+        return 0;
+    }
     let mut inlined = 0;
     // Iterate to a fixpoint so chains of small calls flatten, with a
     // safety cap.
     for _ in 0..8 {
         let mut changed = 0;
-        for i in 0..program.procedures.len() {
-            let body = program.procedures[i].body.clone();
-            let new_body = inline_in_body(program, ProcId(i as u32), body, max_stmts, &mut changed);
-            program.procedures[i].body = new_body;
-        }
+        edit_procedures(program, |p, caller, body| {
+            inline_in_body(p, caller, body, max_stmts, &mut changed)
+        });
         if changed == 0 {
             break;
         }
@@ -55,115 +61,49 @@ fn eligible(program: &Program, caller: ProcId, callee: ProcId, max_stmts: usize)
     true
 }
 
+/// Replaces each eligible call in `body` by a copy of its callee's body
+/// (not itself revisited this round) and recurses into nested bodies.
 fn inline_in_body(
     program: &mut Program,
     caller: ProcId,
-    body: Vec<StmtId>,
+    body: &mut Vec<StmtId>,
     max_stmts: usize,
     changed: &mut usize,
-) -> Vec<StmtId> {
-    let mut out = Vec::with_capacity(body.len());
-    for s in body {
-        match program.stmt(s).kind.clone() {
+) {
+    let mut k = 0;
+    while k < body.len() {
+        let s = body[k];
+        match program.stmt(s).kind {
             StmtKind::Call { proc } if eligible(program, caller, proc, max_stmts) => {
                 let callee_body = program.procedures[proc.index()].body.clone();
-                for t in callee_body {
-                    out.push(clone_stmt(program, t));
-                }
+                let copies: Vec<StmtId> = callee_body
+                    .into_iter()
+                    .map(|t| clone_stmt(program, t))
+                    .collect();
+                let n = copies.len();
+                body.splice(k..=k, copies);
+                k += n;
                 *changed += 1;
             }
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body: inner,
-                label,
-            } => {
-                let inner = inline_in_body(program, caller, inner, max_stmts, changed);
-                program.stmt_mut(s).kind = StmtKind::Do {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body: inner,
-                    label,
-                };
-                out.push(s);
+            _ => {
+                edit_bodies(program, s, |p, inner| {
+                    inline_in_body(p, caller, inner, max_stmts, changed)
+                });
+                k += 1;
             }
-            StmtKind::While { cond, body: inner } => {
-                let inner = inline_in_body(program, caller, inner, max_stmts, changed);
-                program.stmt_mut(s).kind = StmtKind::While { cond, body: inner };
-                out.push(s);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let then_body = inline_in_body(program, caller, then_body, max_stmts, changed);
-                let else_body = inline_in_body(program, caller, else_body, max_stmts, changed);
-                program.stmt_mut(s).kind = StmtKind::If {
-                    cond,
-                    then_body,
-                    else_body,
-                };
-                out.push(s);
-            }
-            _ => out.push(s),
         }
     }
-    out
 }
 
 /// Deep-clones a statement (and its nested bodies) into fresh arena
 /// slots.
 fn clone_stmt(program: &mut Program, s: StmtId) -> StmtId {
-    let loc = program.stmt(s).loc;
-    let kind = match program.stmt(s).kind.clone() {
-        StmtKind::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            label,
-        } => {
-            let body = body.into_iter().map(|t| clone_stmt(program, t)).collect();
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                label,
-            }
+    let Stmt { mut kind, loc, .. } = program.stmt(s).clone();
+    for k in 0..2 {
+        for t in body_list(&mut kind, k).into_iter().flatten() {
+            *t = clone_stmt(program, *t);
         }
-        StmtKind::While { cond, body } => {
-            let body = body.into_iter().map(|t| clone_stmt(program, t)).collect();
-            StmtKind::While { cond, body }
-        }
-        StmtKind::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            let then_body = then_body
-                .into_iter()
-                .map(|t| clone_stmt(program, t))
-                .collect();
-            let else_body = else_body
-                .into_iter()
-                .map(|t| clone_stmt(program, t))
-                .collect();
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            }
-        }
-        other => other,
-    };
+    }
     let id = StmtId(program.stmts.len() as u32);
     program.stmts.push(Stmt { id, kind, loc });
     id

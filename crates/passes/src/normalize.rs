@@ -8,87 +8,99 @@
 //!   ... i ...        =>     i = lo + (i2 - 1) * c      (synthesized)
 //! enddo                     ... i ...
 //!                         enddo
+//!                         i = lo + c * max((hi - lo + c) / c, 0)
 //! ```
 //!
 //! The original induction variable becomes an ordinary derived variable,
-//! which the scalar passes then clean up.
+//! which the scalar passes then clean up; the statement after the loop
+//! leaves it at the first value past the range, as the original loop
+//! does. Both synthesized statements re-read `lo` (and `hi`), so only a
+//! loop whose bounds hold their values through it is rewritten; any
+//! other strided loop stays as written, and the analyses treat it
+//! conservatively.
 
-use irr_frontend::diag::SourceLoc;
-use irr_frontend::{Expr, LValue, Program, ScalarType, Stmt, StmtId, StmtKind};
+use crate::{bounds_invariant, push_stmt, rewrite_innermost_first};
+use irr_frontend::{BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind};
 
-/// Normalizes every constant-step (`step != 1`) `do` loop. Returns the
-/// number of loops rewritten.
+/// Normalizes every positive constant-step (`step != 1`) `do` loop whose
+/// bounds are invariant, innermost first, and drops a literal unit step.
+/// Returns the number of loops rewritten.
 pub fn normalize_loops(program: &mut Program) -> usize {
     let mut count = 0;
-    for i in 0..program.procedures.len() {
-        for s in program.stmts_in(&program.procedures[i].body.clone()) {
-            let StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step: Some(step),
-                body,
-                label,
-            } = program.stmt(s).kind.clone()
-            else {
-                continue;
-            };
-            let Some(c) = step.as_int_lit() else { continue };
-            if c == 1 {
-                // Drop the redundant step.
-                program.stmt_mut(s).kind = StmtKind::Do {
-                    var,
-                    lo,
-                    hi,
-                    step: None,
-                    body,
-                    label,
-                };
-                continue;
-            }
-            if c <= 0 {
-                continue; // negative/zero steps are left alone
-            }
-            // Fresh induction variable.
-            let fresh_name = fresh_var_name(program, "i_nrm");
-            let fresh = program
-                .symbols
-                .declare(&fresh_name, ScalarType::Int, Vec::new())
-                .expect("fresh name cannot conflict");
-            // i = lo + (i2 - 1) * c, prepended to the body.
-            let derive = StmtKind::Assign {
-                lhs: LValue::Scalar(var),
-                rhs: Expr::add(
-                    lo.clone(),
-                    Expr::mul(Expr::sub(Expr::Var(fresh), Expr::int(1)), Expr::int(c)),
-                ),
-            };
-            let derive_id = StmtId(program.stmts.len() as u32);
-            program.stmts.push(Stmt {
-                id: derive_id,
-                kind: derive,
-                loc: SourceLoc::synthetic(),
-            });
-            let mut new_body = vec![derive_id];
-            new_body.extend(body);
-            // Trip count: (hi - lo + c) / c with floor division.
-            let trip = Expr::bin(
-                irr_frontend::BinOp::Div,
-                Expr::add(Expr::sub(hi.clone(), lo.clone()), Expr::int(c)),
-                Expr::int(c),
-            );
-            program.stmt_mut(s).kind = StmtKind::Do {
-                var: fresh,
-                lo: Expr::int(1),
-                hi: trip,
-                step: None,
-                body: new_body,
-                label,
-            };
-            count += 1;
-        }
-    }
+    rewrite_innermost_first(program, |p, s| {
+        let exit = normalize(p, s);
+        count += exit.is_some() as usize;
+        exit
+    });
     count
+}
+
+/// Rewrites loop `s` if it qualifies; returns the statement that must
+/// follow it.
+fn normalize(program: &mut Program, s: StmtId) -> Option<StmtId> {
+    let StmtKind::Do {
+        var,
+        lo,
+        hi,
+        step,
+        body,
+        ..
+    } = &program.stmt(s).kind
+    else {
+        return None;
+    };
+    let c = step.as_ref()?.as_int_lit()?;
+    if c == 1 {
+        if let StmtKind::Do { step, .. } = &mut program.stmt_mut(s).kind {
+            *step = None;
+        }
+        return None;
+    }
+    // Negative and zero steps are left alone.
+    if c <= 0 || !bounds_invariant(program, *var, lo, hi, body) {
+        return None;
+    }
+    let (var, lo, hi) = (*var, lo.clone(), hi.clone());
+    let fresh_name = fresh_var_name(program, "i_nrm");
+    let fresh = program
+        .symbols
+        .declare(&fresh_name, ScalarType::Int, Vec::new())
+        .expect("fresh name cannot conflict");
+    let assign = |rhs| StmtKind::Assign {
+        lhs: LValue::Scalar(var),
+        rhs,
+    };
+    let derive = push_stmt(
+        program,
+        assign(Expr::add(
+            lo.clone(),
+            Expr::mul(Expr::sub(Expr::Var(fresh), Expr::int(1)), Expr::int(c)),
+        )),
+    );
+    // Trip count: (hi - lo + c) / c with floor division.
+    let trip = Expr::bin(
+        BinOp::Div,
+        Expr::add(Expr::sub(hi, lo.clone()), Expr::int(c)),
+        Expr::int(c),
+    );
+    let exit = Expr::Call(Intrinsic::Max, vec![trip.clone(), Expr::int(0)]);
+    let exit = push_stmt(
+        program,
+        assign(Expr::add(lo, Expr::mul(Expr::int(c), exit))),
+    );
+    if let StmtKind::Do {
+        var,
+        lo,
+        hi,
+        step,
+        body,
+        ..
+    } = &mut program.stmt_mut(s).kind
+    {
+        (*var, *lo, *hi, *step) = (fresh, Expr::int(1), trip, None);
+        body.insert(0, derive);
+    }
+    Some(exit)
 }
 
 fn fresh_var_name(program: &Program, base: &str) -> String {

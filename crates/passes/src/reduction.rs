@@ -32,11 +32,10 @@ pub struct Reduction {
 /// update statements, all updates use the same operator, and the update
 /// expressions do not read the accumulator elsewhere.
 pub fn recognize_reductions(program: &Program, loop_stmt: StmtId) -> Vec<Reduction> {
-    let body: Vec<StmtId> = match &program.stmt(loop_stmt).kind {
-        StmtKind::Do { body, .. } | StmtKind::While { body, .. } => body.clone(),
+    let all = match &program.stmt(loop_stmt).kind {
+        StmtKind::Do { body, .. } | StmtKind::While { body, .. } => program.stmts_in(body),
         _ => return Vec::new(),
     };
-    let all = program.stmts_in(&body);
     // Candidate updates per variable.
     let mut candidates: Vec<Reduction> = Vec::new();
     for &s in &all {

@@ -8,14 +8,17 @@ use irr_passes::{
     propagate_constants, substitute_induction_variables,
 };
 
-fn pipeline(p: &mut Program) {
-    inline_small_procedures(p, 50);
-    propagate_constants(p);
-    normalize_loops(p);
-    substitute_induction_variables(p);
-    propagate_constants(p);
-    forward_substitute(p);
-    eliminate_dead_code(p);
+/// The driver's pipeline; what each pass returned, in order.
+fn pipeline(p: &mut Program) -> [usize; 7] {
+    [
+        inline_small_procedures(p, 50),
+        propagate_constants(p),
+        normalize_loops(p),
+        substitute_induction_variables(p),
+        propagate_constants(p),
+        forward_substitute(p),
+        eliminate_dead_code(p),
+    ]
 }
 
 fn outputs(p: &Program) -> Vec<String> {
@@ -138,4 +141,92 @@ fn pipeline_is_idempotent_on_its_own_output() {
         let twice = print_program(&p);
         assert_eq!(once, twice, "{} pipeline not idempotent", b.name);
     }
+}
+
+/// Each pass's count summed over `compile-corpus`, and the reachable
+/// statements before and after (`frontend.stmts`, `passes.stmts_after`):
+/// a pass that silently does less fails here before it shows in a
+/// benchmark.
+#[test]
+fn pass_counts_on_the_compile_corpus_are_pinned() {
+    let reachable =
+        |p: &Program| -> usize { p.procedures.iter().map(|q| p.stmts_in(&q.body).len()).sum() };
+    let (mut counts, mut before, mut after) = ([0; 7], 0, 0);
+    for src in irr_programs::compile_corpus(3269) {
+        let mut p = parse_program(&src).unwrap();
+        before += reachable(&p);
+        for (sum, n) in counts.iter_mut().zip(pipeline(&mut p)) {
+            *sum += n;
+        }
+        after += reachable(&p);
+    }
+    // inline, constprop, normalize, induction, constprop, forward_sub, dce
+    assert_eq!(counts, [9, 298, 0, 0, 0, 0, 184]);
+    assert_eq!((before, after), (1200, 1048));
+}
+
+/// Runs `src` before and after the pipeline; both outputs.
+fn run_both(src: &str) -> (Vec<String>, Vec<String>) {
+    let mut p = parse_program(src).unwrap();
+    let before = outputs(&p);
+    pipeline(&mut p);
+    (before, outputs(&p))
+}
+
+#[test]
+fn induction_keeps_a_bound_read_through_an_array_the_body_writes() {
+    // The post-loop adjustment would re-read m(1) after the body set it
+    // to 5.
+    let (before, after) = run_both(
+        "program t
+         integer i, q, m(2)
+         real x(10)
+         m(1) = 3
+         q = 0
+         do i = 1, m(1)
+           q = q + 1
+           x(q) = 1.0
+           m(1) = 5
+         enddo
+         print q
+         end",
+    );
+    assert_eq!(before, vec!["3"]);
+    assert_eq!(after, before);
+}
+
+#[test]
+fn normalization_keeps_the_exit_value_of_the_index() {
+    let (before, after) = run_both(
+        "program t
+         integer i
+         real x(20)
+         do i = 1, 10, 2
+           x(i) = 1.0
+         enddo
+         print i
+         end",
+    );
+    assert_eq!(before, vec!["11"]);
+    assert_eq!(after, before);
+}
+
+#[test]
+fn normalization_evaluates_the_lower_bound_once() {
+    // `lo` is read through an element the body writes: re-reading it
+    // every iteration would move the index.
+    let (before, after) = run_both(
+        "program t
+         integer i, s, m(2)
+         m(1) = 1
+         s = 0
+         do i = m(1), 10, 2
+           s = s + i
+           m(1) = 7
+         enddo
+         print s
+         end",
+    );
+    assert_eq!(before, vec!["25"]);
+    assert_eq!(after, before);
 }

@@ -115,6 +115,33 @@ pub fn paper_cases(scale: Scale) -> Vec<Case> {
     benchmarks.chain(figures).collect()
 }
 
+/// The sources `benchmark/`'s `compile-corpus` workload compiles at
+/// `seed` (its `compile::corpus` builds the same list): the five
+/// benchmarks at paper scale, the sparse kernels — plain, producer and
+/// call-chain — on uniform and power-law structures, and 64 random loop
+/// programs.
+///
+/// This is a copy of that list, and nothing but the pins keeps the two in
+/// step: change one, change the other (and the counts
+/// `crates/passes/tests/pipeline_integration.rs` and CI pin). Building
+/// the benchmark's list from this one is a benchmark-only change.
+pub fn compile_corpus(seed: u64) -> Vec<String> {
+    use irr_sparse::Structure;
+    use sparse::{interproc_kernels, kernels, producer_kernels, SparseScale};
+    let mut out: Vec<String> = all(Scale::Paper).into_iter().map(|b| b.source).collect();
+    for structure in [Structure::Uniform, Structure::PowerLaw] {
+        let scale = SparseScale::test(structure, seed);
+        let sparse = kernels(&scale)
+            .into_iter()
+            .chain(producer_kernels(&scale))
+            .chain(interproc_kernels(&scale));
+        out.extend(sparse.map(|k| k.source));
+    }
+    let mut rng = irr_exec::SplitMix64::new(seed ^ 0x5eed_c0de);
+    out.extend((0..64).map(|_| fuzz::random_loop_program(&mut rng)));
+    out
+}
+
 /// Lines of code of a source (non-empty lines, as Table 2 counts).
 pub fn loc(source: &str) -> usize {
     source.lines().filter(|l| !l.trim().is_empty()).count()

@@ -19,6 +19,7 @@
 use irr_driver::{compile_source, DriverOptions};
 use irr_exec::{run_loop_parallel, Interp, ParallelPlan, SplitMix64};
 use irr_frontend::StmtKind;
+use irr_programs::fuzz::{random_cases, strategy_programs};
 use irr_sanitizer::parity::{store_divergence, Reals};
 
 /// One candidate loop-body shape for the generated outer loop.
@@ -42,9 +43,15 @@ enum BodyShape {
     ScalarTemp,
     /// q = q + 1; a(q) = i (consecutively written)
     ConsecutiveFill,
+    /// do i = 2, n, 3 ... enddo; m = m + i (the index's exit value)
+    StridedExit,
+    /// do i = lim(1), n, 2 with lim(1) written in the body
+    StridedArrayBound,
+    /// q = q + 1 in a loop to lim(2), lim(2) written in the body
+    IncrementBesideArrayBound,
 }
 
-const ALL_SHAPES: [BodyShape; 9] = [
+const ALL_SHAPES: [BodyShape; 12] = [
     BodyShape::Regular,
     BodyShape::ShiftedRead,
     BodyShape::ConstantTarget,
@@ -54,6 +61,9 @@ const ALL_SHAPES: [BodyShape; 9] = [
     BodyShape::MaxReduction,
     BodyShape::ScalarTemp,
     BodyShape::ConsecutiveFill,
+    BodyShape::StridedExit,
+    BodyShape::StridedArrayBound,
+    BodyShape::IncrementBesideArrayBound,
 ];
 
 /// Draws 1–3 body shapes from the random stream.
@@ -96,16 +106,27 @@ fn render_program(shapes: &[BodyShape], n: usize, seed: i64) -> String {
             BodyShape::ConsecutiveFill => format!(
                 "  q = 0\n  do {label} i = 1, {n}\n    q = q + 1\n    a(q) = i * 1.0\n {label} continue\n"
             ),
+            BodyShape::StridedExit => format!(
+                "  do {label} i = 2, {n}, 3\n    a(i) = b(i) + 1.0\n {label} continue\n  m = m + i\n"
+            ),
+            BodyShape::StridedArrayBound => format!(
+                "  lim(1) = 1\n  do {label} i = lim(1), {n}, 2\n    m = m + i\n    lim(1) = 5\n {label} continue\n"
+            ),
+            BodyShape::IncrementBesideArrayBound => format!(
+                "  lim(2) = {h}\n  q = 0\n  do {label} i = 1, lim(2)\n    q = q + 1\n    a(q) = i * 1.0\n    lim(2) = {n}\n {label} continue\n  m = m + q\n",
+                h = n / 2
+            ),
         };
         loops.push_str(&body);
     }
     format!(
         "program gen
-  integer i, j, k, q, n, idx({n})
+  integer i, j, k, m, q, n, idx({n}), lim(2)
   real a({n}), b({n}), c({n}), z({n}), tmp(8), s, t
   n = {n}
+  m = 0
   call init
-{loops}  print s, a(1), a({n}), c(1), z(1)
+{loops}  print s, m, a(1), a({n}), c(1), z(1)
 end
 
 subroutine init
@@ -119,20 +140,40 @@ end
     )
 }
 
-/// Invariant 1: the pass pipeline preserves printed output.
+/// Invariant 1: the pass pipeline preserves printed output — on the
+/// generator above, the random loop programs and the strategy programs.
 #[test]
 fn passes_preserve_semantics() {
     let mut rng = SplitMix64::new(0x5001);
-    for _ in 0..48 {
+    let generated = (0..48).map(|_| {
         let shapes = draw_shapes(&mut rng);
         let seed = rng.range_i64(1, 49);
-        let src = render_program(&shapes, 24, seed);
+        render_program(&shapes, 24, seed)
+    });
+    let strategy = strategy_programs().map(|p| p.case.source);
+    for src in generated.chain(strategy) {
         let original = irr_frontend::parse_program(&src).unwrap();
         let before = Interp::new(&original).run().unwrap();
-        let rep = compile_source(&src, DriverOptions::with_iaa()).unwrap();
-        let after = Interp::new(&rep.program).run().unwrap();
-        assert_eq!(before.output, after.output, "output diverged for\n{src}");
+        assert_same_output_after_passes(&src, &before.output);
     }
+    let mut ran = 0;
+    for case in random_cases(0x5003, 256) {
+        let original = irr_frontend::parse_program(&case.source).unwrap();
+        // A random body that appends twice runs past `w`: the program's
+        // own error, which dead-code elimination may legitimately drop.
+        let Ok(before) = Interp::new(&original).run() else {
+            continue;
+        };
+        assert_same_output_after_passes(&case.source, &before.output);
+        ran += 1;
+    }
+    assert!(ran > 200, "only {ran} of 256 random programs ran");
+}
+
+fn assert_same_output_after_passes(src: &str, before: &[String]) {
+    let rep = compile_source(src, DriverOptions::with_iaa()).unwrap();
+    let after = Interp::new(&rep.program).run().unwrap();
+    assert_eq!(before, &after.output[..], "output diverged for\n{src}");
 }
 
 /// Invariant 2: loops judged parallel execute correctly in chunks.
