@@ -117,9 +117,6 @@ impl Eq for FOpnd {}
 /// `/` and `mod` with zero checks, `eval_cond`'s comparison rules, the
 /// store's bounds checks in the store's order — and only
 /// [`FOp::Charge`], the appends and the loop ops touch the fuel ledger.
-/// Array accesses say nothing about materialization: the typed loop
-/// runs only once every referenced array is live, and until then the
-/// tree-walk materializes lazily in its own order.
 #[derive(Clone, Debug)]
 pub enum FOp {
     /// Charge `n` cost/fuel units — emitted at every statement entry

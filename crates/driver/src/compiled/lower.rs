@@ -50,10 +50,6 @@
 //!   potentially-faulting instructions;
 //! - assignment right-hand sides evaluate before the target's
 //!   subscripts and bounds checks;
-//! - nothing is emitted for array materialization: the typed loop runs
-//!   only once every array the nest references is live, and until then
-//!   the tree-walk materializes in its own order (and with it fills
-//!   the write log and draws from the random-fill stream);
 //! - condition short-circuiting skips the untaken operand's side
 //!   effects exactly like `eval_cond`.
 

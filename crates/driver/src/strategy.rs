@@ -88,11 +88,8 @@ pub struct InPlaceTarget {
     /// fallback runs.
     pub read: bool,
     /// Some top-level statement of the body writes it unconditionally,
-    /// so a non-zero-trip loop materializes it exactly as the first
-    /// sequential iteration would — without one the executor may only
-    /// use an array that is already live — and every iteration of a
-    /// sequential re-execution writes its cell again, whatever a failed
-    /// dispatch left there.
+    /// so every iteration of a sequential re-execution writes its cell
+    /// again, whatever a failed dispatch left there.
     pub always_written: bool,
 }
 
@@ -258,8 +255,7 @@ fn body_is_straightline(program: &Program, stmts: &[StmtId]) -> bool {
 /// - the `ptr` / `index` array of a shape is not written in the nest,
 ///   so the windows and the certificate computed at dispatch hold for
 ///   its whole length;
-/// - targets are 1-D and their declared extent mentions no assigned
-///   scalar and not the loop variable (bounds checks are race-free).
+/// - targets are 1-D.
 pub fn derive_in_place_facts(
     program: &Program,
     loop_stmt: StmtId,
@@ -342,11 +338,7 @@ fn in_place_targets(
                 return None;
             }
         }
-        let info = program.symbols.var(t.array);
-        if info.dims.len() != 1 {
-            return None;
-        }
-        if info.dims[0].mentions(loop_var) || assigned.iter().any(|s| info.dims[0].mentions(*s)) {
+        if program.symbols.var(t.array).rank() != 1 {
             return None;
         }
         t.always_written = body.iter().any(|&s| {
@@ -533,23 +525,10 @@ fn concat_shape(
     {
         return None;
     }
-    for &a in &targets {
-        let info = program.symbols.var(a);
-        if info.dims.len() != 1 {
-            return None;
-        }
-        if info.dims[0].mentions(loop_var)
-            || info.dims[0].mentions(ptr)
-            || assigned.iter().any(|s| info.dims[0].mentions(*s))
-        {
-            return None;
-        }
+    if targets.is_empty() || targets.iter().any(|&a| program.symbols.var(a).rank() != 1) {
+        return None;
     }
-    if targets.is_empty() {
-        None
-    } else {
-        Some((ptr, targets))
-    }
+    Some((ptr, targets))
 }
 
 /// Full consecutive-append derivation for the driver: the syntactic
@@ -765,9 +744,8 @@ mod tests {
 
     #[test]
     fn conditional_only_writes_are_flagged_not_always_written() {
-        // A target written only under a condition may never
-        // materialize sequentially; the executor may use it only when
-        // it is live already.
+        // A target written only under a condition is not rewritten
+        // cell for cell by a sequential re-execution.
         let (p, facts) = derive_body("if (z(i) > 0.0) then\n x(i) = 1.0\n endif");
         let facts = facts.expect("facts");
         assert_eq!(

@@ -1,13 +1,11 @@
 //! The chunk loop: one entry for a sequential compiled loop and for a
 //! parallel worker's share of one, over the backend's two engines.
 //!
-//! At every root-iteration boundary [`Interp::run_chunk`] hands the
-//! rest of the range to the typed loop ([`Interp::run_fast_iters`]) if
-//! the nest lowered and every array its body references is live;
-//! otherwise it runs **one** iteration on the reference tree-walk and
-//! looks again. Both engines work on the interpreter's own store,
-//! stats and fuel, so they are interchangeable at any boundary. See the
-//! module docs for the parity contract.
+//! [`Interp::run_chunk`] decides once, at entry, which engine runs the
+//! whole range: the typed loop ([`Interp::run_fast_iters`]) when the
+//! nest lowered, else the reference tree-walk. Both engines work on the
+//! interpreter's own store, stats and fuel. See the module docs for the
+//! parity contract.
 
 use super::{ChunkAbort, ChunkEngine, ChunkWatch, CompiledBody};
 use crate::interp::{advance_induction, ExecError, Interp, Value};
@@ -43,17 +41,11 @@ impl<'p> Interp<'p> {
     /// `Some` for one parallel worker's share of the iterations; see
     /// [`ChunkWatch`] for what differs.
     ///
-    /// When the nest has a compiled body (`cb`), every iteration
-    /// boundary — the one before the first iteration included — checks
-    /// its precondition and hands the remaining iterations to the typed
-    /// loop as soon as it holds. Iterations before that (some
-    /// referenced array not yet materialized), and every iteration of a
-    /// chunk without a typed body, walk the AST, so lazy
-    /// materialization and the random-fill draws it makes happen in
-    /// interpreter order and a scalar is logged only when it is
-    /// dynamically written. Fuel, cost, versions and log are kept on
-    /// the interpreter directly, so there is nothing to flush at the
-    /// hand-over.
+    /// A non-empty range with a compiled body (`cb`) whose arrays hold
+    /// the element types it was lowered for runs on the typed loop from
+    /// its first iteration; anything else walks the AST, where a scalar
+    /// is logged only when it is dynamically written. Fuel, cost,
+    /// versions and log are kept on the interpreter directly.
     pub(crate) fn run_chunk(
         &mut self,
         s: StmtId,
@@ -71,14 +63,13 @@ impl<'p> Interp<'p> {
             self.stats.loops.entry(s).or_default().invocations += 1;
         }
         let cost_at_entry = self.stats.total_cost;
+        let in_range = |i: i64| (step > 0 && i <= hi) || (step < 0 && i >= hi);
+        if let Some(cb) = cb.filter(|cb| in_range(lo) && self.fast_ready(cb)) {
+            self.run_fast_iters(s, cb, lo, hi, step, cost_at_entry, watch)?;
+            return Ok(ChunkEngine::Typed);
+        }
         let mut i = lo;
-        while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
-            if let Some(cb) = cb {
-                if self.fast_ready(cb) {
-                    self.run_fast_iters(s, cb, i, hi, step, cost_at_entry, watch)?;
-                    return Ok(ChunkEngine::Typed);
-                }
-            }
+        while in_range(i) {
             match watch {
                 Some(w) => {
                     w.poll()?;

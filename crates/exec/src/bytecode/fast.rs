@@ -15,12 +15,9 @@
 //!   can assign write back through [`Store::set_scalar`] on *every*
 //!   exit — success or error — so the store is byte-identical to
 //!   per-access traffic at every observable point.
-//! - **Pre-pinned arrays, by role.** Eligibility requires every
-//!   referenced array to be materialized already (otherwise the chunk
-//!   starts on the tree-walk, which materializes lazily in
-//!   interpreter order and hands over at the first iteration boundary
-//!   where the precondition holds); the typed run then pins all
-//!   payloads up front and never materializes. An array the body
+//! - **Pre-pinned arrays, by role.** Every array is live from the
+//!   program's first statement, so the typed run pins all payloads up
+//!   front. An array the body
 //!   only reads is pinned shared, with no copy; one it stores to is
 //!   pinned with the [`WriteSink`] the store lends for it — a raw
 //!   write on a plain store, and in a parallel worker the write log,
@@ -61,8 +58,8 @@ use irr_driver::compiled::{
 use irr_frontend::{BinOp, Intrinsic, ScalarType, StmtId};
 use std::cell::Cell;
 
-/// Raw view of one array pinned for the duration of a typed run:
-/// materialized, its payload addressed directly, and — when the body
+/// Raw view of one array pinned for the duration of a typed run: its
+/// payload addressed directly, and — when the body
 /// stores to it — the [`WriteSink`] those stores go through. Stores
 /// that land in this store's own payload are counted locally and reach
 /// the version counter at flush, so the version arithmetic is
@@ -73,9 +70,9 @@ use std::cell::Cell;
 /// `ip`/`fp` stay valid for as long as a pin lives, and every access
 /// through them is race-free, because:
 ///
-/// - *The payload cannot move or be freed.* Every referenced array is
-///   materialized before the run (`fast_ready`, so no store slot is
-///   filled mid-run), element writes never resize an array, and
+/// - *The payload cannot move or be freed.* Every array is allocated
+///   before the program's first statement (no store slot is filled
+///   mid-run), element writes never resize an array, and
 ///   compiled bodies contain no calls, prints, or dispatcher re-entry —
 ///   nothing else touches this store while the typed loop runs
 ///   (`run_fblock` takes `&self`). The store's `Arc` keeps the payload
@@ -838,17 +835,15 @@ fn cmp_res(op: BinOp, ord: std::cmp::Ordering) -> i64 {
 }
 
 impl<'p> Interp<'p> {
-    /// Whether every array the typed body references is materialized
-    /// — the precondition for pre-pinning (until it holds the chunk
-    /// walks the AST, which materializes in interpreter
-    /// order) — with a payload of its declared element type, the type
-    /// the ops were lowered for (a preset may install either).
+    /// Whether every array the typed body references holds a payload
+    /// of its declared element type, the type the ops were lowered for
+    /// (a preset may install either).
     pub(crate) fn fast_ready(&self, cb: &CompiledBody) -> bool {
         cb.arrays().iter().all(|&a| {
             matches!(
-                (self.store.array_ref(a), self.layout.ty(a)),
-                (Some(ArrayData::Int { .. }), ScalarType::Int)
-                    | (Some(ArrayData::Real { .. }), ScalarType::Real)
+                (self.store.array(a), self.layout.ty(a)),
+                (ArrayData::Int { .. }, ScalarType::Int)
+                    | (ArrayData::Real { .. }, ScalarType::Real)
             )
         })
     }
@@ -869,11 +864,8 @@ impl<'p> Interp<'p> {
     /// observable semantics as the walked iterations of
     /// [`Interp::run_chunk`], with scalars promoted to registers and
     /// every array payload pinned for the whole call. `run_chunk` is
-    /// the only caller: it hands over at an iteration boundary, having
-    /// already done the entry bookkeeping (the invocation count and
-    /// `cost_at_entry`). It keeps scalars, fuel, cost, versions and
-    /// the write log on the interpreter itself, so everything loaded
-    /// here is already current and the hand-over needs no flush.
+    /// the only caller, having already done the entry bookkeeping (the
+    /// invocation count and `cost_at_entry`).
     ///
     /// Stored arrays write through the sink the store lends for them
     /// ([`Store::take_sink`]): on a plain store that is a raw write; on
@@ -913,7 +905,7 @@ impl<'p> Interp<'p> {
                 Some(sink @ (WriteSink::Direct | WriteSink::Logged(_))) => {
                     RawPin::owned(self.store.array_make_mut(a), sink)
                 }
-                sink => RawPin::shared(self.store.array_ref(a).expect("fast_ready"), sink),
+                sink => RawPin::shared(self.store.array(a), sink),
             });
         }
         for p in cb.scalars() {

@@ -46,12 +46,9 @@
 //!
 //! **Two engines, one chunk entry.** There are exactly two executors
 //! under that contract: the typed loop and the reference tree-walk.
-//! The typed loop needs every referenced array materialized, and lazy
-//! materialization cannot be hoisted (extents read live scalars, random
-//! fill draws from one shared stream, untaken branches must leave their
-//! arrays unmaterialized), so a chunk whose arrays are not all live yet
-//! walks the AST one root iteration at a time and hands over to the
-//! typed loop at the first iteration boundary where they are. Both a
+//! Every array is live from the program's first statement, so a chunk
+//! is decided once, at entry: a nest that lowered runs typed from its
+//! first iteration. Both a
 //! sequential loop entry and a parallel worker's share of one go
 //! through that same entry, `Interp::run_chunk`; what differs for a
 //! worker is in `ChunkWatch`, and where its stores go is decided by the
@@ -128,11 +125,11 @@ impl From<ExecError> for ChunkAbort {
 /// Which engine finished a chunk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChunkEngine {
-    /// The typed loop (possibly after a walked prefix that
-    /// materialized its arrays).
+    /// The typed loop, for the whole chunk.
     Typed,
     /// The tree-walk, for the whole chunk: no compiled body was
-    /// offered, or its arrays were never all live.
+    /// offered, the range was empty, or a preset's element type is not
+    /// the declared one.
     TreeWalk,
 }
 
@@ -168,9 +165,9 @@ pub struct CompiledDispatch {
     /// Dynamic loop entries that ran through the compiled tier's chunk
     /// entry, whichever engine finished them.
     pub compiled: u64,
-    /// Those of `compiled` the typed loop finished; the rest walked the
-    /// AST throughout (zero-trip entries, and entries whose arrays were
-    /// never all live).
+    /// Those of `compiled` the typed loop ran; the rest walked the AST
+    /// (zero-trip entries, and presets of another element type than
+    /// declared).
     pub typed: u64,
     /// Dynamic loop entries that fell back, per reason.
     pub fallbacks: Vec<(FallbackReason, u64)>,
@@ -216,6 +213,7 @@ impl LoopDispatcher for CompiledDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::SequentialDispatch;
     use crate::interp::{ArrayData, ExecError, ExecStats, Interp};
     use crate::parallel::ParallelPlan;
     use irr_driver::compiled::Stream;
@@ -270,17 +268,24 @@ mod tests {
         }
     }
 
+    /// A fresh interpreter on `p` after `setup`, with every array
+    /// allocated as a run allocates them before its first statement.
+    fn live<'p>(p: &'p Program, setup: impl Fn(&mut Interp<'p>)) -> Interp<'p> {
+        let mut it = Interp::new(p);
+        setup(&mut it);
+        it.allocate_arrays();
+        it
+    }
+
     /// Runs `p`'s main procedure on the tree-walk and on the compiled
     /// tier, each after `setup`, and asserts the two interpreters are
     /// observably identical whether or not the run completed: result
     /// (error payload included), store bytes, array versions, output,
     /// remaining fuel, total cost, per-loop stats.
     fn assert_same_run<'p>(p: &'p Program, setup: impl Fn(&mut Interp<'p>)) -> Ran<'p> {
-        let mut seq = Interp::new(p);
-        setup(&mut seq);
-        let seq_res = seq.exec_proc(p.main());
-        let mut comp = Interp::new(p);
-        setup(&mut comp);
+        let mut seq = live(p, &setup);
+        let seq_res = seq.exec_proc_with(p.main(), &mut SequentialDispatch);
+        let mut comp = live(p, &setup);
         let pre = comp.store.clone();
         let mut dispatch = CompiledDispatch::new();
         let res = comp.exec_proc_with(p.main(), &mut dispatch);
@@ -305,7 +310,7 @@ mod tests {
         }
     }
 
-    /// Presets the read-only input `x(8)` of the hand-over programs.
+    /// Presets the read-only input `x(8)` of the first-touch programs.
     fn preset_x(it: &mut Interp<'_>) {
         let x = it.program().symbols.lookup("x").unwrap();
         let data = (1..=8).map(|k| k as f64 * 0.5).collect();
@@ -475,12 +480,11 @@ mod tests {
         assert_eq!(out.stats.loops[&target].iteration_costs.len(), 1);
     }
 
-    /// The hand-over shape: `x` is preset and the outputs first
-    /// materialize inside the loop — `z` in iteration 1, `y` (first in
-    /// program text) in iteration 2 — so the entry starts on the
-    /// tree-walk and switches to the typed loop at the boundary before
-    /// iteration 3: six of the eight iterations are typed.
-    const HANDOVER_SRC: &str = "program t
+    /// `x` is preset, and the outputs are first touched inside the
+    /// loop — `z` in iteration 1, `y` (first in program text) only from
+    /// iteration 2. Every array is live from the first statement, so
+    /// the whole entry runs typed.
+    const FIRST_TOUCH_SRC: &str = "program t
          integer i
          real x(8), y(8), z(8), s
          do i = 1, 8
@@ -493,66 +497,75 @@ mod tests {
          print s, y(8), i
          end";
 
-    /// Hand-over (a): the random-fill draws made while `z` and then
-    /// `y` materialize inside the loop come off the shared stream in
-    /// interpreter order (not program-text order, which materializing
-    /// up front would use), and the typed loop continues from exactly
-    /// that store.
+    /// Random fill gives every array a stream of its own, seeded with
+    /// the fill seed and its `VarId`: what an array holds before its
+    /// first write does not depend on which array the program touches
+    /// first, and the typed loop runs the entry from iteration 1 over
+    /// exactly that store.
     #[test]
-    fn handover_preserves_random_fill_draw_order() {
-        let p = parse_program(HANDOVER_SRC).unwrap();
-        let ran = assert_same_run(&p, |it| {
+    fn random_fill_is_per_array_and_the_entry_runs_typed() {
+        let p = parse_program(FIRST_TOUCH_SRC).unwrap();
+        let fill = |it: &mut Interp<'_>| {
             preset_x(it);
             it.set_random_fill(0x5eed);
-        });
+        };
+        let ran = assert_same_run(&p, fill);
         assert_eq!(ran.res, Ok(()));
-        assert_eq!(ran.typed_iters(), 6, "hand-over before iteration 3");
+        assert_eq!(ran.typed_iters(), 8);
+        let (y, z) = (
+            p.symbols.lookup("y").unwrap(),
+            p.symbols.lookup("z").unwrap(),
+        );
         // The fill is live: `y(9 - i)` read random data, not zeros.
-        let y = p.symbols.lookup("y").unwrap();
         let mut zero_fill = Interp::new(&p);
         preset_x(&mut zero_fill);
-        zero_fill.exec_proc(p.main()).unwrap();
+        let zero_fill = zero_fill.run().unwrap();
         assert_ne!(
             zero_fill.store.array_as_reals(y),
             ran.comp.store.array_as_reals(y)
         );
+        // Same declarations, no statement: `y(1)`, never written above,
+        // holds what it holds here, and `y` and `z` hold different data.
+        let decls =
+            parse_program("program t\n integer i\n real x(8), y(8), z(8), s\n end").unwrap();
+        let untouched = live(&decls, fill).store;
+        let held = |st: &Store, a| st.array_as_reals(a).unwrap();
+        assert_eq!(held(&untouched, y)[0], held(&ran.comp.store, y)[0]);
+        assert_ne!(held(&untouched, y), held(&untouched, z));
     }
 
-    /// Hand-over (b): every fuel budget from zero to a completed run —
-    /// so exhaustion inside iteration 1, at each iteration boundary,
-    /// and after the switch — stops both tiers at the same point.
+    /// Every fuel budget from zero to a completed run stops both tiers
+    /// at the same point: the budget that ends on the `do` statement
+    /// itself, and every one that ends inside one of the eight typed
+    /// iterations or after the loop.
     #[test]
-    fn handover_fuel_exhaustion_points_are_identical() {
-        let p = parse_program(HANDOVER_SRC).unwrap();
-        let mut full = Interp::new(&p);
-        preset_x(&mut full);
-        full.exec_proc(p.main()).unwrap();
-        let total = full.stats.total_cost;
-        let (mut exhausted_untaken, mut exhausted_taken) = (0, 0);
-        for fuel in 0..=total {
+    fn fuel_exhaustion_points_are_identical_at_every_budget() {
+        let p = parse_program(FIRST_TOUCH_SRC).unwrap();
+        let full = assert_same_run(&p, preset_x);
+        assert_eq!(full.res, Ok(()));
+        let total = full.comp.stats.total_cost;
+        for fuel in 0..total {
             let ran = assert_same_run(&p, |it| {
                 preset_x(it);
                 it.fuel = fuel;
             });
-            match (&ran.res, ran.typed_iters()) {
-                (Err(ExecError::OutOfFuel), 0) => exhausted_untaken += 1,
-                (Err(ExecError::OutOfFuel), 1..=6) => exhausted_taken += 1,
-                (Ok(()), 6) => assert_eq!(fuel, total),
-                other => panic!("fuel {fuel}: {other:?}"),
-            }
+            assert_eq!(ran.res, Err(ExecError::OutOfFuel), "fuel {fuel}");
+            let typed = ran.typed_iters();
+            let entered = if fuel == 0 {
+                typed == 0
+            } else {
+                (1..=8).contains(&typed)
+            };
+            assert!(entered, "fuel {fuel}: {typed} typed");
         }
-        // Both sides of the switch were exhausted.
-        assert!(exhausted_untaken > 0 && exhausted_taken > 0);
     }
 
-    /// Hand-over (c): an out-of-bounds subscript raised by a walked
-    /// iteration of the chunk (iteration 1, which also materializes `y`
-    /// and `z`) and by the typed loop (iteration 3, the second after
-    /// the switch) carries the tree-walk's payload and leaves its
-    /// store.
+    /// An out-of-bounds subscript raised by the typed loop in its first
+    /// and in a later iteration carries the tree-walk's payload and
+    /// leaves its store.
     #[test]
-    fn handover_out_of_bounds_payload_is_identical() {
-        for (bad_iter, typed_iters) in [(1, 0), (3, 2)] {
+    fn out_of_bounds_payload_is_identical_in_any_iteration() {
+        for bad_iter in [1, 3] {
             let src = format!(
                 "program t
                  integer i, k
@@ -580,17 +593,15 @@ mod tests {
                     extent: 8
                 })
             );
-            assert_eq!(ran.typed_iters(), typed_iters);
+            assert_eq!(ran.typed_iters(), bad_iter);
         }
     }
 
-    /// Hand-over (d), the `rowgather`-on-uniform shape: `w` is
-    /// referenced only under a branch that is never taken, so it never
-    /// materializes, the typed loop's precondition never holds, and the
-    /// whole entry is walked — still a compiled entry, which the
-    /// dispatcher hears finished on the tree-walk.
+    /// The `rowgather`-on-uniform shape: `w` is referenced only under a
+    /// branch that is never taken. It is live all the same, so the
+    /// entry runs typed.
     #[test]
-    fn never_ready_entry_completes_on_the_walk() {
+    fn an_array_behind_an_untaken_branch_keeps_no_entry_off_the_typed_loop() {
         let src = "program t
              integer i
              real x(8), y(8), w(8)
@@ -604,22 +615,13 @@ mod tests {
              print y(8)
              end";
         let p = parse_program(src).unwrap();
-        let mut ran = assert_same_run(&p, preset_x);
+        let ran = assert_same_run(&p, preset_x);
         assert_eq!(ran.res, Ok(()));
-        assert_eq!(ran.typed_iters(), 0);
-        assert_eq!((ran.dispatch.compiled, ran.dispatch.typed), (1, 0));
-        // Not for want of a compiled body: the nest lowers, its arrays
-        // are just never all live.
-        let s = p
-            .stmts_in(&p.procedure(p.main()).body)
-            .into_iter()
-            .find(|s| p.stmt(*s).kind.is_loop())
-            .unwrap();
-        let cb = ran.comp.compiled_body_for(s).expect("lowers");
-        assert!(!ran.comp.fast_ready(&cb));
+        assert_eq!(ran.typed_iters(), 8);
+        assert_eq!((ran.dispatch.compiled, ran.dispatch.typed), (1, 1));
     }
 
-    /// Hand-over (e): a nest past a register plane — 65 535 distinct
+    /// A nest past a register plane — 65 535 distinct
     /// products beside the promoted scalars, in a plane a `u16` numbers
     /// — is rejected by the lowering, so nothing is offered that the
     /// typed loop cannot run: the driver's advisory plan is absent and
@@ -654,7 +656,7 @@ mod tests {
         }
     }
 
-    /// Hand-over (e'): a nest past the lowering's other size limit —
+    /// A nest past the lowering's other size limit —
     /// 65 536 inner loops, one block more than a `u16` addresses — is
     /// rejected by the lowering, reason-coded like any construct it
     /// does not replicate, everywhere the lowering runs: the driver's
@@ -842,8 +844,7 @@ mod tests {
         assert!(ran.still_shared("x"), "read-only input was copied");
         assert!(!ran.still_shared("y"), "stored array must be un-shared");
 
-        let mut par = Interp::new(&p);
-        setup(&mut par);
+        let mut par = live(&p, setup);
         let pre = par.store.clone();
         let s = p
             .stmts_in(&p.procedure(p.main()).body)
@@ -1298,11 +1299,10 @@ mod tests {
             );
             let p = parse_program(&src).unwrap();
             assert_eq!(stream_loops(&p), 1, "{stmt}");
-            let mut seq = Interp::new(&p);
-            setup(&mut seq);
-            seq.exec_proc(p.main()).unwrap();
-            let mut comp = Interp::new(&p);
-            setup(&mut comp);
+            let mut seq = live(&p, setup);
+            seq.exec_proc_with(p.main(), &mut SequentialDispatch)
+                .unwrap();
+            let mut comp = live(&p, setup);
             let mut dispatch = CompiledDispatch::new();
             comp.exec_proc_with(p.main(), &mut dispatch).unwrap();
             assert_eq!((dispatch.typed, comp.stats.stream_iters), (1, 8), "{stmt}");
@@ -1335,9 +1335,7 @@ mod tests {
         let s = p.procedure(p.main()).body[0];
         let mut ran_short = false;
         for micros in [0, 1, 2, 4, 8, 16, 3_600_000_000] {
-            let mut it = Interp::new(&p);
-            preset_reals(&mut it, "x", &[2.0; 3000]);
-            preset_reals(&mut it, "z", &[0.0; 3000]);
+            let mut it = live(&p, |it| preset_reals(it, "x", &[2.0; 3000]));
             let cb = it.compiled_body_for(s).unwrap();
             let deadline = Some((Instant::now(), Duration::from_micros(micros)));
             let watch = ChunkWatch { deadline };
@@ -1420,8 +1418,7 @@ mod tests {
                 "6 9223372036854775807"
             ]
         );
-        // Hand-over (`a` materializes in iteration 1) and typed inner
-        // loop included.
+        // Typed inner loop included.
         let ran = assert_same_run(&p, |_| {});
         assert_eq!(ran.comp.output, seq.output);
         let mut hybrid = AlwaysParallel::default();

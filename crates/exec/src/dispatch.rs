@@ -43,9 +43,6 @@ pub enum FallbackReason {
     Conflict,
     /// A worker chunk panicked.
     Panic,
-    /// Workers disagreed on an array shape, or a logged write landed
-    /// past an extent.
-    Shape,
     /// The executor cannot run this loop shape (non-unit step, not a
     /// `do` loop; for a compiled dispatch, a nest that does not lower
     /// or does not type).
@@ -53,8 +50,8 @@ pub enum FallbackReason {
     /// A worker overran the per-worker deadline (watchdog).
     Timeout,
     /// An execution strategy's runtime self-check failed (an in-place
-    /// write left its proven window, or append positions broke the
-    /// consecutive discipline).
+    /// write left its proven window, append positions broke the
+    /// consecutive discipline, or the appends ran past the target).
     Strategy,
     /// The loop carries interpreter-only instrumentation (an attached
     /// access tracer or per-iteration cost recording), so a compiled
@@ -68,7 +65,6 @@ impl FallbackReason {
         match self {
             FallbackReason::Conflict => "conflict",
             FallbackReason::Panic => "panic",
-            FallbackReason::Shape => "shape",
             FallbackReason::Unsupported => "unsupported",
             FallbackReason::Timeout => "timeout",
             FallbackReason::Strategy => "strategy",
@@ -113,8 +109,7 @@ pub trait LoopDispatcher {
     /// Notifies the dispatcher that its most recent
     /// [`Compiled`](LoopDecision::Compiled) decision for `loop_stmt`
     /// ran to completion through the compiled tier, and which engine
-    /// finished it: the typed loop, or the tree-walk when the nest's
-    /// arrays were never all live. The default is a no-op.
+    /// ran it (see [`ChunkEngine`]). The default is a no-op.
     fn compiled_committed(&mut self, _loop_stmt: StmtId, _engine: ChunkEngine) {}
 
     /// Notifies the dispatcher that a compiled dispatch of `loop_stmt`

@@ -130,9 +130,6 @@ pub struct WriteLog {
     pub(crate) scalars: Vec<(VarId, Value)>,
     /// Element writes, one column per written array.
     pub(crate) elements: Vec<ElemColumn>,
-    /// Arrays materialized while recording, with their extents (reads
-    /// materialize too, so this is a superset of the written arrays).
-    pub(crate) materialized: Vec<(VarId, Vec<usize>)>,
 }
 
 impl WriteLog {
@@ -176,7 +173,7 @@ impl ElemColumn {
     }
 }
 
-/// A raw pointer to the element buffer of a materialized array.
+/// A raw pointer to the element buffer of an array.
 ///
 /// The in-place strategy executor derives one per target from the
 /// *master* store (after forcing payload uniqueness with
@@ -494,10 +491,15 @@ pub(crate) enum WriteSink {
 
 /// The global store (all variables are global).
 ///
+/// A fresh store holds its scalars only; every declared array is
+/// allocated before the program's first statement
+/// (`Interp::allocate_arrays`) and lives until the run ends, with the
+/// extents the declaration fixed at parse time (or a preset's).
+///
 /// Every array slot carries a monotonically increasing **write-version
-/// counter**, bumped whenever the array is materialized or any of its
-/// elements may have been written. Version counters let the hybrid
-/// runtime's schedule cache (`irr-runtime`) re-run an inspection only
+/// counter**, bumped when the array is allocated or preset and whenever
+/// any of its elements may have been written. Version counters let the
+/// hybrid runtime's schedule cache (`irr-runtime`) re-run an inspection only
 /// when an index array has actually been mutated since the last loop
 /// entry — O(n)-per-mutation instead of O(n)-per-execution. Versions
 /// are bookkeeping metadata: they do not participate in store equality.
@@ -528,6 +530,9 @@ pub struct Store {
 /// The next [`Store::id`].
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
 
+/// What every array access of a running program may assume.
+const ALLOCATED: &str = "every declared array is allocated before the first statement";
+
 impl Clone for Store {
     fn clone(&self) -> Store {
         Store {
@@ -554,10 +559,8 @@ impl PartialEq for Store {
 }
 
 impl Store {
-    /// Initializes the store for a program: integers 0, reals 0.0,
-    /// arrays zero-filled (array extents must evaluate to constants or
-    /// to scalars already assigned... extents are evaluated lazily at
-    /// first touch).
+    /// Initializes the store for a program: integers 0, reals 0.0, no
+    /// array allocated yet.
     pub fn new(program: &Program) -> Store {
         let n = program.symbols.len();
         let mut scalars = Vec::with_capacity(n);
@@ -610,35 +613,29 @@ impl Store {
     }
 
     /// Element `idx` (flat, 0-based) of `arr` as the `i64` a subscript
-    /// would use (reals truncate); `None` when `arr` is not
-    /// materialized or `idx` is past its end.
+    /// would use (reals truncate); `None` when `idx` is past its end.
     pub(crate) fn element_as_int(&self, arr: VarId, idx: usize) -> Option<i64> {
-        match self.array_ref(arr)? {
+        match self.array(arr) {
             ArrayData::Int { data, .. } => data.get(idx).copied(),
             ArrayData::Real { data, .. } => data.get(idx).map(|v| *v as i64),
         }
     }
 
-    /// Raw pointer to the element buffer of materialized `arr`, with
-    /// its flat length. Forces payload uniqueness first
-    /// ([`Arc::make_mut`]), so snapshots cloned *afterwards* share
-    /// exactly this allocation — which is what lets in-place workers
-    /// write through the pointer while the master retains ownership.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arr` is not materialized.
+    /// Raw pointer to the element buffer of `arr`, with its flat
+    /// length. Forces payload uniqueness first ([`Arc::make_mut`]), so
+    /// snapshots cloned *afterwards* share exactly this allocation —
+    /// which is what lets in-place workers write through the pointer
+    /// while the master retains ownership.
     pub(crate) fn payload_raw(&mut self, arr: VarId) -> RawSlice {
-        let data = Arc::make_mut(self.arrays[arr.index()].as_mut().expect("materialized"));
-        match data {
+        match self.array_make_mut(arr) {
             ArrayData::Int { data, .. } => RawSlice::Int(data.as_mut_ptr(), data.len()),
             ArrayData::Real { data, .. } => RawSlice::Real(data.as_mut_ptr(), data.len()),
         }
     }
 
-    /// Turns on write recording: every subsequent scalar write, element
-    /// write, and array materialization is appended to a fresh
-    /// [`WriteLog`] until [`Store::take_write_log`] collects it.
+    /// Turns on write recording: every subsequent scalar and element
+    /// write is appended to a fresh [`WriteLog`] until
+    /// [`Store::take_write_log`] collects it.
     pub fn start_write_log(&mut self) {
         self.log = Some(Box::default());
     }
@@ -657,9 +654,10 @@ impl Store {
         self.id
     }
 
-    /// The write-version counter of `arr`: bumped on materialization and
-    /// on every (potential) element write. Two equal versions at two
-    /// program points guarantee the array was not mutated in between.
+    /// The write-version counter of `arr`: bumped when it is allocated
+    /// or preset and on every (potential) element write. Two equal
+    /// versions at two program points guarantee the array was not
+    /// mutated in between.
     pub fn array_version(&self, arr: VarId) -> u64 {
         self.versions[arr.index()]
     }
@@ -676,12 +674,11 @@ impl Store {
         self.versions[arr.index()] += n;
     }
 
-    /// Lends the typed loop the write observers of materialized `arr`
-    /// for one chunk (see [`WriteSink`]): its in-place window or
-    /// concat buffer when an overlay targets it, else its column of the
-    /// active write log, else nothing. Buffers and columns are moved
-    /// out, so writes the walk made earlier in the chunk stay in
-    /// front; [`Store::return_sink`] moves them back.
+    /// Lends the typed loop the write observers of `arr` for one chunk
+    /// (see [`WriteSink`]): its in-place window or concat buffer when an
+    /// overlay targets it, else its column of the active write log,
+    /// else nothing. Buffers and columns are moved out;
+    /// [`Store::return_sink`] moves them back.
     pub(crate) fn take_sink(&mut self, arr: VarId) -> WriteSink {
         match self.overlay.as_deref_mut() {
             Some(WriteOverlay::InPlace { windows, .. }) => {
@@ -705,10 +702,7 @@ impl Store {
         };
         WriteSink::Logged(match log.elements.iter().position(|c| c.var == arr) {
             Some(k) => log.elements.swap_remove(k),
-            None => {
-                let data = self.arrays[arr.index()].as_deref().expect("materialized");
-                ElemColumn::new(arr, data)
-            }
+            None => ElemColumn::new(arr, self.arrays[arr.index()].as_deref().expect(ALLOCATED)),
         })
     }
 
@@ -739,19 +733,19 @@ impl Store {
         }
     }
 
-    /// Uniquely-owned payload of a materialized array (cloning a
-    /// shared `Arc` exactly as a tree-walk write would).
+    /// Uniquely-owned payload of `arr` (cloning a shared `Arc` exactly
+    /// as a tree-walk write would).
     pub(crate) fn array_make_mut(&mut self, arr: VarId) -> &mut ArrayData {
-        Arc::make_mut(self.arrays[arr.index()].as_mut().expect("ensured"))
+        Arc::make_mut(self.arrays[arr.index()].as_mut().expect(ALLOCATED))
     }
 
-    /// The flat element count of `arr`, if materialized.
-    pub fn array_len(&self, arr: VarId) -> Option<usize> {
-        self.arrays[arr.index()].as_deref().map(ArrayData::len)
+    /// The payload of `arr` in a store a run executes on.
+    pub(crate) fn array(&self, arr: VarId) -> &ArrayData {
+        self.arrays[arr.index()].as_deref().expect(ALLOCATED)
     }
 
-    /// The payload of `arr`, if materialized (the typed loop's read
-    /// path, and how the parity oracle compares integers as integers).
+    /// The payload of `arr`; `None` before the run allocated it (how
+    /// the parity oracle compares integers as integers).
     pub fn array_ref(&self, arr: VarId) -> Option<&ArrayData> {
         self.arrays[arr.index()].as_deref()
     }
@@ -792,41 +786,28 @@ impl Store {
         }
     }
 
-    /// The declared extents of `arr`, if materialized.
-    pub fn array_dims(&self, arr: VarId) -> Option<&[usize]> {
-        self.arrays[arr.index()].as_deref().map(ArrayData::dims)
-    }
-
-    /// Installs `data` as the storage of `arr` before execution — the
-    /// public preset hook the sparse workload suite uses to inject
-    /// generated index and value arrays without interpreting gigantic
-    /// initialization loops. Presets are pinned for the whole run:
-    /// array materialization skips already-materialized arrays, and the
-    /// audit's randomized fill only affects arrays not yet
-    /// materialized.
+    /// Installs `data` as the storage of `arr` — the public preset hook
+    /// the sparse workload suite uses to inject generated index and
+    /// value arrays without interpreting gigantic initialization loops,
+    /// and how the run allocates the arrays no preset installed.
+    /// Installed before the run, a preset is the array's storage for
+    /// the whole run, whatever the declaration says: the run allocates
+    /// only the arrays that have none, and the audit's randomized fill
+    /// never touches it.
     pub fn preset_array(&mut self, arr: VarId, data: ArrayData) {
-        self.materialize(arr, data);
-    }
-
-    /// Installs `data` as the storage of `arr`, recording the
-    /// materialization when a write log is active.
-    pub(crate) fn materialize(&mut self, arr: VarId, data: ArrayData) {
-        if let Some(log) = &mut self.log {
-            log.materialized.push((arr, data.dims().to_vec()));
-        }
         self.arrays[arr.index()] = Some(Arc::new(data));
         self.bump_version(arr);
     }
 
-    /// Writes one element of a materialized array (copy-on-write:
-    /// shared payloads are cloned on the first mutation), coercing to
-    /// the array's element type, bumping the write version, and
-    /// recording the write when a log is active.
+    /// Writes one element of an array (copy-on-write: shared payloads
+    /// are cloned on the first mutation), coercing to the array's
+    /// element type, bumping the write version, and recording the write
+    /// when a log is active.
     ///
     /// # Panics
     ///
-    /// Panics if `arr` is not materialized or `idx` is out of range —
-    /// callers bounds-check through [`Interp`] or the merge.
+    /// Panics if `idx` is out of range — callers bounds-check through
+    /// [`Interp`] or the merge.
     pub(crate) fn write_element(&mut self, arr: VarId, idx: usize, val: Value) {
         // Strategy overlays intercept before anything else: an
         // in-place or concat write must not clone the shared payload,
@@ -836,7 +817,7 @@ impl Store {
                 return;
             }
         }
-        let data = Arc::make_mut(self.arrays[arr.index()].as_mut().expect("ensured"));
+        let data = Arc::make_mut(self.arrays[arr.index()].as_mut().expect(ALLOCATED));
         let coerced = match data {
             ArrayData::Int { data, .. } => {
                 let v = val.as_int();
@@ -915,8 +896,6 @@ pub enum ExecError {
     DivisionByZero,
     /// The fuel limit was exhausted (runaway loop guard).
     OutOfFuel,
-    /// An array extent did not evaluate to a positive constant.
-    BadExtent { array: String },
     /// A parallel dispatch failed (e.g. conflicting chunk writes) — the
     /// dispatcher requested a parallel execution that was not actually
     /// legal.
@@ -938,7 +917,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::DivisionByZero => write!(f, "division by zero"),
             ExecError::OutOfFuel => write!(f, "execution fuel exhausted"),
-            ExecError::BadExtent { array } => write!(f, "bad extent for array `{array}`"),
             ExecError::ParallelFailure { reason } => {
                 write!(f, "parallel dispatch failed: {reason}")
             }
@@ -981,9 +959,10 @@ pub struct Interp<'p> {
     /// The attached access tracer, if any (dependence sanitizer hook).
     /// `None` in ordinary runs: every hook site is one null check.
     tracer: Option<TracerSlot>,
-    /// When set, lazily materialized arrays fill with deterministic
-    /// pseudo-random values instead of zeros (randomized audit inputs).
-    random_fill: Option<SplitMix64>,
+    /// When set, the seed the arrays the run allocates are filled from
+    /// with deterministic pseudo-random values instead of zeros
+    /// (randomized audit inputs).
+    random_fill: Option<u64>,
     /// Dense per-`VarId` scalar types, resolved once at construction —
     /// scalar writes on the hot path read this table instead of the
     /// symbol table.
@@ -1098,13 +1077,15 @@ impl<'p> Interp<'p> {
         self.tracer.take().map(|slot| slot.hook)
     }
 
-    /// Fills every array materialized from now on with deterministic
-    /// pseudo-random values drawn from a SplitMix64 stream seeded with
-    /// `seed`, instead of zeros. Extents and scalar initialization are
-    /// unaffected, so the program's shape is preserved while the data
-    /// an array holds before its first write varies per seed.
+    /// Fills every array the run allocates with deterministic
+    /// pseudo-random values instead of zeros, each from a SplitMix64
+    /// stream of its own seeded with `seed` and the array's [`VarId`]:
+    /// what an array holds does not depend on which array the program
+    /// touches first. Extents and scalar initialization are unaffected,
+    /// so the program's shape is preserved while the data an array
+    /// holds before its first write varies per seed.
     pub fn set_random_fill(&mut self, seed: u64) {
-        self.random_fill = Some(SplitMix64::new(seed));
+        self.random_fill = Some(seed);
     }
 
     /// Presets `arr` to `data` before the run (see
@@ -1113,6 +1094,30 @@ impl<'p> Interp<'p> {
     /// touches the array afterwards.
     pub fn preset_array(&mut self, arr: VarId, data: ArrayData) {
         self.store.preset_array(arr, data);
+    }
+
+    /// Allocates every declared array no preset installed, each with
+    /// its declared extents: zero-filled through `vec![0; n]`, so pages
+    /// the run never touches cost no resident memory, or under
+    /// [`Interp::set_random_fill`] from its own stream. The one place
+    /// arrays come into existence: a run calls it before its first
+    /// statement, and from then on every array is live until the run
+    /// ends.
+    pub(crate) fn allocate_arrays(&mut self) {
+        for (var, info) in self.program.symbols.iter() {
+            if !info.is_array() || self.store.array_ref(var).is_some() {
+                continue;
+            }
+            let dims = info.dims.clone();
+            let data = match self.random_fill {
+                Some(seed) => {
+                    let stream = SplitMix64::new(var.index() as u64).next_u64();
+                    ArrayData::random(info.ty, dims, &mut SplitMix64::new(seed ^ stream))
+                }
+                None => ArrayData::zeroed(info.ty, dims),
+            };
+            self.store.preset_array(var, data);
+        }
     }
 
     /// Runs the whole program.
@@ -1126,7 +1131,8 @@ impl<'p> Interp<'p> {
 
     /// Runs the whole program, consulting `dispatcher` at every dynamic
     /// `do`-loop entry (see [`LoopDispatcher`]). This is the execution
-    /// entry point of the hybrid inspector–executor runtime.
+    /// entry point of the hybrid inspector–executor runtime. Every
+    /// declared array is allocated before `main`'s first statement.
     ///
     /// # Errors
     ///
@@ -1136,6 +1142,7 @@ impl<'p> Interp<'p> {
         mut self,
         dispatcher: &mut dyn LoopDispatcher,
     ) -> Result<ExecOutcome, ExecError> {
+        self.allocate_arrays();
         let main = self.program.main();
         self.exec_proc_with(main, dispatcher)?;
         Ok(ExecOutcome {
@@ -1146,13 +1153,8 @@ impl<'p> Interp<'p> {
         })
     }
 
-    /// Executes one procedure body.
-    pub fn exec_proc(&mut self, p: ProcId) -> Result<(), ExecError> {
-        self.exec_proc_with(p, &mut SequentialDispatch)
-    }
-
     /// Executes one procedure body under a dispatcher.
-    pub fn exec_proc_with(
+    pub(crate) fn exec_proc_with(
         &mut self,
         p: ProcId,
         dispatcher: &mut dyn LoopDispatcher,
@@ -1162,12 +1164,12 @@ impl<'p> Interp<'p> {
     }
 
     /// Executes a statement list.
-    pub fn exec_body(&mut self, body: &[StmtId]) -> Result<(), ExecError> {
+    pub(crate) fn exec_body(&mut self, body: &[StmtId]) -> Result<(), ExecError> {
         self.exec_body_with(body, &mut SequentialDispatch)
     }
 
     /// Executes a statement list under a dispatcher.
-    pub fn exec_body_with(
+    pub(crate) fn exec_body_with(
         &mut self,
         body: &[StmtId],
         dispatcher: &mut dyn LoopDispatcher,
@@ -1188,7 +1190,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Executes a single statement.
-    pub fn exec_stmt(&mut self, s: StmtId) -> Result<(), ExecError> {
+    pub(crate) fn exec_stmt(&mut self, s: StmtId) -> Result<(), ExecError> {
         self.exec_stmt_with(s, &mut SequentialDispatch)
     }
 
@@ -1196,7 +1198,7 @@ impl<'p> Interp<'p> {
     /// statements (loops, conditionals, calls) propagate the dispatcher
     /// into their bodies, so guarded loops are dispatched per execution
     /// at **any** nesting depth.
-    pub fn exec_stmt_with(
+    pub(crate) fn exec_stmt_with(
         &mut self,
         s: StmtId,
         dispatcher: &mut dyn LoopDispatcher,
@@ -1447,43 +1449,12 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Materializes `a` if it is not already (evaluating its declared
-    /// extents). The strategy executor calls this on in-place targets
-    /// before taking raw payload pointers.
-    pub(crate) fn ensure_materialized(&mut self, a: VarId) -> Result<(), ExecError> {
-        self.ensure_array(a)
-    }
-
-    fn ensure_array(&mut self, a: VarId) -> Result<(), ExecError> {
-        if self.store.arrays[a.index()].is_some() {
-            return Ok(());
-        }
-        let info = self.program.symbols.var(a);
-        let mut dims = Vec::with_capacity(info.dims.len());
-        for d in info.dims.clone() {
-            let v = self.eval(&d)?.as_int();
-            if v <= 0 {
-                return Err(ExecError::BadExtent {
-                    array: info.name.clone(),
-                });
-            }
-            dims.push(v as usize);
-        }
-        let data = match &mut self.random_fill {
-            Some(rng) => ArrayData::random(info.ty, dims, rng),
-            None => ArrayData::zeroed(info.ty, dims),
-        };
-        self.store.materialize(a, data);
-        Ok(())
-    }
-
     fn flat_index(&mut self, a: VarId, subs: &[Expr]) -> Result<usize, ExecError> {
-        self.ensure_array(a)?;
         let mut vals = Vec::with_capacity(subs.len());
         for s in subs {
             vals.push(self.eval(s)?.as_int());
         }
-        let arr = self.store.arrays[a.index()].as_deref().expect("ensured");
+        let arr = self.store.array(a);
         let dims = arr.dims();
         // Fortran column-major, 1-based.
         let mut idx: usize = 0;
@@ -1513,12 +1484,10 @@ impl<'p> Interp<'p> {
                 reason: "read outside the chunk's in-place window".to_string(),
             });
         }
-        Ok(
-            match self.store.arrays[a.index()].as_deref().expect("ensured") {
-                ArrayData::Int { data, .. } => Value::Int(data[idx]),
-                ArrayData::Real { data, .. } => Value::Real(data[idx]),
-            },
-        )
+        Ok(match self.store.array(a) {
+            ArrayData::Int { data, .. } => Value::Int(data[idx]),
+            ArrayData::Real { data, .. } => Value::Real(data[idx]),
+        })
     }
 
     fn write_element(&mut self, a: VarId, idx: usize, val: Value) {

@@ -64,8 +64,8 @@ pub use machine::{
     simulate_program_time, simulate_speedup, LoopProfile, MachineModel, ProgramProfile,
 };
 pub use parallel::{
-    exec_do_parallel, run_loop_parallel, Committed, ExecutionStrategy, ParallelError, ParallelPlan,
-    ReduceOp, WorkerEngines,
+    run_loop_parallel, Committed, ExecutionStrategy, ParallelError, ParallelPlan, ReduceOp,
+    WorkerEngines,
 };
 pub use rng::SplitMix64;
 pub use runtime_test::{

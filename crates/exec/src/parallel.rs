@@ -42,9 +42,7 @@
 //! The master lowers the loop once and hands every
 //! worker the `Arc`'d compiled body; a worker makes **one call**, the
 //! chunk entry the sequential compiled tier also uses
-//! (`Interp::run_chunk`): the tree-walk, one root iteration at a time,
-//! until every array the body references is live in the worker's
-//! store, then the typed loop for the rest of the chunk —
+//! (`Interp::run_chunk`): the typed loop for the whole chunk —
 //! induction loop, per-iteration charge, deadline poll and strategy
 //! check all inside it. The typed loop's stores reach the log, the
 //! in-place windows or the append buffers through the per-array sinks
@@ -113,8 +111,8 @@
 use crate::bytecode::{ChunkAbort, ChunkEngine, ChunkWatch, CompiledBody};
 use crate::fault::FaultKind;
 use crate::interp::{
-    ArrayData, ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf,
-    Value, WriteLog, WriteOverlay,
+    ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value,
+    WriteLog, WriteOverlay,
 };
 use crate::pool::{Job, WorkerPool};
 use crate::runtime_test::InjectiveCertificate;
@@ -126,7 +124,7 @@ use std::time::{Duration, Instant};
 
 /// How a parallel dispatch writes results back to the master store.
 ///
-/// The plan's strategy is a *request*; [`exec_do_parallel`] re-derives
+/// The plan's strategy is a *request*; the executor re-derives
 /// the facts behind it and downgrades to [`WriteLog`] when the proof
 /// does not hold for this loop, so the value returned by a committed
 /// dispatch is the strategy that actually ran.
@@ -177,13 +175,12 @@ pub enum ReduceOp {
 /// program's execution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WorkerEngines {
-    /// Chunks finished on the typed loop (after a walked
-    /// prefix, when some array had yet to materialize).
+    /// Chunks run on the typed loop.
     pub typed: u64,
-    /// Chunks run on the tree-walk throughout: the plan did not ask for
-    /// compiled workers, the nest does not lower, it assigns a
-    /// scalar the plan neither privatizes nor reduces, or it never had
-    /// all its arrays live.
+    /// Chunks run on the tree-walk: the plan did not ask for compiled
+    /// workers, the nest does not lower, it assigns a scalar the plan
+    /// neither privatizes nor reduces, or a preset's element type is
+    /// not the declared one.
     pub tree_walk: u64,
 }
 
@@ -307,10 +304,6 @@ pub enum ParallelError {
     /// Two chunks wrote the same location (a write-write conflict —
     /// the loop was not actually parallel).
     WriteConflict { var: String },
-    /// Chunks disagree about an array's shape, or a logged write lands
-    /// past the master array's extent. Always a hard error: silently
-    /// truncating the merge would drop writes.
-    ShapeMismatch { var: String, detail: String },
     /// A chunk panicked — on a pooled thread or on the dispatching
     /// thread, which runs chunks too; the panic message is preserved so
     /// the verification fails with a diagnosis instead of aborting the
@@ -325,9 +318,10 @@ pub enum ParallelError {
     /// chunk was abandoned and the whole dispatch must fall back.
     Timeout { worker: usize, deadline_ms: u64 },
     /// An execution strategy's dynamic self-check failed: an in-place
-    /// access left its chunk's window, or an append sequence broke the
+    /// access left its chunk's window, an append sequence broke the
     /// consecutive-write discipline (pointer delta != buffer length,
-    /// non-contiguous positions). The dispatch falls back sequentially.
+    /// non-contiguous positions), or the chunks' appends together run
+    /// past the target's extent. The dispatch falls back sequentially.
     StrategyViolation { var: String, strategy: &'static str },
 }
 
@@ -337,12 +331,6 @@ impl std::fmt::Display for ParallelError {
             ParallelError::Exec(e) => write!(f, "worker failed: {e}"),
             ParallelError::WriteConflict { var } => {
                 write!(f, "conflicting parallel writes to `{var}`")
-            }
-            ParallelError::ShapeMismatch { var, detail } => {
-                write!(
-                    f,
-                    "parallel chunks disagree on the shape of `{var}`: {detail}"
-                )
             }
             ParallelError::WorkerPanic { detail } => {
                 write!(f, "parallel worker panicked: {detail}")
@@ -387,7 +375,6 @@ impl ParallelError {
         match self {
             ParallelError::Exec(_) => None,
             ParallelError::WriteConflict { .. } => Some(FallbackReason::Conflict),
-            ParallelError::ShapeMismatch { .. } => Some(FallbackReason::Shape),
             ParallelError::WorkerPanic { .. } => Some(FallbackReason::Panic),
             ParallelError::NotADoLoop | ParallelError::UnsupportedStep { .. } => {
                 Some(FallbackReason::Unsupported)
@@ -419,6 +406,7 @@ pub fn run_loop_parallel(
     // interpret normally but intercept exactly the designated StmtId via
     // a custom driver loop.
     let mut interp = Interp::new(program);
+    interp.allocate_arrays();
     let main = program.main();
     let body = program.procedures[main.index()].body.clone();
     exec_with_interception(&mut interp, &body, loop_stmt, plan)?;
@@ -549,7 +537,7 @@ fn chunk_windows(
     certificates: &[InjectiveCertificate],
     chunks: &[(i64, i64)],
 ) -> Option<Vec<(usize, usize)>> {
-    let len = store.array_len(target.array)?;
+    let len = store.array(target.array).len();
     let (lo, hi) = (chunks.first()?.0, chunks.last()?.1);
     match target.shape {
         WriteShape::Affine { off } => {
@@ -631,15 +619,9 @@ impl DerivedShapes {
 
 /// Re-derives the in-place shapes for this dispatch and prepares the
 /// master buffers, undo images included. Returns `None` — downgrade to
-/// the write-log — when the derivation fails, a target is not (and may
-/// not yet be) materialized or not one-dimensional, a shape yields no
-/// windows ([`chunk_windows`]), or a scatter target would need an undo
-/// image.
-///
-/// Materializing a target here is exactly what the first sequential
-/// iteration would have done when the derivation found an
-/// unconditional top-level write to it (`lo <= hi` holds at this
-/// point); any other target must be live already.
+/// the write-log — when the derivation fails, a target is not
+/// one-dimensional, a shape yields no windows ([`chunk_windows`]), or
+/// a scatter target would need an undo image.
 fn prepare_in_place(
     interp: &mut Interp<'_>,
     loop_stmt: StmtId,
@@ -657,10 +639,7 @@ fn prepare_in_place(
     let any_read = facts.iter().any(|t| t.read);
     let mut specs = Vec::with_capacity(facts.len());
     for t in &facts {
-        if t.always_written {
-            interp.ensure_materialized(t.array).ok()?;
-        }
-        let data = interp.store.array_ref(t.array)?;
+        let data = interp.store.array(t.array);
         if data.dims().len() != 1 {
             return None;
         }
@@ -735,13 +714,13 @@ fn prepare_concat(
 ///
 /// **The dispatch is a transaction.** The master interpreter — store,
 /// statistics, output, fuel — is mutated only after every worker
-/// completed and the merged write set validated conflict- and
-/// shape-clean; an in-place dispatch, whose workers write the master's
+/// completed and the merged write set validated conflict-free; an
+/// in-place dispatch, whose workers write the master's
 /// buffers as they go, instead restores its targets from the images
 /// taken at hand-off. On any [`ParallelError`] the master is as it was
-/// at entry — up to in-place targets that needed no image,
-/// materialized and possibly dirty, which a sequential re-execution
-/// rewrites location by location — so the caller can re-execute the
+/// at entry — up to in-place targets that needed no image, possibly
+/// dirty, which a sequential re-execution rewrites location by
+/// location — so the caller can re-execute the
 /// loop sequentially (the interpreter's dispatch site does precisely
 /// that; see `Interp::exec_stmt_with`).
 ///
@@ -762,12 +741,11 @@ fn prepare_concat(
 /// [`ParallelError::UnsupportedStep`] when `step != 1` or the trip
 /// count (or `hi + 1`) does not fit the chunk arithmetic;
 /// [`ParallelError::WriteConflict`] when chunks write the same
-/// location; [`ParallelError::ShapeMismatch`] when chunks disagree on
-/// an array's shape; [`ParallelError::WorkerPanic`] when a chunk
+/// location; [`ParallelError::WorkerPanic`] when a chunk
 /// panics; [`ParallelError::Timeout`] when a worker overruns the
 /// deadline; [`ParallelError::StrategyViolation`] when a strategy's
 /// dynamic self-check fails; worker [`ExecError`]s are propagated.
-pub fn exec_do_parallel(
+pub(crate) fn exec_do_parallel(
     interp: &mut Interp<'_>,
     loop_stmt: StmtId,
     plan: &ParallelPlan,
@@ -1102,9 +1080,10 @@ fn chunk_outcomes(
 /// non-negative and equal every one of its buffers' lengths (holes or
 /// double-appends surface here even though hole-freedom was never
 /// statically re-proven), and the concatenated region must fit each
-/// target's extent — an overrun aborts as [`ParallelError::ShapeMismatch`]
-/// so the sequential fallback reproduces the program's own
-/// out-of-bounds error.
+/// target's extent. Each chunk appended from `p0`, so its own subscripts
+/// stayed in range even where the concatenation does not: an overrun
+/// is a [`ParallelError::StrategyViolation`] on the target, and the
+/// sequential fallback raises the program's own out-of-bounds error.
 #[allow(clippy::too_many_arguments)]
 fn commit_concat(
     program: &Program,
@@ -1138,26 +1117,9 @@ fn commit_concat(
         deltas.push(dp);
         total += dp;
     }
-    if total > 0 {
-        // Materialize the targets exactly as the first sequential
-        // append would have.
-        for &a in targets {
-            if interp.ensure_materialized(a).is_err() {
-                return Err(ParallelError::ShapeMismatch {
-                    var: program.symbols.name(a).to_string(),
-                    detail: "target failed to materialize for concat commit".to_string(),
-                });
-            }
-            let len = interp.store.array_len(a).unwrap_or(0) as i64;
-            if p0 + total > len {
-                return Err(ParallelError::ShapeMismatch {
-                    var: program.symbols.name(a).to_string(),
-                    detail: format!(
-                        "concatenated appends reach position {} past extent {len}",
-                        p0 + total
-                    ),
-                });
-            }
+    for &a in targets {
+        if total > 0 && p0 + total > interp.store.array(a).len() as i64 {
+            return Err(violation(a));
         }
     }
     // Non-target effects merge as usual; the overlay guaranteed target
@@ -1171,8 +1133,7 @@ fn commit_concat(
     let mut base = p0 as usize;
     for (out, dp) in outcomes.iter().zip(&deltas) {
         let dp = *dp as usize;
-        // A chunk that appended nothing has nothing to copy (and when
-        // no chunk did, the targets were never materialized).
+        // A chunk that appended nothing has nothing to copy.
         if dp == 0 {
             continue;
         }
@@ -1244,11 +1205,12 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 /// writes that happen to restore the pre-loop value cannot mask a
 /// conflict.
 ///
-/// The merge is two-phase: every log is validated (shapes agree,
-/// no location double-claimed, no write past an extent) before the
-/// first master-store mutation, so a merge that errors leaves the
-/// master byte-identical to its pre-dispatch state and the caller can
-/// fall back to sequential re-execution.
+/// The merge is two-phase: every log is validated (no location
+/// double-claimed) before the first master-store mutation, so a merge
+/// that errors leaves the master byte-identical to its pre-dispatch
+/// state and the caller can fall back to sequential re-execution.
+/// Workers bounds-checked every write against the extents of their
+/// snapshots, which are the master's: arrays never change shape.
 fn merge_write_logs(
     program: &Program,
     interp: &mut Interp<'_>,
@@ -1263,44 +1225,12 @@ fn merge_write_logs(
     let is_reduction = |v: VarId| plan.reductions.iter().any(|(r, _)| *r == v);
     // Concat dispatches exempt the append pointer from scalar claiming
     // (every worker advances it; the commit sets its true final) and
-    // the target arrays from materialization planning and element
-    // claims (their writes were intercepted by the overlay; the commit
-    // materializes and fills them itself).
+    // the target arrays from element claims (their writes were
+    // intercepted by the overlay; the commit fills them itself).
     let concat_ptr = concat.map(|(p, _)| p);
     let concat_targets: &[VarId] = concat.map_or(&[], |(_, t)| t);
 
     // ---- Phase 1: validate (no master mutation) ----
-
-    // Materializations: arrays a worker touched (read or write) that
-    // the master has not materialized come into existence zero-filled,
-    // as they would have sequentially. Chunks must agree on every
-    // array's shape — a mismatch is a hard error, never a truncated
-    // merge. The materializations themselves are only planned here.
-    let mut planned_arrays: HashMap<VarId, Vec<usize>> = HashMap::new();
-    for log in logs {
-        for (v, dims) in &log.materialized {
-            if plan.privatized.contains(v) || concat_targets.contains(v) {
-                continue;
-            }
-            let existing = interp
-                .store
-                .array_dims(*v)
-                .map(<[usize]>::to_vec)
-                .or_else(|| planned_arrays.get(v).cloned());
-            match existing {
-                Some(existing) if existing == *dims => {}
-                Some(existing) => {
-                    return Err(ParallelError::ShapeMismatch {
-                        var: program.symbols.name(*v).to_string(),
-                        detail: format!("extents {existing:?} vs {dims:?}"),
-                    });
-                }
-                None => {
-                    planned_arrays.insert(*v, dims.clone());
-                }
-            }
-        }
-    }
 
     // Scalars: collapse each worker's log to final values, then claim
     // each variable for at most one worker. Reduction scalars are
@@ -1325,8 +1255,7 @@ fn merge_write_logs(
     }
 
     // Array elements: every logged write claims its location in the
-    // array's owner table, checked against the extent of the master's
-    // array or of its planned materialization.
+    // array's owner table.
     let mut claims: Vec<ArrayClaims<'_>> = Vec::new();
     for (widx, log) in logs.iter().enumerate() {
         let me = u16::try_from(widx + 1).expect("chunk count is capped at MAX_WORKERS");
@@ -1338,13 +1267,9 @@ fn merge_write_logs(
             let k = match claims.iter().position(|c| c.var == v) {
                 Some(k) => k,
                 None => {
-                    let len = interp
-                        .store
-                        .array_len(v)
-                        .or_else(|| planned_arrays.get(&v).map(|dims| dims.iter().product()));
                     claims.push(ArrayClaims {
                         var: v,
-                        owner: vec![0; len.unwrap_or(0)],
+                        owner: vec![0; interp.store.array(v).len()],
                         claimed: 0,
                         columns: Vec::new(),
                     });
@@ -1353,15 +1278,7 @@ fn merge_write_logs(
             };
             let c = &mut claims[k];
             for &idx in &col.idx {
-                let Some(owner) = c.owner.get_mut(idx) else {
-                    return Err(ParallelError::ShapeMismatch {
-                        var: program.symbols.name(v).to_string(),
-                        detail: format!(
-                            "logged write at flat index {idx} exceeds extent {}",
-                            c.owner.len()
-                        ),
-                    });
-                };
+                let owner = &mut c.owner[idx];
                 if *owner == 0 {
                     *owner = me;
                     c.claimed += 1;
@@ -1375,10 +1292,6 @@ fn merge_write_logs(
 
     // ---- Phase 2: apply (cannot fail) ----
 
-    for (v, dims) in planned_arrays {
-        let ty = program.symbols.var(v).ty;
-        interp.store.materialize(v, ArrayData::zeroed(ty, dims));
-    }
     for (v, val) in claimed_scalars {
         let ty = program.symbols.var(v).ty;
         interp.store.set_scalar(v, ty, val);
@@ -1435,7 +1348,17 @@ fn combine_reduction(op: ReduceOp, acc: Value, theirs: Value, base: Value) -> Va
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::SequentialDispatch;
+    use crate::interp::ArrayData;
     use irr_frontend::parse_program;
+
+    /// A fresh interpreter on `p` with every array allocated, as a run
+    /// has them at its first statement.
+    fn live(p: &Program) -> Interp<'_> {
+        let mut interp = Interp::new(p);
+        interp.allocate_arrays();
+        interp
+    }
 
     fn first_do(p: &Program) -> StmtId {
         p.stmts_in(&p.procedure(p.main()).body)
@@ -1482,7 +1405,7 @@ mod tests {
         plan: &ParallelPlan,
         hi: i64,
     ) -> (Interp<'p>, Result<Committed, ParallelError>) {
-        let mut interp = Interp::new(p);
+        let mut interp = live(p);
         let res = exec_do_parallel(&mut interp, first_do(p), plan, 1, hi, 1);
         (interp, res)
     }
@@ -1499,9 +1422,8 @@ mod tests {
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
         assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
-        // Iteration 1 materializes `x` on the walk in every chunk; the
-        // rest ran typed, through the logged sink.
-        assert_eq!(master.typed_root_iters, 96);
+        // Every chunk ran typed, through the logged sink.
+        assert_eq!(master.typed_root_iters, 100);
     }
 
     /// Regression for the snapshot-diff soundness hole: one chunk writes
@@ -1529,7 +1451,7 @@ mod tests {
             matches!(res, Err(ParallelError::WriteConflict { ref var }) if var == "x"),
             "expected a write conflict on x, got {res:?}"
         );
-        assert_eq!(master.typed_root_iters, 98);
+        assert_eq!(master.typed_root_iters, 100);
     }
 
     /// Every chunk writing the pre-loop value back is still an
@@ -1547,7 +1469,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
         assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
-        assert_eq!(master.typed_root_iters, 96);
+        assert_eq!(master.typed_root_iters, 100);
     }
 
     /// The owner table claims per worker, not per write: a chunk may
@@ -1582,7 +1504,7 @@ mod tests {
         assert_eq!(
             master.store.array_version(y),
             1 + 100,
-            "one materialization plus one bump per distinct location"
+            "one allocation plus one bump per distinct location"
         );
     }
 
@@ -1604,7 +1526,7 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let a = p.symbols.lookup("a").unwrap();
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         interp.exec_stmt(first_do(&p)).unwrap();
         let plan = ParallelPlan::with_threads(3);
         let got = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 64, 1).unwrap();
@@ -1621,12 +1543,11 @@ mod tests {
         assert_eq!(bits(&interp.store), bits(&seq.store));
     }
 
-    /// An array no one has touched yet materializes inside the worker:
-    /// each chunk walks its first iteration (which logs the
-    /// materialization), hands over to the typed loop, and the merge
-    /// brings the array into existence on the master.
+    /// Arrays no statement has touched yet are live in every chunk's
+    /// snapshot, so each chunk runs typed from its first iteration and
+    /// the merge has writes to replay and nothing else.
     #[test]
-    fn a_typed_chunk_walks_until_its_arrays_are_live() {
+    fn untouched_arrays_are_live_and_every_chunk_is_typed_from_its_first_iteration() {
         let src = "program t
              integer i
              real x(100), y(100)
@@ -1638,7 +1559,7 @@ mod tests {
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
         let got = res.unwrap();
         assert_eq!(got.engines.typed, 4);
-        assert_eq!(master.typed_root_iters, 96, "one walked iteration a chunk");
+        assert_eq!(master.typed_root_iters, 100);
         let seq = Interp::new(&p).run().unwrap();
         assert_eq!(master.store, seq.store);
     }
@@ -1681,33 +1602,6 @@ mod tests {
         assert_eq!(res.unwrap().engines.typed, 4);
     }
 
-    /// ... and when the chunks materialize it with different extents
-    /// (each reads its own privatized `n`), the typed hand-over changes
-    /// nothing about the verdict: the merge refuses.
-    #[test]
-    fn typed_chunks_disagreeing_on_a_shape_are_a_hard_error() {
-        let src = "program t
-             integer i, n
-             real x(n)
-             do i = 1, 8
-               n = i + 8
-               x(i) = i
-             enddo
-             end";
-        let p = parse_program(src).unwrap();
-        let n = p.symbols.lookup("n").unwrap();
-        let plan = ParallelPlan {
-            privatized: vec![n],
-            ..ParallelPlan::with_threads(2)
-        };
-        let (master, res) = dispatch_first_do(&p, &plan, 8);
-        assert!(
-            matches!(res, Err(ParallelError::ShapeMismatch { ref var, .. }) if var == "x"),
-            "got {res:?}"
-        );
-        assert_eq!(master.typed_root_iters, 6);
-    }
-
     /// A runtime error raised inside a typed chunk is the program's
     /// own error — the one the sequential run raises — and the
     /// dispatch leaves the master exactly as it found it.
@@ -1748,14 +1642,11 @@ mod tests {
             let a = p.symbols.lookup("a").unwrap();
             let mut seq = Interp::new(&p);
             seq.fuel = fuel;
-            assert_eq!(seq.exec_proc(p.main()), Err(expected.clone()));
+            assert_eq!(seq.run().unwrap_err(), expected);
 
-            let mut interp = Interp::new(&p);
+            let mut interp = live(&p);
             interp.fuel = fuel;
             interp.exec_stmt(first_do(&p)).unwrap();
-            // `a` is live at dispatch, so the chunks are typed from
-            // their first iteration.
-            interp.ensure_materialized(a).unwrap();
             let state = |it: &Interp<'_>| {
                 (
                     it.store.clone(),
@@ -2024,7 +1915,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let seq = Interp::new(&p).run().unwrap();
         for granted in [0, 1] {
-            let mut interp = Interp::new(&p);
+            let mut interp = live(&p);
             interp.pool = Some(WorkerPool::with_spawn_limit(granted));
             let plan = ParallelPlan::with_threads(16);
             let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 64, 1).unwrap();
@@ -2072,7 +1963,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let seq = Interp::new(&p).run().unwrap();
         for worker in [0, 1] {
-            let mut interp = Interp::new(&p);
+            let mut interp = live(&p);
             let before = interp.store.clone();
             let plan = ParallelPlan {
                 fault: Some(FaultKind::PanicWorker { worker }),
@@ -2087,7 +1978,7 @@ mod tests {
             assert_eq!(interp.store, before);
             assert_eq!(interp.stats.total_cost, 0);
             // The two healthy chunks were awaited, not abandoned.
-            assert_eq!(interp.typed_root_iters, 58);
+            assert_eq!(interp.typed_root_iters, 60);
             assert_eq!(interp.worker_threads_spawned(), 2);
             let plan = ParallelPlan::with_threads(3);
             exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 90, 1).unwrap();
@@ -2114,7 +2005,7 @@ mod tests {
         let body = &p.procedure(p.main()).body;
         let (lp, out_of_bounds, panics) = (body[0], body[1], body[2]);
         let dispatched = || {
-            let mut interp = Interp::new(&p);
+            let mut interp = live(&p);
             exec_do_parallel(&mut interp, lp, &ParallelPlan::with_threads(3), 1, 64, 1).unwrap();
             let alive = interp.pool.as_ref().expect("three chunks").liveness();
             assert_eq!(alive.strong_count(), 3, "the pool and its two threads");
@@ -2139,29 +2030,6 @@ mod tests {
         }));
         assert!(unwound.is_err(), "`min` with one argument panics");
         assert_eq!(alive.strong_count(), 0, "after the master unwound");
-    }
-
-    #[test]
-    fn chunk_shape_disagreement_is_a_hard_error() {
-        // The extent of `x` reads the scalar `n`, which the loop body
-        // mutates before first touch — so different chunks materialize
-        // `x` with different extents. The merge must refuse instead of
-        // truncating at the shorter length.
-        let src = "program t
-             integer i, n
-             real x(n)
-             do i = 1, 4
-               n = i + 4
-               x(i) = i
-             enddo
-             end";
-        let p = parse_program(src).unwrap();
-        let plan = ParallelPlan::with_threads(2);
-        let err = run_loop_parallel(&p, first_do(&p), &plan).unwrap_err();
-        assert!(
-            matches!(err, ParallelError::ShapeMismatch { ref var, .. } if var == "x"),
-            "got {err:?}"
-        );
     }
 
     #[test]
@@ -2192,7 +2060,7 @@ mod tests {
             ..ParallelPlan::default()
         };
         let seq = Interp::new(&p).run().unwrap();
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         exec_do_parallel(&mut interp, outer, &plan, 1, 8, 1).unwrap();
         // Every chunk's inner-loop invocations are absorbed, the loop's
         // cost is charged to the master, and printed output arrives in
@@ -2217,12 +2085,10 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
-        // The master materialized the target to take its raw slice, so
-        // every chunk is typed from its first iteration — through the
-        // window sink.
+        // Every chunk is typed, through the window sink.
         assert_eq!((got.engines.typed, interp.typed_root_iters), (4, 100));
         let seq = Interp::new(&p).run().unwrap();
         let x = p.symbols.lookup("x").unwrap();
@@ -2246,7 +2112,7 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         let seq = Interp::new(&p).run().unwrap();
@@ -2272,7 +2138,7 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::default()
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         assert_eq!(interp.store.scalar(s).as_real(), 5050.0);
@@ -2307,7 +2173,7 @@ mod tests {
         };
         let (bare, reducing) = (plan(vec![]), plan(vec![(s, ReduceOp::Sum)]));
         for order in [[&bare, &reducing, &reducing], [&reducing, &bare, &bare]] {
-            let mut interp = Interp::new(&p);
+            let mut interp = live(&p);
             for plan in order {
                 let got = exec_do_parallel(&mut interp, first_do(&p), plan, 1, 100, 1).unwrap();
                 let want = if plan.reductions.is_empty() {
@@ -2346,7 +2212,7 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         interp.exec_stmt(first_do(&p)).unwrap();
         let got = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 100, 1).unwrap();
         let seq = Interp::new(&p).run().unwrap();
@@ -2393,7 +2259,7 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
         assert!(matches!(err, ParallelError::Exec(_)), "got {err:?}");
     }
@@ -2415,7 +2281,7 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
         assert!(matches!(err, ParallelError::Exec(_)), "got {err:?}");
     }
@@ -2439,12 +2305,11 @@ mod tests {
             strategy: ExecutionStrategy::PrivatizeAndConcat,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::PrivatizeAndConcat);
-        // Walked up to each chunk's first append (which materializes
-        // `ind` in the worker), typed — through the append sink — after.
-        assert_eq!(got.engines.typed, 4);
+        // Typed, through the append sink.
+        assert_eq!((got.engines.typed, interp.typed_root_iters), (4, 100));
         let seq = Interp::new(&p).run().unwrap();
         let q = p.symbols.lookup("q").unwrap();
         let ind = p.symbols.lookup("ind").unwrap();
@@ -2472,14 +2337,11 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let ind = p.symbols.lookup("ind").unwrap();
         let plan = ParallelPlan {
             strategy: ExecutionStrategy::PrivatizeAndConcat,
             ..ParallelPlan::with_threads(2)
         };
-        let mut interp = Interp::new(&p);
-        // Live before the dispatch: the chunks start typed.
-        interp.ensure_materialized(ind).unwrap();
+        let mut interp = live(&p);
         let before = interp.store.clone();
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
         assert!(
@@ -2511,14 +2373,9 @@ mod tests {
              end"
         );
         let p = parse_program(&src).unwrap();
-        let (x, y) = (
-            p.symbols.lookup("x").unwrap(),
-            p.symbols.lookup("y").unwrap(),
-        );
+        let x = p.symbols.lookup("x").unwrap();
         let s = first_do(&p);
-        let mut worker = Interp::new(&p);
-        worker.ensure_materialized(x).unwrap();
-        worker.ensure_materialized(y).unwrap();
+        let mut worker = live(&p);
         let slice = worker.store.payload_raw(x);
         let window = InPlaceWindow {
             var: x,
@@ -2650,7 +2507,7 @@ mod tests {
             it.preset_array(var("ptr"), ints(ptr));
             it.preset_array(var("len"), ints(len));
             it.preset_array(var("c"), reals(c));
-            it.preset_array(var("x"), reals(&[0.0; 4]));
+            it.allocate_arrays();
             it
         };
         let mut seq = fresh();
@@ -2824,6 +2681,7 @@ mod tests {
             it.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
             it.preset_array(var("q"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
             it.preset_array(var("x"), reals(&[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5]));
+            it.allocate_arrays();
             it
         };
         let mut seq = fresh();
@@ -2910,7 +2768,7 @@ mod tests {
                 let mut it = Interp::new(&p);
                 it.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
                 it.preset_array(var("y"), reals(&[0.5; 8]));
-                it.preset_array(var("b"), reals(&[0.0; 8]));
+                it.allocate_arrays();
                 it
             };
             let mut seq = fresh();
@@ -2948,7 +2806,7 @@ mod tests {
             strategy: ExecutionStrategy::PrivatizeAndConcat,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
         assert!(
             matches!(err, ParallelError::WriteConflict { .. }),
@@ -2970,7 +2828,7 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(4)
         };
-        let mut interp = Interp::new(&p);
+        let mut interp = live(&p);
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 5, 1, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         let i = p.symbols.lookup("i").unwrap();
@@ -2993,9 +2851,11 @@ mod tests {
                  end"
             );
             let p = parse_program(&src).unwrap();
-            let mut interp = Interp::new(&p);
+            let mut interp = live(&p);
             interp.store.start_write_log();
-            Interp::exec_proc(&mut interp, p.main()).unwrap();
+            interp
+                .exec_proc_with(p.main(), &mut SequentialDispatch)
+                .unwrap();
             let log = interp.store.take_write_log().unwrap();
             // 16 element writes on y; `i` scalar writes from the loop.
             assert_eq!(log.element_writes(), 16, "store size n={n}");

@@ -68,7 +68,7 @@ enum IndexView<'a> {
 
 impl<'a> IndexView<'a> {
     /// Elements `lo..=hi` (1-based, `lo <= hi`) of `arr`; `None` when
-    /// the array is not materialized or the section leaves it.
+    /// no run allocated the array yet or the section leaves it.
     fn section(store: &'a Store, arr: VarId, lo: i64, hi: i64) -> Option<IndexView<'a>> {
         let data = store.array_ref(arr)?;
         if lo < 1 || hi as usize > data.len() {
@@ -104,10 +104,10 @@ impl<'a> IndexView<'a> {
 /// run-time counterpart of the injectivity property (§3).
 ///
 /// An empty section (`hi < lo`) is vacuously injective — `ParallelOk`
-/// regardless of the array's state, checked *before* materialization and
-/// bounds (a zero-trip loop reads nothing, so nothing can conflict).
-/// Otherwise returns `Sequential` when the section is out of bounds or
-/// the array has not been materialized.
+/// regardless of the array's state, checked *before* bounds (a
+/// zero-trip loop reads nothing, so nothing can conflict). Otherwise
+/// returns `Sequential` when the section is out of bounds or the array
+/// is not allocated.
 pub fn inspect_injective(store: &Store, idx: VarId, lo: i64, hi: i64) -> Inspection {
     if hi < lo || certify_injective(store, idx, lo, hi).is_some() {
         Inspection::ParallelOk
@@ -119,8 +119,7 @@ pub fn inspect_injective(store: &Store, idx: VarId, lo: i64, hi: i64) -> Inspect
 /// The injectivity inspector: scans the non-empty section
 /// `idx(lo..=hi)` and, when its values are pairwise distinct, returns
 /// the [`InjectiveCertificate`] that says so (`None` for a duplicate,
-/// an empty or out-of-bounds section, or an array not yet
-/// materialized).
+/// an empty or out-of-bounds section, or an array not allocated).
 ///
 /// One pass on the calling thread (splitting the scan over threads lost
 /// to this at every section length the benchmark reaches — table in
@@ -179,7 +178,7 @@ pub fn certify_injective(
 /// property (the check the offset–length test performs statically).
 ///
 /// An empty section (`hi < lo`) has no segments and is vacuously valid —
-/// `ParallelOk` before any materialization or bounds check.
+/// `ParallelOk` before any bounds check.
 pub fn inspect_offset_length(
     store: &Store,
     ptr: VarId,
@@ -257,7 +256,7 @@ mod tests {
         assert_eq!(certify_injective(&store, idx, 1, 6), None);
         assert_eq!(certify_injective(&store, idx, 4, 3), None, "empty");
         assert_eq!(certify_injective(&store, idx, 1, 7), None, "past the end");
-        assert_eq!(certify_injective(&store, other, 1, 6), None, "not live");
+        assert_eq!(certify_injective(&store, other, 1, 6), None, "all zeros");
         let c = certify_injective(&store, idx, 1, 5).expect("distinct");
         assert!(c.covers(&store, idx, 1, 5) && c.covers(&store, idx, 2, 4));
         assert!(!c.covers(&store, idx, 1, 6) && !c.covers(&store, idx, 0, 5));

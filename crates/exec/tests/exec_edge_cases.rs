@@ -66,34 +66,33 @@ fn logical_value_in_numeric_position() {
     assert_eq!(out.output, vec!["1 0 1"]);
 }
 
+/// Extents are literals fixed at parse time (a symbolic or non-positive
+/// one is a parse error, `parser_robustness.rs`), and every declared
+/// array exists from the first statement with them: one the program
+/// never touches, behind a branch never taken, included.
 #[test]
-fn symbolic_array_extents() {
-    // Extents referencing scalars are evaluated at first touch.
-    let out = run("program t
-         integer n, i
-         real x(n)
-         n = 5
-         do i = 1, 5
-           x(i) = i
-         enddo
-         print x(5)
-         end");
-    assert_eq!(out.output, vec!["5"]);
-}
-
-#[test]
-fn bad_extent_is_reported() {
+fn every_declared_array_is_live_with_its_declared_extents() {
     let p = parse_program(
         "program t
-         integer n
-         real x(n)
-         x(1) = 1
+         integer i, k(3)
+         real x(5), w(3, 2)
+         do i = 1, 5
+           x(i) = i
+           if (i > 9) then
+             w(1, 1) = k(1)
+           endif
+         enddo
+         print x(5)
          end",
     )
     .unwrap();
-    // n is 0 at the first touch.
-    let err = Interp::new(&p).run().unwrap_err();
-    assert!(matches!(err, irr_exec::ExecError::BadExtent { .. }));
+    let out = Interp::new(&p).run().unwrap();
+    assert_eq!(out.output, vec!["5"]);
+    let array = |name: &str| out.store.array_ref(p.symbols.lookup(name).unwrap());
+    let zeroed = |ty, dims| Some(irr_exec::ArrayData::zeroed(ty, dims));
+    use irr_frontend::ScalarType::{Int, Real};
+    assert_eq!(array("w").cloned(), zeroed(Real, vec![3, 2]));
+    assert_eq!(array("k").cloned(), zeroed(Int, vec![3]));
 }
 
 /// The machine model is sane: speedup at P=1 is exactly 1, parallel

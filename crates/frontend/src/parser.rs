@@ -14,7 +14,9 @@ use crate::symbols::{ProcId, ScalarType, SymbolTable};
 ///
 /// Returns a [`ParseError`] describing the first syntax or semantic
 /// problem encountered (undeclared arrays, unknown call targets,
-/// duplicate units, missing `program` unit, ...).
+/// duplicate units, missing `program` unit, ...); an array extent that
+/// is not a positive integer literal, or an array too large to
+/// allocate, only when there is no other.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(src)?;
     let parser = Parser {
@@ -25,6 +27,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         stmts: Vec::new(),
         procedures: Vec::new(),
         pending_calls: Vec::new(),
+        bad_extent: None,
     };
     parser.parse()
 }
@@ -49,6 +52,9 @@ struct Parser<'t> {
     /// `(stmt, callee-name, loc)` — resolved after all units are parsed so
     /// that forward calls work.
     pending_calls: Vec<(StmtId, &'t str, SourceLoc)>,
+    /// The first declaration whose extents are not an array's
+    /// (`Parser::extents`), reported after every other error.
+    bad_extent: Option<ParseError>,
 }
 
 impl<'t> Parser<'t> {
@@ -168,6 +174,9 @@ impl<'t> Parser<'t> {
             self.stmts[stmt.index()].kind = StmtKind::Call {
                 proc: ProcId(target as u32),
             };
+        }
+        if let Some(e) = self.bad_extent {
+            return Err(e);
         }
         Ok(Program {
             symbols: self.symbols,
@@ -315,16 +324,17 @@ impl<'t> Parser<'t> {
         loop {
             let loc = self.loc();
             let name = self.expect_ident("variable name")?;
-            let mut dims = Vec::new();
+            let mut extents = Vec::new();
             if matches!(self.peek(), Token::LParen) {
                 self.bump();
-                dims.push(self.parse_expr()?);
+                extents.push(self.parse_expr()?);
                 while matches!(self.peek(), Token::Comma) {
                     self.bump();
-                    dims.push(self.parse_expr()?);
+                    extents.push(self.parse_expr()?);
                 }
                 self.expect(&Token::RParen, "`)`")?;
             }
+            let dims = self.extents(name, &extents, loc);
             self.symbols
                 .declare(name, ty, dims)
                 .map_err(|m| ParseError::new(m, loc))?;
@@ -335,6 +345,31 @@ impl<'t> Parser<'t> {
             }
         }
         self.expect_newline()
+    }
+
+    /// The extents of `name`'s declaration, fixed here so every array has
+    /// its size before the program starts: each a positive integer
+    /// literal, and the array's bytes (8 an element, `i64` or `f64`) one
+    /// allocation. A declaration that breaks the rule is recorded in
+    /// `bad_extent`, reported once the program parsed (a syntax error
+    /// anywhere comes first), and declares its array with extent 1.
+    fn extents(&mut self, name: &str, exprs: &[Expr], loc: SourceLoc) -> Vec<usize> {
+        let literal = |e: &Expr| match e {
+            Expr::IntLit(v) if *v > 0 => usize::try_from(*v).ok(),
+            _ => None,
+        };
+        let msg = match exprs.iter().map(literal).collect::<Option<Vec<usize>>>() {
+            None => format!("array `{name}`: an extent must be a positive integer literal"),
+            Some(dims) => {
+                let bytes = dims.iter().try_fold(8usize, |b, &d| b.checked_mul(d));
+                if bytes.is_some_and(|b| b <= isize::MAX as usize) {
+                    return dims;
+                }
+                format!("array `{name}` is too large to allocate")
+            }
+        };
+        self.bad_extent.get_or_insert(ParseError::new(msg, loc));
+        vec![1; exprs.len()]
     }
 
     fn parse_do(&mut self, loc: SourceLoc) -> Result<StmtId, ParseError> {

@@ -41,7 +41,7 @@ fn print_decls(symbols: &SymbolTable, out: &mut String) {
                 let _ = writeln!(out, "  {kw} {}", v.name);
             }
         } else {
-            let dims: Vec<String> = v.dims.iter().map(print_expr).collect();
+            let dims: Vec<String> = v.dims.iter().map(usize::to_string).collect();
             let _ = writeln!(out, "  {kw} {}({})", v.name, dims.join(", "));
         }
     }
@@ -141,23 +141,10 @@ fn print_expr_in(p: &Program) -> impl Fn(&Expr) -> String + '_ {
 
 /// Renders an expression with variable names.
 pub fn print_expr_full(p: &Program, e: &Expr) -> String {
-    render(e, Some(&p.symbols))
+    render(e, &p.symbols)
 }
 
-/// Renders an expression with `vN` placeholders for variables (used by
-/// declaration printing where the program is unavailable).
-fn print_expr(e: &Expr) -> String {
-    render(e, None)
-}
-
-fn var_name(symbols: Option<&SymbolTable>, v: crate::symbols::VarId) -> String {
-    match symbols {
-        Some(t) => t.name(v).to_string(),
-        None => format!("{v}"),
-    }
-}
-
-fn render(e: &Expr, symbols: Option<&SymbolTable>) -> String {
+fn render(e: &Expr, symbols: &SymbolTable) -> String {
     match e {
         Expr::IntLit(v) => {
             if *v < 0 {
@@ -174,10 +161,10 @@ fn render(e: &Expr, symbols: Option<&SymbolTable>) -> String {
                 s
             }
         }
-        Expr::Var(v) => var_name(symbols, *v),
+        Expr::Var(v) => symbols.name(*v).to_string(),
         Expr::Element(v, subs) => {
             let subs: Vec<String> = subs.iter().map(|s| render(s, symbols)).collect();
-            format!("{}({})", var_name(symbols, *v), subs.join(", "))
+            format!("{}({})", symbols.name(*v), subs.join(", "))
         }
         Expr::Bin(op, a, b) => {
             let op_str = match op {

@@ -4,7 +4,6 @@
 //! ("we assume no parameter passing, values are passed by global
 //! variables only", §3.2.1).
 
-use crate::ast::Expr;
 use std::fmt;
 
 /// Identifier of a variable in the global [`SymbolTable`].
@@ -85,8 +84,10 @@ pub struct VarInfo {
     /// Element type.
     pub ty: ScalarType,
     /// Dimension extents; empty for scalars. Each dimension ranges
-    /// `1..=extent` (Fortran convention).
-    pub dims: Vec<Expr>,
+    /// `1..=extent` (Fortran convention). Fixed at parse time: every
+    /// extent is a positive integer literal, and the array's bytes fit
+    /// an allocation.
+    pub dims: Vec<usize>,
 }
 
 impl VarInfo {
@@ -128,7 +129,7 @@ impl SymbolTable {
         &mut self,
         name: &str,
         ty: ScalarType,
-        dims: Vec<Expr>,
+        dims: Vec<usize>,
     ) -> Result<VarId, String> {
         if let Some(id) = self.lookup(name) {
             let existing = &self.vars[id.index()];
@@ -147,7 +148,7 @@ impl SymbolTable {
             .unwrap_or_else(|| self.push(name, ScalarType::implicit_for(name), Vec::new()))
     }
 
-    fn push(&mut self, name: &str, ty: ScalarType, dims: Vec<Expr>) -> VarId {
+    fn push(&mut self, name: &str, ty: ScalarType, dims: Vec<usize>) -> VarId {
         let id = VarId(self.vars.len() as u32);
         self.vars.push(VarInfo {
             name: name.to_ascii_lowercase(),

@@ -136,6 +136,42 @@ fn giant_literals_are_typed_errors() {
     rejects("program t\ninteger i\nreal x(10)\ndo 4294967296 i = 1, 10\nx(i) = 1\nenddo\nend\n");
 }
 
+/// An extent is a positive integer literal, and the array it declares
+/// fits one allocation. `a(4294967296, 4294967296)` has 2^64 elements:
+/// their count wraps `usize` to 0, and a run that allocated that many
+/// indexed past an empty buffer.
+#[test]
+fn extents_are_positive_literals_of_an_allocatable_array() {
+    let decl = |d: &str| format!("program t\nreal a({d})\na(2, 1) = 1.0\nprint a(2, 1)\nend\n");
+    let error = |src: &str| parse_program(src).unwrap_err().to_string();
+    for (bad, why) in [
+        ("4294967296, 4294967296", "too large to allocate"),
+        ("1152921504606846976, 1", "too large to allocate"),
+        ("0, 4", "positive integer literal"),
+        ("-3, 4", "positive integer literal"),
+        ("n, 4", "positive integer literal"),
+        ("2 + 2, 4", "positive integer literal"),
+        ("4.0, 4", "positive integer literal"),
+    ] {
+        let msg = error(&decl(bad));
+        assert!(
+            msg.contains("array `a`") && msg.contains(why),
+            "{bad}: {msg}"
+        );
+    }
+    // A bad extent is reported only when the program has no other error.
+    let msg = error("program t\nreal a(n)\nx = 1 +\nend\n");
+    assert!(msg.contains("expected expression"), "{msg}");
+    let largest = (isize::MAX as usize / 8).to_string();
+    let p = parse_program(&decl(&format!("{largest}, 1"))).unwrap();
+    assert_eq!(
+        p.symbols.var(p.symbols.lookup("a").unwrap()).dims,
+        [isize::MAX as usize / 8, 1]
+    );
+    let p = parse_program(&decl("2, 1")).unwrap();
+    assert_eq!(p.symbols.var(p.symbols.lookup("a").unwrap()).dims, [2, 1]);
+}
+
 #[test]
 fn nesting_just_below_the_limit_parses() {
     let depth = 150; // below MAX_NESTING_DEPTH = 200

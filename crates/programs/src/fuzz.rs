@@ -80,70 +80,89 @@ pub struct StrategyProgram {
     pub iterations: u32,
 }
 
-/// Loop bodies that have one of the three in-place write shapes, on
-/// one or two targets.
-const SHAPES: [(&str, &str); 9] = [
-    ("affine-rmw", "y(i) = y(i) * 0.5 + x(i)\n"),
-    ("affine-offset-rmw", "y(i + 1) = y(i + 1) + x(i)\n"),
+/// Loop bodies, each marked with whether it has one of the three
+/// in-place write shapes (on one or two targets) or is one of their
+/// near-misses: a dependent loop, or a parallel one whose writes have no
+/// shape (or a shape missing what it needs at run time). The one shape
+/// among the near-misses writes `w`, which nothing reads, only under a
+/// branch: in place all the same, every array being live from the
+/// program's first statement.
+const STRATEGY_BODIES: [(&str, bool, &str); 22] = [
+    ("affine-rmw", true, "y(i) = y(i) * 0.5 + x(i)\n"),
+    ("affine-offset-rmw", true, "y(i + 1) = y(i + 1) + x(i)\n"),
     (
         "affine-inner-do",
+        true,
         "z(i) = 0.0\ndo j = 1, 3\nz(i) = z(i) + x(i) * j\nenddo\n",
     ),
     (
         "affine-inner-while",
+        true,
         "z(i) = x(i)\nk = 0\nwhile (k < 2)\nz(i) = z(i) * 0.5\nk = k + 1\nendwhile\n",
     ),
     (
         "segment-rmw",
+        true,
         "do j = 1, len(i)\nc(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + x(i)\nenddo\n",
     ),
     (
         "segment-and-affine",
+        true,
         "do j = 1, len(i)\nc(ptr(i) + j - 1) = c(ptr(i) + j - 1) + 1.0\nenddo\ny(i) = y(i) + 1.0\n",
     ),
     (
         "affine-under-a-branch-on-a-segment",
+        true,
         "do j = 1, len(i)\nc(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5\n\
          if (c(ptr(i) + j - 1) > 2.0) then\nz(i) = x(i)\nendif\nenddo\n",
     ),
-    ("scatter", "z(p(i)) = x(i) * 2.0\n"),
-    ("scatter-and-affine", "z(p(i)) = x(i)\ny(i) = y(i) + x(i)\n"),
-];
-
-/// Their near-misses: dependent loops, and parallel ones whose writes
-/// have no shape (or a shape missing what it needs at run time).
-const NEAR_MISSES: [(&str, &str); 13] = [
-    ("flow-dependence", "y(i + 1) = y(i) + x(i)\n"),
+    ("scatter", true, "z(p(i)) = x(i) * 2.0\n"),
+    (
+        "scatter-and-affine",
+        true,
+        "z(p(i)) = x(i)\ny(i) = y(i) + x(i)\n",
+    ),
+    ("flow-dependence", false, "y(i + 1) = y(i) + x(i)\n"),
     (
         "read-at-second-offset",
+        false,
         "z(i) = y(i) + y(i + 1)\ny(i) = x(i)\n",
     ),
     (
         "two-index-arrays",
+        false,
         "z(p(i)) = x(i)\nz(p2(i)) = x(i) + 1.0\n",
     ),
-    ("non-injective-index", "z(q(i)) = x(i)\n"),
+    ("non-injective-index", false, "z(q(i)) = x(i)\n"),
     (
         "overlapping-ptr",
+        false,
         "do j = 1, len(i)\nc(bad(i) + j - 1) = c(bad(i) + j - 1) * 0.5 + 1.0\nenddo\n",
     ),
-    ("read-through-index", "y(i) = y(p(i)) + 1.0\n"),
+    ("read-through-index", false, "y(i) = y(p(i)) + 1.0\n"),
     (
         "ptr-written-in-nest",
+        false,
         "ptr(i + 1) = ptr(i) + len(i)\ndo j = 1, len(i)\nc(ptr(i) + j - 1) = x(i)\nenddo\n",
     ),
-    ("scatter-rmw", "z(p(i)) = z(p(i)) + x(i)\n"),
+    ("scatter-rmw", false, "z(p(i)) = z(p(i)) + x(i)\n"),
     (
         "scatter-under-a-branch-on-a-read-target",
+        false,
         "y(i) = y(i) + x(i)\nif (y(i) > 4.0) then\nz(p(i)) = x(i)\nendif\n",
     ),
-    ("strided-affine", "y(2 * i - 1) = x(i)\n"),
+    ("strided-affine", false, "y(2 * i - 1) = x(i)\n"),
     (
         "conditional-write-to-dead-array",
+        true,
         "if (x(i) > 0.5) then\nw(i) = x(i)\nendif\n",
     ),
-    ("scatter-offset-uncertified", "z(p(i + 1)) = x(i)\n"),
-    ("second-shape-on-one-target", "z(p(i)) = x(i)\nz(i) = 1.0\n"),
+    ("scatter-offset-uncertified", false, "z(p(i + 1)) = x(i)\n"),
+    (
+        "second-shape-on-one-target",
+        false,
+        "z(p(i)) = x(i)\nz(i) = 1.0\n",
+    ),
 ];
 
 /// The programs of the in-place strategy's soundness gate
@@ -157,19 +176,15 @@ const NEAR_MISSES: [(&str, &str); 13] = [
 pub fn strategy_programs() -> impl Iterator<Item = StrategyProgram> {
     // Opaque to constant folding, so the trip count is a run-time fact.
     const TRIPS: [(&str, u32); 3] = [("mod(n, 2)", 0), ("mod(n, 2) + 1", 1), ("n / 2", 32)];
-    let shapes = SHAPES.iter().map(|t| (t, true));
-    let near_misses = NEAR_MISSES.iter().map(|t| (t, false));
-    shapes
-        .chain(near_misses)
-        .flat_map(|(&(what, body), in_place)| {
-            TRIPS
-                .iter()
-                .map(move |&(trip, iterations)| StrategyProgram {
-                    case: Case::new(what, strategy_source(body, trip)),
-                    in_place,
-                    iterations,
-                })
-        })
+    STRATEGY_BODIES.iter().flat_map(|&(what, in_place, body)| {
+        TRIPS
+            .iter()
+            .map(move |&(trip, iterations)| StrategyProgram {
+                case: Case::new(what, strategy_source(body, trip)),
+                in_place,
+                iterations,
+            })
+    })
 }
 
 fn strategy_source(body: &str, trip: &str) -> String {
@@ -226,7 +241,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}\n{}", case.name, case.source));
             programs += 1;
         }
-        assert_eq!(programs, (SHAPES.len() + NEAR_MISSES.len()) * 3);
+        assert_eq!(programs, STRATEGY_BODIES.len() * 3);
     }
 
     #[test]

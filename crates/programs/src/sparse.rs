@@ -12,10 +12,10 @@
 //! loops — at 10M nonzeros that would dominate every run. They are
 //! carried as presets: `(array name, data)` pairs the caller injects
 //! with `Interp::preset_array` (or `run_hybrid_seeded`) after
-//! compiling the source. Presets are pinned — the interpreter skips
-//! re-materialization and the audit's randomized fill never touches
-//! them — so the compile-time verdicts and the runtime inspections see
-//! the same arrays.
+//! compiling the source. A preset is its array's storage for the whole
+//! run — the interpreter allocates only the arrays without one and the
+//! audit's randomized fill never touches it — so the compile-time
+//! verdicts and the runtime inspections see the same arrays.
 
 use crate::Case;
 use irr_exec::{ArrayData, SplitMix64};

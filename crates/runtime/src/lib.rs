@@ -550,8 +550,8 @@ pub fn run_hybrid(
 /// [`run_hybrid`] with preset arrays installed before execution — the
 /// entry point for generated sparse workloads, whose index and value
 /// arrays are injected rather than initialized by interpreted loops.
-/// Presets are pinned: the interpreter never re-materializes an
-/// already-materialized array.
+/// A preset is its array's storage for the whole run: the run allocates
+/// only the arrays no preset installed.
 ///
 /// # Errors
 ///

@@ -80,8 +80,6 @@ pub struct Telemetry {
     pub fallback_conflict: u64,
     /// Parallel dispatches abandoned because a worker panicked.
     pub fallback_panic: u64,
-    /// Parallel dispatches abandoned for an array shape disagreement.
-    pub fallback_shape: u64,
     /// Parallel dispatches abandoned because the executor cannot run
     /// the loop's shape (non-unit step, not a `do` loop).
     pub fallback_unsupported: u64,
@@ -90,7 +88,7 @@ pub struct Telemetry {
     pub fallback_timeout: u64,
     /// Parallel dispatches abandoned because an execution strategy's
     /// dynamic self-check failed (in-place write outside its proven
-    /// window, broken append discipline).
+    /// window, broken append discipline, appends past the target).
     pub fallback_strategy: u64,
     /// Sequential-tier loop entries executed on the compiled (bytecode)
     /// tier instead of the tree-walk. Always also counted under
@@ -102,14 +100,13 @@ pub struct Telemetry {
     /// promise — the master re-lowers before dispatching and workers
     /// silently tree-walk when that fails.
     pub compiled_worker_dispatches: u64,
-    /// Worker chunks of committed parallel dispatches that finished on
-    /// the typed loop — what a `compiled_worker_dispatches`
-    /// request is for.
+    /// Worker chunks of committed parallel dispatches that ran on the
+    /// typed loop — what a `compiled_worker_dispatches` request is for.
     pub worker_chunks_typed: u64,
-    /// Worker chunks of committed dispatches that ran the tree-walk
-    /// throughout (no compiled request, a nest that does not lower, a
-    /// claimed scalar assigned in the body, or an array that never
-    /// materialized).
+    /// Worker chunks of committed dispatches that ran the tree-walk (no
+    /// compiled request, a nest that does not lower, a claimed scalar
+    /// assigned in the body, or a preset of another element type than
+    /// declared).
     pub worker_chunks_tree_walk: u64,
     /// Worker threads the run created for all its parallel dispatches
     /// together: at most its largest chunk count minus one (the master
@@ -162,7 +159,6 @@ impl Telemetry {
     pub fn fallbacks(&self) -> u64 {
         self.fallback_conflict
             + self.fallback_panic
-            + self.fallback_shape
             + self.fallback_unsupported
             + self.fallback_timeout
             + self.fallback_strategy
@@ -173,7 +169,6 @@ impl Telemetry {
         match reason {
             FallbackReason::Conflict => self.fallback_conflict += 1,
             FallbackReason::Panic => self.fallback_panic += 1,
-            FallbackReason::Shape => self.fallback_shape += 1,
             FallbackReason::Unsupported => self.fallback_unsupported += 1,
             FallbackReason::Timeout => self.fallback_timeout += 1,
             FallbackReason::Strategy => self.fallback_strategy += 1,
@@ -203,7 +198,6 @@ impl Telemetry {
         match reason {
             FallbackReason::Conflict => self.fallback_conflict,
             FallbackReason::Panic => self.fallback_panic,
-            FallbackReason::Shape => self.fallback_shape,
             FallbackReason::Unsupported => self.fallback_unsupported,
             FallbackReason::Timeout => self.fallback_timeout,
             FallbackReason::Strategy => self.fallback_strategy,

@@ -4,8 +4,9 @@
 //!
 //! One audit performs `1 + inputs` interpreter runs of the compiled
 //! program: run 0 on pristine (zero-initialized) data, runs `1..=inputs`
-//! with every lazily materialized array filled from a per-run SplitMix64
-//! stream (see `Interp::set_random_fill`), perturbing data-dependent
+//! with every array the run allocates filled from SplitMix64 streams
+//! seeded per run and per array (see `Interp::set_random_fill`),
+//! perturbing data-dependent
 //! access streams without changing extents or scalar state. Every `do`
 //! loop with a verdict is traced; the [`DependenceTracer`] replays
 //! runtime guards at each dynamic entry.
@@ -152,9 +153,9 @@ pub fn audit_report(report: &CompilationReport, config: &AuditConfig) -> AuditRe
 }
 
 /// [`audit_report`] with preset arrays installed before every replay —
-/// the entry point for generated sparse workloads. Presets are pinned:
-/// they materialize before the run, so the randomized fill of runs
-/// `1..=inputs` never touches them and every replay sees the same
+/// the entry point for generated sparse workloads. A preset is its
+/// array's storage for the whole run, so the randomized fill of runs
+/// `1..=inputs` never touches it and every replay sees the same
 /// generated index arrays (the data the guards inspect), while arrays
 /// the program reads before writing still vary per run.
 pub fn audit_report_seeded(

@@ -197,8 +197,7 @@ pub fn chaos(case: &Case, config: &AuditConfig) -> Checked {
         if wrong.is_none()
             && (t.fallback_panic != count("panic-worker")
                 || t.fallback_timeout < count("stall-worker")
-                || !(forged..=forged + lied).contains(&t.fallback_conflict)
-                || t.fallback_shape != 0)
+                || !(forged..=forged + lied).contains(&t.fallback_conflict))
         {
             wrong = Some(format!("faults misattributed: {:?} vs {t:?}", plan.fired()));
         }

@@ -6,8 +6,7 @@
 //! the compiled tier's chunk entry, a single loop run in chunks — is
 //! held to the sequential tree-walk ([`sequential`]) by
 //! [`first_divergence`]: printed output token by token, every scalar
-//! and array the verdicts do not privatize (an array that materialized
-//! in one run and not in the other included), the total statement cost,
+//! and array the verdicts do not privatize, the total statement cost,
 //! and each loop's invocation count and cost. The checks of
 //! [`crate::checks`], the chaos, strategy-parity, sparse and hybrid
 //! suites and `sanitizer-audit` all call it; there is no second
@@ -147,7 +146,13 @@ pub fn first_divergence(
 /// single loop run in chunks) or exempt another set: the first variable
 /// of `program` outside `exempt` on which `got` differs from `want`.
 /// Integers compare as integers; an array compares by extents, element
-/// type and elements, and "materialized or not" is part of its value.
+/// type and elements.
+///
+/// # Panics
+///
+/// Panics when either store lacks an array: a run allocates every
+/// declared array before its first statement, so only the stores of
+/// runs are comparable.
 pub fn store_divergence(
     program: &Program,
     exempt: &HashSet<VarId>,
@@ -171,24 +176,20 @@ pub fn store_divergence(
             }
             continue;
         }
-        let diff = match (want.array_ref(var), got.array_ref(var)) {
-            (None, None) => None,
-            (Some(w), Some(h)) if w.dims() != h.dims() => {
-                Some(format!("array {name}: extents differ"))
-            }
-            (Some(ArrayData::Int { data: w, .. }), Some(ArrayData::Int { data: h, .. })) => {
+        let (Some(w), Some(h)) = (want.array_ref(var), got.array_ref(var)) else {
+            panic!("array {name} is not allocated: only the stores of runs compare");
+        };
+        let diff = match (w, h) {
+            _ if w.dims() != h.dims() => Some(format!("array {name}: extents differ")),
+            (ArrayData::Int { data: w, .. }, ArrayData::Int { data: h, .. }) => {
                 let k = w.iter().zip(h).position(|(w, h)| w != h);
                 k.map(|k| format!("array {name}({}) differs: {} vs {}", k + 1, h[k], w[k]))
             }
-            (Some(ArrayData::Real { data: w, .. }), Some(ArrayData::Real { data: h, .. })) => {
+            (ArrayData::Real { data: w, .. }, ArrayData::Real { data: h, .. }) => {
                 let k = w.iter().zip(h).position(|(w, h)| !reals.same(*w, *h));
                 k.map(|k| format!("array {name}({}) differs: {} vs {}", k + 1, h[k], w[k]))
             }
-            (Some(_), Some(_)) => Some(format!("array {name}: element type differs")),
-            (w, _) => Some(format!(
-                "array {name}: materialization differs (expected {})",
-                if w.is_some() { "live" } else { "untouched" }
-            )),
+            _ => Some(format!("array {name}: element type differs")),
         };
         if diff.is_some() {
             return diff;
@@ -233,7 +234,9 @@ mod tests {
         let private = rep.privatized_vars();
         assert!(private.contains(&var("t")) && private.contains(&var("tmp")));
         let base = sequential(&rep, &[]).unwrap();
-        assert!(base.store.array_ref(var("never")).is_none());
+        // An array the program never touches is live all the same.
+        let never = ArrayData::zeroed(ScalarType::Real, vec![4]);
+        assert_eq!(base.store.array_ref(var("never")), Some(&never));
         let s = base.store.scalar(var("s")).as_real();
         let real = |v: f64| Value::Real(v);
         // A copy of `base` with one thing changed.
@@ -272,11 +275,16 @@ mod tests {
             });
             reported(&far, reals, "scalar s");
             reported(&with(&|g| set_element(g, "x", 4)), reals, "array x(5)");
-            let live = with(&|g| {
-                let zeroed = ArrayData::zeroed(ScalarType::Real, vec![4]);
+            let longer = with(&|g| {
+                let zeroed = ArrayData::zeroed(ScalarType::Real, vec![5]);
                 g.store.preset_array(var("never"), zeroed);
             });
-            reported(&live, reals, "array never: materialization");
+            reported(&longer, reals, "array never: extents differ");
+            let retyped = with(&|g| {
+                let zeroed = ArrayData::zeroed(ScalarType::Int, vec![4]);
+                g.store.preset_array(var("never"), zeroed);
+            });
+            reported(&retyped, reals, "array never: element type differs");
             reported(&with(&|g| g.stats.total_cost += 1), reals, "total cost");
             let entries = with(&|g| g.stats.loops.get_mut(&do10).unwrap().invocations += 1);
             reported(&entries, reals, "loop T/do10: 2 invocation(s)");

@@ -332,8 +332,10 @@ fn cleared_compiled_plan_keeps_a_lowerable_loop_on_the_tree_walk() {
     assert_eq!(t.compiled_fallbacks(), 0, "{t:?}");
 }
 
-// ---- inspector edge cases (empty / unmaterialized / out-of-bounds) ----
+// ---- inspector edge cases (empty / unallocated / out-of-bounds) ----
 
+/// A store no run has started on: its arrays are not allocated yet (a
+/// run allocates every declared array before its first statement).
 fn empty_store() -> (irr_frontend::Program, irr_exec::Store) {
     let p = irr_frontend::parse_program(
         "program t
@@ -341,14 +343,14 @@ fn empty_store() -> (irr_frontend::Program, irr_exec::Store) {
          end",
     )
     .unwrap();
-    let out = Interp::new(&p).run().unwrap();
-    (p, out.store)
+    let store = irr_exec::Store::new(&p);
+    (p, store)
 }
 
 #[test]
 fn empty_sections_are_parallel_ok_in_all_inspectors() {
-    // hi < lo is vacuously fine even when the arrays were never
-    // materialized: a zero-trip loop reads nothing.
+    // hi < lo is vacuously fine even when the arrays are not
+    // allocated: a zero-trip loop reads nothing.
     let (p, store) = empty_store();
     let idx = p.symbols.lookup("idx").unwrap();
     let ptr = p.symbols.lookup("ptr").unwrap();
@@ -361,6 +363,8 @@ fn empty_sections_are_parallel_ok_in_all_inspectors() {
     );
 }
 
+/// In a store no run has allocated yet the arrays are absent, and a
+/// non-empty inspection of one is sequential rather than a panic.
 #[test]
 fn unmaterialized_arrays_fail_nonempty_inspections() {
     let (p, store) = empty_store();

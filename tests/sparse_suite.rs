@@ -150,6 +150,26 @@ fn dispatch_telemetry_matches_the_tier_map() {
     }
 }
 
+/// No worker chunk of any kernel, on any structure, walks the AST:
+/// every array is live from the first statement, so each chunk runs the
+/// typed loop from its first iteration — `rowgather`, which reads one
+/// of its arrays only under a branch, included.
+#[test]
+fn no_worker_chunk_walks() {
+    for structure in STRUCTURES {
+        for k in kernels(&SparseScale::test(structure, 5)) {
+            let rep = compile_kernel(&k);
+            let [out] = expect_parity(&k, &rep, [HybridConfig::default()]);
+            let t = &out.telemetry;
+            let what = format!("{} ({})", k.name, structure.tag());
+            assert_eq!(t.worker_chunks_tree_walk, 0, "{what}: {t:?}");
+            if t.parallel_dispatches() > 0 {
+                assert!(t.worker_chunks_typed > 0, "{what}: {t:?}");
+            }
+        }
+    }
+}
+
 /// The runtime inspectors survive 10M-nonzero index arrays: the
 /// offset–length scan over a 10M-element prefix-sum chain, the bitmap
 /// injectivity scan over a 10M permutation (dense range), and its
@@ -166,8 +186,7 @@ fn inspectors_survive_ten_million_nonzeros() {
     let m = generate(&MatrixSpec::square(ROWS, NNZ, Structure::Uniform, 99));
     assert_eq!(m.nnz(), NNZ);
 
-    // Declared extents are irrelevant: inspectors read the preset's
-    // materialized data.
+    // Declared extents are irrelevant: a preset is its array's storage.
     let p = parse_program(
         "program t
          integer ptr(1), len(1), perm(1), wide(1)

@@ -185,13 +185,11 @@ fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
         }
     }
     // The near-misses that are parallel loops reach the executor, whose
-    // own derivation (or certificate check, or liveness check) is what
-    // keeps them on the write-log; the rest are dependent and never
-    // dispatch.
+    // own derivation (or certificate check) is what keeps them on the
+    // write-log; the rest are dependent and never dispatch.
     assert_eq!(
         logged.into_iter().collect::<Vec<_>>(),
         [
-            "conditional-write-to-dead-array",
             "scatter-rmw",
             "scatter-under-a-branch-on-a-read-target",
             "strided-affine"
@@ -473,4 +471,85 @@ fn concat_kernel_agrees_and_commits_positionally() {
         without.telemetry
     );
     assert_eq!(with.telemetry.fallbacks(), 0, "{:?}", with.telemetry);
+}
+
+/// A read-only array the program first touches inside a loop that
+/// commits in place: the workers read it, nothing writes it, and it is
+/// still in the master's store after the commit exactly as after the
+/// sequential run, to the last bit.
+#[test]
+fn a_read_only_array_first_read_in_an_in_place_loop_is_in_the_master_store() {
+    let src = "program t
+         integer i, n
+         real x(64), y(64)
+         n = 64
+         do 20 i = 1, n
+           y(i) = x(i) * 2.0 + 1.0
+ 20      continue
+         print y(1), y(64)
+         end";
+    let rep = compile(&Case::new("first-read-in-place", src));
+    let seq = sequential(&rep, &[]).expect("sequential run");
+    for threads in [1, 2, 3] {
+        let config = HybridConfig {
+            threads,
+            ..HybridConfig::default()
+        };
+        let got = run_hybrid_seeded(&rep, config, &[]).expect("hybrid run");
+        let t = &got.telemetry;
+        assert_eq!(
+            (t.strategy_in_place, t.fallbacks()),
+            (1, 0),
+            "x{threads}: {t:?}"
+        );
+        assert_eq!(t.worker_chunks_tree_walk, 0, "x{threads}: {t:?}");
+        let diff = first_divergence(&rep, &seq, &got.outcome, Reals::Exact);
+        assert_eq!(diff, None, "x{threads}");
+    }
+}
+
+/// Each chunk of a concat dispatch appends from the entry pointer, so
+/// its own subscripts stay inside the target even where the chunks'
+/// appends together do not. The commit's overrun check catches that:
+/// the dispatch falls back with a strategy reason, and the sequential
+/// re-execution raises the program's own out-of-bounds error — the
+/// payload the sequential run raises.
+#[test]
+fn concat_appends_past_the_target_fall_back_to_the_programs_own_error() {
+    use irr_runtime::HybridDispatcher;
+    use irr_sanitizer::parity::dispatched;
+    // 50 appends into `ind(40)`: 25 a chunk. `ind` is read after the
+    // loop, so it is no privatization candidate but the append target.
+    let src = "program t
+         integer i, n, q, ind(40)
+         real x(100)
+         n = 100
+         q = 0
+         do i = 1, n
+           x(i) = mod(i, 2) * 1.0
+         enddo
+         do 20 i = 1, n
+           if (x(i) > 0.5) then
+             q = q + 1
+             ind(q) = i
+           endif
+ 20      continue
+         print q, ind(1)
+         end";
+    let rep = compile(&Case::new("concat-overrun", src));
+    let want = irr_exec::ExecError::OutOfBounds {
+        array: "ind".to_string(),
+        index: 41,
+        extent: 40,
+    };
+    assert_eq!(sequential(&rep, &[]).unwrap_err(), want);
+    let config = HybridConfig {
+        threads: 2,
+        ..HybridConfig::default()
+    };
+    let mut dispatcher = HybridDispatcher::new(&rep, config);
+    assert_eq!(dispatched(&rep, &[], &mut dispatcher).unwrap_err(), want);
+    let t = &dispatcher.telemetry;
+    assert_eq!(t.concat_parallel, 1, "{t:?}");
+    assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
 }
