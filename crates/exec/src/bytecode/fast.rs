@@ -19,10 +19,10 @@
 //!   program's first statement, so the typed run pins all payloads up
 //!   front. An array the body
 //!   only reads is pinned shared, with no copy; one it stores to is
-//!   pinned with the [`WriteSink`] the store lends for it — a raw
-//!   write on a plain store, and in a parallel worker the write log,
-//!   the in-place window or the append buffer of the dispatch's commit
-//!   strategy (see [`RawPin`]).
+//!   pinned with a [`WriteSink`] — a raw write in a sequential entry,
+//!   and in a parallel worker the log column, the in-place window or
+//!   the append buffer its dispatch's commit strategy built for it
+//!   (see [`RawPin`]).
 //!
 //! [`Interp::run_fblock`] and the one [`stream_kernel`] are the only
 //! places an instruction's semantics are written outside the
@@ -49,13 +49,13 @@
 //! stores to in `stored()`. [`FState`]'s unchecked register and pin
 //! accessors and [`RawPin`]'s write path rely on exactly that.
 
-use super::{ChunkAbort, ChunkWatch};
+use super::{ChunkAbort, WorkerChunk};
 use crate::interp::{advance_induction, ArrayData, ExecError, Interp, RawSlice, Value, WriteSink};
 use irr_driver::compiled::{
     CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Stream, StreamAt, StreamRef, StreamSink,
     StreamTail,
 };
-use irr_frontend::{BinOp, Intrinsic, ScalarType, StmtId};
+use irr_frontend::{BinOp, Intrinsic, ScalarType};
 use std::cell::Cell;
 
 /// Raw view of one array pinned for the duration of a typed run: its
@@ -107,7 +107,7 @@ use std::cell::Cell;
 /// - *An `Append` pin never writes a payload*: stores go to the worker's
 ///   buffer; `ip`/`fp` serve bounds and reads, as for a read-only slot.
 /// - *Pins never outlive one `run_fast_iters` call*: they live in its
-///   `FState`, and their sinks go back to the store before it returns.
+///   `FState`, and their sinks go back to the worker before it returns.
 ///
 /// Every index reaching `rd_*`/`wr_*` has passed `chk` (or `IndexN`'s
 /// per-dimension check) against the extents cached here, and
@@ -212,7 +212,7 @@ impl RawPin {
 
     /// A store at `k` an observing sink takes: logged (`true`: it lands
     /// in `ip`/`fp` too), or buffered — or refused: a violation, nothing
-    /// written — under the position rule of `WriteOverlay::intercept`.
+    /// written — under the append rule ([`TypedBuf::append_at`]).
     #[inline(always)]
     fn observed(&mut self, k: usize, v: Value) -> bool {
         // Tests in a row, the log's first: one `match` over every state
@@ -286,8 +286,8 @@ fn in_view(v: i64, origin: u64, dim0: u64) -> Option<usize> {
     }
 }
 
-/// Root iterations a stream fast-forwards between two polls of the
-/// chunk's watch.
+/// Root iterations a stream fast-forwards between two polls of a
+/// worker's deadline.
 const STRIP: i64 = 1024;
 
 /// Where iteration `t` of one resolved [`StreamAt`] lives, `None` when
@@ -861,26 +861,24 @@ impl<'p> Interp<'p> {
     }
 
     /// Executes root iterations `lo..=hi` of the typed loop: same
-    /// observable semantics as the walked iterations of
-    /// [`Interp::run_chunk`], with scalars promoted to registers and
-    /// every array payload pinned for the whole call. `run_chunk` is
-    /// the only caller, having already done the entry bookkeeping (the
-    /// invocation count and `cost_at_entry`).
+    /// observable semantics as walking them, with scalars promoted to
+    /// registers and every array payload pinned for the whole call. The
+    /// caller has checked [`Interp::fast_ready`] and done the root
+    /// loop's entry bookkeeping.
     ///
-    /// Stored arrays write through the sink the store lends for them
-    /// ([`Store::take_sink`]): on a plain store that is a raw write; on
-    /// a parallel worker's store it is whatever the dispatch's commit
-    /// strategy installed. `watch` is the caller's, see [`ChunkWatch`].
-    #[allow(clippy::too_many_arguments)]
+    /// Without a `worker` (a sequential entry) stored arrays are written
+    /// in place and the root induction variable is left one past the
+    /// range. A worker's stored arrays write through the sinks it hands
+    /// in, which it gets back filled on every exit (see
+    /// [`WorkerChunk`]). Either way every scalar the nest can assign is
+    /// written back to the store on every exit.
     pub(crate) fn run_fast_iters(
         &mut self,
-        s: StmtId,
         cb: &CompiledBody,
         lo: i64,
         hi: i64,
         step: i64,
-        cost_at_entry: u64,
-        watch: Option<&ChunkWatch>,
+        mut worker: Option<&mut WorkerChunk>,
     ) -> Result<(), ChunkAbort> {
         let mut st = FState {
             ir: vec![0; cb.int_registers()],
@@ -897,8 +895,12 @@ impl<'p> Interp<'p> {
             shapes: [0; 10],
             streams: false,
         };
-        for (&a, &stored) in cb.arrays().iter().zip(cb.stored()) {
-            let sink = stored.then(|| self.store.take_sink(a));
+        for (k, (&a, &stored)) in cb.arrays().iter().zip(cb.stored()).enumerate() {
+            let sink = match worker.as_deref_mut() {
+                Some(w) => w.sinks[k].take(),
+                None => stored.then_some(WriteSink::Direct),
+            };
+            debug_assert_eq!(sink.is_some(), stored);
             st.pins.push(match sink {
                 // Unique ownership once per run — the clone a first
                 // tree-walk write would have taken.
@@ -937,7 +939,7 @@ impl<'p> Interp<'p> {
             if !((step > 0 && i <= hi) || (step < 0 && i >= hi)) {
                 break Ok(());
             }
-            if let Some(Err(e)) = watch.map(ChunkWatch::poll) {
+            if let Some(Err(e)) = worker.as_deref().map(WorkerChunk::poll) {
                 break Err(e);
             }
             if let Some(sd) = stream {
@@ -978,7 +980,7 @@ impl<'p> Interp<'p> {
                 break Ok(());
             }
         };
-        if res.is_ok() && watch.is_none() {
+        if res.is_ok() && worker.is_none() {
             // Fortran leaves the induction variable at the first
             // out-of-range value.
             set_root(&mut st, i);
@@ -993,30 +995,24 @@ impl<'p> Interp<'p> {
             *total += n;
         }
         self.fuel = st.fuel;
-        for (&a, p) in cb.arrays().iter().zip(st.pins) {
+        for (k, (&a, p)) in cb.arrays().iter().zip(st.pins).enumerate() {
             if p.writes > 0 {
                 self.store.bump_version_by(a, p.writes);
             }
-            if let Some(sink) = p.sink {
-                self.store.return_sink(a, sink, p.violated.get());
+            if let Some(w) = worker.as_deref_mut() {
+                w.sinks[k] = p.sink;
             }
         }
         // Only what the nest can assign is written back: a scalar it
-        // merely reads is unchanged, and in a worker every write-back
-        // lands in the log, where the merge would take it for a claim.
-        // The worker's root induction variable stays unlogged, as on
-        // the walked path.
+        // merely reads is unchanged. A worker hands these final values
+        // back to its dispatch.
         for p in cb.scalars().iter().filter(|p| p.assigned) {
             let (ty, val) = if p.real {
                 (ScalarType::Real, Value::Real(st.fr[p.reg as usize]))
             } else {
                 (ScalarType::Int, Value::Int(st.ir[p.reg as usize]))
             };
-            if watch.is_some() && p.var == cb.root_var() {
-                self.store.set_scalar_untracked(p.var, ty, val);
-            } else {
-                self.store.set_scalar(p.var, ty, val);
-            }
+            self.store.set_scalar(p.var, ty, val);
         }
         // Dense counters fold into the per-loop map once per entry;
         // untouched loops get no entry, exactly like the tree walk.
@@ -1027,12 +1023,7 @@ impl<'p> Interp<'p> {
                 e.total_cost += st.lcost[k];
             }
         }
-        res?;
-        if watch.is_none() {
-            let total = self.stats.total_cost - cost_at_entry;
-            self.stats.loops.entry(s).or_default().total_cost += total;
-        }
-        Ok(())
+        res
     }
 
     fn run_fblock(&self, cb: &CompiledBody, b: u16, st: &mut FState) -> Result<(), ExecError> {

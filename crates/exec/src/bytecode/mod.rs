@@ -44,16 +44,17 @@
 //! in numeric position — rejects the lowering and falls back to the
 //! interpreter via a reason-coded [`FallbackReason`].
 //!
-//! **Two engines, one chunk entry.** There are exactly two executors
+//! **Two engines; a worker has one.** There are exactly two executors
 //! under that contract: the typed loop and the reference tree-walk.
-//! Every array is live from the program's first statement, so a chunk
-//! is decided once, at entry: a nest that lowered runs typed from its
-//! first iteration. Both a
-//! sequential loop entry and a parallel worker's share of one go
-//! through that same entry, `Interp::run_chunk`; what differs for a
-//! worker is in `ChunkWatch`, and where its stores go is decided by the
-//! worker's store, which lends the typed loop a `WriteSink` per stored
-//! array.
+//! Every array is live from the program's first statement, so a
+//! sequential compiled entry is decided once, at entry: a nest that
+//! lowered runs typed from its first iteration, and one that cannot
+//! (a zero-trip range, a preset of another element type than declared)
+//! walks. A parallel worker's share of a loop always runs the typed
+//! loop — the dispatch is refused before any chunk runs when the nest
+//! cannot — and what differs for it is in `WorkerChunk`: its deadline,
+//! and the sinks its dispatch's commit strategy built for every array
+//! it stores to (`WriteSink`).
 //!
 //! Trust discipline is the one the raw-pointer strategies use: a
 //! verdict's `CompiledPlan` is the lowering's own summary, and still
@@ -70,29 +71,34 @@ mod fast;
 pub use irr_driver::compiled::{lower_do_loop, CompiledBody, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
-use crate::interp::{ExecError, Store};
+use crate::interp::{ExecError, Store, WriteSink};
 use irr_frontend::{Program, ScalarType, StmtId, VarId};
 use std::time::{Duration, Instant};
 
-/// What makes a chunk one parallel worker's share of a loop rather
-/// than a whole sequential entry. [`crate::Interp::run_chunk`] given a
-/// watch
+/// What makes a run of the typed loop one parallel worker's share of a
+/// loop rather than a whole sequential entry. Given one, the typed loop
 ///
-/// - writes the root induction variable unlogged (the master restores
-///   it after the commit) and leaves the root loop's invocation count,
-///   cost attribution and final induction value to the master;
+/// - leaves the root loop's invocation count, cost attribution and
+///   final induction value to the master;
 /// - polls the deadline, when one is armed, before every root
-///   iteration — an unarmed watch never reads a clock;
+///   iteration (and every stream strip) — an unarmed one never reads a
+///   clock;
+/// - stores through `sinks` instead of straight into the payloads, and
+///   puts each sink back, filled, when the chunk ends however it ends;
 /// - abandons the chunk on a strategy violation: at the access that
 ///   leaves an in-place window, and after the root iteration in which
 ///   an append sink saw a write outside its discipline.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ChunkWatch {
+#[derive(Debug)]
+pub(crate) struct WorkerChunk {
     /// When the worker started and how long it may run.
     pub(crate) deadline: Option<(Instant, Duration)>,
+    /// One entry per pin slot of the body (`CompiledBody::arrays`): the
+    /// sink of an array the body stores to, `None` for one it only
+    /// reads.
+    pub(crate) sinks: Vec<Option<WriteSink>>,
 }
 
-impl ChunkWatch {
+impl WorkerChunk {
     #[inline]
     pub(crate) fn poll(&self) -> Result<(), ChunkAbort> {
         match self.deadline {
@@ -122,14 +128,13 @@ impl From<ExecError> for ChunkAbort {
     }
 }
 
-/// Which engine finished a chunk.
+/// Which engine ran a sequential compiled loop entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChunkEngine {
-    /// The typed loop, for the whole chunk.
+    /// The typed loop, for the whole entry.
     Typed,
-    /// The tree-walk, for the whole chunk: no compiled body was
-    /// offered, the range was empty, or a preset's element type is not
-    /// the declared one.
+    /// The tree-walk, for the whole entry: the range was empty, or a
+    /// preset's element type is not the declared one.
     TreeWalk,
 }
 
@@ -822,8 +827,8 @@ mod tests {
     /// Pins by role: the typed loop takes unique ownership only of the
     /// arrays its body stores to. A read-only input keeps sharing its
     /// payload with a snapshot taken before the run — after a typed
-    /// sequential entry, and after a write-log dispatch whose workers
-    /// (each on a snapshot of its own) all ran the typed loop.
+    /// sequential entry, and after a write-log dispatch, whose workers
+    /// each ran the typed loop on a snapshot of their own.
     #[test]
     fn read_only_inputs_stay_shared_across_typed_runs() {
         let src = "program t
@@ -854,7 +859,7 @@ mod tests {
         let plan = ParallelPlan::with_threads(2);
         let got = crate::parallel::exec_do_parallel(&mut par, s, &plan, 1, 8, 1).unwrap();
         assert_eq!(got.strategy, crate::ExecutionStrategy::WriteLog);
-        assert_eq!((got.engines.typed, par.typed_root_iters), (2, 8));
+        assert_eq!((got.chunks, par.typed_root_iters), (2, 8));
         let x = p.symbols.lookup("x").unwrap();
         assert!(std::ptr::eq(
             pre.array_ref(x).unwrap(),
@@ -1337,9 +1342,15 @@ mod tests {
         for micros in [0, 1, 2, 4, 8, 16, 3_600_000_000] {
             let mut it = live(&p, |it| preset_reals(it, "x", &[2.0; 3000]));
             let cb = it.compiled_body_for(s).unwrap();
-            let deadline = Some((Instant::now(), Duration::from_micros(micros)));
-            let watch = ChunkWatch { deadline };
-            let res = it.run_chunk(s, Some(&cb), 1, 3000, 1, Some(&watch));
+            let mut share = WorkerChunk {
+                deadline: Some((Instant::now(), Duration::from_micros(micros))),
+                sinks: cb
+                    .stored()
+                    .iter()
+                    .map(|&w| w.then_some(WriteSink::Direct))
+                    .collect(),
+            };
+            let res = it.run_fast_iters(&cb, 1, 3000, 1, Some(&mut share));
             let z = it
                 .store
                 .array_as_reals(p.symbols.lookup("z").unwrap())
@@ -1348,7 +1359,7 @@ mod tests {
             assert!(z[done..].iter().all(|v| *v == 0.0));
             assert_eq!(it.typed_root_iters, done as u64);
             match res {
-                Ok(engine) => assert_eq!((engine, done), (ChunkEngine::Typed, 3000)),
+                Ok(()) => assert_eq!(done, 3000),
                 Err(ChunkAbort::TimedOut) => {
                     assert!(
                         done % 1024 == 0 && done < 3000,

@@ -111,42 +111,25 @@ impl ArrayData {
     }
 }
 
-/// A captured write set: every store mutation performed while a
-/// [`Store`]'s write-recording mode was on.
+/// The element writes one write-log worker chunk made, as the merge
+/// reads them: the columns its logged sinks filled ([`WriteSink`]).
 ///
-/// The parallel verification executor turns recording on in each
-/// worker's store; the workers hand back only their logs, and the merge
-/// replays them against the master store in `O(total writes)` —
-/// independent of how large the store itself is. Conflicts are detected
-/// *positionally* (two workers touching the same location), so a write
-/// whose value happens to equal the pre-loop value is still a conflict.
+/// The workers hand back only their logs, and the merge replays them
+/// against the master store in `O(total writes)` — independent of how
+/// large the store itself is. Conflicts are detected *positionally*
+/// (two workers touching the same location), so a write whose value
+/// happens to equal the pre-loop value is still a conflict.
 ///
 /// Element writes are columnar: one index/value column per written array,
 /// each in program order. Order *between* arrays is not kept — two
 /// arrays never share a location, so the merge has no use for it.
+/// Scalars are not logged: a worker hands back the final values of the
+/// scalars its nest assigns, every one of which the commit exempts from
+/// claiming (privatized, a reduction, the concat pointer).
 #[derive(Clone, Debug, Default)]
-pub struct WriteLog {
-    /// Scalar writes `(var, coerced value)` in program order.
-    pub(crate) scalars: Vec<(VarId, Value)>,
+pub(crate) struct WriteLog {
     /// Element writes, one column per written array.
     pub(crate) elements: Vec<ElemColumn>,
-}
-
-impl WriteLog {
-    /// Total number of recorded writes (scalar + element).
-    pub fn len(&self) -> usize {
-        self.scalars.len() + self.element_writes()
-    }
-
-    /// Number of recorded element writes, over all arrays.
-    pub(crate) fn element_writes(&self) -> usize {
-        self.elements.iter().map(|c| c.idx.len()).sum()
-    }
-
-    /// Whether nothing was written while recording.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// The logged element writes of one array, in program order: flat
@@ -160,15 +143,12 @@ pub(crate) struct ElemColumn {
 }
 
 impl ElemColumn {
-    /// An empty column for writes to `var`, whose payload is `data`.
-    fn new(var: VarId, data: &ArrayData) -> ElemColumn {
+    /// An empty column for writes to `var`, a payload of `ty`.
+    pub(crate) fn new(var: VarId, ty: ScalarType) -> ElemColumn {
         ElemColumn {
             var,
             idx: Vec::new(),
-            vals: TypedBuf::new(match data {
-                ArrayData::Int { .. } => ScalarType::Int,
-                ArrayData::Real { .. } => ScalarType::Real,
-            }),
+            vals: TypedBuf::new(ty),
         }
     }
 }
@@ -188,48 +168,23 @@ pub(crate) enum RawSlice {
     Real(*mut f64, usize),
 }
 
-// SAFETY: a RawSlice is only ever dereferenced through an
-// `InPlaceWindow` — `read`/`write` below (the tree-walk's element
-// hooks, via `WriteOverlay`) and the typed loop's narrowed pin, which
-// is that same window as a base pointer and an extent — and a window
-// admits only the elements the dispatch gave its chunk: windows of one
-// target are pairwise disjoint, or, for a scatter target, every chunk
-// stores to a set of elements an injectivity certificate keeps disjoint
-// and none reads. Reads and writes alike go through the window, so no
-// thread reads what another writes. Only a chunk job uses one — the
-// overlay a finished chunk hands back is never accessed through again —
-// and `WorkerPool::dispatch` does not return, normally or by unwinding,
-// while a job is running or could still be claimed (the barrier in
-// `pool.rs`), whichever thread runs it. The master store owns the
-// Arc'd payload for that whole dispatch, so the pointee outlives every
-// access.
+// SAFETY: a RawSlice is dereferenced in one place only: the typed
+// loop's window pin (`RawPin` in `bytecode/fast.rs`), which is the
+// chunk's `InPlaceWindow` as a base pointer and an extent and
+// bounds-checks every load and store against it. A window admits only
+// the elements the dispatch gave its chunk: windows of one target are
+// pairwise disjoint, or, for a scatter target, every chunk stores to a
+// set of elements an injectivity certificate keeps disjoint and none
+// reads. So no thread reads what another writes. Only a chunk job
+// holds a pin, and `WorkerPool::dispatch` does not return, normally or
+// by unwinding, while a job is running or could still be claimed (the
+// barrier in `pool.rs`), whichever thread runs it. The master store
+// owns the Arc'd payload for that whole dispatch, so the pointee
+// outlives every access.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
 impl RawSlice {
-    /// # Safety
-    ///
-    /// `idx` must be inside the allocation and inside the caller's
-    /// window; no other thread may read or write the element.
-    unsafe fn write(self, idx: usize, val: Value) {
-        debug_assert!(idx < self.len());
-        match self {
-            RawSlice::Int(p, _) => *p.add(idx) = val.as_int(),
-            RawSlice::Real(p, _) => *p.add(idx) = val.as_real(),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// As [`RawSlice::write`]: no other thread may write the element.
-    unsafe fn read(self, idx: usize) -> Value {
-        debug_assert!(idx < self.len());
-        match self {
-            RawSlice::Int(p, _) => Value::Int(*p.add(idx)),
-            RawSlice::Real(p, _) => Value::Real(*p.add(idx)),
-        }
-    }
-
     /// Elements in the buffer.
     pub(crate) fn len(self) -> usize {
         match self {
@@ -238,54 +193,21 @@ impl RawSlice {
     }
 }
 
-/// One in-place target as seen by one worker: the `len` elements of
-/// `var` from flat index `lo` are the chunk's to read and write,
-/// straight in the shared master buffer; touching any other element of
-/// `var` is a strategy violation.
+/// One in-place target as seen by one worker: the `len` elements from
+/// flat index `lo` are the chunk's to read and write, straight in the
+/// shared master buffer; touching any other element of the array is a
+/// strategy violation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct InPlaceWindow {
-    pub(crate) var: VarId,
     /// Element 0 of the master buffer.
     pub(crate) slice: RawSlice,
     pub(crate) lo: usize,
     pub(crate) len: usize,
 }
 
-impl InPlaceWindow {
-    /// Whether flat `idx` is one of the window's elements.
-    #[inline]
-    fn owns(&self, idx: usize) -> bool {
-        idx.wrapping_sub(self.lo) < self.len
-    }
-
-    /// Writes `val` at flat `idx` when the window owns it. Returns
-    /// `false` — nothing written, a strategy violation — otherwise.
-    #[inline]
-    pub(crate) fn write(&self, idx: usize, val: Value) -> bool {
-        if !self.owns(idx) {
-            return false;
-        }
-        // SAFETY: idx is inside this worker's window (checked on the
-        // previous lines; `prepare_in_place` checked the window against
-        // the extent) and the master keeps the buffer alive for the
-        // whole dispatch.
-        unsafe { self.slice.write(idx, val) };
-        true
-    }
-
-    /// The element at flat `idx` when the window owns it; `None` — a
-    /// strategy violation — otherwise.
-    #[inline]
-    pub(crate) fn read(&self, idx: usize) -> Option<Value> {
-        // SAFETY: as `write`; no other chunk's window holds `idx`, so
-        // nobody writes it while this chunk runs.
-        self.owns(idx).then(|| unsafe { self.slice.read(idx) })
-    }
-}
-
 /// A typed value vector: a worker's append buffer for one
-/// consecutively-written array, or the value column of one array in a
-/// [`WriteLog`].
+/// consecutively-written array, the value column of one array in a
+/// [`WriteLog`], or the undo image of an in-place window.
 #[derive(Clone, Debug)]
 pub(crate) enum TypedBuf {
     Int(Vec<i64>),
@@ -373,114 +295,17 @@ impl TypedBuf {
     }
 }
 
-/// An access interceptor a strategy executor installs on a worker
-/// store.
-///
-/// [`Store::write_element`] consults the overlay *before* the normal
-/// copy-on-write/log path; an intercepted write never clones the
-/// payload, bumps a version, or reaches the write log. A write that
-/// breaks the strategy's discipline records a violation (and is
-/// suppressed) instead of corrupting shared state; the worker checks
-/// [`Store::overlay_violation`] every iteration and aborts the chunk.
-/// Reads of an in-place target go through [`Store::read_in_place`]: a
-/// master buffer other chunks are writing is only ever touched
-/// element-wise, inside the chunk's own window, and a read outside it
-/// is a violation raised at the access — there is no value to give it.
-///
-/// The typed loop does not intercept per element: it borrows each
-/// target's window or buffer as a [`WriteSink`] for the length of a
-/// chunk ([`Store::take_sink`]) — the window as a narrowed view its
-/// own bounds check enforces, the buffer under the same position rule
-/// ([`TypedBuf::append_at`]).
-#[derive(Clone, Debug)]
-pub(crate) enum WriteOverlay {
-    /// Proven-disjoint in-place writes into the master buffers.
-    InPlace {
-        windows: Vec<InPlaceWindow>,
-        violation: Option<VarId>,
-    },
-    /// Positional append buffers for consecutively-written arrays
-    /// whose appends start at flat index `base`.
-    Concat {
-        base: usize,
-        bufs: Vec<(VarId, TypedBuf)>,
-        violation: Option<VarId>,
-    },
-}
-
-impl WriteOverlay {
-    pub(crate) fn in_place(windows: Vec<InPlaceWindow>) -> WriteOverlay {
-        WriteOverlay::InPlace {
-            windows,
-            violation: None,
-        }
-    }
-
-    pub(crate) fn concat(base: usize, bufs: Vec<(VarId, TypedBuf)>) -> WriteOverlay {
-        WriteOverlay::Concat {
-            base,
-            bufs,
-            violation: None,
-        }
-    }
-
-    pub(crate) fn violation(&self) -> Option<VarId> {
-        match self {
-            WriteOverlay::InPlace { violation, .. } | WriteOverlay::Concat { violation, .. } => {
-                *violation
-            }
-        }
-    }
-
-    /// Records a strategy violation on `arr`, keeping the first.
-    fn violate(&mut self, arr: VarId) {
-        match self {
-            WriteOverlay::InPlace { violation, .. } | WriteOverlay::Concat { violation, .. } => {
-                violation.get_or_insert(arr);
-            }
-        }
-    }
-
-    /// Handles a write to `arr` at flat `idx`. Returns `true` when the
-    /// write was intercepted (applied in place, buffered, or recorded
-    /// as a violation and suppressed); `false` sends it down the
-    /// normal store path.
-    fn intercept(&mut self, arr: VarId, idx: usize, val: Value) -> bool {
-        let ok = match self {
-            WriteOverlay::InPlace { windows, violation } => {
-                let Some(w) = windows.iter().find(|w| w.var == arr) else {
-                    return false;
-                };
-                violation.is_some() || w.write(idx, val)
-            }
-            WriteOverlay::Concat {
-                base,
-                bufs,
-                violation,
-            } => {
-                let Some((_, buf)) = bufs.iter_mut().find(|(v, _)| *v == arr) else {
-                    return false;
-                };
-                violation.is_some() || buf.append_at(*base, idx, val)
-            }
-        };
-        if !ok {
-            self.violate(arr);
-        }
-        true
-    }
-}
-
 /// Where the typed loop's stores to one array go for the length of a
-/// chunk — the store's write observers, borrowed per array so the loop
-/// can apply them without a per-element call back into the store.
+/// chunk. A sequential entry stores directly; a parallel worker's
+/// dispatch hands the chunk one sink per stored array, built from its
+/// commit strategy, and takes them back filled when the chunk ends.
 #[derive(Debug)]
 pub(crate) enum WriteSink {
     /// Nothing observes the writes: raw stores into the uniquely owned
     /// payload.
     Direct,
-    /// A write log is recording: raw stores into the (worker's own,
-    /// copy-on-write) payload, each also appended to this column.
+    /// Raw stores into the worker's own copy-on-write payload, each
+    /// also appended to this column of the chunk's write log.
     Logged(ElemColumn),
     /// An in-place target: stores land in the master's buffer, inside
     /// this window only.
@@ -510,9 +335,9 @@ pub(crate) enum WriteSink {
 /// verification executor hand every worker its own store for the price
 /// of a scalar-table copy.
 ///
-/// A store can additionally record every write into a [`WriteLog`]
-/// (see [`Store::start_write_log`]); recording state is carried by
-/// clones but excluded from equality.
+/// A store observes nothing: what a parallel worker's stores must
+/// become under its dispatch's commit strategy is the business of the
+/// sinks the worker's typed loop stores through (`WriteSink`).
 #[derive(Debug)]
 pub struct Store {
     /// Which store this is, among all the process ever built or cloned
@@ -521,10 +346,6 @@ pub struct Store {
     scalars: Vec<Value>,
     arrays: Vec<Option<Arc<ArrayData>>>,
     versions: Vec<u64>,
-    log: Option<Box<WriteLog>>,
-    /// Strategy write interceptor (see [`WriteOverlay`]); only ever
-    /// set on a parallel worker's store.
-    overlay: Option<Box<WriteOverlay>>,
 }
 
 /// The next [`Store::id`].
@@ -541,19 +362,15 @@ impl Clone for Store {
             scalars: self.scalars.clone(),
             arrays: self.arrays.clone(),
             versions: self.versions.clone(),
-            log: self.log.clone(),
-            // Interception is per-store: a snapshot taken from a store
-            // with an overlay installed must not write through it.
-            overlay: None,
         }
     }
 }
 
 impl PartialEq for Store {
     fn eq(&self, other: &Store) -> bool {
-        // Identity, versions and any active write log are deliberately
-        // excluded: two stores holding the same values are equal
-        // regardless of their write histories.
+        // Identity and versions are deliberately excluded: two stores
+        // holding the same values are equal regardless of their write
+        // histories.
         self.scalars == other.scalars && self.arrays == other.arrays
     }
 }
@@ -575,41 +392,7 @@ impl Store {
             scalars,
             arrays: vec![None; n],
             versions: vec![0; n],
-            log: None,
-            overlay: None,
         }
-    }
-
-    /// Installs a strategy write interceptor (see [`WriteOverlay`]).
-    pub(crate) fn install_overlay(&mut self, overlay: WriteOverlay) {
-        self.overlay = Some(Box::new(overlay));
-    }
-
-    /// Removes and returns the installed overlay, if any.
-    pub(crate) fn take_overlay(&mut self) -> Option<WriteOverlay> {
-        self.overlay.take().map(|b| *b)
-    }
-
-    /// The first strategy violation the overlay recorded, if any.
-    pub(crate) fn overlay_violation(&self) -> Option<VarId> {
-        self.overlay.as_ref().and_then(|o| o.violation())
-    }
-
-    /// The tree-walk's read of flat `idx` of `arr` when `arr` is an
-    /// in-place target of this worker: `Some(Ok(value))` from inside
-    /// the chunk's window, `Some(Err(()))` — a violation, recorded —
-    /// from outside it. `None` for any other array (and on every store
-    /// without an in-place overlay): the caller reads the store's own
-    /// payload.
-    #[inline]
-    pub(crate) fn read_in_place(&mut self, arr: VarId, idx: usize) -> Option<Result<Value, ()>> {
-        let Some(WriteOverlay::InPlace { windows, violation }) = self.overlay.as_deref_mut() else {
-            return None;
-        };
-        let w = windows.iter().find(|w| w.var == arr)?;
-        Some(w.read(idx).ok_or_else(|| {
-            violation.get_or_insert(arr);
-        }))
     }
 
     /// Element `idx` (flat, 0-based) of `arr` as the `i64` a subscript
@@ -631,19 +414,6 @@ impl Store {
             ArrayData::Int { data, .. } => RawSlice::Int(data.as_mut_ptr(), data.len()),
             ArrayData::Real { data, .. } => RawSlice::Real(data.as_mut_ptr(), data.len()),
         }
-    }
-
-    /// Turns on write recording: every subsequent scalar and element
-    /// write is appended to a fresh [`WriteLog`] until
-    /// [`Store::take_write_log`] collects it.
-    pub fn start_write_log(&mut self) {
-        self.log = Some(Box::default());
-    }
-
-    /// Stops recording and returns the captured log (`None` when
-    /// recording was never started).
-    pub fn take_write_log(&mut self) -> Option<WriteLog> {
-        self.log.take().map(|b| *b)
     }
 
     /// This store's identity: distinct for every store built or cloned
@@ -672,65 +442,6 @@ impl Store {
     /// version arithmetic identical to `n` tree-walk writes.
     pub(crate) fn bump_version_by(&mut self, arr: VarId, n: u64) {
         self.versions[arr.index()] += n;
-    }
-
-    /// Lends the typed loop the write observers of `arr` for one chunk
-    /// (see [`WriteSink`]): its in-place window or concat buffer when an
-    /// overlay targets it, else its column of the active write log,
-    /// else nothing. Buffers and columns are moved out;
-    /// [`Store::return_sink`] moves them back.
-    pub(crate) fn take_sink(&mut self, arr: VarId) -> WriteSink {
-        match self.overlay.as_deref_mut() {
-            Some(WriteOverlay::InPlace { windows, .. }) => {
-                if let Some(w) = windows.iter().find(|w| w.var == arr) {
-                    return WriteSink::Window(*w);
-                }
-            }
-            Some(WriteOverlay::Concat { base, bufs, .. }) => {
-                if let Some((_, buf)) = bufs.iter_mut().find(|(v, _)| *v == arr) {
-                    let empty = TypedBuf::new(ScalarType::Int);
-                    return WriteSink::Append {
-                        base: *base,
-                        buf: std::mem::replace(buf, empty),
-                    };
-                }
-            }
-            None => {}
-        }
-        let Some(log) = self.log.as_deref_mut() else {
-            return WriteSink::Direct;
-        };
-        WriteSink::Logged(match log.elements.iter().position(|c| c.var == arr) {
-            Some(k) => log.elements.swap_remove(k),
-            None => ElemColumn::new(arr, self.arrays[arr.index()].as_deref().expect(ALLOCATED)),
-        })
-    }
-
-    /// Takes back what [`Store::take_sink`] lent for `arr`, recording a
-    /// strategy violation the typed loop saw on it.
-    pub(crate) fn return_sink(&mut self, arr: VarId, sink: WriteSink, violated: bool) {
-        match sink {
-            WriteSink::Direct | WriteSink::Window(_) => {}
-            WriteSink::Logged(col) => {
-                if !col.idx.is_empty() {
-                    let log = self.log.as_deref_mut().expect("lent from the log");
-                    log.elements.push(col);
-                }
-            }
-            WriteSink::Append { buf, .. } => {
-                if let Some(WriteOverlay::Concat { bufs, .. }) = self.overlay.as_deref_mut() {
-                    if let Some((_, slot)) = bufs.iter_mut().find(|(v, _)| *v == arr) {
-                        *slot = buf;
-                    }
-                }
-            }
-        }
-        if violated {
-            self.overlay
-                .as_deref_mut()
-                .expect("only an overlay sink can be violated")
-                .violate(arr);
-        }
     }
 
     /// Uniquely-owned payload of `arr` (cloning a shared `Arc` exactly
@@ -762,20 +473,6 @@ impl Store {
             ScalarType::Real => Value::Real(val.as_real()),
         };
         self.scalars[v.index()] = coerced;
-        if let Some(log) = &mut self.log {
-            log.scalars.push((v, coerced));
-        }
-    }
-
-    /// Writes a scalar without recording it in the write log. The
-    /// parallel executor uses this for the loop induction variable: it
-    /// is restored by the master after the merge, so logging one entry
-    /// per iteration would bloat the log past the real write set.
-    pub(crate) fn set_scalar_untracked(&mut self, v: VarId, ty: ScalarType, val: Value) {
-        self.scalars[v.index()] = match ty {
-            ScalarType::Int => Value::Int(val.as_int()),
-            ScalarType::Real => Value::Real(val.as_real()),
-        };
     }
 
     /// Reads `arr` as a flat `f64` vector (for checksums in tests).
@@ -801,48 +498,18 @@ impl Store {
 
     /// Writes one element of an array (copy-on-write: shared payloads
     /// are cloned on the first mutation), coercing to the array's
-    /// element type, bumping the write version, and recording the write
-    /// when a log is active.
+    /// element type and bumping the write version.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range — callers bounds-check through
-    /// [`Interp`] or the merge.
+    /// [`Interp`].
     pub(crate) fn write_element(&mut self, arr: VarId, idx: usize, val: Value) {
-        // Strategy overlays intercept before anything else: an
-        // in-place or concat write must not clone the shared payload,
-        // bump the version, or reach the write log.
-        if let Some(overlay) = &mut self.overlay {
-            if overlay.intercept(arr, idx, val) {
-                return;
-            }
+        match self.array_make_mut(arr) {
+            ArrayData::Int { data, .. } => data[idx] = val.as_int(),
+            ArrayData::Real { data, .. } => data[idx] = val.as_real(),
         }
-        let data = Arc::make_mut(self.arrays[arr.index()].as_mut().expect(ALLOCATED));
-        let coerced = match data {
-            ArrayData::Int { data, .. } => {
-                let v = val.as_int();
-                data[idx] = v;
-                Value::Int(v)
-            }
-            ArrayData::Real { data, .. } => {
-                let v = val.as_real();
-                data[idx] = v;
-                Value::Real(v)
-            }
-        };
         self.versions[arr.index()] += 1;
-        if let Some(log) = &mut self.log {
-            let k = match log.elements.iter().position(|c| c.var == arr) {
-                Some(k) => k,
-                None => {
-                    log.elements.push(ElemColumn::new(arr, data));
-                    log.elements.len() - 1
-                }
-            };
-            let col = &mut log.elements[k];
-            col.idx.push(idx);
-            col.vals.push(coerced);
-        }
     }
 }
 
@@ -896,10 +563,6 @@ pub enum ExecError {
     DivisionByZero,
     /// The fuel limit was exhausted (runaway loop guard).
     OutOfFuel,
-    /// A parallel dispatch failed (e.g. conflicting chunk writes) — the
-    /// dispatcher requested a parallel execution that was not actually
-    /// legal.
-    ParallelFailure { reason: String },
 }
 
 impl fmt::Display for ExecError {
@@ -917,9 +580,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::DivisionByZero => write!(f, "division by zero"),
             ExecError::OutOfFuel => write!(f, "execution fuel exhausted"),
-            ExecError::ParallelFailure { reason } => {
-                write!(f, "parallel dispatch failed: {reason}")
-            }
         }
     }
 }
@@ -1189,7 +849,8 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// Executes a single statement.
+    /// Executes a single statement (how the unit tests drive one).
+    #[cfg(test)]
     pub(crate) fn exec_stmt(&mut self, s: StmtId) -> Result<(), ExecError> {
         self.exec_stmt_with(s, &mut SequentialDispatch)
     }
@@ -1223,7 +884,7 @@ impl<'p> Interp<'p> {
                     LValue::Element(a, subs) => {
                         let a = *a;
                         let idx = self.flat_index(a, subs)?;
-                        self.write_element(a, idx, val);
+                        self.store.write_element(a, idx, val);
                         if let Some(t) = &mut self.tracer {
                             t.hook.write_element(a, idx);
                         }
@@ -1389,7 +1050,7 @@ impl<'p> Interp<'p> {
                 if let Some(t) = &mut self.tracer {
                     t.hook.read_element(*a, idx);
                 }
-                self.read_element(*a, idx)
+                Ok(self.read_element(*a, idx))
             }
             Expr::Bin(op, x, y) => {
                 let a = self.eval(x)?;
@@ -1475,23 +1136,11 @@ impl<'p> Interp<'p> {
         Ok(idx)
     }
 
-    fn read_element(&mut self, a: VarId, idx: usize) -> Result<Value, ExecError> {
-        if let Some(read) = self.store.read_in_place(a, idx) {
-            // The error is a placeholder that stops the iteration at
-            // this access: `run_chunk` finds the recorded violation and
-            // reports that instead.
-            return read.map_err(|()| ExecError::ParallelFailure {
-                reason: "read outside the chunk's in-place window".to_string(),
-            });
-        }
-        Ok(match self.store.array(a) {
+    fn read_element(&self, a: VarId, idx: usize) -> Value {
+        match self.store.array(a) {
             ArrayData::Int { data, .. } => Value::Int(data[idx]),
             ArrayData::Real { data, .. } => Value::Real(data[idx]),
-        })
-    }
-
-    fn write_element(&mut self, a: VarId, idx: usize, val: Value) {
-        self.store.write_element(a, idx, val);
+        }
     }
 }
 

@@ -8,12 +8,12 @@
 //!   lowers a nest once to a typed [`CompiledBody`]; the typed loop
 //!   runs it over split `i64`/`f64` register planes and pinned
 //!   payloads. There are exactly two engines, the typed loop and the
-//!   tree-walk, behind one chunk entry (`Interp::run_chunk`) that a
-//!   sequential loop entry and every parallel worker share.
+//!   tree-walk; a sequential compiled entry runs one or the other, and
+//!   every parallel worker runs the typed loop.
 //! - [`parallel`]: the chunked parallel executor, a transaction on the
 //!   master store with three commit strategies the executor re-derives
 //!   itself ([`ExecutionStrategy`]): the write-log (workers on
-//!   copy-on-write store clones hand back [`WriteLog`]s, merged in
+//!   copy-on-write store clones hand back write logs, merged in
 //!   `O(total writes)` with positional conflict detection), in-place
 //!   disjoint windows (affine, offset–length segment, certified
 //!   scatter — no log, no clone, no merge), and privatize-and-concat
@@ -57,16 +57,11 @@ pub use bytecode::{
 };
 pub use dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 pub use fault::{FaultKind, FaultPlan, FaultShot};
-pub use interp::{
-    ArrayData, ExecError, ExecOutcome, ExecStats, Interp, LoopStats, Store, Value, WriteLog,
-};
+pub use interp::{ArrayData, ExecError, ExecOutcome, ExecStats, Interp, LoopStats, Store, Value};
 pub use machine::{
     simulate_program_time, simulate_speedup, LoopProfile, MachineModel, ProgramProfile,
 };
-pub use parallel::{
-    run_loop_parallel, Committed, ExecutionStrategy, ParallelError, ParallelPlan, ReduceOp,
-    WorkerEngines,
-};
+pub use parallel::{Committed, ExecutionStrategy, ParallelError, ParallelPlan, ReduceOp};
 pub use rng::SplitMix64;
 pub use runtime_test::{
     certify_injective, inspect_injective, inspect_offset_length, InjectiveCertificate, Inspection,

@@ -14,9 +14,9 @@
 //! it looks at a single outcome. A chunk runs on a cheap clone of the
 //! live store (array payloads are Arc-shared and copy-on-write, so the
 //! clone is O(#variables), not O(store size), and an array a chunk
-//! only reads is never copied) with **write recording** turned on, and
-//! hands back only its [`WriteLog`]. The merge replays the logs against
-//! the master store in `O(total writes)`:
+//! only reads is never copied) and hands back the sinks its writes went
+//! to. Under the write-log strategy the merge replays the chunks' logs
+//! against the master store in `O(total writes)`:
 //!
 //! - the log is columnar — per written array, the flat indices beside
 //!   a typed value vector — so a logged write costs two appends;
@@ -29,9 +29,9 @@
 //!   location freely. The tables are `O(extent of the arrays
 //!   written)`, zero-allocated; nothing scales with the store;
 //! - scalar reductions combine per-chunk final values under the plan's
-//!   [`ReduceOp`];
-//! - worker execution statistics, printed output, and fuel consumption
-//!   are aggregated into the master interpreter instead of dropped.
+//!   [`ReduceOp`], whatever the strategy;
+//! - worker execution statistics and fuel consumption are aggregated
+//!   into the master interpreter instead of dropped.
 //!
 //! The property-based soundness tests use this to assert: *loops judged
 //! parallel produce exactly the sequential result, with no conflicting
@@ -39,18 +39,25 @@
 //!
 //! # What a worker runs
 //!
-//! The master lowers the loop once and hands every
-//! worker the `Arc`'d compiled body; a worker makes **one call**, the
-//! chunk entry the sequential compiled tier also uses
-//! (`Interp::run_chunk`): the typed loop for the whole chunk —
+//! **A worker is the typed loop.** The master lowers the loop once
+//! (cached per statement) and every worker runs that compiled body for
+//! its whole chunk in **one call** (`Interp::run_fast_iters`):
 //! induction loop, per-iteration charge, deadline poll and strategy
-//! check all inside it. The typed loop's stores reach the log, the
-//! in-place windows or the append buffers through the per-array sinks
-//! the worker's store lends it (`WriteSink`), applying the same rules
-//! the per-element interception applies for the tree-walk; both
-//! executors fill the same log. Nests that do not lower, or
-//! that can assign a scalar the merge would claim, walk the AST for
-//! the whole chunk. [`WorkerEngines`] reports which it was.
+//! check all inside it. The dispatch hands the chunk one sink per array
+//! the body stores to (`WriteSink`), built from its mode: the chunk's
+//! in-place window, its append buffer, its column of the write log, or
+//! — for privatized scratch — the worker's own copy. Each strategy's
+//! rules live in those sinks and nowhere else. The chunk hands the
+//! sinks back filled, and the final values of the scalars its nest
+//! assigns stay in its store for the commit to read.
+//!
+//! A dispatch whose nest cannot run that way is refused before any
+//! chunk runs, with the master untouched ([`ParallelError::Untyped`]),
+//! and the sequential tier runs the loop: a nest that does not lower
+//! (a `print`, a `call`), one that can assign a scalar the commit would
+//! have to claim — neither privatized, nor a reduction, nor the concat
+//! pointer — or one whose arrays hold another element type than
+//! declared (a preset may install either).
 //!
 //! # Execution strategies
 //!
@@ -74,8 +81,7 @@
 //!     boundaries (a `ptr` that does not rise along them downgrades).
 //!     A worker reaches the target only through that window — the
 //!     typed loop's pin *is* the window, so its one bounds compare per
-//!     access confines loads and stores alike; the tree-walk goes
-//!     through the overlay's element hooks — and an access to the
+//!     access confines loads and stores alike — and an access to the
 //!     array outside it is a [`ParallelError::StrategyViolation`]
 //!     raised at that access. Windows of one target are disjoint, so
 //!     chunks are race-free and sequentially equivalent whatever the
@@ -108,18 +114,16 @@
 //!   re-validated dynamically (contiguous positions, pointer delta ==
 //!   buffer length per chunk).
 
-use crate::bytecode::{ChunkAbort, ChunkEngine, ChunkWatch, CompiledBody};
+use crate::bytecode::{ChunkAbort, CompiledBody, WorkerChunk};
 use crate::fault::FaultKind;
 use crate::interp::{
     ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value,
-    WriteLog, WriteOverlay,
+    WriteLog, WriteSink,
 };
 use crate::pool::{Job, WorkerPool};
 use crate::runtime_test::InjectiveCertificate;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a parallel dispatch writes results back to the master store.
@@ -169,30 +173,6 @@ pub enum ReduceOp {
     Max,
 }
 
-/// Which executor the worker chunks of a dispatch finished on. Kept
-/// out of [`ExecStats`] (whose equality between tiers is
-/// byte-identical by contract): it describes the engine, not the
-/// program's execution.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct WorkerEngines {
-    /// Chunks run on the typed loop.
-    pub typed: u64,
-    /// Chunks run on the tree-walk: the plan did not ask for compiled
-    /// workers, the nest does not lower, it assigns a scalar the plan
-    /// neither privatizes nor reduces, or a preset's element type is
-    /// not the declared one.
-    pub tree_walk: u64,
-}
-
-impl WorkerEngines {
-    fn count(&mut self, engine: ChunkEngine) {
-        match engine {
-            ChunkEngine::Typed => self.typed += 1,
-            ChunkEngine::TreeWalk => self.tree_walk += 1,
-        }
-    }
-}
-
 /// What a committed parallel dispatch reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Committed {
@@ -200,9 +180,9 @@ pub struct Committed {
     /// own re-derivation confirmed it, [`ExecutionStrategy::WriteLog`]
     /// after a silent downgrade.
     pub strategy: ExecutionStrategy,
-    /// The engines the worker chunks finished on (all zero for a
-    /// zero-trip dispatch, which runs no chunk).
-    pub engines: WorkerEngines,
+    /// The worker chunks that ran, every one on the typed loop (zero
+    /// for a zero-trip dispatch).
+    pub chunks: u64,
 }
 
 /// How a designated loop is run in parallel.
@@ -231,15 +211,6 @@ pub struct ParallelPlan {
     /// strategy on every dispatch and silently downgrades to the
     /// write-log when the proof does not hold for this loop.
     pub strategy: ExecutionStrategy,
-    /// Whether worker chunks may run the loop body on the typed loop of
-    /// the compiled tier instead of the tree-walk (see
-    /// [`crate::bytecode`]). Like `strategy`, this is a request: the
-    /// master re-lowers and types the nest at dispatch and workers
-    /// silently walk the AST when that fails. Composes with every
-    /// write-back strategy — the typed loop writes through the sinks
-    /// the store lends it, so overlays and write logs see the same
-    /// writes the interpreter's store paths would make.
-    pub compiled: bool,
     /// What the guard's injectivity inspections certified for this
     /// entry. An in-place dispatch writes a scatter target through the
     /// master buffer only under a certificate that still covers the
@@ -258,7 +229,6 @@ impl Default for ParallelPlan {
             deadline_ms: None,
             fault: None,
             strategy: ExecutionStrategy::WriteLog,
-            compiled: true,
             certificates: Vec::new(),
         }
     }
@@ -323,6 +293,11 @@ pub enum ParallelError {
     /// non-contiguous positions), or the chunks' appends together run
     /// past the target's extent. The dispatch falls back sequentially.
     StrategyViolation { var: String, strategy: &'static str },
+    /// The nest cannot run on the typed loop, which is what every
+    /// worker chunk runs: it does not lower, it can assign a scalar the
+    /// commit would have to claim, or an array holds another element
+    /// type than declared. Raised before any chunk runs.
+    Untyped { reason: String },
 }
 
 impl std::fmt::Display for ParallelError {
@@ -354,6 +329,9 @@ impl std::fmt::Display for ParallelError {
             ParallelError::StrategyViolation { var, strategy } => {
                 write!(f, "execution strategy {strategy} violated on `{var}`")
             }
+            ParallelError::Untyped { reason } => {
+                write!(f, "workers cannot run the loop on the typed loop: {reason}")
+            }
         }
     }
 }
@@ -376,97 +354,28 @@ impl ParallelError {
             ParallelError::Exec(_) => None,
             ParallelError::WriteConflict { .. } => Some(FallbackReason::Conflict),
             ParallelError::WorkerPanic { .. } => Some(FallbackReason::Panic),
-            ParallelError::NotADoLoop | ParallelError::UnsupportedStep { .. } => {
-                Some(FallbackReason::Unsupported)
-            }
+            ParallelError::NotADoLoop
+            | ParallelError::UnsupportedStep { .. }
+            | ParallelError::Untyped { .. } => Some(FallbackReason::Unsupported),
             ParallelError::Timeout { .. } => Some(FallbackReason::Timeout),
             ParallelError::StrategyViolation { .. } => Some(FallbackReason::Strategy),
         }
     }
 }
 
-/// Runs the program sequentially **except** for `loop_stmt`, which is
-/// executed in parallel chunks per `plan` the first time it is reached
-/// at top level of `main`'s dynamic execution.
-///
-/// Returns the final store.
-///
-/// # Errors
-///
-/// Returns [`ParallelError::WriteConflict`] when chunks overlap — i.e.
-/// the loop was *not* actually parallel.
-pub fn run_loop_parallel(
-    program: &Program,
-    loop_stmt: StmtId,
-    plan: &ParallelPlan,
-) -> Result<Store, ParallelError> {
-    // Execute statements of main one by one; when the target loop is
-    // reached (it must be a top-level statement of some procedure body
-    // reached dynamically), run it chunked. To keep the walker simple we
-    // interpret normally but intercept exactly the designated StmtId via
-    // a custom driver loop.
-    let mut interp = Interp::new(program);
-    interp.allocate_arrays();
-    let main = program.main();
-    let body = program.procedures[main.index()].body.clone();
-    exec_with_interception(&mut interp, &body, loop_stmt, plan)?;
-    Ok(interp.store)
-}
-
-fn exec_with_interception(
-    interp: &mut Interp<'_>,
-    body: &[StmtId],
-    target: StmtId,
-    plan: &ParallelPlan,
-) -> Result<(), ParallelError> {
-    for &s in body {
-        if s == target {
-            run_chunked(interp, s, plan)?;
-            continue;
-        }
-        let program = interp.program();
-        match &program.stmt(s).kind {
-            StmtKind::Call { proc } => {
-                let pbody = &program.procedures[proc.index()].body;
-                exec_with_interception(interp, pbody, target, plan)?;
-            }
-            _ => interp.exec_stmt(s)?,
-        }
-    }
-    Ok(())
-}
-
-fn run_chunked(
-    interp: &mut Interp<'_>,
-    loop_stmt: StmtId,
-    plan: &ParallelPlan,
-) -> Result<(), ParallelError> {
-    let program = interp.program();
-    let StmtKind::Do { lo, hi, step, .. } = &program.stmt(loop_stmt).kind else {
-        return Err(ParallelError::NotADoLoop);
-    };
-    let lo = interp.eval(lo)?.as_int();
-    let hi = interp.eval(hi)?.as_int();
-    let step = match step {
-        Some(e) => interp.eval(e)?.as_int(),
-        None => 1,
-    };
-    exec_do_parallel(interp, loop_stmt, plan, lo, hi, step).map(|_| ())
-}
-
-/// What one worker hands back: its write log plus the execution effects
-/// the master aggregates (statistics, printed output). Strategy modes
-/// also return the worker's overlay (append buffers), its final
-/// reduction values, and — for concat — the final append pointer.
+/// What one worker hands back: what its sinks collected — the logged
+/// element writes and, under concat, the append buffers — the final
+/// values of the scalars the commit reads, and the statistics the
+/// master aggregates.
 struct ChunkOutcome {
     log: WriteLog,
-    overlay: Option<WriteOverlay>,
-    stats: ExecStats,
-    output: Vec<String>,
-    reduction_finals: Vec<(VarId, Value)>,
+    /// Per concat target the body stores to, its append buffer.
+    appended: Vec<(VarId, TypedBuf)>,
+    /// The final value of each of the plan's reductions, in its order.
+    reduction_finals: Vec<Value>,
+    /// The final append pointer (concat only).
     ptr_final: i64,
-    /// The engine the chunk finished on.
-    engine: ChunkEngine,
+    stats: ExecStats,
     #[cfg(test)]
     typed_root_iters: u64,
 }
@@ -508,6 +417,42 @@ impl Mode {
             Mode::InPlace(_) => ExecutionStrategy::InPlaceDisjoint,
             Mode::Concat { .. } => ExecutionStrategy::PrivatizeAndConcat,
         }
+    }
+
+    /// The sinks chunk `widx` stores through, one per pin slot of
+    /// `body` ([`WorkerChunk::sinks`]): its window of an in-place
+    /// target, a fresh append buffer for a concat target, the worker's
+    /// own copy for privatized scratch (the merge has no use for it),
+    /// and a column of the write log for anything else — except in
+    /// place, where the derivation admits no other stored array.
+    fn sinks(
+        &self,
+        program: &Program,
+        plan: &ParallelPlan,
+        body: &CompiledBody,
+        widx: usize,
+    ) -> Vec<Option<WriteSink>> {
+        let sink = |a: VarId| {
+            let ty = program.symbols.var(a).ty;
+            match self {
+                Mode::InPlace(specs) => match specs.iter().find(|s| s.var == a) {
+                    Some(s) => WriteSink::Window(InPlaceWindow {
+                        slice: s.slice,
+                        lo: s.windows[widx].0,
+                        len: s.windows[widx].1,
+                    }),
+                    None => WriteSink::Direct,
+                },
+                Mode::Concat { targets, p0, .. } if targets.contains(&a) => WriteSink::Append {
+                    base: *p0 as usize,
+                    buf: TypedBuf::new(ty),
+                },
+                _ if plan.privatized.contains(&a) => WriteSink::Direct,
+                _ => WriteSink::Logged(ElemColumn::new(a, ty)),
+            }
+        };
+        let slots = body.arrays().iter().zip(body.stored());
+        slots.map(|(&a, &stored)| stored.then(|| sink(a))).collect()
     }
 
     /// Puts back what the in-place targets with an undo image held at
@@ -707,40 +652,41 @@ fn prepare_concat(
 /// already evaluated. This is the dispatch hook the hybrid runtime uses
 /// after a guard (or a compile-time verdict) clears the loop: the
 /// iteration space `lo..=hi` is split into contiguous chunks, each chunk
-/// runs — on one of the interpreter's pooled threads or on the calling
-/// thread — on a copy-on-write clone of the live store with write
-/// recording on, and the chunks' write logs are merged back in
-/// `O(total writes)` (detecting conflicts positionally).
+/// runs the typed loop — on one of the interpreter's pooled threads or
+/// on the calling thread — on a copy-on-write clone of the live store,
+/// and what the chunks' sinks collected is committed per mode (the
+/// write logs merged in `O(total writes)`, detecting conflicts
+/// positionally).
 ///
 /// **The dispatch is a transaction.** The master interpreter — store,
-/// statistics, output, fuel — is mutated only after every worker
-/// completed and the merged write set validated conflict-free; an
-/// in-place dispatch, whose workers write the master's
-/// buffers as they go, instead restores its targets from the images
-/// taken at hand-off. On any [`ParallelError`] the master is as it was
-/// at entry — up to in-place targets that needed no image, possibly
-/// dirty, which a sequential re-execution rewrites location by
-/// location — so the caller can re-execute the
-/// loop sequentially (the interpreter's dispatch site does precisely
-/// that; see `Interp::exec_stmt_with`).
+/// statistics, fuel — is mutated only after every worker completed and
+/// the merged write set validated conflict-free; an in-place dispatch,
+/// whose workers write the master's buffers as they go, instead
+/// restores its targets from the images taken at hand-off. On any
+/// [`ParallelError`] the master is as it was at entry — up to in-place
+/// targets that needed no image, possibly dirty, which a sequential
+/// re-execution rewrites location by location — so the caller can
+/// re-execute the loop sequentially (the interpreter's dispatch site
+/// does precisely that; see `Interp::exec_stmt_with`).
 ///
-/// Worker statistics, printed output, and fuel consumption are
-/// aggregated into the master interpreter; the induction variable is
-/// left at `hi + 1` (or `lo` for a zero-trip loop), matching sequential
-/// semantics. A `plan.deadline_ms` arms a cooperative per-worker
-/// watchdog (checked between iterations); `plan.fault` injects one
-/// failure for chaos testing.
+/// Worker statistics and fuel consumption are aggregated into the
+/// master interpreter; the induction variable is left at `hi + 1` (or
+/// `lo` for a zero-trip loop), matching sequential semantics. A
+/// `plan.deadline_ms` arms a cooperative per-worker watchdog (checked
+/// between iterations); `plan.fault` injects one failure for chaos
+/// testing.
 ///
 /// Returns what was [`Committed`]: the strategy that actually ran (a
-/// zero-trip dispatch commits trivially under the planned one) and the
-/// engines the worker chunks finished on.
+/// zero-trip dispatch commits trivially under the planned one) and how
+/// many chunks ran.
 ///
 /// # Errors
 ///
 /// [`ParallelError::NotADoLoop`] when the statement is not a `do` loop;
 /// [`ParallelError::UnsupportedStep`] when `step != 1` or the trip
 /// count (or `hi + 1`) does not fit the chunk arithmetic;
-/// [`ParallelError::WriteConflict`] when chunks write the same
+/// [`ParallelError::Untyped`] when the nest cannot run on the typed
+/// loop; [`ParallelError::WriteConflict`] when chunks write the same
 /// location; [`ParallelError::WorkerPanic`] when a chunk
 /// panics; [`ParallelError::Timeout`] when a worker overruns the
 /// deadline; [`ParallelError::StrategyViolation`] when a strategy's
@@ -770,7 +716,7 @@ pub(crate) fn exec_do_parallel(
         interp.store.set_scalar(var, ty, Value::Int(lo));
         return Ok(Committed {
             strategy: plan.strategy,
-            engines: WorkerEngines::default(),
+            chunks: 0,
         });
     }
     // The chunk arithmetic below (trip count, chunk bounds, the
@@ -781,6 +727,16 @@ pub(crate) fn exec_do_parallel(
     let Some(n) = trip.and_then(|t| usize::try_from(t).ok()) else {
         return Err(ParallelError::UnsupportedStep { step });
     };
+    // Every chunk runs the typed loop, or the dispatch does not happen.
+    // The lowering is a pure function of the program, so the master's
+    // cache entry is shared by every worker.
+    let untyped = |reason: String| Err(ParallelError::Untyped { reason });
+    let Some(body) = interp.compiled_body_for(loop_stmt) else {
+        return untyped("the nest does not lower".to_string());
+    };
+    if !interp.fast_ready(&body) {
+        return untyped("an array holds another element type than declared".to_string());
+    }
     let threads = plan.threads.clamp(1, n).min(MAX_WORKERS);
     // Chunk boundaries.
     let mut chunks: Vec<(i64, i64)> = Vec::with_capacity(threads);
@@ -826,40 +782,33 @@ pub(crate) fn exec_do_parallel(
             None => Mode::WriteLog,
         },
     };
-    // Lower the loop body once on the master so every worker chunk can
-    // run it (a pure function of the program, so the master's cache
-    // entry is shared via Arc). A nest the lowering rejects leaves
-    // `None` and the workers walk the AST.
-    //
-    // The typed loop writes the scalars its nest can assign back once,
-    // at chunk exit, and a worker's write-back is logged — where the
-    // merge claims it for that worker. Scalars exempt from claiming
-    // (privatized, reductions, the concat pointer; the root induction
-    // variable is never logged) can take that; a nest that can assign
-    // any other scalar walks, which logs a scalar only when it is
-    // dynamically written.
+    // The commit reads a worker's final value of a privatized scalar
+    // (never), a reduction (combined) and the concat pointer (summed);
+    // any other scalar the nest can assign would have to be claimed by
+    // the one chunk that wrote it, which the typed loop, writing back
+    // every such scalar at chunk exit, cannot tell.
     let claim_exempt = |v: VarId| {
         plan.privatized.contains(&v)
             || plan.reductions.iter().any(|(r, _)| *r == v)
             || matches!(&mode, Mode::Concat { ptr, .. } if *ptr == v)
     };
-    let typed_body: Option<Arc<CompiledBody>> = plan
-        .compiled
-        .then(|| interp.compiled_body_for(loop_stmt))
-        .flatten()
-        .filter(|cb| cb.assigned_scalars().all(claim_exempt));
+    if let Some(v) = body.assigned_scalars().find(|&v| !claim_exempt(v)) {
+        let name = program.symbols.name(v);
+        return untyped(format!(
+            "the nest assigns `{name}`, which the commit would claim"
+        ));
+    }
     // Run each chunk on a copy-on-write clone of the live store;
-    // workers return only their logs/buffers and stats. In-place
-    // workers skip write logging entirely — their target accesses go
-    // straight to the master buffers, through the chunk's windows.
+    // workers return only what their sinks collected, their final
+    // scalars and their stats. In-place targets go straight to the
+    // master buffers, through the chunk's windows.
     let fuel = interp.fuel;
-    let mode_ref = &mode;
+    let (mode_ref, body_ref) = (&mode, &*body);
     let jobs: Vec<Job<'_, Result<ChunkOutcome, ChunkAbort>>> = chunks
         .iter()
         .enumerate()
         .map(|(widx, &(clo, chi))| {
             let snapshot = interp.store.clone();
-            let body = typed_body.clone();
             Box::new(move || {
                 if panic_chunk == Some(widx) {
                     panic!("injected fault: worker {widx} panic");
@@ -868,8 +817,9 @@ pub(crate) fn exec_do_parallel(
                 // armed (the hot path never reads wall time), and
                 // before any injected stall — so a stalled worker
                 // trips the deadline on its first iteration check.
-                let watch = ChunkWatch {
+                let mut share = WorkerChunk {
                     deadline: deadline.map(|limit| (Instant::now(), limit)),
+                    sinks: mode_ref.sinks(program, plan, body_ref, widx),
                 };
                 if stall_chunk == Some(widx) {
                     std::thread::sleep(Duration::from_millis(stall_ms));
@@ -877,54 +827,28 @@ pub(crate) fn exec_do_parallel(
                 let mut worker = Interp::new(program);
                 worker.store = snapshot;
                 worker.fuel = fuel;
-                match mode_ref {
-                    Mode::WriteLog => worker.store.start_write_log(),
-                    Mode::InPlace(specs) => {
-                        let windows = specs
-                            .iter()
-                            .map(|s| InPlaceWindow {
-                                var: s.var,
-                                slice: s.slice,
-                                lo: s.windows[widx].0,
-                                len: s.windows[widx].1,
-                            })
-                            .collect();
-                        worker
-                            .store
-                            .install_overlay(WriteOverlay::in_place(windows));
-                    }
-                    Mode::Concat { targets, p0, .. } => {
-                        // Non-target effects still go through the
-                        // log; only target appends are buffered.
-                        worker.store.start_write_log();
-                        let bufs = targets
-                            .iter()
-                            .map(|&a| (a, TypedBuf::new(program.symbols.var(a).ty)))
-                            .collect();
-                        worker
-                            .store
-                            .install_overlay(WriteOverlay::concat(*p0 as usize, bufs));
+                worker.run_fast_iters(body_ref, clo, chi, 1, Some(&mut share))?;
+                let mut log = WriteLog::default();
+                let mut appended = Vec::new();
+                for (&a, sink) in body_ref.arrays().iter().zip(share.sinks) {
+                    match sink {
+                        Some(WriteSink::Logged(col)) if !col.idx.is_empty() => {
+                            log.elements.push(col);
+                        }
+                        Some(WriteSink::Append { buf, .. }) => appended.push((a, buf)),
+                        _ => {}
                     }
                 }
-                let engine =
-                    worker.run_chunk(loop_stmt, body.as_deref(), clo, chi, 1, Some(&watch))?;
-                let reduction_finals = plan
-                    .reductions
-                    .iter()
-                    .map(|&(v, _)| (v, worker.store.scalar(v)))
-                    .collect();
-                let ptr_final = match mode_ref {
-                    Mode::Concat { ptr, .. } => worker.store.scalar(*ptr).as_int(),
-                    _ => 0,
-                };
+                let final_of = |v: VarId| worker.store.scalar(v);
                 Ok(ChunkOutcome {
-                    log: worker.store.take_write_log().unwrap_or_default(),
-                    overlay: worker.store.take_overlay(),
+                    log,
+                    appended,
+                    reduction_finals: plan.reductions.iter().map(|&(v, _)| final_of(v)).collect(),
+                    ptr_final: match mode_ref {
+                        Mode::Concat { ptr, .. } => final_of(*ptr).as_int(),
+                        _ => 0,
+                    },
                     stats: worker.stats,
-                    output: worker.output,
-                    reduction_finals,
-                    ptr_final,
-                    engine,
                     #[cfg(test)]
                     typed_root_iters: worker.typed_root_iters,
                 })
@@ -949,54 +873,34 @@ pub(crate) fn exec_do_parallel(
             return Err(e);
         }
     };
-    // Commit per mode.
+    // Commit per mode; each validates before its first master mutation.
     match &mode {
-        Mode::WriteLog => {
-            // Merge the write logs into the master store: O(total
-            // writes), fully validated before the first master mutation.
-            let logs: Vec<&WriteLog> = outcomes.iter().map(|c| &c.log).collect();
-            merge_write_logs(program, interp, &logs, plan, var, None)?;
-        }
+        Mode::WriteLog => merge_write_logs(program, interp, &outcomes)?,
         Mode::InPlace(specs) => {
             // The element writes already landed, each chunk's inside
             // its own windows — there is nothing to merge (and the undo
-            // images are dropped with the mode). Combine the scalar
-            // reductions from per-worker finals and publish a version
+            // images are dropped with the mode). Publish a version
             // bump per target so inspector schedule caches and the
             // dependence auditor see the mutation.
-            for (rv, op) in &plan.reductions {
-                let base = interp.store.scalar(*rv);
-                let mut acc = base;
-                for out in &outcomes {
-                    for &(v, theirs) in &out.reduction_finals {
-                        if v == *rv {
-                            acc = combine_reduction(*op, acc, theirs, base);
-                        }
-                    }
-                }
-                let rty = program.symbols.var(*rv).ty;
-                interp.store.set_scalar(*rv, rty, acc);
-            }
             for s in specs {
                 interp.store.bump_version(s.var);
             }
         }
         Mode::Concat { ptr, targets, p0 } => {
-            commit_concat(program, interp, plan, &outcomes, var, *ptr, targets, *p0)?;
+            commit_concat(program, interp, &outcomes, *ptr, targets, *p0)?;
         }
     }
+    commit_reductions(program, interp, plan, &outcomes);
     // The transaction commits: record the dispatch, then aggregate
     // worker effects — the master pays the chunks' execution cost
-    // (statements + fuel), absorbs their per-loop statistics, and keeps
-    // their printed output in chunk order.
+    // (statements + fuel) and absorbs their per-loop statistics.
     record_dispatch(interp, loop_stmt, plan);
     let body_cost: u64 = outcomes.iter().map(|c| c.stats.total_cost).sum();
     interp.charge(body_cost)?;
     let entry = interp.stats.loops.entry(loop_stmt).or_default();
     entry.total_cost += body_cost;
-    let mut engines = WorkerEngines::default();
+    let chunks = outcomes.len() as u64;
     for c in outcomes {
-        engines.count(c.engine);
         interp.stats.stream_entries += c.stats.stream_entries;
         interp.stats.stream_iters += c.stats.stream_iters;
         for (s, ls) in c.stats.loops {
@@ -1005,13 +909,12 @@ pub(crate) fn exec_do_parallel(
             e.total_cost += ls.total_cost;
             e.iteration_costs.extend(ls.iteration_costs);
         }
-        interp.output.extend(c.output);
     }
     // Sequential semantics: the induction variable ends one past `hi`.
     interp.store.set_scalar(var, ty, Value::Int(hi + 1));
     Ok(Committed {
         strategy: mode.strategy(),
-        engines,
+        chunks,
     })
 }
 
@@ -1073,8 +976,9 @@ fn chunk_outcomes(
 }
 
 /// Commits a [`Mode::Concat`] dispatch: validates the append discipline
-/// dynamically, merges the non-target write logs, then concatenates
-/// the per-chunk buffers positionally in chunk order.
+/// dynamically, merges the write logs (the targets never reach them:
+/// their stores went to the append buffers), then concatenates the
+/// per-chunk buffers positionally in chunk order.
 ///
 /// Validation before mutation: every chunk's pointer delta must be
 /// non-negative and equal every one of its buffers' lengths (holes or
@@ -1084,13 +988,10 @@ fn chunk_outcomes(
 /// stayed in range even where the concatenation does not: an overrun
 /// is a [`ParallelError::StrategyViolation`] on the target, and the
 /// sequential fallback raises the program's own out-of-bounds error.
-#[allow(clippy::too_many_arguments)]
 fn commit_concat(
     program: &Program,
     interp: &mut Interp<'_>,
-    plan: &ParallelPlan,
     outcomes: &[ChunkOutcome],
-    loop_var: VarId,
     ptr: VarId,
     targets: &[VarId],
     p0: i64,
@@ -1106,10 +1007,7 @@ fn commit_concat(
         if dp < 0 {
             return Err(violation(ptr));
         }
-        let Some(WriteOverlay::Concat { bufs, .. }) = &out.overlay else {
-            return Err(violation(ptr));
-        };
-        for (a, buf) in bufs {
+        for (a, buf) in &out.appended {
             if buf.len() as i64 != dp {
                 return Err(violation(*a));
             }
@@ -1122,11 +1020,7 @@ fn commit_concat(
             return Err(violation(a));
         }
     }
-    // Non-target effects merge as usual; the overlay guaranteed target
-    // element writes never reached these logs, and `ptr` is exempt from
-    // scalar claiming (every worker advances it by design).
-    let logs: Vec<&WriteLog> = outcomes.iter().map(|c| &c.log).collect();
-    merge_write_logs(program, interp, &logs, plan, loop_var, Some((ptr, targets)))?;
+    merge_write_logs(program, interp, outcomes)?;
     // Apply the buffers positionally in chunk (= sequential) order;
     // the version rises by one per element, as element-wise writes
     // would have raised it.
@@ -1137,17 +1031,34 @@ fn commit_concat(
         if dp == 0 {
             continue;
         }
-        if let Some(WriteOverlay::Concat { bufs, .. }) = &out.overlay {
-            for (a, buf) in bufs {
-                buf.scatter_into(interp.store.array_make_mut(*a), base..base + dp);
-                interp.store.bump_version_by(*a, dp as u64);
-            }
+        for (a, buf) in &out.appended {
+            buf.scatter_into(interp.store.array_make_mut(*a), base..base + dp);
+            interp.store.bump_version_by(*a, dp as u64);
         }
         base += dp;
     }
     let pty = program.symbols.var(ptr).ty;
     interp.store.set_scalar(ptr, pty, Value::Int(p0 + total));
     Ok(())
+}
+
+/// Folds every chunk's final value of each of the plan's reductions
+/// into the master's, under its [`ReduceOp`] — one commit for every
+/// strategy: each worker hands back the final value of every scalar its
+/// nest assigns.
+fn commit_reductions(
+    program: &Program,
+    interp: &mut Interp<'_>,
+    plan: &ParallelPlan,
+    outcomes: &[ChunkOutcome],
+) {
+    for (k, &(rv, op)) in plan.reductions.iter().enumerate() {
+        let base = interp.store.scalar(rv);
+        let combine =
+            |acc, out: &ChunkOutcome| combine_reduction(op, acc, out.reduction_finals[k], base);
+        let acc = outcomes.iter().fold(base, combine);
+        interp.store.set_scalar(rv, program.symbols.var(rv).ty, acc);
+    }
 }
 
 /// Records a committed (or zero-trip) parallel dispatch and the plan's
@@ -1203,7 +1114,8 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 /// it already owns, and the second worker to touch one is a
 /// [`ParallelError::WriteConflict`] — values are never compared, so
 /// writes that happen to restore the pre-loop value cannot mask a
-/// conflict.
+/// conflict. Privatized scratch and concat targets never reach a log
+/// ([`Mode::sinks`]), and scalars are not logged at all.
 ///
 /// The merge is two-phase: every log is validated (no location
 /// double-claimed) before the first master-store mutation, so a merge
@@ -1214,56 +1126,16 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 fn merge_write_logs(
     program: &Program,
     interp: &mut Interp<'_>,
-    logs: &[&WriteLog],
-    plan: &ParallelPlan,
-    loop_var: VarId,
-    concat: Option<(VarId, &[VarId])>,
+    outcomes: &[ChunkOutcome],
 ) -> Result<(), ParallelError> {
-    let conflict = |v: VarId| ParallelError::WriteConflict {
-        var: program.symbols.name(v).to_string(),
-    };
-    let is_reduction = |v: VarId| plan.reductions.iter().any(|(r, _)| *r == v);
-    // Concat dispatches exempt the append pointer from scalar claiming
-    // (every worker advances it; the commit sets its true final) and
-    // the target arrays from element claims (their writes were
-    // intercepted by the overlay; the commit fills them itself).
-    let concat_ptr = concat.map(|(p, _)| p);
-    let concat_targets: &[VarId] = concat.map_or(&[], |(_, t)| t);
-
     // ---- Phase 1: validate (no master mutation) ----
 
-    // Scalars: collapse each worker's log to final values, then claim
-    // each variable for at most one worker. Reduction scalars are
-    // exempt from claiming; their per-worker finals combine in phase 2.
-    let mut claimed_scalars: HashMap<VarId, Value> = HashMap::new();
-    let mut reduction_finals: HashMap<VarId, Vec<Value>> = HashMap::new();
-    for log in logs {
-        let mut finals: HashMap<VarId, Value> = HashMap::new();
-        for &(v, val) in &log.scalars {
-            if v == loop_var || plan.privatized.contains(&v) || concat_ptr == Some(v) {
-                continue;
-            }
-            finals.insert(v, val);
-        }
-        for (v, val) in finals {
-            if is_reduction(v) {
-                reduction_finals.entry(v).or_default().push(val);
-            } else if claimed_scalars.insert(v, val).is_some() {
-                return Err(conflict(v));
-            }
-        }
-    }
-
-    // Array elements: every logged write claims its location in the
-    // array's owner table.
+    // Every logged write claims its location in the array's owner table.
     let mut claims: Vec<ArrayClaims<'_>> = Vec::new();
-    for (widx, log) in logs.iter().enumerate() {
+    for (widx, out) in outcomes.iter().enumerate() {
         let me = u16::try_from(widx + 1).expect("chunk count is capped at MAX_WORKERS");
-        for col in &log.elements {
+        for col in &out.log.elements {
             let v = col.var;
-            if plan.privatized.contains(&v) || concat_targets.contains(&v) {
-                continue;
-            }
             let k = match claims.iter().position(|c| c.var == v) {
                 Some(k) => k,
                 None => {
@@ -1283,7 +1155,9 @@ fn merge_write_logs(
                     *owner = me;
                     c.claimed += 1;
                 } else if *owner != me {
-                    return Err(conflict(v));
+                    return Err(ParallelError::WriteConflict {
+                        var: program.symbols.name(v).to_string(),
+                    });
                 }
             }
             c.columns.push(col);
@@ -1292,22 +1166,6 @@ fn merge_write_logs(
 
     // ---- Phase 2: apply (cannot fail) ----
 
-    for (v, val) in claimed_scalars {
-        let ty = program.symbols.var(v).ty;
-        interp.store.set_scalar(v, ty, val);
-    }
-    for (rv, op) in &plan.reductions {
-        let Some(finals) = reduction_finals.get(rv) else {
-            continue; // no worker touched the reduction variable
-        };
-        let base = interp.store.scalar(*rv);
-        let mut acc = base;
-        for &theirs in finals {
-            acc = combine_reduction(*op, acc, theirs, base);
-        }
-        let ty = program.symbols.var(*rv).ty;
-        interp.store.set_scalar(*rv, ty, acc);
-    }
     // One uniquely-owned payload per written array, each column
     // replayed in log order (so a worker's last write to a location
     // wins, and workers never share one). The version rises by the
@@ -1348,7 +1206,7 @@ fn combine_reduction(op: ReduceOp, acc: Value, theirs: Value, base: Value) -> Va
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::SequentialDispatch;
+    use crate::dispatch::FallbackReason;
     use crate::interp::ArrayData;
     use irr_frontend::parse_program;
 
@@ -1389,25 +1247,50 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let seq = Interp::new(&p).run().unwrap();
-        let second = nth_do(&p, 1);
         let plan = ParallelPlan::with_threads(4);
-        let par = run_loop_parallel(&p, second, &plan).unwrap();
+        let (par, res) = dispatch_nth_do(&p, 1, &plan);
+        assert_eq!(res.unwrap().chunks, 4);
         let x = p.symbols.lookup("x").unwrap();
-        assert_eq!(seq.store.array_as_reals(x), par.array_as_reals(x));
+        assert_eq!(seq.store.array_as_reals(x), par.store.array_as_reals(x));
     }
 
-    /// Dispatches `p`'s first `do` loop over `1..=hi` on a fresh master
-    /// and returns the master with the result. The loop is the
-    /// program's first statement in every caller, so the master needs
-    /// no run-up.
+    /// Runs `p`'s main body on a fresh master up to its `n`th top-level
+    /// `do` loop, dispatches that loop under `plan` with the bounds the
+    /// master evaluates, and returns the master with the result.
+    fn dispatch_nth_do<'p>(
+        p: &'p Program,
+        n: usize,
+        plan: &ParallelPlan,
+    ) -> (Interp<'p>, Result<Committed, ParallelError>) {
+        let mut interp = live(p);
+        let target = nth_do(p, n);
+        for &s in p.procedure(p.main()).body.iter() {
+            if s == target {
+                break;
+            }
+            interp.exec_stmt(s).unwrap();
+        }
+        let StmtKind::Do { lo, hi, .. } = &p.stmt(target).kind else {
+            unreachable!("a do loop")
+        };
+        let (lo, hi) = (interp.eval(lo).unwrap(), interp.eval(hi).unwrap());
+        let res = exec_do_parallel(&mut interp, target, plan, lo.as_int(), hi.as_int(), 1);
+        (interp, res)
+    }
+
+    /// The master's store after a [`dispatch_nth_do`] that commits.
+    fn committed_store(p: &Program, n: usize, plan: &ParallelPlan) -> Store {
+        let (master, res) = dispatch_nth_do(p, n, plan);
+        res.unwrap();
+        master.store
+    }
+
+    /// [`dispatch_nth_do`] of `p`'s first `do` loop.
     fn dispatch_first_do<'p>(
         p: &'p Program,
         plan: &ParallelPlan,
-        hi: i64,
     ) -> (Interp<'p>, Result<Committed, ParallelError>) {
-        let mut interp = live(p);
-        let res = exec_do_parallel(&mut interp, first_do(p), plan, 1, hi, 1);
-        (interp, res)
+        dispatch_nth_do(p, 0, plan)
     }
 
     #[test]
@@ -1420,7 +1303,7 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
         assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
         // Every chunk ran typed, through the logged sink.
         assert_eq!(master.typed_root_iters, 100);
@@ -1446,7 +1329,7 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(2), 100);
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(2));
         assert!(
             matches!(res, Err(ParallelError::WriteConflict { ref var }) if var == "x"),
             "expected a write conflict on x, got {res:?}"
@@ -1467,7 +1350,7 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
         assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
         assert_eq!(master.typed_root_iters, 100);
     }
@@ -1494,10 +1377,9 @@ mod tests {
             privatized: vec![jv],
             ..ParallelPlan::with_threads(4)
         };
-        let (master, res) = dispatch_first_do(&p, &plan, 100);
+        let (master, res) = dispatch_first_do(&p, &plan);
         let got = res.unwrap();
-        assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
-        assert_eq!(got.engines.typed, 4);
+        assert_eq!((got.strategy, got.chunks), (ExecutionStrategy::WriteLog, 4));
         let seq = Interp::new(&p).run().unwrap();
         assert_eq!(master.store.array_as_reals(y), seq.store.array_as_reals(y));
         // 300 logged writes claimed 100 distinct locations.
@@ -1531,7 +1413,7 @@ mod tests {
         let plan = ParallelPlan::with_threads(3);
         let got = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 64, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
-        assert_eq!((got.engines.typed, interp.typed_root_iters), (3, 64));
+        assert_eq!((got.chunks, interp.typed_root_iters), (3, 64));
         let seq = Interp::new(&p).run().unwrap();
         let bits = |st: &Store| -> Vec<u64> {
             st.array_as_reals(a)
@@ -1556,23 +1438,21 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
-        let got = res.unwrap();
-        assert_eq!(got.engines.typed, 4);
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
+        assert_eq!(res.unwrap().chunks, 4);
         assert_eq!(master.typed_root_iters, 100);
         let seq = Interp::new(&p).run().unwrap();
         assert_eq!(master.store, seq.store);
     }
 
     /// The typed loop writes every scalar its nest *can* assign back at
-    /// chunk exit, and in a worker a write-back is a logged claim — so
-    /// a nest assigning a scalar the plan neither privatizes nor
-    /// reduces walks for the whole chunk, where a scalar is logged only
-    /// when it is dynamically written. `last` is assigned in iteration
-    /// 77 alone: one chunk claims it and the dispatch commits; typed,
-    /// all four would have claimed it.
+    /// chunk exit, so the commit cannot tell which chunk wrote one: a
+    /// nest assigning a scalar the plan neither privatizes nor reduces
+    /// is refused before any chunk runs, with the master untouched, and
+    /// the sequential fallback runs it. `last` is assigned in iteration
+    /// 77 alone.
     #[test]
-    fn a_nest_assigning_an_unexempt_scalar_walks_and_claims_it_only_where_written() {
+    fn a_nest_assigning_an_unexempt_scalar_is_refused_before_any_chunk_runs() {
         let src = "program t
              integer i, last
              real x(100)
@@ -1584,22 +1464,28 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4), 100);
-        let got = res.unwrap();
-        assert_eq!((got.engines.typed, got.engines.tree_walk), (0, 4));
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
+        let err = res.unwrap_err();
+        assert!(
+            matches!(&err, ParallelError::Untyped { reason } if reason.contains("`last`")),
+            "{err:?}"
+        );
+        assert_eq!(err.fallback_reason(), Some(FallbackReason::Unsupported));
         assert_eq!(master.typed_root_iters, 0);
-        let seq = Interp::new(&p).run().unwrap();
-        assert_eq!(master.store, seq.store);
-        let last = p.symbols.lookup("last").unwrap();
-        assert_eq!(master.store.scalar(last), Value::Int(77));
+        assert_eq!(master.store, live(&p).store);
+        assert_eq!(master.stats.total_cost, 0);
         // Not for want of a typed body: privatizing `last` exempts it
         // from claiming and the same nest runs typed.
+        let last = p.symbols.lookup("last").unwrap();
         let plan = ParallelPlan {
             privatized: vec![last],
             ..ParallelPlan::with_threads(4)
         };
-        let (_, res) = dispatch_first_do(&p, &plan, 100);
-        assert_eq!(res.unwrap().engines.typed, 4);
+        let (master, res) = dispatch_first_do(&p, &plan);
+        assert_eq!(res.unwrap().chunks, 4);
+        let x = p.symbols.lookup("x").unwrap();
+        let seq = Interp::new(&p).run().unwrap();
+        assert_eq!(master.store.array_as_reals(x), seq.store.array_as_reals(x));
     }
 
     /// A runtime error raised inside a typed chunk is the program's
@@ -1700,8 +1586,9 @@ mod tests {
                 strategy,
                 ..ParallelPlan::default()
             };
-            let st = run_loop_parallel(&p, first_do(&p), &plan).unwrap();
-            assert_eq!(st, seq.store, "{strategy:?}");
+            let (master, res) = dispatch_first_do(&p, &plan);
+            res.unwrap();
+            assert_eq!(master.store, seq.store, "{strategy:?}");
         }
     }
 
@@ -1725,7 +1612,7 @@ mod tests {
             reductions: vec![(s, ReduceOp::Sum)],
             ..ParallelPlan::default()
         };
-        let st = run_loop_parallel(&p, nth_do(&p, 1), &plan).unwrap();
+        let st = committed_store(&p, 1, &plan);
         assert_eq!(st.scalar(s).as_real(), 5050.0);
     }
 
@@ -1750,7 +1637,7 @@ mod tests {
             reductions: vec![(s, ReduceOp::Min)],
             ..ParallelPlan::default()
         };
-        let st = run_loop_parallel(&p, nth_do(&p, 1), &plan).unwrap();
+        let st = committed_store(&p, 1, &plan);
         assert_eq!(st.scalar(s).as_real(), 2.0);
 
         let src_max = src
@@ -1764,7 +1651,7 @@ mod tests {
             reductions: vec![(s, ReduceOp::Max)],
             ..ParallelPlan::default()
         };
-        let st = run_loop_parallel(&p, nth_do(&p, 1), &plan).unwrap();
+        let st = committed_store(&p, 1, &plan);
         // max over abs(i - 37) + 2 on 1..=100 is abs(100 - 37) + 2.
         assert_eq!(st.scalar(s).as_real(), 65.0);
     }
@@ -1790,11 +1677,13 @@ mod tests {
             reductions: vec![],
             ..ParallelPlan::default()
         };
-        let (master, res) = dispatch_first_do(&p, &plan, 100);
-        assert_eq!(res.unwrap().engines.typed, 4);
+        let (master, res) = dispatch_first_do(&p, &plan);
+        assert_eq!(res.unwrap().chunks, 4);
         let seq = Interp::new(&p).run().unwrap();
         let z = p.symbols.lookup("z").unwrap();
         assert_eq!(master.store.array_as_reals(z), seq.store.array_as_reals(z));
+        // The scratch was written in each worker's own copy only.
+        assert_eq!(master.store.array_as_reals(tmp), Some(vec![0.0; 10]));
     }
 
     #[test]
@@ -1810,7 +1699,7 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let plan = ParallelPlan::with_threads(4);
-        let st = run_loop_parallel(&p, first_do(&p), &plan).unwrap();
+        let st = committed_store(&p, 0, &plan);
         let seq = Interp::new(&p).run().unwrap();
         let k = p.symbols.lookup("k").unwrap();
         let i = p.symbols.lookup("i").unwrap();
@@ -1830,7 +1719,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         // More threads than iterations: clamps to one chunk.
         let plan = ParallelPlan::with_threads(8);
-        let st = run_loop_parallel(&p, first_do(&p), &plan).unwrap();
+        let st = committed_store(&p, 0, &plan);
         let seq = Interp::new(&p).run().unwrap();
         let x = p.symbols.lookup("x").unwrap();
         let i = p.symbols.lookup("i").unwrap();
@@ -1856,7 +1745,7 @@ mod tests {
             reductions: vec![(s, ReduceOp::Sum)],
             ..ParallelPlan::default()
         };
-        let st = run_loop_parallel(&p, first_do(&p), &plan).unwrap();
+        let st = committed_store(&p, 0, &plan);
         assert_eq!(st.scalar(s).as_real(), 42.0);
     }
 
@@ -1870,8 +1759,9 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
+        let mut interp = live(&p);
         let plan = ParallelPlan::with_threads(4);
-        let err = run_loop_parallel(&p, first_do(&p), &plan).unwrap_err();
+        let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 2).unwrap_err();
         assert!(
             matches!(err, ParallelError::UnsupportedStep { step: 2 }),
             "got {err:?}"
@@ -1879,10 +1769,11 @@ mod tests {
         assert!(err.to_string().contains("step 2"), "{err}");
     }
 
+    /// A nest the lowering rejects — `min` with one argument, which the
+    /// parser admits and the tree-walk panics on — never reaches a
+    /// worker: the dispatch is refused before any chunk runs.
     #[test]
-    fn worker_panic_is_propagated_not_process_aborting() {
-        // `min` with one argument panics inside `apply_intrinsic`; the
-        // parser admits it, so the panic fires inside a chunk.
+    fn a_nest_that_does_not_lower_is_refused_before_any_chunk_runs() {
         let src = "program t
              integer i
              real x(10)
@@ -1891,12 +1782,14 @@ mod tests {
              enddo
              end";
         let p = parse_program(src).unwrap();
-        let plan = ParallelPlan::with_threads(2);
-        let err = run_loop_parallel(&p, first_do(&p), &plan).unwrap_err();
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(2));
+        let err = res.unwrap_err();
         assert!(
-            matches!(err, ParallelError::WorkerPanic { .. }),
+            matches!(&err, ParallelError::Untyped { reason } if reason.contains("lower")),
             "got {err:?}"
         );
+        assert_eq!(err.fallback_reason(), Some(FallbackReason::Unsupported));
+        assert_eq!(master.worker_threads_spawned(), 0);
     }
 
     /// `threads` is caller-supplied: a plan may ask for more threads
@@ -1919,7 +1812,7 @@ mod tests {
             interp.pool = Some(WorkerPool::with_spawn_limit(granted));
             let plan = ParallelPlan::with_threads(16);
             let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 64, 1).unwrap();
-            assert_eq!(got.engines.typed, 16, "{granted} thread(s) granted");
+            assert_eq!(got.chunks, 16, "{granted} thread(s) granted");
             assert_eq!(interp.worker_threads_spawned(), granted as u64);
             assert_eq!(interp.store, seq.store, "{granted} thread(s) granted");
         }
@@ -1940,9 +1833,8 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let seq = Interp::new(&p).run().unwrap();
-        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(40_000), 100_000);
-        let engines = res.unwrap().engines;
-        assert_eq!(engines.typed + engines.tree_walk, 40_000);
+        let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(40_000));
+        assert_eq!(res.unwrap().chunks, 40_000);
         assert!(master.worker_threads_spawned() <= crate::pool::MAX_POOL_THREADS as u64);
         assert_eq!(master.store, seq.store);
     }
@@ -2033,7 +1925,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_and_output_are_aggregated() {
+    fn worker_stats_are_aggregated() {
         let src = "program t
              integer i, j
              real z(8)
@@ -2041,7 +1933,6 @@ mod tests {
                do j = 1, 3
                  z(i) = z(i) + 1.0
                enddo
-               print z(i)
              enddo
              end";
         let p = parse_program(src).unwrap();
@@ -2062,13 +1953,14 @@ mod tests {
         let seq = Interp::new(&p).run().unwrap();
         let mut interp = live(&p);
         exec_do_parallel(&mut interp, outer, &plan, 1, 8, 1).unwrap();
-        // Every chunk's inner-loop invocations are absorbed, the loop's
-        // cost is charged to the master, and printed output arrives in
-        // chunk (= sequential) order.
+        // Every chunk's inner-loop invocations are absorbed, and the
+        // loop's cost is charged to the master, as the sequential run
+        // spends it.
         assert_eq!(interp.stats.loops[&inner].invocations, 8);
-        assert_eq!(seq.output, interp.output);
         assert!(interp.stats.total_cost > 0);
-        assert!(interp.stats.loops[&outer].total_cost > 0);
+        let cost = |it: &ExecStats, l| it.loops[&l].total_cost;
+        assert_eq!(cost(&interp.stats, outer), cost(&seq.stats, outer));
+        assert_eq!(cost(&interp.stats, inner), cost(&seq.stats, inner));
     }
 
     #[test]
@@ -2089,7 +1981,7 @@ mod tests {
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         // Every chunk is typed, through the window sink.
-        assert_eq!((got.engines.typed, interp.typed_root_iters), (4, 100));
+        assert_eq!((got.chunks, interp.typed_root_iters), (4, 100));
         let seq = Interp::new(&p).run().unwrap();
         let x = p.symbols.lookup("x").unwrap();
         let i = p.symbols.lookup("i").unwrap();
@@ -2175,18 +2067,17 @@ mod tests {
         for order in [[&bare, &reducing, &reducing], [&reducing, &bare, &bare]] {
             let mut interp = live(&p);
             for plan in order {
-                let got = exec_do_parallel(&mut interp, first_do(&p), plan, 1, 100, 1).unwrap();
-                let want = if plan.reductions.is_empty() {
-                    ExecutionStrategy::WriteLog
+                let got = exec_do_parallel(&mut interp, first_do(&p), plan, 1, 100, 1);
+                let declared = !plan.reductions.is_empty();
+                if declared {
+                    assert_eq!(got.unwrap().strategy, ExecutionStrategy::InPlaceDisjoint);
                 } else {
-                    ExecutionStrategy::InPlaceDisjoint
-                };
-                assert_eq!(got.strategy, want);
+                    // Nor can a typed worker hand back an unexplained
+                    // `s`: the dispatch is refused.
+                    assert!(matches!(got, Err(ParallelError::Untyped { .. })), "{got:?}");
+                }
                 let memo = &interp.derived_shapes[&first_do(&p)];
-                assert_eq!(
-                    memo.in_place.as_ref().unwrap().is_some(),
-                    want != ExecutionStrategy::WriteLog
-                );
+                assert_eq!(memo.in_place.as_ref().unwrap().is_some(), declared);
             }
         }
     }
@@ -2309,7 +2200,7 @@ mod tests {
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::PrivatizeAndConcat);
         // Typed, through the append sink.
-        assert_eq!((got.engines.typed, interp.typed_root_iters), (4, 100));
+        assert_eq!((got.chunks, interp.typed_root_iters), (4, 100));
         let seq = Interp::new(&p).run().unwrap();
         let q = p.symbols.lookup("q").unwrap();
         let ind = p.symbols.lookup("ind").unwrap();
@@ -2322,9 +2213,8 @@ mod tests {
     }
 
     /// Hole-freedom is never re-proven statically: an increment
-    /// without its write is caught by the append sink's position rule
-    /// on the typed loop exactly as `WriteOverlay::intercept` catches
-    /// it on the walk, and the dispatch aborts with the master untouched.
+    /// without its write is caught by the append sink's position rule,
+    /// and the dispatch aborts with the master untouched.
     #[test]
     fn a_hole_in_the_appends_is_a_violation_under_the_typed_sink() {
         let src = "program t
@@ -2359,10 +2249,10 @@ mod tests {
     /// One worker over `do i = 1, 8` of `body`, its window on `x`
     /// narrower than the chunk: elements 3..=6 of 8. The dispatch can
     /// only hand a worker the window of its own chunk (and re-derives
-    /// the shapes first), so these tests drive the chunk entry
-    /// directly. Returns how the chunk ended, on the typed loop or the
-    /// tree-walk, the root iterations the typed loop started, and `x`.
-    fn narrowed_chunk(body: &str, typed: bool) -> (Result<ChunkEngine, ChunkAbort>, u64, Vec<f64>) {
+    /// the shapes first), so these tests drive the typed loop directly.
+    /// Returns how the chunk ended, the root iterations it started, and
+    /// `x`.
+    fn narrowed_chunk(body: &str) -> (Result<(), ChunkAbort>, u64, Vec<f64>) {
         let src = format!(
             "program t
              integer i
@@ -2374,39 +2264,37 @@ mod tests {
         );
         let p = parse_program(&src).unwrap();
         let x = p.symbols.lookup("x").unwrap();
-        let s = first_do(&p);
         let mut worker = live(&p);
         let slice = worker.store.payload_raw(x);
-        let window = InPlaceWindow {
-            var: x,
-            slice,
-            lo: 2,
-            len: 4,
+        let cb = worker.compiled_body_for(first_do(&p)).unwrap();
+        let sink = |a: VarId| match a == x {
+            true => WriteSink::Window(InPlaceWindow {
+                slice,
+                lo: 2,
+                len: 4,
+            }),
+            false => WriteSink::Direct,
         };
-        worker
-            .store
-            .install_overlay(WriteOverlay::in_place(vec![window]));
-        let cb = worker.compiled_body_for(s).unwrap();
-        let watch = ChunkWatch { deadline: None };
-        let res = worker.run_chunk(s, typed.then_some(&*cb), 3, 8, 1, Some(&watch));
-        let violated = matches!(res, Err(ChunkAbort::Violated(v)) if v == x);
-        assert_eq!(worker.store.overlay_violation(), violated.then_some(x));
+        let slots = cb.arrays().iter().zip(cb.stored());
+        let mut share = WorkerChunk {
+            deadline: None,
+            sinks: slots.map(|(&a, &stored)| stored.then(|| sink(a))).collect(),
+        };
+        let res = worker.run_fast_iters(&cb, 3, 8, 1, Some(&mut share));
         let held = worker.store.array_as_reals(x).unwrap();
         (res, worker.typed_root_iters, held)
     }
 
     /// A window pin is a view of the window alone: the typed loop's
     /// bounds check refuses a store past it at that access, without
-    /// touching memory, and the tree-walk's hook does the same.
+    /// touching memory.
     #[test]
     fn a_store_outside_the_window_is_a_violation_at_the_access() {
-        for typed in [true, false] {
-            let (res, typed_iters, x) = narrowed_chunk("x(i) = i * 1.5", typed);
-            assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
-            // Iterations 3..=6 stored; iteration 7 was refused.
-            assert_eq!(typed_iters, if typed { 5 } else { 0 });
-            assert_eq!(x, [0.0, 0.0, 4.5, 6.0, 7.5, 9.0, 0.0, 0.0]);
-        }
+        let (res, typed_iters, x) = narrowed_chunk("x(i) = i * 1.5");
+        assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
+        // Iterations 3..=6 stored; iteration 7 was refused.
+        assert_eq!(typed_iters, 5);
+        assert_eq!(x, [0.0, 0.0, 4.5, 6.0, 7.5, 9.0, 0.0, 0.0]);
     }
 
     /// A stream takes a LINEAR range only when both its ends pass the
@@ -2415,12 +2303,10 @@ mod tests {
     /// same refused access, on the same array.
     #[test]
     fn a_stream_declines_a_window_its_range_does_not_fit() {
-        for typed in [true, false] {
-            let (res, typed_iters, x) = narrowed_chunk("x(i) = y(i) * 1.5 + 0.25", typed);
-            assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
-            assert_eq!(typed_iters, if typed { 5 } else { 0 });
-            assert_eq!(x, [0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]);
-        }
+        let (res, typed_iters, x) = narrowed_chunk("x(i) = y(i) * 1.5 + 0.25");
+        assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
+        assert_eq!(typed_iters, 5);
+        assert_eq!(x, [0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]);
     }
 
     /// Loads are confined like stores: a read of the target outside
@@ -2432,30 +2318,26 @@ mod tests {
     /// out-of-bounds error instead.
     #[test]
     fn a_load_outside_the_window_is_a_violation_not_a_value() {
-        for typed in [true, false] {
-            let (res, typed_iters, x) = narrowed_chunk("x(i) = y(int(x(i - 2)) + 9) + 1.0", typed);
-            assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
-            assert_eq!(typed_iters, u64::from(typed));
-            assert_eq!(x, [0.0; 8]);
-        }
+        let (res, typed_iters, x) = narrowed_chunk("x(i) = y(int(x(i - 2)) + 9) + 1.0");
+        assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
+        assert_eq!(typed_iters, 1);
+        assert_eq!(x, [0.0; 8]);
     }
 
     /// ... while a subscript outside the *array* is still the program's
     /// own error, with the array's extent, not the window's.
     #[test]
     fn a_subscript_outside_the_array_is_the_programs_error_under_a_window() {
-        for typed in [true, false] {
-            let (res, _, _) = narrowed_chunk("x(i + 6) = 1.0", typed);
-            let expected = ExecError::OutOfBounds {
-                array: "x".to_string(),
-                index: 9,
-                extent: 8,
-            };
-            assert!(
-                matches!(&res, Err(ChunkAbort::Exec(e)) if *e == expected),
-                "{res:?}"
-            );
-        }
+        let (res, _, _) = narrowed_chunk("x(i + 6) = 1.0");
+        let expected = ExecError::OutOfBounds {
+            array: "x".to_string(),
+            index: 9,
+            extent: 8,
+        };
+        assert!(
+            matches!(&res, Err(ChunkAbort::Exec(e)) if *e == expected),
+            "{res:?}"
+        );
     }
 
     fn ints(data: &[i64]) -> ArrayData {
@@ -2532,7 +2414,7 @@ mod tests {
         let (master, seq, res) = segment_walk(&p, &[1, 3, 6, 6, 9], &[2, 3, 0, 3], &held, None);
         let got = res.unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
-        assert_eq!(got.engines.typed, 2);
+        assert_eq!(got.chunks, 2);
         // (The stores differ in the privatized `j` alone.)
         let x = p.symbols.lookup("x").unwrap();
         let same = |master: &Interp<'_>, seq: &Interp<'_>| {
@@ -2789,11 +2671,12 @@ mod tests {
     }
 
     #[test]
-    fn concat_request_downgrades_to_write_log_conflict() {
+    fn concat_request_that_does_not_rederive_is_refused_not_committed() {
         // Non-unit pointer increment fails the shape derivation, so the
-        // dispatch downgrades to the write-log — where the cross-chunk
-        // pointer writes are a genuine conflict and the dispatch aborts
-        // transactionally instead of committing wrong results.
+        // dispatch downgrades to the write-log — where `q` is no longer
+        // the exempt append pointer but a scalar every chunk assigns,
+        // and the dispatch is refused before any chunk runs instead of
+        // committing wrong results.
         let src = "program t
              integer i, q, ind(300)
              do i = 1, 100
@@ -2809,9 +2692,10 @@ mod tests {
         let mut interp = live(&p);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
         assert!(
-            matches!(err, ParallelError::WriteConflict { .. }),
+            matches!(&err, ParallelError::Untyped { reason } if reason.contains("`q`")),
             "got {err:?}"
         );
+        assert_eq!(interp.store, live(&p).store);
     }
 
     #[test]
@@ -2838,8 +2722,9 @@ mod tests {
     #[test]
     fn merge_cost_tracks_writes_not_store_size() {
         // Identical 16-element write sets against a small and a large
-        // store must produce identical write-log sizes — the structural
-        // guarantee behind the `parallel-merge` bench cases.
+        // store must commit identical claims — the structural guarantee
+        // behind the merge's `O(total writes)`: 16 distinct locations of
+        // `y`, nothing of the array the chunks only read.
         for n in [512usize, 8192] {
             let src = format!(
                 "program t
@@ -2851,14 +2736,14 @@ mod tests {
                  end"
             );
             let p = parse_program(&src).unwrap();
-            let mut interp = live(&p);
-            interp.store.start_write_log();
-            interp
-                .exec_proc_with(p.main(), &mut SequentialDispatch)
-                .unwrap();
-            let log = interp.store.take_write_log().unwrap();
-            // 16 element writes on y; `i` scalar writes from the loop.
-            assert_eq!(log.element_writes(), 16, "store size n={n}");
+            let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(2));
+            assert_eq!(res.unwrap().strategy, ExecutionStrategy::WriteLog);
+            let version = |name| master.store.array_version(p.symbols.lookup(name).unwrap());
+            assert_eq!(
+                (version("y"), version("big")),
+                (1 + 16, 1),
+                "store size n={n}"
+            );
         }
     }
 }

@@ -78,11 +78,13 @@ pub struct HybridConfig {
     /// `false` forces every parallel dispatch through the write-log —
     /// the pre-strategy behavior, kept for A/B measurement.
     pub enable_strategies: bool,
-    /// Use the compiled execution tier: sequential-tier leaf loops
-    /// whose verdict carries a compiled plan dispatch as
-    /// [`LoopDecision::Compiled`], and parallel plans request typed
-    /// worker bodies. `false` keeps every loop on the tree-walk — the
-    /// A/B baseline (`runtime.hybrid_treewalk_ms` in `benchmark/`).
+    /// Use the compiled execution tier for the sequential tier:
+    /// sequential-tier leaf loops whose verdict carries a compiled plan
+    /// dispatch as [`LoopDecision::Compiled`]. `false` walks them on the
+    /// AST. Parallel workers run the typed loop either way (a dispatch
+    /// whose nest cannot is refused and falls back), so the A/B
+    /// baseline `runtime.hybrid_treewalk_ms` in `benchmark/` measures
+    /// typed workers under a walked sequential tier.
     pub enable_compiled: bool,
 }
 
@@ -222,12 +224,9 @@ impl HybridDispatcher {
         fault: Option<FaultKind>,
         certificates: Vec<InjectiveCertificate>,
     ) -> ParallelPlan {
-        // A request, not a promise: the master re-lowers before
-        // dispatching and workers silently tree-walk when it fails.
-        let compiled = self.config.enable_compiled && entry.compiled_plan;
-        if compiled {
-            self.telemetry.compiled_worker_dispatches += 1;
-        }
+        // Every worker runs the typed loop: the master re-lowers before
+        // dispatching and refuses the dispatch when that fails.
+        self.telemetry.compiled_worker_dispatches += 1;
         ParallelPlan {
             threads: self.config.threads.max(1),
             deadline_ms: self.config.worker_deadline_ms,
@@ -237,7 +236,6 @@ impl HybridDispatcher {
             } else {
                 ExecutionStrategy::WriteLog
             },
-            compiled,
             certificates,
             ..entry.plan.clone()
         }
@@ -488,8 +486,7 @@ impl LoopDispatcher for HybridDispatcher {
             ExecutionStrategy::InPlaceDisjoint => self.telemetry.strategy_in_place += 1,
             ExecutionStrategy::PrivatizeAndConcat => self.telemetry.strategy_concat += 1,
         }
-        self.telemetry.worker_chunks_typed += committed.engines.typed;
-        self.telemetry.worker_chunks_tree_walk += committed.engines.tree_walk;
+        self.telemetry.worker_chunks_typed += committed.chunks;
     }
 
     fn compiled_committed(&mut self, _loop_stmt: StmtId, _engine: ChunkEngine) {
@@ -530,7 +527,7 @@ pub struct HybridOutcome {
 /// dispatcher and returns the outcome together with the telemetry.
 ///
 /// Parallel dispatch is transactional: a dispatch that fails at runtime
-/// (conflict, panic, shape mismatch, timeout) re-executes sequentially
+/// (conflict, panic, a nest workers cannot run, timeout) re-executes sequentially
 /// on the untouched master store, is counted under a reason-coded
 /// fallback counter in [`Telemetry`], and quarantines the failing
 /// schedule — it never surfaces as an error.

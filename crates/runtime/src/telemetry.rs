@@ -81,7 +81,8 @@ pub struct Telemetry {
     /// Parallel dispatches abandoned because a worker panicked.
     pub fallback_panic: u64,
     /// Parallel dispatches abandoned because the executor cannot run
-    /// the loop's shape (non-unit step, not a `do` loop).
+    /// the loop's shape (non-unit step, not a `do` loop) or its workers
+    /// cannot run the nest on the typed loop.
     pub fallback_unsupported: u64,
     /// Parallel dispatches abandoned because a worker overran the
     /// per-worker deadline (watchdog).
@@ -95,19 +96,15 @@ pub struct Telemetry {
     /// `sequential_proven`: the compiled tier changes the engine, not
     /// the dispatch decision.
     pub compiled_loops: u64,
-    /// Parallel dispatches whose plan requested bytecode workers (the
-    /// compiled tier inside the parallel path). A request, not a
-    /// promise — the master re-lowers before dispatching and workers
-    /// silently tree-walk when that fails.
+    /// Parallel plans handed to the executor. Every worker runs the
+    /// typed loop (the compiled tier inside the parallel path): the
+    /// master re-lowers before dispatching, and a dispatch whose nest
+    /// cannot run typed is refused and counted under
+    /// `fallback_unsupported`.
     pub compiled_worker_dispatches: u64,
-    /// Worker chunks of committed parallel dispatches that ran on the
-    /// typed loop — what a `compiled_worker_dispatches` request is for.
+    /// Worker chunks of committed parallel dispatches, every one run on
+    /// the typed loop.
     pub worker_chunks_typed: u64,
-    /// Worker chunks of committed dispatches that ran the tree-walk (no
-    /// compiled request, a nest that does not lower, a claimed scalar
-    /// assigned in the body, or a preset of another element type than
-    /// declared).
-    pub worker_chunks_tree_walk: u64,
     /// Worker threads the run created for all its parallel dispatches
     /// together: at most its largest chunk count minus one (the master
     /// runs chunks too), whatever the number of dispatches; 0 when no

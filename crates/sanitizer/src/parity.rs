@@ -2,8 +2,8 @@
 //! reproduced that run" means.
 //!
 //! Every way of executing a compiled program — the hybrid runtime under
-//! any commit strategy, worker engine, thread count or fault schedule,
-//! the compiled tier's chunk entry, a single loop run in chunks — is
+//! any commit strategy, thread count or fault schedule, the compiled
+//! tier, a single loop run in chunks ([`OneLoopInChunks`]) — is
 //! held to the sequential tree-walk ([`sequential`]) by
 //! [`first_divergence`]: printed output token by token, every scalar
 //! and array the verdicts do not privatize, the total statement cost,
@@ -15,9 +15,10 @@
 
 use irr_driver::CompilationReport;
 use irr_exec::{
-    ArrayData, ExecError, ExecOutcome, Interp, LoopDispatcher, SequentialDispatch, Store, Value,
+    ArrayData, Committed, ExecError, ExecOutcome, FallbackReason, Interp, LoopDecision,
+    LoopDispatcher, ParallelPlan, SequentialDispatch, Store, Value,
 };
-use irr_frontend::{Program, VarId};
+use irr_frontend::{Program, StmtId, VarId};
 use std::collections::HashSet;
 
 /// How two real numbers are compared.
@@ -59,6 +60,48 @@ pub fn dispatched(
         interp.preset_array(*var, data.clone());
     }
     interp.run_dispatched(dispatcher)
+}
+
+/// A dispatcher that runs every entry of one loop in parallel chunks
+/// under `plan` and every other loop sequentially, counting the entries
+/// that committed and recording why any other fell back: one loop run
+/// in chunks inside a whole [`dispatched`] run.
+pub struct OneLoopInChunks {
+    pub loop_stmt: StmtId,
+    pub plan: ParallelPlan,
+    /// Parallel entries that committed.
+    pub committed: u64,
+    /// Why each parallel entry that fell back did.
+    pub failed: Vec<FallbackReason>,
+}
+
+impl OneLoopInChunks {
+    pub fn new(loop_stmt: StmtId, plan: ParallelPlan) -> OneLoopInChunks {
+        OneLoopInChunks {
+            loop_stmt,
+            plan,
+            committed: 0,
+            failed: Vec::new(),
+        }
+    }
+}
+
+impl LoopDispatcher for OneLoopInChunks {
+    fn dispatch(&mut self, _: &Store, s: StmtId, _: i64, _: i64, _: i64) -> LoopDecision {
+        if s == self.loop_stmt {
+            LoopDecision::Parallel(self.plan.clone())
+        } else {
+            LoopDecision::Sequential
+        }
+    }
+
+    fn parallel_failed(&mut self, _: StmtId, reason: FallbackReason) {
+        self.failed.push(reason);
+    }
+
+    fn parallel_committed(&mut self, _: StmtId, _: &Committed) {
+        self.committed += 1;
+    }
 }
 
 /// The reference run: [`dispatched`] on the sequential tree-walk.
@@ -142,11 +185,10 @@ pub fn first_divergence(
     None
 }
 
-/// The store half of the oracle, for callers that hold only stores (a
-/// single loop run in chunks) or exempt another set: the first variable
-/// of `program` outside `exempt` on which `got` differs from `want`.
-/// Integers compare as integers; an array compares by extents, element
-/// type and elements.
+/// The store half of the oracle, for callers that exempt another set:
+/// the first variable of `program` outside `exempt` on which `got`
+/// differs from `want`. Integers compare as integers; an array compares
+/// by extents, element type and elements.
 ///
 /// # Panics
 ///

@@ -143,17 +143,16 @@ fn forged_conflict_falls_back_and_quarantines() {
     assert_eq!(plan.fired()[0].site, 1);
 }
 
-/// The worker faults below must hit chunks whose body is the typed
-/// loop (the deadline poll and the panic site both sit around it).
-/// A fallback reports no engine — nothing committed — so this reads it
-/// off the same run without the fault: every chunk of both its
-/// parallel dispatches (the producer loop and the guarded one the
-/// faults address) finishes typed.
+/// The worker faults below must hit chunks that run (the deadline poll
+/// and the panic site both sit around the typed loop). A fallback
+/// reports no chunk — nothing committed — so this reads it off the same
+/// run without the fault: both its parallel dispatches (the producer
+/// loop and the guarded one the faults address) commit every chunk.
 fn assert_chunk_body_is_typed(rep: &CompilationReport, config: HybridConfig) {
     let t = run_hybrid(rep, config).unwrap().telemetry;
     assert_eq!(t.parallel_dispatches(), 2, "{t:?}");
     assert_eq!(t.worker_chunks_typed, 2 * config.threads as u64, "{t:?}");
-    assert_eq!(t.worker_chunks_tree_walk, 0, "{t:?}");
+    assert_eq!(t.fallbacks(), 0, "{t:?}");
 }
 
 /// Chunk 0 is the one the dispatching thread claims first, chunk 1 the

@@ -3,9 +3,9 @@
 //! loops really are parallel.
 
 use irr_driver::{compile_source, DriverOptions, PhaseOrder};
-use irr_exec::{run_loop_parallel, Interp, ParallelPlan};
+use irr_exec::{Interp, ParallelPlan};
 use irr_programs::{all, Scale};
-use irr_sanitizer::parity::{store_divergence, Reals};
+use irr_sanitizer::parity::{dispatched, first_divergence, OneLoopInChunks, Reals};
 
 /// Fig. 1(b): the array stack. The outer loop parallelizes via the
 /// STACK evidence.
@@ -147,22 +147,25 @@ fn benchmark_irregular_loops_execute_in_parallel() {
     for b in all(Scale::Test) {
         let rep = compile_source(&b.source, DriverOptions::with_iaa()).unwrap();
         let seq = Interp::new(&rep.program).run().unwrap();
-        // The headline loop is the first irregular label; it must be a
-        // do-loop reachable at top level of its procedure (benchmark
-        // kernels are built that way) — run it chunked.
+        // The headline loop is the first irregular label: run every
+        // entry of it chunked, and everything else sequentially.
         let label = b.irregular_labels[0];
         let v = rep.verdict(label).unwrap();
         let plan = ParallelPlan {
             threads: 3,
             ..ParallelPlan::for_verdict(v)
         };
-        let par = match run_loop_parallel(&rep.program, v.loop_stmt, &plan) {
-            Ok(st) => st,
-            Err(e) => panic!("{}: {label}: {e}", b.name),
-        };
-        // Everything the loop does not privatize must match.
-        let exempt = v.privatized_vars().collect();
-        let diff = store_divergence(&rep.program, &exempt, &seq.store, &par, Reals::Exact);
+        let mut chunked = OneLoopInChunks::new(v.loop_stmt, plan);
+        let par = dispatched(&rep, &[], &mut chunked)
+            .unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));
+        assert!(
+            chunked.committed > 0 && chunked.failed.is_empty(),
+            "{}: {label}: {} committed, fell back {:?}",
+            b.name,
+            chunked.committed,
+            chunked.failed
+        );
+        let diff = first_divergence(&rep, &seq, &par, Reals::Exact);
         assert_eq!(diff, None, "{}: after parallel {label}", b.name);
     }
 }

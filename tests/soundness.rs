@@ -17,10 +17,10 @@
 //! the suite is reproducible without a property-testing framework.
 
 use irr_driver::{compile_source, DriverOptions};
-use irr_exec::{run_loop_parallel, Interp, ParallelPlan, SplitMix64};
+use irr_exec::{Interp, ParallelPlan, SplitMix64};
 use irr_frontend::StmtKind;
 use irr_programs::fuzz::{random_cases, strategy_programs};
-use irr_sanitizer::parity::{store_divergence, Reals};
+use irr_sanitizer::parity::{dispatched, first_divergence, OneLoopInChunks, Reals};
 
 /// One candidate loop-body shape for the generated outer loop.
 #[derive(Clone, Copy, Debug)]
@@ -200,15 +200,19 @@ fn parallel_verdicts_are_sound() {
                 threads,
                 ..ParallelPlan::for_verdict(v)
             };
-            let par = run_loop_parallel(&rep.program, v.loop_stmt, &plan)
+            let mut chunked = OneLoopInChunks::new(v.loop_stmt, plan);
+            let par = dispatched(&rep, &[], &mut chunked)
                 .unwrap_or_else(|e| panic!("{}: {e}\n{src}", v.label));
-            // Compare the state this loop does not privatize, reals
-            // modulo reassociation (chunked summation reassociates).
-            // The loop variable's final value is restored by the
-            // executor.
-            let exempt = v.privatized_vars().collect();
-            let diff =
-                store_divergence(&rep.program, &exempt, &seq.store, &par, Reals::Reassociated);
+            assert!(
+                chunked.committed > 0 && chunked.failed.is_empty(),
+                "{}: {} committed, fell back {:?}\n{src}",
+                v.label,
+                chunked.committed,
+                chunked.failed
+            );
+            // Reals modulo reassociation: chunked summation
+            // reassociates.
+            let diff = first_divergence(&rep, &seq, &par, Reals::Reassociated);
             assert_eq!(diff, None, "{}\n{src}", v.label);
         }
     }

@@ -150,10 +150,10 @@ fn dispatch_telemetry_matches_the_tier_map() {
     }
 }
 
-/// No worker chunk of any kernel, on any structure, walks the AST:
-/// every array is live from the first statement, so each chunk runs the
-/// typed loop from its first iteration — `rowgather`, which reads one
-/// of its arrays only under a branch, included.
+/// No parallel dispatch of any kernel, on any structure, is refused for
+/// a nest its workers cannot run: every worker is the typed loop, from
+/// its first iteration — `rowgather`, which reads one of its arrays only
+/// under a branch, included.
 #[test]
 fn no_worker_chunk_walks() {
     for structure in STRUCTURES {
@@ -162,7 +162,7 @@ fn no_worker_chunk_walks() {
             let [out] = expect_parity(&k, &rep, [HybridConfig::default()]);
             let t = &out.telemetry;
             let what = format!("{} ({})", k.name, structure.tag());
-            assert_eq!(t.worker_chunks_tree_walk, 0, "{what}: {t:?}");
+            assert_eq!(t.fallback_unsupported, 0, "{what}: {t:?}");
             if t.parallel_dispatches() > 0 {
                 assert!(t.worker_chunks_typed > 0, "{what}: {t:?}");
             }

@@ -2,14 +2,14 @@
 //! compiled bytecode tier must be semantically invisible.
 //!
 //! Every program runs four ways — **compiled** (bytecode tier for
-//! sequential leaves and parallel workers, strategies enabled),
-//! **strategies** (tree-walk engines, in-place / concat commits where
-//! proven), **write-log** (tree-walk, every parallel dispatch through
-//! the transactional write-log), and pure **sequential**
-//! interpretation — and all four must agree on the final store, the
-//! printed output, and the execution statistics (the compiled tier
-//! replays the tree-walk's fuel accounting instruction for
-//! instruction). The corpus is the five benchmark kernels, the paper
+//! sequential leaves, strategies enabled), **strategies** (sequential
+//! leaves walked, in-place / concat commits where proven), **write-log**
+//! (sequential leaves walked, every parallel dispatch through the
+//! transactional write-log), and pure **sequential** interpretation —
+//! and all four must agree on the final store, the printed output, and
+//! the execution statistics (the compiled tier replays the tree-walk's
+//! fuel accounting instruction for instruction). Parallel workers run
+//! the typed loop in every mode. The corpus is the five benchmark kernels, the paper
 //! figures, the generated sparse kernels, and a SplitMix64-randomized
 //! program sweep, plus dedicated kernels for the zero-trip,
 //! single-iteration, and consecutively-written (concat) edge cases.
@@ -161,7 +161,7 @@ fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
             let name = format!("{} x{threads}", program.case.name);
             let around = four_way_at(&program.case, &pinned, threads);
             let outs = four_way_at(&program.case, &rep, threads);
-            // compiled and tree-walk workers, strategies on
+            // compiled and walked sequential tiers, strategies on
             for (out, around) in outs.iter().zip(&around).take(2) {
                 let t = &out.telemetry;
                 let in_place = t.strategy_in_place - around.telemetry.strategy_in_place;
@@ -201,7 +201,8 @@ fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
 /// — a read-modify-write at `i`, a segment walk, a certified scatter —
 /// at one chunk, two, and more threads than the pool creates or the
 /// loop has iterations: the workers stream through their windows
-/// (the tree-walk modes stream nothing) and every mode agrees.
+/// whether the sequential loops run compiled or walked, and every mode
+/// agrees.
 #[test]
 fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
     let streamed = ["affine-rmw", "segment-and-affine", "scatter"];
@@ -221,13 +222,19 @@ fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
                 (0, 0),
                 "{name}: {t:?}"
             );
-            let entries = |k: usize| outs[k].outcome.stats.stream_entries;
-            assert!(entries(0) > 0, "{name}");
-            assert_eq!((entries(1), entries(2)), (0, 0), "{name}");
+            // Workers are the typed loop in every mode, so they stream
+            // whenever strategies are on; a write-log store is logged,
+            // and a logged store has no raw lane to stream into.
+            let entries = [0, 1, 2].map(|k| outs[k].outcome.stats.stream_entries);
+            assert!(
+                entries[0] > 0 && entries[1] > 0 && entries[2] == 0,
+                "{name}: {entries:?}"
+            );
             // However the loop is chunked, its workers stream every
             // iteration between them, and the master adds theirs up.
             let iters = outs[0].outcome.stats.stream_iters;
             assert_eq!(iters, *streamed_iters.get_or_insert(iters), "{name}");
+            assert_eq!(outs[1].outcome.stats.stream_iters, iters, "{name}");
             assert!(iters >= 32, "{name}");
         }
     }
@@ -502,7 +509,7 @@ fn a_read_only_array_first_read_in_an_in_place_loop_is_in_the_master_store() {
             (1, 0),
             "x{threads}: {t:?}"
         );
-        assert_eq!(t.worker_chunks_tree_walk, 0, "x{threads}: {t:?}");
+        assert_eq!(t.worker_chunks_typed, threads as u64, "x{threads}: {t:?}");
         let diff = first_divergence(&rep, &seq, &got.outcome, Reals::Exact);
         assert_eq!(diff, None, "x{threads}");
     }
@@ -552,4 +559,61 @@ fn concat_appends_past_the_target_fall_back_to_the_programs_own_error() {
     let t = &dispatcher.telemetry;
     assert_eq!(t.concat_parallel, 1, "{t:?}");
     assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
+}
+
+/// A parallel worker is the typed loop, so a dispatch whose nest it
+/// cannot run is refused before any chunk runs, as `Unsupported`, and
+/// the sequential tier runs the loop — to the sequential result: a
+/// scalar assigned under a branch that the commit would have to claim,
+/// a `print` in the body (the nest does not lower), and a preset whose
+/// element type is not the declared one.
+#[test]
+fn a_nest_workers_cannot_run_typed_is_refused_and_runs_sequentially() {
+    use irr_exec::{ArrayData, FallbackReason, ParallelPlan};
+    use irr_sanitizer::parity::{dispatched, OneLoopInChunks};
+    let body = [
+        ("conditional-scalar", "if (i == 5) then\n last = i\n endif"),
+        ("print", "print i"),
+        ("preset-type", ""),
+    ];
+    for (name, extra) in body {
+        let src = format!(
+            "program t
+             integer i, n, last
+             real x(8)
+             n = 8
+             do 20 i = 1, n
+               x(i) = x(i) + i * 0.5
+               {extra}
+ 20          continue
+             print x(8), last
+             end"
+        );
+        let rep = compile(&Case::new(name, src));
+        let x = rep.program.symbols.lookup("x").unwrap();
+        let presets = match name {
+            "preset-type" => vec![(
+                x,
+                ArrayData::Int {
+                    data: vec![3; 8],
+                    dims: vec![8],
+                },
+            )],
+            _ => Vec::new(),
+        };
+        let seq = sequential(&rep, &presets).expect("sequential run");
+        let do20 = rep.verdict("T/do20").unwrap().loop_stmt;
+        let mut chunked = OneLoopInChunks::new(do20, ParallelPlan::with_threads(3));
+        let got = dispatched(&rep, &presets, &mut chunked).expect("dispatched run");
+        assert_eq!(
+            (chunked.committed, &chunked.failed[..]),
+            (0, &[FallbackReason::Unsupported][..]),
+            "{name}"
+        );
+        assert_eq!(
+            first_divergence(&rep, &seq, &got, Reals::Exact),
+            None,
+            "{name}"
+        );
+    }
 }
