@@ -57,6 +57,7 @@ use irr_driver::compiled::{
 };
 use irr_frontend::{BinOp, Intrinsic, ScalarType};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Raw view of one array pinned for the duration of a typed run: its
 /// payload addressed directly, and — when the body
@@ -87,14 +88,16 @@ use std::cell::Cell;
 ///   before touching memory, and the lowering marks every slot an
 ///   instruction stores to (`CompiledBody::stored`), so that panic is
 ///   unreachable. Other
-///   holders of the same `Arc` (the master, sibling snapshots) cannot
+///   holders of the same `Arc` (the master, sibling snapshots, the
+///   caller that preset the array) cannot
 ///   write the payload under the reader either: a store mutates a
 ///   payload only through `Arc::make_mut`, which copies while this
 ///   store's reference exists — in-place targets excepted, below.
 /// - *`Direct` and `Logged` pins own their payload.* The pointer comes
-///   from `Store::array_make_mut` (exactly the clone a first tree-walk
+///   from `Store::payload_raw` (exactly the copy a first tree-walk
 ///   write would take; a worker thereby writes its own copy-on-write
-///   copy, never the master's), so no other store shares it.
+///   copy, never the master's, and a run never writes the buffer of a
+///   preset its caller still holds), so no other store shares it.
 /// - *A `Window` pin is a narrowed view of the master's buffer*: the
 ///   `RawSlice` `prepare_in_place` took after forcing uniqueness,
 ///   rebased so that `origin`, `dim0`/`len` and `ip`/`fp` describe the
@@ -122,7 +125,8 @@ struct RawPin {
     /// many `chk` admits from there: `(1, dims[0])`, or a window.
     origin: u64,
     dim0: u64,
-    dims: Vec<usize>,
+    /// The array's extents, shared with its handle.
+    dims: Arc<[usize]>,
     /// Stores landed through `ip`/`fp`.
     writes: u64,
     /// `None` for a slot the body only reads.
@@ -136,13 +140,13 @@ struct RawPin {
 }
 
 impl RawPin {
-    /// Pins a payload this store owns uniquely (the caller got `data`
-    /// from `Store::array_make_mut`) for stores that land in it.
-    fn owned(data: &mut ArrayData, sink: WriteSink) -> RawPin {
+    /// Pins a payload this store owns uniquely (the caller got `slice`
+    /// from `Store::payload_raw`) for stores that land in it.
+    fn owned(data: &ArrayData, slice: RawSlice, sink: WriteSink) -> RawPin {
         let mut pin = RawPin::meta(data, Some(sink));
-        match data {
-            ArrayData::Int { data, .. } => pin.ip = data.as_mut_ptr(),
-            ArrayData::Real { data, .. } => pin.fp = data.as_mut_ptr(),
+        match slice {
+            RawSlice::Int(p, _) => pin.ip = p,
+            RawSlice::Real(p, _) => pin.fp = p,
         }
         pin
     }
@@ -169,7 +173,8 @@ impl RawPin {
 
     /// Everything but the payload pointers.
     fn meta(data: &ArrayData, sink: Option<WriteSink>) -> RawPin {
-        let dims = data.dims().to_vec();
+        let (ArrayData::Int { dims, .. } | ArrayData::Real { dims, .. }) = data;
+        let dims = Arc::clone(dims);
         RawPin {
             ip: std::ptr::null_mut(),
             fp: std::ptr::null_mut(),
@@ -237,7 +242,7 @@ impl RawPin {
         if self.raw || self.observed(k, Value::Int(v)) {
             self.writes += 1;
             // SAFETY: `k` is in bounds as for `rd_i`; the pin owns its
-            // payload (`array_make_mut`) or `k` is in its window.
+            // payload (`payload_raw`) or `k` is in its window.
             unsafe { *self.ip.add(k) = v }
         }
     }
@@ -902,10 +907,11 @@ impl<'p> Interp<'p> {
             };
             debug_assert_eq!(sink.is_some(), stored);
             st.pins.push(match sink {
-                // Unique ownership once per run — the clone a first
+                // Unique ownership once per run — the copy a first
                 // tree-walk write would have taken.
                 Some(sink @ (WriteSink::Direct | WriteSink::Logged(_))) => {
-                    RawPin::owned(self.store.array_make_mut(a), sink)
+                    let slice = self.store.payload_raw(a);
+                    RawPin::owned(self.store.array(a), slice, sink)
                 }
                 sink => RawPin::shared(self.store.array(a), sink),
             });

@@ -266,10 +266,8 @@ mod tests {
         /// with the pre-run snapshot.
         fn still_shared(&self, name: &str) -> bool {
             let a = self.comp.program().symbols.lookup(name).unwrap();
-            std::ptr::eq(
-                self.pre.array_ref(a).unwrap(),
-                self.comp.store.array_ref(a).unwrap(),
-            )
+            let pre = self.pre.array_ref(a).unwrap();
+            pre.shares_buffer(self.comp.store.array_ref(a).unwrap())
         }
     }
 
@@ -318,12 +316,12 @@ mod tests {
     /// Presets the read-only input `x(8)` of the first-touch programs.
     fn preset_x(it: &mut Interp<'_>) {
         let x = it.program().symbols.lookup("x").unwrap();
-        let data = (1..=8).map(|k| k as f64 * 0.5).collect();
+        let data: Vec<f64> = (1..=8).map(|k| k as f64 * 0.5).collect();
         it.preset_array(
             x,
             ArrayData::Real {
-                dims: vec![8],
-                data,
+                dims: [8].into(),
+                data: data.into(),
             },
         );
     }
@@ -861,10 +859,8 @@ mod tests {
         assert_eq!(got.strategy, crate::ExecutionStrategy::WriteLog);
         assert_eq!((got.chunks, par.typed_root_iters), (2, 8));
         let x = p.symbols.lookup("x").unwrap();
-        assert!(std::ptr::eq(
-            pre.array_ref(x).unwrap(),
-            par.store.array_ref(x).unwrap()
-        ));
+        let pre_x = pre.array_ref(x).unwrap();
+        assert!(pre_x.shares_buffer(par.store.array_ref(x).unwrap()));
         assert_eq!(
             par.store.array_as_reals(y),
             ran.comp.store.array_as_reals(y)
@@ -887,7 +883,7 @@ mod tests {
 
     fn preset_reals(it: &mut Interp<'_>, name: &str, data: &[f64]) {
         let v = it.program().symbols.lookup(name).unwrap();
-        let (dims, data) = (vec![data.len()], data.to_vec());
+        let (dims, data) = ([data.len()].into(), data.to_vec().into());
         it.preset_array(v, ArrayData::Real { dims, data });
     }
 
@@ -1289,7 +1285,8 @@ mod tests {
             preset_reals(it, "z", &[0.0, 0.0, -0.0, 0.0, nan_b, inf, -inf, 1.0]);
             preset_reals(it, "w", &[0.0, 0.0, -0.0, 0.0]);
             let idx = it.program().symbols.lookup("idx").unwrap();
-            let (dims, data) = (vec![8], (1..=8).rev().collect());
+            let data: Vec<i64> = (1..=8).rev().collect();
+            let (dims, data) = ([8].into(), data.into());
             it.preset_array(idx, ArrayData::Int { dims, data });
         };
         for (arm, stmt) in table.into_iter().chain(forms.map(|f| (0, f))) {

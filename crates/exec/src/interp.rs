@@ -47,11 +47,25 @@ impl fmt::Display for Value {
     }
 }
 
-/// Array storage.
+/// Array storage: a copy-on-write handle on an element buffer and its
+/// extents.
+///
+/// Cloning an `ArrayData` shares both ([`Arc`]): a preset installed in
+/// any number of stores, and every store cloned from those, hold one
+/// buffer between them. A store that writes an element copies the
+/// buffer first if anything else still holds it ([`Arc::make_mut`]), so
+/// a run copies only the arrays it stores to, once each, and an array
+/// it was handed never changes under its other holders.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ArrayData {
-    Int { data: Vec<i64>, dims: Vec<usize> },
-    Real { data: Vec<f64>, dims: Vec<usize> },
+    Int {
+        data: Arc<Vec<i64>>,
+        dims: Arc<[usize]>,
+    },
+    Real {
+        data: Arc<Vec<f64>>,
+        dims: Arc<[usize]>,
+    },
 }
 
 impl ArrayData {
@@ -78,13 +92,14 @@ impl ArrayData {
     /// A zero-filled array of `ty` with the given extents.
     pub fn zeroed(ty: ScalarType, dims: Vec<usize>) -> ArrayData {
         let total: usize = dims.iter().product();
+        let dims = dims.into();
         match ty {
             ScalarType::Int => ArrayData::Int {
-                data: vec![0; total],
+                data: vec![0; total].into(),
                 dims,
             },
             ScalarType::Real => ArrayData::Real {
-                data: vec![0.0; total],
+                data: vec![0.0; total].into(),
                 dims,
             },
         }
@@ -98,15 +113,41 @@ impl ArrayData {
     /// access streams without touching extents or scalar state.
     pub fn random(ty: ScalarType, dims: Vec<usize>, rng: &mut SplitMix64) -> ArrayData {
         let total: usize = dims.iter().product();
+        let dims = dims.into();
         match ty {
             ScalarType::Int => ArrayData::Int {
-                data: (0..total).map(|_| rng.range_i64(1, 4)).collect(),
+                data: Arc::new((0..total).map(|_| rng.range_i64(1, 4)).collect()),
                 dims,
             },
             ScalarType::Real => ArrayData::Real {
-                data: (0..total).map(|_| rng.next_f64()).collect(),
+                data: Arc::new((0..total).map(|_| rng.next_f64()).collect()),
                 dims,
             },
+        }
+    }
+
+    /// A handle on a fresh copy of the buffer, shared with nothing (a
+    /// clone shares it).
+    pub fn copied(&self) -> ArrayData {
+        match self {
+            ArrayData::Int { data, dims } => ArrayData::Int {
+                data: Arc::new(data.to_vec()),
+                dims: Arc::clone(dims),
+            },
+            ArrayData::Real { data, dims } => ArrayData::Real {
+                data: Arc::new(data.to_vec()),
+                dims: Arc::clone(dims),
+            },
+        }
+    }
+
+    /// Whether `self` and `other` hold the same buffer: neither has
+    /// copied it since one was cloned from the other.
+    pub fn shares_buffer(&self, other: &ArrayData) -> bool {
+        match (self, other) {
+            (ArrayData::Int { data: a, .. }, ArrayData::Int { data: b, .. }) => Arc::ptr_eq(a, b),
+            (ArrayData::Real { data: a, .. }, ArrayData::Real { data: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
@@ -157,7 +198,7 @@ impl ElemColumn {
 ///
 /// The in-place strategy executor derives one per target from the
 /// *master* store (after forcing payload uniqueness with
-/// [`Arc::make_mut`]) and hands copies to the workers, whose snapshots
+/// [`Store::payload_raw`]) and hands copies to the workers, whose snapshots
 /// share the same allocation. A worker reaches the buffer only through
 /// its [`InPlaceWindow`], so no two threads ever touch the same
 /// element. Each carries the buffer's length, for the debug-build
@@ -276,19 +317,24 @@ impl TypedBuf {
 
     /// Stores the buffered values at `idx[k]` of `data` in order,
     /// coercing to the payload's type (commit-time replay; the caller
-    /// validated every index against the extent).
+    /// validated every index against the extent). Copies a shared
+    /// payload first, as any element write does.
     pub(crate) fn scatter_into(&self, data: &mut ArrayData, idx: impl Iterator<Item = usize>) {
         match (data, self) {
             (ArrayData::Int { data, .. }, TypedBuf::Int(v)) => {
+                let data = Arc::make_mut(data);
                 idx.zip(v).for_each(|(k, &x)| data[k] = x);
             }
             (ArrayData::Real { data, .. }, TypedBuf::Real(v)) => {
+                let data = Arc::make_mut(data);
                 idx.zip(v).for_each(|(k, &x)| data[k] = x);
             }
             (ArrayData::Int { data, .. }, TypedBuf::Real(v)) => {
+                let data = Arc::make_mut(data);
                 idx.zip(v).for_each(|(k, &x)| data[k] = x as i64);
             }
             (ArrayData::Real { data, .. }, TypedBuf::Int(v)) => {
+                let data = Arc::make_mut(data);
                 idx.zip(v).for_each(|(k, &x)| data[k] = x as f64);
             }
         }
@@ -329,11 +375,11 @@ pub(crate) enum WriteSink {
 /// entry — O(n)-per-mutation instead of O(n)-per-execution. Versions
 /// are bookkeeping metadata: they do not participate in store equality.
 ///
-/// Array payloads are reference-counted ([`Arc`]) with copy-on-write on
-/// the first mutation: cloning a store is O(#variables) regardless of
-/// how many elements the arrays hold, which is what lets the parallel
+/// Arrays are [`ArrayData`] handles, copy-on-write on the first
+/// mutation: cloning a store is O(#variables) regardless of how many
+/// elements the arrays hold, which is what lets the parallel
 /// verification executor hand every worker its own store for the price
-/// of a scalar-table copy.
+/// of a scalar-table copy, and a preset costs its caller no copy.
 ///
 /// A store observes nothing: what a parallel worker's stores must
 /// become under its dispatch's commit strategy is the business of the
@@ -344,7 +390,7 @@ pub struct Store {
     /// ([`Store::id`]).
     id: u64,
     scalars: Vec<Value>,
-    arrays: Vec<Option<Arc<ArrayData>>>,
+    arrays: Vec<Option<ArrayData>>,
     versions: Vec<u64>,
 }
 
@@ -405,14 +451,23 @@ impl Store {
     }
 
     /// Raw pointer to the element buffer of `arr`, with its flat
-    /// length. Forces payload uniqueness first ([`Arc::make_mut`]), so
-    /// snapshots cloned *afterwards* share exactly this allocation —
-    /// which is what lets in-place workers write through the pointer
-    /// while the master retains ownership.
+    /// length. Forces payload uniqueness first ([`Arc::make_mut`]: a
+    /// buffer anything else holds — a preset's caller, a snapshot — is
+    /// copied here, the one copy this store takes of it), so the
+    /// pointer is this store's to write, and snapshots cloned
+    /// *afterwards* share exactly this allocation — which is what lets
+    /// in-place workers write through the pointer while the master
+    /// retains ownership.
     pub(crate) fn payload_raw(&mut self, arr: VarId) -> RawSlice {
-        match self.array_make_mut(arr) {
-            ArrayData::Int { data, .. } => RawSlice::Int(data.as_mut_ptr(), data.len()),
-            ArrayData::Real { data, .. } => RawSlice::Real(data.as_mut_ptr(), data.len()),
+        match self.array_mut(arr) {
+            ArrayData::Int { data, .. } => {
+                let data = Arc::make_mut(data);
+                RawSlice::Int(data.as_mut_ptr(), data.len())
+            }
+            ArrayData::Real { data, .. } => {
+                let data = Arc::make_mut(data);
+                RawSlice::Real(data.as_mut_ptr(), data.len())
+            }
         }
     }
 
@@ -444,21 +499,22 @@ impl Store {
         self.versions[arr.index()] += n;
     }
 
-    /// Uniquely-owned payload of `arr` (cloning a shared `Arc` exactly
-    /// as a tree-walk write would).
-    pub(crate) fn array_make_mut(&mut self, arr: VarId) -> &mut ArrayData {
-        Arc::make_mut(self.arrays[arr.index()].as_mut().expect(ALLOCATED))
+    /// The handle of `arr`, to write elements through: its buffer may
+    /// still be shared, and every writer copies it first
+    /// ([`Arc::make_mut`]).
+    pub(crate) fn array_mut(&mut self, arr: VarId) -> &mut ArrayData {
+        self.arrays[arr.index()].as_mut().expect(ALLOCATED)
     }
 
     /// The payload of `arr` in a store a run executes on.
     pub(crate) fn array(&self, arr: VarId) -> &ArrayData {
-        self.arrays[arr.index()].as_deref().expect(ALLOCATED)
+        self.arrays[arr.index()].as_ref().expect(ALLOCATED)
     }
 
     /// The payload of `arr`; `None` before the run allocated it (how
     /// the parity oracle compares integers as integers).
     pub fn array_ref(&self, arr: VarId) -> Option<&ArrayData> {
-        self.arrays[arr.index()].as_deref()
+        self.arrays[arr.index()].as_ref()
     }
 
     /// Reads a scalar.
@@ -477,9 +533,9 @@ impl Store {
 
     /// Reads `arr` as a flat `f64` vector (for checksums in tests).
     pub fn array_as_reals(&self, arr: VarId) -> Option<Vec<f64>> {
-        match self.arrays[arr.index()].as_deref()? {
+        match self.arrays[arr.index()].as_ref()? {
             ArrayData::Int { data, .. } => Some(data.iter().map(|v| *v as f64).collect()),
-            ArrayData::Real { data, .. } => Some(data.clone()),
+            ArrayData::Real { data, .. } => Some(data.to_vec()),
         }
     }
 
@@ -490,14 +546,15 @@ impl Store {
     /// Installed before the run, a preset is the array's storage for
     /// the whole run, whatever the declaration says: the run allocates
     /// only the arrays that have none, and the audit's randomized fill
-    /// never touches it.
+    /// never touches it. The store shares the buffer with whoever else
+    /// holds `data` until it first writes an element of it.
     pub fn preset_array(&mut self, arr: VarId, data: ArrayData) {
-        self.arrays[arr.index()] = Some(Arc::new(data));
+        self.arrays[arr.index()] = Some(data);
         self.bump_version(arr);
     }
 
-    /// Writes one element of an array (copy-on-write: shared payloads
-    /// are cloned on the first mutation), coercing to the array's
+    /// Writes one element of an array (copy-on-write: a shared payload
+    /// is copied on the first mutation), coercing to the array's
     /// element type and bumping the write version.
     ///
     /// # Panics
@@ -505,9 +562,9 @@ impl Store {
     /// Panics if `idx` is out of range — callers bounds-check through
     /// [`Interp`].
     pub(crate) fn write_element(&mut self, arr: VarId, idx: usize, val: Value) {
-        match self.array_make_mut(arr) {
-            ArrayData::Int { data, .. } => data[idx] = val.as_int(),
-            ArrayData::Real { data, .. } => data[idx] = val.as_real(),
+        match self.array_mut(arr) {
+            ArrayData::Int { data, .. } => Arc::make_mut(data)[idx] = val.as_int(),
+            ArrayData::Real { data, .. } => Arc::make_mut(data)[idx] = val.as_real(),
         }
         self.versions[arr.index()] += 1;
     }
@@ -751,7 +808,8 @@ impl<'p> Interp<'p> {
     /// Presets `arr` to `data` before the run (see
     /// [`Store::preset_array`]): the declaration's extents are ignored
     /// in favor of the preset's, and neither zero- nor random-fill
-    /// touches the array afterwards.
+    /// touches the array afterwards. The run shares `data`'s buffer
+    /// until it first stores to the array.
     pub fn preset_array(&mut self, arr: VarId, data: ArrayData) {
         self.store.preset_array(arr, data);
     }

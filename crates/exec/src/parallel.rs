@@ -466,7 +466,7 @@ impl Mode {
         };
         for s in specs {
             if let Some((from, held)) = &s.undo {
-                held.scatter_into(interp.store.array_make_mut(s.var), *from..);
+                held.scatter_into(interp.store.array_mut(s.var), *from..);
             }
         }
     }
@@ -1032,7 +1032,7 @@ fn commit_concat(
             continue;
         }
         for (a, buf) in &out.appended {
-            buf.scatter_into(interp.store.array_make_mut(*a), base..base + dp);
+            buf.scatter_into(interp.store.array_mut(*a), base..base + dp);
             interp.store.bump_version_by(*a, dp as u64);
         }
         base += dp;
@@ -1171,7 +1171,7 @@ fn merge_write_logs(
     // wins, and workers never share one). The version rises by the
     // number of distinct locations written.
     for c in claims {
-        let data = interp.store.array_make_mut(c.var);
+        let data = interp.store.array_mut(c.var);
         for col in c.columns {
             col.vals.scatter_into(data, col.idx.iter().copied());
         }
@@ -2342,15 +2342,15 @@ mod tests {
 
     fn ints(data: &[i64]) -> ArrayData {
         ArrayData::Int {
-            data: data.to_vec(),
-            dims: vec![data.len()],
+            data: data.to_vec().into(),
+            dims: [data.len()].into(),
         }
     }
 
     fn reals(data: &[f64]) -> ArrayData {
         ArrayData::Real {
-            data: data.to_vec(),
-            dims: vec![data.len()],
+            data: data.to_vec().into(),
+            dims: [data.len()].into(),
         }
     }
 

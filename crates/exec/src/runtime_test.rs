@@ -356,8 +356,8 @@ mod tests {
         let p = parse_program(&format!("program t\n integer {decls}\n end")).unwrap();
         let mut it = Interp::new(&p);
         for (name, data) in arrays {
-            let dims = vec![data.len()];
-            let data = data.clone();
+            let dims = [data.len()].into();
+            let data = data.clone().into();
             it.preset_array(
                 p.symbols.lookup(name).unwrap(),
                 ArrayData::Int { data, dims },

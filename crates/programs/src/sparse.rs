@@ -15,7 +15,8 @@
 //! compiling the source. A preset is its array's storage for the whole
 //! run — the interpreter allocates only the arrays without one and the
 //! audit's randomized fill never touches it — so the compile-time
-//! verdicts and the runtime inspections see the same arrays.
+//! verdicts and the runtime inspections see the same arrays. Installing
+//! one shares its buffer: a run copies a preset only to store to it.
 
 use crate::Case;
 use irr_exec::{ArrayData, SplitMix64};

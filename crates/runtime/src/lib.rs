@@ -548,7 +548,9 @@ pub fn run_hybrid(
 /// entry point for generated sparse workloads, whose index and value
 /// arrays are injected rather than initialized by interpreted loops.
 /// A preset is its array's storage for the whole run: the run allocates
-/// only the arrays no preset installed.
+/// only the arrays no preset installed. It is shared, not copied: the
+/// run copies a preset's buffer only to store to it, and the caller's
+/// arrays never change.
 ///
 /// # Errors
 ///
@@ -936,8 +938,8 @@ mod tests {
         let presets = [(
             p_var,
             irr_exec::ArrayData::Int {
-                data: perm,
-                dims: vec![8],
+                data: perm.into(),
+                dims: [8].into(),
             },
         )];
         let hybrid = run_hybrid_seeded(&rep, HybridConfig::default(), &presets).unwrap();

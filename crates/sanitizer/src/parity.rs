@@ -224,11 +224,14 @@ pub fn store_divergence(
         let diff = match (w, h) {
             _ if w.dims() != h.dims() => Some(format!("array {name}: extents differ")),
             (ArrayData::Int { data: w, .. }, ArrayData::Int { data: h, .. }) => {
-                let k = w.iter().zip(h).position(|(w, h)| w != h);
+                let k = w.iter().zip(h.iter()).position(|(w, h)| w != h);
                 k.map(|k| format!("array {name}({}) differs: {} vs {}", k + 1, h[k], w[k]))
             }
             (ArrayData::Real { data: w, .. }, ArrayData::Real { data: h, .. }) => {
-                let k = w.iter().zip(h).position(|(w, h)| !reals.same(*w, *h));
+                let k = w
+                    .iter()
+                    .zip(h.iter())
+                    .position(|(w, h)| !reals.same(*w, *h));
                 k.map(|k| format!("array {name}({}) differs: {} vs {}", k + 1, h[k], w[k]))
             }
             _ => Some(format!("array {name}: element type differs")),
@@ -292,7 +295,7 @@ mod tests {
                 panic!("{name} is a live real array");
             };
             let (mut data, dims) = (data.clone(), dims.clone());
-            data[k] += 1.0;
+            std::sync::Arc::make_mut(&mut data)[k] += 1.0;
             got.store
                 .preset_array(var(name), ArrayData::Real { data, dims });
         };

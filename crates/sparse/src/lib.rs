@@ -333,8 +333,11 @@ pub fn int_array(values: &[i64]) -> ArrayData {
     } else {
         values.to_vec()
     };
-    let dims = vec![data.len()];
-    ArrayData::Int { data, dims }
+    let dims = [data.len()].into();
+    ArrayData::Int {
+        data: data.into(),
+        dims,
+    }
 }
 
 /// Packs `values` as a real preset array, padding an empty slice to one
@@ -345,8 +348,11 @@ pub fn real_array(values: &[f64]) -> ArrayData {
     } else {
         values.to_vec()
     };
-    let dims = vec![data.len()];
-    ArrayData::Real { data, dims }
+    let dims = [data.len()].into();
+    ArrayData::Real {
+        data: data.into(),
+        dims,
+    }
 }
 
 #[cfg(test)]

@@ -18,13 +18,19 @@ const ROWS: usize = 65_536;
 const ELEMS: usize = 262_144;
 
 fn ints(n: usize, f: impl Fn(usize) -> i64) -> ArrayData {
-    let (dims, data) = (vec![n], (0..n).map(f).collect());
-    ArrayData::Int { dims, data }
+    let data: Vec<i64> = (0..n).map(f).collect();
+    ArrayData::Int {
+        dims: [n].into(),
+        data: data.into(),
+    }
 }
 
 fn reals(n: usize) -> ArrayData {
-    let (dims, data) = (vec![n], (0..n).map(|k| 0.5 + (k % 7) as f64).collect());
-    ArrayData::Real { dims, data }
+    let data: Vec<f64> = (0..n).map(|k| 0.5 + (k % 7) as f64).collect();
+    ArrayData::Real {
+        dims: [n].into(),
+        data: data.into(),
+    }
 }
 
 /// Best of 25 sequential typed runs of `src` in nanoseconds, and the
@@ -35,7 +41,10 @@ fn best_ns(src: &str, presets: &[(&str, ArrayData)]) -> (f64, u64) {
         let mut it = Interp::new(&p);
         for (name, data) in presets {
             let var = p.symbols.lookup(name).expect("a declared array");
-            it.preset_array(var, data.clone());
+            // A buffer of its own, copied before the clock starts: a
+            // kernel stores to some presets (`y`), and a shared one
+            // would be copied inside the timed run.
+            it.preset_array(var, data.copied());
         }
         let (mut d, t0) = (CompiledDispatch::new(), Instant::now());
         let out = it.run_dispatched(&mut d).expect("the kernel completes");

@@ -455,8 +455,8 @@ fn a_stale_certificate_is_never_written_through() {
     let presets = [(
         p,
         irr_exec::ArrayData::Int {
-            data: vec![3, 1, 4, 8, 5, 2, 6, 7],
-            dims: vec![8],
+            data: vec![3, 1, 4, 8, 5, 2, 6, 7].into(),
+            dims: [8].into(),
         },
     )];
     let hybrid = irr_runtime::run_hybrid_seeded(&rep, chaos_config(), &presets).unwrap();
@@ -711,8 +711,8 @@ fn an_index_array_smashed_between_entries_ends_in_the_programs_own_error() {
     let presets = [(
         p,
         irr_exec::ArrayData::Int {
-            data: vec![3, 1, 4, 8, 5, 2, 6, 7],
-            dims: vec![8],
+            data: vec![3, 1, 4, 8, 5, 2, 6, 7].into(),
+            dims: [8].into(),
         },
     )];
     let own = sequential(&rep, &presets).unwrap_err();

@@ -2,7 +2,7 @@
 //! parity, and edge matrices for every generated kernel.
 
 use irr_repro::driver::{compile_source, CompilationReport, DispatchTier, DriverOptions};
-use irr_repro::exec::Interp;
+use irr_repro::exec::{ArrayData, Interp};
 use irr_repro::programs::sparse::{
     interproc_kernels, kernels, producer_kernels, ExpectedTier, SparseProgram, SparseScale,
     STRUCTURES,
@@ -168,6 +168,49 @@ fn no_worker_chunk_walks() {
             }
         }
     }
+}
+
+/// A preset is shared, not copied: after a hybrid run — typed or walked
+/// sequential tier, strategies on or off — every preset the run never
+/// wrote still shares its buffer with the caller's, every one it wrote
+/// holds a copy of its own, and the caller's arrays hold what they held.
+#[test]
+fn a_run_copies_only_the_presets_it_writes() {
+    let walked = HybridConfig {
+        enable_compiled: false,
+        ..HybridConfig::default()
+    };
+    let [on, off] = strategies_on_and_off();
+    let families: [fn(&SparseScale) -> Vec<SparseProgram>; 3] =
+        [kernels, producer_kernels, interproc_kernels];
+    let mut written = 0;
+    for k in families
+        .iter()
+        .flat_map(|f| f(&SparseScale::test(Structure::Uniform, 11)))
+    {
+        let rep = compile_kernel(&k);
+        let presets = Case::from(&k).resolve_presets(&rep.program);
+        let before: Vec<ArrayData> = presets.iter().map(|(_, d)| d.copied()).collect();
+        for config in [on, off, walked] {
+            let out = run_hybrid_seeded(&rep, config, &presets)
+                .unwrap_or_else(|e| panic!("{}: hybrid run: {e}", k.name));
+            let store = &out.outcome.store;
+            for ((var, data), held) in presets.iter().zip(&before) {
+                let what = format!(
+                    "{} `{}` under {config:?}",
+                    k.name,
+                    rep.program.symbols.name(*var)
+                );
+                assert_eq!(data, held, "{what}: the caller's preset changed");
+                // Installing a preset is the array's first version.
+                let wrote = store.array_version(*var) > 1;
+                let shared = store.array_ref(*var).unwrap().shares_buffer(data);
+                assert_eq!(shared, !wrote, "{what}");
+                written += usize::from(wrote);
+            }
+        }
+    }
+    assert!(written > 0, "no kernel writes a preset");
 }
 
 /// The runtime inspectors survive 10M-nonzero index arrays: the

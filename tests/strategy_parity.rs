@@ -595,8 +595,8 @@ fn a_nest_workers_cannot_run_typed_is_refused_and_runs_sequentially() {
             "preset-type" => vec![(
                 x,
                 ArrayData::Int {
-                    data: vec![3; 8],
-                    dims: vec![8],
+                    data: vec![3; 8].into(),
+                    dims: [8].into(),
                 },
             )],
             _ => Vec::new(),
