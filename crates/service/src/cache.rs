@@ -117,24 +117,35 @@ impl VerdictCache {
             self.quarantined.remove(key);
             self.readmissions += 1;
         }
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some(e) if e.poisoned => {
-                self.entries.remove(key);
-                self.poison_evictions += 1;
-                VerdictProbe::Miss
-            }
-            Some(e) if e.version == self.version => {
-                e.last_used = self.tick;
-                VerdictProbe::Hit(Arc::clone(&e.report))
-            }
-            Some(_) => {
-                // Stale generation: lazy invalidation.
-                self.entries.remove(key);
-                VerdictProbe::Miss
-            }
-            None => VerdictProbe::Miss,
+        if let Some(report) = self.hit(key) {
+            return VerdictProbe::Hit(report);
         }
+        // What is left under the key is poisoned or of a stale
+        // generation (lazy invalidation): evict it.
+        if self.entries.remove(key).is_some_and(|e| e.poisoned) {
+            self.poison_evictions += 1;
+        }
+        VerdictProbe::Miss
+    }
+
+    /// The report for `key` if a probe would serve it, else `None` and
+    /// nothing changed: a quarantined (or due for re-admission),
+    /// poisoned, stale or absent key is left for [`Self::probe`] to
+    /// settle. A hit moves the LRU tick, as a probe's does, and nothing
+    /// else — so a caller may try this first and fall back to `probe`
+    /// without either being counted twice.
+    pub fn hit(&mut self, key: &VerdictKey) -> Option<Arc<CompilationReport>> {
+        if self.quarantined.contains_key(key) {
+            return None;
+        }
+        let version = self.version;
+        let e = self
+            .entries
+            .get_mut(key)
+            .filter(|e| !e.poisoned && e.version == version)?;
+        self.tick += 1;
+        e.last_used = self.tick;
+        Some(Arc::clone(&e.report))
     }
 
     /// Inserts a completed report. Callers only insert results that
@@ -340,6 +351,44 @@ mod tests {
         assert!(matches!(c.probe(&KEY), VerdictProbe::Miss));
         assert_eq!(c.poison_evictions(), 1);
         assert!(c.is_empty());
+    }
+
+    /// `hit` serves what `probe` would serve and settles nothing else:
+    /// on a quarantined (retries left or due for re-admission),
+    /// poisoned, stale or absent key it returns `None` and leaves every
+    /// counter and entry as it was, so the `probe` after it counts once.
+    #[test]
+    fn hit_leaves_what_it_does_not_serve_to_probe() {
+        type Setup = fn(&mut VerdictCache);
+        let cases: [(&str, Setup, u64, u64); 5] = [
+            ("absent", |_| {}, 0, 0),
+            ("quarantined", |c| c.quarantine(KEY, 1), 0, 1),
+            ("due for re-admission", |c| c.quarantine(KEY, 0), 1, 1),
+            ("poisoned", |c| assert!(c.poison_entry(&KEY)), 0, 1),
+            ("stale", |c| c.invalidate_all(), 0, 0),
+        ];
+        for (what, setup, readmissions, poison_evictions) in cases {
+            let mut c = VerdictCache::new(8);
+            if what != "absent" {
+                c.insert(KEY, report());
+            }
+            setup(&mut c);
+            let state = |c: &VerdictCache| {
+                let counts = (c.readmissions(), c.poison_evictions(), c.evictions());
+                (c.len(), counts, c.is_quarantined(&KEY), c.fingerprint())
+            };
+            let before = state(&c);
+            assert!(c.hit(&KEY).is_none(), "{what}: served");
+            assert_eq!(state(&c), before, "{what}: a refused hit changed the cache");
+            assert!(!matches!(c.probe(&KEY), VerdictProbe::Hit(_)), "{what}");
+            assert_eq!(c.readmissions(), readmissions, "{what}");
+            assert_eq!(c.poison_evictions(), poison_evictions, "{what}");
+        }
+        let mut c = VerdictCache::new(8);
+        let held = Arc::new(report());
+        c.insert(KEY, Arc::clone(&held));
+        let hit = c.hit(&KEY).expect("a live key");
+        assert!(Arc::ptr_eq(&hit, &held));
     }
 
     #[test]

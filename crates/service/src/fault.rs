@@ -2,13 +2,17 @@
 //! mirror of the executor's `FaultPlan`. Faults fire per *request*
 //! (keyed on the service's submission sequence number), so a chaos
 //! test can script "request 3 panics, request 7 stalls" and assert
-//! exact attribution in the stats afterwards.
+//! exact attribution in the stats afterwards. The plan is immutable
+//! once the service starts: the shots that fired are recorded by the
+//! service, beside it.
 
 /// The four service-level faults of the chaos suite.
 ///
 /// The three analysis-path faults (panic, stall, starvation) bypass
 /// the verdict-cache probe on their request, so their coverage cannot
-/// be masked by an earlier request having memoized the answer.
+/// be masked by an earlier request having memoized the answer. A
+/// request the plan addresses is never served by `submit` from the
+/// cache: it always reaches a worker, where every fault fires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ServiceFault {
     /// The analysis pass panics mid-request: must be caught by the
@@ -55,7 +59,6 @@ pub struct ServiceFaultPlan {
     scripted: Vec<(u64, ServiceFault)>,
     /// Randomized injection: SplitMix64 over the request seq.
     randomized: Option<(u64, u32, u64)>, // (seed, rate_per_mille, stall_ms)
-    fired: Vec<ServiceFaultShot>,
 }
 
 impl ServiceFaultPlan {
@@ -82,8 +85,8 @@ impl ServiceFaultPlan {
         }
     }
 
-    /// The fault for request `seq`, if any. Stateless per request, so
-    /// concurrent workers can consult the plan under a short lock.
+    /// The fault for request `seq`, if any. A pure function of `seq`,
+    /// so `submit` and the workers consult the plan without a lock.
     pub fn decide(&self, seq: u64) -> Option<ServiceFault> {
         if let Some(f) = self
             .scripted
@@ -107,24 +110,6 @@ impl ServiceFaultPlan {
             2 => ServiceFault::PoisonCacheEntry,
             _ => ServiceFault::BudgetStarvation,
         })
-    }
-
-    /// Records that `fault` actually fired on request `seq`.
-    pub fn record_fired(&mut self, seq: u64, fault: ServiceFault) {
-        self.fired.push(ServiceFaultShot {
-            request_seq: seq,
-            fault,
-        });
-    }
-
-    /// Every fault that fired, in firing order.
-    pub fn fired(&self) -> &[ServiceFaultShot] {
-        &self.fired
-    }
-
-    /// How many fired shots carry `name`.
-    pub fn fired_count(&self, name: &str) -> usize {
-        self.fired.iter().filter(|s| s.fault.name() == name).count()
     }
 }
 
@@ -164,15 +149,5 @@ mod tests {
             "poisoned-cache-entry"
         );
         assert_eq!(ServiceFault::BudgetStarvation.name(), "budget-starvation");
-    }
-
-    #[test]
-    fn attribution_tracks_fired_shots() {
-        let mut p = ServiceFaultPlan::none();
-        p.record_fired(9, ServiceFault::PoisonCacheEntry);
-        p.record_fired(11, ServiceFault::PoisonCacheEntry);
-        assert_eq!(p.fired_count("poisoned-cache-entry"), 2);
-        assert_eq!(p.fired_count("stalled-worker"), 0);
-        assert_eq!(p.fired()[0].request_seq, 9);
     }
 }

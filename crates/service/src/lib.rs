@@ -20,6 +20,13 @@
 //! - **memoization** — completed reports are shared, not copied,
 //!   through a versioned, LRU, quarantine-aware [`VerdictCache`]: a
 //!   hit costs a reference count;
+//! - **hits are served by the caller** — [`Service::submit`] hashes
+//!   the source and probes the cache on the submitting thread, and a
+//!   full-strength hit returns at once: no queue slot (so a hit is never
+//!   shed `queue-full`), no wake-up, no channel. Misses, quarantined,
+//!   poisoned and stale keys, and every request the fault plan
+//!   addresses go to the queue, whose worker probes again and settles
+//!   them (a quarantine retry, an eviction, a counted miss) exactly once;
 //! - **fault injection** — [`ServiceFaultPlan`] scripts the four
 //!   service-level faults the chaos suite must catch with exact
 //!   attribution.
@@ -36,7 +43,7 @@ use irr_driver::parse_only_report;
 use irr_frontend::{parse_program, Program};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -185,10 +192,12 @@ pub struct AnalysisResponse {
     pub seq: u64,
     /// Caller-supplied request name.
     pub name: String,
-    /// Submission-to-response latency (includes queue wait).
+    /// Submission-to-response latency (includes queue wait). For a hit
+    /// served by `submit`, the hash and the probe; zero for a shed.
     pub latency: Duration,
-    /// The part of `latency` spent queued before a worker took the
-    /// request; the rest is service time. Zero for a shed.
+    /// The part of `latency` from submission until a worker took the
+    /// request; the rest is service time. Zero for a shed and for a hit
+    /// served by `submit`, which never queue.
     pub queue_wait: Duration,
     /// The analysis or its typed failure.
     pub result: Result<Analyzed, ServiceError>,
@@ -212,6 +221,7 @@ struct Stats {
     shed_queue_full: AtomicU64,
     shed_shutdown: AtomicU64,
     completed: AtomicU64,
+    served_inline: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     parse_errors: AtomicU64,
@@ -233,9 +243,13 @@ pub struct StatsSnapshot {
     pub shed_queue_full: u64,
     /// Shed with `shutting-down`.
     pub shed_shutdown: u64,
-    /// Responses produced by workers.
+    /// Responses that are not sheds: every worker reply, and every hit
+    /// `submit` served itself (`served_inline`).
     pub completed: u64,
-    /// Served from the verdict cache.
+    /// Cache hits `submit` served on the caller's thread; they never
+    /// reached a worker and add nothing to `busy_ns`.
+    pub served_inline: u64,
+    /// Served from the verdict cache (by `submit` or by a worker).
     pub cache_hits: u64,
     /// Probes that missed (and went on to analyze). A request whose
     /// injected fault bypasses the cache probes nothing and counts
@@ -253,14 +267,17 @@ pub struct StatsSnapshot {
     pub fuel_exhaustions: u64,
     /// Descents (straight to parse-only) caused by the deadline.
     pub wall_exhaustions: u64,
-    /// Total worker-busy nanoseconds (drives retry-after estimates).
+    /// Total worker-busy nanoseconds over the `completed −
+    /// served_inline` requests workers served (drives retry-after
+    /// estimates).
     pub busy_ns: u64,
-    /// Total nanoseconds completed requests waited in the queue. A
-    /// latency is its queue wait plus its service time, and `busy_ns`
-    /// is the service times plus whatever passes between a worker's
-    /// send and its next clock read (its own frees; on a shared core,
-    /// the client it just woke), so `busy_ns + queue_wait_ns` bounds the
-    /// summed latencies from above.
+    /// Total nanoseconds requests waited between submission and a
+    /// worker taking them. A queued request's latency is its queue wait
+    /// plus its service time, and `busy_ns` is the service times plus
+    /// whatever passes between a worker's send and its next clock read
+    /// (its own frees; on a shared core, the client it just woke), so
+    /// `busy_ns + queue_wait_ns` bounds the summed latencies of queued
+    /// requests from above. A hit served by `submit` adds to neither.
     pub queue_wait_ns: u64,
 }
 
@@ -287,15 +304,13 @@ impl StatsSnapshot {
 
 struct Job {
     seq: u64,
+    /// Hashed once, by `submit`.
+    key: VerdictKey,
+    fault: Option<ServiceFault>,
     name: String,
     source: String,
     enqueued: Instant,
     reply: mpsc::SyncSender<AnalysisResponse>,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
 }
 
 struct Shared {
@@ -306,21 +321,33 @@ struct Shared {
     quarantine_retries: u32,
     start_level: DegradeLevel,
     options: DriverOptions,
-    queue: Mutex<QueueState>,
+    queue: Mutex<VecDeque<Job>>,
+    /// Set under the `queue` lock, so a worker that finds the queue
+    /// empty and this clear cannot miss the wake-up; `submit` reads it
+    /// without the lock before serving a hit.
+    shutdown: AtomicBool,
     available: Condvar,
     cache: Mutex<VerdictCache>,
-    faults: Mutex<ServiceFaultPlan>,
+    faults: ServiceFaultPlan,
+    fired: Mutex<Vec<ServiceFaultShot>>,
     stats: Stats,
     next_seq: AtomicU64,
 }
 
-/// Outcome of a submission: a receiver for the eventual response, or
-/// an immediate reason-coded shed response.
+impl Shared {
+    fn record_fired(&self, request_seq: u64, fault: ServiceFault) {
+        let shot = ServiceFaultShot { request_seq, fault };
+        self.fired.lock().unwrap().push(shot);
+    }
+}
+
+/// Outcome of a submission.
 pub enum Submitted {
-    /// Accepted; the response arrives on the receiver.
+    /// Queued; the response arrives on the receiver.
     Accepted(mpsc::Receiver<AnalysisResponse>),
-    /// Refused; the shed response is complete and reason-coded.
-    Shed(Box<AnalysisResponse>),
+    /// Answered by `submit` itself: a full-strength cache hit, or a
+    /// reason-coded shed. The response is complete.
+    Ready(Box<AnalysisResponse>),
 }
 
 /// The worker pool. Dropping (or [`Service::shutdown`]) drains
@@ -341,13 +368,12 @@ impl Service {
             quarantine_retries: config.quarantine_retries,
             start_level: config.start_level,
             options: config.options,
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
+            queue: Mutex::new(VecDeque::new()),
+            shutdown: AtomicBool::new(false),
             available: Condvar::new(),
             cache: Mutex::new(VerdictCache::new(config.cache_capacity)),
-            faults: Mutex::new(config.fault_plan),
+            faults: config.fault_plan,
+            fired: Mutex::new(Vec::new()),
             stats: Stats::default(),
             next_seq: AtomicU64::new(0),
         });
@@ -360,29 +386,59 @@ impl Service {
         Service { shared, threads }
     }
 
-    /// Offers one request. Returns immediately: either a receiver for
-    /// the eventual response, or a complete shed response.
+    /// Offers one request. Returns immediately: a receiver for the
+    /// eventual response, or a complete response — a cache hit served
+    /// here, or a shed.
+    ///
+    /// A hit needs no queue slot, so it is never shed `queue-full`;
+    /// once shutdown has started ([`Service::close`]) it is shed
+    /// `shutting-down` like any request. The key carries the rung, so
+    /// a hit is served here whatever `start_level` is. A request the
+    /// fault plan addresses always goes to the queue.
     pub fn submit(&self, name: &str, source: &str) -> Submitted {
         let s = &self.shared;
+        let arrived = Instant::now();
         let seq = s.next_seq.fetch_add(1, Relaxed);
         s.stats.submitted.fetch_add(1, Relaxed);
-        let shed = |reason: ShedReason| {
-            Submitted::Shed(Box::new(AnalysisResponse {
+        let ready = |latency: Duration, result: Result<Analyzed, ServiceError>| {
+            Submitted::Ready(Box::new(AnalysisResponse {
                 seq,
                 name: name.to_string(),
-                latency: Duration::ZERO,
+                latency,
                 queue_wait: Duration::ZERO,
-                result: Err(ServiceError::Shed(reason)),
+                result,
             }))
         };
+        let shed = |reason: ShedReason| ready(Duration::ZERO, Err(ServiceError::Shed(reason)));
+        if s.shutdown.load(Relaxed) {
+            s.stats.shed_shutdown.fetch_add(1, Relaxed);
+            return shed(ShedReason::ShuttingDown);
+        }
+        let fault = s.faults.decide(seq);
+        let key: VerdictKey = (program_hash(source), s.start_level);
+        if fault.is_none() {
+            let hit = s.cache.lock().unwrap().hit(&key);
+            if let Some(report) = hit {
+                s.stats.completed.fetch_add(1, Relaxed);
+                s.stats.served_inline.fetch_add(1, Relaxed);
+                s.stats.cache_hits.fetch_add(1, Relaxed);
+                let analyzed = Analyzed {
+                    report,
+                    level: s.start_level,
+                    degraded: None,
+                    cache_hit: true,
+                };
+                return ready(arrived.elapsed(), Ok(analyzed));
+            }
+        }
         let mut q = s.queue.lock().unwrap();
-        if q.shutdown {
+        if s.shutdown.load(Relaxed) {
             drop(q);
             s.stats.shed_shutdown.fetch_add(1, Relaxed);
             return shed(ShedReason::ShuttingDown);
         }
-        if q.jobs.len() >= s.queue_capacity {
-            let backlog = q.jobs.len() as u64;
+        if q.len() >= s.queue_capacity {
+            let backlog = q.len() as u64;
             drop(q);
             s.stats.shed_queue_full.fetch_add(1, Relaxed);
             return shed(ShedReason::QueueFull {
@@ -392,11 +448,13 @@ impl Service {
         // One reply per request: one slot, so the worker's send never
         // blocks and nothing is allocated per message.
         let (tx, rx) = mpsc::sync_channel(1);
-        q.jobs.push_back(Job {
+        q.push_back(Job {
             seq,
+            key,
+            fault,
             name: name.to_string(),
             source: source.to_string(),
-            enqueued: Instant::now(),
+            enqueued: arrived,
             reply: tx,
         });
         drop(q);
@@ -404,17 +462,17 @@ impl Service {
         Submitted::Accepted(rx)
     }
 
-    /// Submits and blocks for the response (sheds still return
+    /// Submits and blocks for the response (hits and sheds return
     /// immediately).
     pub fn analyze(&self, name: &str, source: &str) -> AnalysisResponse {
         match self.submit(name, source) {
-            Submitted::Shed(resp) => *resp,
+            Submitted::Ready(resp) => *resp,
             Submitted::Accepted(rx) => rx.recv().unwrap_or_else(|_| reply_lost(name.to_string())),
         }
     }
 
-    /// Submits a whole batch, then collects every response (sheds
-    /// included, in submission order).
+    /// Submits a whole batch, then collects every response (hits and
+    /// sheds included, in submission order).
     pub fn analyze_batch<'a>(
         &self,
         requests: impl IntoIterator<Item = (&'a str, &'a str)>,
@@ -426,20 +484,26 @@ impl Service {
         submitted
             .into_iter()
             .map(|(name, sub)| match sub {
-                Submitted::Shed(resp) => *resp,
+                Submitted::Ready(resp) => *resp,
                 Submitted::Accepted(rx) => rx.recv().unwrap_or_else(|_| reply_lost(name)),
             })
             .collect()
     }
 
     /// Estimated milliseconds until a full queue has room: backlog ×
-    /// average service time ÷ workers, floored at 1ms.
+    /// average worker service time ÷ workers, floored at 1ms. Hits
+    /// served by `submit` took no worker time, so they are not in the
+    /// average.
     fn retry_after_ms(&self, backlog: u64) -> u64 {
-        let s = &self.shared;
-        let avg_ms = (s.stats.busy_ns.load(Relaxed) / 1_000_000)
-            .checked_div(s.stats.completed.load(Relaxed))
+        let s = &self.shared.stats;
+        let served = s
+            .completed
+            .load(Relaxed)
+            .saturating_sub(s.served_inline.load(Relaxed));
+        let avg_ms = (s.busy_ns.load(Relaxed) / 1_000_000)
+            .checked_div(served)
             .map_or(5, |ms| ms.max(1));
-        (backlog * avg_ms / s.workers as u64).max(1)
+        (backlog * avg_ms / self.shared.workers as u64).max(1)
     }
 
     /// Point-in-time counters.
@@ -450,6 +514,7 @@ impl Service {
             shed_queue_full: s.shed_queue_full.load(Relaxed),
             shed_shutdown: s.shed_shutdown.load(Relaxed),
             completed: s.completed.load(Relaxed),
+            served_inline: s.served_inline.load(Relaxed),
             cache_hits: s.cache_hits.load(Relaxed),
             cache_misses: s.cache_misses.load(Relaxed),
             parse_errors: s.parse_errors.load(Relaxed),
@@ -489,14 +554,22 @@ impl Service {
         self.shared.cache.lock().unwrap().invalidate_all();
     }
 
-    /// Fired fault shots, for chaos-suite attribution.
+    /// Fired fault shots in firing order, for chaos-suite attribution.
     pub fn faults_fired(&self) -> Vec<ServiceFaultShot> {
-        self.shared.faults.lock().unwrap().fired().to_vec()
+        self.shared.fired.lock().unwrap().clone()
     }
 
     /// Fired shots carrying `name`.
     pub fn faults_fired_count(&self, name: &str) -> usize {
-        self.shared.faults.lock().unwrap().fired_count(name)
+        let fired = self.shared.fired.lock().unwrap();
+        fired.iter().filter(|s| s.fault.name() == name).count()
+    }
+
+    /// Starts shutdown: every later submission, a cache hit included,
+    /// is shed `shutting-down`, while the workers drain what is queued.
+    pub fn close(&self) {
+        let _queue = self.shared.queue.lock().unwrap();
+        self.shared.shutdown.store(true, Relaxed);
     }
 
     /// Stops admissions, drains the queue, joins the workers, and
@@ -507,10 +580,7 @@ impl Service {
     }
 
     fn stop_and_join(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.shutdown = true;
-        }
+        self.close();
         self.shared.available.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -540,10 +610,10 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if let Some(job) = q.jobs.pop_front() {
+                if let Some(job) = q.pop_front() {
                     break job;
                 }
-                if q.shutdown {
+                if shared.shutdown.load(Relaxed) {
                     return;
                 }
                 q = shared.available.wait(q).unwrap();
@@ -567,7 +637,7 @@ fn worker_loop(shared: &Shared) {
 /// `catch_unwind`, and everything outside it is non-panicking by
 /// construction and covered by the corpus tests).
 fn process(shared: &Shared, job: Job, queue_wait: Duration) {
-    let fault = shared.faults.lock().unwrap().decide(job.seq);
+    let (fault, key) = (job.fault, job.key);
     let requested = shared.start_level;
     // The deadline holder carries the request-wide wall clock. It is
     // anchored here — before the probe, the parse, and any injected
@@ -575,7 +645,6 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
     // and each rung refuels from it so fuel is per-rung but time is
     // global.
     let deadline = AnalysisBudget::limited(None, shared.wall_budget);
-    let key: VerdictKey = (program_hash(&job.source), requested);
     // Called once on every path; a client that dropped its receiver
     // loses the reply, nothing else.
     let respond = |result: Result<Analyzed, ServiceError>| {
@@ -594,18 +663,6 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
         });
     };
 
-    // Injected poisoned-cache-entry: corrupt the memo *before* the
-    // probe so the cache's own defense (evict + recompute) is what
-    // the request exercises.
-    if fault == Some(ServiceFault::PoisonCacheEntry) {
-        shared.cache.lock().unwrap().poison_entry(&key);
-        shared
-            .faults
-            .lock()
-            .unwrap()
-            .record_fired(job.seq, ServiceFault::PoisonCacheEntry);
-    }
-
     // Faults that fire inside the analysis path (panic, stall,
     // starvation) bypass the memo probe: chaos coverage must not
     // depend on whether an earlier request already cached the answer.
@@ -617,7 +674,21 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
                 | ServiceFault::BudgetStarvation
         )
     );
-    let probe = (!bypass_cache).then(|| shared.cache.lock().unwrap().probe(&key));
+    let poison = fault == Some(ServiceFault::PoisonCacheEntry);
+    let probe = (!bypass_cache).then(|| {
+        let mut cache = shared.cache.lock().unwrap();
+        // Injected poisoned-cache-entry: corrupt the memo just before
+        // the probe, under the same lock (so no hit served by `submit`
+        // sees it), and the cache's own defense (evict + recompute) is
+        // what the request exercises.
+        if poison {
+            cache.poison_entry(&key);
+        }
+        cache.probe(&key)
+    });
+    if poison {
+        shared.record_fired(job.seq, ServiceFault::PoisonCacheEntry);
+    }
     match probe {
         Some(VerdictProbe::Hit(report)) => {
             shared.stats.cache_hits.fetch_add(1, Relaxed);
@@ -667,20 +738,12 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
     // Injected stalled-worker: burn the wall budget before analyzing.
     if let Some(ServiceFault::StallWorker { ms }) = fault {
         thread::sleep(Duration::from_millis(ms));
-        shared
-            .faults
-            .lock()
-            .unwrap()
-            .record_fired(job.seq, ServiceFault::StallWorker { ms });
+        shared.record_fired(job.seq, ServiceFault::StallWorker { ms });
     }
 
     // Injected budget starvation: this request's fuel is zero.
     let fuel = if fault == Some(ServiceFault::BudgetStarvation) {
-        shared
-            .faults
-            .lock()
-            .unwrap()
-            .record_fired(job.seq, ServiceFault::BudgetStarvation);
+        shared.record_fired(job.seq, ServiceFault::BudgetStarvation);
         Some(0)
     } else {
         shared.fuel
@@ -731,11 +794,7 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
         match outcome {
             Err(payload) => {
                 if inject_panic {
-                    shared
-                        .faults
-                        .lock()
-                        .unwrap()
-                        .record_fired(job.seq, ServiceFault::PanicInAnalysis);
+                    shared.record_fired(job.seq, ServiceFault::PanicInAnalysis);
                 }
                 shared.stats.panics_caught.fetch_add(1, Relaxed);
                 shared

@@ -8,7 +8,7 @@ use irr_service::{
     ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan, ShedReason, Submitted,
 };
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const GOOD: &str = "program t
@@ -116,7 +116,7 @@ fn overload_sheds_with_reason_coded_retry_after() {
     for i in 0..5 {
         match svc.submit(&format!("r{i}"), GOOD) {
             Submitted::Accepted(rx) => pending.push(rx),
-            Submitted::Shed(resp) => shed.push(*resp),
+            Submitted::Ready(resp) => shed.push(*resp),
         }
     }
     assert!(shed.len() >= 3, "expected >=3 sheds, got {}", shed.len());
@@ -227,11 +227,16 @@ fn hits_stay_correct_while_the_cache_is_invalidated_and_refilled_under_them() {
         ..ServiceConfig::default()
     });
     let done = AtomicBool::new(false);
+    // Hits are served on the clients' own threads and take well under a
+    // microsecond, so 2000 of them can finish before a freshly spawned
+    // invalidator is first scheduled: every thread starts together.
+    let start = Barrier::new(5);
     std::thread::scope(|scope| {
         let clients: Vec<_> = (0..4)
             .map(|client| {
-                let (svc, sources, expected) = (&svc, &sources, &expected);
+                let (svc, sources, expected, start) = (&svc, &sources, &expected, &start);
                 scope.spawn(move || {
+                    start.wait();
                     for n in 0..2000 {
                         let k = (client + n) % sources.len();
                         let resp = svc.analyze("hit", &sources[k]);
@@ -244,6 +249,7 @@ fn hits_stay_correct_while_the_cache_is_invalidated_and_refilled_under_them() {
             })
             .collect();
         let invalidator = scope.spawn(|| {
+            start.wait();
             let mut rounds = 0;
             while !done.load(SeqCst) {
                 svc.cache_invalidate_all();
@@ -281,7 +287,7 @@ fn a_dropped_receiver_loses_its_reply_and_nothing_else() {
     };
     match svc.submit("abandoned", GOOD) {
         Submitted::Accepted(rx) => drop(rx),
-        Submitted::Shed(_) => panic!("a queue of 64 shed its second request"),
+        Submitted::Ready(_) => panic!("a queue of 64 shed its second request"),
     }
     assert!(stalled
         .recv()
