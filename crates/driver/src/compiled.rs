@@ -499,6 +499,106 @@ impl Stream {
     }
 }
 
+/// Entries a [`SegStream`]'s row table may hold: the executor
+/// evaluates a row into a fixed array of this many values.
+pub const ROW_INVS: usize = 16;
+
+/// A row-invariant real value of a [`SegStream`]'s row statements: a
+/// literal, a scalar the row does not assign (the row's own induction
+/// variable included), or `arr(at)` of a real rank-1 array at an entry
+/// of the row table.
+#[derive(Clone, Debug)]
+pub enum RowVal {
+    Inv(FOpnd),
+    Elem { slot: u16, at: u16 },
+}
+
+/// A [`SegStream`]'s one store of the reduced value: `sink = acc op v`
+/// (`acc_first`) or `sink = v op acc`, `op` one of `+ - *`, real.
+#[derive(Clone, Debug)]
+pub struct RowFin {
+    pub op: BinOp,
+    pub acc_first: bool,
+    pub v: RowVal,
+}
+
+/// An outer unit-step `do i` whose body is one row of an offset–length
+/// nest (§3.2.7): at most one initialization of a reduction's target,
+/// one inner `do j` carrying a [`Stream`] whose bounds are row-invariant,
+/// and at most one store of the reduced value —
+///
+/// ```text
+/// do i = ...
+///   y(i) = 0.0
+///   do j = 1, len(i)
+///     y(i) = y(i) + a(ptr(i) + j - 1) * x(idx(ptr(i) + j - 1))
+///   enddo
+/// enddo
+/// ```
+///
+/// — what the typed loop may run as one two-level stream, a row at a
+/// time, instead of entering the inner loop's stream once per row. The
+/// outer body's block is still lowered and runs every row the
+/// executor's row guard does not admit.
+///
+/// A lane sink (`lin = …`) takes no initialization, no final store and
+/// no INDIRECT operand, so a row it runs writes only elements whose
+/// subscripts were all checked before the row began; a reduction's
+/// INDIRECT operands are checked as they are read, and the row stores
+/// nothing before its end.
+#[derive(Clone, Debug)]
+pub struct SegStream {
+    /// The inner loop's `lidx`.
+    pub inner: u16,
+    /// The integer registers of the row variable `i` and of `j`.
+    pub row: u16,
+    pub var: u16,
+    /// The inner loop's stream, its `invs` extended with the row's own
+    /// parts: at most [`ROW_INVS`] entries, the stream's first.
+    pub stream: Stream,
+    /// The inner loop's bounds, entries of `stream.invs`.
+    pub lo: u16,
+    pub hi: u16,
+    /// The reduction's initial value (its target is the stream's sink).
+    pub init: Option<RowVal>,
+    pub fin: Option<RowFin>,
+}
+
+impl SegStream {
+    /// [`Stream::shape`] with the row's initialization before it and its
+    /// final store after — `elem := val; elem = acc + lin·ind` — the
+    /// rows of the segmented-stream histogram in EXPERIMENTS.md.
+    pub fn shape(&self) -> String {
+        let sink = match self.stream.sink {
+            StreamSink::Scalar(_) => "scalar",
+            _ => "elem",
+        };
+        let val = |v: &RowVal| match v {
+            RowVal::Inv(_) => "val",
+            RowVal::Elem { .. } => "elem",
+        };
+        let mut out = String::new();
+        if let Some(v) = &self.init {
+            out += &format!("{sink} := {}; ", val(v));
+        }
+        out += &self.stream.shape();
+        if let Some(f) = &self.fin {
+            let op = match f.op {
+                BinOp::Add => "+",
+                BinOp::Sub => "−",
+                _ => "·",
+            };
+            let (x, y) = if f.acc_first {
+                ("acc", val(&f.v))
+            } else {
+                (val(&f.v), "acc")
+            };
+            out += &format!("; {sink} := {x} {op} {y}");
+        }
+        out
+    }
+}
+
 /// A scalar promoted to a register for the length of a typed run.
 #[derive(Clone, Copy, Debug)]
 pub struct Promoted {
@@ -530,6 +630,7 @@ pub struct CompiledBody {
     stored: Vec<bool>,
     loops: Vec<StmtId>,
     streams: Vec<Option<Stream>>,
+    segs: Vec<Option<SegStream>>,
     root_var: VarId,
     root_reg: u16,
     root_real: bool,
@@ -632,6 +733,23 @@ impl CompiledBody {
     /// Every stream of the nest, the root's first.
     pub fn streams(&self) -> impl Iterator<Item = &Stream> {
         self.streams.iter().flatten()
+    }
+
+    /// The segmented stream of the root loop, when its body is a row.
+    #[inline]
+    pub fn root_seg(&self) -> Option<&SegStream> {
+        self.segs[0].as_ref()
+    }
+
+    /// The segmented stream of the inner `do` loop counted under `lidx`.
+    #[inline]
+    pub fn seg(&self, lidx: u16) -> Option<&SegStream> {
+        self.segs[usize::from(lidx) + 1].as_ref()
+    }
+
+    /// Every segmented stream of the nest, the root's first.
+    pub fn segs(&self) -> impl Iterator<Item = &SegStream> {
+        self.segs.iter().flatten()
     }
 
     /// The outermost loop's induction variable.

@@ -35,7 +35,10 @@
 //!   body is one assignment `sink = a * b ± c` over LINEAR / INDIRECT
 //!   references gets a [`Stream`] recorded *beside* its block
 //!   (`Lowerer::stream_of`); the block is what runs whenever the
-//!   executor's guards do not cover an iteration.
+//!   executor's guards do not cover an iteration. A `do i` whose body
+//!   is such a loop between at most an initialization of its reduction
+//!   and one store of the reduced value gets a [`SegStream`] the same
+//!   way (`Lowerer::seg_of`).
 //! - **Local value numbering** happens at emission: a pure instruction
 //!   whose value is already available in the straight-line region is
 //!   not emitted again. Safe because compute ops never charge fuel, so
@@ -54,8 +57,8 @@
 //!   effects exactly like `eval_cond`.
 
 use super::{
-    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, Stream, StreamAt, StreamRef,
-    StreamSink, StreamTail,
+    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowFin, RowVal, SegStream, Stream,
+    StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
 };
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
@@ -98,12 +101,14 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         stored: Vec::new(),
         loops: vec![loop_stmt],
         streams: vec![None],
+        segs: vec![None],
         avail: Vec::new(),
     };
     let (root_real, root_reg) = l.assigned_scalar(*var)?;
     let root = l.new_block()?;
     l.lower_stmts(root, body)?;
     l.streams[0] = l.stream_of(*var, step.as_ref(), body);
+    l.segs[0] = l.seg_of(*var, step.as_ref(), body);
     let scalars = (l.vars.iter().enumerate())
         .filter_map(|(k, u)| {
             let var = VarId::from_index(k);
@@ -125,6 +130,7 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         stored: l.stored,
         loops: l.loops,
         streams: l.streams,
+        segs: l.segs,
         root_var: *var,
         root_reg,
         root_real,
@@ -312,6 +318,8 @@ struct Lowerer<'p> {
     loops: Vec<StmtId>,
     /// Per entry of `loops`: the stream an innermost `do` runs as.
     streams: Vec<Option<Stream>>,
+    /// Per entry of `loops`: the segmented stream a row loop runs as.
+    segs: Vec<Option<SegStream>>,
     /// Pure values computed since the last join point of the block
     /// being emitted, with the temp holding each.
     avail: Vec<(Pure, u16)>,
@@ -336,6 +344,7 @@ impl<'p> Lowerer<'p> {
             u16::try_from(self.loops.len() - 1).map_err(|_| LowerReject("block-count-overflow"))?;
         self.loops.push(s);
         self.streams.push(None);
+        self.segs.push(None);
         Ok(lidx)
     }
 
@@ -557,13 +566,14 @@ impl<'p> Lowerer<'p> {
                 let body_b = self.new_block()?;
                 self.lower_stmts(body_b, body)?;
                 self.streams[usize::from(lidx) + 1] = self.stream_of(*var, step.as_ref(), body);
-                let (var_real, var) = self.assigned_scalar(*var)?;
+                let (var_real, reg) = self.assigned_scalar(*var)?;
+                self.segs[usize::from(lidx) + 1] = self.seg_of(*var, step.as_ref(), body);
                 // The loop writes whatever its body does.
                 self.avail.clear();
                 self.emit(
                     b,
                     FOp::DoLoop {
-                        var,
+                        var: reg,
                         var_real,
                         lidx,
                         lo,
@@ -1042,6 +1052,143 @@ impl<'p> Lowerer<'p> {
             invs,
         })
     }
+
+    /// The [`SegStream`] of the `do i` loop with this `step` and `body`,
+    /// already lowered (so every register and slot it names exists):
+    /// `Some` when `i` is an integer, the step is 1 and the body is
+    /// `[init;] do j …; [fin]` — the inner loop carrying a [`Stream`]
+    /// with row-invariant bounds, `init` an assignment of a row-invariant
+    /// value to the stream's reduction target, `fin` one of
+    /// `target = target op v` (an element target only). A lane sink
+    /// takes neither, and no INDIRECT operand.
+    fn seg_of(&self, i: VarId, step: Option<&Expr>, body: &[StmtId]) -> Option<SegStream> {
+        if self.is_real(i) || step.is_some_and(|e| e.as_int_lit() != Some(1)) {
+            return None;
+        }
+        let kind = |s: StmtId| &self.program.stmt(s).kind;
+        let at_loop = body.iter().position(|s| kind(*s).is_loop())?;
+        let (init, [inner, fin @ ..]) = body.split_at(at_loop) else {
+            return None;
+        };
+        if init.len() > 1 || fin.len() > 1 {
+            return None;
+        }
+        let StmtKind::Do {
+            var: j,
+            lo,
+            hi,
+            body: jbody,
+            ..
+        } = kind(*inner)
+        else {
+            return None;
+        };
+        let pos = self.loops.iter().position(|s| s == inner)?;
+        let mut stream = self.streams[pos].clone()?;
+        let [s] = jbody.as_slice() else { return None };
+        let StmtKind::Assign { lhs, .. } = kind(*s) else {
+            return None;
+        };
+        let invs = RefCell::new(stream.invs.to_vec());
+        let cx = StreamCx {
+            l: self,
+            j: *j,
+            lhs,
+            invs: &invs,
+        };
+        let (lo, false) = cx.inv(lo)? else {
+            return None;
+        };
+        let (hi, false) = cx.inv(hi)? else {
+            return None;
+        };
+        // Whether an assignment's target is the stream's reduction target.
+        let target = |s: &StmtId| match kind(*s) {
+            StmtKind::Assign { lhs: t, rhs } if t == lhs => Some(rhs),
+            _ => None,
+        };
+        let ops = [
+            Some(&stream.a),
+            stream.b.as_ref(),
+            stream.tail.as_ref().map(|t| &t.1),
+        ];
+        let ops = || ops.into_iter().flatten();
+        let indirect = |r: &StreamRef| matches!(r, StreamRef::At(at) if at.idx_slot.is_some());
+        let (init, fin) = match (&stream.sink, init, fin) {
+            (StreamSink::At(at), [], []) => {
+                if at.idx_slot.is_some() || ops().any(indirect) {
+                    return None;
+                }
+                (None, None)
+            }
+            (StreamSink::At(_), ..) => return None,
+            (StreamSink::Scalar(_), init, []) => {
+                let init = match init {
+                    [s] => Some(cx.row_val(target(s)?, None)?),
+                    _ => None,
+                };
+                (init, None)
+            }
+            (StreamSink::Scalar(_), ..) => return None,
+            (&StreamSink::Elem { slot, .. }, init, fin) => {
+                let init = match init {
+                    [s] => Some(cx.row_val(target(s)?, None)?),
+                    _ => None,
+                };
+                let fin = match fin {
+                    [s] => Some(cx.row_fin(target(s)?, slot)?),
+                    _ => None,
+                };
+                (init, fin)
+            }
+        };
+        let row = self.vars[i.index()].reg?;
+        let var = self.vars[j.index()].reg?;
+        // The stream's operands are resolved once for all rows: none may
+        // read the row variable.
+        let reads_row = |r: &StreamRef| matches!(r, StreamRef::Inv(FOpnd::IReg(r)) if *r == row);
+        if ops().any(reads_row) {
+            return None;
+        }
+        let invs = invs.into_inner();
+        if invs.len() > ROW_INVS {
+            return None;
+        }
+        // Every entry that depends on the row has one term that does: the
+        // row variable, or a load at an entry `c + i` — the form the
+        // executor evaluates rows in. Per entry: `None` when it does not
+        // depend on the row, `Some(true)` when it is `c + i`.
+        let mut by_row: Vec<Option<bool>> = Vec::with_capacity(invs.len());
+        for inv in &invs {
+            let on_row = |t: InvTerm| match t {
+                InvTerm::Reg(r) => r == row,
+                InvTerm::Load { at, .. } => by_row[usize::from(at)].is_some(),
+            };
+            let mut terms = inv.terms.iter().filter(|&&(_, t)| on_row(t));
+            let kind = match (terms.next(), terms.next()) {
+                (None, _) => None,
+                (Some(&(neg, InvTerm::Reg(_))), None) => Some(!neg),
+                (Some(&(_, InvTerm::Load { at, .. })), None)
+                    if by_row[usize::from(at)] == Some(true) =>
+                {
+                    Some(false)
+                }
+                _ => return None,
+            };
+            by_row.push(kind);
+        }
+        stream.invs = invs.into();
+        Some(SegStream {
+            inner: u16::try_from(pos - 1).ok()?,
+            row,
+            var,
+            stream,
+            lo,
+            hi,
+            init,
+            fin,
+        })
+    }
 }
 
 /// A one-subscript element of a real rank-1 array in a candidate
@@ -1142,6 +1289,49 @@ impl StreamCx<'_, '_> {
                 base,
             }),
             (at, false) => Place::Fixed(slot, at),
+        })
+    }
+
+    /// `e` as a [`RowVal`]: a literal, a scalar neither the row nor its
+    /// inner loop assigns (the row variable is set per row), or an
+    /// element of a real rank-1 array — not of the array at `not` — at
+    /// a row-invariant subscript.
+    fn row_val(&self, e: &Expr, not: Option<u16>) -> Option<RowVal> {
+        Some(match e {
+            Expr::IntLit(c) => RowVal::Inv(FOpnd::Const(*c as f64)),
+            Expr::RealLit(c) => RowVal::Inv(FOpnd::Const(*c)),
+            Expr::Var(v) if *v != self.j && !self.is_sink(e) => {
+                let r = self.l.vars[v.index()].reg?;
+                RowVal::Inv(if self.l.is_real(*v) {
+                    FOpnd::Reg(r)
+                } else {
+                    FOpnd::IReg(r)
+                })
+            }
+            Expr::Element(a, subs) => match self.place(*a, subs)? {
+                Place::Fixed(slot, at) if Some(slot) != not => RowVal::Elem { slot, at },
+                _ => return None,
+            },
+            _ => return None,
+        })
+    }
+
+    /// `rhs` of a store of the reduced value into the target at `slot`:
+    /// `target op v` or `v op target`, `op` real `+ - *`.
+    fn row_fin(&self, rhs: &Expr, slot: u16) -> Option<RowFin> {
+        let Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), x, y) = rhs else {
+            return None;
+        };
+        let (acc_first, v) = match (self.is_sink(x), self.is_sink(y)) {
+            (true, false) => (true, y),
+            (false, true) => (false, x),
+            _ => return None,
+        };
+        let v = self.row_val(v, Some(slot))?;
+        Some(RowFin {
+            op: *op,
+            acc_first,
+            v,
         })
     }
 

@@ -24,10 +24,11 @@
 //!   the append buffer its dispatch's commit strategy built for it
 //!   (see [`RawPin`]).
 //!
-//! [`Interp::run_fblock`] and the one [`stream_kernel`] are the only
-//! places an instruction's semantics are written outside the
-//! tree-walk. Parity is the contract: same fuel ledger positions, same
-//! error identities, same store at exit.
+//! [`Interp::run_fblock`] and the one [`stream_kernel`] (with the row
+//! statements of [`seg_row`] around it) are the only places an
+//! instruction's semantics are written outside the tree-walk. Parity is
+//! the contract: same fuel ledger positions, same error identities,
+//! same store at exit.
 //!
 //! - **Streams are a fast-forward, not a second path.** Where the
 //!   lowering recorded a [`Stream`] for an innermost loop,
@@ -40,6 +41,21 @@
 //!   checked at both ends, and the kernel picked by the operands'
 //!   kinds; per element there is the arithmetic and an INDIRECT
 //!   subscript's bounds check.
+//! - **A sparse nest is one kernel, each row atomic.** Where the
+//!   lowering recorded a [`SegStream`] for a row loop (`[init;] do j
+//!   …; [fin]` over an offset–length nest), [`FState::run_seg`] runs its
+//!   rows in order through one two-level kernel — SpMV's and `colscale`'s
+//!   shapes on instantiations of their own, any other on the catch-all —
+//!   and returns the prefix it ran. A row enters only when every check
+//!   it needs passes — its row table evaluates, every load in its view,
+//!   fuel covers the whole row, both ends of each LINEAR range are in
+//!   their pin's view — and an INDIRECT miss abandons a reduction row
+//!   that has stored nothing (its initialization is deferred to its one
+//!   final store, which no operand can observe). The row it stops before
+//!   runs whole on the per-row path (the outer block, the inner loop's
+//!   stream, its ops), which fails exactly where the tree-walk does; per
+//!   row that ran, fuel, cost, the inner loop's entries and cost and the
+//!   stream counts are charged in closed form, as that path would.
 //!
 //! **The `unsafe` here leans on one invariant, established elsewhere.**
 //! A `CompiledBody` can only come out of `lower_do_loop` (its fields
@@ -52,8 +68,8 @@
 use super::{ChunkAbort, WorkerChunk};
 use crate::interp::{advance_induction, ArrayData, ExecError, Interp, RawSlice, Value, WriteSink};
 use irr_driver::compiled::{
-    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Stream, StreamAt, StreamRef, StreamSink,
-    StreamTail,
+    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, RowVal, SegStream, Stream, StreamAt, StreamRef,
+    StreamSink, StreamTail, ROW_INVS,
 };
 use irr_frontend::{BinOp, Intrinsic, ScalarType};
 use std::cell::Cell;
@@ -265,16 +281,41 @@ impl RawPin {
         in_view(v, self.origin, self.dim0)
     }
 
-    /// The elements at subscripts `first ..= first + n - 1` of the
-    /// payload at `p` (`ip` or `fp`), when both ends — hence everything
-    /// between — pass `chk`: the window of an in-place pin, not the
-    /// array.
-    fn lin<T>(&self, p: *mut T, first: i64, n: usize) -> Option<Lin<T>> {
+    /// The payload at `p` (`ip` or `fp`) under this pin's view.
+    fn view<T>(&self, p: *mut T) -> View<T> {
+        View {
+            p,
+            len: self.len,
+            origin: self.origin,
+            dim0: self.dim0,
+        }
+    }
+}
+
+/// A pin's payload and a copy of its view, detached from the pin: what
+/// a stream resolves its lanes against — a segmented one once per
+/// entry, for all its rows.
+#[derive(Clone, Copy)]
+struct View<T> {
+    p: *mut T,
+    len: usize,
+    origin: u64,
+    dim0: u64,
+}
+
+impl<T> View<T> {
+    /// The elements at subscripts `first ..= first + n - 1`, `n >= 1`,
+    /// when both ends — hence everything between — are in view: the
+    /// window of an in-place pin, not the array. The last subscript is
+    /// computed with an overflow check.
+    #[inline(always)]
+    fn lin(self, first: i64, n: usize) -> Option<Lin<T>> {
         let last = first.checked_add(n as i64 - 1)?;
-        let (k0, k1) = (self.chk(first)?, self.chk(last)?);
+        let k0 = in_view(first, self.origin, self.dim0)?;
+        let k1 = in_view(last, self.origin, self.dim0)?;
         debug_assert!(k1 - k0 == n - 1 && k1 < self.len);
         Some(Lin {
-            p: p.wrapping_add(k0),
+            p: self.p.wrapping_add(k0),
             len: self.len - k0,
         })
     }
@@ -302,7 +343,7 @@ trait Lane: Copy {
 }
 
 /// LINEAR: iteration `t` is `p[t]`. Both ends of the subscript range
-/// passed the pin's `chk` (`RawPin::lin`) and `len` counts what the pin
+/// passed the pin's view (`View::lin`) and `len` counts what the pin
 /// holds from `p` on, so `t < n <= len`.
 #[derive(Clone, Copy)]
 struct Lin<T> {
@@ -335,7 +376,7 @@ impl Lane for Ind {
     #[inline(always)]
     fn at(self, t: usize) -> Option<*mut f64> {
         debug_assert!(t < self.idx.len);
-        // SAFETY: `idx.p[0..n]` passed `chk` at both ends (`lin`) and
+        // SAFETY: `idx.p[0..n]` passed the view at both ends (`lin`) and
         // `t < n`; the pin is an `i64` payload (the lowering takes
         // integer-declared index arrays, `fast_ready`).
         let k = in_view(unsafe { *self.idx.p.add(t) }, self.origin, self.dim0)?;
@@ -480,6 +521,491 @@ fn stream_kernel<A: Rd, B: Rd, C: Rd, S: Wr>(
     n
 }
 
+/// The iterations `do j = lo, hi` runs: 0 when `lo > hi`; `None` when
+/// `hi` is `i64::MAX`, where advancing `j` past the end overflows and
+/// the loop ends on the per-iteration ops.
+#[inline(always)]
+fn row_trip(lo: i64, hi: i64) -> Option<u64> {
+    match () {
+        _ if lo > hi => Some(0),
+        _ if hi == i64::MAX => None,
+        _ => Some(hi.abs_diff(lo) + 1),
+    }
+}
+
+/// One term of an invariant table's entry over the live registers, the
+/// pins and the entries before it (`vals`): `None` when a load misses
+/// its pin's view.
+#[inline(always)]
+fn term_val(term: InvTerm, ir: &[i64], pins: &[RawPin], vals: &[i64]) -> Option<i64> {
+    Some(match term {
+        InvTerm::Reg(r) => ir[usize::from(r)],
+        InvTerm::Load { slot, at } => {
+            let pin = &pins[usize::from(slot)];
+            pin.rd_i(pin.chk(vals[usize::from(at)])?)
+        }
+    })
+}
+
+/// One entry of an invariant table, as [`term_val`] its terms: `None`
+/// when the sum leaves `i64` or a load misses its pin's view.
+#[inline(always)]
+fn eval_inv(inv: &Inv, ir: &[i64], pins: &[RawPin], vals: &[i64]) -> Option<i64> {
+    let mut sum = inv.off;
+    for &(neg, term) in inv.terms.iter() {
+        let v = term_val(term, ir, pins, vals)?;
+        sum = if neg {
+            sum.checked_sub(v)?
+        } else {
+            sum.checked_add(v)?
+        };
+    }
+    Some(sum)
+}
+
+/// The values of a row table's entries for the row at hand.
+type RowVals = [i64; ROW_INVS];
+
+/// Entry `k` of an invariant table's values: a stream's, or a row's.
+#[inline(always)]
+fn entry(vals: &[i64], k: u16) -> i64 {
+    vals[usize::from(k)]
+}
+
+/// A row-dependent entry of a segmented stream's row table, resolved
+/// once per entry: `off ± i` or `off ± ptr(i + c)` — the form an
+/// offset–length nest's table takes — with every term that does not
+/// depend on the row folded into `off`. The load needs no check of its
+/// own: the rows whose `i + c` is inside `ptr`'s view are one range,
+/// checked against the rows run (`RowTable::rows_in_view`).
+#[derive(Clone, Copy)]
+struct RowLoad {
+    at: u8,
+    neg: bool,
+    off: i64,
+    /// `ptr(i + c)` is `src[i]`; null for the row variable itself.
+    src: *const i64,
+    /// The view's first element and length, for the debug check of
+    /// each read.
+    view: *const i64,
+    len: usize,
+}
+
+/// A row table as [`FState::run_seg`] evaluates it: the entries that do
+/// not depend on the row evaluated once, the others as [`RowLoad`]s in
+/// table order.
+struct RowTable {
+    vals: RowVals,
+    loads: [RowLoad; ROW_INVS],
+    len: usize,
+    /// The rows whose every load is inside its view.
+    rows: (i64, i64),
+}
+
+impl RowTable {
+    /// The last row of `lo ..= hi` the kernel may run without a load
+    /// leaving its view; `None` when row `lo` would.
+    fn rows_in_view(&self, lo: i64, hi: i64) -> Option<i64> {
+        let (r0, r1) = self.rows;
+        (r0 <= lo && lo <= r1).then(|| hi.min(r1))
+    }
+
+    /// Evaluates the row-dependent entries for row `r`, one of
+    /// [`RowTable::rows_in_view`], into `vals`, as [`eval_inv`] does:
+    /// `None` when a sum leaves `i64`. Every row evaluates every entry,
+    /// an empty row its statement's subscript parts too.
+    #[inline(always)]
+    fn eval(&mut self, r: i64) -> Option<()> {
+        for e in &self.loads[..self.len] {
+            let v = if e.src.is_null() {
+                r
+            } else {
+                let at = e.src.wrapping_offset(r as isize);
+                debug_assert!((at as usize).wrapping_sub(e.view as usize) / 8 < e.len);
+                // SAFETY: `r` is one of the rows whose load is inside the
+                // view of a live `i64` pin (`rows_in_view`).
+                unsafe { *at }
+            };
+            let sum = if e.neg {
+                e.off.checked_sub(v)?
+            } else {
+                e.off.checked_add(v)?
+            };
+            self.vals[usize::from(e.at) % ROW_INVS] = sum;
+        }
+        Some(())
+    }
+}
+
+/// One stream operand, resolved into what stays fixed from one range of
+/// iterations to the next; [`Res::row`] makes it a stream operand for
+/// iterations `lo .. lo + n` over an invariant table's values — once
+/// for a stream's entry, once per row for a segmented stream's.
+trait Res: Copy {
+    type L: Copy;
+    fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Self::L>;
+}
+
+impl Res for Val {
+    type L = Val;
+    #[inline(always)]
+    fn row(self, _: &[i64], _: i64, _: usize) -> Option<Val> {
+        Some(self)
+    }
+}
+
+impl Res for Acc {
+    type L = Acc;
+    #[inline(always)]
+    fn row(self, _: &[i64], _: i64, _: usize) -> Option<Acc> {
+        Some(self)
+    }
+}
+
+/// LINEAR `arr(base + j)`: both ends of the row's range checked.
+#[derive(Clone, Copy)]
+struct LinRes {
+    data: View<f64>,
+    base: u16,
+}
+
+impl LinRes {
+    /// Whether the two resolve to the same elements in every row.
+    fn same(self, other: LinRes) -> bool {
+        (self.data.p, self.base) == (other.data.p, other.base)
+    }
+}
+
+impl Res for LinRes {
+    type L = Lin<f64>;
+    #[inline(always)]
+    fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Lin<f64>> {
+        self.data.lin(entry(vals, self.base).checked_add(lo)?, n)
+    }
+}
+
+/// INDIRECT `arr(idx(base + j))`: the index range checked at both ends,
+/// each subscript read from it as the kernel reads it.
+#[derive(Clone, Copy)]
+struct IndRes {
+    idx: View<i64>,
+    data: View<f64>,
+    base: u16,
+}
+
+impl Res for IndRes {
+    type L = Ind;
+    #[inline(always)]
+    fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Ind> {
+        let idx = self.idx.lin(entry(vals, self.base).checked_add(lo)?, n)?;
+        let d = self.data;
+        Some(Ind {
+            idx,
+            data: d.p,
+            len: d.len,
+            origin: d.origin,
+            dim0: d.dim0,
+        })
+    }
+}
+
+/// A resolver of any kind, for the catch-all instantiation.
+#[derive(Clone, Copy)]
+enum OpndRes {
+    Val(Val),
+    Lin(LinRes),
+    Ind(IndRes),
+    Acc(Acc),
+}
+
+impl Res for OpndRes {
+    type L = Opnd;
+    #[inline(always)]
+    fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Opnd> {
+        Some(match self {
+            OpndRes::Val(v) => Opnd::Val(v),
+            OpndRes::Lin(r) => Opnd::Lin(r.row(vals, lo, n)?),
+            OpndRes::Ind(r) => Opnd::Ind(r.row(vals, lo, n)?),
+            OpndRes::Acc(a) => Opnd::Acc(a),
+        })
+    }
+}
+
+/// A row's initial or final operand, resolved once per entry.
+#[derive(Clone, Copy)]
+enum RowValRes {
+    Val(f64),
+    /// The row variable, read as a real.
+    Row,
+    /// `arr(vals[at])`.
+    Elem {
+        at: u16,
+        data: View<f64>,
+    },
+}
+
+impl RowValRes {
+    /// The value for row `r`, `None` when the element misses its view.
+    #[inline(always)]
+    fn get(self, vals: &RowVals, r: i64) -> Option<f64> {
+        Some(match self {
+            RowValRes::Val(v) => v,
+            RowValRes::Row => r as f64,
+            RowValRes::Elem { at, data } => {
+                let k = in_view(entry(vals, at), data.origin, data.dim0)?;
+                debug_assert!(k < data.len);
+                // SAFETY: `k` is inside the view of a live `f64` pin.
+                unsafe { *data.p.add(k) }
+            }
+        })
+    }
+}
+
+/// A segmented stream's row statements around its inner loop, resolved
+/// for one entry: the initialization, the final store `(op, acc
+/// first, v)`, and where in the row table the inner loop's bounds are.
+struct RowRes {
+    init: Option<RowValRes>,
+    fin: Option<(BinOp, bool, RowValRes)>,
+    lo: u16,
+    hi: u16,
+}
+
+/// Where a segmented stream's rows put their values, beside the lane a
+/// lane sink writes ([`Res`]): how a row's running value starts and
+/// where it goes once the row is done.
+trait SegSink: Res {
+    /// The running value a row starts from — `init`, or else what its
+    /// target holds — and the target's offset in its view; `None` when
+    /// the row stores (`writes > 0`) to a target outside the view.
+    fn start(
+        self,
+        st: &FState,
+        vals: &RowVals,
+        init: Option<f64>,
+        writes: u64,
+    ) -> Option<(f64, usize)>;
+    /// Stores the row's reduced value (a lane stored as it went).
+    fn finish(self, st: &mut FState, acc: f64, k: usize, writes: u64);
+}
+
+impl SegSink for LinRes {
+    #[inline(always)]
+    fn start(self, _: &FState, _: &RowVals, _: Option<f64>, _: u64) -> Option<(f64, usize)> {
+        Some((0.0, 0))
+    }
+
+    #[inline(always)]
+    fn finish(self, _: &mut FState, _: f64, _: usize, _: u64) {}
+}
+
+/// A reduction into `arr(vals[at])`, a raw pin's element.
+#[derive(Clone, Copy)]
+struct ElemSink {
+    at: u16,
+    data: View<f64>,
+}
+
+impl Res for ElemSink {
+    type L = Acc;
+    #[inline(always)]
+    fn row(self, _: &[i64], _: i64, _: usize) -> Option<Acc> {
+        Some(Acc)
+    }
+}
+
+impl SegSink for ElemSink {
+    #[inline(always)]
+    fn start(
+        self,
+        _: &FState,
+        vals: &RowVals,
+        init: Option<f64>,
+        writes: u64,
+    ) -> Option<(f64, usize)> {
+        if writes == 0 {
+            return Some((0.0, 0));
+        }
+        let d = self.data;
+        let k = in_view(entry(vals, self.at), d.origin, d.dim0)?;
+        debug_assert!(k < d.len);
+        // SAFETY: `k` is inside the view of a live `f64` pin.
+        Some((init.unwrap_or_else(|| unsafe { *d.p.add(k) }), k))
+    }
+
+    #[inline(always)]
+    fn finish(self, _: &mut FState, acc: f64, k: usize, writes: u64) {
+        if writes > 0 {
+            debug_assert!(k < self.data.len);
+            // SAFETY: `start` put `k` inside the view, and the pin is a
+            // raw write (`run_seg`): it owns its payload or `k` is in its
+            // window.
+            unsafe { *self.data.p.add(k) = acc }
+        }
+    }
+}
+
+/// A reduction into a real scalar's register.
+#[derive(Clone, Copy)]
+struct ScalarSink(u16);
+
+impl Res for ScalarSink {
+    type L = Acc;
+    #[inline(always)]
+    fn row(self, _: &[i64], _: i64, _: usize) -> Option<Acc> {
+        Some(Acc)
+    }
+}
+
+impl SegSink for ScalarSink {
+    #[inline(always)]
+    fn start(self, st: &FState, _: &RowVals, init: Option<f64>, _: u64) -> Option<(f64, usize)> {
+        Some((init.unwrap_or_else(|| st.frg(self.0)), 0))
+    }
+
+    #[inline(always)]
+    fn finish(self, st: &mut FState, acc: f64, _: usize, _: u64) {
+        st.frs(self.0, acc);
+    }
+}
+
+/// A sink of any kind, for the catch-all instantiation.
+#[derive(Clone, Copy)]
+enum AnySink {
+    Lane(LinRes),
+    Elem(ElemSink),
+    Scalar(ScalarSink),
+}
+
+impl Res for AnySink {
+    type L = Opnd;
+    #[inline(always)]
+    fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Opnd> {
+        Some(match self {
+            AnySink::Lane(l) => Opnd::Lin(l.row(vals, lo, n)?),
+            AnySink::Elem(_) | AnySink::Scalar(_) => Opnd::Acc(Acc),
+        })
+    }
+}
+
+impl SegSink for AnySink {
+    #[inline(always)]
+    fn start(
+        self,
+        st: &FState,
+        vals: &RowVals,
+        init: Option<f64>,
+        writes: u64,
+    ) -> Option<(f64, usize)> {
+        match self {
+            AnySink::Lane(l) => l.start(st, vals, init, writes),
+            AnySink::Elem(e) => e.start(st, vals, init, writes),
+            AnySink::Scalar(s) => s.start(st, vals, init, writes),
+        }
+    }
+
+    #[inline(always)]
+    fn finish(self, st: &mut FState, acc: f64, k: usize, writes: u64) {
+        match self {
+            AnySink::Lane(l) => l.finish(st, acc, k, writes),
+            AnySink::Elem(e) => e.finish(st, acc, k, writes),
+            AnySink::Scalar(s) => s.finish(st, acc, k, writes),
+        }
+    }
+}
+
+/// What one row of a segmented stream did: its iterations, the value it
+/// left in `j`, the fuel it took and the stores it counts.
+struct RowDone {
+    n: u64,
+    j: i64,
+    cost: u64,
+    writes: u64,
+}
+
+/// Row `r` of a segmented stream, whole, or `None` with nothing of it
+/// done, given `fuel` left. The row guard admits it only when every
+/// check the row needs passes: its table evaluates (each load in its
+/// pin's view, no sum leaving `i64`), fuel covers the whole row — its
+/// statements, the inner loop's two units an iteration and the row
+/// loop's bookkeeping — the initial and final values' elements and the
+/// reduction's target are in view, and, for a row that iterates, both
+/// ends of each LINEAR range are inside its pin's view. An INDIRECT
+/// subscript is checked as the kernel reads it; only a reduction has
+/// one, and a reduction stores once, at the row's end — its
+/// initialization deferred to that store, which no operand can observe
+/// (a stream's element sink is read by no operand) — so a miss abandons
+/// a row that has stored nothing.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn seg_row<A: Res, B: Res, C: Res, S: SegSink>(
+    st: &mut FState,
+    table: &mut RowTable,
+    row: &RowRes,
+    r: i64,
+    fuel: u64,
+    a: A,
+    b: Option<B>,
+    tail: Option<(StreamTail, C)>,
+    sink: S,
+) -> Option<RowDone>
+where
+    A::L: Rd,
+    B::L: Rd,
+    C::L: Rd,
+    S::L: Wr,
+{
+    table.eval(r)?;
+    let vals = &table.vals;
+    let (lo, hi) = (entry(vals, row.lo), entry(vals, row.hi));
+    let n = row_trip(lo, hi)?;
+    let (init, fin) = (u64::from(row.init.is_some()), u64::from(row.fin.is_some()));
+    // The initialization, the inner `do`, the final store and the row
+    // loop's bookkeeping, and two units an iteration.
+    let cost = n.checked_mul(2)?.checked_add(2 + init + fin);
+    let cost = cost.filter(|&c| c <= fuel)?;
+    let writes = init + n + fin;
+    let n = n as usize;
+    let init = match row.init {
+        Some(v) => Some(v.get(vals, r)?),
+        None => None,
+    };
+    let fin = match row.fin {
+        Some((op, acc_first, v)) => Some((op, acc_first, v.get(vals, r)?)),
+        None => None,
+    };
+    let (mut acc, k) = sink.start(st, vals, init, writes)?;
+    if n > 0 {
+        let (a, s) = (a.row(vals, lo, n)?, sink.row(vals, lo, n)?);
+        let b = match b {
+            Some(b) => Some(b.row(vals, lo, n)?),
+            None => None,
+        };
+        let tail = match tail {
+            Some((op, c)) => Some((op, c.row(vals, lo, n)?)),
+            None => None,
+        };
+        if stream_kernel(n, a, b, tail, s, &mut acc) < n {
+            return None;
+        }
+    }
+    if let Some((op, acc_first, v)) = fin {
+        let (x, y) = if acc_first { (acc, v) } else { (v, acc) };
+        acc = match op {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            _ => x * y,
+        };
+    }
+    sink.finish(st, acc, k, writes);
+    Some(RowDone {
+        n: n as u64,
+        j: if n > 0 { hi + 1 } else { lo },
+        cost,
+        writes,
+    })
+}
+
 /// Per-entry run state: the typed register planes, pinned payloads,
 /// and the local fuel/cost ledger flushed back on every exit.
 struct FState {
@@ -498,13 +1024,17 @@ struct FState {
     /// (`ExecStats::stream_entries`, `stream_iters`).
     streamed: u64,
     stream_iters: u64,
-    /// The values of the entered stream's `Stream::invs`, kept between
-    /// entries for its allocation.
-    invs: Vec<i64>,
     /// Entries per kernel instantiation, as `try_stream` numbers them
     /// (0 the catch-all).
     #[cfg(test)]
     shapes: [u64; 10],
+    /// Rows the segmented kernel ran, per instantiation as `run_seg`
+    /// numbers them (0 the catch-all).
+    #[cfg(test)]
+    seg_shapes: [u64; 3],
+    /// The values of the entered stream's `Stream::invs`, kept between
+    /// entries for its allocation.
+    invs: Vec<i64>,
     /// Every stored pin is a raw write, so a stream can have a sink:
     /// under a write-log or an append buffer no loop entry so much as
     /// looks its stream up. (`try_stream` still checks its own sink.)
@@ -576,58 +1106,21 @@ impl FState {
         let (ir, pins, vals) = (&self.ir, &self.pins, &mut self.invs);
         vals.clear();
         for inv in invs {
-            let mut sum = inv.off;
-            for &(neg, term) in inv.terms.iter() {
-                let v = match term {
-                    InvTerm::Reg(r) => ir[usize::from(r)],
-                    InvTerm::Load { slot, at } => {
-                        let pin = &pins[usize::from(slot)];
-                        pin.rd_i(pin.chk(vals[usize::from(at)])?)
-                    }
-                };
-                sum = if neg {
-                    sum.checked_sub(v)?
-                } else {
-                    sum.checked_add(v)?
-                };
-            }
-            vals.push(sum);
+            let v = eval_inv(inv, ir, pins, vals)?;
+            vals.push(v);
         }
         Some(())
     }
 
-    /// `at` resolved for iterations `lo .. lo + n`, over the parts
-    /// `eval_invs` left in `self.invs`. Each reference checks its own
-    /// range against its own pin, whatever part it shares with another.
-    #[inline(always)]
-    fn lane(&self, at: &StreamAt, lo: i64, n: usize) -> Option<Opnd> {
-        let first = self.invs[usize::from(at.base)].checked_add(lo)?;
-        let pin = self.pinr(at.slot);
-        debug_assert!(!pin.is_int);
-        Some(match at.idx_slot {
-            None => Opnd::Lin(pin.lin(pin.fp, first, n)?),
-            Some(idx_slot) => {
-                let idx = self.pinr(idx_slot);
-                debug_assert!(idx.is_int);
-                Opnd::Ind(Ind {
-                    idx: idx.lin(idx.ip, first, n)?,
-                    data: pin.fp,
-                    len: pin.len,
-                    origin: pin.origin,
-                    dim0: pin.dim0,
-                })
-            }
-        })
-    }
-
-    /// One operand resolved, as [`FState::lane`].
-    #[inline(always)]
-    fn src(&self, r: &StreamRef, lo: i64, n: usize) -> Option<Opnd> {
-        Some(match r {
-            StreamRef::Inv(v) => Opnd::Val(Val(self.frd(*v))),
-            StreamRef::At(at) => self.lane(at, lo, n)?,
-            StreamRef::Acc => Opnd::Acc(Acc),
-        })
+    /// One operand over the pins' views, to be resolved for a range of
+    /// iterations ([`Res::row`]); each reference checks its own range
+    /// against its own pin, whatever part it shares with another.
+    fn res(&self, r: &StreamRef) -> OpndRes {
+        match r {
+            StreamRef::Inv(v) => OpndRes::Val(Val(self.frd(*v))),
+            StreamRef::At(at) => self.res_at(at),
+            StreamRef::Acc => OpndRes::Acc(Acc),
+        }
     }
 
     /// Fast-forwards the loop `do j = lo, hi` whose body is `sd`:
@@ -674,24 +1167,25 @@ impl FState {
             return None;
         }
         self.eval_invs(&sd.invs)?;
+        let row = |r: OpndRes| r.row(&self.invs, lo, n);
         // A reduction runs in `acc`, from the register or the element
         // (at `k` of its pin's view) it is stored to once, after.
         let (sink, mut acc, k) = match &sd.sink {
-            StreamSink::At(at) => (self.lane(at, lo, n)?, 0.0, 0),
+            StreamSink::At(at) => (row(self.res_at(at))?, 0.0, 0),
             StreamSink::Scalar(r) => (Opnd::Acc(Acc), self.frg(*r), 0),
             StreamSink::Elem { slot, at } => {
                 let pin = self.pinr(*slot);
-                let k = pin.chk(self.invs[usize::from(*at)])?;
+                let k = pin.chk(entry(&self.invs, *at))?;
                 (Opnd::Acc(Acc), pin.rd_f(k), k)
             }
         };
-        let a = self.src(&sd.a, lo, n)?;
+        let a = row(self.res(&sd.a))?;
         let b = match &sd.b {
-            Some(b) => Some(self.src(b, lo, n)?),
+            Some(b) => Some(row(self.res(b))?),
             None => None,
         };
         let tail = match &sd.tail {
-            Some((op, c)) => Some((*op, self.src(c, lo, n)?)),
+            Some((op, c)) => Some((*op, row(self.res(c))?)),
             None => None,
         };
         // The one decision of the entry: the nine shapes the corpus and
@@ -762,6 +1256,278 @@ impl FState {
             }
         }
         Some(m)
+    }
+
+    /// Runs rows `lo ..= hi` of the segmented stream `sg` in order, each
+    /// whole or not at all, and returns how many ran: the rows before the
+    /// first one its row guard does not admit (`FState::seg_row`). The
+    /// caller's per-row ops run that row, from its first statement, and
+    /// meet whatever fails in it exactly where the tree-walk does; every
+    /// row that ran is charged and counted as the per-row path would have
+    /// (fuel, cost, the inner loop's entries and cost, its stream entry
+    /// and iterations). Never runs row `i64::MAX`, whose advance ends
+    /// the loop on the per-row ops.
+    #[inline(never)]
+    fn run_seg(&mut self, sg: &SegStream, lo: i64, hi: i64) -> i64 {
+        let sd = &sg.stream;
+        let stored = match sd.sink {
+            StreamSink::At(StreamAt { slot, .. }) | StreamSink::Elem { slot, .. } => Some(slot),
+            StreamSink::Scalar(_) => None,
+        };
+        if stored.is_some_and(|slot| !self.pinr(slot).raw) {
+            return 0;
+        }
+        let sink = match &sd.sink {
+            StreamSink::At(at) => match self.res_at(at) {
+                OpndRes::Lin(l) => AnySink::Lane(l),
+                // A row of a lane sink writes as it goes, so every check
+                // it needs must be known to pass before it starts: no
+                // INDIRECT lane, whose subscripts are checked as read.
+                _ => return 0,
+            },
+            StreamSink::Scalar(reg) => AnySink::Scalar(ScalarSink(*reg)),
+            StreamSink::Elem { slot, at } => {
+                let pin = self.pinr(*slot);
+                AnySink::Elem(ElemSink {
+                    at: *at,
+                    data: pin.view(pin.fp),
+                })
+            }
+        };
+        let a = self.res(&sd.a);
+        let b = sd.b.as_ref().map(|b| self.res(b));
+        let tail = sd.tail.as_ref().map(|(op, c)| (*op, self.res(c)));
+        let ind = |r: &OpndRes| matches!(r, OpndRes::Ind(_));
+        if matches!(sink, AnySink::Lane(_))
+            && (ind(&a) || b.as_ref().is_some_and(ind) || tail.is_some_and(|t| ind(&t.1)))
+        {
+            return 0;
+        }
+        let Some(mut table) = self.row_table(sg) else {
+            return 0;
+        };
+        let Some(hi) = table.rows_in_view(lo, hi) else {
+            return 0;
+        };
+        let hi = hi.min(i64::MAX - 1);
+        let row = RowRes {
+            init: sg.init.as_ref().map(|v| self.row_val_res(sg, v)),
+            fin: (sg.fin.as_ref()).map(|f| (f.op, f.acc_first, self.row_val_res(sg, &f.v))),
+            lo: sg.lo,
+            hi: sg.hi,
+        };
+        // The one decision of the entry, as `try_stream`'s: the two
+        // shapes a benchmark row runs get the two-level kernel over their
+        // own resolvers, anything else runs it over `OpndRes` /
+        // `AnySink`.
+        use {AnySink as K, OpndRes as O, StreamTail::*};
+        macro_rules! run {
+            ($shape:literal: $a:expr, $b:expr, $tail:expr, $sink:expr) => {{
+                let m = self.seg_rows(sg, &mut table, &row, lo, hi, $a, $b, $tail, $sink);
+                #[cfg(test)]
+                {
+                    self.seg_shapes[$shape] += m as u64;
+                }
+                m
+            }};
+        }
+        match (a, b, tail, sink) {
+            // `lin = lin·val + val` in place: colscale. With the operand's
+            // own resolver passed as the sink the kernel vectorizes: one
+            // pointer needs no overlap test (which the same element read
+            // and written fails).
+            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), K::Lane(s)) if a.same(s) => {
+                run!(1: a, Some(b), Some((PAddC, c)), a)
+            }
+            // Out of place: the benchmark's scale sweep, whose sweep loop
+            // is the row loop.
+            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), K::Lane(s)) => {
+                run!(1: a, Some(b), Some((PAddC, c)), s)
+            }
+            // `elem = acc + lin·ind`: spmv
+            (O::Lin(a), Some(O::Ind(b)), Some((CAddP, O::Acc(c))), K::Elem(s)) => {
+                run!(2: a, Some(b), Some((CAddP, c)), s)
+            }
+            (a, b, tail, s) => run!(0: a, b, tail, s),
+        }
+    }
+
+    /// `sg`'s row table resolved for this entry: the entries that do not
+    /// depend on the row variable evaluated, the others as [`RowLoad`]s.
+    /// `None` — no row runs in the kernel — when an entry that does not
+    /// depend on the row fails, or one that does takes another form.
+    fn row_table(&self, sg: &SegStream) -> Option<RowTable> {
+        let invs = &sg.stream.invs;
+        let none = RowLoad {
+            at: 0,
+            neg: false,
+            off: 0,
+            src: std::ptr::null(),
+            view: std::ptr::null(),
+            len: 0,
+        };
+        let mut t = RowTable {
+            vals: [0; ROW_INVS],
+            loads: [none; ROW_INVS],
+            len: 0,
+            rows: (i64::MIN, i64::MAX),
+        };
+        // Per entry: whether it depends on the row, and `c` when it is
+        // `c + i`.
+        let mut by_row = [false; ROW_INVS];
+        let mut row_plus = [None; ROW_INVS];
+        for (k, inv) in invs.iter().enumerate() {
+            let dep = |term: InvTerm| match term {
+                InvTerm::Reg(r) => r == sg.row,
+                InvTerm::Load { at, .. } => by_row[usize::from(at)],
+            };
+            if !inv.terms.iter().any(|&(_, term)| dep(term)) {
+                t.vals[k] = eval_inv(inv, &self.ir, &self.pins, &t.vals[..k])?;
+                continue;
+            }
+            let mut e = RowLoad {
+                at: k as u8,
+                off: inv.off,
+                ..none
+            };
+            let mut row_term = None;
+            for &(neg, term) in inv.terms.iter() {
+                if dep(term) {
+                    if row_term.replace((neg, term)).is_some() {
+                        return None;
+                    }
+                    continue;
+                }
+                let v = term_val(term, &self.ir, &self.pins, &t.vals[..k])?;
+                e.off = if neg {
+                    e.off.checked_sub(v)?
+                } else {
+                    e.off.checked_add(v)?
+                };
+            }
+            let (neg, term) = row_term?;
+            e.neg = neg;
+            match term {
+                InvTerm::Reg(_) => row_plus[k] = (!neg).then_some(e.off),
+                InvTerm::Load { slot, at } => {
+                    let c = row_plus[usize::from(at)]?;
+                    let ptr = self.pinr(slot);
+                    debug_assert!(ptr.is_int);
+                    // `origin <= i + c < origin + dim0`, exactly.
+                    let first = i128::from(ptr.origin) - i128::from(c);
+                    let last = first + i128::from(ptr.dim0) - 1;
+                    let clamp = |v: i128| v.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
+                    t.rows = if first > last {
+                        (0, -1)
+                    } else {
+                        (t.rows.0.max(clamp(first)), t.rows.1.min(clamp(last)))
+                    };
+                    e.src = ptr
+                        .ip
+                        .wrapping_offset((i128::from(c) - i128::from(ptr.origin)) as isize);
+                    (e.view, e.len) = (ptr.ip, ptr.len);
+                }
+            }
+            by_row[k] = true;
+            t.loads[t.len] = e;
+            t.len += 1;
+        }
+        Some(t)
+    }
+
+    /// A row's initial or final operand, resolved for this entry: a
+    /// register other than the row variable's is fixed for the entry.
+    fn row_val_res(&self, sg: &SegStream, v: &RowVal) -> RowValRes {
+        match *v {
+            RowVal::Inv(FOpnd::IReg(r)) if r == sg.row => RowValRes::Row,
+            RowVal::Inv(o) => RowValRes::Val(self.frd(o)),
+            RowVal::Elem { slot, at } => {
+                let pin = self.pinr(slot);
+                debug_assert!(!pin.is_int);
+                RowValRes::Elem {
+                    at,
+                    data: pin.view(pin.fp),
+                }
+            }
+        }
+    }
+
+    /// The resolver of a stream location over its pins' views.
+    fn res_at(&self, at: &StreamAt) -> OpndRes {
+        let pin = self.pinr(at.slot);
+        debug_assert!(!pin.is_int);
+        let data = pin.view(pin.fp);
+        match at.idx_slot {
+            None => OpndRes::Lin(LinRes {
+                data,
+                base: at.base,
+            }),
+            Some(idx_slot) => {
+                let idx = self.pinr(idx_slot);
+                debug_assert!(idx.is_int);
+                OpndRes::Ind(IndRes {
+                    idx: idx.view(idx.ip),
+                    data,
+                    base: at.base,
+                })
+            }
+        }
+    }
+
+    /// [`FState::run_seg`]'s two-level kernel, one instantiation per
+    /// operand shape: [`seg_row`] row after row, fuel held in a local,
+    /// the per-row counters flushed once.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn seg_rows<A: Res, B: Res, C: Res, S: SegSink>(
+        &mut self,
+        sg: &SegStream,
+        table: &mut RowTable,
+        row: &RowRes,
+        lo: i64,
+        hi: i64,
+        a: A,
+        b: Option<B>,
+        tail: Option<(StreamTail, C)>,
+        sink: S,
+    ) -> i64
+    where
+        A::L: Rd,
+        B::L: Rd,
+        C::L: Rd,
+        S::L: Wr,
+    {
+        let mut fuel = self.fuel;
+        let (mut r, mut iters, mut streamed, mut writes) = (lo, 0, 0, 0);
+        let mut j_end = None;
+        while r <= hi {
+            let Some(done) = seg_row(self, table, row, r, fuel, a, b, tail, sink) else {
+                break;
+            };
+            fuel -= done.cost;
+            iters += done.n;
+            streamed += u64::from(done.n > 0);
+            writes += done.writes;
+            j_end = Some(done.j);
+            r += 1;
+        }
+        let Some(j) = j_end else { return 0 };
+        let rows = (r - lo) as u64;
+        self.irs(sg.var, j);
+        let spent = self.fuel - fuel;
+        (self.fuel, self.spent) = (fuel, self.spent + spent);
+        let l = usize::from(sg.inner);
+        self.linv[l] += rows;
+        self.lcost[l] += 2 * iters;
+        self.streamed += streamed;
+        self.stream_iters += iters;
+        match sg.stream.sink {
+            StreamSink::At(StreamAt { slot, .. }) | StreamSink::Elem { slot, .. } => {
+                self.pinw(slot).writes += writes;
+            }
+            StreamSink::Scalar(_) => {}
+        }
+        rows as i64
     }
 
     #[inline]
@@ -853,6 +1619,16 @@ impl<'p> Interp<'p> {
         })
     }
 
+    /// Whether segmented streams run: always, but for a unit test that
+    /// holds them off to compare with the per-row path.
+    #[inline(always)]
+    fn segs_on(&self) -> bool {
+        #[cfg(test)]
+        return !self.segs_off;
+        #[cfg(not(test))]
+        true
+    }
+
     /// `chk` refused `index`: the program's own error, unless the
     /// subscript is inside the array — a window pin's miss, which marks
     /// the pin; the error then only ends the op.
@@ -895,9 +1671,11 @@ impl<'p> Interp<'p> {
             lcost: vec![0; cb.inner_loops().len()],
             streamed: 0,
             stream_iters: 0,
-            invs: Vec::new(),
             #[cfg(test)]
             shapes: [0; 10],
+            #[cfg(test)]
+            seg_shapes: [0; 3],
+            invs: Vec::new(),
             streams: false,
         };
         for (k, (&a, &stored)) in cb.arrays().iter().zip(cb.stored()).enumerate() {
@@ -940,6 +1718,9 @@ impl<'p> Interp<'p> {
             }
         };
         let mut stream = cb.root_stream().filter(|_| step == 1 && st.streams);
+        let seg = cb
+            .root_seg()
+            .filter(|_| step == 1 && st.streams && self.segs_on());
         let mut i = lo;
         let res = loop {
             if !((step > 0 && i <= hi) || (step < 0 && i >= hi)) {
@@ -947,6 +1728,20 @@ impl<'p> Interp<'p> {
             }
             if let Some(Err(e)) = worker.as_deref().map(WorkerChunk::poll) {
                 break Err(e);
+            }
+            if let Some(sg) = seg {
+                // A strip of rows; the row it stops before, if any, runs
+                // on the per-row ops, and the next strip starts after it.
+                let m = st.run_seg(sg, i, hi.min(i.saturating_add(STRIP - 1)));
+                if m > 0 {
+                    #[cfg(test)]
+                    {
+                        self.typed_root_iters += m as u64;
+                    }
+                    i += m;
+                    set_root(&mut st, i - 1);
+                    continue;
+                }
             }
             if let Some(sd) = stream {
                 // A strip that comes back short met a check that is
@@ -998,6 +1793,10 @@ impl<'p> Interp<'p> {
         self.stats.stream_iters += st.stream_iters;
         #[cfg(test)]
         for (total, n) in self.stream_shapes.iter_mut().zip(st.shapes) {
+            *total += n;
+        }
+        #[cfg(test)]
+        for (total, n) in self.seg_shapes.iter_mut().zip(st.seg_shapes) {
             *total += n;
         }
         self.fuel = st.fuel;
@@ -1345,7 +2144,18 @@ impl<'p> Interp<'p> {
                         debug_assert_eq!(stp, 1, "the lowering takes unit steps");
                         i += st.enter_stream(sd, lo, hi);
                     }
+                    let seg = (st.streams && self.segs_on())
+                        .then(|| cb.seg(*lidx))
+                        .flatten();
                     while (stp > 0 && i <= hi) || (stp < 0 && i >= hi) {
+                        if let Some(sg) = seg {
+                            debug_assert_eq!(stp, 1, "the lowering takes unit steps");
+                            let m = st.run_seg(sg, i, hi);
+                            if m > 0 {
+                                i += m;
+                                continue;
+                            }
+                        }
                         if *var_real {
                             st.frs(*var, i as f64);
                         } else {
@@ -1399,5 +2209,237 @@ impl<'p> Interp<'p> {
             index,
             extent,
         }
+    }
+}
+
+/// The small-scope check of the segmented stream's row guard: every
+/// tiny input against a brute-force definition of what a row may run.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use irr_driver::compiled::lower_do_loop;
+    use irr_frontend::{parse_program, Program};
+
+    /// The row loop `do i = 1, rows` over rows `j = jlo(i) .. jhi(i)` of
+    /// `c(ptr(i) + j - 1)`: every index array has exactly `rows`
+    /// elements, so a row outside `1 ..= rows` misses its loads.
+    fn program(rows: usize) -> (Program, CompiledBody) {
+        let p = parse_program(&format!(
+            "program t
+             integer i, j, ptr({rows}), jlo({rows}), jhi({rows})
+             real c(16)
+             do i = 1, {rows}
+               do j = jlo(i), jhi(i)
+                 c(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + 1.0
+               enddo
+             enddo
+             end"
+        ))
+        .unwrap();
+        let cb = lower_do_loop(&p, p.procedure(p.main()).body[0]).unwrap();
+        (p, cb)
+    }
+
+    /// `run_seg` over one set of rows — each `(ptr, jlo, jhi)` — with
+    /// the pins a typed run would take, but `c` pinned as a view of a
+    /// 16-element buffer, the way an in-place window is.
+    struct Harness {
+        st: FState,
+        c: usize,
+        base: *mut f64,
+        _kept: (Vec<f64>, [ArrayData; 3]),
+    }
+
+    impl Harness {
+        fn new(p: &Program, cb: &CompiledBody, rows: &[(i64, i64, i64)]) -> Harness {
+            let col = |f: fn(&(i64, i64, i64)) -> i64| {
+                let data: Vec<i64> = rows.iter().map(f).collect();
+                let dims = [data.len()].into();
+                ArrayData::Int {
+                    data: data.into(),
+                    dims,
+                }
+            };
+            let ints = [col(|r| r.0), col(|r| r.1), col(|r| r.2)];
+            let meta = ArrayData::zeroed(ScalarType::Real, vec![16]);
+            let mut buf = vec![0.0f64; 16];
+            let base = buf.as_mut_ptr();
+            let names: Vec<&str> = cb.arrays().iter().map(|&a| p.symbols.name(a)).collect();
+            let pins = names.iter().map(|name| match *name {
+                "c" => RawPin::owned(&meta, RawSlice::Real(base, 16), WriteSink::Direct),
+                "ptr" => RawPin::shared(&ints[0], None),
+                "jlo" => RawPin::shared(&ints[1], None),
+                _ => RawPin::shared(&ints[2], None),
+            });
+            let st = FState {
+                ir: vec![0; cb.int_registers()],
+                fr: vec![0.0; cb.real_registers()],
+                pins: pins.collect(),
+                fuel: 0,
+                spent: 0,
+                linv: vec![0; cb.inner_loops().len()],
+                lcost: vec![0; cb.inner_loops().len()],
+                streamed: 0,
+                stream_iters: 0,
+                shapes: [0; 10],
+                seg_shapes: [0; 3],
+                invs: Vec::new(),
+                streams: true,
+            };
+            let c = names.iter().position(|n| *n == "c").unwrap();
+            Harness {
+                st,
+                c,
+                base,
+                _kept: (buf, ints),
+            }
+        }
+
+        /// How many rows of `lo ..= hi` the kernel runs with `c` the view
+        /// of `dim0` elements from subscript `origin`.
+        fn admitted(
+            &mut self,
+            sg: &SegStream,
+            (lo, hi): (i64, i64),
+            (origin, dim0): (usize, usize),
+        ) -> i64 {
+            assert!(origin >= 1 && origin - 1 + dim0 <= 16);
+            let pin = &mut self.st.pins[self.c];
+            pin.fp = self.base.wrapping_add(origin - 1);
+            (pin.origin, pin.dim0, pin.len) = (origin as u64, dim0 as u64, dim0);
+            self.st.fuel = 1 << 40;
+            self.st.run_seg(sg, lo, hi)
+        }
+    }
+
+    /// The brute-force definition: the rows from `lo` on whose loads are
+    /// inside `1 ..= rows.len()`, whose subscript part `ptr - 1` fits an
+    /// `i64` — an empty row's too — and whose every subscript `ptr + j -
+    /// 1`, computed exactly, is inside the view — an empty row touching
+    /// nothing — up to the first that is not. A row ending at
+    /// `j = i64::MAX` is not run: advancing past it ends its loop.
+    fn brute(
+        rows: &[(i64, i64, i64)],
+        (lo, hi): (i64, i64),
+        (origin, dim0): (usize, usize),
+    ) -> i64 {
+        let inside = |s: i128| s >= origin as i128 && s < (origin + dim0) as i128;
+        let mut m = 0;
+        for r in lo..=hi {
+            let Some(&(p, a, b)) = usize::try_from(r - 1).ok().and_then(|k| rows.get(k)) else {
+                break;
+            };
+            let too_long = i128::from(b) - i128::from(a) >= dim0 as i128;
+            if p.checked_sub(1).is_none() {
+                break;
+            }
+            if a <= b
+                && (b == i64::MAX
+                    || too_long
+                    || !(a..=b).all(|j| inside(i128::from(p) + i128::from(j) - 1)))
+            {
+                break;
+            }
+            m += 1;
+        }
+        m
+    }
+
+    /// Every row range `lo ..= hi` inside `1 ..= rows` and one past each
+    /// edge, an empty one included.
+    fn ranges(rows: usize) -> Vec<(i64, i64)> {
+        let n = rows as i64;
+        (0..=n + 1)
+            .flat_map(|lo| (lo - 1..=n + 1).map(move |hi| (lo, hi)))
+            .collect()
+    }
+
+    /// Views of 0 to 8 elements at two origins.
+    fn views() -> impl Iterator<Item = (usize, usize)> {
+        [1, 3]
+            .into_iter()
+            .flat_map(|o| (0..=8).map(move |d| (o, d)))
+    }
+
+    /// Every assignment of `row_of(v)` to `rows` rows, `v` ranging over `vals`.
+    fn each_array(rows: usize, vals: &[(i64, i64, i64)], mut f: impl FnMut(&[(i64, i64, i64)])) {
+        let mut at = vec![0; rows];
+        loop {
+            let arr: Vec<_> = at.iter().map(|&k| vals[k]).collect();
+            f(&arr);
+            let Some(k) = at.iter().position(|&k| k + 1 < vals.len()) else {
+                return;
+            };
+            at[k] += 1;
+            at[..k].iter_mut().for_each(|v| *v = 0);
+        }
+    }
+
+    /// The row guard admits exactly the rows the brute-force definition
+    /// does. Rows are `(ptr, len)` pairs over −1 … 6 (`j = 1 .. len`):
+    /// every array of up to two rows over every row range and view of 0
+    /// to 8 elements at two origins; of three rows (release builds; debug
+    /// builds narrow the alphabet to −1 … 3) and of four over −1 … 3
+    /// (release builds only), over two ranges from the edges. Then one
+    /// row with `ptr`, `jlo` and `jhi` at the ends of `i64`, where a sum
+    /// computed without its overflow check lands inside the view.
+    #[test]
+    fn the_row_guard_admits_exactly_the_rows_in_view() {
+        let pairs = |vals: std::ops::RangeInclusive<i64>| -> Vec<(i64, i64, i64)> {
+            vals.clone()
+                .flat_map(|p| vals.clone().map(move |l| (p, 1, l)))
+                .collect()
+        };
+        let (wide, narrow) = (pairs(-1..=6), pairs(-1..=3));
+        let mut checked = 0u64;
+        let mut sweep = |n: usize,
+                         vals: &[(i64, i64, i64)],
+                         ranges: &[(i64, i64)],
+                         views: &[(usize, usize)]| {
+            let (p, cb) = program(n);
+            let sg = cb.root_seg().unwrap();
+            each_array(n, vals, |rows| {
+                let mut h = Harness::new(&p, &cb, rows);
+                for &range in ranges {
+                    for &view in views {
+                        let got = h.admitted(sg, range, view);
+                        assert_eq!(got, brute(rows, range, view), "{rows:?} {range:?} {view:?}");
+                        checked += 1;
+                    }
+                }
+            });
+        };
+        let all_views: Vec<_> = views().collect();
+        let origin_1: Vec<_> = (0..=8).map(|d| (1, d)).collect();
+        let edges = |n: i64| [(0, n + 1), (1, n)];
+        for n in 1..=2 {
+            sweep(n, &wide, &ranges(n), &all_views);
+        }
+        if cfg!(debug_assertions) {
+            sweep(3, &narrow, &[(1, 3)], &origin_1);
+        } else {
+            sweep(3, &wide, &edges(3), &origin_1);
+            sweep(4, &narrow, &edges(4), &origin_1);
+        }
+        let ends = [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MIN + 4,
+            -1,
+            0,
+            1,
+            2,
+            5,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let mut extremes = Vec::new();
+        for p in ends {
+            for a in ends {
+                extremes.extend(ends.map(|b| (p, a, b)));
+            }
+        }
+        sweep(1, &extremes, &[(1, 1)], &all_views);
+        assert!(checked > 1_000_000 || cfg!(debug_assertions), "{checked}");
     }
 }

@@ -31,6 +31,11 @@
 //!   not dispatch per iteration: the typed loop fast-forwards the
 //!   iterations whose checks it can prove pass as one guarded stream
 //!   (`irr_driver::compiled::Stream`), then continues per iteration.
+//!   A row loop over such a stream — an offset–length nest, at most an
+//!   initialization before the inner loop and one store of the reduced
+//!   value after it — runs its rows through one two-level kernel, each
+//!   row whole or on the per-row path
+//!   (`irr_driver::compiled::SegStream`).
 //!
 //! **Parity is the contract.** A compiled loop must be byte-identical
 //! to the tree-walk in store contents, printed output, statement
@@ -975,11 +980,12 @@ mod tests {
 
     /// `stmt` as the body of `do k = 1, hi` over `n`-element arrays a
     /// four-statement loop has made live — the root of a typed run, or
-    /// (`nest`) entered twice inside one. `smash` runs between the fill
-    /// and the loop.
+    /// (`nest`) entered twice inside one, behind a statement no row of a
+    /// segmented stream takes, so that each entry streams on its own.
+    /// `smash` runs between the fill and the loop.
     fn shape_src(stmt: &str, n: usize, hi: usize, smash: &str, nest: bool) -> String {
         let (open, close) = if nest {
-            ("do i = 1, 2", "enddo")
+            ("do i = 1, 2\n w(4) = i", "enddo")
         } else {
             ("", "")
         };
@@ -1320,20 +1326,31 @@ mod tests {
         }
     }
 
-    /// A root-level stream polls the chunk's deadline between strips: a
-    /// chunk of 3 000 iterations that times out has run a whole number
-    /// of strips, none when the deadline had passed at entry, and an
-    /// armed deadline that does not pass changes nothing.
+    /// A root-level stream polls the chunk's deadline between strips, and
+    /// so does a segmented one between strips of rows: a chunk of 3 000
+    /// iterations (or one-element rows) that times out has run a whole
+    /// number of strips, none when the deadline had passed at entry, and
+    /// an armed deadline that does not pass changes nothing.
     #[test]
     fn a_root_stream_polls_its_deadline_between_strips() {
-        let src = "program t
-             integer k
+        let root = "do k = 1, 3000\n z(k) = x(k) * 1.5 + 0.25\n enddo";
+        // The same iterations as one-element rows of a segmented stream.
+        let rows = "do i = 1, 3000\n do k = i, i\n z(k) = x(k) * 1.5 + 0.25\n enddo\n enddo";
+        for (body, segmented) in [(root, false), (rows, true)] {
+            polls_between_strips(body, segmented);
+        }
+    }
+
+    fn polls_between_strips(body: &str, segmented: bool) {
+        let src = format!(
+            "program t
+             integer i, k
              real x(3000), z(3000)
-             do k = 1, 3000
-               z(k) = x(k) * 1.5 + 0.25
-             enddo
-             end";
-        let p = parse_program(src).unwrap();
+             {body}
+             end"
+        );
+        let p = parse_program(&src).unwrap();
+        assert_eq!(seg_shapes(&p).len(), usize::from(segmented));
         let s = p.procedure(p.main()).body[0];
         let mut ran_short = false;
         for micros in [0, 1, 2, 4, 8, 16, 3_600_000_000] {
@@ -1434,5 +1451,287 @@ mod tests {
         assert_eq!(par.output, seq.output);
         assert_eq!(par.store, seq.store);
         assert!(hybrid.failed.contains(&FallbackReason::Unsupported));
+    }
+
+    /// The segmented streams in the lowered bodies of `p`'s top-level
+    /// `do` loops, by [`SegStream::shape`](irr_driver::compiled::SegStream::shape).
+    fn seg_shapes(p: &Program) -> Vec<String> {
+        let top = &p.procedure(p.main()).body;
+        let lowered = top.iter().filter_map(|s| lower_do_loop(p, *s).ok());
+        lowered
+            .flat_map(|cb| cb.segs().map(|sg| sg.shape()).collect::<Vec<_>>())
+            .collect()
+    }
+
+    /// `stmt` (over `k`) as the inner loop of rows `1 ..= lens.len()`
+    /// of an offset–length nest over [`shape_src`]'s arrays — row `i`
+    /// runs `k = ptr(i) .. ptr(i + 1) - 1`, `lens[i - 1]` iterations —
+    /// with `init` before it and `fin` after; `smash` runs between the
+    /// fill and the rows.
+    fn seg_src(init: &str, stmt: &str, fin: &str, lens: &[i64], smash: &str) -> String {
+        let (rows, n) = (lens.len(), 40);
+        let mut ptrs = String::from("ptr(1) = 1");
+        for (r, len) in lens.iter().enumerate() {
+            ptrs += &format!("\n ptr({}) = ptr({}) + {len}", r + 2, r + 1);
+        }
+        format!(
+            "program t
+             integer i, k, idx({n}), ptr({rp})
+             real s, w(4), x({n}), y({n}), z({n})
+             do k = 1, {n}
+               idx(k) = {n} + 1 - k
+               x(k) = k * 0.5
+               y(k) = 3.0 - k * 0.25
+               z(k) = k
+             enddo
+             w(3) = 2.0
+             s = 1.0
+             {ptrs}
+             {smash}
+             do i = 1, {rows}
+               {init}
+               do k = ptr(i), ptr(i + 1) - 1
+                 {stmt}
+               enddo
+               {fin}
+             enddo
+             print s, i, k, w(3), z(1), z({n})
+             end",
+            rp = rows + 1
+        )
+    }
+
+    /// [`assert_same_run`] of `p`, then the same compiled run with the
+    /// segmented kernel held off: the per-row path's stream entries,
+    /// iterations and per-loop statistics are the kernel's.
+    fn assert_seg_run<'p>(p: &'p Program, setup: impl Fn(&mut Interp<'p>)) -> Ran<'p> {
+        let ran = assert_same_run(p, &setup);
+        let mut rows = live(p, &setup);
+        rows.segs_off = true;
+        let res = rows.exec_proc_with(p.main(), &mut CompiledDispatch::new());
+        assert_eq!(res, ran.res);
+        assert_eq!(rows.store, ran.comp.store);
+        assert_eq!(rows.fuel, ran.comp.fuel);
+        assert_stats_eq(&rows.stats, &ran.comp.stats);
+        let streamed = |it: &Interp<'_>| (it.stats.stream_entries, it.stats.stream_iters);
+        assert_eq!(streamed(&rows), streamed(&ran.comp));
+        assert_eq!(rows.seg_shapes, [0; 3]);
+        ran
+    }
+
+    /// Row lengths with empty rows at both ends and in the middle.
+    const LENS: [i64; 7] = [0, 3, 1, 0, 5, 2, 0];
+
+    /// Every statement of [`SHAPES`], and `colscale`'s in-place one, as
+    /// the inner loop of a row loop: a lane sink with an INDIRECT
+    /// reference stays on its per-row streams, every other shape runs
+    /// its rows in the two-level kernel — `colscale`'s (in place or not)
+    /// and SpMV's on their own instantiation — and leaves what the
+    /// tree-walk and the per-row path leave, to the stream counts.
+    #[test]
+    fn every_row_shape_runs_whole_rows_and_matches_the_per_row_path() {
+        let in_place = ("lin = lin·val + val", "z(k) = z(k) * 1.5 + 0.25");
+        let arm = |shape: &str| match shape {
+            "lin = lin·val + val" => 1,
+            "elem = acc + lin·ind" => 2,
+            _ => 0,
+        };
+        let stmts = SHAPES.iter().flat_map(|&(_, shape, stmt, aliased)| {
+            let forms = [Some(stmt), aliased].into_iter().flatten();
+            forms.map(move |stmt| (shape, stmt))
+        });
+        for (shape, stmt) in stmts.chain([in_place]) {
+            let p = parse_program(&seg_src("", stmt, "", &LENS, "")).unwrap();
+            let ran = assert_seg_run(&p, |_| {});
+            assert_eq!(ran.res, Ok(()), "{stmt}");
+            let mut want = [0; 3];
+            if shape.starts_with("ind") {
+                assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{stmt}");
+            } else {
+                assert_eq!(seg_shapes(&p), [shape], "{stmt}");
+                want[arm(shape)] = LENS.len() as u64;
+            }
+            assert_eq!(ran.comp.seg_shapes, want, "{stmt}");
+            let nonempty = LENS.iter().filter(|&&n| n > 0).count() as u64;
+            assert_eq!(ran.comp.stats.stream_entries, nonempty, "{stmt}");
+        }
+    }
+
+    /// The row statements a segmented stream takes around a reduction —
+    /// an initialization from a literal, the row variable or an
+    /// element, a final store in either operand order — run whole rows,
+    /// SpMV's on its own instantiation; a row body the family does not
+    /// take stays on the per-row path.
+    #[test]
+    fn row_statements_around_a_reduction_run_in_the_kernel() {
+        let spmv = "y(i) = y(i) + x(k) * z(idx(k))";
+        let jacobi = "y(i) = y(i) - x(k) * z(idx(k))";
+        let rows = LENS.len() as u64;
+        for (init, stmt, fin, shape, arm) in [
+            (
+                "y(i) = 0.0",
+                spmv,
+                "",
+                "elem := val; elem = acc + lin·ind",
+                2,
+            ),
+            ("y(i) = i", spmv, "", "elem := val; elem = acc + lin·ind", 2),
+            ("", spmv, "", "elem = acc + lin·ind", 2),
+            (
+                "y(i) = w(3)",
+                jacobi,
+                "y(i) = y(i) * x(i)",
+                "elem := elem; elem = acc − lin·ind; elem := acc · elem",
+                0,
+            ),
+            (
+                "y(i) = z(i + 1)",
+                jacobi,
+                "y(i) = 0.5 - y(i)",
+                "elem := elem; elem = acc − lin·ind; elem := val − acc",
+                0,
+            ),
+            (
+                "s = 0.0",
+                "s = s + x(k)",
+                "",
+                "scalar := val; scalar = acc + lin",
+                0,
+            ),
+            ("", "s = s + x(k) * 2.0", "", "scalar = acc + lin·val", 0),
+            (
+                "y(i) = 1.5",
+                "y(i) = y(i) + x(k)",
+                "y(i) = y(i) + 1",
+                "elem := val; elem = acc + lin; elem := acc + val",
+                0,
+            ),
+        ] {
+            let p = parse_program(&seg_src(init, stmt, fin, &LENS, "")).unwrap();
+            let ran = assert_seg_run(&p, |_| {});
+            assert_eq!(ran.res, Ok(()), "{init}; {stmt}; {fin}");
+            assert_eq!(seg_shapes(&p).concat(), shape, "{init}; {stmt}; {fin}");
+            let mut want = [0; 3];
+            want[arm] = rows;
+            assert_eq!(ran.comp.seg_shapes, want, "{init}; {stmt}; {fin}");
+        }
+        for (init, fin) in [
+            ("w(4) = 0.0", ""),                   // initializes another element
+            ("y(i) = 0.0", "w(4) = y(i)"),        // stores the value elsewhere
+            ("y(i) = 0.0", "y(i) = y(i) + y(i)"), // reads it twice
+            ("y(i) = 0.0", "y(i) = y(i) / 2"),    // a division can fail
+            ("y(i) = y(k)", ""),                  // reads `k` before the loop
+        ] {
+            let p = parse_program(&seg_src(init, spmv, fin, &LENS, "")).unwrap();
+            assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{init}; {fin}");
+            let ran = assert_seg_run(&p, |_| {});
+            assert_eq!(ran.comp.seg_shapes, [0; 3]);
+        }
+        // A subscript part with the row variable in two terms is not a
+        // form the kernel evaluates rows in.
+        let p = parse_program(&seg_src("", "z(k) = z(k - i + i) * 0.5", "", &LENS, "")).unwrap();
+        assert_eq!(seg_shapes(&p), Vec::<String>::new());
+    }
+
+    /// Fuel running out at every position of every row — in its
+    /// statements, in each iteration, in the row loop's bookkeeping —
+    /// stops the kernel before the row it cannot pay for whole, and the
+    /// per-row path stops where the tree-walk does.
+    #[test]
+    fn a_row_runs_out_of_fuel_where_the_tree_walk_does() {
+        for (init, stmt, fin) in [
+            ("y(i) = 0.0", "y(i) = y(i) + x(k) * z(idx(k))", ""),
+            (
+                "y(i) = w(3)",
+                "y(i) = y(i) - x(k) * z(idx(k))",
+                "y(i) = y(i) * 2.0",
+            ),
+            ("", "z(k) = z(k) * 0.5 + 1.0", ""),
+        ] {
+            let p = parse_program(&seg_src(init, stmt, fin, &LENS, "")).unwrap();
+            let full = assert_seg_run(&p, |_| {});
+            let mut kernel_rows = 0;
+            for fuel in 0..full.comp.stats.total_cost {
+                let ran = assert_seg_run(&p, |it| it.fuel = fuel);
+                assert_eq!(ran.res, Err(ExecError::OutOfFuel), "{stmt}: fuel {fuel}");
+                kernel_rows += ran.comp.seg_shapes.iter().sum::<u64>();
+            }
+            assert!(kernel_rows > 40, "{stmt}: {kernel_rows}");
+        }
+    }
+
+    /// A subscript out of range in a middle row — an INDIRECT one in a
+    /// reduction, whose row the kernel abandons having stored nothing, a
+    /// LINEAR range past the array's end, a pointer load past its array
+    /// — ends the kernel before that row; the per-row path raises the
+    /// program's own error over the tree-walk's store.
+    #[test]
+    fn a_row_that_would_fail_runs_on_the_per_row_path() {
+        let spmv = ("y(i) = 0.0", "y(i) = y(i) + x(k) * z(idx(k))");
+        let lane = ("", "z(k) = z(k) * 0.5 + 1.0");
+        for ((init, stmt), smash, array, index) in [
+            (spmv, "idx(6) = 41", "z", 41),
+            (spmv, "idx(5) = 0", "z", 0),
+            (lane, "ptr(7) = 42", "z", 41),
+            (lane, "ptr(5) = -1", "z", -1),
+            (spmv, "ptr(7) = 42", "x", 41),
+        ] {
+            let p = parse_program(&seg_src(init, stmt, "", &LENS, smash)).unwrap();
+            let ran = assert_seg_run(&p, |_| {});
+            assert!(
+                matches!(&ran.res, Err(ExecError::OutOfBounds { array: a, index: i, .. }) if a == array && *i == index),
+                "{stmt}, {smash}: {:?}",
+                ran.res
+            );
+            let rows: u64 = ran.comp.seg_shapes.iter().sum();
+            assert!((1..LENS.len() as u64).contains(&rows), "{smash}: {rows}");
+        }
+        // A row the kernel declines but the per-row path completes — its
+        // subscript only wraps on the way — and the rows after it run in
+        // the kernel again.
+        let src = seg_src(
+            "",
+            "z(k + q(i) - 9223372036854775807) = z(k) * 0.5 + 1.0",
+            "",
+            &LENS,
+            "do i = 1, 7\n q(i) = 9223372036854775807\n enddo\n q(3) = -9223372036854775800",
+        );
+        let p = parse_program(&src.replace("idx(40),", "idx(40), q(7),")).unwrap();
+        let ran = assert_seg_run(&p, |_| {});
+        assert_eq!(ran.res, Ok(()));
+        assert_eq!(ran.comp.seg_shapes, [0, 6, 0]);
+    }
+
+    /// A row loop ending at `i64::MAX`, at the root and nested: the
+    /// kernel runs every row but the last, whose advance ends the loop on
+    /// the per-row ops with the row variable at `i64::MAX`.
+    #[test]
+    fn a_row_loop_ending_at_i64_max_ends_there() {
+        let src = "program t
+             integer i, j, r, n(3)
+             real y(3), x(4)
+             n(1) = 2
+             n(2) = 0
+             n(3) = 3
+             x(2) = 1.5
+             do r = 1, 2
+               do i = 9223372036854775805, 9223372036854775807
+                 y(i - 9223372036854775804) = 1.0
+                 do j = 1, n(i - 9223372036854775804)
+                   y(i - 9223372036854775804) = y(i - 9223372036854775804) + x(j)
+                 enddo
+               enddo
+             enddo
+             do i = 9223372036854775806, 9223372036854775807
+               do j = 1, n(i - 9223372036854775804)
+                 x(j + 1) = x(j) * 0.5 + 1.0
+               enddo
+             enddo
+             print i, j, y(1), y(2), y(3), x(4)
+             end";
+        let p = parse_program(src).unwrap();
+        let ran = assert_seg_run(&p, |_| {});
+        assert_eq!(ran.res, Ok(()));
+        assert_eq!(ran.comp.seg_shapes.iter().sum::<u64>(), 2 * 2 + 1);
     }
 }

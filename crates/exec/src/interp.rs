@@ -708,6 +708,13 @@ pub struct Interp<'p> {
     /// `FState::try_stream` numbers its arms (0 the catch-all).
     #[cfg(test)]
     pub(crate) stream_shapes: [u64; 10],
+    /// Rows the segmented kernel ran per instantiation, as
+    /// `FState::run_seg` numbers its arms (0 the catch-all).
+    #[cfg(test)]
+    pub(crate) seg_shapes: [u64; 3],
+    /// Holds segmented streams off: every row on the per-row path.
+    #[cfg(test)]
+    pub(crate) segs_off: bool,
 }
 
 impl<'p> Interp<'p> {
@@ -735,6 +742,10 @@ impl<'p> Interp<'p> {
             typed_root_iters: 0,
             #[cfg(test)]
             stream_shapes: [0; 10],
+            #[cfg(test)]
+            seg_shapes: [0; 3],
+            #[cfg(test)]
+            segs_off: false,
         }
     }
 

@@ -1,10 +1,13 @@
 //! What entering a stream costs: the sequential typed loop over SpMV
-//! rows of 0 / 1 / 2 / 4 / 16 nonzeros, streamed and with the stream
-//! declined (the same loop with its unit step in a scalar, which is
-//! outside the stream family and lowers to the same per-iteration
-//! block), in nanoseconds a row; then `scale`, one root stream, in
-//! nanoseconds an element. The table in EXPERIMENTS.md, "A stream stops
-//! deciding per element".
+//! rows of 0 / 1 / 2 / 4 / 16 nonzeros, in nanoseconds a row, three
+//! ways — the row loop one segmented stream (every row through the
+//! two-level kernel), each row's inner loop its own stream (the same
+//! nest with the row loop's unit step in a scalar, which a segmented
+//! stream does not take), and the stream declined (the inner loop's
+//! unit step in a scalar too: outside the stream family, the same
+//! per-iteration block); then `scale`, one root stream, in nanoseconds
+//! an element. The tables in EXPERIMENTS.md, "A stream stops deciding
+//! per element" and "A sparse nest is one kernel".
 //!
 //! ```sh
 //! cargo run --release --example stream_entry
@@ -56,7 +59,9 @@ fn best_ns(src: &str, presets: &[(&str, ArrayData)]) -> (f64, u64) {
     (runs.iter().map(|r| r.0).fold(f64::MAX, f64::min), runs[0].1)
 }
 
-fn spmv_row_ns(len: usize, step: &str) -> (f64, u64) {
+/// `rows_step` and `step` are the row loop's and the inner loop's step
+/// clauses.
+fn spmv_row_ns(len: usize, rows_step: &str, step: &str) -> (f64, u64) {
     let e = (ROWS * len).max(1);
     let src = format!(
         "program rows
@@ -64,7 +69,7 @@ fn spmv_row_ns(len: usize, step: &str) -> (f64, u64) {
          real aval({e}), x({ROWS}), y({ROWS})
          n = {ROWS}
          one = 1
-         do 100 i = 1, n
+         do 100 i = 1, n{rows_step}
            y(i) = 0.0
            do j = 1, rowlen(i){step}
              y(i) = y(i) + aval(rowptr(i) + j - 1) * x(colidx(rowptr(i) + j - 1))
@@ -86,11 +91,17 @@ fn spmv_row_ns(len: usize, step: &str) -> (f64, u64) {
 }
 
 fn main() {
-    println!("nonzeros a row | streamed ns/row (entries) | declined ns/row");
+    println!("nonzeros a row | segmented ns/row (entries) | per-row streams | declined ns/row");
     for len in [0, 1, 2, 4, 16] {
-        let ((on, entries), (off, none)) = (spmv_row_ns(len, ""), spmv_row_ns(len, ", one"));
+        let (seg, entries) = spmv_row_ns(len, "", "");
+        let (rows, row_entries) = spmv_row_ns(len, ", one", "");
+        let (off, none) = spmv_row_ns(len, ", one", ", one");
+        assert_eq!(
+            row_entries, entries,
+            "both count a stream entry a row that iterates"
+        );
         assert_eq!(none, 0, "a scalar step is outside the stream family");
-        println!("{len:>14} | {on:>15.1} ({entries:>5}) | {off:>15.1}");
+        println!("{len:>14} | {seg:>16.1} ({entries:>5}) | {rows:>15.1} | {off:>15.1}");
     }
     let src = format!(
         "program scale

@@ -675,6 +675,103 @@ fn a_stream_declines_a_window_one_element_short_and_the_checked_path_attributes_
     assert_eq!((t.fallback_strategy, t.fallbacks()), (1, 1), "{t:?}");
 }
 
+/// An SpMV row loop entered three times from a sweep, `@SMASH@` run
+/// after the second entry: the row loop is one segmented stream.
+const SEGMENTED_SWEEP_SRC: &str = "program t
+     integer i, j, r, n, rowptr(9), rowlen(8), colidx(16)
+     real aval(16), x(8), y(8)
+     n = 8
+     do i = 1, n
+       rowlen(i) = 2
+       rowptr(i) = 2 * i - 1
+       x(i) = i * 0.5
+     enddo
+     rowptr(9) = 17
+     do i = 1, 16
+       colidx(i) = mod(i * 5, 8) + 1
+       aval(i) = i * 0.25
+     enddo
+     do r = 1, 3
+       do 20 i = 1, n
+         y(i) = 0.0
+         do j = 1, rowlen(i)
+           y(i) = y(i) + aval(rowptr(i) + j - 1) * x(colidx(rowptr(i) + j - 1))
+         enddo
+ 20    continue
+       if (r == 2) then
+         @SMASH@
+       endif
+     enddo
+     print y(1), y(8)
+     end";
+
+#[test]
+fn a_segmented_nest_whose_rows_were_rewritten_between_entries_fails_where_the_tree_walk_does() {
+    // After two clean entries a middle row's pointer, length or column
+    // index is rewritten to point past its array: the third entry must
+    // end in the sequential run's own error, whether the rows run in
+    // the segmented kernel sequentially or in chunks — the kernel stops
+    // before the row and the per-row ops raise the error there.
+    for (smash, array, index) in [
+        ("rowptr(5) = 16", "aval", 17),
+        ("rowlen(4) = 12", "aval", 17),
+        ("colidx(9) = 9", "x", 9),
+    ] {
+        let src = SEGMENTED_SWEEP_SRC.replace("@SMASH@", smash);
+        let rep = compiled(&src);
+        let v = rep.verdict("T/do20").unwrap();
+        let cb = irr_driver::compiled::lower_do_loop(&rep.program, v.loop_stmt).unwrap();
+        assert!(cb.root_seg().is_some(), "{smash}");
+        let own = sequential(&rep, &[]).unwrap_err();
+        assert!(
+            matches!(&own, irr_exec::ExecError::OutOfBounds { array: a, index: i, .. } if a == array && *i == index),
+            "{smash}: {own:?}"
+        );
+        let typed = dispatched(&rep, &[], &mut irr_exec::CompiledDispatch::new()).unwrap_err();
+        assert_eq!(typed, own, "{smash}");
+        for threads in [1, 2, 4] {
+            let config = HybridConfig {
+                threads,
+                ..HybridConfig::default()
+            };
+            let hybrid = irr_runtime::run_hybrid_seeded(&rep, config, &[]).unwrap_err();
+            assert_eq!(hybrid, own, "{smash} x{threads}");
+        }
+    }
+}
+
+#[test]
+fn a_stalled_worker_trips_its_deadline_inside_a_segmented_chunk() {
+    // The read-modify-write walk is one segmented stream: its chunks run
+    // their rows in the two-level kernel, which polls the deadline
+    // between strips of rows. A stalled chunk still times out, and the
+    // run falls back to the sequential result.
+    let rep = compiled(SEGMENT_RMW_SRC);
+    let v = rep.verdict("T/do20").unwrap();
+    let cb = irr_driver::compiled::lower_do_loop(&rep.program, v.loop_stmt).unwrap();
+    assert!(cb.root_seg().is_some());
+    let honest = run_hybrid(&rep, watchdog_config()).unwrap();
+    assert_eq!(honest.telemetry.fallbacks(), 0);
+    // Every row of the walk streamed in a worker: one entry a row.
+    assert_eq!(honest.outcome.stats.stream_entries, 8);
+    let site = honest.telemetry.parallel_dispatches() - 1;
+    for worker in MASTER_AND_POOLED_CHUNK {
+        let plan = FaultPlan::scripted([(
+            site,
+            FaultKind::StallWorker {
+                worker,
+                stall_ms: STALL_MS,
+            },
+        )]);
+        let (hybrid, plan) = run_hybrid_with_faults(&rep, watchdog_config(), plan).unwrap();
+        expect_parity("segmented-stall", &rep, &hybrid);
+        let t = hybrid.telemetry;
+        assert_eq!(t.fallback_timeout, 1, "chunk {worker}: {t:?}");
+        assert_eq!(t.fallbacks(), 1, "chunk {worker}: {t:?}");
+        assert_eq!(plan.fired_count("stall-worker"), 1);
+    }
+}
+
 /// [`MUTATED_SWEEP_SRC`] with the index array smashed, not permuted,
 /// after the second entry.
 const SMASHED_SWEEP_SRC: &str = "program t

@@ -15,6 +15,7 @@
 //! single-iteration, and consecutively-written (concat) edge cases.
 
 use irr_driver::{compile_source, CompilationReport, DispatchTier, DriverOptions, StrategyFacts};
+use irr_exec::ArrayData;
 use irr_programs::fuzz::{random_cases, strategy_programs};
 use irr_programs::sparse::{kernels, SparseScale};
 use irr_programs::{paper_cases, Case, Scale};
@@ -365,6 +366,125 @@ fn stream_coverage_is_the_table_in_experiments_md() {
     ];
     let got: Vec<(&str, u32)> = histogram.iter().map(|(s, n)| (s.as_str(), *n)).collect();
     assert_eq!(got, want);
+}
+
+/// Segmented-stream coverage: over the corpus, the benchmark's sweep
+/// sources and the same randomized programs as the stream table, the
+/// row loops the lowering records a
+/// [`SegStream`](irr_driver::compiled::SegStream) for, by
+/// [`SegStream::shape`](irr_driver::compiled::SegStream::shape) — the
+/// histogram in EXPERIMENTS.md, "A sparse nest is one kernel". The two
+/// shapes the typed loop gives an instantiation of their own are the
+/// ones a benchmark row runs, SpMV's and `colscale`'s (8 of the 15 row
+/// loops); every other shape runs on the catch-all.
+#[test]
+fn segmented_stream_coverage_is_the_table_in_experiments_md() {
+    use irr_driver::compiled::lower_do_loop;
+    use irr_programs::sparse::{interproc_kernels, producer_kernels};
+    use std::collections::BTreeMap;
+    let segs = |source: &str| -> Vec<String> {
+        let rep = compile_source(source, DriverOptions::with_iaa()).expect("compiles");
+        let p = &rep.program;
+        let lowered = rep
+            .verdicts
+            .iter()
+            .filter_map(|v| lower_do_loop(p, v.loop_stmt).ok());
+        lowered
+            .filter_map(|cb| cb.root_seg().map(|sg| sg.shape()))
+            .collect()
+    };
+    let scale = SparseScale::test(Structure::Uniform, 11);
+    let sparse = kernels(&scale)
+        .into_iter()
+        .chain(producer_kernels(&scale))
+        .chain(interproc_kernels(&scale))
+        .map(|k| k.source);
+    let paper = paper_cases(Scale::Test).into_iter().map(|c| c.source);
+    let fuzz = random_cases(42, 64).into_iter().map(|c| c.source);
+    let sweeps = ["permute", "spmv", "scale"].map(|kernel| {
+        let path = format!(
+            "{}/benchmark/sources/sweep_{kernel}.f",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let template = std::fs::read_to_string(path).expect("a sweep source");
+        let filled = template.split('@').enumerate();
+        filled.map(|(k, s)| [s, "8"][k % 2]).collect::<String>()
+    });
+    let mut histogram = BTreeMap::new();
+    for source in paper.chain(sparse).chain(fuzz).chain(sweeps) {
+        for shape in segs(&source) {
+            *histogram.entry(shape).or_insert(0) += 1;
+        }
+    }
+    let mut got: Vec<(String, u32)> = histogram.into_iter().collect();
+    got.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let got: Vec<(&str, u32)> = got.iter().map(|(s, n)| (s.as_str(), *n)).collect();
+    let want = [
+        ("lin = lin·val + val", 6),
+        ("lin = lin·val + lin", 3),
+        ("elem := val; elem = acc + lin·ind", 2),
+        ("lin = lin + lin·val", 2),
+        ("elem := elem; elem = acc − lin·ind; elem := acc · elem", 1),
+        ("lin = lin + lin", 1),
+    ];
+    assert_eq!(got, want);
+}
+
+/// On every sparse kernel, on both structures, the sequential typed
+/// loop and every hybrid mode reproduce the tree-walk exactly, and a
+/// kernel whose row loop runs as one segmented stream counts what the
+/// per-row path counts: one stream entry per row that iterates, every
+/// nonzero a streamed iteration, one entry of the inner loop per row
+/// and its cost (the per-loop statistics `first_divergence` compares).
+#[test]
+fn a_segmented_kernel_counts_what_the_per_row_path_counts() {
+    use irr_driver::compiled::lower_do_loop;
+    use irr_exec::CompiledDispatch;
+    use irr_sanitizer::parity::dispatched;
+    for structure in [Structure::Uniform, Structure::PowerLaw] {
+        for k in kernels(&SparseScale::test(structure, 11)) {
+            let case = Case::from(&k);
+            let rep = compile(&case);
+            let presets = case.resolve_presets(&rep.program);
+            let seq = sequential(&rep, &presets).expect("sequential run");
+            let typed =
+                dispatched(&rep, &presets, &mut CompiledDispatch::new()).expect("typed run");
+            let name = format!("{} ({structure:?})", k.name);
+            assert_eq!(
+                first_divergence(&rep, &seq, &typed, Reals::Exact),
+                None,
+                "{name}"
+            );
+            let main = rep.verdict(&k.label).expect("the kernel's loop").loop_stmt;
+            let segmented =
+                lower_do_loop(&rep.program, main).is_ok_and(|cb| cb.root_seg().is_some());
+            let lens = k
+                .presets
+                .iter()
+                .find(|(n, _)| *n == "rowlen" || *n == "collen");
+            if let (true, Some((_, ArrayData::Int { data, .. }))) = (segmented, lens) {
+                let rows = data.iter().filter(|&&n| n > 0).count() as u64;
+                let nnz: i64 = data.iter().sum();
+                let want = (rows, nnz as u64);
+                let got = (typed.stats.stream_entries, typed.stats.stream_iters);
+                assert_eq!(got, want, "{name}");
+                for threads in [1, 2, 3] {
+                    let outs = four_way_at(&case, &rep, threads);
+                    let stats = &outs[0].outcome.stats;
+                    assert_eq!(
+                        (stats.stream_entries, stats.stream_iters),
+                        want,
+                        "{name} x{threads}"
+                    );
+                }
+            } else {
+                assert!(
+                    !["spmv", "jacobi", "lufront", "colscale"].contains(&k.name),
+                    "{name}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
