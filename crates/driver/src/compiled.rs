@@ -702,7 +702,8 @@ impl CompiledBody {
         &self.stored
     }
 
-    /// Every loop statement in the nest, the root first — checked
+    /// Every loop statement in the nest by slot: the root in slot 0, the
+    /// inner loop counted under `lidx` in slot `lidx + 1`. Checked
     /// against `record_loops` at dispatch, since per-iteration cost
     /// recording is an interpreter-only instrument.
     #[inline]
@@ -718,16 +719,12 @@ impl CompiledBody {
         &self.loops[1..]
     }
 
-    /// The stream of the root loop itself, when its body is one.
+    /// The stream of the `do` loop in slot `slot` of
+    /// [`CompiledBody::loop_stmts`] (the root is slot 0, the inner loop
+    /// counted under `lidx` slot `lidx + 1`), when its body is one.
     #[inline]
-    pub fn root_stream(&self) -> Option<&Stream> {
-        self.streams[0].as_ref()
-    }
-
-    /// The stream of the inner `do` loop counted under `lidx`.
-    #[inline]
-    pub fn stream(&self, lidx: u16) -> Option<&Stream> {
-        self.streams[usize::from(lidx) + 1].as_ref()
+    pub fn stream(&self, slot: usize) -> Option<&Stream> {
+        self.streams[slot].as_ref()
     }
 
     /// Every stream of the nest, the root's first.
@@ -735,16 +732,11 @@ impl CompiledBody {
         self.streams.iter().flatten()
     }
 
-    /// The segmented stream of the root loop, when its body is a row.
+    /// The segmented stream of the `do` loop in slot `slot`, numbered
+    /// as for [`CompiledBody::stream`], when its body is a row.
     #[inline]
-    pub fn root_seg(&self) -> Option<&SegStream> {
-        self.segs[0].as_ref()
-    }
-
-    /// The segmented stream of the inner `do` loop counted under `lidx`.
-    #[inline]
-    pub fn seg(&self, lidx: u16) -> Option<&SegStream> {
-        self.segs[usize::from(lidx) + 1].as_ref()
+    pub fn seg(&self, slot: usize) -> Option<&SegStream> {
+        self.segs[slot].as_ref()
     }
 
     /// Every segmented stream of the nest, the root's first.
@@ -759,7 +751,7 @@ impl CompiledBody {
     }
 
     /// The register promoted for the root induction variable, which
-    /// the chunk driver writes before every root iteration.
+    /// the loop driver writes before every root iteration.
     #[inline]
     pub fn root_reg(&self) -> u16 {
         self.root_reg

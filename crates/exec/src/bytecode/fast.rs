@@ -30,32 +30,43 @@
 //! the contract: same fuel ledger positions, same error identities,
 //! same store at exit.
 //!
+//! - **One loop driver, at every depth.** [`Interp::run_do`] is the only
+//!   function here that advances a `do` loop's induction variable: the
+//!   root (loop slot 0, the caller's range) and every nested
+//!   [`FOp::DoLoop`] (slot `lidx + 1`) alike. Each time round it polls a
+//!   worker's deadline and append sinks ([`FState::poll`], also between
+//!   the iterations of a `while`), then runs a strip of up to [`STRIP`]
+//!   rows or iterations through the slot's segmented stream or stream,
+//!   when it has one, else one iteration on the per-iteration ops.
 //! - **Streams are a fast-forward, not a second path.** Where the
 //!   lowering recorded a [`Stream`] for an innermost loop,
-//!   [`FState::run_stream`] runs the prefix of its iterations every
-//!   one of whose checks is known to pass as one tight loop, and the
-//!   unchanged per-iteration loop continues from there — so whatever
-//!   fails, fails on the per-iteration ops, where the tree-walk fails.
-//!   What a loop entry can decide, it decides once: each distinct
-//!   invariant subscript part is evaluated once, each LINEAR range
-//!   checked at both ends, and the kernel picked by the operands'
-//!   kinds; per element there is the arithmetic and an INDIRECT
-//!   subscript's bounds check.
+//!   [`FState::run_stream`] runs the prefix of a strip every one of
+//!   whose checks is known to pass as one tight loop, and the unchanged
+//!   per-iteration loop continues from there — so whatever fails, fails
+//!   on the per-iteration ops, where the tree-walk fails. What a strip
+//!   can decide, it decides once: each distinct invariant subscript part
+//!   is evaluated once, each LINEAR range checked at both ends, and the
+//!   kernel picked by the operands' kinds; per element there is the
+//!   arithmetic and an INDIRECT subscript's bounds check.
 //! - **A sparse nest is one kernel, each row atomic.** Where the
 //!   lowering recorded a [`SegStream`] for a row loop (`[init;] do j
-//!   …; [fin]` over an offset–length nest), [`FState::run_seg`] runs its
-//!   rows in order through one two-level kernel — SpMV's and `colscale`'s
-//!   shapes on instantiations of their own, any other on the catch-all —
-//!   and returns the prefix it ran. A row enters only when every check
-//!   it needs passes — its row table evaluates, every load in its view,
-//!   fuel covers the whole row, both ends of each LINEAR range are in
-//!   their pin's view — and an INDIRECT miss abandons a reduction row
-//!   that has stored nothing (its initialization is deferred to its one
-//!   final store, which no operand can observe). The row it stops before
-//!   runs whole on the per-row path (the outer block, the inner loop's
+//!   …; [fin]` over an offset–length nest), [`FState::run_seg`] runs a
+//!   strip of its rows in order through one two-level kernel and returns
+//!   the prefix it ran. A row enters only when every check it needs
+//!   passes — its row table evaluates, every load in its view, fuel
+//!   covers the whole row, both ends of each LINEAR range are in their
+//!   pin's view — and an INDIRECT miss abandons a reduction row that has
+//!   stored nothing (its initialization is deferred to its one final
+//!   store, which no operand can observe). The row it stops before runs
+//!   whole on the per-row path (the outer block, the inner loop's
 //!   stream, its ops), which fails exactly where the tree-walk does; per
 //!   row that ran, fuel, cost, the inner loop's entries and cost and the
 //!   stream counts are charged in closed form, as that path would.
+//! - **Instantiations follow the traffic.** Only a shape a benchmark
+//!   row runs gets the kernel over its own operand types:
+//!   `lin = lin·val + val` and `ind = lin·val` in `try_stream`,
+//!   `colscale`'s and SpMV's rows in `run_seg`. Every other shape runs
+//!   the catch-all, which decides operand kinds per element.
 //!
 //! **The `unsafe` here leans on one invariant, established elsewhere.**
 //! A `CompiledBody` can only come out of `lower_do_loop` (its fields
@@ -71,9 +82,10 @@ use irr_driver::compiled::{
     CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, RowVal, SegStream, Stream, StreamAt, StreamRef,
     StreamSink, StreamTail, ROW_INVS,
 };
-use irr_frontend::{BinOp, Intrinsic, ScalarType};
+use irr_frontend::{BinOp, Intrinsic, ScalarType, VarId};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Raw view of one array pinned for the duration of a typed run: its
 /// payload addressed directly, and — when the body
@@ -149,10 +161,9 @@ struct RawPin {
     sink: Option<WriteSink>,
     /// `sink` is `Direct` or `Window`: a store is a raw write.
     raw: bool,
-    /// A subscript inside the array missed the window (`fast_oob`; the
-    /// op returns at once), or an append sink refused a store (the
-    /// chunk stops at the iteration boundary).
-    violated: Cell<bool>,
+    /// An append sink refused a store: the chunk stops at the next
+    /// iteration boundary of any loop ([`FState::poll`]).
+    refused: Cell<bool>,
 }
 
 impl RawPin {
@@ -202,7 +213,7 @@ impl RawPin {
             writes: 0,
             raw: matches!(sink, Some(WriteSink::Direct | WriteSink::Window(_))),
             sink,
-            violated: Cell::new(false),
+            refused: Cell::new(false),
         }
     }
 
@@ -247,7 +258,7 @@ impl RawPin {
             unreachable!("the lowering marks every stored slot")
         };
         if !buf.append_at(*base, k, v) {
-            self.violated.set(true);
+            self.refused.set(true);
         }
         false
     }
@@ -294,7 +305,7 @@ impl RawPin {
 
 /// A pin's payload and a copy of its view, detached from the pin: what
 /// a stream resolves its lanes against — a segmented one once per
-/// entry, for all its rows.
+/// strip, for all its rows.
 #[derive(Clone, Copy)]
 struct View<T> {
     p: *mut T,
@@ -332,8 +343,8 @@ fn in_view(v: i64, origin: u64, dim0: u64) -> Option<usize> {
     }
 }
 
-/// Root iterations a stream fast-forwards between two polls of a
-/// worker's deadline.
+/// Iterations (or rows) a stream fast-forwards between two polls of a
+/// worker's deadline, in a loop at any depth.
 const STRIP: i64 = 1024;
 
 /// Where iteration `t` of one resolved [`StreamAt`] lives, `None` when
@@ -430,10 +441,10 @@ trait Wr: Copy {
 impl<L: Lane> Wr for L {
     #[inline(always)]
     fn wr(self, t: usize, v: f64, _: &mut f64) -> Option<()> {
-        // SAFETY: as the reads; the sink's pin is `raw`
-        // (`FState::try_stream`), so it owns its payload or the element
-        // is in its window. Reads and writes of one payload go through
-        // raw pointers in program order.
+        // SAFETY: as the reads; the sink's pin is `raw` (a kernel runs
+        // only under `FState::streams`), so it owns its payload or the
+        // element is in its window. Reads and writes of one payload go
+        // through raw pointers in program order.
         self.at(t).map(|p| unsafe { *p = v })
     }
 }
@@ -573,7 +584,7 @@ fn entry(vals: &[i64], k: u16) -> i64 {
 }
 
 /// A row-dependent entry of a segmented stream's row table, resolved
-/// once per entry: `off ± i` or `off ± ptr(i + c)` — the form an
+/// once per strip: `off ± i` or `off ± ptr(i + c)` — the form an
 /// offset–length nest's table takes — with every term that does not
 /// depend on the row folded into `off`. The load needs no check of its
 /// own: the rows whose `i + c` is inside `ptr`'s view are one range,
@@ -640,7 +651,7 @@ impl RowTable {
 /// One stream operand, resolved into what stays fixed from one range of
 /// iterations to the next; [`Res::row`] makes it a stream operand for
 /// iterations `lo .. lo + n` over an invariant table's values — once
-/// for a stream's entry, once per row for a segmented stream's.
+/// for a stream's strip, once per row for a segmented stream's.
 trait Res: Copy {
     type L: Copy;
     fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Self::L>;
@@ -731,7 +742,7 @@ impl Res for OpndRes {
     }
 }
 
-/// A row's initial or final operand, resolved once per entry.
+/// A row's initial or final operand, resolved once per strip.
 #[derive(Clone, Copy)]
 enum RowValRes {
     Val(f64),
@@ -762,7 +773,7 @@ impl RowValRes {
 }
 
 /// A segmented stream's row statements around its inner loop, resolved
-/// for one entry: the initialization, the final store `(op, acc
+/// for one strip: the initialization, the final store `(op, acc
 /// first, v)`, and where in the row table the inner loop's bounds are.
 struct RowRes {
     init: Option<RowValRes>,
@@ -838,8 +849,8 @@ impl SegSink for ElemSink {
         if writes > 0 {
             debug_assert!(k < self.data.len);
             // SAFETY: `start` put `k` inside the view, and the pin is a
-            // raw write (`run_seg`): it owns its payload or `k` is in its
-            // window.
+            // raw write (`FState::streams`): it owns its payload or `k` is
+            // in its window.
             unsafe { *self.data.p.add(k) = acc }
         }
     }
@@ -1008,6 +1019,7 @@ where
 
 /// Per-entry run state: the typed register planes, pinned payloads,
 /// and the local fuel/cost ledger flushed back on every exit.
+#[derive(Default)]
 struct FState {
     ir: Vec<i64>,
     fr: Vec<f64>,
@@ -1024,10 +1036,13 @@ struct FState {
     /// (`ExecStats::stream_entries`, `stream_iters`).
     streamed: u64,
     stream_iters: u64,
-    /// Entries per kernel instantiation, as `try_stream` numbers them
-    /// (0 the catch-all).
+    /// Root iterations started, a stream's or a row kernel's included.
     #[cfg(test)]
-    shapes: [u64; 10],
+    root_iters: u64,
+    /// Stream strips per kernel instantiation, as `try_stream` numbers
+    /// them (0 the catch-all).
+    #[cfg(test)]
+    shapes: [u64; 3],
     /// Rows the segmented kernel ran, per instantiation as `run_seg`
     /// numbers them (0 the catch-all).
     #[cfg(test)]
@@ -1037,11 +1052,40 @@ struct FState {
     invs: Vec<i64>,
     /// Every stored pin is a raw write, so a stream can have a sink:
     /// under a write-log or an append buffer no loop entry so much as
-    /// looks its stream up. (`try_stream` still checks its own sink.)
+    /// looks its stream up — the stream and row kernels write raw.
     streams: bool,
+    /// A worker's deadline: when it started and how long it may run.
+    deadline: Option<(Instant, Duration)>,
+    /// There is a deadline or an append sink, so [`FState::poll`] has
+    /// something to check.
+    watched: bool,
 }
 
 impl FState {
+    /// A worker's checks between two iterations (or strips) of any loop:
+    /// its deadline, and whether an append sink refused a store. A
+    /// sequential entry, and a worker with neither, test one flag.
+    #[inline(always)]
+    fn poll(&self, cb: &CompiledBody) -> Result<(), ChunkAbort> {
+        if !self.watched {
+            return Ok(());
+        }
+        if self
+            .deadline
+            .is_some_and(|(started, limit)| started.elapsed() >= limit)
+        {
+            return Err(ChunkAbort::TimedOut);
+        }
+        self.refused(cb)
+            .map_or(Ok(()), |a| Err(ChunkAbort::Violated(a)))
+    }
+
+    /// The first array whose append sink refused a store.
+    fn refused(&self, cb: &CompiledBody) -> Option<VarId> {
+        let k = self.pins.iter().position(|p| p.refused.get())?;
+        Some(cb.arrays()[k])
+    }
+
     /// Mirrors `Interp::charge`: cost counts before the fuel check,
     /// and exhaustion leaves the failing charge undeducted.
     #[inline]
@@ -1098,20 +1142,6 @@ impl FState {
         unsafe { self.pins.get_unchecked_mut(s as usize) }
     }
 
-    /// Every entry of `invs` over the live registers and pins, in
-    /// table order, into `self.invs`: each distinct subscript part of
-    /// the statement once per loop entry. `None` when a sum leaves
-    /// `i64` or a load misses its pin's view.
-    fn eval_invs(&mut self, invs: &[Inv]) -> Option<()> {
-        let (ir, pins, vals) = (&self.ir, &self.pins, &mut self.invs);
-        vals.clear();
-        for inv in invs {
-            let v = eval_inv(inv, ir, pins, vals)?;
-            vals.push(v);
-        }
-        Some(())
-    }
-
     /// One operand over the pins' views, to be resolved for a range of
     /// iterations ([`Res::row`]); each reference checks its own range
     /// against its own pin, whatever part it shares with another.
@@ -1123,21 +1153,18 @@ impl FState {
         }
     }
 
-    /// Fast-forwards the loop `do j = lo, hi` whose body is `sd`:
-    /// runs its first `m` iterations as one stream and returns `m`,
-    /// having charged them (a statement and a bookkeeping unit each).
-    /// Every check of those `m` iterations is known to pass — fuel
-    /// for `2 m`, both ends of each LINEAR range inside its pin's
-    /// view, each INDIRECT subscript as it is read — so the caller's
-    /// per-iteration loop, continued at `lo + m`, meets whatever fails
-    /// exactly where the tree-walk does. Declines (`0`) before
-    /// resolving anything when the sink is not a raw write. `lo + m`
-    /// fits an `i64`.
-    fn run_stream(&mut self, sd: &Stream, lo: i64, hi: i64) -> i64 {
-        if lo > hi {
-            return 0;
-        }
-        let n = (hi.abs_diff(lo).saturating_add(1))
+    /// Fast-forwards iterations `lo ..= hi`, `lo <= hi`, of a loop
+    /// whose body is `sd`: runs the first `m` as one stream and returns
+    /// `m`, having charged them (a statement and a bookkeeping unit
+    /// each) and counted the loop entry when `first` is its first strip.
+    /// Every check of those `m` iterations is known to pass — fuel for
+    /// `2 m`, both ends of each LINEAR range inside its pin's view, each
+    /// INDIRECT subscript as it is read — so the caller's per-iteration
+    /// loop, continued at `lo + m`, meets whatever fails exactly where
+    /// the tree-walk does. `lo + m` fits an `i64`. The caller has
+    /// checked `streams`: every store is a raw write.
+    fn run_stream(&mut self, sd: &Stream, lo: i64, hi: i64, first: bool) -> i64 {
+        let n = (hi.abs_diff(lo) + 1)
             .min(i64::MAX.abs_diff(lo))
             .min(self.fuel / 2);
         let Ok(n @ 1..) = usize::try_from(n) else {
@@ -1147,26 +1174,23 @@ impl FState {
         self.spent += 2 * m;
         self.fuel -= 2 * m;
         self.stream_iters += m;
+        self.streamed += u64::from(first && m > 0);
         m as i64
     }
 
-    /// [`FState::run_stream`] for one entry of a nested loop, counted.
-    #[inline(never)]
-    fn enter_stream(&mut self, sd: &Stream, lo: i64, hi: i64) -> i64 {
-        let m = self.run_stream(sd, lo, hi);
-        self.streamed += u64::from(m > 0);
-        m
-    }
-
     fn try_stream(&mut self, sd: &Stream, lo: i64, n: usize) -> Option<usize> {
-        let stored = match sd.sink {
-            StreamSink::At(StreamAt { slot, .. }) | StreamSink::Elem { slot, .. } => Some(slot),
-            StreamSink::Scalar(_) => None,
-        };
-        if stored.is_some_and(|slot| !self.pinr(slot).raw) {
-            return None;
+        debug_assert!(
+            self.streams,
+            "the caller checks that every store is a raw write"
+        );
+        // Each distinct subscript part of the statement, once a strip, in
+        // table order; `None` when a sum leaves `i64` or a load misses
+        // its pin's view.
+        self.invs.clear();
+        for inv in sd.invs.iter() {
+            let v = eval_inv(inv, &self.ir, &self.pins, &self.invs)?;
+            self.invs.push(v);
         }
-        self.eval_invs(&sd.invs)?;
         let row = |r: OpndRes| r.row(&self.invs, lo, n);
         // A reduction runs in `acc`, from the register or the element
         // (at `k` of its pin's view) it is stored to once, after.
@@ -1188,13 +1212,11 @@ impl FState {
             Some((op, c)) => Some((*op, row(self.res(c))?)),
             None => None,
         };
-        // The one decision of the entry: the nine shapes the corpus and
-        // the benchmark rows take (EXPERIMENTS.md has the histogram),
-        // most frequent first, each get the kernel over their own
-        // operand types; anything else runs it over `Opnd`s, which
-        // decide per element.
+        // The one decision of the strip: the two shapes a benchmark row
+        // streams at the root or nested (EXPERIMENTS.md, "Shapes") get
+        // the kernel over their own operand types; anything else runs it
+        // over `Opnd`s, which decide per element.
         use {Opnd as O, StreamTail::*};
-        const NO_B: Option<Val> = None;
         const NO_TAIL: Option<(StreamTail, Val)> = None;
         macro_rules! run {
             ($shape:literal: $a:expr, $b:expr, $tail:expr, $sink:expr) => {{
@@ -1206,40 +1228,12 @@ impl FState {
             }};
         }
         let m = match (a, b, tail, sink) {
-            // `acc = acc + val`
-            (O::Val(a), None, Some((CAddP, O::Acc(c))), O::Acc(s)) => {
-                run!(1: a, NO_B, Some((CAddP, c)), s)
-            }
-            // `lin = lin·val + val`: scale, colscale
+            // `lin = lin·val + val`: scale
             (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), O::Lin(s)) => {
-                run!(2: a, Some(b), Some((PAddC, c)), s)
+                run!(1: a, Some(b), Some((PAddC, c)), s)
             }
             // `ind = lin·val`: permute
-            (O::Lin(a), Some(O::Val(b)), None, O::Ind(s)) => run!(3: a, Some(b), NO_TAIL, s),
-            // `acc = acc + lin`
-            (O::Lin(a), None, Some((CAddP, O::Acc(c))), O::Acc(s)) => {
-                run!(4: a, NO_B, Some((CAddP, c)), s)
-            }
-            // `lin = lin·val + lin`: lufront
-            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Lin(c))), O::Lin(s)) => {
-                run!(5: a, Some(b), Some((PAddC, c)), s)
-            }
-            // `lin = lin + lin·val`
-            (O::Lin(a), Some(O::Val(b)), Some((CAddP, O::Lin(c))), O::Lin(s)) => {
-                run!(6: a, Some(b), Some((CAddP, c)), s)
-            }
-            // `acc = acc + lin·ind`: spmv
-            (O::Lin(a), Some(O::Ind(b)), Some((CAddP, O::Acc(c))), O::Acc(s)) => {
-                run!(7: a, Some(b), Some((CAddP, c)), s)
-            }
-            // `acc = acc − lin·ind`: jacobi
-            (O::Lin(a), Some(O::Ind(b)), Some((CSubP, O::Acc(c))), O::Acc(s)) => {
-                run!(8: a, Some(b), Some((CSubP, c)), s)
-            }
-            // `lin = lin + lin`
-            (O::Lin(a), None, Some((PAddC, O::Lin(c))), O::Lin(s)) => {
-                run!(9: a, NO_B, Some((PAddC, c)), s)
-            }
+            (O::Lin(a), Some(O::Val(b)), None, O::Ind(s)) => run!(2: a, Some(b), NO_TAIL, s),
             (a, b, tail, s) => run!(0: a, b, tail, s),
         };
         if m > 0 {
@@ -1266,17 +1260,14 @@ impl FState {
     /// row that ran is charged and counted as the per-row path would have
     /// (fuel, cost, the inner loop's entries and cost, its stream entry
     /// and iterations). Never runs row `i64::MAX`, whose advance ends
-    /// the loop on the per-row ops.
+    /// the loop on the per-row ops. The caller has checked `streams`.
     #[inline(never)]
     fn run_seg(&mut self, sg: &SegStream, lo: i64, hi: i64) -> i64 {
+        debug_assert!(
+            self.streams,
+            "the caller checks that every store is a raw write"
+        );
         let sd = &sg.stream;
-        let stored = match sd.sink {
-            StreamSink::At(StreamAt { slot, .. }) | StreamSink::Elem { slot, .. } => Some(slot),
-            StreamSink::Scalar(_) => None,
-        };
-        if stored.is_some_and(|slot| !self.pinr(slot).raw) {
-            return 0;
-        }
         let sink = match &sd.sink {
             StreamSink::At(at) => match self.res_at(at) {
                 OpndRes::Lin(l) => AnySink::Lane(l),
@@ -1316,7 +1307,7 @@ impl FState {
             lo: sg.lo,
             hi: sg.hi,
         };
-        // The one decision of the entry, as `try_stream`'s: the two
+        // The one decision of the strip, as `try_stream`'s: the two
         // shapes a benchmark row runs get the two-level kernel over their
         // own resolvers, anything else runs it over `OpndRes` /
         // `AnySink`.
@@ -1352,7 +1343,7 @@ impl FState {
         }
     }
 
-    /// `sg`'s row table resolved for this entry: the entries that do not
+    /// `sg`'s row table resolved for this strip: the entries that do not
     /// depend on the row variable evaluated, the others as [`RowLoad`]s.
     /// `None` — no row runs in the kernel — when an entry that does not
     /// depend on the row fails, or one that does takes another form.
@@ -1435,8 +1426,8 @@ impl FState {
         Some(t)
     }
 
-    /// A row's initial or final operand, resolved for this entry: a
-    /// register other than the row variable's is fixed for the entry.
+    /// A row's initial or final operand, resolved for this strip: a
+    /// register other than the row variable's is fixed for the loop.
     fn row_val_res(&self, sg: &SegStream, v: &RowVal) -> RowValRes {
         match *v {
             RowVal::Inv(FOpnd::IReg(r)) if r == sg.row => RowValRes::Row,
@@ -1630,15 +1621,15 @@ impl<'p> Interp<'p> {
     }
 
     /// `chk` refused `index`: the program's own error, unless the
-    /// subscript is inside the array — a window pin's miss, which marks
-    /// the pin; the error then only ends the op.
+    /// subscript is inside the array — a window pin's miss, a strategy
+    /// violation.
     #[cold]
-    fn fast_oob(&self, cb: &CompiledBody, st: &FState, slot: u16, index: i64) -> ExecError {
-        let pin = &st.pins[slot as usize];
-        if (index as u64).wrapping_sub(1) < pin.dims[0] as u64 {
-            pin.violated.set(true);
+    fn fast_oob(&self, cb: &CompiledBody, st: &FState, slot: u16, index: i64) -> ChunkAbort {
+        let extent = st.pins[slot as usize].dims[0];
+        if (index as u64).wrapping_sub(1) < extent as u64 {
+            return ChunkAbort::Violated(cb.arrays()[slot as usize]);
         }
-        self.fast_oob_dim(cb, slot, index, pin.dims[0])
+        self.fast_oob_dim(cb, slot, index, extent)
     }
 
     /// Executes root iterations `lo..=hi` of the typed loop: same
@@ -1648,11 +1639,11 @@ impl<'p> Interp<'p> {
     /// loop's entry bookkeeping.
     ///
     /// Without a `worker` (a sequential entry) stored arrays are written
-    /// in place and the root induction variable is left one past the
-    /// range. A worker's stored arrays write through the sinks it hands
-    /// in, which it gets back filled on every exit (see
-    /// [`WorkerChunk`]). Either way every scalar the nest can assign is
-    /// written back to the store on every exit.
+    /// in place. A worker's stored arrays write through the sinks it
+    /// hands in, which it gets back filled on every exit (see
+    /// [`WorkerChunk`]). Either way every scalar the nest can assign —
+    /// the root induction variable, left one past the range, included —
+    /// is written back to the store on every exit.
     pub(crate) fn run_fast_iters(
         &mut self,
         cb: &CompiledBody,
@@ -1666,17 +1657,10 @@ impl<'p> Interp<'p> {
             fr: vec![0.0; cb.real_registers()],
             pins: Vec::with_capacity(cb.arrays().len()),
             fuel: self.fuel,
-            spent: 0,
             linv: vec![0; cb.inner_loops().len()],
             lcost: vec![0; cb.inner_loops().len()],
-            streamed: 0,
-            stream_iters: 0,
-            #[cfg(test)]
-            shapes: [0; 10],
-            #[cfg(test)]
-            seg_shapes: [0; 3],
-            invs: Vec::new(),
-            streams: false,
+            deadline: worker.as_deref().and_then(|w| w.deadline),
+            ..FState::default()
         };
         for (k, (&a, &stored)) in cb.arrays().iter().zip(cb.stored()).enumerate() {
             let sink = match worker.as_deref_mut() {
@@ -1703,101 +1687,25 @@ impl<'p> Interp<'p> {
             }
         }
         st.streams = st.pins.iter().all(|p| p.sink.is_none() || p.raw);
-        // Only an append sink can refuse a store, so only a chunk that
-        // has one checks for violations per iteration.
-        let append_sinks = st
-            .pins
-            .iter()
-            .any(|p| matches!(p.sink, Some(WriteSink::Append { .. })));
-        let violated = |st: &FState| st.pins.iter().position(|p| p.violated.get());
-        let set_root = |st: &mut FState, i: i64| {
-            if cb.root_real() {
-                st.fr[cb.root_reg() as usize] = i as f64;
-            } else {
-                st.ir[cb.root_reg() as usize] = i;
-            }
-        };
-        let mut stream = cb.root_stream().filter(|_| step == 1 && st.streams);
-        let seg = cb
-            .root_seg()
-            .filter(|_| step == 1 && st.streams && self.segs_on());
-        let mut i = lo;
-        let res = loop {
-            if !((step > 0 && i <= hi) || (step < 0 && i >= hi)) {
-                break Ok(());
-            }
-            if let Some(Err(e)) = worker.as_deref().map(WorkerChunk::poll) {
-                break Err(e);
-            }
-            if let Some(sg) = seg {
-                // A strip of rows; the row it stops before, if any, runs
-                // on the per-row ops, and the next strip starts after it.
-                let m = st.run_seg(sg, i, hi.min(i.saturating_add(STRIP - 1)));
-                if m > 0 {
-                    #[cfg(test)]
-                    {
-                        self.typed_root_iters += m as u64;
-                    }
-                    i += m;
-                    set_root(&mut st, i - 1);
-                    continue;
-                }
-            }
-            if let Some(sd) = stream {
-                // A strip that comes back short met a check that is
-                // about to fail: on the per-iteration ops, from here.
-                let strip_hi = hi.min(i.saturating_add(STRIP - 1));
-                let m = st.run_stream(sd, i, strip_hi);
-                i += m;
-                if i <= strip_hi {
-                    stream = None;
-                }
-                if m > 0 {
-                    #[cfg(test)]
-                    {
-                        self.typed_root_iters += m as u64;
-                    }
-                    st.streamed = 1;
-                    set_root(&mut st, i - 1);
-                    continue;
-                }
-            }
-            #[cfg(test)]
-            {
-                self.typed_root_iters += 1;
-            }
-            set_root(&mut st, i);
-            if let Err(e) = self.run_fblock(cb, cb.root(), &mut st) {
-                // A window miss ends its op with a placeholder error.
-                break Err(violated(&st).map_or(e.into(), |k| ChunkAbort::Violated(cb.arrays()[k])));
-            }
-            if let Err(e) = st.charge(1) {
-                break Err(e.into()); // loop bookkeeping
-            }
-            if let Some(k) = append_sinks.then(|| violated(&st)).flatten() {
-                break Err(ChunkAbort::Violated(cb.arrays()[k]));
-            }
-            if !advance_induction(&mut i, step) {
-                break Ok(());
-            }
-        };
-        if res.is_ok() && worker.is_none() {
-            // Fortran leaves the induction variable at the first
-            // out-of-range value.
-            set_root(&mut st, i);
-        }
+        // Only an append sink can refuse a store.
+        let append = |p: &RawPin| matches!(p.sink, Some(WriteSink::Append { .. }));
+        st.watched = st.deadline.is_some() || st.pins.iter().any(append);
+        let var = (cb.root_reg(), cb.root_real());
+        let res = self.run_do(cb, 0, var, cb.root(), (lo, hi, step), &mut st);
+        // A refused store stops the chunk however else it ended.
+        let res = st.refused(cb).map_or(res, |a| Err(ChunkAbort::Violated(a)));
         // Flush on every exit — success or error — so observable
         // state is indistinguishable from per-access traffic.
         self.stats.total_cost += st.spent;
         self.stats.stream_entries += st.streamed;
         self.stats.stream_iters += st.stream_iters;
         #[cfg(test)]
-        for (total, n) in self.stream_shapes.iter_mut().zip(st.shapes) {
-            *total += n;
-        }
-        #[cfg(test)]
-        for (total, n) in self.seg_shapes.iter_mut().zip(st.seg_shapes) {
-            *total += n;
+        {
+            self.typed_root_iters += st.root_iters;
+            let totals = self.stream_shapes.iter_mut().chain(&mut self.seg_shapes);
+            totals
+                .zip(st.shapes.iter().chain(&st.seg_shapes))
+                .for_each(|(t, n)| *t += n);
         }
         self.fuel = st.fuel;
         for (k, (&a, p)) in cb.arrays().iter().zip(st.pins).enumerate() {
@@ -1831,7 +1739,73 @@ impl<'p> Interp<'p> {
         res
     }
 
-    fn run_fblock(&self, cb: &CompiledBody, b: u16, st: &mut FState) -> Result<(), ExecError> {
+    /// The one loop driver: runs `do var = lo, hi, step` (`step != 0`)
+    /// over block `body`, for the loop in `slot` of `CompiledBody::
+    /// loop_stmts` — the root (slot 0, the caller's range) and every
+    /// nested `do` alike; `var` is the induction variable's register,
+    /// in the `f64` plane when `real`. Each time round it polls the
+    /// worker's checks, then runs a strip of rows through the segmented
+    /// kernel or of iterations through the stream, when the loop has one
+    /// and it takes them, else one iteration on the per-iteration ops. A
+    /// strip that comes back short met a check that is about to fail:
+    /// the per-iteration ops meet it. Leaves the induction variable at
+    /// the first out-of-range value. The entry's count and cost are the
+    /// loop op's, as for a `while` (the root's, the caller's).
+    fn run_do(
+        &self,
+        cb: &CompiledBody,
+        slot: usize,
+        (var, real): (u16, bool),
+        body: u16,
+        (lo, hi, step): (i64, i64, i64),
+        st: &mut FState,
+    ) -> Result<(), ChunkAbort> {
+        let set = |st: &mut FState, i: i64| {
+            if real {
+                st.frs(var, i as f64);
+            } else {
+                st.irs(var, i);
+            }
+        };
+        // The lowering takes unit steps for both.
+        let fwd = step == 1 && st.streams;
+        let mut stream = cb.stream(slot).filter(|_| fwd);
+        let seg = cb.seg(slot).filter(|_| fwd && self.segs_on());
+        let mut i = lo;
+        while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
+            st.poll(cb)?;
+            let strip_hi = hi.min(i.saturating_add(STRIP - 1));
+            let m = match (seg, stream) {
+                (Some(sg), _) => st.run_seg(sg, i, strip_hi),
+                (None, Some(sd)) => {
+                    let m = st.run_stream(sd, i, strip_hi, i == lo);
+                    if i + m <= strip_hi {
+                        stream = None;
+                    }
+                    m
+                }
+                (None, None) => 0,
+            };
+            #[cfg(test)]
+            {
+                st.root_iters += u64::from(slot == 0) * m.max(1) as u64;
+            }
+            if m > 0 {
+                i += m;
+                continue;
+            }
+            set(st, i);
+            self.run_fblock(cb, body, st)?;
+            st.charge(1)?; // loop bookkeeping
+            if !advance_induction(&mut i, step) {
+                break;
+            }
+        }
+        set(st, i);
+        Ok(())
+    }
+
+    fn run_fblock(&self, cb: &CompiledBody, b: u16, st: &mut FState) -> Result<(), ChunkAbort> {
         let ops = &cb.blocks()[b as usize];
         let mut pc = 0usize;
         // The dispatch loop starts on a 64-byte boundary (which also makes
@@ -2131,48 +2105,15 @@ impl<'p> Interp<'p> {
                     step,
                     body,
                 } => {
-                    let lo = st.ird(*lo);
-                    let hi = st.ird(*hi);
-                    let stp = st.ird(*step);
-                    if stp == 0 {
-                        return Err(ExecError::DivisionByZero);
+                    let range = (st.ird(*lo), st.ird(*hi), st.ird(*step));
+                    if range.2 == 0 {
+                        return Err(ExecError::DivisionByZero.into());
                     }
-                    st.linv[*lidx as usize] += 1;
+                    let l = usize::from(*lidx);
+                    st.linv[l] += 1;
                     let spent_at_entry = st.spent;
-                    let mut i = lo;
-                    if let Some(sd) = st.streams.then(|| cb.stream(*lidx)).flatten() {
-                        debug_assert_eq!(stp, 1, "the lowering takes unit steps");
-                        i += st.enter_stream(sd, lo, hi);
-                    }
-                    let seg = (st.streams && self.segs_on())
-                        .then(|| cb.seg(*lidx))
-                        .flatten();
-                    while (stp > 0 && i <= hi) || (stp < 0 && i >= hi) {
-                        if let Some(sg) = seg {
-                            debug_assert_eq!(stp, 1, "the lowering takes unit steps");
-                            let m = st.run_seg(sg, i, hi);
-                            if m > 0 {
-                                i += m;
-                                continue;
-                            }
-                        }
-                        if *var_real {
-                            st.frs(*var, i as f64);
-                        } else {
-                            st.irs(*var, i);
-                        }
-                        self.run_fblock(cb, *body, st)?;
-                        st.charge(1)?; // loop bookkeeping
-                        if !advance_induction(&mut i, stp) {
-                            break;
-                        }
-                    }
-                    if *var_real {
-                        st.frs(*var, i as f64);
-                    } else {
-                        st.irs(*var, i);
-                    }
-                    st.lcost[*lidx as usize] += st.spent - spent_at_entry;
+                    self.run_do(cb, l + 1, (*var, *var_real), *body, range, st)?;
+                    st.lcost[l] += st.spent - spent_at_entry;
                 }
                 FOp::WhileLoop {
                     lidx,
@@ -2180,9 +2121,11 @@ impl<'p> Interp<'p> {
                     cond_temp,
                     body,
                 } => {
-                    st.linv[*lidx as usize] += 1;
+                    let l = usize::from(*lidx);
+                    st.linv[l] += 1;
                     let spent_at_entry = st.spent;
                     loop {
+                        st.poll(cb)?;
                         self.run_fblock(cb, *cond, st)?;
                         if st.irg(*cond_temp) == 0 {
                             break;
@@ -2190,7 +2133,7 @@ impl<'p> Interp<'p> {
                         st.charge(1)?;
                         self.run_fblock(cb, *body, st)?;
                     }
-                    st.lcost[*lidx as usize] += st.spent - spent_at_entry;
+                    st.lcost[l] += st.spent - spent_at_entry;
                 }
             }
             pc += 1;
@@ -2199,8 +2142,8 @@ impl<'p> Interp<'p> {
     }
 
     #[cold]
-    fn fast_oob_dim(&self, cb: &CompiledBody, slot: u16, index: i64, extent: usize) -> ExecError {
-        ExecError::OutOfBounds {
+    fn fast_oob_dim(&self, cb: &CompiledBody, slot: u16, index: i64, extent: usize) -> ChunkAbort {
+        ChunkAbort::Exec(ExecError::OutOfBounds {
             array: self
                 .program()
                 .symbols
@@ -2208,7 +2151,7 @@ impl<'p> Interp<'p> {
                 .to_string(),
             index,
             extent,
-        }
+        })
     }
 }
 
@@ -2275,16 +2218,10 @@ mod tests {
                 ir: vec![0; cb.int_registers()],
                 fr: vec![0.0; cb.real_registers()],
                 pins: pins.collect(),
-                fuel: 0,
-                spent: 0,
                 linv: vec![0; cb.inner_loops().len()],
                 lcost: vec![0; cb.inner_loops().len()],
-                streamed: 0,
-                stream_iters: 0,
-                shapes: [0; 10],
-                seg_shapes: [0; 3],
-                invs: Vec::new(),
                 streams: true,
+                ..FState::default()
             };
             let c = names.iter().position(|n| *n == "c").unwrap();
             Harness {
@@ -2397,7 +2334,7 @@ mod tests {
                          ranges: &[(i64, i64)],
                          views: &[(usize, usize)]| {
             let (p, cb) = program(n);
-            let sg = cb.root_seg().unwrap();
+            let sg = cb.seg(0).unwrap();
             each_array(n, vals, |rows| {
                 let mut h = Harness::new(&p, &cb, rows);
                 for &range in ranges {

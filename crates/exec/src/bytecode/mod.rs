@@ -83,16 +83,18 @@ use std::time::{Duration, Instant};
 /// What makes a run of the typed loop one parallel worker's share of a
 /// loop rather than a whole sequential entry. Given one, the typed loop
 ///
-/// - leaves the root loop's invocation count, cost attribution and
-///   final induction value to the master;
-/// - polls the deadline, when one is armed, before every root
-///   iteration (and every stream strip) — an unarmed one never reads a
-///   clock;
+/// - polls the deadline, when one is armed, between the iterations (and
+///   stream strips) of every loop of the nest, not only the root's — an
+///   unarmed one never reads a clock;
 /// - stores through `sinks` instead of straight into the payloads, and
 ///   puts each sink back, filled, when the chunk ends however it ends;
 /// - abandons the chunk on a strategy violation: at the access that
-///   leaves an in-place window, and after the root iteration in which
-///   an append sink saw a write outside its discipline.
+///   leaves an in-place window, and at the first iteration boundary,
+///   of any loop, after an append sink saw a write outside its
+///   discipline.
+///
+/// The root loop's invocation count, cost attribution and final
+/// induction value are the master's.
 #[derive(Debug)]
 pub(crate) struct WorkerChunk {
     /// When the worker started and how long it may run.
@@ -101,16 +103,6 @@ pub(crate) struct WorkerChunk {
     /// sink of an array the body stores to, `None` for one it only
     /// reads.
     pub(crate) sinks: Vec<Option<WriteSink>>,
-}
-
-impl WorkerChunk {
-    #[inline]
-    pub(crate) fn poll(&self) -> Result<(), ChunkAbort> {
-        match self.deadline {
-            Some((started, limit)) if started.elapsed() >= limit => Err(ChunkAbort::TimedOut),
-            _ => Ok(()),
-        }
-    }
 }
 
 /// Why a chunk did not complete.
@@ -920,52 +912,53 @@ mod tests {
          print z(5), y(1), y(2), k, j
          end";
 
-    /// One statement per kernel instantiation — `FState::try_stream`'s
-    /// arm, the statement's [`Stream::shape`], the statement over
-    /// [`shape_src`]'s arrays and, where a store can, the same shape
-    /// with its sink aliasing an operand at another offset — and, last,
-    /// one that lands in the catch-all.
+    /// One statement per stream shape — the `FState::try_stream` arm
+    /// that runs it (0 the catch-all: only the shapes a benchmark row
+    /// streams get an instantiation of their own), the statement's
+    /// [`Stream::shape`], the statement over [`shape_src`]'s arrays and,
+    /// where a store can, the same shape with its sink aliasing an
+    /// operand at another offset.
     const SHAPES: [(usize, &str, &str, Option<&str>); 10] = [
-        (1, "elem = acc + val", "w(3) = w(3) + 1.5", None),
+        (0, "elem = acc + val", "w(3) = w(3) + 1.5", None),
         (
-            2,
+            1,
             "lin = lin·val + val",
             "z(k) = x(k) * 1.5 + 0.25",
             Some("z(k + 1) = z(k) * 1.5 + 0.25"),
         ),
         (
-            3,
+            2,
             "ind = lin·val",
             "z(idx(k)) = x(k) * 2.0",
             Some("z(idx(k)) = z(k) * 2.0"),
         ),
-        (4, "scalar = acc + lin", "s = s + x(k)", None),
+        (0, "scalar = acc + lin", "s = s + x(k)", None),
         (
-            5,
+            0,
             "lin = lin·val + lin",
             "z(k) = x(k) * 0.98 + y(k)",
             Some("z(k + 1) = z(k) * 0.98 + z(k + 2)"),
         ),
         (
-            6,
+            0,
             "lin = lin + lin·val",
             "z(k) = y(k) + x(k) * 0.5",
             Some("z(k) = z(k + 1) + z(k + 2) * 0.5"),
         ),
         (
-            7,
+            0,
             "elem = acc + lin·ind",
             "w(3) = w(3) + x(k) * y(idx(k))",
             None,
         ),
         (
-            8,
+            0,
             "elem = acc − lin·ind",
             "w(3) = w(3) - x(k) * y(idx(k))",
             None,
         ),
         (
-            9,
+            0,
             "lin = lin + lin",
             "z(k) = x(k) + y(k)",
             Some("z(k + 1) = z(k) + z(k + 2)"),
@@ -1021,29 +1014,32 @@ mod tests {
     }
 
     /// Every kernel the run entered was instantiation `arm`, and it
-    /// entered one `entered` times (a root stream: once a strip).
+    /// entered one `entered` times (once a strip).
     fn assert_only_arm(ran: &Ran<'_>, arm: usize, entered: u64, what: &str) {
-        let mut want = [0; 10];
+        let mut want = [0; 3];
         want[arm] = entered;
         assert_eq!(ran.comp.stream_shapes, want, "{what}");
     }
 
     /// Every instantiation, at the root and nested, is entered by the
     /// statement the table says, runs every iteration, and leaves what
-    /// the tree-walk leaves.
+    /// the tree-walk leaves. A loop of 2 500 iterations, at the root or
+    /// nested alike, takes three strips an entry and counts one stream
+    /// entry.
     #[test]
     fn every_kernel_instantiation_is_entered_and_matches_the_tree_walk() {
         for (arm, shape, stmt, _) in SHAPES {
-            for nest in [false, true] {
-                let p = shape_program((shape, stmt), 40, 40, "", nest);
+            for (n, nest) in [(40, false), (40, true), (2500, false), (2500, true)] {
+                let p = shape_program((shape, stmt), n, n, "", nest);
                 let ran = assert_same_run(&p, |_| {});
                 assert_eq!(ran.res, Ok(()), "{stmt}");
                 let entries = 1 + u64::from(nest);
-                assert_only_arm(&ran, arm, entries, stmt);
+                let strips = (n as u64).div_ceil(1024);
+                assert_only_arm(&ran, arm, entries * strips, stmt);
                 let stats = &ran.comp.stats;
                 assert_eq!(
                     (stats.stream_entries, stats.stream_iters),
-                    (entries, 40 * entries),
+                    (entries, n as u64 * entries),
                     "{stmt}"
                 );
             }
@@ -1055,7 +1051,9 @@ mod tests {
     /// of its iterations, at the root and nested, in every
     /// instantiation — stops both engines at the same point: the stream
     /// takes `fuel / 2` iterations and the per-iteration ops meet the
-    /// exhaustion.
+    /// exhaustion. So does fuel that runs out either side of a nested
+    /// loop's strip boundary: the first entry's two and the second's
+    /// first, at 2 500 iterations an entry.
     #[test]
     fn a_stream_runs_out_of_fuel_where_the_tree_walk_does() {
         let sweep = |p: &Program| {
@@ -1079,7 +1077,37 @@ mod tests {
                 let (_, cut_short) = sweep(&shape_program((shape, stmt), 5, 5, "", nest));
                 assert!(cut_short >= 8, "{stmt}: {cut_short}");
             }
+            let p = shape_program((shape, stmt), 2500, 2500, "", true);
+            for iters in [1024, 2048, 2500 + 1024] {
+                let at = budget_for(&p, iters, |it| it.stats.stream_iters);
+                for fuel in at - 2..=at + 2 {
+                    let ran = assert_same_run(&p, |it| it.fuel = fuel);
+                    assert_eq!(ran.res, Err(ExecError::OutOfFuel), "{stmt}: fuel {fuel}");
+                    let streamed = ran.comp.stats.stream_iters;
+                    assert!(streamed.abs_diff(iters) <= 1, "{stmt}: {streamed}");
+                }
+            }
         }
+    }
+
+    /// The least fuel at which the compiled run of `p` has `count`ed at
+    /// least `want`: where a strip boundary falls in the fuel ledger.
+    fn budget_for(p: &Program, want: u64, count: impl Fn(&Interp<'_>) -> u64) -> u64 {
+        let reached = |fuel| {
+            let mut it = live(p, |it| it.fuel = fuel);
+            let _ = it.exec_proc_with(p.main(), &mut CompiledDispatch::new());
+            count(&it) >= want
+        };
+        let (mut lo, mut hi) = (0, 1 << 24);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if reached(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
     }
 
     /// An INDIRECT subscript out of range at the first iteration, in
@@ -1108,7 +1136,7 @@ mod tests {
                         );
                         assert_eq!(iters, bad - 1, "{what}");
                         // The strips before the bad one, and the bad one.
-                        let strips = if nest { 1 } else { (bad - 1) / 1024 + 1 };
+                        let strips = (bad - 1) / 1024 + 1;
                         assert_only_arm(&ran, arm, strips, &what);
                     } else {
                         assert_eq!(ran.res, Ok(()), "{what}");
@@ -1121,13 +1149,13 @@ mod tests {
 
     /// The range edges a stream's guard must decline on, leaving the
     /// outcome to the per-iteration ops: a LINEAR range one past the
-    /// extent, in every instantiation (at the root the strip before it
-    /// still streams) and in the second of two references that share
-    /// their invariant part; a base past `i64` (which wraps, on both
-    /// engines, to the program's own out-of-bounds index) and one that
-    /// wraps back into range; a zero-trip loop, whose `ptr(i + 5)`
-    /// nobody may evaluate; and a loop ending at `i64::MAX`, root and
-    /// nested.
+    /// extent, in every instantiation (the strip before it still
+    /// streams, at the root and nested alike) and in the second of two
+    /// references that share their invariant part; a base past `i64`
+    /// (which wraps, on both engines, to the program's own
+    /// out-of-bounds index) and one that wraps back into range; a
+    /// zero-trip loop, whose `ptr(i + 5)` nobody may evaluate; and a
+    /// loop ending at `i64::MAX`, root and nested.
     #[test]
     fn stream_guards_decline_at_the_range_edges() {
         const N: usize = 1100;
@@ -1142,13 +1170,14 @@ mod tests {
                         "{what}: {:?}",
                         ran.res
                     );
-                    // The second strip (or the one nested entry) is
-                    // declined before any kernel is picked.
-                    (if nest { 0 } else { 1024 }, u64::from(!nest))
+                    // The second strip is declined before any kernel is
+                    // picked.
+                    (1024, 1)
                 } else {
                     assert_eq!(ran.res, Ok(()), "{what}");
-                    // Two strips, or two nested entries.
-                    (1101 * (1 + u64::from(nest)), 2)
+                    // Two strips an entry.
+                    let entries = 1 + u64::from(nest);
+                    (1101 * entries, 2 * entries)
                 };
                 assert_eq!(ran.comp.stats.stream_iters, iters, "{what}");
                 assert_only_arm(&ran, arm, entered, &what);
@@ -1389,6 +1418,50 @@ mod tests {
         assert!(ran_short);
     }
 
+    /// A worker's deadline stops a chunk inside a long inner loop, not
+    /// only between root iterations: one root iteration whose body, past
+    /// a statement no row takes, is a stream, a segmented nest, a per-op
+    /// `do` or a `while` of 10^8 iterations (0.1 s or more in a release
+    /// build) ends `TimedOut` at a 5 ms deadline.
+    #[test]
+    fn a_deadline_stops_a_chunk_inside_a_long_inner_loop() {
+        for (inner, streams, segs) in [
+            ("do k = 1, N\n s = s + 1.5\n enddo", 1, 0),
+            (
+                "do i = 1, N\n do k = 1, 2\n s = s + 1.5\n enddo\n enddo",
+                1,
+                1,
+            ),
+            ("do k = 1, N\n s = s + 1.5\n t = t + 1\n enddo", 0, 0),
+            ("while (t < N)\n t = t + 1\n endwhile", 0, 0),
+        ] {
+            let inner = inner.replace('N', "100000000");
+            let src = format!(
+                "program t
+                 integer i, k, r, t
+                 real s
+                 do r = 1, 1
+                   t = r
+                   {inner}
+                 enddo
+                 print s, t
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            assert_eq!(stream_loops(&p), streams, "{inner}");
+            assert_eq!(seg_shapes(&p).len(), segs, "{inner}");
+            let mut it = live(&p, |_| {});
+            let cb = it.compiled_body_for(p.procedure(p.main()).body[0]).unwrap();
+            let mut share = WorkerChunk {
+                deadline: Some((Instant::now(), Duration::from_millis(5))),
+                sinks: Vec::new(),
+            };
+            let res = it.run_fast_iters(&cb, 1, 1, 1, Some(&mut share));
+            assert!(matches!(res, Err(ChunkAbort::TimedOut)), "{inner}: {res:?}");
+            assert_eq!(it.typed_root_iters, 1);
+        }
+    }
+
     /// Requests the parallel executor at every loop entry — the
     /// hybrid runtime's dispatch, minus its guards.
     #[derive(Default)]
@@ -1467,16 +1540,23 @@ mod tests {
     /// of an offset–length nest over [`shape_src`]'s arrays — row `i`
     /// runs `k = ptr(i) .. ptr(i + 1) - 1`, `lens[i - 1]` iterations —
     /// with `init` before it and `fin` after; `smash` runs between the
-    /// fill and the rows.
-    fn seg_src(init: &str, stmt: &str, fin: &str, lens: &[i64], smash: &str) -> String {
-        let (rows, n) = (lens.len(), 40);
+    /// fill and the rows. With `nest` the row loop is entered twice,
+    /// inside a loop whose body no row of a segmented stream takes.
+    fn seg_src(init: &str, stmt: &str, fin: &str, lens: &[i64], smash: &str, nest: bool) -> String {
+        let rows = lens.len();
+        let n = lens.iter().sum::<i64>().max(40);
         let mut ptrs = String::from("ptr(1) = 1");
         for (r, len) in lens.iter().enumerate() {
             ptrs += &format!("\n ptr({}) = ptr({}) + {len}", r + 2, r + 1);
         }
+        let (open, close) = if nest {
+            ("do t = 1, 2\n w(4) = t", "enddo")
+        } else {
+            ("", "")
+        };
         format!(
             "program t
-             integer i, k, idx({n}), ptr({rp})
+             integer i, k, t, idx({n}), ptr({rp})
              real s, w(4), x({n}), y({n}), z({n})
              do k = 1, {n}
                idx(k) = {n} + 1 - k
@@ -1488,6 +1568,7 @@ mod tests {
              s = 1.0
              {ptrs}
              {smash}
+             {open}
              do i = 1, {rows}
                {init}
                do k = ptr(i), ptr(i + 1) - 1
@@ -1495,6 +1576,7 @@ mod tests {
                enddo
                {fin}
              enddo
+             {close}
              print s, i, k, w(3), z(1), z({n})
              end",
             rp = rows + 1
@@ -1541,7 +1623,7 @@ mod tests {
             forms.map(move |stmt| (shape, stmt))
         });
         for (shape, stmt) in stmts.chain([in_place]) {
-            let p = parse_program(&seg_src("", stmt, "", &LENS, "")).unwrap();
+            let p = parse_program(&seg_src("", stmt, "", &LENS, "", false)).unwrap();
             let ran = assert_seg_run(&p, |_| {});
             assert_eq!(ran.res, Ok(()), "{stmt}");
             let mut want = [0; 3];
@@ -1607,7 +1689,7 @@ mod tests {
                 0,
             ),
         ] {
-            let p = parse_program(&seg_src(init, stmt, fin, &LENS, "")).unwrap();
+            let p = parse_program(&seg_src(init, stmt, fin, &LENS, "", false)).unwrap();
             let ran = assert_seg_run(&p, |_| {});
             assert_eq!(ran.res, Ok(()), "{init}; {stmt}; {fin}");
             assert_eq!(seg_shapes(&p).concat(), shape, "{init}; {stmt}; {fin}");
@@ -1622,14 +1704,15 @@ mod tests {
             ("y(i) = 0.0", "y(i) = y(i) / 2"),    // a division can fail
             ("y(i) = y(k)", ""),                  // reads `k` before the loop
         ] {
-            let p = parse_program(&seg_src(init, spmv, fin, &LENS, "")).unwrap();
+            let p = parse_program(&seg_src(init, spmv, fin, &LENS, "", false)).unwrap();
             assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{init}; {fin}");
             let ran = assert_seg_run(&p, |_| {});
             assert_eq!(ran.comp.seg_shapes, [0; 3]);
         }
         // A subscript part with the row variable in two terms is not a
         // form the kernel evaluates rows in.
-        let p = parse_program(&seg_src("", "z(k) = z(k - i + i) * 0.5", "", &LENS, "")).unwrap();
+        let src = seg_src("", "z(k) = z(k - i + i) * 0.5", "", &LENS, "", false);
+        let p = parse_program(&src).unwrap();
         assert_eq!(seg_shapes(&p), Vec::<String>::new());
     }
 
@@ -1648,7 +1731,7 @@ mod tests {
             ),
             ("", "z(k) = z(k) * 0.5 + 1.0", ""),
         ] {
-            let p = parse_program(&seg_src(init, stmt, fin, &LENS, "")).unwrap();
+            let p = parse_program(&seg_src(init, stmt, fin, &LENS, "", false)).unwrap();
             let full = assert_seg_run(&p, |_| {});
             let mut kernel_rows = 0;
             for fuel in 0..full.comp.stats.total_cost {
@@ -1657,6 +1740,34 @@ mod tests {
                 kernel_rows += ran.comp.seg_shapes.iter().sum::<u64>();
             }
             assert!(kernel_rows > 40, "{stmt}: {kernel_rows}");
+        }
+    }
+
+    /// A nested row loop runs its rows in strips, as the root does: 2 500
+    /// rows, entered twice, all run in the kernel with the per-row path's
+    /// stream counts, and fuel that runs out either side of a strip
+    /// boundary stops where the tree-walk and the per-row path do.
+    #[test]
+    fn a_nested_row_loop_runs_in_strips_and_out_of_fuel_where_the_tree_walk_does() {
+        let lens: Vec<i64> = LENS.iter().cycle().take(2500).copied().collect();
+        let nonempty = lens.iter().filter(|&&n| n > 0).count() as u64;
+        let kernel_rows = |it: &Interp<'_>| it.seg_shapes.iter().sum();
+        for (init, stmt) in [
+            ("y(i) = 0.0", "y(i) = y(i) + x(k) * z(idx(k))"),
+            ("", "z(k) = z(k) * 0.5 + 1.0"),
+        ] {
+            let p = parse_program(&seg_src(init, stmt, "", &lens, "", true)).unwrap();
+            let full = assert_seg_run(&p, |_| {});
+            assert_eq!(full.res, Ok(()), "{stmt}");
+            assert_eq!(kernel_rows(&full.comp), 5000, "{stmt}");
+            assert_eq!(full.comp.stats.stream_entries, 2 * nonempty, "{stmt}");
+            for rows in [1024, 2048, 2500 + 1024] {
+                let at = budget_for(&p, rows, kernel_rows);
+                for fuel in at - 2..=at + 2 {
+                    let ran = assert_seg_run(&p, |it| it.fuel = fuel);
+                    assert_eq!(ran.res, Err(ExecError::OutOfFuel), "{stmt}: fuel {fuel}");
+                }
+            }
         }
     }
 
@@ -1676,7 +1787,7 @@ mod tests {
             (lane, "ptr(5) = -1", "z", -1),
             (spmv, "ptr(7) = 42", "x", 41),
         ] {
-            let p = parse_program(&seg_src(init, stmt, "", &LENS, smash)).unwrap();
+            let p = parse_program(&seg_src(init, stmt, "", &LENS, smash, false)).unwrap();
             let ran = assert_seg_run(&p, |_| {});
             assert!(
                 matches!(&ran.res, Err(ExecError::OutOfBounds { array: a, index: i, .. }) if a == array && *i == index),
@@ -1695,6 +1806,7 @@ mod tests {
             "",
             &LENS,
             "do i = 1, 7\n q(i) = 9223372036854775807\n enddo\n q(3) = -9223372036854775800",
+            false,
         );
         let p = parse_program(&src.replace("idx(40),", "idx(40), q(7),")).unwrap();
         let ran = assert_seg_run(&p, |_| {});

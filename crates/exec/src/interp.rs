@@ -704,10 +704,10 @@ pub struct Interp<'p> {
     /// byte-identical by contract).
     #[cfg(test)]
     pub(crate) typed_root_iters: u64,
-    /// Stream entries per kernel instantiation, as
+    /// Stream strips per kernel instantiation, as
     /// `FState::try_stream` numbers its arms (0 the catch-all).
     #[cfg(test)]
-    pub(crate) stream_shapes: [u64; 10],
+    pub(crate) stream_shapes: [u64; 3],
     /// Rows the segmented kernel ran per instantiation, as
     /// `FState::run_seg` numbers its arms (0 the catch-all).
     #[cfg(test)]
@@ -741,7 +741,7 @@ impl<'p> Interp<'p> {
             #[cfg(test)]
             typed_root_iters: 0,
             #[cfg(test)]
-            stream_shapes: [0; 10],
+            stream_shapes: [0; 3],
             #[cfg(test)]
             seg_shapes: [0; 3],
             #[cfg(test)]
@@ -798,11 +798,6 @@ impl<'p> Interp<'p> {
     /// from now on (see [`AccessTracer`]).
     pub fn attach_tracer(&mut self, config: TraceConfig, hook: Box<dyn AccessTracer>) {
         self.tracer = Some(TracerSlot { config, hook });
-    }
-
-    /// Detaches and returns the tracer hook, if one was attached.
-    pub fn detach_tracer(&mut self) -> Option<Box<dyn AccessTracer>> {
-        self.tracer.take().map(|slot| slot.hook)
     }
 
     /// Fills every array the run allocates with deterministic

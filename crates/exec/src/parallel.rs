@@ -42,8 +42,9 @@
 //! **A worker is the typed loop.** The master lowers the loop once
 //! (cached per statement) and every worker runs that compiled body for
 //! its whole chunk in **one call** (`Interp::run_fast_iters`):
-//! induction loop, per-iteration charge, deadline poll and strategy
-//! check all inside it. The dispatch hands the chunk one sink per array
+//! induction loop, per-iteration charge, and the deadline poll and
+//! strategy check between the iterations of every loop of the nest, all
+//! inside it. The dispatch hands the chunk one sink per array
 //! the body stores to (`WriteSink`), built from its mode: the chunk's
 //! in-place window, its append buffer, its column of the write log, or
 //! — for privatized scratch — the worker's own copy. Each strategy's
@@ -197,11 +198,13 @@ pub struct ParallelPlan {
     pub privatized: Vec<VarId>,
     /// Scalar reductions and their combining operators.
     pub reductions: Vec<(VarId, ReduceOp)>,
-    /// Per-worker wall-clock deadline in milliseconds: a worker still
-    /// running past it aborts its chunk and the dispatch fails with
-    /// [`ParallelError::Timeout`] (so a runaway worker becomes a
-    /// sequential fallback instead of a wedged run). `None` disables
-    /// the watchdog — the hot path then never reads a clock.
+    /// Per-worker wall-clock deadline in milliseconds, checked between
+    /// the iterations (and stream strips) of every loop of the nest, not
+    /// only the root's: a worker still running past it aborts its chunk
+    /// and the dispatch fails with [`ParallelError::Timeout`] (so a
+    /// runaway worker becomes a sequential fallback instead of a wedged
+    /// run). `None` disables the watchdog — the hot path then never
+    /// reads a clock.
     pub deadline_ms: Option<u64>,
     /// An injected fault for this dispatch (chaos testing); `None` in
     /// ordinary runs, checked once per dispatch.
@@ -673,8 +676,9 @@ fn prepare_concat(
 /// master interpreter; the induction variable is left at `hi + 1` (or
 /// `lo` for a zero-trip loop), matching sequential semantics. A
 /// `plan.deadline_ms` arms a cooperative per-worker watchdog (checked
-/// between iterations); `plan.fault` injects one failure for chaos
-/// testing.
+/// between the iterations of every loop of the nest, so a long inner
+/// `do` or `while` stops too); `plan.fault` injects one failure for
+/// chaos testing.
 ///
 /// Returns what was [`Committed`]: the strategy that actually ran (a
 /// zero-trip dispatch commits trivially under the planned one) and how

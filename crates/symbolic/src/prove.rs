@@ -95,12 +95,6 @@ fn prove_gt0_depth(e: &SymExpr, env: &RangeEnv, depth: u32) -> bool {
     }
 }
 
-/// Interval bounds for `e` under `env`.
-pub fn bounds_of(e: &SymExpr, env: &RangeEnv) -> SymRange {
-    let e = canonicalize(e, env);
-    bounds_of_depth(&e, env, DEFAULT_DEPTH)
-}
-
 fn lower_bound(e: &SymExpr, env: &RangeEnv, depth: u32) -> Bound {
     bounds_of_depth(e, env, depth).lo
 }

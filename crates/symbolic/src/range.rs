@@ -183,16 +183,6 @@ impl RangeEnv {
         self.distances.insert(array, (subscript_var, distance));
     }
 
-    /// Exact range for an atom, if recorded.
-    pub fn atom_range(&self, atom: &Atom) -> Option<&SymRange> {
-        self.atom_ranges.get(atom)
-    }
-
-    /// Element-value range for an array, if recorded.
-    pub fn elem_range(&self, array: VarId) -> Option<&SymRange> {
-        self.elem_ranges.get(&array)
-    }
-
     /// Closed-form distance fact for an array, if recorded.
     pub fn distance(&self, array: VarId) -> Option<&(VarId, SymExpr)> {
         self.distances.get(&array)

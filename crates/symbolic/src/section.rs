@@ -49,11 +49,6 @@ impl Section {
         Section::Dims(vec![SymRange::new(lo, hi)])
     }
 
-    /// Section from explicit per-dimension ranges.
-    pub fn from_ranges(ranges: Vec<SymRange>) -> Section {
-        Section::Dims(ranges)
-    }
-
     /// Whether this is the empty section (syntactically).
     pub fn is_empty(&self) -> bool {
         matches!(self, Section::Empty)

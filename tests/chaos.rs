@@ -721,7 +721,7 @@ fn a_segmented_nest_whose_rows_were_rewritten_between_entries_fails_where_the_tr
         let rep = compiled(&src);
         let v = rep.verdict("T/do20").unwrap();
         let cb = irr_driver::compiled::lower_do_loop(&rep.program, v.loop_stmt).unwrap();
-        assert!(cb.root_seg().is_some(), "{smash}");
+        assert!(cb.seg(0).is_some(), "{smash}");
         let own = sequential(&rep, &[]).unwrap_err();
         assert!(
             matches!(&own, irr_exec::ExecError::OutOfBounds { array: a, index: i, .. } if a == array && *i == index),
@@ -749,7 +749,7 @@ fn a_stalled_worker_trips_its_deadline_inside_a_segmented_chunk() {
     let rep = compiled(SEGMENT_RMW_SRC);
     let v = rep.verdict("T/do20").unwrap();
     let cb = irr_driver::compiled::lower_do_loop(&rep.program, v.loop_stmt).unwrap();
-    assert!(cb.root_seg().is_some());
+    assert!(cb.seg(0).is_some());
     let honest = run_hybrid(&rep, watchdog_config()).unwrap();
     assert_eq!(honest.telemetry.fallbacks(), 0);
     // Every row of the walk streamed in a worker: one entry a row.

@@ -129,7 +129,7 @@ fn a_segmented_run_matches_the_tree_walk_on_every_small_input() {
             .find(|v| v.label.ends_with("do10"))
             .unwrap();
         let cb = irr_driver::compiled::lower_do_loop(&rep.program, main.loop_stmt).unwrap();
-        assert!(cb.root_seg().is_some(), "{shape:?}");
+        assert!(cb.seg(0).is_some(), "{shape:?}");
         let mut at = [0usize; 6];
         loop {
             let ptr = [ptrs[at[0]], ptrs[at[1]], ptrs[at[2]]];

@@ -275,7 +275,7 @@ fn stream_coverage_is_the_table_in_experiments_md() {
             loops += 1;
             let stream = lower_do_loop(p, v.loop_stmt)
                 .ok()
-                .and_then(|cb| cb.root_stream().map(|sd| sd.shape()));
+                .and_then(|cb| cb.stream(0).map(|sd| sd.shape()));
             assert_eq!(
                 v.compiled.map_or(0, |plan| plan.stream_loops),
                 stream.is_some() as u32
@@ -390,7 +390,7 @@ fn segmented_stream_coverage_is_the_table_in_experiments_md() {
             .iter()
             .filter_map(|v| lower_do_loop(p, v.loop_stmt).ok());
         lowered
-            .filter_map(|cb| cb.root_seg().map(|sg| sg.shape()))
+            .filter_map(|cb| cb.seg(0).map(|sg| sg.shape()))
             .collect()
     };
     let scale = SparseScale::test(Structure::Uniform, 11);
@@ -456,8 +456,7 @@ fn a_segmented_kernel_counts_what_the_per_row_path_counts() {
                 "{name}"
             );
             let main = rep.verdict(&k.label).expect("the kernel's loop").loop_stmt;
-            let segmented =
-                lower_do_loop(&rep.program, main).is_ok_and(|cb| cb.root_seg().is_some());
+            let segmented = lower_do_loop(&rep.program, main).is_ok_and(|cb| cb.seg(0).is_some());
             let lens = k
                 .presets
                 .iter()
