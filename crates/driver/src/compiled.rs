@@ -108,15 +108,36 @@ impl PartialEq for FOpnd {
 
 impl Eq for FOpnd {}
 
+/// The address of an element access: a subscript form, not an
+/// instruction of its own. Each form is resolved and bounds-checked
+/// against the pin at the access's slot in one place in the executor,
+/// in the tree-walk's order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Addr {
+    /// One subscript `arr(sub)`, checked against the first extent.
+    Elem(IOpnd),
+    /// Affine `arr(base + off)`, the add wrapping; `base` is the
+    /// register of an integer-declared scalar.
+    Aff { base: u16, off: i64 },
+    /// Subscripted subscript `arr(idx(sub))`, `idx` the array at
+    /// `idx_slot`: both subscripts checked, the index array's first.
+    Ind { idx_slot: u16, sub: IOpnd },
+    /// The flat index an [`FOp::IndexN`] left in an integer register,
+    /// already checked per dimension.
+    Flat(u16),
+}
+
 /// One instruction of a [`CompiledBody`], split per register plane
 /// (`…I` integer, `…F` float). Register numbers index the plane the
 /// variant names, `slot` fields the body's pinned-array table, jump
 /// targets the instruction's own block, `body` / `cond` the body's
-/// block list. Each variant keeps the tree-walk's semantics for the
-/// construct it stands for — wrapping integer arithmetic, euclidean
-/// `/` and `mod` with zero checks, `eval_cond`'s comparison rules, the
-/// store's bounds checks in the store's order — and only
-/// [`FOp::Charge`], the appends and the loop ops touch the fuel ledger.
+/// block list. An element access is one load or one store per plane
+/// whose subscript form is an operand, an [`Addr`]. Each variant keeps
+/// the tree-walk's semantics for the construct it stands for —
+/// wrapping integer arithmetic, euclidean `/` and `mod` with zero
+/// checks, `eval_cond`'s comparison rules, an access's bounds checks in
+/// the access's order — and only [`FOp::Charge`], the appends and the
+/// loop ops touch the fuel ledger.
 #[derive(Clone, Debug)]
 pub enum FOp {
     /// Charge `n` cost/fuel units — emitted at every statement entry
@@ -221,106 +242,32 @@ pub enum FOp {
         target: u32,
     },
     /// Column-major flat index of the subscripts, bounds-checked per
-    /// dimension, left to right; `dst` feeds a `LoadAt*` / `StoreAt*`.
+    /// dimension, left to right; `dst` feeds an [`Addr::Flat`].
     IndexN {
         slot: u16,
         subs: Box<[IOpnd]>,
         dst: u16,
     },
-    /// `dst = arr[idx]`, flat index previously checked by `IndexN`.
-    LoadAtI {
+    /// `dst = arr(at)`, `arr` the array at `slot`.
+    LoadI {
         slot: u16,
-        idx: u16,
+        at: Addr,
         dst: u16,
     },
-    LoadAtF {
+    LoadF {
         slot: u16,
-        idx: u16,
+        at: Addr,
         dst: u16,
     },
-    StoreAtI {
+    /// `arr(at) = src`, `arr` the array at `slot`.
+    StoreI {
         slot: u16,
-        idx: u16,
+        at: Addr,
         src: IOpnd,
     },
-    StoreAtF {
+    StoreF {
         slot: u16,
-        idx: u16,
-        src: FOpnd,
-    },
-    /// One-subscript access `arr(sub)`, checked against the first
-    /// extent.
-    LoadElemI {
-        slot: u16,
-        sub: IOpnd,
-        dst: u16,
-    },
-    LoadElemF {
-        slot: u16,
-        sub: IOpnd,
-        dst: u16,
-    },
-    StoreElemI {
-        slot: u16,
-        sub: IOpnd,
-        src: IOpnd,
-    },
-    StoreElemF {
-        slot: u16,
-        sub: IOpnd,
-        src: FOpnd,
-    },
-    /// Affine access `arr(base + off)`; `base` is the register of an
-    /// integer-declared scalar. The store is the proven
-    /// in-place-disjoint write pattern.
-    LoadAffI {
-        slot: u16,
-        base: u16,
-        off: i64,
-        dst: u16,
-    },
-    LoadAffF {
-        slot: u16,
-        base: u16,
-        off: i64,
-        dst: u16,
-    },
-    StoreAffI {
-        slot: u16,
-        base: u16,
-        off: i64,
-        src: IOpnd,
-    },
-    StoreAffF {
-        slot: u16,
-        base: u16,
-        off: i64,
-        src: FOpnd,
-    },
-    /// Subscripted subscript `arr(idx_arr(sub))`: both subscripts
-    /// bounds-checked, the index array's first.
-    GatherI {
-        slot: u16,
-        idx_slot: u16,
-        sub: IOpnd,
-        dst: u16,
-    },
-    GatherF {
-        slot: u16,
-        idx_slot: u16,
-        sub: IOpnd,
-        dst: u16,
-    },
-    ScatterI {
-        slot: u16,
-        idx_slot: u16,
-        sub: IOpnd,
-        src: IOpnd,
-    },
-    ScatterF {
-        slot: u16,
-        idx_slot: u16,
-        sub: IOpnd,
+        at: Addr,
         src: FOpnd,
     },
     /// Append-through-pointer: `arr(ptr) = src`, then the second
@@ -774,14 +721,14 @@ impl CompiledBody {
         };
         for op in self.blocks.iter().flatten() {
             match op {
-                FOp::LoadAffI { .. }
-                | FOp::LoadAffF { .. }
-                | FOp::StoreAffI { .. }
-                | FOp::StoreAffF { .. } => plan.affine_accesses += 1,
-                FOp::GatherI { .. }
-                | FOp::GatherF { .. }
-                | FOp::ScatterI { .. }
-                | FOp::ScatterF { .. } => plan.indirect_accesses += 1,
+                FOp::LoadI { at, .. }
+                | FOp::LoadF { at, .. }
+                | FOp::StoreI { at, .. }
+                | FOp::StoreF { at, .. } => match at {
+                    Addr::Aff { .. } => plan.affine_accesses += 1,
+                    Addr::Ind { .. } => plan.indirect_accesses += 1,
+                    Addr::Elem(_) | Addr::Flat(_) => {}
+                },
                 FOp::AppendI { .. } | FOp::AppendF { .. } => plan.appends += 1,
                 FOp::MulAddF { .. } => plan.multiply_adds += 1,
                 _ => {}

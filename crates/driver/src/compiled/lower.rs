@@ -57,8 +57,8 @@
 //!   effects exactly like `eval_cond`.
 
 use super::{
-    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowFin, RowVal, SegStream, Stream,
-    StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
+    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowFin, RowVal, SegStream,
+    Stream, StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
 };
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
@@ -181,19 +181,15 @@ impl Val {
 }
 
 /// A pure instruction minus its destination: what value numbering
-/// compares. The loads carry their array's element plane.
+/// compares. A load carries its array's element plane.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Pure {
     BinI(BinOp, IOpnd, IOpnd),
     BinF(BinOp, FOpnd, FOpnd),
     Lea(IOpnd, IOpnd, i64),
     MulAdd(FOpnd, FOpnd, FOpnd),
-    /// `slot`, subscript, real.
-    LoadElem(u16, IOpnd, bool),
-    /// `slot`, base register, offset, real.
-    LoadAff(u16, u16, i64, bool),
-    /// `slot`, index array's slot, its subscript, real.
-    Gather(u16, u16, IOpnd, bool),
+    /// `slot`, address, real.
+    Load(u16, Addr, bool),
 }
 
 impl Pure {
@@ -207,20 +203,11 @@ impl Pure {
         }
     }
 
-    /// The one-subscript load `arr(sub)` of the array at `slot`.
-    fn load(slot: u16, sub: Sub1, real: bool) -> Pure {
-        match sub {
-            Sub1::Affine(base, off) => Pure::LoadAff(slot, base, off, real),
-            Sub1::Indirect(idx_slot, sub) => Pure::Gather(slot, idx_slot, sub, real),
-            Sub1::Plain(sub) => Pure::LoadElem(slot, sub, real),
-        }
-    }
-
     fn is_real(self) -> bool {
         match self {
             Pure::BinI(..) | Pure::Lea(..) => false,
             Pure::BinF(..) | Pure::MulAdd(..) => true,
-            Pure::LoadElem(.., real) | Pure::LoadAff(.., real) | Pure::Gather(.., real) => real,
+            Pure::Load(.., real) => real,
         }
     }
 
@@ -231,32 +218,8 @@ impl Pure {
             Pure::BinF(op, a, b) => FOp::BinF { op, dst, a, b },
             Pure::Lea(a, b, off) => FOp::LeaI { dst, a, b, off },
             Pure::MulAdd(a, b, c) => FOp::MulAddF { dst, a, b, c },
-            Pure::LoadElem(slot, sub, false) => FOp::LoadElemI { slot, sub, dst },
-            Pure::LoadElem(slot, sub, true) => FOp::LoadElemF { slot, sub, dst },
-            Pure::LoadAff(slot, base, off, false) => FOp::LoadAffI {
-                slot,
-                base,
-                off,
-                dst,
-            },
-            Pure::LoadAff(slot, base, off, true) => FOp::LoadAffF {
-                slot,
-                base,
-                off,
-                dst,
-            },
-            Pure::Gather(slot, idx_slot, sub, false) => FOp::GatherI {
-                slot,
-                idx_slot,
-                sub,
-                dst,
-            },
-            Pure::Gather(slot, idx_slot, sub, true) => FOp::GatherF {
-                slot,
-                idx_slot,
-                sub,
-                dst,
-            },
+            Pure::Load(slot, at, false) => FOp::LoadI { slot, at, dst },
+            Pure::Load(slot, at, true) => FOp::LoadF { slot, at, dst },
         }
     }
 
@@ -268,28 +231,19 @@ impl Pure {
             Pure::BinI(_, a, b) | Pure::Lea(a, b, _) => i(a) || i(b),
             Pure::BinF(_, a, b) => f(a) || f(b),
             Pure::MulAdd(a, b, c) => f(a) || f(b) || f(c),
-            Pure::LoadAff(_, base, ..) => !real && base == r,
-            Pure::LoadElem(_, sub, _) | Pure::Gather(_, _, sub, _) => i(sub),
+            Pure::Load(_, Addr::Elem(sub) | Addr::Ind { sub, .. }, _) => i(sub),
+            Pure::Load(_, Addr::Aff { base: k, .. } | Addr::Flat(k), _) => !real && k == r,
         }
     }
 
     /// Whether the value was loaded from the array pinned at `slot`.
     fn loads(self, slot: u16) -> bool {
         match self {
-            Pure::LoadElem(s, ..) | Pure::LoadAff(s, ..) => s == slot,
-            Pure::Gather(s, idx, ..) => s == slot || idx == slot,
+            Pure::Load(s, Addr::Ind { idx_slot, .. }, _) => s == slot || idx_slot == slot,
+            Pure::Load(s, ..) => s == slot,
             _ => false,
         }
     }
-}
-
-/// The fused form of a one-subscript access, operands lowered.
-enum Sub1 {
-    /// `a(v + off)`, `v`'s register.
-    Affine(u16, i64),
-    /// `a(idx(e))`: the index array's slot and `e`.
-    Indirect(u16, IOpnd),
-    Plain(IOpnd),
 }
 
 /// What the nest does with one variable, by dense `VarId` index.
@@ -826,93 +780,56 @@ impl<'p> Lowerer<'p> {
         Ok(())
     }
 
-    /// Lowers an array element load, fusing the recognized access
-    /// patterns into superinstructions.
+    /// Lowers an array element load.
     fn lower_element_load(&mut self, b: usize, a: VarId, subs: &[Expr]) -> Lower<Val> {
-        self.check_shape(a, subs)?;
         let real = self.is_real(a);
-        if let [sub] = subs {
-            let sub = self.lower_sub1(b, sub)?;
-            let slot = self.slot(a)?;
-            return self.pure(b, Pure::load(slot, sub, real));
+        let (slot, at) = self.lower_addr(b, a, subs, false)?;
+        let load = Pure::Load(slot, at, real);
+        if let Addr::Flat(_) = at {
+            // Its flat index is fresh: the value is never met again.
+            return self.emit_fresh(b, real, |dst| load.op(dst));
         }
-        let subs = self.lower_subscripts(b, subs)?;
-        let slot = self.slot(a)?;
-        let idx = self.alloc(false)?;
-        self.emit(
-            b,
-            FOp::IndexN {
-                slot,
-                subs,
-                dst: idx,
-            },
-        );
-        self.emit_fresh(b, real, |dst| {
-            if real {
-                FOp::LoadAtF { slot, idx, dst }
-            } else {
-                FOp::LoadAtI { slot, idx, dst }
-            }
-        })
+        self.pure(b, load)
     }
 
     /// `a(subs) = src`, the element type's coercion as the operand
     /// conversion.
     fn lower_element_store(&mut self, b: usize, a: VarId, subs: &[Expr], src: Val) -> Lower<()> {
-        self.check_shape(a, subs)?;
-        let real = self.is_real(a);
-        let (si, sf) = (src.i(), src.f());
-        let op = if let [sub] = subs {
-            let sub = self.lower_sub1(b, sub)?;
-            let slot = self.store_slot(a)?;
-            match (sub, real) {
-                (Sub1::Affine(base, off), false) => FOp::StoreAffI {
-                    slot,
-                    base,
-                    off,
-                    src: si,
-                },
-                (Sub1::Affine(base, off), true) => FOp::StoreAffF {
-                    slot,
-                    base,
-                    off,
-                    src: sf,
-                },
-                (Sub1::Indirect(idx_slot, sub), false) => FOp::ScatterI {
-                    slot,
-                    idx_slot,
-                    sub,
-                    src: si,
-                },
-                (Sub1::Indirect(idx_slot, sub), true) => FOp::ScatterF {
-                    slot,
-                    idx_slot,
-                    sub,
-                    src: sf,
-                },
-                (Sub1::Plain(sub), false) => FOp::StoreElemI { slot, sub, src: si },
-                (Sub1::Plain(sub), true) => FOp::StoreElemF { slot, sub, src: sf },
+        let (slot, at) = self.lower_addr(b, a, subs, true)?;
+        let op = if self.is_real(a) {
+            FOp::StoreF {
+                slot,
+                at,
+                src: src.f(),
             }
         } else {
-            let subs = self.lower_subscripts(b, subs)?;
-            let slot = self.store_slot(a)?;
-            let idx = self.alloc(false)?;
-            self.emit(
-                b,
-                FOp::IndexN {
-                    slot,
-                    subs,
-                    dst: idx,
-                },
-            );
-            if real {
-                FOp::StoreAtF { slot, idx, src: sf }
-            } else {
-                FOp::StoreAtI { slot, idx, src: si }
+            FOp::StoreI {
+                slot,
+                at,
+                src: src.i(),
             }
         };
         self.emit(b, op);
         Ok(())
+    }
+
+    /// The pin slot and address of the element `a(subs)`. The
+    /// subscripts are lowered before the slot is taken — for a store
+    /// through `store_slot`, so nothing loaded from the array stays
+    /// available. One subscript takes its fused form; several go
+    /// through an [`FOp::IndexN`].
+    fn lower_addr(&mut self, b: usize, a: VarId, subs: &[Expr], store: bool) -> Lower<(u16, Addr)> {
+        self.check_shape(a, subs)?;
+        let pin = |l: &mut Self| if store { l.store_slot(a) } else { l.slot(a) };
+        if let [sub] = subs {
+            let at = self.lower_sub1(b, sub)?;
+            return Ok((pin(self)?, at));
+        }
+        let subs = self.lower_subscripts(b, subs)?;
+        let slot = pin(self)?;
+        let dst = self.alloc(false)?;
+        self.emit(b, FOp::IndexN { slot, subs, dst });
+        Ok((slot, Addr::Flat(dst)))
     }
 
     /// Evaluates `subs` left to right, each read as an integer.
@@ -925,7 +842,7 @@ impl<'p> Lowerer<'p> {
     /// Lowers the subscript of a one-subscript access into its fused
     /// form. The affine base is an integer-declared scalar, so the
     /// wrapping integer add matches `apply_bin`.
-    fn lower_sub1(&mut self, b: usize, sub: &Expr) -> Lower<Sub1> {
+    fn lower_sub1(&mut self, b: usize, sub: &Expr) -> Lower<Addr> {
         let int_scalar = |e: &Expr| match e {
             Expr::Var(v) if !self.is_real(*v) => Some(*v),
             _ => None,
@@ -942,7 +859,7 @@ impl<'p> Lowerer<'p> {
         };
         if let Some((v, off)) = affine {
             let (_, base) = self.scalar(v)?;
-            return Ok(Sub1::Affine(base, off));
+            return Ok(Addr::Aff { base, off });
         }
         // `a(idx(e))` with `idx(e)` a plain one-subscript load: the
         // gather reads the index array itself. An index load that is
@@ -954,12 +871,12 @@ impl<'p> Lowerer<'p> {
                 let inner = self.lower_sub1(b, inner)?;
                 let idx_slot = self.slot(*idx_arr)?;
                 return Ok(match inner {
-                    Sub1::Plain(e) => Sub1::Indirect(idx_slot, e),
-                    fused => Sub1::Plain(self.pure(b, Pure::load(idx_slot, fused, real))?.i()),
+                    Addr::Elem(sub) => Addr::Ind { idx_slot, sub },
+                    fused => Addr::Elem(self.pure(b, Pure::Load(idx_slot, fused, real))?.i()),
                 });
             }
         }
-        Ok(Sub1::Plain(self.lower_expr(b, sub)?.i()))
+        Ok(Addr::Elem(self.lower_expr(b, sub)?.i()))
     }
 
     /// The [`Stream`] of the `do j` loop with this `step` and `body`,

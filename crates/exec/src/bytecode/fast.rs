@@ -30,6 +30,15 @@
 //! the contract: same fuel ledger positions, same error identities,
 //! same store at exit.
 //!
+//! - **One load, one store per plane; the address is an operand.** An
+//!   element access names its pin slot and an [`Addr`], and
+//!   [`FState::addr`] alone turns every form into a checked payload
+//!   offset, in the tree-walk's order: an INDIRECT index array's
+//!   subscript first, an affine `base + off` wrapping, a flat index
+//!   as `IndexN` checked it. [`Interp::addr`] names a miss: inside the
+//!   array but outside a window pin's view a strategy violation, any
+//!   other the program's `OutOfBounds` (`fast_oob`).
+//!
 //! - **One loop driver, at every depth.** [`Interp::run_do`] is the only
 //!   function here that advances a `do` loop's induction variable: the
 //!   root (loop slot 0, the caller's range) and every nested
@@ -79,8 +88,8 @@
 use super::{ChunkAbort, WorkerChunk};
 use crate::interp::{advance_induction, ArrayData, ExecError, Interp, RawSlice, Value, WriteSink};
 use irr_driver::compiled::{
-    CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, RowVal, SegStream, Stream, StreamAt, StreamRef,
-    StreamSink, StreamTail, ROW_INVS,
+    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, RowVal, SegStream, Stream, StreamAt,
+    StreamRef, StreamSink, StreamTail, ROW_INVS,
 };
 use irr_frontend::{BinOp, Intrinsic, ScalarType, VarId};
 use std::cell::Cell;
@@ -1521,6 +1530,43 @@ impl FState {
         rows as i64
     }
 
+    /// The payload offset of element `at` of the pin at `slot`, checked
+    /// as the tree-walk checks it: an INDIRECT index array's subscript
+    /// first, then the element's own against the pin's view (an affine
+    /// `base + off` wraps). A flat index is `IndexN`'s, checked per
+    /// dimension there. A miss is the slot and the subscript that
+    /// missed — two words, so the hot path carries no `ChunkAbort`.
+    ///
+    /// Only `Elem` is laid out as the hot form: with all four hot the
+    /// `match` becomes a jump table, an indirect jump per access on top
+    /// of the instruction's own, which cost the per-op `rowgather` and
+    /// `trisolve` kernels 6–11 % and 15–39 % (EXPERIMENTS.md, "One load,
+    /// one store"). The LINEAR and INDIRECT accesses of a hot loop
+    /// mostly run in its stream's kernel.
+    #[inline(always)]
+    fn addr(&self, slot: u16, at: &Addr) -> Result<usize, (u16, i64)> {
+        let v = match *at {
+            Addr::Elem(sub) => self.ird(sub),
+            Addr::Aff { base, off } => {
+                std::hint::cold_path();
+                self.irg(base).wrapping_add(off)
+            }
+            Addr::Ind { idx_slot, sub } => {
+                std::hint::cold_path();
+                let (pin, sv) = (self.pinr(idx_slot), self.ird(sub));
+                match pin.chk(sv) {
+                    Some(j) => pin.rd_int(j),
+                    None => return Err((idx_slot, sv)),
+                }
+            }
+            Addr::Flat(idx) => {
+                std::hint::cold_path();
+                return Ok(self.irg(idx) as usize);
+            }
+        };
+        self.pinr(slot).chk(v).ok_or((slot, v))
+    }
+
     #[inline]
     fn ird(&self, o: IOpnd) -> i64 {
         match o {
@@ -1630,6 +1676,22 @@ impl<'p> Interp<'p> {
             return ChunkAbort::Violated(cb.arrays()[slot as usize]);
         }
         self.fast_oob_dim(cb, slot, index, extent)
+    }
+
+    /// [`FState::addr`], its miss named by [`Interp::fast_oob`]: a
+    /// strategy violation or the program's `OutOfBounds`.
+    #[inline(always)]
+    fn addr(
+        &self,
+        cb: &CompiledBody,
+        st: &FState,
+        slot: u16,
+        at: &Addr,
+    ) -> Result<usize, ChunkAbort> {
+        match st.addr(slot, at) {
+            Ok(k) => Ok(k),
+            Err((slot, index)) => Err(self.fast_oob(cb, st, slot, index)),
+        }
     }
 
     /// Executes root iterations `lo..=hi` of the typed loop: same
@@ -1897,173 +1959,23 @@ impl<'p> Interp<'p> {
                     }
                     st.irs(*dst, idx as i64);
                 }
-                FOp::LoadAtI { slot, idx, dst } => {
-                    let k = st.irg(*idx) as usize;
+                FOp::LoadI { slot, at, dst } => {
+                    let k = self.addr(cb, st, *slot, at)?;
                     st.irs(*dst, st.pinr(*slot).rd_i(k));
                 }
-                FOp::LoadAtF { slot, idx, dst } => {
-                    let k = st.irg(*idx) as usize;
+                FOp::LoadF { slot, at, dst } => {
+                    let k = self.addr(cb, st, *slot, at)?;
                     st.frs(*dst, st.pinr(*slot).rd_f(k));
                 }
-                FOp::StoreAtI { slot, idx, src } => {
-                    let k = st.irg(*idx) as usize;
+                FOp::StoreI { slot, at, src } => {
+                    let k = self.addr(cb, st, *slot, at)?;
                     let v = st.ird(*src);
                     st.pinw(*slot).wr_i(k, v);
                 }
-                FOp::StoreAtF { slot, idx, src } => {
-                    let k = st.irg(*idx) as usize;
+                FOp::StoreF { slot, at, src } => {
+                    let k = self.addr(cb, st, *slot, at)?;
                     let v = st.frd(*src);
                     st.pinw(*slot).wr_f(k, v);
-                }
-                FOp::LoadElemI { slot, sub, dst } => {
-                    let v = st.ird(*sub);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.irs(*dst, st.pinr(*slot).rd_i(k)),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::LoadElemF { slot, sub, dst } => {
-                    let v = st.ird(*sub);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.frs(*dst, st.pinr(*slot).rd_f(k)),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::StoreElemI { slot, sub, src } => {
-                    let v = st.ird(*sub);
-                    let val = st.ird(*src);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.pinw(*slot).wr_i(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::StoreElemF { slot, sub, src } => {
-                    let v = st.ird(*sub);
-                    let val = st.frd(*src);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.pinw(*slot).wr_f(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::LoadAffI {
-                    slot,
-                    base,
-                    off,
-                    dst,
-                } => {
-                    let v = st.irg(*base).wrapping_add(*off);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.irs(*dst, st.pinr(*slot).rd_i(k)),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::LoadAffF {
-                    slot,
-                    base,
-                    off,
-                    dst,
-                } => {
-                    let v = st.irg(*base).wrapping_add(*off);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.frs(*dst, st.pinr(*slot).rd_f(k)),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::StoreAffI {
-                    slot,
-                    base,
-                    off,
-                    src,
-                } => {
-                    let v = st.irg(*base).wrapping_add(*off);
-                    let val = st.ird(*src);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.pinw(*slot).wr_i(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::StoreAffF {
-                    slot,
-                    base,
-                    off,
-                    src,
-                } => {
-                    let v = st.irg(*base).wrapping_add(*off);
-                    let val = st.frd(*src);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.pinw(*slot).wr_f(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::GatherI {
-                    slot,
-                    idx_slot,
-                    sub,
-                    dst,
-                } => {
-                    let sv = st.ird(*sub);
-                    let ip = st.pinr(*idx_slot);
-                    let v = match ip.chk(sv) {
-                        Some(j) => ip.rd_int(j),
-                        None => return Err(self.fast_oob(cb, st, *idx_slot, sv)),
-                    };
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.irs(*dst, st.pinr(*slot).rd_i(k)),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::GatherF {
-                    slot,
-                    idx_slot,
-                    sub,
-                    dst,
-                } => {
-                    let sv = st.ird(*sub);
-                    let ip = st.pinr(*idx_slot);
-                    let v = match ip.chk(sv) {
-                        Some(j) => ip.rd_int(j),
-                        None => return Err(self.fast_oob(cb, st, *idx_slot, sv)),
-                    };
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.frs(*dst, st.pinr(*slot).rd_f(k)),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::ScatterI {
-                    slot,
-                    idx_slot,
-                    sub,
-                    src,
-                } => {
-                    let sv = st.ird(*sub);
-                    let ip = st.pinr(*idx_slot);
-                    let v = match ip.chk(sv) {
-                        Some(j) => ip.rd_int(j),
-                        None => return Err(self.fast_oob(cb, st, *idx_slot, sv)),
-                    };
-                    let val = st.ird(*src);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.pinw(*slot).wr_i(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
-                }
-                FOp::ScatterF {
-                    slot,
-                    idx_slot,
-                    sub,
-                    src,
-                } => {
-                    let sv = st.ird(*sub);
-                    let ip = st.pinr(*idx_slot);
-                    let v = match ip.chk(sv) {
-                        Some(j) => ip.rd_int(j),
-                        None => return Err(self.fast_oob(cb, st, *idx_slot, sv)),
-                    };
-                    let val = st.frd(*src);
-                    match st.pinr(*slot).chk(v) {
-                        Some(k) => st.pinw(*slot).wr_f(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, v)),
-                    }
                 }
                 FOp::AppendI { slot, ptr, src } => {
                     let cur = st.irg(*ptr);

@@ -17,15 +17,18 @@
 //!   lowering; the declared type of every scalar write is baked into
 //!   the writing instruction (the tree-walk retires the same
 //!   symbol-table lookups through its [`ScalarLayout`] table).
-//! - **Resolved array operands.** Array accesses carry their pin slot
-//!   and are bounds-checked against the live extents without
+//! - **The address is an operand.** An element access is one load or
+//!   one store per register plane (`FOp::LoadI` / `LoadF` / `StoreI` /
+//!   `StoreF`) carrying its pin slot and its subscript form, an
+//!   `irr_driver::compiled::Addr`: a plain subscript, the affine
+//!   `a(i+c)`, the subscripted subscript `x(idx(e))`, or the flat index
+//!   of a multi-dimensional `a(i, j)`. `fast` resolves and bounds-checks
+//!   every form in one place, against the live extents, without
 //!   allocating a subscript vector.
-//! - **Superinstructions** for the paper's access idioms: affine
-//!   `a(i+c)` (`FOp::LoadAff*` / `StoreAff*`), subscripted subscript
-//!   `x(idx(e))` (`Gather*` / `Scatter*`), the offset–length address
-//!   `ptr(j)+k-1` (`LeaI`), the accumulate `s = s + b * c`
-//!   (`MulAddF`), and append-through-pointer `a(p) = e; p = p + 1`
-//!   (`Append*`).
+//! - **Fused instructions** for the paper's other idioms: the
+//!   offset–length address `ptr(j)+k-1` (`LeaI`), the accumulate
+//!   `s = s + b * c` (`MulAddF`), and append-through-pointer
+//!   `a(p) = e; p = p + 1` (`Append*`).
 //! - **Streams.** An innermost `do` whose body is one assignment
 //!   `sink = a * b ± c` over LINEAR / INDIRECT rank-1 references does
 //!   not dispatch per iteration: the typed loop fast-forwards the
@@ -562,38 +565,73 @@ mod tests {
 
     /// An out-of-bounds subscript raised by the typed loop in its first
     /// and in a later iteration carries the tree-walk's payload and
-    /// leaves its store.
+    /// leaves its store — in every address form, on integer and real
+    /// arrays, loading and storing. Per row: what runs in the bad
+    /// iteration only, the statement, and the array, subscript and
+    /// extent it fails on (`None`: the run completes).
     #[test]
     fn out_of_bounds_payload_is_identical_in_any_iteration() {
-        for bad_iter in [1, 3] {
-            let src = format!(
-                "program t
-                 integer i, k
-                 real x(8), y(8), z(8)
-                 do i = 1, 8
-                   k = i
-                   if (i == {bad_iter}) then
-                     k = 9
-                   endif
-                   y(i) = x(i)
-                   if (i > 1) then
-                     z(i) = y(i - 1)
-                   endif
-                   z(k) = x(i)
-                 enddo
-                 end"
-            );
-            let p = parse_program(&src).unwrap();
-            let ran = assert_same_run(&p, preset_x);
-            assert_eq!(
-                ran.res,
-                Err(ExecError::OutOfBounds {
-                    array: "z".to_string(),
-                    index: 9,
-                    extent: 8
-                })
-            );
-            assert_eq!(ran.typed_iters(), bad_iter);
+        let rows = [
+            // `Elem`.
+            (
+                "k = 9",
+                "y(i) = x(i)\n if (i > 1) then\n z(i) = y(i - 1)\n endif\n z(k) = x(i)",
+                Some(("z", 9, 8)),
+            ),
+            ("k = 0", "y(i) = n(k)", Some(("n", 0, 8))),
+            // `Aff`: `k + 1` wraps at `i64::MAX`.
+            (
+                "k = 9223372036854775807",
+                "y(i) = n(k + 1)",
+                Some(("n", i64::MIN, 8)),
+            ),
+            (
+                "k = 9223372036854775807",
+                "w(k + 1) = x(i)",
+                Some(("w", i64::MIN, 9)),
+            ),
+            // `Ind`: a miss in the index array, then in the data.
+            (
+                "k = 9",
+                "idx(i) = i\n y(i) = x(idx(k))",
+                Some(("idx", 9, 8)),
+            ),
+            ("k = 9", "idx(i) = i\n n(idx(k)) = i", Some(("idx", 9, 8))),
+            ("k = 9", "idx(i) = k\n y(i) = x(idx(i))", Some(("x", 9, 8))),
+            ("k = 0", "idx(i) = k\n n(idx(i)) = i", Some(("n", 0, 8))),
+            // `Flat`: flat indices past the first extent, then a miss in
+            // each dimension.
+            ("m = 3", "z2(k, m) = x(i)\n y(i) = z2(k, m)", None),
+            ("k = 9", "y(i) = n2(k, m)", Some(("n2", 9, 8))),
+            ("m = 4", "n2(k, m) = i", Some(("n2", 4, 3))),
+        ];
+        for (bad, stmt, miss) in rows {
+            for bad_iter in [1, 3] {
+                let src = format!(
+                    "program t
+                     integer i, k, m, idx(8), n(8), n2(8, 3)
+                     real x(8), y(8), z(8), w(9), z2(8, 3)
+                     do i = 1, 8
+                       k = i
+                       m = 2
+                       if (i == {bad_iter}) then
+                         {bad}
+                       endif
+                       {stmt}
+                     enddo
+                     end"
+                );
+                let p = parse_program(&src).unwrap();
+                let ran = assert_same_run(&p, preset_x);
+                let expected = miss.map(|(array, index, extent)| ExecError::OutOfBounds {
+                    array: array.to_string(),
+                    index,
+                    extent,
+                });
+                assert_eq!(ran.res.as_ref().err(), expected.as_ref(), "{stmt}");
+                let typed = if miss.is_some() { bad_iter } else { 8 };
+                assert_eq!(ran.typed_iters(), typed, "{stmt}");
+            }
         }
     }
 

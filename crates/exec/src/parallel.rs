@@ -2250,16 +2250,16 @@ mod tests {
         assert_eq!(interp.stats.total_cost, 0);
     }
 
-    /// One worker over `do i = 1, 8` of `body`, its window on `x`
-    /// narrower than the chunk: elements 3..=6 of 8. The dispatch can
-    /// only hand a worker the window of its own chunk (and re-derives
-    /// the shapes first), so these tests drive the typed loop directly.
-    /// Returns how the chunk ended, the root iterations it started, and
-    /// `x`.
-    fn narrowed_chunk(body: &str) -> (Result<(), ChunkAbort>, u64, Vec<f64>) {
+    /// One worker over iterations `3 ..= hi` of `do i = 1, 8` of
+    /// `body`, its window on `x` narrower than the chunk: elements 3..=6
+    /// of 8. The dispatch can only hand a worker the window of its own
+    /// chunk (and re-derives the shapes first), so these tests drive the
+    /// typed loop directly. Returns how the chunk ended, the root
+    /// iterations it started, and `x`.
+    fn narrowed_chunk(body: &str, hi: i64) -> (Result<(), ChunkAbort>, u64, Vec<f64>) {
         let src = format!(
             "program t
-             integer i
+             integer i, k, idx(8)
              real x(8), y(8)
              do i = 1, 8
                {body}
@@ -2284,21 +2284,56 @@ mod tests {
             deadline: None,
             sinks: slots.map(|(&a, &stored)| stored.then(|| sink(a))).collect(),
         };
-        let res = worker.run_fast_iters(&cb, 3, 8, 1, Some(&mut share));
+        let res = worker.run_fast_iters(&cb, 3, hi, 1, Some(&mut share));
         let held = worker.store.array_as_reals(x).unwrap();
         (res, worker.typed_root_iters, held)
     }
 
-    /// A window pin is a view of the window alone: the typed loop's
-    /// bounds check refuses a store past it at that access, without
-    /// touching memory.
+    /// A window pin is a view of the window alone, in every address form
+    /// a 1-D target takes (no `IndexN` reaches one), loading and
+    /// storing: an access inside the window runs; one outside it but
+    /// inside the array is a violation at that access, without touching
+    /// memory; one outside the array is still the program's own error,
+    /// with the array's extent, not the window's. A load outside the
+    /// window is a violation too, never a value: the element may be
+    /// another chunk's to write.
     #[test]
-    fn a_store_outside_the_window_is_a_violation_at_the_access() {
-        let (res, typed_iters, x) = narrowed_chunk("x(i) = i * 1.5");
-        assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
-        // Iterations 3..=6 stored; iteration 7 was refused.
-        assert_eq!(typed_iters, 5);
-        assert_eq!(x, [0.0, 0.0, 4.5, 6.0, 7.5, 9.0, 0.0, 0.0]);
+    fn every_address_form_is_confined_to_the_window() {
+        let outside = ExecError::OutOfBounds {
+            array: "x".to_string(),
+            index: 9,
+            extent: 8,
+        };
+        for form in ["x(k)", "x(i + D)", "x(idx(i))"] {
+            for load in [false, true] {
+                // Inside the window, outside it, outside the array: the
+                // chunk's last iteration, the subscript's shift `D`, and
+                // the root iterations started.
+                for (hi, d, typed) in [(6, 0, 4), (8, 0, 5), (8, 6, 1)] {
+                    let at = form.replace('D', &d.to_string());
+                    let access = match load {
+                        true => format!("y(i) = {at} + 1.0\n x(3) = 0.5"),
+                        false => format!("{at} = i * 1.5"),
+                    };
+                    let body = format!("k = i + {d}\n idx(i) = k\n {access}");
+                    let (res, typed_iters, x) = narrowed_chunk(&body, hi);
+                    let ended = match (hi, d) {
+                        (6, _) => res.is_ok(),
+                        (_, 0) => matches!(res, Err(ChunkAbort::Violated(_))),
+                        _ => matches!(&res, Err(ChunkAbort::Exec(e)) if *e == outside),
+                    };
+                    assert!(ended, "{body}: {res:?}");
+                    assert_eq!(typed_iters, typed, "{body}");
+                    // Nothing is written outside the window.
+                    let stored = match (load, d) {
+                        (_, 6) => [0.0; 8],
+                        (true, _) => [0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+                        (false, _) => [0.0, 0.0, 4.5, 6.0, 7.5, 9.0, 0.0, 0.0],
+                    };
+                    assert_eq!(x, stored, "{body}");
+                }
+            }
+        }
     }
 
     /// A stream takes a LINEAR range only when both its ends pass the
@@ -2307,41 +2342,10 @@ mod tests {
     /// same refused access, on the same array.
     #[test]
     fn a_stream_declines_a_window_its_range_does_not_fit() {
-        let (res, typed_iters, x) = narrowed_chunk("x(i) = y(i) * 1.5 + 0.25");
+        let (res, typed_iters, x) = narrowed_chunk("x(i) = y(i) * 1.5 + 0.25", 8);
         assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
         assert_eq!(typed_iters, 5);
         assert_eq!(x, [0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]);
-    }
-
-    /// Loads are confined like stores: a read of the target outside
-    /// the window never yields a value — the element may be another
-    /// chunk's to write — so nothing computed from one can surface as a
-    /// program error. At iteration 3 `x(i - 2)` is inside the array and
-    /// outside the window; had the refused read stood in any dummy
-    /// value, `y(.. + 9)` would have raised the program's own
-    /// out-of-bounds error instead.
-    #[test]
-    fn a_load_outside_the_window_is_a_violation_not_a_value() {
-        let (res, typed_iters, x) = narrowed_chunk("x(i) = y(int(x(i - 2)) + 9) + 1.0");
-        assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
-        assert_eq!(typed_iters, 1);
-        assert_eq!(x, [0.0; 8]);
-    }
-
-    /// ... while a subscript outside the *array* is still the program's
-    /// own error, with the array's extent, not the window's.
-    #[test]
-    fn a_subscript_outside_the_array_is_the_programs_error_under_a_window() {
-        let (res, _, _) = narrowed_chunk("x(i + 6) = 1.0");
-        let expected = ExecError::OutOfBounds {
-            array: "x".to_string(),
-            index: 9,
-            extent: 8,
-        };
-        assert!(
-            matches!(&res, Err(ChunkAbort::Exec(e)) if *e == expected),
-            "{res:?}"
-        );
     }
 
     fn ints(data: &[i64]) -> ArrayData {

@@ -241,6 +241,30 @@ impl HybridDispatcher {
         }
     }
 
+    /// The plan of an unguarded parallel entry — a compile-time verdict
+    /// or a promoted concat — or `None` when its schedule is
+    /// quarantined. Such an entry inspects no arrays, so its schedule
+    /// key is bounds-only, enough for the quarantine to pin the shape
+    /// that failed; and a lie fault is meaningless without an inspector,
+    /// while worker and merge faults are armed into the plan.
+    fn unguarded(
+        &mut self,
+        entry: &LoopEntry,
+        loop_stmt: StmtId,
+        lo: i64,
+        hi: i64,
+    ) -> Option<ParallelPlan> {
+        let key = ScheduleKey::new((lo, hi), Vec::new());
+        if self.cache.consume_quarantine(loop_stmt, &key) {
+            self.telemetry.quarantined += 1;
+            return None;
+        }
+        let fault = if lo <= hi { self.decide_fault() } else { None };
+        let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
+        self.last_parallel = Some((loop_stmt, key));
+        Some(self.plan_for(entry, fault, Vec::new()))
+    }
+
     /// Draws the injected fault (if any) for the next parallel dispatch
     /// site. Zero-trip dispatches never call this: no chunk runs, so
     /// no fault could fire and the site numbering stays aligned with
@@ -351,16 +375,11 @@ impl LoopDispatcher for HybridDispatcher {
                 if self.config.enable_strategies
                     && entry.strategy == ExecutionStrategy::PrivatizeAndConcat
                 {
-                    let key = ScheduleKey::new((lo, hi), Vec::new());
-                    if self.cache.consume_quarantine(loop_stmt, &key) {
-                        self.telemetry.quarantined += 1;
+                    let Some(plan) = self.unguarded(&entry, loop_stmt, lo, hi) else {
                         return LoopDecision::Sequential;
-                    }
-                    let fault = if lo <= hi { self.decide_fault() } else { None };
-                    let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
+                    };
                     self.telemetry.concat_parallel += 1;
-                    self.last_parallel = Some((loop_stmt, key));
-                    return LoopDecision::Parallel(self.plan_for(&entry, fault, Vec::new()));
+                    return LoopDecision::Parallel(plan);
                 }
                 self.telemetry.sequential_proven += 1;
                 // The compiled tier changes the engine, not the
@@ -374,18 +393,9 @@ impl LoopDispatcher for HybridDispatcher {
                 LoopDecision::Sequential
             }
             DispatchTier::CompileTimeParallel => {
-                // Compile-time verdicts carry no inspected arrays, so
-                // the schedule key is bounds-only — enough for the
-                // quarantine to pin the shape that failed.
-                let key = ScheduleKey::new((lo, hi), Vec::new());
-                if self.cache.consume_quarantine(loop_stmt, &key) {
-                    self.telemetry.quarantined += 1;
+                let Some(plan) = self.unguarded(&entry, loop_stmt, lo, hi) else {
                     return LoopDecision::Sequential;
-                }
-                // A lie fault is meaningless without an inspector;
-                // worker/merge faults are armed into the plan.
-                let fault = if lo <= hi { self.decide_fault() } else { None };
-                let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
+                };
                 self.telemetry.compile_time_parallel += 1;
                 if entry.retired > 0 {
                     // This entry reached the unguarded tier on
@@ -397,8 +407,7 @@ impl LoopDispatcher for HybridDispatcher {
                         self.telemetry.promoted_interproc += 1;
                     }
                 }
-                self.last_parallel = Some((loop_stmt, key));
-                LoopDecision::Parallel(self.plan_for(&entry, fault, Vec::new()))
+                LoopDecision::Parallel(plan)
             }
             DispatchTier::RuntimeGuarded(guard) => {
                 let key = ScheduleKey::new(

@@ -470,13 +470,18 @@ fn kernel_bodies_keep_their_fusions() {
         // `y(i) = y(i) + aval(rowptr(i)+j-1) * x(colidx(rowptr(i)+j-1))`:
         // `y(i)` and `rowptr(i)` loaded once each, one three-term
         // address for both uses, one gather, one multiply–add — and no
-        // register move anywhere in the nest.
+        // register move anywhere in the nest. An access reads as its
+        // instruction and its address form: `LoadF.Ind` is the gather.
         let mnemonic = |op: &FOp| {
+            let word = |t: &str| t[..t.find([' ', '(']).unwrap()].to_string();
             let text = format!("{op:?}");
-            text[..text.find([' ', '(']).unwrap()].to_string()
+            match text.split_once(" at: ") {
+                Some((_, at)) => format!("{}.{}", word(&text), word(at)),
+                None => word(&text),
+            }
         };
         let inner: Vec<String> = body.blocks()[1].iter().map(mnemonic).collect();
-        let expected = "Charge LoadElemF LoadElemI LeaI LoadElemF GatherF MulAddF StoreElemF";
+        let expected = "Charge LoadF.Elem LoadI.Elem LeaI LoadF.Elem LoadF.Ind MulAddF StoreF.Elem";
         assert_eq!(inner.join(" "), expected, "{:#?}", body.blocks()[1]);
         let moves = body.blocks().iter().flatten().map(mnemonic);
         assert_eq!(moves.filter(|m| m.starts_with("Mov")).count(), 0);
