@@ -1,4 +1,4 @@
-//! Shared harness for reproducing the paper's evaluation (Tables 2–3,
+//! Shared code reproducing the paper's evaluation (Tables 2–3,
 //! Fig. 16).
 //!
 //! The flow for every benchmark × compiler configuration:
@@ -11,8 +11,6 @@
 //! 3. interpret the transformed program, recording per-iteration costs
 //!    of the chosen loops;
 //! 4. feed the measured profile to the machine model.
-
-pub mod harness;
 
 use irr_driver::{CompilationReport, DriverOptions};
 use irr_exec::{Interp, MachineModel, ProgramProfile};

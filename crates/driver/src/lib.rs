@@ -399,25 +399,12 @@ pub fn parse_only_report(program: Program) -> CompilationReport {
         let proc_id = ProcId(pi as u32);
         for s in program.stmts_in(&proc.body) {
             if matches!(program.stmt(s).kind, StmtKind::Do { .. }) {
-                verdicts.push(LoopVerdict {
-                    loop_stmt: s,
-                    label: program.loop_label(proc_id, s),
-                    proc: proc_id,
-                    parallel: false,
-                    independent_arrays: Vec::new(),
-                    privatized_arrays: Vec::new(),
-                    privatized_scalars: Vec::new(),
-                    reductions: Vec::new(),
-                    properties_used: Vec::new(),
-                    blockers: vec!["analysis skipped (parse-only degradation)".into()],
-                    retired_checks: Vec::new(),
-                    promoted_interproc: false,
-                    tier: DispatchTier::Sequential,
-                    strategy_facts: StrategyFacts::None,
-                    // Parse-only degradation never claims a plan; the
-                    // conservative direction (tree-walk) is always safe.
-                    compiled: None,
-                });
+                // Parse-only degradation never claims a plan; the
+                // conservative direction (tree-walk) is always safe.
+                let mut v = sequential_verdict(&program, proc_id, s, None);
+                v.blockers
+                    .push("analysis skipped (parse-only degradation)".into());
+                verdicts.push(v);
             }
         }
     }
@@ -431,17 +418,15 @@ pub fn parse_only_report(program: Program) -> CompilationReport {
     }
 }
 
-/// Decides whether one `do` loop is parallel.
-fn judge_loop<'c, 'p>(
-    ctx: &'c AnalysisCtx<'p>,
-    apa: &mut ArrayPropertyAnalysis<'c, 'p>,
-    evo: &EvolutionAnalysis,
-    opts: &DriverOptions,
+/// A `Sequential` verdict on `loop_stmt` that records no fact and no
+/// blocker yet: where both the judge and the parse-only rung start.
+fn sequential_verdict(
+    program: &Program,
     proc: ProcId,
     loop_stmt: StmtId,
+    compiled: Option<CompiledPlan>,
 ) -> LoopVerdict {
-    let program = ctx.program;
-    let mut v = LoopVerdict {
+    LoopVerdict {
         loop_stmt,
         label: program.loop_label(proc, loop_stmt),
         proc,
@@ -456,8 +441,22 @@ fn judge_loop<'c, 'p>(
         promoted_interproc: false,
         tier: DispatchTier::Sequential,
         strategy_facts: StrategyFacts::None,
-        compiled: derive_compiled_plan(ctx.program, loop_stmt),
-    };
+        compiled,
+    }
+}
+
+/// Decides whether one `do` loop is parallel.
+fn judge_loop<'c, 'p>(
+    ctx: &'c AnalysisCtx<'p>,
+    apa: &mut ArrayPropertyAnalysis<'c, 'p>,
+    evo: &EvolutionAnalysis,
+    opts: &DriverOptions,
+    proc: ProcId,
+    loop_stmt: StmtId,
+) -> LoopVerdict {
+    let program = ctx.program;
+    let compiled = derive_compiled_plan(program, loop_stmt);
+    let mut v = sequential_verdict(program, proc, loop_stmt, compiled);
     let StmtKind::Do { var, .. } = &program.stmt(loop_stmt).kind else {
         v.blockers.push("not a do loop".into());
         return v;

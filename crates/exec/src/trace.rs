@@ -12,8 +12,7 @@
 //!
 //! Tracing is **zero-cost when off**: the interpreter carries an
 //! `Option` and every hook site is a single pointer-null check on the
-//! `None` path (see the `sanitizer` bench group for the measured
-//! overhead). A [`TraceConfig`] restricts which `do` loops emit
+//! `None` path. A [`TraceConfig`] restricts which `do` loops emit
 //! enter/iteration/exit events; element and scalar accesses are
 //! forwarded whenever a tracer is attached, and the tracer drops them
 //! when no traced loop is active.

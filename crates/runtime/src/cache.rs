@@ -175,21 +175,16 @@ impl ScheduleCache {
             slot.last_used = tick;
             return;
         }
-        slots.push(Slot {
-            key,
-            parallel_ok,
-            certificates,
-            quarantined: 0,
-            last_used: tick,
-        });
-        if slots.len() > self.keys_per_loop {
-            evict_lru(slots);
-            self.evictions += 1;
-        }
-        if self.len() > self.capacity {
-            self.evict_global_lru();
-            self.evictions += 1;
-        }
+        self.admit(
+            loop_stmt,
+            Slot {
+                key,
+                parallel_ok,
+                certificates,
+                quarantined: 0,
+                last_used: tick,
+            },
+        );
     }
 
     /// Pins `(loop_stmt, key)` sequential for the next `budget` entries
@@ -220,13 +215,24 @@ impl ScheduleCache {
             }
             return;
         }
-        slots.push(Slot {
-            key,
-            parallel_ok: false,
-            certificates: Vec::new(),
-            quarantined: budget,
-            last_used: tick,
-        });
+        self.admit(
+            loop_stmt,
+            Slot {
+                key,
+                parallel_ok: false,
+                certificates: Vec::new(),
+                quarantined: budget,
+                last_used: tick,
+            },
+        );
+    }
+
+    /// Adds a new `slot` for `loop_stmt`, then evicts the loop's least
+    /// recently used key past `keys_per_loop` and the cache's past
+    /// `capacity`.
+    fn admit(&mut self, loop_stmt: StmtId, slot: Slot) {
+        let slots = self.entries.entry(loop_stmt).or_default();
+        slots.push(slot);
         if slots.len() > self.keys_per_loop {
             evict_lru(slots);
             self.evictions += 1;

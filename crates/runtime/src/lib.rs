@@ -19,7 +19,7 @@
 //! the loop's evaluated bounds) are unchanged — re-inspection happens
 //! per *mutation*, not per execution. [`Telemetry`] counts inspections,
 //! cache hits/invalidations, and per-tier dispatches so the trade-off
-//! stays measurable (see the `runtime-vs-compile-time` bench group and
+//! stays measurable (see `tests/hybrid_runtime.rs` and
 //! `examples/hybrid_fallback.rs`).
 //!
 //! Parallel dispatches go through the exec crate's chunked executor:

@@ -3,8 +3,8 @@
 //! re-inspection, which tier every dynamic loop entry dispatched
 //! through, and — since the dispatch became transactional — why any
 //! parallel attempt was abandoned for sequential re-execution. The
-//! `runtime-vs-compile-time` bench group, the `hybrid_fallback`
-//! example, and the chaos suite read these to quantify the §1
+//! hybrid-runtime tests, the `hybrid_fallback` example, and the chaos
+//! suite read these to quantify the §1
 //! trade-off and to attribute every injected fault.
 
 use irr_exec::FallbackReason;
@@ -121,17 +121,6 @@ pub struct Telemetry {
     /// (access tracing or per-loop recording) was attached — the
     /// bytecode path carries no tracer hooks.
     pub compiled_fallback_traced: u64,
-    /// Dynamic loop executions analyzed under shadow-memory tracing by
-    /// the dependence sanitizer.
-    pub traced_executions: u64,
-    /// Loop verdicts cross-checked against observed dependences.
-    pub verdicts_audited: u64,
-    /// Verdicts contradicted by an observed loop-carried dependence
-    /// (parallel claim with an unexplained dependence).
-    pub audit_violations: u64,
-    /// Sequential verdicts that never exhibited a dependence on any
-    /// audited input (possible precision loss, not an error).
-    pub audit_precision_gaps: u64,
 }
 
 impl Telemetry {

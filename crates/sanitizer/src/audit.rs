@@ -35,7 +35,6 @@ use irr_driver::{
 };
 use irr_exec::{Interp, TraceConfig};
 use irr_frontend::{ParseError, StmtId, StmtKind, VarId};
-use irr_runtime::Telemetry;
 use std::collections::HashSet;
 
 /// The paper's worked figures live with the other programs; the audit's
@@ -119,8 +118,6 @@ pub struct AuditReport {
     /// Runs aborted by an interpreter error under randomized data
     /// (their traces are discarded).
     pub runs_failed: u32,
-    /// Audit counters in the shared runtime telemetry shape.
-    pub telemetry: Telemetry,
 }
 
 impl AuditReport {
@@ -242,7 +239,6 @@ pub fn audit_report_seeded(
             }
         }
         if let Some((w, run)) = worst {
-            out.telemetry.audit_violations += 1;
             out.findings.push(Finding {
                 kind: FindingKind::SoundnessViolation,
                 label: v.label.clone(),
@@ -260,7 +256,6 @@ pub fn audit_report_seeded(
             continue;
         }
         if let Some(run) = evolution_contradicted {
-            out.telemetry.audit_violations += 1;
             out.findings.push(Finding {
                 kind: FindingKind::SoundnessViolation,
                 label: v.label.clone(),
@@ -287,7 +282,6 @@ pub fn audit_report_seeded(
             && max_iterations >= 2
             && !unexplained
         {
-            out.telemetry.audit_precision_gaps += 1;
             out.findings.push(Finding {
                 kind: FindingKind::PrecisionGap,
                 label: v.label.clone(),
@@ -308,8 +302,6 @@ pub fn audit_report_seeded(
             });
         }
     }
-    out.telemetry.traced_executions = out.executions_traced;
-    out.telemetry.verdicts_audited = out.loops_audited;
     out.findings
         .sort_by_key(|f| (f.kind == FindingKind::PrecisionGap, f.label.clone()));
     out
@@ -449,7 +441,6 @@ mod tests {
         let w = f.witness.expect("concrete witness");
         assert_eq!(w.distance(), 1);
         assert!(f.detail.contains("flow dependence on `x`"), "{}", f.detail);
-        assert_eq!(audit.telemetry.audit_violations, 1);
     }
 
     #[test]

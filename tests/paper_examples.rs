@@ -2,10 +2,14 @@
 //! thread-level verification that the benchmark kernels' irregular
 //! loops really are parallel.
 
+use irr_core::property::{ArrayPropertyAnalysis, QueryStats, SolverOptions};
+use irr_core::{AnalysisCtx, DistanceSpec, Property, PropertyQuery};
 use irr_driver::{compile_source, DriverOptions, PhaseOrder};
 use irr_exec::{Interp, ParallelPlan};
+use irr_frontend::{parse_program, Program, StmtId, StmtKind, VarId};
 use irr_programs::{all, Scale};
 use irr_sanitizer::parity::{dispatched, first_divergence, OneLoopInChunks, Reals};
+use irr_symbolic::{Section, SymExpr};
 
 /// Fig. 1(b): the array stack. The outer loop parallelizes via the
 /// STACK evidence.
@@ -121,6 +125,238 @@ fn phase_order_ablation_on_dyfesm() {
             "{label} should need the reorganized phases"
         );
     }
+}
+
+/// Asks `queries` in order on one engine with `opts`: the answers and
+/// the solver's work.
+fn ask(
+    program: &Program,
+    opts: SolverOptions,
+    queries: &[PropertyQuery],
+) -> (Vec<bool>, QueryStats) {
+    let ctx = AnalysisCtx::new(program);
+    let mut apa = ArrayPropertyAnalysis::with_options(&ctx, opts);
+    let answers = queries.iter().map(|q| apa.check(q)).collect();
+    (answers, apa.stats)
+}
+
+/// `property` of `array` over `1..hi`, raised after `at_stmt`.
+fn query(array: VarId, property: Property, hi: i64, at_stmt: StmtId) -> PropertyQuery {
+    let section = Section::range1(SymExpr::int(1), SymExpr::int(hi));
+    PropertyQuery {
+        array,
+        property,
+        section,
+        at_stmt,
+    }
+}
+
+/// The last statement of the main program.
+fn last_of_main(program: &Program) -> StmtId {
+    *program.procedure(program.main()).body.last().unwrap()
+}
+
+/// Each of `properties` for every array of `program` over `1..hi`, at
+/// the last statement of the main program.
+fn every_array(program: &Program, properties: &[Property], hi: i64) -> Vec<PropertyQuery> {
+    let last = last_of_main(program);
+    let arrays = program.symbols.iter().filter(|(_, info)| info.is_array());
+    arrays
+        .flat_map(|(a, _)| {
+            properties
+                .iter()
+                .map(move |p| query(a, p.clone(), hi, last))
+        })
+        .collect()
+}
+
+/// Fig. 5 line 11 / Fig. 9: a query stops at its first killed element.
+/// Without early termination the solver gives the same answers but
+/// walks on. Injective and MonotoneNonDecreasing for every array of each
+/// benchmark: nodes visited with and without it, and the early
+/// terminations taken.
+#[test]
+fn early_termination_saves_solver_work() {
+    let expected = [
+        ("TRFD", 444, 478, 38),
+        ("DYFESM", 1234, 1622, 86),
+        ("BDNA", 402, 440, 30),
+        ("P3M", 402, 440, 30),
+        ("TREE", 428, 494, 40),
+    ];
+    let battery = [Property::Injective, Property::MonotoneNonDecreasing];
+    let exhaustive = SolverOptions {
+        early_termination: false,
+        ..SolverOptions::default()
+    };
+    let mut got = Vec::new();
+    for b in all(Scale::Test) {
+        let program = parse_program(&b.source).unwrap();
+        let queries = every_array(&program, &battery, 50);
+        let (early, with) = ask(&program, SolverOptions::default(), &queries);
+        let (full, without) = ask(&program, exhaustive, &queries);
+        assert_eq!(
+            early, full,
+            "{}: early termination changed an answer",
+            b.name
+        );
+        assert_eq!(without.early_terminations, 0, "{}", b.name);
+        assert!(with.nodes_visited < without.nodes_visited, "{}", b.name);
+        got.push((
+            b.name,
+            with.nodes_visited,
+            without.nodes_visited,
+            with.early_terminations,
+        ));
+    }
+    assert_eq!(got, expected);
+}
+
+/// §3.2.2: the worklist pops in reverse topological order, so each node
+/// is visited once, after all its successors. FIFO reaches the joins of
+/// four branchy `if` blocks early and visits them again; it stays under
+/// its bound of eight visits a node here, so both answer the query.
+#[test]
+fn reverse_topological_worklist_visits_each_node_once() {
+    let block = |d: u32| {
+        format!(
+            "if (k > {d}) then
+               b({d}) = 1
+               b({d} + 4) = 2
+               b({d} + 8) = 3
+               m = m + 1
+               if (m > {d}) then
+                 b(m) = 0
+               endif
+             endif\n"
+        )
+    };
+    let src = format!(
+        "program wl
+         integer i, k, m, a(100), b(100)
+         do i = 1, 100
+           a(i) = i
+         enddo
+         {}{}{}{}print a(1)
+         end",
+        block(1),
+        block(2),
+        block(3),
+        block(4)
+    );
+    let program = parse_program(&src).unwrap();
+    let a = program.symbols.lookup("a").unwrap();
+    let queries = [query(a, Property::Injective, 100, last_of_main(&program))];
+    let (ordered, rtop) = ask(&program, SolverOptions::default(), &queries);
+    let fifo = SolverOptions {
+        rtop_priority: false,
+        ..SolverOptions::default()
+    };
+    let (queued, fifo) = ask(&program, fifo, &queries);
+    assert_eq!((ordered, queued), (vec![true], vec![true]));
+    assert_eq!((rtop.nodes_visited, rtop.summarizations), (38, 22));
+    assert_eq!((fifo.nodes_visited, fifo.summarizations), (100, 52));
+}
+
+/// §5.1.3: one engine caches loop and section summaries across queries.
+/// DYFESM's pattern — `pptr` has closed-form distance `iblen` over
+/// `1..99` at `do 10`, both set up in a subroutine — asked twice: the
+/// second ask summarizes nothing.
+#[test]
+fn summary_caches_answer_a_repeated_query() {
+    let program = parse_program(
+        "program t
+         integer i, j, pptr(101), iblen(100)
+         real x(10000)
+         call setup
+         do 10 i = 1, 100
+           do j = 1, iblen(i)
+             x(pptr(i) + j - 1) = 1
+           enddo
+ 10      continue
+         end
+         subroutine setup
+         integer i2
+         do i2 = 1, 100
+           iblen(i2) = mod(i2, 7) + 1
+         enddo
+         pptr(1) = 1
+         do i2 = 1, 100
+           pptr(i2 + 1) = pptr(i2) + iblen(i2)
+         enddo
+         end",
+    )
+    .unwrap();
+    let main = program.procedure(program.main());
+    let is_do10 = |s: &StmtId| {
+        matches!(
+            program.stmt(*s).kind,
+            StmtKind::Do {
+                label: Some(10),
+                ..
+            }
+        )
+    };
+    let do10 = program
+        .stmts_in(&main.body)
+        .into_iter()
+        .find(is_do10)
+        .unwrap();
+    let var = |name| program.symbols.lookup(name).unwrap();
+    let distance = DistanceSpec::Array(var("iblen"));
+    let q = query(
+        var("pptr"),
+        Property::ClosedFormDistance { distance },
+        99,
+        do10,
+    );
+    let ctx = AnalysisCtx::new(&program);
+    let mut apa = ArrayPropertyAnalysis::new(&ctx);
+    assert!(apa.check(&q));
+    let first = apa.stats;
+    assert!(apa.check(&q));
+    let again = (
+        apa.stats.nodes_visited - first.nodes_visited,
+        apa.stats.summarizations - first.summarizations,
+    );
+    assert_eq!((first.nodes_visited, first.summarizations), (10, 4));
+    assert_eq!(again, (4, 0));
+}
+
+/// §3: queries are demand-driven. Compiling DYFESM asks what its loops
+/// need and proves its irregular loops parallel; a three-property
+/// battery over every array asks twice the queries, visits seven times
+/// the nodes and verifies nothing.
+#[test]
+fn demand_driven_queries_cost_less_than_an_exhaustive_battery() {
+    let b = all(Scale::Test)
+        .into_iter()
+        .find(|b| b.name == "DYFESM")
+        .unwrap();
+    let rep = compile_source(&b.source, DriverOptions::with_iaa()).unwrap();
+    for label in &b.irregular_labels {
+        assert!(rep.verdict(label).unwrap().parallel, "{label}");
+    }
+    let program = parse_program(&b.source).unwrap();
+    let battery = [
+        Property::Injective,
+        Property::MonotoneNonDecreasing,
+        Property::ClosedFormBound {
+            lo: Some(SymExpr::int(0)),
+            hi: None,
+        },
+    ];
+    let (answers, exhaustive) = ask(
+        &program,
+        SolverOptions::default(),
+        &every_array(&program, &battery, 50),
+    );
+    assert_eq!(
+        (rep.stats.property_queries, rep.stats.solver_nodes),
+        (15, 273)
+    );
+    assert_eq!((exhaustive.queries, exhaustive.nodes_visited), (33, 2051));
+    assert!(answers.iter().all(|verified| !verified));
 }
 
 /// APO (no inlining, no interprocedural constants) is strictly weaker
