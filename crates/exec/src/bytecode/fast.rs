@@ -26,9 +26,12 @@
 //!
 //! [`Interp::run_fblock`] and the one [`stream_kernel`] (with the row
 //! statements of [`seg_row`] around it) are the only places an
-//! instruction's semantics are written outside the tree-walk. Parity is
-//! the contract: same fuel ledger positions, same error identities,
-//! same store at exit.
+//! instruction's semantics are written outside the tree-walk, and the
+//! instructions compute through the tree-walk's own rules: its operator
+//! table (`bin_i`, `bin_f`, `cmp_res`), its bounds rule
+//! ([`Interp::column_major`]) and its induction step. Parity is the
+//! contract: same fuel ledger positions, same error identities, same
+//! store at exit.
 //!
 //! - **One load, one store per plane; the address is an operand.** An
 //!   element access names its pin slot and an [`Addr`], and
@@ -37,7 +40,7 @@
 //!   subscript first, an affine `base + off` wrapping, a flat index
 //!   as `IndexN` checked it. [`Interp::addr`] names a miss: inside the
 //!   array but outside a window pin's view a strategy violation, any
-//!   other the program's `OutOfBounds` (`fast_oob`).
+//!   other the program's `OutOfBounds` (`fast_oob`, by the bounds rule).
 //!
 //! - **One loop driver, at every depth.** [`Interp::run_do`] is the only
 //!   function here that advances a `do` loop's induction variable: the
@@ -86,7 +89,10 @@
 //! accessors and [`RawPin`]'s write path rely on exactly that.
 
 use super::{ChunkAbort, WorkerChunk};
-use crate::interp::{advance_induction, ArrayData, ExecError, Interp, RawSlice, Value, WriteSink};
+use crate::interp::{
+    advance_induction, bin_f, bin_i, cmp_f, cmp_res, ArrayData, ExecError, Interp, RawSlice, Value,
+    WriteSink,
+};
 use irr_driver::compiled::{
     Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, RowVal, SegStream, Stream, StreamAt,
     StreamRef, StreamSink, StreamTail, ROW_INVS,
@@ -1586,62 +1592,6 @@ impl FState {
     }
 }
 
-#[inline]
-fn bin_i(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
-    Ok(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div | BinOp::Mod => return div_mod_i(op, x, y),
-        _ => unreachable!("handled in lowering"),
-    })
-}
-
-/// Euclidean `/` and `mod`, wrapping at `i64::MIN / -1` like `+ - *`.
-/// Out of line: a division dwarfs the call, and inlined into the
-/// dispatch loop the wrapping forms cost every op of it (+5 % on
-/// `exec-reentry`, EXPERIMENTS.md "What the per-op loop was still
-/// running").
-#[inline(never)]
-fn div_mod_i(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
-    match op {
-        _ if y == 0 => Err(ExecError::DivisionByZero),
-        BinOp::Div => Ok(x.wrapping_div_euclid(y)),
-        _ => Ok(x.wrapping_rem_euclid(y)),
-    }
-}
-
-#[inline]
-fn bin_f(op: BinOp, x: f64, y: f64) -> Result<f64, ExecError> {
-    Ok(match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::Div => {
-            if y == 0.0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            x / y
-        }
-        BinOp::Mod => x.rem_euclid(y),
-        _ => unreachable!("handled in lowering"),
-    })
-}
-
-#[inline]
-fn cmp_res(op: BinOp, ord: std::cmp::Ordering) -> i64 {
-    use std::cmp::Ordering;
-    (match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::Ne => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::Le => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::Ge => ord != Ordering::Less,
-        _ => unreachable!("comparison"),
-    }) as i64
-}
-
 impl<'p> Interp<'p> {
     /// Whether every array the typed body references holds a payload
     /// of its declared element type, the type the ops were lowered for
@@ -1649,7 +1599,7 @@ impl<'p> Interp<'p> {
     pub(crate) fn fast_ready(&self, cb: &CompiledBody) -> bool {
         cb.arrays().iter().all(|&a| {
             matches!(
-                (self.store.array(a), self.layout.ty(a)),
+                (self.store.array(a), self.program().symbols.var(a).ty),
                 (ArrayData::Int { .. }, ScalarType::Int)
                     | (ArrayData::Real { .. }, ScalarType::Real)
             )
@@ -1666,16 +1616,15 @@ impl<'p> Interp<'p> {
         true
     }
 
-    /// `chk` refused `index`: the program's own error, unless the
-    /// subscript is inside the array — a window pin's miss, a strategy
-    /// violation.
+    /// `chk` refused `index`: the program's own error, unless the bounds
+    /// rule admits it — a window pin's miss, a strategy violation.
     #[cold]
     fn fast_oob(&self, cb: &CompiledBody, st: &FState, slot: u16, index: i64) -> ChunkAbort {
-        let extent = st.pins[slot as usize].dims[0];
-        if (index as u64).wrapping_sub(1) < extent as u64 {
-            return ChunkAbort::Violated(cb.arrays()[slot as usize]);
+        let a = cb.arrays()[slot as usize];
+        match self.column_major(a, &st.pins[slot as usize].dims[..1], [index]) {
+            Ok(_) => ChunkAbort::Violated(a),
+            Err(e) => ChunkAbort::Exec(e),
         }
-        self.fast_oob_dim(cb, slot, index, extent)
     }
 
     /// [`FState::addr`], its miss named by [`Interp::fast_oob`]: a
@@ -1892,14 +1841,11 @@ impl<'p> Interp<'p> {
                 FOp::NegI { dst, src } => st.irs(*dst, st.ird(*src).wrapping_neg()),
                 FOp::NegF { dst, src } => st.frs(*dst, -st.frd(*src)),
                 FOp::CmpI { op, dst, a, b } => {
-                    st.irs(*dst, cmp_res(*op, st.ird(*a).cmp(&st.ird(*b))));
+                    st.irs(*dst, cmp_res(*op, st.ird(*a).cmp(&st.ird(*b))) as i64);
                 }
                 FOp::CmpF { op, dst, a, b } => {
-                    let ord = st
-                        .frd(*a)
-                        .partial_cmp(&st.frd(*b))
-                        .unwrap_or(std::cmp::Ordering::Equal);
-                    st.irs(*dst, cmp_res(*op, ord));
+                    let ord = cmp_f(st.frd(*a), st.frd(*b));
+                    st.irs(*dst, cmp_res(*op, ord) as i64);
                 }
                 FOp::TruthyI { dst, src } => st.irs(*dst, (st.ird(*src) != 0) as i64),
                 FOp::TruthyF { dst, src } => st.irs(*dst, (st.frd(*src) != 0.0) as i64),
@@ -1945,18 +1891,8 @@ impl<'p> Interp<'p> {
                     }
                 }
                 FOp::IndexN { slot, subs, dst } => {
-                    let p = st.pinr(*slot);
-                    let mut idx: usize = 0;
-                    let mut stride: usize = 1;
-                    for (k, sub) in subs.iter().enumerate() {
-                        let v = st.ird(*sub);
-                        let extent = p.dims[k];
-                        if v < 1 || v as usize > extent {
-                            return Err(self.fast_oob_dim(cb, *slot, v, extent));
-                        }
-                        idx += (v as usize - 1) * stride;
-                        stride *= extent;
-                    }
+                    let (a, dims) = (cb.arrays()[*slot as usize], &st.pinr(*slot).dims);
+                    let idx = self.column_major(a, dims, subs.iter().map(|s| st.ird(*s)))?;
                     st.irs(*dst, idx as i64);
                 }
                 FOp::LoadI { slot, at, dst } => {
@@ -2051,19 +1987,6 @@ impl<'p> Interp<'p> {
             pc += 1;
         }
         Ok(())
-    }
-
-    #[cold]
-    fn fast_oob_dim(&self, cb: &CompiledBody, slot: u16, index: i64, extent: usize) -> ChunkAbort {
-        ChunkAbort::Exec(ExecError::OutOfBounds {
-            array: self
-                .program()
-                .symbols
-                .name(cb.arrays()[slot as usize])
-                .to_string(),
-            index,
-            extent,
-        })
     }
 }
 

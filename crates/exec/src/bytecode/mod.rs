@@ -15,8 +15,8 @@
 //! - **Registers, not a tree.** Expression temporaries and the scalars
 //!   the nest references live in flat register planes sized by the
 //!   lowering; the declared type of every scalar write is baked into
-//!   the writing instruction (the tree-walk retires the same
-//!   symbol-table lookups through its [`ScalarLayout`] table).
+//!   the writing instruction (the tree-walk reads it off the symbol
+//!   table).
 //! - **The address is an operand.** An element access is one load or
 //!   one store per register plane (`FOp::LoadI` / `LoadF` / `StoreI` /
 //!   `StoreF`) carrying its pin slot and its subscript form, an
@@ -44,7 +44,7 @@
 //! to the tree-walk in store contents, printed output, statement
 //! costs, fuel accounting, and error identity — the differential
 //! harness in `tests/strategy_parity.rs` and `sanitizer-audit
-//! --compiled` enforce this across the whole corpus. To that end the
+//! --only compiled` enforce this across the whole corpus. To that end the
 //! lowering is deliberately conservative: fuel is charged per
 //! statement entry at the same program points (`FOp::Charge`), and any
 //! construct whose interpreter semantics are not replicated
@@ -52,13 +52,18 @@
 //! in numeric position — rejects the lowering and falls back to the
 //! interpreter via a reason-coded [`FallbackReason`].
 //!
-//! **Two engines; a worker has one.** There are exactly two executors
-//! under that contract: the typed loop and the reference tree-walk.
-//! Every array is live from the program's first statement, so a
-//! sequential compiled entry is decided once, at entry: a nest that
-//! lowered runs typed from its first iteration, and one that cannot
-//! (a zero-trip range, a preset of another element type than declared)
-//! walks. A parallel worker's share of a loop always runs the typed
+//! **Two engines, one rulebook; a worker has one engine.** There are
+//! exactly two executors under that contract: the typed loop and the
+//! reference tree-walk. What both need is written once, in `interp`:
+//! the walked `do` (the interpreter's `Do` arm), the operator table
+//! (`bin_i`, `bin_f`, `cmp_res`), the bounds rule
+//! (`Interp::column_major`) and the induction step. Every array is
+//! live from the program's first statement, so the `Do` arm decides a
+//! sequential compiled entry once, at entry: a nest that lowered runs
+//! typed from its first iteration, and one that cannot (a zero-trip
+//! range, a preset of another element type than declared) walks in the
+//! arm, offering its inner loops to the dispatcher like any walked
+//! loop. A parallel worker's share of a loop always runs the typed
 //! loop — the dispatch is refused before any chunk runs when the nest
 //! cannot — and what differs for it is in `WorkerChunk`: its deadline,
 //! and the sinks its dispatch's commit strategy built for every array
@@ -73,14 +78,13 @@
 //! falls back when the nest does not lower, so a forged plan can never
 //! reach the typed path.
 
-mod exec;
 mod fast;
 
 pub use irr_driver::compiled::{lower_do_loop, CompiledBody, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
 use crate::interp::{ExecError, Store, WriteSink};
-use irr_frontend::{Program, ScalarType, StmtId, VarId};
+use irr_frontend::{StmtId, VarId};
 use std::time::{Duration, Instant};
 
 /// What makes a run of the typed loop one parallel worker's share of a
@@ -128,38 +132,6 @@ impl From<ExecError> for ChunkAbort {
     }
 }
 
-/// Which engine ran a sequential compiled loop entry.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ChunkEngine {
-    /// The typed loop, for the whole entry.
-    Typed,
-    /// The tree-walk, for the whole entry: the range was empty, or a
-    /// preset's element type is not the declared one.
-    TreeWalk,
-}
-
-/// Dense per-`VarId` scalar type table: resolved once per interpreter
-/// to retire per-access symbol-table lookups on scalar writes.
-#[derive(Clone, Debug)]
-pub struct ScalarLayout {
-    types: Box<[ScalarType]>,
-}
-
-impl ScalarLayout {
-    /// Builds the table from a program's symbol table.
-    pub fn new(program: &Program) -> ScalarLayout {
-        ScalarLayout {
-            types: program.symbols.iter().map(|(_, info)| info.ty).collect(),
-        }
-    }
-
-    /// Declared type of `v`.
-    #[inline]
-    pub fn ty(&self, v: VarId) -> ScalarType {
-        self.types[v.index()]
-    }
-}
-
 /// The all-compiled dispatcher: every `do` loop entry requests the
 /// compiled tier; unlowerable or instrumented loops fall
 /// back to the tree-walk per the interpreter's own guard. This is the
@@ -167,13 +139,8 @@ impl ScalarLayout {
 /// of the benchmark's `exec.bytecode_ms`.
 #[derive(Debug, Default)]
 pub struct CompiledDispatch {
-    /// Dynamic loop entries that ran through the compiled tier's chunk
-    /// entry, whichever engine finished them.
+    /// Dynamic loop entries the typed loop ran.
     pub compiled: u64,
-    /// Those of `compiled` the typed loop ran; the rest walked the AST
-    /// (zero-trip entries, and presets of another element type than
-    /// declared).
-    pub typed: u64,
     /// Dynamic loop entries that fell back, per reason.
     pub fallbacks: Vec<(FallbackReason, u64)>,
 }
@@ -202,9 +169,8 @@ impl LoopDispatcher for CompiledDispatch {
         LoopDecision::Compiled
     }
 
-    fn compiled_committed(&mut self, _loop_stmt: StmtId, engine: ChunkEngine) {
+    fn compiled_committed(&mut self, _loop_stmt: StmtId) {
         self.compiled += 1;
-        self.typed += u64::from(engine == ChunkEngine::Typed);
     }
 
     fn compiled_fallback(&mut self, _loop_stmt: StmtId, reason: FallbackReason) {
@@ -222,7 +188,7 @@ mod tests {
     use crate::interp::{ArrayData, ExecError, ExecStats, Interp};
     use crate::parallel::ParallelPlan;
     use irr_driver::compiled::Stream;
-    use irr_frontend::parse_program;
+    use irr_frontend::{parse_program, Program, ScalarType};
 
     /// [`assert_same_run`] of a program that must complete; returns the
     /// compiled run's dispatch counters.
@@ -656,7 +622,7 @@ mod tests {
         let ran = assert_same_run(&p, preset_x);
         assert_eq!(ran.res, Ok(()));
         assert_eq!(ran.typed_iters(), 8);
-        assert_eq!((ran.dispatch.compiled, ran.dispatch.typed), (1, 1));
+        assert_eq!(ran.dispatch.compiled, 1);
     }
 
     /// A nest past a register plane — 65 535 distinct
@@ -754,7 +720,7 @@ mod tests {
              print k, m, s, r, y(3), z(7), a(5)
              end",
         );
-        assert_eq!((d.compiled, d.typed, d.fallback_count()), (2, 2, 0));
+        assert_eq!((d.compiled, d.fallback_count()), (2, 0));
     }
 
     /// An `IndexN` takes its subscripts as a slice, however many there
@@ -783,7 +749,7 @@ mod tests {
             let ran = assert_same_run(&p, |_| {});
             assert_eq!(ran.res, Ok(()));
             assert_eq!(ran.comp.output, vec!["5 9"], "rank {rank}");
-            assert_eq!((ran.dispatch.typed, ran.typed_iters()), (1, 2));
+            assert_eq!((ran.dispatch.compiled, ran.typed_iters()), (1, 2));
         }
     }
 
@@ -855,6 +821,62 @@ mod tests {
         let par = Interp::new(&p).run_dispatched(&mut hybrid).unwrap();
         assert_eq!(par.output, expected);
         assert_eq!(par.store, ran.comp.store);
+    }
+
+    /// The real plane's edges, on every executor: `mod(x, 0.0)` is NaN,
+    /// a comparison with a NaN operand takes the one table's unordered
+    /// pair as equal (`k` = 2 + 4 + 32: `<=`, `==` and `>=` hold), `min`
+    /// and `max` with a NaN give the other operand, and `x / 0.0` is the
+    /// program's `DivisionByZero`. The tree-walk, the typed loop and a
+    /// parallel dispatch of every loop agree on output, store and error.
+    /// (No NaN is left in the store: NaN is unequal to itself, so two
+    /// stores holding one never compare equal.)
+    #[test]
+    fn real_division_by_zero_remainder_nan_comparisons_and_min_max_agree_everywhere() {
+        let src = "program t
+             integer i, k(8)
+             real x(8), z(8), n(8), lo(8), hi(8), r(8)
+             do i = 1, 8
+               x(i) = i - 4.5
+               z(i) = 0.0
+             enddo
+             do i = 1, 8
+               n(i) = mod(x(i), z(i))
+               k(i) = 0
+               if (n(i) < x(i)) k(i) = k(i) + 1
+               if (n(i) <= x(i)) k(i) = k(i) + 2
+               if (n(i) == x(i)) k(i) = k(i) + 4
+               if (n(i) /= x(i)) k(i) = k(i) + 8
+               if (x(i) > n(i)) k(i) = k(i) + 16
+               if (x(i) >= n(i)) k(i) = k(i) + 32
+               lo(i) = min(x(i), n(i))
+               hi(i) = max(n(i), x(i))
+               n(i) = min(n(i), 0.0 - 1.0)
+               r(i) = mod(x(i), 1.5)
+             enddo
+             print k(1), k(8), n(1), lo(1), hi(8), r(1), r(8)
+             do i = 1, 8
+               z(i) = x(i) / mod(i, 3)
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let ran = assert_same_run(&p, |_| {});
+        assert_eq!(ran.res, Err(ExecError::DivisionByZero));
+        assert_eq!(ran.comp.output, vec!["38 38 -1 -3.5 3.5 1 0.5"]);
+        assert_eq!(ran.dispatch.fallback_count(), 0, "{:?}", ran.dispatch);
+        // The loop that fails is not a completed typed entry.
+        assert_eq!(ran.dispatch.compiled, 2);
+        let mut hybrid = AlwaysParallel::default();
+        let mut par = live(&p, |_| {});
+        let res = par.exec_proc_with(p.main(), &mut hybrid);
+        assert_eq!((res, hybrid.failed), (ran.res, vec![]));
+        assert_eq!(par.output, ran.comp.output);
+        // What the failed loop left behind is each executor's own; the
+        // arrays the two loops before it wrote are not.
+        for a in ["k", "x", "n", "lo", "hi", "r"] {
+            let a = p.symbols.lookup(a).unwrap();
+            assert_eq!(par.store.array_ref(a), ran.comp.store.array_ref(a));
+        }
     }
 
     /// Pins by role: the typed loop takes unique ownership only of the
@@ -1380,7 +1402,11 @@ mod tests {
             let mut comp = live(&p, setup);
             let mut dispatch = CompiledDispatch::new();
             comp.exec_proc_with(p.main(), &mut dispatch).unwrap();
-            assert_eq!((dispatch.typed, comp.stats.stream_iters), (1, 8), "{stmt}");
+            assert_eq!(
+                (dispatch.compiled, comp.stats.stream_iters),
+                (1, 8),
+                "{stmt}"
+            );
             assert_eq!(comp.stream_shapes[arm], 1, "{stmt}");
             let bits = |it: &Interp<'_>| -> Vec<u64> {
                 let var = |name| p.symbols.lookup(name).unwrap();

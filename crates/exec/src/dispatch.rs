@@ -11,7 +11,6 @@
 //! dispatch and a version-keyed schedule cache; the default
 //! [`SequentialDispatch`] recovers the plain interpreter.
 
-use crate::bytecode::ChunkEngine;
 use crate::interp::Store;
 use crate::parallel::{Committed, ParallelPlan};
 use irr_frontend::StmtId;
@@ -21,12 +20,14 @@ use irr_frontend::StmtId;
 pub enum LoopDecision {
     /// Run the loop through the sequential interpreter.
     Sequential,
-    /// Run the loop through the single-threaded compiled tier (see
-    /// [`crate::bytecode`]). The interpreter re-lowers and types the
-    /// nest from the AST at dispatch — cached pure derivations — and
-    /// falls back to the sequential tree-walk (reporting
-    /// [`LoopDispatcher::compiled_fallback`]) when the loop cannot be
-    /// lowered or typed, or carries interpreter-only instrumentation.
+    /// Run the loop on the typed loop, single-threaded (see
+    /// [`crate::bytecode`]). The interpreter re-lowers the nest from the
+    /// AST at dispatch — a cached pure derivation — and runs it typed
+    /// from its first iteration. It walks the loop instead, reporting
+    /// [`LoopDispatcher::compiled_fallback`], when the nest does not
+    /// lower, an array it references holds another element type than
+    /// declared, or interpreter-only instrumentation is attached; a
+    /// zero-trip entry walks unreported.
     Compiled,
     /// Run the loop through the chunked parallel executor.
     Parallel(ParallelPlan),
@@ -45,7 +46,8 @@ pub enum FallbackReason {
     Panic,
     /// The executor cannot run this loop shape (non-unit step, not a
     /// `do` loop; for a compiled dispatch, a nest that does not lower
-    /// or does not type).
+    /// or an array it references of another element type than
+    /// declared).
     Unsupported,
     /// A worker overran the per-worker deadline (watchdog).
     Timeout,
@@ -107,17 +109,17 @@ pub trait LoopDispatcher {
     fn parallel_committed(&mut self, _loop_stmt: StmtId, _committed: &Committed) {}
 
     /// Notifies the dispatcher that its most recent
-    /// [`Compiled`](LoopDecision::Compiled) decision for `loop_stmt`
-    /// ran to completion through the compiled tier, and which engine
-    /// ran it (see [`ChunkEngine`]). The default is a no-op.
-    fn compiled_committed(&mut self, _loop_stmt: StmtId, _engine: ChunkEngine) {}
+    /// [`Compiled`](LoopDecision::Compiled) decision for `loop_stmt` ran
+    /// to completion on the typed loop. The default is a no-op.
+    fn compiled_committed(&mut self, _loop_stmt: StmtId) {}
 
     /// Notifies the dispatcher that a compiled dispatch of `loop_stmt`
     /// fell back to the sequential interpreter for `reason` (the nest
-    /// could not be lowered or typed, or interpreter-only
-    /// instrumentation is active). The sequential execution that
-    /// follows is authoritative — the fallback costs two cache-hit
-    /// lookups, nothing more. The default is a no-op.
+    /// does not lower, an array it references holds another element
+    /// type than declared, or interpreter-only instrumentation is
+    /// active). The walk that follows is authoritative, and offers the
+    /// loop's inner loops to the dispatcher like any other. The default
+    /// is a no-op.
     fn compiled_fallback(&mut self, _loop_stmt: StmtId, _reason: FallbackReason) {}
 }
 

@@ -1,6 +1,6 @@
 //! The instrumenting tree-walking interpreter.
 
-use crate::bytecode::{CompiledBody, ScalarLayout};
+use crate::bytecode::{ChunkAbort, CompiledBody};
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
@@ -8,9 +8,10 @@ use crate::trace::{AccessTracer, TraceConfig, TracerSlot};
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, ProcId, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
 };
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
 
 /// A runtime scalar value.
@@ -404,7 +405,7 @@ impl Clone for Store {
     fn clone(&self) -> Store {
         Store {
             // A clone's history forks here: it is another store.
-            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
+            id: NEXT_STORE_ID.fetch_add(1, atomic::Ordering::Relaxed),
             scalars: self.scalars.clone(),
             arrays: self.arrays.clone(),
             versions: self.versions.clone(),
@@ -434,7 +435,7 @@ impl Store {
             });
         }
         Store {
-            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
+            id: NEXT_STORE_ID.fetch_add(1, atomic::Ordering::Relaxed),
             scalars,
             arrays: vec![None; n],
             versions: vec![0; n],
@@ -579,16 +580,6 @@ pub struct LoopStats {
     pub total_cost: u64,
     /// Per-invocation iteration costs (only for recorded loops).
     pub iteration_costs: Vec<Vec<u64>>,
-    /// How many of the invocations went through the parallel executor.
-    pub parallel_invocations: u64,
-    /// Variables the parallel plan treated as privatized (scalars and
-    /// arrays), recorded on parallel dispatch so telemetry and the
-    /// dependence auditor can attribute effects per array instead of
-    /// per loop.
-    pub privatized: Vec<VarId>,
-    /// Reduction variables of the parallel plan, recorded on parallel
-    /// dispatch.
-    pub reductions: Vec<VarId>,
 }
 
 /// Whole-run statistics.
@@ -680,10 +671,6 @@ pub struct Interp<'p> {
     /// with deterministic pseudo-random values instead of zeros
     /// (randomized audit inputs).
     random_fill: Option<u64>,
-    /// Dense per-`VarId` scalar types, resolved once at construction —
-    /// scalar writes on the hot path read this table instead of the
-    /// symbol table.
-    pub(crate) layout: ScalarLayout,
     /// Per-loop lowering results (`None` caches a rejection). Lowering
     /// is a pure function of the immutable program, so entries stay
     /// valid for the interpreter's lifetime; `Arc` lets parallel
@@ -734,7 +721,6 @@ impl<'p> Interp<'p> {
             fuel: 2_000_000_000,
             tracer: None,
             random_fill: None,
-            layout: ScalarLayout::new(program),
             compiled_cache: HashMap::new(),
             derived_shapes: HashMap::new(),
             pool: None,
@@ -887,11 +873,6 @@ impl<'p> Interp<'p> {
         self.exec_body_with(&body, dispatcher)
     }
 
-    /// Executes a statement list.
-    pub(crate) fn exec_body(&mut self, body: &[StmtId]) -> Result<(), ExecError> {
-        self.exec_body_with(body, &mut SequentialDispatch)
-    }
-
     /// Executes a statement list under a dispatcher.
     pub(crate) fn exec_body_with(
         &mut self,
@@ -939,7 +920,7 @@ impl<'p> Interp<'p> {
                 match lhs {
                     LValue::Scalar(v) => {
                         let v = *v;
-                        let ty = self.layout.ty(v);
+                        let ty = program.symbols.var(v).ty;
                         self.store.set_scalar(v, ty, val);
                         if let Some(t) = &mut self.tracer {
                             t.hook.write_scalar(v);
@@ -974,6 +955,9 @@ impl<'p> Interp<'p> {
                 if step == 0 {
                     return Err(ExecError::DivisionByZero);
                 }
+                let in_range = |i: i64| (step > 0 && i <= hi) || (step < 0 && i >= hi);
+                // The body the typed loop runs this entry on, if any.
+                let mut typed = None;
                 match dispatcher.dispatch(&self.store, s, lo, hi, step) {
                     LoopDecision::Parallel(plan) => {
                         match crate::parallel::exec_do_parallel(self, s, &plan, lo, hi, step) {
@@ -999,15 +983,16 @@ impl<'p> Interp<'p> {
                             }
                         }
                     }
+                    // Every array is live from the first statement, so
+                    // the engine is decided once, here: a non-empty
+                    // range over arrays of the element types the body
+                    // was lowered for runs typed from its first
+                    // iteration. Anything else is walked below, and
+                    // only a zero-trip entry goes unreported.
                     LoopDecision::Compiled => match self.compiled_decision(s) {
-                        Ok(cb) => {
-                            let engine = self.exec_do_compiled(s, &cb, lo, hi, step)?;
-                            dispatcher.compiled_committed(s, engine);
-                            return Ok(());
-                        }
-                        // Unlowerable or instrumented: the sequential
-                        // walk below is the execution; the failed
-                        // dispatch cost one cached lookup.
+                        Ok(_) if !in_range(lo) => {}
+                        Ok(cb) if self.fast_ready(&cb) => typed = Some(cb),
+                        Ok(_) => dispatcher.compiled_fallback(s, FallbackReason::Unsupported),
                         Err(reason) => dispatcher.compiled_fallback(s, reason),
                     },
                     LoopDecision::Sequential => {}
@@ -1027,33 +1012,42 @@ impl<'p> Interp<'p> {
                 entry.invocations += 1;
                 let cost_at_entry = self.stats.total_cost;
                 let mut iter_costs: Vec<u64> = Vec::new();
-                let ty = self.layout.ty(var);
-                let mut i = lo;
-                while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
-                    self.store.set_scalar(var, ty, Value::Int(i));
-                    if traced {
-                        if let Some(t) = &mut self.tracer {
-                            t.hook.loop_iter(s, i);
+                if let Some(cb) = typed {
+                    // It writes the final induction value back itself.
+                    match self.run_fast_iters(&cb, lo, hi, step, None) {
+                        Ok(()) => dispatcher.compiled_committed(s),
+                        Err(ChunkAbort::Exec(e)) => return Err(e),
+                        Err(_) => unreachable!("a sequential entry has no deadline or sink"),
+                    }
+                } else {
+                    let ty = program.symbols.var(var).ty;
+                    let mut i = lo;
+                    while in_range(i) {
+                        self.store.set_scalar(var, ty, Value::Int(i));
+                        if traced {
+                            if let Some(t) = &mut self.tracer {
+                                t.hook.loop_iter(s, i);
+                            }
+                        }
+                        let c0 = self.stats.total_cost;
+                        self.exec_body_with(body, dispatcher)?;
+                        self.charge(1)?; // loop bookkeeping
+                        if record {
+                            iter_costs.push(self.stats.total_cost - c0);
+                        }
+                        if !advance_induction(&mut i, step) {
+                            break;
                         }
                     }
-                    let c0 = self.stats.total_cost;
-                    self.exec_body_with(body, dispatcher)?;
-                    self.charge(1)?; // loop bookkeeping
-                    if record {
-                        iter_costs.push(self.stats.total_cost - c0);
+                    if traced {
+                        if let Some(t) = &mut self.tracer {
+                            t.hook.loop_exit(s);
+                        }
                     }
-                    if !advance_induction(&mut i, step) {
-                        break;
-                    }
+                    // Fortran leaves the induction variable at the
+                    // first out-of-range value.
+                    self.store.set_scalar(var, ty, Value::Int(i));
                 }
-                if traced {
-                    if let Some(t) = &mut self.tracer {
-                        t.hook.loop_exit(s);
-                    }
-                }
-                // Fortran leaves the induction variable at the
-                // first out-of-range value.
-                self.store.set_scalar(var, ty, Value::Int(i));
                 let total = self.stats.total_cost - cost_at_entry;
                 let entry = self.stats.loops.entry(s).or_default();
                 entry.total_cost += total;
@@ -1152,20 +1146,9 @@ impl<'p> Interp<'p> {
                 let b = self.eval(y)?;
                 let ord = match (a, b) {
                     (Value::Int(p), Value::Int(q)) => p.cmp(&q),
-                    _ => a
-                        .as_real()
-                        .partial_cmp(&b.as_real())
-                        .unwrap_or(std::cmp::Ordering::Equal),
+                    _ => cmp_f(a.as_real(), b.as_real()),
                 };
-                Ok(match op {
-                    BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                    BinOp::Ne => ord != std::cmp::Ordering::Equal,
-                    BinOp::Lt => ord == std::cmp::Ordering::Less,
-                    BinOp::Le => ord != std::cmp::Ordering::Greater,
-                    BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                    BinOp::Ge => ord != std::cmp::Ordering::Less,
-                    _ => unreachable!("comparison"),
-                })
+                Ok(cmp_res(*op, ord))
             }
             Expr::Bin(BinOp::And, x, y) => Ok(self.eval_cond(x)? && self.eval_cond(y)?),
             Expr::Bin(BinOp::Or, x, y) => Ok(self.eval_cond(x)? || self.eval_cond(y)?),
@@ -1175,16 +1158,30 @@ impl<'p> Interp<'p> {
     }
 
     fn flat_index(&mut self, a: VarId, subs: &[Expr]) -> Result<usize, ExecError> {
-        let mut vals = Vec::with_capacity(subs.len());
-        for s in subs {
-            vals.push(self.eval(s)?.as_int());
-        }
+        // Every subscript is evaluated before any is checked.
+        let vals: Result<Vec<i64>, _> = subs.iter().map(|s| Ok(self.eval(s)?.as_int())).collect();
         let arr = self.store.array(a);
-        let dims = arr.dims();
-        // Fortran column-major, 1-based.
+        let idx = self.column_major(a, arr.dims(), vals?)?;
+        debug_assert!(idx < arr.len());
+        Ok(idx)
+    }
+
+    /// The one bounds rule: the Fortran column-major, 1-based flat
+    /// offset of subscripts `subs` into array `a` of extents `dims`, or
+    /// the program's `OutOfBounds` on the first subscript outside
+    /// `1 ..= extent`. The tree-walk's `flat_index` and the typed
+    /// loop's `IndexN` both resolve through it, and the typed loop's
+    /// other misses are named by it.
+    #[inline(always)]
+    pub(crate) fn column_major(
+        &self,
+        a: VarId,
+        dims: &[usize],
+        subs: impl IntoIterator<Item = i64>,
+    ) -> Result<usize, ExecError> {
         let mut idx: usize = 0;
         let mut stride: usize = 1;
-        for (k, &v) in vals.iter().enumerate() {
+        for (k, v) in subs.into_iter().enumerate() {
             let extent = dims[k];
             if v < 1 || v as usize > extent {
                 return Err(ExecError::OutOfBounds {
@@ -1196,7 +1193,6 @@ impl<'p> Interp<'p> {
             idx += (v as usize - 1) * stride;
             stride *= extent;
         }
-        debug_assert!(idx < arr.len());
         Ok(idx)
     }
 
@@ -1211,8 +1207,12 @@ impl<'p> Interp<'p> {
 /// Steps a `do` induction value. Returns `false` when `i + step`
 /// overflows `i64`: no further value can be in range, so the loop ends
 /// there, with the induction variable at the wrapped sum (integer
-/// arithmetic in the language wraps, see [`apply_bin`]). Every executor
-/// steps through this one function so they agree on the edge.
+/// arithmetic in the language wraps, see [`bin_i`]).
+///
+/// Every executor steps through this one function so they agree on the
+/// edge, and likewise computes through the operator table below
+/// ([`bin_i`], [`bin_f`], [`cmp_res`]) and resolves a multi-dimensional
+/// subscript through the one bounds rule ([`Interp::column_major`]).
 #[inline]
 pub(crate) fn advance_induction(i: &mut i64, step: i64) -> bool {
     let (next, overflowed) = i.overflowing_add(step);
@@ -1220,42 +1220,79 @@ pub(crate) fn advance_induction(i: &mut i64, step: i64) -> bool {
     !overflowed
 }
 
+/// An integer `+ - * / mod`: wrapping at the `i64` edges, `/` the
+/// floor quotient and `mod` the non-negative remainder.
+#[inline(always)]
+pub(crate) fn bin_i(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
+    Ok(match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div | BinOp::Mod => return div_mod_i(op, x, y),
+        _ => unreachable!("an arithmetic operator"),
+    })
+}
+
+/// Euclidean `/` and `mod`, wrapping at `i64::MIN / -1` like `+ - *`.
+/// Out of line: a division dwarfs the call, and inlined into the
+/// typed loop's dispatch loop the wrapping forms cost every op of it
+/// (+5 % on `exec-reentry`, EXPERIMENTS.md "What the per-op loop was
+/// still running").
+#[inline(never)]
+fn div_mod_i(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
+    match op {
+        _ if y == 0 => Err(ExecError::DivisionByZero),
+        BinOp::Div => Ok(x.wrapping_div_euclid(y)),
+        _ => Ok(x.wrapping_rem_euclid(y)),
+    }
+}
+
+/// A real `+ - * / mod`: `/` by zero is an error, `mod` the
+/// non-negative remainder (NaN for a zero divisor).
+#[inline(always)]
+pub(crate) fn bin_f(op: BinOp, x: f64, y: f64) -> Result<f64, ExecError> {
+    Ok(match op {
+        BinOp::Add => x + y,
+        BinOp::Sub => x - y,
+        BinOp::Mul => x * y,
+        BinOp::Div => {
+            if y == 0.0 {
+                return Err(ExecError::DivisionByZero);
+            }
+            x / y
+        }
+        BinOp::Mod => x.rem_euclid(y),
+        _ => unreachable!("an arithmetic operator"),
+    })
+}
+
+/// How two reals compare: an unordered pair (a NaN operand) compares
+/// equal.
+#[inline(always)]
+pub(crate) fn cmp_f(x: f64, y: f64) -> Ordering {
+    x.partial_cmp(&y).unwrap_or(Ordering::Equal)
+}
+
+/// Whether comparison `op` holds of operands that compare `ord`.
+#[inline(always)]
+pub(crate) fn cmp_res(op: BinOp, ord: Ordering) -> bool {
+    match op {
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::Ne => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::Le => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::Ge => ord != Ordering::Less,
+        _ => unreachable!("a comparison"),
+    }
+}
+
+/// A binary arithmetic operator on two values: integer when both are,
+/// else real.
 pub(crate) fn apply_bin(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => Ok(match op {
-            BinOp::Add => Value::Int(x.wrapping_add(y)),
-            BinOp::Sub => Value::Int(x.wrapping_sub(y)),
-            BinOp::Mul => Value::Int(x.wrapping_mul(y)),
-            BinOp::Div => {
-                if y == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                Value::Int(x.wrapping_div_euclid(y))
-            }
-            BinOp::Mod => {
-                if y == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                Value::Int(x.wrapping_rem_euclid(y))
-            }
-            _ => unreachable!("handled in eval"),
-        }),
-        _ => {
-            let (x, y) = (a.as_real(), b.as_real());
-            Ok(match op {
-                BinOp::Add => Value::Real(x + y),
-                BinOp::Sub => Value::Real(x - y),
-                BinOp::Mul => Value::Real(x * y),
-                BinOp::Div => {
-                    if y == 0.0 {
-                        return Err(ExecError::DivisionByZero);
-                    }
-                    Value::Real(x / y)
-                }
-                BinOp::Mod => Value::Real(x.rem_euclid(y)),
-                _ => unreachable!("handled in eval"),
-            })
-        }
+        (Value::Int(x), Value::Int(y)) => bin_i(op, x, y).map(Value::Int),
+        _ => bin_f(op, a.as_real(), b.as_real()).map(Value::Real),
     }
 }
 

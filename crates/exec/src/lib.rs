@@ -8,8 +8,10 @@
 //!   lowers a nest once to a typed [`CompiledBody`]; the typed loop
 //!   runs it over split `i64`/`f64` register planes and pinned
 //!   payloads. There are exactly two engines, the typed loop and the
-//!   tree-walk; a sequential compiled entry runs one or the other, and
-//!   every parallel worker runs the typed loop.
+//!   tree-walk, and one rulebook: the walked `do`, the operators and
+//!   the bounds rule are written once, in [`interp`]. A sequential
+//!   compiled entry runs one engine or the other, and every parallel
+//!   worker runs the typed loop.
 //! - [`parallel`]: the chunked parallel executor, a transaction on the
 //!   master store with three commit strategies the executor re-derives
 //!   itself ([`ExecutionStrategy`]): the write-log (workers on
@@ -52,9 +54,7 @@ pub mod rng;
 pub mod runtime_test;
 pub mod trace;
 
-pub use bytecode::{
-    lower_do_loop, ChunkEngine, CompiledBody, CompiledDispatch, LowerReject, ScalarLayout,
-};
+pub use bytecode::{lower_do_loop, CompiledBody, CompiledDispatch, LowerReject};
 pub use dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 pub use fault::{FaultKind, FaultPlan, FaultShot};
 pub use interp::{ArrayData, ExecError, ExecOutcome, ExecStats, Interp, LoopStats, Store, Value};
@@ -64,6 +64,7 @@ pub use machine::{
 pub use parallel::{Committed, ExecutionStrategy, ParallelError, ParallelPlan, ReduceOp};
 pub use rng::SplitMix64;
 pub use runtime_test::{
-    certify_injective, inspect_injective, inspect_offset_length, InjectiveCertificate, Inspection,
+    certify_injective, inspect_guard, inspect_injective, inspect_offset_length,
+    InjectiveCertificate, Inspection,
 };
 pub use trace::{AccessTracer, TraceConfig};

@@ -713,10 +713,9 @@ pub(crate) fn exec_do_parallel(
     }
     let ty = program.symbols.var(var).ty;
     if lo > hi {
-        // Zero-trip: no workers, nothing can fail. Record the dispatch
-        // and leave the induction variable at `lo` (sequential
-        // semantics).
-        record_dispatch(interp, loop_stmt, plan);
+        // Zero-trip: no workers, nothing can fail. Count the entry and
+        // leave the induction variable at `lo` (sequential semantics).
+        interp.stats.loops.entry(loop_stmt).or_default().invocations += 1;
         interp.store.set_scalar(var, ty, Value::Int(lo));
         return Ok(Committed {
             strategy: plan.strategy,
@@ -895,14 +894,14 @@ pub(crate) fn exec_do_parallel(
         }
     }
     commit_reductions(program, interp, plan, &outcomes);
-    // The transaction commits: record the dispatch, then aggregate
-    // worker effects — the master pays the chunks' execution cost
-    // (statements + fuel) and absorbs their per-loop statistics.
-    record_dispatch(interp, loop_stmt, plan);
+    // The transaction commits: count the entry, then aggregate worker
+    // effects — the master pays the chunks' execution cost (statements
+    // + fuel) and absorbs their per-loop statistics. A worker runs the
+    // typed loop, which records no iteration costs.
+    interp.stats.loops.entry(loop_stmt).or_default().invocations += 1;
     let body_cost: u64 = outcomes.iter().map(|c| c.stats.total_cost).sum();
     interp.charge(body_cost)?;
-    let entry = interp.stats.loops.entry(loop_stmt).or_default();
-    entry.total_cost += body_cost;
+    interp.stats.loops.entry(loop_stmt).or_default().total_cost += body_cost;
     let chunks = outcomes.len() as u64;
     for c in outcomes {
         interp.stats.stream_entries += c.stats.stream_entries;
@@ -911,7 +910,6 @@ pub(crate) fn exec_do_parallel(
             let e = interp.stats.loops.entry(s).or_default();
             e.invocations += ls.invocations;
             e.total_cost += ls.total_cost;
-            e.iteration_costs.extend(ls.iteration_costs);
         }
     }
     // Sequential semantics: the induction variable ends one past `hi`.
@@ -1063,19 +1061,6 @@ fn commit_reductions(
         let acc = outcomes.iter().fold(base, combine);
         interp.store.set_scalar(rv, program.symbols.var(rv).ty, acc);
     }
-}
-
-/// Records a committed (or zero-trip) parallel dispatch and the plan's
-/// per-array exoneration sets, so telemetry and the dependence auditor
-/// can attribute parallel effects per array, not just per loop. Called
-/// only on success: an aborted dispatch leaves the stats untouched and
-/// the sequential re-execution accounts for the loop instead.
-fn record_dispatch(interp: &mut Interp<'_>, loop_stmt: StmtId, plan: &ParallelPlan) {
-    let entry = interp.stats.loops.entry(loop_stmt).or_default();
-    entry.invocations += 1;
-    entry.parallel_invocations += 1;
-    entry.privatized = plan.privatized.clone();
-    entry.reductions = plan.reductions.iter().map(|(v, _)| *v).collect();
 }
 
 /// Renders a chunk's panic payload. Takes the box itself: a `&Box<dyn

@@ -6,12 +6,15 @@
 //! An *inspector* examines index-array values in the live store right
 //! before a candidate loop and decides whether the parallel version may
 //! run. This module implements the inspectors corresponding to the
-//! properties the compile-time analysis verifies statically, so the
-//! trade-off can be measured (see the `runtime-vs-compile-time` bench
-//! group): the inspector pays `O(section)` on *every* execution, the
-//! compile-time query pays once.
+//! properties the compile-time analysis verifies statically, and
+//! [`inspect_guard`], the one evaluator of a guard's residual checks
+//! over them, so the trade-off can be measured (`benchmark/`'s
+//! `exec.inspect_*_ms`, and the `runtime_vs_compiletime` example): the
+//! inspector pays `O(section)` on *every* execution, the compile-time
+//! query pays once.
 
 use crate::interp::{ArrayData, Store};
+use irr_driver::{GuardPlan, ResidualCheck};
 use irr_frontend::VarId;
 
 /// Result of a run-time inspection.
@@ -170,6 +173,45 @@ pub fn certify_injective(
         hi,
         version: store.array_version(idx),
     })
+}
+
+/// Evaluates `guard` for the section `lo..=hi` against the live store,
+/// as a conjunction of disjunctions: every group must be cleared, and a
+/// group is cleared by *any one* of its checks (each would alone
+/// establish that array's independence — the tester's symmetric
+/// candidates include checks that legitimately fail while a sibling
+/// passes). A group's checks run in order until one passes, and the
+/// evaluation stops at the first group none clears.
+///
+/// Returns what the injectivity checks that cleared their groups
+/// certified — `None` when some group was not cleared — and how many
+/// checks ran.
+pub fn inspect_guard(
+    store: &Store,
+    guard: &GuardPlan,
+    lo: i64,
+    hi: i64,
+) -> (Option<Vec<InjectiveCertificate>>, u64) {
+    let (mut certificates, mut run) = (Vec::new(), 0);
+    let cleared = guard.groups.iter().all(|group| {
+        group.iter().any(|check| {
+            run += 1;
+            match check {
+                // An empty section is vacuously injective, and a
+                // zero-trip dispatch needs no certificate.
+                ResidualCheck::Injective { .. } if hi < lo => true,
+                ResidualCheck::Injective { array } => {
+                    let certificate = certify_injective(store, *array, lo, hi);
+                    certificates.extend(certificate);
+                    certificate.is_some()
+                }
+                ResidualCheck::OffsetLength { ptr, len } => {
+                    inspect_offset_length(store, *ptr, *len, lo, hi) == Inspection::ParallelOk
+                }
+            }
+        })
+    });
+    (cleared.then_some(certificates), run)
 }
 
 /// Inspects whether `ptr` is a proper offset array for lengths `len`

@@ -16,8 +16,10 @@
 //! The inspection cost is then amortized with a [`ScheduleCache`]: the
 //! interpreter's [`Store`] bumps a write-version counter per array, and
 //! a cached verdict is reused as long as the guard's index arrays (and
-//! the loop's evaluated bounds) are unchanged — re-inspection happens
-//! per *mutation*, not per execution. [`Telemetry`] counts inspections,
+//! the loop's evaluated bounds) are unchanged — within a run,
+//! re-inspection happens per *mutation*, not per execution. The cache
+//! and the certificates live for one run, so between runs it still
+//! happens per execution. [`Telemetry`] counts inspections,
 //! cache hits/invalidations, and per-tier dispatches so the trade-off
 //! stays measurable (see `tests/hybrid_runtime.rs` and
 //! `examples/hybrid_fallback.rs`).
@@ -45,9 +47,8 @@ pub use telemetry::Telemetry;
 
 use irr_driver::{CompilationReport, DispatchTier, GuardPlan, ResidualCheck, StrategyFacts};
 use irr_exec::{
-    certify_injective, inspect_offset_length, ChunkEngine, Committed, ExecError, ExecOutcome,
-    ExecutionStrategy, FallbackReason, FaultKind, FaultPlan, InjectiveCertificate, Inspection,
-    Interp, LoopDecision, LoopDispatcher, ParallelPlan, Store,
+    inspect_guard, Committed, ExecError, ExecOutcome, ExecutionStrategy, FallbackReason, FaultKind,
+    FaultPlan, InjectiveCertificate, Interp, LoopDecision, LoopDispatcher, ParallelPlan, Store,
 };
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
@@ -285,46 +286,6 @@ impl HybridDispatcher {
         }
         Some(kind)
     }
-
-    /// Evaluates the guard against the live store: every group must be
-    /// cleared, and a group is cleared when *any one* of its checks
-    /// passes (each check would alone establish that array's
-    /// independence — the tester's symmetric candidates include checks
-    /// that legitimately fail while a sibling passes). `None` when some
-    /// group is not; else what the injectivity checks that cleared
-    /// theirs certified, out of the same scan.
-    fn inspect(
-        &mut self,
-        store: &Store,
-        guard: &GuardPlan,
-        lo: i64,
-        hi: i64,
-    ) -> Option<Vec<InjectiveCertificate>> {
-        let mut certificates = Vec::new();
-        'groups: for group in &guard.groups {
-            for check in group {
-                self.telemetry.inspections_run += 1;
-                let passed = match check {
-                    // An empty section is vacuously injective, and a
-                    // zero-trip dispatch needs no certificate.
-                    ResidualCheck::Injective { .. } if hi < lo => true,
-                    ResidualCheck::Injective { array } => {
-                        let certificate = certify_injective(store, *array, lo, hi);
-                        certificates.extend(certificate);
-                        certificate.is_some()
-                    }
-                    ResidualCheck::OffsetLength { ptr, len } => {
-                        inspect_offset_length(store, *ptr, *len, lo, hi) == Inspection::ParallelOk
-                    }
-                };
-                if passed {
-                    continue 'groups;
-                }
-            }
-            return None;
-        }
-        Some(certificates)
-    }
 }
 
 /// Arrays a guard's inspectors read, for version keying.
@@ -459,7 +420,8 @@ impl LoopDispatcher for HybridDispatcher {
                 // A miss inspects, and the scan that clears the guard
                 // leaves the key's certificates.
                 let (parallel_ok, certificates) = hit.unwrap_or_else(|| {
-                    let inspected = self.inspect(store, guard, lo, hi);
+                    let (inspected, run) = inspect_guard(store, guard, lo, hi);
+                    self.telemetry.inspections_run += run;
                     let v = inspected.is_some();
                     let certificates = inspected.unwrap_or_default();
                     if self.config.cache_schedules {
@@ -498,7 +460,7 @@ impl LoopDispatcher for HybridDispatcher {
         self.telemetry.worker_chunks_typed += committed.chunks;
     }
 
-    fn compiled_committed(&mut self, _loop_stmt: StmtId, _engine: ChunkEngine) {
+    fn compiled_committed(&mut self, _loop_stmt: StmtId) {
         self.telemetry.compiled_loops += 1;
     }
 

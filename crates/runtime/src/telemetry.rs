@@ -91,8 +91,8 @@ pub struct Telemetry {
     /// dynamic self-check failed (in-place write outside its proven
     /// window, broken append discipline, appends past the target).
     pub fallback_strategy: u64,
-    /// Sequential-tier loop entries executed on the compiled (bytecode)
-    /// tier instead of the tree-walk. Always also counted under
+    /// Sequential-tier loop entries the typed loop ran instead of the
+    /// tree-walk (a zero-trip entry runs neither). Always also counted under
     /// `sequential_proven`: the compiled tier changes the engine, not
     /// the dispatch decision.
     pub compiled_loops: u64,
@@ -114,8 +114,9 @@ pub struct Telemetry {
     /// Compiled-tier dispatches that fell back to the tree-walk because
     /// the executor's own lowering rejected the nest — the verdict's
     /// advisory plan was forged or stale: both sides call one
-    /// `lower_do_loop`, and a nest that lowers is one the typed loop
-    /// can run.
+    /// `lower_do_loop` — or because an array the nest references holds
+    /// another element type than declared (a preset may install
+    /// either).
     pub compiled_fallback_unsupported: u64,
     /// Compiled-tier dispatches that fell back because instrumentation
     /// (access tracing or per-loop recording) was attached — the

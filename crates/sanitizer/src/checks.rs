@@ -337,10 +337,10 @@ pub fn ladder(case: &Case, config: &AuditConfig) -> Checked {
 /// not). The tier's contract is exact replay, so there is no tolerance
 /// ([`Reals::Exact`]) and no exemption: both runs are sequential, so
 /// even the scratch the verdicts privatize must agree. The summary says
-/// how many entries the typed loop finished, how many the chunk entry
-/// walked throughout, and how many loop entries — inner ones included —
-/// a stream fast-forwarded over how many iterations, so a nest sliding
-/// from one to the other shows in the log.
+/// how many entries the typed loop ran, how many fell back, and how
+/// many loop entries — inner ones included — a stream fast-forwarded
+/// over how many iterations, so a nest sliding off the typed loop or
+/// off its stream shows in the log.
 pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
     let (rep, presets) = match compile(case) {
         Ok(compiled) => compiled,
@@ -364,9 +364,8 @@ pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
     };
     Checked {
         summary: format!(
-            "{} loop entr(ies) typed, {} walked, {} fallback(s), {streamed} streamed over {iters} iteration(s), {}",
-            dispatch.typed,
-            dispatch.compiled - dispatch.typed,
+            "{} loop entr(ies) typed, {} fallback(s), {streamed} streamed over {iters} iteration(s), {}",
+            dispatch.compiled,
             dispatch.fallback_count(),
             if diverged.is_none() {
                 "byte-identical"
@@ -376,6 +375,6 @@ pub fn compiled(case: &Case, _: &AuditConfig) -> Checked {
         ),
         violations: diverged.into_iter().collect(),
         gaps: Vec::new(),
-        exercised: dispatch.typed > 0,
+        exercised: dispatch.compiled > 0,
     }
 }

@@ -36,6 +36,5 @@ pub use audit::{
     Figure, Finding, FindingKind,
 };
 pub use shadow::{
-    guard_passes, AccessFacts, DepKind, DepWitness, DependenceTracer, LoopExecTrace, TraceHandle,
-    TraceLog,
+    AccessFacts, DepKind, DepWitness, DependenceTracer, LoopExecTrace, TraceHandle, TraceLog,
 };

@@ -36,8 +36,8 @@
 //! loop to the parallel standard only on executions the guard would
 //! actually have cleared.
 
-use irr_driver::{CompilationReport, DispatchTier, GuardPlan, ResidualCheck};
-use irr_exec::{inspect_injective, inspect_offset_length, AccessTracer, Inspection, Store};
+use irr_driver::{CompilationReport, DispatchTier, GuardPlan};
+use irr_exec::{inspect_guard, AccessTracer, Store};
 use irr_frontend::{Program, StmtId, VarId};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -350,26 +350,6 @@ impl Frame {
     }
 }
 
-/// Evaluates every residual check of `guard` against the live store —
-/// the same inspection the hybrid dispatcher runs before clearing a
-/// guarded loop for parallel execution.
-pub fn guard_passes(store: &Store, guard: &GuardPlan, lo: i64, hi: i64) -> bool {
-    // Conjunction of disjunctions: every group must be cleared by at
-    // least one of its checks (each check alone establishes that
-    // array's independence).
-    guard.groups.iter().all(|group| {
-        group.iter().any(|check| {
-            let verdict = match check {
-                ResidualCheck::Injective { array } => inspect_injective(store, *array, lo, hi),
-                ResidualCheck::OffsetLength { ptr, len } => {
-                    inspect_offset_length(store, *ptr, *len, lo, hi)
-                }
-            };
-            verdict == Inspection::ParallelOk
-        })
-    })
-}
-
 /// The shadow-memory dependence tracer (see the module docs).
 pub struct DependenceTracer {
     guards: HashMap<StmtId, GuardPlan>,
@@ -440,7 +420,7 @@ impl AccessTracer for DependenceTracer {
         let guard_passed = self
             .guards
             .get(&loop_stmt)
-            .map(|g| guard_passes(store, g, lo, hi));
+            .map(|g| inspect_guard(store, g, lo, hi).0.is_some());
         self.frames.push(Frame {
             loop_stmt,
             invocation,

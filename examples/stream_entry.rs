@@ -54,7 +54,7 @@ fn best_ns(src: &str, presets: &[(&str, ArrayData)]) -> (f64, u64) {
         let (mut d, t0) = (CompiledDispatch::new(), Instant::now());
         let out = it.run_dispatched(&mut d).expect("the kernel completes");
         let ns = t0.elapsed().as_nanos() as f64;
-        assert!(d.typed > 0, "the loop left the typed tier");
+        assert!(d.compiled > 0, "the loop left the typed tier");
         (ns, out.stats.stream_entries)
     };
     let runs: Vec<(f64, u64)> = (0..25).map(|_| run()).collect();

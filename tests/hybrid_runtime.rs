@@ -5,9 +5,9 @@
 //! array force exactly one re-inspection.
 
 use irr_driver::{compile_source, CompiledPlan, DispatchTier, DriverOptions, ResidualCheck};
-use irr_exec::{inspect_injective, inspect_offset_length, Inspection, Interp};
+use irr_exec::{inspect_injective, inspect_offset_length, FallbackReason, Inspection, Interp};
 use irr_runtime::{run_hybrid, run_hybrid_seeded, HybridConfig};
-use irr_sanitizer::parity::{first_divergence, sequential, Reals};
+use irr_sanitizer::parity::{dispatched, first_divergence, sequential, Reals};
 use irr_sparse::{int_array, random_permutation, real_array};
 
 /// The flagship scenario: `p(i) = mod(i*3, n) + 1` is a permutation of
@@ -330,6 +330,31 @@ fn cleared_compiled_plan_keeps_a_lowerable_loop_on_the_tree_walk() {
     let t = &hybrid.telemetry;
     assert_eq!(t.compiled_loops, 0, "{t:?}");
     assert_eq!(t.compiled_fallbacks(), 0, "{t:?}");
+}
+
+/// A preset of the other element type — an integer payload for the
+/// real array `x` the nest stores to — is a compiled entry the typed
+/// loop cannot run: the `Do` arm walks it, reports it `Unsupported`, and
+/// ends where the tree-walk does, under the all-compiled dispatcher and
+/// under the hybrid runtime alike.
+#[test]
+fn a_mistyped_preset_walks_and_is_reported_unsupported() {
+    let rep = compile_source(&recurrence_src(""), DriverOptions::with_iaa()).unwrap();
+    assert!(rep.verdicts[0].compiled.is_some());
+    let x = rep.program.symbols.lookup("x").unwrap();
+    let presets = [(x, int_array(&[7; 100]))];
+    let seq = sequential(&rep, &presets).unwrap();
+    let mut d = irr_exec::CompiledDispatch::new();
+    let comp = dispatched(&rep, &presets, &mut d).unwrap();
+    let hybrid = run_hybrid_seeded(&rep, HybridConfig::default(), &presets).unwrap();
+    let ran = |o: &irr_exec::ExecOutcome| (o.output.clone(), o.store.clone(), o.stats.total_cost);
+    assert_eq!(ran(&comp), ran(&seq));
+    assert_eq!(ran(&hybrid.outcome), ran(&seq));
+    let unsupported = vec![(FallbackReason::Unsupported, 1)];
+    assert_eq!((d.compiled, d.fallbacks), (0, unsupported));
+    let t = hybrid.telemetry;
+    let walked = (t.compiled_loops, t.compiled_fallback_unsupported);
+    assert_eq!(walked, (0, 1), "{t:?}");
 }
 
 // ---- inspector edge cases (empty / unallocated / out-of-bounds) ----
