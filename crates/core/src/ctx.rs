@@ -114,6 +114,9 @@ pub struct AnalysisCtx<'p> {
     proc_of: Vec<Option<ProcId>>,
     cfgs: Vec<OnceCell<Rc<Cfg>>>,
     loop_tables: Vec<OnceCell<Box<BodyTable<'p>>>>,
+    range_envs: Vec<OnceCell<Box<RangeEnv>>>,
+    /// The environment outside every loop: no facts.
+    no_ranges: RangeEnv,
     /// Per array, the statements that read an element of it.
     readers: OnceCell<Vec<Vec<StmtId>>>,
 }
@@ -164,6 +167,8 @@ impl<'p> AnalysisCtx<'p> {
             proc_of,
             cfgs: std::iter::repeat_with(OnceCell::new).take(n).collect(),
             loop_tables: std::iter::repeat_with(OnceCell::new).take(n).collect(),
+            range_envs: std::iter::repeat_with(OnceCell::new).take(n).collect(),
+            no_ranges: RangeEnv::new(),
             readers: OnceCell::new(),
         }
     }
@@ -225,27 +230,34 @@ impl<'p> AnalysisCtx<'p> {
             .all(|s| self.enclosing_loops(*s).contains(&loop_stmt))
     }
 
-    /// A [`RangeEnv`] with the ranges of every `do` variable enclosing
-    /// `stmt` (including `stmt` itself when it is a `do`).
-    pub fn range_env_at(&self, stmt: StmtId) -> RangeEnv {
-        let mut env = RangeEnv::new();
-        let add = |s: StmtId, env: &mut RangeEnv| {
-            if let StmtKind::Do {
-                var, lo, hi, step, ..
-            } = &self.program.stmt(s).kind
-            {
-                if step.as_ref().and_then(|e| e.as_int_lit()).unwrap_or(1) == 1 {
-                    if let (Some(lo), Some(hi)) = (expr_to_sym(lo), expr_to_sym(hi)) {
-                        env.set_var_range(*var, lo, hi);
-                    }
+    /// The (memoized) [`RangeEnv`] with the ranges of every `do`
+    /// variable enclosing `stmt` (including `stmt` itself when it is a
+    /// `do`). It is built once per `do` statement and borrowed: a
+    /// statement that is not a `do` sees its innermost enclosing loop's
+    /// environment, and one outside every loop sees [`Self::no_ranges`].
+    /// A caller that adds facts clones it first.
+    pub fn range_env_at(&self, stmt: StmtId) -> &RangeEnv {
+        if !matches!(self.program.stmt(stmt).kind, StmtKind::Do { .. }) {
+            return match self.enclosing_loops(stmt).first() {
+                Some(&l) => self.range_env_at(l),
+                None => &self.no_ranges,
+            };
+        }
+        self.range_envs[stmt.index()].get_or_init(|| {
+            let mut env = RangeEnv::new();
+            for &s in std::iter::once(&stmt).chain(self.enclosing_loops(stmt)) {
+                if let Some((var, lo, hi)) = self.do_bounds_sym(s) {
+                    env.set_var_range(var, lo, hi);
                 }
             }
-        };
-        add(stmt, &mut env);
-        for &l in self.enclosing_loops(stmt) {
-            add(l, &mut env);
-        }
-        env
+            Box::new(env)
+        })
+    }
+
+    /// The environment with no facts (a procedure body's, outside every
+    /// loop).
+    pub fn no_ranges(&self) -> &RangeEnv {
+        &self.no_ranges
     }
 
     /// The `(lhs, rhs)` of an assignment statement.
@@ -507,7 +519,11 @@ mod tests {
         let i = p.symbols.lookup("i").unwrap();
         // i - 2 >= 0 provable.
         let e = SymExpr::var(i).sub(&SymExpr::int(2));
-        assert!(irr_symbolic::prove_ge0(&e, &env));
+        assert!(irr_symbolic::prove_ge0(&e, env));
+        // Built once, for the loop, and lent to the statements in it.
+        let do_i = p.procedure(p.main()).body[0];
+        assert!(std::ptr::eq(env, ctx.range_env_at(do_i)), "memoized");
+        assert!(std::ptr::eq(env, ctx.range_env_at(assign)), "memoized");
     }
 
     #[test]

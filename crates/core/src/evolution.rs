@@ -533,8 +533,8 @@ fn recognize_producer(
             if d != x && !ka.contains(&d) {
                 if let Some(df) = facts.get(&d) {
                     if df.nonneg
-                        && prove_le(&df.covered.0, &lo, &env)
-                        && prove_le(&hi, &df.covered.1, &env)
+                        && prove_le(&df.covered.0, &lo, env)
+                        && prove_le(&hi, &df.covered.1, env)
                     {
                         let strict = df.positive;
                         return Some((
@@ -575,8 +575,8 @@ fn recognize_producer(
     }
     let at_lo = rs.subst(loop_var, &lo);
     let at_hi = rs.subst(loop_var, &hi);
-    let nonneg = prove_ge0(&at_lo, &env) && prove_ge0(&at_hi, &env);
-    let positive = prove_gt0(&at_lo, &env) && prove_gt0(&at_hi, &env);
+    let nonneg = prove_ge0(&at_lo, env) && prove_ge0(&at_hi, env);
+    let positive = prove_gt0(&at_lo, env) && prove_gt0(&at_hi, env);
     let shift = SymExpr::int(dc);
     Some((
         x,
@@ -662,8 +662,8 @@ mod tests {
         assert_eq!(*d, var(&p, "len"));
         let (one, n) = (SymExpr::int(1), SymExpr::var(var(&p, "n")));
         let env = ctx.range_env_at(consumer);
-        assert!(evo.proves_offset_length(consumer, var(&p, "ptr"), var(&p, "len"), &one, &n, &env));
-        assert!(evo.proves_injective(consumer, var(&p, "ptr"), &one, &n, &env));
+        assert!(evo.proves_offset_length(consumer, var(&p, "ptr"), var(&p, "len"), &one, &n, env));
+        assert!(evo.proves_injective(consumer, var(&p, "ptr"), &one, &n, env));
     }
 
     #[test]
@@ -704,8 +704,8 @@ mod tests {
         assert!(lf.nonneg && !lf.positive);
         let (one, n) = (SymExpr::int(1), SymExpr::var(var(&p, "n")));
         let env = ctx.range_env_at(consumer);
-        assert!(evo.proves_offset_length(consumer, var(&p, "ptr"), var(&p, "len"), &one, &n, &env));
-        assert!(!evo.proves_injective(consumer, var(&p, "ptr"), &one, &n, &env));
+        assert!(evo.proves_offset_length(consumer, var(&p, "ptr"), var(&p, "len"), &one, &n, env));
+        assert!(!evo.proves_injective(consumer, var(&p, "ptr"), &one, &n, env));
     }
 
     #[test]
@@ -732,7 +732,7 @@ mod tests {
         assert!(f.positive, "values run 16 down to 1");
         let (one, nnz) = (SymExpr::int(1), SymExpr::int(16));
         let env = ctx.range_env_at(consumer);
-        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, &env));
+        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, env));
     }
 
     #[test]
@@ -754,7 +754,7 @@ mod tests {
         let consumer = *loops.last().unwrap();
         let env = ctx.range_env_at(consumer);
         let (one, zero) = (SymExpr::int(1), SymExpr::int(0));
-        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &zero, &env));
+        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &zero, env));
     }
 
     #[test]
@@ -782,14 +782,7 @@ mod tests {
         let consumer = *loops.last().unwrap();
         let (one, n) = (SymExpr::int(1), SymExpr::var(var(&p, "n")));
         let env = ctx.range_env_at(consumer);
-        assert!(!evo.proves_offset_length(
-            consumer,
-            var(&p, "ptr"),
-            var(&p, "len"),
-            &one,
-            &n,
-            &env
-        ));
+        assert!(!evo.proves_offset_length(consumer, var(&p, "ptr"), var(&p, "len"), &one, &n, env));
     }
 
     #[test]
@@ -813,7 +806,7 @@ mod tests {
         let consumer = *loops.last().unwrap();
         let env = ctx.range_env_at(consumer);
         let (one, nnz) = (SymExpr::int(1), SymExpr::var(var(&p, "nnz")));
-        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, &env));
+        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, env));
     }
 
     #[test]
@@ -824,7 +817,7 @@ mod tests {
         let consumer = *loops.last().unwrap();
         let env = ctx.range_env_at(consumer);
         let (one, nnz) = (SymExpr::int(1), SymExpr::var(var(&p, "nnz")));
-        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, &env));
+        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, env));
     }
 
     const UNRELATED_CALL_SRC: &str = "program t
@@ -858,7 +851,7 @@ mod tests {
         let consumer = *loops.last().unwrap();
         let env = ctx.range_env_at(consumer);
         let (one, nnz) = (SymExpr::int(1), SymExpr::var(var(&p, "nnz")));
-        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, &env));
+        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, env));
         assert!(evo.fact_interproc(consumer, var(&p, "perm")));
     }
 
@@ -892,7 +885,7 @@ mod tests {
         let consumer = *loops.last().unwrap();
         let env = ctx.range_env_at(consumer);
         let (one, nnz) = (SymExpr::int(1), SymExpr::var(var(&p, "nnz")));
-        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, &env));
+        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &nnz, env));
     }
 
     #[test]
@@ -922,8 +915,8 @@ mod tests {
         let consumer = *loops.last().unwrap();
         let env = ctx.range_env_at(consumer);
         let (one, zero, eight) = (SymExpr::int(1), SymExpr::int(0), SymExpr::int(8));
-        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &zero, &env));
-        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &eight, &env));
+        assert!(evo.proves_injective(consumer, var(&p, "perm"), &one, &zero, env));
+        assert!(!evo.proves_injective(consumer, var(&p, "perm"), &one, &eight, env));
     }
 
     #[test]
@@ -960,12 +953,12 @@ mod tests {
         let (ptr, len) = (var(&p, "ptr"), var(&p, "len"));
 
         let cold = EvolutionAnalysis::new(&ctx);
-        assert!(!cold.proves_offset_length(consumer, ptr, len, &one, &n, &env));
+        assert!(!cold.proves_offset_length(consumer, ptr, len, &one, &n, env));
 
         let sa = crate::summaries::SummaryAnalysis::new(&ctx);
         let evo = EvolutionAnalysis::with_summaries(&ctx, &sa);
-        assert!(evo.proves_offset_length(consumer, ptr, len, &one, &n, &env));
-        assert!(evo.proves_injective(consumer, ptr, &one, &n, &env));
+        assert!(evo.proves_offset_length(consumer, ptr, len, &one, &n, env));
+        assert!(evo.proves_injective(consumer, ptr, &one, &n, env));
         assert!(evo.fact_interproc(consumer, ptr));
     }
 }

@@ -95,8 +95,8 @@ impl PropertyChecker {
                 let Some(r) = expr_to_sym(rhs) else {
                     return (Section::point(vec![sub.clone()]), Section::Empty);
                 };
-                let lo_ok = lo.as_ref().is_none_or(|l| prove_le(l, &r, &env));
-                let hi_ok = hi.as_ref().is_none_or(|h| prove_le(&r, h, &env));
+                let lo_ok = lo.as_ref().is_none_or(|l| prove_le(l, &r, env));
+                let hi_ok = hi.as_ref().is_none_or(|h| prove_le(&r, h, env));
                 if lo_ok && hi_ok {
                     (Section::Empty, Section::point(vec![sub.clone()]))
                 } else {
@@ -139,7 +139,7 @@ impl PropertyChecker {
                             if pure {
                                 let prev = r.subst(v, &sub.sub(&one));
                                 let want = distance.at(&sub.sub(&one));
-                                if irr_symbolic::prove_eq(&r.sub(&prev), &want, &env) {
+                                if irr_symbolic::prove_eq(&r.sub(&prev), &want, env) {
                                     return (
                                         Section::point(vec![sub.clone()]),
                                         Section::point(vec![sub.sub(&one)]),
@@ -176,7 +176,7 @@ impl PropertyChecker {
         let env = ctx.range_env_at(loop_stmt);
         match &self.property {
             Property::ClosedFormDistance { distance } => {
-                self.cfd_loop_patterns(ctx, body, var, &lo, &hi, distance, &env)
+                self.cfd_loop_patterns(ctx, body, var, &lo, &hi, distance, env)
             }
             Property::Injective | Property::MonotoneNonDecreasing => {
                 // Identity loop: do i = lo, hi { x(i) = i }.
@@ -194,10 +194,10 @@ impl PropertyChecker {
                     .find(|g| g.array == self.array)?;
                 let lo_ok = blo
                     .as_ref()
-                    .is_none_or(|b| prove_le(b, &info.value_lo, &env));
+                    .is_none_or(|b| prove_le(b, &info.value_lo, env));
                 let hi_ok = bhi
                     .as_ref()
-                    .is_none_or(|b| prove_le(&info.value_hi, b, &env));
+                    .is_none_or(|b| prove_le(&info.value_hi, b, env));
                 if lo_ok && hi_ok {
                     Some((kill, gen))
                 } else {

@@ -301,7 +301,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
         for (n, s) in init {
             match pending.entry(n) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let merged = e.get().union_may(&s, &env_base);
+                    let merged = e.get().union_may(&s, env_base);
                     e.insert(merged);
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -344,10 +344,10 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                 continue;
             }
             if n == entry {
-                entry_remaining = entry_remaining.union_may(&set, &env_base);
+                entry_remaining = entry_remaining.union_may(&set, env_base);
                 continue;
             }
-            let outcome = self.propagate_through(chk, n, &set, &env_base, visited_procs);
+            let outcome = self.propagate_through(chk, n, &set, env_base, visited_procs);
             let remaining = match outcome {
                 Ok(r) => r,
                 Err(()) => {
@@ -365,7 +365,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
             for &m in hcg.preds(n) {
                 match pending.entry(m) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let merged = e.get().union_may(&remaining, &env_base);
+                        let merged = e.get().union_may(&remaining, env_base);
                         e.insert(merged);
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
@@ -403,8 +403,8 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                 let stmt_env = self.ctx.range_env_at(stmt);
                 // Gen wins over Kill for the same element (Gen is the
                 // MUST state at the node's exit), so subtract it first.
-                let remaining = self.apply_gen(chk, set, &gen, &stmt_env)?;
-                if !kill.provably_disjoint(&remaining, &stmt_env) {
+                let remaining = self.apply_gen(chk, set, &gen, stmt_env)?;
+                if !kill.provably_disjoint(&remaining, stmt_env) {
                     return Err(());
                 }
                 // Backward renaming: a scalar in the query bounds that is
@@ -529,7 +529,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
         let (kill_b, gen_b) = self.summarize_section(chk, body_sec, &mut sum_guard);
         match self.ctx.do_bounds_sym(loop_stmt) {
             Some((var, lo, hi)) => {
-                let mut env = self.ctx.range_env_at(loop_stmt);
+                let mut env = self.ctx.range_env_at(loop_stmt).clone();
                 env.set_var_range(var, lo.clone(), hi.clone());
                 let prev_hi = SymExpr::var(var).sub(&SymExpr::int(1));
                 // Aggregate earlier iterations (j in [lo, i-1]) with a
@@ -573,7 +573,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                 // write; require the body to be kill-free, and take no
                 // credit for its Gen.
                 let env = self.ctx.range_env_at(loop_stmt);
-                if !kill_b.is_empty() && !kill_b.provably_empty(&env) {
+                if !kill_b.is_empty() && !kill_b.provably_empty(env) {
                     return None;
                 }
                 let _ = gen_b;
@@ -635,7 +635,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                 let kill = if kill_stale {
                     Section::Universal
                 } else {
-                    kill_b.aggregate(var, &lo, &hi, &env, AggMode::May)
+                    kill_b.aggregate(var, &lo, &hi, env, AggMode::May)
                 };
                 let gen_stale = assigned.iter().any(|v| *v != var && gen_b.mentions_var(*v));
                 let gen = if gen_stale || gen_b.is_empty() {
@@ -654,14 +654,14 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                         AggMode::May,
                     );
                     let gen_i = gen_b.subtract_may(&kill_later, &iter_env);
-                    gen_i.aggregate(var, &lo, &hi, &env, AggMode::Must)
+                    gen_i.aggregate(var, &lo, &hi, env, AggMode::Must)
                 };
                 (kill, gen)
             }
             None => {
                 // While loop (or non-unit step): unknown trip count.
                 let env = self.ctx.range_env_at(loop_stmt);
-                let kill = if kill_b.is_empty() || kill_b.provably_empty(&env) {
+                let kill = if kill_b.is_empty() || kill_b.provably_empty(env) {
                     Section::Empty
                 } else {
                     Section::Universal
@@ -758,13 +758,13 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
             }
             // Kill at exit excludes elements re-generated afterwards.
             let kill_after = kill_acc.clone();
-            kill_acc = kill_acc.union_may(&kill.subtract_under(&gen_t, &env), &env);
+            kill_acc = kill_acc.union_may(&kill.subtract_under(&gen_t, env), env);
             // Gen of n survives to the exit if not killed later.
-            let gen_surviving = gen.subtract_may(&kill_after, &env);
+            let gen_surviving = gen.subtract_may(&kill_after, env);
             if hcg.dominates_exit(n) {
-                gen_dom = gen_dom.union_must(&gen_surviving, &env);
+                gen_dom = gen_dom.union_must(&gen_surviving, env);
             }
-            let mut new_gen = gen_t.union_must(&gen_surviving, &env);
+            let mut new_gen = gen_t.union_must(&gen_surviving, env);
             // Backward renaming across scalar assignments.
             if let HcgNodeKind::Simple(stmt) = hcg.kind(n) {
                 if let Some((LValue::Scalar(v), rhs)) = self.ctx.assign_parts(stmt) {
@@ -785,7 +785,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
             for &m in hcg.preds(n) {
                 match pending.entry(m) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let merged = e.get().intersect_must(&new_gen, &env);
+                        let merged = e.get().intersect_must(&new_gen, env);
                         e.insert(merged);
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
@@ -799,10 +799,10 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
 
     /// The base range environment of a section: the enclosing loops'
     /// variable ranges.
-    fn section_env(&self, sec: SectionId) -> RangeEnv {
+    fn section_env(&self, sec: SectionId) -> &'c RangeEnv {
         match self.ctx.hcg.section(sec).kind {
             SectionKind::LoopBody(stmt) => self.ctx.range_env_at(stmt),
-            SectionKind::ProcBody(_) => RangeEnv::new(),
+            SectionKind::ProcBody(_) => self.ctx.no_ranges(),
         }
     }
 }

@@ -232,7 +232,7 @@ impl<'a, 'c, 'p> DependenceTester<'a, 'c, 'p> {
         let mut hull: Option<SymRange> = None;
         let mut any_atoms = false;
         let base_env = {
-            let mut e = self.ctx.range_env_at(loop_stmt);
+            let mut e = self.ctx.range_env_at(loop_stmt).clone();
             e.set_var_range(var, lo.clone(), hi.clone());
             e
         };

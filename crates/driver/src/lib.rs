@@ -659,10 +659,10 @@ fn evolution_discharge(
         .iter()
         .find(|rc| match rc {
             ResidualCheck::Injective { array } => {
-                evo.proves_injective(loop_stmt, *array, &lo, &hi, &env)
+                evo.proves_injective(loop_stmt, *array, &lo, &hi, env)
             }
             ResidualCheck::OffsetLength { ptr, len } => {
-                evo.proves_offset_length(loop_stmt, *ptr, *len, &lo, &hi, &env)
+                evo.proves_offset_length(loop_stmt, *ptr, *len, &lo, &hi, env)
             }
         })
         .cloned()

@@ -665,10 +665,10 @@ fn precision_gap(
             group.iter().find_map(|rc| {
                 let holds = match rc {
                     ResidualCheck::Injective { array } => {
-                        evo.proves_injective(v.loop_stmt, *array, &lo, &hi, &env)
+                        evo.proves_injective(v.loop_stmt, *array, &lo, &hi, env)
                     }
                     ResidualCheck::OffsetLength { ptr, len } => {
-                        evo.proves_offset_length(v.loop_stmt, *ptr, *len, &lo, &hi, &env)
+                        evo.proves_offset_length(v.loop_stmt, *ptr, *len, &lo, &hi, env)
                     }
                 };
                 holds.then(|| render_check(ctx.program, rc))

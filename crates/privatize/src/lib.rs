@@ -192,7 +192,7 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
         }
         let mut scan = Scan::new();
         let env = self.ctx.range_env_at(loop_stmt);
-        let ok = self.scan_body(self.ctx.loop_body(loop_stmt), array, &mut scan, &env);
+        let ok = self.scan_body(self.ctx.loop_body(loop_stmt), array, &mut scan, env);
         result.properties_used = scan.properties.clone();
         if ok {
             result.privatizable = true;
@@ -634,12 +634,12 @@ fn collect_program_vars(e: &SymExpr, out: &mut Vec<VarId>) {
                 }
             }
             Atom::Elem(_, subs) => {
-                for s in subs {
+                for s in subs.iter() {
                     collect_program_vars(s, out);
                 }
             }
             Atom::Opaque(_, args) => {
-                for s in args {
+                for s in args.iter() {
                     collect_program_vars(s, out);
                 }
             }
@@ -656,12 +656,12 @@ fn collect_all_vars(e: &SymExpr, out: &mut Vec<VarId>) {
                 }
             }
             Atom::Elem(_, subs) => {
-                for s in subs {
+                for s in subs.iter() {
                     collect_all_vars(s, out);
                 }
             }
             Atom::Opaque(_, args) => {
-                for s in args {
+                for s in args.iter() {
                     collect_all_vars(s, out);
                 }
             }

@@ -6,8 +6,10 @@ use irr_frontend::{BinOp, Expr, Intrinsic, UnOp};
 /// Converts an integer-valued AST expression into a [`SymExpr`].
 ///
 /// Returns `None` for expressions the symbolic layer cannot represent:
-/// real literals, comparisons/logical operators, and real-valued
-/// intrinsics. Callers treat `None` as "unanalyzable" and approximate
+/// real literals, comparisons/logical operators, real-valued
+/// intrinsics, and arithmetic whose coefficients leave `i64` (the
+/// program's own arithmetic wraps there, the symbolic one cannot).
+/// Callers treat `None` as "unanalyzable" and approximate
 /// conservatively.
 pub fn expr_to_sym(e: &Expr) -> Option<SymExpr> {
     match e {
@@ -21,16 +23,16 @@ pub fn expr_to_sym(e: &Expr) -> Option<SymExpr> {
         Expr::Bin(op, a, b) => {
             let a = expr_to_sym(a)?;
             let b = expr_to_sym(b)?;
-            Some(match op {
-                BinOp::Add => a.add(&b),
-                BinOp::Sub => a.sub(&b),
-                BinOp::Mul => a.mul(&b),
-                BinOp::Div => a.div(&b),
-                BinOp::Mod => a.mod_op(&b),
-                _ => return None,
-            })
+            match op {
+                BinOp::Add => a.checked_add(&b),
+                BinOp::Sub => a.checked_sub(&b),
+                BinOp::Mul => a.checked_mul(&b),
+                BinOp::Div => Some(a.div(&b)),
+                BinOp::Mod => Some(a.mod_op(&b)),
+                _ => None,
+            }
         }
-        Expr::Un(UnOp::Neg, a) => Some(expr_to_sym(a)?.neg()),
+        Expr::Un(UnOp::Neg, a) => expr_to_sym(a)?.checked_neg(),
         Expr::Un(UnOp::Not, _) => None,
         Expr::Call(intr, args) => match intr {
             Intrinsic::Min if args.len() == 2 => {
@@ -112,6 +114,22 @@ mod tests {
         } else {
             panic!("expected if");
         }
+    }
+
+    #[test]
+    fn overflowing_coefficients_do_not_convert() {
+        for src in [
+            "program t\ninteger k, i\nk = i * 4611686018427387904 * 4\nend\n",
+            "program t\ninteger k, i\nk = i * 9223372036854775807 + i * 9223372036854775807\nend\n",
+        ] {
+            let (_, rhs) = rhs_of_first_assign(src);
+            assert!(expr_to_sym(&rhs).is_none(), "{src}");
+        }
+        // (2^62 + 2^62 - 1) * i is the largest coefficient there is.
+        let (_, rhs) = rhs_of_first_assign(
+            "program t\ninteger k, i\nk = i * 4611686018427387904 + i * 4611686018427387903\nend\n",
+        );
+        assert!(expr_to_sym(&rhs).is_some());
     }
 
     #[test]

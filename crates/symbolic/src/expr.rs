@@ -11,9 +11,24 @@
 //! expressions, so structurally equal opaque computations still compare
 //! equal. The prover in [`crate::prove`] knows sound bounding rules for
 //! them.
+//!
+//! Values are immutable and shared. An expression's terms, a monomial's
+//! atoms and an atom's subscripts or arguments are reference-counted
+//! slices, so cloning an expression — or a `Bound`, a `SymRange`, a
+//! `Section` or a `RangeEnv` entry holding one — is one reference count
+//! and copies nothing. The constant 0 and the unit monomial are shared
+//! per thread. Sharing changes no value: equality, order, hash and both
+//! printed forms are those of the slices' contents, so the canonical form
+//! is the same as with owned vectors. No symbolic value crosses a thread.
+//!
+//! The arithmetic has checked forms (`checked_add`, `checked_sub`,
+//! `checked_mul`, `checked_neg`) that return `None` when a coefficient or
+//! the denominator leaves `i64`; the plain forms panic there.
 
 use irr_frontend::VarId;
+use std::cmp::Ordering;
 use std::fmt;
+use std::rc::Rc;
 
 /// Opaque (non-polynomial) operations kept as atoms.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -32,9 +47,9 @@ pub enum Atom {
     /// A scalar variable.
     Var(VarId),
     /// An array element, e.g. `pptr(i)`.
-    Elem(VarId, Vec<SymExpr>),
+    Elem(VarId, Rc<[SymExpr]>),
     /// An opaque operation over normalized arguments.
-    Opaque(OpaqueOp, Vec<SymExpr>),
+    Opaque(OpaqueOp, Rc<[SymExpr]>),
 }
 
 impl Atom {
@@ -47,22 +62,22 @@ impl Atom {
     /// subscripts/arguments). Returns the resulting *expression* because
     /// a `Var` atom may be replaced by an arbitrary expression.
     pub fn subst(&self, var: VarId, replacement: &SymExpr) -> SymExpr {
+        if !self.mentions_var(var) {
+            return self.to_expr();
+        }
+        let args: Rc<[SymExpr]> = match self {
+            Atom::Var(_) => return replacement.clone(),
+            Atom::Elem(_, args) | Atom::Opaque(_, args) => {
+                args.iter().map(|s| s.subst(var, replacement)).collect()
+            }
+        };
         match self {
-            Atom::Var(v) if *v == var => replacement.clone(),
-            Atom::Var(_) => self.to_expr(),
-            Atom::Elem(a, subs) => {
-                let subs: Vec<SymExpr> = subs.iter().map(|s| s.subst(var, replacement)).collect();
-                Atom::Elem(*a, subs).to_expr()
-            }
-            Atom::Opaque(op, args) => {
-                let args: Vec<SymExpr> = args.iter().map(|s| s.subst(var, replacement)).collect();
-                // Re-normalize: the substitution may make a division exact.
-                match op {
-                    OpaqueOp::Div if args.len() == 2 => args[0].div(&args[1]),
-                    OpaqueOp::Mod if args.len() == 2 => args[0].mod_op(&args[1]),
-                    _ => Atom::Opaque(op.clone(), args).to_expr(),
-                }
-            }
+            Atom::Elem(a, _) => SymExpr::from_atom(Atom::Elem(*a, args)),
+            // Re-normalize: the substitution may make a division exact.
+            Atom::Opaque(OpaqueOp::Div, _) if args.len() == 2 => args[0].div(&args[1]),
+            Atom::Opaque(OpaqueOp::Mod, _) if args.len() == 2 => args[0].mod_op(&args[1]),
+            Atom::Opaque(op, _) => SymExpr::from_atom(Atom::Opaque(op.clone(), args)),
+            Atom::Var(_) => unreachable!("returned above"),
         }
     }
 
@@ -88,20 +103,29 @@ impl Atom {
 
 /// A product of atoms (with multiplicity), kept sorted. The empty
 /// monomial is the constant `1`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Monomial {
-    atoms: Vec<Atom>,
+    atoms: Rc<[Atom]>,
+}
+
+thread_local! {
+    /// The unit monomial and the constant 0, shared so that neither
+    /// allocates.
+    static UNIT: Monomial = Monomial { atoms: Rc::from([]) };
+    static ZERO: SymExpr = SymExpr { terms: Rc::from([]), den: 1 };
 }
 
 impl Monomial {
     /// The constant monomial `1`.
     pub fn unit() -> Monomial {
-        Monomial::default()
+        UNIT.with(Monomial::clone)
     }
 
     /// A monomial consisting of one atom.
     pub fn atom(a: Atom) -> Monomial {
-        Monomial { atoms: vec![a] }
+        Monomial {
+            atoms: Rc::from([a]),
+        }
     }
 
     /// Whether this is the constant monomial.
@@ -119,11 +143,21 @@ impl Monomial {
         &self.atoms
     }
 
-    /// Product of two monomials.
+    /// Product of two monomials; a unit operand returns the other one.
     pub fn mul(&self, other: &Monomial) -> Monomial {
-        let mut atoms = self.atoms.clone();
-        atoms.extend(other.atoms.iter().cloned());
-        atoms.sort();
+        if self.is_unit() {
+            return other.clone();
+        }
+        if other.is_unit() {
+            return self.clone();
+        }
+        let mut atoms: Rc<[Atom]> = self
+            .atoms
+            .iter()
+            .chain(other.atoms.iter())
+            .cloned()
+            .collect();
+        Rc::get_mut(&mut atoms).expect("just collected").sort();
         Monomial { atoms }
     }
 }
@@ -132,19 +166,21 @@ impl Monomial {
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SymExpr {
     /// Sorted by monomial; no zero coefficients; no duplicate monomials.
-    terms: Vec<(Monomial, i64)>,
+    terms: Rc<[(Monomial, i64)]>,
     /// Positive common denominator, coprime with the gcd of coefficients.
     den: i64,
 }
 
+/// The gcd of `|a|` and `|b|`; it fits an `i64` unless both are
+/// `i64::MIN` or 0, when it is `2^63` and reads `i64::MIN`.
 fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    a as i64
 }
 
 impl SymExpr {
@@ -153,13 +189,10 @@ impl SymExpr {
     /// The integer constant `v`.
     pub fn int(v: i64) -> SymExpr {
         if v == 0 {
-            SymExpr {
-                terms: Vec::new(),
-                den: 1,
-            }
+            ZERO.with(SymExpr::clone)
         } else {
             SymExpr {
-                terms: vec![(Monomial::unit(), v)],
+                terms: Rc::from([(Monomial::unit(), v)]),
                 den: 1,
             }
         }
@@ -167,42 +200,59 @@ impl SymExpr {
 
     /// The scalar variable `v`.
     pub fn var(v: VarId) -> SymExpr {
-        Atom::Var(v).to_expr()
+        SymExpr::from_atom(Atom::Var(v))
     }
 
     /// The array element `arr(subs...)`.
     pub fn elem(arr: VarId, subs: Vec<SymExpr>) -> SymExpr {
-        Atom::Elem(arr, subs).to_expr()
+        SymExpr::from_atom(Atom::Elem(arr, subs.into()))
     }
 
     /// The expression consisting of a single atom.
     pub fn from_atom(a: Atom) -> SymExpr {
         SymExpr {
-            terms: vec![(Monomial::atom(a), 1)],
+            terms: Rc::from([(Monomial::atom(a), 1)]),
             den: 1,
         }
     }
 
-    fn normalize(mut terms: Vec<(Monomial, i64)>, den: i64) -> SymExpr {
-        debug_assert!(den != 0, "denominator cannot be zero");
+    /// `Σ terms / den` from arbitrary terms: sorts them, merges like
+    /// terms in place, and reduces.
+    fn normalize(mut terms: Vec<(Monomial, i64)>, den: i64) -> Option<SymExpr> {
         terms.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut merged: Vec<(Monomial, i64)> = Vec::with_capacity(terms.len());
-        for (m, c) in terms {
-            match merged.last_mut() {
-                Some((lm, lc)) if *lm == m => *lc += c,
-                _ => merged.push((m, c)),
+        let mut overflow = false;
+        terms.dedup_by(|next, kept| {
+            if next.0 != kept.0 {
+                return false;
             }
+            match kept.1.checked_add(next.1) {
+                Some(c) => kept.1 = c,
+                None => overflow = true,
+            }
+            true
+        });
+        if overflow {
+            return None;
         }
-        merged.retain(|(_, c)| *c != 0);
-        let mut den = den;
+        terms.retain(|(_, c)| *c != 0);
+        SymExpr::reduce(terms, den)
+    }
+
+    /// `Σ terms / den` from terms already sorted, distinct and nonzero:
+    /// makes the denominator positive and divides out the common gcd.
+    fn reduce(mut terms: Vec<(Monomial, i64)>, mut den: i64) -> Option<SymExpr> {
+        debug_assert!(den != 0, "denominator cannot be zero");
+        if terms.is_empty() {
+            return Some(SymExpr::int(0));
+        }
         if den < 0 {
-            den = -den;
-            for t in &mut merged {
-                t.1 = -t.1;
+            den = den.checked_neg()?;
+            for t in &mut terms {
+                t.1 = t.1.checked_neg()?;
             }
         }
         let mut g = den;
-        for (_, c) in &merged {
+        for (_, c) in &terms {
             g = gcd(g, *c);
             if g == 1 {
                 break;
@@ -210,14 +260,29 @@ impl SymExpr {
         }
         if g > 1 {
             den /= g;
-            for t in &mut merged {
+            for t in &mut terms {
                 t.1 /= g;
             }
         }
-        if merged.is_empty() {
-            den = 1;
+        Some(SymExpr {
+            terms: terms.into(),
+            den,
+        })
+    }
+
+    /// The same monomials over `den`, every coefficient mapped through
+    /// `f`; `None` if `f` fails on one. `f` must keep nonzero
+    /// coefficients nonzero and leave the result reduced.
+    fn map_coeffs(&self, den: i64, f: impl Fn(i64) -> Option<i64>) -> Option<SymExpr> {
+        if self.terms.iter().any(|(_, c)| f(*c).is_none()) {
+            return None;
         }
-        SymExpr { terms: merged, den }
+        let terms = self
+            .terms
+            .iter()
+            .map(|(m, c)| (m.clone(), f(*c).expect("checked above")))
+            .collect();
+        Some(SymExpr { terms, den })
     }
 
     // ----- queries --------------------------------------------------------
@@ -282,7 +347,7 @@ impl SymExpr {
 
     /// The constant term as a rational `(num, den)`.
     pub fn constant_part(&self) -> (i64, i64) {
-        for (m, c) in &self.terms {
+        for (m, c) in self.terms.iter() {
             if m.is_unit() {
                 return (*c, self.den);
             }
@@ -312,7 +377,7 @@ impl SymExpr {
     /// All distinct atoms appearing at the top level of monomials.
     pub fn atoms(&self) -> Vec<&Atom> {
         let mut out: Vec<&Atom> = Vec::new();
-        for (m, _) in &self.terms {
+        for (m, _) in self.terms.iter() {
             for a in m.atoms() {
                 if !out.contains(&a) {
                     out.push(a);
@@ -325,7 +390,7 @@ impl SymExpr {
     /// The coefficient of the degree-1 monomial for `atom` as a rational
     /// `(num, den)`; 0 if absent.
     pub fn coeff_of_atom(&self, atom: &Atom) -> (i64, i64) {
-        for (m, c) in &self.terms {
+        for (m, c) in self.terms.iter() {
             if m.degree() == 1 && &m.atoms()[0] == atom {
                 return (*c, self.den);
             }
@@ -336,70 +401,166 @@ impl SymExpr {
     // ----- arithmetic -----------------------------------------------------
 
     /// `self + other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on coefficient overflow; see [`SymExpr::checked_add`].
     pub fn add(&self, other: &SymExpr) -> SymExpr {
-        let den = self
-            .den
-            .checked_mul(other.den / gcd(self.den, other.den))
-            .expect("denominator overflow");
-        let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
-        let f1 = den / self.den;
-        let f2 = den / other.den;
-        for (m, c) in &self.terms {
-            terms.push((m.clone(), c.checked_mul(f1).expect("coefficient overflow")));
-        }
-        for (m, c) in &other.terms {
-            terms.push((m.clone(), c.checked_mul(f2).expect("coefficient overflow")));
-        }
-        SymExpr::normalize(terms, den)
+        self.checked_add(other).expect("coefficient overflow")
+    }
+
+    /// `self + other`, or `None` on coefficient overflow.
+    pub fn checked_add(&self, other: &SymExpr) -> Option<SymExpr> {
+        self.combine(other, 1)
     }
 
     /// `self - other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on coefficient overflow; see [`SymExpr::checked_sub`].
     pub fn sub(&self, other: &SymExpr) -> SymExpr {
-        self.add(&other.neg())
+        self.checked_sub(other).expect("coefficient overflow")
+    }
+
+    /// `self - other`, or `None` on coefficient overflow.
+    pub fn checked_sub(&self, other: &SymExpr) -> Option<SymExpr> {
+        self.combine(other, -1)
+    }
+
+    /// `self + sign * other` for `sign` ±1: one merge of the two sorted
+    /// term lists over their common denominator.
+    fn combine(&self, other: &SymExpr, sign: i64) -> Option<SymExpr> {
+        if other.is_zero() {
+            return Some(self.clone());
+        }
+        if self.is_zero() {
+            return other.checked_scale(sign);
+        }
+        let den = self.den.checked_mul(other.den / gcd(self.den, other.den))?;
+        let (f1, f2) = (den / self.den, sign * (den / other.den));
+        let (a, b) = (&self.terms[..], &other.terms[..]);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    terms.push((a[i].0.clone(), a[i].1.checked_mul(f1)?));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    terms.push((b[j].0.clone(), b[j].1.checked_mul(f2)?));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let c = a[i]
+                        .1
+                        .checked_mul(f1)?
+                        .checked_add(b[j].1.checked_mul(f2)?)?;
+                    if c != 0 {
+                        terms.push((a[i].0.clone(), c));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        for (m, c) in &a[i..] {
+            terms.push((m.clone(), c.checked_mul(f1)?));
+        }
+        for (m, c) in &b[j..] {
+            terms.push((m.clone(), c.checked_mul(f2)?));
+        }
+        SymExpr::reduce(terms, den)
     }
 
     /// `-self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on coefficient overflow; see [`SymExpr::checked_neg`].
     pub fn neg(&self) -> SymExpr {
-        SymExpr {
-            terms: self.terms.iter().map(|(m, c)| (m.clone(), -c)).collect(),
-            den: self.den,
-        }
+        self.checked_neg().expect("coefficient overflow")
+    }
+
+    /// `-self`, or `None` if a coefficient is `i64::MIN`.
+    pub fn checked_neg(&self) -> Option<SymExpr> {
+        self.checked_scale(-1)
     }
 
     /// `self * other` (full polynomial product).
+    ///
+    /// # Panics
+    ///
+    /// Panics on coefficient overflow; see [`SymExpr::checked_mul`].
     pub fn mul(&self, other: &SymExpr) -> SymExpr {
+        self.checked_mul(other).expect("coefficient overflow")
+    }
+
+    /// `self * other`, or `None` on coefficient overflow.
+    pub fn checked_mul(&self, other: &SymExpr) -> Option<SymExpr> {
+        if let Some(k) = other.as_int() {
+            return self.checked_scale(k);
+        }
+        if let Some(k) = self.as_int() {
+            return other.checked_scale(k);
+        }
+        let den = self.den.checked_mul(other.den)?;
         let mut terms = Vec::with_capacity(self.terms.len() * other.terms.len());
-        for (m1, c1) in &self.terms {
-            for (m2, c2) in &other.terms {
-                terms.push((
-                    m1.mul(m2),
-                    c1.checked_mul(*c2).expect("coefficient overflow"),
-                ));
+        for (m1, c1) in self.terms.iter() {
+            for (m2, c2) in other.terms.iter() {
+                terms.push((m1.mul(m2), c1.checked_mul(*c2)?));
             }
         }
-        let den = self
-            .den
-            .checked_mul(other.den)
-            .expect("denominator overflow");
         SymExpr::normalize(terms, den)
     }
 
     /// `self * k` for an integer constant.
+    ///
+    /// # Panics
+    ///
+    /// Panics on coefficient overflow.
     pub fn scale(&self, k: i64) -> SymExpr {
-        self.mul(&SymExpr::int(k))
+        self.checked_scale(k).expect("coefficient overflow")
+    }
+
+    fn checked_scale(&self, k: i64) -> Option<SymExpr> {
+        match k {
+            1 => Some(self.clone()),
+            0 => Some(SymExpr::int(0)),
+            _ if self.is_zero() => Some(self.clone()),
+            _ => {
+                // The coefficients' gcd is coprime with `den`, so only
+                // gcd(den, k) cancels.
+                let g = gcd(self.den, k);
+                let f = k / g;
+                self.map_coeffs(self.den / g, |c| c.checked_mul(f))
+            }
+        }
     }
 
     /// Exact rational division by a nonzero constant.
     ///
     /// # Panics
     ///
-    /// Panics if `c == 0`.
+    /// Panics if `c == 0`, or on denominator overflow.
     pub fn div_exact(&self, c: i64) -> SymExpr {
         assert!(c != 0, "division by zero");
-        SymExpr::normalize(
-            self.terms.clone(),
-            self.den.checked_mul(c).expect("denominator overflow"),
-        )
+        self.checked_div_exact(c).expect("denominator overflow")
+    }
+
+    fn checked_div_exact(&self, c: i64) -> Option<SymExpr> {
+        if c == 1 || self.is_zero() {
+            return Some(self.clone());
+        }
+        // The coefficients' gcd is coprime with `den`, so only their gcd
+        // with `c` cancels; a negative `c` moves its sign into them. At
+        // `c == i64::MIN` the gcd may read `i64::MIN` (2^63), and so
+        // does its negation, which is then exact.
+        let g = self.terms.iter().fold(c, |g, (_, k)| gcd(g, *k));
+        let s = if c < 0 { g.wrapping_neg() } else { g };
+        let den = self.den.checked_mul(c.checked_div(s)?)?;
+        self.map_coeffs(den, |k| k.checked_div(s))
     }
 
     /// Truncating integer division `self / other` as the program computes
@@ -414,7 +575,10 @@ impl SymExpr {
             }
         }
         if let Some(c) = other.as_int() {
-            if c != 0 && self.den == 1 && self.terms.iter().all(|(_, k)| k % c == 0) {
+            if c != 0
+                && self.den == 1
+                && self.terms.iter().all(|(_, k)| k.checked_rem(c) == Some(0))
+            {
                 // Every coefficient is divisible, so the runtime division
                 // is exact on every value and rational division is sound.
                 return self.div_exact(c);
@@ -423,7 +587,10 @@ impl SymExpr {
         if self == other && !self.is_zero() {
             return SymExpr::int(1);
         }
-        Atom::Opaque(OpaqueOp::Div, vec![self.clone(), other.clone()]).to_expr()
+        SymExpr::from_atom(Atom::Opaque(
+            OpaqueOp::Div,
+            Rc::from([self.clone(), other.clone()]),
+        ))
     }
 
     /// Fortran `mod(self, other)`. Folds constants; otherwise opaque.
@@ -434,33 +601,32 @@ impl SymExpr {
                 return SymExpr::int(a.wrapping_rem_euclid(b));
             }
         }
-        Atom::Opaque(OpaqueOp::Mod, vec![self.clone(), other.clone()]).to_expr()
+        SymExpr::from_atom(Atom::Opaque(
+            OpaqueOp::Mod,
+            Rc::from([self.clone(), other.clone()]),
+        ))
     }
 
     /// `min(self, other)`; folds constants and equal arguments.
     pub fn min_op(&self, other: &SymExpr) -> SymExpr {
-        if self == other {
-            return self.clone();
-        }
-        if let (Some(a), Some(b)) = (self.as_int(), other.as_int()) {
-            return SymExpr::int(a.min(b));
-        }
-        let mut args = vec![self.clone(), other.clone()];
-        args.sort();
-        Atom::Opaque(OpaqueOp::Min, args).to_expr()
+        self.min_max(other, OpaqueOp::Min, i64::min)
     }
 
     /// `max(self, other)`; folds constants and equal arguments.
     pub fn max_op(&self, other: &SymExpr) -> SymExpr {
+        self.min_max(other, OpaqueOp::Max, i64::max)
+    }
+
+    fn min_max(&self, other: &SymExpr, op: OpaqueOp, fold: fn(i64, i64) -> i64) -> SymExpr {
         if self == other {
             return self.clone();
         }
         if let (Some(a), Some(b)) = (self.as_int(), other.as_int()) {
-            return SymExpr::int(a.max(b));
+            return SymExpr::int(fold(a, b));
         }
-        let mut args = vec![self.clone(), other.clone()];
+        let mut args = [self.clone(), other.clone()];
         args.sort();
-        Atom::Opaque(OpaqueOp::Max, args).to_expr()
+        SymExpr::from_atom(Atom::Opaque(op, Rc::from(args)))
     }
 
     /// Substitutes `var := replacement` everywhere (including inside
@@ -469,32 +635,43 @@ impl SymExpr {
         if !self.mentions_var(var) {
             return self.clone();
         }
-        let mut acc = SymExpr::int(0);
-        for (m, c) in &self.terms {
-            let mut term = SymExpr::int(*c);
-            for a in m.atoms() {
-                term = term.mul(&a.subst(var, replacement));
-            }
-            acc = acc.add(&term);
-        }
-        acc.div_exact(self.den)
+        self.rewrite_atoms(|a| a.mentions_var(var), |a| a.subst(var, replacement))
     }
 
     /// Substitutes every occurrence of the exact atom `from` with
     /// `to` at the top level of monomials (used for difference
     /// canonicalization of `Div` atoms).
     pub fn subst_atom(&self, from: &Atom, to: &SymExpr) -> SymExpr {
+        self.rewrite_atoms(|a| a == from, |_| to.clone())
+    }
+
+    /// Replaces every top-level atom `a` with `hit(a)` by `with(a)` and
+    /// re-normalizes; monomials with no such atom are kept as they are.
+    fn rewrite_atoms(
+        &self,
+        hit: impl Fn(&Atom) -> bool,
+        with: impl Fn(&Atom) -> SymExpr,
+    ) -> SymExpr {
+        let mut kept = Vec::new();
         let mut acc = SymExpr::int(0);
-        for (m, c) in &self.terms {
+        for (m, c) in self.terms.iter() {
+            if !m.atoms().iter().any(&hit) {
+                kept.push((m.clone(), *c));
+                continue;
+            }
             let mut term = SymExpr::int(*c);
             for a in m.atoms() {
-                if a == from {
-                    term = term.mul(to);
-                } else {
-                    term = term.mul(&a.to_expr());
-                }
+                term = term.mul(&if hit(a) { with(a) } else { a.to_expr() });
             }
             acc = acc.add(&term);
+        }
+        if !kept.is_empty() {
+            // Sorted, distinct and nonzero, over 1: already reduced.
+            let kept = SymExpr {
+                terms: kept.into(),
+                den: 1,
+            };
+            acc = acc.add(&kept);
         }
         acc.div_exact(self.den)
     }
@@ -506,7 +683,7 @@ impl fmt::Display for SymExpr {
             return write!(f, "0");
         }
         let mut first = true;
-        for (m, c) in &self.terms {
+        for (m, c) in self.terms.iter() {
             if first {
                 if *c < 0 {
                     write!(f, "-")?;
@@ -677,6 +854,29 @@ mod tests {
         let e = SymExpr::elem(pptr, vec![v(0)]).add(&v(1));
         assert!(e.mentions_array(pptr));
         assert!(!e.mentions_array(VarId(9)));
+    }
+
+    #[test]
+    fn extreme_coefficients_are_checked() {
+        let (i, min, max) = (v(0), SymExpr::int(i64::MIN), SymExpr::int(i64::MAX));
+        assert_eq!(min.checked_neg(), None);
+        assert_eq!(max.checked_add(&SymExpr::int(1)), None);
+        assert_eq!(min.checked_sub(&SymExpr::int(1)), None);
+        assert_eq!(i.scale(i64::MAX).checked_add(&i.scale(2)), None);
+        assert_eq!(i.scale(1 << 62).checked_mul(&SymExpr::int(2)), None);
+        assert_eq!(i.checked_mul(&i.scale(1 << 62)).map(|e| e.den()), Some(1));
+        // Exact division by i64::MIN: 2^63 is no denominator, but it
+        // cancels against coefficients of i64::MIN.
+        assert_eq!(i.checked_div_exact(i64::MIN), None);
+        assert_eq!(i.scale(i64::MIN).div_exact(i64::MIN), i);
+        assert_eq!(i.scale(i64::MIN).div(&min), i);
+        // i64::MIN is not divisible by -1 in i64: the division stays opaque.
+        let d = i.scale(i64::MIN).div(&SymExpr::int(-1));
+        assert!(matches!(
+            d.as_single_atom(),
+            Some(Atom::Opaque(OpaqueOp::Div, _))
+        ));
+        assert_eq!(i.scale(-4).div_exact(-6), i.scale(2).div_exact(3));
     }
 
     #[test]

@@ -277,24 +277,37 @@ fn range_mul(a: &SymRange, b: &SymRange, env: &RangeEnv, depth: u32) -> SymRange
 
 /// Rewrites `e` using the environment's closed-form-distance facts and
 /// the divisibility rule for `Div` atoms, so that related atoms cancel.
+///
+/// Without a distance fact in `env` and with fewer than two top-level
+/// `Div` atoms in `e`, neither rewrite can fire, and `e` comes back as
+/// it is.
 pub fn canonicalize(e: &SymExpr, env: &RangeEnv) -> SymExpr {
     let mut cur = e.clone();
+    if !env.has_distances() && div_atoms(&cur) < 2 {
+        return cur;
+    }
     for _ in 0..8 {
-        let next = canonicalize_once(&cur, env);
-        if next == cur {
-            break;
+        match canonicalize_once(&cur, env) {
+            Some(next) if next != cur => cur = next,
+            _ => break,
         }
-        cur = next;
     }
     cur
 }
 
-fn canonicalize_once(e: &SymExpr, env: &RangeEnv) -> SymExpr {
-    let mut cur = e.clone();
+fn div_atoms(e: &SymExpr) -> usize {
+    e.atoms()
+        .into_iter()
+        .filter(|a| matches!(a, Atom::Opaque(OpaqueOp::Div, _)))
+        .count()
+}
+
+/// One rewrite of `e`, or `None` when no rule applies.
+fn canonicalize_once(e: &SymExpr, env: &RangeEnv) -> Option<SymExpr> {
+    let atoms = e.atoms();
     // Closed-form distance: rewrite arr(s+1) -> arr(s) + d(s) whenever
     // both arr(s+1) and arr(s) occur, so their difference becomes d(s).
-    let atoms: Vec<Atom> = cur.atoms().into_iter().cloned().collect();
-    for a in &atoms {
+    for &a in &atoms {
         let Atom::Elem(arr, subs) = a else { continue };
         if subs.len() != 1 {
             continue;
@@ -302,9 +315,8 @@ fn canonicalize_once(e: &SymExpr, env: &RangeEnv) -> SymExpr {
         let Some((pv, dist)) = env.distance(*arr) else {
             continue;
         };
-        let (pv, dist) = (*pv, dist.clone());
         // Find a sibling arr(s') with subs[0] - s' == 1.
-        for b in &atoms {
+        for &b in &atoms {
             let Atom::Elem(arr2, subs2) = b else {
                 continue;
             };
@@ -313,16 +325,14 @@ fn canonicalize_once(e: &SymExpr, env: &RangeEnv) -> SymExpr {
             }
             let diff = subs[0].sub(&subs2[0]);
             if diff.as_int() == Some(1) {
-                let replacement = b.to_expr().add(&dist.subst(pv, &subs2[0]));
-                cur = cur.subst_atom(a, &replacement);
-                return cur;
+                let replacement = b.to_expr().add(&dist.subst(*pv, &subs2[0]));
+                return Some(e.subst_atom(a, &replacement));
             }
         }
     }
     // Div difference canonicalization: a div c == b div c + (a-b)/c when
     // c | (a-b) exactly (floor semantics).
-    let atoms: Vec<Atom> = cur.atoms().into_iter().cloned().collect();
-    for (idx, a) in atoms.iter().enumerate() {
+    for (idx, &a) in atoms.iter().enumerate() {
         let Atom::Opaque(OpaqueOp::Div, args_a) = a else {
             continue;
         };
@@ -332,7 +342,7 @@ fn canonicalize_once(e: &SymExpr, env: &RangeEnv) -> SymExpr {
         if c <= 0 {
             continue;
         }
-        for b in atoms.iter().skip(idx + 1) {
+        for &b in atoms.iter().skip(idx + 1) {
             let Atom::Opaque(OpaqueOp::Div, args_b) = b else {
                 continue;
             };
@@ -342,12 +352,11 @@ fn canonicalize_once(e: &SymExpr, env: &RangeEnv) -> SymExpr {
             let diff = args_a[0].sub(&args_b[0]);
             if diff.den() == 1 && diff.terms().iter().all(|(_, k)| k % c == 0) {
                 let replacement = b.to_expr().add(&diff.div_exact(c));
-                cur = cur.subst_atom(a, &replacement);
-                return cur;
+                return Some(e.subst_atom(a, &replacement));
             }
         }
     }
-    cur
+    None
 }
 
 #[cfg(test)]

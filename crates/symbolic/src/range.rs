@@ -183,6 +183,11 @@ impl RangeEnv {
         self.distances.insert(array, (subscript_var, distance));
     }
 
+    /// Whether any closed-form distance fact is recorded.
+    pub fn has_distances(&self) -> bool {
+        !self.distances.is_empty()
+    }
+
     /// Closed-form distance fact for an array, if recorded.
     pub fn distance(&self, array: VarId) -> Option<&(VarId, SymExpr)> {
         self.distances.get(&array)
@@ -236,7 +241,7 @@ mod tests {
         env.set_var_range(i, SymExpr::int(1), v(2));
         env.set_elem_range(arr, SymRange::new(SymExpr::int(0), SymExpr::int(9)));
         assert!(env.lookup(&Atom::Var(i)).is_some());
-        let elem = Atom::Elem(arr, vec![v(0)]);
+        let elem = Atom::Elem(arr, [v(0)].into());
         let r = env.lookup(&elem).unwrap();
         assert_eq!(r.lo, Bound::Finite(SymExpr::int(0)));
         // Exact atom facts shadow per-array facts.

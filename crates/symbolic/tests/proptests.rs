@@ -7,7 +7,10 @@
 //! and check the symbolic layer against direct evaluation.
 
 use irr_frontend::VarId;
-use irr_symbolic::{prove_eq, prove_ge0, prove_le, AggMode, RangeEnv, Section, SymExpr};
+use irr_symbolic::prove::canonicalize;
+use irr_symbolic::{
+    prove_eq, prove_ge0, prove_le, AggMode, Atom, OpaqueOp, RangeEnv, Section, SymExpr,
+};
 use std::collections::HashMap;
 
 /// Local SplitMix64 copy (irr-symbolic sits below irr-exec in the crate
@@ -400,4 +403,218 @@ fn extremes_bracket_truth() {
             assert!(prove_le(&SymExpr::int(emin), &SymExpr::int(emax), &env));
         }
     }
+}
+
+// ----- the arithmetic's shortcuts and the printed form --------------------
+
+/// `sub` and `scale` build their results directly; they must agree with
+/// the compositions they replace.
+#[test]
+fn sub_and_scale_agree_with_their_compositions() {
+    let mut rng = Rng::new(0x7008);
+    for _ in 0..512 {
+        let a = to_sym(&draw_expr(&mut rng, 3));
+        let b = to_sym(&draw_expr(&mut rng, 3));
+        let k = rng.range(-7, 7);
+        assert_eq!(a.sub(&b), a.add(&b.neg()), "{a} - {b}");
+        assert_eq!(a.scale(k), a.mul(&SymExpr::int(k)), "{k} * ({a})");
+        // Halves make the denominators differ.
+        let (ha, hb) = (a.div_exact(2), b.div_exact(3));
+        assert_eq!(ha.sub(&hb), ha.add(&hb.neg()), "{ha} - {hb}");
+        assert_eq!(hb.scale(k), hb.mul(&SymExpr::int(k)), "{k} * ({hb})");
+    }
+}
+
+/// The values of the two index arrays of a closed-form-distance fact,
+/// `pptr(k + 1) - pptr(k) == iblen(k)`, over subscripts `-40..=40`.
+struct Arrays {
+    pptr: VarId,
+    iblen: VarId,
+    pptr_vals: Vec<i64>,
+    iblen_vals: Vec<i64>,
+}
+
+const LOWEST: i64 = -40;
+
+impl Arrays {
+    fn draw(rng: &mut Rng) -> Arrays {
+        let iblen_vals: Vec<i64> = (0..81).map(|_| rng.range(0, 6)).collect();
+        let mut pptr_vals = vec![rng.range(-5, 5)];
+        for d in &iblen_vals[..80] {
+            pptr_vals.push(pptr_vals.last().unwrap() + d);
+        }
+        Arrays {
+            pptr: VarId(5),
+            iblen: VarId(6),
+            pptr_vals,
+            iblen_vals,
+        }
+    }
+
+    fn env_with_distance(&self) -> RangeEnv {
+        let k = VarId(7);
+        let mut env = RangeEnv::new();
+        env.set_distance(
+            self.pptr,
+            k,
+            SymExpr::elem(self.iblen, vec![SymExpr::var(k)]),
+        );
+        env
+    }
+
+    /// `e` at `vals`, with the elements read from the arrays; `None`
+    /// past the arrays or on a non-integral intermediate.
+    fn eval(&self, e: &SymExpr, vals: &HashMap<VarId, i64>) -> Option<(i128, i128)> {
+        let mut num: i128 = 0;
+        for (m, c) in e.terms() {
+            let mut term = *c as i128;
+            for a in m.atoms() {
+                term *= self.eval_atom(a, vals)? as i128;
+            }
+            num += term;
+        }
+        Some((num, e.den() as i128))
+    }
+
+    fn eval_atom(&self, a: &Atom, vals: &HashMap<VarId, i64>) -> Option<i64> {
+        let int = |x: &SymExpr| {
+            let (n, d) = self.eval(x, vals)?;
+            (n % d == 0).then(|| i64::try_from(n / d).ok()).flatten()
+        };
+        match a {
+            Atom::Var(v) => vals.get(v).copied(),
+            Atom::Elem(arr, subs) => {
+                let values = if *arr == self.pptr {
+                    &self.pptr_vals
+                } else {
+                    &self.iblen_vals
+                };
+                let at = usize::try_from(int(&subs[0])? - LOWEST).ok()?;
+                values.get(at).copied()
+            }
+            Atom::Opaque(op, args) => {
+                let (x, y) = (int(&args[0])?, int(&args[1])?);
+                Some(match op {
+                    OpaqueOp::Div if y != 0 => x.div_euclid(y),
+                    OpaqueOp::Mod if y != 0 => x.rem_euclid(y),
+                    OpaqueOp::Min => x.min(y),
+                    OpaqueOp::Max => x.max(y),
+                    _ => return None,
+                })
+            }
+        }
+    }
+
+    /// A random expression over `v0..v2`, `pptr(v + c)` and
+    /// `iblen(v + c)`.
+    fn draw_expr(&self, rng: &mut Rng) -> SymExpr {
+        let mut e = to_sym(&draw_expr(rng, 3));
+        for _ in 0..rng.range(0, 3) {
+            let sub = SymExpr::var(VarId(rng.below(3) as u32)).add(&SymExpr::int(rng.range(-2, 2)));
+            let arr = if rng.below(3) == 0 {
+                self.iblen
+            } else {
+                self.pptr
+            };
+            let elem = SymExpr::elem(arr, vec![sub]);
+            e = e.add(&elem.scale(rng.range(-3, 3)));
+        }
+        e
+    }
+}
+
+/// `canonicalize` applies only the rewrites the prover documents: it
+/// preserves the value under every valuation consistent with the
+/// environment, cancels `a div c - b div c` to `(a - b) / c` when `c`
+/// divides `a - b`, cancels `pptr(s + 1) - pptr(s)` to the recorded
+/// distance, and leaves alone an expression neither rewrite applies to.
+#[test]
+fn canonicalize_agrees_with_the_documented_rewrites() {
+    let mut rng = Rng::new(0x7009);
+    for _ in 0..512 {
+        let arrays = Arrays::draw(&mut rng);
+        let with_distance = arrays.env_with_distance();
+        let e = arrays.draw_expr(&mut rng);
+        let vals: HashMap<VarId, i64> = (0..3).map(|v| (VarId(v), rng.range(-8, 8))).collect();
+        for env in [RangeEnv::new(), with_distance.clone()] {
+            let c = canonicalize(&e, &env);
+            if let (Some(before), Some(after)) = (arrays.eval(&e, &vals), arrays.eval(&c, &vals)) {
+                assert_eq!(
+                    before.0 * after.1,
+                    after.0 * before.1,
+                    "canonicalize({e}) = {c} changed the value at {vals:?}"
+                );
+            }
+        }
+        let divs = e
+            .atoms()
+            .into_iter()
+            .filter(|a| matches!(a, Atom::Opaque(OpaqueOp::Div, _)))
+            .count();
+        if divs < 2 {
+            assert_eq!(
+                canonicalize(&e, &RangeEnv::new()),
+                e,
+                "no rewrite applies to {e}"
+            );
+        }
+
+        // Divisibility: (x + c*q) div c - x div c == q.
+        let x = to_sym(&draw_expr(&mut rng, 2));
+        let q = to_sym(&draw_expr(&mut rng, 1));
+        let c = rng.range(2, 5);
+        let c_sym = SymExpr::int(c);
+        let y = x.add(&q.scale(c));
+        let (y_div, x_div) = (y.div(&c_sym), x.div(&c_sym));
+        let opaque =
+            |e: &SymExpr| matches!(e.as_single_atom(), Some(Atom::Opaque(OpaqueOp::Div, _)));
+        let plain = |e: &SymExpr| !e.atoms().iter().any(|a| matches!(a, Atom::Opaque(..)));
+        // One side folded and the other did not: no pair to rewrite.
+        if plain(&q) && opaque(&y_div) == opaque(&x_div) {
+            let diff = y_div.sub(&x_div);
+            assert_eq!(canonicalize(&diff, &RangeEnv::new()), q, "{diff}");
+        }
+
+        // Distance: pptr(s + 1) - pptr(s) == iblen(s).
+        let s = to_sym(&draw_expr(&mut rng, 1));
+        let next = SymExpr::elem(arrays.pptr, vec![s.add(&SymExpr::int(1))]);
+        let cur = SymExpr::elem(arrays.pptr, vec![s.clone()]);
+        let gap = next.sub(&cur);
+        let expect = SymExpr::elem(arrays.iblen, vec![s.clone()]);
+        assert_eq!(canonicalize(&gap, &with_distance), expect, "{gap}");
+        assert_eq!(canonicalize(&gap, &RangeEnv::new()), gap);
+    }
+}
+
+/// The canonical form and both printed forms of a fixed expression that
+/// mixes every atom kind over a denominator of 4. Sharing the terms must
+/// not move a character of either.
+#[test]
+fn printed_forms_are_pinned() {
+    let (i, n, pptr) = (SymExpr::var(VarId(0)), SymExpr::var(VarId(1)), VarId(2));
+    let elem = SymExpr::elem(pptr, vec![i.add(&SymExpr::int(1))]);
+    let div = i.mul(&n).add(&i).div(&SymExpr::int(2));
+    let min = i.min_op(&n.sub(&SymExpr::int(1)));
+    let e = elem
+        .scale(3)
+        .add(&div)
+        .sub(&min)
+        .add(&SymExpr::int(5))
+        .div_exact(4);
+    assert_eq!(
+        format!("{e}"),
+        "5 + 3*v2[1 + v0] + div(v0 + v0*v1, 2) - min(-1 + v1, v0) / 4"
+    );
+    assert_eq!(
+        format!("{e:?}"),
+        "SymExpr { terms: [(Monomial { atoms: [] }, 5), \
+         (Monomial { atoms: [Elem(VarId(2), [SymExpr { terms: [(Monomial { atoms: [] }, 1), \
+         (Monomial { atoms: [Var(VarId(0))] }, 1)], den: 1 }])] }, 3), \
+         (Monomial { atoms: [Opaque(Div, [SymExpr { terms: [(Monomial { atoms: [Var(VarId(0))] }, 1), \
+         (Monomial { atoms: [Var(VarId(0)), Var(VarId(1))] }, 1)], den: 1 }, \
+         SymExpr { terms: [(Monomial { atoms: [] }, 2)], den: 1 }])] }, 1), \
+         (Monomial { atoms: [Opaque(Min, [SymExpr { terms: [(Monomial { atoms: [] }, -1), \
+         (Monomial { atoms: [Var(VarId(1))] }, 1)], den: 1 }, \
+         SymExpr { terms: [(Monomial { atoms: [Var(VarId(0))] }, 1)], den: 1 }])] }, -1)], den: 4 }"
+    );
 }

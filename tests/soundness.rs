@@ -438,3 +438,47 @@ fn dependent_shapes_stay_serial() {
         }
     }
 }
+
+/// A subscript whose coefficients overflow `i64` is unanalyzable, not a
+/// compiler panic: `i * 2^62 * 4` wraps to 0 at run time, so every
+/// iteration writes `a(1)`, and `i * (2^63 - 1) + i * (2^63 - 1)` merges
+/// two like terms past the range. Neither loop may be proven parallel.
+#[test]
+fn overflowing_subscript_coefficients_are_unanalyzable() {
+    let program = |subscript: &str| {
+        format!(
+            "program t
+             integer i, n, a(64)
+             n = 8
+             do 10 i = 1, n
+               a({subscript}) = i
+ 10          continue
+             print a(1)
+             end"
+        )
+    };
+    for (subscript, prints) in [
+        ("i * 4611686018427387904 * 4 + 1", Some("8")),
+        (
+            "i * 9223372036854775807 + i * 9223372036854775807 + 50",
+            None,
+        ),
+    ] {
+        let src = program(subscript);
+        let rep = compile_source(&src, DriverOptions::with_iaa())
+            .unwrap_or_else(|e| panic!("{subscript}: {e:?}"));
+        let v = rep.verdict("T/do10").expect("loop exists");
+        assert!(
+            !matches!(v.tier, DispatchTier::CompileTimeParallel),
+            "{subscript}: {v:?}"
+        );
+        if let Some(last) = prints {
+            let out = Interp::new(&rep.program).run().unwrap();
+            assert_eq!(
+                out.output,
+                [last],
+                "{subscript}: every iteration writes a(1)"
+            );
+        }
+    }
+}
