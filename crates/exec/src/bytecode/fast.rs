@@ -24,12 +24,12 @@
 //!   the append buffer its dispatch's commit strategy built for it
 //!   (see [`RawPin`]).
 //!
-//! [`Interp::run_fblock`] and the one [`stream_kernel`] (with the row
+//! [`Run::run_fblock`] and the one [`stream_kernel`] (with the row
 //! statements of [`seg_row`] around it) are the only places an
 //! instruction's semantics are written outside the tree-walk, and the
 //! instructions compute through the tree-walk's own rules: its operator
 //! table (`bin_i`, `bin_f`, `cmp_res`), its bounds rule
-//! ([`Interp::column_major`]) and its induction step. Parity is the
+//! ([`Run::column_major`]) and its induction step. Parity is the
 //! contract: same fuel ledger positions, same error identities, same
 //! store at exit.
 //!
@@ -38,11 +38,11 @@
 //!   [`FState::addr`] alone turns every form into a checked payload
 //!   offset, in the tree-walk's order: an INDIRECT index array's
 //!   subscript first, an affine `base + off` wrapping, a flat index
-//!   as `IndexN` checked it. [`Interp::addr`] names a miss: inside the
+//!   as `IndexN` checked it. [`Run::addr`] names a miss: inside the
 //!   array but outside a window pin's view a strategy violation, any
 //!   other the program's `OutOfBounds` (`fast_oob`, by the bounds rule).
 //!
-//! - **One loop driver, at every depth.** [`Interp::run_do`] is the only
+//! - **One loop driver, at every depth.** [`Run::run_do`] is the only
 //!   function here that advances a `do` loop's induction variable: the
 //!   root (loop slot 0, the caller's range) and every nested
 //!   [`FOp::DoLoop`] (slot `lidx + 1`) alike. Each time round it polls a
@@ -89,8 +89,10 @@
 //! accessors and [`RawPin`]'s write path rely on exactly that.
 
 use super::{ChunkAbort, WorkerChunk};
+#[cfg(test)]
+use crate::interp::Probe;
 use crate::interp::{
-    advance_induction, bin_f, bin_i, cmp_f, cmp_res, ArrayData, ExecError, Interp, RawSlice, Value,
+    advance_induction, bin_f, bin_i, cmp_f, cmp_res, ArrayData, ExecError, RawSlice, Run, Value,
     WriteSink,
 };
 use irr_driver::compiled::{
@@ -1051,17 +1053,9 @@ struct FState {
     /// (`ExecStats::stream_entries`, `stream_iters`).
     streamed: u64,
     stream_iters: u64,
-    /// Root iterations started, a stream's or a row kernel's included.
+    /// What this entry counted, for its run to add up.
     #[cfg(test)]
-    root_iters: u64,
-    /// Stream strips per kernel instantiation, as `try_stream` numbers
-    /// them (0 the catch-all).
-    #[cfg(test)]
-    shapes: [u64; 3],
-    /// Rows the segmented kernel ran, per instantiation as `run_seg`
-    /// numbers them (0 the catch-all).
-    #[cfg(test)]
-    seg_shapes: [u64; 3],
+    probe: Probe,
     /// The values of the entered stream's `Stream::invs`, kept between
     /// entries for its allocation.
     invs: Vec<i64>,
@@ -1101,7 +1095,7 @@ impl FState {
         Some(cb.arrays()[k])
     }
 
-    /// Mirrors `Interp::charge`: cost counts before the fuel check,
+    /// Mirrors `Run::charge`: cost counts before the fuel check,
     /// and exhaustion leaves the failing charge undeducted.
     #[inline]
     fn charge(&mut self, n: u64) -> Result<(), ExecError> {
@@ -1237,7 +1231,7 @@ impl FState {
             ($shape:literal: $a:expr, $b:expr, $tail:expr, $sink:expr) => {{
                 #[cfg(test)]
                 {
-                    self.shapes[$shape] += 1;
+                    self.probe.stream_shapes[$shape] += 1;
                 }
                 stream_kernel(n, $a, $b, $tail, $sink, &mut acc)
             }};
@@ -1332,7 +1326,7 @@ impl FState {
                 let m = self.seg_rows(sg, &mut table, &row, lo, hi, $a, $b, $tail, $sink);
                 #[cfg(test)]
                 {
-                    self.seg_shapes[$shape] += m as u64;
+                    self.probe.seg_shapes[$shape] += m as u64;
                 }
                 m
             }};
@@ -1592,7 +1586,7 @@ impl FState {
     }
 }
 
-impl<'p> Interp<'p> {
+impl<S> Run<'_, S> {
     /// Whether every array the typed body references holds a payload
     /// of its declared element type, the type the ops were lowered for
     /// (a preset may install either).
@@ -1611,7 +1605,7 @@ impl<'p> Interp<'p> {
     #[inline(always)]
     fn segs_on(&self) -> bool {
         #[cfg(test)]
-        return !self.segs_off;
+        return !self.probe.segs_off;
         #[cfg(not(test))]
         true
     }
@@ -1627,7 +1621,7 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// [`FState::addr`], its miss named by [`Interp::fast_oob`]: a
+    /// [`FState::addr`], its miss named by [`Run::fast_oob`]: a
     /// strategy violation or the program's `OutOfBounds`.
     #[inline(always)]
     fn addr(
@@ -1646,7 +1640,7 @@ impl<'p> Interp<'p> {
     /// Executes root iterations `lo..=hi` of the typed loop: same
     /// observable semantics as walking them, with scalars promoted to
     /// registers and every array payload pinned for the whole call. The
-    /// caller has checked [`Interp::fast_ready`] and done the root
+    /// caller has checked [`Run::fast_ready`] and done the root
     /// loop's entry bookkeeping.
     ///
     /// Without a `worker` (a sequential entry) stored arrays are written
@@ -1711,13 +1705,7 @@ impl<'p> Interp<'p> {
         self.stats.stream_entries += st.streamed;
         self.stats.stream_iters += st.stream_iters;
         #[cfg(test)]
-        {
-            self.typed_root_iters += st.root_iters;
-            let totals = self.stream_shapes.iter_mut().chain(&mut self.seg_shapes);
-            totals
-                .zip(st.shapes.iter().chain(&st.seg_shapes))
-                .for_each(|(t, n)| *t += n);
-        }
+        self.probe.add(&st.probe);
         self.fuel = st.fuel;
         for (k, (&a, p)) in cb.arrays().iter().zip(st.pins).enumerate() {
             if p.writes > 0 {
@@ -1799,7 +1787,7 @@ impl<'p> Interp<'p> {
             };
             #[cfg(test)]
             {
-                st.root_iters += u64::from(slot == 0) * m.max(1) as u64;
+                st.probe.typed_root_iters += u64::from(slot == 0) * m.max(1) as u64;
             }
             if m > 0 {
                 i += m;

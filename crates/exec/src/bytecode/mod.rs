@@ -225,7 +225,7 @@ mod tests {
         /// which one ran is read off the interpreter's test-only
         /// counter.
         fn typed_iters(&self) -> u64 {
-            self.comp.typed_root_iters
+            self.comp.probe.typed_root_iters
         }
 
         /// Whether the preset array `name` still shares its payload
@@ -914,7 +914,7 @@ mod tests {
         let plan = ParallelPlan::with_threads(2);
         let got = crate::parallel::exec_do_parallel(&mut par, s, &plan, 1, 8, 1).unwrap();
         assert_eq!(got.strategy, crate::ExecutionStrategy::WriteLog);
-        assert_eq!((got.chunks, par.typed_root_iters), (2, 8));
+        assert_eq!((got.chunks, par.probe.typed_root_iters), (2, 8));
         let x = p.symbols.lookup("x").unwrap();
         let pre_x = pre.array_ref(x).unwrap();
         assert!(pre_x.shares_buffer(par.store.array_ref(x).unwrap()));
@@ -1078,7 +1078,7 @@ mod tests {
     fn assert_only_arm(ran: &Ran<'_>, arm: usize, entered: u64, what: &str) {
         let mut want = [0; 3];
         want[arm] = entered;
-        assert_eq!(ran.comp.stream_shapes, want, "{what}");
+        assert_eq!(ran.comp.probe.stream_shapes, want, "{what}");
     }
 
     /// Every instantiation, at the root and nested, is entered by the
@@ -1407,7 +1407,7 @@ mod tests {
                 (1, 8),
                 "{stmt}"
             );
-            assert_eq!(comp.stream_shapes[arm], 1, "{stmt}");
+            assert_eq!(comp.probe.stream_shapes[arm], 1, "{stmt}");
             let bits = |it: &Interp<'_>| -> Vec<u64> {
                 let var = |name| p.symbols.lookup(name).unwrap();
                 let reals = |name| it.store.array_as_reals(var(name)).unwrap();
@@ -1464,7 +1464,7 @@ mod tests {
                 .unwrap();
             let done = z.iter().take_while(|v| **v == 3.25).count();
             assert!(z[done..].iter().all(|v| *v == 0.0));
-            assert_eq!(it.typed_root_iters, done as u64);
+            assert_eq!(it.probe.typed_root_iters, done as u64);
             match res {
                 Ok(()) => assert_eq!(done, 3000),
                 Err(ChunkAbort::TimedOut) => {
@@ -1522,7 +1522,7 @@ mod tests {
             };
             let res = it.run_fast_iters(&cb, 1, 1, 1, Some(&mut share));
             assert!(matches!(res, Err(ChunkAbort::TimedOut)), "{inner}: {res:?}");
-            assert_eq!(it.typed_root_iters, 1);
+            assert_eq!(it.probe.typed_root_iters, 1);
         }
     }
 
@@ -1653,7 +1653,7 @@ mod tests {
     fn assert_seg_run<'p>(p: &'p Program, setup: impl Fn(&mut Interp<'p>)) -> Ran<'p> {
         let ran = assert_same_run(p, &setup);
         let mut rows = live(p, &setup);
-        rows.segs_off = true;
+        rows.probe.segs_off = true;
         let res = rows.exec_proc_with(p.main(), &mut CompiledDispatch::new());
         assert_eq!(res, ran.res);
         assert_eq!(rows.store, ran.comp.store);
@@ -1661,7 +1661,7 @@ mod tests {
         assert_stats_eq(&rows.stats, &ran.comp.stats);
         let streamed = |it: &Interp<'_>| (it.stats.stream_entries, it.stats.stream_iters);
         assert_eq!(streamed(&rows), streamed(&ran.comp));
-        assert_eq!(rows.seg_shapes, [0; 3]);
+        assert_eq!(rows.probe.seg_shapes, [0; 3]);
         ran
     }
 
@@ -1697,7 +1697,7 @@ mod tests {
                 assert_eq!(seg_shapes(&p), [shape], "{stmt}");
                 want[arm(shape)] = LENS.len() as u64;
             }
-            assert_eq!(ran.comp.seg_shapes, want, "{stmt}");
+            assert_eq!(ran.comp.probe.seg_shapes, want, "{stmt}");
             let nonempty = LENS.iter().filter(|&&n| n > 0).count() as u64;
             assert_eq!(ran.comp.stats.stream_entries, nonempty, "{stmt}");
         }
@@ -1759,7 +1759,7 @@ mod tests {
             assert_eq!(seg_shapes(&p).concat(), shape, "{init}; {stmt}; {fin}");
             let mut want = [0; 3];
             want[arm] = rows;
-            assert_eq!(ran.comp.seg_shapes, want, "{init}; {stmt}; {fin}");
+            assert_eq!(ran.comp.probe.seg_shapes, want, "{init}; {stmt}; {fin}");
         }
         for (init, fin) in [
             ("w(4) = 0.0", ""),                   // initializes another element
@@ -1771,7 +1771,7 @@ mod tests {
             let p = parse_program(&seg_src(init, spmv, fin, &LENS, "", false)).unwrap();
             assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{init}; {fin}");
             let ran = assert_seg_run(&p, |_| {});
-            assert_eq!(ran.comp.seg_shapes, [0; 3]);
+            assert_eq!(ran.comp.probe.seg_shapes, [0; 3]);
         }
         // A subscript part with the row variable in two terms is not a
         // form the kernel evaluates rows in.
@@ -1801,7 +1801,7 @@ mod tests {
             for fuel in 0..full.comp.stats.total_cost {
                 let ran = assert_seg_run(&p, |it| it.fuel = fuel);
                 assert_eq!(ran.res, Err(ExecError::OutOfFuel), "{stmt}: fuel {fuel}");
-                kernel_rows += ran.comp.seg_shapes.iter().sum::<u64>();
+                kernel_rows += ran.comp.probe.seg_shapes.iter().sum::<u64>();
             }
             assert!(kernel_rows > 40, "{stmt}: {kernel_rows}");
         }
@@ -1815,7 +1815,7 @@ mod tests {
     fn a_nested_row_loop_runs_in_strips_and_out_of_fuel_where_the_tree_walk_does() {
         let lens: Vec<i64> = LENS.iter().cycle().take(2500).copied().collect();
         let nonempty = lens.iter().filter(|&&n| n > 0).count() as u64;
-        let kernel_rows = |it: &Interp<'_>| it.seg_shapes.iter().sum();
+        let kernel_rows = |it: &Interp<'_>| it.probe.seg_shapes.iter().sum();
         for (init, stmt) in [
             ("y(i) = 0.0", "y(i) = y(i) + x(k) * z(idx(k))"),
             ("", "z(k) = z(k) * 0.5 + 1.0"),
@@ -1858,7 +1858,7 @@ mod tests {
                 "{stmt}, {smash}: {:?}",
                 ran.res
             );
-            let rows: u64 = ran.comp.seg_shapes.iter().sum();
+            let rows: u64 = ran.comp.probe.seg_shapes.iter().sum();
             assert!((1..LENS.len() as u64).contains(&rows), "{smash}: {rows}");
         }
         // A row the kernel declines but the per-row path completes — its
@@ -1875,7 +1875,7 @@ mod tests {
         let p = parse_program(&src.replace("idx(40),", "idx(40), q(7),")).unwrap();
         let ran = assert_seg_run(&p, |_| {});
         assert_eq!(ran.res, Ok(()));
-        assert_eq!(ran.comp.seg_shapes, [0, 6, 0]);
+        assert_eq!(ran.comp.probe.seg_shapes, [0, 6, 0]);
     }
 
     /// A row loop ending at `i64::MAX`, at the root and nested: the
@@ -1908,6 +1908,6 @@ mod tests {
         let p = parse_program(src).unwrap();
         let ran = assert_seg_run(&p, |_| {});
         assert_eq!(ran.res, Ok(()));
-        assert_eq!(ran.comp.seg_shapes.iter().sum::<u64>(), 2 * 2 + 1);
+        assert_eq!(ran.comp.probe.seg_shapes.iter().sum::<u64>(), 2 * 2 + 1);
     }
 }

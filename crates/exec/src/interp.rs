@@ -1,6 +1,6 @@
 //! The instrumenting tree-walking interpreter.
 
-use crate::bytecode::{ChunkAbort, CompiledBody};
+use crate::bytecode::{lower_do_loop, ChunkAbort, CompiledBody};
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
@@ -598,6 +598,21 @@ pub struct ExecStats {
     pub stream_iters: u64,
 }
 
+impl ExecStats {
+    /// Folds in what a parallel worker's chunk counted: its loops'
+    /// entries and costs and its streams. Its `total_cost` the master
+    /// charges itself, against its own fuel.
+    pub(crate) fn absorb(&mut self, worker: ExecStats) {
+        self.stream_entries += worker.stream_entries;
+        self.stream_iters += worker.stream_iters;
+        for (s, ls) in worker.loops {
+            let e = self.loops.entry(s).or_default();
+            e.invocations += ls.invocations;
+            e.total_cost += ls.total_cost;
+        }
+    }
+}
+
 /// Runtime errors.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ExecError {
@@ -651,10 +666,17 @@ pub struct ExecOutcome {
     pub worker_threads_spawned: u64,
 }
 
-/// The interpreter.
-pub struct Interp<'p> {
+/// What one execution owns: the program it runs, the store it runs
+/// on, what it has spent, recorded and printed, and how it is
+/// instrumented.
+///
+/// `S` is what else the run holds. A parallel worker's chunk is a bare
+/// `Run`: it runs the typed loop on its snapshot and nothing else. A
+/// run of the whole program also holds the program-scoped
+/// [`ProgramScope`] — that is the [`Interp`].
+pub struct Run<'p, S = ()> {
     program: &'p Program,
-    /// The store (public so the parallel executor can swap it).
+    /// The store.
     pub store: Store,
     /// Statistics.
     pub stats: ExecStats,
@@ -671,88 +693,170 @@ pub struct Interp<'p> {
     /// with deterministic pseudo-random values instead of zeros
     /// (randomized audit inputs).
     random_fill: Option<u64>,
-    /// Per-loop lowering results (`None` caches a rejection). Lowering
-    /// is a pure function of the immutable program, so entries stay
-    /// valid for the interpreter's lifetime; `Arc` lets parallel
-    /// workers share one body.
-    compiled_cache: HashMap<StmtId, Option<Arc<CompiledBody>>>,
-    /// Per-loop strategy derivations of the parallel executor, cached
-    /// for the same reason (see [`crate::parallel::DerivedShapes`]).
-    pub(crate) derived_shapes: HashMap<StmtId, crate::parallel::DerivedShapes>,
+    /// What else the run holds: nothing for a worker's chunk, the
+    /// [`ProgramScope`] for a whole run.
+    pub(crate) scope: S,
+    /// What the run's typed entries counted so far.
+    #[cfg(test)]
+    pub(crate) probe: Probe,
+}
+
+/// What the unit tests read of the typed loop, and the one switch they
+/// set on it: kept by a run across its typed entries, and by the
+/// register file for one entry.
+#[cfg(test)]
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct Probe {
+    /// Root iterations started on the typed loop, a stream's or a row
+    /// kernel's included — how the unit tests tell which loop ran (the
+    /// stores are byte-identical by contract).
+    pub(crate) typed_root_iters: u64,
+    /// Stream strips per kernel instantiation, as
+    /// `FState::try_stream` numbers its arms (0 the catch-all).
+    pub(crate) stream_shapes: [u64; 3],
+    /// Rows the segmented kernel ran per instantiation, as
+    /// `FState::run_seg` numbers its arms (0 the catch-all).
+    pub(crate) seg_shapes: [u64; 3],
+    /// Holds segmented streams off: every row on the per-row path.
+    pub(crate) segs_off: bool,
+}
+
+#[cfg(test)]
+impl Probe {
+    /// Adds the counts of `other`.
+    pub(crate) fn add(&mut self, other: &Probe) {
+        self.typed_root_iters += other.typed_root_iters;
+        let totals = self.stream_shapes.iter_mut().chain(&mut self.seg_shapes);
+        let counts = other.stream_shapes.iter().chain(&other.seg_shapes);
+        totals.zip(counts).for_each(|(t, n)| *t += n);
+    }
+}
+
+/// What a run of the whole program holds beyond one execution: what it
+/// derived once of each loop statement, and the threads its parallel
+/// dispatches run on. A parallel worker needs neither.
+#[derive(Default)]
+pub struct ProgramScope {
+    /// One memo per loop statement the run lowered or dispatched.
+    pub(crate) loops: HashMap<StmtId, LoopMemo>,
     /// The run's worker pool: `None` until the first parallel dispatch
-    /// with more than one chunk; dropping the interpreter — on `Ok`, on
-    /// an error, or while unwinding — closes its queue and joins its
+    /// with more than one chunk; dropping the run — on `Ok`, on an
+    /// error, or while unwinding — closes its queue and joins its
     /// threads. Per run, not process-global, so the threads are created
     /// under the affinity the run itself has and no run inherits a
     /// thread another run's fault injection left sleeping.
     pub(crate) pool: Option<WorkerPool>,
-    /// Root iterations this interpreter started on the typed loop —
-    /// how the unit tests tell which loop ran (the stores are
-    /// byte-identical by contract).
-    #[cfg(test)]
-    pub(crate) typed_root_iters: u64,
-    /// Stream strips per kernel instantiation, as
-    /// `FState::try_stream` numbers its arms (0 the catch-all).
-    #[cfg(test)]
-    pub(crate) stream_shapes: [u64; 3],
-    /// Rows the segmented kernel ran per instantiation, as
-    /// `FState::run_seg` numbers its arms (0 the catch-all).
-    #[cfg(test)]
-    pub(crate) seg_shapes: [u64; 3],
-    /// Holds segmented streams off: every row on the per-row path.
-    #[cfg(test)]
-    pub(crate) segs_off: bool,
 }
 
-impl<'p> Interp<'p> {
+/// What a run derives once of one loop statement. Both halves are pure
+/// functions of the immutable program (the shapes also of the plan's
+/// lists, [`crate::parallel::DerivedShapes`]), so an entry stays valid
+/// for the run's lifetime.
+pub(crate) struct LoopMemo {
+    /// The nest's lowering (`None` records a rejection); `Arc` lets
+    /// parallel workers share one body.
+    body: Option<Arc<CompiledBody>>,
+    /// The parallel executor's own strategy derivations.
+    pub(crate) shapes: crate::parallel::DerivedShapes,
+}
+
+/// The interpreter: a run of the whole program, in its scope.
+pub type Interp<'p> = Run<'p, ProgramScope>;
+
+/// The fuel a new interpreter starts with (runaway loop guard).
+const FUEL: u64 = 2_000_000_000;
+
+impl<'p, S> Run<'p, S> {
+    /// A run of `program` on `store` with `fuel` left, holding `scope`,
+    /// that has spent and recorded nothing yet. Allocates nothing.
+    pub(crate) fn on(program: &'p Program, store: Store, fuel: u64, scope: S) -> Run<'p, S> {
+        Run {
+            program,
+            store,
+            stats: ExecStats::default(),
+            record_loops: HashSet::new(),
+            output: Vec::new(),
+            fuel,
+            tracer: None,
+            random_fill: None,
+            scope,
+            #[cfg(test)]
+            probe: Probe::default(),
+        }
+    }
+
     /// The program being interpreted.
     pub fn program(&self) -> &'p Program {
         self.program
     }
 
+    pub(crate) fn charge(&mut self, n: u64) -> Result<(), ExecError> {
+        self.stats.total_cost += n;
+        if self.fuel < n {
+            return Err(ExecError::OutOfFuel);
+        }
+        self.fuel -= n;
+        Ok(())
+    }
+
+    /// The one bounds rule: the Fortran column-major, 1-based flat
+    /// offset of subscripts `subs` into array `a` of extents `dims`, or
+    /// the program's `OutOfBounds` on the first subscript outside
+    /// `1 ..= extent`. The tree-walk's `flat_index` and the typed
+    /// loop's `IndexN` both resolve through it, and the typed loop's
+    /// other misses are named by it.
+    #[inline(always)]
+    pub(crate) fn column_major(
+        &self,
+        a: VarId,
+        dims: &[usize],
+        subs: impl IntoIterator<Item = i64>,
+    ) -> Result<usize, ExecError> {
+        let mut idx: usize = 0;
+        let mut stride: usize = 1;
+        for (k, v) in subs.into_iter().enumerate() {
+            let extent = dims[k];
+            if v < 1 || v as usize > extent {
+                return Err(ExecError::OutOfBounds {
+                    array: self.program.symbols.name(a).to_string(),
+                    index: v,
+                    extent,
+                });
+            }
+            idx += (v as usize - 1) * stride;
+            stride *= extent;
+        }
+        Ok(idx)
+    }
+}
+
+impl<'p> Interp<'p> {
     /// Creates an interpreter with a fresh store and default fuel.
     pub fn new(program: &'p Program) -> Interp<'p> {
-        Interp {
-            program,
-            store: Store::new(program),
-            stats: ExecStats::default(),
-            record_loops: HashSet::new(),
-            output: Vec::new(),
-            fuel: 2_000_000_000,
-            tracer: None,
-            random_fill: None,
-            compiled_cache: HashMap::new(),
-            derived_shapes: HashMap::new(),
-            pool: None,
-            #[cfg(test)]
-            typed_root_iters: 0,
-            #[cfg(test)]
-            stream_shapes: [0; 3],
-            #[cfg(test)]
-            seg_shapes: [0; 3],
-            #[cfg(test)]
-            segs_off: false,
-        }
+        Run::on(program, Store::new(program), FUEL, ProgramScope::default())
     }
 
     /// Worker threads this interpreter's parallel dispatches have
     /// created so far (see [`ExecOutcome::worker_threads_spawned`]).
     pub fn worker_threads_spawned(&self) -> u64 {
-        self.pool.as_ref().map_or(0, WorkerPool::threads_spawned)
+        let pool = self.scope.pool.as_ref();
+        pool.map_or(0, WorkerPool::threads_spawned)
+    }
+
+    /// The memo of loop statement `s`; the first call per loop runs the
+    /// lowering.
+    pub(crate) fn memo(&mut self, s: StmtId) -> &mut LoopMemo {
+        self.scope.loops.entry(s).or_insert_with(|| LoopMemo {
+            body: lower_do_loop(self.program, s).ok().map(Arc::new),
+            shapes: Default::default(),
+        })
     }
 
     /// The cached lowering of the `do` loop at `s` (`None` when the
     /// nest is not lowerable). The first call per loop runs the
     /// lowering; later calls are a map hit.
     pub fn compiled_body_for(&mut self, s: StmtId) -> Option<Arc<CompiledBody>> {
-        if let Some(cached) = self.compiled_cache.get(&s) {
-            return cached.clone();
-        }
-        let lowered = crate::bytecode::lower_do_loop(self.program, s)
-            .ok()
-            .map(Arc::new);
-        self.compiled_cache.insert(s, lowered.clone());
-        lowered
+        self.memo(s).body.clone()
     }
 
     /// Whether a [`LoopDecision::Compiled`] dispatch of `s` can run, and
@@ -882,15 +986,6 @@ impl<'p> Interp<'p> {
         for &s in body {
             self.exec_stmt_with(s, dispatcher)?;
         }
-        Ok(())
-    }
-
-    pub(crate) fn charge(&mut self, n: u64) -> Result<(), ExecError> {
-        self.stats.total_cost += n;
-        if self.fuel < n {
-            return Err(ExecError::OutOfFuel);
-        }
-        self.fuel -= n;
         Ok(())
     }
 
@@ -1166,36 +1261,6 @@ impl<'p> Interp<'p> {
         Ok(idx)
     }
 
-    /// The one bounds rule: the Fortran column-major, 1-based flat
-    /// offset of subscripts `subs` into array `a` of extents `dims`, or
-    /// the program's `OutOfBounds` on the first subscript outside
-    /// `1 ..= extent`. The tree-walk's `flat_index` and the typed
-    /// loop's `IndexN` both resolve through it, and the typed loop's
-    /// other misses are named by it.
-    #[inline(always)]
-    pub(crate) fn column_major(
-        &self,
-        a: VarId,
-        dims: &[usize],
-        subs: impl IntoIterator<Item = i64>,
-    ) -> Result<usize, ExecError> {
-        let mut idx: usize = 0;
-        let mut stride: usize = 1;
-        for (k, v) in subs.into_iter().enumerate() {
-            let extent = dims[k];
-            if v < 1 || v as usize > extent {
-                return Err(ExecError::OutOfBounds {
-                    array: self.program.symbols.name(a).to_string(),
-                    index: v,
-                    extent,
-                });
-            }
-            idx += (v as usize - 1) * stride;
-            stride *= extent;
-        }
-        Ok(idx)
-    }
-
     fn read_element(&self, a: VarId, idx: usize) -> Value {
         match self.store.array(a) {
             ArrayData::Int { data, .. } => Value::Int(data[idx]),
@@ -1212,7 +1277,7 @@ impl<'p> Interp<'p> {
 /// Every executor steps through this one function so they agree on the
 /// edge, and likewise computes through the operator table below
 /// ([`bin_i`], [`bin_f`], [`cmp_res`]) and resolves a multi-dimensional
-/// subscript through the one bounds rule ([`Interp::column_major`]).
+/// subscript through the one bounds rule ([`Run::column_major`]).
 #[inline]
 pub(crate) fn advance_induction(i: &mut i64, step: i64) -> bool {
     let (next, overflowed) = i.overflowing_add(step);

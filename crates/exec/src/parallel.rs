@@ -31,7 +31,8 @@
 //! - scalar reductions combine per-chunk final values under the plan's
 //!   [`ReduceOp`], whatever the strategy;
 //! - worker execution statistics and fuel consumption are aggregated
-//!   into the master interpreter instead of dropped.
+//!   into the master interpreter instead of dropped
+//!   (`ExecStats::absorb`).
 //!
 //! The property-based soundness tests use this to assert: *loops judged
 //! parallel produce exactly the sequential result, with no conflicting
@@ -39,9 +40,12 @@
 //!
 //! # What a worker runs
 //!
-//! **A worker is the typed loop.** The master lowers the loop once
-//! (cached per statement) and every worker runs that compiled body for
-//! its whole chunk in **one call** (`Interp::run_fast_iters`):
+//! **A worker is a [`Run`], and it runs the typed loop.** The master
+//! lowers the loop once (memoized per statement in its
+//! [`ProgramScope`](crate::interp::ProgramScope)), and every chunk is a
+//! bare `Run` built from its store snapshot and the master's fuel —
+//! no interpreter, no memo, no pool — that runs the compiled body for
+//! its whole chunk in **one call** (`Run::run_fast_iters`):
 //! induction loop, per-iteration charge, and the deadline poll and
 //! strategy check between the iterations of every loop of the nest, all
 //! inside it. The dispatch hands the chunk one sink per array
@@ -118,7 +122,7 @@
 use crate::bytecode::{ChunkAbort, CompiledBody, WorkerChunk};
 use crate::fault::FaultKind;
 use crate::interp::{
-    ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value,
+    ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Run, Store, TypedBuf, Value,
     WriteLog, WriteSink,
 };
 use crate::pool::{Job, WorkerPool};
@@ -224,9 +228,19 @@ pub struct ParallelPlan {
 }
 
 impl Default for ParallelPlan {
+    /// A plan on the host's available parallelism, which it reads from
+    /// the operating system on every call.
     fn default() -> Self {
+        ParallelPlan::with_threads(std::thread::available_parallelism().map_or(1, usize::from))
+    }
+}
+
+impl ParallelPlan {
+    /// A plan with the given thread count and nothing privatized.
+    /// Reads nothing from the host.
+    pub fn with_threads(threads: usize) -> ParallelPlan {
         ParallelPlan {
-            threads: std::thread::available_parallelism().map_or(1, usize::from),
+            threads,
             privatized: Vec::new(),
             reductions: Vec::new(),
             deadline_ms: None,
@@ -235,23 +249,14 @@ impl Default for ParallelPlan {
             certificates: Vec::new(),
         }
     }
-}
 
-impl ParallelPlan {
-    /// A plan with the given thread count and nothing privatized.
-    pub fn with_threads(threads: usize) -> ParallelPlan {
-        ParallelPlan {
-            threads,
-            ..ParallelPlan::default()
-        }
-    }
-
-    /// What a verdict says about running its loop in chunks: the
-    /// variables it privatizes and the reductions it recognizes, each
-    /// with its merge operator. A product has none — partial products
-    /// do not combine by deltas, and the driver never tiers such a loop
-    /// parallel — so it is left out. Everything else is the default.
-    pub fn for_verdict(verdict: &LoopVerdict) -> ParallelPlan {
+    /// What a verdict says about running its loop in `threads` chunks:
+    /// the variables it privatizes and the reductions it recognizes,
+    /// each with its merge operator. A product has none — partial
+    /// products do not combine by deltas, and the driver never tiers
+    /// such a loop parallel — so it is left out. Everything else is as
+    /// [`ParallelPlan::with_threads`] has it.
+    pub fn for_verdict(verdict: &LoopVerdict, threads: usize) -> ParallelPlan {
         let reductions = verdict.reductions.iter().filter_map(|(var, op)| {
             let op = match op {
                 ReductionOp::Sum => ReduceOp::Sum,
@@ -264,7 +269,7 @@ impl ParallelPlan {
         ParallelPlan {
             privatized: verdict.privatized_vars().collect(),
             reductions: reductions.collect(),
-            ..ParallelPlan::default()
+            ..ParallelPlan::with_threads(threads)
         }
     }
 }
@@ -380,7 +385,7 @@ struct ChunkOutcome {
     ptr_final: i64,
     stats: ExecStats,
     #[cfg(test)]
-    typed_root_iters: u64,
+    probe: crate::interp::Probe,
 }
 
 /// One in-place target of a dispatch: the master buffer and what each
@@ -530,12 +535,12 @@ fn chunk_windows(
 }
 
 /// The executor's own strategy derivations for one loop statement,
-/// kept on the [`Interp`] beside its lowered body. Both are pure
-/// functions of the AST and of the plan's privatized and reduction
-/// lists, so a re-entered loop derives them once per pair of lists —
-/// still by the executor, still never read off the verdict. Windows,
-/// certificates and undo images depend on the live store and are
-/// derived at every dispatch.
+/// kept in the run's memo of the loop beside its lowered body. Both
+/// are pure functions of the AST and of the plan's privatized and
+/// reduction lists, so a re-entered loop derives them once per pair of
+/// lists — still by the executor, still never read off the verdict.
+/// Windows, certificates and undo images depend on the live store and
+/// are derived at every dispatch.
 #[derive(Default)]
 pub(crate) struct DerivedShapes {
     privatized: Vec<VarId>,
@@ -545,23 +550,18 @@ pub(crate) struct DerivedShapes {
 }
 
 impl DerivedShapes {
-    /// The memo of `loop_stmt`, emptied if `plan` names other lists
-    /// than the ones it was derived under.
-    fn of<'a>(
-        interp: &'a mut Interp<'_>,
-        loop_stmt: StmtId,
-        plan: &ParallelPlan,
-    ) -> &'a mut DerivedShapes {
-        let memo = interp.derived_shapes.entry(loop_stmt).or_default();
+    /// This memo, emptied if `plan` names other lists than the ones it
+    /// was derived under.
+    fn keyed(&mut self, plan: &ParallelPlan) -> &mut DerivedShapes {
         let reductions: Vec<VarId> = plan.reductions.iter().map(|(v, _)| *v).collect();
-        if memo.privatized != plan.privatized || memo.reductions != reductions {
-            *memo = DerivedShapes {
+        if self.privatized != plan.privatized || self.reductions != reductions {
+            *self = DerivedShapes {
                 privatized: plan.privatized.clone(),
                 reductions,
                 ..DerivedShapes::default()
             };
         }
-        memo
+        self
     }
 }
 
@@ -577,7 +577,7 @@ fn prepare_in_place(
     chunks: &[(i64, i64)],
 ) -> Option<Vec<InPlaceSpec>> {
     let program = interp.program();
-    let memo = DerivedShapes::of(interp, loop_stmt, plan);
+    let memo = interp.memo(loop_stmt).shapes.keyed(plan);
     let facts = (memo.in_place)
         .get_or_insert_with(|| {
             let (privatized, reductions) = (&memo.privatized, &memo.reductions);
@@ -637,7 +637,7 @@ fn prepare_concat(
     plan: &ParallelPlan,
 ) -> Option<(VarId, Vec<VarId>, i64)> {
     let program = interp.program();
-    let memo = DerivedShapes::of(interp, loop_stmt, plan);
+    let memo = interp.memo(loop_stmt).shapes.keyed(plan);
     let (ptr, targets) = (memo.concat)
         .get_or_insert_with(|| {
             let (privatized, reductions) = (&memo.privatized, &memo.reductions);
@@ -827,9 +827,7 @@ pub(crate) fn exec_do_parallel(
                 if stall_chunk == Some(widx) {
                     std::thread::sleep(Duration::from_millis(stall_ms));
                 }
-                let mut worker = Interp::new(program);
-                worker.store = snapshot;
-                worker.fuel = fuel;
+                let mut worker = Run::on(program, snapshot, fuel, ());
                 worker.run_fast_iters(body_ref, clo, chi, 1, Some(&mut share))?;
                 let mut log = WriteLog::default();
                 let mut appended = Vec::new();
@@ -853,7 +851,7 @@ pub(crate) fn exec_do_parallel(
                     },
                     stats: worker.stats,
                     #[cfg(test)]
-                    typed_root_iters: worker.typed_root_iters,
+                    probe: worker.probe,
                 })
             }) as Job<'_, _>
         })
@@ -862,12 +860,12 @@ pub(crate) fn exec_do_parallel(
     // (first chunk first). Returns once every chunk has finished —
     // panicked ones included, caught at the job boundary — so nothing
     // the jobs borrowed is still in use below.
-    let results = WorkerPool::dispatch(&mut interp.pool, jobs);
+    let results = WorkerPool::dispatch(&mut interp.scope.pool, jobs);
     // Test-only and outside the transaction: lets a test see what the
     // completed chunks of a dispatch that then *fails* ran on.
     #[cfg(test)]
     for out in results.iter().flatten().flatten() {
-        interp.typed_root_iters += out.typed_root_iters;
+        interp.probe.add(&out.probe);
     }
     let outcomes = match chunk_outcomes(program, results, plan, &mode) {
         Ok(outcomes) => outcomes,
@@ -878,7 +876,7 @@ pub(crate) fn exec_do_parallel(
     };
     // Commit per mode; each validates before its first master mutation.
     match &mode {
-        Mode::WriteLog => merge_write_logs(program, interp, &outcomes)?,
+        Mode::WriteLog => merge_write_logs(interp, &outcomes)?,
         Mode::InPlace(specs) => {
             // The element writes already landed, each chunk's inside
             // its own windows — there is nothing to merge (and the undo
@@ -890,10 +888,10 @@ pub(crate) fn exec_do_parallel(
             }
         }
         Mode::Concat { ptr, targets, p0 } => {
-            commit_concat(program, interp, &outcomes, *ptr, targets, *p0)?;
+            commit_concat(interp, &outcomes, *ptr, targets, *p0)?;
         }
     }
-    commit_reductions(program, interp, plan, &outcomes);
+    commit_reductions(interp, plan, &outcomes);
     // The transaction commits: count the entry, then aggregate worker
     // effects — the master pays the chunks' execution cost (statements
     // + fuel) and absorbs their per-loop statistics. A worker runs the
@@ -904,13 +902,7 @@ pub(crate) fn exec_do_parallel(
     interp.stats.loops.entry(loop_stmt).or_default().total_cost += body_cost;
     let chunks = outcomes.len() as u64;
     for c in outcomes {
-        interp.stats.stream_entries += c.stats.stream_entries;
-        interp.stats.stream_iters += c.stats.stream_iters;
-        for (s, ls) in c.stats.loops {
-            let e = interp.stats.loops.entry(s).or_default();
-            e.invocations += ls.invocations;
-            e.total_cost += ls.total_cost;
-        }
+        interp.stats.absorb(c.stats);
     }
     // Sequential semantics: the induction variable ends one past `hi`.
     interp.store.set_scalar(var, ty, Value::Int(hi + 1));
@@ -991,13 +983,13 @@ fn chunk_outcomes(
 /// is a [`ParallelError::StrategyViolation`] on the target, and the
 /// sequential fallback raises the program's own out-of-bounds error.
 fn commit_concat(
-    program: &Program,
     interp: &mut Interp<'_>,
     outcomes: &[ChunkOutcome],
     ptr: VarId,
     targets: &[VarId],
     p0: i64,
 ) -> Result<(), ParallelError> {
+    let program = interp.program();
     let violation = |v: VarId| ParallelError::StrategyViolation {
         var: program.symbols.name(v).to_string(),
         strategy: ExecutionStrategy::PrivatizeAndConcat.name(),
@@ -1022,7 +1014,7 @@ fn commit_concat(
             return Err(violation(a));
         }
     }
-    merge_write_logs(program, interp, outcomes)?;
+    merge_write_logs(interp, outcomes)?;
     // Apply the buffers positionally in chunk (= sequential) order;
     // the version rises by one per element, as element-wise writes
     // would have raised it.
@@ -1048,12 +1040,8 @@ fn commit_concat(
 /// into the master's, under its [`ReduceOp`] — one commit for every
 /// strategy: each worker hands back the final value of every scalar its
 /// nest assigns.
-fn commit_reductions(
-    program: &Program,
-    interp: &mut Interp<'_>,
-    plan: &ParallelPlan,
-    outcomes: &[ChunkOutcome],
-) {
+fn commit_reductions(interp: &mut Interp<'_>, plan: &ParallelPlan, outcomes: &[ChunkOutcome]) {
+    let program = interp.program();
     for (k, &(rv, op)) in plan.reductions.iter().enumerate() {
         let base = interp.store.scalar(rv);
         let combine =
@@ -1113,7 +1101,6 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 /// Workers bounds-checked every write against the extents of their
 /// snapshots, which are the master's: arrays never change shape.
 fn merge_write_logs(
-    program: &Program,
     interp: &mut Interp<'_>,
     outcomes: &[ChunkOutcome],
 ) -> Result<(), ParallelError> {
@@ -1145,7 +1132,7 @@ fn merge_write_logs(
                     c.claimed += 1;
                 } else if *owner != me {
                     return Err(ParallelError::WriteConflict {
-                        var: program.symbols.name(v).to_string(),
+                        var: interp.program().symbols.name(v).to_string(),
                     });
                 }
             }
@@ -1295,7 +1282,7 @@ mod tests {
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
         assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
         // Every chunk ran typed, through the logged sink.
-        assert_eq!(master.typed_root_iters, 100);
+        assert_eq!(master.probe.typed_root_iters, 100);
     }
 
     /// Regression for the snapshot-diff soundness hole: one chunk writes
@@ -1323,7 +1310,7 @@ mod tests {
             matches!(res, Err(ParallelError::WriteConflict { ref var }) if var == "x"),
             "expected a write conflict on x, got {res:?}"
         );
-        assert_eq!(master.typed_root_iters, 100);
+        assert_eq!(master.probe.typed_root_iters, 100);
     }
 
     /// Every chunk writing the pre-loop value back is still an
@@ -1341,7 +1328,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
         assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
-        assert_eq!(master.typed_root_iters, 100);
+        assert_eq!(master.probe.typed_root_iters, 100);
     }
 
     /// The owner table claims per worker, not per write: a chunk may
@@ -1402,7 +1389,7 @@ mod tests {
         let plan = ParallelPlan::with_threads(3);
         let got = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 64, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::WriteLog);
-        assert_eq!((got.chunks, interp.typed_root_iters), (3, 64));
+        assert_eq!((got.chunks, interp.probe.typed_root_iters), (3, 64));
         let seq = Interp::new(&p).run().unwrap();
         let bits = |st: &Store| -> Vec<u64> {
             st.array_as_reals(a)
@@ -1429,7 +1416,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
         assert_eq!(res.unwrap().chunks, 4);
-        assert_eq!(master.typed_root_iters, 100);
+        assert_eq!(master.probe.typed_root_iters, 100);
         let seq = Interp::new(&p).run().unwrap();
         assert_eq!(master.store, seq.store);
     }
@@ -1460,7 +1447,7 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(err.fallback_reason(), Some(FallbackReason::Unsupported));
-        assert_eq!(master.typed_root_iters, 0);
+        assert_eq!(master.probe.typed_root_iters, 0);
         assert_eq!(master.store, live(&p).store);
         assert_eq!(master.stats.total_cost, 0);
         // Not for want of a typed body: privatizing `last` exempts it
@@ -1542,7 +1529,7 @@ mod tests {
             assert!(before == state(&interp), "fuel {fuel}: master changed");
             // The chunks that completed did so on the typed loop, and
             // the failing one ran the same body over the same arrays.
-            assert!(interp.typed_root_iters >= 34, "fuel {fuel}");
+            assert!(interp.probe.typed_root_iters >= 34, "fuel {fuel}");
         }
     }
 
@@ -1798,7 +1785,7 @@ mod tests {
         let seq = Interp::new(&p).run().unwrap();
         for granted in [0, 1] {
             let mut interp = live(&p);
-            interp.pool = Some(WorkerPool::with_spawn_limit(granted));
+            interp.scope.pool = Some(WorkerPool::with_spawn_limit(granted));
             let plan = ParallelPlan::with_threads(16);
             let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 64, 1).unwrap();
             assert_eq!(got.chunks, 16, "{granted} thread(s) granted");
@@ -1859,7 +1846,7 @@ mod tests {
             assert_eq!(interp.store, before);
             assert_eq!(interp.stats.total_cost, 0);
             // The two healthy chunks were awaited, not abandoned.
-            assert_eq!(interp.typed_root_iters, 60);
+            assert_eq!(interp.probe.typed_root_iters, 60);
             assert_eq!(interp.worker_threads_spawned(), 2);
             let plan = ParallelPlan::with_threads(3);
             exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 90, 1).unwrap();
@@ -1888,7 +1875,7 @@ mod tests {
         let dispatched = || {
             let mut interp = live(&p);
             exec_do_parallel(&mut interp, lp, &ParallelPlan::with_threads(3), 1, 64, 1).unwrap();
-            let alive = interp.pool.as_ref().expect("three chunks").liveness();
+            let alive = interp.scope.pool.as_ref().expect("three chunks").liveness();
             assert_eq!(alive.strong_count(), 3, "the pool and its two threads");
             (interp, alive)
         };
@@ -1970,7 +1957,7 @@ mod tests {
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
         // Every chunk is typed, through the window sink.
-        assert_eq!((got.chunks, interp.typed_root_iters), (4, 100));
+        assert_eq!((got.chunks, interp.probe.typed_root_iters), (4, 100));
         let seq = Interp::new(&p).run().unwrap();
         let x = p.symbols.lookup("x").unwrap();
         let i = p.symbols.lookup("i").unwrap();
@@ -2065,7 +2052,7 @@ mod tests {
                     // `s`: the dispatch is refused.
                     assert!(matches!(got, Err(ParallelError::Untyped { .. })), "{got:?}");
                 }
-                let memo = &interp.derived_shapes[&first_do(&p)];
+                let memo = &interp.scope.loops[&first_do(&p)].shapes;
                 assert_eq!(memo.in_place.as_ref().unwrap().is_some(), declared);
             }
         }
@@ -2189,7 +2176,7 @@ mod tests {
         let got = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap();
         assert_eq!(got.strategy, ExecutionStrategy::PrivatizeAndConcat);
         // Typed, through the append sink.
-        assert_eq!((got.chunks, interp.typed_root_iters), (4, 100));
+        assert_eq!((got.chunks, interp.probe.typed_root_iters), (4, 100));
         let seq = Interp::new(&p).run().unwrap();
         let q = p.symbols.lookup("q").unwrap();
         let ind = p.symbols.lookup("ind").unwrap();
@@ -2271,7 +2258,7 @@ mod tests {
         };
         let res = worker.run_fast_iters(&cb, 3, hi, 1, Some(&mut share));
         let held = worker.store.array_as_reals(x).unwrap();
-        (res, worker.typed_root_iters, held)
+        (res, worker.probe.typed_root_iters, held)
     }
 
     /// A window pin is a view of the window alone, in every address form

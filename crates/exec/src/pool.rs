@@ -11,9 +11,15 @@
 //! - a thread the OS refused to create is a non-event — the jobs it
 //!   would have run are claimed by whoever is free, the master included.
 //!
-//! The pool belongs to one [`Interp`](crate::Interp): `None` until that
+//! The pool belongs to one [`Interp`](crate::Interp), in the
+//! program-scoped half of it ([`ProgramScope`]): `None` until that
 //! run's first dispatch with more than one chunk, grown on demand, shut
 //! down (queue closed, threads joined) when the interpreter is dropped.
+//! The chunks it runs hold no part of that scope: each is a bare
+//! [`Run`] on its own snapshot.
+//!
+//! [`ProgramScope`]: crate::interp::ProgramScope
+//! [`Run`]: crate::interp::Run
 //!
 //! # The one invariant
 //!

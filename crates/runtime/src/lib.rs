@@ -52,6 +52,7 @@ use irr_exec::{
 };
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of the hybrid runtime.
 #[derive(Clone, Copy, Debug)]
@@ -60,10 +61,6 @@ pub struct HybridConfig {
     /// master included) that work on a loop at once. Defaults to the
     /// host's available parallelism.
     pub threads: usize,
-    /// Reuse inspection verdicts across executions via the versioned
-    /// schedule cache (`false` re-inspects on every guarded entry, the
-    /// pure inspector–executor model the paper argues against).
-    pub cache_schedules: bool,
     /// After a parallel dispatch fails at runtime, how many subsequent
     /// entries of the same `(loop, key)` schedule are pinned sequential
     /// before the verdict is dropped and re-inspected. `0` retries
@@ -93,7 +90,6 @@ impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
             threads: std::thread::available_parallelism().map_or(1, usize::from),
-            cache_schedules: true,
             quarantine_retries: 2,
             worker_deadline_ms: None,
             enable_strategies: true,
@@ -103,7 +99,7 @@ impl Default for HybridConfig {
 }
 
 /// Everything the dispatcher needs to know about one compiled loop.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct LoopEntry {
     tier: DispatchTier,
     /// [`ParallelPlan::for_verdict`]: what every dispatch of the loop
@@ -135,7 +131,8 @@ struct LoopEntry {
 /// `do`-loop entry (with evaluated bounds); decides the tier, runs
 /// inspectors for guarded loops, and maintains the schedule cache.
 pub struct HybridDispatcher {
-    loops: HashMap<StmtId, LoopEntry>,
+    /// Shared, so a loop entry costs the dispatch a reference count.
+    loops: HashMap<StmtId, Arc<LoopEntry>>,
     config: HybridConfig,
     cache: ScheduleCache,
     /// Injected fault schedule for chaos testing; `None` (the default)
@@ -173,15 +170,15 @@ impl HybridDispatcher {
             };
             loops.insert(
                 v.loop_stmt,
-                LoopEntry {
+                Arc::new(LoopEntry {
                     tier: v.tier.clone(),
-                    plan: ParallelPlan::for_verdict(v),
+                    plan: ParallelPlan::for_verdict(v, config.threads.max(1)),
                     strategy,
                     retired: v.retired_checks.len() as u64,
                     interproc: v.promoted_interproc,
                     compiled_plan: v.compiled.is_some(),
                     leaf_do,
-                },
+                }),
             );
         }
         HybridDispatcher {
@@ -229,7 +226,6 @@ impl HybridDispatcher {
         // dispatching and refuses the dispatch when that fails.
         self.telemetry.compiled_worker_dispatches += 1;
         ParallelPlan {
-            threads: self.config.threads.max(1),
             deadline_ms: self.config.worker_deadline_ms,
             fault,
             strategy: if self.config.enable_strategies {
@@ -401,7 +397,7 @@ impl LoopDispatcher for HybridDispatcher {
                         plan.record_fired(FaultKind::LieInspector);
                     }
                     Some((true, Vec::new()))
-                } else if self.config.cache_schedules {
+                } else {
                     match self.cache.probe_certified(loop_stmt, &key) {
                         (CacheProbe::Hit(v), certificates) => {
                             self.telemetry.cache_hits += 1;
@@ -414,8 +410,6 @@ impl LoopDispatcher for HybridDispatcher {
                             None
                         }
                     }
-                } else {
-                    None
                 };
                 // A miss inspects, and the scan that clears the guard
                 // leaves the key's certificates.
@@ -424,15 +418,10 @@ impl LoopDispatcher for HybridDispatcher {
                     self.telemetry.inspections_run += run;
                     let v = inspected.is_some();
                     let certificates = inspected.unwrap_or_default();
-                    if self.config.cache_schedules {
-                        self.cache.insert_certified(
-                            loop_stmt,
-                            key.clone(),
-                            v,
-                            certificates.clone(),
-                        );
-                        self.telemetry.cache_evictions = self.cache.evictions();
-                    }
+                    let cached = certificates.clone();
+                    self.cache
+                        .insert_certified(loop_stmt, key.clone(), v, cached);
+                    self.telemetry.cache_evictions = self.cache.evictions();
                     (v, certificates)
                 });
                 if parallel_ok {
@@ -838,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn disabling_cache_reinspects_every_entry() {
+    fn one_inspection_serves_every_cached_reentry() {
         let src = "program t
              integer i, r, n, p(8)
              real z(8), x(8)
@@ -865,17 +854,6 @@ mod tests {
         // The one certificate serves the two cache hits as well.
         assert_eq!(cached.telemetry.strategy_in_place, 4);
         assert_eq!(cached.telemetry.strategy_write_log, 0);
-        let uncached = run_hybrid(
-            &rep,
-            HybridConfig {
-                cache_schedules: false,
-                ..HybridConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(uncached.telemetry.inspections_run, 3);
-        assert_eq!(uncached.telemetry.cache_hits, 0);
-        assert_eq!(uncached.telemetry.strategy_in_place, 4);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! How many heap allocations a compile makes, counted exactly.
+//! How many heap allocations a compile and a dispatch make, counted
+//! exactly.
 //!
 //! The symbolic layer's values are shared, not copied: cloning a
 //! `SymExpr` (or a `Bound`, a `SymRange`, a `Section`) bumps one reference
@@ -8,10 +9,12 @@
 //! The five paper benchmarks at `Scale::Paper` made 37 433 allocations
 //! while every clone deep-copied its term and atom vectors; they make
 //! 16 298 with shared values; the bound leaves room for new analyses.
+//! The hybrid runtime's dispatch path is counted the same way.
 
-use irr_driver::{compile, DriverOptions};
+use irr_driver::{compile, compile_source, DriverOptions};
 use irr_frontend::{parse_program, VarId};
 use irr_programs::{all, Scale};
+use irr_runtime::{run_hybrid, HybridConfig};
 use irr_symbolic::SymExpr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,4 +97,49 @@ fn cloning_a_symbolic_expression_allocates_nothing() {
     let (copy, n) = allocations(|| e.clone());
     assert_eq!(copy, e);
     assert_eq!(n, 0, "cloning {e} allocated {n} time(s)");
+}
+
+/// A parallel worker is a bare run on its snapshot, a loop entry is a
+/// reference count and a plan reads nothing from the host, so the
+/// hybrid runtime's 100 guarded entries of a scatter cost a fixed
+/// handful of allocations each. One chunk per dispatch keeps every
+/// chunk on this thread, where the allocator counts it. The run made
+/// 2 511 allocations while every chunk built and dropped a whole
+/// interpreter (a store of three vectors among them), every entry
+/// cloned its dispatcher record and every verdict's plan read the
+/// host's parallelism; it makes 1 996–1 997 without them, 19 a guarded
+/// entry.
+#[test]
+fn a_guarded_reentry_stays_under_its_allocation_budget() {
+    let src = "program t
+         integer i, r, n, p(8)
+         real z(8), x(8)
+         n = 8
+         do i = 1, n
+           p(i) = mod(i * 3, n) + 1
+           x(i) = i * 1.0
+         enddo
+         do r = 1, 100
+           do 20 i = 1, n
+             z(p(i)) = x(i) + r
+ 20        continue
+         enddo
+         print z(1), z(8)
+         end";
+    let rep = compile_source(src, DriverOptions::with_iaa()).expect("source compiles");
+    let config = HybridConfig {
+        threads: 1,
+        ..HybridConfig::default()
+    };
+    let (out, n) = allocations(|| run_hybrid(&rep, config).expect("runs"));
+    let t = out.telemetry;
+    assert_eq!(
+        (t.guarded_parallel, t.cache_hits, t.fallbacks()),
+        (100, 99, 0),
+        "{t:?}"
+    );
+    assert!(
+        n <= 2_250,
+        "{n} allocations for 100 guarded entries; 2 511 while every chunk built an interpreter"
+    );
 }

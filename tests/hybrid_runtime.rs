@@ -107,22 +107,6 @@ fn a_reentered_loop_creates_its_threads_once_per_run() {
 }
 
 #[test]
-fn without_cache_every_entry_pays_the_inspector() {
-    let rep = compile_source(HYBRID_SRC, DriverOptions::with_iaa()).unwrap();
-    let hybrid = run_hybrid(
-        &rep,
-        HybridConfig {
-            cache_schedules: false,
-            ..HybridConfig::default()
-        },
-    )
-    .unwrap();
-    let t = hybrid.telemetry;
-    assert_eq!(t.inspections_run, 4, "{t:?}");
-    assert_eq!(t.cache_hits, 0, "{t:?}");
-}
-
-#[test]
 fn guarded_zero_trip_loop_is_vacuously_parallel() {
     // The guarded loop's bound is 0 at run time but opaque to the solver
     // (`mod` is uninterpreted symbolically, so it cannot prove the

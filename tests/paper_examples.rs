@@ -387,10 +387,7 @@ fn benchmark_irregular_loops_execute_in_parallel() {
         // entry of it chunked, and everything else sequentially.
         let label = b.irregular_labels[0];
         let v = rep.verdict(label).unwrap();
-        let plan = ParallelPlan {
-            threads: 3,
-            ..ParallelPlan::for_verdict(v)
-        };
+        let plan = ParallelPlan::for_verdict(v, 3);
         let mut chunked = OneLoopInChunks::new(v.loop_stmt, plan);
         let par = dispatched(&rep, &[], &mut chunked)
             .unwrap_or_else(|e| panic!("{}: {label}: {e}", b.name));

@@ -196,10 +196,7 @@ fn parallel_verdicts_are_sound() {
             if !matches!(rep.program.stmt(v.loop_stmt).kind, StmtKind::Do { .. }) {
                 continue;
             }
-            let plan = ParallelPlan {
-                threads,
-                ..ParallelPlan::for_verdict(v)
-            };
+            let plan = ParallelPlan::for_verdict(v, threads);
             let mut chunked = OneLoopInChunks::new(v.loop_stmt, plan);
             let par = dispatched(&rep, &[], &mut chunked)
                 .unwrap_or_else(|e| panic!("{}: {e}\n{src}", v.label));
