@@ -2,13 +2,15 @@
 //! parallelization decisions.
 //!
 //! A loop the driver declared parallel is executed by splitting its
-//! iteration space into contiguous chunks. Each chunk is one job on
-//! the interpreter's worker pool (`pool.rs`): the pool's threads — one
-//! set per run, created by the first dispatch that needs them, joined
-//! when the interpreter is dropped — and the dispatching thread itself
-//! claim chunks from one queue, first chunk first, so a dispatch
-//! creates no thread once the pool has `chunks − 1` and a one-chunk
-//! dispatch involves no other thread at all. The dispatch waits until
+//! iteration space into as many contiguous chunks as its plan asks.
+//! Each chunk of a wider dispatch is one job on the interpreter's
+//! worker pool (`pool.rs`): the pool's threads — one set per run,
+//! created by the first dispatch that needs them, joined when the
+//! interpreter is dropped — and the dispatching thread itself claim
+//! chunks from one queue, first chunk first, so a dispatch creates no
+//! thread once the pool has `chunks − 1`. A one-chunk dispatch runs its
+//! chunk on the dispatching thread, with no job and no queue, and
+//! involves no other thread at all. The dispatch waits until
 //! every chunk has finished, whatever became of any of them (a panic
 //! is caught at the job boundary and is that chunk's result), before
 //! it looks at a single outcome. A chunk runs on a cheap clone of the
@@ -129,6 +131,8 @@ use crate::pool::{Job, WorkerPool};
 use crate::runtime_test::InjectiveCertificate;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a parallel dispatch writes results back to the master store.
@@ -188,6 +192,12 @@ pub struct Committed {
     /// The worker chunks that ran, every one on the typed loop (zero
     /// for a zero-trip dispatch).
     pub chunks: u64,
+    /// The body cost the chunks charged the master together: the
+    /// statement and loop-bookkeeping units of the typed loop
+    /// ([`ExecStats::total_cost`]), the same whatever the chunk count
+    /// and on every host — a deterministic measure of the entry's work,
+    /// not wall time (zero for a zero-trip dispatch).
+    pub cost: u64,
 }
 
 /// How a designated loop is run in parallel.
@@ -413,7 +423,7 @@ enum Mode {
     InPlace(Vec<InPlaceSpec>),
     Concat {
         ptr: VarId,
-        targets: Vec<VarId>,
+        targets: Arc<[VarId]>,
         p0: i64,
     },
 }
@@ -480,6 +490,43 @@ impl Mode {
     }
 }
 
+/// How a dispatch splits its iteration space `lo..lo + n`: `count`
+/// contiguous chunks in iteration order, the first `n % count` of them
+/// one iteration longer. Computed, not stored, so splitting allocates
+/// nothing.
+#[derive(Clone, Copy)]
+struct Chunks {
+    lo: i64,
+    n: usize,
+    count: usize,
+}
+
+impl Chunks {
+    /// `threads` chunks of `n ≥ 1` iterations from `lo` — one at
+    /// least, none empty, at most [`MAX_WORKERS`]. The caller checked
+    /// that `lo + n` is representable.
+    fn new(lo: i64, n: usize, threads: usize) -> Chunks {
+        let count = threads.clamp(1, n).min(MAX_WORKERS);
+        Chunks { lo, n, count }
+    }
+
+    /// The bounds `(clo, chi)` of chunk `t`.
+    fn bounds(self, t: usize) -> (i64, i64) {
+        let (base, extra) = (self.n / self.count, self.n % self.count);
+        let start = self.lo + (t * base + t.min(extra)) as i64;
+        (start, start + (base + usize::from(t < extra)) as i64 - 1)
+    }
+
+    fn iter(self) -> impl Iterator<Item = (i64, i64)> {
+        (0..self.count).map(move |t| self.bounds(t))
+    }
+
+    /// The last iteration of the last chunk.
+    fn hi(self) -> i64 {
+        self.lo + self.n as i64 - 1
+    }
+}
+
 /// The windows `target` gives the chunks of this dispatch, from its
 /// shape and the live store; `None` when the shape does not yield
 /// windows inside the array (the write-log then reproduces whatever the
@@ -488,10 +535,10 @@ fn chunk_windows(
     store: &Store,
     target: &InPlaceTarget,
     certificates: &[InjectiveCertificate],
-    chunks: &[(i64, i64)],
+    chunks: Chunks,
 ) -> Option<Vec<(usize, usize)>> {
     let len = store.array(target.array).len();
-    let (lo, hi) = (chunks.first()?.0, chunks.last()?.1);
+    let (lo, hi) = (chunks.lo, chunks.hi());
     match target.shape {
         WriteShape::Affine { off } => {
             // Checked: an i64::MAX-adjacent offset must downgrade, not
@@ -501,7 +548,7 @@ fn chunk_windows(
                 return None;
             }
             let window =
-                |&(clo, chi): &(i64, i64)| ((clo + off - 1) as usize, (chi - clo + 1) as usize);
+                |(clo, chi): (i64, i64)| ((clo + off - 1) as usize, (chi - clo + 1) as usize);
             Some(chunks.iter().map(window).collect())
         }
         WriteShape::Segment { ptr } => {
@@ -510,14 +557,14 @@ fn chunk_windows(
             // stay inside the target for the windows to tile.
             let bound =
                 |i: i64| store.element_as_int(ptr, usize::try_from(i.checked_sub(1)?).ok()?);
-            let mut bounds = Vec::with_capacity(chunks.len() + 1);
-            for &(clo, _) in chunks {
+            let mut bounds = Vec::with_capacity(chunks.count + 1);
+            for (clo, _) in chunks.iter() {
                 bounds.push(bound(clo)?);
             }
             bounds.push(bound(hi.checked_add(1)?)?);
             let tiled = bounds[0] >= 1
                 && bounds.windows(2).all(|b| b[0] <= b[1])
-                && bounds[chunks.len()] as u64 <= len as u64 + 1;
+                && bounds[chunks.count] as u64 <= len as u64 + 1;
             tiled.then(|| {
                 let window = |b: &[i64]| ((b[0] - 1) as usize, (b[1] - b[0]) as usize);
                 bounds.windows(2).map(window).collect()
@@ -529,7 +576,7 @@ fn chunk_windows(
             certificates
                 .iter()
                 .any(certified)
-                .then(|| vec![(0, len); chunks.len()])
+                .then(|| vec![(0, len); chunks.count])
         }
     }
 }
@@ -540,24 +587,25 @@ fn chunk_windows(
 /// reduction lists, so a re-entered loop derives them once per pair of
 /// lists — still by the executor, still never read off the verdict.
 /// Windows, certificates and undo images depend on the live store and
-/// are derived at every dispatch.
+/// are derived at every dispatch, which shares the derived lists with
+/// the memo instead of copying them.
 #[derive(Default)]
 pub(crate) struct DerivedShapes {
     privatized: Vec<VarId>,
     reductions: Vec<VarId>,
-    in_place: Option<Option<Vec<InPlaceTarget>>>,
-    concat: Option<Option<(VarId, Vec<VarId>)>>,
+    in_place: Option<Option<Arc<[InPlaceTarget]>>>,
+    concat: Option<Option<(VarId, Arc<[VarId]>)>>,
 }
 
 impl DerivedShapes {
     /// This memo, emptied if `plan` names other lists than the ones it
     /// was derived under.
     fn keyed(&mut self, plan: &ParallelPlan) -> &mut DerivedShapes {
-        let reductions: Vec<VarId> = plan.reductions.iter().map(|(v, _)| *v).collect();
-        if self.privatized != plan.privatized || self.reductions != reductions {
+        let reductions = plan.reductions.iter().map(|(v, _)| *v);
+        if self.privatized != plan.privatized || !self.reductions.iter().copied().eq(reductions) {
             *self = DerivedShapes {
                 privatized: plan.privatized.clone(),
-                reductions,
+                reductions: plan.reductions.iter().map(|(v, _)| *v).collect(),
                 ..DerivedShapes::default()
             };
         }
@@ -574,7 +622,7 @@ fn prepare_in_place(
     interp: &mut Interp<'_>,
     loop_stmt: StmtId,
     plan: &ParallelPlan,
-    chunks: &[(i64, i64)],
+    chunks: Chunks,
 ) -> Option<Vec<InPlaceSpec>> {
     let program = interp.program();
     let memo = interp.memo(loop_stmt).shapes.keyed(plan);
@@ -582,11 +630,12 @@ fn prepare_in_place(
         .get_or_insert_with(|| {
             let (privatized, reductions) = (&memo.privatized, &memo.reductions);
             irr_driver::derive_in_place_facts(program, loop_stmt, privatized, reductions)
+                .map(Arc::from)
         })
         .clone()?;
     let any_read = facts.iter().any(|t| t.read);
     let mut specs = Vec::with_capacity(facts.len());
-    for t in &facts {
+    for t in facts.iter() {
         let data = interp.store.array(t.array);
         if data.dims().len() != 1 {
             return None;
@@ -635,13 +684,14 @@ fn prepare_concat(
     interp: &mut Interp<'_>,
     loop_stmt: StmtId,
     plan: &ParallelPlan,
-) -> Option<(VarId, Vec<VarId>, i64)> {
+) -> Option<(VarId, Arc<[VarId]>, i64)> {
     let program = interp.program();
     let memo = interp.memo(loop_stmt).shapes.keyed(plan);
     let (ptr, targets) = (memo.concat)
         .get_or_insert_with(|| {
             let (privatized, reductions) = (&memo.privatized, &memo.reductions);
             irr_driver::derive_concat_shape(program, loop_stmt, privatized, reductions)
+                .map(|(ptr, targets)| (ptr, Arc::from(targets)))
         })
         .clone()?;
     let p0 = interp.store.scalar(ptr).as_int();
@@ -720,6 +770,7 @@ pub(crate) fn exec_do_parallel(
         return Ok(Committed {
             strategy: plan.strategy,
             chunks: 0,
+            cost: 0,
         });
     }
     // The chunk arithmetic below (trip count, chunk bounds, the
@@ -740,27 +791,14 @@ pub(crate) fn exec_do_parallel(
     if !interp.fast_ready(&body) {
         return untyped("an array holds another element type than declared".to_string());
     }
-    let threads = plan.threads.clamp(1, n).min(MAX_WORKERS);
-    // Chunk boundaries.
-    let mut chunks: Vec<(i64, i64)> = Vec::with_capacity(threads);
-    let base = n / threads;
-    let extra = n % threads;
-    let mut start = lo;
-    for t in 0..threads {
-        let len = base + usize::from(t < extra);
-        if len == 0 {
-            continue;
-        }
-        chunks.push((start, start + len as i64 - 1));
-        start += len as i64;
-    }
+    let chunks = Chunks::new(lo, n, plan.threads);
     // Injected worker faults address a chunk modulo the chunk count, so
     // a randomly drawn worker index always lands on a chunk that runs —
     // on whichever thread claims it.
     let (panic_chunk, stall_chunk, stall_ms) = match plan.fault {
-        Some(FaultKind::PanicWorker { worker }) => (Some(worker % chunks.len()), None, 0),
+        Some(FaultKind::PanicWorker { worker }) => (Some(worker % chunks.count), None, 0),
         Some(FaultKind::StallWorker { worker, stall_ms }) => {
-            (None, Some(worker % chunks.len()), stall_ms)
+            (None, Some(worker % chunks.count), stall_ms)
         }
         _ => (None, None, 0),
     };
@@ -775,7 +813,7 @@ pub(crate) fn exec_do_parallel(
     let mode = match plan.strategy {
         ExecutionStrategy::WriteLog => Mode::WriteLog,
         ExecutionStrategy::InPlaceDisjoint => {
-            match prepare_in_place(interp, loop_stmt, plan, &chunks) {
+            match prepare_in_place(interp, loop_stmt, plan, chunks) {
                 Some(specs) => Mode::InPlace(specs),
                 None => Mode::WriteLog,
             }
@@ -807,72 +845,70 @@ pub(crate) fn exec_do_parallel(
     // master buffers, through the chunk's windows.
     let fuel = interp.fuel;
     let (mode_ref, body_ref) = (&mode, &*body);
-    let jobs: Vec<Job<'_, Result<ChunkOutcome, ChunkAbort>>> = chunks
-        .iter()
-        .enumerate()
-        .map(|(widx, &(clo, chi))| {
-            let snapshot = interp.store.clone();
-            Box::new(move || {
-                if panic_chunk == Some(widx) {
-                    panic!("injected fault: worker {widx} panic");
-                }
-                // The watchdog clock starts only when a deadline is
-                // armed (the hot path never reads wall time), and
-                // before any injected stall — so a stalled worker
-                // trips the deadline on its first iteration check.
-                let mut share = WorkerChunk {
-                    deadline: deadline.map(|limit| (Instant::now(), limit)),
-                    sinks: mode_ref.sinks(program, plan, body_ref, widx),
-                };
-                if stall_chunk == Some(widx) {
-                    std::thread::sleep(Duration::from_millis(stall_ms));
-                }
-                let mut worker = Run::on(program, snapshot, fuel, ());
-                worker.run_fast_iters(body_ref, clo, chi, 1, Some(&mut share))?;
-                let mut log = WriteLog::default();
-                let mut appended = Vec::new();
-                for (&a, sink) in body_ref.arrays().iter().zip(share.sinks) {
-                    match sink {
-                        Some(WriteSink::Logged(col)) if !col.idx.is_empty() => {
-                            log.elements.push(col);
-                        }
-                        Some(WriteSink::Append { buf, .. }) => appended.push((a, buf)),
-                        _ => {}
-                    }
-                }
-                let final_of = |v: VarId| worker.store.scalar(v);
-                Ok(ChunkOutcome {
-                    log,
-                    appended,
-                    reduction_finals: plan.reductions.iter().map(|&(v, _)| final_of(v)).collect(),
-                    ptr_final: match mode_ref {
-                        Mode::Concat { ptr, .. } => final_of(*ptr).as_int(),
-                        _ => 0,
-                    },
-                    stats: worker.stats,
-                    #[cfg(test)]
-                    probe: worker.probe,
-                })
-            }) as Job<'_, _>
-        })
-        .collect();
-    // One queue, claimed from by the pool's threads and by this thread
-    // (first chunk first). Returns once every chunk has finished —
-    // panicked ones included, caught at the job boundary — so nothing
-    // the jobs borrowed is still in use below.
-    let results = WorkerPool::dispatch(&mut interp.scope.pool, jobs);
-    // Test-only and outside the transaction: lets a test see what the
-    // completed chunks of a dispatch that then *fails* ran on.
-    #[cfg(test)]
-    for out in results.iter().flatten().flatten() {
-        interp.probe.add(&out.probe);
-    }
-    let outcomes = match chunk_outcomes(program, results, plan, &mode) {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            mode.roll_back(interp);
-            return Err(e);
+    let run_chunk = |widx: usize, (clo, chi): (i64, i64), snapshot: Store| {
+        if panic_chunk == Some(widx) {
+            panic!("injected fault: worker {widx} panic");
         }
+        // The watchdog clock starts only when a deadline is armed (the
+        // hot path never reads wall time), and before any injected
+        // stall — so a stalled worker trips the deadline on its first
+        // iteration check.
+        let mut share = WorkerChunk {
+            deadline: deadline.map(|limit| (Instant::now(), limit)),
+            sinks: mode_ref.sinks(program, plan, body_ref, widx),
+        };
+        if stall_chunk == Some(widx) {
+            std::thread::sleep(Duration::from_millis(stall_ms));
+        }
+        let mut worker = Run::on(program, snapshot, fuel, ());
+        worker.run_fast_iters(body_ref, clo, chi, 1, Some(&mut share))?;
+        let mut log = WriteLog::default();
+        let mut appended = Vec::new();
+        for (&a, sink) in body_ref.arrays().iter().zip(share.sinks) {
+            match sink {
+                Some(WriteSink::Logged(col)) if !col.idx.is_empty() => log.elements.push(col),
+                Some(WriteSink::Append { buf, .. }) => appended.push((a, buf)),
+                _ => {}
+            }
+        }
+        let final_of = |v: VarId| worker.store.scalar(v);
+        Ok(ChunkOutcome {
+            log,
+            appended,
+            reduction_finals: plan.reductions.iter().map(|&(v, _)| final_of(v)).collect(),
+            ptr_final: match mode_ref {
+                Mode::Concat { ptr, .. } => final_of(*ptr).as_int(),
+                _ => 0,
+            },
+            stats: worker.stats,
+            #[cfg(test)]
+            probe: worker.probe,
+        })
+    };
+    // A one-chunk dispatch runs its chunk on this thread, with no job
+    // queue and no pool. Otherwise one queue, claimed from by the pool's
+    // threads and by this thread (first chunk first), which returns
+    // once every chunk has finished — panicked ones included, caught at
+    // the job boundary — so nothing the jobs borrowed is still in use
+    // below.
+    let outcomes = if chunks.count == 1 {
+        let snapshot = interp.store.clone();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_chunk(0, chunks.bounds(0), snapshot)
+        }));
+        settle(interp, [result], plan, &mode)?
+    } else {
+        let run_chunk = &run_chunk;
+        let jobs: Vec<Job<'_, _>> = chunks
+            .iter()
+            .enumerate()
+            .map(|(widx, bounds)| {
+                let snapshot = interp.store.clone();
+                Box::new(move || run_chunk(widx, bounds, snapshot)) as Job<'_, _>
+            })
+            .collect();
+        let results = WorkerPool::dispatch(&mut interp.scope.pool, jobs);
+        settle(interp, results, plan, &mode)?
     };
     // Commit per mode; each validates before its first master mutation.
     match &mode {
@@ -897,10 +933,9 @@ pub(crate) fn exec_do_parallel(
     // + fuel) and absorbs their per-loop statistics. A worker runs the
     // typed loop, which records no iteration costs.
     interp.stats.loops.entry(loop_stmt).or_default().invocations += 1;
-    let body_cost: u64 = outcomes.iter().map(|c| c.stats.total_cost).sum();
-    interp.charge(body_cost)?;
-    interp.stats.loops.entry(loop_stmt).or_default().total_cost += body_cost;
-    let chunks = outcomes.len() as u64;
+    let cost: u64 = outcomes.iter().map(|c| c.stats.total_cost).sum();
+    interp.charge(cost)?;
+    interp.stats.loops.entry(loop_stmt).or_default().total_cost += cost;
     for c in outcomes {
         interp.stats.absorb(c.stats);
     }
@@ -908,8 +943,34 @@ pub(crate) fn exec_do_parallel(
     interp.store.set_scalar(var, ty, Value::Int(hi + 1));
     Ok(Committed {
         strategy: mode.strategy(),
-        chunks,
+        chunks: chunks.count as u64,
+        cost,
     })
+}
+
+/// What became of one chunk: its outcome or why it stopped, or —
+/// caught at the job boundary — its panic.
+type ChunkResult = std::thread::Result<Result<ChunkOutcome, ChunkAbort>>;
+
+/// The chunks' outcomes, in chunk order, or the one failure the
+/// dispatch reports — after putting back what the mode's undo images
+/// hold ([`Mode::roll_back`]).
+fn settle<R>(
+    interp: &mut Interp<'_>,
+    results: R,
+    plan: &ParallelPlan,
+    mode: &Mode,
+) -> Result<Vec<ChunkOutcome>, ParallelError>
+where
+    R: AsRef<[ChunkResult]> + IntoIterator<Item = ChunkResult>,
+{
+    // Test-only and outside the transaction: lets a test see what the
+    // completed chunks of a dispatch that then *fails* ran on.
+    #[cfg(test)]
+    for out in results.as_ref().iter().flatten().flatten() {
+        interp.probe.add(&out.probe);
+    }
+    chunk_outcomes(interp.program(), results, plan, mode).inspect_err(|_| mode.roll_back(interp))
 }
 
 /// What the chunks of a dispatch came to: every chunk's outcome, or
@@ -921,13 +982,16 @@ pub(crate) fn exec_do_parallel(
 /// changed under it; its error is not the program's. Otherwise the
 /// first failure in chunk order, which is iteration order, so a worker
 /// error is the one the sequential run raises.
-fn chunk_outcomes(
+fn chunk_outcomes<R>(
     program: &Program,
-    results: Vec<std::thread::Result<Result<ChunkOutcome, ChunkAbort>>>,
+    results: R,
     plan: &ParallelPlan,
     mode: &Mode,
-) -> Result<Vec<ChunkOutcome>, ParallelError> {
-    let violated = results.iter().find_map(|r| match r {
+) -> Result<Vec<ChunkOutcome>, ParallelError>
+where
+    R: AsRef<[ChunkResult]> + IntoIterator<Item = ChunkResult>,
+{
+    let violated = results.as_ref().iter().find_map(|r| match r {
         Ok(Err(ChunkAbort::Violated(v))) => Some(*v),
         _ => None,
     });
@@ -937,7 +1001,7 @@ fn chunk_outcomes(
             strategy: mode.strategy().name(),
         });
     }
-    let mut outcomes = Vec::with_capacity(results.len());
+    let mut outcomes = Vec::with_capacity(results.as_ref().len());
     for (widx, r) in results.into_iter().enumerate() {
         match r {
             Err(payload) => {

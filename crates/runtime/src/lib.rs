@@ -26,8 +26,14 @@
 //!
 //! Parallel dispatches go through the exec crate's chunked executor:
 //! each chunk runs on a copy-on-write clone of the live store — on the
-//! dispatching thread or on one of the run's pooled worker threads
-//! (created once per run, [`Telemetry::worker_threads_spawned`]). A
+//! dispatching thread or on one of the run's pooled worker threads,
+//! which the first dispatch wide enough to need them creates and every
+//! later dispatch reuses ([`Telemetry::worker_threads_spawned`]). An
+//! entry's chunk count is sized by its work: a loop's first entry
+//! splits over every configured thread, a later one over as many as
+//! its loop's last committed entry says it can fill, and a small
+//! re-entered loop runs as one chunk on the dispatching thread
+//! ([`HybridConfig::threads`]). A
 //! loop whose verdict carries in-place facts writes the master's
 //! buffers directly, each chunk confined to its own windows — or, for a
 //! scatter, under the [`InjectiveCertificate`] the guard's own
@@ -57,9 +63,13 @@ use std::sync::Arc;
 /// Configuration of the hybrid runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct HybridConfig {
-    /// Chunks per parallel dispatch, and so the most threads (the
-    /// master included) that work on a loop at once. Defaults to the
-    /// host's available parallelism.
+    /// The most chunks a parallel dispatch is split into, and so the
+    /// most threads (the master included) that work on a loop at once.
+    /// A loop's first entry gets all of them; a later one gets as many
+    /// as the work its loop's previous committed entry did
+    /// ([`Committed::cost`]), scaled to this entry's trip count, fills
+    /// at 2^15 cost units a chunk — at least one, at most this. Defaults
+    /// to the host's available parallelism.
     pub threads: usize,
     /// After a parallel dispatch fails at runtime, how many subsequent
     /// entries of the same `(loop, key)` schedule are pinned sequential
@@ -105,6 +115,9 @@ struct LoopEntry {
     /// [`ParallelPlan::for_verdict`]: what every dispatch of the loop
     /// privatizes and reduces.
     plan: ParallelPlan,
+    /// The arrays a guarded loop's inspectors read, sorted and
+    /// deduplicated: what its schedule key versions (empty unguarded).
+    guard_arrays: Vec<VarId>,
     /// Strategy requested from the verdict's proven facts. The executor
     /// re-derives the facts itself on every dispatch, so a wrong entry
     /// here (or a forged verdict) downgrades safely to the write-log.
@@ -141,8 +154,12 @@ pub struct HybridDispatcher {
     fault: Option<FaultPlan>,
     /// The `(loop, key)` of the most recent parallel decision, kept so
     /// a runtime failure can quarantine exactly the schedule that
-    /// failed.
+    /// failed, and a commit can read the trip count it ran.
     last_parallel: Option<(StmtId, ScheduleKey)>,
+    /// Per loop, what its last committed parallel entry cost
+    /// ([`Committed::cost`]) and over how many iterations: what sizes
+    /// the loop's next entry ([`HybridDispatcher::chunks_for`]).
+    work: HashMap<StmtId, (u64, u64)>,
     /// Counters for this dispatcher's lifetime.
     pub telemetry: Telemetry,
 }
@@ -168,11 +185,16 @@ impl HybridDispatcher {
                 }
                 _ => false,
             };
+            let guard_arrays = match &v.tier {
+                DispatchTier::RuntimeGuarded(guard) => guard_arrays(guard),
+                _ => Vec::new(),
+            };
             loops.insert(
                 v.loop_stmt,
                 Arc::new(LoopEntry {
                     tier: v.tier.clone(),
                     plan: ParallelPlan::for_verdict(v, config.threads.max(1)),
+                    guard_arrays,
                     strategy,
                     retired: v.retired_checks.len() as u64,
                     interproc: v.promoted_interproc,
@@ -187,6 +209,7 @@ impl HybridDispatcher {
             cache: ScheduleCache::new(),
             fault: None,
             last_parallel: None,
+            work: HashMap::new(),
             telemetry: Telemetry::default(),
         }
     }
@@ -216,9 +239,30 @@ impl HybridDispatcher {
         }
     }
 
+    /// How many chunks the entry of `loop_stmt` over `lo..=hi` is
+    /// split into. The first entry of a loop gets every configured
+    /// thread: nothing has committed yet, and a static estimate would
+    /// undercount a nest whose inner trip counts are data. A later
+    /// entry gets one chunk per [`MIN_CHUNK_COST`] of the work the
+    /// loop's last committed entry did per iteration times this entry's
+    /// trip count, at least one and at most the configured threads — so
+    /// a small re-entered loop runs as one chunk on the calling thread.
+    /// Cost units are deterministic, so the same program and inputs
+    /// chunk alike on every host.
+    fn chunks_for(&self, loop_stmt: StmtId, lo: i64, hi: i64) -> usize {
+        let threads = self.config.threads.max(1);
+        let Some(&(cost, iters)) = self.work.get(&loop_stmt) else {
+            return threads;
+        };
+        let work = u128::from(cost) * u128::from(trip(lo, hi));
+        let chunks = work / (u128::from(iters) * u128::from(MIN_CHUNK_COST));
+        chunks.clamp(1, threads as u128) as usize
+    }
+
     fn plan_for(
         &mut self,
         entry: &LoopEntry,
+        chunks: usize,
         fault: Option<FaultKind>,
         certificates: Vec<InjectiveCertificate>,
     ) -> ParallelPlan {
@@ -226,6 +270,7 @@ impl HybridDispatcher {
         // dispatching and refuses the dispatch when that fails.
         self.telemetry.compiled_worker_dispatches += 1;
         ParallelPlan {
+            threads: chunks,
             deadline_ms: self.config.worker_deadline_ms,
             fault,
             strategy: if self.config.enable_strategies {
@@ -259,13 +304,17 @@ impl HybridDispatcher {
         let fault = if lo <= hi { self.decide_fault() } else { None };
         let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
         self.last_parallel = Some((loop_stmt, key));
-        Some(self.plan_for(entry, fault, Vec::new()))
+        let chunks = self.chunks_for(loop_stmt, lo, hi);
+        Some(self.plan_for(entry, chunks, fault, Vec::new()))
     }
 
     /// Draws the injected fault (if any) for the next parallel dispatch
     /// site. Zero-trip dispatches never call this: no chunk runs, so
     /// no fault could fire and the site numbering stays aligned with
-    /// dispatches where injection is observable.
+    /// dispatches where injection is observable. A worker index is
+    /// drawn over the configured threads, so a seed draws the same
+    /// schedule however entries are chunked; the executor addresses it
+    /// modulo the chunks that run.
     fn decide_fault(&mut self) -> Option<FaultKind> {
         let threads = self.config.threads.max(1);
         self.fault.as_mut()?.decide(threads)
@@ -282,6 +331,27 @@ impl HybridDispatcher {
         }
         Some(kind)
     }
+}
+
+/// The work a chunk must carry, in [`Committed::cost`] units, before
+/// an entry is split further: below two of these an entry runs as one
+/// chunk on the dispatching thread. Measured on `benchmark/`'s
+/// `exec-reentry` (2-vCPU KVM guest): a 4 096-nonzero sweep entry costs
+/// 8 192–8 960 units, 3–4 µs on the typed loop (0.4–0.45 ns a unit).
+/// Split in two, a dispatch cost 3.0–4.0 µs on top of the typed loop;
+/// as one chunk 1.4–1.9 µs — the second chunk's pool hand-off,
+/// snapshot, sinks, register planes and outcome — and two threads ran
+/// the sweeps at 0.27–0.73 of one thread's speed. At 2^15 units
+/// (≈13–15 µs of body) a chunk carries about seven times what adding it
+/// costs; every `exec-large` entry (32 768–573 440 units) still splits.
+/// A private constant, not a setting, and no clock: the chunk count is a
+/// function of the program and its inputs.
+const MIN_CHUNK_COST: u64 = 1 << 15;
+
+/// The trip count of a unit-step loop over `lo..=hi` (0 when empty),
+/// saturating at `u64::MAX`.
+fn trip(lo: i64, hi: i64) -> u64 {
+    u64::try_from((i128::from(hi) - i128::from(lo) + 1).max(0)).unwrap_or(u64::MAX)
 }
 
 /// Arrays a guard's inspectors read, for version keying.
@@ -367,12 +437,10 @@ impl LoopDispatcher for HybridDispatcher {
                 LoopDecision::Parallel(plan)
             }
             DispatchTier::RuntimeGuarded(guard) => {
+                let versions = entry.guard_arrays.iter();
                 let key = ScheduleKey::new(
                     (lo, hi),
-                    guard_arrays(guard)
-                        .into_iter()
-                        .map(|a| (a, store.array_version(a)))
-                        .collect(),
+                    versions.map(|&a| (a, store.array_version(a))).collect(),
                 );
                 if self.cache.consume_quarantine(loop_stmt, &key) {
                     self.telemetry.quarantined += 1;
@@ -431,7 +499,8 @@ impl LoopDispatcher for HybridDispatcher {
                     let fault = self.arm_fault(if lie { None } else { fault });
                     self.telemetry.guarded_parallel += 1;
                     self.last_parallel = Some((loop_stmt, key));
-                    LoopDecision::Parallel(self.plan_for(&entry, fault, certificates))
+                    let chunks = self.chunks_for(loop_stmt, lo, hi);
+                    LoopDecision::Parallel(self.plan_for(&entry, chunks, fault, certificates))
                 } else {
                     self.telemetry.guarded_sequential += 1;
                     LoopDecision::Sequential
@@ -440,13 +509,21 @@ impl LoopDispatcher for HybridDispatcher {
         }
     }
 
-    fn parallel_committed(&mut self, _loop_stmt: StmtId, committed: &Committed) {
+    fn parallel_committed(&mut self, loop_stmt: StmtId, committed: &Committed) {
         match committed.strategy {
             ExecutionStrategy::WriteLog => self.telemetry.strategy_write_log += 1,
             ExecutionStrategy::InPlaceDisjoint => self.telemetry.strategy_in_place += 1,
             ExecutionStrategy::PrivatizeAndConcat => self.telemetry.strategy_concat += 1,
         }
         self.telemetry.worker_chunks_typed += committed.chunks;
+        // What this entry cost sizes the loop's next one. A zero-trip
+        // entry ran no chunk and says nothing about the body.
+        if let Some((stmt, key)) = &self.last_parallel {
+            let (lo, hi) = key.bounds;
+            if *stmt == loop_stmt && committed.chunks > 0 {
+                self.work.insert(loop_stmt, (committed.cost, trip(lo, hi)));
+            }
+        }
     }
 
     fn compiled_committed(&mut self, _loop_stmt: StmtId) {

@@ -103,7 +103,12 @@ pub struct Telemetry {
     /// `fallback_unsupported`.
     pub compiled_worker_dispatches: u64,
     /// Worker chunks of committed parallel dispatches, every one run on
-    /// the typed loop.
+    /// the typed loop: the configured threads for a loop's first entry
+    /// (fewer only when it has fewer iterations), then as many as the
+    /// loop's work fills (see [`HybridConfig::threads`]) — one for each
+    /// entry of a small re-entered loop.
+    ///
+    /// [`HybridConfig::threads`]: crate::HybridConfig::threads
     pub worker_chunks_typed: u64,
     /// Worker threads the run created for all its parallel dispatches
     /// together: at most its largest chunk count minus one (the master

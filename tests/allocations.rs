@@ -103,12 +103,16 @@ fn cloning_a_symbolic_expression_allocates_nothing() {
 /// reference count and a plan reads nothing from the host, so the
 /// hybrid runtime's 100 guarded entries of a scatter cost a fixed
 /// handful of allocations each. One chunk per dispatch keeps every
-/// chunk on this thread, where the allocator counts it. The run made
-/// 2 511 allocations while every chunk built and dropped a whole
-/// interpreter (a store of three vectors among them), every entry
-/// cloned its dispatcher record and every verdict's plan read the
-/// host's parallelism; it makes 1 996–1 997 without them, 19 a guarded
-/// entry.
+/// chunk on this thread, where the allocator counts it — and one chunk
+/// is what every small re-entry gets. The run made 2 511 allocations
+/// while every chunk built and dropped a whole interpreter (a store of
+/// three vectors among them), every entry cloned its dispatcher record
+/// and every verdict's plan read the host's parallelism; 1 996–1 997,
+/// 19 a guarded entry, while every entry also collected and sorted its
+/// guard's arrays, copied the executor's memoized in-place facts, kept
+/// its chunk bounds in a vector and sent its one chunk through a job
+/// vector, a boxed job and a result vector; it makes 1 396 without
+/// them, 13 a guarded entry.
 #[test]
 fn a_guarded_reentry_stays_under_its_allocation_budget() {
     let src = "program t
@@ -139,7 +143,8 @@ fn a_guarded_reentry_stays_under_its_allocation_budget() {
         "{t:?}"
     );
     assert!(
-        n <= 2_250,
-        "{n} allocations for 100 guarded entries; 2 511 while every chunk built an interpreter"
+        n <= 1_500,
+        "{n} allocations for 100 guarded entries; 1 997 while a one-chunk dispatch went through \
+         a job queue, 2 511 while every chunk built an interpreter"
     );
 }

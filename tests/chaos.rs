@@ -55,23 +55,28 @@ const COLLIDING_SRC: &str = "program t
      print z(1), z(4)
      end";
 
-/// A guarded loop re-entered five times with unchanged bounds and index
-/// arrays, for quarantine/retry scenarios.
-const REENTRANT_SRC: &str = "program t
-     integer i, r, n, p(8)
-     real z(8), x(8)
-     n = 8
-     do i = 1, n
-       p(i) = mod(i * 3, n) + 1
-       x(i) = i * 1.0
-     enddo
-     do r = 1, 5
-       do 20 i = 1, n
-         z(p(i)) = x(i) + r
- 20    continue
-     enddo
-     print z(1), z(8)
-     end";
+/// A guarded loop of `n` iterations re-entered five times with
+/// unchanged bounds and index arrays, for quarantine/retry scenarios.
+/// `p` is a permutation whenever 3 does not divide `n`.
+fn reentrant_src(n: usize) -> String {
+    format!(
+        "program t
+         integer i, r, n, p({n})
+         real z({n}), x({n})
+         n = {n}
+         do i = 1, n
+           p(i) = mod(i * 3, n) + 1
+           x(i) = i * 1.0
+         enddo
+         do r = 1, 5
+           do 20 i = 1, n
+             z(p(i)) = x(i) + r
+ 20        continue
+         enddo
+         print z(1), z(n)
+         end"
+    )
+}
 
 fn compiled(src: &str) -> CompilationReport {
     compile_source(src, DriverOptions::with_iaa()).expect("compiles")
@@ -1002,7 +1007,7 @@ fn nested_fallback_quarantines_then_retries_after_budget() {
     // into a conflict: the schedule is poisoned with a 2-entry budget,
     // entries 3 and 4 are pinned sequential, and entry 5 re-inspects
     // from scratch and goes parallel again.
-    let rep = compiled(REENTRANT_SRC);
+    let rep = compiled(&reentrant_src(8));
     let config = HybridConfig {
         quarantine_retries: 2,
         ..chaos_config()
@@ -1024,10 +1029,14 @@ fn nested_fallback_quarantines_then_retries_after_budget() {
 /// caught at the job boundary and its thread goes back to the queue, so
 /// once the quarantine expires the loop dispatches in parallel again
 /// on the pool the run already had — three threads for four chunks,
-/// created by the producer loop, for the whole run.
+/// created by the producer loop, for the whole run. The loop is large
+/// enough (70 000 iterations, two cost units each) that every entry
+/// carries four chunks' worth of work: the panicking entry 2 is sized
+/// off entry 1's commit exactly as entry 5 is, so it splits in four
+/// like entry 5 and chunk 1 is a pooled thread's to claim.
 #[test]
 fn a_worker_panic_leaves_the_pool_serving_later_dispatches() {
-    let rep = compiled(REENTRANT_SRC);
+    let rep = compiled(&reentrant_src(70_000));
     for worker in MASTER_AND_POOLED_CHUNK {
         let plan = FaultPlan::scripted([(2, FaultKind::PanicWorker { worker })]);
         let (hybrid, _) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();
@@ -1036,7 +1045,8 @@ fn a_worker_panic_leaves_the_pool_serving_later_dispatches() {
         assert_eq!(t.fallback_panic, 1, "chunk {worker}: {t:?}");
         assert_eq!(t.quarantined, 2, "chunk {worker}: {t:?}");
         assert_eq!(t.guarded_parallel, 3, "entries 1, 2, and 5: {t:?}");
-        // Producer + entries 1 and 5 committed, four typed chunks each.
+        // Producer + entries 1 and 5 committed, four typed chunks each
+        // — entry 5 re-entered, so sized by the work entry 1 did.
         assert_eq!(t.worker_chunks_typed, 12, "chunk {worker}: {t:?}");
         assert_eq!(t.worker_threads_spawned, 3, "chunk {worker}: {t:?}");
     }
@@ -1046,7 +1056,7 @@ fn a_worker_panic_leaves_the_pool_serving_later_dispatches() {
 fn zero_retry_budget_drops_the_schedule_immediately() {
     // With a zero budget nothing is pinned: the failed schedule is
     // evicted from the cache and the very next entry re-inspects.
-    let rep = compiled(REENTRANT_SRC);
+    let rep = compiled(&reentrant_src(8));
     let config = HybridConfig {
         quarantine_retries: 0,
         ..chaos_config()
@@ -1144,7 +1154,7 @@ fn randomized_chaos_sweep_preserves_sequential_semantics() {
 
 #[test]
 fn same_seed_replays_identical_fault_schedule() {
-    let rep = compiled(REENTRANT_SRC);
+    let rep = compiled(&reentrant_src(8));
     let run = |seed| {
         let plan = FaultPlan::randomized(seed, 500, STALL_MS);
         let (hybrid, plan) = run_hybrid_with_faults(&rep, chaos_config(), plan).unwrap();

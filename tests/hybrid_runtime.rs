@@ -6,7 +6,7 @@
 
 use irr_driver::{compile_source, CompiledPlan, DispatchTier, DriverOptions, ResidualCheck};
 use irr_exec::{inspect_injective, inspect_offset_length, FallbackReason, Inspection, Interp};
-use irr_runtime::{run_hybrid, run_hybrid_seeded, HybridConfig};
+use irr_runtime::{run_hybrid, run_hybrid_seeded, HybridConfig, Telemetry};
 use irr_sanitizer::parity::{dispatched, first_divergence, sequential, Reals};
 use irr_sparse::{int_array, random_permutation, real_array};
 
@@ -77,10 +77,12 @@ fn schedule_cache_amortizes_inspections_and_invalidates_on_write() {
 }
 
 /// A run's thread creations are bounded by its widest dispatch, not by
-/// how many dispatches it makes: 200 guarded entries plus the producer
-/// loop share one pooled thread at two chunks apiece (the master runs
-/// the other chunk), and at one chunk apiece every dispatch runs on the
-/// calling thread and no thread is ever created.
+/// how many dispatches it makes: at two threads the producer loop and
+/// the first of 200 guarded entries split in two and share one pooled
+/// thread (the master runs the other chunk), and the 199 re-entries,
+/// each far below the work worth a second chunk, run as one chunk on
+/// the calling thread. At one thread every dispatch runs on the calling
+/// thread and no thread is ever created.
 #[test]
 fn a_reentered_loop_creates_its_threads_once_per_run() {
     let src = HYBRID_SRC
@@ -98,12 +100,109 @@ fn a_reentered_loop_creates_its_threads_once_per_run() {
         let t = hybrid.telemetry;
         assert_eq!(t.guarded_parallel, 200, "{t:?}");
         assert_eq!(t.fallbacks(), 0, "{t:?}");
-        assert_eq!(t.worker_chunks_typed, 201 * threads as u64, "{t:?}");
+        assert_eq!(t.worker_chunks_typed, 2 * threads as u64 + 199, "{t:?}");
         assert_eq!(
             t.worker_threads_spawned, spawned,
             "{threads} threads: {t:?}"
         );
     }
+}
+
+// ---- how many chunks an entry gets: the work its loop last did ----
+
+/// `irr_runtime`'s private `MIN_CHUNK_COST`: the cost units a chunk
+/// must carry before an entry is split further.
+const MIN_CHUNK_COST: u64 = 1 << 15;
+
+/// A compile-time parallel sweep over `x(1..m)`, entered three times
+/// with the `m` of each entry spliced in as `@M@` (a function of `r`),
+/// after a producer loop over all of `y(1..n)`. Each iteration costs
+/// two units: its statement and the loop's bookkeeping.
+fn sweep_src(n: usize, m: &str) -> String {
+    format!(
+        "program t
+         integer i, r, m, n
+         real x({n}), y({n})
+         n = {n}
+         do i = 1, n
+           y(i) = i * 0.5
+         enddo
+         do r = 1, 3
+           m = {m}
+           do 20 i = 1, m
+             x(i) = y(i) * r
+ 20        continue
+         enddo
+         print x(1), x(m)
+         end"
+    )
+}
+
+/// Runs `src` at two threads; checks it against the sequential run and
+/// that the sweep is compile-time parallel and never falls back.
+/// Returns the sweep's statistics beside the run's telemetry.
+fn run_sweep(src: &str) -> (irr_exec::LoopStats, Telemetry) {
+    let rep = compile_source(src, DriverOptions::with_iaa()).unwrap();
+    let v = rep.verdict("T/do20").unwrap();
+    assert!(matches!(v.tier, DispatchTier::CompileTimeParallel), "{v:?}");
+    let config = HybridConfig {
+        threads: 2,
+        ..HybridConfig::default()
+    };
+    let hybrid = run_hybrid(&rep, config).unwrap();
+    let seq = Interp::new(&rep.program).run().unwrap();
+    let diff = first_divergence(&rep, &seq, &hybrid.outcome, Reals::Exact);
+    assert_eq!(diff, None);
+    let t = hybrid.telemetry;
+    assert_eq!((t.compile_time_parallel, t.fallbacks()), (4, 0), "{t:?}");
+    (hybrid.outcome.stats.loops[&v.loop_stmt].clone(), t)
+}
+
+/// A small re-entered loop: its first entry knows nothing of its work
+/// and splits over every thread; each later entry, sized by what the
+/// one before it cost (16 units), runs as one chunk on the calling
+/// thread. The producer loop is entered once and keeps its two chunks.
+#[test]
+fn a_small_reentered_loop_runs_every_later_entry_as_one_chunk() {
+    let (_, t) = run_sweep(&sweep_src(8, "8"));
+    assert_eq!(t.worker_chunks_typed, 2 + 2 + 1 + 1, "{t:?}");
+    assert_eq!(t.worker_threads_spawned, 1, "{t:?}");
+}
+
+/// A re-entered loop whose every entry carries at least two chunks'
+/// worth of work keeps every configured thread on every entry, and the
+/// entries share the one pooled thread the first of them created.
+#[test]
+fn a_reentered_loop_worth_splitting_keeps_its_chunks_on_every_entry() {
+    let (sweep, t) = run_sweep(&sweep_src(40_000, "n"));
+    assert_eq!(sweep.invocations, 3);
+    assert!(
+        sweep.total_cost / 3 >= 2 * MIN_CHUNK_COST,
+        "{} units an entry",
+        sweep.total_cost / 3
+    );
+    assert_eq!(t.worker_chunks_typed, 2 + 3 * 2, "{t:?}");
+    assert_eq!(t.worker_threads_spawned, 1, "{t:?}");
+}
+
+/// The rule scales by trip count: a loop whose second entry ran 8
+/// iterations as one chunk splits again when its third entry runs
+/// 40 000 of the same body.
+#[test]
+fn a_loop_whose_bounds_grow_between_entries_splits_again() {
+    let (_, t) = run_sweep(&sweep_src(40_000, "8 + (r / 3) * 39992"));
+    assert_eq!(t.worker_chunks_typed, 2 + 2 + 1 + 2, "{t:?}");
+}
+
+/// No clock and no host reading sizes a dispatch: two runs of the same
+/// program make the same decisions and count the same telemetry, down
+/// to the chunks and the threads.
+#[test]
+fn the_chunk_counts_repeat_run_for_run() {
+    let src = sweep_src(40_000, "8 + (r / 3) * 39992");
+    let ((_, a), (_, b)) = (run_sweep(&src), run_sweep(&src));
+    assert_eq!(a, b);
+    assert_eq!(a.worker_chunks_typed, 7, "{a:?}");
 }
 
 #[test]
