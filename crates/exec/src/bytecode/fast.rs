@@ -123,10 +123,11 @@ use std::time::{Duration, Instant};
 ///   nothing else touches this store while the typed loop runs
 ///   (`run_fblock` takes `&self`). The store's `Arc` keeps the payload
 ///   alive; a window pin's buffer is kept alive by the master store
-///   for the whole dispatch, and a pin exists only inside a chunk job:
+///   for the whole dispatch, and a pin exists only inside a chunk:
 ///   `WorkerPool::dispatch` does not return, normally or by unwinding,
-///   while a job runs or could still be claimed (the barrier in
-///   `pool.rs`), so the dispatch — and the buffer — outlive every pin.
+///   while its closure runs for any chunk or could still be called for
+///   one (the barrier in `pool.rs`), so the dispatch — and the buffer —
+///   outlive every pin.
 /// - *A slot the body only reads (`sink: None`) is pinned shared*,
 ///   through `Store::array_ref`, with no copy. Its pointer came from a
 ///   shared reference and is never written: `wr` on such a pin panics

@@ -153,30 +153,11 @@ impl ArrayData {
     }
 }
 
-/// The element writes one write-log worker chunk made, as the merge
-/// reads them: the columns its logged sinks filled ([`WriteSink`]).
-///
-/// The workers hand back only their logs, and the merge replays them
-/// against the master store in `O(total writes)` — independent of how
-/// large the store itself is. Conflicts are detected *positionally*
-/// (two workers touching the same location), so a write whose value
-/// happens to equal the pre-loop value is still a conflict.
-///
-/// Element writes are columnar: one index/value column per written array,
-/// each in program order. Order *between* arrays is not kept — two
-/// arrays never share a location, so the merge has no use for it.
-/// Scalars are not logged: a worker hands back the final values of the
-/// scalars its nest assigns, every one of which the commit exempts from
-/// claiming (privatized, a reduction, the concat pointer).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct WriteLog {
-    /// Element writes, one column per written array.
-    pub(crate) elements: Vec<ElemColumn>,
-}
-
-/// The logged element writes of one array, in program order: flat
-/// indices beside the coerced values, typed like the payload they were
-/// written to (16 bytes a write, no per-write array id or value tag).
+/// The logged element writes of one array by one chunk, in program
+/// order: flat indices beside the coerced values, typed like the
+/// payload they were written to (16 bytes a write, no per-write array
+/// id or value tag). The commit claims each location for the chunk and
+/// replays the column against the master store (`parallel::commit`).
 #[derive(Clone, Debug)]
 pub(crate) struct ElemColumn {
     pub(crate) var: VarId,
@@ -217,12 +198,12 @@ pub(crate) enum RawSlice {
 // the elements the dispatch gave its chunk: windows of one target are
 // pairwise disjoint, or, for a scatter target, every chunk stores to a
 // set of elements an injectivity certificate keeps disjoint and none
-// reads. So no thread reads what another writes. Only a chunk job
-// holds a pin, and `WorkerPool::dispatch` does not return, normally or
-// by unwinding, while a job is running or could still be claimed (the
-// barrier in `pool.rs`), whichever thread runs it. The master store
-// owns the Arc'd payload for that whole dispatch, so the pointee
-// outlives every access.
+// reads. So no thread reads what another writes. Only a chunk holds a
+// pin, and `WorkerPool::dispatch` does not return, normally or by
+// unwinding, while its closure is running for any chunk or could still
+// be called for one (the barrier in `pool.rs`), whichever thread runs
+// it. The master store owns the Arc'd payload for that whole dispatch,
+// so the pointee outlives every access.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
@@ -248,8 +229,8 @@ pub(crate) struct InPlaceWindow {
 }
 
 /// A typed value vector: a worker's append buffer for one
-/// consecutively-written array, the value column of one array in a
-/// [`WriteLog`], or the undo image of an in-place window.
+/// consecutively-written array, the value column of an [`ElemColumn`],
+/// or the undo image of an in-place window.
 #[derive(Clone, Debug)]
 pub(crate) enum TypedBuf {
     Int(Vec<i64>),
@@ -352,7 +333,7 @@ pub(crate) enum WriteSink {
     /// payload.
     Direct,
     /// Raw stores into the worker's own copy-on-write payload, each
-    /// also appended to this column of the chunk's write log.
+    /// also appended to this column for the commit to claim and replay.
     Logged(ElemColumn),
     /// An in-place target: stores land in the master's buffer, inside
     /// this window only.

@@ -2,61 +2,56 @@
 //! parallelization decisions.
 //!
 //! A loop the driver declared parallel is executed by splitting its
-//! iteration space into as many contiguous chunks as its plan asks.
-//! Each chunk of a wider dispatch is one job on the interpreter's
-//! worker pool (`pool.rs`): the pool's threads — one set per run,
-//! created by the first dispatch that needs them, joined when the
-//! interpreter is dropped — and the dispatching thread itself claim
-//! chunks from one queue, first chunk first, so a dispatch creates no
-//! thread once the pool has `chunks − 1`. A one-chunk dispatch runs its
-//! chunk on the dispatching thread, with no job and no queue, and
-//! involves no other thread at all. The dispatch waits until
-//! every chunk has finished, whatever became of any of them (a panic
-//! is caught at the job boundary and is that chunk's result), before
-//! it looks at a single outcome. A chunk runs on a cheap clone of the
-//! live store (array payloads are Arc-shared and copy-on-write, so the
-//! clone is O(#variables), not O(store size), and an array a chunk
-//! only reads is never copied) and hands back the sinks its writes went
-//! to. Under the write-log strategy the merge replays the chunks' logs
-//! against the master store in `O(total writes)`:
-//!
-//! - the log is columnar — per written array, the flat indices beside
-//!   a typed value vector — so a logged write costs two appends;
-//! - conflicts are detected *positionally*, in a dense owner table per
-//!   written array (one small integer per element: unclaimed, or the
-//!   claiming chunk) — two chunks writing the same location conflict
-//!   regardless of the values written, so a write whose value happens
-//!   to equal the pre-loop value (invisible to the old snapshot-diff
-//!   merge) is still caught, while a chunk may rewrite its own
-//!   location freely. The tables are `O(extent of the arrays
-//!   written)`, zero-allocated; nothing scales with the store;
-//! - scalar reductions combine per-chunk final values under the plan's
-//!   [`ReduceOp`], whatever the strategy;
-//! - worker execution statistics and fuel consumption are aggregated
-//!   into the master interpreter instead of dropped
-//!   (`ExecStats::absorb`).
-//!
-//! The property-based soundness tests use this to assert: *loops judged
-//! parallel produce exactly the sequential result, with no conflicting
-//! writes*.
+//! iteration space into as many contiguous chunks as its plan asks and
+//! handing the interpreter's worker pool (`pool.rs`) the chunk count and
+//! one closure. One chunk runs on the dispatching thread, with no pool.
+//! More are claimed from one queue, first chunk first, by the pool's
+//! threads — one set per run, created by the first dispatch that needs
+//! them, joined when the interpreter is dropped — and by the dispatching
+//! thread itself, so a dispatch creates no thread once the pool has
+//! `chunks − 1`. The dispatch waits until every chunk has finished,
+//! whatever became of any of them (a panic is caught at the chunk
+//! boundary and is that chunk's result), before it looks at a single
+//! outcome; they come back in chunk order.
 //!
 //! # What a worker runs
 //!
 //! **A worker is a [`Run`], and it runs the typed loop.** The master
 //! lowers the loop once (memoized per statement in its
 //! [`ProgramScope`](crate::interp::ProgramScope)), and every chunk is a
-//! bare `Run` built from its store snapshot and the master's fuel —
-//! no interpreter, no memo, no pool — that runs the compiled body for
-//! its whole chunk in **one call** (`Run::run_fast_iters`):
-//! induction loop, per-iteration charge, and the deadline poll and
-//! strategy check between the iterations of every loop of the nest, all
-//! inside it. The dispatch hands the chunk one sink per array
-//! the body stores to (`WriteSink`), built from its mode: the chunk's
-//! in-place window, its append buffer, its column of the write log, or
-//! — for privatized scratch — the worker's own copy. Each strategy's
-//! rules live in those sinks and nowhere else. The chunk hands the
-//! sinks back filled, and the final values of the scalars its nest
-//! assigns stay in its store for the commit to read.
+//! bare `Run` on a cheap clone of the live store (array payloads are
+//! Arc-shared and copy-on-write, so the clone is O(#variables), and an
+//! array a chunk only reads is never copied) with the master's fuel. It
+//! runs the compiled body for its whole chunk in **one call**
+//! (`Run::run_fast_iters`): induction loop, per-iteration charge, and
+//! the deadline poll and strategy check between the iterations of every
+//! loop of the nest, all inside it. The dispatch hands the chunk one
+//! sink per array the body stores to (`WriteSink`), built from its
+//! mode: the chunk's in-place window, its append buffer, its logged
+//! column, or — for privatized scratch — the worker's own copy. Each
+//! strategy's rules live in those sinks and nowhere else. The chunk
+//! hands back the sinks it ran with, filled, the final values of the
+//! scalars the commit reads (the reductions and the concat pointer) and
+//! its statistics; its store clone is dropped with it.
+//!
+//! # One commit
+//!
+//! A single two-phase commit walks the body's pin slots across the
+//! chunks, whatever the strategy, in `O(total writes)`. It validates
+//! before the first master mutation: append deltas against buffer
+//! lengths and the concatenated extent, then the logged columns'
+//! claims. Conflicts are detected *positionally*, in a dense owner table
+//! per logged array (one small integer per element: unclaimed, or the
+//! claiming chunk), so two chunks writing one location conflict whatever
+//! values they wrote, while a chunk may rewrite its own location. Then
+//! it applies: logged columns replayed, append buffers concatenated in
+//! chunk order, window targets' versions bumped, reductions combined
+//! under the plan's [`ReduceOp`]. Worker statistics and fuel are
+//! aggregated into the master (`ExecStats::absorb`).
+//!
+//! The property-based soundness tests use this to assert: *loops judged
+//! parallel produce exactly the sequential result, with no conflicting
+//! writes*.
 //!
 //! A dispatch whose nest cannot run that way is refused before any
 //! chunk runs, with the master untouched ([`ParallelError::Untyped`]),
@@ -68,15 +63,15 @@
 //!
 //! # Execution strategies
 //!
-//! The write-log transaction is the safety net, not the only path.
-//! When the compiler proved *where* a loop writes, the dispatch can
-//! skip the *conflict machinery the proof made redundant*
+//! Logged columns are the safety net, not the only sink. When the
+//! compiler proved *where* a loop writes, the dispatch can skip the
+//! *conflict machinery the proof made redundant*
 //! ([`ExecutionStrategy`]):
 //!
 //! - [`ExecutionStrategy::InPlaceDisjoint`] — every access to a target
 //!   array has one [`WriteShape`], from which the executor computes
 //!   what each chunk may touch: workers read and write the master
-//!   buffers directly (no payload clone, no log, no merge). The
+//!   buffers directly (no payload clone, no log, nothing to replay). The
 //!   executor re-derives the shapes itself per dispatch
 //!   ([`irr_driver::derive_in_place_facts`]) and silently downgrades
 //!   to the write-log when it cannot — a forged verdict can never
@@ -100,7 +95,7 @@
 //!     crate's inspector, carried in the plan, and accepted only while
 //!     it covers the section, the live store is the one that was
 //!     scanned and `p`'s write-version in it is the one it was scanned
-//!     at. Absent, stale or mismatched means write-log, whose merge
+//!     at. Absent, stale or mismatched means write-log, whose commit
 //!     still catches a real conflict.
 //!   - **Read targets are undone.** A failed dispatch may have dirtied
 //!     its targets. One the nest reads would feed the sequential
@@ -125,13 +120,12 @@ use crate::bytecode::{ChunkAbort, CompiledBody, WorkerChunk};
 use crate::fault::FaultKind;
 use crate::interp::{
     ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Run, Store, TypedBuf, Value,
-    WriteLog, WriteSink,
+    WriteSink,
 };
-use crate::pool::{Job, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::runtime_test::InjectiveCertificate;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -146,14 +140,14 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ExecutionStrategy {
     /// Workers log writes on copy-on-write store clones and a
-    /// validating merge replays them — the transactional safety net,
+    /// validating commit replays them — the transactional safety net,
     /// always correct, used for runtime-guarded and unproven loops.
     #[default]
     WriteLog,
     /// Chunks touch disjoint parts of every written array — enforced
     /// windows, or sets under an injectivity certificate — so accesses
     /// land directly in the master store's buffers: no clone, no log,
-    /// no merge.
+    /// nothing to replay.
     InPlaceDisjoint,
     /// Consecutively-written arrays buffer per worker and concatenate
     /// positionally; scalar reductions combine per chunk.
@@ -205,10 +199,11 @@ pub struct Committed {
 pub struct ParallelPlan {
     /// Number of chunks the iteration space is split into, and so the
     /// most threads (the dispatching one included) that can work on the
-    /// loop at once. Defaults to the host's available parallelism.
+    /// loop at once. Defaults to the host's available parallelism as the
+    /// process had it when it first asked.
     pub threads: usize,
     /// Variables whose final values are per-thread scratch (privatized
-    /// arrays and scalars) — excluded from the merge.
+    /// arrays and scalars) — excluded from the commit.
     pub privatized: Vec<VarId>,
     /// Scalar reductions and their combining operators.
     pub reductions: Vec<(VarId, ReduceOp)>,
@@ -233,16 +228,26 @@ pub struct ParallelPlan {
     /// master buffer only under a certificate that still covers the
     /// scattered section in the live store (see
     /// [`InjectiveCertificate::covers`]); with none that does, it
-    /// downgrades to the write-log.
-    pub certificates: Vec<InjectiveCertificate>,
+    /// downgrades to the write-log. Shared, not copied: a schedule
+    /// cache hands a hit's certificates over by reference count.
+    pub certificates: Arc<[InjectiveCertificate]>,
 }
 
 impl Default for ParallelPlan {
-    /// A plan on the host's available parallelism, which it reads from
-    /// the operating system on every call.
+    /// A plan on the host's available parallelism: what the process had
+    /// when it first asked, read from the operating system once.
     fn default() -> Self {
-        ParallelPlan::with_threads(std::thread::available_parallelism().map_or(1, usize::from))
+        ParallelPlan::with_threads(host_threads())
     }
+}
+
+/// The host's available parallelism (1 when it cannot be read), read
+/// once per process: every read goes to the operating system (on Linux,
+/// the cgroup files), and default plans and configurations are built on
+/// hot paths.
+fn host_threads() -> usize {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 impl ParallelPlan {
@@ -256,7 +261,8 @@ impl ParallelPlan {
             deadline_ms: None,
             fault: None,
             strategy: ExecutionStrategy::WriteLog,
-            certificates: Vec::new(),
+            // An empty `Arc` slice allocates nothing.
+            certificates: Arc::default(),
         }
     }
 
@@ -381,18 +387,19 @@ impl ParallelError {
     }
 }
 
-/// What one worker hands back: what its sinks collected — the logged
-/// element writes and, under concat, the append buffers — the final
-/// values of the scalars the commit reads, and the statistics the
-/// master aggregates.
+/// What one chunk hands back: the sinks it ran with, filled — what the
+/// commit reads its element writes from — the final values of the
+/// scalars the commit reads, and the statistics the master aggregates.
+/// Its snapshot store is gone by then: a live snapshot would still share
+/// each concat target's payload with the master, and the commit's first
+/// write to the target would copy it whole.
 struct ChunkOutcome {
-    log: WriteLog,
-    /// Per concat target the body stores to, its append buffer.
-    appended: Vec<(VarId, TypedBuf)>,
-    /// The final value of each of the plan's reductions, in its order.
-    reduction_finals: Vec<Value>,
-    /// The final append pointer (concat only).
-    ptr_final: i64,
+    /// One per pin slot of the body, as the chunk was handed them
+    /// ([`WorkerChunk::sinks`]).
+    sinks: Vec<Option<WriteSink>>,
+    /// The final value of each of the plan's reductions, in its order,
+    /// then, under concat, of the append pointer.
+    finals: Vec<Value>,
     stats: ExecStats,
     #[cfg(test)]
     probe: crate::interp::Probe,
@@ -437,12 +444,21 @@ impl Mode {
         }
     }
 
+    /// The append pointer and its value at hand-off (concat only).
+    fn pointer(&self) -> Option<(VarId, i64)> {
+        match self {
+            Mode::Concat { ptr, p0, .. } => Some((*ptr, *p0)),
+            _ => None,
+        }
+    }
+
     /// The sinks chunk `widx` stores through, one per pin slot of
     /// `body` ([`WorkerChunk::sinks`]): its window of an in-place
     /// target, a fresh append buffer for a concat target, the worker's
-    /// own copy for privatized scratch (the merge has no use for it),
-    /// and a column of the write log for anything else — except in
-    /// place, where the derivation admits no other stored array.
+    /// own copy for privatized scratch (the commit has no use for it),
+    /// and a logged column for anything else — except in place, where
+    /// the derivation admits no other stored array. Each strategy's
+    /// rules live in these sinks, and [`commit`] walks them.
     fn sinks(
         &self,
         program: &Program,
@@ -707,13 +723,12 @@ fn prepare_concat(
 /// iteration space `lo..=hi` is split into contiguous chunks, each chunk
 /// runs the typed loop — on one of the interpreter's pooled threads or
 /// on the calling thread — on a copy-on-write clone of the live store,
-/// and what the chunks' sinks collected is committed per mode (the
-/// write logs merged in `O(total writes)`, detecting conflicts
-/// positionally).
+/// and what the chunks' sinks collected is committed by one two-phase
+/// commit, whatever the strategy, in `O(total writes)`.
 ///
 /// **The dispatch is a transaction.** The master interpreter — store,
 /// statistics, fuel — is mutated only after every worker completed and
-/// the merged write set validated conflict-free; an in-place dispatch,
+/// the commit validated what the chunks wrote; an in-place dispatch,
 /// whose workers write the master's buffers as they go, instead
 /// restores its targets from the images taken at hand-off. On any
 /// [`ParallelError`] the master is as it was at entry — up to in-place
@@ -831,7 +846,7 @@ pub(crate) fn exec_do_parallel(
     let claim_exempt = |v: VarId| {
         plan.privatized.contains(&v)
             || plan.reductions.iter().any(|(r, _)| *r == v)
-            || matches!(&mode, Mode::Concat { ptr, .. } if *ptr == v)
+            || mode.pointer().is_some_and(|(ptr, _)| ptr == v)
     };
     if let Some(v) = body.assigned_scalars().find(|&v| !claim_exempt(v)) {
         let name = program.symbols.name(v);
@@ -839,13 +854,14 @@ pub(crate) fn exec_do_parallel(
             "the nest assigns `{name}`, which the commit would claim"
         ));
     }
-    // Run each chunk on a copy-on-write clone of the live store;
-    // workers return only what their sinks collected, their final
-    // scalars and their stats. In-place targets go straight to the
-    // master buffers, through the chunk's windows.
-    let fuel = interp.fuel;
-    let (mode_ref, body_ref) = (&mode, &*body);
-    let run_chunk = |widx: usize, (clo, chi): (i64, i64), snapshot: Store| {
+    // Each chunk runs on a copy-on-write clone of the live store and
+    // hands back its sinks, the final values of the scalars the commit
+    // reads and its stats; the clone is dropped with the chunk's run.
+    // In-place targets go straight to the master buffers, through the
+    // chunk's windows.
+    let finals = plan.reductions.iter().map(|&(v, _)| v);
+    let finals = finals.chain(mode.pointer().map(|(ptr, _)| ptr));
+    let run_chunk = |widx: usize| {
         if panic_chunk == Some(widx) {
             panic!("injected fault: worker {widx} panic");
         }
@@ -855,79 +871,28 @@ pub(crate) fn exec_do_parallel(
         // iteration check.
         let mut share = WorkerChunk {
             deadline: deadline.map(|limit| (Instant::now(), limit)),
-            sinks: mode_ref.sinks(program, plan, body_ref, widx),
+            sinks: mode.sinks(program, plan, &body, widx),
         };
         if stall_chunk == Some(widx) {
             std::thread::sleep(Duration::from_millis(stall_ms));
         }
-        let mut worker = Run::on(program, snapshot, fuel, ());
-        worker.run_fast_iters(body_ref, clo, chi, 1, Some(&mut share))?;
-        let mut log = WriteLog::default();
-        let mut appended = Vec::new();
-        for (&a, sink) in body_ref.arrays().iter().zip(share.sinks) {
-            match sink {
-                Some(WriteSink::Logged(col)) if !col.idx.is_empty() => log.elements.push(col),
-                Some(WriteSink::Append { buf, .. }) => appended.push((a, buf)),
-                _ => {}
-            }
-        }
-        let final_of = |v: VarId| worker.store.scalar(v);
+        let (clo, chi) = chunks.bounds(widx);
+        let mut worker = Run::on(program, interp.store.clone(), interp.fuel, ());
+        worker.run_fast_iters(&body, clo, chi, 1, Some(&mut share))?;
         Ok(ChunkOutcome {
-            log,
-            appended,
-            reduction_finals: plan.reductions.iter().map(|&(v, _)| final_of(v)).collect(),
-            ptr_final: match mode_ref {
-                Mode::Concat { ptr, .. } => final_of(*ptr).as_int(),
-                _ => 0,
-            },
+            sinks: share.sinks,
+            finals: finals.clone().map(|v| worker.store.scalar(v)).collect(),
             stats: worker.stats,
             #[cfg(test)]
             probe: worker.probe,
         })
     };
-    // A one-chunk dispatch runs its chunk on this thread, with no job
-    // queue and no pool. Otherwise one queue, claimed from by the pool's
-    // threads and by this thread (first chunk first), which returns
-    // once every chunk has finished — panicked ones included, caught at
-    // the job boundary — so nothing the jobs borrowed is still in use
-    // below.
-    let outcomes = if chunks.count == 1 {
-        let snapshot = interp.store.clone();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_chunk(0, chunks.bounds(0), snapshot)
-        }));
-        settle(interp, [result], plan, &mode)?
-    } else {
-        let run_chunk = &run_chunk;
-        let jobs: Vec<Job<'_, _>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(widx, bounds)| {
-                let snapshot = interp.store.clone();
-                Box::new(move || run_chunk(widx, bounds, snapshot)) as Job<'_, _>
-            })
-            .collect();
-        let results = WorkerPool::dispatch(&mut interp.scope.pool, jobs);
-        settle(interp, results, plan, &mode)?
-    };
-    // Commit per mode; each validates before its first master mutation.
-    match &mode {
-        Mode::WriteLog => merge_write_logs(interp, &outcomes)?,
-        Mode::InPlace(specs) => {
-            // The element writes already landed, each chunk's inside
-            // its own windows — there is nothing to merge (and the undo
-            // images are dropped with the mode). Publish a version
-            // bump per target so inspector schedule caches and the
-            // dependence auditor see the mutation.
-            for s in specs {
-                interp.store.bump_version(s.var);
-            }
-        }
-        Mode::Concat { ptr, targets, p0 } => {
-            commit_concat(interp, &outcomes, *ptr, targets, *p0)?;
-        }
-    }
-    commit_reductions(interp, plan, &outcomes);
+    // The pool returns once every chunk has finished — panicked ones
+    // included, caught at the chunk boundary — so nothing the chunks
+    // borrowed is still in use below.
+    let results = WorkerPool::dispatch(&mut interp.scope.pool, chunks.count, run_chunk);
+    let outcomes = settle(interp, results, plan, &mode)?;
+    commit(interp, plan, &mode, &body, &outcomes)?;
     // The transaction commits: count the entry, then aggregate worker
     // effects — the master pays the chunks' execution cost (statements
     // + fuel) and absorbs their per-loop statistics. A worker runs the
@@ -949,25 +914,22 @@ pub(crate) fn exec_do_parallel(
 }
 
 /// What became of one chunk: its outcome or why it stopped, or —
-/// caught at the job boundary — its panic.
+/// caught at the chunk boundary — its panic.
 type ChunkResult = std::thread::Result<Result<ChunkOutcome, ChunkAbort>>;
 
 /// The chunks' outcomes, in chunk order, or the one failure the
 /// dispatch reports — after putting back what the mode's undo images
 /// hold ([`Mode::roll_back`]).
-fn settle<R>(
+fn settle(
     interp: &mut Interp<'_>,
-    results: R,
+    results: Vec<ChunkResult>,
     plan: &ParallelPlan,
     mode: &Mode,
-) -> Result<Vec<ChunkOutcome>, ParallelError>
-where
-    R: AsRef<[ChunkResult]> + IntoIterator<Item = ChunkResult>,
-{
+) -> Result<Vec<ChunkOutcome>, ParallelError> {
     // Test-only and outside the transaction: lets a test see what the
     // completed chunks of a dispatch that then *fails* ran on.
     #[cfg(test)]
-    for out in results.as_ref().iter().flatten().flatten() {
+    for out in results.iter().flatten().flatten() {
         interp.probe.add(&out.probe);
     }
     chunk_outcomes(interp.program(), results, plan, mode).inspect_err(|_| mode.roll_back(interp))
@@ -982,16 +944,13 @@ where
 /// changed under it; its error is not the program's. Otherwise the
 /// first failure in chunk order, which is iteration order, so a worker
 /// error is the one the sequential run raises.
-fn chunk_outcomes<R>(
+fn chunk_outcomes(
     program: &Program,
-    results: R,
+    results: Vec<ChunkResult>,
     plan: &ParallelPlan,
     mode: &Mode,
-) -> Result<Vec<ChunkOutcome>, ParallelError>
-where
-    R: AsRef<[ChunkResult]> + IntoIterator<Item = ChunkResult>,
-{
-    let violated = results.as_ref().iter().find_map(|r| match r {
+) -> Result<Vec<ChunkOutcome>, ParallelError> {
+    let violated = results.iter().find_map(|r| match r {
         Ok(Err(ChunkAbort::Violated(v))) => Some(*v),
         _ => None,
     });
@@ -1001,28 +960,23 @@ where
             strategy: mode.strategy().name(),
         });
     }
-    let mut outcomes = Vec::with_capacity(results.as_ref().len());
-    for (widx, r) in results.into_iter().enumerate() {
-        match r {
-            Err(payload) => {
-                return Err(ParallelError::WorkerPanic {
-                    detail: panic_message(payload),
-                })
-            }
-            Ok(Err(ChunkAbort::TimedOut)) => {
-                return Err(ParallelError::Timeout {
-                    worker: widx,
-                    deadline_ms: plan.deadline_ms.unwrap_or(0),
-                })
-            }
-            Ok(Err(ChunkAbort::Exec(e))) => return Err(ParallelError::Exec(e)),
-            Ok(Err(ChunkAbort::Violated(_))) => unreachable!("reported above"),
-            Ok(Ok(out)) => outcomes.push(out),
-        }
-    }
+    // Collected in place: the outcomes reuse the results' allocation.
+    let outcomes = results.into_iter().enumerate().map(|(widx, r)| match r {
+        Err(payload) => Err(ParallelError::WorkerPanic {
+            detail: panic_message(payload),
+        }),
+        Ok(Err(ChunkAbort::TimedOut)) => Err(ParallelError::Timeout {
+            worker: widx,
+            deadline_ms: plan.deadline_ms.unwrap_or(0),
+        }),
+        Ok(Err(ChunkAbort::Exec(e))) => Err(ParallelError::Exec(e)),
+        Ok(Err(ChunkAbort::Violated(_))) => unreachable!("reported above"),
+        Ok(Ok(out)) => Ok(out),
+    });
+    let outcomes = outcomes.collect::<Result<Vec<_>, _>>()?;
     if matches!(plan.fault, Some(FaultKind::ForgeConflict)) {
         // Chaos hook: report a conflict that never happened, exactly at
-        // the point the merge would — the workers' logs are discarded
+        // the point the commit would — the chunks' sinks are discarded
         // and the master falls back sequentially. (An in-place mode's
         // chunks have written their windows by now: the caller rolls
         // those back like after any other failure.)
@@ -1033,86 +987,156 @@ where
     Ok(outcomes)
 }
 
-/// Commits a [`Mode::Concat`] dispatch: validates the append discipline
-/// dynamically, merges the write logs (the targets never reach them:
-/// their stores went to the append buffers), then concatenates the
-/// per-chunk buffers positionally in chunk order.
+/// The most worker chunks one dispatch may have: the owner tables
+/// number chunks from 1 in a `u16`.
+const MAX_WORKERS: usize = u16::MAX as usize - 1;
+
+/// Commits what the chunks' sinks collected — the one commit of every
+/// strategy, walking the body's pin slots across the chunks. Its cost
+/// is `O(total writes)` plus one owner entry per element of each logged
+/// array some chunk wrote — never a function of the store's size.
 ///
-/// Validation before mutation: every chunk's pointer delta must be
-/// non-negative and equal every one of its buffers' lengths (holes or
-/// double-appends surface here even though hole-freedom was never
-/// statically re-proven), and the concatenated region must fit each
-/// target's extent. Each chunk appended from `p0`, so its own subscripts
-/// stayed in range even where the concatenation does not: an overrun
-/// is a [`ParallelError::StrategyViolation`] on the target, and the
-/// sequential fallback raises the program's own out-of-bounds error.
-fn commit_concat(
+/// **Validate** before the first master mutation, so a commit that
+/// fails leaves the master as the dispatch found it and the caller can
+/// fall back to sequential re-execution:
+///
+/// 1. under concat, every chunk's pointer delta must be non-negative
+///    and equal each of its append buffers' lengths — holes or
+///    double-appends surface here even though hole-freedom was never
+///    statically re-proven;
+/// 2. the concatenated appends must fit each target's extent. Each chunk
+///    appended from `p0`, so its own subscripts stayed in range even
+///    where the concatenation does not: an overrun is a
+///    [`ParallelError::StrategyViolation`] on the target (outranking
+///    any conflict), and the sequential fallback raises the program's
+///    own out-of-bounds error;
+/// 3. every logged write claims its location for its chunk in the
+///    array's owner table (one small integer per element: unclaimed, or
+///    the claiming chunk, zero-allocated, touched only where written). A
+///    chunk may rewrite its own location; a second chunk touching one
+///    is a [`ParallelError::WriteConflict`] — values are never
+///    compared, so a write that restores the pre-loop value cannot mask
+///    a conflict. Chunks bounds-checked every write against their
+///    snapshots, whose extents are the master's.
+///
+/// **Apply**, which cannot fail: logged columns are replayed in chunk
+/// order (a chunk's last write to a location wins, and chunks never
+/// share one), the version rising by the distinct locations written;
+/// append buffers are concatenated in chunk (= sequential) order, the
+/// version rising by one per element; a window target, whose writes
+/// landed already, has its version bumped once, so schedule caches and
+/// the dependence auditor see the mutation; the reductions combine and
+/// the pointer moves past the appends.
+fn commit(
     interp: &mut Interp<'_>,
+    plan: &ParallelPlan,
+    mode: &Mode,
+    body: &CompiledBody,
     outcomes: &[ChunkOutcome],
-    ptr: VarId,
-    targets: &[VarId],
-    p0: i64,
 ) -> Result<(), ParallelError> {
     let program = interp.program();
-    let violation = |v: VarId| ParallelError::StrategyViolation {
-        var: program.symbols.name(v).to_string(),
-        strategy: ExecutionStrategy::PrivatizeAndConcat.name(),
-    };
-    let mut deltas: Vec<i64> = Vec::with_capacity(outcomes.len());
-    let mut total: i64 = 0;
-    for out in outcomes {
-        let dp = out.ptr_final - p0;
-        if dp < 0 {
-            return Err(violation(ptr));
+    let sinks = |k: usize| outcomes.iter().map(move |out| out.sinks[k].as_ref());
+    // ---- Validate (no master mutation) ----
+    let mut appended: i64 = 0;
+    if let Some((ptr, p0)) = mode.pointer() {
+        let violation = |v: VarId| ParallelError::StrategyViolation {
+            var: program.symbols.name(v).to_string(),
+            strategy: ExecutionStrategy::PrivatizeAndConcat.name(),
+        };
+        for out in outcomes {
+            let dp = out.finals[plan.reductions.len()].as_int() - p0;
+            if dp < 0 {
+                return Err(violation(ptr));
+            }
+            for (&a, sink) in body.arrays().iter().zip(&out.sinks) {
+                if matches!(sink, Some(WriteSink::Append { buf, .. }) if buf.len() as i64 != dp) {
+                    return Err(violation(a));
+                }
+            }
+            appended += dp;
         }
-        for (a, buf) in &out.appended {
-            if buf.len() as i64 != dp {
-                return Err(violation(*a));
+        for (k, &a) in body.arrays().iter().enumerate() {
+            let target = matches!(outcomes[0].sinks[k], Some(WriteSink::Append { .. }));
+            if target && appended > 0 && p0 + appended > interp.store.array(a).len() as i64 {
+                return Err(violation(a));
             }
         }
-        deltas.push(dp);
-        total += dp;
     }
-    for &a in targets {
-        if total > 0 && p0 + total > interp.store.array(a).len() as i64 {
-            return Err(violation(a));
+    // Per logged slot, its owner table (0 while unclaimed, else the
+    // claiming chunk plus one) and the distinct locations claimed —
+    // chunk by chunk, so the conflict reported is the first one a chunk
+    // meets. A column nobody wrote gets no table, and its array is
+    // neither copied nor bumped below.
+    let mut claims: Vec<(Vec<u16>, u64)> = Vec::new();
+    for (widx, out) in outcomes.iter().enumerate() {
+        let me = u16::try_from(widx + 1).expect("chunk count is capped at MAX_WORKERS");
+        for (k, sink) in out.sinks.iter().enumerate() {
+            let Some(WriteSink::Logged(col)) = sink else {
+                continue;
+            };
+            if col.idx.is_empty() {
+                continue;
+            }
+            if claims.is_empty() {
+                claims.resize_with(out.sinks.len(), Default::default);
+            }
+            let (owner, claimed) = &mut claims[k];
+            if owner.is_empty() {
+                *owner = vec![0; interp.store.array(col.var).len()];
+            }
+            for &idx in &col.idx {
+                let owner = &mut owner[idx];
+                if *owner == 0 {
+                    *owner = me;
+                    *claimed += 1;
+                } else if *owner != me {
+                    return Err(ParallelError::WriteConflict {
+                        var: program.symbols.name(col.var).to_string(),
+                    });
+                }
+            }
         }
     }
-    merge_write_logs(interp, outcomes)?;
-    // Apply the buffers positionally in chunk (= sequential) order;
-    // the version rises by one per element, as element-wise writes
-    // would have raised it.
-    let mut base = p0 as usize;
-    for (out, dp) in outcomes.iter().zip(&deltas) {
-        let dp = *dp as usize;
-        // A chunk that appended nothing has nothing to copy.
-        if dp == 0 {
-            continue;
+    // ---- Apply (cannot fail) ----
+    for (k, &a) in body.arrays().iter().enumerate() {
+        match outcomes[0].sinks[k] {
+            Some(WriteSink::Logged(_)) => {
+                let Some(&(_, claimed @ 1..)) = claims.get(k) else {
+                    continue;
+                };
+                let data = interp.store.array_mut(a);
+                for sink in sinks(k) {
+                    if let Some(WriteSink::Logged(col)) = sink {
+                        col.vals.scatter_into(data, col.idx.iter().copied());
+                    }
+                }
+                interp.store.bump_version_by(a, claimed);
+            }
+            Some(WriteSink::Append { base, .. }) if appended > 0 => {
+                let (data, mut at) = (interp.store.array_mut(a), base);
+                for sink in sinks(k) {
+                    if let Some(WriteSink::Append { buf, .. }) = sink {
+                        buf.scatter_into(data, at..at + buf.len());
+                        at += buf.len();
+                    }
+                }
+                interp.store.bump_version_by(a, appended as u64);
+            }
+            Some(WriteSink::Window(_)) => interp.store.bump_version(a),
+            _ => {}
         }
-        for (a, buf) in &out.appended {
-            buf.scatter_into(interp.store.array_mut(*a), base..base + dp);
-            interp.store.bump_version_by(*a, dp as u64);
-        }
-        base += dp;
     }
-    let pty = program.symbols.var(ptr).ty;
-    interp.store.set_scalar(ptr, pty, Value::Int(p0 + total));
-    Ok(())
-}
-
-/// Folds every chunk's final value of each of the plan's reductions
-/// into the master's, under its [`ReduceOp`] — one commit for every
-/// strategy: each worker hands back the final value of every scalar its
-/// nest assigns.
-fn commit_reductions(interp: &mut Interp<'_>, plan: &ParallelPlan, outcomes: &[ChunkOutcome]) {
-    let program = interp.program();
     for (k, &(rv, op)) in plan.reductions.iter().enumerate() {
         let base = interp.store.scalar(rv);
-        let combine =
-            |acc, out: &ChunkOutcome| combine_reduction(op, acc, out.reduction_finals[k], base);
+        let combine = |acc, out: &ChunkOutcome| combine_reduction(op, acc, out.finals[k], base);
         let acc = outcomes.iter().fold(base, combine);
         interp.store.set_scalar(rv, program.symbols.var(rv).ty, acc);
     }
+    if let Some((ptr, p0)) = mode.pointer() {
+        let pty = program.symbols.var(ptr).ty;
+        interp.store.set_scalar(ptr, pty, Value::Int(p0 + appended));
+    }
+    Ok(())
 }
 
 /// Renders a chunk's panic payload. Takes the box itself: a `&Box<dyn
@@ -1126,98 +1150,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
             None => "opaque panic payload".to_string(),
         },
     }
-}
-
-/// The element writes the workers logged to one array, as the merge
-/// sees them: who claimed which location, and the columns to replay.
-struct ArrayClaims<'a> {
-    var: VarId,
-    /// One entry per element of the array: 0 while unclaimed, else the
-    /// claiming worker's index plus one.
-    owner: Vec<u16>,
-    /// Distinct locations claimed.
-    claimed: u64,
-    /// The workers' columns for this array, in worker order.
-    columns: Vec<&'a ElemColumn>,
-}
-
-/// The most worker chunks one dispatch may have: the owner tables
-/// number workers from 1 in a `u16`.
-const MAX_WORKERS: usize = u16::MAX as usize - 1;
-
-/// Replays the workers' write logs against the master store.
-///
-/// Cost is `O(total writes)` plus one owner entry per element of each
-/// array some worker *wrote* (a zeroed allocation, touched only where
-/// written) — never a function of the store's size. Conflict detection
-/// is positional: every logged write claims its location for its
-/// worker in the array's owner table; a worker may rewrite a location
-/// it already owns, and the second worker to touch one is a
-/// [`ParallelError::WriteConflict`] — values are never compared, so
-/// writes that happen to restore the pre-loop value cannot mask a
-/// conflict. Privatized scratch and concat targets never reach a log
-/// ([`Mode::sinks`]), and scalars are not logged at all.
-///
-/// The merge is two-phase: every log is validated (no location
-/// double-claimed) before the first master-store mutation, so a merge
-/// that errors leaves the master byte-identical to its pre-dispatch
-/// state and the caller can fall back to sequential re-execution.
-/// Workers bounds-checked every write against the extents of their
-/// snapshots, which are the master's: arrays never change shape.
-fn merge_write_logs(
-    interp: &mut Interp<'_>,
-    outcomes: &[ChunkOutcome],
-) -> Result<(), ParallelError> {
-    // ---- Phase 1: validate (no master mutation) ----
-
-    // Every logged write claims its location in the array's owner table.
-    let mut claims: Vec<ArrayClaims<'_>> = Vec::new();
-    for (widx, out) in outcomes.iter().enumerate() {
-        let me = u16::try_from(widx + 1).expect("chunk count is capped at MAX_WORKERS");
-        for col in &out.log.elements {
-            let v = col.var;
-            let k = match claims.iter().position(|c| c.var == v) {
-                Some(k) => k,
-                None => {
-                    claims.push(ArrayClaims {
-                        var: v,
-                        owner: vec![0; interp.store.array(v).len()],
-                        claimed: 0,
-                        columns: Vec::new(),
-                    });
-                    claims.len() - 1
-                }
-            };
-            let c = &mut claims[k];
-            for &idx in &col.idx {
-                let owner = &mut c.owner[idx];
-                if *owner == 0 {
-                    *owner = me;
-                    c.claimed += 1;
-                } else if *owner != me {
-                    return Err(ParallelError::WriteConflict {
-                        var: interp.program().symbols.name(v).to_string(),
-                    });
-                }
-            }
-            c.columns.push(col);
-        }
-    }
-
-    // ---- Phase 2: apply (cannot fail) ----
-
-    // One uniquely-owned payload per written array, each column
-    // replayed in log order (so a worker's last write to a location
-    // wins, and workers never share one). The version rises by the
-    // number of distinct locations written.
-    for c in claims {
-        let data = interp.store.array_mut(c.var);
-        for col in c.columns {
-            col.vals.scatter_into(data, col.idx.iter().copied());
-        }
-        interp.store.bump_version_by(c.var, c.claimed);
-    }
-    Ok(())
 }
 
 /// Folds one worker's final reduction value into the accumulator.
@@ -2286,6 +2218,71 @@ mod tests {
         assert_eq!(interp.stats.total_cost, 0);
     }
 
+    /// A concat nest that also stores to an independent array commits
+    /// append buffers beside a logged column. The commit checks the
+    /// appends first, then the logged claims: a conflict on the other
+    /// array fails the dispatch, and so does an overrun of the target,
+    /// which outranks it. Neither failure leaves a trace in the master.
+    #[test]
+    fn a_concat_commit_beside_a_logged_array_validates_both_before_writing() {
+        let src = |extent: usize, store: &str| {
+            format!(
+                "program t
+                 integer i, q, ind({extent})
+                 real y(100)
+                 do i = 1, 100
+                   {store}
+                   if (i - (i / 2) * 2 > 0) then
+                     q = q + 1
+                     ind(q) = i
+                   endif
+                 enddo
+                 end"
+            )
+        };
+        let dispatch = |src: &str, threads: usize| {
+            let p = parse_program(src).unwrap();
+            let plan = ParallelPlan {
+                strategy: ExecutionStrategy::PrivatizeAndConcat,
+                ..ParallelPlan::with_threads(threads)
+            };
+            let mut interp = live(&p);
+            let before = interp.store.clone();
+            let res = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1);
+            let versions =
+                |st: &Store| ["y", "ind"].map(|a| st.array_version(p.symbols.lookup(a).unwrap()));
+            if res.is_ok() {
+                assert_eq!(interp.store, Interp::new(&p).run().unwrap().store);
+            } else {
+                assert_eq!(interp.store, before);
+                assert_eq!(versions(&interp.store), versions(&before));
+            }
+            res.map(|c| (c.strategy, c.chunks))
+        };
+        let mixed = src(100, "y(i) = i * 0.5");
+        for threads in [1, 2, 4] {
+            let expected = (ExecutionStrategy::PrivatizeAndConcat, threads as u64);
+            assert_eq!(dispatch(&mixed, threads).unwrap(), expected);
+        }
+        // Every chunk stores to `y(1)`: a conflict on `y`.
+        let got = dispatch(&src(100, "y(1) = i"), 2);
+        assert!(
+            matches!(&got, Err(ParallelError::WriteConflict { var }) if var == "y"),
+            "got {got:?}"
+        );
+        // Each chunk's 25 appends fit `ind(30)`, their 50 together do
+        // not: the violation on the target outranks the conflict.
+        let got = dispatch(&src(30, "y(1) = i"), 2);
+        assert!(
+            matches!(
+                &got,
+                Err(ParallelError::StrategyViolation { var, strategy })
+                    if var == "ind" && *strategy == "privatize-concat"
+            ),
+            "got {got:?}"
+        );
+    }
+
     /// One worker over iterations `3 ..= hi` of `do i = 1, 8` of
     /// `body`, its window on `x` narrower than the chunk: elements 3..=6
     /// of 8. The dispatch can only hand a worker the window of its own
@@ -2615,7 +2612,7 @@ mod tests {
         let dispatch = |master: &mut Interp<'_>, certificates: Vec<InjectiveCertificate>| {
             let plan = ParallelPlan {
                 strategy: ExecutionStrategy::InPlaceDisjoint,
-                certificates,
+                certificates: certificates.into(),
                 ..ParallelPlan::with_threads(3)
             };
             let got = exec_do_parallel(master, lp, &plan, 1, 8, 1).unwrap();

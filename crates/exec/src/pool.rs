@@ -1,14 +1,15 @@
 //! The per-run worker pool behind [`exec_do_parallel`].
 //!
-//! A dispatch hands the pool one job per chunk and gets the results
-//! back in job order. The jobs form a **queue with one shared cursor**:
-//! the pool's persistent threads and the dispatching thread itself (the
-//! master) all claim the next unclaimed job until none is left, so
+//! A dispatch hands the pool a chunk count and one closure, and gets
+//! the closure's result for every chunk back in chunk order. One chunk
+//! runs on the calling thread, with no pool and nothing allocated for
+//! the hand-off. More form a **queue with one shared cursor**: the
+//! pool's persistent threads and the dispatching thread itself (the
+//! master) all claim the next unclaimed chunk until none is left, so
 //!
-//! - a dispatch creates no thread once the pool has `jobs − 1` of them
+//! - a dispatch creates no thread once the pool has `chunks − 1` of them
 //!   (or [`MAX_POOL_THREADS`], for a dispatch wider than that);
-//! - a one-job dispatch never touches the pool at all;
-//! - a thread the OS refused to create is a non-event — the jobs it
+//! - a thread the OS refused to create is a non-event — the chunks it
 //!   would have run are claimed by whoever is free, the master included.
 //!
 //! The pool belongs to one [`Interp`](crate::Interp), in the
@@ -23,13 +24,14 @@
 //!
 //! # The one invariant
 //!
-//! Jobs borrow the dispatch's locals, yet run on threads that outlive
-//! the dispatch. That is sound because [`WorkerPool::dispatch`] **does
-//! not return — normally or by unwinding — while a job it was given is
-//! running or could still be claimed**: the barrier lives in the `Drop`
-//! of a guard, not in straight-line code. Everything that cites "the
-//! dispatch barrier" (the lifetime erasure below, `RawSlice`'s
-//! `Send`/`Sync`, `RawPin`'s window pins) relies on exactly this.
+//! The closure borrows the dispatch's locals, yet runs on threads that
+//! outlive the dispatch. That is sound because [`WorkerPool::dispatch`]
+//! **does not return — normally or by unwinding — while the closure is
+//! running for any chunk or could still be called for one**: the
+//! barrier lives in the `Drop` of a guard, not in straight-line code.
+//! Everything that cites "the dispatch barrier" (the lifetime erasure
+//! below, `RawSlice`'s `Send`/`Sync`, `RawPin`'s window pins) relies on
+//! exactly this.
 //!
 //! [`exec_do_parallel`]: crate::parallel::exec_do_parallel
 
@@ -37,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// The most threads one pool creates, however many jobs a dispatch
+/// The most threads one pool creates, however many chunks a dispatch
 /// brings: the queue needs no particular number of threads, and a
 /// process cannot hold an unbounded number of idle ones. Measured on
 /// the 40 000-chunk dispatch that motivated handling refused threads
@@ -47,9 +49,6 @@ use std::thread::JoinHandle;
 /// abort the process. A private constant, not a setting; far above
 /// any core count, far below that cliff.
 pub(crate) const MAX_POOL_THREADS: usize = 256;
-
-/// One unit of work: runs once, on whichever thread claims it.
-pub(crate) type Job<'a, R> = Box<dyn FnOnce() -> R + Send + 'a>;
 
 /// Runs job `i` of the current batch and stores its result. Never
 /// unwinds: the job's own panic is caught and becomes its result.
@@ -157,7 +156,7 @@ impl Drop for Barrier<'_> {
         let mut st = self.0.lock();
         if let Some(b) = st.batch.as_mut() {
             // Non-zero only when the master is unwinding: jobs nobody
-            // claimed are dropped unrun with the dispatch's locals.
+            // claimed are withdrawn uncalled.
             b.pending -= b.jobs - b.next;
             b.next = b.jobs;
         }
@@ -180,25 +179,25 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Runs `jobs` and returns their results in job order; a job that
-    /// panicked yields the payload, exactly as `JoinHandle::join` would.
-    /// One job runs on the calling thread without a pool; more create
-    /// `slot`'s pool on first use and grow it to `jobs − 1` threads (at
-    /// most [`MAX_POOL_THREADS`], or as many of those as the OS
-    /// grants). See the module doc for what the call waits for.
+    /// Calls `f` for every chunk `0..count` and returns the results in
+    /// chunk order; a call that panicked yields the payload, exactly as
+    /// `JoinHandle::join` would. One chunk runs on the calling thread
+    /// without a pool; more create `slot`'s pool on first use and grow
+    /// it to `count − 1` threads (at most [`MAX_POOL_THREADS`], or as
+    /// many of those as the OS grants). See the module doc for what the
+    /// call waits for.
     pub(crate) fn dispatch<R: Send>(
         slot: &mut Option<WorkerPool>,
-        jobs: Vec<Job<'_, R>>,
+        count: usize,
+        f: impl Fn(usize) -> R + Sync,
     ) -> Vec<std::thread::Result<R>> {
-        if jobs.len() <= 1 {
-            return jobs
-                .into_iter()
-                .map(|job| catch_unwind(AssertUnwindSafe(job)))
-                .collect();
+        let call = |i| catch_unwind(AssertUnwindSafe(|| f(i)));
+        if count <= 1 {
+            return (0..count).map(call).collect();
         }
         let pool = slot.get_or_insert_with(WorkerPool::default);
-        pool.grow(jobs.len() - 1);
-        pool.run(jobs)
+        pool.grow(count - 1);
+        pool.run(count, call)
     }
 
     /// Threads this pool has created (none ever exits before shutdown).
@@ -228,49 +227,45 @@ impl WorkerPool {
             .spawn(move || shared.worker_loop())
     }
 
-    fn run<R: Send>(&mut self, jobs: Vec<Job<'_, R>>) -> Vec<std::thread::Result<R>> {
-        type Slot<'a, R> = Mutex<(Option<Job<'a, R>>, Option<std::thread::Result<R>>)>;
-        let slots: Vec<Slot<'_, R>> = jobs
-            .into_iter()
-            .map(|job| Mutex::new((Some(job), None)))
-            .collect();
-        const UNPOISONED: &str = "no job runs under a slot's lock";
+    /// Publishes `call(0..count)` as one batch, takes part in it, and
+    /// returns the results in chunk order once the barrier let go.
+    fn run<R: Send>(
+        &mut self,
+        count: usize,
+        call: impl Fn(usize) -> std::thread::Result<R> + Sync,
+    ) -> Vec<std::thread::Result<R>> {
+        const UNPOISONED: &str = "nothing panics under the results lock";
+        let results = Mutex::new((0..count).map(|_| None).collect::<Vec<_>>());
         let task = |i: usize| {
-            let job = slots[i].lock().expect(UNPOISONED).0.take();
-            let result = catch_unwind(AssertUnwindSafe(job.expect("a job is claimed once")));
-            slots[i].lock().expect(UNPOISONED).1 = Some(result);
+            let result = call(i);
+            results.lock().expect(UNPOISONED)[i] = Some(result);
         };
         let task: &Task<'_> = &task;
         // SAFETY: only the lifetime changes. The pool's threads reach
-        // `task` (and through it `slots` and whatever the jobs borrow)
-        // only via the batch published below, only by claiming a job
-        // under the state lock, and count the job finished only after
-        // it has returned and its captures are dropped. `Barrier::drop`
-        // runs before `task` and `slots` go out of scope on every path
-        // out of this function — return or unwind — and does not
-        // return until no job can be claimed and none is running; it
-        // then removes the batch, so no thread can read the reference
-        // afterwards.
+        // `task` (and through it `call`, `results` and whatever `call`
+        // borrows) only via the batch published below, only by claiming
+        // a job under the state lock, and count the job finished only
+        // after `task` has returned. `Barrier::drop` runs before `task`,
+        // `call` and `results` go out of scope on every path out of this
+        // function — return or unwind — and does not return until no
+        // job can be claimed and none is running; it then removes the
+        // batch, so no thread can read the reference afterwards.
         let erased = unsafe { std::mem::transmute::<&Task<'_>, &'static Task<'static>>(task) };
         {
             let _barrier = Barrier(&self.shared);
             self.shared.lock().batch = Some(Batch {
                 task: erased,
-                jobs: slots.len(),
+                jobs: count,
                 next: 0,
-                pending: slots.len(),
+                pending: count,
             });
             self.shared.work.notify_all();
             // The master takes part, first job first.
             self.shared.drain();
         }
-        slots
-            .into_iter()
-            .map(|slot| {
-                let (_, result) = slot.into_inner().expect(UNPOISONED);
-                result.expect("the barrier waited for every job")
-            })
-            .collect()
+        let results = results.into_inner().expect(UNPOISONED);
+        let waited = "the barrier waited for every job";
+        results.into_iter().map(|r| r.expect(waited)).collect()
     }
 }
 
@@ -313,25 +308,20 @@ mod tests {
         std::thread::current().id()
     }
 
-    /// Jobs borrow a stack local and a shared counter; the call returns
-    /// their results in job order with every job finished, whatever the
-    /// ratio of jobs to threads.
+    /// The closure borrows a stack local and a shared counter; the call
+    /// returns its results in chunk order with every chunk finished,
+    /// whatever the ratio of chunks to threads.
     #[test]
     fn borrowed_jobs_complete_in_order_before_dispatch_returns() {
         let mut slot = Some(WorkerPool::with_spawn_limit(2));
         for n in [1usize, 2, 9] {
             let input: Vec<usize> = (0..n).map(|i| i * 10).collect();
             let finished = AtomicUsize::new(0);
-            let jobs: Vec<Job<'_, usize>> = (0..n)
-                .map(|i| {
-                    let (input, finished) = (&input, &finished);
-                    Box::new(move || {
-                        finished.fetch_add(1, Ordering::SeqCst);
-                        input[i] + 1
-                    }) as Job<'_, usize>
-                })
-                .collect();
-            let got: Vec<usize> = WorkerPool::dispatch(&mut slot, jobs)
+            let job = |i: usize| {
+                finished.fetch_add(1, Ordering::SeqCst);
+                input[i] + 1
+            };
+            let got: Vec<usize> = WorkerPool::dispatch(&mut slot, n, job)
                 .into_iter()
                 .map(|r| r.expect("no job panics"))
                 .collect();
@@ -345,13 +335,11 @@ mod tests {
     #[test]
     fn one_job_runs_on_the_caller_and_creates_no_pool() {
         let mut slot = None;
-        let jobs: Vec<Job<'_, ThreadId>> = vec![Box::new(here)];
-        let got = WorkerPool::dispatch(&mut slot, jobs);
+        let got = WorkerPool::dispatch(&mut slot, 1, |_| here());
         assert_eq!(got.len(), 1);
         assert_eq!(*got[0].as_ref().unwrap(), here());
         assert!(slot.is_none());
-        let none: Vec<Job<'_, ()>> = Vec::new();
-        assert!(WorkerPool::dispatch(&mut slot, none).is_empty());
+        assert!(WorkerPool::dispatch(&mut slot, 0, |_| ()).is_empty());
         assert!(slot.is_none());
     }
 
@@ -359,8 +347,7 @@ mod tests {
     #[test]
     fn a_pool_refused_every_thread_runs_all_jobs_on_the_caller() {
         let mut slot = Some(WorkerPool::with_spawn_limit(0));
-        let jobs: Vec<Job<'_, ThreadId>> = (0..16).map(|_| Box::new(here) as Job<'_, _>).collect();
-        let got = WorkerPool::dispatch(&mut slot, jobs);
+        let got = WorkerPool::dispatch(&mut slot, 16, |_| here());
         assert_eq!(got.len(), 16);
         assert!(got.iter().all(|r| *r.as_ref().unwrap() == here()));
         assert_eq!(slot.unwrap().threads_spawned(), 0);
@@ -375,19 +362,14 @@ mod tests {
         let mut slot = None;
         for bad in [0usize, 1, 3] {
             let finished = AtomicUsize::new(0);
-            let jobs: Vec<Job<'_, usize>> = (0..4)
-                .map(|i| {
-                    let finished = &finished;
-                    Box::new(move || {
-                        if i == bad {
-                            panic!("job {i} fails");
-                        }
-                        finished.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }) as Job<'_, usize>
-                })
-                .collect();
-            let got = WorkerPool::dispatch(&mut slot, jobs);
+            let job = |i: usize| {
+                if i == bad {
+                    panic!("job {i} fails");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                i
+            };
+            let got = WorkerPool::dispatch(&mut slot, 4, job);
             assert_eq!(finished.load(Ordering::SeqCst), 3, "bad job {bad}");
             for (i, r) in got.iter().enumerate() {
                 match r {
@@ -404,7 +386,7 @@ mod tests {
     }
 
     /// Unwinding out of `run` itself (not out of a job) still waits:
-    /// the unclaimed jobs are dropped unrun, and nothing is left
+    /// the unclaimed jobs are withdrawn uncalled, and nothing is left
     /// behind for the next dispatch to trip over.
     #[test]
     fn the_barrier_withdraws_unclaimed_jobs() {
@@ -433,8 +415,7 @@ mod tests {
     #[test]
     fn dropping_the_pool_joins_its_threads() {
         let mut slot = None;
-        let jobs: Vec<Job<'_, ()>> = (0..3).map(|_| Box::new(|| ()) as Job<'_, ()>).collect();
-        WorkerPool::dispatch(&mut slot, jobs);
+        WorkerPool::dispatch(&mut slot, 3, |_| ());
         let pool = slot.expect("three jobs need a pool");
         assert_eq!(pool.threads_spawned(), 2);
         let alive = pool.liveness();

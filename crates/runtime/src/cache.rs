@@ -29,6 +29,7 @@
 use irr_exec::InjectiveCertificate;
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What must be unchanged for a cached schedule to be reusable.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -70,8 +71,9 @@ struct Slot {
     /// What the inspection behind `parallel_ok` certified: kept with
     /// the key, so a hit on *any* live key of a loop hands its dispatch
     /// the certificates of the scan that cleared that key, and eviction
-    /// drops both together.
-    certificates: Vec<InjectiveCertificate>,
+    /// drops both together. Shared: a hit hands them over by
+    /// reference count.
+    certificates: Arc<[InjectiveCertificate]>,
     /// Remaining entries this schedule is pinned sequential for; 0
     /// means not quarantined.
     quarantined: u32,
@@ -134,17 +136,20 @@ impl ScheduleCache {
         &mut self,
         loop_stmt: StmtId,
         key: &ScheduleKey,
-    ) -> (CacheProbe, Vec<InjectiveCertificate>) {
+    ) -> (CacheProbe, Arc<[InjectiveCertificate]>) {
         self.tick += 1;
         let tick = self.tick;
         match self.entries.get_mut(&loop_stmt) {
-            None => (CacheProbe::Miss, Vec::new()),
+            None => (CacheProbe::Miss, Arc::default()),
             Some(slots) => match slots.iter_mut().find(|s| s.key == *key) {
                 Some(slot) => {
                     slot.last_used = tick;
-                    (CacheProbe::Hit(slot.parallel_ok), slot.certificates.clone())
+                    (
+                        CacheProbe::Hit(slot.parallel_ok),
+                        Arc::clone(&slot.certificates),
+                    )
                 }
-                None => (CacheProbe::Stale, Vec::new()),
+                None => (CacheProbe::Stale, Arc::default()),
             },
         }
     }
@@ -153,7 +158,7 @@ impl ScheduleCache {
     /// evicting the least-recently-used schedule when the per-loop or
     /// global bound is exceeded.
     pub fn insert(&mut self, loop_stmt: StmtId, key: ScheduleKey, parallel_ok: bool) {
-        self.insert_certified(loop_stmt, key, parallel_ok, Vec::new());
+        self.insert_certified(loop_stmt, key, parallel_ok, Arc::default());
     }
 
     /// [`Self::insert`] with what the inspection certified on the way
@@ -163,7 +168,7 @@ impl ScheduleCache {
         loop_stmt: StmtId,
         key: ScheduleKey,
         parallel_ok: bool,
-        certificates: Vec<InjectiveCertificate>,
+        certificates: Arc<[InjectiveCertificate]>,
     ) {
         self.tick += 1;
         let tick = self.tick;
@@ -204,7 +209,7 @@ impl ScheduleCache {
             }
             let slot = &mut slots[pos];
             slot.parallel_ok = false;
-            slot.certificates.clear();
+            slot.certificates = Arc::default();
             slot.quarantined = budget;
             slot.last_used = tick;
             return;
@@ -220,7 +225,7 @@ impl ScheduleCache {
             Slot {
                 key,
                 parallel_ok: false,
-                certificates: Vec::new(),
+                certificates: Arc::default(),
                 quarantined: budget,
                 last_used: tick,
             },

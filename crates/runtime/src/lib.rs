@@ -69,7 +69,8 @@ pub struct HybridConfig {
     /// as the work its loop's previous committed entry did
     /// ([`Committed::cost`]), scaled to this entry's trip count, fills
     /// at 2^15 cost units a chunk — at least one, at most this. Defaults
-    /// to the host's available parallelism.
+    /// to the host's available parallelism as the process had it when it
+    /// first asked ([`ParallelPlan::default`]).
     pub threads: usize,
     /// After a parallel dispatch fails at runtime, how many subsequent
     /// entries of the same `(loop, key)` schedule are pinned sequential
@@ -99,7 +100,7 @@ pub struct HybridConfig {
 impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
-            threads: std::thread::available_parallelism().map_or(1, usize::from),
+            threads: ParallelPlan::default().threads,
             quarantine_retries: 2,
             worker_deadline_ms: None,
             enable_strategies: true,
@@ -264,7 +265,7 @@ impl HybridDispatcher {
         entry: &LoopEntry,
         chunks: usize,
         fault: Option<FaultKind>,
-        certificates: Vec<InjectiveCertificate>,
+        certificates: Arc<[InjectiveCertificate]>,
     ) -> ParallelPlan {
         // Every worker runs the typed loop: the master re-lowers before
         // dispatching and refuses the dispatch when that fails.
@@ -305,7 +306,7 @@ impl HybridDispatcher {
         let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
         self.last_parallel = Some((loop_stmt, key));
         let chunks = self.chunks_for(loop_stmt, lo, hi);
-        Some(self.plan_for(entry, chunks, fault, Vec::new()))
+        Some(self.plan_for(entry, chunks, fault, Arc::default()))
     }
 
     /// Draws the injected fault (if any) for the next parallel dispatch
@@ -464,7 +465,7 @@ impl LoopDispatcher for HybridDispatcher {
                     if let Some(plan) = self.fault.as_mut() {
                         plan.record_fired(FaultKind::LieInspector);
                     }
-                    Some((true, Vec::new()))
+                    Some((true, Arc::default()))
                 } else {
                     match self.cache.probe_certified(loop_stmt, &key) {
                         (CacheProbe::Hit(v), certificates) => {
@@ -485,8 +486,11 @@ impl LoopDispatcher for HybridDispatcher {
                     let (inspected, run) = inspect_guard(store, guard, lo, hi);
                     self.telemetry.inspections_run += run;
                     let v = inspected.is_some();
-                    let certificates = inspected.unwrap_or_default();
-                    let cached = certificates.clone();
+                    let certificates: Arc<[_]> = match inspected {
+                        Some(c) if !c.is_empty() => c.into(),
+                        _ => Arc::default(),
+                    };
+                    let cached = Arc::clone(&certificates);
                     self.cache
                         .insert_certified(loop_stmt, key.clone(), v, cached);
                     self.telemetry.cache_evictions = self.cache.evictions();
