@@ -22,8 +22,9 @@
 //!   nonnegative over the traversed range: `x` is monotone
 //!   nondecreasing and carries the *chain* fact
 //!   `x(k+1) == x(k) + d(k)` for `k` in the loop range — exactly the
-//!   predicate [`inspect_offset_length`] re-derives at run time —
-//!   strictly increasing (hence injective) when `d` is positive;
+//!   predicate the executor's index scan (`irr_exec::IndexFacts::scan`)
+//!   re-derives at run time — strictly increasing (hence injective)
+//!   when `d` is positive;
 //! - **accumulate** `x(e) = x(e) + c` with constant `c >= 0` (the
 //!   histogram loop that counts segment lengths): preserves an
 //!   existing nonnegativity fact and nothing else — in particular a
@@ -50,8 +51,6 @@
 //! enclosing loop writes), where the driver queries them to discharge
 //! residual guard checks statically: a discharged check is one the
 //! runtime no longer needs to inspect.
-//!
-//! [`inspect_offset_length`]: https://docs.rs/irr-exec
 
 use crate::budget::AnalysisBudget;
 use crate::ctx::{AnalysisCtx, BodyTable};

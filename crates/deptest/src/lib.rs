@@ -75,7 +75,10 @@ pub enum ResidualCheck {
         array: VarId,
     },
     /// The hull matched the offset–length shape `x(ptr(i) + j)`;
-    /// parallel iff `ptr(i+1) - ptr(i) >= len(i) >= 0` at run time.
+    /// parallel when `ptr(i+1) == ptr(i) + len(i)` with `len(i) >= 0`
+    /// for every `i` of the loop's range at run time — the equality the
+    /// static closed-form-distance query and evolution's chain fact
+    /// prove too.
     OffsetLength {
         /// The offset (pointer) array.
         ptr: VarId,

@@ -12,9 +12,10 @@
 //!
 //! - **Promoted scalars.** Referenced scalars (induction variables
 //!   included) load into registers at loop entry, and the ones the nest
-//!   can assign write back through [`Store::set_scalar`] on *every*
-//!   exit — success or error — so the store is byte-identical to
-//!   per-access traffic at every observable point.
+//!   can assign write back through
+//!   [`Store::set_scalar`](crate::Store::set_scalar) on *every* exit —
+//!   success or error — so the store is byte-identical to per-access
+//!   traffic at every observable point.
 //! - **Pre-pinned arrays, by role.** Every array is live from the
 //!   program's first statement, so the typed run pins all payloads up
 //!   front. An array the body
@@ -262,7 +263,8 @@ impl RawPin {
 
     /// A store at `k` an observing sink takes: logged (`true`: it lands
     /// in `ip`/`fp` too), or buffered — or refused: a violation, nothing
-    /// written — under the append rule ([`TypedBuf::append_at`]).
+    /// written — under the append rule
+    /// ([`TypedBuf::append_at`](crate::interp::TypedBuf::append_at)).
     #[inline(always)]
     fn observed(&mut self, k: usize, v: Value) -> bool {
         // Tests in a row, the log's first: one `match` over every state

@@ -197,7 +197,7 @@ pub(crate) enum RawSlice {
 // bounds-checks every load and store against it. A window admits only
 // the elements the dispatch gave its chunk: windows of one target are
 // pairwise disjoint, or, for a scatter target, every chunk stores to a
-// set of elements an injectivity certificate keeps disjoint and none
+// set of elements injective index facts keep disjoint and none
 // reads. So no thread reads what another writes. Only a chunk holds a
 // pin, and `WorkerPool::dispatch` does not return, normally or by
 // unwinding, while its closure is running for any chunk or could still
@@ -456,7 +456,7 @@ impl Store {
     /// This store's identity: distinct for every store built or cloned
     /// in the process. Write-versions count from zero in each store, so
     /// a fact about an array's contents has to name the store beside
-    /// the version ([`crate::InjectiveCertificate`] does).
+    /// the version ([`crate::IndexFacts`] does).
     pub(crate) fn id(&self) -> u64 {
         self.id
     }

@@ -22,9 +22,9 @@
 //!   for append-through-pointer loops. Chunks run on the interpreter's
 //!   per-run worker pool (`pool`), the master taking the first one;
 //!   [`fault`] injects panics, stalls and lies into it.
-//! - [`runtime_test`]: the run-time inspectors (injectivity,
-//!   offset–length) the hybrid runtime's guarded tier calls, and the
-//!   certificates in-place scatters are written under.
+//! - [`runtime_test`]: the one index-array scan the hybrid runtime's
+//!   guarded tier inspects with, and the facts it yields, which
+//!   in-place scatters are written under.
 //! - [`machine`]: the machine-model simulator that reproduces the
 //!   paper's speedup experiments (Fig. 16).
 //!
@@ -63,8 +63,5 @@ pub use machine::{
 };
 pub use parallel::{Committed, ExecutionStrategy, ParallelError, ParallelPlan, ReduceOp};
 pub use rng::SplitMix64;
-pub use runtime_test::{
-    certify_injective, inspect_guard, inspect_injective, inspect_offset_length,
-    InjectiveCertificate, Inspection,
-};
+pub use runtime_test::{inspect_guard, inspect_injective, inspect_offset_length, IndexFacts};
 pub use trace::{AccessTracer, TraceConfig};

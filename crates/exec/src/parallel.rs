@@ -88,15 +88,15 @@
 //!     raised at that access. Windows of one target are disjoint, so
 //!     chunks are race-free and sequentially equivalent whatever the
 //!     proof said; the proof only predicts that nothing trips.
-//!   - **Certificates are version-checked.** A scatter target
+//!   - **Index facts are version-checked.** A scatter target
 //!     `b(p(i + c))` has no window: its chunks write disjoint *sets*
 //!     exactly when `p` is injective on the dispatch's section, and
-//!     only an [`InjectiveCertificate`] says so — built by this
-//!     crate's inspector, carried in the plan, and accepted only while
-//!     it covers the section, the live store is the one that was
-//!     scanned and `p`'s write-version in it is the one it was scanned
-//!     at. Absent, stale or mismatched means write-log, whose commit
-//!     still catches a real conflict.
+//!     only an [`IndexFacts`] says so — built by this crate's one
+//!     index scan, carried in the plan, and accepted only when it says
+//!     `injective` and while it covers the section, the live store is
+//!     the one that was scanned and `p`'s write-version in it is the
+//!     one it was scanned at. Absent, stale or mismatched means
+//!     write-log, whose commit still catches a real conflict.
 //!   - **Read targets are undone.** A failed dispatch may have dirtied
 //!     its targets. One the nest reads would feed the sequential
 //!     fallback half-updated values, so the master copies its dispatch
@@ -123,7 +123,7 @@ use crate::interp::{
     WriteSink,
 };
 use crate::pool::WorkerPool;
-use crate::runtime_test::InjectiveCertificate;
+use crate::runtime_test::IndexFacts;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
 use irr_frontend::{Program, StmtId, StmtKind, VarId};
 use std::sync::Arc;
@@ -145,7 +145,7 @@ pub enum ExecutionStrategy {
     #[default]
     WriteLog,
     /// Chunks touch disjoint parts of every written array — enforced
-    /// windows, or sets under an injectivity certificate — so accesses
+    /// windows, or sets under injective index facts — so accesses
     /// land directly in the master store's buffers: no clone, no log,
     /// nothing to replay.
     InPlaceDisjoint,
@@ -223,14 +223,14 @@ pub struct ParallelPlan {
     /// strategy on every dispatch and silently downgrades to the
     /// write-log when the proof does not hold for this loop.
     pub strategy: ExecutionStrategy,
-    /// What the guard's injectivity inspections certified for this
-    /// entry. An in-place dispatch writes a scatter target through the
-    /// master buffer only under a certificate that still covers the
-    /// scattered section in the live store (see
-    /// [`InjectiveCertificate::covers`]); with none that does, it
-    /// downgrades to the write-log. Shared, not copied: a schedule
-    /// cache hands a hit's certificates over by reference count.
-    pub certificates: Arc<[InjectiveCertificate]>,
+    /// What the scans that cleared this entry's guard found. An
+    /// in-place dispatch writes a scatter target through the master
+    /// buffer only under facts that are injective and still cover the
+    /// scattered section in the live store (see [`IndexFacts::covers`]);
+    /// with none that do, it downgrades to the write-log. Shared, not
+    /// copied: a schedule cache hands a hit's facts over by reference
+    /// count.
+    pub facts: Arc<[IndexFacts]>,
 }
 
 impl Default for ParallelPlan {
@@ -262,7 +262,7 @@ impl ParallelPlan {
             fault: None,
             strategy: ExecutionStrategy::WriteLog,
             // An empty `Arc` slice allocates nothing.
-            certificates: Arc::default(),
+            facts: Arc::default(),
         }
     }
 
@@ -413,7 +413,7 @@ struct InPlaceSpec {
     slice: RawSlice,
     /// Per chunk, in chunk order: the window `(first flat index,
     /// length)`. Pairwise disjoint — except for a scatter target,
-    /// where every chunk gets the whole array and the certificate keeps
+    /// where every chunk gets the whole array and injective facts keep
     /// the written sets apart.
     windows: Vec<(usize, usize)>,
     /// Where the dispatch's windows start and what they held at
@@ -546,11 +546,11 @@ impl Chunks {
 /// The windows `target` gives the chunks of this dispatch, from its
 /// shape and the live store; `None` when the shape does not yield
 /// windows inside the array (the write-log then reproduces whatever the
-/// program does out there) or lacks its certificate.
+/// program does out there) or lacks its facts.
 fn chunk_windows(
     store: &Store,
     target: &InPlaceTarget,
-    certificates: &[InjectiveCertificate],
+    facts: &[IndexFacts],
     chunks: Chunks,
 ) -> Option<Vec<(usize, usize)>> {
     let len = store.array(target.array).len();
@@ -588,11 +588,10 @@ fn chunk_windows(
         }
         WriteShape::Scatter { index, off } => {
             let (slo, shi) = (lo.checked_add(off)?, hi.checked_add(off)?);
-            let certified = |c: &InjectiveCertificate| c.covers(store, index, slo, shi);
-            certificates
+            let certified = facts
                 .iter()
-                .any(certified)
-                .then(|| vec![(0, len); chunks.count])
+                .any(|f| f.injective() && f.covers(store, index, slo, shi));
+            certified.then(|| vec![(0, len); chunks.count])
         }
     }
 }
@@ -602,7 +601,7 @@ fn chunk_windows(
 /// are pure functions of the AST and of the plan's privatized and
 /// reduction lists, so a re-entered loop derives them once per pair of
 /// lists — still by the executor, still never read off the verdict.
-/// Windows, certificates and undo images depend on the live store and
+/// Windows, index facts and undo images depend on the live store and
 /// are derived at every dispatch, which shares the derived lists with
 /// the memo instead of copying them.
 #[derive(Default)]
@@ -656,7 +655,7 @@ fn prepare_in_place(
         if data.dims().len() != 1 {
             return None;
         }
-        let windows = chunk_windows(&interp.store, t, &plan.certificates, chunks)?;
+        let windows = chunk_windows(&interp.store, t, &plan.facts, chunks)?;
         // What a failed dispatch wrote to a target it never read, the
         // sequential fallback writes again — when the chunks did what
         // the sequential run does, which only a nest that reads no
@@ -2581,12 +2580,12 @@ mod tests {
     }
 
     /// `b(p(i)) = ...`: chunks write disjoint sets exactly when `p` is
-    /// injective on the section, which only the inspector's certificate
-    /// says — absent, stale, too short, about another array or issued
-    /// on another store, the same request runs under the write-log and
-    /// never writes `b` through the master's buffer.
+    /// injective on the section, which only the index scan's facts
+    /// say — absent, stale, too short, about another array, issued on
+    /// another store or not injective, the same request runs under the
+    /// write-log and never writes `b` through the master's buffer.
     #[test]
-    fn a_scatter_commits_in_place_only_under_a_live_certificate() {
+    fn a_scatter_commits_in_place_only_under_live_injective_facts() {
         let src = "program t
              integer i, p(8), q(8)
              real b(8), x(8)
@@ -2609,10 +2608,10 @@ mod tests {
         };
         let mut seq = fresh();
         seq.exec_stmt(lp).unwrap();
-        let dispatch = |master: &mut Interp<'_>, certificates: Vec<InjectiveCertificate>| {
+        let dispatch = |master: &mut Interp<'_>, facts: Vec<IndexFacts>| {
             let plan = ParallelPlan {
                 strategy: ExecutionStrategy::InPlaceDisjoint,
-                certificates: certificates.into(),
+                facts: facts.into(),
                 ..ParallelPlan::with_threads(3)
             };
             let got = exec_do_parallel(master, lp, &plan, 1, 8, 1).unwrap();
@@ -2620,7 +2619,9 @@ mod tests {
             got.strategy
         };
         let certify = |it: &Interp<'_>, a: &str, lo, hi| {
-            crate::certify_injective(&it.store, var(a), lo, hi).expect("injective")
+            let facts = IndexFacts::scan(&it.store, var(a), None, lo, hi).expect("in bounds");
+            assert!(facts.injective(), "{a}({lo}..={hi}) is injective");
+            facts
         };
         let mut master = fresh();
         let whole = certify(&master, "p", 1, 8);
@@ -2628,7 +2629,7 @@ mod tests {
             dispatch(&mut master, vec![whole]),
             ExecutionStrategy::InPlaceDisjoint
         );
-        // A certificate over more than the section covers it.
+        // Facts over more than the section cover it.
         let mut master = fresh();
         master.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7, 9]));
         let wider = certify(&master, "p", 1, 9);
@@ -2638,7 +2639,7 @@ mod tests {
         );
         for refused in ["none", "short", "other array", "other store", "stale"] {
             let mut master = fresh();
-            let certificates = match refused {
+            let facts = match refused {
                 "none" => vec![],
                 "short" => vec![certify(&master, "p", 1, 7)],
                 "other array" => vec![certify(&master, "q", 1, 8)],
@@ -2654,11 +2655,25 @@ mod tests {
                 }
             };
             assert_eq!(
-                dispatch(&mut master, certificates),
+                dispatch(&mut master, facts),
                 ExecutionStrategy::WriteLog,
                 "{refused}"
             );
         }
+        // Facts that cover the section but found a duplicate are no
+        // licence either: the request takes the write-log, whose commit
+        // catches the two chunks writing `b(3)`.
+        let mut master = fresh();
+        master.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 3]));
+        let duplicate = IndexFacts::scan(&master.store, var("p"), None, 1, 8).expect("in bounds");
+        assert!(!duplicate.injective() && duplicate.covers(&master.store, var("p"), 1, 8));
+        let plan = ParallelPlan {
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            facts: [duplicate].into(),
+            ..ParallelPlan::with_threads(3)
+        };
+        let got = exec_do_parallel(&mut master, lp, &plan, 1, 8, 1);
+        assert!(got.is_err(), "{got:?}");
     }
 
     /// A scatter target has no window to copy aside. In a nest that
@@ -2697,10 +2712,10 @@ mod tests {
             let mut seq = fresh();
             seq.exec_stmt(first_do(&p)).unwrap();
             let mut master = fresh();
-            let certificate = crate::certify_injective(&master.store, var("p"), 1, 8);
+            let facts = IndexFacts::scan(&master.store, var("p"), None, 1, 8);
             let plan = ParallelPlan {
                 strategy: ExecutionStrategy::InPlaceDisjoint,
-                certificates: certificate.into_iter().collect(),
+                facts: facts.into_iter().collect(),
                 ..ParallelPlan::with_threads(3)
             };
             let got = exec_do_parallel(&mut master, first_do(&p), &plan, 1, 8, 1).unwrap();

@@ -107,7 +107,7 @@ impl Case {
 }
 
 /// "The paper's programs": the five benchmarks at `scale`, then the
-/// worked [`figures`] — the corpus the sanitizer audit, the static lint
+/// worked [`figures()`] — the corpus the sanitizer audit, the static lint
 /// and the parity and chaos suites all start from.
 pub fn paper_cases(scale: Scale) -> Vec<Case> {
     let benchmarks = all(scale).into_iter().map(|b| Case::new(b.name, b.source));

@@ -26,7 +26,7 @@
 //! budget is exhausted the entry is dropped entirely and the next entry
 //! re-inspects from scratch.
 
-use irr_exec::InjectiveCertificate;
+use irr_exec::IndexFacts;
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,12 +68,11 @@ pub enum CacheProbe {
 struct Slot {
     key: ScheduleKey,
     parallel_ok: bool,
-    /// What the inspection behind `parallel_ok` certified: kept with
-    /// the key, so a hit on *any* live key of a loop hands its dispatch
-    /// the certificates of the scan that cleared that key, and eviction
-    /// drops both together. Shared: a hit hands them over by
-    /// reference count.
-    certificates: Arc<[InjectiveCertificate]>,
+    /// What the scans behind `parallel_ok` found: kept with the key,
+    /// so a hit on *any* live key of a loop hands its dispatch the facts
+    /// of the scans that cleared that key, and eviction drops both
+    /// together. Shared: a hit hands them over by reference count.
+    facts: Arc<[IndexFacts]>,
     /// Remaining entries this schedule is pinned sequential for; 0
     /// means not quarantined.
     quarantined: u32,
@@ -130,13 +129,13 @@ impl ScheduleCache {
         self.probe_certified(loop_stmt, key).0
     }
 
-    /// [`Self::probe`], and on a hit the certificates stored with the
+    /// [`Self::probe`], and on a hit the index facts stored with the
     /// schedule (see [`Self::insert_certified`]).
     pub fn probe_certified(
         &mut self,
         loop_stmt: StmtId,
         key: &ScheduleKey,
-    ) -> (CacheProbe, Arc<[InjectiveCertificate]>) {
+    ) -> (CacheProbe, Arc<[IndexFacts]>) {
         self.tick += 1;
         let tick = self.tick;
         match self.entries.get_mut(&loop_stmt) {
@@ -144,10 +143,7 @@ impl ScheduleCache {
             Some(slots) => match slots.iter_mut().find(|s| s.key == *key) {
                 Some(slot) => {
                     slot.last_used = tick;
-                    (
-                        CacheProbe::Hit(slot.parallel_ok),
-                        Arc::clone(&slot.certificates),
-                    )
+                    (CacheProbe::Hit(slot.parallel_ok), Arc::clone(&slot.facts))
                 }
                 None => (CacheProbe::Stale, Arc::default()),
             },
@@ -161,21 +157,21 @@ impl ScheduleCache {
         self.insert_certified(loop_stmt, key, parallel_ok, Arc::default());
     }
 
-    /// [`Self::insert`] with what the inspection certified on the way
-    /// to `parallel_ok`.
+    /// [`Self::insert`] with what the inspection's scans found on the
+    /// way to `parallel_ok`.
     pub fn insert_certified(
         &mut self,
         loop_stmt: StmtId,
         key: ScheduleKey,
         parallel_ok: bool,
-        certificates: Arc<[InjectiveCertificate]>,
+        facts: Arc<[IndexFacts]>,
     ) {
         self.tick += 1;
         let tick = self.tick;
         let slots = self.entries.entry(loop_stmt).or_default();
         if let Some(slot) = slots.iter_mut().find(|s| s.key == key) {
             slot.parallel_ok = parallel_ok;
-            slot.certificates = certificates;
+            slot.facts = facts;
             slot.quarantined = 0;
             slot.last_used = tick;
             return;
@@ -185,7 +181,7 @@ impl ScheduleCache {
             Slot {
                 key,
                 parallel_ok,
-                certificates,
+                facts,
                 quarantined: 0,
                 last_used: tick,
             },
@@ -209,7 +205,7 @@ impl ScheduleCache {
             }
             let slot = &mut slots[pos];
             slot.parallel_ok = false;
-            slot.certificates = Arc::default();
+            slot.facts = Arc::default();
             slot.quarantined = budget;
             slot.last_used = tick;
             return;
@@ -225,7 +221,7 @@ impl ScheduleCache {
             Slot {
                 key,
                 parallel_ok: false,
-                certificates: Arc::default(),
+                facts: Arc::default(),
                 quarantined: budget,
                 last_used: tick,
             },

@@ -18,7 +18,7 @@
 //! a cached verdict is reused as long as the guard's index arrays (and
 //! the loop's evaluated bounds) are unchanged — within a run,
 //! re-inspection happens per *mutation*, not per execution. The cache
-//! and the certificates live for one run, so between runs it still
+//! and the index facts live for one run, so between runs it still
 //! happens per execution. [`Telemetry`] counts inspections,
 //! cache hits/invalidations, and per-tier dispatches so the trade-off
 //! stays measurable (see `tests/hybrid_runtime.rs` and
@@ -36,8 +36,8 @@
 //! ([`HybridConfig::threads`]). A
 //! loop whose verdict carries in-place facts writes the master's
 //! buffers directly, each chunk confined to its own windows — or, for a
-//! scatter, under the [`InjectiveCertificate`] the guard's own
-//! inspection issued, which the [`ScheduleCache`] keeps with the
+//! scatter, under the injective [`IndexFacts`] the guard's own
+//! inspection found, which the [`ScheduleCache`] keeps with the
 //! schedule key it cleared and hands to every entry that hits that key.
 //! Everything else
 //! returns a write log, merged in `O(total writes)` with positional
@@ -54,7 +54,7 @@ pub use telemetry::Telemetry;
 use irr_driver::{CompilationReport, DispatchTier, GuardPlan, ResidualCheck, StrategyFacts};
 use irr_exec::{
     inspect_guard, Committed, ExecError, ExecOutcome, ExecutionStrategy, FallbackReason, FaultKind,
-    FaultPlan, InjectiveCertificate, Interp, LoopDecision, LoopDispatcher, ParallelPlan, Store,
+    FaultPlan, IndexFacts, Interp, LoopDecision, LoopDispatcher, ParallelPlan, Store,
 };
 use irr_frontend::{StmtId, VarId};
 use std::collections::HashMap;
@@ -265,7 +265,7 @@ impl HybridDispatcher {
         entry: &LoopEntry,
         chunks: usize,
         fault: Option<FaultKind>,
-        certificates: Arc<[InjectiveCertificate]>,
+        facts: Arc<[IndexFacts]>,
     ) -> ParallelPlan {
         // Every worker runs the typed loop: the master re-lowers before
         // dispatching and refuses the dispatch when that fails.
@@ -279,7 +279,7 @@ impl HybridDispatcher {
             } else {
                 ExecutionStrategy::WriteLog
             },
-            certificates,
+            facts,
             ..entry.plan.clone()
         }
     }
@@ -454,23 +454,23 @@ impl LoopDispatcher for HybridDispatcher {
                 let fault = if lo <= hi { self.decide_fault() } else { None };
                 let lie = fault == Some(FaultKind::LieInspector);
                 // A cached verdict comes with what its inspection
-                // certified: the certificates belong to the schedule
-                // key, not to the loop, so a hit on any live key of the
-                // loop commits under the scan that cleared that key.
+                // found: the facts belong to the schedule key, not to
+                // the loop, so a hit on any live key of the loop
+                // commits under the scan that cleared that key.
                 let hit = if lie {
                     // The inspector "passes" a guard it never ran. The
                     // forged verdict is deliberately not cached: the
                     // lie corrupts one dispatch, not the cache. It ran
-                    // no scan, so it carries no certificate either.
+                    // no scan, so it carries no facts either.
                     if let Some(plan) = self.fault.as_mut() {
                         plan.record_fired(FaultKind::LieInspector);
                     }
                     Some((true, Arc::default()))
                 } else {
                     match self.cache.probe_certified(loop_stmt, &key) {
-                        (CacheProbe::Hit(v), certificates) => {
+                        (CacheProbe::Hit(v), facts) => {
                             self.telemetry.cache_hits += 1;
-                            Some((v, certificates))
+                            Some((v, facts))
                         }
                         (probe, _) => {
                             if probe == CacheProbe::Stale {
@@ -480,21 +480,21 @@ impl LoopDispatcher for HybridDispatcher {
                         }
                     }
                 };
-                // A miss inspects, and the scan that clears the guard
-                // leaves the key's certificates.
-                let (parallel_ok, certificates) = hit.unwrap_or_else(|| {
+                // A miss inspects, and the scans that clear the guard
+                // leave the key's facts.
+                let (parallel_ok, facts) = hit.unwrap_or_else(|| {
                     let (inspected, run) = inspect_guard(store, guard, lo, hi);
                     self.telemetry.inspections_run += run;
                     let v = inspected.is_some();
-                    let certificates: Arc<[_]> = match inspected {
-                        Some(c) if !c.is_empty() => c.into(),
-                        _ => Arc::default(),
-                    };
-                    let cached = Arc::clone(&certificates);
+                    // An empty `Arc` slice allocates nothing.
+                    let facts = inspected
+                        .filter(|f| !f.is_empty())
+                        .map_or_else(Arc::default, Arc::from);
+                    let cached = Arc::clone(&facts);
                     self.cache
                         .insert_certified(loop_stmt, key.clone(), v, cached);
                     self.telemetry.cache_evictions = self.cache.evictions();
-                    (v, certificates)
+                    (v, facts)
                 });
                 if parallel_ok {
                     // Executor-level faults go live only on a dispatch
@@ -504,7 +504,7 @@ impl LoopDispatcher for HybridDispatcher {
                     self.telemetry.guarded_parallel += 1;
                     self.last_parallel = Some((loop_stmt, key));
                     let chunks = self.chunks_for(loop_stmt, lo, hi);
-                    LoopDecision::Parallel(self.plan_for(&entry, chunks, fault, certificates))
+                    LoopDecision::Parallel(self.plan_for(&entry, chunks, fault, facts))
                 } else {
                     self.telemetry.guarded_sequential += 1;
                     LoopDecision::Sequential

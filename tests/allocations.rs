@@ -9,9 +9,11 @@
 //! The five paper benchmarks at `Scale::Paper` made 37 433 allocations
 //! while every clone deep-copied its term and atom vectors; they make
 //! 16 298 with shared values; the bound leaves room for new analyses.
-//! The hybrid runtime's dispatch path is counted the same way.
+//! The hybrid runtime's dispatch path and its index scan are counted
+//! the same way.
 
 use irr_driver::{compile, compile_source, DriverOptions};
+use irr_exec::{inspect_injective, ArrayData, Store};
 use irr_frontend::{parse_program, VarId};
 use irr_programs::{all, Scale};
 use irr_runtime::{run_hybrid, HybridConfig};
@@ -148,5 +150,38 @@ fn a_guarded_reentry_stays_under_its_allocation_budget() {
         "{n} allocations for 100 guarded entries; 1 396 while a cache hit copied its \
          certificates, 1 997 while a one-chunk dispatch went through a job queue, 2 511 while \
          every chunk built an interpreter"
+    );
+}
+
+/// The index scan reads a section's range and order in one pass, and
+/// a non-decreasing section is injective exactly when it is strictly
+/// increasing: a strictly increasing section certifies with no bitmap
+/// and no sort. Only a section that is not monotone pays for one
+/// buffer: the bitmap over a dense range, the sorted copy of a sparse
+/// one.
+#[test]
+fn an_injectivity_scan_allocates_only_for_a_section_that_is_not_monotone() {
+    const N: i64 = 4096;
+    let p = parse_program("program t\n integer idx(1)\n end").expect("parses");
+    let idx = p.symbols.lookup("idx").expect("declared");
+    let scan = |values: Vec<i64>| {
+        let mut store = Store::new(&p);
+        let dims = [values.len()].into();
+        let data = values.into();
+        store.preset_array(idx, ArrayData::Int { data, dims });
+        allocations(|| inspect_injective(&store, idx, 1, N))
+    };
+    // 1031 is odd, so `k × 1031 mod 4096` permutes the positions.
+    let scrambled = || (0..N).map(|k| k * 1031 % N + 1);
+    assert_eq!(scan((1..=N).collect()), (true, 0), "strictly increasing");
+    assert_eq!(
+        scan(scrambled().collect()),
+        (true, 1),
+        "a permutation: the bitmap"
+    );
+    assert_eq!(
+        scan(scrambled().map(|v| v * 9973).collect()),
+        (true, 1),
+        "sparse and not monotone: the sort buffer"
     );
 }

@@ -450,7 +450,7 @@ fn a_stale_certificate_is_never_written_through() {
     // is stale, the guard re-inspects, and the dispatch runs under a
     // *fresh* certificate: the old one names a write-version of `p`
     // that is gone, and the executor would refuse it (see
-    // `a_scatter_commits_in_place_only_under_a_live_certificate` in
+    // `a_scatter_commits_in_place_only_under_live_injective_facts` in
     // `irr_exec`, which hands it one).
     let rep = compiled(MUTATED_SWEEP_SRC);
     let v = rep.verdict("T/do20").unwrap();

@@ -215,12 +215,14 @@ fn a_run_copies_only_the_presets_it_writes() {
 
 /// The runtime inspectors survive 10M-nonzero index arrays: the
 /// offset–length scan over a 10M-element prefix-sum chain, the bitmap
-/// injectivity scan over a 10M permutation (dense range), and its
-/// sorting fallback over 10M widely-scattered values. Inspectors are called directly on a preset store — no
-/// interpreted initialization loops — so the test stays fast.
+/// injectivity scan over a 10M permutation (dense range), over 10M
+/// widely-scattered values in order (monotone: no bitmap, no sort) and
+/// its sorting fallback over the same values permuted. Inspectors are
+/// called directly on a preset store — no interpreted initialization
+/// loops — so the test stays fast.
 #[test]
 fn inspectors_survive_ten_million_nonzeros() {
-    use irr_repro::exec::{inspect_injective, inspect_offset_length, Inspection};
+    use irr_repro::exec::{inspect_injective, inspect_offset_length};
     use irr_repro::frontend::parse_program;
     use irr_repro::sparse::{generate, int_array, random_permutation, MatrixSpec};
 
@@ -244,38 +246,36 @@ fn inspectors_survive_ten_million_nonzeros() {
         p.symbols.lookup("perm").unwrap(),
         p.symbols.lookup("wide").unwrap(),
     );
+    let permutation = random_permutation(NNZ, 7);
+    // Widely-scattered distinct values: range ~1000x the section. In
+    // order they are strictly increasing, which certifies with no
+    // bitmap and no sort.
+    let scattered: Vec<i64> = (1..=NNZ as i64).map(|k| k * 1009).collect();
     let mut it = Interp::new(&p);
     it.preset_array(ptr, int_array(&m.ptr));
     it.preset_array(len, int_array(&m.len));
-    it.preset_array(perm, int_array(&random_permutation(NNZ, 7)));
-    // Widely-scattered distinct values: range ~1000x the section, so
-    // the inspector sorts instead of marking a bitmap.
-    let scattered: Vec<i64> = (1..=NNZ as i64).map(|k| k * 1009).collect();
+    it.preset_array(perm, int_array(&permutation));
     it.preset_array(wide, int_array(&scattered));
+    drop(scattered);
     let store = it.run().unwrap().store;
 
-    assert_eq!(
-        inspect_offset_length(&store, ptr, len, 1, ROWS as i64),
-        Inspection::ParallelOk
-    );
-    assert_eq!(
-        inspect_injective(&store, perm, 1, NNZ as i64),
-        Inspection::ParallelOk
-    );
-    assert_eq!(
-        inspect_injective(&store, wide, 1, NNZ as i64),
-        Inspection::ParallelOk
-    );
-    // A single duplicate at the far end must still be caught.
-    let mut broken = random_permutation(NNZ, 7);
+    assert!(inspect_offset_length(&store, ptr, len, 1, ROWS as i64));
+    assert!(inspect_injective(&store, perm, 1, NNZ as i64));
+    assert!(inspect_injective(&store, wide, 1, NNZ as i64));
+    drop(store);
+    // The same values permuted are not monotone, so the inspector sorts
+    // instead of marking a bitmap. A single duplicate at the far end of
+    // the permutation must still be caught.
+    let permuted: Vec<i64> = permutation.iter().map(|k| k * 1009).collect();
+    let mut broken = permutation;
     broken[NNZ - 1] = broken[0];
     let mut it2 = Interp::new(&p);
     it2.preset_array(perm, int_array(&broken));
+    it2.preset_array(wide, int_array(&permuted));
+    drop((broken, permuted));
     let store2 = it2.run().unwrap().store;
-    assert_eq!(
-        inspect_injective(&store2, perm, 1, NNZ as i64),
-        Inspection::Sequential
-    );
+    assert!(inspect_injective(&store2, wide, 1, NNZ as i64));
+    assert!(!inspect_injective(&store2, perm, 1, NNZ as i64));
 }
 
 /// Every producer kernel's consumer loop promotes to compile-time
