@@ -148,7 +148,12 @@ use std::time::{Duration, Instant};
 /// - *A `Window` pin is a narrowed view of the master's buffer*: the
 ///   `RawSlice` `prepare_in_place` took after forcing uniqueness,
 ///   rebased so that `origin`, `dim0`/`len` and `ip`/`fp` describe the
-///   chunk's window alone. `chk`, which every load and store already
+///   chunk's window alone. On a snapshot the pin's payload is shared
+///   with the snapshot; on a lone chunk run on the master it is the
+///   master's own buffer, with no snapshot beside it and no other chunk
+///   — the typed loop is the only thing touching the master's store
+///   until the call returns, and the flush leaves a window target's
+///   version to the dispatch. `chk`, which every load and store already
 ///   passes, thus admits exactly the window, and the dispatch gives the
 ///   chunks of a target disjoint windows (a scatter target: the whole
 ///   array, stored to through a certified-injective index section and,
@@ -156,8 +161,11 @@ use std::time::{Duration, Instant};
 ///   another worker writes. Targets are 1-D: no `IndexN` reaches one.
 /// - *An `Append` pin never writes a payload*: stores go to the worker's
 ///   buffer; `ip`/`fp` serve bounds and reads, as for a read-only slot.
-/// - *Pins never outlive one `run_fast_iters` call*: they live in its
-///   `FState`, and their sinks go back to the worker before it returns.
+/// - *Pins never outlive one `run_fast_iters` call*: they live in the
+///   `FState` it runs in, which may be kept for the next call, but the
+///   flush drains them and their sinks go back to the worker before it
+///   returns (a call that unwinds leaves them to the next
+///   [`FState::enter`], which drops them unread).
 ///
 /// Every index reaching `rd_*`/`wr_*` has passed `chk` (or `IndexN`'s
 /// per-dimension check) against the extents cached here, and
@@ -1038,9 +1046,12 @@ where
 }
 
 /// Per-entry run state: the typed register planes, pinned payloads,
-/// and the local fuel/cost ledger flushed back on every exit.
+/// and the local fuel/cost ledger flushed back on every exit. Its
+/// vectors outlive the entry: an interpreter keeps one for its typed
+/// entries and one-chunk dispatches ([`crate::interp::ProgramScope`]),
+/// and [`FState::enter`] resets it in place.
 #[derive(Default)]
-struct FState {
+pub(crate) struct FState {
     ir: Vec<i64>,
     fr: Vec<f64>,
     pins: Vec<RawPin>,
@@ -1074,6 +1085,29 @@ struct FState {
 }
 
 impl FState {
+    /// Readies this state for an entry of `cb` with `fuel` left: zeroed
+    /// planes and loop counters of `cb`'s sizes, no pins, nothing spent.
+    /// Reuses every vector's allocation.
+    fn enter(&mut self, cb: &CompiledBody, fuel: u64, deadline: Option<(Instant, Duration)>) {
+        fn zeroed<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
+            v.clear();
+            v.resize(n, T::default());
+        }
+        zeroed(&mut self.ir, cb.int_registers());
+        zeroed(&mut self.fr, cb.real_registers());
+        zeroed(&mut self.linv, cb.inner_loops().len());
+        zeroed(&mut self.lcost, cb.inner_loops().len());
+        // Empty unless the last entry unwound.
+        self.pins.clear();
+        self.pins.reserve(cb.arrays().len());
+        (self.fuel, self.spent, self.streamed, self.stream_iters) = (fuel, 0, 0, 0);
+        #[cfg(test)]
+        {
+            self.probe = Probe::default();
+        }
+        self.deadline = deadline;
+    }
+
     /// A worker's checks between two iterations (or strips) of any loop:
     /// its deadline, and whether an append sink refused a store. A
     /// sequential entry, and a worker with neither, test one flag.
@@ -1652,24 +1686,18 @@ impl<S> Run<'_, S> {
     /// [`WorkerChunk`]). Either way every scalar the nest can assign —
     /// the root induction variable, left one past the range, included —
     /// is written back to the store on every exit.
+    ///
+    /// `st` is the register planes and pin vector to run in: whatever it
+    /// held is reset, and it comes back with its pins released, so a run
+    /// that keeps one across its entries allocates them once.
     pub(crate) fn run_fast_iters(
         &mut self,
         cb: &CompiledBody,
-        lo: i64,
-        hi: i64,
-        step: i64,
+        (lo, hi, step): (i64, i64, i64),
         mut worker: Option<&mut WorkerChunk>,
+        st: &mut FState,
     ) -> Result<(), ChunkAbort> {
-        let mut st = FState {
-            ir: vec![0; cb.int_registers()],
-            fr: vec![0.0; cb.real_registers()],
-            pins: Vec::with_capacity(cb.arrays().len()),
-            fuel: self.fuel,
-            linv: vec![0; cb.inner_loops().len()],
-            lcost: vec![0; cb.inner_loops().len()],
-            deadline: worker.as_deref().and_then(|w| w.deadline),
-            ..FState::default()
-        };
+        st.enter(cb, self.fuel, worker.as_deref().and_then(|w| w.deadline));
         for (k, (&a, &stored)) in cb.arrays().iter().zip(cb.stored()).enumerate() {
             let sink = match worker.as_deref_mut() {
                 Some(w) => w.sinks[k].take(),
@@ -1699,7 +1727,7 @@ impl<S> Run<'_, S> {
         let append = |p: &RawPin| matches!(p.sink, Some(WriteSink::Append { .. }));
         st.watched = st.deadline.is_some() || st.pins.iter().any(append);
         let var = (cb.root_reg(), cb.root_real());
-        let res = self.run_do(cb, 0, var, cb.root(), (lo, hi, step), &mut st);
+        let res = self.run_do(cb, 0, var, cb.root(), (lo, hi, step), st);
         // A refused store stops the chunk however else it ended.
         let res = st.refused(cb).map_or(res, |a| Err(ChunkAbort::Violated(a)));
         // Flush on every exit — success or error — so observable
@@ -1710,8 +1738,12 @@ impl<S> Run<'_, S> {
         #[cfg(test)]
         self.probe.add(&st.probe);
         self.fuel = st.fuel;
-        for (k, (&a, p)) in cb.arrays().iter().zip(st.pins).enumerate() {
-            if p.writes > 0 {
+        for (k, (&a, p)) in cb.arrays().iter().zip(st.pins.drain(..)).enumerate() {
+            // A window's stores are its dispatch's to count: a committed
+            // one bumps the target once, a failed one not at all — and on
+            // a one-chunk dispatch this store is the master.
+            let window = matches!(p.sink, Some(WriteSink::Window(_)));
+            if p.writes > 0 && !window {
                 self.store.bump_version_by(a, p.writes);
             }
             if let Some(w) = worker.as_deref_mut() {

@@ -80,6 +80,7 @@
 
 mod fast;
 
+pub(crate) use fast::FState;
 pub use irr_driver::compiled::{lower_do_loop, CompiledBody, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
@@ -1457,7 +1458,8 @@ mod tests {
                     .map(|&w| w.then_some(WriteSink::Direct))
                     .collect(),
             };
-            let res = it.run_fast_iters(&cb, 1, 3000, 1, Some(&mut share));
+            let res =
+                it.run_fast_iters(&cb, (1, 3000, 1), Some(&mut share), &mut FState::default());
             let z = it
                 .store
                 .array_as_reals(p.symbols.lookup("z").unwrap())
@@ -1520,7 +1522,7 @@ mod tests {
                 deadline: Some((Instant::now(), Duration::from_millis(5))),
                 sinks: Vec::new(),
             };
-            let res = it.run_fast_iters(&cb, 1, 1, 1, Some(&mut share));
+            let res = it.run_fast_iters(&cb, (1, 1, 1), Some(&mut share), &mut FState::default());
             assert!(matches!(res, Err(ChunkAbort::TimedOut)), "{inner}: {res:?}");
             assert_eq!(it.probe.typed_root_iters, 1);
         }

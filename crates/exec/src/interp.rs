@@ -1,6 +1,6 @@
 //! The instrumenting tree-walking interpreter.
 
-use crate::bytecode::{lower_do_loop, ChunkAbort, CompiledBody};
+use crate::bytecode::{lower_do_loop, ChunkAbort, CompiledBody, FState};
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
@@ -181,7 +181,8 @@ impl ElemColumn {
 /// The in-place strategy executor derives one per target from the
 /// *master* store (after forcing payload uniqueness with
 /// [`Store::payload_raw`]) and hands copies to the workers, whose snapshots
-/// share the same allocation. A worker reaches the buffer only through
+/// share the same allocation — or to the lone chunk that runs on the
+/// master itself. A worker reaches the buffer only through
 /// its [`InPlaceWindow`], so no two threads ever touch the same
 /// element. Each carries the buffer's length, for the debug-build
 /// audit of every access through it.
@@ -202,8 +203,10 @@ pub(crate) enum RawSlice {
 // pin, and `WorkerPool::dispatch` does not return, normally or by
 // unwinding, while its closure is running for any chunk or could still
 // be called for one (the barrier in `pool.rs`), whichever thread runs
-// it. The master store owns the Arc'd payload for that whole dispatch,
-// so the pointee outlives every access.
+// it. A lone chunk that borrows the master runs on the dispatching
+// thread, inside the dispatch, with no snapshot and no other chunk. The
+// master store owns the Arc'd payload for that whole dispatch, so the
+// pointee outlives every access.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
@@ -245,13 +248,22 @@ impl TypedBuf {
         }
     }
 
-    /// A copy of `range` of `data`: the undo image of an in-place
+    /// Becomes a copy of `range` of `data`, in this buffer's allocation
+    /// when it holds the same type: the undo image of an in-place
     /// window ([`TypedBuf::scatter_into`] over the same range restores
     /// it).
-    pub(crate) fn copy_of(data: &ArrayData, range: std::ops::Range<usize>) -> TypedBuf {
-        match data {
-            ArrayData::Int { data, .. } => TypedBuf::Int(data[range].to_vec()),
-            ArrayData::Real { data, .. } => TypedBuf::Real(data[range].to_vec()),
+    pub(crate) fn copy_from(&mut self, data: &ArrayData, range: std::ops::Range<usize>) {
+        match (data, &mut *self) {
+            (ArrayData::Int { data, .. }, TypedBuf::Int(v)) => {
+                v.clear();
+                v.extend_from_slice(&data[range]);
+            }
+            (ArrayData::Real { data, .. }, TypedBuf::Real(v)) => {
+                v.clear();
+                v.extend_from_slice(&data[range]);
+            }
+            (ArrayData::Int { data, .. }, _) => *self = TypedBuf::Int(data[range].to_vec()),
+            (ArrayData::Real { data, .. }, _) => *self = TypedBuf::Real(data[range].to_vec()),
         }
     }
 
@@ -700,6 +712,11 @@ pub(crate) struct Probe {
     pub(crate) seg_shapes: [u64; 3],
     /// Holds segmented streams off: every row on the per-row path.
     pub(crate) segs_off: bool,
+    /// Parallel chunks the master ran itself, on no snapshot.
+    pub(crate) master_chunks: u64,
+    /// Holds a lone parallel chunk to a snapshot: every dispatch on the
+    /// path of many chunks, to compare with the chunk on the master.
+    pub(crate) snapshots: bool,
 }
 
 #[cfg(test)]
@@ -727,6 +744,14 @@ pub struct ProgramScope {
     /// under the affinity the run itself has and no run inherits a
     /// thread another run's fault injection left sleeping.
     pub(crate) pool: Option<WorkerPool>,
+    /// The register planes and pin vector every typed loop the master
+    /// runs itself — a sequential entry, or the one chunk of a
+    /// dispatch — runs in, kept between entries for their allocations:
+    /// the master runs one at a time, so one set serves every loop.
+    pub(crate) planes: FState,
+    /// What the parallel dispatches keep between entries for the same
+    /// reason: windows, undo images, sinks and saved scalars.
+    pub(crate) buffers: crate::parallel::DispatchBuffers,
 }
 
 /// What a run derives once of one loop statement. Both halves are pure
@@ -736,7 +761,7 @@ pub struct ProgramScope {
 pub(crate) struct LoopMemo {
     /// The nest's lowering (`None` records a rejection); `Arc` lets
     /// parallel workers share one body.
-    body: Option<Arc<CompiledBody>>,
+    pub(crate) body: Option<Arc<CompiledBody>>,
     /// The parallel executor's own strategy derivations.
     pub(crate) shapes: crate::parallel::DerivedShapes,
 }
@@ -1090,7 +1115,10 @@ impl<'p> Interp<'p> {
                 let mut iter_costs: Vec<u64> = Vec::new();
                 if let Some(cb) = typed {
                     // It writes the final induction value back itself.
-                    match self.run_fast_iters(&cb, lo, hi, step, None) {
+                    let mut planes = std::mem::take(&mut self.scope.planes);
+                    let ran = self.run_fast_iters(&cb, (lo, hi, step), None, &mut planes);
+                    self.scope.planes = planes;
+                    match ran {
                         Ok(()) => dispatcher.compiled_committed(s),
                         Err(ChunkAbort::Exec(e)) => return Err(e),
                         Err(_) => unreachable!("a sequential entry has no deadline or sink"),

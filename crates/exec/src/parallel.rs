@@ -34,6 +34,18 @@
 //! scalars the commit reads (the reductions and the concat pointer) and
 //! its statistics; its store clone is dropped with it.
 //!
+//! **A lone chunk borrows the master.** A dispatch of one chunk whose
+//! every sink is a window or an append buffer — in place, or by concat,
+//! with nothing privatized stored and nothing logged — runs the typed
+//! loop on the master itself, in the register planes the master keeps
+//! between entries: its stores land in the master's buffers inside its
+//! windows or in its buffers, and no other chunk exists to write what it
+//! reads, so the snapshot would protect nothing. It takes no clone, no
+//! pool, no outcome vector and no aggregation; what the typed loop
+//! changes of the master beyond its windows (the scalars the nest
+//! assigns, the statistics, the fuel) is saved at hand-off and put back
+//! wherever the snapshot path would have left it untouched.
+//!
 //! # One commit
 //!
 //! A single two-phase commit walks the body's pin slots across the
@@ -47,7 +59,8 @@
 //! it applies: logged columns replayed, append buffers concatenated in
 //! chunk order, window targets' versions bumped, reductions combined
 //! under the plan's [`ReduceOp`]. Worker statistics and fuel are
-//! aggregated into the master (`ExecStats::absorb`).
+//! aggregated into the master (`ExecStats::absorb`) — a lone chunk on
+//! the master spent them there already.
 //!
 //! The property-based soundness tests use this to assert: *loops judged
 //! parallel produce exactly the sequential result, with no conflicting
@@ -116,7 +129,7 @@
 //!   re-validated dynamically (contiguous positions, pointer delta ==
 //!   buffer length per chunk).
 
-use crate::bytecode::{ChunkAbort, CompiledBody, WorkerChunk};
+use crate::bytecode::{ChunkAbort, CompiledBody, FState, WorkerChunk};
 use crate::fault::FaultKind;
 use crate::interp::{
     ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Run, Store, TypedBuf, Value,
@@ -125,7 +138,8 @@ use crate::interp::{
 use crate::pool::WorkerPool;
 use crate::runtime_test::IndexFacts;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
-use irr_frontend::{Program, StmtId, StmtKind, VarId};
+use irr_frontend::{Program, ScalarType, StmtId, StmtKind, VarId};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -390,9 +404,10 @@ impl ParallelError {
 /// What one chunk hands back: the sinks it ran with, filled — what the
 /// commit reads its element writes from — the final values of the
 /// scalars the commit reads, and the statistics the master aggregates.
-/// Its snapshot store is gone by then: a live snapshot would still share
-/// each concat target's payload with the master, and the commit's first
-/// write to the target would copy it whole.
+/// A snapshot's chunk hands it back with its store gone: a live
+/// snapshot would still share each concat target's payload with the
+/// master, and the commit's first write to the target would copy it
+/// whole.
 struct ChunkOutcome {
     /// One per pin slot of the body, as the chunk was handed them
     /// ([`WorkerChunk::sinks`]).
@@ -405,29 +420,65 @@ struct ChunkOutcome {
     probe: crate::interp::Probe,
 }
 
-/// One in-place target of a dispatch: the master buffer and what each
-/// chunk may touch of it.
+/// One in-place target of a dispatch: the master buffer, and where its
+/// windows start when they were copied aside.
+#[derive(Clone, Copy)]
 struct InPlaceSpec {
     var: VarId,
     /// Element 0 of the master's buffer.
     slice: RawSlice,
-    /// Per chunk, in chunk order: the window `(first flat index,
-    /// length)`. Pairwise disjoint — except for a scatter target,
-    /// where every chunk gets the whole array and injective facts keep
-    /// the written sets apart.
+    /// Where the dispatch's windows start, when [`InPlace::held`] has
+    /// what they held at hand-off, to put back if the dispatch does not
+    /// commit; `None` for a target the sequential fallback is sure to
+    /// rewrite ([`prepare_in_place`]).
+    undo: Option<usize>,
+}
+
+/// The in-place targets of a dispatch and what each chunk may touch of
+/// them. The run keeps it between dispatches ([`DispatchBuffers`]) and
+/// [`prepare_in_place`] refills it, so a re-entered loop reuses its
+/// vectors.
+#[derive(Default)]
+pub(crate) struct InPlace {
+    specs: Vec<InPlaceSpec>,
+    /// How many chunks the dispatch has.
+    chunks: usize,
+    /// Per target, in target order, its chunks' windows `(first flat
+    /// index, length)` in chunk order: target `k`'s are
+    /// `windows[k * chunks..][..chunks]`. Pairwise disjoint per target —
+    /// except for a scatter target, where every chunk gets the whole
+    /// array and injective facts keep the written sets apart.
     windows: Vec<(usize, usize)>,
-    /// Where the dispatch's windows start and what they held at
-    /// hand-off, to put back if the dispatch does not commit; `None`
-    /// for a target the sequential fallback is sure to rewrite
-    /// ([`prepare_in_place`]).
-    undo: Option<(usize, TypedBuf)>,
+    /// Per target, what its windows held at hand-off, where its spec
+    /// has an `undo` start.
+    held: Vec<TypedBuf>,
+}
+
+/// What the master keeps for a chunk it runs itself ([`on_master`]):
+/// the chunk's sinks, the finals it hands the commit, and the master's
+/// assigned scalars and inner-loop statistics as they were at hand-off.
+#[derive(Default)]
+pub(crate) struct MasterChunk {
+    sinks: Vec<Option<WriteSink>>,
+    finals: Vec<Value>,
+    scalars: Vec<Value>,
+    loops: Vec<Option<(u64, u64)>>,
+}
+
+/// What a run's parallel dispatches keep between entries, for the
+/// allocations: the vectors a re-entered loop would otherwise build
+/// again every time.
+#[derive(Default)]
+pub(crate) struct DispatchBuffers {
+    in_place: InPlace,
+    master: MasterChunk,
 }
 
 /// The write-back mode a dispatch actually runs with, after the
 /// executor re-derived (or failed to re-derive) the plan's strategy.
-enum Mode {
+enum Mode<'k> {
     WriteLog,
-    InPlace(Vec<InPlaceSpec>),
+    InPlace(&'k InPlace),
     Concat {
         ptr: VarId,
         targets: Arc<[VarId]>,
@@ -435,7 +486,7 @@ enum Mode {
     },
 }
 
-impl Mode {
+impl Mode<'_> {
     fn strategy(&self) -> ExecutionStrategy {
         match self {
             Mode::WriteLog => ExecutionStrategy::WriteLog,
@@ -452,29 +503,30 @@ impl Mode {
         }
     }
 
-    /// The sinks chunk `widx` stores through, one per pin slot of
-    /// `body` ([`WorkerChunk::sinks`]): its window of an in-place
-    /// target, a fresh append buffer for a concat target, the worker's
-    /// own copy for privatized scratch (the commit has no use for it),
-    /// and a logged column for anything else — except in place, where
-    /// the derivation admits no other stored array. Each strategy's
-    /// rules live in these sinks, and [`commit`] walks them.
+    /// Fills `out` with the sinks chunk `widx` stores through, one per
+    /// pin slot of `body` ([`WorkerChunk::sinks`]): its window of an
+    /// in-place target, a fresh append buffer for a concat target, the
+    /// worker's own copy for privatized scratch (the commit has no use
+    /// for it), and a logged column for anything else — except in
+    /// place, where the derivation admits no other stored array. Each
+    /// strategy's rules live in these sinks, and [`commit`] walks them.
     fn sinks(
         &self,
         program: &Program,
         plan: &ParallelPlan,
         body: &CompiledBody,
         widx: usize,
-    ) -> Vec<Option<WriteSink>> {
+        out: &mut Vec<Option<WriteSink>>,
+    ) {
         let sink = |a: VarId| {
             let ty = program.symbols.var(a).ty;
             match self {
-                Mode::InPlace(specs) => match specs.iter().find(|s| s.var == a) {
-                    Some(s) => WriteSink::Window(InPlaceWindow {
-                        slice: s.slice,
-                        lo: s.windows[widx].0,
-                        len: s.windows[widx].1,
-                    }),
+                Mode::InPlace(ip) => match ip.specs.iter().position(|s| s.var == a) {
+                    Some(k) => {
+                        let (lo, len) = ip.windows[k * ip.chunks + widx];
+                        let slice = ip.specs[k].slice;
+                        WriteSink::Window(InPlaceWindow { slice, lo, len })
+                    }
                     None => WriteSink::Direct,
                 },
                 Mode::Concat { targets, p0, .. } if targets.contains(&a) => WriteSink::Append {
@@ -485,8 +537,9 @@ impl Mode {
                 _ => WriteSink::Logged(ElemColumn::new(a, ty)),
             }
         };
+        out.clear();
         let slots = body.arrays().iter().zip(body.stored());
-        slots.map(|(&a, &stored)| stored.then(|| sink(a))).collect()
+        out.extend(slots.map(|(&a, &stored)| stored.then(|| sink(a))));
     }
 
     /// Puts back what the in-place targets with an undo image held at
@@ -494,16 +547,24 @@ impl Mode {
     /// here, so the sequential fallback starts from the state the
     /// dispatch started from — up to the targets that have no image
     /// because the fallback rewrites every location the chunks wrote.
-    fn roll_back(&self, interp: &mut Interp<'_>) {
-        let Mode::InPlace(specs) = self else {
+    fn roll_back(&self, store: &mut Store) {
+        let Mode::InPlace(ip) = self else {
             return;
         };
-        for s in specs {
-            if let Some((from, held)) = &s.undo {
-                held.scatter_into(interp.store.array_mut(s.var), *from..);
+        for (s, held) in ip.specs.iter().zip(&ip.held) {
+            if let Some(from) = s.undo {
+                held.scatter_into(store.array_mut(s.var), from..);
             }
         }
     }
+}
+
+/// Whether every sink stores into a window of the master's buffers or
+/// an append buffer — never into a store's own payload — so a lone
+/// chunk can run on the master itself.
+fn borrows_master(sinks: &[Option<WriteSink>]) -> bool {
+    let master_safe = |s: &WriteSink| matches!(s, WriteSink::Window(_) | WriteSink::Append { .. });
+    sinks.iter().flatten().all(master_safe)
 }
 
 /// How a dispatch splits its iteration space `lo..lo + n`: `count`
@@ -543,16 +604,18 @@ impl Chunks {
     }
 }
 
-/// The windows `target` gives the chunks of this dispatch, from its
-/// shape and the live store; `None` when the shape does not yield
-/// windows inside the array (the write-log then reproduces whatever the
-/// program does out there) or lacks its facts.
+/// Appends to `out` the windows `target` gives the chunks of this
+/// dispatch, one per chunk in chunk order, from its shape and the live
+/// store; `None` when the shape does not yield windows inside the array
+/// (the write-log then reproduces whatever the program does out there)
+/// or lacks its facts — `out` may then hold some of them.
 fn chunk_windows(
     store: &Store,
     target: &InPlaceTarget,
     facts: &[IndexFacts],
     chunks: Chunks,
-) -> Option<Vec<(usize, usize)>> {
+    out: &mut Vec<(usize, usize)>,
+) -> Option<()> {
     let len = store.array(target.array).len();
     let (lo, hi) = (chunks.lo, chunks.hi());
     match target.shape {
@@ -565,35 +628,44 @@ fn chunk_windows(
             }
             let window =
                 |(clo, chi): (i64, i64)| ((clo + off - 1) as usize, (chi - clo + 1) as usize);
-            Some(chunks.iter().map(window).collect())
+            out.extend(chunks.iter().map(window));
         }
         WriteShape::Segment { ptr } => {
-            // One boundary per chunk start plus the end, off the live
-            // `ptr` (the nest does not write it). They must rise and
-            // stay inside the target for the windows to tile.
+            // Chunk `t` owns `[ptr(clo), ptr(clo'))`, `clo'` the next
+            // chunk's first row (or `hi + 1`), off the live `ptr` (the
+            // nest does not write it). The boundaries must rise for the
+            // windows to tile, and the whole tiling lie inside the
+            // target — or be empty: rows that write nothing may sit
+            // anywhere.
             let bound =
                 |i: i64| store.element_as_int(ptr, usize::try_from(i.checked_sub(1)?).ok()?);
-            let mut bounds = Vec::with_capacity(chunks.count + 1);
-            for (clo, _) in chunks.iter() {
-                bounds.push(bound(clo)?);
+            let (first, last) = (bound(lo)?, bound(hi.checked_add(1)?)?);
+            let empty = first == last;
+            (empty || (first >= 1 && last as u64 <= len as u64 + 1)).then_some(())?;
+            let mut from = first;
+            for t in 1..=chunks.count {
+                let to = match t < chunks.count {
+                    true => bound(chunks.bounds(t).0)?,
+                    false => last,
+                };
+                (from <= to).then_some(())?;
+                out.push(match empty {
+                    true => (0, 0),
+                    false => ((from - 1) as usize, (to - from) as usize),
+                });
+                from = to;
             }
-            bounds.push(bound(hi.checked_add(1)?)?);
-            let tiled = bounds[0] >= 1
-                && bounds.windows(2).all(|b| b[0] <= b[1])
-                && bounds[chunks.count] as u64 <= len as u64 + 1;
-            tiled.then(|| {
-                let window = |b: &[i64]| ((b[0] - 1) as usize, (b[1] - b[0]) as usize);
-                bounds.windows(2).map(window).collect()
-            })
         }
         WriteShape::Scatter { index, off } => {
             let (slo, shi) = (lo.checked_add(off)?, hi.checked_add(off)?);
             let certified = facts
                 .iter()
                 .any(|f| f.injective() && f.covers(store, index, slo, shi));
-            certified.then(|| vec![(0, len); chunks.count])
+            certified.then_some(())?;
+            out.extend(std::iter::repeat_n((0, len), chunks.count));
         }
     }
+    Some(())
 }
 
 /// The executor's own strategy derivations for one loop statement,
@@ -612,6 +684,14 @@ pub(crate) struct DerivedShapes {
     concat: Option<Option<(VarId, Arc<[VarId]>)>>,
 }
 
+/// What the executor's own derivation made of a plan's strategy, before
+/// the live store is consulted.
+enum Derived {
+    WriteLog,
+    InPlace(Arc<[InPlaceTarget]>),
+    Concat(VarId, Arc<[VarId]>),
+}
+
 impl DerivedShapes {
     /// This memo, emptied if `plan` names other lists than the ones it
     /// was derived under.
@@ -626,36 +706,66 @@ impl DerivedShapes {
         }
         self
     }
+
+    /// The shapes behind `strategy` for `loop_stmt` under these lists,
+    /// derived on first use; [`Derived::WriteLog`] when they do not
+    /// derive.
+    fn derive(
+        &mut self,
+        program: &Program,
+        loop_stmt: StmtId,
+        strategy: ExecutionStrategy,
+    ) -> Derived {
+        let (privatized, reductions) = (&self.privatized, &self.reductions);
+        let derived = match strategy {
+            ExecutionStrategy::WriteLog => None,
+            ExecutionStrategy::InPlaceDisjoint => (self.in_place)
+                .get_or_insert_with(|| {
+                    irr_driver::derive_in_place_facts(program, loop_stmt, privatized, reductions)
+                        .map(Arc::from)
+                })
+                .clone()
+                .map(Derived::InPlace),
+            ExecutionStrategy::PrivatizeAndConcat => (self.concat)
+                .get_or_insert_with(|| {
+                    irr_driver::derive_concat_shape(program, loop_stmt, privatized, reductions)
+                        .map(|(ptr, targets)| (ptr, Arc::from(targets)))
+                })
+                .clone()
+                .map(|(ptr, targets)| Derived::Concat(ptr, targets)),
+        };
+        derived.unwrap_or(Derived::WriteLog)
+    }
 }
 
-/// Re-derives the in-place shapes for this dispatch and prepares the
-/// master buffers, undo images included. Returns `None` — downgrade to
-/// the write-log — when the derivation fails, a target is not
-/// one-dimensional, a shape yields no windows ([`chunk_windows`]), or
-/// a scatter target would need an undo image.
+/// Prepares the master buffers of the in-place `targets` for this
+/// dispatch into `ip`: their windows, and undo images where a failed
+/// dispatch would leave the fallback a target it does not rewrite.
+/// Returns `None` — downgrade to the write-log — when a target is not
+/// one-dimensional, a shape yields no windows ([`chunk_windows`]), or a
+/// scatter target would need an undo image.
 fn prepare_in_place(
-    interp: &mut Interp<'_>,
-    loop_stmt: StmtId,
-    plan: &ParallelPlan,
+    store: &mut Store,
+    targets: &[InPlaceTarget],
+    facts: &[IndexFacts],
     chunks: Chunks,
-) -> Option<Vec<InPlaceSpec>> {
-    let program = interp.program();
-    let memo = interp.memo(loop_stmt).shapes.keyed(plan);
-    let facts = (memo.in_place)
-        .get_or_insert_with(|| {
-            let (privatized, reductions) = (&memo.privatized, &memo.reductions);
-            irr_driver::derive_in_place_facts(program, loop_stmt, privatized, reductions)
-                .map(Arc::from)
-        })
-        .clone()?;
-    let any_read = facts.iter().any(|t| t.read);
-    let mut specs = Vec::with_capacity(facts.len());
-    for t in facts.iter() {
-        let data = interp.store.array(t.array);
+    ip: &mut InPlace,
+) -> Option<()> {
+    ip.specs.clear();
+    ip.windows.clear();
+    ip.chunks = chunks.count;
+    if ip.held.len() < targets.len() {
+        ip.held
+            .resize_with(targets.len(), || TypedBuf::new(ScalarType::Real));
+    }
+    let any_read = targets.iter().any(|t| t.read);
+    for (t, held) in targets.iter().zip(&mut ip.held) {
+        let data = store.array(t.array);
         if data.dims().len() != 1 {
             return None;
         }
-        let windows = chunk_windows(&interp.store, t, &plan.facts, chunks)?;
+        let first = ip.windows.len();
+        chunk_windows(store, t, facts, chunks, &mut ip.windows)?;
         // What a failed dispatch wrote to a target it never read, the
         // sequential fallback writes again — when the chunks did what
         // the sequential run does, which only a nest that reads no
@@ -672,69 +782,94 @@ fn prepare_in_place(
             return None;
         } else {
             // Affine and segment windows tile: one range holds them.
-            let from = windows[0].0;
-            let held: usize = windows.iter().map(|w| w.1).sum();
-            Some((from, TypedBuf::copy_of(data, from..from + held)))
+            let from = ip.windows[first].0;
+            let total: usize = ip.windows[first..].iter().map(|w| w.1).sum();
+            held.copy_from(data, from..from + total);
+            Some(from)
         };
         // `payload_raw` forces payload uniqueness on the master before
-        // the worker snapshots are cloned, so every snapshot Arc-shares
-        // exactly this allocation.
-        let slice = interp.store.payload_raw(t.array);
-        specs.push(InPlaceSpec {
+        // any snapshot is cloned, so every snapshot Arc-shares exactly
+        // this allocation.
+        let slice = store.payload_raw(t.array);
+        ip.specs.push(InPlaceSpec {
             var: t.array,
             slice,
-            windows,
             undo,
         });
     }
-    Some(specs)
+    Some(())
 }
 
-/// Re-proves the concat shape for this dispatch. Returns `None` —
-/// downgrade to the write-log — when the shape derivation fails or the
-/// live append pointer is negative. Hole-freedom (every increment is
-/// followed by a write) is *not* re-proven statically; the overlay and
-/// the commit validate it dynamically instead.
-fn prepare_concat(
-    interp: &mut Interp<'_>,
-    loop_stmt: StmtId,
-    plan: &ParallelPlan,
-) -> Option<(VarId, Arc<[VarId]>, i64)> {
-    let program = interp.program();
-    let memo = interp.memo(loop_stmt).shapes.keyed(plan);
-    let (ptr, targets) = (memo.concat)
-        .get_or_insert_with(|| {
-            let (privatized, reductions) = (&memo.privatized, &memo.reductions);
-            irr_driver::derive_concat_shape(program, loop_stmt, privatized, reductions)
-                .map(|(ptr, targets)| (ptr, Arc::from(targets)))
-        })
-        .clone()?;
-    let p0 = interp.store.scalar(ptr).as_int();
-    if p0 < 0 {
-        return None;
+/// What a dispatch's chunks meet at their start: an injected worker
+/// fault addressed to them, and the deadline they run under.
+#[derive(Clone, Copy)]
+struct Watch {
+    panic: Option<usize>,
+    stall: Option<(usize, u64)>,
+    deadline: Option<Duration>,
+}
+
+impl Watch {
+    fn new(plan: &ParallelPlan, chunks: Chunks) -> Watch {
+        // Injected worker faults address a chunk modulo the chunk count,
+        // so a randomly drawn worker index always lands on a chunk that
+        // runs — on whichever thread claims it.
+        let (panic, stall) = match plan.fault {
+            Some(FaultKind::PanicWorker { worker }) => (Some(worker % chunks.count), None),
+            Some(FaultKind::StallWorker { worker, stall_ms }) => {
+                (None, Some((worker % chunks.count, stall_ms)))
+            }
+            _ => (None, None),
+        };
+        let deadline = plan.deadline_ms.map(Duration::from_millis);
+        Watch {
+            panic,
+            stall,
+            deadline,
+        }
     }
-    Some((ptr, targets, p0))
+
+    /// Starts chunk `widx`: panics or stalls it when an injected fault
+    /// addresses it, and returns its deadline, armed. The clock starts
+    /// only when a deadline is set (the hot path never reads wall time),
+    /// and before any stall — so a stalled chunk trips the deadline on
+    /// its first iteration check.
+    fn start(self, widx: usize) -> Option<(Instant, Duration)> {
+        if self.panic == Some(widx) {
+            panic!("injected fault: worker {widx} panic");
+        }
+        let armed = self.deadline.map(|limit| (Instant::now(), limit));
+        if let Some((_, ms)) = self.stall.filter(|&(w, _)| w == widx) {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        armed
+    }
 }
 
 /// Executes one `do` loop in parallel chunks per `plan`, with the bounds
 /// already evaluated. This is the dispatch hook the hybrid runtime uses
 /// after a guard (or a compile-time verdict) clears the loop: the
 /// iteration space `lo..=hi` is split into contiguous chunks, each chunk
-/// runs the typed loop — on one of the interpreter's pooled threads or
-/// on the calling thread — on a copy-on-write clone of the live store,
-/// and what the chunks' sinks collected is committed by one two-phase
-/// commit, whatever the strategy, in `O(total writes)`.
+/// runs the typed loop, and what the chunks' sinks collected is
+/// committed by one two-phase commit, whatever the strategy, in
+/// `O(total writes)`. Chunks run on copy-on-write clones of the live
+/// store, on the interpreter's pooled threads or the calling thread —
+/// except a lone chunk that stores only through windows and append
+/// buffers, which borrows the master itself ([`on_master`]): no clone,
+/// no pool, nothing to aggregate.
 ///
 /// **The dispatch is a transaction.** The master interpreter — store,
 /// statistics, fuel — is mutated only after every worker completed and
 /// the commit validated what the chunks wrote; an in-place dispatch,
 /// whose workers write the master's buffers as they go, instead
-/// restores its targets from the images taken at hand-off. On any
-/// [`ParallelError`] the master is as it was at entry — up to in-place
-/// targets that needed no image, possibly dirty, which a sequential
-/// re-execution rewrites location by location — so the caller can
-/// re-execute the loop sequentially (the interpreter's dispatch site
-/// does precisely that; see `Interp::exec_stmt_with`).
+/// restores its targets from the images taken at hand-off, and a chunk
+/// run on the master puts back what it changed of the master's
+/// scalars, statistics and fuel. On any [`ParallelError`] the master is
+/// as it was at entry — up to in-place targets that needed no image,
+/// possibly dirty, which a sequential re-execution rewrites location by
+/// location — so the caller can re-execute the loop sequentially (the
+/// interpreter's dispatch site does precisely that; see
+/// `Interp::exec_stmt_with`).
 ///
 /// Worker statistics and fuel consumption are aggregated into the
 /// master interpreter; the induction variable is left at `hi + 1` (or
@@ -795,46 +930,76 @@ pub(crate) fn exec_do_parallel(
     let Some(n) = trip.and_then(|t| usize::try_from(t).ok()) else {
         return Err(ParallelError::UnsupportedStep { step });
     };
-    // Every chunk runs the typed loop, or the dispatch does not happen.
-    // The lowering is a pure function of the program, so the master's
-    // cache entry is shared by every worker.
-    let untyped = |reason: String| Err(ParallelError::Untyped { reason });
-    let Some(body) = interp.compiled_body_for(loop_stmt) else {
+    // The loop's one memo lookup: its lowering — every chunk runs the
+    // typed loop, or the dispatch does not happen; a pure function of
+    // the program, so every chunk shares it — and the executor's own
+    // derivation of the shapes behind the plan's strategy. A forged
+    // verdict upstream can request a strategy but can never make an
+    // unproven loop take the raw-write path; it just downgrades to the
+    // (always safe) write-log.
+    let memo = interp.memo(loop_stmt);
+    let Some(body) = memo.body.clone() else {
         return untyped("the nest does not lower".to_string());
     };
+    let derived = memo
+        .shapes
+        .keyed(plan)
+        .derive(program, loop_stmt, plan.strategy);
     if !interp.fast_ready(&body) {
         return untyped("an array holds another element type than declared".to_string());
     }
     let chunks = Chunks::new(lo, n, plan.threads);
-    // Injected worker faults address a chunk modulo the chunk count, so
-    // a randomly drawn worker index always lands on a chunk that runs —
-    // on whichever thread claims it.
-    let (panic_chunk, stall_chunk, stall_ms) = match plan.fault {
-        Some(FaultKind::PanicWorker { worker }) => (Some(worker % chunks.count), None, 0),
-        Some(FaultKind::StallWorker { worker, stall_ms }) => {
-            (None, Some(worker % chunks.count), stall_ms)
-        }
-        _ => (None, None, 0),
-    };
-    let deadline = plan.deadline_ms.map(Duration::from_millis);
-    // Resolve the plan's strategy into a mode by re-deriving its facts
-    // against this loop and the live store. The derivation is the
-    // executor's own — a forged verdict upstream can request a
-    // strategy but can never make an unproven loop take the raw-write
-    // path; it just downgrades to the (always safe) write-log.
-    // `prepare_in_place` must run before the snapshot clones below so
-    // the master's payloads are unique when the raw slices are taken.
-    let mode = match plan.strategy {
-        ExecutionStrategy::WriteLog => Mode::WriteLog,
-        ExecutionStrategy::InPlaceDisjoint => {
-            match prepare_in_place(interp, loop_stmt, plan, chunks) {
-                Some(specs) => Mode::InPlace(specs),
+    let mut buffers = std::mem::take(&mut interp.scope.buffers);
+    let ran = run(interp, plan, &body, chunks, derived, &mut buffers);
+    interp.scope.buffers = buffers;
+    let (strategy, cost) = ran?;
+    // The transaction committed: count the entry and the body cost the
+    // master paid for it.
+    let entry = interp.stats.loops.entry(loop_stmt).or_default();
+    entry.invocations += 1;
+    entry.total_cost += cost;
+    // Sequential semantics: the induction variable ends one past `hi`.
+    interp.store.set_scalar(var, ty, Value::Int(hi + 1));
+    Ok(Committed {
+        strategy,
+        chunks: chunks.count as u64,
+        cost,
+    })
+}
+
+fn untyped<T>(reason: String) -> Result<T, ParallelError> {
+    Err(ParallelError::Untyped { reason })
+}
+
+/// Resolves the dispatch's mode against the live store, checks that the
+/// commit can claim every scalar the nest assigns, and runs the chunks —
+/// a lone one on the master when it can, any other on snapshots.
+/// Returns the strategy that committed and the body cost the master
+/// paid.
+fn run(
+    interp: &mut Interp<'_>,
+    plan: &ParallelPlan,
+    body: &CompiledBody,
+    chunks: Chunks,
+    derived: Derived,
+    buffers: &mut DispatchBuffers,
+) -> Result<(ExecutionStrategy, u64), ParallelError> {
+    let program = interp.program();
+    let DispatchBuffers { in_place, master } = buffers;
+    let mode = match derived {
+        Derived::WriteLog => Mode::WriteLog,
+        Derived::InPlace(targets) => {
+            match prepare_in_place(&mut interp.store, &targets, &plan.facts, chunks, in_place) {
+                Some(()) => Mode::InPlace(in_place),
                 None => Mode::WriteLog,
             }
         }
-        ExecutionStrategy::PrivatizeAndConcat => match prepare_concat(interp, loop_stmt, plan) {
-            Some((ptr, targets, p0)) => Mode::Concat { ptr, targets, p0 },
-            None => Mode::WriteLog,
+        // Hole-freedom (every increment is followed by a write) is *not*
+        // re-proven statically; the append sinks and the commit validate
+        // it dynamically instead. A negative live pointer downgrades.
+        Derived::Concat(ptr, targets) => match interp.store.scalar(ptr).as_int() {
+            p0 if p0 >= 0 => Mode::Concat { ptr, targets, p0 },
+            _ => Mode::WriteLog,
         },
     };
     // The commit reads a worker's final value of a privatized scalar
@@ -853,31 +1018,143 @@ pub(crate) fn exec_do_parallel(
             "the nest assigns `{name}`, which the commit would claim"
         ));
     }
-    // Each chunk runs on a copy-on-write clone of the live store and
-    // hands back its sinks, the final values of the scalars the commit
-    // reads and its stats; the clone is dropped with the chunk's run.
-    // In-place targets go straight to the master buffers, through the
-    // chunk's windows.
+    let watch = Watch::new(plan, chunks);
+    let alone = chunks.count == 1 && !matches!(mode, Mode::WriteLog) && interp.may_borrow();
+    if alone {
+        mode.sinks(program, plan, body, 0, &mut master.sinks);
+    }
+    let cost = if alone && borrows_master(&master.sinks) {
+        on_master(interp, plan, body, &mode, chunks, watch, master)?
+    } else {
+        on_snapshots(interp, plan, body, &mode, chunks, watch)?
+    };
+    Ok((mode.strategy(), cost))
+}
+
+/// Runs a dispatch's one chunk on the master itself: no snapshot, no
+/// pool, no outcome to aggregate. Only a chunk whose every stored slot
+/// is a window or an append buffer comes here ([`borrows_master`]): its
+/// stores land in the master's buffers inside its windows or not at
+/// all, and no other chunk exists that could write what it reads. What
+/// the typed loop changes of the master beyond that is saved first —
+/// the scalars the nest can assign, the statistics and the fuel. The
+/// scalars go back before the one commit, which reads the chunk's
+/// finals and folds the reductions and moves the pointer from the
+/// pre-loop values, as it does for any chunk; on any failure the rest
+/// goes back too, beside the undo images, so the master is as the
+/// snapshot path leaves it. Returns the body cost the chunk charged.
+fn on_master(
+    interp: &mut Interp<'_>,
+    plan: &ParallelPlan,
+    body: &CompiledBody,
+    mode: &Mode<'_>,
+    chunks: Chunks,
+    watch: Watch,
+    kept: &mut MasterChunk,
+) -> Result<u64, ParallelError> {
+    let program = interp.program();
+    let assigned = || body.scalars().iter().filter(|p| p.assigned);
+    kept.scalars.clear();
+    kept.scalars
+        .extend(assigned().map(|p| interp.store.scalar(p.var)));
+    let stats = &interp.stats;
+    let inner = body.inner_loops().iter().map(|s| stats.loops.get(s));
+    kept.loops.clear();
+    kept.loops
+        .extend(inner.map(|e| e.map(|e| (e.invocations, e.total_cost))));
+    let (fuel, spent) = (interp.fuel, interp.stats.total_cost);
+    let streamed = (interp.stats.stream_entries, interp.stats.stream_iters);
+    #[cfg(test)]
+    {
+        interp.probe.master_chunks += 1;
+    }
+    let mut planes = std::mem::take(&mut interp.scope.planes);
+    let mut share = WorkerChunk {
+        deadline: None,
+        sinks: std::mem::take(&mut kept.sinks),
+    };
+    let range = (chunks.lo, chunks.hi(), 1);
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        share.deadline = watch.start(0);
+        interp.run_fast_iters(body, range, Some(&mut share), &mut planes)
+    }));
+    interp.scope.planes = planes;
+    // What the commit reads of the chunk, then the values the master had.
+    let finals = plan.reductions.iter().map(|&(v, _)| v);
+    let finals = finals.chain(mode.pointer().map(|(ptr, _)| ptr));
+    kept.finals.clear();
+    kept.finals.extend(finals.map(|v| interp.store.scalar(v)));
+    for (p, &held) in assigned().zip(&kept.scalars) {
+        interp
+            .store
+            .set_scalar(p.var, program.symbols.var(p.var).ty, held);
+    }
+    let out = ChunkOutcome {
+        sinks: share.sinks,
+        finals: std::mem::take(&mut kept.finals),
+        stats: ExecStats::default(),
+        #[cfg(test)]
+        probe: Default::default(),
+    };
+    let committed = match ran {
+        Ok(Ok(())) => {
+            forged(plan).and_then(|()| commit(interp, plan, mode, body, std::slice::from_ref(&out)))
+        }
+        Ok(Err(abort)) => Err(chunk_error(program, plan, mode, 0, Ok(abort))),
+        Err(payload) => Err(chunk_error(program, plan, mode, 0, Err(payload))),
+    };
+    (kept.sinks, kept.finals) = (out.sinks, out.finals);
+    if let Err(e) = committed {
+        mode.roll_back(&mut interp.store);
+        interp.fuel = fuel;
+        let stats = &mut interp.stats;
+        stats.total_cost = spent;
+        (stats.stream_entries, stats.stream_iters) = streamed;
+        for (s, held) in body.inner_loops().iter().zip(&kept.loops) {
+            match held {
+                Some((invocations, total_cost)) => {
+                    let e = stats.loops.entry(*s).or_default();
+                    (e.invocations, e.total_cost) = (*invocations, *total_cost);
+                }
+                None => {
+                    stats.loops.remove(s);
+                }
+            }
+        }
+        return Err(e);
+    }
+    Ok(interp.stats.total_cost - spent)
+}
+
+/// Runs a dispatch's chunks on snapshots of the master — copy-on-write
+/// clones of its store, so the clone is O(#variables) and an array a
+/// chunk only reads is never copied — each with the master's fuel,
+/// handed to the run's pool, and commits what their sinks collected.
+/// Each chunk hands back its sinks, the final values of the scalars the
+/// commit reads and its stats; its snapshot is dropped with its run.
+/// In-place targets go straight to the master buffers, through the
+/// chunk's windows. Returns the body cost the chunks charged the master
+/// together.
+fn on_snapshots(
+    interp: &mut Interp<'_>,
+    plan: &ParallelPlan,
+    body: &CompiledBody,
+    mode: &Mode<'_>,
+    chunks: Chunks,
+    watch: Watch,
+) -> Result<u64, ParallelError> {
+    let program = interp.program();
     let finals = plan.reductions.iter().map(|&(v, _)| v);
     let finals = finals.chain(mode.pointer().map(|(ptr, _)| ptr));
     let run_chunk = |widx: usize| {
-        if panic_chunk == Some(widx) {
-            panic!("injected fault: worker {widx} panic");
-        }
-        // The watchdog clock starts only when a deadline is armed (the
-        // hot path never reads wall time), and before any injected
-        // stall — so a stalled worker trips the deadline on its first
-        // iteration check.
-        let mut share = WorkerChunk {
-            deadline: deadline.map(|limit| (Instant::now(), limit)),
-            sinks: mode.sinks(program, plan, &body, widx),
-        };
-        if stall_chunk == Some(widx) {
-            std::thread::sleep(Duration::from_millis(stall_ms));
-        }
+        let deadline = watch.start(widx);
+        let mut sinks = Vec::new();
+        mode.sinks(program, plan, body, widx, &mut sinks);
+        let mut share = WorkerChunk { deadline, sinks };
         let (clo, chi) = chunks.bounds(widx);
         let mut worker = Run::on(program, interp.store.clone(), interp.fuel, ());
-        worker.run_fast_iters(&body, clo, chi, 1, Some(&mut share))?;
+        let planes = &mut FState::default();
+        worker.run_fast_iters(body, (clo, chi, 1), Some(&mut share), planes)?;
         Ok(ChunkOutcome {
             sinks: share.sinks,
             finals: finals.clone().map(|v| worker.store.scalar(v)).collect(),
@@ -890,26 +1167,30 @@ pub(crate) fn exec_do_parallel(
     // included, caught at the chunk boundary — so nothing the chunks
     // borrowed is still in use below.
     let results = WorkerPool::dispatch(&mut interp.scope.pool, chunks.count, run_chunk);
-    let outcomes = settle(interp, results, plan, &mode)?;
-    commit(interp, plan, &mode, &body, &outcomes)?;
-    // The transaction commits: count the entry, then aggregate worker
-    // effects — the master pays the chunks' execution cost (statements
-    // + fuel) and absorbs their per-loop statistics. A worker runs the
-    // typed loop, which records no iteration costs.
-    interp.stats.loops.entry(loop_stmt).or_default().invocations += 1;
+    let outcomes = settle(interp, results, plan, mode)?;
+    commit(interp, plan, mode, body, &outcomes)?;
+    // The transaction commits: aggregate worker effects — the master
+    // pays the chunks' execution cost (statements + fuel) and absorbs
+    // their per-loop statistics. A worker runs the typed loop, which
+    // records no iteration costs.
     let cost: u64 = outcomes.iter().map(|c| c.stats.total_cost).sum();
     interp.charge(cost)?;
-    interp.stats.loops.entry(loop_stmt).or_default().total_cost += cost;
     for c in outcomes {
         interp.stats.absorb(c.stats);
     }
-    // Sequential semantics: the induction variable ends one past `hi`.
-    interp.store.set_scalar(var, ty, Value::Int(hi + 1));
-    Ok(Committed {
-        strategy: mode.strategy(),
-        chunks: chunks.count as u64,
-        cost,
-    })
+    Ok(cost)
+}
+
+impl Interp<'_> {
+    /// Whether a lone chunk may run on the master: always, but for a
+    /// unit test that holds every chunk to a snapshot to compare the
+    /// two paths.
+    fn may_borrow(&self) -> bool {
+        #[cfg(test)]
+        return !self.probe.snapshots;
+        #[cfg(not(test))]
+        true
+    }
 }
 
 /// What became of one chunk: its outcome or why it stopped, or —
@@ -923,7 +1204,7 @@ fn settle(
     interp: &mut Interp<'_>,
     results: Vec<ChunkResult>,
     plan: &ParallelPlan,
-    mode: &Mode,
+    mode: &Mode<'_>,
 ) -> Result<Vec<ChunkOutcome>, ParallelError> {
     // Test-only and outside the transaction: lets a test see what the
     // completed chunks of a dispatch that then *fails* ran on.
@@ -931,7 +1212,8 @@ fn settle(
     for out in results.iter().flatten().flatten() {
         interp.probe.add(&out.probe);
     }
-    chunk_outcomes(interp.program(), results, plan, mode).inspect_err(|_| mode.roll_back(interp))
+    chunk_outcomes(interp.program(), results, plan, mode)
+        .inspect_err(|_| mode.roll_back(&mut interp.store))
 }
 
 /// What the chunks of a dispatch came to: every chunk's outcome, or
@@ -947,43 +1229,70 @@ fn chunk_outcomes(
     program: &Program,
     results: Vec<ChunkResult>,
     plan: &ParallelPlan,
-    mode: &Mode,
+    mode: &Mode<'_>,
 ) -> Result<Vec<ChunkOutcome>, ParallelError> {
     let violated = results.iter().find_map(|r| match r {
         Ok(Err(ChunkAbort::Violated(v))) => Some(*v),
         _ => None,
     });
     if let Some(v) = violated {
-        return Err(ParallelError::StrategyViolation {
-            var: program.symbols.name(v).to_string(),
-            strategy: mode.strategy().name(),
-        });
+        return Err(chunk_error(
+            program,
+            plan,
+            mode,
+            0,
+            Ok(ChunkAbort::Violated(v)),
+        ));
     }
     // Collected in place: the outcomes reuse the results' allocation.
     let outcomes = results.into_iter().enumerate().map(|(widx, r)| match r {
-        Err(payload) => Err(ParallelError::WorkerPanic {
-            detail: panic_message(payload),
-        }),
-        Ok(Err(ChunkAbort::TimedOut)) => Err(ParallelError::Timeout {
-            worker: widx,
-            deadline_ms: plan.deadline_ms.unwrap_or(0),
-        }),
-        Ok(Err(ChunkAbort::Exec(e))) => Err(ParallelError::Exec(e)),
-        Ok(Err(ChunkAbort::Violated(_))) => unreachable!("reported above"),
         Ok(Ok(out)) => Ok(out),
+        Ok(Err(abort)) => Err(chunk_error(program, plan, mode, widx, Ok(abort))),
+        Err(payload) => Err(chunk_error(program, plan, mode, widx, Err(payload))),
     });
     let outcomes = outcomes.collect::<Result<Vec<_>, _>>()?;
-    if matches!(plan.fault, Some(FaultKind::ForgeConflict)) {
-        // Chaos hook: report a conflict that never happened, exactly at
-        // the point the commit would — the chunks' sinks are discarded
-        // and the master falls back sequentially. (An in-place mode's
-        // chunks have written their windows by now: the caller rolls
-        // those back like after any other failure.)
-        return Err(ParallelError::WriteConflict {
-            var: "<injected-fault>".to_string(),
-        });
-    }
+    forged(plan)?;
     Ok(outcomes)
+}
+
+/// The failure chunk `widx`'s abort — or, caught at the chunk boundary,
+/// its panic — is to the dispatch.
+fn chunk_error(
+    program: &Program,
+    plan: &ParallelPlan,
+    mode: &Mode<'_>,
+    widx: usize,
+    abort: std::thread::Result<ChunkAbort>,
+) -> ParallelError {
+    match abort {
+        Err(payload) => ParallelError::WorkerPanic {
+            detail: panic_message(payload),
+        },
+        Ok(ChunkAbort::TimedOut) => ParallelError::Timeout {
+            worker: widx,
+            deadline_ms: plan.deadline_ms.unwrap_or(0),
+        },
+        Ok(ChunkAbort::Exec(e)) => ParallelError::Exec(e),
+        Ok(ChunkAbort::Violated(v)) => ParallelError::StrategyViolation {
+            var: program.symbols.name(v).to_string(),
+            strategy: mode.strategy().name(),
+        },
+    }
+}
+
+/// Chaos hook: reports a conflict that never happened, exactly at the
+/// point the commit would — after every chunk completed, before the
+/// commit — so the chunks' sinks are discarded and the master falls
+/// back sequentially. (An in-place mode's chunks have written their
+/// windows by then: the caller rolls those back like after any other
+/// failure.)
+fn forged(plan: &ParallelPlan) -> Result<(), ParallelError> {
+    match plan.fault {
+        Some(FaultKind::ForgeConflict) => Err(ParallelError::WriteConflict {
+            var: "<injected-fault>".to_string(),
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// The most worker chunks one dispatch may have: the owner tables
@@ -1029,7 +1338,7 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 fn commit(
     interp: &mut Interp<'_>,
     plan: &ParallelPlan,
-    mode: &Mode,
+    mode: &Mode<'_>,
     body: &CompiledBody,
     outcomes: &[ChunkOutcome],
 ) -> Result<(), ParallelError> {
@@ -2316,7 +2625,7 @@ mod tests {
             deadline: None,
             sinks: slots.map(|(&a, &stored)| stored.then(|| sink(a))).collect(),
         };
-        let res = worker.run_fast_iters(&cb, 3, hi, 1, Some(&mut share));
+        let res = worker.run_fast_iters(&cb, (3, hi, 1), Some(&mut share), &mut FState::default());
         let held = worker.store.array_as_reals(x).unwrap();
         (res, worker.probe.typed_root_iters, held)
     }
@@ -2550,7 +2859,7 @@ mod tests {
             Ok(Err(ChunkAbort::Violated(c))),
         ];
         let plan = ParallelPlan::with_threads(2);
-        let got = chunk_outcomes(&p, results, &plan, &Mode::InPlace(Vec::new()));
+        let got = chunk_outcomes(&p, results, &plan, &Mode::InPlace(&InPlace::default()));
         assert!(
             matches!(&got, Err(ParallelError::StrategyViolation { var, .. }) if var == "c"),
             "{:?}",
@@ -2800,6 +3109,405 @@ mod tests {
                 (1 + 16, 1),
                 "store size n={n}"
             );
+        }
+    }
+
+    /// Every sequence of `len` values from `alphabet` that does not fall.
+    fn rising(alphabet: &[i64], len: usize) -> Vec<Vec<i64>> {
+        let mut out = vec![Vec::new()];
+        for _ in 0..len {
+            let longer = out.iter().flat_map(|seq: &Vec<i64>| {
+                let floor = seq.last().copied().unwrap_or(i64::MIN);
+                let next = alphabet.iter().filter(move |&&v| v >= floor);
+                next.map(move |&v| [seq.as_slice(), &[v]].concat())
+            });
+            out = longer.collect();
+        }
+        out
+    }
+
+    /// The small-scope check of the windows a dispatch confines its
+    /// in-place chunks to, against brute-force write sets: every chunk
+    /// count from 1 to 4 over
+    ///
+    /// - an affine target `a(i + off)`, `off` in −2 … 2, at every
+    ///   `lo..=hi` of up to five iterations from −1 to one past the end;
+    /// - a segment target `a(ptr(i) + j - 1)`, `j` in `1..=ptr(i+1) -
+    ///   ptr(i)`, over every non-decreasing `ptr` of length ≤ 5 with
+    ///   values in −1 … 6 and every run of rows inside it;
+    /// - a scatter target `a(idx(i + off))` over every `idx` of length ≤
+    ///   4 with values in 1 … 4, `off` in −1 … 1, under the facts the
+    ///   index scan issues for exactly the section, for the whole array,
+    ///   and under none;
+    ///
+    /// each into targets of 0 to 6 elements. Where a chunk's set — the
+    /// flat indices its iterations write — leaves the array, there are no
+    /// windows; otherwise every window lies inside the array and holds
+    /// exactly its chunk's set, and the windows of one target are
+    /// pairwise disjoint. A scatter's windows are the whole array, and
+    /// exist exactly under facts that cover the section and say it is
+    /// injective, which makes the chunks' sets disjoint instead; an
+    /// index outside the array is the program's own error at the access,
+    /// which the whole-array window raises.
+    #[test]
+    fn the_windows_hold_exactly_what_each_chunk_writes_on_a_small_scope() {
+        let p = parse_program("program t\n integer ptr(1), idx(1)\n real a(1)\n end").unwrap();
+        let var = |name: &str| p.symbols.lookup(name).unwrap();
+        let (a, ptr, idx) = (var("a"), var("ptr"), var("idx"));
+        let mut checked = 0u64;
+        // Checks `chunk_windows` for one target over `lo..=hi` against
+        // `writes`, the flat indices iteration `i` writes (`i64`, so one
+        // outside the array is representable).
+        let mut check = |store: &Store,
+                         shape: WriteShape,
+                         facts: &[IndexFacts],
+                         (lo, hi): (i64, i64),
+                         writes: &dyn Fn(i64) -> Vec<i64>| {
+            let target = InPlaceTarget {
+                array: a,
+                shape,
+                read: false,
+                always_written: false,
+            };
+            let len = store.array(a).len() as i64;
+            for threads in 1..=4 {
+                let chunks = Chunks::new(lo, (hi - lo + 1) as usize, threads);
+                let sets: Vec<Vec<i64>> = chunks
+                    .iter()
+                    .map(|(clo, chi)| (clo..=chi).flat_map(writes).collect())
+                    .collect();
+                let leaves = sets.iter().flatten().any(|&k| k < 0 || k >= len);
+                let mut windows = Vec::new();
+                let got = chunk_windows(store, &target, facts, chunks, &mut windows);
+                checked += 1;
+                let case = format!("{shape:?} over {lo}..={hi} in {threads} chunk(s), len {len}");
+                let WriteShape::Scatter { index, off } = shape else {
+                    assert_eq!(got.is_none(), leaves, "{case}: {windows:?}");
+                    if leaves {
+                        continue;
+                    }
+                    assert_eq!(windows.len(), chunks.count, "{case}");
+                    let mut owner = vec![None; len as usize];
+                    for (t, (&(from, n), set)) in windows.iter().zip(&sets).enumerate() {
+                        let end = from.checked_add(n).filter(|&end| end as i64 <= len);
+                        let end = end.unwrap_or_else(|| panic!("{case}: {windows:?} leaves"));
+                        let mut held: Vec<i64> = (from..end).map(|k| k as i64).collect();
+                        let mut set = set.clone();
+                        set.sort_unstable();
+                        set.dedup();
+                        held.sort_unstable();
+                        assert_eq!(held, set, "{case}: chunk {t}");
+                        for (k, owner) in owner.iter_mut().enumerate().take(end).skip(from) {
+                            let prior = owner.replace(t);
+                            assert!(prior.is_none(), "{case}: {k} in chunks {prior:?}, {t}");
+                        }
+                    }
+                    continue;
+                };
+                let section = (lo + off, hi + off);
+                let live = |f: &&IndexFacts| f.covers(store, index, section.0, section.1);
+                let certified = facts.iter().filter(live).any(|f| f.injective());
+                assert_eq!(got.is_some(), certified, "{case}: {facts:?}");
+                if certified {
+                    assert_eq!(windows, vec![(0, len as usize); chunks.count], "{case}");
+                    let mut all: Vec<i64> = sets.concat();
+                    let written = all.len();
+                    all.sort_unstable();
+                    all.dedup();
+                    assert_eq!(all.len(), written, "{case}: certified sets overlap");
+                }
+            }
+        };
+        for len in 0..=6 {
+            let mut store = Interp::new(&p).store;
+            store.preset_array(a, reals(&vec![0.5; len]));
+            for off in -2..=2 {
+                for lo in -1..=len as i64 + 1 {
+                    for hi in lo..lo + 5 {
+                        let writes = |i: i64| vec![i + off - 1];
+                        check(&store, WriteShape::Affine { off }, &[], (lo, hi), &writes);
+                    }
+                }
+            }
+            for n in 1..=5 {
+                for bounds in rising(&[-1, 0, 1, 2, 3, 4, 5, 6], n) {
+                    store.preset_array(ptr, ints(&bounds));
+                    // Row `i` writes `a(ptr(i) .. ptr(i + 1) - 1)`.
+                    let writes = |i: i64| {
+                        let at = |k: i64| bounds[k as usize - 1];
+                        (at(i)..at(i + 1)).map(|k| k - 1).collect()
+                    };
+                    for lo in 1..n as i64 {
+                        for hi in lo..n as i64 {
+                            check(&store, WriteShape::Segment { ptr }, &[], (lo, hi), &writes);
+                        }
+                    }
+                }
+            }
+            for n in 1..=4usize {
+                for code in 0..4usize.pow(n as u32) {
+                    let values: Vec<i64> = (0..n as u32)
+                        .map(|k| (code / 4usize.pow(k) % 4) as i64 + 1)
+                        .collect();
+                    store.preset_array(idx, ints(&values));
+                    for off in -1..=1 {
+                        let shape = WriteShape::Scatter { index: idx, off };
+                        let writes = |i: i64| vec![values[(i + off) as usize - 1] - 1];
+                        for lo in 1 - off..=n as i64 - off {
+                            for hi in lo..=n as i64 - off {
+                                let (slo, shi) = (lo + off, hi + off);
+                                let section = IndexFacts::scan(&store, idx, None, slo, shi);
+                                let whole = IndexFacts::scan(&store, idx, None, 1, n as i64);
+                                for facts in [section, whole, None] {
+                                    let facts: Vec<IndexFacts> = facts.into_iter().collect();
+                                    check(&store, shape, &facts, (lo, hi), &writes);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 1_047_480, "the scope is fixed");
+    }
+
+    /// What a dispatch may change of the master: every scalar's and
+    /// element's bits, every array's write-version, the per-loop
+    /// statistics, the run's counters and the fuel.
+    type Observed = (Vec<u64>, Vec<(StmtId, u64, u64)>, [u64; 4]);
+
+    fn observed(p: &Program, it: &Interp<'_>) -> Observed {
+        let mut bits = Vec::new();
+        for (v, info) in p.symbols.iter() {
+            if info.is_array() {
+                let held = it.store.array_as_reals(v).expect("allocated");
+                bits.extend(held.iter().map(|x| x.to_bits()));
+                bits.push(it.store.array_version(v));
+            } else {
+                bits.push(match it.store.scalar(v) {
+                    Value::Int(k) => k as u64,
+                    Value::Real(x) => x.to_bits(),
+                });
+            }
+        }
+        let loops = it.stats.loops.iter();
+        let mut loops: Vec<_> = loops
+            .map(|(s, l)| (*s, l.invocations, l.total_cost))
+            .collect();
+        loops.sort_unstable();
+        let stats = &it.stats;
+        let run = [
+            stats.total_cost,
+            stats.stream_entries,
+            stats.stream_iters,
+            it.fuel,
+        ];
+        (bits, loops, run)
+    }
+
+    /// Dispatches the last top-level `do` of `src` as one chunk under
+    /// the plan `plan` builds for the live master (a scatter's facts are
+    /// the master store's), with `presets` installed and everything
+    /// before the loop run: once held to a snapshot, once on the master.
+    /// Returns, per path, what the dispatch reported and the master
+    /// before and after it.
+    fn one_chunk_both_ways(
+        src: &str,
+        presets: &[(&str, ArrayData)],
+        plan: &dyn Fn(&Interp<'_>) -> ParallelPlan,
+    ) -> [(Result<Committed, String>, Observed, Observed); 2] {
+        let p = parse_program(src).unwrap();
+        let body = &p.procedure(p.main()).body;
+        let (&lp, before) = body.split_last().unwrap();
+        [true, false].map(|snapshots| {
+            let mut it = Interp::new(&p);
+            for (name, data) in presets {
+                it.preset_array(p.symbols.lookup(name).unwrap(), data.clone());
+            }
+            it.allocate_arrays();
+            for &s in before {
+                it.exec_stmt(s).unwrap();
+            }
+            it.probe.snapshots = snapshots;
+            let StmtKind::Do { lo, hi, .. } = &p.stmt(lp).kind else {
+                unreachable!("a do loop")
+            };
+            let (lo, hi) = (it.eval(lo).unwrap().as_int(), it.eval(hi).unwrap().as_int());
+            let plan = ParallelPlan {
+                threads: 1,
+                ..plan(&it)
+            };
+            let held = observed(&p, &it);
+            let res = exec_do_parallel(&mut it, lp, &plan, lo, hi, 1);
+            let on_master = u64::from(!snapshots);
+            assert_eq!(it.probe.master_chunks, on_master, "{src}");
+            (res.map_err(|e| format!("{e:?}")), held, observed(&p, &it))
+        })
+    }
+
+    /// A dispatch of one chunk that stores only through windows and
+    /// append buffers runs on the master itself, and leaves exactly what
+    /// the same chunk on a snapshot leaves: the same values bit for bit,
+    /// the same write-versions (a window target's one bump, an append
+    /// target's one per element), statistics, fuel and commit report —
+    /// in place over affine, segment and scatter targets, by concat,
+    /// with a real sum reduction whose fold `base + (x - base)` is not
+    /// `x`, and beside a privatized scalar, which keeps its pre-loop
+    /// value. Every failure — a window the rows overrun, a forged
+    /// conflict, an injected panic, a stall past the deadline, appends
+    /// past the extent — leaves the master as it was before the
+    /// dispatch, versions included.
+    #[test]
+    fn a_lone_chunk_on_the_master_leaves_what_a_snapshot_leaves() {
+        let var = |it: &Interp<'_>, name: &str| it.program().symbols.lookup(name).unwrap();
+        let in_place = |it: &Interp<'_>| ParallelPlan {
+            privatized: vec![var(it, "j")],
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            ..ParallelPlan::with_threads(1)
+        };
+        let segment = |rows: &str, len: &[i64], fault| {
+            let src = SEGMENT_WALK.replace("x(i) = 1.0 / c(ptr(i))", rows);
+            let presets = [
+                ("ptr", ints(&[1, 3, 5, 5, 7])),
+                ("len", ints(len)),
+                ("c", reals(&[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5])),
+            ];
+            let plan = move |it: &Interp<'_>| ParallelPlan {
+                fault,
+                deadline_ms: Some(5),
+                ..in_place(it)
+            };
+            one_chunk_both_ways(&src, &presets, &plan)
+        };
+        let affine = "program t
+             integer i, j
+             real s, t, x(101), y(100)
+             s = 0.0 - 3900.5
+             t = 7.0
+             do i = 1, 101
+               x(i) = i * 0.37
+             enddo
+             do i = 1, 100
+               t = x(i + 1) * 2.0
+               x(i + 1) = x(i + 1) * 0.5 + t
+               y(i) = t + 1.1
+               s = s + y(i)
+             enddo
+             end";
+        let sum = |it: &Interp<'_>| ParallelPlan {
+            privatized: vec![var(it, "t")],
+            reductions: vec![(var(it, "s"), ReduceOp::Sum)],
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            ..ParallelPlan::with_threads(1)
+        };
+        let scatter = "program t
+             integer i, p(8)
+             real b(8), x(8)
+             do i = 1, 8
+               x(i) = i * 0.25
+             enddo
+             do i = 1, 8
+               b(p(i)) = x(i) * 2.0
+             enddo
+             end";
+        let certified = |it: &Interp<'_>| ParallelPlan {
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            facts: IndexFacts::scan(&it.store, var(it, "p"), None, 1, 8)
+                .into_iter()
+                .collect(),
+            ..ParallelPlan::with_threads(1)
+        };
+        let concat = |extent: usize| {
+            format!(
+                "program t
+                 integer i, q, ind({extent})
+                 q = 3
+                 do i = 1, 100
+                   if (i - (i / 2) * 2 > 0) then
+                     q = q + 1
+                     ind(q) = i
+                   endif
+                 enddo
+                 end"
+            )
+        };
+        let appends = |_: &Interp<'_>| ParallelPlan {
+            strategy: ExecutionStrategy::PrivatizeAndConcat,
+            ..ParallelPlan::with_threads(1)
+        };
+        let permutation = [("p", ints(&[3, 1, 4, 8, 5, 2, 6, 7]))];
+        let committed = [
+            ("affine", one_chunk_both_ways(affine, &[], &sum)),
+            (
+                "segment",
+                segment("x(i) = 1.0 / c(ptr(i))", &[2, 2, 0, 2], None),
+            ),
+            (
+                "scatter",
+                one_chunk_both_ways(scatter, &permutation, &certified),
+            ),
+            ("concat", one_chunk_both_ways(&concat(60), &[], &appends)),
+        ];
+        for (case, [snapshot, master]) in committed {
+            let got = master.0.as_ref().unwrap_or_else(|e| panic!("{case}: {e}"));
+            let expected = match case {
+                "concat" => ExecutionStrategy::PrivatizeAndConcat,
+                _ => ExecutionStrategy::InPlaceDisjoint,
+            };
+            assert_eq!((got.strategy, got.chunks), (expected, 1), "{case}");
+            assert_eq!(snapshot.0, master.0, "{case}");
+            assert_eq!(snapshot.2, master.2, "{case}");
+            assert_ne!(master.1, master.2, "{case}: the dispatch changed nothing");
+        }
+        // The fold the commit applies is not the identity here, so a
+        // chunk whose reduction the commit read off the master after the
+        // master already held it would show.
+        let p = parse_program(affine).unwrap();
+        let seq = Interp::new(&p).run().unwrap();
+        let x = seq.store.scalar(p.symbols.lookup("s").unwrap()).as_real();
+        assert_ne!(-3900.5 + (x + 3900.5), x);
+        // Every target is read, so each has an undo image.
+        let rows = "x(i) = x(i) + 1.0";
+        let failed = [
+            ("violation", segment(rows, &[2, 2, 0, 3], None)),
+            (
+                "forged conflict",
+                segment(rows, &[2, 2, 0, 2], Some(FaultKind::ForgeConflict)),
+            ),
+            (
+                "panic",
+                segment(
+                    rows,
+                    &[2, 2, 0, 2],
+                    Some(FaultKind::PanicWorker { worker: 0 }),
+                ),
+            ),
+            (
+                "stall",
+                segment(
+                    rows,
+                    &[2, 2, 0, 2],
+                    Some(FaultKind::StallWorker {
+                        worker: 0,
+                        stall_ms: 20,
+                    }),
+                ),
+            ),
+            ("overrun", one_chunk_both_ways(&concat(40), &[], &appends)),
+        ];
+        for (case, [snapshot, master]) in failed {
+            let err = master.0.as_ref().expect_err(case);
+            let expected = match case {
+                "violation" => err.starts_with("StrategyViolation"),
+                "forged conflict" => err.starts_with("WriteConflict"),
+                "panic" => err.starts_with("WorkerPanic"),
+                "stall" => err.starts_with("Timeout"),
+                _ => err.starts_with("Exec(OutOfBounds"),
+            };
+            assert!(expected, "{case}: {err}");
+            assert_eq!(snapshot.0, master.0, "{case}");
+            assert_eq!(master.1, master.2, "{case}: the master changed");
+            assert_eq!(snapshot.2, master.2, "{case}");
         }
     }
 }

@@ -1,9 +1,12 @@
 //! The per-run worker pool behind [`exec_do_parallel`].
 //!
 //! A dispatch hands the pool a chunk count and one closure, and gets
-//! the closure's result for every chunk back in chunk order. One chunk
-//! runs on the calling thread, with no pool and nothing allocated for
-//! the hand-off. More form a **queue with one shared cursor**: the
+//! the closure's result for every chunk back in chunk order. Most
+//! dispatches of one chunk never come here: a lone chunk that stores
+//! only through windows and append buffers borrows the master itself
+//! (`parallel::on_master`). One that needs a snapshot — a write-log
+//! chunk, or one storing privatized scratch — runs on the calling
+//! thread, with no pool. More form a **queue with one shared cursor**: the
 //! pool's persistent threads and the dispatching thread itself (the
 //! master) all claim the next unclaimed chunk until none is left, so
 //!
@@ -17,7 +20,7 @@
 //! run's first dispatch with more than one chunk, grown on demand, shut
 //! down (queue closed, threads joined) when the interpreter is dropped.
 //! The chunks it runs hold no part of that scope: each is a bare
-//! [`Run`] on its own snapshot.
+//! [`Run`] on its own snapshot of the master's store.
 //!
 //! [`ProgramScope`]: crate::interp::ProgramScope
 //! [`Run`]: crate::interp::Run

@@ -28,7 +28,9 @@
 //! each chunk runs on a copy-on-write clone of the live store — on the
 //! dispatching thread or on one of the run's pooled worker threads,
 //! which the first dispatch wide enough to need them creates and every
-//! later dispatch reuses ([`Telemetry::worker_threads_spawned`]). An
+//! later dispatch reuses ([`Telemetry::worker_threads_spawned`]) —
+//! except a lone chunk that stores only through in-place windows and
+//! append buffers, which runs on the interpreter's own store. An
 //! entry's chunk count is sized by its work: a loop's first entry
 //! splits over every configured thread, a later one over as many as
 //! its loop's last committed entry says it can fill, and a small
@@ -153,10 +155,15 @@ pub struct HybridDispatcher {
     /// keeps every dispatch on the ordinary path at the cost of a
     /// single `Option` check.
     fault: Option<FaultPlan>,
-    /// The `(loop, key)` of the most recent parallel decision, kept so
-    /// a runtime failure can quarantine exactly the schedule that
-    /// failed, and a commit can read the trip count it ran.
-    last_parallel: Option<(StmtId, ScheduleKey)>,
+    /// The loop of the most recent parallel decision, kept so a runtime
+    /// failure can quarantine exactly the schedule that failed (`key`),
+    /// and a commit can read the trip count it ran.
+    last_parallel: Option<StmtId>,
+    /// The schedule key of the entry being decided — after a parallel
+    /// decision, that decision's. Rebuilt in place at every entry from
+    /// the live versions, so probing the cache allocates nothing; only
+    /// a schedule the cache admits takes a copy.
+    key: ScheduleKey,
     /// Per loop, what its last committed parallel entry cost
     /// ([`Committed::cost`]) and over how many iterations: what sizes
     /// the loop's next entry ([`HybridDispatcher::chunks_for`]).
@@ -210,6 +217,7 @@ impl HybridDispatcher {
             cache: ScheduleCache::new(),
             fault: None,
             last_parallel: None,
+            key: ScheduleKey::new((0, 0), Vec::new()),
             work: HashMap::new(),
             telemetry: Telemetry::default(),
         }
@@ -297,16 +305,26 @@ impl HybridDispatcher {
         lo: i64,
         hi: i64,
     ) -> Option<ParallelPlan> {
-        let key = ScheduleKey::new((lo, hi), Vec::new());
-        if self.cache.consume_quarantine(loop_stmt, &key) {
+        self.rekey((lo, hi), []);
+        if self.cache.consume_quarantine(loop_stmt, &self.key) {
             self.telemetry.quarantined += 1;
             return None;
         }
         let fault = if lo <= hi { self.decide_fault() } else { None };
         let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
-        self.last_parallel = Some((loop_stmt, key));
+        self.last_parallel = Some(loop_stmt);
         let chunks = self.chunks_for(loop_stmt, lo, hi);
         Some(self.plan_for(entry, chunks, fault, Arc::default()))
+    }
+
+    /// Rebuilds [`HybridDispatcher::key`] in place for an entry over
+    /// `bounds` whose guard reads `versions`, in array order — canonical
+    /// as [`ScheduleKey::new`] would make it, since a guard's arrays are
+    /// sorted and deduplicated.
+    fn rekey(&mut self, bounds: (i64, i64), versions: impl IntoIterator<Item = (VarId, u64)>) {
+        self.key.bounds = bounds;
+        self.key.versions.clear();
+        self.key.versions.extend(versions);
     }
 
     /// Draws the injected fault (if any) for the next parallel dispatch
@@ -342,7 +360,8 @@ impl HybridDispatcher {
 /// Split in two, a dispatch cost 3.0–4.0 µs on top of the typed loop;
 /// as one chunk 1.4–1.9 µs — the second chunk's pool hand-off,
 /// snapshot, sinks, register planes and outcome — and two threads ran
-/// the sweeps at 0.27–0.73 of one thread's speed. At 2^15 units
+/// the sweeps at 0.27–0.73 of one thread's speed. (A lone chunk now
+/// runs on the master itself, at 0.9–1.4 µs.) At 2^15 units
 /// (≈13–15 µs of body) a chunk carries about seven times what adding it
 /// costs; every `exec-large` entry (32 768–573 440 units) still splits.
 /// A private constant, not a setting, and no clock: the chunk count is a
@@ -439,11 +458,8 @@ impl LoopDispatcher for HybridDispatcher {
             }
             DispatchTier::RuntimeGuarded(guard) => {
                 let versions = entry.guard_arrays.iter();
-                let key = ScheduleKey::new(
-                    (lo, hi),
-                    versions.map(|&a| (a, store.array_version(a))).collect(),
-                );
-                if self.cache.consume_quarantine(loop_stmt, &key) {
+                self.rekey((lo, hi), versions.map(|&a| (a, store.array_version(a))));
+                if self.cache.consume_quarantine(loop_stmt, &self.key) {
                     self.telemetry.quarantined += 1;
                     return LoopDecision::Sequential;
                 }
@@ -467,7 +483,7 @@ impl LoopDispatcher for HybridDispatcher {
                     }
                     Some((true, Arc::default()))
                 } else {
-                    match self.cache.probe_certified(loop_stmt, &key) {
+                    match self.cache.probe_certified(loop_stmt, &self.key) {
                         (CacheProbe::Hit(v), facts) => {
                             self.telemetry.cache_hits += 1;
                             Some((v, facts))
@@ -492,7 +508,7 @@ impl LoopDispatcher for HybridDispatcher {
                         .map_or_else(Arc::default, Arc::from);
                     let cached = Arc::clone(&facts);
                     self.cache
-                        .insert_certified(loop_stmt, key.clone(), v, cached);
+                        .insert_certified(loop_stmt, self.key.clone(), v, cached);
                     self.telemetry.cache_evictions = self.cache.evictions();
                     (v, facts)
                 });
@@ -502,7 +518,7 @@ impl LoopDispatcher for HybridDispatcher {
                     // guard that honestly failed is silently dropped.
                     let fault = self.arm_fault(if lie { None } else { fault });
                     self.telemetry.guarded_parallel += 1;
-                    self.last_parallel = Some((loop_stmt, key));
+                    self.last_parallel = Some(loop_stmt);
                     let chunks = self.chunks_for(loop_stmt, lo, hi);
                     LoopDecision::Parallel(self.plan_for(&entry, chunks, fault, facts))
                 } else {
@@ -522,11 +538,9 @@ impl LoopDispatcher for HybridDispatcher {
         self.telemetry.worker_chunks_typed += committed.chunks;
         // What this entry cost sizes the loop's next one. A zero-trip
         // entry ran no chunk and says nothing about the body.
-        if let Some((stmt, key)) = &self.last_parallel {
-            let (lo, hi) = key.bounds;
-            if *stmt == loop_stmt && committed.chunks > 0 {
-                self.work.insert(loop_stmt, (committed.cost, trip(lo, hi)));
-            }
+        if self.last_parallel == Some(loop_stmt) && committed.chunks > 0 {
+            let (lo, hi) = self.key.bounds;
+            self.work.insert(loop_stmt, (committed.cost, trip(lo, hi)));
         }
     }
 
@@ -545,12 +559,12 @@ impl LoopDispatcher for HybridDispatcher {
         // the loop re-inspects from scratch. With a zero budget the
         // poisoning still drops any cached parallel verdict for the
         // key, so a failed schedule is never answered from cache again.
-        if let Some((stmt, key)) = self.last_parallel.take() {
-            if stmt == loop_stmt {
-                self.cache.poison(stmt, key, self.config.quarantine_retries);
-                self.telemetry.quarantine_poisonings += 1;
-                self.telemetry.cache_evictions = self.cache.evictions();
-            }
+        if self.last_parallel.take() == Some(loop_stmt) {
+            let key = self.key.clone();
+            self.cache
+                .poison(loop_stmt, key, self.config.quarantine_retries);
+            self.telemetry.quarantine_poisonings += 1;
+            self.telemetry.cache_evictions = self.cache.evictions();
         }
     }
 }

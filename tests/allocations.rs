@@ -16,7 +16,7 @@ use irr_driver::{compile, compile_source, DriverOptions};
 use irr_exec::{inspect_injective, ArrayData, Store};
 use irr_frontend::{parse_program, VarId};
 use irr_programs::{all, Scale};
-use irr_runtime::{run_hybrid, HybridConfig};
+use irr_runtime::{run_hybrid, HybridConfig, HybridOutcome};
 use irr_symbolic::SymExpr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -101,24 +101,22 @@ fn cloning_a_symbolic_expression_allocates_nothing() {
     assert_eq!(n, 0, "cloning {e} allocated {n} time(s)");
 }
 
-/// A parallel worker is a bare run on its snapshot, a loop entry is a
-/// reference count and a plan reads nothing from the host, so the
-/// hybrid runtime's 100 guarded entries of a scatter cost a fixed
-/// handful of allocations each. One chunk per dispatch keeps every
-/// chunk on this thread, where the allocator counts it — and one chunk
-/// is what every small re-entry gets. The run made 2 511 allocations
-/// while every chunk built and dropped a whole interpreter (a store of
-/// three vectors among them), every entry cloned its dispatcher record
-/// and every verdict's plan read the host's parallelism; 1 996–1 997,
-/// 19 a guarded entry, while every entry also collected and sorted its
-/// guard's arrays, copied the executor's memoized in-place facts, kept
-/// its chunk bounds in a vector and sent its one chunk through a job
-/// vector, a boxed job and a result vector; 1 396, 13 a guarded entry,
-/// while every cache hit also copied its certificate vector; it makes
-/// 1 297 with the certificates shared, 12 a guarded entry.
-#[test]
-fn a_guarded_reentry_stays_under_its_allocation_budget() {
-    let src = "program t
+/// The hybrid runtime's run of `src` on one thread, compiled outside
+/// the count, and the allocations it made.
+fn hybrid_run(src: &str) -> (HybridOutcome, u64) {
+    let rep = compile_source(src, DriverOptions::with_iaa()).expect("source compiles");
+    let config = HybridConfig {
+        threads: 1,
+        ..HybridConfig::default()
+    };
+    allocations(|| run_hybrid(&rep, config).expect("runs"))
+}
+
+/// A scatter guarded by a run-time injectivity check, entered `entries`
+/// times by a sequential sweep.
+fn guarded_sweep(entries: usize) -> String {
+    format!(
+        "program t
          integer i, r, n, p(8)
          real z(8), x(8)
          n = 8
@@ -126,19 +124,39 @@ fn a_guarded_reentry_stays_under_its_allocation_budget() {
            p(i) = mod(i * 3, n) + 1
            x(i) = i * 1.0
          enddo
-         do r = 1, 100
+         do r = 1, {entries}
            do 20 i = 1, n
              z(p(i)) = x(i) + r
  20        continue
          enddo
          print z(1), z(8)
-         end";
-    let rep = compile_source(src, DriverOptions::with_iaa()).expect("source compiles");
-    let config = HybridConfig {
-        threads: 1,
-        ..HybridConfig::default()
-    };
-    let (out, n) = allocations(|| run_hybrid(&rep, config).expect("runs"));
+         end"
+    )
+}
+
+/// A parallel dispatch of one chunk runs on the master itself, a loop
+/// entry is a reference count, a plan reads nothing from the host, and
+/// the runtime probes its schedule cache with a key it rebuilds in
+/// place: the hybrid runtime's 100 guarded entries of a scatter cost
+/// what its first entry costs, and each further entry nothing. One
+/// chunk per dispatch keeps every chunk on this thread, where the
+/// allocator counts it — and one chunk is what every small re-entry
+/// gets. The run made 2 511 allocations while every chunk built and
+/// dropped a whole interpreter (a store of three vectors among them),
+/// every entry cloned its dispatcher record and every verdict's plan
+/// read the host's parallelism; 1 996–1 997, 19 a guarded entry, while
+/// every entry also collected and sorted its guard's arrays, copied the
+/// executor's memoized in-place facts, kept its chunk bounds in a
+/// vector and sent its one chunk through a job vector, a boxed job and a
+/// result vector; 1 396, 13 a guarded entry, while every cache hit also
+/// copied its certificate vector; 1 297, 12 a guarded entry, while every
+/// entry built a schedule key, a snapshot of the store, its windows, its
+/// sinks, a result vector and its register planes; it makes 96 with the
+/// one chunk on the master and those vectors kept by the run, and a run
+/// of 200 entries makes as many.
+#[test]
+fn a_guarded_reentry_stays_under_its_allocation_budget() {
+    let (out, n) = hybrid_run(&guarded_sweep(100));
     let t = out.telemetry;
     assert_eq!(
         (t.guarded_parallel, t.cache_hits, t.fallbacks()),
@@ -146,11 +164,49 @@ fn a_guarded_reentry_stays_under_its_allocation_budget() {
         "{t:?}"
     );
     assert!(
-        n <= 1_297,
-        "{n} allocations for 100 guarded entries; 1 396 while a cache hit copied its \
-         certificates, 1 997 while a one-chunk dispatch went through a job queue, 2 511 while \
-         every chunk built an interpreter"
+        n <= 96,
+        "{n} allocations for 100 guarded entries; 1 297 while every entry took a snapshot, \
+         1 396 while a cache hit copied its certificates, 1 997 while a one-chunk dispatch went \
+         through a job queue, 2 511 while every chunk built an interpreter"
     );
+    let (_, twice) = hybrid_run(&guarded_sweep(200));
+    assert!(
+        twice - n <= 4 * 100,
+        "100 more guarded entries made {} allocations; the target is 4 an entry",
+        twice - n
+    );
+}
+
+/// A sequential-tier leaf loop runs on the typed loop
+/// (`LoopDecision::Compiled`) in the register planes and pin vector the
+/// interpreter keeps: 100 entries of a recurrence cost what its first
+/// costs. The run made 440 allocations, 4 an entry, while every entry
+/// built its register planes and pin vector; it makes 44.
+#[test]
+fn a_sequential_typed_entry_allocates_nothing_once_the_planes_are_kept() {
+    let sweep = |entries: usize| {
+        format!(
+            "program t
+             integer i, r, n
+             real x(64)
+             n = 64
+             do r = 1, {entries}
+               do i = 2, n
+                 x(i) = x(i - 1) * 0.5 + r
+               enddo
+             enddo
+             print x(1), x(64)
+             end"
+        )
+    };
+    let (out, n) = hybrid_run(&sweep(100));
+    assert_eq!(out.telemetry.compiled_loops, 100, "{:?}", out.telemetry);
+    let (_, twice) = hybrid_run(&sweep(200));
+    assert!(
+        n <= 44,
+        "{n} allocations for 100 typed entries; 440 while every entry built its planes"
+    );
+    assert_eq!(twice - n, 0, "100 more typed entries allocated");
 }
 
 /// The index scan reads a section's range and order in one pass, and
