@@ -11,26 +11,27 @@
 //! ([`IOpnd::FReg`] / [`FOpnd::IReg`]). What is left for run time:
 //!
 //! - **Promoted scalars.** Referenced scalars (induction variables
-//!   included) load into registers at loop entry, and the ones the nest
-//!   can assign write back through
-//!   [`Store::set_scalar`](crate::Store::set_scalar) on *every* exit —
-//!   success or error — so the store is byte-identical to per-access
-//!   traffic at every observable point.
+//!   included) load into registers at loop entry. A sequential entry
+//!   writes the ones the nest can assign back through
+//!   [`Store::set_scalar`] on *every* exit — success or error — so the
+//!   store is byte-identical to per-access traffic at every observable
+//!   point; a parallel chunk leaves them in its registers, for the
+//!   commit to read the ones it claims.
 //! - **Pre-pinned arrays, by role.** Every array is live from the
 //!   program's first statement, so the typed run pins all payloads up
-//!   front. An array the body
-//!   only reads is pinned shared, with no copy; one it stores to is
-//!   pinned with a [`WriteSink`] — a raw write in a sequential entry,
-//!   and in a parallel worker the log column, the in-place window or
-//!   the append buffer its dispatch's commit strategy built for it
-//!   (see [`RawPin`]).
+//!   front, from a store it only reads ([`FState::run`]). An array the
+//!   body only reads is pinned shared, with no copy; one it stores to
+//!   is pinned with a [`WriteSink`] — the master's payload in a
+//!   sequential entry, and in a parallel chunk the in-place window, the
+//!   append buffer or the own copy (logged or privatized) its
+//!   dispatch's commit strategy built for it (see [`RawPin`]).
 //!
-//! [`Run::run_fblock`] and the one [`stream_kernel`] (with the row
+//! [`Typed::run_fblock`] and the one [`stream_kernel`] (with the row
 //! statements of [`seg_row`] around it) are the only places an
 //! instruction's semantics are written outside the tree-walk, and the
 //! instructions compute through the tree-walk's own rules: its operator
 //! table (`bin_i`, `bin_f`, `cmp_res`), its bounds rule
-//! ([`Run::column_major`]) and its induction step. Parity is the
+//! ([`column_major`]) and its induction step. Parity is the
 //! contract: same fuel ledger positions, same error identities, same
 //! store at exit.
 //!
@@ -39,11 +40,11 @@
 //!   [`FState::addr`] alone turns every form into a checked payload
 //!   offset, in the tree-walk's order: an INDIRECT index array's
 //!   subscript first, an affine `base + off` wrapping, a flat index
-//!   as `IndexN` checked it. [`Run::addr`] names a miss: inside the
+//!   as `IndexN` checked it. [`Typed::addr`] names a miss: inside the
 //!   array but outside a window pin's view a strategy violation, any
 //!   other the program's `OutOfBounds` (`fast_oob`, by the bounds rule).
 //!
-//! - **One loop driver, at every depth.** [`Run::run_do`] is the only
+//! - **One loop driver, at every depth.** [`Typed::run_do`] is the only
 //!   function here that advances a `do` loop's induction variable: the
 //!   root (loop slot 0, the caller's range) and every nested
 //!   [`FOp::DoLoop`] (slot `lidx + 1`) alike. Each time round it polls a
@@ -89,28 +90,31 @@
 //! stores to in `stored()`. [`FState`]'s unchecked register and pin
 //! accessors and [`RawPin`]'s write path rely on exactly that.
 
-use super::{ChunkAbort, WorkerChunk};
+use super::ChunkAbort;
 #[cfg(test)]
 use crate::interp::Probe;
 use crate::interp::{
-    advance_induction, bin_f, bin_i, cmp_f, cmp_res, ArrayData, ExecError, RawSlice, Run, Value,
-    WriteSink,
+    advance_induction, bin_f, bin_i, cmp_f, cmp_res, column_major, ArrayData, ExecError, ExecStats,
+    Interp, RawSlice, Store, Value, WriteSink,
 };
 use irr_driver::compiled::{
-    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, RowVal, SegStream, Stream, StreamAt,
-    StreamRef, StreamSink, StreamTail, ROW_INVS,
+    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowVal, SegStream, Stream,
+    StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
 };
-use irr_frontend::{BinOp, Intrinsic, ScalarType, VarId};
+use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, VarId};
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// When a chunk started and how long it may run; `None` unwatched.
+pub(crate) type Deadline = Option<(Instant, Duration)>;
+
 /// Raw view of one array pinned for the duration of a typed run: its
-/// payload addressed directly, and — when the body
-/// stores to it — the [`WriteSink`] those stores go through. Stores
-/// that land in this store's own payload are counted locally and reach
-/// the version counter at flush, so the version arithmetic is
-/// identical to per-write bumps without paying them per element.
+/// payload addressed directly, and — when the body stores to it — the
+/// [`WriteSink`] those stores go through. Stores that land in a payload
+/// are counted locally and reach the version counter at a sequential
+/// entry's flush, so the version arithmetic is identical to per-write
+/// bumps without paying them per element.
 ///
 /// # Safety
 ///
@@ -119,53 +123,48 @@ use std::time::{Duration, Instant};
 ///
 /// - *The payload cannot move or be freed.* Every array is allocated
 ///   before the program's first statement (no store slot is filled
-///   mid-run), element writes never resize an array, and
-///   compiled bodies contain no calls, prints, or dispatcher re-entry —
-///   nothing else touches this store while the typed loop runs
-///   (`run_fblock` takes `&self`). The store's `Arc` keeps the payload
-///   alive; a window pin's buffer is kept alive by the master store
-///   for the whole dispatch, and a pin exists only inside a chunk:
-///   `WorkerPool::dispatch` does not return, normally or by unwinding,
-///   while its closure runs for any chunk or could still be called for
-///   one (the barrier in `pool.rs`), so the dispatch — and the buffer —
-///   outlive every pin.
-/// - *A slot the body only reads (`sink: None`) is pinned shared*,
-///   through `Store::array_ref`, with no copy. Its pointer came from a
-///   shared reference and is never written: `wr` on such a pin panics
-///   before touching memory, and the lowering marks every slot an
-///   instruction stores to (`CompiledBody::stored`), so that panic is
-///   unreachable. Other
-///   holders of the same `Arc` (the master, sibling snapshots, the
-///   caller that preset the array) cannot
-///   write the payload under the reader either: a store mutates a
-///   payload only through `Arc::make_mut`, which copies while this
-///   store's reference exists — in-place targets excepted, below.
-/// - *`Direct` and `Logged` pins own their payload.* The pointer comes
-///   from `Store::payload_raw` (exactly the copy a first tree-walk
-///   write would take; a worker thereby writes its own copy-on-write
-///   copy, never the master's, and a run never writes the buffer of a
-///   preset its caller still holds), so no other store shares it.
+///   mid-run), element writes never resize an array, and compiled
+///   bodies contain no calls, prints, or dispatcher re-entry — nothing
+///   writes the store a typed run pins while it runs: a sequential
+///   entry holds the master exclusively, and a dispatch only reads it
+///   until every chunk has finished. A pin exists only inside one typed
+///   run (below), and `WorkerPool::dispatch` does not return,
+///   normally or by unwinding, while its closure runs for any chunk or
+///   could still be called for one (the barrier in `pool.rs`), so the
+///   master's payloads outlive every pin.
+/// - *A slot the body only reads (`sink: None`), and an `Append` slot,
+///   is pinned shared*, with no copy. Its pointer came from a shared
+///   reference and is never written: an `Append` pin's stores go to its
+///   buffer, `wr` on a read-only pin panics before touching memory, and
+///   the lowering marks every slot an instruction stores to
+///   (`CompiledBody::stored`), so that panic is unreachable. Nothing
+///   writes the payload under the reader either: the master is only
+///   read while chunks run, and a payload is written only through a
+///   `Direct` or `Window` pin of its own — in-place targets, below.
+/// - *A `Direct` pin is a sequential entry's*: the pointer comes from
+///   `Store::payload_raw` on the master, which the entry holds
+///   exclusively (exactly the copy a first tree-walk write would take,
+///   so a run never writes the buffer of a preset its caller still
+///   holds).
+/// - *`Private` and `Logged` pins own their payload*: the chunk's own
+///   copy of the master's array, taken as it pins it, held by the sink
+///   the pin carries (moving the sink moves no element).
 /// - *A `Window` pin is a narrowed view of the master's buffer*: the
 ///   `RawSlice` `prepare_in_place` took after forcing uniqueness,
 ///   rebased so that `origin`, `dim0`/`len` and `ip`/`fp` describe the
-///   chunk's window alone. On a snapshot the pin's payload is shared
-///   with the snapshot; on a lone chunk run on the master it is the
-///   master's own buffer, with no snapshot beside it and no other chunk
-///   — the typed loop is the only thing touching the master's store
-///   until the call returns, and the flush leaves a window target's
-///   version to the dispatch. `chk`, which every load and store already
+///   chunk's window alone. `chk`, which every load and store already
 ///   passes, thus admits exactly the window, and the dispatch gives the
 ///   chunks of a target disjoint windows (a scatter target: the whole
 ///   array, stored to through a certified-injective index section and,
 ///   by the executor's derivation, never loaded) — no pin touches what
-///   another worker writes. Targets are 1-D: no `IndexN` reaches one.
-/// - *An `Append` pin never writes a payload*: stores go to the worker's
-///   buffer; `ip`/`fp` serve bounds and reads, as for a read-only slot.
-/// - *Pins never outlive one `run_fast_iters` call*: they live in the
+///   another chunk writes. Targets are 1-D: no `IndexN` reaches one.
+/// - *Pins never outlive one typed run*: a chunk's [`FState::run`], or
+///   a sequential entry's [`Interp::run_typed`]. They live in the
 ///   `FState` it runs in, which may be kept for the next call, but the
-///   flush drains them and their sinks go back to the worker before it
-///   returns (a call that unwinds leaves them to the next
-///   [`FState::enter`], which drops them unread).
+///   run drains them before it returns — handing a chunk's sinks back,
+///   or flushing a sequential entry's writes (a call that unwinds
+///   leaves them to the next [`FState::enter`], which drops them
+///   unread).
 ///
 /// Every index reaching `rd_*`/`wr_*` has passed `chk` (or `IndexN`'s
 /// per-dimension check) against the extents cached here, and
@@ -186,60 +185,67 @@ struct RawPin {
     writes: u64,
     /// `None` for a slot the body only reads.
     sink: Option<WriteSink>,
-    /// `sink` is `Direct` or `Window`: a store is a raw write.
+    /// A store is a raw write: `sink` is `Direct`, `Private` or
+    /// `Window`.
     raw: bool,
     /// An append sink refused a store: the chunk stops at the next
     /// iteration boundary of any loop ([`FState::poll`]).
     refused: Cell<bool>,
 }
 
+// SAFETY: a pin is made, dereferenced and drained inside one typed
+// run, on the thread that makes it. Its `FState` may
+// move to another thread between runs — a chunk's slot is run by
+// whichever thread claims it — but then holds no pin, or, after a run
+// that unwound, pins the next `FState::enter` drops unread.
+unsafe impl Send for RawPin {}
+
 impl RawPin {
-    /// Pins a payload this store owns uniquely (the caller got `slice`
-    /// from `Store::payload_raw`) for stores that land in it.
-    fn owned(data: &ArrayData, slice: RawSlice, sink: WriteSink) -> RawPin {
-        let mut pin = RawPin::meta(data, Some(sink));
-        match slice {
-            RawSlice::Int(p, _) => pin.ip = p,
-            RawSlice::Real(p, _) => pin.fp = p,
-        }
-        pin
-    }
-
-    /// Pins a payload other stores may share: read through the
-    /// pointer, never written. A `Window` sink swaps in the master's,
-    /// narrowed to the window; an `Append` sink's stores go to its buffer.
-    fn shared(data: &ArrayData, sink: Option<WriteSink>) -> RawPin {
-        let mut pin = RawPin::meta(data, sink);
-        match data {
-            ArrayData::Int { data, .. } => pin.ip = data.as_ptr().cast_mut(),
-            ArrayData::Real { data, .. } => pin.fp = data.as_ptr().cast_mut(),
-        }
-        if let Some(WriteSink::Window(w)) = &pin.sink {
-            debug_assert!(w.lo + w.len <= w.slice.len());
-            (pin.origin, pin.dim0, pin.len) = (w.lo as u64 + 1, w.len as u64, w.len);
-            match w.slice {
-                RawSlice::Int(p, _) => pin.ip = p.wrapping_add(w.lo),
-                RawSlice::Real(p, _) => pin.fp = p.wrapping_add(w.lo),
-            }
-        }
-        pin
-    }
-
-    /// Everything but the payload pointers.
-    fn meta(data: &ArrayData, sink: Option<WriteSink>) -> RawPin {
+    /// Pins `data` for stores through `sink`: its own payload read
+    /// shared, the master's payload a `Direct` sink carries, the copy a
+    /// `Private` or `Logged` sink takes of it here, or the master's
+    /// buffer narrowed to a `Window`.
+    fn new(data: &ArrayData, mut sink: Option<WriteSink>) -> RawPin {
         let (ArrayData::Int { dims, .. } | ArrayData::Real { dims, .. }) = data;
-        let dims = Arc::clone(dims);
-        RawPin {
-            ip: std::ptr::null_mut(),
-            fp: std::ptr::null_mut(),
-            is_int: matches!(data, ArrayData::Int { .. }),
-            len: data.len(),
-            origin: 1,
-            dim0: dims[0] as u64,
-            dims,
-            writes: 0,
-            raw: matches!(sink, Some(WriteSink::Direct | WriteSink::Window(_))),
+        let (mut origin, mut dim0, mut len) = (1, dims[0] as u64, data.len());
+        let slice = match &mut sink {
+            Some(WriteSink::Direct(slice)) => *slice,
+            Some(WriteSink::Private(copy) | WriteSink::Logged { copy, .. }) => {
+                copy.copy_from(data, 0..len);
+                copy.raw()
+            }
+            Some(WriteSink::Window(w)) => {
+                debug_assert!(w.lo + w.len <= w.slice.len());
+                (origin, dim0, len) = (w.lo as u64 + 1, w.len as u64, w.len);
+                match w.slice {
+                    RawSlice::Int(p, n) => RawSlice::Int(p.wrapping_add(w.lo), n),
+                    RawSlice::Real(p, n) => RawSlice::Real(p.wrapping_add(w.lo), n),
+                }
+            }
+            None | Some(WriteSink::Append { .. }) => match data {
+                ArrayData::Int { data, .. } => RawSlice::Int(data.as_ptr().cast_mut(), len),
+                ArrayData::Real { data, .. } => RawSlice::Real(data.as_ptr().cast_mut(), len),
+            },
+        };
+        let (ip, fp) = match slice {
+            RawSlice::Int(p, _) => (p, std::ptr::null_mut()),
+            RawSlice::Real(p, _) => (std::ptr::null_mut(), p),
+        };
+        let raw = matches!(
             sink,
+            Some(WriteSink::Direct(_) | WriteSink::Private(_) | WriteSink::Window(_))
+        );
+        RawPin {
+            ip,
+            fp,
+            is_int: matches!(data, ArrayData::Int { .. }),
+            len,
+            origin,
+            dim0,
+            dims: Arc::clone(dims),
+            writes: 0,
+            sink,
+            raw,
             refused: Cell::new(false),
         }
     }
@@ -277,9 +283,9 @@ impl RawPin {
     fn observed(&mut self, k: usize, v: Value) -> bool {
         // Tests in a row, the log's first: one `match` over every state
         // of the sink compiled to a jump table, an indirect branch a store.
-        if let Some(WriteSink::Logged(col)) = &mut self.sink {
-            col.idx.push(k);
-            col.vals.push(v);
+        if let Some(WriteSink::Logged { idx, vals, .. }) = &mut self.sink {
+            idx.push(k);
+            vals.push(v);
             return true;
         }
         let Some(WriteSink::Append { base, buf }) = &mut self.sink else {
@@ -297,7 +303,7 @@ impl RawPin {
         if self.raw || self.observed(k, Value::Int(v)) {
             self.writes += 1;
             // SAFETY: `k` is in bounds as for `rd_i`; the pin owns its
-            // payload (`payload_raw`) or `k` is in its window.
+            // payload (a copy, or `payload_raw`) or `k` is in its window.
             unsafe { *self.ip.add(k) = v }
         }
     }
@@ -1046,17 +1052,21 @@ where
 }
 
 /// Per-entry run state: the typed register planes, pinned payloads,
-/// and the local fuel/cost ledger flushed back on every exit. Its
-/// vectors outlive the entry: an interpreter keeps one for its typed
-/// entries and one-chunk dispatches ([`crate::interp::ProgramScope`]),
-/// and [`FState::enter`] resets it in place.
+/// and the local fuel/cost ledger — everything a typed run changes but
+/// its sinks, for a sequential entry to flush into its interpreter
+/// ([`FState::flush`]) and a dispatch to commit ([`FState::run`]). Its vectors
+/// outlive the entry: an interpreter keeps one for its sequential
+/// entries and one per chunk of its dispatches
+/// ([`crate::interp::ProgramScope`]), and [`FState::enter`] resets it
+/// in place.
 #[derive(Default)]
 pub(crate) struct FState {
     ir: Vec<i64>,
     fr: Vec<f64>,
     pins: Vec<RawPin>,
     fuel: u64,
-    spent: u64,
+    /// The body cost the last run charged.
+    pub(crate) spent: u64,
     /// Inner-loop entry counts, indexed by `lidx` (entries count even
     /// when the body errors, matching the tree walk).
     linv: Vec<u64>,
@@ -1069,7 +1079,7 @@ pub(crate) struct FState {
     stream_iters: u64,
     /// What this entry counted, for its run to add up.
     #[cfg(test)]
-    probe: Probe,
+    pub(crate) probe: Probe,
     /// The values of the entered stream's `Stream::invs`, kept between
     /// entries for its allocation.
     invs: Vec<i64>,
@@ -1077,18 +1087,22 @@ pub(crate) struct FState {
     /// under a write-log or an append buffer no loop entry so much as
     /// looks its stream up — the stream and row kernels write raw.
     streams: bool,
-    /// A worker's deadline: when it started and how long it may run.
-    deadline: Option<(Instant, Duration)>,
+    /// A worker's deadline.
+    deadline: Deadline,
     /// There is a deadline or an append sink, so [`FState::poll`] has
     /// something to check.
     watched: bool,
+    /// Holds segmented streams off: every row on the per-row path (a
+    /// unit test's, to compare the two).
+    #[cfg(test)]
+    pub(crate) segs_off: bool,
 }
 
 impl FState {
     /// Readies this state for an entry of `cb` with `fuel` left: zeroed
-    /// planes and loop counters of `cb`'s sizes, no pins, nothing spent.
-    /// Reuses every vector's allocation.
-    fn enter(&mut self, cb: &CompiledBody, fuel: u64, deadline: Option<(Instant, Duration)>) {
+    /// planes and loop counters of `cb`'s sizes, the scalars loaded from
+    /// `store`, no pins, nothing spent. Reuses every vector's allocation.
+    fn enter(&mut self, cb: &CompiledBody, store: &Store, fuel: u64, deadline: Deadline) {
         fn zeroed<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
             v.clear();
             v.resize(n, T::default());
@@ -1106,6 +1120,14 @@ impl FState {
             self.probe = Probe::default();
         }
         self.deadline = deadline;
+        for p in cb.scalars() {
+            let v = store.scalar(p.var);
+            if p.real {
+                self.fr[p.reg as usize] = v.as_real();
+            } else {
+                self.ir[p.reg as usize] = v.as_int();
+            }
+        }
     }
 
     /// A worker's checks between two iterations (or strips) of any loop:
@@ -1132,7 +1154,17 @@ impl FState {
         Some(cb.arrays()[k])
     }
 
-    /// Mirrors `Run::charge`: cost counts before the fuel check,
+    /// Whether segmented streams run: always, but for a unit test that
+    /// holds them off to compare with the per-row path.
+    #[inline(always)]
+    fn segs_on(&self) -> bool {
+        #[cfg(test)]
+        return !self.segs_off;
+        #[cfg(not(test))]
+        true
+    }
+
+    /// Mirrors `Interp::charge`: cost counts before the fuel check,
     /// and exhaustion leaves the failing charge undeducted.
     #[inline]
     fn charge(&mut self, n: u64) -> Result<(), ExecError> {
@@ -1147,9 +1179,9 @@ impl FState {
     // Register and pin accessors skip the slice bounds checks. Every
     // number they are given is read out of a `CompiledBody`, which only
     // `lower_do_loop` can build: its allocator hands out each `u16`
-    // register below the plane sizes `run_fast_iters` builds `FState`
-    // with, and each slot below `arrays().len()`, for which
-    // `run_fast_iters` pins one payload each. The debug asserts keep
+    // register below the plane sizes `FState::enter` builds the planes
+    // with, and each slot below `arrays().len()`, for which every typed
+    // run pins one payload each. The debug asserts keep
     // that invariant audited in debug builds.
 
     #[inline(always)]
@@ -1623,7 +1655,121 @@ impl FState {
     }
 }
 
-impl<S> Run<'_, S> {
+impl FState {
+    /// The run step of a parallel chunk: pins every slot of `cb` from
+    /// `cx`'s store for stores through `sinks` (one per slot,
+    /// [`WriteSink`]), loads the scalars and runs root iterations `lo..=
+    /// hi` with `fuel` left, under `deadline` ([`FState::go`]); then hands
+    /// the sinks back, filled, whatever the end. The store is only read:
+    /// what the nest assigns of its scalars, what it spent and what it
+    /// counted stay here, for the dispatch's commit.
+    pub(crate) fn run(
+        &mut self,
+        cx: Typed<'_>,
+        cb: &CompiledBody,
+        range: (i64, i64, i64),
+        (fuel, deadline): (u64, Deadline),
+        sinks: &mut [Option<WriteSink>],
+    ) -> Result<(), ChunkAbort> {
+        self.enter(cb, cx.store, fuel, deadline);
+        for (&a, sink) in cb.arrays().iter().zip(sinks.iter_mut()) {
+            self.pins.push(RawPin::new(cx.store.array(a), sink.take()));
+        }
+        let res = self.go(cx, cb, range);
+        for (sink, mut p) in sinks.iter_mut().zip(self.pins.drain(..)) {
+            // An own copy is the run's scratch: the commit reads the log.
+            if let Some(WriteSink::Private(copy) | WriteSink::Logged { copy, .. }) = &mut p.sink {
+                copy.release();
+            }
+            *sink = p.sink;
+        }
+        res
+    }
+
+    /// Executes root iterations `lo..=hi` of the typed loop over the
+    /// pins [`FState::enter`] and its caller set up: same observable
+    /// semantics as walking them, with scalars promoted to registers and
+    /// every array payload pinned for the whole call. The caller has
+    /// checked [`Interp::fast_ready`] and done the root loop's entry
+    /// bookkeeping.
+    fn go(
+        &mut self,
+        cx: Typed<'_>,
+        cb: &CompiledBody,
+        range: (i64, i64, i64),
+    ) -> Result<(), ChunkAbort> {
+        debug_assert_eq!(self.pins.len(), cb.arrays().len());
+        self.streams = self.pins.iter().all(|p| p.sink.is_none() || p.raw);
+        // Only an append sink can refuse a store.
+        let append = |p: &RawPin| matches!(p.sink, Some(WriteSink::Append { .. }));
+        self.watched = self.deadline.is_some() || self.pins.iter().any(append);
+        let var = (cb.root_reg(), cb.root_real());
+        let res = cx.run_do(cb, 0, var, cb.root(), range, self);
+        // A refused store stops the chunk however else it ended.
+        self.refused(cb)
+            .map_or(res, |a| Err(ChunkAbort::Violated(a)))
+    }
+
+    /// Promoted scalar `p`'s register.
+    fn reg(&self, p: &Promoted) -> Value {
+        match p.real {
+            true => Value::Real(self.fr[p.reg as usize]),
+            false => Value::Int(self.ir[p.reg as usize]),
+        }
+    }
+
+    /// The final value of scalar `v` after a run: its register when the
+    /// nest references it, else what `store` holds.
+    pub(crate) fn scalar(&self, cb: &CompiledBody, store: &Store, v: VarId) -> Value {
+        let p = cb.scalars().iter().find(|p| p.var == v);
+        p.map_or_else(|| store.scalar(v), |p| self.reg(p))
+    }
+
+    /// Folds what the last run counted into `stats`: its inner loops'
+    /// entries and costs — dense counters into the per-loop map once per
+    /// run; untouched loops get no entry, exactly like the tree walk —
+    /// and its streams. Its cost is the caller's to charge.
+    pub(crate) fn fold(&self, cb: &CompiledBody, stats: &mut ExecStats) {
+        stats.stream_entries += self.streamed;
+        stats.stream_iters += self.stream_iters;
+        for (k, &stmt) in cb.inner_loops().iter().enumerate() {
+            if self.linv[k] > 0 {
+                let e = stats.loops.entry(stmt).or_default();
+                e.invocations += self.linv[k];
+                e.total_cost += self.lcost[k];
+            }
+        }
+    }
+
+    /// The flush step, a sequential entry's on every exit — success or
+    /// error — so its observable state is indistinguishable from
+    /// per-access traffic: the cost, the fuel, the write-versions of
+    /// what its stores wrote, every scalar the nest can assign (the
+    /// root induction variable, left one past the range, included; a
+    /// scalar it merely reads is unchanged) and the counters.
+    fn flush(&mut self, cb: &CompiledBody, run: &mut Interp<'_>) {
+        run.stats.total_cost += self.spent;
+        run.fuel = self.fuel;
+        #[cfg(test)]
+        run.probe.add(&self.probe);
+        for (&a, p) in cb.arrays().iter().zip(self.pins.drain(..)) {
+            if p.writes > 0 {
+                run.store.bump_version_by(a, p.writes);
+            }
+        }
+        for p in cb.scalars().iter().filter(|p| p.assigned) {
+            let ty = if p.real {
+                ScalarType::Real
+            } else {
+                ScalarType::Int
+            };
+            run.store.set_scalar(p.var, ty, self.reg(p));
+        }
+        self.fold(cb, &mut run.stats);
+    }
+}
+
+impl Interp<'_> {
     /// Whether every array the typed body references holds a payload
     /// of its declared element type, the type the ops were lowered for
     /// (a preset may install either).
@@ -1637,32 +1783,61 @@ impl<S> Run<'_, S> {
         })
     }
 
-    /// Whether segmented streams run: always, but for a unit test that
-    /// holds them off to compare with the per-row path.
-    #[inline(always)]
-    fn segs_on(&self) -> bool {
-        #[cfg(test)]
-        return !self.probe.segs_off;
-        #[cfg(not(test))]
-        true
+    /// A typed entry on the master: root iterations `range` of `cb`
+    /// ([`FState::run`]) with the stored arrays written in place, each
+    /// payload made unique first (the copy a first tree-walk write would
+    /// have taken), then flushed ([`FState::flush`]). Runs in the state
+    /// of the interpreter's chunk slot 0, which a dispatch's chunk 0
+    /// runs in too: the master runs one typed loop at a time, so one set
+    /// of planes serves every loop. A sequential entry has no deadline.
+    pub(crate) fn run_typed(
+        &mut self,
+        cb: &CompiledBody,
+        range: (i64, i64, i64),
+    ) -> Result<(), ChunkAbort> {
+        let mut st = std::mem::take(self.scope.buffers.planes());
+        st.enter(cb, &self.store, self.fuel, None);
+        for (&a, &stored) in cb.arrays().iter().zip(cb.stored()) {
+            let sink = stored.then(|| WriteSink::Direct(self.store.payload_raw(a)));
+            st.pins.push(RawPin::new(self.store.array(a), sink));
+        }
+        let cx = Typed {
+            program: self.program(),
+            store: &self.store,
+        };
+        let ran = st.go(cx, cb, range);
+        st.flush(cb, self);
+        *self.scope.buffers.planes() = st;
+        ran
     }
+}
 
+/// What a typed run reads besides its own state: the program, to name
+/// an array in an error, and the store it pins and loads its scalars
+/// from. Shared by every chunk of a dispatch.
+#[derive(Clone, Copy)]
+pub(crate) struct Typed<'a> {
+    pub(crate) program: &'a Program,
+    pub(crate) store: &'a Store,
+}
+
+impl Typed<'_> {
     /// `chk` refused `index`: the program's own error, unless the bounds
     /// rule admits it — a window pin's miss, a strategy violation.
     #[cold]
-    fn fast_oob(&self, cb: &CompiledBody, st: &FState, slot: u16, index: i64) -> ChunkAbort {
+    fn fast_oob(self, cb: &CompiledBody, st: &FState, slot: u16, index: i64) -> ChunkAbort {
         let a = cb.arrays()[slot as usize];
-        match self.column_major(a, &st.pins[slot as usize].dims[..1], [index]) {
+        match column_major(self.program, a, &st.pins[slot as usize].dims[..1], [index]) {
             Ok(_) => ChunkAbort::Violated(a),
             Err(e) => ChunkAbort::Exec(e),
         }
     }
 
-    /// [`FState::addr`], its miss named by [`Run::fast_oob`]: a
+    /// [`FState::addr`], its miss named by [`Typed::fast_oob`]: a
     /// strategy violation or the program's `OutOfBounds`.
     #[inline(always)]
     fn addr(
-        &self,
+        self,
         cb: &CompiledBody,
         st: &FState,
         slot: u16,
@@ -1672,105 +1847,6 @@ impl<S> Run<'_, S> {
             Ok(k) => Ok(k),
             Err((slot, index)) => Err(self.fast_oob(cb, st, slot, index)),
         }
-    }
-
-    /// Executes root iterations `lo..=hi` of the typed loop: same
-    /// observable semantics as walking them, with scalars promoted to
-    /// registers and every array payload pinned for the whole call. The
-    /// caller has checked [`Run::fast_ready`] and done the root
-    /// loop's entry bookkeeping.
-    ///
-    /// Without a `worker` (a sequential entry) stored arrays are written
-    /// in place. A worker's stored arrays write through the sinks it
-    /// hands in, which it gets back filled on every exit (see
-    /// [`WorkerChunk`]). Either way every scalar the nest can assign —
-    /// the root induction variable, left one past the range, included —
-    /// is written back to the store on every exit.
-    ///
-    /// `st` is the register planes and pin vector to run in: whatever it
-    /// held is reset, and it comes back with its pins released, so a run
-    /// that keeps one across its entries allocates them once.
-    pub(crate) fn run_fast_iters(
-        &mut self,
-        cb: &CompiledBody,
-        (lo, hi, step): (i64, i64, i64),
-        mut worker: Option<&mut WorkerChunk>,
-        st: &mut FState,
-    ) -> Result<(), ChunkAbort> {
-        st.enter(cb, self.fuel, worker.as_deref().and_then(|w| w.deadline));
-        for (k, (&a, &stored)) in cb.arrays().iter().zip(cb.stored()).enumerate() {
-            let sink = match worker.as_deref_mut() {
-                Some(w) => w.sinks[k].take(),
-                None => stored.then_some(WriteSink::Direct),
-            };
-            debug_assert_eq!(sink.is_some(), stored);
-            st.pins.push(match sink {
-                // Unique ownership once per run — the copy a first
-                // tree-walk write would have taken.
-                Some(sink @ (WriteSink::Direct | WriteSink::Logged(_))) => {
-                    let slice = self.store.payload_raw(a);
-                    RawPin::owned(self.store.array(a), slice, sink)
-                }
-                sink => RawPin::shared(self.store.array(a), sink),
-            });
-        }
-        for p in cb.scalars() {
-            let v = self.store.scalar(p.var);
-            if p.real {
-                st.fr[p.reg as usize] = v.as_real();
-            } else {
-                st.ir[p.reg as usize] = v.as_int();
-            }
-        }
-        st.streams = st.pins.iter().all(|p| p.sink.is_none() || p.raw);
-        // Only an append sink can refuse a store.
-        let append = |p: &RawPin| matches!(p.sink, Some(WriteSink::Append { .. }));
-        st.watched = st.deadline.is_some() || st.pins.iter().any(append);
-        let var = (cb.root_reg(), cb.root_real());
-        let res = self.run_do(cb, 0, var, cb.root(), (lo, hi, step), st);
-        // A refused store stops the chunk however else it ended.
-        let res = st.refused(cb).map_or(res, |a| Err(ChunkAbort::Violated(a)));
-        // Flush on every exit — success or error — so observable
-        // state is indistinguishable from per-access traffic.
-        self.stats.total_cost += st.spent;
-        self.stats.stream_entries += st.streamed;
-        self.stats.stream_iters += st.stream_iters;
-        #[cfg(test)]
-        self.probe.add(&st.probe);
-        self.fuel = st.fuel;
-        for (k, (&a, p)) in cb.arrays().iter().zip(st.pins.drain(..)).enumerate() {
-            // A window's stores are its dispatch's to count: a committed
-            // one bumps the target once, a failed one not at all — and on
-            // a one-chunk dispatch this store is the master.
-            let window = matches!(p.sink, Some(WriteSink::Window(_)));
-            if p.writes > 0 && !window {
-                self.store.bump_version_by(a, p.writes);
-            }
-            if let Some(w) = worker.as_deref_mut() {
-                w.sinks[k] = p.sink;
-            }
-        }
-        // Only what the nest can assign is written back: a scalar it
-        // merely reads is unchanged. A worker hands these final values
-        // back to its dispatch.
-        for p in cb.scalars().iter().filter(|p| p.assigned) {
-            let (ty, val) = if p.real {
-                (ScalarType::Real, Value::Real(st.fr[p.reg as usize]))
-            } else {
-                (ScalarType::Int, Value::Int(st.ir[p.reg as usize]))
-            };
-            self.store.set_scalar(p.var, ty, val);
-        }
-        // Dense counters fold into the per-loop map once per entry;
-        // untouched loops get no entry, exactly like the tree walk.
-        for (k, &stmt) in cb.inner_loops().iter().enumerate() {
-            if st.linv[k] > 0 {
-                let e = self.stats.loops.entry(stmt).or_default();
-                e.invocations += st.linv[k];
-                e.total_cost += st.lcost[k];
-            }
-        }
-        res
     }
 
     /// The one loop driver: runs `do var = lo, hi, step` (`step != 0`)
@@ -1786,7 +1862,7 @@ impl<S> Run<'_, S> {
     /// the first out-of-range value. The entry's count and cost are the
     /// loop op's, as for a `while` (the root's, the caller's).
     fn run_do(
-        &self,
+        self,
         cb: &CompiledBody,
         slot: usize,
         (var, real): (u16, bool),
@@ -1804,7 +1880,7 @@ impl<S> Run<'_, S> {
         // The lowering takes unit steps for both.
         let fwd = step == 1 && st.streams;
         let mut stream = cb.stream(slot).filter(|_| fwd);
-        let seg = cb.seg(slot).filter(|_| fwd && self.segs_on());
+        let seg = cb.seg(slot).filter(|_| fwd && st.segs_on());
         let mut i = lo;
         while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
             st.poll(cb)?;
@@ -1839,7 +1915,7 @@ impl<S> Run<'_, S> {
         Ok(())
     }
 
-    fn run_fblock(&self, cb: &CompiledBody, b: u16, st: &mut FState) -> Result<(), ChunkAbort> {
+    fn run_fblock(self, cb: &CompiledBody, b: u16, st: &mut FState) -> Result<(), ChunkAbort> {
         let ops = &cb.blocks()[b as usize];
         let mut pc = 0usize;
         // The dispatch loop starts on a 64-byte boundary (which also makes
@@ -1915,7 +1991,7 @@ impl<S> Run<'_, S> {
                 }
                 FOp::IndexN { slot, subs, dst } => {
                     let (a, dims) = (cb.arrays()[*slot as usize], &st.pinr(*slot).dims);
-                    let idx = self.column_major(a, dims, subs.iter().map(|s| st.ird(*s)))?;
+                    let idx = column_major(self.program, a, dims, subs.iter().map(|s| st.ird(*s)))?;
                     st.irs(*dst, idx as i64);
                 }
                 FOp::LoadI { slot, at, dst } => {
@@ -2067,10 +2143,13 @@ mod tests {
             let base = buf.as_mut_ptr();
             let names: Vec<&str> = cb.arrays().iter().map(|&a| p.symbols.name(a)).collect();
             let pins = names.iter().map(|name| match *name {
-                "c" => RawPin::owned(&meta, RawSlice::Real(base, 16), WriteSink::Direct),
-                "ptr" => RawPin::shared(&ints[0], None),
-                "jlo" => RawPin::shared(&ints[1], None),
-                _ => RawPin::shared(&ints[2], None),
+                "c" => {
+                    let slice = RawSlice::Real(base, 16);
+                    RawPin::new(&meta, Some(WriteSink::Direct(slice)))
+                }
+                "ptr" => RawPin::new(&ints[0], None),
+                "jlo" => RawPin::new(&ints[1], None),
+                _ => RawPin::new(&ints[2], None),
             });
             let st = FState {
                 ir: vec![0; cb.int_registers()],

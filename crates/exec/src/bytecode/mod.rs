@@ -57,7 +57,7 @@
 //! reference tree-walk. What both need is written once, in `interp`:
 //! the walked `do` (the interpreter's `Do` arm), the operator table
 //! (`bin_i`, `bin_f`, `cmp_res`), the bounds rule
-//! (`Interp::column_major`) and the induction step. Every array is
+//! (`column_major`) and the induction step. Every array is
 //! live from the program's first statement, so the `Do` arm decides a
 //! sequential compiled entry once, at entry: a nest that lowered runs
 //! typed from its first iteration, and one that cannot (a zero-trip
@@ -65,9 +65,13 @@
 //! arm, offering its inner loops to the dispatcher like any walked
 //! loop. A parallel worker's share of a loop always runs the typed
 //! loop — the dispatch is refused before any chunk runs when the nest
-//! cannot — and what differs for it is in `WorkerChunk`: its deadline,
-//! and the sinks its dispatch's commit strategy built for every array
-//! it stores to (`WriteSink`).
+//! cannot — and what differs for it is what it is handed: its deadline,
+//! polled between the iterations (and stream strips) of every loop of
+//! the nest, and the sinks its dispatch's commit strategy built for
+//! every array it stores to (`WriteSink`); and what it hands back: it
+//! reads the master's store and writes nothing of it but its windows,
+//! and the commit takes its scalars, cost and counters from its state
+//! (`FState`) instead of a flush.
 //!
 //! Trust discipline is the one the raw-pointer strategies use: a
 //! verdict's `CompiledPlan` is the lowering's own summary, and still
@@ -80,38 +84,12 @@
 
 mod fast;
 
-pub(crate) use fast::FState;
+pub(crate) use fast::{Deadline, FState, Typed};
 pub use irr_driver::compiled::{lower_do_loop, CompiledBody, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
-use crate::interp::{ExecError, Store, WriteSink};
+use crate::interp::{ExecError, Store};
 use irr_frontend::{StmtId, VarId};
-use std::time::{Duration, Instant};
-
-/// What makes a run of the typed loop one parallel worker's share of a
-/// loop rather than a whole sequential entry. Given one, the typed loop
-///
-/// - polls the deadline, when one is armed, between the iterations (and
-///   stream strips) of every loop of the nest, not only the root's — an
-///   unarmed one never reads a clock;
-/// - stores through `sinks` instead of straight into the payloads, and
-///   puts each sink back, filled, when the chunk ends however it ends;
-/// - abandons the chunk on a strategy violation: at the access that
-///   leaves an in-place window, and at the first iteration boundary,
-///   of any loop, after an append sink saw a write outside its
-///   discipline.
-///
-/// The root loop's invocation count, cost attribution and final
-/// induction value are the master's.
-#[derive(Debug)]
-pub(crate) struct WorkerChunk {
-    /// When the worker started and how long it may run.
-    pub(crate) deadline: Option<(Instant, Duration)>,
-    /// One entry per pin slot of the body (`CompiledBody::arrays`): the
-    /// sink of an array the body stores to, `None` for one it only
-    /// reads.
-    pub(crate) sinks: Vec<Option<WriteSink>>,
-}
 
 /// Why a chunk did not complete.
 #[derive(Debug)]
@@ -186,10 +164,11 @@ impl LoopDispatcher for CompiledDispatch {
 mod tests {
     use super::*;
     use crate::dispatch::SequentialDispatch;
-    use crate::interp::{ArrayData, ExecError, ExecStats, Interp};
+    use crate::interp::{ArrayData, ExecError, ExecStats, Interp, WriteSink};
     use crate::parallel::ParallelPlan;
     use irr_driver::compiled::Stream;
     use irr_frontend::{parse_program, Program, ScalarType};
+    use std::time::{Duration, Instant};
 
     /// [`assert_same_run`] of a program that must complete; returns the
     /// compiled run's dispatch counters.
@@ -883,8 +862,8 @@ mod tests {
     /// Pins by role: the typed loop takes unique ownership only of the
     /// arrays its body stores to. A read-only input keeps sharing its
     /// payload with a snapshot taken before the run — after a typed
-    /// sequential entry, and after a write-log dispatch, whose workers
-    /// each ran the typed loop on a snapshot of their own.
+    /// sequential entry, and after a write-log dispatch, whose chunks
+    /// each logged into a copy of their own.
     #[test]
     fn read_only_inputs_stay_shared_across_typed_runs() {
         let src = "program t
@@ -1435,6 +1414,30 @@ mod tests {
         }
     }
 
+    /// Root iterations `range` of `cb` as a chunk runs them
+    /// ([`FState::run`]) under `deadline`, storing straight into the
+    /// master's arrays; returns how the run ended and the root
+    /// iterations it started.
+    fn run_until(
+        it: &mut Interp<'_>,
+        cb: &CompiledBody,
+        range: (i64, i64, i64),
+        deadline: Deadline,
+    ) -> (Result<(), ChunkAbort>, u64) {
+        let slots = cb.arrays().iter().zip(cb.stored());
+        let direct = |(&a, &stored): (&VarId, &bool)| {
+            stored.then(|| WriteSink::Direct(it.store.payload_raw(a)))
+        };
+        let mut sinks: Vec<_> = slots.map(direct).collect();
+        let cx = Typed {
+            program: it.program(),
+            store: &it.store,
+        };
+        let mut st = FState::default();
+        let res = st.run(cx, cb, range, (it.fuel, deadline), &mut sinks);
+        (res, st.probe.typed_root_iters)
+    }
+
     fn polls_between_strips(body: &str, segmented: bool) {
         let src = format!(
             "program t
@@ -1450,23 +1453,15 @@ mod tests {
         for micros in [0, 1, 2, 4, 8, 16, 3_600_000_000] {
             let mut it = live(&p, |it| preset_reals(it, "x", &[2.0; 3000]));
             let cb = it.compiled_body_for(s).unwrap();
-            let mut share = WorkerChunk {
-                deadline: Some((Instant::now(), Duration::from_micros(micros))),
-                sinks: cb
-                    .stored()
-                    .iter()
-                    .map(|&w| w.then_some(WriteSink::Direct))
-                    .collect(),
-            };
-            let res =
-                it.run_fast_iters(&cb, (1, 3000, 1), Some(&mut share), &mut FState::default());
+            let deadline = Some((Instant::now(), Duration::from_micros(micros)));
+            let (res, iters) = run_until(&mut it, &cb, (1, 3000, 1), deadline);
             let z = it
                 .store
                 .array_as_reals(p.symbols.lookup("z").unwrap())
                 .unwrap();
             let done = z.iter().take_while(|v| **v == 3.25).count();
             assert!(z[done..].iter().all(|v| *v == 0.0));
-            assert_eq!(it.probe.typed_root_iters, done as u64);
+            assert_eq!(iters, done as u64);
             match res {
                 Ok(()) => assert_eq!(done, 3000),
                 Err(ChunkAbort::TimedOut) => {
@@ -1518,13 +1513,10 @@ mod tests {
             assert_eq!(seg_shapes(&p).len(), segs, "{inner}");
             let mut it = live(&p, |_| {});
             let cb = it.compiled_body_for(p.procedure(p.main()).body[0]).unwrap();
-            let mut share = WorkerChunk {
-                deadline: Some((Instant::now(), Duration::from_millis(5))),
-                sinks: Vec::new(),
-            };
-            let res = it.run_fast_iters(&cb, (1, 1, 1), Some(&mut share), &mut FState::default());
+            let deadline = Some((Instant::now(), Duration::from_millis(5)));
+            let (res, iters) = run_until(&mut it, &cb, (1, 1, 1), deadline);
             assert!(matches!(res, Err(ChunkAbort::TimedOut)), "{inner}: {res:?}");
-            assert_eq!(it.probe.typed_root_iters, 1);
+            assert_eq!(iters, 1);
         }
     }
 
@@ -1655,7 +1647,7 @@ mod tests {
     fn assert_seg_run<'p>(p: &'p Program, setup: impl Fn(&mut Interp<'p>)) -> Ran<'p> {
         let ran = assert_same_run(p, &setup);
         let mut rows = live(p, &setup);
-        rows.probe.segs_off = true;
+        rows.scope.buffers.planes().segs_off = true;
         let res = rows.exec_proc_with(p.main(), &mut CompiledDispatch::new());
         assert_eq!(res, ran.res);
         assert_eq!(rows.store, ran.comp.store);

@@ -1,6 +1,6 @@
 //! The instrumenting tree-walking interpreter.
 
-use crate::bytecode::{lower_do_loop, ChunkAbort, CompiledBody, FState};
+use crate::bytecode::{lower_do_loop, ChunkAbort, CompiledBody};
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
@@ -153,39 +153,15 @@ impl ArrayData {
     }
 }
 
-/// The logged element writes of one array by one chunk, in program
-/// order: flat indices beside the coerced values, typed like the
-/// payload they were written to (16 bytes a write, no per-write array
-/// id or value tag). The commit claims each location for the chunk and
-/// replays the column against the master store (`parallel::commit`).
-#[derive(Clone, Debug)]
-pub(crate) struct ElemColumn {
-    pub(crate) var: VarId,
-    pub(crate) idx: Vec<usize>,
-    pub(crate) vals: TypedBuf,
-}
-
-impl ElemColumn {
-    /// An empty column for writes to `var`, a payload of `ty`.
-    pub(crate) fn new(var: VarId, ty: ScalarType) -> ElemColumn {
-        ElemColumn {
-            var,
-            idx: Vec::new(),
-            vals: TypedBuf::new(ty),
-        }
-    }
-}
-
-/// A raw pointer to the element buffer of an array.
+/// A raw pointer to the element buffer of an array, with its length.
 ///
 /// The in-place strategy executor derives one per target from the
-/// *master* store (after forcing payload uniqueness with
-/// [`Store::payload_raw`]) and hands copies to the workers, whose snapshots
-/// share the same allocation — or to the lone chunk that runs on the
-/// master itself. A worker reaches the buffer only through
-/// its [`InPlaceWindow`], so no two threads ever touch the same
-/// element. Each carries the buffer's length, for the debug-build
-/// audit of every access through it.
+/// master store (after forcing payload uniqueness with
+/// [`Store::payload_raw`]) and hands it to every chunk, each of which
+/// reaches the buffer only through its [`InPlaceWindow`], so no two
+/// chunks ever touch the same element; a sequential typed entry pins
+/// the master's own payloads the same way ([`WriteSink::Direct`]). The
+/// length is for the debug-build audit of every access through it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum RawSlice {
     Int(*mut i64, usize),
@@ -193,20 +169,17 @@ pub(crate) enum RawSlice {
 }
 
 // SAFETY: a RawSlice is dereferenced in one place only: the typed
-// loop's window pin (`RawPin` in `bytecode/fast.rs`), which is the
-// chunk's `InPlaceWindow` as a base pointer and an extent and
-// bounds-checks every load and store against it. A window admits only
-// the elements the dispatch gave its chunk: windows of one target are
-// pairwise disjoint, or, for a scatter target, every chunk stores to a
-// set of elements injective index facts keep disjoint and none
-// reads. So no thread reads what another writes. Only a chunk holds a
-// pin, and `WorkerPool::dispatch` does not return, normally or by
-// unwinding, while its closure is running for any chunk or could still
-// be called for one (the barrier in `pool.rs`), whichever thread runs
-// it. A lone chunk that borrows the master runs on the dispatching
-// thread, inside the dispatch, with no snapshot and no other chunk. The
-// master store owns the Arc'd payload for that whole dispatch, so the
-// pointee outlives every access.
+// loop's pin (`RawPin` in `bytecode/fast.rs`), which bounds-checks every
+// load and store against its extent. A window admits only the elements
+// the dispatch gave its chunk: windows of one target are pairwise
+// disjoint, or, for a scatter target, every chunk stores to a set of
+// elements injective index facts keep disjoint and none reads. So no
+// thread reads what another writes. Only a chunk holds a pin, and
+// `WorkerPool::dispatch` does not return, normally or by unwinding,
+// while its closure is running for any chunk or could still be called
+// for one (the barrier in `pool.rs`), whichever thread runs it. The
+// master store owns the Arc'd payload for that whole dispatch and is
+// only read while it runs, so the pointee outlives every access.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
@@ -231,9 +204,10 @@ pub(crate) struct InPlaceWindow {
     pub(crate) len: usize,
 }
 
-/// A typed value vector: a worker's append buffer for one
-/// consecutively-written array, the value column of an [`ElemColumn`],
-/// or the undo image of an in-place window.
+/// A typed value vector: a chunk's append buffer for one
+/// consecutively-written array, its own copy of an array it logs or
+/// privatizes, the values a chunk logged, or the undo image
+/// of an in-place window.
 #[derive(Clone, Debug)]
 pub(crate) enum TypedBuf {
     Int(Vec<i64>),
@@ -271,6 +245,22 @@ impl TypedBuf {
         match self {
             TypedBuf::Int(v) => v.len(),
             TypedBuf::Real(v) => v.len(),
+        }
+    }
+
+    /// Gives the buffer's memory back, keeping its type.
+    pub(crate) fn release(&mut self) {
+        match self {
+            TypedBuf::Int(v) => *v = Vec::new(),
+            TypedBuf::Real(v) => *v = Vec::new(),
+        }
+    }
+
+    /// The buffer's elements, to write through.
+    pub(crate) fn raw(&mut self) -> RawSlice {
+        match self {
+            TypedBuf::Int(v) => RawSlice::Int(v.as_mut_ptr(), v.len()),
+            TypedBuf::Real(v) => RawSlice::Real(v.as_mut_ptr(), v.len()),
         }
     }
 
@@ -335,18 +325,30 @@ impl TypedBuf {
     }
 }
 
-/// Where the typed loop's stores to one array go for the length of a
-/// chunk. A sequential entry stores directly; a parallel worker's
-/// dispatch hands the chunk one sink per stored array, built from its
-/// commit strategy, and takes them back filled when the chunk ends.
+/// Where the typed loop's stores to one array go for the length of an
+/// entry. A sequential entry stores straight into the master's payload;
+/// a parallel dispatch hands each chunk one sink per stored array,
+/// built from its commit strategy, and the commit reads them back
+/// filled. The master's store is only read while chunks run: a chunk
+/// writes into nothing of it but its windows.
 #[derive(Debug)]
 pub(crate) enum WriteSink {
-    /// Nothing observes the writes: raw stores into the uniquely owned
-    /// payload.
-    Direct,
-    /// Raw stores into the worker's own copy-on-write payload, each
-    /// also appended to this column for the commit to claim and replay.
-    Logged(ElemColumn),
+    /// A sequential entry: raw stores into the master's payload, which
+    /// the entry made unique ([`Store::payload_raw`]).
+    Direct(RawSlice),
+    /// Privatized scratch: raw stores into the chunk's own copy of the
+    /// array, taken when the chunk pins it; the commit has no use for it.
+    Private(TypedBuf),
+    /// Raw stores into the chunk's own copy of the array, taken when the
+    /// chunk pins it, so the chunk reads back what it wrote; each store
+    /// is also logged, in program order, as its flat index beside its
+    /// value typed like the payload (16 bytes a write), for the commit
+    /// to claim and replay.
+    Logged {
+        idx: Vec<usize>,
+        vals: TypedBuf,
+        copy: TypedBuf,
+    },
     /// An in-place target: stores land in the master's buffer, inside
     /// this window only.
     Window(InPlaceWindow),
@@ -371,13 +373,13 @@ pub(crate) enum WriteSink {
 ///
 /// Arrays are [`ArrayData`] handles, copy-on-write on the first
 /// mutation: cloning a store is O(#variables) regardless of how many
-/// elements the arrays hold, which is what lets the parallel
-/// verification executor hand every worker its own store for the price
-/// of a scalar-table copy, and a preset costs its caller no copy.
+/// elements the arrays hold, and a preset costs its caller no copy.
 ///
-/// A store observes nothing: what a parallel worker's stores must
-/// become under its dispatch's commit strategy is the business of the
-/// sinks the worker's typed loop stores through (`WriteSink`).
+/// A store observes nothing. A parallel dispatch's chunks all read the
+/// master's store and none writes it: what a chunk's stores must become
+/// under its dispatch's commit strategy is the business of the sinks its
+/// typed loop stores through (`WriteSink`), and what it changes of its
+/// scalars stays in its registers.
 #[derive(Debug)]
 pub struct Store {
     /// Which store this is, among all the process ever built or cloned
@@ -446,12 +448,10 @@ impl Store {
 
     /// Raw pointer to the element buffer of `arr`, with its flat
     /// length. Forces payload uniqueness first ([`Arc::make_mut`]: a
-    /// buffer anything else holds — a preset's caller, a snapshot — is
-    /// copied here, the one copy this store takes of it), so the
-    /// pointer is this store's to write, and snapshots cloned
-    /// *afterwards* share exactly this allocation — which is what lets
-    /// in-place workers write through the pointer while the master
-    /// retains ownership.
+    /// buffer anything else holds — a preset's caller — is copied here,
+    /// the one copy this store takes of it), so the pointer is this
+    /// store's to write: a sequential typed entry's, or in-place chunks'
+    /// through their windows while the master only reads the store.
     pub(crate) fn payload_raw(&mut self, arr: VarId) -> RawSlice {
         match self.array_mut(arr) {
             ArrayData::Int { data, .. } => {
@@ -591,21 +591,6 @@ pub struct ExecStats {
     pub stream_iters: u64,
 }
 
-impl ExecStats {
-    /// Folds in what a parallel worker's chunk counted: its loops'
-    /// entries and costs and its streams. Its `total_cost` the master
-    /// charges itself, against its own fuel.
-    pub(crate) fn absorb(&mut self, worker: ExecStats) {
-        self.stream_entries += worker.stream_entries;
-        self.stream_iters += worker.stream_iters;
-        for (s, ls) in worker.loops {
-            let e = self.loops.entry(s).or_default();
-            e.invocations += ls.invocations;
-            e.total_cost += ls.total_cost;
-        }
-    }
-}
-
 /// Runtime errors.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ExecError {
@@ -659,15 +644,11 @@ pub struct ExecOutcome {
     pub worker_threads_spawned: u64,
 }
 
-/// What one execution owns: the program it runs, the store it runs
-/// on, what it has spent, recorded and printed, and how it is
-/// instrumented.
-///
-/// `S` is what else the run holds. A parallel worker's chunk is a bare
-/// `Run`: it runs the typed loop on its snapshot and nothing else. A
-/// run of the whole program also holds the program-scoped
-/// [`ProgramScope`] — that is the [`Interp`].
-pub struct Run<'p, S = ()> {
+/// The interpreter: one execution of the whole program — the program it
+/// runs, the store it runs on, what it has spent, recorded and printed,
+/// how it is instrumented, and what it keeps across its loop entries
+/// ([`ProgramScope`]).
+pub struct Interp<'p> {
     program: &'p Program,
     /// The store.
     pub store: Store,
@@ -686,17 +667,15 @@ pub struct Run<'p, S = ()> {
     /// with deterministic pseudo-random values instead of zeros
     /// (randomized audit inputs).
     random_fill: Option<u64>,
-    /// What else the run holds: nothing for a worker's chunk, the
-    /// [`ProgramScope`] for a whole run.
-    pub(crate) scope: S,
+    /// What the run keeps across its loop entries.
+    pub(crate) scope: ProgramScope,
     /// What the run's typed entries counted so far.
     #[cfg(test)]
     pub(crate) probe: Probe,
 }
 
-/// What the unit tests read of the typed loop, and the one switch they
-/// set on it: kept by a run across its typed entries, and by the
-/// register file for one entry.
+/// What the unit tests read of the typed loop: kept by a run across its
+/// typed entries, and by the register file for one entry.
 #[cfg(test)]
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct Probe {
@@ -710,13 +689,6 @@ pub(crate) struct Probe {
     /// Rows the segmented kernel ran per instantiation, as
     /// `FState::run_seg` numbers its arms (0 the catch-all).
     pub(crate) seg_shapes: [u64; 3],
-    /// Holds segmented streams off: every row on the per-row path.
-    pub(crate) segs_off: bool,
-    /// Parallel chunks the master ran itself, on no snapshot.
-    pub(crate) master_chunks: u64,
-    /// Holds a lone parallel chunk to a snapshot: every dispatch on the
-    /// path of many chunks, to compare with the chunk on the master.
-    pub(crate) snapshots: bool,
 }
 
 #[cfg(test)]
@@ -730,9 +702,9 @@ impl Probe {
     }
 }
 
-/// What a run of the whole program holds beyond one execution: what it
-/// derived once of each loop statement, and the threads its parallel
-/// dispatches run on. A parallel worker needs neither.
+/// What a run of the whole program keeps across its loop entries: what
+/// it derived once of each loop statement, the threads its parallel
+/// dispatches run on, and the state its typed loops run in.
 #[derive(Default)]
 pub struct ProgramScope {
     /// One memo per loop statement the run lowered or dispatched.
@@ -744,13 +716,10 @@ pub struct ProgramScope {
     /// under the affinity the run itself has and no run inherits a
     /// thread another run's fault injection left sleeping.
     pub(crate) pool: Option<WorkerPool>,
-    /// The register planes and pin vector every typed loop the master
-    /// runs itself — a sequential entry, or the one chunk of a
-    /// dispatch — runs in, kept between entries for their allocations:
-    /// the master runs one at a time, so one set serves every loop.
-    pub(crate) planes: FState,
-    /// What the parallel dispatches keep between entries for the same
-    /// reason: windows, undo images, sinks and saved scalars.
+    /// What typed entries and parallel dispatches keep between entries
+    /// for their allocations: windows, undo images and one slot per
+    /// chunk, whose first holds the planes every typed loop the master
+    /// runs itself runs in.
     pub(crate) buffers: crate::parallel::DispatchBuffers,
 }
 
@@ -760,32 +729,58 @@ pub struct ProgramScope {
 /// for the run's lifetime.
 pub(crate) struct LoopMemo {
     /// The nest's lowering (`None` records a rejection); `Arc` lets
-    /// parallel workers share one body.
+    /// parallel chunks share one body.
     pub(crate) body: Option<Arc<CompiledBody>>,
     /// The parallel executor's own strategy derivations.
     pub(crate) shapes: crate::parallel::DerivedShapes,
 }
 
-/// The interpreter: a run of the whole program, in its scope.
-pub type Interp<'p> = Run<'p, ProgramScope>;
-
 /// The fuel a new interpreter starts with (runaway loop guard).
 const FUEL: u64 = 2_000_000_000;
 
-impl<'p, S> Run<'p, S> {
-    /// A run of `program` on `store` with `fuel` left, holding `scope`,
-    /// that has spent and recorded nothing yet. Allocates nothing.
-    pub(crate) fn on(program: &'p Program, store: Store, fuel: u64, scope: S) -> Run<'p, S> {
-        Run {
+/// The one bounds rule: the Fortran column-major, 1-based flat offset
+/// of subscripts `subs` into array `a` of extents `dims`, or the
+/// program's `OutOfBounds` on the first subscript outside `1 ..=
+/// extent`. The tree-walk's `flat_index` and the typed loop's `IndexN`
+/// both resolve through it, and the typed loop's other misses are
+/// named by it.
+#[inline(always)]
+pub(crate) fn column_major(
+    program: &Program,
+    a: VarId,
+    dims: &[usize],
+    subs: impl IntoIterator<Item = i64>,
+) -> Result<usize, ExecError> {
+    let mut idx: usize = 0;
+    let mut stride: usize = 1;
+    for (k, v) in subs.into_iter().enumerate() {
+        let extent = dims[k];
+        if v < 1 || v as usize > extent {
+            return Err(ExecError::OutOfBounds {
+                array: program.symbols.name(a).to_string(),
+                index: v,
+                extent,
+            });
+        }
+        idx += (v as usize - 1) * stride;
+        stride *= extent;
+    }
+    Ok(idx)
+}
+
+impl<'p> Interp<'p> {
+    /// Creates an interpreter with a fresh store and default fuel.
+    pub fn new(program: &'p Program) -> Interp<'p> {
+        Interp {
             program,
-            store,
+            store: Store::new(program),
             stats: ExecStats::default(),
             record_loops: HashSet::new(),
             output: Vec::new(),
-            fuel,
+            fuel: FUEL,
             tracer: None,
             random_fill: None,
-            scope,
+            scope: ProgramScope::default(),
             #[cfg(test)]
             probe: Probe::default(),
         }
@@ -803,43 +798,6 @@ impl<'p, S> Run<'p, S> {
         }
         self.fuel -= n;
         Ok(())
-    }
-
-    /// The one bounds rule: the Fortran column-major, 1-based flat
-    /// offset of subscripts `subs` into array `a` of extents `dims`, or
-    /// the program's `OutOfBounds` on the first subscript outside
-    /// `1 ..= extent`. The tree-walk's `flat_index` and the typed
-    /// loop's `IndexN` both resolve through it, and the typed loop's
-    /// other misses are named by it.
-    #[inline(always)]
-    pub(crate) fn column_major(
-        &self,
-        a: VarId,
-        dims: &[usize],
-        subs: impl IntoIterator<Item = i64>,
-    ) -> Result<usize, ExecError> {
-        let mut idx: usize = 0;
-        let mut stride: usize = 1;
-        for (k, v) in subs.into_iter().enumerate() {
-            let extent = dims[k];
-            if v < 1 || v as usize > extent {
-                return Err(ExecError::OutOfBounds {
-                    array: self.program.symbols.name(a).to_string(),
-                    index: v,
-                    extent,
-                });
-            }
-            idx += (v as usize - 1) * stride;
-            stride *= extent;
-        }
-        Ok(idx)
-    }
-}
-
-impl<'p> Interp<'p> {
-    /// Creates an interpreter with a fresh store and default fuel.
-    pub fn new(program: &'p Program) -> Interp<'p> {
-        Run::on(program, Store::new(program), FUEL, ProgramScope::default())
     }
 
     /// Worker threads this interpreter's parallel dispatches have
@@ -1115,10 +1073,7 @@ impl<'p> Interp<'p> {
                 let mut iter_costs: Vec<u64> = Vec::new();
                 if let Some(cb) = typed {
                     // It writes the final induction value back itself.
-                    let mut planes = std::mem::take(&mut self.scope.planes);
-                    let ran = self.run_fast_iters(&cb, (lo, hi, step), None, &mut planes);
-                    self.scope.planes = planes;
-                    match ran {
+                    match self.run_typed(&cb, (lo, hi, step)) {
                         Ok(()) => dispatcher.compiled_committed(s),
                         Err(ChunkAbort::Exec(e)) => return Err(e),
                         Err(_) => unreachable!("a sequential entry has no deadline or sink"),
@@ -1262,11 +1217,20 @@ impl<'p> Interp<'p> {
     }
 
     fn flat_index(&mut self, a: VarId, subs: &[Expr]) -> Result<usize, ExecError> {
-        // Every subscript is evaluated before any is checked.
-        let vals: Result<Vec<i64>, _> = subs.iter().map(|s| Ok(self.eval(s)?.as_int())).collect();
-        let arr = self.store.array(a);
-        let idx = self.column_major(a, arr.dims(), vals?)?;
-        debug_assert!(idx < arr.len());
+        // Every subscript is evaluated before any is checked; a lone one
+        // needs no vector to wait in.
+        let idx = match subs {
+            [s] => {
+                let v = self.eval(s)?.as_int();
+                column_major(self.program, a, self.store.array(a).dims(), [v])
+            }
+            _ => {
+                let vals: Result<Vec<i64>, _> =
+                    subs.iter().map(|s| Ok(self.eval(s)?.as_int())).collect();
+                column_major(self.program, a, self.store.array(a).dims(), vals?)
+            }
+        }?;
+        debug_assert!(idx < self.store.array(a).len());
         Ok(idx)
     }
 
@@ -1286,7 +1250,7 @@ impl<'p> Interp<'p> {
 /// Every executor steps through this one function so they agree on the
 /// edge, and likewise computes through the operator table below
 /// ([`bin_i`], [`bin_f`], [`cmp_res`]) and resolves a multi-dimensional
-/// subscript through the one bounds rule ([`Run::column_major`]).
+/// subscript through the one bounds rule ([`column_major`]).
 #[inline]
 pub(crate) fn advance_induction(i: &mut i64, step: i64) -> bool {
     let (next, overflowed) = i.overflowing_add(step);

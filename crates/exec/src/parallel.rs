@@ -14,37 +14,32 @@
 //! boundary and is that chunk's result), before it looks at a single
 //! outcome; they come back in chunk order.
 //!
-//! # What a worker runs
+//! # What a chunk runs
 //!
-//! **A worker is a [`Run`], and it runs the typed loop.** The master
-//! lowers the loop once (memoized per statement in its
-//! [`ProgramScope`](crate::interp::ProgramScope)), and every chunk is a
-//! bare `Run` on a cheap clone of the live store (array payloads are
-//! Arc-shared and copy-on-write, so the clone is O(#variables), and an
-//! array a chunk only reads is never copied) with the master's fuel. It
-//! runs the compiled body for its whole chunk in **one call**
-//! (`Run::run_fast_iters`): induction loop, per-iteration charge, and
-//! the deadline poll and strategy check between the iterations of every
-//! loop of the nest, all inside it. The dispatch hands the chunk one
-//! sink per array the body stores to (`WriteSink`), built from its
-//! mode: the chunk's in-place window, its append buffer, its logged
-//! column, or — for privatized scratch — the worker's own copy. Each
-//! strategy's rules live in those sinks and nowhere else. The chunk
-//! hands back the sinks it ran with, filled, the final values of the
-//! scalars the commit reads (the reductions and the concat pointer) and
-//! its statistics; its store clone is dropped with it.
-//!
-//! **A lone chunk borrows the master.** A dispatch of one chunk whose
-//! every sink is a window or an append buffer — in place, or by concat,
-//! with nothing privatized stored and nothing logged — runs the typed
-//! loop on the master itself, in the register planes the master keeps
-//! between entries: its stores land in the master's buffers inside its
-//! windows or in its buffers, and no other chunk exists to write what it
-//! reads, so the snapshot would protect nothing. It takes no clone, no
-//! pool, no outcome vector and no aggregation; what the typed loop
-//! changes of the master beyond its windows (the scalars the nest
-//! assigns, the statistics, the fuel) is saved at hand-off and put back
-//! wherever the snapshot path would have left it untouched.
+//! **Every chunk runs the typed loop over the master's store, which it
+//! only reads.** The master lowers the loop once (memoized per
+//! statement in its [`ProgramScope`](crate::interp::ProgramScope)), and
+//! every chunk — the one of a one-chunk dispatch or one of many, in any
+//! mode — runs the compiled body for its whole range in **one call**
+//! (`FState::run`): induction loop, per-iteration charge, and the
+//! deadline poll and strategy check between the iterations of every
+//! loop of the nest, all inside it, with the master's fuel. It pins the
+//! master's payloads and loads its scalars through `&Store`, and writes
+//! only its sinks and its own state. The dispatch hands it one sink per
+//! array the body stores to (`WriteSink`), built from its mode: its
+//! in-place window of the master's buffer, its append buffer, or its
+//! own copy of the array — logged for the commit, or privatized
+//! scratch the commit ignores — taken as it pins it. Each strategy's
+//! rules live in those sinks and nowhere else. The chunk runs in a slot
+//! the run keeps (`Chunk`: chunk `k` in slot `k`, chunk 0 on the
+//! calling thread), and leaves there what the commit reads: its sinks,
+//! filled, its registers, spent cost, fuel and loop and stream
+//! counters, and the final values of the scalars the commit reads (the
+//! reductions and the concat pointer). The sinks are emptied once the
+//! dispatch settles: a slot keeps its vectors, not what a chunk wrote.
+//! No chunk ever writes the master's scalars, statistics or fuel, so a
+//! failed dispatch has nothing to put back but what its in-place
+//! targets held.
 //!
 //! # One commit
 //!
@@ -58,9 +53,9 @@
 //! values they wrote, while a chunk may rewrite its own location. Then
 //! it applies: logged columns replayed, append buffers concatenated in
 //! chunk order, window targets' versions bumped, reductions combined
-//! under the plan's [`ReduceOp`]. Worker statistics and fuel are
-//! aggregated into the master (`ExecStats::absorb`) — a lone chunk on
-//! the master spent them there already.
+//! under the plan's [`ReduceOp`] from the first chunk's final (so one
+//! chunk leaves the sequential walk's bits). The chunks' cost, fuel and
+//! counters are folded into the master once, after it.
 //!
 //! The property-based soundness tests use this to assert: *loops judged
 //! parallel produce exactly the sequential result, with no conflicting
@@ -129,11 +124,10 @@
 //!   re-validated dynamically (contiguous positions, pointer delta ==
 //!   buffer length per chunk).
 
-use crate::bytecode::{ChunkAbort, CompiledBody, FState, WorkerChunk};
+use crate::bytecode::{ChunkAbort, CompiledBody, Deadline, FState, Typed};
 use crate::fault::FaultKind;
 use crate::interp::{
-    ElemColumn, ExecError, ExecStats, InPlaceWindow, Interp, RawSlice, Run, Store, TypedBuf, Value,
-    WriteSink,
+    ExecError, InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value, WriteSink,
 };
 use crate::pool::WorkerPool;
 use crate::runtime_test::IndexFacts;
@@ -202,7 +196,7 @@ pub struct Committed {
     pub chunks: u64,
     /// The body cost the chunks charged the master together: the
     /// statement and loop-bookkeeping units of the typed loop
-    /// ([`ExecStats::total_cost`]), the same whatever the chunk count
+    /// ([`crate::ExecStats::total_cost`]), the same whatever the chunk count
     /// and on every host — a deterministic measure of the entry's work,
     /// not wall time (zero for a zero-trip dispatch).
     pub cost: u64,
@@ -217,11 +211,13 @@ pub struct ParallelPlan {
     /// process had it when it first asked.
     pub threads: usize,
     /// Variables whose final values are per-thread scratch (privatized
-    /// arrays and scalars) — excluded from the commit.
-    pub privatized: Vec<VarId>,
+    /// arrays and scalars) — excluded from the commit. Shared, not
+    /// copied, like both lists below: a plan built per entry from a
+    /// loop's plan copies no list.
+    pub privatized: Arc<[VarId]>,
     /// Scalar reductions and their combining operators.
-    pub reductions: Vec<(VarId, ReduceOp)>,
-    /// Per-worker wall-clock deadline in milliseconds, checked between
+    pub reductions: Arc<[(VarId, ReduceOp)]>,
+    /// Per-chunk wall-clock deadline in milliseconds, checked between
     /// the iterations (and stream strips) of every loop of the nest, not
     /// only the root's: a worker still running past it aborts its chunk
     /// and the dispatch fails with [`ParallelError::Timeout`] (so a
@@ -270,12 +266,12 @@ impl ParallelPlan {
     pub fn with_threads(threads: usize) -> ParallelPlan {
         ParallelPlan {
             threads,
-            privatized: Vec::new(),
-            reductions: Vec::new(),
+            // An empty `Arc` slice allocates nothing.
+            privatized: Arc::default(),
+            reductions: Arc::default(),
             deadline_ms: None,
             fault: None,
             strategy: ExecutionStrategy::WriteLog,
-            // An empty `Arc` slice allocates nothing.
             facts: Arc::default(),
         }
     }
@@ -287,19 +283,35 @@ impl ParallelPlan {
     /// such a loop parallel — so it is left out. Everything else is as
     /// [`ParallelPlan::with_threads`] has it.
     pub fn for_verdict(verdict: &LoopVerdict, threads: usize) -> ParallelPlan {
-        let reductions = verdict.reductions.iter().filter_map(|(var, op)| {
-            let op = match op {
-                ReductionOp::Sum => ReduceOp::Sum,
-                ReductionOp::Min => ReduceOp::Min,
-                ReductionOp::Max => ReduceOp::Max,
-                ReductionOp::Product => return None,
-            };
-            Some((*var, op))
-        });
+        let reductions = || {
+            verdict.reductions.iter().filter_map(|(var, op)| {
+                let op = match op {
+                    ReductionOp::Sum => ReduceOp::Sum,
+                    ReductionOp::Min => ReduceOp::Min,
+                    ReductionOp::Max => ReduceOp::Max,
+                    ReductionOp::Product => return None,
+                };
+                Some((*var, op))
+            })
+        };
         ParallelPlan {
-            privatized: verdict.privatized_vars().collect(),
-            reductions: reductions.collect(),
+            privatized: shared(|| verdict.privatized_vars()),
+            reductions: shared(reductions),
             ..ParallelPlan::with_threads(threads)
+        }
+    }
+}
+
+/// The items `items()` yields, in one shared slice: one allocation,
+/// none for no items. Collecting the iterator itself would take two
+/// (a `Vec`, then the slice), and one for no items; the runtime builds a
+/// plan per parallel loop, and `tests/allocations.rs` counts the build.
+fn shared<T, I: Iterator<Item = T>>(items: impl Fn() -> I) -> Arc<[T]> {
+    match items().count() {
+        0 => Arc::default(),
+        n => {
+            let mut items = items();
+            (0..n).map(|_| items.next().expect("counted")).collect()
         }
     }
 }
@@ -401,23 +413,23 @@ impl ParallelError {
     }
 }
 
-/// What one chunk hands back: the sinks it ran with, filled — what the
-/// commit reads its element writes from — the final values of the
-/// scalars the commit reads, and the statistics the master aggregates.
-/// A snapshot's chunk hands it back with its store gone: a live
-/// snapshot would still share each concat target's payload with the
-/// master, and the commit's first write to the target would copy it
-/// whole.
-struct ChunkOutcome {
-    /// One per pin slot of the body, as the chunk was handed them
-    /// ([`WorkerChunk::sinks`]).
+/// One chunk's slot, kept by the run between dispatches: the state the
+/// chunk runs in — its registers, cost and counters, which the commit
+/// reads instead of a store ([`FState`]) — its sinks, the final values
+/// of the scalars the commit reads, and how the chunk ended. The pool
+/// hands chunk `k` slot `k`.
+#[derive(Default)]
+pub(crate) struct Chunk {
+    st: FState,
+    /// One per pin slot of the body: the sink of an array it stores
+    /// to, `None` for one it only reads ([`Mode::sinks`]).
     sinks: Vec<Option<WriteSink>>,
     /// The final value of each of the plan's reductions, in its order,
     /// then, under concat, of the append pointer.
     finals: Vec<Value>,
-    stats: ExecStats,
-    #[cfg(test)]
-    probe: crate::interp::Probe,
+    /// Why the chunk failed, as the dispatch would report it; `None`
+    /// when it ran its range.
+    failed: Option<ParallelError>,
 }
 
 /// One in-place target of a dispatch: the master buffer, and where its
@@ -454,24 +466,31 @@ pub(crate) struct InPlace {
     held: Vec<TypedBuf>,
 }
 
-/// What the master keeps for a chunk it runs itself ([`on_master`]):
-/// the chunk's sinks, the finals it hands the commit, and the master's
-/// assigned scalars and inner-loop statistics as they were at hand-off.
-#[derive(Default)]
-pub(crate) struct MasterChunk {
-    sinks: Vec<Option<WriteSink>>,
-    finals: Vec<Value>,
-    scalars: Vec<Value>,
-    loops: Vec<Option<(u64, u64)>>,
-}
-
-/// What a run's parallel dispatches keep between entries, for the
-/// allocations: the vectors a re-entered loop would otherwise build
-/// again every time.
+/// What a run's typed entries and parallel dispatches keep between
+/// entries, for the allocations: the vectors a re-entered loop would
+/// otherwise build again every time, and the chunks' slots.
 #[derive(Default)]
 pub(crate) struct DispatchBuffers {
     in_place: InPlace,
-    master: MasterChunk,
+    /// Chunk `k`'s slot is `slots[k]`. Slot 0's state is also every
+    /// sequential typed entry's: the master runs one typed loop at a
+    /// time, and a dispatch runs its chunk 0 on the master's thread.
+    slots: Vec<Chunk>,
+}
+
+impl DispatchBuffers {
+    /// The planes every typed loop the master runs itself runs in.
+    pub(crate) fn planes(&mut self) -> &mut FState {
+        &mut first(&mut self.slots, 1)[0].st
+    }
+}
+
+/// The first `n` of `slots`, grown to hold them.
+fn first(slots: &mut Vec<Chunk>, n: usize) -> &mut [Chunk] {
+    if slots.len() < n {
+        slots.resize_with(n, Chunk::default);
+    }
+    &mut slots[..n]
 }
 
 /// The write-back mode a dispatch actually runs with, after the
@@ -504,12 +523,12 @@ impl Mode<'_> {
     }
 
     /// Fills `out` with the sinks chunk `widx` stores through, one per
-    /// pin slot of `body` ([`WorkerChunk::sinks`]): its window of an
-    /// in-place target, a fresh append buffer for a concat target, the
-    /// worker's own copy for privatized scratch (the commit has no use
-    /// for it), and a logged column for anything else — except in
-    /// place, where the derivation admits no other stored array. Each
-    /// strategy's rules live in these sinks, and [`commit`] walks them.
+    /// pin slot of `body` ([`Chunk::sinks`]): its window of an in-place
+    /// target, a fresh append buffer for a concat target, an own copy for
+    /// privatized scratch (the commit has no use for it), and a logged
+    /// own copy for anything else — except in place, where the
+    /// derivation admits no other stored array. Each strategy's rules
+    /// live in these sinks, and [`commit`] walks them.
     fn sinks(
         &self,
         program: &Program,
@@ -520,21 +539,26 @@ impl Mode<'_> {
     ) {
         let sink = |a: VarId| {
             let ty = program.symbols.var(a).ty;
+            let window = |ip: &InPlace| {
+                let k = ip.specs.iter().position(|s| s.var == a)?;
+                let (lo, len) = ip.windows[k * ip.chunks + widx];
+                let slice = ip.specs[k].slice;
+                Some(WriteSink::Window(InPlaceWindow { slice, lo, len }))
+            };
             match self {
-                Mode::InPlace(ip) => match ip.specs.iter().position(|s| s.var == a) {
-                    Some(k) => {
-                        let (lo, len) = ip.windows[k * ip.chunks + widx];
-                        let slice = ip.specs[k].slice;
-                        WriteSink::Window(InPlaceWindow { slice, lo, len })
-                    }
-                    None => WriteSink::Direct,
-                },
+                Mode::InPlace(ip) => {
+                    window(ip).unwrap_or_else(|| WriteSink::Private(TypedBuf::new(ty)))
+                }
                 Mode::Concat { targets, p0, .. } if targets.contains(&a) => WriteSink::Append {
                     base: *p0 as usize,
                     buf: TypedBuf::new(ty),
                 },
-                _ if plan.privatized.contains(&a) => WriteSink::Direct,
-                _ => WriteSink::Logged(ElemColumn::new(a, ty)),
+                _ if plan.privatized.contains(&a) => WriteSink::Private(TypedBuf::new(ty)),
+                _ => WriteSink::Logged {
+                    idx: Vec::new(),
+                    vals: TypedBuf::new(ty),
+                    copy: TypedBuf::new(ty),
+                },
             }
         };
         out.clear();
@@ -557,14 +581,6 @@ impl Mode<'_> {
             }
         }
     }
-}
-
-/// Whether every sink stores into a window of the master's buffers or
-/// an append buffer — never into a store's own payload — so a lone
-/// chunk can run on the master itself.
-fn borrows_master(sinks: &[Option<WriteSink>]) -> bool {
-    let master_safe = |s: &WriteSink| matches!(s, WriteSink::Window(_) | WriteSink::Append { .. });
-    sinks.iter().flatten().all(master_safe)
 }
 
 /// How a dispatch splits its iteration space `lo..lo + n`: `count`
@@ -678,8 +694,8 @@ fn chunk_windows(
 /// the memo instead of copying them.
 #[derive(Default)]
 pub(crate) struct DerivedShapes {
-    privatized: Vec<VarId>,
-    reductions: Vec<VarId>,
+    privatized: Arc<[VarId]>,
+    reductions: Arc<[(VarId, ReduceOp)]>,
     in_place: Option<Option<Arc<[InPlaceTarget]>>>,
     concat: Option<Option<(VarId, Arc<[VarId]>)>>,
 }
@@ -694,15 +710,16 @@ enum Derived {
 
 impl DerivedShapes {
     /// This memo, emptied if `plan` names other lists than the ones it
-    /// was derived under.
+    /// was derived under. A re-entered loop's plans share its lists, so
+    /// the check is two pointer compares.
     fn keyed(&mut self, plan: &ParallelPlan) -> &mut DerivedShapes {
-        let reductions = plan.reductions.iter().map(|(v, _)| *v);
-        if self.privatized != plan.privatized || !self.reductions.iter().copied().eq(reductions) {
-            *self = DerivedShapes {
-                privatized: plan.privatized.clone(),
-                reductions: plan.reductions.iter().map(|(v, _)| *v).collect(),
-                ..DerivedShapes::default()
-            };
+        let shared = Arc::ptr_eq(&self.privatized, &plan.privatized)
+            && Arc::ptr_eq(&self.reductions, &plan.reductions);
+        if !shared {
+            if self.privatized != plan.privatized || self.reductions != plan.reductions {
+                *self = DerivedShapes::default();
+            }
+            (self.privatized, self.reductions) = (plan.privatized.clone(), plan.reductions.clone());
         }
         self
     }
@@ -716,19 +733,20 @@ impl DerivedShapes {
         loop_stmt: StmtId,
         strategy: ExecutionStrategy,
     ) -> Derived {
-        let (privatized, reductions) = (&self.privatized, &self.reductions);
+        let privatized = &self.privatized;
+        let reductions = || self.reductions.iter().map(|(v, _)| *v).collect::<Vec<_>>();
         let derived = match strategy {
             ExecutionStrategy::WriteLog => None,
             ExecutionStrategy::InPlaceDisjoint => (self.in_place)
                 .get_or_insert_with(|| {
-                    irr_driver::derive_in_place_facts(program, loop_stmt, privatized, reductions)
+                    irr_driver::derive_in_place_facts(program, loop_stmt, privatized, &reductions())
                         .map(Arc::from)
                 })
                 .clone()
                 .map(Derived::InPlace),
             ExecutionStrategy::PrivatizeAndConcat => (self.concat)
                 .get_or_insert_with(|| {
-                    irr_driver::derive_concat_shape(program, loop_stmt, privatized, reductions)
+                    irr_driver::derive_concat_shape(program, loop_stmt, privatized, &reductions())
                         .map(|(ptr, targets)| (ptr, Arc::from(targets)))
                 })
                 .clone()
@@ -787,9 +805,8 @@ fn prepare_in_place(
             held.copy_from(data, from..from + total);
             Some(from)
         };
-        // `payload_raw` forces payload uniqueness on the master before
-        // any snapshot is cloned, so every snapshot Arc-shares exactly
-        // this allocation.
+        // `payload_raw` forces payload uniqueness on the master: the
+        // chunks' windows write this allocation, nothing else's.
         let slice = store.payload_raw(t.array);
         ip.specs.push(InPlaceSpec {
             var: t.array,
@@ -834,7 +851,7 @@ impl Watch {
     /// only when a deadline is set (the hot path never reads wall time),
     /// and before any stall — so a stalled chunk trips the deadline on
     /// its first iteration check.
-    fn start(self, widx: usize) -> Option<(Instant, Duration)> {
+    fn start(self, widx: usize) -> Deadline {
         if self.panic == Some(widx) {
             panic!("injected fault: worker {widx} panic");
         }
@@ -850,31 +867,26 @@ impl Watch {
 /// already evaluated. This is the dispatch hook the hybrid runtime uses
 /// after a guard (or a compile-time verdict) clears the loop: the
 /// iteration space `lo..=hi` is split into contiguous chunks, each chunk
-/// runs the typed loop, and what the chunks' sinks collected is
-/// committed by one two-phase commit, whatever the strategy, in
-/// `O(total writes)`. Chunks run on copy-on-write clones of the live
-/// store, on the interpreter's pooled threads or the calling thread —
-/// except a lone chunk that stores only through windows and append
-/// buffers, which borrows the master itself ([`on_master`]): no clone,
-/// no pool, nothing to aggregate.
+/// runs the typed loop over the master's store, on the interpreter's
+/// pooled threads or the calling thread, and what the chunks' sinks
+/// collected is committed by one two-phase commit, whatever the
+/// strategy, in `O(total writes)` ([`run_chunks`]).
 ///
 /// **The dispatch is a transaction.** The master interpreter — store,
-/// statistics, fuel — is mutated only after every worker completed and
+/// statistics, fuel — is mutated only after every chunk completed and
 /// the commit validated what the chunks wrote; an in-place dispatch,
-/// whose workers write the master's buffers as they go, instead
-/// restores its targets from the images taken at hand-off, and a chunk
-/// run on the master puts back what it changed of the master's
-/// scalars, statistics and fuel. On any [`ParallelError`] the master is
-/// as it was at entry — up to in-place targets that needed no image,
-/// possibly dirty, which a sequential re-execution rewrites location by
-/// location — so the caller can re-execute the loop sequentially (the
-/// interpreter's dispatch site does precisely that; see
-/// `Interp::exec_stmt_with`).
+/// whose chunks write the master's buffers as they go, instead restores
+/// its targets from the images taken at hand-off. On any
+/// [`ParallelError`] the master is as it was at entry — up to in-place
+/// targets that needed no image, possibly dirty, which a sequential
+/// re-execution rewrites location by location — so the caller can
+/// re-execute the loop sequentially (the interpreter's dispatch site
+/// does precisely that; see `Interp::exec_stmt_with`).
 ///
-/// Worker statistics and fuel consumption are aggregated into the
+/// The chunks' statistics and fuel consumption are folded into the
 /// master interpreter; the induction variable is left at `hi + 1` (or
 /// `lo` for a zero-trip loop), matching sequential semantics. A
-/// `plan.deadline_ms` arms a cooperative per-worker watchdog (checked
+/// `plan.deadline_ms` arms a cooperative per-chunk watchdog (checked
 /// between the iterations of every loop of the nest, so a long inner
 /// `do` or `while` stops too); `plan.fault` injects one failure for
 /// chaos testing.
@@ -972,10 +984,9 @@ fn untyped<T>(reason: String) -> Result<T, ParallelError> {
 }
 
 /// Resolves the dispatch's mode against the live store, checks that the
-/// commit can claim every scalar the nest assigns, and runs the chunks —
-/// a lone one on the master when it can, any other on snapshots.
-/// Returns the strategy that committed and the body cost the master
-/// paid.
+/// commit can claim every scalar the nest assigns, runs the chunks and
+/// commits them ([`run_chunks`]). Returns the strategy that committed
+/// and the body cost the master paid.
 fn run(
     interp: &mut Interp<'_>,
     plan: &ParallelPlan,
@@ -985,7 +996,7 @@ fn run(
     buffers: &mut DispatchBuffers,
 ) -> Result<(ExecutionStrategy, u64), ParallelError> {
     let program = interp.program();
-    let DispatchBuffers { in_place, master } = buffers;
+    let DispatchBuffers { in_place, slots } = buffers;
     let mode = match derived {
         Derived::WriteLog => Mode::WriteLog,
         Derived::InPlace(targets) => {
@@ -1002,11 +1013,11 @@ fn run(
             _ => Mode::WriteLog,
         },
     };
-    // The commit reads a worker's final value of a privatized scalar
+    // The commit reads a chunk's final value of a privatized scalar
     // (never), a reduction (combined) and the concat pointer (summed);
     // any other scalar the nest can assign would have to be claimed by
-    // the one chunk that wrote it, which the typed loop, writing back
-    // every such scalar at chunk exit, cannot tell.
+    // the one chunk that wrote it, which the typed loop, ending every
+    // such scalar's register at chunk exit, cannot tell.
     let claim_exempt = |v: VarId| {
         plan.privatized.contains(&v)
             || plan.reductions.iter().any(|(r, _)| *r == v)
@@ -1018,241 +1029,100 @@ fn run(
             "the nest assigns `{name}`, which the commit would claim"
         ));
     }
-    let watch = Watch::new(plan, chunks);
-    let alone = chunks.count == 1 && !matches!(mode, Mode::WriteLog) && interp.may_borrow();
-    if alone {
-        mode.sinks(program, plan, body, 0, &mut master.sinks);
-    }
-    let cost = if alone && borrows_master(&master.sinks) {
-        on_master(interp, plan, body, &mode, chunks, watch, master)?
-    } else {
-        on_snapshots(interp, plan, body, &mode, chunks, watch)?
-    };
+    // Chunk `k` runs in slot `k`.
+    let slots = first(slots, chunks.count);
+    let cost = run_chunks(interp, plan, body, &mode, chunks, slots)?;
     Ok((mode.strategy(), cost))
 }
 
-/// Runs a dispatch's one chunk on the master itself: no snapshot, no
-/// pool, no outcome to aggregate. Only a chunk whose every stored slot
-/// is a window or an append buffer comes here ([`borrows_master`]): its
-/// stores land in the master's buffers inside its windows or not at
-/// all, and no other chunk exists that could write what it reads. What
-/// the typed loop changes of the master beyond that is saved first —
-/// the scalars the nest can assign, the statistics and the fuel. The
-/// scalars go back before the one commit, which reads the chunk's
-/// finals and folds the reductions and moves the pointer from the
-/// pre-loop values, as it does for any chunk; on any failure the rest
-/// goes back too, beside the undo images, so the master is as the
-/// snapshot path leaves it. Returns the body cost the chunk charged.
-fn on_master(
+/// Runs a dispatch's chunks — one on the calling thread, more on the
+/// run's pool as well — each in its slot, over the master's store, which
+/// every chunk only reads: a chunk writes only its sinks (its windows of
+/// the master's buffers among them) and its own [`FState`], and the
+/// commit reads the rest — its registers, cost and counters — from
+/// there. Then commits what they wrote and folds what they counted into
+/// the master, or reports the one failure the dispatch fails with,
+/// having changed nothing of the master but what the mode's undo images
+/// put back. Returns the body cost the chunks charged the master
+/// together.
+fn run_chunks(
     interp: &mut Interp<'_>,
     plan: &ParallelPlan,
     body: &CompiledBody,
     mode: &Mode<'_>,
     chunks: Chunks,
-    watch: Watch,
-    kept: &mut MasterChunk,
+    slots: &mut [Chunk],
 ) -> Result<u64, ParallelError> {
     let program = interp.program();
-    let assigned = || body.scalars().iter().filter(|p| p.assigned);
-    kept.scalars.clear();
-    kept.scalars
-        .extend(assigned().map(|p| interp.store.scalar(p.var)));
-    let stats = &interp.stats;
-    let inner = body.inner_loops().iter().map(|s| stats.loops.get(s));
-    kept.loops.clear();
-    kept.loops
-        .extend(inner.map(|e| e.map(|e| (e.invocations, e.total_cost))));
-    let (fuel, spent) = (interp.fuel, interp.stats.total_cost);
-    let streamed = (interp.stats.stream_entries, interp.stats.stream_iters);
-    #[cfg(test)]
-    {
-        interp.probe.master_chunks += 1;
-    }
-    let mut planes = std::mem::take(&mut interp.scope.planes);
-    let mut share = WorkerChunk {
-        deadline: None,
-        sinks: std::mem::take(&mut kept.sinks),
-    };
-    let range = (chunks.lo, chunks.hi(), 1);
-    let ran = catch_unwind(AssertUnwindSafe(|| {
-        share.deadline = watch.start(0);
-        interp.run_fast_iters(body, range, Some(&mut share), &mut planes)
-    }));
-    interp.scope.planes = planes;
-    // What the commit reads of the chunk, then the values the master had.
+    let (store, fuel) = (&interp.store, interp.fuel);
+    let watch = Watch::new(plan, chunks);
     let finals = plan.reductions.iter().map(|&(v, _)| v);
     let finals = finals.chain(mode.pointer().map(|(ptr, _)| ptr));
-    kept.finals.clear();
-    kept.finals.extend(finals.map(|v| interp.store.scalar(v)));
-    for (p, &held) in assigned().zip(&kept.scalars) {
-        interp
-            .store
-            .set_scalar(p.var, program.symbols.var(p.var).ty, held);
-    }
-    let out = ChunkOutcome {
-        sinks: share.sinks,
-        finals: std::mem::take(&mut kept.finals),
-        stats: ExecStats::default(),
-        #[cfg(test)]
-        probe: Default::default(),
-    };
-    let committed = match ran {
-        Ok(Ok(())) => {
-            forged(plan).and_then(|()| commit(interp, plan, mode, body, std::slice::from_ref(&out)))
-        }
-        Ok(Err(abort)) => Err(chunk_error(program, plan, mode, 0, Ok(abort))),
-        Err(payload) => Err(chunk_error(program, plan, mode, 0, Err(payload))),
-    };
-    (kept.sinks, kept.finals) = (out.sinks, out.finals);
-    if let Err(e) = committed {
-        mode.roll_back(&mut interp.store);
-        interp.fuel = fuel;
-        let stats = &mut interp.stats;
-        stats.total_cost = spent;
-        (stats.stream_entries, stats.stream_iters) = streamed;
-        for (s, held) in body.inner_loops().iter().zip(&kept.loops) {
-            match held {
-                Some((invocations, total_cost)) => {
-                    let e = stats.loops.entry(*s).or_default();
-                    (e.invocations, e.total_cost) = (*invocations, *total_cost);
-                }
-                None => {
-                    stats.loops.remove(s);
-                }
+    let run_chunk = |widx: usize, c: &mut Chunk| {
+        mode.sinks(program, plan, body, widx, &mut c.sinks);
+        let (clo, chi) = chunks.bounds(widx);
+        let cx = Typed { program, store };
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let deadline = watch.start(widx);
+            c.st.run(cx, body, (clo, chi, 1), (fuel, deadline), &mut c.sinks)
+        }));
+        c.finals.clear();
+        c.failed = match ran {
+            Ok(Ok(())) => {
+                let ended = finals.clone().map(|v| c.st.scalar(body, store, v));
+                c.finals.extend(ended);
+                None
             }
+            Ok(Err(abort)) => Some(chunk_error(program, plan, mode, widx, Ok(abort))),
+            Err(payload) => Some(chunk_error(program, plan, mode, widx, Err(payload))),
+        };
+    };
+    WorkerPool::dispatch(&mut interp.scope.pool, slots, run_chunk);
+    // Test-only and outside the transaction: lets a test see what the
+    // chunks that ran to an end ran on, also in a dispatch that fails.
+    #[cfg(test)]
+    for c in slots.iter() {
+        if !matches!(c.failed, Some(ParallelError::WorkerPanic { .. })) {
+            interp.probe.add(&c.st.probe);
         }
+    }
+    let settled = match failure(slots) {
+        Some(e) => Err(e),
+        None => forged(plan).and_then(|()| commit(interp, plan, mode, body, slots)),
+    };
+    // What the chunks wrote ends with the dispatch: the slots keep their
+    // vectors, not their logs and append buffers.
+    for c in slots.iter_mut() {
+        c.sinks.clear();
+    }
+    if let Err(e) = settled {
+        mode.roll_back(&mut interp.store);
         return Err(e);
     }
-    Ok(interp.stats.total_cost - spent)
-}
-
-/// Runs a dispatch's chunks on snapshots of the master — copy-on-write
-/// clones of its store, so the clone is O(#variables) and an array a
-/// chunk only reads is never copied — each with the master's fuel,
-/// handed to the run's pool, and commits what their sinks collected.
-/// Each chunk hands back its sinks, the final values of the scalars the
-/// commit reads and its stats; its snapshot is dropped with its run.
-/// In-place targets go straight to the master buffers, through the
-/// chunk's windows. Returns the body cost the chunks charged the master
-/// together.
-fn on_snapshots(
-    interp: &mut Interp<'_>,
-    plan: &ParallelPlan,
-    body: &CompiledBody,
-    mode: &Mode<'_>,
-    chunks: Chunks,
-    watch: Watch,
-) -> Result<u64, ParallelError> {
-    let program = interp.program();
-    let finals = plan.reductions.iter().map(|&(v, _)| v);
-    let finals = finals.chain(mode.pointer().map(|(ptr, _)| ptr));
-    let run_chunk = |widx: usize| {
-        let deadline = watch.start(widx);
-        let mut sinks = Vec::new();
-        mode.sinks(program, plan, body, widx, &mut sinks);
-        let mut share = WorkerChunk { deadline, sinks };
-        let (clo, chi) = chunks.bounds(widx);
-        let mut worker = Run::on(program, interp.store.clone(), interp.fuel, ());
-        let planes = &mut FState::default();
-        worker.run_fast_iters(body, (clo, chi, 1), Some(&mut share), planes)?;
-        Ok(ChunkOutcome {
-            sinks: share.sinks,
-            finals: finals.clone().map(|v| worker.store.scalar(v)).collect(),
-            stats: worker.stats,
-            #[cfg(test)]
-            probe: worker.probe,
-        })
-    };
-    // The pool returns once every chunk has finished — panicked ones
-    // included, caught at the chunk boundary — so nothing the chunks
-    // borrowed is still in use below.
-    let results = WorkerPool::dispatch(&mut interp.scope.pool, chunks.count, run_chunk);
-    let outcomes = settle(interp, results, plan, mode)?;
-    commit(interp, plan, mode, body, &outcomes)?;
-    // The transaction commits: aggregate worker effects — the master
-    // pays the chunks' execution cost (statements + fuel) and absorbs
-    // their per-loop statistics. A worker runs the typed loop, which
-    // records no iteration costs.
-    let cost: u64 = outcomes.iter().map(|c| c.stats.total_cost).sum();
+    // The transaction commits: the master pays the chunks' execution
+    // cost (statements + fuel) and takes their counters.
+    let cost: u64 = slots.iter().map(|c| c.st.spent).sum();
     interp.charge(cost)?;
-    for c in outcomes {
-        interp.stats.absorb(c.stats);
+    for c in slots.iter() {
+        c.st.fold(body, &mut interp.stats);
     }
     Ok(cost)
 }
 
-impl Interp<'_> {
-    /// Whether a lone chunk may run on the master: always, but for a
-    /// unit test that holds every chunk to a snapshot to compare the
-    /// two paths.
-    fn may_borrow(&self) -> bool {
-        #[cfg(test)]
-        return !self.probe.snapshots;
-        #[cfg(not(test))]
-        true
-    }
-}
-
-/// What became of one chunk: its outcome or why it stopped, or —
-/// caught at the chunk boundary — its panic.
-type ChunkResult = std::thread::Result<Result<ChunkOutcome, ChunkAbort>>;
-
-/// The chunks' outcomes, in chunk order, or the one failure the
-/// dispatch reports — after putting back what the mode's undo images
-/// hold ([`Mode::roll_back`]).
-fn settle(
-    interp: &mut Interp<'_>,
-    results: Vec<ChunkResult>,
-    plan: &ParallelPlan,
-    mode: &Mode<'_>,
-) -> Result<Vec<ChunkOutcome>, ParallelError> {
-    // Test-only and outside the transaction: lets a test see what the
-    // completed chunks of a dispatch that then *fails* ran on.
-    #[cfg(test)]
-    for out in results.iter().flatten().flatten() {
-        interp.probe.add(&out.probe);
-    }
-    chunk_outcomes(interp.program(), results, plan, mode)
-        .inspect_err(|_| mode.roll_back(&mut interp.store))
-}
-
-/// What the chunks of a dispatch came to: every chunk's outcome, or
-/// the one failure the dispatch reports.
+/// The one failure the dispatch reports, taken out of its chunks'
+/// slots; `None` when every chunk ran its range.
 ///
 /// A strategy violation in *any* chunk comes first: in-place chunks
 /// read their targets, so one that ran beside a violating chunk may
 /// have computed — and failed — on state a sequential run would have
 /// changed under it; its error is not the program's. Otherwise the
-/// first failure in chunk order, which is iteration order, so a worker
+/// first failure in chunk order, which is iteration order, so a chunk's
 /// error is the one the sequential run raises.
-fn chunk_outcomes(
-    program: &Program,
-    results: Vec<ChunkResult>,
-    plan: &ParallelPlan,
-    mode: &Mode<'_>,
-) -> Result<Vec<ChunkOutcome>, ParallelError> {
-    let violated = results.iter().find_map(|r| match r {
-        Ok(Err(ChunkAbort::Violated(v))) => Some(*v),
-        _ => None,
-    });
-    if let Some(v) = violated {
-        return Err(chunk_error(
-            program,
-            plan,
-            mode,
-            0,
-            Ok(ChunkAbort::Violated(v)),
-        ));
-    }
-    // Collected in place: the outcomes reuse the results' allocation.
-    let outcomes = results.into_iter().enumerate().map(|(widx, r)| match r {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(abort)) => Err(chunk_error(program, plan, mode, widx, Ok(abort))),
-        Err(payload) => Err(chunk_error(program, plan, mode, widx, Err(payload))),
-    });
-    let outcomes = outcomes.collect::<Result<Vec<_>, _>>()?;
-    forged(plan)?;
-    Ok(outcomes)
+fn failure(chunks: &mut [Chunk]) -> Option<ParallelError> {
+    let violated = |c: &Chunk| matches!(c.failed, Some(ParallelError::StrategyViolation { .. }));
+    let first = chunks.iter().position(violated);
+    let k = first.or_else(|| chunks.iter().position(|c| c.failed.is_some()))?;
+    chunks[k].failed.take()
 }
 
 /// The failure chunk `widx`'s abort — or, caught at the chunk boundary,
@@ -1325,7 +1195,7 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 ///    is a [`ParallelError::WriteConflict`] — values are never
 ///    compared, so a write that restores the pre-loop value cannot mask
 ///    a conflict. Chunks bounds-checked every write against their
-///    snapshots, whose extents are the master's.
+///    copies, whose extents are the master's.
 ///
 /// **Apply**, which cannot fail: logged columns are replayed in chunk
 /// order (a chunk's last write to a location wins, and chunks never
@@ -1333,17 +1203,18 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 /// append buffers are concatenated in chunk (= sequential) order, the
 /// version rising by one per element; a window target, whose writes
 /// landed already, has its version bumped once, so schedule caches and
-/// the dependence auditor see the mutation; the reductions combine and
-/// the pointer moves past the appends.
+/// the dependence auditor see the mutation; the reductions combine
+/// (from the first chunk's final) and the pointer moves past the
+/// appends.
 fn commit(
     interp: &mut Interp<'_>,
     plan: &ParallelPlan,
     mode: &Mode<'_>,
     body: &CompiledBody,
-    outcomes: &[ChunkOutcome],
+    chunks: &[Chunk],
 ) -> Result<(), ParallelError> {
     let program = interp.program();
-    let sinks = |k: usize| outcomes.iter().map(move |out| out.sinks[k].as_ref());
+    let sinks = |k: usize| chunks.iter().map(move |c| c.sinks[k].as_ref());
     // ---- Validate (no master mutation) ----
     let mut appended: i64 = 0;
     if let Some((ptr, p0)) = mode.pointer() {
@@ -1351,12 +1222,12 @@ fn commit(
             var: program.symbols.name(v).to_string(),
             strategy: ExecutionStrategy::PrivatizeAndConcat.name(),
         };
-        for out in outcomes {
-            let dp = out.finals[plan.reductions.len()].as_int() - p0;
+        for c in chunks {
+            let dp = c.finals[plan.reductions.len()].as_int() - p0;
             if dp < 0 {
                 return Err(violation(ptr));
             }
-            for (&a, sink) in body.arrays().iter().zip(&out.sinks) {
+            for (&a, sink) in body.arrays().iter().zip(&c.sinks) {
                 if matches!(sink, Some(WriteSink::Append { buf, .. }) if buf.len() as i64 != dp) {
                     return Err(violation(a));
                 }
@@ -1364,7 +1235,7 @@ fn commit(
             appended += dp;
         }
         for (k, &a) in body.arrays().iter().enumerate() {
-            let target = matches!(outcomes[0].sinks[k], Some(WriteSink::Append { .. }));
+            let target = matches!(chunks[0].sinks[k], Some(WriteSink::Append { .. }));
             if target && appended > 0 && p0 + appended > interp.store.array(a).len() as i64 {
                 return Err(violation(a));
             }
@@ -1376,30 +1247,30 @@ fn commit(
     // meets. A column nobody wrote gets no table, and its array is
     // neither copied nor bumped below.
     let mut claims: Vec<(Vec<u16>, u64)> = Vec::new();
-    for (widx, out) in outcomes.iter().enumerate() {
+    for (widx, c) in chunks.iter().enumerate() {
         let me = u16::try_from(widx + 1).expect("chunk count is capped at MAX_WORKERS");
-        for (k, sink) in out.sinks.iter().enumerate() {
-            let Some(WriteSink::Logged(col)) = sink else {
+        for (k, (&a, sink)) in body.arrays().iter().zip(&c.sinks).enumerate() {
+            let Some(WriteSink::Logged { idx, .. }) = sink else {
                 continue;
             };
-            if col.idx.is_empty() {
+            if idx.is_empty() {
                 continue;
             }
             if claims.is_empty() {
-                claims.resize_with(out.sinks.len(), Default::default);
+                claims.resize_with(c.sinks.len(), Default::default);
             }
             let (owner, claimed) = &mut claims[k];
             if owner.is_empty() {
-                *owner = vec![0; interp.store.array(col.var).len()];
+                *owner = vec![0; interp.store.array(a).len()];
             }
-            for &idx in &col.idx {
+            for &idx in idx {
                 let owner = &mut owner[idx];
                 if *owner == 0 {
                     *owner = me;
                     *claimed += 1;
                 } else if *owner != me {
                     return Err(ParallelError::WriteConflict {
-                        var: program.symbols.name(col.var).to_string(),
+                        var: program.symbols.name(a).to_string(),
                     });
                 }
             }
@@ -1407,15 +1278,15 @@ fn commit(
     }
     // ---- Apply (cannot fail) ----
     for (k, &a) in body.arrays().iter().enumerate() {
-        match outcomes[0].sinks[k] {
-            Some(WriteSink::Logged(_)) => {
+        match chunks[0].sinks[k] {
+            Some(WriteSink::Logged { .. }) => {
                 let Some(&(_, claimed @ 1..)) = claims.get(k) else {
                     continue;
                 };
                 let data = interp.store.array_mut(a);
                 for sink in sinks(k) {
-                    if let Some(WriteSink::Logged(col)) = sink {
-                        col.vals.scatter_into(data, col.idx.iter().copied());
+                    if let Some(WriteSink::Logged { idx, vals, .. }) = sink {
+                        vals.scatter_into(data, idx.iter().copied());
                     }
                 }
                 interp.store.bump_version_by(a, claimed);
@@ -1434,10 +1305,13 @@ fn commit(
             _ => {}
         }
     }
+    // Every chunk started its reductions at the master's value, so the
+    // first chunk's final is the sequential walk's over its range — a
+    // lone chunk's is the walk's — and each later one adds its own.
     for (k, &(rv, op)) in plan.reductions.iter().enumerate() {
         let base = interp.store.scalar(rv);
-        let combine = |acc, out: &ChunkOutcome| combine_reduction(op, acc, out.finals[k], base);
-        let acc = outcomes.iter().fold(base, combine);
+        let combine = |acc, c: &Chunk| combine_reduction(op, acc, c.finals[k], base);
+        let acc = chunks[1..].iter().fold(chunks[0].finals[k], combine);
         interp.store.set_scalar(rv, program.symbols.var(rv).ty, acc);
     }
     if let Some((ptr, p0)) = mode.pointer() {
@@ -1487,7 +1361,7 @@ fn combine_reduction(op: ReduceOp, acc: Value, theirs: Value, base: Value) -> Va
 mod tests {
     use super::*;
     use crate::dispatch::FallbackReason;
-    use crate::interp::ArrayData;
+    use crate::interp::{ArrayData, ExecStats};
     use irr_frontend::parse_program;
 
     /// A fresh interpreter on `p` with every array allocated, as a run
@@ -1654,7 +1528,7 @@ mod tests {
         let jv = p.symbols.lookup("j").unwrap();
         let y = p.symbols.lookup("y").unwrap();
         let plan = ParallelPlan {
-            privatized: vec![jv],
+            privatized: vec![jv].into(),
             ..ParallelPlan::with_threads(4)
         };
         let (master, res) = dispatch_first_do(&p, &plan);
@@ -1705,9 +1579,9 @@ mod tests {
         assert_eq!(bits(&interp.store), bits(&seq.store));
     }
 
-    /// Arrays no statement has touched yet are live in every chunk's
-    /// snapshot, so each chunk runs typed from its first iteration and
-    /// the merge has writes to replay and nothing else.
+    /// Arrays no statement has touched yet are live in the master's
+    /// store every chunk pins, so each chunk runs typed from its first
+    /// iteration and the merge has writes to replay and nothing else.
     #[test]
     fn untouched_arrays_are_live_and_every_chunk_is_typed_from_its_first_iteration() {
         let src = "program t
@@ -1758,7 +1632,7 @@ mod tests {
         // from claiming and the same nest runs typed.
         let last = p.symbols.lookup("last").unwrap();
         let plan = ParallelPlan {
-            privatized: vec![last],
+            privatized: vec![last].into(),
             ..ParallelPlan::with_threads(4)
         };
         let (master, res) = dispatch_first_do(&p, &plan);
@@ -1862,7 +1736,7 @@ mod tests {
         ] {
             let plan = ParallelPlan {
                 threads: 3,
-                reductions: vec![(s, ReduceOp::Sum)],
+                reductions: vec![(s, ReduceOp::Sum)].into(),
                 strategy,
                 ..ParallelPlan::default()
             };
@@ -1888,8 +1762,8 @@ mod tests {
         let s = p.symbols.lookup("s").unwrap();
         let plan = ParallelPlan {
             threads: 3,
-            privatized: vec![],
-            reductions: vec![(s, ReduceOp::Sum)],
+            privatized: vec![].into(),
+            reductions: vec![(s, ReduceOp::Sum)].into(),
             ..ParallelPlan::default()
         };
         let st = committed_store(&p, 1, &plan);
@@ -1913,8 +1787,8 @@ mod tests {
         let s = p.symbols.lookup("s").unwrap();
         let plan = ParallelPlan {
             threads: 4,
-            privatized: vec![],
-            reductions: vec![(s, ReduceOp::Min)],
+            privatized: vec![].into(),
+            reductions: vec![(s, ReduceOp::Min)].into(),
             ..ParallelPlan::default()
         };
         let st = committed_store(&p, 1, &plan);
@@ -1927,8 +1801,8 @@ mod tests {
         let s = p.symbols.lookup("s").unwrap();
         let plan = ParallelPlan {
             threads: 4,
-            privatized: vec![],
-            reductions: vec![(s, ReduceOp::Max)],
+            privatized: vec![].into(),
+            reductions: vec![(s, ReduceOp::Max)].into(),
             ..ParallelPlan::default()
         };
         let st = committed_store(&p, 1, &plan);
@@ -1953,8 +1827,8 @@ mod tests {
         let jv = p.symbols.lookup("j").unwrap();
         let plan = ParallelPlan {
             threads: 4,
-            privatized: vec![tmp, jv],
-            reductions: vec![],
+            privatized: vec![tmp, jv].into(),
+            reductions: vec![].into(),
             ..ParallelPlan::default()
         };
         let (master, res) = dispatch_first_do(&p, &plan);
@@ -2021,8 +1895,8 @@ mod tests {
         let s = p.symbols.lookup("s").unwrap();
         let plan = ParallelPlan {
             threads: 4,
-            privatized: vec![],
-            reductions: vec![(s, ReduceOp::Sum)],
+            privatized: vec![].into(),
+            reductions: vec![(s, ReduceOp::Sum)].into(),
             ..ParallelPlan::default()
         };
         let st = committed_store(&p, 0, &plan);
@@ -2159,6 +2033,38 @@ mod tests {
         }
     }
 
+    /// A chunk that panics before it runs leaves its slot's state as an
+    /// earlier dispatch of another loop left it — planes of that body's
+    /// sizes — and hands back no finals: the dispatch is a worker panic
+    /// like any other, whichever slot the chunk reused.
+    #[test]
+    fn a_chunk_that_panics_before_it_runs_hands_back_no_finals() {
+        let src = "program t
+             integer i, k(64)
+             real s, x(64)
+             do i = 1, 64
+               k(i) = i
+             enddo
+             do i = 1, 64
+               s = s + x(i) * 0.5
+             enddo
+             end";
+        let p = parse_program(src).unwrap();
+        let s = p.symbols.lookup("s").unwrap();
+        let mut interp = live(&p);
+        let ints = ParallelPlan::with_threads(2);
+        exec_do_parallel(&mut interp, nth_do(&p, 0), &ints, 1, 64, 1).unwrap();
+        let before = interp.store.clone();
+        let plan = ParallelPlan {
+            reductions: vec![(s, ReduceOp::Sum)].into(),
+            fault: Some(FaultKind::PanicWorker { worker: 1 }),
+            ..ParallelPlan::with_threads(2)
+        };
+        let err = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 64, 1).unwrap_err();
+        assert!(matches!(err, ParallelError::WorkerPanic { .. }), "{err:?}");
+        assert_eq!(interp.store, before);
+    }
+
     /// The pool's threads end with the interpreter, however the run
     /// ended: the `Weak` is dead only once every thread has dropped
     /// its `Arc`, i.e. has been joined.
@@ -2226,8 +2132,8 @@ mod tests {
             .unwrap();
         let plan = ParallelPlan {
             threads: 4,
-            privatized: vec![jv],
-            reductions: vec![],
+            privatized: vec![jv].into(),
+            reductions: vec![].into(),
             ..ParallelPlan::default()
         };
         let seq = Interp::new(&p).run().unwrap();
@@ -2306,7 +2212,7 @@ mod tests {
         let s = p.symbols.lookup("s").unwrap();
         let plan = ParallelPlan {
             threads: 4,
-            reductions: vec![(s, ReduceOp::Sum)],
+            reductions: vec![(s, ReduceOp::Sum)].into(),
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::default()
         };
@@ -2343,7 +2249,7 @@ mod tests {
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::default()
         };
-        let (bare, reducing) = (plan(vec![]), plan(vec![(s, ReduceOp::Sum)]));
+        let (bare, reducing) = (plan(Arc::default()), plan(vec![(s, ReduceOp::Sum)].into()));
         for order in [[&bare, &reducing, &reducing], [&reducing, &bare, &bare]] {
             let mut interp = live(&p);
             for plan in order {
@@ -2404,7 +2310,7 @@ mod tests {
         );
         // A read one element over is in the next chunk's window: the
         // executor's own derivation refuses and the loop runs (and,
-        // every chunk reading the pre-loop snapshot of what a later
+        // every chunk reading its copy of the pre-loop value a later
         // iteration overwrites, is still exact) under the write-log.
         assert_eq!(
             in_place_second_loop("y(i) = x(i + 1)\n x(i) = 0.5"),
@@ -2612,22 +2518,24 @@ mod tests {
         let mut worker = live(&p);
         let slice = worker.store.payload_raw(x);
         let cb = worker.compiled_body_for(first_do(&p)).unwrap();
-        let sink = |a: VarId| match a == x {
+        let mut sink = |a: VarId| match a == x {
             true => WriteSink::Window(InPlaceWindow {
                 slice,
                 lo: 2,
                 len: 4,
             }),
-            false => WriteSink::Direct,
+            false => WriteSink::Direct(worker.store.payload_raw(a)),
         };
         let slots = cb.arrays().iter().zip(cb.stored());
-        let mut share = WorkerChunk {
-            deadline: None,
-            sinks: slots.map(|(&a, &stored)| stored.then(|| sink(a))).collect(),
+        let mut sinks: Vec<_> = slots.map(|(&a, &stored)| stored.then(|| sink(a))).collect();
+        let cx = Typed {
+            program: &p,
+            store: &worker.store,
         };
-        let res = worker.run_fast_iters(&cb, (3, hi, 1), Some(&mut share), &mut FState::default());
+        let mut st = FState::default();
+        let res = st.run(cx, &cb, (3, hi, 1), (worker.fuel, None), &mut sinks);
         let held = worker.store.array_as_reals(x).unwrap();
-        (res, worker.probe.typed_root_iters, held)
+        (res, st.probe.typed_root_iters, held)
     }
 
     /// A window pin is a view of the window alone, in every address form
@@ -2744,7 +2652,7 @@ mod tests {
         let mut seq = fresh();
         let _ = seq.exec_stmt(first_do(p));
         let plan = ParallelPlan {
-            privatized: vec![var("j")],
+            privatized: vec![var("j")].into(),
             strategy: ExecutionStrategy::InPlaceDisjoint,
             fault,
             ..ParallelPlan::with_threads(2)
@@ -2854,16 +2762,20 @@ mod tests {
     fn a_violation_in_any_chunk_outranks_an_error_from_any_other() {
         let p = parse_program("program t\n real c(2)\n end").unwrap();
         let c = p.symbols.lookup("c").unwrap();
-        let results = vec![
-            Ok(Err(ChunkAbort::Exec(ExecError::DivisionByZero))),
-            Ok(Err(ChunkAbort::Violated(c))),
-        ];
         let plan = ParallelPlan::with_threads(2);
-        let got = chunk_outcomes(&p, results, &plan, &Mode::InPlace(&InPlace::default()));
+        let mode = Mode::InPlace(&InPlace::default());
+        let mut chunks = [
+            ChunkAbort::Exec(ExecError::DivisionByZero),
+            ChunkAbort::Violated(c),
+        ]
+        .map(|abort| Chunk {
+            failed: Some(chunk_error(&p, &plan, &mode, 0, Ok(abort))),
+            ..Chunk::default()
+        });
+        let got = failure(&mut chunks);
         assert!(
-            matches!(&got, Err(ParallelError::StrategyViolation { var, .. }) if var == "c"),
-            "{:?}",
-            got.err()
+            matches!(&got, Some(ParallelError::StrategyViolation { var, .. }) if var == "c"),
+            "{got:?}"
         );
     }
 
@@ -3274,15 +3186,15 @@ mod tests {
     /// What a dispatch may change of the master: every scalar's and
     /// element's bits, every array's write-version, the per-loop
     /// statistics, the run's counters and the fuel.
-    type Observed = (Vec<u64>, Vec<(StmtId, u64, u64)>, [u64; 4]);
+    type Observed = (Vec<u64>, Vec<u64>, Vec<(StmtId, u64, u64)>, [u64; 4]);
 
     fn observed(p: &Program, it: &Interp<'_>) -> Observed {
-        let mut bits = Vec::new();
+        let (mut bits, mut versions) = (Vec::new(), Vec::new());
         for (v, info) in p.symbols.iter() {
             if info.is_array() {
                 let held = it.store.array_as_reals(v).expect("allocated");
                 bits.extend(held.iter().map(|x| x.to_bits()));
-                bits.push(it.store.array_version(v));
+                versions.push(it.store.array_version(v));
             } else {
                 bits.push(match it.store.scalar(v) {
                     Value::Int(k) => k as u64,
@@ -3302,24 +3214,30 @@ mod tests {
             stats.stream_iters,
             it.fuel,
         ];
-        (bits, loops, run)
+        (bits, versions, loops, run)
     }
 
-    /// Dispatches the last top-level `do` of `src` as one chunk under
-    /// the plan `plan` builds for the live master (a scatter's facts are
-    /// the master store's), with `presets` installed and everything
-    /// before the loop run: once held to a snapshot, once on the master.
-    /// Returns, per path, what the dispatch reported and the master
+    /// What a dispatch at one chunk count reported, and the master
     /// before and after it.
-    fn one_chunk_both_ways(
+    type Dispatched = (Result<Committed, String>, Observed, Observed);
+
+    /// Dispatches the last top-level `do` of `src` at each of `counts`
+    /// chunks under the plan `plan` builds for the live master (a
+    /// scatter's facts are the master store's), with `presets` installed
+    /// and everything before the loop run, each on a master of its own.
+    /// Returns what each dispatch did, and the master after the same
+    /// loop walked sequentially, its privatized scalars put back to
+    /// their pre-loop values (a dispatch leaves them there).
+    fn at_counts(
+        counts: &[usize],
         src: &str,
         presets: &[(&str, ArrayData)],
         plan: &dyn Fn(&Interp<'_>) -> ParallelPlan,
-    ) -> [(Result<Committed, String>, Observed, Observed); 2] {
+    ) -> (Vec<Dispatched>, Observed) {
         let p = parse_program(src).unwrap();
         let body = &p.procedure(p.main()).body;
         let (&lp, before) = body.split_last().unwrap();
-        [true, false].map(|snapshots| {
+        let live = || {
             let mut it = Interp::new(&p);
             for (name, data) in presets {
                 it.preset_array(p.symbols.lookup(name).unwrap(), data.clone());
@@ -3328,47 +3246,67 @@ mod tests {
             for &s in before {
                 it.exec_stmt(s).unwrap();
             }
-            it.probe.snapshots = snapshots;
+            it
+        };
+        let dispatched = counts.iter().map(|&threads| {
+            let mut it = live();
             let StmtKind::Do { lo, hi, .. } = &p.stmt(lp).kind else {
                 unreachable!("a do loop")
             };
             let (lo, hi) = (it.eval(lo).unwrap().as_int(), it.eval(hi).unwrap().as_int());
             let plan = ParallelPlan {
-                threads: 1,
+                threads,
                 ..plan(&it)
             };
             let held = observed(&p, &it);
             let res = exec_do_parallel(&mut it, lp, &plan, lo, hi, 1);
-            let on_master = u64::from(!snapshots);
-            assert_eq!(it.probe.master_chunks, on_master, "{src}");
             (res.map_err(|e| format!("{e:?}")), held, observed(&p, &it))
-        })
+        });
+        let dispatched = dispatched.collect();
+        let mut seq = live();
+        let private = plan(&seq).privatized;
+        let held: Vec<Value> = private.iter().map(|&v| seq.store.scalar(v)).collect();
+        // Only committed cases read it; the program's own error ends
+        // the walk of a loop whose appends overrun.
+        let _ = seq.exec_stmt(lp);
+        for (&v, &x) in private.iter().zip(&held) {
+            seq.store.set_scalar(v, p.symbols.var(v).ty, x);
+        }
+        (dispatched, observed(&p, &seq))
     }
 
-    /// A dispatch of one chunk that stores only through windows and
-    /// append buffers runs on the master itself, and leaves exactly what
-    /// the same chunk on a snapshot leaves: the same values bit for bit,
-    /// the same write-versions (a window target's one bump, an append
-    /// target's one per element), statistics, fuel and commit report —
-    /// in place over affine, segment and scatter targets, by concat,
-    /// with a real sum reduction whose fold `base + (x - base)` is not
-    /// `x`, and beside a privatized scalar, which keeps its pre-loop
-    /// value. Every failure — a window the rows overrun, a forged
-    /// conflict, an injected panic, a stall past the deadline, appends
-    /// past the extent — leaves the master as it was before the
-    /// dispatch, versions included.
+    /// Every chunk, one or many, runs over the master's store and writes
+    /// nothing of it but its windows; its scalars, cost and counters
+    /// reach the master through the commit alone. So a committed
+    /// dispatch leaves the same master at 1, 2 and 4 chunks — the same
+    /// values bit for bit, the same write-versions (a window target's
+    /// one bump, an append target's one per element), statistics, fuel
+    /// and commit report — and the values and statistics the sequential
+    /// walk leaves, up to its privatized scalars, which keep their
+    /// pre-loop values: in place over affine, segment and scatter
+    /// targets, by concat, with a real sum reduction, and beside a
+    /// privatized scalar. The cases at every count add exactly, so that
+    /// splitting the sum changes no bit. A lone chunk leaves the
+    /// sequential walk's bits also where they do not: a real sum whose
+    /// rebased fold `base + (x - base)` is not `x`, and a segment walk
+    /// with an empty row, which reads the next row's window (a real
+    /// dependence once the rows are split). Every failure — a window
+    /// the rows overrun, a forged conflict, an injected panic, a stall
+    /// past the deadline, appends past the extent — leaves the master
+    /// as it was before the dispatch, versions, statistics and fuel
+    /// included, at every chunk count.
     #[test]
-    fn a_lone_chunk_on_the_master_leaves_what_a_snapshot_leaves() {
+    fn a_dispatch_leaves_the_same_master_at_every_chunk_count() {
         let var = |it: &Interp<'_>, name: &str| it.program().symbols.lookup(name).unwrap();
         let in_place = |it: &Interp<'_>| ParallelPlan {
-            privatized: vec![var(it, "j")],
+            privatized: vec![var(it, "j")].into(),
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(1)
         };
-        let segment = |rows: &str, len: &[i64], fault| {
+        let segment = |counts: &[usize], rows: &str, ptr: &[i64], len: &[i64], fault| {
             let src = SEGMENT_WALK.replace("x(i) = 1.0 / c(ptr(i))", rows);
             let presets = [
-                ("ptr", ints(&[1, 3, 5, 5, 7])),
+                ("ptr", ints(ptr)),
                 ("len", ints(len)),
                 ("c", reals(&[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5])),
             ];
@@ -3377,26 +3315,30 @@ mod tests {
                 deadline_ms: Some(5),
                 ..in_place(it)
             };
-            one_chunk_both_ways(&src, &presets, &plan)
+            at_counts(counts, &src, &presets, &plan)
         };
-        let affine = "program t
-             integer i, j
-             real s, t, x(101), y(100)
-             s = 0.0 - 3900.5
-             t = 7.0
-             do i = 1, 101
-               x(i) = i * 0.37
-             enddo
-             do i = 1, 100
-               t = x(i + 1) * 2.0
-               x(i + 1) = x(i + 1) * 0.5 + t
-               y(i) = t + 1.1
-               s = s + y(i)
-             enddo
-             end";
+        let affine = |scale: &str, shift: &str| {
+            format!(
+                "program t
+                 integer i, j
+                 real s, t, x(101), y(100)
+                 s = 0.0 - 3900.5
+                 t = 7.0
+                 do i = 1, 101
+                   x(i) = i * {scale}
+                 enddo
+                 do i = 1, 100
+                   t = x(i + 1) * 2.0
+                   x(i + 1) = x(i + 1) * 0.5 + t
+                   y(i) = t + {shift}
+                   s = s + y(i)
+                 enddo
+                 end"
+            )
+        };
         let sum = |it: &Interp<'_>| ParallelPlan {
-            privatized: vec![var(it, "t")],
-            reductions: vec![(var(it, "s"), ReduceOp::Sum)],
+            privatized: vec![var(it, "t")].into(),
+            reductions: vec![(var(it, "s"), ReduceOp::Sum)].into(),
             strategy: ExecutionStrategy::InPlaceDisjoint,
             ..ParallelPlan::with_threads(1)
         };
@@ -3435,57 +3377,91 @@ mod tests {
             strategy: ExecutionStrategy::PrivatizeAndConcat,
             ..ParallelPlan::with_threads(1)
         };
+        let every = [1, 2, 4];
         let permutation = [("p", ints(&[3, 1, 4, 8, 5, 2, 6, 7]))];
+        let rows = "x(i) = 1.0 / c(ptr(i))";
+        let (split, empty) = ([1, 3, 5, 6, 8], [1, 3, 5, 5, 7]);
         let committed = [
-            ("affine", one_chunk_both_ways(affine, &[], &sum)),
+            (
+                "affine",
+                at_counts(&every, &affine("0.25", "1.5"), &[], &sum),
+            ),
             (
                 "segment",
-                segment("x(i) = 1.0 / c(ptr(i))", &[2, 2, 0, 2], None),
+                segment(&every, rows, &split, &[2, 2, 1, 2], None),
             ),
             (
                 "scatter",
-                one_chunk_both_ways(scatter, &permutation, &certified),
+                at_counts(&every, scatter, &permutation, &certified),
             ),
-            ("concat", one_chunk_both_ways(&concat(60), &[], &appends)),
+            ("concat", at_counts(&every, &concat(60), &[], &appends)),
+            (
+                "inexact affine",
+                at_counts(&[1], &affine("0.37", "1.1"), &[], &sum),
+            ),
+            (
+                "empty row",
+                segment(&[1], rows, &empty, &[2, 2, 0, 2], None),
+            ),
         ];
-        for (case, [snapshot, master]) in committed {
-            let got = master.0.as_ref().unwrap_or_else(|e| panic!("{case}: {e}"));
+        for (case, (at, seq)) in committed {
             let expected = match case {
                 "concat" => ExecutionStrategy::PrivatizeAndConcat,
                 _ => ExecutionStrategy::InPlaceDisjoint,
             };
-            assert_eq!((got.strategy, got.chunks), (expected, 1), "{case}");
-            assert_eq!(snapshot.0, master.0, "{case}");
-            assert_eq!(snapshot.2, master.2, "{case}");
-            assert_ne!(master.1, master.2, "{case}: the dispatch changed nothing");
+            // A stream on the root loop is entered once per chunk: the
+            // one counter that tells how the range was split.
+            let unsplit = |(bits, versions, loops, [cost, _, iters, fuel]): &Observed| {
+                (
+                    bits.clone(),
+                    versions.clone(),
+                    loops.clone(),
+                    [*cost, *iters, *fuel],
+                )
+            };
+            for ((res, held, left), chunks) in at.iter().zip(every) {
+                let got = res.as_ref().unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert_eq!(
+                    (got.strategy, got.chunks),
+                    (expected, chunks as u64),
+                    "{case}"
+                );
+                assert_eq!(
+                    res.as_ref().map(|c| c.cost),
+                    at[0].0.as_ref().map(|c| c.cost)
+                );
+                let same = unsplit(left) == unsplit(&at[0].2);
+                assert!(same, "{case} at {chunks} chunk(s): {left:?}");
+                assert_ne!(held, left, "{case}: the dispatch changed nothing");
+                assert_eq!(
+                    (&left.0, &left.2),
+                    (&seq.0, &seq.2),
+                    "{case} at {chunks} chunk(s): not sequential"
+                );
+            }
         }
-        // The fold the commit applies is not the identity here, so a
-        // chunk whose reduction the commit read off the master after the
-        // master already held it would show.
-        let p = parse_program(affine).unwrap();
+        // The rebased fold is not the identity on the inexact sum, so a
+        // lone chunk's final must reach the master as it is.
+        let p = parse_program(&affine("0.37", "1.1")).unwrap();
         let seq = Interp::new(&p).run().unwrap();
         let x = seq.store.scalar(p.symbols.lookup("s").unwrap()).as_real();
         assert_ne!(-3900.5 + (x + 3900.5), x);
         // Every target is read, so each has an undo image.
         let rows = "x(i) = x(i) + 1.0";
+        let faulty = |len: &[i64], fault| segment(&every, rows, &empty, len, fault);
         let failed = [
-            ("violation", segment(rows, &[2, 2, 0, 3], None)),
+            ("violation", faulty(&[2, 2, 0, 3], None)),
             (
                 "forged conflict",
-                segment(rows, &[2, 2, 0, 2], Some(FaultKind::ForgeConflict)),
+                faulty(&[2, 2, 0, 2], Some(FaultKind::ForgeConflict)),
             ),
             (
                 "panic",
-                segment(
-                    rows,
-                    &[2, 2, 0, 2],
-                    Some(FaultKind::PanicWorker { worker: 0 }),
-                ),
+                faulty(&[2, 2, 0, 2], Some(FaultKind::PanicWorker { worker: 0 })),
             ),
             (
                 "stall",
-                segment(
-                    rows,
+                faulty(
                     &[2, 2, 0, 2],
                     Some(FaultKind::StallWorker {
                         worker: 0,
@@ -3493,21 +3469,28 @@ mod tests {
                     }),
                 ),
             ),
-            ("overrun", one_chunk_both_ways(&concat(40), &[], &appends)),
+            ("overrun", at_counts(&every, &concat(40), &[], &appends)),
         ];
-        for (case, [snapshot, master]) in failed {
-            let err = master.0.as_ref().expect_err(case);
-            let expected = match case {
-                "violation" => err.starts_with("StrategyViolation"),
-                "forged conflict" => err.starts_with("WriteConflict"),
-                "panic" => err.starts_with("WorkerPanic"),
-                "stall" => err.starts_with("Timeout"),
-                _ => err.starts_with("Exec(OutOfBounds"),
-            };
-            assert!(expected, "{case}: {err}");
-            assert_eq!(snapshot.0, master.0, "{case}");
-            assert_eq!(master.1, master.2, "{case}: the master changed");
-            assert_eq!(snapshot.2, master.2, "{case}");
+        for (case, (at, _)) in failed {
+            for ((res, held, left), chunks) in at.iter().zip(every) {
+                let err = res.as_ref().expect_err(case);
+                let expected = match case {
+                    "violation" => err.starts_with("StrategyViolation"),
+                    "forged conflict" => err.starts_with("WriteConflict"),
+                    "panic" => err.starts_with("WorkerPanic"),
+                    "stall" => err.starts_with("Timeout"),
+                    // One chunk appends past the extent itself; of more,
+                    // each stays inside it and the commit finds the
+                    // overrun of their concatenation.
+                    _ if chunks == 1 => err.starts_with("Exec(OutOfBounds"),
+                    _ => err.starts_with("StrategyViolation"),
+                };
+                assert!(expected, "{case} at {chunks} chunk(s): {err}");
+                assert_eq!(
+                    held, left,
+                    "{case} at {chunks} chunk(s): the master changed"
+                );
+            }
         }
     }
 }

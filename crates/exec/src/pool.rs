@@ -1,14 +1,12 @@
 //! The per-run worker pool behind [`exec_do_parallel`].
 //!
-//! A dispatch hands the pool a chunk count and one closure, and gets
-//! the closure's result for every chunk back in chunk order. Most
-//! dispatches of one chunk never come here: a lone chunk that stores
-//! only through windows and append buffers borrows the master itself
-//! (`parallel::on_master`). One that needs a snapshot — a write-log
-//! chunk, or one storing privatized scratch — runs on the calling
-//! thread, with no pool. More form a **queue with one shared cursor**: the
-//! pool's persistent threads and the dispatching thread itself (the
-//! master) all claim the next unclaimed chunk until none is left, so
+//! A dispatch hands the pool one slot per chunk and one closure, and
+//! the closure runs once for every chunk, handed that chunk's slot —
+//! whatever a chunk produces it leaves there, so a dispatch allocates
+//! no result vector. One chunk runs on the calling thread, with no
+//! pool. More form a **queue with one shared cursor**: the pool's
+//! persistent threads and the dispatching thread itself (the master)
+//! all claim the next unclaimed chunk until none is left, so
 //!
 //! - a dispatch creates no thread once the pool has `chunks − 1` of them
 //!   (or [`MAX_POOL_THREADS`], for a dispatch wider than that);
@@ -19,11 +17,10 @@
 //! program-scoped half of it ([`ProgramScope`]): `None` until that
 //! run's first dispatch with more than one chunk, grown on demand, shut
 //! down (queue closed, threads joined) when the interpreter is dropped.
-//! The chunks it runs hold no part of that scope: each is a bare
-//! [`Run`] on its own snapshot of the master's store.
+//! The chunks it runs hold no part of that scope but their slots: each
+//! reads the master's store, and nothing writes it while they run.
 //!
 //! [`ProgramScope`]: crate::interp::ProgramScope
-//! [`Run`]: crate::interp::Run
 //!
 //! # The one invariant
 //!
@@ -34,11 +31,13 @@
 //! barrier lives in the `Drop` of a guard, not in straight-line code.
 //! Everything that cites "the dispatch barrier" (the lifetime erasure
 //! below, `RawSlice`'s `Send`/`Sync`, `RawPin`'s window pins) relies on
-//! exactly this.
+//! exactly this. The same barrier is what makes handing chunk `i` its
+//! slot `i` exclusive: the cursor hands out every chunk index once.
 //!
 //! [`exec_do_parallel`]: crate::parallel::exec_do_parallel
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -53,8 +52,8 @@ use std::thread::JoinHandle;
 /// any core count, far below that cliff.
 pub(crate) const MAX_POOL_THREADS: usize = 256;
 
-/// Runs job `i` of the current batch and stores its result. Never
-/// unwinds: the job's own panic is caught and becomes its result.
+/// Runs job `i` of the current batch in its slot. Never unwinds: the
+/// job's own panic is caught and kept for the dispatch to re-raise.
 type Task<'a> = dyn Fn(usize) + Sync + 'a;
 
 /// The jobs of the dispatch in flight, as the threads see them.
@@ -182,25 +181,28 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Calls `f` for every chunk `0..count` and returns the results in
-    /// chunk order; a call that panicked yields the payload, exactly as
-    /// `JoinHandle::join` would. One chunk runs on the calling thread
-    /// without a pool; more create `slot`'s pool on first use and grow
-    /// it to `count − 1` threads (at most [`MAX_POOL_THREADS`], or as
-    /// many of those as the OS grants). See the module doc for what the
-    /// call waits for.
-    pub(crate) fn dispatch<R: Send>(
-        slot: &mut Option<WorkerPool>,
-        count: usize,
-        f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<std::thread::Result<R>> {
-        let call = |i| catch_unwind(AssertUnwindSafe(|| f(i)));
-        if count <= 1 {
-            return (0..count).map(call).collect();
+    /// Calls `f(i, &mut slots[i])` for every chunk `i` and returns once
+    /// every call has returned. One chunk runs on the calling thread
+    /// without a pool; more create `pool`'s pool on first use and grow
+    /// it to `slots.len() − 1` threads (at most [`MAX_POOL_THREADS`], or
+    /// as many of those as the OS grants). A call that panics, on any
+    /// thread, has its panic re-raised here once every other call has
+    /// finished. See the module doc for what the call waits for.
+    pub(crate) fn dispatch<T: Send>(
+        pool: &mut Option<WorkerPool>,
+        slots: &mut [T],
+        f: impl Fn(usize, &mut T) + Sync,
+    ) {
+        if slots.len() <= 1 {
+            slots
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, slot)| f(i, slot));
+            return;
         }
-        let pool = slot.get_or_insert_with(WorkerPool::default);
-        pool.grow(count - 1);
-        pool.run(count, call)
+        let pool = pool.get_or_insert_with(WorkerPool::default);
+        pool.grow(slots.len() - 1);
+        pool.run(slots, f);
     }
 
     /// Threads this pool has created (none ever exits before shutdown).
@@ -230,26 +232,30 @@ impl WorkerPool {
             .spawn(move || shared.worker_loop())
     }
 
-    /// Publishes `call(0..count)` as one batch, takes part in it, and
-    /// returns the results in chunk order once the barrier let go.
-    fn run<R: Send>(
-        &mut self,
-        count: usize,
-        call: impl Fn(usize) -> std::thread::Result<R> + Sync,
-    ) -> Vec<std::thread::Result<R>> {
-        const UNPOISONED: &str = "nothing panics under the results lock";
-        let results = Mutex::new((0..count).map(|_| None).collect::<Vec<_>>());
+    /// Publishes `f` over `slots` as one batch, takes part in it, and
+    /// re-raises a job's panic once the barrier let go.
+    fn run<T: Send>(&mut self, slots: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+        let count = slots.len();
+        let base = Slots(slots.as_mut_ptr());
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         let task = |i: usize| {
-            let result = call(i);
-            results.lock().expect(UNPOISONED)[i] = Some(result);
+            // SAFETY: `i < count`, and the cursor hands out every job
+            // index once, so this is the only reference to slot `i` for
+            // as long as the job runs; `slots` stays mutably borrowed
+            // until the barrier has waited for every job.
+            let slot = unsafe { &mut *base.at(i) };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, slot))) {
+                let mut first = panicked.lock().unwrap_or_else(PoisonError::into_inner);
+                first.get_or_insert(payload);
+            }
         };
         let task: &Task<'_> = &task;
         // SAFETY: only the lifetime changes. The pool's threads reach
-        // `task` (and through it `call`, `results` and whatever `call`
-        // borrows) only via the batch published below, only by claiming
-        // a job under the state lock, and count the job finished only
-        // after `task` has returned. `Barrier::drop` runs before `task`,
-        // `call` and `results` go out of scope on every path out of this
+        // `task` (and through it `f`, `slots` and whatever `f` borrows)
+        // only via the batch published below, only by claiming a job
+        // under the state lock, and count the job finished only after
+        // `task` has returned. `Barrier::drop` runs before `task`, `f`
+        // and `slots` go out of scope on every path out of this
         // function — return or unwind — and does not return until no
         // job can be claimed and none is running; it then removes the
         // batch, so no thread can read the reference afterwards.
@@ -266,11 +272,28 @@ impl WorkerPool {
             // The master takes part, first job first.
             self.shared.drain();
         }
-        let results = results.into_inner().expect(UNPOISONED);
-        let waited = "the barrier waited for every job";
-        results.into_iter().map(|r| r.expect(waited)).collect()
+        if let Some(payload) = panicked
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            resume_unwind(payload);
+        }
     }
 }
+
+/// The slots of the batch in flight, as its jobs reach them.
+struct Slots<T>(*mut T);
+
+impl<T> Slots<T> {
+    /// Slot `i`'s address (the caller keeps `i` in bounds).
+    fn at(&self, i: usize) -> *mut T {
+        self.0.wrapping_add(i)
+    }
+}
+
+// SAFETY: a job dereferences only its own slot (`WorkerPool::run`), and
+// `T: Send` lets that slot be used from the thread that claimed it.
+unsafe impl<T: Send> Sync for Slots<T> {}
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
@@ -312,80 +335,75 @@ mod tests {
     }
 
     /// The closure borrows a stack local and a shared counter; the call
-    /// returns its results in chunk order with every chunk finished,
-    /// whatever the ratio of chunks to threads.
+    /// returns with every chunk finished in its own slot, whatever the
+    /// ratio of chunks to threads.
     #[test]
     fn borrowed_jobs_complete_in_order_before_dispatch_returns() {
-        let mut slot = Some(WorkerPool::with_spawn_limit(2));
+        let mut pool = Some(WorkerPool::with_spawn_limit(2));
         for n in [1usize, 2, 9] {
             let input: Vec<usize> = (0..n).map(|i| i * 10).collect();
             let finished = AtomicUsize::new(0);
-            let job = |i: usize| {
+            let mut got = vec![0; n];
+            WorkerPool::dispatch(&mut pool, &mut got, |i, slot| {
                 finished.fetch_add(1, Ordering::SeqCst);
-                input[i] + 1
-            };
-            let got: Vec<usize> = WorkerPool::dispatch(&mut slot, n, job)
-                .into_iter()
-                .map(|r| r.expect("no job panics"))
-                .collect();
+                *slot = input[i] + 1;
+            });
             assert_eq!(finished.load(Ordering::SeqCst), n);
             assert_eq!(got, input.iter().map(|v| v + 1).collect::<Vec<_>>());
         }
         // Grown on demand to `jobs - 1`, capped by what can be created.
-        assert_eq!(slot.as_ref().unwrap().threads_spawned(), 2);
+        assert_eq!(pool.as_ref().unwrap().threads_spawned(), 2);
     }
 
     #[test]
     fn one_job_runs_on_the_caller_and_creates_no_pool() {
-        let mut slot = None;
-        let got = WorkerPool::dispatch(&mut slot, 1, |_| here());
-        assert_eq!(got.len(), 1);
-        assert_eq!(*got[0].as_ref().unwrap(), here());
-        assert!(slot.is_none());
-        assert!(WorkerPool::dispatch(&mut slot, 0, |_| ()).is_empty());
-        assert!(slot.is_none());
+        let mut pool = None;
+        let mut got = [None];
+        WorkerPool::dispatch(&mut pool, &mut got, |_, slot| *slot = Some(here()));
+        assert_eq!(got, [Some(here())]);
+        assert!(pool.is_none());
+        WorkerPool::dispatch(&mut pool, &mut [(); 0], |_, _| unreachable!("no job"));
+        assert!(pool.is_none());
     }
 
     /// With no thread to be had the master claims every job itself.
     #[test]
     fn a_pool_refused_every_thread_runs_all_jobs_on_the_caller() {
-        let mut slot = Some(WorkerPool::with_spawn_limit(0));
-        let got = WorkerPool::dispatch(&mut slot, 16, |_| here());
-        assert_eq!(got.len(), 16);
-        assert!(got.iter().all(|r| *r.as_ref().unwrap() == here()));
-        assert_eq!(slot.unwrap().threads_spawned(), 0);
+        let mut pool = Some(WorkerPool::with_spawn_limit(0));
+        let mut got = [None; 16];
+        WorkerPool::dispatch(&mut pool, &mut got, |_, slot| *slot = Some(here()));
+        assert!(got.iter().all(|r| *r == Some(here())));
+        assert_eq!(pool.unwrap().threads_spawned(), 0);
     }
 
     /// A panic in any job — the first, which the master claims before
-    /// any thread can, or a later one — is that job's result; every
-    /// other job has run by the time the call returns, and the same
-    /// threads serve the next dispatch.
+    /// any thread can, or a later one — is re-raised on the caller once
+    /// every other job has run, and the same threads serve the next
+    /// dispatch.
     #[test]
     fn a_panicking_job_is_caught_and_the_others_are_awaited() {
-        let mut slot = None;
+        let mut pool = None;
         for bad in [0usize, 1, 3] {
             let finished = AtomicUsize::new(0);
-            let job = |i: usize| {
-                if i == bad {
-                    panic!("job {i} fails");
-                }
-                finished.fetch_add(1, Ordering::SeqCst);
-                i
-            };
-            let got = WorkerPool::dispatch(&mut slot, 4, job);
-            assert_eq!(finished.load(Ordering::SeqCst), 3, "bad job {bad}");
-            for (i, r) in got.iter().enumerate() {
-                match r {
-                    Ok(v) => assert_eq!((*v, i != bad), (i, true)),
-                    Err(payload) => {
-                        assert_eq!(i, bad);
-                        let msg = payload.downcast_ref::<String>().expect("formatted panic");
-                        assert_eq!(*msg, format!("job {bad} fails"));
+            let mut got = [None; 4];
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::dispatch(&mut pool, &mut got, |i, slot| {
+                    if i == bad {
+                        panic!("job {i} fails");
                     }
-                }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    *slot = Some(i);
+                })
+            }));
+            assert_eq!(finished.load(Ordering::SeqCst), 3, "bad job {bad}");
+            let payload = unwound.expect_err("the panic reaches the caller");
+            let msg = payload.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(*msg, format!("job {bad} fails"));
+            for (i, r) in got.iter().enumerate() {
+                assert_eq!(*r, (i != bad).then_some(i));
             }
         }
-        assert_eq!(slot.as_ref().unwrap().threads_spawned(), 3);
+        assert_eq!(pool.as_ref().unwrap().threads_spawned(), 3);
     }
 
     /// Unwinding out of `run` itself (not out of a job) still waits:
@@ -418,7 +436,7 @@ mod tests {
     #[test]
     fn dropping_the_pool_joins_its_threads() {
         let mut slot = None;
-        WorkerPool::dispatch(&mut slot, 3, |_| ());
+        WorkerPool::dispatch(&mut slot, &mut [(); 3], |_, _| ());
         let pool = slot.expect("three jobs need a pool");
         assert_eq!(pool.threads_spawned(), 2);
         let alive = pool.liveness();

@@ -177,6 +177,93 @@ fn a_guarded_reentry_stays_under_its_allocation_budget() {
     );
 }
 
+/// The guarded scatter of [`guarded_sweep`] with a privatized scalar
+/// beside it: a loop whose plan privatizes (or reduces) builds its
+/// plan per entry from the loop's plan, whose lists it shares rather
+/// than copies, and the executor keys its derivations on those shared
+/// lists with two pointer compares. 100 further entries allocate
+/// nothing; at 1 an entry while every entry cloned the plan's lists
+/// (197 allocations for 100 entries, 297 for 200).
+#[test]
+fn a_guarded_reentry_that_privatizes_allocates_nothing_an_entry() {
+    let private = |entries: usize| {
+        guarded_sweep(entries)
+            .replace("real z(8), x(8)", "real t, z(8), x(8)")
+            .replace(
+                "z(p(i)) = x(i) + r",
+                "t = x(i) * 2.0\n             z(p(i)) = t + r",
+            )
+    };
+    let (out, n) = hybrid_run(&private(100));
+    let t = out.telemetry;
+    assert_eq!(
+        (t.guarded_parallel, t.cache_hits, t.fallbacks()),
+        (100, 99, 0),
+        "{t:?}"
+    );
+    let (_, twice) = hybrid_run(&private(200));
+    assert_eq!(
+        twice - n,
+        0,
+        "100 more privatizing entries allocated ({n} for 100)"
+    );
+}
+
+/// A re-entered loop whose work keeps two chunks on every entry, on
+/// two threads (the sweep of `tests/hybrid_runtime.rs`'s
+/// `a_reentered_loop_worth_splitting_keeps_its_chunks_on_every_entry`):
+/// every chunk runs over the master's store in a slot the run keeps, so
+/// a split entry allocates nothing on the dispatching thread once the
+/// slots and the pool's thread exist: 87–90 allocations for 100
+/// entries and as many for 200 — a slot's vectors are allocated by
+/// whichever thread first runs it, so a run's count moves by a few.
+/// 9 an entry (884–956 more for 200 entries than for 100, in three
+/// runs) while every chunk ran on a clone of the store with planes of
+/// its own and handed back an outcome in a result vector.
+#[test]
+fn a_split_reentry_allocates_nothing_an_entry() {
+    let sweep = |entries: usize| {
+        format!(
+            "program t
+             integer i, r, m, n
+             real x(40000), y(40000)
+             n = 40000
+             do i = 1, n
+               y(i) = i * 0.5
+             enddo
+             do r = 1, {entries}
+               m = n
+               do 20 i = 1, m
+                 x(i) = y(i) * r
+ 20            continue
+             enddo
+             print x(1), x(m)
+             end"
+        )
+    };
+    let run = |entries: usize| {
+        let rep = compile_source(&sweep(entries), DriverOptions::with_iaa()).expect("compiles");
+        let config = HybridConfig {
+            threads: 2,
+            ..HybridConfig::default()
+        };
+        allocations(|| run_hybrid(&rep, config).expect("runs"))
+    };
+    let (out, n) = run(100);
+    let t = out.telemetry;
+    assert_eq!(
+        t.worker_chunks_typed,
+        2 + 2 * 100,
+        "every entry splits: {t:?}"
+    );
+    assert!(n <= 100, "{n} allocations for 100 split entries");
+    let (_, twice) = run(200);
+    assert!(
+        twice.saturating_sub(n) <= 10,
+        "100 more split entries made {twice} allocations against {n}"
+    );
+}
+
 /// A sequential-tier leaf loop runs on the typed loop
 /// (`LoopDecision::Compiled`) in the register planes and pin vector the
 /// interpreter keeps: 100 entries of a recurrence cost what its first
