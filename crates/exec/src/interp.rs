@@ -636,11 +636,12 @@ pub struct ExecOutcome {
     pub stats: ExecStats,
     /// Final memory.
     pub store: Store,
-    /// Worker threads the run created for its parallel dispatches: at
-    /// most its largest chunk count minus one, however many dispatches
-    /// it made; 0 for a run that never dispatched more than one chunk.
-    /// Kept out of [`ExecStats`] (it describes the engine, not the
-    /// program's execution).
+    /// Worker threads the run's parallel dispatches added to the
+    /// process's pool: at most its largest chunk count minus one,
+    /// however many dispatches it made, and 0 once an earlier run (or a
+    /// concurrent one) left the pool that large; 0 for a run that never
+    /// dispatched more than one chunk. Kept out of [`ExecStats`] (it
+    /// describes the engine, not the program's execution).
     pub worker_threads_spawned: u64,
 }
 
@@ -669,6 +670,9 @@ pub struct Interp<'p> {
     random_fill: Option<u64>,
     /// What the run keeps across its loop entries.
     pub(crate) scope: ProgramScope,
+    /// Where `flat_index` gathers a multi-dimensional access's
+    /// subscripts: taken while they are evaluated, put back after.
+    subscripts: Vec<i64>,
     /// What the run's typed entries counted so far.
     #[cfg(test)]
     pub(crate) probe: Probe,
@@ -703,19 +707,22 @@ impl Probe {
 }
 
 /// What a run of the whole program keeps across its loop entries: what
-/// it derived once of each loop statement, the threads its parallel
-/// dispatches run on, and the state its typed loops run in.
+/// it derived once of each loop statement, its handle on the threads its
+/// parallel dispatches run on, and the state its typed loops run in.
 #[derive(Default)]
 pub struct ProgramScope {
     /// One memo per loop statement the run lowered or dispatched.
     pub(crate) loops: HashMap<StmtId, LoopMemo>,
-    /// The run's worker pool: `None` until the first parallel dispatch
-    /// with more than one chunk; dropping the run — on `Ok`, on an
-    /// error, or while unwinding — closes its queue and joins its
-    /// threads. Per run, not process-global, so the threads are created
-    /// under the affinity the run itself has and no run inherits a
-    /// thread another run's fault injection left sleeping.
-    pub(crate) pool: Option<WorkerPool>,
+    /// The run's handle on the worker pool: `None` until the first
+    /// parallel dispatch with more than one chunk points it at the
+    /// process's pool, whose threads outlive the run (a unit test may
+    /// put in a private pool instead). Dropping the run drops only the
+    /// handle: no thread is joined, and none is left running a chunk of
+    /// the run, since every dispatch waits for its own batch.
+    pub(crate) pool: Option<Arc<WorkerPool>>,
+    /// Threads the run's dispatches created: 0 once the pool already
+    /// had as many as they asked for.
+    pub(crate) spawned: u64,
     /// What typed entries and parallel dispatches keep between entries
     /// for their allocations: windows, undo images and one slot per
     /// chunk, whose first holds the planes every typed loop the master
@@ -781,6 +788,7 @@ impl<'p> Interp<'p> {
             tracer: None,
             random_fill: None,
             scope: ProgramScope::default(),
+            subscripts: Vec::new(),
             #[cfg(test)]
             probe: Probe::default(),
         }
@@ -803,8 +811,7 @@ impl<'p> Interp<'p> {
     /// Worker threads this interpreter's parallel dispatches have
     /// created so far (see [`ExecOutcome::worker_threads_spawned`]).
     pub fn worker_threads_spawned(&self) -> u64 {
-        let pool = self.scope.pool.as_ref();
-        pool.map_or(0, WorkerPool::threads_spawned)
+        self.scope.spawned
     }
 
     /// The memo of loop statement `s`; the first call per loop runs the
@@ -1218,16 +1225,26 @@ impl<'p> Interp<'p> {
 
     fn flat_index(&mut self, a: VarId, subs: &[Expr]) -> Result<usize, ExecError> {
         // Every subscript is evaluated before any is checked; a lone one
-        // needs no vector to wait in.
+        // needs no buffer to wait in. More wait in the interpreter's
+        // scratch buffer, taken for the evaluation: a subscript that
+        // itself holds such an access finds it empty and fills its own.
         let idx = match subs {
             [s] => {
                 let v = self.eval(s)?.as_int();
                 column_major(self.program, a, self.store.array(a).dims(), [v])
             }
             _ => {
-                let vals: Result<Vec<i64>, _> =
-                    subs.iter().map(|s| Ok(self.eval(s)?.as_int())).collect();
-                column_major(self.program, a, self.store.array(a).dims(), vals?)
+                let mut vals = std::mem::take(&mut self.subscripts);
+                vals.clear();
+                let evaluated = subs
+                    .iter()
+                    .try_for_each(|s| self.eval(s).map(|v| vals.push(v.as_int())));
+                let idx = evaluated.and_then(|()| {
+                    let dims = self.store.array(a).dims();
+                    column_major(self.program, a, dims, vals.iter().copied())
+                });
+                self.subscripts = vals;
+                idx
             }
         }?;
         debug_assert!(idx < self.store.array(a).len());

@@ -19,8 +19,8 @@
 //!   `O(total writes)` with positional conflict detection), in-place
 //!   disjoint windows (affine, offset–length segment, certified
 //!   scatter — no log, no clone, no merge), and privatize-and-concat
-//!   for append-through-pointer loops. Chunks run on the interpreter's
-//!   per-run worker pool (`pool`), the master taking the first one;
+//!   for append-through-pointer loops. Chunks run on the process's
+//!   worker pool (`pool`), the master taking the first one;
 //!   [`fault`] injects panics, stalls and lies into it.
 //! - [`runtime_test`]: the one index-array scan the hybrid runtime's
 //!   guarded tier inspects with, and the facts it yields, which

@@ -3,16 +3,16 @@
 //!
 //! A loop the driver declared parallel is executed by splitting its
 //! iteration space into as many contiguous chunks as its plan asks and
-//! handing the interpreter's worker pool (`pool.rs`) the chunk count and
-//! one closure. One chunk runs on the dispatching thread, with no pool.
-//! More are claimed from one queue, first chunk first, by the pool's
-//! threads — one set per run, created by the first dispatch that needs
-//! them, joined when the interpreter is dropped — and by the dispatching
-//! thread itself, so a dispatch creates no thread once the pool has
-//! `chunks − 1`. The dispatch waits until every chunk has finished,
-//! whatever became of any of them (a panic is caught at the chunk
-//! boundary and is that chunk's result), before it looks at a single
-//! outcome; they come back in chunk order.
+//! handing the worker pool (`pool.rs`) the chunk count and one closure.
+//! One chunk runs on the dispatching thread, with no pool. More are one
+//! batch, claimed first chunk first by the pool's threads — one set per
+//! process, created by the first dispatches that need them, shared by
+//! every run and never joined — and by the dispatching thread itself,
+//! so a dispatch creates no thread once the pool has `chunks − 1`,
+//! whichever run created them. The dispatch waits until every chunk of
+//! its own batch has finished, whatever became of any of them (a panic
+//! is caught at the chunk boundary and is that chunk's result), before
+//! it looks at a single outcome; they come back in chunk order.
 //!
 //! # What a chunk runs
 //!
@@ -1036,7 +1036,7 @@ fn run(
 }
 
 /// Runs a dispatch's chunks — one on the calling thread, more on the
-/// run's pool as well — each in its slot, over the master's store, which
+/// process's pool as well — each in its slot, over the master's store, which
 /// every chunk only reads: a chunk writes only its sinks (its windows of
 /// the master's buffers among them) and its own [`FState`], and the
 /// commit reads the rest — its registers, cost and counters — from
@@ -1077,7 +1077,7 @@ fn run_chunks(
             Err(payload) => Some(chunk_error(program, plan, mode, widx, Err(payload))),
         };
     };
-    WorkerPool::dispatch(&mut interp.scope.pool, slots, run_chunk);
+    interp.scope.spawned += WorkerPool::dispatch(&mut interp.scope.pool, slots, run_chunk);
     // Test-only and outside the transaction: lets a test see what the
     // chunks that ran to an end ran on, also in a dispatch that fails.
     #[cfg(test)]
@@ -1996,7 +1996,7 @@ mod tests {
     /// An injected panic is the chunk's, whichever thread runs it —
     /// chunk 0 is claimed by the master, chunk 1 by a pooled thread —
     /// and costs the dispatch, not the pool: the master is untouched,
-    /// and the next dispatch runs on the same threads.
+    /// and the next dispatch runs on the same threads, creating none.
     #[test]
     fn a_panic_in_any_chunk_is_a_worker_panic_and_the_pool_survives() {
         let src = "program t
@@ -2025,11 +2025,13 @@ mod tests {
             assert_eq!(interp.stats.total_cost, 0);
             // The two healthy chunks were awaited, not abandoned.
             assert_eq!(interp.probe.typed_root_iters, 60);
-            assert_eq!(interp.worker_threads_spawned(), 2);
+            let spawned = interp.worker_threads_spawned();
+            assert!(spawned <= 2, "{spawned} threads for three chunks");
             let plan = ParallelPlan::with_threads(3);
             exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 90, 1).unwrap();
             assert_eq!(interp.store, seq.store);
-            assert_eq!(interp.worker_threads_spawned(), 2, "no thread was replaced");
+            let again = interp.worker_threads_spawned();
+            assert_eq!(again, spawned, "no thread was replaced");
         }
     }
 
@@ -2065,11 +2067,12 @@ mod tests {
         assert_eq!(interp.store, before);
     }
 
-    /// The pool's threads end with the interpreter, however the run
-    /// ended: the `Weak` is dead only once every thread has dropped
-    /// its `Arc`, i.e. has been joined.
+    /// A private pool's threads end with the interpreter, however the
+    /// run ended: the `Weak` is dead only once every thread has dropped
+    /// its `Arc`, i.e. has been joined. The process's pool and its
+    /// threads outlive every run.
     #[test]
-    fn dropping_the_interpreter_joins_the_pool_however_the_run_ended() {
+    fn dropping_the_interpreter_joins_a_private_pool_however_the_run_ended() {
         let src = "program t
              integer i
              real x(4), y(64)
@@ -2084,6 +2087,7 @@ mod tests {
         let (lp, out_of_bounds, panics) = (body[0], body[1], body[2]);
         let dispatched = || {
             let mut interp = live(&p);
+            interp.scope.pool = Some(Arc::default());
             exec_do_parallel(&mut interp, lp, &ParallelPlan::with_threads(3), 1, 64, 1).unwrap();
             let alive = interp.scope.pool.as_ref().expect("three chunks").liveness();
             assert_eq!(alive.strong_count(), 3, "the pool and its two threads");
@@ -2108,6 +2112,15 @@ mod tests {
         }));
         assert!(unwound.is_err(), "`min` with one argument panics");
         assert_eq!(alive.strong_count(), 0, "after the master unwound");
+
+        let mut interp = live(&p);
+        exec_do_parallel(&mut interp, lp, &ParallelPlan::with_threads(3), 1, 64, 1).unwrap();
+        let alive = interp.scope.pool.as_ref().expect("three chunks").liveness();
+        drop(interp);
+        assert!(
+            alive.strong_count() >= 3,
+            "the process's pool and two threads"
+        );
     }
 
     #[test]

@@ -20,6 +20,37 @@ fn intrinsics_evaluate() {
     assert_eq!(out.output, vec!["6.5 11.5"]);
 }
 
+/// A 2-D access whose subscripts hold 2-D accesses: every level
+/// gathers its own subscripts, so the outer access reads the element
+/// its inner ones name, and a bad inner subscript is the inner array's
+/// error.
+#[test]
+fn nested_multi_dimensional_subscripts() {
+    let src = "program t
+         integer i, j, k(2, 2)
+         real a(2, 3)
+         k(1, 1) = 1
+         k(1, 2) = 2
+         k(2, 1) = 2
+         k(2, 2) = 3
+         do i = 1, 2
+           do j = 1, 3
+             a(i, j) = i * 10 + j
+           enddo
+         enddo
+         print a(k(1, 1), k(2, 2)), a(k(2, 1), k(k(1, 1), k(1, 2))), a(k(1, 2), 1)
+         print a(k(1, 1), k(2, 3))
+         end";
+    let p = parse_program(src).unwrap();
+    let err = Interp::new(&p).run().unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "subscript 3 out of bounds for `k` (extent 2)"
+    );
+    let out = run(&src.replace("print a(k(1, 1), k(2, 3))", ""));
+    assert_eq!(out.output, vec!["13 22 21"]);
+}
+
 #[test]
 fn negative_step_loops() {
     let out = run("program t

@@ -25,12 +25,11 @@
 //! `examples/hybrid_fallback.rs`).
 //!
 //! Parallel dispatches go through the exec crate's chunked executor:
-//! each chunk runs on a copy-on-write clone of the live store — on the
-//! dispatching thread or on one of the run's pooled worker threads,
-//! which the first dispatch wide enough to need them creates and every
-//! later dispatch reuses ([`Telemetry::worker_threads_spawned`]) —
-//! except a lone chunk that stores only through in-place windows and
-//! append buffers, which runs on the interpreter's own store. An
+//! each chunk reads the live store and writes only its own sinks, on
+//! the dispatching thread or on one of the process's pooled worker
+//! threads, which the first dispatch wide enough to need them creates
+//! and every later dispatch — of this run or of any other, on any
+//! thread — reuses ([`Telemetry::worker_threads_spawned`]). An
 //! entry's chunk count is sized by its work: a loop's first entry
 //! splits over every configured thread, a later one over as many as
 //! its loop's last committed entry says it can fill, and a small
@@ -237,7 +236,7 @@ impl HybridDispatcher {
     }
 
     /// Closes the run's telemetry with the two end-of-run readings (the
-    /// cache's evictions, the threads the interpreter's pool created)
+    /// cache's evictions, the threads the run's dispatches created)
     /// and pairs it with the interpreter's outcome.
     fn finish(mut self, outcome: ExecOutcome) -> HybridOutcome {
         self.telemetry.cache_evictions = self.cache.evictions();

@@ -110,11 +110,12 @@ pub struct Telemetry {
     ///
     /// [`HybridConfig::threads`]: crate::HybridConfig::threads
     pub worker_chunks_typed: u64,
-    /// Worker threads the run created for all its parallel dispatches
-    /// together: at most its largest chunk count minus one (the master
-    /// runs chunks too), whatever the number of dispatches; 0 when no
-    /// dispatch had more than one chunk. Read off the interpreter's
-    /// pool at the end of the run.
+    /// Worker threads the run's parallel dispatches added to the
+    /// process's pool, all of them together: at most its largest chunk
+    /// count minus one (the master runs chunks too), whatever the number
+    /// of dispatches, and 0 when the pool already had that many — as it
+    /// has for every run after the first of the same width; 0 when no
+    /// dispatch had more than one chunk. The threads outlive the run.
     pub worker_threads_spawned: u64,
     /// Compiled-tier dispatches that fell back to the tree-walk because
     /// the executor's own lowering rejected the nest — the verdict's

@@ -13,7 +13,7 @@
 //! the same way.
 
 use irr_driver::{compile, compile_source, DriverOptions};
-use irr_exec::{inspect_injective, ArrayData, Store};
+use irr_exec::{inspect_injective, ArrayData, Interp, Store};
 use irr_frontend::{parse_program, VarId};
 use irr_programs::{all, Scale};
 use irr_runtime::{run_hybrid, HybridConfig, HybridOutcome};
@@ -326,5 +326,91 @@ fn an_injectivity_scan_allocates_only_for_a_section_that_is_not_monotone() {
         scan(scrambled().map(|v| v * 9973).collect()),
         (true, 1),
         "sparse and not monotone: the sort buffer"
+    );
+}
+
+/// A run's split dispatches borrow the process's pool instead of
+/// creating a thread and joining it: two whole runs of a loop of two
+/// chunks (and its producer loop, also two) on this thread, and the
+/// second creates no thread and pays none of what creating one costs
+/// the caller (5 allocations: the thread's name, its handle's shared
+/// state and its boxed start routine). The second run makes 80
+/// allocations when the master runs both chunks of both dispatches
+/// itself and 72 when the pool's thread takes the second chunk of each
+/// (a slot's vectors are allocated by whichever thread first runs it;
+/// 72–80 in thirty runs). With a pool per run every run created its
+/// thread: 81–87 in thirty second runs.
+#[test]
+fn a_second_split_run_creates_no_thread() {
+    let src = "program t
+         integer i, n
+         real x(40000), y(40000)
+         n = 40000
+         do i = 1, n
+           y(i) = i * 0.5
+         enddo
+         do 20 i = 1, n
+           x(i) = y(i) * 2.0
+ 20      continue
+         print x(1), x(n)
+         end";
+    let rep = compile_source(src, DriverOptions::with_iaa()).expect("compiles");
+    let config = HybridConfig {
+        threads: 2,
+        ..HybridConfig::default()
+    };
+    let (first, _) = allocations(|| run_hybrid(&rep, config).expect("runs"));
+    assert!(
+        first.telemetry.worker_threads_spawned <= 1,
+        "{:?}",
+        first.telemetry
+    );
+    let (second, n) = allocations(|| run_hybrid(&rep, config).expect("runs"));
+    let t = second.telemetry;
+    assert_eq!(
+        (t.worker_chunks_typed, t.worker_threads_spawned),
+        (4, 0),
+        "{t:?}"
+    );
+    assert!(
+        n <= 80,
+        "{n} allocations for a run whose pool had its thread; 81–87 while every run created one"
+    );
+}
+
+/// The tree-walk gathers a multi-dimensional access's subscripts in a
+/// buffer the interpreter keeps: a run over twice the elements of a
+/// 2-D array makes no more allocations. It made one an element access
+/// (270 and 526) while every access collected its subscripts into a
+/// vector of its own; it makes 15.
+#[test]
+fn a_tree_walked_2d_access_allocates_nothing_an_element() {
+    let run = |n: usize| {
+        let src = format!(
+            "program t
+             integer i, j
+             real s, a({n}, 4)
+             do i = 1, {n}
+               do j = 1, 4
+                 a(i, j) = i + j
+               enddo
+             enddo
+             do i = 1, {n}
+               do j = 1, 4
+                 s = s + a(i, j)
+               enddo
+             enddo
+             print s
+             end"
+        );
+        let p = parse_program(&src).expect("parses");
+        allocations(|| Interp::new(&p).run().expect("runs")).1
+    };
+    let (once, twice) = (run(32), run(64));
+    assert_eq!(
+        twice,
+        once,
+        "{} more allocations for 256 more element accesses",
+        twice - once
     );
 }

@@ -77,34 +77,40 @@ fn schedule_cache_amortizes_inspections_and_invalidates_on_write() {
 }
 
 /// A run's thread creations are bounded by its widest dispatch, not by
-/// how many dispatches it makes: at two threads the producer loop and
-/// the first of 200 guarded entries split in two and share one pooled
-/// thread (the master runs the other chunk), and the 199 re-entries,
-/// each far below the work worth a second chunk, run as one chunk on
-/// the calling thread. At one thread every dispatch runs on the calling
-/// thread and no thread is ever created.
+/// how many dispatches it makes, and the threads outlive the run: at
+/// two threads the producer loop and the first of 200 guarded entries
+/// split in two and share one pooled thread (the master runs the other
+/// chunk), and the 199 re-entries, each far below the work worth a
+/// second chunk, run as one chunk on the calling thread. The first run
+/// creates at most that one thread — none if an earlier run of this
+/// process did — and a second run creates none and runs the same
+/// chunks. At one thread every dispatch runs on the calling thread and
+/// no thread is ever created.
 #[test]
-fn a_reentered_loop_creates_its_threads_once_per_run() {
+fn a_reentered_loop_creates_its_threads_once_per_process() {
     let src = HYBRID_SRC
         .replace("do r = 1, 4", "do r = 1, 200")
         .replace("r == 4", "r == 201");
     let rep = compile_source(&src, DriverOptions::with_iaa()).unwrap();
     let seq = Interp::new(&rep.program).run().unwrap();
-    for (threads, spawned) in [(2, 1), (1, 0)] {
+    for threads in [2, 1] {
         let config = HybridConfig {
             threads,
             ..HybridConfig::default()
         };
-        let hybrid = run_hybrid(&rep, config).unwrap();
-        assert_eq!(hybrid.outcome.output, seq.output);
-        let t = hybrid.telemetry;
-        assert_eq!(t.guarded_parallel, 200, "{t:?}");
-        assert_eq!(t.fallbacks(), 0, "{t:?}");
-        assert_eq!(t.worker_chunks_typed, 2 * threads as u64 + 199, "{t:?}");
-        assert_eq!(
-            t.worker_threads_spawned, spawned,
-            "{threads} threads: {t:?}"
-        );
+        let runs = [0, 1].map(|_| run_hybrid(&rep, config).unwrap());
+        for (k, hybrid) in runs.iter().enumerate() {
+            assert_eq!(hybrid.outcome.output, seq.output);
+            let t = &hybrid.telemetry;
+            assert_eq!(t.guarded_parallel, 200, "{t:?}");
+            assert_eq!(t.fallbacks(), 0, "{t:?}");
+            assert_eq!(t.worker_chunks_typed, 2 * threads as u64 + 199, "{t:?}");
+            let most = if k == 0 { threads as u64 - 1 } else { 0 };
+            assert!(
+                t.worker_threads_spawned <= most,
+                "run {k} at {threads} threads: {t:?}"
+            );
+        }
     }
 }
 
@@ -138,9 +144,12 @@ fn sweep_src(n: usize, m: &str) -> String {
     )
 }
 
-/// Runs `src` at two threads; checks it against the sequential run and
-/// that the sweep is compile-time parallel and never falls back.
-/// Returns the sweep's statistics beside the run's telemetry.
+/// Runs `src` twice at two threads; checks each run against the
+/// sequential run and that the sweep is compile-time parallel and never
+/// falls back. The first run creates at most the one thread two chunks
+/// need; the second creates none and counts everything else as the
+/// first did. Returns the sweep's statistics beside the second run's
+/// telemetry.
 fn run_sweep(src: &str) -> (irr_exec::LoopStats, Telemetry) {
     let rep = compile_source(src, DriverOptions::with_iaa()).unwrap();
     let v = rep.verdict("T/do20").unwrap();
@@ -149,13 +158,28 @@ fn run_sweep(src: &str) -> (irr_exec::LoopStats, Telemetry) {
         threads: 2,
         ..HybridConfig::default()
     };
-    let hybrid = run_hybrid(&rep, config).unwrap();
     let seq = Interp::new(&rep.program).run().unwrap();
-    let diff = first_divergence(&rep, &seq, &hybrid.outcome, Reals::Exact);
-    assert_eq!(diff, None);
-    let t = hybrid.telemetry;
-    assert_eq!((t.compile_time_parallel, t.fallbacks()), (4, 0), "{t:?}");
-    (hybrid.outcome.stats.loops[&v.loop_stmt].clone(), t)
+    let [first, second] = [0, 1].map(|_| {
+        let hybrid = run_hybrid(&rep, config).unwrap();
+        let diff = first_divergence(&rep, &seq, &hybrid.outcome, Reals::Exact);
+        assert_eq!(diff, None);
+        let t = &hybrid.telemetry;
+        assert_eq!((t.compile_time_parallel, t.fallbacks()), (4, 0), "{t:?}");
+        hybrid
+    });
+    let t = second.telemetry;
+    assert!(
+        first.telemetry.worker_threads_spawned <= 1,
+        "{:?}",
+        first.telemetry
+    );
+    assert_eq!(t.worker_threads_spawned, 0, "{t:?}");
+    let threads_aside = Telemetry {
+        worker_threads_spawned: 0,
+        ..first.telemetry
+    };
+    assert_eq!(threads_aside, t);
+    (second.outcome.stats.loops[&v.loop_stmt].clone(), t)
 }
 
 /// A small re-entered loop: its first entry knows nothing of its work
@@ -166,12 +190,11 @@ fn run_sweep(src: &str) -> (irr_exec::LoopStats, Telemetry) {
 fn a_small_reentered_loop_runs_every_later_entry_as_one_chunk() {
     let (_, t) = run_sweep(&sweep_src(8, "8"));
     assert_eq!(t.worker_chunks_typed, 2 + 2 + 1 + 1, "{t:?}");
-    assert_eq!(t.worker_threads_spawned, 1, "{t:?}");
 }
 
 /// A re-entered loop whose every entry carries at least two chunks'
 /// worth of work keeps every configured thread on every entry, and the
-/// entries share the one pooled thread the first of them created.
+/// entries share one pooled thread.
 #[test]
 fn a_reentered_loop_worth_splitting_keeps_its_chunks_on_every_entry() {
     let (sweep, t) = run_sweep(&sweep_src(40_000, "n"));
@@ -182,7 +205,39 @@ fn a_reentered_loop_worth_splitting_keeps_its_chunks_on_every_entry() {
         sweep.total_cost / 3
     );
     assert_eq!(t.worker_chunks_typed, 2 + 3 * 2, "{t:?}");
-    assert_eq!(t.worker_threads_spawned, 1, "{t:?}");
+}
+
+/// Two runs of splitting sources, on two threads started together and
+/// each four times over, dispatch through the one process pool: every
+/// split entry publishes its own batch, the pool's thread claims from
+/// either, and each master waits for its own. Every run leaves what its
+/// sequential run leaves, bit for bit, and splits every entry.
+#[test]
+fn concurrent_runs_share_the_pool_and_each_matches_its_sequential_run() {
+    let sources = [sweep_src(40_000, "n"), sweep_src(50_000, "n - r")];
+    let start = std::sync::Barrier::new(sources.len());
+    std::thread::scope(|s| {
+        for src in &sources {
+            let start = &start;
+            s.spawn(move || {
+                let rep = compile_source(src, DriverOptions::with_iaa()).unwrap();
+                let seq = Interp::new(&rep.program).run().unwrap();
+                let config = HybridConfig {
+                    threads: 2,
+                    ..HybridConfig::default()
+                };
+                start.wait();
+                for run in 0..4 {
+                    let hybrid = run_hybrid(&rep, config).unwrap();
+                    let diff = first_divergence(&rep, &seq, &hybrid.outcome, Reals::Exact);
+                    assert_eq!(diff, None, "run {run}");
+                    let t = hybrid.telemetry;
+                    assert_eq!(t.fallbacks(), 0, "run {run}: {t:?}");
+                    assert_eq!(t.worker_chunks_typed, 2 + 3 * 2, "run {run}: {t:?}");
+                }
+            });
+        }
+    });
 }
 
 /// The rule scales by trip count: a loop whose second entry ran 8
