@@ -1,11 +1,11 @@
 //! Strategy facts: proven properties that let the runtime execute a
 //! parallel loop without the write-log transaction.
 //!
-//! The write-log executor (`irr-exec`) is a safety net: workers run on
-//! copy-on-write store clones and a validating merge replays their
-//! logs. When the compiler has already *proven* where a loop writes,
-//! that machinery is pure overhead. This module derives two such
-//! proofs from the loop body:
+//! The write-log executor (`irr-exec`) is a safety net: each chunk
+//! writes its own copy of every array it stores to and logs those
+//! stores, and a validating merge replays the logs. When the compiler
+//! has already *proven* where a loop writes, that machinery is pure
+//! overhead. This module derives two such proofs from the loop body:
 //!
 //! - [`StrategyFacts::InPlace`] — every non-privatized written array
 //!   is touched under one [`WriteShape`], from which the executor
@@ -246,8 +246,8 @@ fn body_is_straightline(program: &Program, stmts: &[StmtId]) -> bool {
 /// - the nest contains no call (inner `do`/`while`/`if` are fine: what
 ///   a chunk may touch is enforced per access, wherever it happens) and
 ///   does not assign the loop variable;
-/// - every assigned scalar is privatized or a reduction (workers keep
-///   them in their private snapshots);
+/// - every assigned scalar is privatized or a reduction (each chunk
+///   keeps them in its own registers);
 /// - every access to a target, read or write, has the same shape with
 ///   the same constants (distinct offsets would reach across chunks),
 ///   and a scatter target is never read (its chunks own sets, not

@@ -4,9 +4,10 @@
 //! A [`LoopDispatcher`] is consulted at **every dynamic entry** of every
 //! `do` loop, after the bounds have been evaluated against the live
 //! store. It decides — per execution — whether the loop runs through the
-//! ordinary sequential interpreter or through the write-log parallel
-//! executor with a given [`ParallelPlan`] (workers on copy-on-write
-//! store clones, logs merged in `O(total writes)`). The hybrid runtime in
+//! ordinary sequential interpreter or through the chunked parallel
+//! executor with a given [`ParallelPlan`] (chunks that read the master's
+//! store and write only their own sinks, committed in `O(total writes)`).
+//! The hybrid runtime in
 //! `irr-runtime` implements this trait with guarded (inspector-driven)
 //! dispatch and a version-keyed schedule cache; the default
 //! [`SequentialDispatch`] recovers the plain interpreter.

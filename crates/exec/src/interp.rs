@@ -640,7 +640,8 @@ pub struct ExecOutcome {
     /// process's pool: at most its largest chunk count minus one,
     /// however many dispatches it made, and 0 once an earlier run (or a
     /// concurrent one) left the pool that large; 0 for a run that never
-    /// dispatched more than one chunk. Kept out of [`ExecStats`] (it
+    /// dispatched more than one chunk, or whose split dispatches all
+    /// found the pool busy with another run's. Kept out of [`ExecStats`] (it
     /// describes the engine, not the program's execution).
     pub worker_threads_spawned: u64,
 }
@@ -716,9 +717,11 @@ pub struct ProgramScope {
     /// The run's handle on the worker pool: `None` until the first
     /// parallel dispatch with more than one chunk points it at the
     /// process's pool, whose threads outlive the run (a unit test may
-    /// put in a private pool instead). Dropping the run drops only the
-    /// handle: no thread is joined, and none is left running a chunk of
-    /// the run, since every dispatch waits for its own batch.
+    /// put in a private pool instead). The pool holds one batch at a
+    /// time; a dispatch that finds it busy runs its chunks on the run's
+    /// own thread. Dropping the run drops only the handle: no thread is
+    /// joined, and none is left running a chunk of the run, since a
+    /// dispatch that published a batch waits for it.
     pub(crate) pool: Option<Arc<WorkerPool>>,
     /// Threads the run's dispatches created: 0 once the pool already
     /// had as many as they asked for.

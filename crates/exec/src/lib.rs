@@ -14,9 +14,10 @@
 //!   worker runs the typed loop.
 //! - [`parallel`]: the chunked parallel executor, a transaction on the
 //!   master store with three commit strategies the executor re-derives
-//!   itself ([`ExecutionStrategy`]): the write-log (workers on
-//!   copy-on-write store clones hand back write logs, merged in
-//!   `O(total writes)` with positional conflict detection), in-place
+//!   itself ([`ExecutionStrategy`]): the write-log (a chunk writes its
+//!   own copy of every array it stores to and logs those stores; the
+//!   logs are merged in `O(total writes)` with positional conflict
+//!   detection), in-place
 //!   disjoint windows (affine, offset–length segment, certified
 //!   scatter — no log, no clone, no merge), and privatize-and-concat
 //!   for append-through-pointer loops. Chunks run on the process's

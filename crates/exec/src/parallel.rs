@@ -4,15 +4,17 @@
 //! A loop the driver declared parallel is executed by splitting its
 //! iteration space into as many contiguous chunks as its plan asks and
 //! handing the worker pool (`pool.rs`) the chunk count and one closure.
-//! One chunk runs on the dispatching thread, with no pool. More are one
-//! batch, claimed first chunk first by the pool's threads — one set per
-//! process, created by the first dispatches that need them, shared by
-//! every run and never joined — and by the dispatching thread itself,
-//! so a dispatch creates no thread once the pool has `chunks − 1`,
-//! whichever run created them. The dispatch waits until every chunk of
-//! its own batch has finished, whatever became of any of them (a panic
-//! is caught at the chunk boundary and is that chunk's result), before
-//! it looks at a single outcome; they come back in chunk order.
+//! One chunk runs on the dispatching thread, with no pool. More are the
+//! pool's one batch, claimed first chunk first by the pool's threads —
+//! one set per process, created by the first dispatches that need them,
+//! shared by every run and never joined — and by the dispatching thread
+//! itself, so a dispatch creates no thread once the pool has
+//! `chunks − 1`, whichever run created them. A dispatch that finds
+//! another run's batch in flight runs all its chunks on its own thread.
+//! Either way it waits until every chunk has finished, whatever became
+//! of any of them (a panic is caught at the chunk boundary and is that
+//! chunk's result), before it looks at a single outcome; they come back
+//! in chunk order.
 //!
 //! # What a chunk runs
 //!
@@ -147,9 +149,10 @@ use std::time::{Duration, Instant};
 /// [`WriteLog`]: ExecutionStrategy::WriteLog
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ExecutionStrategy {
-    /// Workers log writes on copy-on-write store clones and a
-    /// validating commit replays them — the transactional safety net,
-    /// always correct, used for runtime-guarded and unproven loops.
+    /// Each chunk writes its own copy of every array it stores to and
+    /// logs those stores, and a validating commit replays the logs —
+    /// the transactional safety net, always correct, used for
+    /// runtime-guarded and unproven loops.
     #[default]
     WriteLog,
     /// Chunks touch disjoint parts of every written array — enforced

@@ -28,8 +28,10 @@
 //! each chunk reads the live store and writes only its own sinks, on
 //! the dispatching thread or on one of the process's pooled worker
 //! threads, which the first dispatch wide enough to need them creates
-//! and every later dispatch — of this run or of any other, on any
-//! thread — reuses ([`Telemetry::worker_threads_spawned`]). An
+//! and every later dispatch reuses
+//! ([`Telemetry::worker_threads_spawned`]). The pool serves one
+//! dispatch at a time: a run whose split entry finds another run's
+//! batch in flight runs that entry's chunks on its own thread. An
 //! entry's chunk count is sized by its work: a loop's first entry
 //! splits over every configured thread, a later one over as many as
 //! its loop's last committed entry says it can fill, and a small

@@ -208,10 +208,10 @@ fn a_reentered_loop_worth_splitting_keeps_its_chunks_on_every_entry() {
 }
 
 /// Two runs of splitting sources, on two threads started together and
-/// each four times over, dispatch through the one process pool: every
-/// split entry publishes its own batch, the pool's thread claims from
-/// either, and each master waits for its own. Every run leaves what its
-/// sequential run leaves, bit for bit, and splits every entry.
+/// each four times over, share the one process pool: a split entry
+/// publishes its batch if the pool holds none and otherwise runs its
+/// chunks on its own thread. Every run leaves what its sequential run
+/// leaves, bit for bit, and splits every entry.
 #[test]
 fn concurrent_runs_share_the_pool_and_each_matches_its_sequential_run() {
     let sources = [sweep_src(40_000, "n"), sweep_src(50_000, "n - r")];
