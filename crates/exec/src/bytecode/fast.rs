@@ -76,11 +76,16 @@
 //!   stream, its ops), which fails exactly where the tree-walk does; per
 //!   row that ran, fuel, cost, the inner loop's entries and cost and the
 //!   stream counts are charged in closed form, as that path would.
-//! - **Instantiations follow the traffic.** Only a shape a benchmark
-//!   row runs gets the kernel over its own operand types:
-//!   `lin = lin·val + val` and `ind = lin·val` in `try_stream`,
-//!   `colscale`'s and SpMV's rows in `run_seg`. Every other shape runs
-//!   the catch-all, which decides operand kinds per element.
+//! - **One kernel driver for both.** A stream's strip and a segmented
+//!   stream's strip resolve their statement the same way
+//!   ([`FState::resolve`]: operands and sink over the pins' views), set
+//!   up and store a reduction through the same [`Sink`] methods, and
+//!   enter one instantiation table ([`FState::instantiate`]) with what
+//!   they run (a [`Job`]: the strip's iterations, or its rows). Only a
+//!   shape a benchmark row runs gets the kernel over its own resolver
+//!   types: `colscale` in place, `scale` out of place, `permute`'s
+//!   scatter and SpMV's reduction. Every other shape runs the
+//!   catch-all, which decides operand kinds per element.
 //!
 //! **The `unsafe` here leans on one invariant, established elsewhere.**
 //! A `CompiledBody` can only come out of `lower_do_loop` (its fields
@@ -103,7 +108,6 @@ use irr_driver::compiled::{
 };
 use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, VarId};
 use std::cell::Cell;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// When a chunk started and how long it may run; `None` unwatched.
@@ -166,8 +170,9 @@ pub(crate) type Deadline = Option<(Instant, Duration)>;
 ///   leaves them to the next [`FState::enter`], which drops them
 ///   unread).
 ///
-/// Every index reaching `rd_*`/`wr_*` has passed `chk` (or `IndexN`'s
-/// per-dimension check) against the extents cached here, and
+/// Every index reaching `rd_*`/`wr_*` has passed `chk` against the view
+/// cached here (or `IndexN`'s per-dimension check against the array's
+/// extents, which only a whole-array pin meets), and
 /// `fast_ready` checked that the payload's element type is the declared
 /// one the ops were typed with (each op dereferences the non-null pointer).
 struct RawPin {
@@ -179,8 +184,6 @@ struct RawPin {
     /// many `chk` admits from there: `(1, dims[0])`, or a window.
     origin: u64,
     dim0: u64,
-    /// The array's extents, shared with its handle.
-    dims: Arc<[usize]>,
     /// Stores landed through `ip`/`fp`.
     writes: u64,
     /// `None` for a slot the body only reads.
@@ -242,7 +245,6 @@ impl RawPin {
             len,
             origin,
             dim0,
-            dims: Arc::clone(dims),
             writes: 0,
             sink,
             raw,
@@ -405,16 +407,12 @@ impl Lane for Lin<f64> {
 }
 
 /// INDIRECT: `idx` is the index array resolved as a [`Lin`], `data`
-/// the data pin's first element, and every subscript read from `idx`
-/// passes the data pin's `chk` — on the copy of its view in `origin` /
-/// `dim0 <= len` — before it is used.
+/// a copy of the data pin's view, and every subscript read from `idx`
+/// passes the view's check (`in_view`, `dim0 <= len`) before it is used.
 #[derive(Clone, Copy)]
 struct Ind {
     idx: Lin<i64>,
-    data: *mut f64,
-    len: usize,
-    origin: u64,
-    dim0: u64,
+    data: View<f64>,
 }
 
 impl Lane for Ind {
@@ -424,9 +422,10 @@ impl Lane for Ind {
         // SAFETY: `idx.p[0..n]` passed the view at both ends (`lin`) and
         // `t < n`; the pin is an `i64` payload (the lowering takes
         // integer-declared index arrays, `fast_ready`).
-        let k = in_view(unsafe { *self.idx.p.add(t) }, self.origin, self.dim0)?;
-        debug_assert!(k < self.len);
-        Some(self.data.wrapping_add(k))
+        let d = self.data;
+        let k = in_view(unsafe { *self.idx.p.add(t) }, d.origin, d.dim0)?;
+        debug_assert!(k < d.len);
+        Some(d.p.wrapping_add(k))
     }
 }
 
@@ -491,9 +490,9 @@ impl Wr for Acc {
     }
 }
 
-/// A resolved operand or sink of any kind: what `try_stream` picks the
-/// kernel's instantiation by, and — as a reader and a sink itself,
-/// deciding per element — what the catch-all instantiation runs on.
+/// A resolved operand or sink of any kind: as a reader and a sink
+/// itself, deciding per element, what the catch-all instantiation runs
+/// on.
 #[derive(Clone, Copy)]
 enum Opnd {
     Val(Val),
@@ -526,32 +525,65 @@ impl Wr for Opnd {
     }
 }
 
-/// The one stream kernel: iterations `0..n` of `sink = P`, `P ± c`,
-/// `c ± P`, `P = a` or `a * b`, in order, each operation rounded on
-/// its own in the source's operand order. Stops *before* the first
-/// iteration one of whose INDIRECT subscripts misses its pin's view,
-/// with nothing of that iteration done; returns how many ran.
-///
-/// Inlined into each arm of `try_stream`'s one `match`, where the
-/// operand types are concrete and `b` and `tail` literals: an
-/// instantiated shape decides nothing per element but its `in_view`s.
-#[inline(always)]
-fn stream_kernel<A: Rd, B: Rd, C: Rd, S: Wr>(
-    n: usize,
+/// A stream's statement — `sink = P`, `P ± c` or `c ± P` with `P = a`
+/// or `a * b` — over operand and sink resolvers of any types.
+#[derive(Clone, Copy)]
+struct Stmt<A, B, C, S> {
     a: A,
     b: Option<B>,
     tail: Option<(StreamTail, C)>,
     sink: S,
+}
+
+/// A statement as [`FState::resolve`] resolves it, before the
+/// instantiation table ([`FState::instantiate`]) picks concrete types.
+type Ops = Stmt<OpndRes, OpndRes, OpndRes, AnySink>;
+
+/// The one stream kernel: iterations `lo .. lo + n` of `s` over an
+/// invariant table's values `vals`, in order, each operation rounded on
+/// its own in the source's operand order. Resolves the operands and the
+/// sink for the range first — `None`, nothing done, when a LINEAR range
+/// misses its pin's view — then stops *before* the first iteration one
+/// of whose INDIRECT subscripts misses, with nothing of that iteration
+/// done; returns how many ran.
+///
+/// Inlined into each arm of [`FState::instantiate`]'s one `match`,
+/// where the resolver types are concrete and `b` and `tail` literals:
+/// an instantiated shape decides nothing per element but its `in_view`s.
+#[inline(always)]
+fn stream_kernel<A: Res, B: Res, C: Res, S: Sink>(
+    vals: &[i64],
+    lo: i64,
+    n: usize,
+    s: Stmt<A, B, C, S>,
     acc: &mut f64,
-) -> usize {
+) -> Option<usize> {
+    if n == 0 {
+        return Some(0);
+    }
+    let (a, sink) = (s.a.row(vals, lo, n)?, s.sink.row(vals, lo, n)?);
+    let b = match s.b {
+        Some(b) => Some(b.row(vals, lo, n)?),
+        None => None,
+    };
+    let tail = match s.tail {
+        Some((op, c)) => Some((op, c.row(vals, lo, n)?)),
+        None => None,
+    };
     for t in 0..n {
-        let Some(mut v) = a.rd(t, *acc) else { return t };
+        let Some(mut v) = a.rd(t, *acc) else {
+            return Some(t);
+        };
         if let Some(b) = b {
-            let Some(b) = b.rd(t, *acc) else { return t };
+            let Some(b) = b.rd(t, *acc) else {
+                return Some(t);
+            };
             v *= b;
         }
         if let Some((op, c)) = tail {
-            let Some(c) = c.rd(t, *acc) else { return t };
+            let Some(c) = c.rd(t, *acc) else {
+                return Some(t);
+            };
             v = match op {
                 StreamTail::PAddC => v + c,
                 StreamTail::PSubC => v - c,
@@ -560,10 +592,10 @@ fn stream_kernel<A: Rd, B: Rd, C: Rd, S: Wr>(
             };
         }
         if sink.wr(t, v, acc).is_none() {
-            return t;
+            return Some(t);
         }
     }
-    n
+    Some(n)
 }
 
 /// The iterations `do j = lo, hi` runs: 0 when `lo > hi`; `None` when
@@ -608,7 +640,8 @@ fn eval_inv(inv: &Inv, ir: &[i64], pins: &[RawPin], vals: &[i64]) -> Option<i64>
     Some(sum)
 }
 
-/// The values of a row table's entries for the row at hand.
+/// The values of an invariant table's entries: a stream's for its strip,
+/// a segmented stream's for the row at hand.
 type RowVals = [i64; ROW_INVS];
 
 /// Entry `k` of an invariant table's values: a stream's, or a row's.
@@ -687,7 +720,7 @@ impl RowTable {
 /// iterations `lo .. lo + n` over an invariant table's values — once
 /// for a stream's strip, once per row for a segmented stream's.
 trait Res: Copy {
-    type L: Copy;
+    type L: Rd;
     fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Self::L>;
 }
 
@@ -699,11 +732,17 @@ impl Res for Val {
     }
 }
 
-impl Res for Acc {
+/// A resolver whose value is the running value: the accumulator operand
+/// and a reduction's target.
+trait InAcc: Copy {}
+
+impl InAcc for Acc {}
+
+impl<T: InAcc> Res for T {
     type L = Acc;
     #[inline(always)]
     fn row(self, _: &[i64], _: i64, _: usize) -> Option<Acc> {
-        Some(self)
+        Some(Acc)
     }
 }
 
@@ -743,13 +782,9 @@ impl Res for IndRes {
     #[inline(always)]
     fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Ind> {
         let idx = self.idx.lin(entry(vals, self.base).checked_add(lo)?, n)?;
-        let d = self.data;
         Some(Ind {
             idx,
-            data: d.p,
-            len: d.len,
-            origin: d.origin,
-            dim0: d.dim0,
+            data: self.data,
         })
     }
 }
@@ -782,11 +817,7 @@ enum RowValRes {
     Val(f64),
     /// The row variable, read as a real.
     Row,
-    /// `arr(vals[at])`.
-    Elem {
-        at: u16,
-        data: View<f64>,
-    },
+    Elem(Elem),
 }
 
 impl RowValRes {
@@ -796,12 +827,7 @@ impl RowValRes {
         Some(match self {
             RowValRes::Val(v) => v,
             RowValRes::Row => r as f64,
-            RowValRes::Elem { at, data } => {
-                let k = in_view(entry(vals, at), data.origin, data.dim0)?;
-                debug_assert!(k < data.len);
-                // SAFETY: `k` is inside the view of a live `f64` pin.
-                unsafe { *data.p.add(k) }
-            }
+            RowValRes::Elem(e) => e.read(vals)?.1,
         })
     }
 }
@@ -816,50 +842,54 @@ struct RowRes {
     hi: u16,
 }
 
-/// Where a segmented stream's rows put their values, beside the lane a
-/// lane sink writes ([`Res`]): how a row's running value starts and
-/// where it goes once the row is done.
-trait SegSink: Res {
+/// Where a stream's values go, beside the lane a lane sink writes
+/// ([`Res`]): how the running value of a row or a strip starts, and
+/// where it goes once the row or strip is done. A lane starts nowhere
+/// and stores as it goes.
+trait Sink: Res<L: Wr> {
     /// The running value a row starts from — `init`, or else what its
     /// target holds — and the target's offset in its view; `None` when
-    /// the row stores (`writes > 0`) to a target outside the view.
-    fn start(
-        self,
-        st: &FState,
-        vals: &RowVals,
-        init: Option<f64>,
-        writes: u64,
-    ) -> Option<(f64, usize)>;
-    /// Stores the row's reduced value (a lane stored as it went).
-    fn finish(self, st: &mut FState, acc: f64, k: usize, writes: u64);
-}
-
-impl SegSink for LinRes {
+    /// the row or strip may store (`writes > 0`) to a target outside
+    /// the view.
     #[inline(always)]
     fn start(self, _: &FState, _: &RowVals, _: Option<f64>, _: u64) -> Option<(f64, usize)> {
         Some((0.0, 0))
     }
 
+    /// Stores the reduced value of a row or strip that made `writes`
+    /// stores.
     #[inline(always)]
     fn finish(self, _: &mut FState, _: f64, _: usize, _: u64) {}
 }
 
-/// A reduction into `arr(vals[at])`, a raw pin's element.
+impl Sink for LinRes {}
+
+impl Sink for IndRes {}
+
+/// `arr(vals[at])`, an element of a real pin's view: a row's initial or
+/// final value, or a reduction's target (a raw pin's).
 #[derive(Clone, Copy)]
-struct ElemSink {
+struct Elem {
     at: u16,
     data: View<f64>,
 }
 
-impl Res for ElemSink {
-    type L = Acc;
+impl Elem {
+    /// The element's offset in its view and its value, `None` when it
+    /// misses the view.
     #[inline(always)]
-    fn row(self, _: &[i64], _: i64, _: usize) -> Option<Acc> {
-        Some(Acc)
+    fn read(self, vals: &RowVals) -> Option<(usize, f64)> {
+        let d = self.data;
+        let k = in_view(entry(vals, self.at), d.origin, d.dim0)?;
+        debug_assert!(k < d.len);
+        // SAFETY: `k` is inside the view of a live `f64` pin.
+        Some((k, unsafe { *d.p.add(k) }))
     }
 }
 
-impl SegSink for ElemSink {
+impl InAcc for Elem {}
+
+impl Sink for Elem {
     #[inline(always)]
     fn start(
         self,
@@ -871,11 +901,8 @@ impl SegSink for ElemSink {
         if writes == 0 {
             return Some((0.0, 0));
         }
-        let d = self.data;
-        let k = in_view(entry(vals, self.at), d.origin, d.dim0)?;
-        debug_assert!(k < d.len);
-        // SAFETY: `k` is inside the view of a live `f64` pin.
-        Some((init.unwrap_or_else(|| unsafe { *d.p.add(k) }), k))
+        let (k, v) = self.read(vals)?;
+        Some((init.unwrap_or(v), k))
     }
 
     #[inline(always)]
@@ -894,15 +921,9 @@ impl SegSink for ElemSink {
 #[derive(Clone, Copy)]
 struct ScalarSink(u16);
 
-impl Res for ScalarSink {
-    type L = Acc;
-    #[inline(always)]
-    fn row(self, _: &[i64], _: i64, _: usize) -> Option<Acc> {
-        Some(Acc)
-    }
-}
+impl InAcc for ScalarSink {}
 
-impl SegSink for ScalarSink {
+impl Sink for ScalarSink {
     #[inline(always)]
     fn start(self, st: &FState, _: &RowVals, init: Option<f64>, _: u64) -> Option<(f64, usize)> {
         Some((init.unwrap_or_else(|| st.frg(self.0)), 0))
@@ -914,11 +935,13 @@ impl SegSink for ScalarSink {
     }
 }
 
-/// A sink of any kind, for the catch-all instantiation.
+/// A sink of any kind, for the catch-all instantiation: a store, a
+/// scatter (which only a stream's strip takes), or a reduction.
 #[derive(Clone, Copy)]
 enum AnySink {
     Lane(LinRes),
-    Elem(ElemSink),
+    Scatter(IndRes),
+    Elem(Elem),
     Scalar(ScalarSink),
 }
 
@@ -928,12 +951,13 @@ impl Res for AnySink {
     fn row(self, vals: &[i64], lo: i64, n: usize) -> Option<Opnd> {
         Some(match self {
             AnySink::Lane(l) => Opnd::Lin(l.row(vals, lo, n)?),
+            AnySink::Scatter(r) => Opnd::Ind(r.row(vals, lo, n)?),
             AnySink::Elem(_) | AnySink::Scalar(_) => Opnd::Acc(Acc),
         })
     }
 }
 
-impl SegSink for AnySink {
+impl Sink for AnySink {
     #[inline(always)]
     fn start(
         self,
@@ -943,7 +967,7 @@ impl SegSink for AnySink {
         writes: u64,
     ) -> Option<(f64, usize)> {
         match self {
-            AnySink::Lane(l) => l.start(st, vals, init, writes),
+            AnySink::Lane(_) | AnySink::Scatter(_) => Some((0.0, 0)),
             AnySink::Elem(e) => e.start(st, vals, init, writes),
             AnySink::Scalar(s) => s.start(st, vals, init, writes),
         }
@@ -952,7 +976,7 @@ impl SegSink for AnySink {
     #[inline(always)]
     fn finish(self, st: &mut FState, acc: f64, k: usize, writes: u64) {
         match self {
-            AnySink::Lane(l) => l.finish(st, acc, k, writes),
+            AnySink::Lane(_) | AnySink::Scatter(_) => {}
             AnySink::Elem(e) => e.finish(st, acc, k, writes),
             AnySink::Scalar(s) => s.finish(st, acc, k, writes),
         }
@@ -982,24 +1006,14 @@ struct RowDone {
 /// (a stream's element sink is read by no operand) — so a miss abandons
 /// a row that has stored nothing.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn seg_row<A: Res, B: Res, C: Res, S: SegSink>(
+fn seg_row<A: Res, B: Res, C: Res, S: Sink>(
     st: &mut FState,
     table: &mut RowTable,
     row: &RowRes,
     r: i64,
     fuel: u64,
-    a: A,
-    b: Option<B>,
-    tail: Option<(StreamTail, C)>,
-    sink: S,
-) -> Option<RowDone>
-where
-    A::L: Rd,
-    B::L: Rd,
-    C::L: Rd,
-    S::L: Wr,
-{
+    s: Stmt<A, B, C, S>,
+) -> Option<RowDone> {
     table.eval(r)?;
     let vals = &table.vals;
     let (lo, hi) = (entry(vals, row.lo), entry(vals, row.hi));
@@ -1019,20 +1033,9 @@ where
         Some((op, acc_first, v)) => Some((op, acc_first, v.get(vals, r)?)),
         None => None,
     };
-    let (mut acc, k) = sink.start(st, vals, init, writes)?;
-    if n > 0 {
-        let (a, s) = (a.row(vals, lo, n)?, sink.row(vals, lo, n)?);
-        let b = match b {
-            Some(b) => Some(b.row(vals, lo, n)?),
-            None => None,
-        };
-        let tail = match tail {
-            Some((op, c)) => Some((op, c.row(vals, lo, n)?)),
-            None => None,
-        };
-        if stream_kernel(n, a, b, tail, s, &mut acc) < n {
-            return None;
-        }
+    let (mut acc, k) = s.sink.start(st, vals, init, writes)?;
+    if stream_kernel(vals, lo, n, s, &mut acc)? < n {
+        return None;
     }
     if let Some((op, acc_first, v)) = fin {
         let (x, y) = if acc_first { (acc, v) } else { (v, acc) };
@@ -1042,13 +1045,99 @@ where
             _ => x * y,
         };
     }
-    sink.finish(st, acc, k, writes);
+    s.sink.finish(st, acc, k, writes);
     Some(RowDone {
         n: n as u64,
         j: if n > 0 { hi + 1 } else { lo },
         cost,
         writes,
     })
+}
+
+/// What one instantiation of the kernel runs: a strip of a stream's
+/// iterations ([`Strip`]) or of a segmented stream's rows ([`Rows`]).
+trait Job {
+    /// Whether `Probe::arms` counts it as rows run, not as a strip.
+    #[cfg(test)]
+    const ROWS: bool;
+
+    /// Runs the strip with `s` over concrete resolver types: how many
+    /// iterations (rows) ran, every one of them charged and counted.
+    fn run<A: Res, B: Res, C: Res, S: Sink>(self, st: &mut FState, s: Stmt<A, B, C, S>) -> i64;
+}
+
+/// Iterations `lo .. lo + n` of the stream `sd`, over its invariant
+/// values `vals`: the prefix before the first INDIRECT miss runs.
+struct Strip<'a> {
+    sd: &'a Stream,
+    vals: &'a RowVals,
+    lo: i64,
+    n: usize,
+}
+
+impl Job for Strip<'_> {
+    #[cfg(test)]
+    const ROWS: bool = false;
+
+    #[inline(always)]
+    fn run<A: Res, B: Res, C: Res, S: Sink>(self, st: &mut FState, s: Stmt<A, B, C, S>) -> i64 {
+        let Some((mut acc, k)) = s.sink.start(st, self.vals, None, self.n as u64) else {
+            return 0;
+        };
+        let Some(m) = stream_kernel(self.vals, self.lo, self.n, s, &mut acc) else {
+            return 0;
+        };
+        s.sink.finish(st, acc, k, m as u64);
+        st.count_writes(&self.sd.sink, m as u64);
+        m as i64
+    }
+}
+
+/// Rows `lo ..= hi` of the segmented stream `sg`, each whole or not at
+/// all ([`seg_row`]), over its row table and row statements.
+struct Rows<'a> {
+    sg: &'a SegStream,
+    table: &'a mut RowTable,
+    row: &'a RowRes,
+    lo: i64,
+    hi: i64,
+}
+
+impl Job for Rows<'_> {
+    #[cfg(test)]
+    const ROWS: bool = true;
+
+    /// Row after row, fuel held in a local, the per-row counters
+    /// flushed once.
+    #[inline(always)]
+    fn run<A: Res, B: Res, C: Res, S: Sink>(self, st: &mut FState, s: Stmt<A, B, C, S>) -> i64 {
+        let mut fuel = st.fuel;
+        let (mut r, mut iters, mut streamed, mut writes) = (self.lo, 0, 0, 0);
+        let mut j_end = None;
+        while r <= self.hi {
+            let Some(done) = seg_row(st, self.table, self.row, r, fuel, s) else {
+                break;
+            };
+            fuel -= done.cost;
+            iters += done.n;
+            streamed += u64::from(done.n > 0);
+            writes += done.writes;
+            j_end = Some(done.j);
+            r += 1;
+        }
+        let Some(j) = j_end else { return 0 };
+        let (sg, rows) = (self.sg, (r - self.lo) as u64);
+        st.irs(sg.var, j);
+        let spent = st.fuel - fuel;
+        (st.fuel, st.spent) = (fuel, st.spent + spent);
+        let l = usize::from(sg.inner);
+        st.linv[l] += rows;
+        st.lcost[l] += 2 * iters;
+        st.streamed += streamed;
+        st.stream_iters += iters;
+        st.count_writes(&sg.stream.sink, writes);
+        rows as i64
+    }
 }
 
 /// Per-entry run state: the typed register planes, pinned payloads,
@@ -1080,9 +1169,6 @@ pub(crate) struct FState {
     /// What this entry counted, for its run to add up.
     #[cfg(test)]
     pub(crate) probe: Probe,
-    /// The values of the entered stream's `Stream::invs`, kept between
-    /// entries for its allocation.
-    invs: Vec<i64>,
     /// Every stored pin is a raw write, so a stream can have a sink:
     /// under a write-log or an append buffer no loop entry so much as
     /// looks its stream up — the stream and row kernels write raw.
@@ -1220,14 +1306,91 @@ impl FState {
         unsafe { self.pins.get_unchecked_mut(s as usize) }
     }
 
-    /// One operand over the pins' views, to be resolved for a range of
-    /// iterations ([`Res::row`]); each reference checks its own range
-    /// against its own pin, whatever part it shares with another.
-    fn res(&self, r: &StreamRef) -> OpndRes {
-        match r {
+    /// `sd`'s statement over the pins' views, its sink included: what a
+    /// strip of a stream and of a segmented stream alike hand the
+    /// instantiation table. Each operand is resolved for a range of
+    /// iterations later ([`Res::row`]), and each reference checks its
+    /// own range against its own pin, whatever part it shares with
+    /// another.
+    fn resolve(&self, sd: &Stream) -> Ops {
+        let res = |r: &StreamRef| match r {
             StreamRef::Inv(v) => OpndRes::Val(Val(self.frd(*v))),
             StreamRef::At(at) => self.res_at(at),
             StreamRef::Acc => OpndRes::Acc(Acc),
+        };
+        let sink = match &sd.sink {
+            StreamSink::At(at) => match self.res_at(at) {
+                OpndRes::Lin(l) => AnySink::Lane(l),
+                OpndRes::Ind(r) => AnySink::Scatter(r),
+                _ => unreachable!("a location resolves to a lane"),
+            },
+            StreamSink::Scalar(reg) => AnySink::Scalar(ScalarSink(*reg)),
+            StreamSink::Elem { slot, at } => AnySink::Elem(self.elem(*slot, *at)),
+        };
+        Stmt {
+            a: res(&sd.a),
+            b: sd.b.as_ref().map(res),
+            tail: sd.tail.as_ref().map(|(op, c)| (*op, res(c))),
+            sink,
+        }
+    }
+
+    /// Counts `writes` stores to a stream's sink, which the kernel made
+    /// raw; a reduction into a register counts none.
+    fn count_writes(&mut self, sink: &StreamSink, writes: u64) {
+        if let StreamSink::At(StreamAt { slot, .. }) | StreamSink::Elem { slot, .. } = sink {
+            self.pinw(*slot).writes += writes;
+        }
+    }
+
+    /// The one instantiation table, entered once a strip by a stream and
+    /// a segmented stream alike: the shapes a benchmark row runs
+    /// (EXPERIMENTS.md, "Shapes") get `job` over their own resolver
+    /// types; anything else runs it over `OpndRes` / `AnySink`, which
+    /// decide per element. The resolvers are matched in place: copying
+    /// them out first cost the scatter kernel's loop two more stack
+    /// reloads an element.
+    #[inline(always)]
+    fn instantiate<J: Job>(&mut self, job: J, ops: Ops) -> i64 {
+        use {AnySink as K, OpndRes as O, StreamTail::*};
+        const NO_TAIL: Option<(StreamTail, Val)> = None;
+        macro_rules! run {
+            ($arm:literal: $a:expr, $b:expr, $tail:expr, $sink:expr) => {{
+                let s = Stmt {
+                    a: $a,
+                    b: $b,
+                    tail: $tail,
+                    sink: $sink,
+                };
+                let m = job.run(self, s);
+                #[cfg(test)]
+                {
+                    let n = if J::ROWS { m as u64 } else { 1 };
+                    self.probe.arms[$arm][usize::from(J::ROWS)] += n;
+                }
+                m
+            }};
+        }
+        match (&ops.a, &ops.b, &ops.tail, &ops.sink) {
+            // `lin = lin·val + val` in place: colscale. With the operand's
+            // own resolver passed as the sink the kernel vectorizes: one
+            // pointer needs no overlap test (which the same element read
+            // and written fails).
+            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), K::Lane(s)) if a.same(*s) => {
+                run!(1: *a, Some(*b), Some((PAddC, *c)), *a)
+            }
+            // Out of place: scale, and the scale sweep, whose sweep loop
+            // is a row loop.
+            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), K::Lane(s)) => {
+                run!(2: *a, Some(*b), Some((PAddC, *c)), *s)
+            }
+            // `ind = lin·val`: permute
+            (O::Lin(a), Some(O::Val(b)), None, K::Scatter(s)) => run!(3: *a, Some(*b), NO_TAIL, *s),
+            // `elem = acc + lin·ind`: spmv
+            (O::Lin(a), Some(O::Ind(b)), Some((CAddP, O::Acc(c))), K::Elem(s)) => {
+                run!(4: *a, Some(*b), Some((CAddP, *c)), *s)
+            }
+            _ => run!(0: ops.a, ops.b, ops.tail, ops.sink),
         }
     }
 
@@ -1236,19 +1399,30 @@ impl FState {
     /// `m`, having charged them (a statement and a bookkeeping unit
     /// each) and counted the loop entry when `first` is its first strip.
     /// Every check of those `m` iterations is known to pass — fuel for
-    /// `2 m`, both ends of each LINEAR range inside its pin's view, each
-    /// INDIRECT subscript as it is read — so the caller's per-iteration
-    /// loop, continued at `lo + m`, meets whatever fails exactly where
-    /// the tree-walk does. `lo + m` fits an `i64`. The caller has
-    /// checked `streams`: every store is a raw write.
+    /// `2 m`, the invariant table, both ends of each LINEAR range inside
+    /// its pin's view, a reduction's element, each INDIRECT subscript as
+    /// it is read — so the caller's per-iteration loop, continued at
+    /// `lo + m`, meets whatever fails exactly where the tree-walk does.
+    /// `lo + m` fits an `i64`. The caller has checked `streams`: every
+    /// store is a raw write. Out of line, as `run_seg` is: inlined, its
+    /// arms cost `run_do`'s per-iteration loop its registers.
+    #[inline(never)]
     fn run_stream(&mut self, sd: &Stream, lo: i64, hi: i64, first: bool) -> i64 {
+        debug_assert!(
+            self.streams,
+            "the caller checks that every store is a raw write"
+        );
         let n = (hi.abs_diff(lo) + 1)
             .min(i64::MAX.abs_diff(lo))
-            .min(self.fuel / 2);
-        let Ok(n @ 1..) = usize::try_from(n) else {
-            return 0;
+            .min(self.fuel / 2) as usize;
+        let m = match self.strip_vals(&sd.invs) {
+            Some(vals) => {
+                let ops = self.resolve(sd);
+                let vals = &vals;
+                self.instantiate(Strip { sd, vals, lo, n }, ops) as u64
+            }
+            None => 0,
         };
-        let m = self.try_stream(sd, lo, n).unwrap_or(0) as u64;
         self.spent += 2 * m;
         self.fuel -= 2 * m;
         self.stream_iters += m;
@@ -1256,83 +1430,9 @@ impl FState {
         m as i64
     }
 
-    fn try_stream(&mut self, sd: &Stream, lo: i64, n: usize) -> Option<usize> {
-        debug_assert!(
-            self.streams,
-            "the caller checks that every store is a raw write"
-        );
-        // Each distinct subscript part of the statement, once a strip, in
-        // table order; `None` when a sum leaves `i64` or a load misses
-        // its pin's view.
-        self.invs.clear();
-        for inv in sd.invs.iter() {
-            let v = eval_inv(inv, &self.ir, &self.pins, &self.invs)?;
-            self.invs.push(v);
-        }
-        let row = |r: OpndRes| r.row(&self.invs, lo, n);
-        // A reduction runs in `acc`, from the register or the element
-        // (at `k` of its pin's view) it is stored to once, after.
-        let (sink, mut acc, k) = match &sd.sink {
-            StreamSink::At(at) => (row(self.res_at(at))?, 0.0, 0),
-            StreamSink::Scalar(r) => (Opnd::Acc(Acc), self.frg(*r), 0),
-            StreamSink::Elem { slot, at } => {
-                let pin = self.pinr(*slot);
-                let k = pin.chk(entry(&self.invs, *at))?;
-                (Opnd::Acc(Acc), pin.rd_f(k), k)
-            }
-        };
-        let a = row(self.res(&sd.a))?;
-        let b = match &sd.b {
-            Some(b) => Some(row(self.res(b))?),
-            None => None,
-        };
-        let tail = match &sd.tail {
-            Some((op, c)) => Some((*op, row(self.res(c))?)),
-            None => None,
-        };
-        // The one decision of the strip: the two shapes a benchmark row
-        // streams at the root or nested (EXPERIMENTS.md, "Shapes") get
-        // the kernel over their own operand types; anything else runs it
-        // over `Opnd`s, which decide per element.
-        use {Opnd as O, StreamTail::*};
-        const NO_TAIL: Option<(StreamTail, Val)> = None;
-        macro_rules! run {
-            ($shape:literal: $a:expr, $b:expr, $tail:expr, $sink:expr) => {{
-                #[cfg(test)]
-                {
-                    self.probe.stream_shapes[$shape] += 1;
-                }
-                stream_kernel(n, $a, $b, $tail, $sink, &mut acc)
-            }};
-        }
-        let m = match (a, b, tail, sink) {
-            // `lin = lin·val + val`: scale
-            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), O::Lin(s)) => {
-                run!(1: a, Some(b), Some((PAddC, c)), s)
-            }
-            // `ind = lin·val`: permute
-            (O::Lin(a), Some(O::Val(b)), None, O::Ind(s)) => run!(2: a, Some(b), NO_TAIL, s),
-            (a, b, tail, s) => run!(0: a, b, tail, s),
-        };
-        if m > 0 {
-            match &sd.sink {
-                StreamSink::At(at) => self.pinw(at.slot).writes += m as u64,
-                StreamSink::Scalar(r) => self.frs(*r, acc),
-                StreamSink::Elem { slot, .. } => {
-                    // One store of the last value, every iteration's
-                    // write counted.
-                    let pin = self.pinw(*slot);
-                    pin.writes += m as u64 - 1;
-                    pin.wr_f(k, acc);
-                }
-            }
-        }
-        Some(m)
-    }
-
     /// Runs rows `lo ..= hi` of the segmented stream `sg` in order, each
     /// whole or not at all, and returns how many ran: the rows before the
-    /// first one its row guard does not admit (`FState::seg_row`). The
+    /// first one its row guard does not admit ([`seg_row`]). The
     /// caller's per-row ops run that row, from its first statement, and
     /// meet whatever fails in it exactly where the tree-walk does; every
     /// row that ran is charged and counted as the per-row path would have
@@ -1345,32 +1445,17 @@ impl FState {
             self.streams,
             "the caller checks that every store is a raw write"
         );
-        let sd = &sg.stream;
-        let sink = match &sd.sink {
-            StreamSink::At(at) => match self.res_at(at) {
-                OpndRes::Lin(l) => AnySink::Lane(l),
-                // A row of a lane sink writes as it goes, so every check
-                // it needs must be known to pass before it starts: no
-                // INDIRECT lane, whose subscripts are checked as read.
-                _ => return 0,
-            },
-            StreamSink::Scalar(reg) => AnySink::Scalar(ScalarSink(*reg)),
-            StreamSink::Elem { slot, at } => {
-                let pin = self.pinr(*slot);
-                AnySink::Elem(ElemSink {
-                    at: *at,
-                    data: pin.view(pin.fp),
-                })
-            }
-        };
-        let a = self.res(&sd.a);
-        let b = sd.b.as_ref().map(|b| self.res(b));
-        let tail = sd.tail.as_ref().map(|(op, c)| (*op, self.res(c)));
+        let ops = self.resolve(&sg.stream);
+        // A row of a lane sink writes as it goes, so every check it
+        // needs must be known to pass before it starts: no scatter, and
+        // no INDIRECT operand, whose subscripts are checked as read.
         let ind = |r: &OpndRes| matches!(r, OpndRes::Ind(_));
-        if matches!(sink, AnySink::Lane(_))
-            && (ind(&a) || b.as_ref().is_some_and(ind) || tail.is_some_and(|t| ind(&t.1)))
-        {
-            return 0;
+        let reads_ind =
+            ind(&ops.a) || ops.b.as_ref().is_some_and(ind) || ops.tail.is_some_and(|t| ind(&t.1));
+        match ops.sink {
+            AnySink::Scatter(_) => return 0,
+            AnySink::Lane(_) if reads_ind => return 0,
+            _ => {}
         }
         let Some(mut table) = self.row_table(sg) else {
             return 0;
@@ -1378,47 +1463,35 @@ impl FState {
         let Some(hi) = table.rows_in_view(lo, hi) else {
             return 0;
         };
-        let hi = hi.min(i64::MAX - 1);
         let row = RowRes {
             init: sg.init.as_ref().map(|v| self.row_val_res(sg, v)),
             fin: (sg.fin.as_ref()).map(|f| (f.op, f.acc_first, self.row_val_res(sg, &f.v))),
             lo: sg.lo,
             hi: sg.hi,
         };
-        // The one decision of the strip, as `try_stream`'s: the two
-        // shapes a benchmark row runs get the two-level kernel over their
-        // own resolvers, anything else runs it over `OpndRes` /
-        // `AnySink`.
-        use {AnySink as K, OpndRes as O, StreamTail::*};
-        macro_rules! run {
-            ($shape:literal: $a:expr, $b:expr, $tail:expr, $sink:expr) => {{
-                let m = self.seg_rows(sg, &mut table, &row, lo, hi, $a, $b, $tail, $sink);
-                #[cfg(test)]
-                {
-                    self.probe.seg_shapes[$shape] += m as u64;
-                }
-                m
-            }};
+        let rows = Rows {
+            sg,
+            table: &mut table,
+            row: &row,
+            lo,
+            hi: hi.min(i64::MAX - 1),
+        };
+        self.instantiate(rows, ops)
+    }
+
+    /// A stream's invariant table evaluated for this strip, each
+    /// distinct subscript part once, in table order: `None` when it holds
+    /// more than [`ROW_INVS`] entries, a sum leaves `i64` or a load
+    /// misses its pin's view.
+    fn strip_vals(&self, invs: &[Inv]) -> Option<RowVals> {
+        if invs.len() > ROW_INVS {
+            return None;
         }
-        match (a, b, tail, sink) {
-            // `lin = lin·val + val` in place: colscale. With the operand's
-            // own resolver passed as the sink the kernel vectorizes: one
-            // pointer needs no overlap test (which the same element read
-            // and written fails).
-            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), K::Lane(s)) if a.same(s) => {
-                run!(1: a, Some(b), Some((PAddC, c)), a)
-            }
-            // Out of place: the benchmark's scale sweep, whose sweep loop
-            // is the row loop.
-            (O::Lin(a), Some(O::Val(b)), Some((PAddC, O::Val(c))), K::Lane(s)) => {
-                run!(1: a, Some(b), Some((PAddC, c)), s)
-            }
-            // `elem = acc + lin·ind`: spmv
-            (O::Lin(a), Some(O::Ind(b)), Some((CAddP, O::Acc(c))), K::Elem(s)) => {
-                run!(2: a, Some(b), Some((CAddP, c)), s)
-            }
-            (a, b, tail, s) => run!(0: a, b, tail, s),
+        let mut vals = [0; ROW_INVS];
+        for (k, inv) in invs.iter().enumerate() {
+            vals[k] = eval_inv(inv, &self.ir, &self.pins, &vals[..k])?;
         }
+        Some(vals)
     }
 
     /// `sg`'s row table resolved for this strip: the entries that do not
@@ -1510,14 +1583,17 @@ impl FState {
         match *v {
             RowVal::Inv(FOpnd::IReg(r)) if r == sg.row => RowValRes::Row,
             RowVal::Inv(o) => RowValRes::Val(self.frd(o)),
-            RowVal::Elem { slot, at } => {
-                let pin = self.pinr(slot);
-                debug_assert!(!pin.is_int);
-                RowValRes::Elem {
-                    at,
-                    data: pin.view(pin.fp),
-                }
-            }
+            RowVal::Elem { slot, at } => RowValRes::Elem(self.elem(slot, at)),
+        }
+    }
+
+    /// Element `at` of the invariant table of the real pin at `slot`.
+    fn elem(&self, slot: u16, at: u16) -> Elem {
+        let pin = self.pinr(slot);
+        debug_assert!(!pin.is_int);
+        Elem {
+            at,
+            data: pin.view(pin.fp),
         }
     }
 
@@ -1541,62 +1617,6 @@ impl FState {
                 })
             }
         }
-    }
-
-    /// [`FState::run_seg`]'s two-level kernel, one instantiation per
-    /// operand shape: [`seg_row`] row after row, fuel held in a local,
-    /// the per-row counters flushed once.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn seg_rows<A: Res, B: Res, C: Res, S: SegSink>(
-        &mut self,
-        sg: &SegStream,
-        table: &mut RowTable,
-        row: &RowRes,
-        lo: i64,
-        hi: i64,
-        a: A,
-        b: Option<B>,
-        tail: Option<(StreamTail, C)>,
-        sink: S,
-    ) -> i64
-    where
-        A::L: Rd,
-        B::L: Rd,
-        C::L: Rd,
-        S::L: Wr,
-    {
-        let mut fuel = self.fuel;
-        let (mut r, mut iters, mut streamed, mut writes) = (lo, 0, 0, 0);
-        let mut j_end = None;
-        while r <= hi {
-            let Some(done) = seg_row(self, table, row, r, fuel, a, b, tail, sink) else {
-                break;
-            };
-            fuel -= done.cost;
-            iters += done.n;
-            streamed += u64::from(done.n > 0);
-            writes += done.writes;
-            j_end = Some(done.j);
-            r += 1;
-        }
-        let Some(j) = j_end else { return 0 };
-        let rows = (r - lo) as u64;
-        self.irs(sg.var, j);
-        let spent = self.fuel - fuel;
-        (self.fuel, self.spent) = (fuel, self.spent + spent);
-        let l = usize::from(sg.inner);
-        self.linv[l] += rows;
-        self.lcost[l] += 2 * iters;
-        self.streamed += streamed;
-        self.stream_iters += iters;
-        match sg.stream.sink {
-            StreamSink::At(StreamAt { slot, .. }) | StreamSink::Elem { slot, .. } => {
-                self.pinw(slot).writes += writes;
-            }
-            StreamSink::Scalar(_) => {}
-        }
-        rows as i64
     }
 
     /// The payload offset of element `at` of the pin at `slot`, checked
@@ -1825,12 +1845,33 @@ impl Typed<'_> {
     /// `chk` refused `index`: the program's own error, unless the bounds
     /// rule admits it — a window pin's miss, a strategy violation.
     #[cold]
-    fn fast_oob(self, cb: &CompiledBody, st: &FState, slot: u16, index: i64) -> ChunkAbort {
+    fn fast_oob(self, cb: &CompiledBody, slot: u16, index: i64) -> ChunkAbort {
         let a = cb.arrays()[slot as usize];
-        match column_major(self.program, a, &st.pins[slot as usize].dims[..1], [index]) {
+        match column_major(self.program, a, &self.store.array(a).dims()[..1], [index]) {
             Ok(_) => ChunkAbort::Violated(a),
             Err(e) => ChunkAbort::Exec(e),
         }
+    }
+
+    /// `IndexN`: the flat index of `subs` into the array at `slot`, each
+    /// subscript checked against the array's extents in the store (a
+    /// window pin's too). Out of line: no benchmark loop takes it, and
+    /// the store lookup would widen `run_fblock`'s dispatch loop.
+    #[inline(never)]
+    fn index_n(
+        self,
+        cb: &CompiledBody,
+        st: &FState,
+        slot: u16,
+        subs: &[IOpnd],
+    ) -> Result<usize, ExecError> {
+        let a = cb.arrays()[slot as usize];
+        column_major(
+            self.program,
+            a,
+            self.store.array(a).dims(),
+            subs.iter().map(|s| st.ird(*s)),
+        )
     }
 
     /// [`FState::addr`], its miss named by [`Typed::fast_oob`]: a
@@ -1845,7 +1886,7 @@ impl Typed<'_> {
     ) -> Result<usize, ChunkAbort> {
         match st.addr(slot, at) {
             Ok(k) => Ok(k),
-            Err((slot, index)) => Err(self.fast_oob(cb, st, slot, index)),
+            Err((slot, index)) => Err(self.fast_oob(cb, slot, index)),
         }
     }
 
@@ -1990,8 +2031,7 @@ impl Typed<'_> {
                     }
                 }
                 FOp::IndexN { slot, subs, dst } => {
-                    let (a, dims) = (cb.arrays()[*slot as usize], &st.pinr(*slot).dims);
-                    let idx = column_major(self.program, a, dims, subs.iter().map(|s| st.ird(*s)))?;
+                    let idx = self.index_n(cb, st, *slot, subs)?;
                     st.irs(*dst, idx as i64);
                 }
                 FOp::LoadI { slot, at, dst } => {
@@ -2017,7 +2057,7 @@ impl Typed<'_> {
                     let val = st.ird(*src);
                     match st.pinr(*slot).chk(cur) {
                         Some(k) => st.pinw(*slot).wr_i(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, cur)),
+                        None => return Err(self.fast_oob(cb, *slot, cur)),
                     }
                     // The fused increment's charge sits between the
                     // write and the pointer bump.
@@ -2029,7 +2069,7 @@ impl Typed<'_> {
                     let val = st.frd(*src);
                     match st.pinr(*slot).chk(cur) {
                         Some(k) => st.pinw(*slot).wr_f(k, val),
-                        None => return Err(self.fast_oob(cb, st, *slot, cur)),
+                        None => return Err(self.fast_oob(cb, *slot, cur)),
                     }
                     st.charge(1)?;
                     st.irs(*ptr, cur.wrapping_add(1));
@@ -2089,8 +2129,9 @@ impl Typed<'_> {
     }
 }
 
-/// The small-scope check of the segmented stream's row guard: every
-/// tiny input against a brute-force definition of what a row may run.
+/// The small-scope checks of the stream guards: every tiny input against
+/// a brute-force definition of what a segmented stream's row and a
+/// stream's strip may run.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2117,71 +2158,71 @@ mod tests {
         (p, cb)
     }
 
-    /// `run_seg` over one set of rows — each `(ptr, jlo, jhi)` — with
-    /// the pins a typed run would take, but `c` pinned as a view of a
-    /// 16-element buffer, the way an in-place window is.
+    /// The pins a typed run of `cb` would take, the integer arrays from
+    /// `ints` by name and each real array of 16 elements pinned as a view
+    /// of a buffer of its own, the way an in-place window is.
     struct Harness {
         st: FState,
-        c: usize,
-        base: *mut f64,
-        _kept: (Vec<f64>, [ArrayData; 3]),
+        /// Each real array's slot and buffer: its 16 elements and a slack
+        /// that a kernel writing past its view lands in.
+        reals: Vec<(usize, Vec<f64>)>,
+        _ints: Vec<ArrayData>,
     }
 
     impl Harness {
-        fn new(p: &Program, cb: &CompiledBody, rows: &[(i64, i64, i64)]) -> Harness {
-            let col = |f: fn(&(i64, i64, i64)) -> i64| {
-                let data: Vec<i64> = rows.iter().map(f).collect();
-                let dims = [data.len()].into();
-                ArrayData::Int {
-                    data: data.into(),
-                    dims,
-                }
-            };
-            let ints = [col(|r| r.0), col(|r| r.1), col(|r| r.2)];
+        fn new(p: &Program, cb: &CompiledBody, ints: &[(&str, Vec<i64>)]) -> Harness {
             let meta = ArrayData::zeroed(ScalarType::Real, vec![16]);
-            let mut buf = vec![0.0f64; 16];
-            let base = buf.as_mut_ptr();
-            let names: Vec<&str> = cb.arrays().iter().map(|&a| p.symbols.name(a)).collect();
-            let pins = names.iter().map(|name| match *name {
-                "c" => {
-                    let slice = RawSlice::Real(base, 16);
-                    RawPin::new(&meta, Some(WriteSink::Direct(slice)))
+            let (mut pins, mut reals, mut kept) = (Vec::new(), Vec::new(), Vec::new());
+            for (slot, &a) in cb.arrays().iter().enumerate() {
+                match ints.iter().find(|(name, _)| *name == p.symbols.name(a)) {
+                    Some((_, data)) => {
+                        let dims = [data.len()].into();
+                        let arr = ArrayData::Int {
+                            data: data.clone().into(),
+                            dims,
+                        };
+                        pins.push(RawPin::new(&arr, None));
+                        kept.push(arr);
+                    }
+                    None => {
+                        let mut buf = vec![0.0f64; 24];
+                        let slice = RawSlice::Real(buf.as_mut_ptr(), 16);
+                        pins.push(RawPin::new(&meta, Some(WriteSink::Direct(slice))));
+                        reals.push((slot, buf));
+                    }
                 }
-                "ptr" => RawPin::new(&ints[0], None),
-                "jlo" => RawPin::new(&ints[1], None),
-                _ => RawPin::new(&ints[2], None),
-            });
+            }
             let st = FState {
                 ir: vec![0; cb.int_registers()],
                 fr: vec![0.0; cb.real_registers()],
-                pins: pins.collect(),
+                pins,
                 linv: vec![0; cb.inner_loops().len()],
                 lcost: vec![0; cb.inner_loops().len()],
                 streams: true,
                 ..FState::default()
             };
-            let c = names.iter().position(|n| *n == "c").unwrap();
             Harness {
                 st,
-                c,
-                base,
-                _kept: (buf, ints),
+                reals,
+                _ints: kept,
             }
         }
 
-        /// How many rows of `lo ..= hi` the kernel runs with `c` the view
-        /// of `dim0` elements from subscript `origin`.
-        fn admitted(
-            &mut self,
-            sg: &SegStream,
-            (lo, hi): (i64, i64),
-            (origin, dim0): (usize, usize),
-        ) -> i64 {
+        /// Views every real array as `dim0` elements from subscript
+        /// `origin`, with `fuel` left.
+        fn view(&mut self, (origin, dim0): (usize, usize), fuel: u64) {
             assert!(origin >= 1 && origin - 1 + dim0 <= 16);
-            let pin = &mut self.st.pins[self.c];
-            pin.fp = self.base.wrapping_add(origin - 1);
-            (pin.origin, pin.dim0, pin.len) = (origin as u64, dim0 as u64, dim0);
-            self.st.fuel = 1 << 40;
+            for (slot, buf) in &mut self.reals {
+                let pin = &mut self.st.pins[*slot];
+                pin.fp = buf.as_mut_ptr().wrapping_add(origin - 1);
+                (pin.origin, pin.dim0, pin.len) = (origin as u64, dim0 as u64, dim0);
+            }
+            self.st.fuel = fuel;
+        }
+
+        /// How many rows of `lo ..= hi` the kernel runs with the view.
+        fn admitted(&mut self, sg: &SegStream, (lo, hi): (i64, i64), view: (usize, usize)) -> i64 {
+            self.view(view, 1 << 40);
             self.st.run_seg(sg, lo, hi)
         }
     }
@@ -2236,7 +2277,7 @@ mod tests {
     }
 
     /// Every assignment of `row_of(v)` to `rows` rows, `v` ranging over `vals`.
-    fn each_array(rows: usize, vals: &[(i64, i64, i64)], mut f: impl FnMut(&[(i64, i64, i64)])) {
+    fn each_array<T: Copy>(rows: usize, vals: &[T], mut f: impl FnMut(&[T])) {
         let mut at = vec![0; rows];
         loop {
             let arr: Vec<_> = at.iter().map(|&k| vals[k]).collect();
@@ -2273,7 +2314,13 @@ mod tests {
             let (p, cb) = program(n);
             let sg = cb.seg(0).unwrap();
             each_array(n, vals, |rows| {
-                let mut h = Harness::new(&p, &cb, rows);
+                let col = |f: fn(&(i64, i64, i64)) -> i64| rows.iter().map(f).collect();
+                let ints = [
+                    ("ptr", col(|r| r.0)),
+                    ("jlo", col(|r| r.1)),
+                    ("jhi", col(|r| r.2)),
+                ];
+                let mut h = Harness::new(&p, &cb, &ints);
                 for &range in ranges {
                     for &view in views {
                         let got = h.admitted(sg, range, view);
@@ -2314,6 +2361,222 @@ mod tests {
             }
         }
         sweep(1, &extremes, &[(1, 1)], &all_views);
+        assert!(checked > 1_000_000 || cfg!(debug_assertions), "{checked}");
+    }
+
+    /// Element `v` of a 1-based array in a 0-based buffer.
+    fn at(v: i64) -> usize {
+        usize::try_from(v - 1).unwrap()
+    }
+
+    /// What iteration `j` of a strip statement does to `c`, `d` and `s`
+    /// given `idx`.
+    type Step = fn(&mut [f64], &[f64], &mut f64, &[i64], i64);
+
+    /// A strip statement over `c(16)` and `d(16)` — one view for both —
+    /// `idx`, `m = 3` and `s`, with what the brute force needs of it: the
+    /// instantiation it runs on, its LINEAR references' offsets from `j`,
+    /// whether it reads or scatters through `idx(j)`, whether it reduces
+    /// into `c(m)`, and one iteration.
+    struct StripCase {
+        stmt: &'static str,
+        arm: usize,
+        lin: &'static [i64],
+        indirect: bool,
+        elem: bool,
+        step: Step,
+    }
+
+    /// A lane sink in place and out of place, a lane sink with an
+    /// INDIRECT operand, a scatter, an element and a scalar sink.
+    const STRIP_CASES: [StripCase; 6] = [
+        StripCase {
+            stmt: "c(j) = c(j) * 0.5 + 1.0",
+            arm: 1,
+            lin: &[0],
+            indirect: false,
+            elem: false,
+            step: |c, _, _, _, j| c[at(j)] = c[at(j)] * 0.5 + 1.0,
+        },
+        StripCase {
+            stmt: "c(j + 4) = d(j) * 0.5 + 1.0",
+            arm: 2,
+            lin: &[4, 0],
+            indirect: false,
+            elem: false,
+            step: |c, d, _, _, j| c[at(j + 4)] = d[at(j)] * 0.5 + 1.0,
+        },
+        StripCase {
+            stmt: "c(j) = d(idx(j)) + 1.0",
+            arm: 0,
+            lin: &[0],
+            indirect: true,
+            elem: false,
+            step: |c, d, _, idx, j| c[at(j)] = d[at(idx[at(j)])] + 1.0,
+        },
+        StripCase {
+            stmt: "c(idx(j)) = d(j) * 2.0",
+            arm: 3,
+            lin: &[0],
+            indirect: true,
+            elem: false,
+            step: |c, d, _, idx, j| c[at(idx[at(j)])] = d[at(j)] * 2.0,
+        },
+        StripCase {
+            stmt: "c(m) = c(m) + d(j) * d(idx(j))",
+            arm: 4,
+            lin: &[0],
+            indirect: true,
+            elem: true,
+            step: |c, d, _, idx, j| c[at(3)] = c[at(3)] + d[at(j)] * d[at(idx[at(j)])],
+        },
+        StripCase {
+            stmt: "s = s + d(idx(j))",
+            arm: 0,
+            lin: &[],
+            indirect: true,
+            elem: false,
+            step: |_, d, s, idx, j| *s += d[at(idx[at(j)])],
+        },
+    ];
+
+    /// The brute-force strip: the iterations of `lo ..= hi` a stream runs
+    /// with `fuel` left, every subscript computed exactly. None when an
+    /// end of a LINEAR range — `idx(j)`'s included — or the reduction's
+    /// element is out of view; else up to the first INDIRECT subscript
+    /// out of view.
+    fn brute_strip(
+        case: &StripCase,
+        idx: &[i64],
+        (lo, hi): (i64, i64),
+        (origin, dim0): (usize, usize),
+        fuel: u64,
+    ) -> usize {
+        let (lo, hi) = (i128::from(lo), i128::from(hi));
+        let n = (hi - lo + 1)
+            .min(i128::from(i64::MAX) - lo)
+            .min(i128::from(fuel / 2));
+        let last = lo + n - 1;
+        let inside = |s: i128| s >= origin as i128 && s < (origin + dim0) as i128;
+        let lin = case.lin.iter().map(|&o| i128::from(o));
+        if n <= 0
+            || !lin.clone().all(|o| inside(lo + o) && inside(last + o))
+            || (case.indirect && (lo < 1 || last > idx.len() as i128))
+            || (case.elem && !inside(3))
+        {
+            return 0;
+        }
+        let subs = (lo..=last).map(|j| i128::from(idx[at(j as i64)]));
+        match case.indirect {
+            true => subs.take_while(|&k| inside(k)).count(),
+            false => n as usize,
+        }
+    }
+
+    /// The strip rule, on every tiny view, index array and strip range: a
+    /// stream's strip runs exactly the brute-force prefix of iterations —
+    /// all of them when both ends of each LINEAR range and every INDIRECT
+    /// subscript are in view, up to the first INDIRECT miss otherwise,
+    /// none when a LINEAR end is out of view — and leaves exactly what
+    /// that prefix does: the elements, the scalar, the sink's write count
+    /// and the fuel, whatever the sink. Index arrays of one to three
+    /// elements over −1 … 7 (two in debug builds), every range inside
+    /// them and one past each edge, three at the ends of `i64`, three
+    /// budgets (one too small for an iteration) and views of 0 to 8
+    /// elements at two origins.
+    #[test]
+    fn a_strip_runs_exactly_the_prefix_in_view() {
+        let alphabet: Vec<i64> = (-1..=7).collect();
+        let c0: Vec<f64> = (0..24).map(|k| 1.5 + k as f64).collect();
+        let d0: Vec<f64> = (0..24).map(|k| 2.0 - 0.25 * k as f64).collect();
+        let max_len = if cfg!(debug_assertions) { 2 } else { 3 };
+        let (mut checked, mut partial) = (0u64, 0u64);
+        for case in &STRIP_CASES {
+            let mut entered = [0; 5];
+            for len in 1..=max_len {
+                let src = format!(
+                    "program t
+                     integer j, m, idx({len})
+                     real s, c(16), d(16)
+                     do j = 1, {len}
+                       {}
+                     enddo
+                     end",
+                    case.stmt
+                );
+                let p = parse_program(&src).unwrap();
+                let cb = lower_do_loop(&p, p.procedure(p.main()).body[0]).unwrap();
+                let sd = cb.stream(0).expect(case.stmt);
+                let reg = |name| {
+                    let v = p.symbols.lookup(name).unwrap();
+                    let s = cb.scalars().iter().find(|s| s.var == v);
+                    s.map(|s| usize::from(s.reg))
+                };
+                let (m, s_reg) = (reg("m"), reg("s"));
+                let n = len as i64;
+                let mut ranges: Vec<(i64, i64)> = (-1..=n + 1)
+                    .flat_map(|lo| (lo..=n + 1).map(move |hi| (lo, hi)))
+                    .collect();
+                ranges.extend([
+                    (i64::MAX - 1, i64::MAX),
+                    (i64::MAX, i64::MAX),
+                    (i64::MIN, 2),
+                ]);
+                each_array(len, &alphabet, |idx| {
+                    let mut h = Harness::new(&p, &cb, &[("idx", idx.to_vec())]);
+                    let names: Vec<&str> = (h.reals.iter())
+                        .map(|r| p.symbols.name(cb.arrays()[r.0]))
+                        .collect();
+                    for &range in &ranges {
+                        for view in views() {
+                            for fuel in [1 << 40, 5, 1] {
+                                for ((slot, buf), name) in h.reals.iter_mut().zip(&names) {
+                                    buf.copy_from_slice(if *name == "c" { &c0 } else { &d0 });
+                                    h.st.pins[*slot].writes = 0;
+                                }
+                                if let Some(r) = m {
+                                    h.st.ir[r] = 3;
+                                }
+                                if let Some(r) = s_reg {
+                                    h.st.fr[r] = 0.25;
+                                }
+                                h.view(view, fuel);
+                                let got = h.st.run_stream(sd, range.0, range.1, true);
+                                let want = brute_strip(case, idx, range, view, fuel);
+                                let what =
+                                    format!("{} {idx:?} {range:?} {view:?} {fuel}", case.stmt);
+                                assert_eq!(got, want as i64, "{what}");
+                                let (mut c, mut s) = (c0.clone(), 0.25);
+                                for j in (range.0..).take(want) {
+                                    (case.step)(&mut c, &d0, &mut s, idx, j);
+                                }
+                                let mut writes = 0;
+                                for ((slot, buf), name) in h.reals.iter().zip(&names) {
+                                    let want = if *name == "c" { &c } else { &d0 };
+                                    assert_eq!(buf, want, "{name}: {what}");
+                                    writes += h.st.pins[*slot].writes;
+                                }
+                                // Every iteration stores to the sink but a
+                                // reduction into a register.
+                                let stores = if s_reg.is_some() { 0 } else { want as u64 };
+                                assert_eq!(writes, stores, "writes: {what}");
+                                if let Some(r) = s_reg {
+                                    assert_eq!(h.st.fr[r].to_bits(), s.to_bits(), "s: {what}");
+                                }
+                                assert_eq!(h.st.fuel, fuel - 2 * want as u64, "fuel: {what}");
+                                checked += 1;
+                                let short = want as u64 <= range.1.abs_diff(range.0);
+                                partial += u64::from(want > 0 && short);
+                            }
+                        }
+                    }
+                    entered = std::array::from_fn(|k| entered[k] + h.st.probe.arms[k][0]);
+                });
+            }
+            let arms: Vec<usize> = (0..5).filter(|&k| entered[k] > 0).collect();
+            assert_eq!(arms, [case.arm], "{}", case.stmt);
+        }
+        assert!(partial > 1000, "{partial}");
         assert!(checked > 1_000_000 || cfg!(debug_assertions), "{checked}");
     }
 }

@@ -38,7 +38,8 @@
 //!   initialization before the inner loop and one store of the reduced
 //!   value after it — runs its rows through one two-level kernel, each
 //!   row whole or on the per-row path
-//!   (`irr_driver::compiled::SegStream`).
+//!   (`irr_driver::compiled::SegStream`). Both enter one kernel driver
+//!   in `fast`: one sink set-up and write-back, one instantiation table.
 //!
 //! **Parity is the contract.** A compiled loop must be byte-identical
 //! to the tree-walk in store contents, printed output, statement
@@ -164,7 +165,7 @@ impl LoopDispatcher for CompiledDispatch {
 mod tests {
     use super::*;
     use crate::dispatch::SequentialDispatch;
-    use crate::interp::{ArrayData, ExecError, ExecStats, Interp, WriteSink};
+    use crate::interp::{ArrayData, ExecError, ExecStats, Interp, Probe, WriteSink};
     use crate::parallel::ParallelPlan;
     use irr_driver::compiled::Stream;
     use irr_frontend::{parse_program, Program, ScalarType};
@@ -952,22 +953,22 @@ mod tests {
          print z(5), y(1), y(2), k, j
          end";
 
-    /// One statement per stream shape — the `FState::try_stream` arm
+    /// One statement per stream shape — the `FState::instantiate` arm
     /// that runs it (0 the catch-all: only the shapes a benchmark row
-    /// streams get an instantiation of their own), the statement's
+    /// runs get an instantiation of their own), the statement's
     /// [`Stream::shape`], the statement over [`shape_src`]'s arrays and,
     /// where a store can, the same shape with its sink aliasing an
     /// operand at another offset.
     const SHAPES: [(usize, &str, &str, Option<&str>); 10] = [
         (0, "elem = acc + val", "w(3) = w(3) + 1.5", None),
         (
-            1,
+            2,
             "lin = lin·val + val",
             "z(k) = x(k) * 1.5 + 0.25",
             Some("z(k + 1) = z(k) * 1.5 + 0.25"),
         ),
         (
-            2,
+            3,
             "ind = lin·val",
             "z(idx(k)) = x(k) * 2.0",
             Some("z(idx(k)) = z(k) * 2.0"),
@@ -986,7 +987,7 @@ mod tests {
             Some("z(k) = z(k + 1) + z(k + 2) * 0.5"),
         ),
         (
-            0,
+            4,
             "elem = acc + lin·ind",
             "w(3) = w(3) + x(k) * y(idx(k))",
             None,
@@ -1053,12 +1054,17 @@ mod tests {
         p
     }
 
-    /// Every kernel the run entered was instantiation `arm`, and it
-    /// entered one `entered` times (once a strip).
+    /// The segmented streams' rows each arm of the table ran.
+    fn rows_per_arm(probe: &Probe) -> [u64; 5] {
+        probe.arms.map(|a| a[1])
+    }
+
+    /// Every kernel the run entered was instantiation `arm`, and strips
+    /// entered it `entered` times; no segmented stream ran.
     fn assert_only_arm(ran: &Ran<'_>, arm: usize, entered: u64, what: &str) {
-        let mut want = [0; 3];
-        want[arm] = entered;
-        assert_eq!(ran.comp.probe.stream_shapes, want, "{what}");
+        let mut want = [[0; 2]; 5];
+        want[arm][0] = entered;
+        assert_eq!(ran.comp.probe.arms, want, "{what}");
     }
 
     /// Every instantiation, at the root and nested, is entered by the
@@ -1210,9 +1216,9 @@ mod tests {
                         "{what}: {:?}",
                         ran.res
                     );
-                    // The second strip is declined before any kernel is
-                    // picked.
-                    (1024, 1)
+                    // The second strip enters the kernel's arm and declines
+                    // at its LINEAR range.
+                    (1024, 2)
                 } else {
                     assert_eq!(ran.res, Ok(()), "{what}");
                     // Two strips an entry.
@@ -1387,7 +1393,7 @@ mod tests {
                 (1, 8),
                 "{stmt}"
             );
-            assert_eq!(comp.probe.stream_shapes[arm], 1, "{stmt}");
+            assert_eq!(comp.probe.arms[arm][0], 1, "{stmt}");
             let bits = |it: &Interp<'_>| -> Vec<u64> {
                 let var = |name| p.symbols.lookup(name).unwrap();
                 let reals = |name| it.store.array_as_reals(var(name)).unwrap();
@@ -1655,7 +1661,7 @@ mod tests {
         assert_stats_eq(&rows.stats, &ran.comp.stats);
         let streamed = |it: &Interp<'_>| (it.stats.stream_entries, it.stats.stream_iters);
         assert_eq!(streamed(&rows), streamed(&ran.comp));
-        assert_eq!(rows.probe.seg_shapes, [0; 3]);
+        assert_eq!(rows_per_arm(&rows.probe), [0; 5]);
         ran
     }
 
@@ -1665,15 +1671,16 @@ mod tests {
     /// Every statement of [`SHAPES`], and `colscale`'s in-place one, as
     /// the inner loop of a row loop: a lane sink with an INDIRECT
     /// reference stays on its per-row streams, every other shape runs
-    /// its rows in the two-level kernel — `colscale`'s (in place or not)
-    /// and SpMV's on their own instantiation — and leaves what the
-    /// tree-walk and the per-row path leave, to the stream counts.
+    /// its rows in the two-level kernel — `colscale`'s in place and out
+    /// of place and SpMV's on their own instantiations — and leaves what
+    /// the tree-walk and the per-row path leave, to the stream counts.
     #[test]
     fn every_row_shape_runs_whole_rows_and_matches_the_per_row_path() {
         let in_place = ("lin = lin·val + val", "z(k) = z(k) * 1.5 + 0.25");
-        let arm = |shape: &str| match shape {
-            "lin = lin·val + val" => 1,
-            "elem = acc + lin·ind" => 2,
+        let arm = |shape: &str, stmt: &str| match shape {
+            "lin = lin·val + val" if stmt == in_place.1 => 1,
+            "lin = lin·val + val" => 2,
+            "elem = acc + lin·ind" => 4,
             _ => 0,
         };
         let stmts = SHAPES.iter().flat_map(|&(_, shape, stmt, aliased)| {
@@ -1684,14 +1691,14 @@ mod tests {
             let p = parse_program(&seg_src("", stmt, "", &LENS, "", false)).unwrap();
             let ran = assert_seg_run(&p, |_| {});
             assert_eq!(ran.res, Ok(()), "{stmt}");
-            let mut want = [0; 3];
+            let mut want = [0; 5];
             if shape.starts_with("ind") {
                 assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{stmt}");
             } else {
                 assert_eq!(seg_shapes(&p), [shape], "{stmt}");
-                want[arm(shape)] = LENS.len() as u64;
+                want[arm(shape, stmt)] = LENS.len() as u64;
             }
-            assert_eq!(ran.comp.probe.seg_shapes, want, "{stmt}");
+            assert_eq!(rows_per_arm(&ran.comp.probe), want, "{stmt}");
             let nonempty = LENS.iter().filter(|&&n| n > 0).count() as u64;
             assert_eq!(ran.comp.stats.stream_entries, nonempty, "{stmt}");
         }
@@ -1713,10 +1720,10 @@ mod tests {
                 spmv,
                 "",
                 "elem := val; elem = acc + lin·ind",
-                2,
+                4,
             ),
-            ("y(i) = i", spmv, "", "elem := val; elem = acc + lin·ind", 2),
-            ("", spmv, "", "elem = acc + lin·ind", 2),
+            ("y(i) = i", spmv, "", "elem := val; elem = acc + lin·ind", 4),
+            ("", spmv, "", "elem = acc + lin·ind", 4),
             (
                 "y(i) = w(3)",
                 jacobi,
@@ -1751,9 +1758,9 @@ mod tests {
             let ran = assert_seg_run(&p, |_| {});
             assert_eq!(ran.res, Ok(()), "{init}; {stmt}; {fin}");
             assert_eq!(seg_shapes(&p).concat(), shape, "{init}; {stmt}; {fin}");
-            let mut want = [0; 3];
+            let mut want = [0; 5];
             want[arm] = rows;
-            assert_eq!(ran.comp.probe.seg_shapes, want, "{init}; {stmt}; {fin}");
+            assert_eq!(rows_per_arm(&ran.comp.probe), want, "{init}; {stmt}; {fin}");
         }
         for (init, fin) in [
             ("w(4) = 0.0", ""),                   // initializes another element
@@ -1765,7 +1772,7 @@ mod tests {
             let p = parse_program(&seg_src(init, spmv, fin, &LENS, "", false)).unwrap();
             assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{init}; {fin}");
             let ran = assert_seg_run(&p, |_| {});
-            assert_eq!(ran.comp.probe.seg_shapes, [0; 3]);
+            assert_eq!(rows_per_arm(&ran.comp.probe), [0; 5]);
         }
         // A subscript part with the row variable in two terms is not a
         // form the kernel evaluates rows in.
@@ -1795,7 +1802,7 @@ mod tests {
             for fuel in 0..full.comp.stats.total_cost {
                 let ran = assert_seg_run(&p, |it| it.fuel = fuel);
                 assert_eq!(ran.res, Err(ExecError::OutOfFuel), "{stmt}: fuel {fuel}");
-                kernel_rows += ran.comp.probe.seg_shapes.iter().sum::<u64>();
+                kernel_rows += rows_per_arm(&ran.comp.probe).iter().sum::<u64>();
             }
             assert!(kernel_rows > 40, "{stmt}: {kernel_rows}");
         }
@@ -1809,7 +1816,7 @@ mod tests {
     fn a_nested_row_loop_runs_in_strips_and_out_of_fuel_where_the_tree_walk_does() {
         let lens: Vec<i64> = LENS.iter().cycle().take(2500).copied().collect();
         let nonempty = lens.iter().filter(|&&n| n > 0).count() as u64;
-        let kernel_rows = |it: &Interp<'_>| it.probe.seg_shapes.iter().sum();
+        let kernel_rows = |it: &Interp<'_>| rows_per_arm(&it.probe).iter().sum();
         for (init, stmt) in [
             ("y(i) = 0.0", "y(i) = y(i) + x(k) * z(idx(k))"),
             ("", "z(k) = z(k) * 0.5 + 1.0"),
@@ -1852,7 +1859,7 @@ mod tests {
                 "{stmt}, {smash}: {:?}",
                 ran.res
             );
-            let rows: u64 = ran.comp.probe.seg_shapes.iter().sum();
+            let rows: u64 = rows_per_arm(&ran.comp.probe).iter().sum();
             assert!((1..LENS.len() as u64).contains(&rows), "{smash}: {rows}");
         }
         // A row the kernel declines but the per-row path completes — its
@@ -1869,7 +1876,7 @@ mod tests {
         let p = parse_program(&src.replace("idx(40),", "idx(40), q(7),")).unwrap();
         let ran = assert_seg_run(&p, |_| {});
         assert_eq!(ran.res, Ok(()));
-        assert_eq!(ran.comp.probe.seg_shapes, [0, 6, 0]);
+        assert_eq!(rows_per_arm(&ran.comp.probe), [0, 0, 6, 0, 0]);
     }
 
     /// A row loop ending at `i64::MAX`, at the root and nested: the
@@ -1902,6 +1909,6 @@ mod tests {
         let p = parse_program(src).unwrap();
         let ran = assert_seg_run(&p, |_| {});
         assert_eq!(ran.res, Ok(()));
-        assert_eq!(ran.comp.probe.seg_shapes.iter().sum::<u64>(), 2 * 2 + 1);
+        assert_eq!(rows_per_arm(&ran.comp.probe).iter().sum::<u64>(), 2 * 2 + 1);
     }
 }

@@ -688,12 +688,10 @@ pub(crate) struct Probe {
     /// kernel's included — how the unit tests tell which loop ran (the
     /// stores are byte-identical by contract).
     pub(crate) typed_root_iters: u64,
-    /// Stream strips per kernel instantiation, as
-    /// `FState::try_stream` numbers its arms (0 the catch-all).
-    pub(crate) stream_shapes: [u64; 3],
-    /// Rows the segmented kernel ran per instantiation, as
-    /// `FState::run_seg` numbers its arms (0 the catch-all).
-    pub(crate) seg_shapes: [u64; 3],
+    /// Per arm of the kernel's instantiation table, as
+    /// `FState::instantiate` numbers them (0 the catch-all): the stream
+    /// strips that entered it, and the segmented streams' rows it ran.
+    pub(crate) arms: [[u64; 2]; 5],
 }
 
 #[cfg(test)]
@@ -701,8 +699,8 @@ impl Probe {
     /// Adds the counts of `other`.
     pub(crate) fn add(&mut self, other: &Probe) {
         self.typed_root_iters += other.typed_root_iters;
-        let totals = self.stream_shapes.iter_mut().chain(&mut self.seg_shapes);
-        let counts = other.stream_shapes.iter().chain(&other.seg_shapes);
+        let counts = other.arms.as_flattened();
+        let totals = self.arms.as_flattened_mut().iter_mut();
         totals.zip(counts).for_each(|(t, n)| *t += n);
     }
 }

@@ -1,11 +1,10 @@
 //! What entering a stream costs: the sequential typed loop over SpMV
 //! rows of 0 / 1 / 2 / 4 / 16 nonzeros, in nanoseconds a row, three
 //! ways — the row loop one segmented stream (every row through the
-//! two-level kernel), each row's inner loop its own stream on the
-//! catch-all instantiation (the same nest with the row loop's unit step
-//! in a scalar, which a segmented stream does not take; no benchmark
-//! row enters SpMV's stream per row, so its shape has no instantiation
-//! of its own there), and the stream declined (the inner loop's
+//! two-level kernel), each row's inner loop its own stream (the same
+//! nest with the row loop's unit step in a scalar, which a segmented
+//! stream does not take; its strips run SpMV's instantiation, the one
+//! the segmented rows run), and the stream declined (the inner loop's
 //! unit step in a scalar too: outside the stream family, the same
 //! per-iteration block); then `scale`, one root stream, in nanoseconds
 //! an element. The tables in EXPERIMENTS.md, "A stream stops deciding
@@ -93,7 +92,7 @@ fn spmv_row_ns(len: usize, rows_step: &str, step: &str) -> (f64, u64) {
 }
 
 fn main() {
-    println!("nonzeros a row | segmented ns/row (entries) | per-row catch-all | declined ns/row");
+    println!("nonzeros a row | segmented ns/row (entries) | per-row streams   | declined ns/row");
     for len in [0, 1, 2, 4, 16] {
         let (seg, entries) = spmv_row_ns(len, "", "");
         let (rows, row_entries) = spmv_row_ns(len, ", one", "");

@@ -250,7 +250,7 @@ fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
 /// the histogram in "A stream stops deciding per element". A lowering
 /// that loses a stream, or a family widened by accident, changes a row
 /// here before it changes a timing; a shape that appears here without
-/// an arm in the typed loop's `try_stream` runs on the catch-all.
+/// an arm in the typed loop's instantiation table runs on the catch-all.
 #[test]
 fn stream_coverage_is_the_table_in_experiments_md() {
     use irr_driver::compiled::lower_do_loop;
