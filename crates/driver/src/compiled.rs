@@ -411,7 +411,7 @@ pub struct Stream {
     pub tail: Option<(StreamTail, StreamRef)>,
     /// The distinct loop-invariant subscript parts of the statement, a
     /// load's subscript before the load: one pass in order evaluates
-    /// every entry once.
+    /// every entry once. At most [`ROW_INVS`] entries.
     pub invs: Box<[Inv]>,
 }
 
@@ -446,9 +446,36 @@ impl Stream {
     }
 }
 
-/// Entries a [`SegStream`]'s row table may hold: the executor
-/// evaluates a row into a fixed array of this many values.
+/// Entries a [`Stream`]'s invariant table, and a [`SegStream`]'s row
+/// table, may hold: the lowering records no stream with more, and the
+/// executor evaluates a table into a fixed array of this many values.
 pub const ROW_INVS: usize = 16;
+
+/// How an entry of a [`SegStream`]'s row table depends on the row
+/// variable `i`, as the lowering proved it — the form an offset–length
+/// nest's table takes. The executor evaluates the form recorded and
+/// derives none.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowForm {
+    /// Not at all: evaluated once a strip of rows.
+    Fixed,
+    /// `c + i` or `c − i`: `term` is the row variable's term, every
+    /// other term is `c`'s.
+    Row { term: u16 },
+    /// `c ± ptr(e)`, `e` an earlier entry of the form `c' + i`: `term`
+    /// is the load's term, every other term is `c`'s.
+    Load { term: u16 },
+}
+
+impl RowForm {
+    /// The term that carries the row, `None` for a `Fixed` entry.
+    pub fn term(self) -> Option<u16> {
+        match self {
+            RowForm::Fixed => None,
+            RowForm::Row { term } | RowForm::Load { term } => Some(term),
+        }
+    }
+}
 
 /// A row-invariant real value of a [`SegStream`]'s row statements: a
 /// literal, a scalar the row does not assign (the row's own induction
@@ -503,6 +530,8 @@ pub struct SegStream {
     /// The inner loop's stream, its `invs` extended with the row's own
     /// parts: at most [`ROW_INVS`] entries, the stream's first.
     pub stream: Stream,
+    /// Each entry's [`RowForm`], in table order.
+    pub forms: Box<[RowForm]>,
     /// The inner loop's bounds, entries of `stream.invs`.
     pub lo: u16,
     pub hi: u16,
@@ -820,9 +849,16 @@ mod tests {
     }
 
     /// The stream family, shape by shape: what gets a `Stream` beside
-    /// its block and what stays on the per-iteration instructions.
+    /// its block and what stays on the per-iteration instructions. A
+    /// table of [`ROW_INVS`] subscript parts streams, one more does not:
+    /// `ptr(1)` … `ptr(14)` or `ptr(15)`, their sum, and `b(i)`'s `0`.
     #[test]
     fn the_stream_family_is_closed() {
+        let table = |n: usize| {
+            let sum: String = (1..=n).map(|k| format!("ptr({k}) + ")).collect();
+            format!("a({sum}i) = b(i)")
+        };
+        let (full, past) = (table(ROW_INVS - 2), table(ROW_INVS - 1));
         let streams = |body: &str| {
             let src = format!(
                 "program t
@@ -847,6 +883,7 @@ mod tests {
             "s = a(i) - s",
             "do j = 1, 4\n a(k) = a(k) - b(ptr(i) + j - 1) * c(idx(ptr(i) + j - 1))\n enddo",
             "do j = ptr(i), ptr(i + 1) - 1\n a(j) = a(j) * 0.5 + 1.0\n enddo",
+            &full,
         ] {
             assert_eq!(streams(body), 1, "{body}");
         }
@@ -864,6 +901,7 @@ mod tests {
             "a(k) = a(k) + a(i)",                  // a reduction reading its own array
             "a(i) = b(i)\n c(i) = b(i)",           // two statements
             "do j = 1, 8, 2\n a(j) = 0.0\n enddo", // a stride
+            &past,                                 // a table past ROW_INVS
         ] {
             assert_eq!(streams(body), 0, "{body}");
         }

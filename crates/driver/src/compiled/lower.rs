@@ -38,7 +38,9 @@
 //!   executor's guards do not cover an iteration. A `do i` whose body
 //!   is such a loop between at most an initialization of its reduction
 //!   and one store of the reduced value gets a [`SegStream`] the same
-//!   way (`Lowerer::seg_of`).
+//!   way (`Lowerer::seg_of`). Both decide their table here, once: at
+//!   most [`ROW_INVS`] entries, and each row entry's [`RowForm`], which
+//!   the executor evaluates and does not re-derive.
 //! - **Local value numbering** happens at emission: a pure instruction
 //!   whose value is already available in the straight-line region is
 //!   not emitted again. Safe because compute ops never charge fuel, so
@@ -57,8 +59,8 @@
 //!   effects exactly like `eval_cond`.
 
 use super::{
-    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowFin, RowVal, SegStream,
-    Stream, StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
+    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowFin, RowForm, RowVal,
+    SegStream, Stream, StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
 };
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
@@ -881,9 +883,10 @@ impl<'p> Lowerer<'p> {
 
     /// The [`Stream`] of the `do j` loop with this `step` and `body`,
     /// already lowered (so every register and slot it names exists):
-    /// `Some` when `j` is an integer, the step is 1 and the body is one
-    /// assignment of the stream family. Anything else stays on the
-    /// per-iteration block alone.
+    /// `Some` when `j` is an integer, the step is 1, the body is one
+    /// assignment of the stream family and its table holds at most
+    /// [`ROW_INVS`] entries. Anything else stays on the per-iteration
+    /// block alone.
     fn stream_of(&self, j: VarId, step: Option<&Expr>, body: &[StmtId]) -> Option<Stream> {
         let [s] = body else { return None };
         let StmtKind::Assign { lhs, rhs } = &self.program.stmt(*s).kind else {
@@ -960,7 +963,11 @@ impl<'p> Lowerer<'p> {
                 return None;
             }
         }
-        let invs = invs.into_inner().into();
+        let invs = invs.into_inner();
+        if invs.len() > ROW_INVS {
+            return None;
+        }
+        let invs = invs.into();
         Some(Stream {
             sink,
             a,
@@ -1072,27 +1079,28 @@ impl<'p> Lowerer<'p> {
             return None;
         }
         // Every entry that depends on the row has one term that does: the
-        // row variable, or a load at an entry `c + i` — the form the
-        // executor evaluates rows in. Per entry: `None` when it does not
-        // depend on the row, `Some(true)` when it is `c + i`.
-        let mut by_row: Vec<Option<bool>> = Vec::with_capacity(invs.len());
+        // row variable, or a load at an entry `c + i` — the forms the
+        // executor evaluates rows in ([`RowForm`]).
+        let mut forms: Vec<RowForm> = Vec::with_capacity(invs.len());
         for inv in &invs {
+            let plus_row = |at: u16| match forms[usize::from(at)] {
+                RowForm::Row { term } => !invs[usize::from(at)].terms[usize::from(term)].0,
+                _ => false,
+            };
             let on_row = |t: InvTerm| match t {
                 InvTerm::Reg(r) => r == row,
-                InvTerm::Load { at, .. } => by_row[usize::from(at)].is_some(),
+                InvTerm::Load { at, .. } => forms[usize::from(at)] != RowForm::Fixed,
             };
-            let mut terms = inv.terms.iter().filter(|&&(_, t)| on_row(t));
-            let kind = match (terms.next(), terms.next()) {
-                (None, _) => None,
-                (Some(&(neg, InvTerm::Reg(_))), None) => Some(!neg),
-                (Some(&(_, InvTerm::Load { at, .. })), None)
-                    if by_row[usize::from(at)] == Some(true) =>
-                {
-                    Some(false)
+            let mut terms = (0u16..).zip(inv.terms.iter()).filter(|(_, t)| on_row(t.1));
+            let form = match (terms.next(), terms.next()) {
+                (None, _) => RowForm::Fixed,
+                (Some((term, (_, InvTerm::Reg(_)))), None) => RowForm::Row { term },
+                (Some((term, &(_, InvTerm::Load { at, .. }))), None) if plus_row(at) => {
+                    RowForm::Load { term }
                 }
                 _ => return None,
             };
-            by_row.push(kind);
+            forms.push(form);
         }
         stream.invs = invs.into();
         Some(SegStream {
@@ -1100,6 +1108,7 @@ impl<'p> Lowerer<'p> {
             row,
             var,
             stream,
+            forms: forms.into(),
             lo,
             hi,
             init,

@@ -62,6 +62,14 @@
 //!   is evaluated once, each LINEAR range checked at both ends, and the
 //!   kernel picked by the operands' kinds; per element there is the
 //!   arithmetic and an INDIRECT subscript's bounds check.
+//! - **The lowering decides a table; the executor evaluates it.** A
+//!   stream's table holds at most [`ROW_INVS`] entries, and each entry of
+//!   a segmented stream's row table has the [`RowForm`] the lowering
+//!   proved: not row-dependent, `c ± i`, or a load at a `c + i` entry.
+//!   One evaluator ([`FState::table`]) serves a plain stream's strip (a
+//!   table with no row entries) and a segmented stream's rows, and
+//!   [`RowTable::new`] takes the row entries as their forms say; nothing
+//!   about a table's shape is worked out again at run time.
 //! - **A sparse nest is one kernel, each row atomic.** Where the
 //!   lowering recorded a [`SegStream`] for a row loop (`[init;] do j
 //!   …; [fin]` over an offset–length nest), [`FState::run_seg`] runs a
@@ -103,8 +111,8 @@ use crate::interp::{
     Interp, RawSlice, Store, Value, WriteSink,
 };
 use irr_driver::compiled::{
-    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowVal, SegStream, Stream,
-    StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
+    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowForm, RowVal, SegStream,
+    Stream, StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
 };
 use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, VarId};
 use std::cell::Cell;
@@ -610,36 +618,6 @@ fn row_trip(lo: i64, hi: i64) -> Option<u64> {
     }
 }
 
-/// One term of an invariant table's entry over the live registers, the
-/// pins and the entries before it (`vals`): `None` when a load misses
-/// its pin's view.
-#[inline(always)]
-fn term_val(term: InvTerm, ir: &[i64], pins: &[RawPin], vals: &[i64]) -> Option<i64> {
-    Some(match term {
-        InvTerm::Reg(r) => ir[usize::from(r)],
-        InvTerm::Load { slot, at } => {
-            let pin = &pins[usize::from(slot)];
-            pin.rd_i(pin.chk(vals[usize::from(at)])?)
-        }
-    })
-}
-
-/// One entry of an invariant table, as [`term_val`] its terms: `None`
-/// when the sum leaves `i64` or a load misses its pin's view.
-#[inline(always)]
-fn eval_inv(inv: &Inv, ir: &[i64], pins: &[RawPin], vals: &[i64]) -> Option<i64> {
-    let mut sum = inv.off;
-    for &(neg, term) in inv.terms.iter() {
-        let v = term_val(term, ir, pins, vals)?;
-        sum = if neg {
-            sum.checked_sub(v)?
-        } else {
-            sum.checked_add(v)?
-        };
-    }
-    Some(sum)
-}
-
 /// The values of an invariant table's entries: a stream's for its strip,
 /// a segmented stream's for the row at hand.
 type RowVals = [i64; ROW_INVS];
@@ -651,11 +629,11 @@ fn entry(vals: &[i64], k: u16) -> i64 {
 }
 
 /// A row-dependent entry of a segmented stream's row table, resolved
-/// once per strip: `off ± i` or `off ± ptr(i + c)` — the form an
-/// offset–length nest's table takes — with every term that does not
-/// depend on the row folded into `off`. The load needs no check of its
-/// own: the rows whose `i + c` is inside `ptr`'s view are one range,
-/// checked against the rows run (`RowTable::rows_in_view`).
+/// once per strip: `off ± i` or `off ± ptr(i + c)`, as its [`RowForm`]
+/// says, with every term but the row's folded into `off`. The load
+/// needs no check of its own: the rows whose `i + c` is inside `ptr`'s
+/// view are one range, checked against the rows run
+/// (`RowTable::rows_in_view`).
 #[derive(Clone, Copy)]
 struct RowLoad {
     at: u8,
@@ -669,9 +647,20 @@ struct RowLoad {
     len: usize,
 }
 
-/// A row table as [`FState::run_seg`] evaluates it: the entries that do
-/// not depend on the row evaluated once, the others as [`RowLoad`]s in
-/// table order.
+impl RowLoad {
+    const NONE: RowLoad = RowLoad {
+        at: 0,
+        neg: false,
+        off: 0,
+        src: std::ptr::null(),
+        view: std::ptr::null(),
+        len: 0,
+    };
+}
+
+/// A segmented stream's row table as [`FState::run_seg`] evaluates it:
+/// the entries that do not depend on the row evaluated once a strip
+/// ([`FState::table`]), the others as [`RowLoad`]s in table order.
 struct RowTable {
     vals: RowVals,
     loads: [RowLoad; ROW_INVS],
@@ -681,6 +670,49 @@ struct RowTable {
 }
 
 impl RowTable {
+    /// `sg`'s row table for a strip over `vals`, [`FState::table`]'s:
+    /// each row entry a [`RowLoad`] of the form recorded, its `off` the
+    /// `c` `vals` holds for it.
+    fn new(st: &FState, sg: &SegStream, vals: RowVals) -> RowTable {
+        let mut t = RowTable {
+            vals,
+            loads: [RowLoad::NONE; ROW_INVS],
+            len: 0,
+            rows: (i64::MIN, i64::MAX),
+        };
+        for (k, form) in sg.forms.iter().enumerate() {
+            let Some(term) = form.term() else { continue };
+            let (neg, term) = sg.stream.invs[k].terms[usize::from(term)];
+            let mut e = RowLoad {
+                at: k as u8,
+                neg,
+                off: vals[k],
+                ..RowLoad::NONE
+            };
+            if let InvTerm::Load { slot, at } = term {
+                let c = vals[usize::from(at)];
+                let ptr = st.pinr(slot);
+                debug_assert!(ptr.is_int);
+                // `origin <= i + c < origin + dim0`, exactly.
+                let first = i128::from(ptr.origin) - i128::from(c);
+                let last = first + i128::from(ptr.dim0) - 1;
+                let clamp = |v: i128| v.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
+                t.rows = if first > last {
+                    (0, -1)
+                } else {
+                    (t.rows.0.max(clamp(first)), t.rows.1.min(clamp(last)))
+                };
+                e.src = ptr
+                    .ip
+                    .wrapping_offset((i128::from(c) - i128::from(ptr.origin)) as isize);
+                (e.view, e.len) = (ptr.ip, ptr.len);
+            }
+            t.loads[t.len] = e;
+            t.len += 1;
+        }
+        t
+    }
+
     /// The last row of `lo ..= hi` the kernel may run without a load
     /// leaving its view; `None` when row `lo` would.
     fn rows_in_view(&self, lo: i64, hi: i64) -> Option<i64> {
@@ -689,9 +721,9 @@ impl RowTable {
     }
 
     /// Evaluates the row-dependent entries for row `r`, one of
-    /// [`RowTable::rows_in_view`], into `vals`, as [`eval_inv`] does:
-    /// `None` when a sum leaves `i64`. Every row evaluates every entry,
-    /// an empty row its statement's subscript parts too.
+    /// [`RowTable::rows_in_view`], into `vals`: `None` when a sum leaves
+    /// `i64`. Every row evaluates every entry, an empty row its
+    /// statement's subscript parts too.
     #[inline(always)]
     fn eval(&mut self, r: i64) -> Option<()> {
         for e in &self.loads[..self.len] {
@@ -1415,7 +1447,7 @@ impl FState {
         let n = (hi.abs_diff(lo) + 1)
             .min(i64::MAX.abs_diff(lo))
             .min(self.fuel / 2) as usize;
-        let m = match self.strip_vals(&sd.invs) {
+        let m = match self.table(&sd.invs, &[]) {
             Some(vals) => {
                 let ops = self.resolve(sd);
                 let vals = &vals;
@@ -1446,20 +1478,22 @@ impl FState {
             "the caller checks that every store is a raw write"
         );
         let ops = self.resolve(&sg.stream);
-        // A row of a lane sink writes as it goes, so every check it
-        // needs must be known to pass before it starts: no scatter, and
-        // no INDIRECT operand, whose subscripts are checked as read.
-        let ind = |r: &OpndRes| matches!(r, OpndRes::Ind(_));
-        let reads_ind =
-            ind(&ops.a) || ops.b.as_ref().is_some_and(ind) || ops.tail.is_some_and(|t| ind(&t.1));
-        match ops.sink {
-            AnySink::Scatter(_) => return 0,
-            AnySink::Lane(_) if reads_ind => return 0,
-            _ => {}
-        }
-        let Some(mut table) = self.row_table(sg) else {
+        // A row of a lane sink writes as it goes, so every check it needs
+        // passes before it starts: `seg_of` gives it no scatter and no
+        // INDIRECT operand, whose subscripts are checked as read. All of
+        // the check stays inside the macro: the same reads bound outside
+        // it, dead in a release build, still cost the row kernels' loops
+        // registers they then reloaded from the stack.
+        let ind = |r: Option<OpndRes>| matches!(r, Some(OpndRes::Ind(_)));
+        debug_assert!(match ops.sink {
+            AnySink::Lane(_) => !(ind(Some(ops.a)) || ind(ops.b) || ind(ops.tail.map(|t| t.1))),
+            AnySink::Scatter(_) => false,
+            _ => true,
+        });
+        let Some(vals) = self.table(&sg.stream.invs, &sg.forms) else {
             return 0;
         };
+        let mut table = RowTable::new(self, sg, vals);
         let Some(hi) = table.rows_in_view(lo, hi) else {
             return 0;
         };
@@ -1479,102 +1513,38 @@ impl FState {
         self.instantiate(rows, ops)
     }
 
-    /// A stream's invariant table evaluated for this strip, each
-    /// distinct subscript part once, in table order: `None` when it holds
-    /// more than [`ROW_INVS`] entries, a sum leaves `i64` or a load
+    /// The invariant table `invs` evaluated for a strip, in table
+    /// order, each distinct part once: every term of an entry but the one
+    /// its [`RowForm`] says carries the row — a plain stream, which has
+    /// no forms, has none — so a row entry's value is its `c`
+    /// ([`RowTable::new`]). `None` when a sum leaves `i64` or a load
     /// misses its pin's view.
-    fn strip_vals(&self, invs: &[Inv]) -> Option<RowVals> {
-        if invs.len() > ROW_INVS {
-            return None;
-        }
+    #[inline(always)]
+    fn table(&self, invs: &[Inv], forms: &[RowForm]) -> Option<RowVals> {
         let mut vals = [0; ROW_INVS];
         for (k, inv) in invs.iter().enumerate() {
-            vals[k] = eval_inv(inv, &self.ir, &self.pins, &vals[..k])?;
-        }
-        Some(vals)
-    }
-
-    /// `sg`'s row table resolved for this strip: the entries that do not
-    /// depend on the row variable evaluated, the others as [`RowLoad`]s.
-    /// `None` — no row runs in the kernel — when an entry that does not
-    /// depend on the row fails, or one that does takes another form.
-    fn row_table(&self, sg: &SegStream) -> Option<RowTable> {
-        let invs = &sg.stream.invs;
-        let none = RowLoad {
-            at: 0,
-            neg: false,
-            off: 0,
-            src: std::ptr::null(),
-            view: std::ptr::null(),
-            len: 0,
-        };
-        let mut t = RowTable {
-            vals: [0; ROW_INVS],
-            loads: [none; ROW_INVS],
-            len: 0,
-            rows: (i64::MIN, i64::MAX),
-        };
-        // Per entry: whether it depends on the row, and `c` when it is
-        // `c + i`.
-        let mut by_row = [false; ROW_INVS];
-        let mut row_plus = [None; ROW_INVS];
-        for (k, inv) in invs.iter().enumerate() {
-            let dep = |term: InvTerm| match term {
-                InvTerm::Reg(r) => r == sg.row,
-                InvTerm::Load { at, .. } => by_row[usize::from(at)],
-            };
-            if !inv.terms.iter().any(|&(_, term)| dep(term)) {
-                t.vals[k] = eval_inv(inv, &self.ir, &self.pins, &t.vals[..k])?;
-                continue;
-            }
-            let mut e = RowLoad {
-                at: k as u8,
-                off: inv.off,
-                ..none
-            };
-            let mut row_term = None;
-            for &(neg, term) in inv.terms.iter() {
-                if dep(term) {
-                    if row_term.replace((neg, term)).is_some() {
-                        return None;
-                    }
+            let on_row = forms.get(k).and_then(|f| f.term()).map(usize::from);
+            let mut sum = inv.off;
+            for (x, &(neg, term)) in inv.terms.iter().enumerate() {
+                if Some(x) == on_row {
                     continue;
                 }
-                let v = term_val(term, &self.ir, &self.pins, &t.vals[..k])?;
-                e.off = if neg {
-                    e.off.checked_sub(v)?
+                let v = match term {
+                    InvTerm::Reg(r) => self.ir[usize::from(r)],
+                    InvTerm::Load { slot, at } => {
+                        let pin = &self.pins[usize::from(slot)];
+                        pin.rd_i(pin.chk(vals[usize::from(at)])?)
+                    }
+                };
+                sum = if neg {
+                    sum.checked_sub(v)?
                 } else {
-                    e.off.checked_add(v)?
+                    sum.checked_add(v)?
                 };
             }
-            let (neg, term) = row_term?;
-            e.neg = neg;
-            match term {
-                InvTerm::Reg(_) => row_plus[k] = (!neg).then_some(e.off),
-                InvTerm::Load { slot, at } => {
-                    let c = row_plus[usize::from(at)]?;
-                    let ptr = self.pinr(slot);
-                    debug_assert!(ptr.is_int);
-                    // `origin <= i + c < origin + dim0`, exactly.
-                    let first = i128::from(ptr.origin) - i128::from(c);
-                    let last = first + i128::from(ptr.dim0) - 1;
-                    let clamp = |v: i128| v.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
-                    t.rows = if first > last {
-                        (0, -1)
-                    } else {
-                        (t.rows.0.max(clamp(first)), t.rows.1.min(clamp(last)))
-                    };
-                    e.src = ptr
-                        .ip
-                        .wrapping_offset((i128::from(c) - i128::from(ptr.origin)) as isize);
-                    (e.view, e.len) = (ptr.ip, ptr.len);
-                }
-            }
-            by_row[k] = true;
-            t.loads[t.len] = e;
-            t.len += 1;
+            vals[k] = sum;
         }
-        Some(t)
+        Some(vals)
     }
 
     /// A row's initial or final operand, resolved for this strip: a
@@ -1918,8 +1888,11 @@ impl Typed<'_> {
                 st.irs(var, i);
             }
         };
-        // The lowering takes unit steps for both.
-        let fwd = step == 1 && st.streams;
+        debug_assert!(
+            step == 1 || (cb.stream(slot).is_none() && cb.seg(slot).is_none()),
+            "the lowering records streams of unit-step loops only"
+        );
+        let fwd = st.streams;
         let mut stream = cb.stream(slot).filter(|_| fwd);
         let seg = cb.seg(slot).filter(|_| fwd && st.segs_on());
         let mut i = lo;
@@ -2138,16 +2111,16 @@ mod tests {
     use irr_driver::compiled::lower_do_loop;
     use irr_frontend::{parse_program, Program};
 
-    /// The row loop `do i = 1, rows` over rows `j = jlo(i) .. jhi(i)` of
+    /// The row loop `do i = 1, rows` over rows `j = jlo(i) .. hi` of
     /// `c(ptr(i) + j - 1)`: every index array has exactly `rows`
     /// elements, so a row outside `1 ..= rows` misses its loads.
-    fn program(rows: usize) -> (Program, CompiledBody) {
+    fn program(rows: usize, hi: &str) -> (Program, CompiledBody) {
         let p = parse_program(&format!(
             "program t
-             integer i, j, ptr({rows}), jlo({rows}), jhi({rows})
+             integer i, j, n, ptr({rows}), jlo({rows}), jhi({rows})
              real c(16)
              do i = 1, {rows}
-               do j = jlo(i), jhi(i)
+               do j = jlo(i), {hi}
                  c(ptr(i) + j - 1) = c(ptr(i) + j - 1) * 0.5 + 1.0
                enddo
              enddo
@@ -2227,21 +2200,22 @@ mod tests {
         }
     }
 
-    /// The brute-force definition: the rows from `lo` on whose loads are
-    /// inside `1 ..= rows.len()`, whose subscript part `ptr - 1` fits an
-    /// `i64` — an empty row's too — and whose every subscript `ptr + j -
-    /// 1`, computed exactly, is inside the view — an empty row touching
-    /// nothing — up to the first that is not. A row ending at
+    /// The brute-force definition: the rows from `lo` on whose `row(r)`
+    /// — `(ptr, jlo, hi)`, `None` when a load is outside `1 ..= rows` or
+    /// `hi` leaves `i64` — is defined, whose subscript part `ptr - 1`
+    /// fits an `i64` — an empty row's too — and whose every subscript
+    /// `ptr + j - 1`, computed exactly, is inside the view — an empty row
+    /// touching nothing — up to the first that is not. A row ending at
     /// `j = i64::MAX` is not run: advancing past it ends its loop.
     fn brute(
-        rows: &[(i64, i64, i64)],
+        row: impl Fn(i64) -> Option<(i64, i64, i64)>,
         (lo, hi): (i64, i64),
         (origin, dim0): (usize, usize),
     ) -> i64 {
         let inside = |s: i128| s >= origin as i128 && s < (origin + dim0) as i128;
         let mut m = 0;
         for r in lo..=hi {
-            let Some(&(p, a, b)) = usize::try_from(r - 1).ok().and_then(|k| rows.get(k)) else {
+            let Some((p, a, b)) = row(r) else {
                 break;
             };
             let too_long = i128::from(b) - i128::from(a) >= dim0 as i128;
@@ -2290,14 +2264,31 @@ mod tests {
         }
     }
 
+    /// A row-guard program's upper bound: its source, and its value in
+    /// row `r`, the `k`-th of `rows` — `(ptr, jlo, jhi)` each — with
+    /// `n`. Each takes a [`RowForm`] of its own: a load at a `c + i`
+    /// entry with `c` 0 and 1, and `c − i`.
+    type Hi = (
+        &'static str,
+        fn(&[(i64, i64, i64)], usize, i64, i64) -> Option<i64>,
+    );
+
+    const HIS: [Hi; 3] = [
+        ("jhi(i)", |rows, k, _, _| Some(rows[k].2)),
+        ("jhi(i + 1)", |rows, k, _, _| Some(rows.get(k + 1)?.2)),
+        ("n - i", |_, _, r, n| n.checked_sub(r)),
+    ];
+
     /// The row guard admits exactly the rows the brute-force definition
-    /// does. Rows are `(ptr, len)` pairs over −1 … 6 (`j = 1 .. len`):
-    /// every array of up to two rows over every row range and view of 0
-    /// to 8 elements at two origins; of three rows (release builds; debug
-    /// builds narrow the alphabet to −1 … 3) and of four over −1 … 3
-    /// (release builds only), over two ranges from the edges. Then one
-    /// row with `ptr`, `jlo` and `jhi` at the ends of `i64`, where a sum
-    /// computed without its overflow check lands inside the view.
+    /// does, for each bound of [`HIS`]. Rows are `(ptr, len)` pairs over
+    /// −1 … 6 (`j = 1 .. len`; `j = len .. n − i` under `n − i`, `n` 1,
+    /// 3 and 6): every array of up to two rows over every row range and
+    /// view of 0 to 8 elements at two origins; of three rows over −1 … 3
+    /// and the range `1 ..= 3`. `jhi(i)` also takes (release builds
+    /// only) three rows over −1 … 6 and four over −1 … 3, over two
+    /// ranges from the edges. Then one row with `ptr`, `jlo`, `jhi` and
+    /// `n` at the ends of `i64`, where a sum computed without its
+    /// overflow check lands inside the view.
     #[test]
     fn the_row_guard_admits_exactly_the_rows_in_view() {
         let pairs = |vals: std::ops::RangeInclusive<i64>| -> Vec<(i64, i64, i64)> {
@@ -2308,24 +2299,40 @@ mod tests {
         let (wide, narrow) = (pairs(-1..=6), pairs(-1..=3));
         let mut checked = 0u64;
         let mut sweep = |n: usize,
+                         (src, hi): Hi,
                          vals: &[(i64, i64, i64)],
                          ranges: &[(i64, i64)],
-                         views: &[(usize, usize)]| {
-            let (p, cb) = program(n);
+                         views: &[(usize, usize)],
+                         ns: &[i64]| {
+            let (p, cb) = program(n, src);
             let sg = cb.seg(0).unwrap();
+            let n_reg = cb.scalars().iter().find(|s| p.symbols.name(s.var) == "n");
+            // Under `n − i` the pair's length is the row's `jlo`.
+            let minus = n_reg.is_some();
             each_array(n, vals, |rows| {
                 let col = |f: fn(&(i64, i64, i64)) -> i64| rows.iter().map(f).collect();
                 let ints = [
                     ("ptr", col(|r| r.0)),
-                    ("jlo", col(|r| r.1)),
+                    ("jlo", col(if minus { |r| r.2 } else { |r| r.1 })),
                     ("jhi", col(|r| r.2)),
                 ];
                 let mut h = Harness::new(&p, &cb, &ints);
-                for &range in ranges {
-                    for &view in views {
-                        let got = h.admitted(sg, range, view);
-                        assert_eq!(got, brute(rows, range, view), "{rows:?} {range:?} {view:?}");
-                        checked += 1;
+                for &nv in if minus { ns } else { &[0] } {
+                    if let Some(reg) = n_reg {
+                        h.st.ir[usize::from(reg.reg)] = nv;
+                    }
+                    let row = |r: i64| {
+                        let k = usize::try_from(r - 1).ok()?;
+                        let &(p, a, b) = rows.get(k)?;
+                        Some((p, if minus { b } else { a }, hi(rows, k, r, nv)?))
+                    };
+                    for &range in ranges {
+                        for &view in views {
+                            let got = h.admitted(sg, range, view);
+                            let want = brute(row, range, view);
+                            assert_eq!(got, want, "{src} {nv} {rows:?} {range:?} {view:?}");
+                            checked += 1;
+                        }
                     }
                 }
             });
@@ -2333,14 +2340,17 @@ mod tests {
         let all_views: Vec<_> = views().collect();
         let origin_1: Vec<_> = (0..=8).map(|d| (1, d)).collect();
         let edges = |n: i64| [(0, n + 1), (1, n)];
-        for n in 1..=2 {
-            sweep(n, &wide, &ranges(n), &all_views);
-        }
-        if cfg!(debug_assertions) {
-            sweep(3, &narrow, &[(1, 3)], &origin_1);
-        } else {
-            sweep(3, &wide, &edges(3), &origin_1);
-            sweep(4, &narrow, &edges(4), &origin_1);
+        let ns = [1, 3, 6];
+        for (k, hi) in HIS.into_iter().enumerate() {
+            for n in 1..=2 {
+                sweep(n, hi, &wide, &ranges(n), &all_views, &ns);
+            }
+            if cfg!(debug_assertions) || k > 0 {
+                sweep(3, hi, &narrow, &[(1, 3)], &origin_1, &ns);
+            } else {
+                sweep(3, hi, &wide, &edges(3), &origin_1, &ns);
+                sweep(4, hi, &narrow, &edges(4), &origin_1, &ns);
+            }
         }
         let ends = [
             i64::MIN,
@@ -2360,7 +2370,9 @@ mod tests {
                 extremes.extend(ends.map(|b| (p, a, b)));
             }
         }
-        sweep(1, &extremes, &[(1, 1)], &all_views);
+        for hi in HIS {
+            sweep(1, hi, &extremes, &[(1, 1)], &all_views, &ends);
+        }
         assert!(checked > 1_000_000 || cfg!(debug_assertions), "{checked}");
     }
 

@@ -1319,6 +1319,42 @@ mod tests {
         }
     }
 
+    /// A statement of [`ROW_INVS`](irr_driver::compiled::ROW_INVS)
+    /// distinct subscript parts streams; one of 17 gets no stream from
+    /// the lowering — its plan counts none — and runs every iteration on
+    /// the per-iteration ops, as the tree-walk does.
+    #[test]
+    fn a_table_past_row_invs_gets_no_stream() {
+        for (parts, streams) in [(16, 1), (17, 0)] {
+            // `p(1)` … `p(parts − 2)`, their sum and `x(k)`'s `0`.
+            let sum: String = (1..parts - 1).map(|k| format!("p({k}) + ")).collect();
+            let src = format!(
+                "program t
+                 integer k, p(15)
+                 real x(8), z(12)
+                 do k = 1, 8
+                   x(k) = k * 0.5
+                   p(mod(k, 4) + 1) = mod(k, 2)
+                 enddo
+                 do k = 1, 7
+                   z({sum}k) = x(k) * 2.0
+                 enddo
+                 print z(3), z(9)
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            let s = p.procedure(p.main()).body[1];
+            let plan = irr_driver::compiled::derive_compiled_plan(&p, s).unwrap();
+            assert_eq!(plan.stream_loops, streams, "{parts}");
+            let ran = assert_same_run(&p, |_| {});
+            assert_eq!(ran.res, Ok(()), "{parts}");
+            assert_eq!(ran.typed_iters(), 8 + 7, "{parts}");
+            let stats = &ran.comp.stats;
+            let want = (u64::from(streams), 7 * u64::from(streams));
+            assert_eq!((stats.stream_entries, stats.stream_iters), want, "{parts}");
+        }
+    }
+
     /// A store sink runs in program order through one payload, in every
     /// instantiation that stores: a recurrence reads what the iteration
     /// before wrote, an anti-dependence what no iteration has written
