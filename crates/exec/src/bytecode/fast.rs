@@ -28,26 +28,27 @@
 //!
 //! [`Typed::run_fblock`] and the one [`stream_kernel`] (with the row
 //! statements of [`seg_row`] around it) are the only places an
-//! instruction's semantics are written outside the tree-walk, and the
-//! instructions compute through the tree-walk's own rules: its operator
-//! table (`bin_i`, `bin_f`, `cmp_res`), its bounds rule
-//! ([`column_major`]) and its induction step. Parity is the
-//! contract: same fuel ledger positions, same error identities, same
-//! store at exit.
+//! instruction's semantics are written outside the tree-walk, and they
+//! compute through the tree-walk's own rules: its operator table
+//! (`bin_i`, `bin_f`, `cmp_res`), its bounds rule ([`column_major`]) and
+//! its induction step. Parity is the contract: same fuel ledger
+//! positions, same error identities, same store at exit. Every check
+//! returns the dispatcher's [`Abort`]: the program's `ExecError`, a
+//! worker's `Timeout`, or a `Strategy` fallback on the array a window or
+//! an append sink refused.
 //!
 //! - **One load, one store per plane; the address is an operand.** An
 //!   element access names its pin slot and an [`Addr`], and
 //!   [`FState::addr`] alone turns every form into a checked payload
 //!   offset, in the tree-walk's order: an INDIRECT index array's
-//!   subscript first, an affine `base + off` wrapping, a flat index
-//!   as `IndexN` checked it. [`Typed::addr`] names a miss: inside the
-//!   array but outside a window pin's view a strategy violation, any
-//!   other the program's `OutOfBounds` (`fast_oob`, by the bounds rule).
-//!
+//!   subscript first, an affine `base + off` wrapping, a flat index as
+//!   `IndexN` checked it. A miss inside the array but outside a window
+//!   pin's view is a `Strategy` fallback, any other the program's
+//!   `OutOfBounds` ([`Typed::addr`]).
 //! - **One loop driver, at every depth.** [`Typed::run_do`] is the only
-//!   function here that advances a `do` loop's induction variable: the
-//!   root (loop slot 0, the caller's range) and every nested
-//!   [`FOp::DoLoop`] (slot `lidx + 1`) alike. Each time round it polls a
+//!   function here that advances a `do` loop's induction variable, the
+//!   root's (loop slot 0, the caller's range) and every nested
+//!   [`FOp::DoLoop`]'s (slot `lidx + 1`). Each time round it polls a
 //!   worker's deadline and append sinks ([`FState::poll`], also between
 //!   the iterations of a `while`), then runs a strip of up to [`STRIP`]
 //!   rows or iterations through the slot's segmented stream or stream,
@@ -55,21 +56,20 @@
 //! - **Streams are a fast-forward, not a second path.** Where the
 //!   lowering recorded a [`Stream`] for an innermost loop,
 //!   [`FState::run_stream`] runs the prefix of a strip every one of
-//!   whose checks is known to pass as one tight loop, and the unchanged
+//!   whose checks is known to pass as one tight loop, and the
 //!   per-iteration loop continues from there — so whatever fails, fails
-//!   on the per-iteration ops, where the tree-walk fails. What a strip
-//!   can decide, it decides once: each distinct invariant subscript part
-//!   is evaluated once, each LINEAR range checked at both ends, and the
-//!   kernel picked by the operands' kinds; per element there is the
-//!   arithmetic and an INDIRECT subscript's bounds check.
+//!   on the per-iteration ops, where the tree-walk fails. A strip
+//!   evaluates each distinct invariant subscript part once, checks each
+//!   LINEAR range at both ends and picks the kernel by the operands'
+//!   kinds; per element there is the arithmetic and an INDIRECT
+//!   subscript's bounds check.
 //! - **The lowering decides a table; the executor evaluates it.** A
 //!   stream's table holds at most [`ROW_INVS`] entries, and each entry of
 //!   a segmented stream's row table has the [`RowForm`] the lowering
 //!   proved: not row-dependent, `c ± i`, or a load at a `c + i` entry.
-//!   One evaluator ([`FState::table`]) serves a plain stream's strip (a
-//!   table with no row entries) and a segmented stream's rows, and
-//!   [`RowTable::new`] takes the row entries as their forms say; nothing
-//!   about a table's shape is worked out again at run time.
+//!   One evaluator ([`FState::table`]) serves a plain stream's strip and
+//!   a segmented stream's rows ([`RowTable::new`] adds the row entries);
+//!   nothing about a table's shape is worked out again at run time.
 //! - **A sparse nest is one kernel, each row atomic.** Where the
 //!   lowering recorded a [`SegStream`] for a row loop (`[init;] do j
 //!   …; [fin]` over an offset–length nest), [`FState::run_seg`] runs a
@@ -79,21 +79,20 @@
 //!   covers the whole row, both ends of each LINEAR range are in their
 //!   pin's view — and an INDIRECT miss abandons a reduction row that has
 //!   stored nothing (its initialization is deferred to its one final
-//!   store, which no operand can observe). The row it stops before runs
-//!   whole on the per-row path (the outer block, the inner loop's
-//!   stream, its ops), which fails exactly where the tree-walk does; per
-//!   row that ran, fuel, cost, the inner loop's entries and cost and the
-//!   stream counts are charged in closed form, as that path would.
+//!   store). The row it stops before runs whole on the per-row path,
+//!   which fails exactly where the tree-walk does; per row that ran,
+//!   fuel, cost, the inner loop's entries and cost and the stream counts
+//!   are charged in closed form, as that path would.
 //! - **One kernel driver for both.** A stream's strip and a segmented
 //!   stream's strip resolve their statement the same way
 //!   ([`FState::resolve`]: operands and sink over the pins' views), set
 //!   up and store a reduction through the same [`Sink`] methods, and
 //!   enter one instantiation table ([`FState::instantiate`]) with what
-//!   they run (a [`Job`]: the strip's iterations, or its rows). Only a
-//!   shape a benchmark row runs gets the kernel over its own resolver
-//!   types: `colscale` in place, `scale` out of place, `permute`'s
-//!   scatter and SpMV's reduction. Every other shape runs the
-//!   catch-all, which decides operand kinds per element.
+//!   they run (a [`Job`]: the strip's iterations, or its rows). Only the
+//!   shapes benchmark rows run get their own instantiation — `colscale`
+//!   in place, `scale` out of place, `permute`'s scatter and SpMV's
+//!   reduction; every other shape runs the catch-all, which decides
+//!   operand kinds per element.
 //!
 //! **The `unsafe` here leans on one invariant, established elsewhere.**
 //! A `CompiledBody` can only come out of `lower_do_loop` (its fields
@@ -103,7 +102,7 @@
 //! stores to in `stored()`. [`FState`]'s unchecked register and pin
 //! accessors and [`RawPin`]'s write path rely on exactly that.
 
-use super::ChunkAbort;
+use crate::dispatch::{Abort, FallbackReason};
 #[cfg(test)]
 use crate::interp::Probe;
 use crate::interp::{
@@ -1252,7 +1251,7 @@ impl FState {
     /// its deadline, and whether an append sink refused a store. A
     /// sequential entry, and a worker with neither, test one flag.
     #[inline(always)]
-    fn poll(&self, cb: &CompiledBody) -> Result<(), ChunkAbort> {
+    fn poll(&self, cb: &CompiledBody) -> Result<(), Abort> {
         if !self.watched {
             return Ok(());
         }
@@ -1260,16 +1259,20 @@ impl FState {
             .deadline
             .is_some_and(|(started, limit)| started.elapsed() >= limit)
         {
-            return Err(ChunkAbort::TimedOut);
+            return Err(Abort::Fallback(FallbackReason::Timeout, None));
         }
         self.refused(cb)
-            .map_or(Ok(()), |a| Err(ChunkAbort::Violated(a)))
     }
 
-    /// The first array whose append sink refused a store.
-    fn refused(&self, cb: &CompiledBody) -> Option<VarId> {
-        let k = self.pins.iter().position(|p| p.refused.get())?;
-        Some(cb.arrays()[k])
+    /// A violation on the first array whose append sink refused a store.
+    fn refused(&self, cb: &CompiledBody) -> Result<(), Abort> {
+        let Some(k) = self.pins.iter().position(|p| p.refused.get()) else {
+            return Ok(());
+        };
+        Err(Abort::Fallback(
+            FallbackReason::Strategy,
+            Some(cb.arrays()[k]),
+        ))
     }
 
     /// Whether segmented streams run: always, but for a unit test that
@@ -1594,7 +1597,7 @@ impl FState {
     /// first, then the element's own against the pin's view (an affine
     /// `base + off` wraps). A flat index is `IndexN`'s, checked per
     /// dimension there. A miss is the slot and the subscript that
-    /// missed — two words, so the hot path carries no `ChunkAbort`.
+    /// missed — two words, so the hot path carries no [`Abort`].
     ///
     /// Only `Elem` is laid out as the hot form: with all four hot the
     /// `match` becomes a jump table, an indirect jump per access on top
@@ -1660,7 +1663,7 @@ impl FState {
         range: (i64, i64, i64),
         (fuel, deadline): (u64, Deadline),
         sinks: &mut [Option<WriteSink>],
-    ) -> Result<(), ChunkAbort> {
+    ) -> Result<(), Abort> {
         self.enter(cb, cx.store, fuel, deadline);
         for (&a, sink) in cb.arrays().iter().zip(sinks.iter_mut()) {
             self.pins.push(RawPin::new(cx.store.array(a), sink.take()));
@@ -1687,7 +1690,7 @@ impl FState {
         cx: Typed<'_>,
         cb: &CompiledBody,
         range: (i64, i64, i64),
-    ) -> Result<(), ChunkAbort> {
+    ) -> Result<(), Abort> {
         debug_assert_eq!(self.pins.len(), cb.arrays().len());
         self.streams = self.pins.iter().all(|p| p.sink.is_none() || p.raw);
         // Only an append sink can refuse a store.
@@ -1696,8 +1699,7 @@ impl FState {
         let var = (cb.root_reg(), cb.root_real());
         let res = cx.run_do(cb, 0, var, cb.root(), range, self);
         // A refused store stops the chunk however else it ended.
-        self.refused(cb)
-            .map_or(res, |a| Err(ChunkAbort::Violated(a)))
+        self.refused(cb).and(res)
     }
 
     /// Promoted scalar `p`'s register.
@@ -1784,7 +1786,7 @@ impl Interp<'_> {
         &mut self,
         cb: &CompiledBody,
         range: (i64, i64, i64),
-    ) -> Result<(), ChunkAbort> {
+    ) -> Result<(), Abort> {
         let mut st = std::mem::take(self.scope.buffers.planes());
         st.enter(cb, &self.store, self.fuel, None);
         for (&a, &stored) in cb.arrays().iter().zip(cb.stored()) {
@@ -1815,11 +1817,11 @@ impl Typed<'_> {
     /// `chk` refused `index`: the program's own error, unless the bounds
     /// rule admits it — a window pin's miss, a strategy violation.
     #[cold]
-    fn fast_oob(self, cb: &CompiledBody, slot: u16, index: i64) -> ChunkAbort {
+    fn fast_oob(self, cb: &CompiledBody, slot: u16, index: i64) -> Abort {
         let a = cb.arrays()[slot as usize];
         match column_major(self.program, a, &self.store.array(a).dims()[..1], [index]) {
-            Ok(_) => ChunkAbort::Violated(a),
-            Err(e) => ChunkAbort::Exec(e),
+            Ok(_) => Abort::Fallback(FallbackReason::Strategy, Some(a)),
+            Err(e) => Abort::Exec(e),
         }
     }
 
@@ -1847,13 +1849,7 @@ impl Typed<'_> {
     /// [`FState::addr`], its miss named by [`Typed::fast_oob`]: a
     /// strategy violation or the program's `OutOfBounds`.
     #[inline(always)]
-    fn addr(
-        self,
-        cb: &CompiledBody,
-        st: &FState,
-        slot: u16,
-        at: &Addr,
-    ) -> Result<usize, ChunkAbort> {
+    fn addr(self, cb: &CompiledBody, st: &FState, slot: u16, at: &Addr) -> Result<usize, Abort> {
         match st.addr(slot, at) {
             Ok(k) => Ok(k),
             Err((slot, index)) => Err(self.fast_oob(cb, slot, index)),
@@ -1880,7 +1876,7 @@ impl Typed<'_> {
         body: u16,
         (lo, hi, step): (i64, i64, i64),
         st: &mut FState,
-    ) -> Result<(), ChunkAbort> {
+    ) -> Result<(), Abort> {
         let set = |st: &mut FState, i: i64| {
             if real {
                 st.frs(var, i as f64);
@@ -1929,7 +1925,7 @@ impl Typed<'_> {
         Ok(())
     }
 
-    fn run_fblock(self, cb: &CompiledBody, b: u16, st: &mut FState) -> Result<(), ChunkAbort> {
+    fn run_fblock(self, cb: &CompiledBody, b: u16, st: &mut FState) -> Result<(), Abort> {
         let ops = &cb.blocks()[b as usize];
         let mut pc = 0usize;
         // The dispatch loop starts on a 64-byte boundary (which also makes

@@ -44,44 +44,36 @@
 //! **Parity is the contract.** A compiled loop must be byte-identical
 //! to the tree-walk in store contents, printed output, statement
 //! costs, fuel accounting, and error identity — the differential
-//! harness in `tests/strategy_parity.rs` and `sanitizer-audit
-//! --only compiled` enforce this across the whole corpus. To that end the
-//! lowering is deliberately conservative: fuel is charged per
-//! statement entry at the same program points (`FOp::Charge`), and any
-//! construct whose interpreter semantics are not replicated
-//! bit-for-bit — procedure calls, `print`, `return`, logical operators
-//! in numeric position — rejects the lowering and falls back to the
-//! interpreter via a reason-coded [`FallbackReason`].
+//! harness in `tests/strategy_parity.rs` and `sanitizer-audit --only
+//! compiled` enforce this across the whole corpus. So the lowering is
+//! conservative: fuel is charged per statement entry at the same
+//! program points (`FOp::Charge`), and any construct whose interpreter
+//! semantics are not replicated bit-for-bit — procedure calls, `print`,
+//! `return`, logical operators in numeric position — rejects the
+//! lowering, and the interpreter walks the loop under a reason-coded
+//! [`FallbackReason`].
 //!
-//! **Two engines, one rulebook; a worker has one engine.** There are
-//! exactly two executors under that contract: the typed loop and the
-//! reference tree-walk. What both need is written once, in `interp`:
-//! the walked `do` (the interpreter's `Do` arm), the operator table
-//! (`bin_i`, `bin_f`, `cmp_res`), the bounds rule
-//! (`column_major`) and the induction step. Every array is
-//! live from the program's first statement, so the `Do` arm decides a
-//! sequential compiled entry once, at entry: a nest that lowered runs
-//! typed from its first iteration, and one that cannot (a zero-trip
-//! range, a preset of another element type than declared) walks in the
-//! arm, offering its inner loops to the dispatcher like any walked
-//! loop. A parallel worker's share of a loop always runs the typed
-//! loop — the dispatch is refused before any chunk runs when the nest
-//! cannot — and what differs for it is what it is handed: its deadline,
-//! polled between the iterations (and stream strips) of every loop of
-//! the nest, and the sinks its dispatch's commit strategy built for
-//! every array it stores to (`WriteSink`); and what it hands back: it
-//! reads the master's store and writes nothing of it but its windows,
-//! and the commit takes its scalars, cost and counters from its state
-//! (`FState`) instead of a flush.
+//! **Two engines, one rulebook; a worker has one engine.** The typed
+//! loop and the reference tree-walk are the only executors. What both
+//! need is written once, in `interp`: the walked `do` (the `Do` arm),
+//! the operator table (`bin_i`, `bin_f`, `cmp_res`), the bounds rule
+//! (`column_major`) and the induction step. The `Do` arm decides a
+//! sequential compiled entry once: a nest that lowered runs typed from
+//! its first iteration, and one that cannot (a zero-trip range, a
+//! preset of another element type than declared) walks, offering its
+//! inner loops to the dispatcher. A parallel worker's share always runs
+//! the typed loop — the dispatch is refused before any chunk runs when
+//! the nest cannot — handed its deadline and the sinks its commit
+//! strategy built (`WriteSink`); the commit takes its scalars, cost and
+//! counters from its state (`FState`) instead of a flush. Either way a
+//! typed run ends in the dispatcher's `Abort`: the program's error, or
+//! — in a worker only — a `Timeout` or `Strategy` fallback.
 //!
 //! Trust discipline is the one the raw-pointer strategies use: a
-//! verdict's `CompiledPlan` is the lowering's own summary, and still
-//! only an advisory claim. The executor never runs a plan — at dispatch
-//! it calls the same [`lower_do_loop`] on the AST (cached per `StmtId`;
-//! lowering is a pure function of the program), just as it re-derives
-//! the in-place and concat proofs with `irr_driver`'s derivations, and
-//! falls back when the nest does not lower, so a forged plan can never
-//! reach the typed path.
+//! verdict's `CompiledPlan` is only an advisory claim. The executor
+//! never runs a plan — at dispatch it calls the same [`lower_do_loop`]
+//! on the AST (cached per `StmtId`), just as it re-derives the in-place
+//! and concat proofs, so a forged plan can never reach the typed path.
 
 mod fast;
 
@@ -89,28 +81,8 @@ pub(crate) use fast::{Deadline, FState, Typed};
 pub use irr_driver::compiled::{lower_do_loop, CompiledBody, LowerReject};
 
 use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher};
-use crate::interp::{ExecError, Store};
-use irr_frontend::{StmtId, VarId};
-
-/// Why a chunk did not complete.
-#[derive(Debug)]
-pub(crate) enum ChunkAbort {
-    /// A genuine runtime error inside the chunk.
-    Exec(ExecError),
-    /// The watch's deadline expired before the chunk finished.
-    TimedOut,
-    /// The chunk broke its strategy's discipline on this variable: an
-    /// access outside its in-place window (the chunk stopped there), or
-    /// a store an append sink refused (it stopped at the iteration
-    /// boundary).
-    Violated(VarId),
-}
-
-impl From<ExecError> for ChunkAbort {
-    fn from(e: ExecError) -> Self {
-        ChunkAbort::Exec(e)
-    }
-}
+use crate::interp::Store;
+use irr_frontend::StmtId;
 
 /// The all-compiled dispatcher: every `do` loop entry requests the
 /// compiled tier; unlowerable or instrumented loops fall
@@ -164,11 +136,11 @@ impl LoopDispatcher for CompiledDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::SequentialDispatch;
+    use crate::dispatch::{Abort, SequentialDispatch};
     use crate::interp::{ArrayData, ExecError, ExecStats, Interp, Probe, WriteSink};
     use crate::parallel::ParallelPlan;
     use irr_driver::compiled::Stream;
-    use irr_frontend::{parse_program, Program, ScalarType};
+    use irr_frontend::{parse_program, Program, ScalarType, VarId};
     use std::time::{Duration, Instant};
 
     /// [`assert_same_run`] of a program that must complete; returns the
@@ -1465,7 +1437,7 @@ mod tests {
         cb: &CompiledBody,
         range: (i64, i64, i64),
         deadline: Deadline,
-    ) -> (Result<(), ChunkAbort>, u64) {
+    ) -> (Result<(), Abort>, u64) {
         let slots = cb.arrays().iter().zip(cb.stored());
         let direct = |(&a, &stored): (&VarId, &bool)| {
             stored.then(|| WriteSink::Direct(it.store.payload_raw(a)))
@@ -1506,7 +1478,7 @@ mod tests {
             assert_eq!(iters, done as u64);
             match res {
                 Ok(()) => assert_eq!(done, 3000),
-                Err(ChunkAbort::TimedOut) => {
+                Err(Abort::Fallback(FallbackReason::Timeout, None)) => {
                     assert!(
                         done % 1024 == 0 && done < 3000,
                         "stopped inside a strip: {done}"
@@ -1557,7 +1529,8 @@ mod tests {
             let cb = it.compiled_body_for(p.procedure(p.main()).body[0]).unwrap();
             let deadline = Some((Instant::now(), Duration::from_millis(5)));
             let (res, iters) = run_until(&mut it, &cb, (1, 1, 1), deadline);
-            assert!(matches!(res, Err(ChunkAbort::TimedOut)), "{inner}: {res:?}");
+            let timed_out = Err(Abort::Fallback(FallbackReason::Timeout, None));
+            assert_eq!(res, timed_out, "{inner}");
             assert_eq!(iters, 1);
         }
     }

@@ -1,20 +1,19 @@
-//! Loop dispatch hooks: the seam between the interpreter and a hybrid
-//! compile-time/run-time parallelization subsystem.
+//! Loop dispatch hooks: the seam between the interpreter and the
+//! hybrid runtime (`irr-runtime`), and the executor's one failure
+//! vocabulary.
 //!
-//! A [`LoopDispatcher`] is consulted at **every dynamic entry** of every
-//! `do` loop, after the bounds have been evaluated against the live
-//! store. It decides — per execution — whether the loop runs through the
-//! ordinary sequential interpreter or through the chunked parallel
-//! executor with a given [`ParallelPlan`] (chunks that read the master's
-//! store and write only their own sinks, committed in `O(total writes)`).
-//! The hybrid runtime in
-//! `irr-runtime` implements this trait with guarded (inspector-driven)
-//! dispatch and a version-keyed schedule cache; the default
-//! [`SequentialDispatch`] recovers the plain interpreter.
+//! A [`LoopDispatcher`] is consulted at every dynamic entry of every
+//! `do` loop, with the bounds evaluated against the live store, and
+//! decides per execution how the loop runs ([`LoopDecision`]). A
+//! dispatch that does not commit ends in an `Abort`: the program's
+//! error, which propagates, or a [`FallbackReason`] the dispatcher is
+//! told before the loop runs sequentially — the only failure record
+//! that leaves the crate. [`SequentialDispatch`] is the plain
+//! interpreter.
 
-use crate::interp::Store;
+use crate::interp::{ExecError, Store};
 use crate::parallel::{Committed, ParallelPlan};
-use irr_frontend::StmtId;
+use irr_frontend::{StmtId, VarId};
 
 /// How one dynamic execution of a loop should run.
 #[derive(Clone, Debug)]
@@ -34,21 +33,20 @@ pub enum LoopDecision {
     Parallel(ParallelPlan),
 }
 
-/// Why a parallel dispatch was abandoned in favor of sequential
-/// re-execution. One variant per recoverable
-/// [`ParallelError`](crate::ParallelError) class; a genuine worker
-/// `ExecError` has no reason code because it propagates instead of
-/// falling back.
+/// Why a dispatch fell back to the sequential tier: the one failure
+/// record that leaves the executor (telemetry's per-reason counters,
+/// the chaos suite's attribution). A genuine `ExecError` has no reason
+/// code: it is the program's, and propagates instead.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FallbackReason {
     /// Two workers wrote the same location — the schedule was wrong.
     Conflict,
     /// A worker chunk panicked.
     Panic,
-    /// The executor cannot run this loop shape (non-unit step, not a
-    /// `do` loop; for a compiled dispatch, a nest that does not lower
-    /// or an array it references of another element type than
-    /// declared).
+    /// The executor cannot run this loop shape: a non-unit step or an
+    /// unrepresentable trip count, a nest that does not lower, an array
+    /// it references of another element type than declared, or (in
+    /// parallel) a scalar it assigns that the commit cannot claim.
     Unsupported,
     /// A worker overran the per-worker deadline (watchdog).
     Timeout,
@@ -73,6 +71,27 @@ impl FallbackReason {
             FallbackReason::Strategy => "strategy",
             FallbackReason::Traced => "traced",
         }
+    }
+}
+
+/// Why a parallel dispatch, or a typed run, did not finish: what the
+/// typed loop's checks, the chunks, the commit and the dispatch all
+/// return, and what the interpreter's `Do` arm settles.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Abort {
+    /// The program's own runtime error, which the sequential run raises
+    /// too: it propagates.
+    Exec(ExecError),
+    /// The dispatch's fault: the loop re-runs sequentially under this
+    /// reason. The variable is the one it blames, where there is one:
+    /// the conflicting or violated array, or the scalar the commit
+    /// cannot claim.
+    Fallback(FallbackReason, Option<VarId>),
+}
+
+impl From<ExecError> for Abort {
+    fn from(e: ExecError) -> Self {
+        Abort::Exec(e)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The instrumenting tree-walking interpreter.
 
-use crate::bytecode::{lower_do_loop, ChunkAbort, CompiledBody};
-use crate::dispatch::{FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
+use crate::bytecode::{lower_do_loop, CompiledBody};
+use crate::dispatch::{Abort, FallbackReason, LoopDecision, LoopDispatcher, SequentialDispatch};
 use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
 use crate::trace::{AccessTracer, TraceConfig, TracerSlot};
@@ -1032,21 +1032,15 @@ impl<'p> Interp<'p> {
                                 dispatcher.parallel_committed(s, &committed);
                                 return Ok(());
                             }
-                            // Genuine runtime errors inside a worker are
-                            // the program's fault and propagate.
-                            Err(crate::parallel::ParallelError::Exec(x)) => return Err(x),
-                            // Everything else is the dispatch's fault
-                            // (conflict, panic, shape, timeout,
-                            // unsupported shape). The transaction left
+                            // The program's own error propagates.
+                            Err(Abort::Exec(x)) => return Err(x),
+                            // The dispatch's fault. The transaction left
                             // the master store, stats, and output
                             // untouched, so fall through to the
                             // sequential loop below — the recorded run
                             // is then exactly the sequential one.
-                            Err(other) => {
-                                let reason = other.fallback_reason().unwrap_or_else(|| {
-                                    unreachable!("non-Exec ParallelError always has a reason")
-                                });
-                                dispatcher.parallel_failed(s, reason);
+                            Err(Abort::Fallback(reason, _)) => {
+                                dispatcher.parallel_failed(s, reason)
                             }
                         }
                     }
@@ -1083,7 +1077,7 @@ impl<'p> Interp<'p> {
                     // It writes the final induction value back itself.
                     match self.run_typed(&cb, (lo, hi, step)) {
                         Ok(()) => dispatcher.compiled_committed(s),
-                        Err(ChunkAbort::Exec(e)) => return Err(e),
+                        Err(Abort::Exec(e)) => return Err(e),
                         Err(_) => unreachable!("a sequential entry has no deadline or sink"),
                     }
                 } else {

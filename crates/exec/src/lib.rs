@@ -62,7 +62,7 @@ pub use interp::{ArrayData, ExecError, ExecOutcome, ExecStats, Interp, LoopStats
 pub use machine::{
     simulate_program_time, simulate_speedup, LoopProfile, MachineModel, ProgramProfile,
 };
-pub use parallel::{Committed, ExecutionStrategy, ParallelError, ParallelPlan, ReduceOp};
+pub use parallel::{Committed, ExecutionStrategy, ParallelPlan, ReduceOp};
 pub use rng::SplitMix64;
 pub use runtime_test::{inspect_guard, inspect_injective, inspect_offset_length, IndexFacts};
 pub use trace::{AccessTracer, TraceConfig};

@@ -1,136 +1,98 @@
-//! Thread-based parallel execution used to *verify* the compiler's
-//! parallelization decisions.
+//! The chunked parallel executor: a loop the hybrid runtime dispatches
+//! parallel runs as a transaction on the master store.
 //!
-//! A loop the driver declared parallel is executed by splitting its
-//! iteration space into as many contiguous chunks as its plan asks and
-//! handing the worker pool (`pool.rs`) the chunk count and one closure.
-//! One chunk runs on the dispatching thread, with no pool. More are the
-//! pool's one batch, claimed first chunk first by the pool's threads —
-//! one set per process, created by the first dispatches that need them,
-//! shared by every run and never joined — and by the dispatching thread
-//! itself, so a dispatch creates no thread once the pool has
-//! `chunks − 1`, whichever run created them. A dispatch that finds
-//! another run's batch in flight runs all its chunks on its own thread.
-//! Either way it waits until every chunk has finished, whatever became
-//! of any of them (a panic is caught at the chunk boundary and is that
-//! chunk's result), before it looks at a single outcome; they come back
-//! in chunk order.
+//! Its iteration space is split into contiguous chunks, one per thread
+//! its plan asks for. One chunk runs on the dispatching thread, with no
+//! pool. More are the worker pool's (`pool.rs`) one batch, claimed in
+//! chunk order by the pool's threads — one set per process, shared by
+//! every run and never joined — and by the dispatching thread; a
+//! dispatch that finds another run's batch in flight runs all its
+//! chunks itself. Either way it waits for every chunk, whatever became
+//! of it (a panic is caught at the chunk boundary), before it looks at
+//! one outcome.
 //!
 //! # What a chunk runs
 //!
 //! **Every chunk runs the typed loop over the master's store, which it
-//! only reads.** The master lowers the loop once (memoized per
-//! statement in its [`ProgramScope`](crate::interp::ProgramScope)), and
-//! every chunk — the one of a one-chunk dispatch or one of many, in any
-//! mode — runs the compiled body for its whole range in **one call**
-//! (`FState::run`): induction loop, per-iteration charge, and the
-//! deadline poll and strategy check between the iterations of every
-//! loop of the nest, all inside it, with the master's fuel. It pins the
-//! master's payloads and loads its scalars through `&Store`, and writes
-//! only its sinks and its own state. The dispatch hands it one sink per
-//! array the body stores to (`WriteSink`), built from its mode: its
-//! in-place window of the master's buffer, its append buffer, or its
-//! own copy of the array — logged for the commit, or privatized
-//! scratch the commit ignores — taken as it pins it. Each strategy's
-//! rules live in those sinks and nowhere else. The chunk runs in a slot
-//! the run keeps (`Chunk`: chunk `k` in slot `k`, chunk 0 on the
-//! calling thread), and leaves there what the commit reads: its sinks,
-//! filled, its registers, spent cost, fuel and loop and stream
-//! counters, and the final values of the scalars the commit reads (the
-//! reductions and the concat pointer). The sinks are emptied once the
-//! dispatch settles: a slot keeps its vectors, not what a chunk wrote.
-//! No chunk ever writes the master's scalars, statistics or fuel, so a
-//! failed dispatch has nothing to put back but what its in-place
-//! targets held.
+//! only reads**: the loop's lowering (memoized per statement in the
+//! run's [`ProgramScope`](crate::interp::ProgramScope)) over its whole
+//! range in one call (`FState::run`), with the master's fuel and the
+//! deadline and strategy checks between the iterations of every loop of
+//! the nest. It writes only its sinks — one per array the body stores
+//! to (`WriteSink`), built from the dispatch's mode: its in-place window
+//! of the master's buffer, its append buffer, or its own copy, logged
+//! or privatized — and its slot (`Chunk`): registers, cost, fuel,
+//! counters and the finals of the scalars the commit reads. Each
+//! strategy's rules live in those sinks and nowhere else. No chunk
+//! writes the master's scalars, statistics or fuel, so a failed
+//! dispatch has nothing to put back but what its in-place targets held.
 //!
 //! # One commit
 //!
-//! A single two-phase commit walks the body's pin slots across the
-//! chunks, whatever the strategy, in `O(total writes)`. It validates
-//! before the first master mutation: append deltas against buffer
-//! lengths and the concatenated extent, then the logged columns'
-//! claims. Conflicts are detected *positionally*, in a dense owner table
-//! per logged array (one small integer per element: unclaimed, or the
-//! claiming chunk), so two chunks writing one location conflict whatever
-//! values they wrote, while a chunk may rewrite its own location. Then
-//! it applies: logged columns replayed, append buffers concatenated in
-//! chunk order, window targets' versions bumped, reductions combined
-//! under the plan's [`ReduceOp`] from the first chunk's final (so one
-//! chunk leaves the sequential walk's bits). The chunks' cost, fuel and
-//! counters are folded into the master once, after it.
+//! One two-phase commit walks the body's pin slots across the chunks,
+//! whatever the strategy, in `O(total writes)`. It validates before the
+//! first master mutation — append deltas against buffer lengths and the
+//! concatenated extent, then each logged write's claim in a dense owner
+//! table per array, so two chunks writing one location conflict whatever
+//! values they wrote — and then applies: logs replayed, append buffers
+//! concatenated in chunk order, window targets' versions bumped,
+//! reductions combined under the plan's [`ReduceOp`] from the first
+//! chunk's final (so one chunk leaves the sequential walk's bits). The
+//! chunks' cost, fuel and counters reach the master after it.
 //!
-//! The property-based soundness tests use this to assert: *loops judged
-//! parallel produce exactly the sequential result, with no conflicting
-//! writes*.
+//! # One failure vocabulary
 //!
-//! A dispatch whose nest cannot run that way is refused before any
-//! chunk runs, with the master untouched ([`ParallelError::Untyped`]),
-//! and the sequential tier runs the loop: a nest that does not lower
-//! (a `print`, a `call`), one that can assign a scalar the commit would
-//! have to claim — neither privatized, nor a reduction, nor the concat
-//! pointer — or one whose arrays hold another element type than
-//! declared (a preset may install either).
+//! The typed loop's checks, a chunk, the commit and the dispatch all
+//! return one `Abort`: the program's own `ExecError`, which propagates,
+//! or the [`FallbackReason`] the interpreter hands the dispatcher before
+//! it runs the loop sequentially, with the variable it blames where
+//! there is one. Before any chunk runs, with the master untouched, a
+//! dispatch is `Unsupported` for a non-unit step, a trip count the
+//! chunk arithmetic cannot hold, a nest that does not lower, an array of
+//! another element type than declared (a preset may install either),
+//! or a scalar the nest can assign that the commit cannot claim
+//! (neither privatized, nor a reduction, nor the concat pointer). After
+//! hand-off it is `Panic`, `Timeout`, `Strategy` (an access outside a
+//! window, a broken append discipline, appends past the extent) or
+//! `Conflict`. A violation in any chunk outranks every other failure;
+//! otherwise the first in chunk order — iteration order — is reported,
+//! so a chunk's error is the one the sequential run raises.
 //!
 //! # Execution strategies
 //!
-//! Logged columns are the safety net, not the only sink. When the
-//! compiler proved *where* a loop writes, the dispatch can skip the
-//! *conflict machinery the proof made redundant*
-//! ([`ExecutionStrategy`]):
+//! Logged columns are the safety net. When the compiler proved *where*
+//! a loop writes, the dispatch skips the conflict machinery the proof
+//! made redundant ([`ExecutionStrategy`]); the executor re-derives the
+//! proof itself per loop ([`irr_driver::derive_in_place_facts`],
+//! [`irr_driver::derive_concat_shape`]) and downgrades to the write-log
+//! when it cannot, so a forged verdict never reaches the raw write path.
 //!
 //! - [`ExecutionStrategy::InPlaceDisjoint`] — every access to a target
-//!   array has one [`WriteShape`], from which the executor computes
-//!   what each chunk may touch: workers read and write the master
-//!   buffers directly (no payload clone, no log, nothing to replay). The
-//!   executor re-derives the shapes itself per dispatch
-//!   ([`irr_driver::derive_in_place_facts`]) and silently downgrades
-//!   to the write-log when it cannot — a forged verdict can never
-//!   reach the raw write path. What it then relies on:
-//!   - **Windows are enforced.** An affine target `a(i + c)` gives
-//!     chunk `[clo, chi]` the window `[clo + c, chi + c]`; an
-//!     offset–length target `a(ptr(i) + e)` the window
-//!     `[ptr(clo), ptr(chi + 1))`, read off the live `ptr` at the chunk
-//!     boundaries (a `ptr` that does not rise along them downgrades).
-//!     A worker reaches the target only through that window — the
-//!     typed loop's pin *is* the window, so its one bounds compare per
-//!     access confines loads and stores alike — and an access to the
-//!     array outside it is a [`ParallelError::StrategyViolation`]
-//!     raised at that access. Windows of one target are disjoint, so
-//!     chunks are race-free and sequentially equivalent whatever the
-//!     proof said; the proof only predicts that nothing trips.
-//!   - **Index facts are version-checked.** A scatter target
-//!     `b(p(i + c))` has no window: its chunks write disjoint *sets*
-//!     exactly when `p` is injective on the dispatch's section, and
-//!     only an [`IndexFacts`] says so — built by this crate's one
-//!     index scan, carried in the plan, and accepted only when it says
-//!     `injective` and while it covers the section, the live store is
-//!     the one that was scanned and `p`'s write-version in it is the
-//!     one it was scanned at. Absent, stale or mismatched means
-//!     write-log, whose commit still catches a real conflict.
-//!   - **Read targets are undone.** A failed dispatch may have dirtied
-//!     its targets. One the nest reads would feed the sequential
-//!     fallback half-updated values, so the master copies its dispatch
-//!     window aside before hand-off and puts it back on every exit but
-//!     the commit. A chunk that ran beside a violating one may moreover
-//!     have computed — and branched — on state a sequential run would
-//!     have changed, so in a nest that reads *any* target the
-//!     write-only ones are copied aside too, unless the fallback
-//!     rewrites them whatever happened (one cell per iteration, written
-//!     unconditionally; a scatter target without that downgrades), and
-//!     a violation in any chunk outranks an error from any other. Only
-//!     in a nest that reads no target is rollback free: its chunks did
-//!     what the sequential run does, and the fallback does it again.
-//! - [`ExecutionStrategy::PrivatizeAndConcat`] — consecutively-written
-//!   arrays (`p = p + 1; a(p) = ...`) buffer per worker and
-//!   concatenate positionally at commit; the append discipline is
-//!   re-validated dynamically (contiguous positions, pointer delta ==
-//!   buffer length per chunk).
+//!   has one [`WriteShape`], from which each chunk's window follows:
+//!   `[clo + c, chi + c]` for an affine `a(i + c)`, `[ptr(clo),
+//!   ptr(chi + 1))` off the live `ptr` for an offset–length `a(ptr(i) +
+//!   e)` (boundaries that do not rise downgrade). The typed loop's pin
+//!   *is* the window, so its one bounds compare per access confines
+//!   loads and stores alike, and a miss inside the array is a `Strategy`
+//!   fallback at that access. A scatter `b(p(i + c))` has no window: it
+//!   writes in place only under [`IndexFacts`] from this crate's index
+//!   scan that say `p` is injective on the section, of the live store
+//!   and `p`'s current write-version. A target the nest reads is copied
+//!   aside at hand-off and put back on every exit but the commit; in a
+//!   nest that reads any target the write-only ones are too (a chunk
+//!   beside a violating one may have branched on state the sequential
+//!   run would have changed), unless the fallback rewrites them anyway
+//!   (one cell per iteration, written unconditionally; a scatter
+//!   without that downgrades).
+//! - [`ExecutionStrategy::PrivatizeAndConcat`] — consecutively written
+//!   arrays (`p = p + 1; a(p) = ...`) buffer per chunk and concatenate
+//!   in chunk order at commit; the append discipline (pointer delta ==
+//!   buffer length per chunk) is re-validated there.
 
-use crate::bytecode::{ChunkAbort, CompiledBody, Deadline, FState, Typed};
+use crate::bytecode::{CompiledBody, Deadline, FState, Typed};
+use crate::dispatch::{Abort, FallbackReason};
 use crate::fault::FaultKind;
-use crate::interp::{
-    ExecError, InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value, WriteSink,
-};
+use crate::interp::{InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value, WriteSink};
 use crate::pool::WorkerPool;
 use crate::runtime_test::IndexFacts;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
@@ -223,7 +185,7 @@ pub struct ParallelPlan {
     /// Per-chunk wall-clock deadline in milliseconds, checked between
     /// the iterations (and stream strips) of every loop of the nest, not
     /// only the root's: a worker still running past it aborts its chunk
-    /// and the dispatch fails with [`ParallelError::Timeout`] (so a
+    /// and the dispatch falls back for [`FallbackReason::Timeout`] (so a
     /// runaway worker becomes a sequential fallback instead of a wedged
     /// run). `None` disables the watchdog — the hot path then never
     /// reads a clock.
@@ -319,103 +281,6 @@ fn shared<T, I: Iterator<Item = T>>(items: impl Fn() -> I) -> Arc<[T]> {
     }
 }
 
-/// Errors from parallel verification.
-#[derive(Debug)]
-pub enum ParallelError {
-    /// A runtime error inside a worker.
-    Exec(ExecError),
-    /// Two chunks wrote the same location (a write-write conflict —
-    /// the loop was not actually parallel).
-    WriteConflict { var: String },
-    /// A chunk panicked — on a pooled thread or on the dispatching
-    /// thread, which runs chunks too; the panic message is preserved so
-    /// the verification fails with a diagnosis instead of aborting the
-    /// process.
-    WorkerPanic { detail: String },
-    /// The designated statement is not a `do` loop.
-    NotADoLoop,
-    /// The loop has a non-unit step, which the chunked executor does
-    /// not support.
-    UnsupportedStep { step: i64 },
-    /// A worker exceeded the plan's per-worker deadline (watchdog): the
-    /// chunk was abandoned and the whole dispatch must fall back.
-    Timeout { worker: usize, deadline_ms: u64 },
-    /// An execution strategy's dynamic self-check failed: an in-place
-    /// access left its chunk's window, an append sequence broke the
-    /// consecutive-write discipline (pointer delta != buffer length,
-    /// non-contiguous positions), or the chunks' appends together run
-    /// past the target's extent. The dispatch falls back sequentially.
-    StrategyViolation { var: String, strategy: &'static str },
-    /// The nest cannot run on the typed loop, which is what every
-    /// worker chunk runs: it does not lower, it can assign a scalar the
-    /// commit would have to claim, or an array holds another element
-    /// type than declared. Raised before any chunk runs.
-    Untyped { reason: String },
-}
-
-impl std::fmt::Display for ParallelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParallelError::Exec(e) => write!(f, "worker failed: {e}"),
-            ParallelError::WriteConflict { var } => {
-                write!(f, "conflicting parallel writes to `{var}`")
-            }
-            ParallelError::WorkerPanic { detail } => {
-                write!(f, "parallel worker panicked: {detail}")
-            }
-            ParallelError::NotADoLoop => write!(f, "parallel target is not a do loop"),
-            ParallelError::UnsupportedStep { step } => {
-                write!(
-                    f,
-                    "do-loop step {step} is unsupported by the chunked executor (unit step only)"
-                )
-            }
-            ParallelError::Timeout {
-                worker,
-                deadline_ms,
-            } => {
-                write!(
-                    f,
-                    "parallel worker {worker} exceeded its {deadline_ms} ms deadline"
-                )
-            }
-            ParallelError::StrategyViolation { var, strategy } => {
-                write!(f, "execution strategy {strategy} violated on `{var}`")
-            }
-            ParallelError::Untyped { reason } => {
-                write!(f, "workers cannot run the loop on the typed loop: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParallelError {}
-
-impl From<ExecError> for ParallelError {
-    fn from(e: ExecError) -> Self {
-        ParallelError::Exec(e)
-    }
-}
-
-impl ParallelError {
-    /// The reason code the sequential fallback records for this error.
-    /// `None` for [`ParallelError::Exec`]: a genuine runtime error is
-    /// the program's fault, not the dispatch's, and must propagate.
-    pub fn fallback_reason(&self) -> Option<crate::dispatch::FallbackReason> {
-        use crate::dispatch::FallbackReason;
-        match self {
-            ParallelError::Exec(_) => None,
-            ParallelError::WriteConflict { .. } => Some(FallbackReason::Conflict),
-            ParallelError::WorkerPanic { .. } => Some(FallbackReason::Panic),
-            ParallelError::NotADoLoop
-            | ParallelError::UnsupportedStep { .. }
-            | ParallelError::Untyped { .. } => Some(FallbackReason::Unsupported),
-            ParallelError::Timeout { .. } => Some(FallbackReason::Timeout),
-            ParallelError::StrategyViolation { .. } => Some(FallbackReason::Strategy),
-        }
-    }
-}
-
 /// One chunk's slot, kept by the run between dispatches: the state the
 /// chunk runs in — its registers, cost and counters, which the commit
 /// reads instead of a store ([`FState`]) — its sinks, the final values
@@ -430,9 +295,8 @@ pub(crate) struct Chunk {
     /// The final value of each of the plan's reductions, in its order,
     /// then, under concat, of the append pointer.
     finals: Vec<Value>,
-    /// Why the chunk failed, as the dispatch would report it; `None`
-    /// when it ran its range.
-    failed: Option<ParallelError>,
+    /// Why the chunk failed; `None` when it ran its range.
+    failed: Option<Abort>,
 }
 
 /// One in-place target of a dispatch: the master buffer, and where its
@@ -879,12 +743,11 @@ impl Watch {
 /// statistics, fuel — is mutated only after every chunk completed and
 /// the commit validated what the chunks wrote; an in-place dispatch,
 /// whose chunks write the master's buffers as they go, instead restores
-/// its targets from the images taken at hand-off. On any
-/// [`ParallelError`] the master is as it was at entry — up to in-place
-/// targets that needed no image, possibly dirty, which a sequential
-/// re-execution rewrites location by location — so the caller can
-/// re-execute the loop sequentially (the interpreter's dispatch site
-/// does precisely that; see `Interp::exec_stmt_with`).
+/// its targets from the images taken at hand-off. On any [`Abort`] the
+/// master is as it was at entry — up to in-place targets that needed no
+/// image, possibly dirty, which a sequential re-execution rewrites
+/// location by location — so the interpreter's `Do` arm can run the
+/// loop sequentially.
 ///
 /// The chunks' statistics and fuel consumption are folded into the
 /// master interpreter; the induction variable is left at `hi + 1` (or
@@ -896,19 +759,7 @@ impl Watch {
 ///
 /// Returns what was [`Committed`]: the strategy that actually ran (a
 /// zero-trip dispatch commits trivially under the planned one) and how
-/// many chunks ran.
-///
-/// # Errors
-///
-/// [`ParallelError::NotADoLoop`] when the statement is not a `do` loop;
-/// [`ParallelError::UnsupportedStep`] when `step != 1` or the trip
-/// count (or `hi + 1`) does not fit the chunk arithmetic;
-/// [`ParallelError::Untyped`] when the nest cannot run on the typed
-/// loop; [`ParallelError::WriteConflict`] when chunks write the same
-/// location; [`ParallelError::WorkerPanic`] when a chunk
-/// panics; [`ParallelError::Timeout`] when a worker overruns the
-/// deadline; [`ParallelError::StrategyViolation`] when a strategy's
-/// dynamic self-check fails; worker [`ExecError`]s are propagated.
+/// many chunks ran; otherwise why not, as the module docs list it.
 pub(crate) fn exec_do_parallel(
     interp: &mut Interp<'_>,
     loop_stmt: StmtId,
@@ -916,14 +767,15 @@ pub(crate) fn exec_do_parallel(
     lo: i64,
     hi: i64,
     step: i64,
-) -> Result<Committed, ParallelError> {
+) -> Result<Committed, Abort> {
     let program = interp.program();
     let StmtKind::Do { var, .. } = &program.stmt(loop_stmt).kind else {
-        return Err(ParallelError::NotADoLoop);
+        unreachable!("only the interpreter's `Do` arm dispatches");
     };
     let var = *var;
+    let unsupported = || Err(Abort::Fallback(FallbackReason::Unsupported, None));
     if step != 1 {
-        return Err(ParallelError::UnsupportedStep { step });
+        return unsupported();
     }
     let ty = program.symbols.var(var).ty;
     if lo > hi {
@@ -943,7 +795,7 @@ pub(crate) fn exec_do_parallel(
     // the sequential fallback like any other unsupported shape.
     let trip = hi.checked_add(1).and_then(|end| end.checked_sub(lo));
     let Some(n) = trip.and_then(|t| usize::try_from(t).ok()) else {
-        return Err(ParallelError::UnsupportedStep { step });
+        return unsupported();
     };
     // The loop's one memo lookup: its lowering — every chunk runs the
     // typed loop, or the dispatch does not happen; a pure function of
@@ -954,14 +806,14 @@ pub(crate) fn exec_do_parallel(
     // (always safe) write-log.
     let memo = interp.memo(loop_stmt);
     let Some(body) = memo.body.clone() else {
-        return untyped("the nest does not lower".to_string());
+        return unsupported();
     };
     let derived = memo
         .shapes
         .keyed(plan)
         .derive(program, loop_stmt, plan.strategy);
     if !interp.fast_ready(&body) {
-        return untyped("an array holds another element type than declared".to_string());
+        return unsupported();
     }
     let chunks = Chunks::new(lo, n, plan.threads);
     let mut buffers = std::mem::take(&mut interp.scope.buffers);
@@ -982,10 +834,6 @@ pub(crate) fn exec_do_parallel(
     })
 }
 
-fn untyped<T>(reason: String) -> Result<T, ParallelError> {
-    Err(ParallelError::Untyped { reason })
-}
-
 /// Resolves the dispatch's mode against the live store, checks that the
 /// commit can claim every scalar the nest assigns, runs the chunks and
 /// commits them ([`run_chunks`]). Returns the strategy that committed
@@ -997,8 +845,7 @@ fn run(
     chunks: Chunks,
     derived: Derived,
     buffers: &mut DispatchBuffers,
-) -> Result<(ExecutionStrategy, u64), ParallelError> {
-    let program = interp.program();
+) -> Result<(ExecutionStrategy, u64), Abort> {
     let DispatchBuffers { in_place, slots } = buffers;
     let mode = match derived {
         Derived::WriteLog => Mode::WriteLog,
@@ -1027,10 +874,7 @@ fn run(
             || mode.pointer().is_some_and(|(ptr, _)| ptr == v)
     };
     if let Some(v) = body.assigned_scalars().find(|&v| !claim_exempt(v)) {
-        let name = program.symbols.name(v);
-        return untyped(format!(
-            "the nest assigns `{name}`, which the commit would claim"
-        ));
+        return Err(Abort::Fallback(FallbackReason::Unsupported, Some(v)));
     }
     // Chunk `k` runs in slot `k`.
     let slots = first(slots, chunks.count);
@@ -1055,7 +899,7 @@ fn run_chunks(
     mode: &Mode<'_>,
     chunks: Chunks,
     slots: &mut [Chunk],
-) -> Result<u64, ParallelError> {
+) -> Result<u64, Abort> {
     let program = interp.program();
     let (store, fuel) = (&interp.store, interp.fuel);
     let watch = Watch::new(plan, chunks);
@@ -1069,23 +913,20 @@ fn run_chunks(
             let deadline = watch.start(widx);
             c.st.run(cx, body, (clo, chi, 1), (fuel, deadline), &mut c.sinks)
         }));
+        let ran = ran.unwrap_or(Err(Abort::Fallback(FallbackReason::Panic, None)));
         c.finals.clear();
-        c.failed = match ran {
-            Ok(Ok(())) => {
-                let ended = finals.clone().map(|v| c.st.scalar(body, store, v));
-                c.finals.extend(ended);
-                None
-            }
-            Ok(Err(abort)) => Some(chunk_error(program, plan, mode, widx, Ok(abort))),
-            Err(payload) => Some(chunk_error(program, plan, mode, widx, Err(payload))),
-        };
+        if ran.is_ok() {
+            let ended = finals.clone().map(|v| c.st.scalar(body, store, v));
+            c.finals.extend(ended);
+        }
+        c.failed = ran.err();
     };
     interp.scope.spawned += WorkerPool::dispatch(&mut interp.scope.pool, slots, run_chunk);
     // Test-only and outside the transaction: lets a test see what the
     // chunks that ran to an end ran on, also in a dispatch that fails.
     #[cfg(test)]
     for c in slots.iter() {
-        if !matches!(c.failed, Some(ParallelError::WorkerPanic { .. })) {
+        if !matches!(c.failed, Some(Abort::Fallback(FallbackReason::Panic, _))) {
             interp.probe.add(&c.st.probe);
         }
     }
@@ -1121,36 +962,12 @@ fn run_chunks(
 /// changed under it; its error is not the program's. Otherwise the
 /// first failure in chunk order, which is iteration order, so a chunk's
 /// error is the one the sequential run raises.
-fn failure(chunks: &mut [Chunk]) -> Option<ParallelError> {
-    let violated = |c: &Chunk| matches!(c.failed, Some(ParallelError::StrategyViolation { .. }));
+fn failure(chunks: &mut [Chunk]) -> Option<Abort> {
+    let violated =
+        |c: &Chunk| matches!(c.failed, Some(Abort::Fallback(FallbackReason::Strategy, _)));
     let first = chunks.iter().position(violated);
     let k = first.or_else(|| chunks.iter().position(|c| c.failed.is_some()))?;
     chunks[k].failed.take()
-}
-
-/// The failure chunk `widx`'s abort — or, caught at the chunk boundary,
-/// its panic — is to the dispatch.
-fn chunk_error(
-    program: &Program,
-    plan: &ParallelPlan,
-    mode: &Mode<'_>,
-    widx: usize,
-    abort: std::thread::Result<ChunkAbort>,
-) -> ParallelError {
-    match abort {
-        Err(payload) => ParallelError::WorkerPanic {
-            detail: panic_message(payload),
-        },
-        Ok(ChunkAbort::TimedOut) => ParallelError::Timeout {
-            worker: widx,
-            deadline_ms: plan.deadline_ms.unwrap_or(0),
-        },
-        Ok(ChunkAbort::Exec(e)) => ParallelError::Exec(e),
-        Ok(ChunkAbort::Violated(v)) => ParallelError::StrategyViolation {
-            var: program.symbols.name(v).to_string(),
-            strategy: mode.strategy().name(),
-        },
-    }
 }
 
 /// Chaos hook: reports a conflict that never happened, exactly at the
@@ -1159,11 +976,9 @@ fn chunk_error(
 /// back sequentially. (An in-place mode's chunks have written their
 /// windows by then: the caller rolls those back like after any other
 /// failure.)
-fn forged(plan: &ParallelPlan) -> Result<(), ParallelError> {
+fn forged(plan: &ParallelPlan) -> Result<(), Abort> {
     match plan.fault {
-        Some(FaultKind::ForgeConflict) => Err(ParallelError::WriteConflict {
-            var: "<injected-fault>".to_string(),
-        }),
+        Some(FaultKind::ForgeConflict) => Err(Abort::Fallback(FallbackReason::Conflict, None)),
         _ => Ok(()),
     }
 }
@@ -1188,17 +1003,17 @@ const MAX_WORKERS: usize = u16::MAX as usize - 1;
 /// 2. the concatenated appends must fit each target's extent. Each chunk
 ///    appended from `p0`, so its own subscripts stayed in range even
 ///    where the concatenation does not: an overrun is a
-///    [`ParallelError::StrategyViolation`] on the target (outranking
-///    any conflict), and the sequential fallback raises the program's
-///    own out-of-bounds error;
+///    [`FallbackReason::Strategy`] on the target (outranking any
+///    conflict), and the sequential fallback raises the program's own
+///    out-of-bounds error;
 /// 3. every logged write claims its location for its chunk in the
 ///    array's owner table (one small integer per element: unclaimed, or
 ///    the claiming chunk, zero-allocated, touched only where written). A
 ///    chunk may rewrite its own location; a second chunk touching one
-///    is a [`ParallelError::WriteConflict`] — values are never
-///    compared, so a write that restores the pre-loop value cannot mask
-///    a conflict. Chunks bounds-checked every write against their
-///    copies, whose extents are the master's.
+///    is a [`FallbackReason::Conflict`] — values are never compared,
+///    so a write that restores the pre-loop value cannot mask a
+///    conflict. Chunks bounds-checked every write against their copies,
+///    whose extents are the master's.
 ///
 /// **Apply**, which cannot fail: logged columns are replayed in chunk
 /// order (a chunk's last write to a location wins, and chunks never
@@ -1215,16 +1030,13 @@ fn commit(
     mode: &Mode<'_>,
     body: &CompiledBody,
     chunks: &[Chunk],
-) -> Result<(), ParallelError> {
+) -> Result<(), Abort> {
     let program = interp.program();
     let sinks = |k: usize| chunks.iter().map(move |c| c.sinks[k].as_ref());
     // ---- Validate (no master mutation) ----
     let mut appended: i64 = 0;
     if let Some((ptr, p0)) = mode.pointer() {
-        let violation = |v: VarId| ParallelError::StrategyViolation {
-            var: program.symbols.name(v).to_string(),
-            strategy: ExecutionStrategy::PrivatizeAndConcat.name(),
-        };
+        let violation = |v: VarId| Abort::Fallback(FallbackReason::Strategy, Some(v));
         for c in chunks {
             let dp = c.finals[plan.reductions.len()].as_int() - p0;
             if dp < 0 {
@@ -1272,9 +1084,7 @@ fn commit(
                     *owner = me;
                     *claimed += 1;
                 } else if *owner != me {
-                    return Err(ParallelError::WriteConflict {
-                        var: program.symbols.name(a).to_string(),
-                    });
+                    return Err(Abort::Fallback(FallbackReason::Conflict, Some(a)));
                 }
             }
         }
@@ -1324,19 +1134,6 @@ fn commit(
     Ok(())
 }
 
-/// Renders a chunk's panic payload. Takes the box itself: a `&Box<dyn
-/// Any>` coerces to `&dyn Any` *of the box*, on which every downcast
-/// fails and the message is lost.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast_ref::<&str>() {
-            Some(s) => (*s).to_string(),
-            None => "opaque panic payload".to_string(),
-        },
-    }
-}
-
 /// Folds one worker's final reduction value into the accumulator.
 /// Integer sums wrap, like the language's own integer arithmetic
 /// (`apply_bin`): the sequential loop wraps and completes, so the
@@ -1363,8 +1160,7 @@ fn combine_reduction(op: ReduceOp, acc: Value, theirs: Value, base: Value) -> Va
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::FallbackReason;
-    use crate::interp::{ArrayData, ExecStats};
+    use crate::interp::{ArrayData, ExecError, ExecStats};
     use irr_frontend::parse_program;
 
     /// A fresh interpreter on `p` with every array allocated, as a run
@@ -1418,7 +1214,7 @@ mod tests {
         p: &'p Program,
         n: usize,
         plan: &ParallelPlan,
-    ) -> (Interp<'p>, Result<Committed, ParallelError>) {
+    ) -> (Interp<'p>, Result<Committed, Abort>) {
         let mut interp = live(p);
         let target = nth_do(p, n);
         for &s in p.procedure(p.main()).body.iter() {
@@ -1446,7 +1242,7 @@ mod tests {
     fn dispatch_first_do<'p>(
         p: &'p Program,
         plan: &ParallelPlan,
-    ) -> (Interp<'p>, Result<Committed, ParallelError>) {
+    ) -> (Interp<'p>, Result<Committed, Abort>) {
         dispatch_nth_do(p, 0, plan)
     }
 
@@ -1461,7 +1257,8 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
-        assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
+        let x = p.symbols.lookup("x");
+        assert_eq!(res, Err(Abort::Fallback(FallbackReason::Conflict, x)));
         // Every chunk ran typed, through the logged sink.
         assert_eq!(master.probe.typed_root_iters, 100);
     }
@@ -1487,10 +1284,8 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(2));
-        assert!(
-            matches!(res, Err(ParallelError::WriteConflict { ref var }) if var == "x"),
-            "expected a write conflict on x, got {res:?}"
-        );
+        let x = p.symbols.lookup("x");
+        assert_eq!(res, Err(Abort::Fallback(FallbackReason::Conflict, x)));
         assert_eq!(master.probe.typed_root_iters, 100);
     }
 
@@ -1508,7 +1303,8 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
-        assert!(matches!(res, Err(ParallelError::WriteConflict { .. })));
+        let x = p.symbols.lookup("x");
+        assert_eq!(res, Err(Abort::Fallback(FallbackReason::Conflict, x)));
         assert_eq!(master.probe.typed_root_iters, 100);
     }
 
@@ -1622,12 +1418,8 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(4));
-        let err = res.unwrap_err();
-        assert!(
-            matches!(&err, ParallelError::Untyped { reason } if reason.contains("`last`")),
-            "{err:?}"
-        );
-        assert_eq!(err.fallback_reason(), Some(FallbackReason::Unsupported));
+        let last = p.symbols.lookup("last");
+        assert_eq!(res, Err(Abort::Fallback(FallbackReason::Unsupported, last)));
         assert_eq!(master.probe.typed_root_iters, 0);
         assert_eq!(master.store, live(&p).store);
         assert_eq!(master.stats.total_cost, 0);
@@ -1704,7 +1496,7 @@ mod tests {
             let plan = ParallelPlan::with_threads(3);
             let err = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 100, 1).unwrap_err();
             assert!(
-                matches!(&err, ParallelError::Exec(e) if *e == expected),
+                matches!(&err, Abort::Exec(e) if *e == expected),
                 "fuel {fuel}: {err:?}"
             );
             assert!(before == state(&interp), "fuel {fuel}: master changed");
@@ -1919,11 +1711,7 @@ mod tests {
         let mut interp = live(&p);
         let plan = ParallelPlan::with_threads(4);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 2).unwrap_err();
-        assert!(
-            matches!(err, ParallelError::UnsupportedStep { step: 2 }),
-            "got {err:?}"
-        );
-        assert!(err.to_string().contains("step 2"), "{err}");
+        assert_eq!(err, Abort::Fallback(FallbackReason::Unsupported, None));
     }
 
     /// A nest the lowering rejects — `min` with one argument, which the
@@ -1940,12 +1728,7 @@ mod tests {
              end";
         let p = parse_program(src).unwrap();
         let (master, res) = dispatch_first_do(&p, &ParallelPlan::with_threads(2));
-        let err = res.unwrap_err();
-        assert!(
-            matches!(&err, ParallelError::Untyped { reason } if reason.contains("lower")),
-            "got {err:?}"
-        );
-        assert_eq!(err.fallback_reason(), Some(FallbackReason::Unsupported));
+        assert_eq!(res, Err(Abort::Fallback(FallbackReason::Unsupported, None)));
         assert_eq!(master.worker_threads_spawned(), 0);
     }
 
@@ -2019,11 +1802,7 @@ mod tests {
                 ..ParallelPlan::with_threads(3)
             };
             let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 90, 1).unwrap_err();
-            assert!(
-                matches!(&err, ParallelError::WorkerPanic { detail }
-                    if *detail == format!("injected fault: worker {worker} panic")),
-                "got {err:?}"
-            );
+            assert_eq!(err, Abort::Fallback(FallbackReason::Panic, None));
             assert_eq!(interp.store, before);
             assert_eq!(interp.stats.total_cost, 0);
             // The two healthy chunks were awaited, not abandoned.
@@ -2066,7 +1845,7 @@ mod tests {
             ..ParallelPlan::with_threads(2)
         };
         let err = exec_do_parallel(&mut interp, nth_do(&p, 1), &plan, 1, 64, 1).unwrap_err();
-        assert!(matches!(err, ParallelError::WorkerPanic { .. }), "{err:?}");
+        assert_eq!(err, Abort::Fallback(FallbackReason::Panic, None));
         assert_eq!(interp.store, before);
     }
 
@@ -2276,7 +2055,8 @@ mod tests {
                 } else {
                     // Nor can a typed worker hand back an unexplained
                     // `s`: the dispatch is refused.
-                    assert!(matches!(got, Err(ParallelError::Untyped { .. })), "{got:?}");
+                    let refused = Abort::Fallback(FallbackReason::Unsupported, Some(s));
+                    assert_eq!(got, Err(refused));
                 }
                 let memo = &interp.scope.loops[&first_do(&p)].shapes;
                 assert_eq!(memo.in_place.as_ref().unwrap().is_some(), declared);
@@ -2354,7 +2134,7 @@ mod tests {
         };
         let mut interp = live(&p);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
-        assert!(matches!(err, ParallelError::Exec(_)), "got {err:?}");
+        assert!(matches!(err, Abort::Exec(_)), "got {err:?}");
     }
 
     #[test]
@@ -2376,7 +2156,7 @@ mod tests {
         };
         let mut interp = live(&p);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
-        assert!(matches!(err, ParallelError::Exec(_)), "got {err:?}");
+        assert!(matches!(err, Abort::Exec(_)), "got {err:?}");
     }
 
     #[test]
@@ -2436,14 +2216,8 @@ mod tests {
         let mut interp = live(&p);
         let before = interp.store.clone();
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
-        assert!(
-            matches!(
-                &err,
-                ParallelError::StrategyViolation { var, strategy }
-                    if var == "ind" && *strategy == "privatize-concat"
-            ),
-            "got {err:?}"
-        );
+        let ind = p.symbols.lookup("ind");
+        assert_eq!(err, Abort::Fallback(FallbackReason::Strategy, ind));
         assert_eq!(interp.store, before);
         assert_eq!(interp.stats.total_cost, 0);
     }
@@ -2494,22 +2268,19 @@ mod tests {
             let expected = (ExecutionStrategy::PrivatizeAndConcat, threads as u64);
             assert_eq!(dispatch(&mixed, threads).unwrap(), expected);
         }
+        let var = |name| parse_program(&mixed).unwrap().symbols.lookup(name);
         // Every chunk stores to `y(1)`: a conflict on `y`.
         let got = dispatch(&src(100, "y(1) = i"), 2);
-        assert!(
-            matches!(&got, Err(ParallelError::WriteConflict { var }) if var == "y"),
-            "got {got:?}"
+        assert_eq!(
+            got,
+            Err(Abort::Fallback(FallbackReason::Conflict, var("y")))
         );
         // Each chunk's 25 appends fit `ind(30)`, their 50 together do
         // not: the violation on the target outranks the conflict.
         let got = dispatch(&src(30, "y(1) = i"), 2);
-        assert!(
-            matches!(
-                &got,
-                Err(ParallelError::StrategyViolation { var, strategy })
-                    if var == "ind" && *strategy == "privatize-concat"
-            ),
-            "got {got:?}"
+        assert_eq!(
+            got,
+            Err(Abort::Fallback(FallbackReason::Strategy, var("ind")))
         );
     }
 
@@ -2519,7 +2290,7 @@ mod tests {
     /// chunk (and re-derives the shapes first), so these tests drive the
     /// typed loop directly. Returns how the chunk ended, the root
     /// iterations it started, and `x`.
-    fn narrowed_chunk(body: &str, hi: i64) -> (Result<(), ChunkAbort>, u64, Vec<f64>) {
+    fn narrowed_chunk(body: &str, hi: i64) -> (Result<(), Abort>, u64, Vec<f64>) {
         let src = format!(
             "program t
              integer i, k, idx(8)
@@ -2584,8 +2355,8 @@ mod tests {
                     let (res, typed_iters, x) = narrowed_chunk(&body, hi);
                     let ended = match (hi, d) {
                         (6, _) => res.is_ok(),
-                        (_, 0) => matches!(res, Err(ChunkAbort::Violated(_))),
-                        _ => matches!(&res, Err(ChunkAbort::Exec(e)) if *e == outside),
+                        (_, 0) => matches!(res, Err(Abort::Fallback(FallbackReason::Strategy, _))),
+                        _ => matches!(&res, Err(Abort::Exec(e)) if *e == outside),
                     };
                     assert!(ended, "{body}: {res:?}");
                     assert_eq!(typed_iters, typed, "{body}");
@@ -2608,7 +2379,10 @@ mod tests {
     #[test]
     fn a_stream_declines_a_window_its_range_does_not_fit() {
         let (res, typed_iters, x) = narrowed_chunk("x(i) = y(i) * 1.5 + 0.25", 8);
-        assert!(matches!(res, Err(ChunkAbort::Violated(_))), "{res:?}");
+        assert!(
+            matches!(res, Err(Abort::Fallback(FallbackReason::Strategy, _))),
+            "{res:?}"
+        );
         assert_eq!(typed_iters, 5);
         assert_eq!(x, [0.0, 0.0, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0]);
     }
@@ -2655,7 +2429,7 @@ mod tests {
         len: &[i64],
         c: &[f64],
         fault: Option<FaultKind>,
-    ) -> (Interp<'p>, Interp<'p>, Result<Committed, ParallelError>) {
+    ) -> (Interp<'p>, Interp<'p>, Result<Committed, Abort>) {
         let var = |name: &str| p.symbols.lookup(name).unwrap();
         let fresh = || {
             let mut it = Interp::new(p);
@@ -2709,7 +2483,7 @@ mod tests {
         // the program's own error.
         let (_, _, res) = segment_walk(&p, &[1, 3, 6, 8, 11], &[2, 3, 2, 3], &held, None);
         assert!(
-            matches!(res, Err(ParallelError::Exec(ExecError::OutOfBounds { .. }))),
+            matches!(res, Err(Abort::Exec(ExecError::OutOfBounds { .. }))),
             "{res:?}"
         );
     }
@@ -2727,15 +2501,7 @@ mod tests {
         let c = p.symbols.lookup("c").unwrap();
         let held = [0.5, 1.5, 2.5, 3.5, 0.0, 5.5, 6.5, 7.5];
         let (master, seq, res) = segment_walk(&p, &[1, 3, 5, 5, 7], &[2, 3, 0, 2], &held, None);
-        assert!(
-            matches!(
-                &res,
-                Err(ParallelError::StrategyViolation { var, strategy })
-                    if var == "c" && *strategy == "in-place-disjoint"
-            ),
-            "{res:?}"
-        );
-        assert!(res.unwrap_err().fallback_reason().is_some());
+        assert_eq!(res, Err(Abort::Fallback(FallbackReason::Strategy, Some(c))));
         assert_eq!(master.store.array_as_reals(c).unwrap(), held);
         assert_eq!(master.store.array_version(c), 1);
         assert_eq!(master.stats.total_cost, 0);
@@ -2759,10 +2525,8 @@ mod tests {
         let x = p.symbols.lookup("x").unwrap();
         let held = [0.5, 1.5, 2.5, 3.5, 0.0, 5.5, 6.5, 7.5];
         let (master, seq, res) = segment_walk(&p, &[1, 3, 5, 5, 7], &[2, 3, 0, 2], &held, None);
-        assert!(
-            matches!(res, Err(ParallelError::StrategyViolation { .. })),
-            "{res:?}"
-        );
+        let c = p.symbols.lookup("c");
+        assert_eq!(res, Err(Abort::Fallback(FallbackReason::Strategy, c)));
         assert_eq!(master.store.array_as_reals(x).unwrap(), [0.0; 4]);
         assert_eq!(seq.store.array_as_reals(x).unwrap(), [0.0; 4]);
         // Without the overreach the same request commits, `x` included.
@@ -2778,21 +2542,12 @@ mod tests {
     fn a_violation_in_any_chunk_outranks_an_error_from_any_other() {
         let p = parse_program("program t\n real c(2)\n end").unwrap();
         let c = p.symbols.lookup("c").unwrap();
-        let plan = ParallelPlan::with_threads(2);
-        let mode = Mode::InPlace(&InPlace::default());
-        let mut chunks = [
-            ChunkAbort::Exec(ExecError::DivisionByZero),
-            ChunkAbort::Violated(c),
-        ]
-        .map(|abort| Chunk {
-            failed: Some(chunk_error(&p, &plan, &mode, 0, Ok(abort))),
+        let violated = || Abort::Fallback(FallbackReason::Strategy, Some(c));
+        let mut chunks = [Abort::Exec(ExecError::DivisionByZero), violated()].map(|abort| Chunk {
+            failed: Some(abort),
             ..Chunk::default()
         });
-        let got = failure(&mut chunks);
-        assert!(
-            matches!(&got, Some(ParallelError::StrategyViolation { var, .. }) if var == "c"),
-            "{got:?}"
-        );
+        assert_eq!(failure(&mut chunks), Some(violated()));
     }
 
     /// Every failure after hand-off finds the read-modify-write target
@@ -2810,7 +2565,7 @@ mod tests {
         ] {
             let (master, seq, res) =
                 segment_walk(&p, &[1, 3, 6, 6, 9], &[2, 3, 0, 3], &held, Some(fault));
-            assert!(res.unwrap_err().fallback_reason().is_some(), "{fault:?}");
+            assert!(matches!(res, Err(Abort::Fallback(..))), "{fault:?}");
             assert_eq!(master.store.array_as_reals(c).unwrap(), held, "{fault:?}");
             assert_ne!(bits(&seq.store, c), bits(&master.store, c));
         }
@@ -2984,10 +2739,8 @@ mod tests {
         };
         let mut interp = live(&p);
         let err = exec_do_parallel(&mut interp, first_do(&p), &plan, 1, 100, 1).unwrap_err();
-        assert!(
-            matches!(&err, ParallelError::Untyped { reason } if reason.contains("`q`")),
-            "got {err:?}"
-        );
+        let q = p.symbols.lookup("q");
+        assert_eq!(err, Abort::Fallback(FallbackReason::Unsupported, q));
         assert_eq!(interp.store, live(&p).store);
     }
 
@@ -3491,15 +3244,15 @@ mod tests {
             for ((res, held, left), chunks) in at.iter().zip(every) {
                 let err = res.as_ref().expect_err(case);
                 let expected = match case {
-                    "violation" => err.starts_with("StrategyViolation"),
-                    "forged conflict" => err.starts_with("WriteConflict"),
-                    "panic" => err.starts_with("WorkerPanic"),
-                    "stall" => err.starts_with("Timeout"),
+                    "violation" => err.starts_with("Fallback(Strategy, Some("),
+                    "forged conflict" => err.starts_with("Fallback(Conflict"),
+                    "panic" => err.starts_with("Fallback(Panic"),
+                    "stall" => err.starts_with("Fallback(Timeout"),
                     // One chunk appends past the extent itself; of more,
                     // each stays inside it and the commit finds the
                     // overrun of their concatenation.
                     _ if chunks == 1 => err.starts_with("Exec(OutOfBounds"),
-                    _ => err.starts_with("StrategyViolation"),
+                    _ => err.starts_with("Fallback(Strategy, Some("),
                 };
                 assert!(expected, "{case} at {chunks} chunk(s): {err}");
                 assert_eq!(

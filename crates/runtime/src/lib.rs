@@ -87,8 +87,10 @@ pub struct HybridConfig {
     pub worker_deadline_ms: Option<u64>,
     /// Use proof-directed execution strategies (in-place-disjoint,
     /// privatize-and-concat) for loops whose verdicts carry the facts.
-    /// `false` forces every parallel dispatch through the write-log —
-    /// the pre-strategy behavior, kept for A/B measurement.
+    /// `false` — the pre-strategy behavior, kept for A/B measurement —
+    /// forces every parallel dispatch through the write-log, and keeps
+    /// a sequential-tier loop with consecutive-append facts sequential
+    /// instead of promoting it to a concat dispatch.
     pub enable_strategies: bool,
     /// Use the compiled execution tier for the sequential tier:
     /// sequential-tier leaf loops whose verdict carries a compiled plan
@@ -156,14 +158,16 @@ pub struct HybridDispatcher {
     /// keeps every dispatch on the ordinary path at the cost of a
     /// single `Option` check.
     fault: Option<FaultPlan>,
-    /// The loop of the most recent parallel decision, kept so a runtime
-    /// failure can quarantine exactly the schedule that failed (`key`),
-    /// and a commit can read the trip count it ran.
-    last_parallel: Option<StmtId>,
     /// The schedule key of the entry being decided — after a parallel
-    /// decision, that decision's. Rebuilt in place at every entry from
-    /// the live versions, so probing the cache allocates nothing; only
-    /// a schedule the cache admits takes a copy.
+    /// decision, that decision's, until the interpreter settles it
+    /// ([`LoopDispatcher::parallel_committed`] or
+    /// [`LoopDispatcher::parallel_failed`]) before it consults the
+    /// dispatcher again: chunks run the typed loop, which never
+    /// dispatches. So a failure quarantines exactly the schedule that
+    /// failed, and a commit reads the bounds it ran. Rebuilt in place
+    /// at every entry from the live versions, so probing the cache
+    /// allocates nothing; only a schedule the cache admits takes a
+    /// copy.
     key: ScheduleKey,
     /// Per loop, what its last committed parallel entry cost
     /// ([`Committed::cost`]) and over how many iterations: what sizes
@@ -217,7 +221,6 @@ impl HybridDispatcher {
             config,
             cache: ScheduleCache::new(),
             fault: None,
-            last_parallel: None,
             key: ScheduleKey::new((0, 0), Vec::new()),
             work: HashMap::new(),
             telemetry: Telemetry::default(),
@@ -313,7 +316,6 @@ impl HybridDispatcher {
         }
         let fault = if lo <= hi { self.decide_fault() } else { None };
         let fault = self.arm_fault(fault.filter(|k| *k != FaultKind::LieInspector));
-        self.last_parallel = Some(loop_stmt);
         let chunks = self.chunks_for(loop_stmt, lo, hi);
         Some(self.plan_for(entry, chunks, fault, Arc::default()))
     }
@@ -519,7 +521,6 @@ impl LoopDispatcher for HybridDispatcher {
                     // guard that honestly failed is silently dropped.
                     let fault = self.arm_fault(if lie { None } else { fault });
                     self.telemetry.guarded_parallel += 1;
-                    self.last_parallel = Some(loop_stmt);
                     let chunks = self.chunks_for(loop_stmt, lo, hi);
                     LoopDecision::Parallel(self.plan_for(&entry, chunks, fault, facts))
                 } else {
@@ -539,7 +540,7 @@ impl LoopDispatcher for HybridDispatcher {
         self.telemetry.worker_chunks_typed += committed.chunks;
         // What this entry cost sizes the loop's next one. A zero-trip
         // entry ran no chunk and says nothing about the body.
-        if self.last_parallel == Some(loop_stmt) && committed.chunks > 0 {
+        if committed.chunks > 0 {
             let (lo, hi) = self.key.bounds;
             self.work.insert(loop_stmt, (committed.cost, trip(lo, hi)));
         }
@@ -560,13 +561,11 @@ impl LoopDispatcher for HybridDispatcher {
         // the loop re-inspects from scratch. With a zero budget the
         // poisoning still drops any cached parallel verdict for the
         // key, so a failed schedule is never answered from cache again.
-        if self.last_parallel.take() == Some(loop_stmt) {
-            let key = self.key.clone();
-            self.cache
-                .poison(loop_stmt, key, self.config.quarantine_retries);
-            self.telemetry.quarantine_poisonings += 1;
-            self.telemetry.cache_evictions = self.cache.evictions();
-        }
+        let key = self.key.clone();
+        self.cache
+            .poison(loop_stmt, key, self.config.quarantine_retries);
+        self.telemetry.quarantine_poisonings += 1;
+        self.telemetry.cache_evictions = self.cache.evictions();
     }
 }
 

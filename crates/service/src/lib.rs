@@ -802,7 +802,7 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
                     .lock()
                     .unwrap()
                     .quarantine(key, shared.quarantine_retries);
-                let message = panic_message(payload.as_ref());
+                let message = panic_text(payload.as_ref());
                 respond(Err(ServiceError::AnalysisPanicked {
                     rung: level.name(),
                     message,
@@ -855,12 +855,12 @@ fn parse_isolated(source: &str) -> Result<Program, ServiceError> {
         Ok(Err(e)) => Err(ServiceError::Parse(e.to_string())),
         Err(payload) => Err(ServiceError::AnalysisPanicked {
             rung: "parse",
-            message: panic_message(payload.as_ref()),
+            message: panic_text(payload.as_ref()),
         }),
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

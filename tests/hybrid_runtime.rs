@@ -495,6 +495,44 @@ fn a_mistyped_preset_walks_and_is_reported_unsupported() {
     assert_eq!(walked, (0, 1), "{t:?}");
 }
 
+/// The parallel twin: an integer preset for the real array `x` a
+/// compile-time-parallel loop stores to. The dispatch is refused before
+/// any chunk pins `x` (a chunk would write reals into an integer
+/// payload), reported `Unsupported` — not a panic — and the sequential
+/// fallback ends where the tree-walk does, at one thread and at two.
+#[test]
+fn a_mistyped_preset_refuses_a_parallel_dispatch_as_unsupported() {
+    let src = "program t
+         integer i
+         real x(100), y(100)
+         do i = 1, 100
+           y(i) = i * 0.5
+         enddo
+         do 20 i = 1, 100
+           x(i) = y(i) * 2.0 + 1.0
+ 20      continue
+         print x(1), x(100)
+         end";
+    let rep = compile_source(src, DriverOptions::with_iaa()).unwrap();
+    let v = rep.verdict("T/do20").expect("verdict for the store to x");
+    assert_eq!(v.tier, DispatchTier::CompileTimeParallel);
+    let x = rep.program.symbols.lookup("x").unwrap();
+    let presets = [(x, int_array(&[7; 100]))];
+    let seq = sequential(&rep, &presets).unwrap();
+    for threads in [1, 2] {
+        let config = HybridConfig {
+            threads,
+            ..HybridConfig::default()
+        };
+        let hybrid = run_hybrid_seeded(&rep, config, &presets).unwrap();
+        let o = &hybrid.outcome;
+        assert_eq!((&o.output, &o.store), (&seq.output, &seq.store));
+        let t = hybrid.telemetry;
+        let fell = (t.fallback_unsupported, t.fallback_panic);
+        assert_eq!(fell, (1, 0), "{threads} thread(s): {t:?}");
+    }
+}
+
 // ---- inspector edge cases (empty / unallocated / out-of-bounds) ----
 
 /// A store no run has started on: its arrays are not allocated yet (a
