@@ -97,7 +97,7 @@ use crate::pool::WorkerPool;
 use crate::runtime_test::IndexFacts;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
 use irr_frontend::{Program, ScalarType, StmtId, StmtKind, VarId};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -720,7 +720,9 @@ impl Watch {
     /// its first iteration check.
     fn start(self, widx: usize) -> Deadline {
         if self.panic == Some(widx) {
-            panic!("injected fault: worker {widx} panic");
+            // Unwinds to the chunk's `catch_unwind` without calling the
+            // panic hook: an injected fault prints nothing.
+            resume_unwind(Box::new("injected fault: worker panic"));
         }
         let armed = self.deadline.map(|limit| (Instant::now(), limit));
         if let Some((_, ms)) = self.stall.filter(|&(w, _)| w == widx) {

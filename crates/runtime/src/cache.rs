@@ -82,13 +82,9 @@ struct Slot {
 
 /// Per-loop cache of inspection verdicts keyed by store versions, with
 /// capacity bounds and failure quarantine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ScheduleCache {
     entries: HashMap<StmtId, Vec<Slot>>,
-    /// Maximum keyed schedules per loop.
-    keys_per_loop: usize,
-    /// Maximum keyed schedules across all loops.
-    capacity: usize,
     tick: u64,
     evictions: u64,
 }
@@ -99,28 +95,10 @@ const CAPACITY: usize = 128;
 /// few bound shapes keeps them all (LRU-evicted within the loop).
 const KEYS_PER_LOOP: usize = 4;
 
-impl Default for ScheduleCache {
-    fn default() -> Self {
-        ScheduleCache::with_limits(CAPACITY, KEYS_PER_LOOP)
-    }
-}
-
 impl ScheduleCache {
-    /// An empty cache with the default limits.
+    /// An empty cache.
     pub fn new() -> ScheduleCache {
         ScheduleCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` schedules in total and
-    /// `keys_per_loop` per loop (both clamped to at least 1).
-    pub fn with_limits(capacity: usize, keys_per_loop: usize) -> ScheduleCache {
-        ScheduleCache {
-            entries: HashMap::new(),
-            keys_per_loop: keys_per_loop.max(1),
-            capacity: capacity.max(1),
-            tick: 0,
-            evictions: 0,
-        }
     }
 
     /// Probes for a reusable schedule for `loop_stmt` under `key`.
@@ -229,16 +207,16 @@ impl ScheduleCache {
     }
 
     /// Adds a new `slot` for `loop_stmt`, then evicts the loop's least
-    /// recently used key past `keys_per_loop` and the cache's past
-    /// `capacity`.
+    /// recently used key past [`KEYS_PER_LOOP`] and the cache's past
+    /// [`CAPACITY`].
     fn admit(&mut self, loop_stmt: StmtId, slot: Slot) {
         let slots = self.entries.entry(loop_stmt).or_default();
         slots.push(slot);
-        if slots.len() > self.keys_per_loop {
+        if slots.len() > KEYS_PER_LOOP {
             evict_lru(slots);
             self.evictions += 1;
         }
-        if self.len() > self.capacity {
+        if self.len() > CAPACITY {
             self.evict_global_lru();
             self.evictions += 1;
         }
@@ -361,37 +339,44 @@ mod tests {
 
     #[test]
     fn per_loop_limit_evicts_lru_key() {
-        let mut c = ScheduleCache::with_limits(64, 2);
+        let mut c = ScheduleCache::new();
         let s = StmtId(3);
-        let keys: Vec<ScheduleKey> = (0..3)
+        let keys: Vec<ScheduleKey> = (0..=KEYS_PER_LOOP as i64)
             .map(|i| ScheduleKey::new((1, i), vec![(VarId(1), 1)]))
             .collect();
-        c.insert(s, keys[0].clone(), true);
-        c.insert(s, keys[1].clone(), true);
+        for k in &keys[..KEYS_PER_LOOP] {
+            c.insert(s, k.clone(), true);
+        }
         let _ = c.probe(s, &keys[0]); // refresh key 0; key 1 is now LRU
-        c.insert(s, keys[2].clone(), true);
+        c.insert(s, keys[KEYS_PER_LOOP].clone(), true);
         assert_eq!(c.evictions(), 1);
-        assert_eq!(c.probe(s, &keys[0]), CacheProbe::Hit(true));
         assert_eq!(c.probe(s, &keys[1]), CacheProbe::Stale, "LRU key evicted");
-        assert_eq!(c.probe(s, &keys[2]), CacheProbe::Hit(true));
+        for k in keys.iter().filter(|&k| *k != keys[1]) {
+            assert_eq!(c.probe(s, k), CacheProbe::Hit(true));
+        }
     }
 
     #[test]
     fn global_capacity_bound_evicts_coldest_loop() {
-        let mut c = ScheduleCache::with_limits(2, 4);
+        let mut c = ScheduleCache::new();
         let k = |n| ScheduleKey::new((1, n), vec![(VarId(1), 1)]);
-        c.insert(StmtId(1), k(1), true);
-        c.insert(StmtId(2), k(2), true);
-        assert_eq!(c.len(), 2);
-        c.insert(StmtId(3), k(3), true);
-        assert_eq!(c.len(), 2, "capacity bound holds");
+        for n in 1..=CAPACITY {
+            c.insert(StmtId(n as u32), k(n as i64), true);
+        }
+        assert_eq!(c.len(), CAPACITY);
+        let past = CAPACITY + 1;
+        c.insert(StmtId(past as u32), k(past as i64), true);
+        assert_eq!(c.len(), CAPACITY, "capacity bound holds");
         assert_eq!(c.evictions(), 1);
         assert_eq!(
             c.probe(StmtId(1), &k(1)),
             CacheProbe::Miss,
             "coldest loop evicted"
         );
-        assert_eq!(c.probe(StmtId(3), &k(3)), CacheProbe::Hit(true));
+        assert_eq!(
+            c.probe(StmtId(past as u32), &k(past as i64)),
+            CacheProbe::Hit(true)
+        );
     }
 
     #[test]

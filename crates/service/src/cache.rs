@@ -1,26 +1,24 @@
 //! The shared verdict cache: memoized [`CompilationReport`]s keyed on
-//! program hash + analysis rung, with the same three defenses the
-//! runtime's `ScheduleCache` earned in its chaos suite:
+//! program hash + analysis rung, with two defenses:
 //!
-//! - **versioning** — `invalidate_all` bumps a generation counter and
-//!   stale entries die lazily on probe, so invalidation is O(1) and
-//!   never blocks the pool;
 //! - **bounded capacity** — LRU eviction with an eviction counter, so
 //!   a hostile request stream cannot grow the cache without bound;
 //! - **quarantine** — a key whose analysis panicked serves degraded
-//!   (parse-only) responses for `quarantine_retries` requests, then is
-//!   re-admitted; re-admission and every poison eviction is counted.
+//!   (parse-only) responses for a few requests, then is re-admitted;
+//!   re-admission and every poison eviction is counted.
+//!
+//! A report depends only on the source and the service's fixed driver
+//! configuration, so an entry never goes stale: nothing is invalidated.
 //!
 //! The insert-after-success discipline lives in the caller (`lib.rs`):
-//! nothing is inserted until a report completed at the requested rung,
+//! nothing is inserted until a report completed at full strength,
 //! which is what makes "a panicking request leaves the cache
 //! byte-identical" a one-line invariant instead of a cleanup path.
 //!
 //! Reports are shared, never copied: an entry holds an
 //! `Arc<CompilationReport>`, a hit hands out another handle to it, and
-//! a report is never mutated once inserted. Eviction, invalidation and
-//! quarantine drop the cache's handle only; a report dies with its
-//! last holder.
+//! a report is never mutated once inserted. Eviction and quarantine
+//! drop the cache's handle only; a report dies with its last holder.
 
 use irr_driver::{ladder::tier_rank, CompilationReport, DegradeLevel};
 use std::collections::HashMap;
@@ -59,7 +57,6 @@ pub type VerdictKey = (u64, DegradeLevel);
 
 struct Entry {
     report: Arc<CompilationReport>,
-    version: u64,
     /// LRU tick of the last probe hit (or insert).
     last_used: u64,
     poisoned: bool,
@@ -69,7 +66,7 @@ struct Entry {
 pub enum VerdictProbe {
     /// A valid entry: the caller shares the memoized report.
     Hit(Arc<CompilationReport>),
-    /// No entry (or a stale-version entry, lazily discarded).
+    /// No entry (or a poisoned one, discarded).
     Miss,
     /// The key is quarantined: serve a degraded response. One retry
     /// was consumed; after the last one the key is re-admitted.
@@ -83,7 +80,6 @@ pub struct VerdictCache {
     /// Keys serving degraded responses, with retries remaining.
     quarantined: HashMap<VerdictKey, u32>,
     capacity: usize,
-    version: u64,
     tick: u64,
     evictions: u64,
     poison_evictions: u64,
@@ -96,7 +92,6 @@ impl VerdictCache {
             entries: HashMap::new(),
             quarantined: HashMap::new(),
             capacity: capacity.max(1),
-            version: 0,
             tick: 0,
             evictions: 0,
             poison_evictions: 0,
@@ -120,8 +115,7 @@ impl VerdictCache {
         if let Some(report) = self.hit(key) {
             return VerdictProbe::Hit(report);
         }
-        // What is left under the key is poisoned or of a stale
-        // generation (lazy invalidation): evict it.
+        // What is left under the key is poisoned: evict it.
         if self.entries.remove(key).is_some_and(|e| e.poisoned) {
             self.poison_evictions += 1;
         }
@@ -130,7 +124,7 @@ impl VerdictCache {
 
     /// The report for `key` if a probe would serve it, else `None` and
     /// nothing changed: a quarantined (or due for re-admission),
-    /// poisoned, stale or absent key is left for [`Self::probe`] to
+    /// poisoned or absent key is left for [`Self::probe`] to
     /// settle. A hit moves the LRU tick, as a probe's does, and nothing
     /// else — so a caller may try this first and fall back to `probe`
     /// without either being counted twice.
@@ -138,18 +132,14 @@ impl VerdictCache {
         if self.quarantined.contains_key(key) {
             return None;
         }
-        let version = self.version;
-        let e = self
-            .entries
-            .get_mut(key)
-            .filter(|e| !e.poisoned && e.version == version)?;
+        let e = self.entries.get_mut(key).filter(|e| !e.poisoned)?;
         self.tick += 1;
         e.last_used = self.tick;
         Some(Arc::clone(&e.report))
     }
 
     /// Inserts a completed report. Callers only insert results that
-    /// finished at the requested rung with an unexhausted budget —
+    /// finished at full strength with an unexhausted budget —
     /// degraded or suspect reports never enter the table. Returns the
     /// report this one displaced — the entry it replaced, or the LRU
     /// victim of a full cache — so that a caller holding a lock around
@@ -174,7 +164,6 @@ impl VerdictCache {
         }
         let entry = Entry {
             report: report.into(),
-            version: self.version,
             last_used: self.tick,
             poisoned: false,
         };
@@ -208,12 +197,6 @@ impl VerdictCache {
         self.quarantined.get(key).is_some_and(|left| *left > 0)
     }
 
-    /// Bumps the generation: every existing entry becomes stale and
-    /// dies on its next probe.
-    pub fn invalidate_all(&mut self) {
-        self.version += 1;
-    }
-
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -235,7 +218,7 @@ impl VerdictCache {
     }
 
     /// An order-independent digest of the cache's observable state:
-    /// keys, generations, and a per-entry verdict summary. Two caches
+    /// keys and a per-entry verdict summary. Two caches
     /// with the same fingerprint serve the same answers — the
     /// cache-poisoning regression test asserts a panicking request
     /// leaves this value untouched.
@@ -249,7 +232,6 @@ impl VerdictCache {
             };
             mix(*hash);
             mix(*level as u64);
-            mix(e.version);
             mix(e.report.verdicts.len() as u64);
             for v in &e.report.verdicts {
                 mix(program_hash(&v.label));
@@ -320,15 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_is_lazy_and_generational() {
-        let mut c = VerdictCache::new(8);
-        c.insert(KEY, report());
-        c.invalidate_all();
-        assert!(matches!(c.probe(&KEY), VerdictProbe::Miss));
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn quarantine_serves_degraded_then_readmits() {
         let mut c = VerdictCache::new(8);
         c.insert(KEY, report());
@@ -355,17 +328,16 @@ mod tests {
 
     /// `hit` serves what `probe` would serve and settles nothing else:
     /// on a quarantined (retries left or due for re-admission),
-    /// poisoned, stale or absent key it returns `None` and leaves every
+    /// poisoned or absent key it returns `None` and leaves every
     /// counter and entry as it was, so the `probe` after it counts once.
     #[test]
     fn hit_leaves_what_it_does_not_serve_to_probe() {
         type Setup = fn(&mut VerdictCache);
-        let cases: [(&str, Setup, u64, u64); 5] = [
+        let cases: [(&str, Setup, u64, u64); 4] = [
             ("absent", |_| {}, 0, 0),
             ("quarantined", |c| c.quarantine(KEY, 1), 0, 1),
             ("due for re-admission", |c| c.quarantine(KEY, 0), 1, 1),
             ("poisoned", |c| assert!(c.poison_entry(&KEY)), 0, 1),
-            ("stale", |c| c.invalidate_all(), 0, 0),
         ];
         for (what, setup, readmissions, poison_evictions) in cases {
             let mut c = VerdictCache::new(8);
@@ -419,8 +391,7 @@ mod tests {
     #[test]
     fn a_report_handed_out_outlives_its_entry_and_is_never_served_again() {
         type Removal = fn(&mut VerdictCache);
-        let removals: [(&str, Removal); 4] = [
-            ("invalidate_all", |c| c.invalidate_all()),
+        let removals: [(&str, Removal); 3] = [
             ("quarantine", |c| c.quarantine(KEY, 0)),
             ("poison_entry", |c| assert!(c.poison_entry(&KEY))),
             ("lru eviction", |c| {

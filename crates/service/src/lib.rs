@@ -2,31 +2,34 @@
 //! `irr_driver::compile`.
 //!
 //! The north-star deployment analyzes untrusted programs for many
-//! clients at once, so the pool is built robustness-first:
+//! clients at once, so the pool is built robustness-first. A request
+//! takes one path — submit → queue → cache → ladder → reply:
 //!
 //! - **admission control** — a bounded queue; overload sheds with a
 //!   reason-coded retry-after instead of queueing without bound;
 //! - **budgets** — every request gets a per-rung fuel allowance and a
 //!   request-wide wall-clock deadline ([`irr_core::AnalysisBudget`]),
 //!   threaded through the solver, evolution, and summary passes;
-//! - **graceful degradation** — an exhausted budget descends the
-//!   [`DegradeLevel`] ladder (full → summaries-off → evolution-off →
-//!   parse-only); every rung is more conservative than the last, so a
-//!   starved request gets a sound-but-weaker answer, never an error;
-//! - **panic isolation** — each rung runs under `catch_unwind`; a
+//! - **one ladder walk** — a request starts at [`DegradeLevel::Full`]
+//!   (a quarantined key at `ParseOnly`) and an exhausted budget descends
+//!   (full → summaries-off → evolution-off → parse-only); every rung is
+//!   more conservative than the last, so a starved request gets a
+//!   sound-but-weaker answer, never an error;
+//! - **panic isolation** — every rung runs under one `catch_unwind`; a
 //!   panicking program yields a typed [`ServiceError`], quarantines its
 //!   cache key, and cannot take down a worker or leave a partial cache
 //!   entry;
-//! - **memoization** — completed reports are shared, not copied,
-//!   through a versioned, LRU, quarantine-aware [`VerdictCache`]: a
-//!   hit costs a reference count;
+//! - **memoization** — full-strength reports are shared, not copied,
+//!   through an LRU, quarantine-aware [`VerdictCache`]: a hit costs a
+//!   reference count. A report depends only on the source (the driver
+//!   configuration is fixed), so no entry ever needs invalidating;
 //! - **hits are served by the caller** — [`Service::submit`] hashes
 //!   the source and probes the cache on the submitting thread, and a
-//!   full-strength hit returns at once: no queue slot (so a hit is never
-//!   shed `queue-full`), no wake-up, no channel. Misses, quarantined,
-//!   poisoned and stale keys, and every request the fault plan
-//!   addresses go to the queue, whose worker probes again and settles
-//!   them (a quarantine retry, an eviction, a counted miss) exactly once;
+//!   hit returns at once: no queue slot (so a hit is never shed
+//!   `queue-full`), no wake-up, no channel. Misses, quarantined and
+//!   poisoned keys, and every request the fault plan addresses go to
+//!   the queue, whose worker probes again and settles them (a
+//!   quarantine retry, an eviction, a counted miss) exactly once;
 //! - **fault injection** — [`ServiceFaultPlan`] scripts the four
 //!   service-level faults the chaos suite must catch with exact
 //!   attribution.
@@ -39,16 +42,17 @@ pub use fault::{ServiceFault, ServiceFaultPlan, ServiceFaultShot};
 pub use irr_driver::{ladder::tier_rank, CompilationReport, DegradeLevel, DriverOptions};
 
 use irr_core::{AnalysisBudget, BudgetExhaustion};
-use irr_driver::parse_only_report;
 use irr_frontend::{parse_program, Program};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Pool configuration.
+/// Pool configuration. Every request starts at [`DegradeLevel::Full`]
+/// with [`DriverOptions::with_iaa`], and a key whose analysis panicked
+/// answers parse-only for its next two requests.
 pub struct ServiceConfig {
     /// Worker threads.
     pub workers: usize,
@@ -62,17 +66,14 @@ pub struct ServiceConfig {
     pub wall_budget: Option<Duration>,
     /// Verdict-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Degraded responses served before a quarantined key re-admits.
-    pub quarantine_retries: u32,
-    /// The rung requests start at (and the only rung whose results
-    /// are cached). `Full` in production; tests descend from others.
-    pub start_level: DegradeLevel,
-    /// Base driver configuration for the start rung.
-    pub options: DriverOptions,
     /// Injected faults (chaos suite); [`ServiceFaultPlan::none`]
     /// in production.
     pub fault_plan: ServiceFaultPlan,
 }
+
+/// Requests a quarantined key answers parse-only before it is
+/// re-admitted.
+const QUARANTINE_RETRIES: u32 = 2;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -82,9 +83,6 @@ impl Default for ServiceConfig {
             fuel: None,
             wall_budget: None,
             cache_capacity: 256,
-            quarantine_retries: 2,
-            start_level: DegradeLevel::Full,
-            options: DriverOptions::with_iaa(),
             fault_plan: ServiceFaultPlan::none(),
         }
     }
@@ -112,7 +110,7 @@ impl ShedReason {
     }
 }
 
-/// Why a completed response is weaker than a `start_level` analysis.
+/// Why a completed response is weaker than a `Full` analysis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DegradeReason {
     /// A rung ran out of fuel; the ladder descended.
@@ -178,8 +176,8 @@ pub struct Analyzed {
     pub report: Arc<CompilationReport>,
     /// The ladder rung that produced the report.
     pub level: DegradeLevel,
-    /// Why the response is below `start_level`; `None` at full
-    /// strength. Degraded responses are always reason-coded.
+    /// Why the response is below `Full`; `None` at full strength.
+    /// Degraded responses are always reason-coded.
     pub degraded: Option<DegradeReason>,
     /// Served from the verdict cache.
     pub cache_hit: bool,
@@ -318,9 +316,6 @@ struct Shared {
     queue_capacity: usize,
     fuel: Option<u64>,
     wall_budget: Option<Duration>,
-    quarantine_retries: u32,
-    start_level: DegradeLevel,
-    options: DriverOptions,
     queue: Mutex<VecDeque<Job>>,
     /// Set under the `queue` lock, so a worker that finds the queue
     /// empty and this clear cannot miss the wake-up; `submit` reads it
@@ -365,9 +360,6 @@ impl Service {
             queue_capacity: config.queue_capacity.max(1),
             fuel: config.fuel,
             wall_budget: config.wall_budget,
-            quarantine_retries: config.quarantine_retries,
-            start_level: config.start_level,
-            options: config.options,
             queue: Mutex::new(VecDeque::new()),
             shutdown: AtomicBool::new(false),
             available: Condvar::new(),
@@ -392,9 +384,8 @@ impl Service {
     ///
     /// A hit needs no queue slot, so it is never shed `queue-full`;
     /// once shutdown has started ([`Service::close`]) it is shed
-    /// `shutting-down` like any request. The key carries the rung, so
-    /// a hit is served here whatever `start_level` is. A request the
-    /// fault plan addresses always goes to the queue.
+    /// `shutting-down` like any request. A request the fault plan
+    /// addresses always goes to the queue.
     pub fn submit(&self, name: &str, source: &str) -> Submitted {
         let s = &self.shared;
         let arrived = Instant::now();
@@ -415,7 +406,7 @@ impl Service {
             return shed(ShedReason::ShuttingDown);
         }
         let fault = s.faults.decide(seq);
-        let key: VerdictKey = (program_hash(source), s.start_level);
+        let key: VerdictKey = (program_hash(source), DegradeLevel::Full);
         if fault.is_none() {
             let hit = s.cache.lock().unwrap().hit(&key);
             if let Some(report) = hit {
@@ -424,7 +415,7 @@ impl Service {
                 s.stats.cache_hits.fetch_add(1, Relaxed);
                 let analyzed = Analyzed {
                     report,
-                    level: s.start_level,
+                    level: DegradeLevel::Full,
                     degraded: None,
                     cache_hit: true,
                 };
@@ -549,11 +540,6 @@ impl Service {
         self.shared.cache.lock().unwrap().readmissions()
     }
 
-    /// Drops every memoized verdict (generation bump; O(1)).
-    pub fn cache_invalidate_all(&self) {
-        self.shared.cache.lock().unwrap().invalidate_all();
-    }
-
     /// Fired fault shots in firing order, for chaos-suite attribution.
     pub fn faults_fired(&self) -> Vec<ServiceFaultShot> {
         self.shared.fired.lock().unwrap().clone()
@@ -638,7 +624,6 @@ fn worker_loop(shared: &Shared) {
 /// construction and covered by the corpus tests).
 fn process(shared: &Shared, job: Job, queue_wait: Duration) {
     let (fault, key) = (job.fault, job.key);
-    let requested = shared.start_level;
     // The deadline holder carries the request-wide wall clock. It is
     // anchored here — before the probe, the parse, and any injected
     // stall — so a stalled worker shows up as wall-budget consumption,
@@ -689,12 +674,16 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
     if poison {
         shared.record_fired(job.seq, ServiceFault::PoisonCacheEntry);
     }
+    // Where the walk starts: `Full`, or the last rung for a key that
+    // is quarantined.
+    let mut level = DegradeLevel::Full;
+    let mut degrade_reason: Option<DegradeReason> = None;
     match probe {
         Some(VerdictProbe::Hit(report)) => {
             shared.stats.cache_hits.fetch_add(1, Relaxed);
             respond(Ok(Analyzed {
                 report,
-                level: requested,
+                level,
                 degraded: None,
                 cache_hit: true,
             }));
@@ -702,19 +691,8 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
         }
         Some(VerdictProbe::Quarantined) => {
             shared.stats.quarantined_served.fetch_add(1, Relaxed);
-            match parse_isolated(&job.source) {
-                Ok(program) => respond(Ok(Analyzed {
-                    report: Arc::new(parse_only_report(program)),
-                    level: DegradeLevel::ParseOnly,
-                    degraded: Some(DegradeReason::Quarantined),
-                    cache_hit: false,
-                })),
-                Err(e) => {
-                    shared.stats.parse_errors.fetch_add(1, Relaxed);
-                    respond(Err(e));
-                }
-            }
-            return;
+            level = DegradeLevel::ParseOnly;
+            degrade_reason = Some(DegradeReason::Quarantined);
         }
         Some(VerdictProbe::Miss) => {
             shared.stats.cache_misses.fetch_add(1, Relaxed);
@@ -749,8 +727,6 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
         shared.fuel
     };
 
-    let mut level = requested;
-    let mut degrade_reason: Option<DegradeReason> = None;
     loop {
         if level != DegradeLevel::ParseOnly
             && deadline.exhausted() == Some(BudgetExhaustion::WallClock)
@@ -769,29 +745,19 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
                 return;
             }
         };
-        if level == DegradeLevel::ParseOnly {
-            let report = Arc::new(parse_only_report(program));
-            if requested == DegradeLevel::ParseOnly {
-                memoize(shared, key, &report);
-                degrade_reason = None;
-            }
-            respond(Ok(Analyzed {
-                report,
-                level,
-                degraded: degrade_reason,
-                cache_hit: false,
-            }));
-            return;
-        }
         let budget = deadline.refueled(fuel);
-        let inject_panic = fault == Some(ServiceFault::PanicInAnalysis) && level == requested;
+        let inject_panic =
+            fault == Some(ServiceFault::PanicInAnalysis) && level == DegradeLevel::Full;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
-                panic!("injected analysis fault");
+                // Unwinds to the `catch_unwind` without calling the
+                // panic hook: an injected fault prints nothing.
+                resume_unwind(Box::new("injected analysis fault"));
             }
-            level.compile_at(program, shared.options, Some(&budget))
+            level.compile_at(program, DriverOptions::with_iaa(), Some(&budget))
         }));
-        match outcome {
+        let report = match outcome {
+            Ok(report) => report,
             Err(payload) => {
                 if inject_panic {
                     shared.record_fired(job.seq, ServiceFault::PanicInAnalysis);
@@ -801,7 +767,7 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
                     .cache
                     .lock()
                     .unwrap()
-                    .quarantine(key, shared.quarantine_retries);
+                    .quarantine(key, QUARANTINE_RETRIES);
                 let message = panic_text(payload.as_ref());
                 respond(Err(ServiceError::AnalysisPanicked {
                     rung: level.name(),
@@ -809,31 +775,35 @@ fn process(shared: &Shared, job: Job, queue_wait: Duration) {
                 }));
                 return;
             }
-            Ok(report) => match budget.exhausted() {
-                None => {
-                    let report = Arc::new(report);
-                    if level == requested {
-                        memoize(shared, key, &report);
-                    }
-                    respond(Ok(Analyzed {
-                        report,
-                        level,
-                        degraded: degrade_reason,
-                        cache_hit: false,
-                    }));
-                    return;
+        };
+        // The last rung answers whatever budget is left.
+        match budget
+            .exhausted()
+            .filter(|_| level != DegradeLevel::ParseOnly)
+        {
+            None => {
+                let report = Arc::new(report);
+                if level == DegradeLevel::Full {
+                    memoize(shared, key, &report);
                 }
-                Some(BudgetExhaustion::Fuel) => {
-                    shared.stats.fuel_exhaustions.fetch_add(1, Relaxed);
-                    degrade_reason = Some(DegradeReason::Fuel);
-                    level = level.next().unwrap_or(DegradeLevel::ParseOnly);
-                }
-                Some(BudgetExhaustion::WallClock) => {
-                    shared.stats.wall_exhaustions.fetch_add(1, Relaxed);
-                    degrade_reason = Some(DegradeReason::WallClock);
-                    level = DegradeLevel::ParseOnly;
-                }
-            },
+                respond(Ok(Analyzed {
+                    report,
+                    level,
+                    degraded: degrade_reason,
+                    cache_hit: false,
+                }));
+                return;
+            }
+            Some(BudgetExhaustion::Fuel) => {
+                shared.stats.fuel_exhaustions.fetch_add(1, Relaxed);
+                degrade_reason = Some(DegradeReason::Fuel);
+                level = level.next().unwrap_or(DegradeLevel::ParseOnly);
+            }
+            Some(BudgetExhaustion::WallClock) => {
+                shared.stats.wall_exhaustions.fetch_add(1, Relaxed);
+                degrade_reason = Some(DegradeReason::WallClock);
+                level = DegradeLevel::ParseOnly;
+            }
         }
     }
 }

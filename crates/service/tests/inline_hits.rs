@@ -1,5 +1,5 @@
 //! Where `Service::submit` serves a cache hit itself, and where it
-//! stops: a quarantined, poisoned or stale key, and every request the
+//! stops: a quarantined or poisoned key, and every request the
 //! fault plan addresses, still reach a worker and are settled there
 //! exactly as before; a hit takes no queue slot; once shutdown starts a
 //! hit is shed like any request; and inline hits leave the cache and the
@@ -117,23 +117,6 @@ fn a_poisoned_entry_is_never_served_by_submit() {
 }
 
 #[test]
-fn a_stale_entry_is_never_served_by_submit_after_invalidation() {
-    let src = program(10);
-    let svc = single_worker(ServiceFaultPlan::none());
-    let fill = queued(&svc, "fill", &src).result.expect("analyzes");
-    inline_hit(&svc, "hit", &src);
-    svc.cache_invalidate_all();
-    // The stale entry goes to the queue, where the worker's probe
-    // discards it and counts the miss once.
-    let misses = svc.stats().cache_misses;
-    let fresh = queued(&svc, "stale", &src).result.expect("recomputes");
-    assert!(!fresh.cache_hit && !Arc::ptr_eq(&fresh.report, &fill.report));
-    assert_eq!(svc.stats().cache_misses, misses + 1);
-    let after = inline_hit(&svc, "after", &src).result.unwrap();
-    assert!(Arc::ptr_eq(&after.report, &fresh.report));
-}
-
-#[test]
 fn every_fault_on_a_cached_key_reaches_a_worker_and_fires_attributed() {
     let faults = [
         ServiceFault::PanicInAnalysis,
@@ -223,21 +206,6 @@ fn a_hit_takes_no_queue_slot_and_is_never_shed_queue_full() {
         .expect("the stalled request completes")
         .result
         .is_ok());
-}
-
-#[test]
-fn a_hit_is_served_by_submit_at_any_start_level() {
-    let src = program(10);
-    for level in DegradeLevel::ALL {
-        let svc = Service::start(ServiceConfig {
-            start_level: level,
-            ..ServiceConfig::default()
-        });
-        let fill = queued(&svc, "fill", &src);
-        assert_eq!(fill.result.expect("analyzes").level, level);
-        let hit = inline_hit(&svc, "hit", &src);
-        assert_eq!(hit.result.unwrap().level, level, "{}", level.name());
-    }
 }
 
 /// A scripted mixed run, single worker, capacity 3: misses, inline

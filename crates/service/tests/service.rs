@@ -214,10 +214,11 @@ fn verdict_summary(report: &CompilationReport) -> Vec<(String, u8, bool)> {
 
 #[test]
 fn hits_stay_correct_while_the_cache_is_invalidated_and_refilled_under_them() {
-    // Eight keys: the same two loops over eight array extents.
-    let sources: Vec<String> = (0..8)
-        .map(|k| GOOD.replace("(10)", &format!("({})", 10 + k)))
-        .collect();
+    // Eight keys: the same two loops over eight array extents; eight
+    // more extents are the sources that evict them.
+    let extent = |k: usize| GOOD.replace("(10)", &format!("({})", 10 + k));
+    let sources: Vec<String> = (0..8).map(extent).collect();
+    let others: Vec<String> = (8..16).map(extent).collect();
     let expected: Vec<_> = sources
         .iter()
         .map(|s| verdict_summary(&compile_source(s, DriverOptions::with_iaa()).unwrap()))
@@ -229,7 +230,7 @@ fn hits_stay_correct_while_the_cache_is_invalidated_and_refilled_under_them() {
     let done = AtomicBool::new(false);
     // Hits are served on the clients' own threads and take well under a
     // microsecond, so 2000 of them can finish before a freshly spawned
-    // invalidator is first scheduled: every thread starts together.
+    // churner is first scheduled: every thread starts together.
     let start = Barrier::new(5);
     std::thread::scope(|scope| {
         let clients: Vec<_> = (0..4)
@@ -248,12 +249,13 @@ fn hits_stay_correct_while_the_cache_is_invalidated_and_refilled_under_them() {
                 })
             })
             .collect();
-        let invalidator = scope.spawn(|| {
+        // Churns the cache by eviction: the other sources fill it past
+        // its capacity, then the eight keys are analyzed back in.
+        let churner = scope.spawn(|| {
             start.wait();
             let mut rounds = 0;
             while !done.load(SeqCst) {
-                svc.cache_invalidate_all();
-                for s in &sources {
+                for s in others.iter().chain(&sources) {
                     assert_eq!(svc.analyze("refill", s).reason_code(), "ok");
                 }
                 rounds += 1;
@@ -264,7 +266,7 @@ fn hits_stay_correct_while_the_cache_is_invalidated_and_refilled_under_them() {
             c.join().expect("client panicked");
         }
         done.store(true, SeqCst);
-        assert!(invalidator.join().expect("invalidator panicked") > 0);
+        assert!(churner.join().expect("churner panicked") > 0);
     });
     assert!(svc.cache_len() <= 8);
     let stats = svc.shutdown();
