@@ -157,11 +157,12 @@ impl ArrayData {
 ///
 /// The in-place strategy executor derives one per target from the
 /// master store (after forcing payload uniqueness with
-/// [`Store::payload_raw`]) and hands it to every chunk, each of which
-/// reaches the buffer only through its [`InPlaceWindow`], so no two
-/// chunks ever touch the same element; a sequential typed entry pins
-/// the master's own payloads the same way ([`WriteSink::Direct`]). The
-/// length is for the debug-build audit of every access through it.
+/// [`Store::payload_raw`], which copies a target whose old payload the
+/// dispatch keeps as its undo image) and hands it to every chunk, each
+/// of which reaches the buffer only through its [`InPlaceWindow`], so
+/// no two chunks ever touch the same element; a sequential typed entry
+/// pins the master's own payloads the same way ([`WriteSink::Direct`]).
+/// The length is for the debug-build audit of every access through it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum RawSlice {
     Int(*mut i64, usize),
@@ -172,14 +173,18 @@ pub(crate) enum RawSlice {
 // loop's pin (`RawPin` in `bytecode/fast.rs`), which bounds-checks every
 // load and store against its extent. A window admits only the elements
 // the dispatch gave its chunk: windows of one target are pairwise
-// disjoint, or, for a scatter target, every chunk stores to a set of
-// elements injective index facts keep disjoint and none reads. So no
-// thread reads what another writes. Only a chunk holds a pin, and
-// `WorkerPool::dispatch` does not return, normally or by unwinding,
-// while its closure is running for any chunk or could still be called
-// for one (the barrier in `pool.rs`), whichever thread runs it. The
-// master store owns the Arc'd payload for that whole dispatch and is
-// only read while it runs, so the pointee outlives every access.
+// disjoint, or, for a scatter target, every chunk reaches the buffer
+// only at the cells its own iterations write, through the one
+// `WriteShape` every access to the target has (the derivation refuses
+// a scatter target the nest reads), and injective index facts keep
+// those sets disjoint. So no thread reads what another writes. Only a
+// chunk holds a pin, and `WorkerPool::dispatch` does not return,
+// normally or by unwinding, while its closure is running for any chunk
+// or could still be called for one (the barrier in `pool.rs`),
+// whichever thread runs it. The master store owns the Arc'd payload for
+// that whole dispatch and is only read while it runs, so the pointee
+// outlives every access; a target's undo image is another buffer, the
+// one the payload was copied from, which no pin reaches.
 unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
@@ -206,8 +211,9 @@ pub(crate) struct InPlaceWindow {
 
 /// A typed value vector: a chunk's append buffer for one
 /// consecutively-written array, its own copy of an array it logs or
-/// privatizes, the values a chunk logged, or the undo image
-/// of an in-place window.
+/// privatizes, or the values a chunk logged. (An in-place target's undo
+/// image is no `TypedBuf`: it is the target's old payload, kept by
+/// handle.)
 #[derive(Clone, Debug)]
 pub(crate) enum TypedBuf {
     Int(Vec<i64>),
@@ -223,9 +229,8 @@ impl TypedBuf {
     }
 
     /// Becomes a copy of `range` of `data`, in this buffer's allocation
-    /// when it holds the same type: the undo image of an in-place
-    /// window ([`TypedBuf::scatter_into`] over the same range restores
-    /// it).
+    /// when it holds the same type: a chunk's own copy of an array it
+    /// logs or privatizes.
     pub(crate) fn copy_from(&mut self, data: &ArrayData, range: std::ops::Range<usize>) {
         match (data, &mut *self) {
             (ArrayData::Int { data, .. }, TypedBuf::Int(v)) => {
@@ -448,10 +453,11 @@ impl Store {
 
     /// Raw pointer to the element buffer of `arr`, with its flat
     /// length. Forces payload uniqueness first ([`Arc::make_mut`]: a
-    /// buffer anything else holds — a preset's caller — is copied here,
-    /// the one copy this store takes of it), so the pointer is this
-    /// store's to write: a sequential typed entry's, or in-place chunks'
-    /// through their windows while the master only reads the store.
+    /// buffer anything else holds is copied here — a preset's caller's,
+    /// once, or the old payload an in-place dispatch keeps as its undo
+    /// image, once a dispatch), so the pointer is this store's to write:
+    /// a sequential typed entry's, or in-place chunks' through their
+    /// windows while the master only reads the store.
     pub(crate) fn payload_raw(&mut self, arr: VarId) -> RawSlice {
         match self.array_mut(arr) {
             ArrayData::Int { data, .. } => {
@@ -725,7 +731,7 @@ pub struct ProgramScope {
     /// had as many as they asked for.
     pub(crate) spawned: u64,
     /// What typed entries and parallel dispatches keep between entries
-    /// for their allocations: windows, undo images and one slot per
+    /// for their allocations: targets, windows and one slot per
     /// chunk, whose first holds the planes every typed loop the master
     /// runs itself runs in.
     pub(crate) buffers: crate::parallel::DispatchBuffers,

@@ -25,7 +25,8 @@
 //! counters and the finals of the scalars the commit reads. Each
 //! strategy's rules live in those sinks and nowhere else. No chunk
 //! writes the master's scalars, statistics or fuel, so a failed
-//! dispatch has nothing to put back but what its in-place targets held.
+//! dispatch has nothing to put back but its in-place targets' old
+//! payloads.
 //!
 //! # One commit
 //!
@@ -77,13 +78,14 @@
 //!   fallback at that access. A scatter `b(p(i + c))` has no window: it
 //!   writes in place only under [`IndexFacts`] from this crate's index
 //!   scan that say `p` is injective on the section, of the live store
-//!   and `p`'s current write-version. A target the nest reads is copied
-//!   aside at hand-off and put back on every exit but the commit; in a
-//!   nest that reads any target the write-only ones are too (a chunk
-//!   beside a violating one may have branched on state the sequential
-//!   run would have changed), unless the fallback rewrites them anyway
-//!   (one cell per iteration, written unconditionally; a scatter
-//!   without that downgrades).
+//!   and `p`'s current write-version. A target the nest reads keeps its
+//!   payload as the dispatch found it — the undo image, a reference
+//!   count — while the chunks write the copy `Store::payload_raw`
+//!   makes, and gets it back on every exit but the commit; in a nest
+//!   that reads any target the write-only ones do too (a chunk beside a
+//!   violating one may have branched on state the sequential run would
+//!   have changed), unless the fallback rewrites them anyway (one cell
+//!   per iteration, written unconditionally).
 //! - [`ExecutionStrategy::PrivatizeAndConcat`] — consecutively written
 //!   arrays (`p = p + 1; a(p) = ...`) buffer per chunk and concatenate
 //!   in chunk order at commit; the append discipline (pointer delta ==
@@ -92,11 +94,13 @@
 use crate::bytecode::{CompiledBody, Deadline, FState, Typed};
 use crate::dispatch::{Abort, FallbackReason};
 use crate::fault::FaultKind;
-use crate::interp::{InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value, WriteSink};
+use crate::interp::{
+    ArrayData, InPlaceWindow, Interp, RawSlice, Store, TypedBuf, Value, WriteSink,
+};
 use crate::pool::WorkerPool;
 use crate::runtime_test::IndexFacts;
 use irr_driver::{InPlaceTarget, LoopVerdict, ReductionOp, WriteShape};
-use irr_frontend::{Program, ScalarType, StmtId, StmtKind, VarId};
+use irr_frontend::{Program, StmtId, StmtKind, VarId};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -299,24 +303,23 @@ pub(crate) struct Chunk {
     failed: Option<Abort>,
 }
 
-/// One in-place target of a dispatch: the master buffer, and where its
-/// windows start when they were copied aside.
-#[derive(Clone, Copy)]
+/// One in-place target of a dispatch: the master buffer, and the
+/// payload it replaced, to put back if the dispatch does not commit.
 struct InPlaceSpec {
     var: VarId,
     /// Element 0 of the master's buffer.
     slice: RawSlice,
-    /// Where the dispatch's windows start, when [`InPlace::held`] has
-    /// what they held at hand-off, to put back if the dispatch does not
-    /// commit; `None` for a target the sequential fallback is sure to
-    /// rewrite ([`prepare_in_place`]).
-    undo: Option<usize>,
+    /// The undo image: the target's payload as the dispatch found it,
+    /// which no chunk writes; `None` for a target the sequential
+    /// fallback is sure to rewrite ([`prepare_in_place`]).
+    image: Option<ArrayData>,
 }
 
 /// The in-place targets of a dispatch and what each chunk may touch of
 /// them. The run keeps it between dispatches ([`DispatchBuffers`]) and
 /// [`prepare_in_place`] refills it, so a re-entered loop reuses its
-/// vectors.
+/// vectors; the targets, their images with them, go at the end of the
+/// dispatch ([`run`]).
 #[derive(Default)]
 pub(crate) struct InPlace {
     specs: Vec<InPlaceSpec>,
@@ -328,9 +331,6 @@ pub(crate) struct InPlace {
     /// except for a scatter target, where every chunk gets the whole
     /// array and injective facts keep the written sets apart.
     windows: Vec<(usize, usize)>,
-    /// Per target, what its windows held at hand-off, where its spec
-    /// has an `undo` start.
-    held: Vec<TypedBuf>,
 }
 
 /// What a run's typed entries and parallel dispatches keep between
@@ -433,18 +433,20 @@ impl Mode<'_> {
         out.extend(slots.map(|(&a, &stored)| stored.then(|| sink(a))));
     }
 
-    /// Puts back what the in-place targets with an undo image held at
-    /// hand-off. Every exit of a dispatch but the commit goes through
-    /// here, so the sequential fallback starts from the state the
-    /// dispatch started from — up to the targets that have no image
-    /// because the fallback rewrites every location the chunks wrote.
+    /// Puts back the payloads the in-place targets with an undo image
+    /// had at hand-off, one handle each: the copy the chunks wrote is
+    /// dropped, and the versions never moved. Every exit of a dispatch
+    /// but the commit goes through here, so the sequential fallback
+    /// starts from the state the dispatch started from — up to the
+    /// targets that have no image because the fallback rewrites every
+    /// location the chunks wrote.
     fn roll_back(&self, store: &mut Store) {
         let Mode::InPlace(ip) = self else {
             return;
         };
-        for (s, held) in ip.specs.iter().zip(&ip.held) {
-            if let Some(from) = s.undo {
-                held.scatter_into(store.array_mut(s.var), from..);
+        for s in &ip.specs {
+            if let Some(image) = &s.image {
+                *store.array_mut(s.var) = image.clone();
             }
         }
     }
@@ -626,9 +628,9 @@ impl DerivedShapes {
 /// Prepares the master buffers of the in-place `targets` for this
 /// dispatch into `ip`: their windows, and undo images where a failed
 /// dispatch would leave the fallback a target it does not rewrite.
-/// Returns `None` — downgrade to the write-log — when a target is not
-/// one-dimensional, a shape yields no windows ([`chunk_windows`]), or a
-/// scatter target would need an undo image.
+/// Returns `None` — downgrade to the write-log, the store untouched —
+/// when a target is not one-dimensional or a shape yields no windows
+/// ([`chunk_windows`]).
 fn prepare_in_place(
     store: &mut Store,
     targets: &[InPlaceTarget],
@@ -639,18 +641,14 @@ fn prepare_in_place(
     ip.specs.clear();
     ip.windows.clear();
     ip.chunks = chunks.count;
-    if ip.held.len() < targets.len() {
-        ip.held
-            .resize_with(targets.len(), || TypedBuf::new(ScalarType::Real));
-    }
-    let any_read = targets.iter().any(|t| t.read);
-    for (t, held) in targets.iter().zip(&mut ip.held) {
-        let data = store.array(t.array);
-        if data.dims().len() != 1 {
+    for t in targets {
+        if store.array(t.array).dims().len() != 1 {
             return None;
         }
-        let first = ip.windows.len();
         chunk_windows(store, t, facts, chunks, &mut ip.windows)?;
+    }
+    let any_read = targets.iter().any(|t| t.read);
+    for t in targets {
         // What a failed dispatch wrote to a target it never read, the
         // sequential fallback writes again — when the chunks did what
         // the sequential run does, which only a nest that reads no
@@ -660,25 +658,14 @@ fn prepare_in_place(
         // a top-level statement that always writes it.
         let one_cell = !matches!(t.shape, WriteShape::Segment { .. });
         let rewritten = !t.read && (!any_read || (t.always_written && one_cell));
-        let undo = if rewritten {
-            None
-        } else if let WriteShape::Scatter { .. } = t.shape {
-            // No window to copy aside: the write-log it is.
-            return None;
-        } else {
-            // Affine and segment windows tile: one range holds them.
-            let from = ip.windows[first].0;
-            let total: usize = ip.windows[first..].iter().map(|w| w.1).sum();
-            held.copy_from(data, from..from + total);
-            Some(from)
-        };
-        // `payload_raw` forces payload uniqueness on the master: the
-        // chunks' windows write this allocation, nothing else's.
+        // The image is the payload itself: holding a handle on it makes
+        // `payload_raw` copy it, and the chunks' windows write the copy.
+        let image = (!rewritten).then(|| store.array(t.array).clone());
         let slice = store.payload_raw(t.array);
         ip.specs.push(InPlaceSpec {
             var: t.array,
             slice,
-            undo,
+            image,
         });
     }
     Some(())
@@ -744,8 +731,9 @@ impl Watch {
 /// **The dispatch is a transaction.** The master interpreter — store,
 /// statistics, fuel — is mutated only after every chunk completed and
 /// the commit validated what the chunks wrote; an in-place dispatch,
-/// whose chunks write the master's buffers as they go, instead restores
-/// its targets from the images taken at hand-off. On any [`Abort`] the
+/// whose chunks write the master's buffers as they go, instead puts
+/// back the old payloads it kept at hand-off, its undo images. On any
+/// [`Abort`] the
 /// master is as it was at entry — up to in-place targets that needed no
 /// image, possibly dirty, which a sequential re-execution rewrites
 /// location by location — so the interpreter's `Do` arm can run the
@@ -836,10 +824,11 @@ pub(crate) fn exec_do_parallel(
     })
 }
 
-/// Resolves the dispatch's mode against the live store, checks that the
-/// commit can claim every scalar the nest assigns, runs the chunks and
-/// commits them ([`run_chunks`]). Returns the strategy that committed
-/// and the body cost the master paid.
+/// Checks that the commit can claim every scalar the nest assigns,
+/// resolves the dispatch's mode against the live store, runs the chunks
+/// and commits them ([`run_chunks`]). Every exit drops the in-place
+/// targets' undo images, so no payload outlives its dispatch. Returns
+/// the strategy that committed and the body cost the master paid.
 fn run(
     interp: &mut Interp<'_>,
     plan: &ParallelPlan,
@@ -849,22 +838,14 @@ fn run(
     buffers: &mut DispatchBuffers,
 ) -> Result<(ExecutionStrategy, u64), Abort> {
     let DispatchBuffers { in_place, slots } = buffers;
-    let mode = match derived {
-        Derived::WriteLog => Mode::WriteLog,
-        Derived::InPlace(targets) => {
-            match prepare_in_place(&mut interp.store, &targets, &plan.facts, chunks, in_place) {
-                Some(()) => Mode::InPlace(in_place),
-                None => Mode::WriteLog,
-            }
-        }
-        // Hole-freedom (every increment is followed by a write) is *not*
-        // re-proven statically; the append sinks and the commit validate
-        // it dynamically instead. A negative live pointer downgrades.
-        Derived::Concat(ptr, targets) => match interp.store.scalar(ptr).as_int() {
-            p0 if p0 >= 0 => Mode::Concat { ptr, targets, p0 },
-            _ => Mode::WriteLog,
-        },
+    // Hole-freedom (every increment is followed by a write) is *not*
+    // re-proven statically; the append sinks and the commit validate
+    // it dynamically instead. A negative live pointer downgrades.
+    let pointer = match &derived {
+        Derived::Concat(ptr, _) => Some((*ptr, interp.store.scalar(*ptr).as_int())),
+        _ => None,
     };
+    let pointer = pointer.filter(|&(_, p0)| p0 >= 0);
     // The commit reads a chunk's final value of a privatized scalar
     // (never), a reduction (combined) and the concat pointer (summed);
     // any other scalar the nest can assign would have to be claimed by
@@ -873,15 +854,27 @@ fn run(
     let claim_exempt = |v: VarId| {
         plan.privatized.contains(&v)
             || plan.reductions.iter().any(|(r, _)| *r == v)
-            || mode.pointer().is_some_and(|(ptr, _)| ptr == v)
+            || pointer.is_some_and(|(ptr, _)| ptr == v)
     };
     if let Some(v) = body.assigned_scalars().find(|&v| !claim_exempt(v)) {
         return Err(Abort::Fallback(FallbackReason::Unsupported, Some(v)));
     }
+    let mode = match (derived, pointer) {
+        (Derived::InPlace(targets), _) => {
+            match prepare_in_place(&mut interp.store, &targets, &plan.facts, chunks, in_place) {
+                Some(()) => Mode::InPlace(in_place),
+                None => Mode::WriteLog,
+            }
+        }
+        (Derived::Concat(ptr, targets), Some((_, p0))) => Mode::Concat { ptr, targets, p0 },
+        _ => Mode::WriteLog,
+    };
     // Chunk `k` runs in slot `k`.
     let slots = first(slots, chunks.count);
-    let cost = run_chunks(interp, plan, body, &mode, chunks, slots)?;
-    Ok((mode.strategy(), cost))
+    let ran = run_chunks(interp, plan, body, &mode, chunks, slots);
+    let strategy = mode.strategy();
+    in_place.specs.clear();
+    ran.map(|cost| (strategy, cost))
 }
 
 /// Runs a dispatch's chunks — one on the calling thread, more on the
@@ -891,8 +884,8 @@ fn run(
 /// commit reads the rest — its registers, cost and counters — from
 /// there. Then commits what they wrote and folds what they counted into
 /// the master, or reports the one failure the dispatch fails with,
-/// having changed nothing of the master but what the mode's undo images
-/// put back. Returns the body cost the chunks charged the master
+/// having changed nothing of the master that the mode's undo images do
+/// not put back. Returns the body cost the chunks charged the master
 /// together.
 fn run_chunks(
     interp: &mut Interp<'_>,
@@ -2670,53 +2663,108 @@ mod tests {
         assert!(got.is_err(), "{got:?}");
     }
 
-    /// A scatter target has no window to copy aside. In a nest that
-    /// reads another target it runs in place only when every iteration
-    /// writes its cell unconditionally (whatever a chunk did, the
-    /// fallback does again); written under a condition, it takes the
-    /// write-log.
+    /// A scatter into `b` beside `y(i) = y(i) + i`, a target the nest
+    /// reads: unconditional, or under a branch on `y`.
+    fn scatter_beside_a_read_target(conditional: bool) -> String {
+        let scatter = match conditional {
+            false => "b(p(i)) = y(i)",
+            true => "if (y(i) > 2.0) then\n b(p(i)) = y(i)\n endif",
+        };
+        format!(
+            "program t
+             integer i, p(8)
+             real b(8), y(8)
+             do i = 1, 8
+               y(i) = y(i) + i
+               {scatter}
+             enddo
+             end"
+        )
+    }
+
+    /// A master for [`scatter_beside_a_read_target`]'s program with the
+    /// presets `p`, a permutation, and `y`, and an in-place plan of
+    /// `threads` chunks under the facts the index scan issues for `p`.
+    fn scatter_master<'p>(
+        p: &'p Program,
+        y: &ArrayData,
+        threads: usize,
+    ) -> (Interp<'p>, ParallelPlan) {
+        let var = |name: &str| p.symbols.lookup(name).unwrap();
+        let mut it = Interp::new(p);
+        it.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
+        it.preset_array(var("y"), y.clone());
+        it.allocate_arrays();
+        let facts = IndexFacts::scan(&it.store, var("p"), None, 1, 8);
+        let plan = ParallelPlan {
+            strategy: ExecutionStrategy::InPlaceDisjoint,
+            facts: facts.into_iter().collect(),
+            ..ParallelPlan::with_threads(threads)
+        };
+        (it, plan)
+    }
+
+    /// A scatter target has no window, and needs none to be undone: in
+    /// a nest that reads another target it runs in place whether every
+    /// iteration writes its cell (whatever a chunk did, the fallback
+    /// does again) or a branch decides (the target keeps its old
+    /// payload as its undo image, like the read target beside it). Each
+    /// commits all three chunks and bumps each target's version once.
     #[test]
-    fn a_scatter_beside_a_read_target_runs_in_place_only_when_always_written() {
-        for (scatter, expected) in [
-            ("b(p(i)) = y(i)", ExecutionStrategy::InPlaceDisjoint),
-            (
-                "if (y(i) > 2.0) then\n b(p(i)) = y(i)\n endif",
-                ExecutionStrategy::WriteLog,
-            ),
-        ] {
-            let src = format!(
-                "program t
-                 integer i, p(8)
-                 real b(8), y(8)
-                 do i = 1, 8
-                   y(i) = y(i) + i
-                   {scatter}
-                 enddo
-                 end"
-            );
-            let p = parse_program(&src).unwrap();
+    fn a_scatter_beside_a_read_target_runs_in_place_written_or_not() {
+        for conditional in [false, true] {
+            let p = parse_program(&scatter_beside_a_read_target(conditional)).unwrap();
             let var = |name: &str| p.symbols.lookup(name).unwrap();
-            let fresh = || {
-                let mut it = Interp::new(&p);
-                it.preset_array(var("p"), ints(&[3, 1, 4, 8, 5, 2, 6, 7]));
-                it.preset_array(var("y"), reals(&[0.5; 8]));
-                it.allocate_arrays();
-                it
-            };
-            let mut seq = fresh();
+            let y = reals(&[0.5; 8]);
+            let (mut seq, _) = scatter_master(&p, &y, 1);
             seq.exec_stmt(first_do(&p)).unwrap();
-            let mut master = fresh();
-            let facts = IndexFacts::scan(&master.store, var("p"), None, 1, 8);
-            let plan = ParallelPlan {
-                strategy: ExecutionStrategy::InPlaceDisjoint,
-                facts: facts.into_iter().collect(),
-                ..ParallelPlan::with_threads(3)
-            };
+            let (mut master, plan) = scatter_master(&p, &y, 3);
             let got = exec_do_parallel(&mut master, first_do(&p), &plan, 1, 8, 1).unwrap();
-            assert_eq!(got.strategy, expected, "{scatter}");
+            assert_eq!(
+                (got.strategy, got.chunks),
+                (ExecutionStrategy::InPlaceDisjoint, 3),
+                "conditional: {conditional}"
+            );
             for a in ["b", "y"] {
                 assert_eq!(bits(&master.store, var(a)), bits(&seq.store, var(a)), "{a}");
+                assert_eq!(master.store.array_version(var(a)), 2, "{a}");
             }
+            assert!(!master.store.array(var("y")).shares_buffer(&y));
+        }
+    }
+
+    /// The conditional scatter of
+    /// [`a_scatter_beside_a_read_target_runs_in_place_written_or_not`],
+    /// which commits in place at 1, 2 and 4 chunks, with its last chunk
+    /// panicking: the chunks before it wrote both targets through the
+    /// master's buffers, and the dispatch hands back the master as it
+    /// found it, bit for bit and version for version — each target its
+    /// own old payload, so the read target shares its buffer with the
+    /// preset again.
+    #[test]
+    fn a_failed_dispatch_puts_back_a_conditional_scatter_and_the_read_target_beside_it() {
+        let p = parse_program(&scatter_beside_a_read_target(true)).unwrap();
+        let var = |name: &str| p.symbols.lookup(name).unwrap();
+        let y = reals(&[0.5; 8]);
+        for threads in [1, 2, 4] {
+            let (mut master, plan) = scatter_master(&p, &y, threads);
+            let got = exec_do_parallel(&mut master, first_do(&p), &plan, 1, 8, 1).unwrap();
+            assert_eq!(got.strategy, ExecutionStrategy::InPlaceDisjoint);
+            let (mut master, plan) = scatter_master(&p, &y, threads);
+            let plan = ParallelPlan {
+                fault: Some(FaultKind::PanicWorker {
+                    worker: threads - 1,
+                }),
+                ..plan
+            };
+            let held = observed(&p, &master);
+            let b = master.store.array(var("b")).clone();
+            let got = exec_do_parallel(&mut master, first_do(&p), &plan, 1, 8, 1);
+            let panicked = Err(Abort::Fallback(FallbackReason::Panic, None));
+            assert_eq!(got, panicked, "{threads} chunk(s)");
+            assert_eq!(observed(&p, &master), held, "{threads} chunk(s)");
+            assert!(master.store.array(var("y")).shares_buffer(&y));
+            assert!(master.store.array(var("b")).shares_buffer(&b));
         }
     }
 
@@ -3265,3 +3313,6 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod small_scope;

@@ -83,10 +83,11 @@ pub struct StrategyProgram {
 /// Loop bodies, each marked with whether it has one of the three
 /// in-place write shapes (on one or two targets) or is one of their
 /// near-misses: a dependent loop, or a parallel one whose writes have no
-/// shape (or a shape missing what it needs at run time). The one shape
-/// among the near-misses writes `w`, which nothing reads, only under a
-/// branch: in place all the same, every array being live from the
-/// program's first statement.
+/// shape (or a shape missing what it needs at run time). Two shapes
+/// among the near-misses write only under a branch, in place all the
+/// same: `w`, which nothing reads, every array being live from the
+/// program's first statement; and a scatter beside a target the nest
+/// reads, which keeps its old payload as its undo image.
 const STRATEGY_BODIES: [(&str, bool, &str); 22] = [
     ("affine-rmw", true, "y(i) = y(i) * 0.5 + x(i)\n"),
     ("affine-offset-rmw", true, "y(i + 1) = y(i + 1) + x(i)\n"),
@@ -148,7 +149,7 @@ const STRATEGY_BODIES: [(&str, bool, &str); 22] = [
     ("scatter-rmw", false, "z(p(i)) = z(p(i)) + x(i)\n"),
     (
         "scatter-under-a-branch-on-a-read-target",
-        false,
+        true,
         "y(i) = y(i) + x(i)\nif (y(i) > 4.0) then\nz(p(i)) = x(i)\nendif\n",
     ),
     ("strided-affine", false, "y(2 * i - 1) = x(i)\n"),

@@ -2,7 +2,7 @@
 //! with exact attribution, plus the cache-poisoning regression — a
 //! panicking request leaves the shared verdict cache byte-identical
 //! (same fingerprint) and its key quarantined, then re-admitted after
-//! `quarantine_retries` degraded responses.
+//! two degraded responses (the service's private constant).
 
 use irr_programs::sparse::{kernels, producer_kernels, SparseScale};
 use irr_service::{

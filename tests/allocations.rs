@@ -264,6 +264,46 @@ fn a_split_reentry_allocates_nothing_an_entry() {
     );
 }
 
+/// A re-entered in-place dispatch whose nest reads its target
+/// (`x(i) = x(i) * 0.5 + r`): the target keeps its old payload as the
+/// dispatch's undo image, so forcing the payload unique for the chunk
+/// copies the array — the reference-counted box and the element buffer,
+/// 2 allocations an entry — and the commit drops the old one. It made
+/// none an entry while the image was a copy of the window range into a
+/// buffer the run kept (which, beside a payload shared with the
+/// caller, was a second copy of the array).
+#[test]
+fn a_reentered_in_place_dispatch_that_reads_its_target_copies_it_once_an_entry() {
+    let sweep = |entries: usize| {
+        format!(
+            "program t
+             integer i, r, n
+             real x(64)
+             n = 64
+             do r = 1, {entries}
+               do 20 i = 1, n
+                 x(i) = x(i) * 0.5 + r
+ 20            continue
+             enddo
+             print x(1), x(64)
+             end"
+        )
+    };
+    let (out, n) = hybrid_run(&sweep(100));
+    let t = out.telemetry;
+    assert_eq!(
+        (t.strategy_in_place, t.strategy_write_log, t.fallbacks()),
+        (100, 0, 0),
+        "{t:?}"
+    );
+    let (_, twice) = hybrid_run(&sweep(200));
+    assert_eq!(
+        twice - n,
+        2 * 100,
+        "{n} allocations for 100 in-place entries, {twice} for 200"
+    );
+}
+
 /// A sequential-tier leaf loop runs on the typed loop
 /// (`LoopDecision::Compiled`) in the register planes and pin vector the
 /// interpreter keeps: 100 entries of a recurrence cost what its first

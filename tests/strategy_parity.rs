@@ -190,11 +190,7 @@ fn strategy_shapes_commit_in_place_and_their_near_misses_do_not() {
     // write-log; the rest are dependent and never dispatch.
     assert_eq!(
         logged.into_iter().collect::<Vec<_>>(),
-        [
-            "scatter-rmw",
-            "scatter-under-a-branch-on-a-read-target",
-            "strided-affine"
-        ]
+        ["scatter-rmw", "strided-affine"]
     );
 }
 
