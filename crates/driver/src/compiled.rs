@@ -66,7 +66,8 @@ pub struct CompiledPlan {
     /// Fused multiply–adds `x + b * c`, the reduction `s = s + b * c`
     /// included.
     pub multiply_adds: u32,
-    /// Innermost `do` loops (the root included) that carry a [`Stream`].
+    /// Innermost `do` loops (the root included) that carry a [`Stream`]
+    /// or a [`Filter`].
     pub stream_loops: u32,
 }
 
@@ -348,11 +349,11 @@ pub enum InvTerm {
     Load { slot: u16, at: u16 },
 }
 
-/// A per-iteration location of a stream over a real rank-1 array:
-/// LINEAR `arr(base + j)`, or INDIRECT `arr(idx(base + j))` through the
-/// integer rank-1 array at `idx_slot` (gem-forge's access-pattern
-/// classes, decided here from the tree). `base` is an entry of
-/// [`Stream::invs`].
+/// A per-iteration location of a stream over a real rank-1 array (a
+/// [`Filter`]'s test and value: of either plane): LINEAR `arr(base +
+/// j)`, or INDIRECT `arr(idx(base + j))` through the integer rank-1
+/// array at `idx_slot` (gem-forge's access-pattern classes, decided here
+/// from the tree). `base` is an entry of [`Stream::invs`].
 #[derive(Clone, Debug)]
 pub struct StreamAt {
     pub slot: u16,
@@ -443,6 +444,84 @@ impl Stream {
             Some((StreamTail::CAddP, c)) => format!("{sink} = {} + {p}", kind(c)),
             Some((StreamTail::CSubP, c)) => format!("{sink} = {} − {p}", kind(c)),
         }
+    }
+}
+
+/// An operand in the plane of the instruction that reads it: an exact
+/// integer, or a real.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlaneOpnd {
+    Int(IOpnd),
+    Real(FOpnd),
+}
+
+/// What a [`Filter`] appends, in its target's plane: the loop variable
+/// `j`, a literal or a scalar the body does not assign, or a LINEAR
+/// element.
+#[derive(Clone, Debug)]
+pub enum FilterVal {
+    Index,
+    Inv(PlaneOpnd),
+    At(StreamAt),
+}
+
+/// An innermost unit-step `do j` whose body is the paper's
+/// consecutively written array (§2.2, Fig. 1(a); the index gathering of
+/// §4, Fig. 14) — a filtered append:
+///
+/// ```text
+/// if (x cmp inv) then          if (x cmp inv) then
+///   p = p + 1                    t(p) = e
+///   t(p) = e                     p = p + 1
+/// endif                        endif
+/// ```
+///
+/// `x` a LINEAR or INDIRECT element of a rank-1 array, `inv` a literal or
+/// a scalar the body does not assign, `t` a rank-1 array and `p` an
+/// integer scalar, neither read by `x`, `inv` or `e`. What the typed
+/// loop may fast-forward as one stream that appends where the test
+/// holds; the block is still lowered and runs every iteration the
+/// stream's guards do not cover.
+#[derive(Clone, Debug)]
+pub struct Filter {
+    /// The tested element.
+    pub x: StreamAt,
+    /// The comparison, `x` on its left.
+    pub op: BinOp,
+    /// Its other side, in the comparison's plane: `Int` when both sides
+    /// are integers (an exact compare), else `Real`.
+    pub inv: PlaneOpnd,
+    /// The append target's pin slot and the pointer's register.
+    pub slot: u16,
+    pub ptr: u16,
+    /// `p = p + 1` comes before the store: the element written is
+    /// `t(p + 1)`, not `t(p)`.
+    pub bump_first: bool,
+    pub val: FilterVal,
+    /// The subscript parts of `x` and of a LINEAR `e`, as a
+    /// [`Stream`]'s: at most [`ROW_INVS`] entries.
+    pub invs: Box<[Inv]>,
+}
+
+impl Filter {
+    /// The test and what is appended, by operand kind — `lin > val ⇒
+    /// append j` — a row of the shape histogram in EXPERIMENTS.md.
+    pub fn shape(&self) -> String {
+        let x = ["lin", "ind"][usize::from(self.x.idx_slot.is_some())];
+        let op = match self.op {
+            BinOp::Eq => "=",
+            BinOp::Ne => "≠",
+            BinOp::Lt => "<",
+            BinOp::Le => "≤",
+            BinOp::Gt => ">",
+            _ => "≥",
+        };
+        let e = match self.val {
+            FilterVal::Index => "j",
+            FilterVal::Inv(_) => "val",
+            FilterVal::At(_) => "lin",
+        };
+        format!("{x} {op} val ⇒ append {e}")
     }
 }
 
@@ -606,6 +685,9 @@ pub struct CompiledBody {
     stored: Vec<bool>,
     loops: Vec<StmtId>,
     streams: Vec<Option<Stream>>,
+    /// The filter streams by loop slot: few, and none in most nests,
+    /// which so allocate nothing for them.
+    filters: Vec<(usize, Filter)>,
     segs: Vec<Option<SegStream>>,
     root_var: VarId,
     root_reg: u16,
@@ -708,6 +790,21 @@ impl CompiledBody {
         self.streams.iter().flatten()
     }
 
+    /// The filter stream of the `do` loop in slot `slot`, numbered as for
+    /// [`CompiledBody::stream`], when its body is a filtered append.
+    #[inline]
+    pub fn filter(&self, slot: usize) -> Option<&Filter> {
+        self.filters
+            .iter()
+            .find(|(s, _)| *s == slot)
+            .map(|(_, f)| f)
+    }
+
+    /// Every filter stream of the nest.
+    pub fn filters(&self) -> impl Iterator<Item = &Filter> {
+        self.filters.iter().map(|(_, f)| f)
+    }
+
     /// The segmented stream of the `do` loop in slot `slot`, numbered
     /// as for [`CompiledBody::stream`], when its body is a row.
     #[inline]
@@ -745,7 +842,7 @@ impl CompiledBody {
         let mut plan = CompiledPlan {
             registers: self.register_count() as u32,
             inner_loops: self.inner_loops().len() as u32,
-            stream_loops: self.streams().count() as u32,
+            stream_loops: (self.streams().count() + self.filters().count()) as u32,
             ..CompiledPlan::default()
         };
         for op in self.blocks.iter().flatten() {
@@ -904,6 +1001,55 @@ mod tests {
             &past,                                 // a table past ROW_INVS
         ] {
             assert_eq!(streams(body), 0, "{body}");
+        }
+    }
+
+    /// The filter family: what gets a [`Filter`] beside its block and
+    /// what stays on the block alone.
+    #[test]
+    fn the_filter_family_is_closed() {
+        let filters = |body: &str| {
+            let src = format!(
+                "program t
+                 integer i, k, p, m, key(8), idx(8), t(8)
+                 real r, w(8), u(8)
+                 do i = 1, 8
+                   if ({body}
+                   endif
+                 enddo
+                 end"
+            );
+            let p = parse_program(&src).unwrap();
+            let body = lower_do_loop(&p, first_do(&p)).unwrap();
+            let n = body.filters().count();
+            assert_eq!(body.plan().stream_loops as usize, n, "{src}");
+            n
+        };
+        for body in [
+            "key(i) > 3) then\n p = p + 1\n t(p) = i",
+            "w(i) <= r) then\n t(p) = i\n p = p + 1",
+            "key(idx(i)) .ne. m) then\n p = 1 + p\n u(p) = w(i)",
+            "w(i + k) < 0) then\n p = p + 1\n u(p) = r",
+            "key(i) .eq. 2.5) then\n p = p + 1\n t(p) = key(i)",
+        ] {
+            assert_eq!(filters(body), 1, "{body}");
+        }
+        for body in [
+            "key(i) > 3) then\n p = p + 1\n t(p) = i\n else\n m = 1", // an else
+            "key(i) > p) then\n p = p + 1\n t(p) = i",                // the test reads the pointer
+            "key(i + p) > 3) then\n p = p + 1\n t(p) = i",            // so does its subscript
+            "t(i) > 3) then\n p = p + 1\n t(p) = i",                  // the test reads the target
+            "key(t(i)) > 3) then\n p = p + 1\n t(p) = i",             // through it
+            "key(i) > 3) then\n p = p + 1\n t(p) = t(i)",             // so does the value
+            "key(i) > 3) then\n p = p + 1\n t(p) = w(idx(i))",        // an INDIRECT value
+            "key(i) > 3) then\n p = p + 2\n t(p) = i",                // not a bump
+            "key(i) > 3) then\n r = r + 1\n u(r) = i",                // a real pointer
+            "key(i) > 3) then\n m = m + 1\n p = p + 1\n t(p) = i",    // three statements
+            "key(3) > 3) then\n p = p + 1\n t(p) = i",                // an invariant test
+            "key(i) + 1 > 3) then\n p = p + 1\n t(p) = i",            // arithmetic in the test
+            "key(i) > 3 .and. w(i) > 0) then\n p = p + 1\n t(p) = i", // a compound test
+        ] {
+            assert_eq!(filters(body), 0, "{body}");
         }
     }
 

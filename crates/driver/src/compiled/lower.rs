@@ -40,7 +40,9 @@
 //!   and one store of the reduced value gets a [`SegStream`] the same
 //!   way (`Lowerer::seg_of`). Both decide their table here, once: at
 //!   most [`ROW_INVS`] entries, and each row entry's [`RowForm`], which
-//!   the executor evaluates and does not re-derive.
+//!   the executor evaluates and does not re-derive. An innermost `do`
+//!   whose body is one `if (x cmp inv)` around an append through a
+//!   pointer gets a [`Filter`] (`Lowerer::filter_of`), the same way.
 //! - **Local value numbering** happens at emission: a pure instruction
 //!   whose value is already available in the straight-line region is
 //!   not emitted again. Safe because compute ops never charge fuel, so
@@ -59,8 +61,9 @@
 //!   effects exactly like `eval_cond`.
 
 use super::{
-    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowFin, RowForm, RowVal,
-    SegStream, Stream, StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
+    Addr, CompiledBody, FOp, FOpnd, Filter, FilterVal, IOpnd, Inv, InvTerm, PlaneOpnd, Promoted,
+    RowFin, RowForm, RowVal, SegStream, Stream, StreamAt, StreamRef, StreamSink, StreamTail,
+    ROW_INVS,
 };
 use irr_frontend::{
     BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
@@ -73,6 +76,16 @@ use std::cell::RefCell;
 pub struct LowerReject(pub &'static str);
 
 type Lower<T> = Result<T, LowerReject>;
+
+/// Whether `inc` is `p + 1` or `1 + p`: the bump of an append.
+fn bumps(p: VarId, inc: &Expr) -> bool {
+    matches!(
+        inc,
+        Expr::Bin(BinOp::Add, x, y)
+            if (x.is_var(p) && y.as_int_lit() == Some(1))
+                || (y.is_var(p) && x.as_int_lit() == Some(1))
+    )
+}
 
 /// Lowers the `do` loop at `loop_stmt` (its body; the outer loop's
 /// bound evaluation and induction control stay with the driver) into
@@ -103,6 +116,7 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         stored: Vec::new(),
         loops: vec![loop_stmt],
         streams: vec![None],
+        filters: Vec::new(),
         segs: vec![None],
         avail: Vec::new(),
     };
@@ -110,6 +124,8 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
     let root = l.new_block()?;
     l.lower_stmts(root, body)?;
     l.streams[0] = l.stream_of(*var, step.as_ref(), body);
+    l.filters
+        .extend(l.filter_of(*var, step.as_ref(), body).map(|f| (0, f)));
     l.segs[0] = l.seg_of(*var, step.as_ref(), body);
     let scalars = (l.vars.iter().enumerate())
         .filter_map(|(k, u)| {
@@ -132,6 +148,7 @@ pub fn lower_do_loop(program: &Program, loop_stmt: StmtId) -> Lower<CompiledBody
         stored: l.stored,
         loops: l.loops,
         streams: l.streams,
+        filters: l.filters,
         segs: l.segs,
         root_var: *var,
         root_reg,
@@ -274,6 +291,8 @@ struct Lowerer<'p> {
     loops: Vec<StmtId>,
     /// Per entry of `loops`: the stream an innermost `do` runs as.
     streams: Vec<Option<Stream>>,
+    /// The filter streams innermost `do`s run as, by entry of `loops`.
+    filters: Vec<(usize, Filter)>,
     /// Per entry of `loops`: the segmented stream a row loop runs as.
     segs: Vec<Option<SegStream>>,
     /// Pure values computed since the last join point of the block
@@ -444,13 +463,11 @@ impl<'p> Lowerer<'p> {
         else {
             return Ok(false);
         };
-        let bumps = matches!(
-            inc,
-            Expr::Bin(BinOp::Add, x, y)
-                if (x.is_var(*p) && y.as_int_lit() == Some(1))
-                    || (y.is_var(*p) && x.as_int_lit() == Some(1))
-        );
-        if p2 != p || !bumps || self.is_real(*p) || self.program.symbols.var(*arr).rank() != 1 {
+        if p2 != p
+            || !bumps(*p, inc)
+            || self.is_real(*p)
+            || self.program.symbols.var(*arr).rank() != 1
+        {
             return Ok(false);
         }
         self.emit(b, FOp::Charge(1));
@@ -522,6 +539,9 @@ impl<'p> Lowerer<'p> {
                 let body_b = self.new_block()?;
                 self.lower_stmts(body_b, body)?;
                 self.streams[usize::from(lidx) + 1] = self.stream_of(*var, step.as_ref(), body);
+                let filter = self.filter_of(*var, step.as_ref(), body);
+                self.filters
+                    .extend(filter.map(|f| (usize::from(lidx) + 1, f)));
                 let (var_real, reg) = self.assigned_scalar(*var)?;
                 self.segs[usize::from(lidx) + 1] = self.seg_of(*var, step.as_ref(), body);
                 // The loop writes whatever its body does.
@@ -977,6 +997,123 @@ impl<'p> Lowerer<'p> {
         })
     }
 
+    /// The [`Filter`] of the `do j` loop with this `step` and `body`,
+    /// already lowered: `Some` when `j` is an integer, the step is 1, the
+    /// body is one `if (x cmp inv)` with no `else` whose arm is an append
+    /// through an integer pointer `p` — `p = p + 1; t(p) = e` or `t(p) =
+    /// e; p = p + 1` — and nothing the stream reads is what the arm
+    /// writes: not `t`, not `p`.
+    fn filter_of(&self, j: VarId, step: Option<&Expr>, body: &[StmtId]) -> Option<Filter> {
+        let kind = |s: &StmtId| &self.program.stmt(*s).kind;
+        let [s] = body else { return None };
+        let StmtKind::If {
+            cond: Expr::Bin(op, x, inv),
+            then_body,
+            else_body,
+        } = kind(s)
+        else {
+            return None;
+        };
+        if !op.is_comparison()
+            || !else_body.is_empty()
+            || self.is_real(j)
+            || step.is_some_and(|e| e.as_int_lit() != Some(1))
+        {
+            return None;
+        }
+        let [first, second] = then_body.as_slice() else {
+            return None;
+        };
+        // The store `t(p) = e` and the bump `p = p + 1`, in either order.
+        let store = |s: &StmtId| match kind(s) {
+            StmtKind::Assign {
+                lhs: lhs @ LValue::Element(t, subs),
+                rhs,
+            } => match subs.as_slice() {
+                [Expr::Var(p)] => Some((lhs, *t, *p, rhs)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let bump = |s: &StmtId, p: VarId| match kind(s) {
+            StmtKind::Assign {
+                lhs: LValue::Scalar(v),
+                rhs,
+            } => *v == p && bumps(p, rhs),
+            _ => false,
+        };
+        let (bump_first, (lhs, t, p, e)) = match (store(first), store(second)) {
+            (Some(st), _) if bump(second, st.2) => (false, st),
+            (_, Some(st)) if bump(first, st.2) => (true, st),
+            _ => return None,
+        };
+        if self.is_real(p) || p == j || self.program.symbols.var(t).rank() != 1 {
+            return None;
+        }
+        let (slot, ptr) = (self.vars[t.index()].slot?, self.vars[p.index()].reg?);
+        let invs = RefCell::default();
+        let cx = StreamCx {
+            l: self,
+            j,
+            lhs,
+            invs: &invs,
+        };
+        // A LINEAR or INDIRECT element of either plane.
+        let at = |e: &Expr| match e {
+            Expr::Element(a, subs) => match cx.place_in(*a, subs, self.is_real(*a))? {
+                Place::Varying(at) => Some(at),
+                Place::Fixed(..) => None,
+            },
+            _ => None,
+        };
+        // A literal or a scalar the body does not assign, as `Val`.
+        let val = |e: &Expr| match e {
+            Expr::IntLit(c) => Some(Val::IConst(*c)),
+            Expr::RealLit(c) => Some(Val::FConst(*c)),
+            Expr::Var(v) if *v != j && *v != p => {
+                Some(Val::reg(self.is_real(*v), self.vars[v.index()].reg?))
+            }
+            _ => None,
+        };
+        let x = at(x)?;
+        let inv = val(inv)?;
+        let inv = if self.is_real(self.arrays[usize::from(x.slot)]) || !inv.is_int() {
+            PlaneOpnd::Real(inv.f())
+        } else {
+            PlaneOpnd::Int(inv.i())
+        };
+        let val = match e {
+            Expr::Var(v) if *v == j => FilterVal::Index,
+            Expr::Element(..) => FilterVal::At(at(e).filter(|at| at.idx_slot.is_none())?),
+            e if self.is_real(t) => FilterVal::Inv(PlaneOpnd::Real(val(e)?.f())),
+            e => FilterVal::Inv(PlaneOpnd::Int(val(e)?.i())),
+        };
+        // Nothing the stream reads may be what it writes.
+        let reads = |at: &StreamAt| at.slot == slot || at.idx_slot == Some(slot);
+        let invs = invs.into_inner();
+        let writes = |term: &(bool, InvTerm)| match term.1 {
+            InvTerm::Reg(r) => r == ptr,
+            InvTerm::Load { slot: s, .. } => s == slot,
+        };
+        if reads(&x)
+            || matches!(&val, FilterVal::At(at) if reads(at))
+            || invs.iter().flat_map(|inv| inv.terms.iter()).any(writes)
+            || invs.len() > ROW_INVS
+        {
+            return None;
+        }
+        Some(Filter {
+            x,
+            op: *op,
+            inv,
+            slot,
+            ptr,
+            bump_first,
+            val,
+            invs: invs.into(),
+        })
+    }
+
     /// The [`SegStream`] of the `do i` loop with this `step` and `body`,
     /// already lowered (so every register and slot it names exists):
     /// `Some` when `i` is an integer, the step is 1 and the body is
@@ -1192,7 +1329,12 @@ impl StreamCx<'_, '_> {
     }
 
     fn place(&self, arr: VarId, subs: &[Expr]) -> Option<Place> {
-        let ([sub], true) = (subs, self.rank1(arr, true)) else {
+        self.place_in(arr, subs, true)
+    }
+
+    /// [`StreamCx::place`] over a rank-1 array of the `real` plane.
+    fn place_in(&self, arr: VarId, subs: &[Expr], real: bool) -> Option<Place> {
+        let ([sub], true) = (subs, self.rank1(arr, real)) else {
             return None;
         };
         let slot = self.l.vars[arr.index()].slot?;

@@ -93,6 +93,21 @@
 //!   in place, `scale` out of place, `permute`'s scatter and SpMV's
 //!   reduction; every other shape runs the catch-all, which decides
 //!   operand kinds per element.
+//! - **The consecutively written array is a kernel too.** Where the
+//!   lowering recorded a [`Filter`] for an innermost loop — `if (x cmp
+//!   inv)` around an append through a pointer, the paper's §2.2 array
+//!   and `rowgather` — [`FState::run_filter`] fast-forwards a strip under
+//!   the same prefix rule: the table and each LINEAR range at both ends
+//!   once, then per iteration the test (an INDIRECT subscript checked as
+//!   read) and, where it holds, the target's room before the append and
+//!   the fuel an appending iteration takes; fuel, cost, the pointer and
+//!   the stores follow in closed form from the iterations and appends
+//!   run. Its own table ([`FState::instantiate_filter`]) gives
+//!   `rowgather`'s shape its own types — one range test, eight elements
+//!   at a time while none holds — and the rest a catch-all. It also runs
+//!   in a concat chunk, whose target is an append sink: there each
+//!   append goes through the sink's append rule, as a per-iteration
+//!   store's does.
 //!
 //! **The `unsafe` here leans on one invariant, established elsewhere.**
 //! A `CompiledBody` can only come out of `lower_do_loop` (its fields
@@ -110,8 +125,8 @@ use crate::interp::{
     Interp, RawSlice, Store, Value, WriteSink,
 };
 use irr_driver::compiled::{
-    Addr, CompiledBody, FOp, FOpnd, IOpnd, Inv, InvTerm, Promoted, RowForm, RowVal, SegStream,
-    Stream, StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
+    Addr, CompiledBody, FOp, FOpnd, Filter, FilterVal, IOpnd, Inv, InvTerm, PlaneOpnd, Promoted,
+    RowForm, RowVal, SegStream, Stream, StreamAt, StreamRef, StreamSink, StreamTail, ROW_INVS,
 };
 use irr_frontend::{BinOp, Intrinsic, Program, ScalarType, VarId};
 use std::cell::Cell;
@@ -384,6 +399,14 @@ fn in_view(v: i64, origin: u64, dim0: u64) -> Option<usize> {
     } else {
         Some(k as usize)
     }
+}
+
+/// The offset in `pin`'s view of subscript `first`, when `first ..=
+/// first + n - 1`, `n >= 1`, is inside the view at both ends ([`View::
+/// lin`] for a pin of either plane).
+fn lin_at(pin: &RawPin, first: i64, n: usize) -> Option<usize> {
+    pin.chk(first.checked_add(n as i64 - 1)?)?;
+    pin.chk(first)
 }
 
 /// Iterations (or rows) a stream fast-forwards between two polls of a
@@ -1171,6 +1194,343 @@ impl Job for Rows<'_> {
     }
 }
 
+/// An element type of a filter's append target: what its value converts
+/// to, as the per-iteration store's operand conversion does (`Value::
+/// as_int` truncates a real), and the `Value` an append sink buffers.
+trait Elt: Copy {
+    fn of_int(v: i64) -> Self;
+    fn of_real(v: f64) -> Self;
+    fn value(self) -> Value;
+}
+
+impl Elt for i64 {
+    #[inline(always)]
+    fn of_int(v: i64) -> i64 {
+        v
+    }
+    #[inline(always)]
+    fn of_real(v: f64) -> i64 {
+        v as i64
+    }
+    fn value(self) -> Value {
+        Value::Int(self)
+    }
+}
+
+impl Elt for f64 {
+    #[inline(always)]
+    fn of_int(v: i64) -> f64 {
+        v as f64
+    }
+    #[inline(always)]
+    fn of_real(v: f64) -> f64 {
+        v
+    }
+    fn value(self) -> Value {
+        Value::Real(self)
+    }
+}
+
+/// A filter's test of iteration `t`: whether it holds, `None` when an
+/// INDIRECT subscript misses its view.
+trait Test: Copy {
+    fn holds(self, t: usize) -> Option<bool>;
+
+    /// Whether the test fails, with no subscript missing, for each of
+    /// iterations `t .. t + BLOCK`, all of them in the strip: `false`
+    /// when a test cannot tell at once.
+    #[inline(always)]
+    fn fails_block(self, _: usize) -> bool {
+        false
+    }
+}
+
+/// Iterations a filter kernel tests at once while none holds.
+const BLOCK: u64 = 8;
+
+/// An exact integer test of a LINEAR integer element: `rowgather`'s.
+/// `x op c` as a range: it holds when `x - lo`, unsigned, is at most
+/// `span`, or (`out`) when it is not.
+#[derive(Clone, Copy)]
+struct IntLin {
+    x: Lin<i64>,
+    lo: i64,
+    span: u64,
+    out: bool,
+}
+
+impl IntLin {
+    fn new(x: Lin<i64>, op: BinOp, c: i64) -> IntLin {
+        let (lo, hi, out) = match op {
+            BinOp::Eq => (c, c, false),
+            BinOp::Ne => (c, c, true),
+            BinOp::Lt if c == i64::MIN => (i64::MIN, i64::MAX, true),
+            BinOp::Lt => (i64::MIN, c - 1, false),
+            BinOp::Le => (i64::MIN, c, false),
+            BinOp::Gt if c == i64::MAX => (i64::MIN, i64::MAX, true),
+            BinOp::Gt => (c + 1, i64::MAX, false),
+            _ => (c, i64::MAX, false),
+        };
+        let span = hi.wrapping_sub(lo) as u64;
+        IntLin { x, lo, span, out }
+    }
+
+    /// Whether element `t`, `t` below the strip's length, is in the
+    /// range.
+    #[inline(always)]
+    fn in_range(self, t: usize) -> bool {
+        debug_assert!(t < self.x.len);
+        // SAFETY: `x` passed its view at both ends of the strip (`View::
+        // lin`), `t` is below the strip's length, and the pin is an
+        // `i64` payload.
+        let v = unsafe { *self.x.p.add(t) };
+        v.wrapping_sub(self.lo) as u64 <= self.span
+    }
+
+    /// The test of element `t`.
+    #[inline(always)]
+    fn at(self, t: usize) -> bool {
+        self.in_range(t) != self.out
+    }
+}
+
+impl Test for IntLin {
+    #[inline(always)]
+    fn holds(self, t: usize) -> Option<bool> {
+        Some(self.at(t))
+    }
+
+    #[inline(always)]
+    fn fails_block(self, t: usize) -> bool {
+        // No branch inside the block: one test a block while none holds.
+        let inside = (0..BLOCK).fold(0, |n, u| n + u64::from(self.in_range(t + u as usize)));
+        inside == if self.out { BLOCK } else { 0 }
+    }
+}
+
+/// An element of either plane: `k` counts from `p` (`ip` or `fp`,
+/// whichever the pin's plane is).
+#[derive(Clone, Copy)]
+struct AnyElt {
+    ip: *const i64,
+    fp: *const f64,
+    is_int: bool,
+}
+
+impl AnyElt {
+    /// Element `k`, as an integer or a real: both planes read it.
+    #[inline(always)]
+    fn read<T: Elt>(self, k: usize) -> T {
+        // SAFETY: the caller checked `k` against a view of a live pin of
+        // this plane (a LINEAR range at both ends, or an INDIRECT
+        // subscript against the data's view).
+        unsafe {
+            if self.is_int {
+                T::of_int(*self.ip.add(k))
+            } else {
+                T::of_real(*self.fp.add(k))
+            }
+        }
+    }
+
+    /// `AnyElt` of `pin`'s payload from offset `k0` on.
+    fn of(pin: &RawPin, k0: usize) -> AnyElt {
+        AnyElt {
+            ip: pin.ip.wrapping_add(k0),
+            fp: pin.fp.wrapping_add(k0),
+            is_int: pin.is_int,
+        }
+    }
+}
+
+/// Any test: a LINEAR or INDIRECT element of either plane, compared
+/// exactly (`int`, both sides integers) or as reals.
+#[derive(Clone, Copy)]
+struct AnyTest {
+    x: AnyElt,
+    /// INDIRECT: the index lane, and the data's view (`x` is at its
+    /// origin).
+    ind: Option<(Lin<i64>, u64, u64)>,
+    int: Option<i64>,
+    real: f64,
+    op: BinOp,
+}
+
+impl Test for AnyTest {
+    #[inline(always)]
+    fn holds(self, t: usize) -> Option<bool> {
+        let k = match self.ind {
+            None => t,
+            Some((idx, origin, dim0)) => {
+                debug_assert!(t < idx.len);
+                // SAFETY: as `Ind::at`.
+                in_view(unsafe { *idx.p.add(t) }, origin, dim0)?
+            }
+        };
+        let ord = match self.int {
+            Some(inv) => self.x.read::<i64>(k).cmp(&inv),
+            None => cmp_f(self.x.read(k), self.real),
+        };
+        Some(cmp_res(self.op, ord))
+    }
+}
+
+/// What a filter appends in iteration `t`, whose `j` is `j`.
+trait Src<T>: Copy {
+    fn get(self, t: usize, j: i64) -> T;
+}
+
+/// The loop variable.
+#[derive(Clone, Copy)]
+struct Index;
+
+impl<T: Elt> Src<T> for Index {
+    #[inline(always)]
+    fn get(self, _: usize, j: i64) -> T {
+        T::of_int(j)
+    }
+}
+
+/// Any value: the loop variable, a fixed one, or a LINEAR element.
+#[derive(Clone, Copy)]
+enum AnySrc<T> {
+    Index,
+    Val(T),
+    Lin(AnyElt),
+}
+
+impl<T: Elt> Src<T> for AnySrc<T> {
+    #[inline(always)]
+    fn get(self, t: usize, j: i64) -> T {
+        match self {
+            AnySrc::Index => T::of_int(j),
+            AnySrc::Val(v) => v,
+            AnySrc::Lin(e) => e.read(t),
+        }
+    }
+}
+
+/// A filter's append target: stores `v` at subscript `at`; `None`, with
+/// nothing done, when `at` is outside the view, `Some(false)` when an
+/// append sink refused it.
+trait Put<T>: Copy {
+    fn put(self, st: &mut FState, at: i64, v: T) -> Option<bool>;
+}
+
+/// A raw pin's payload under its view.
+#[derive(Clone, Copy)]
+struct RawPut<T>(View<T>);
+
+impl<T: Elt> Put<T> for RawPut<T> {
+    #[inline(always)]
+    fn put(self, _: &mut FState, at: i64, v: T) -> Option<bool> {
+        let d = self.0;
+        let k = in_view(at, d.origin, d.dim0)?;
+        debug_assert!(k < d.len);
+        // SAFETY: `k` is in the view of a raw pin of this plane (the
+        // filter runs only on one), which owns its payload or whose
+        // window holds `k`.
+        unsafe { *d.p.add(k) = v }
+        Some(true)
+    }
+}
+
+/// A concat chunk's append sink, at the pin in `slot`: each store goes
+/// through [`TypedBuf::append_at`](crate::interp::TypedBuf::append_at)
+/// under the append rule, as the per-iteration store's does.
+#[derive(Clone, Copy)]
+struct AppendPut(u16);
+
+impl<T: Elt> Put<T> for AppendPut {
+    #[inline(always)]
+    fn put(self, st: &mut FState, at: i64, v: T) -> Option<bool> {
+        let pin = st.pinw(self.0);
+        let k = pin.chk(at)?;
+        pin.observed(k, v.value());
+        Some(!pin.refused.get())
+    }
+}
+
+/// Any target: raw, or an append sink.
+#[derive(Clone, Copy)]
+enum AnyPut<T> {
+    Raw(RawPut<T>),
+    Append(AppendPut),
+}
+
+impl<T: Elt> Put<T> for AnyPut<T> {
+    #[inline(always)]
+    fn put(self, st: &mut FState, at: i64, v: T) -> Option<bool> {
+        match self {
+            AnyPut::Raw(w) => w.put(st, at, v),
+            AnyPut::Append(w) => w.put(st, at, v),
+        }
+    }
+}
+
+/// A filter's strip as its kernel runs it: iterations `lo .. lo + n`,
+/// with `half` the fuel left halved, the pointer starting at `p`.
+struct FilterStrip {
+    lo: i64,
+    n: usize,
+    half: u64,
+    p: i64,
+    /// The pointer is bumped before the store.
+    pre: i64,
+}
+
+/// The one filter kernel: the iterations of `s` in order, each testing
+/// `x` and, where the test holds, storing `v` at the pointer's next
+/// element through `w` and bumping the pointer. Stops *before* the
+/// first iteration whose INDIRECT subscript misses, whose store would
+/// leave the target's view, or for which the fuel left does not cover
+/// its statements and bookkeeping — two units, four where the test
+/// holds — and *after* one whose append the sink refused. Returns the
+/// iterations run, the appends made and the pointer.
+#[inline(always)]
+fn filter_kernel<X: Test, T: Elt, V: Src<T>, W: Put<T>>(
+    st: &mut FState,
+    s: &FilterStrip,
+    x: X,
+    v: V,
+    w: W,
+) -> (u64, u64, i64) {
+    let (half, mut p) = (s.half, s.p);
+    // `t + k` iterations' worth of two units is spent after `t`
+    // iterations with `k` appends, so iteration `t` fits when `t + k <
+    // half`, and one that appends when `t + k + 1 < half`.
+    let mut end = (s.n as u64).min(half);
+    let (mut t, mut k) = (0u64, 0u64);
+    while t < end {
+        if t + BLOCK <= end && x.fails_block(t as usize) {
+            t += BLOCK;
+            continue;
+        }
+        match x.holds(t as usize) {
+            None => break,
+            Some(false) => {}
+            Some(true) => {
+                if t + k + 1 >= half {
+                    break;
+                }
+                let value = v.get(t as usize, s.lo + t as i64);
+                let Some(taken) = w.put(st, p.wrapping_add(s.pre), value) else {
+                    break;
+                };
+                p = p.wrapping_add(1);
+                k += 1;
+                end = end.min(half - k);
+                if !taken {
+                    t += 1;
+                    break;
+                }
+            }
+        }
+        t += 1;
+    }
+    (t, k, p)
+}
+
 /// Per-entry run state: the typed register planes, pinned payloads,
 /// and the local fuel/cost ledger — everything a typed run changes but
 /// its sinks, for a sequential entry to flush into its interpreter
@@ -1204,6 +1564,9 @@ pub(crate) struct FState {
     /// under a write-log or an append buffer no loop entry so much as
     /// looks its stream up — the stream and row kernels write raw.
     streams: bool,
+    /// The slot of the one stored pin that is not a raw write, when that
+    /// pin is an append sink: a filter stream appending to it still runs.
+    lone_append: Option<u16>,
     /// A worker's deadline.
     deadline: Deadline,
     /// There is a deadline or an append sink, so [`FState::poll`] has
@@ -1516,6 +1879,136 @@ impl FState {
         self.instantiate(rows, ops)
     }
 
+    /// Fast-forwards iterations `lo ..= hi`, `lo <= hi`, of a loop whose
+    /// body is the filtered append `f`: runs the first `m` through the
+    /// filter kernel and returns `m`, having charged them in closed form
+    /// — two units an iteration, two more an append — counted the loop
+    /// entry when `first` is its first strip, left the pointer in its
+    /// register and counted a raw target's stores. Every check of those
+    /// `m` iterations is known to pass — the invariant table, both ends
+    /// of each LINEAR range in its pin's view, each INDIRECT subscript as
+    /// it is read, the target's room before each append, the fuel — so
+    /// the per-iteration ops, continued at `lo + m`, meet whatever fails
+    /// where the tree-walk does. The caller has checked that every stored
+    /// pin but the target is a raw write, and the target raw or an
+    /// append sink. Its arms resolve only what they read: the table
+    /// matches the recorded filter, not resolved operands.
+    #[inline(never)]
+    fn run_filter(&mut self, f: &Filter, lo: i64, hi: i64, first: bool) -> i64 {
+        let n = (hi.abs_diff(lo) + 1).min(i64::MAX.abs_diff(lo)) as usize;
+        let vals = self.table(&f.invs, &[]).filter(|_| n > 0);
+        let s = FilterStrip {
+            lo,
+            n,
+            half: self.fuel / 2,
+            p: self.irg(f.ptr),
+            pre: i64::from(f.bump_first),
+        };
+        let ran = vals.and_then(|vals| self.instantiate_filter(f, &vals, &s));
+        let (m, k, p) = ran.unwrap_or((0, 0, s.p));
+        self.irs(f.ptr, p);
+        let target = self.pinw(f.slot);
+        if target.raw {
+            target.writes += k;
+        }
+        let cost = 2 * (m + k);
+        self.spent += cost;
+        self.fuel -= cost;
+        self.stream_iters += m;
+        self.streamed += u64::from(first && m > 0);
+        m as i64
+    }
+
+    /// The filter kernel's instantiation table: `rowgather`'s shape —
+    /// an integer LINEAR element against an integer, appending `j` to
+    /// an integer array — over a raw target and over a concat chunk's
+    /// append sink gets its own types; anything else runs the catch-all,
+    /// which decides per element. `None`, nothing run, when a LINEAR
+    /// range misses its view.
+    #[inline(always)]
+    fn instantiate_filter(
+        &mut self,
+        f: &Filter,
+        vals: &RowVals,
+        s: &FilterStrip,
+    ) -> Option<(u64, u64, i64)> {
+        macro_rules! run {
+            ($arm:literal, $t:ty: $x:expr, $v:expr, $w:expr) => {{
+                let done = filter_kernel::<_, $t, _, _>(self, s, $x, $v, $w);
+                #[cfg(test)]
+                {
+                    self.probe.arms[$arm][0] += 1;
+                }
+                Some(done)
+            }};
+        }
+        let first = |at: &StreamAt| entry(vals, at.base).checked_add(s.lo);
+        let (xp, tp) = (self.pinr(f.x.slot), self.pinr(f.slot));
+        if let (None, PlaneOpnd::Int(inv), FilterVal::Index, true, true) =
+            (f.x.idx_slot, f.inv, &f.val, xp.is_int, tp.is_int)
+        {
+            let x = IntLin::new(xp.view(xp.ip).lin(first(&f.x)?, s.n)?, f.op, self.ird(inv));
+            return match tp.raw {
+                true => run!(5, i64: x, Index, RawPut(tp.view(tp.ip))),
+                false => run!(6, i64: x, Index, AppendPut(f.slot)),
+            };
+        }
+        let (int, real) = match f.inv {
+            PlaneOpnd::Int(o) => (Some(self.ird(o)), 0.0),
+            PlaneOpnd::Real(o) => (None, self.frd(o)),
+        };
+        let ind = match f.x.idx_slot {
+            None => None,
+            Some(idx) => {
+                let idx = self.pinr(idx);
+                Some((idx.view(idx.ip).lin(first(&f.x)?, s.n)?, xp.origin, xp.dim0))
+            }
+        };
+        let k0 = match ind {
+            None => lin_at(xp, first(&f.x)?, s.n)?,
+            Some(_) => 0,
+        };
+        let x = AnyTest {
+            x: AnyElt::of(xp, k0),
+            ind,
+            int,
+            real,
+            op: f.op,
+        };
+        let lin = match &f.val {
+            FilterVal::At(at) => {
+                let pin = self.pinr(at.slot);
+                Some(AnyElt::of(pin, lin_at(pin, first(at)?, s.n)?))
+            }
+            _ => None,
+        };
+        macro_rules! any {
+            ($t:ty, $p:ident) => {{
+                let v: AnySrc<$t> = self.any_src(f, lin);
+                let w = match tp.raw {
+                    true => AnyPut::Raw(RawPut(tp.view(tp.$p))),
+                    false => AnyPut::Append(AppendPut(f.slot)),
+                };
+                run!(7, $t: x, v, w)
+            }};
+        }
+        match tp.is_int {
+            true => any!(i64, ip),
+            false => any!(f64, fp),
+        }
+    }
+
+    /// What the catch-all filter kernel appends, in the target's plane:
+    /// `f`'s invariant read once, its LINEAR element `lin`, or `j`.
+    fn any_src<T: Elt>(&self, f: &Filter, lin: Option<AnyElt>) -> AnySrc<T> {
+        match (&f.val, lin) {
+            (FilterVal::Inv(PlaneOpnd::Int(o)), _) => AnySrc::Val(T::of_int(self.ird(*o))),
+            (FilterVal::Inv(PlaneOpnd::Real(o)), _) => AnySrc::Val(T::of_real(self.frd(*o))),
+            (_, Some(e)) => AnySrc::Lin(e),
+            _ => AnySrc::Index,
+        }
+    }
+
     /// The invariant table `invs` evaluated for a strip, in table
     /// order, each distinct part once: every term of an entry but the one
     /// its [`RowForm`] says carries the row — a plain stream, which has
@@ -1692,9 +2185,16 @@ impl FState {
         range: (i64, i64, i64),
     ) -> Result<(), Abort> {
         debug_assert_eq!(self.pins.len(), cb.arrays().len());
-        self.streams = self.pins.iter().all(|p| p.sink.is_none() || p.raw);
         // Only an append sink can refuse a store.
         let append = |p: &RawPin| matches!(p.sink, Some(WriteSink::Append { .. }));
+        let mut observed = (0u16..)
+            .zip(&self.pins)
+            .filter(|(_, p)| p.sink.is_some() && !p.raw);
+        (self.streams, self.lone_append) = match (observed.next(), observed.next()) {
+            (None, _) => (true, None),
+            (Some((k, p)), None) if append(p) => (false, Some(k)),
+            _ => (false, None),
+        };
         self.watched = self.deadline.is_some() || self.pins.iter().any(append);
         let var = (cb.root_reg(), cb.root_real());
         let res = cx.run_do(cb, 0, var, cb.root(), range, self);
@@ -1885,26 +2385,38 @@ impl Typed<'_> {
             }
         };
         debug_assert!(
-            step == 1 || (cb.stream(slot).is_none() && cb.seg(slot).is_none()),
+            step == 1
+                || (cb.stream(slot).is_none()
+                    && cb.filter(slot).is_none()
+                    && cb.seg(slot).is_none()),
             "the lowering records streams of unit-step loops only"
         );
         let fwd = st.streams;
         let mut stream = cb.stream(slot).filter(|_| fwd);
+        let append = st.lone_append;
+        let mut filter = cb.filter(slot).filter(|f| fwd || append == Some(f.slot));
         let seg = cb.seg(slot).filter(|_| fwd && st.segs_on());
         let mut i = lo;
         while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
             st.poll(cb)?;
             let strip_hi = hi.min(i.saturating_add(STRIP - 1));
-            let m = match (seg, stream) {
-                (Some(sg), _) => st.run_seg(sg, i, strip_hi),
-                (None, Some(sd)) => {
+            let m = match (seg, stream, filter) {
+                (Some(sg), ..) => st.run_seg(sg, i, strip_hi),
+                (None, Some(sd), _) => {
                     let m = st.run_stream(sd, i, strip_hi, i == lo);
                     if i + m <= strip_hi {
                         stream = None;
                     }
                     m
                 }
-                (None, None) => 0,
+                (None, None, Some(f)) => {
+                    let m = st.run_filter(f, i, strip_hi, i == lo);
+                    if i + m <= strip_hi {
+                        filter = None;
+                    }
+                    m
+                }
+                (None, None, None) => 0,
             };
             #[cfg(test)]
             {
@@ -2370,6 +2882,47 @@ mod tests {
             sweep(1, hi, &extremes, &[(1, 1)], &all_views, &ends);
         }
         assert!(checked > 1_000_000 || cfg!(debug_assertions), "{checked}");
+    }
+
+    /// An integer filter's range test is its comparison, at the ends of
+    /// `i64` too, element by element and a block at a time.
+    #[test]
+    fn an_integer_test_is_its_comparison() {
+        let ends = [
+            i64::MIN,
+            i64::MIN + 1,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let mut data = ends.to_vec();
+        let x = Lin {
+            p: data.as_mut_ptr(),
+            len: data.len(),
+        };
+        for op in [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ] {
+            for c in ends {
+                let test = IntLin::new(x, op, c);
+                let want: Vec<bool> = ends.iter().map(|v| cmp_res(op, v.cmp(&c))).collect();
+                let got: Vec<bool> = (0..ends.len()).map(|t| test.at(t)).collect();
+                assert_eq!(got, want, "{op:?} {c}");
+                for t in 0..=ends.len() - BLOCK as usize {
+                    let none = !want[t..t + BLOCK as usize].contains(&true);
+                    assert_eq!(test.fails_block(t), none, "{op:?} {c} {t}");
+                }
+            }
+        }
     }
 
     /// Element `v` of a 1-based array in a 0-based buffer.

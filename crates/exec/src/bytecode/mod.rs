@@ -40,6 +40,10 @@
 //!   row whole or on the per-row path
 //!   (`irr_driver::compiled::SegStream`). Both enter one kernel driver
 //!   in `fast`: one sink set-up and write-back, one instantiation table.
+//!   A filtered append — `if (x cmp inv)` around `p = p + 1; t(p) = e`,
+//!   the paper's consecutively written array — is a stream of its own
+//!   (`irr_driver::compiled::Filter`), run as one kernel a strip in a
+//!   sequential entry and in a concat chunk alike.
 //!
 //! **Parity is the contract.** A compiled loop must be byte-identical
 //! to the tree-walk in store contents, printed output, statement
@@ -1027,14 +1031,14 @@ mod tests {
     }
 
     /// The segmented streams' rows each arm of the table ran.
-    fn rows_per_arm(probe: &Probe) -> [u64; 5] {
+    fn rows_per_arm(probe: &Probe) -> [u64; 8] {
         probe.arms.map(|a| a[1])
     }
 
     /// Every kernel the run entered was instantiation `arm`, and strips
     /// entered it `entered` times; no segmented stream ran.
     fn assert_only_arm(ran: &Ran<'_>, arm: usize, entered: u64, what: &str) {
-        let mut want = [[0; 2]; 5];
+        let mut want = [[0; 2]; 8];
         want[arm][0] = entered;
         assert_eq!(ran.comp.probe.arms, want, "{what}");
     }
@@ -1601,6 +1605,183 @@ mod tests {
 
     /// The segmented streams in the lowered bodies of `p`'s top-level
     /// `do` loops, by [`SegStream::shape`](irr_driver::compiled::SegStream::shape).
+    /// The filter streams in the lowered bodies of `p`'s top-level `do`
+    /// loops, by [`Filter::shape`](irr_driver::compiled::Filter::shape).
+    fn filter_shapes(p: &Program) -> Vec<String> {
+        let top = &p.procedure(p.main()).body;
+        let lowered = top.iter().filter_map(|s| lower_do_loop(p, *s).ok());
+        lowered
+            .flat_map(|cb| cb.filters().map(|f| f.shape()).collect::<Vec<_>>())
+            .collect()
+    }
+
+    /// The filtered append `if ({test}) then {arm} endif` as the body of
+    /// `do j = 1, n`, at the root or (`nest`) entered twice inside `do
+    /// i`, each entry from `q = q0`, over `key(n)`, `w(n)` and `idx(n)`
+    /// a set-up loop fills — `key(k)` cycles 2, 4, 1, 3, 0, `w(k) = k / 2
+    /// − 3`, `idx` reverses `1 ..= n` — appending to `heavy(h)` or
+    /// `out(h)`.
+    fn filter_src(test: &str, (arm, q0): (&str, i64), n: usize, h: usize, nest: bool) -> String {
+        let (open, close) = match nest {
+            true => ("do i = 1, 2\n q = q0", "enddo"),
+            false => ("", ""),
+        };
+        format!(
+            "program t
+             integer i, j, k, q, q0, m, key({n}), idx({n}), heavy({h})
+             real r, w({n}), out({h})
+             do k = 1, {n}
+               key(k) = mod(k * 7, 5)
+               w(k) = k * 0.5 - 3.0
+               idx(k) = {n} + 1 - k
+             enddo
+             m = 2
+             r = 1.5
+             q0 = {q0}
+             q = q0
+             {open}
+             do j = 1, {n}
+               if ({test}) then
+                 {arm}
+               endif
+             enddo
+             {close}
+             print q, i, j, heavy(1), heavy({h}), out(1), out({h})
+             end"
+        )
+    }
+
+    /// Tests over every comparison, both planes and both kinds of
+    /// element, each with whether `key(k)`, `w(k)` and `idx(k)` as
+    /// [`filter_src`] fills them pass it at `j = k` of `n`.
+    type FilterTest = (&'static str, fn(i64, i64) -> bool);
+
+    const FILTER_TESTS: [FilterTest; 12] = [
+        ("key(j) > 2", |k, _| key(k) > 2),
+        ("key(j) > 9", |_, _| false),
+        ("key(j) >= 0", |_, _| true),
+        ("key(j) < m", |k, _| key(k) < 2),
+        ("key(j) <= 1", |k, _| key(k) <= 1),
+        ("key(j) .eq. 3", |k, _| key(k) == 3),
+        ("key(j) .ne. 4", |k, _| key(k) != 4),
+        ("key(j) > 1.5", |k, _| key(k) > 1),
+        ("w(j) > 0.0", |k, _| k > 6),
+        ("w(j) <= r", |k, _| k <= 9),
+        ("key(idx(j)) > 2", |k, n| key(n + 1 - k) > 2),
+        ("w(idx(j)) < 0", |k, n| n + 1 - k < 6),
+    ];
+
+    /// `key(k)` as [`filter_src`] fills it.
+    fn key(k: i64) -> i64 {
+        k * 7 % 5
+    }
+
+    /// Appends, each with the pointer's start: bumped first and last,
+    /// into both planes, of `j`, a LINEAR element of either plane and
+    /// an invariant of either plane.
+    const FILTER_ARMS: [(&str, i64); 6] = [
+        ("q = q + 1\n heavy(q) = j", 0),
+        ("heavy(q) = j\n q = q + 1", 1),
+        ("q = q + 1\n out(q) = w(j)", 0),
+        ("q = q + 1\n heavy(q) = w(j)", 0),
+        ("out(q) = m\n q = q + 1", 1),
+        ("q = q + 1\n heavy(q) = r", 0),
+    ];
+
+    /// The filter kernel against the tree-walk, over every test of
+    /// [`FILTER_TESTS`] — tests that hold for none, some and all
+    /// iterations among them — and every append of [`FILTER_ARMS`], at
+    /// the root and nested, for 5, 1 100 and 2 100 iterations (one, two
+    /// and three strips): the store's bytes and versions, the output,
+    /// the fuel and `ExecStats` match, every iteration streams, and the
+    /// strips enter the arm the table gives the shape (5: `rowgather`'s,
+    /// 7: the catch-all). A target one element too short ends both
+    /// engines with the same error at the same iteration, the stream
+    /// having run every iteration before it.
+    #[test]
+    fn a_filter_stream_matches_the_tree_walk() {
+        for (test, passes) in FILTER_TESTS {
+            for (a, arm) in FILTER_ARMS.into_iter().enumerate() {
+                let rowgather = a < 2 && test.starts_with("key(j)") && !test.ends_with("1.5");
+                for (n, nest) in [
+                    (5, false),
+                    (5, true),
+                    (1100, false),
+                    (1100, true),
+                    (2100, true),
+                ] {
+                    let ni = n as i64;
+                    let hits: Vec<i64> = (1..=ni).filter(|&k| passes(k, ni)).collect();
+                    let room = hits.len().max(1);
+                    let what = format!("{test} / {} / {n} / {nest}", arm.0);
+                    let p = parse_program(&filter_src(test, arm, n, room, nest)).unwrap();
+                    assert_eq!(filter_shapes(&p).len(), 1, "{what}");
+                    let ran = assert_same_run(&p, |_| {});
+                    assert_eq!(ran.res, Ok(()), "{what}");
+                    let entries = 1 + u64::from(nest);
+                    let stats = &ran.comp.stats;
+                    let all = (entries, ni as u64 * entries);
+                    assert_eq!((stats.stream_entries, stats.stream_iters), all, "{what}");
+                    let mut want = [[0; 2]; 8];
+                    want[if rowgather { 5 } else { 7 }][0] = entries * (ni as u64).div_ceil(1024);
+                    assert_eq!(ran.comp.probe.arms, want, "{what}");
+                    let q = p.symbols.lookup("q").unwrap();
+                    let q_end = arm.1 + hits.len() as i64;
+                    assert_eq!(ran.comp.store.scalar(q).as_int(), q_end, "{what}");
+                    if hits.len() < 2 {
+                        continue;
+                    }
+                    // One element short: the last append misses.
+                    let p = parse_program(&filter_src(test, arm, n, hits.len() - 1, nest)).unwrap();
+                    let ran = assert_same_run(&p, |_| {});
+                    let last = *hits.last().unwrap();
+                    assert!(
+                        matches!(&ran.res, Err(ExecError::OutOfBounds { index, .. })
+                            if *index == hits.len() as i64),
+                        "{what}: {:?}",
+                        ran.res
+                    );
+                    assert_eq!(ran.comp.stats.stream_iters, last as u64 - 1, "{what}");
+                }
+            }
+        }
+    }
+
+    /// Fuel running out at every position of a filter stream of 40
+    /// iterations — before any statement of an iteration that appends
+    /// and of one that does not — and either side of a strip boundary
+    /// and of seven points inside strips of 2 100 iterations, at the
+    /// root and nested, in both arms: both engines stop at the same
+    /// point, the stream having run the iterations the fuel covers.
+    #[test]
+    fn a_filter_stream_runs_out_of_fuel_where_the_tree_walk_does() {
+        let arms = [FILTER_ARMS[0], FILTER_ARMS[2]];
+        for (test, arm) in [FILTER_TESTS[0], FILTER_TESTS[10]].into_iter().zip(arms) {
+            for nest in [false, true] {
+                let p = parse_program(&filter_src(test.0, arm, 40, 40, nest)).unwrap();
+                let full = assert_same_run(&p, |_| {});
+                assert_eq!(full.res, Ok(()));
+                let mut cut_short = 0;
+                for fuel in 0..full.comp.stats.total_cost {
+                    let ran = assert_same_run(&p, |it| it.fuel = fuel);
+                    assert_eq!(ran.res, Err(ExecError::OutOfFuel), "fuel {fuel}");
+                    cut_short += ran.comp.stats.stream_iters;
+                }
+                assert!(cut_short > 1000, "{cut_short}");
+                let p = parse_program(&filter_src(test.0, arm, 2100, 2100, nest)).unwrap();
+                let total = assert_same_run(&p, |_| {}).comp.stats.total_cost;
+                let boundary = budget_for(&p, 1024, |it| it.stats.stream_iters);
+                let inside = (1..8).map(|k| total * k / 8);
+                for at in inside.chain([boundary]) {
+                    for fuel in at - 3..=at + 3 {
+                        let ran = assert_same_run(&p, |it| it.fuel = fuel);
+                        assert_eq!(ran.res, Err(ExecError::OutOfFuel), "fuel {fuel}");
+                    }
+                }
+            }
+        }
+    }
+
     fn seg_shapes(p: &Program) -> Vec<String> {
         let top = &p.procedure(p.main()).body;
         let lowered = top.iter().filter_map(|s| lower_do_loop(p, *s).ok());
@@ -1670,7 +1851,7 @@ mod tests {
         assert_stats_eq(&rows.stats, &ran.comp.stats);
         let streamed = |it: &Interp<'_>| (it.stats.stream_entries, it.stats.stream_iters);
         assert_eq!(streamed(&rows), streamed(&ran.comp));
-        assert_eq!(rows_per_arm(&rows.probe), [0; 5]);
+        assert_eq!(rows_per_arm(&rows.probe), [0; 8]);
         ran
     }
 
@@ -1700,7 +1881,7 @@ mod tests {
             let p = parse_program(&seg_src("", stmt, "", &LENS, "", false)).unwrap();
             let ran = assert_seg_run(&p, |_| {});
             assert_eq!(ran.res, Ok(()), "{stmt}");
-            let mut want = [0; 5];
+            let mut want = [0; 8];
             if shape.starts_with("ind") {
                 assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{stmt}");
             } else {
@@ -1767,7 +1948,7 @@ mod tests {
             let ran = assert_seg_run(&p, |_| {});
             assert_eq!(ran.res, Ok(()), "{init}; {stmt}; {fin}");
             assert_eq!(seg_shapes(&p).concat(), shape, "{init}; {stmt}; {fin}");
-            let mut want = [0; 5];
+            let mut want = [0; 8];
             want[arm] = rows;
             assert_eq!(rows_per_arm(&ran.comp.probe), want, "{init}; {stmt}; {fin}");
         }
@@ -1781,7 +1962,7 @@ mod tests {
             let p = parse_program(&seg_src(init, spmv, fin, &LENS, "", false)).unwrap();
             assert_eq!(seg_shapes(&p), Vec::<String>::new(), "{init}; {fin}");
             let ran = assert_seg_run(&p, |_| {});
-            assert_eq!(rows_per_arm(&ran.comp.probe), [0; 5]);
+            assert_eq!(rows_per_arm(&ran.comp.probe), [0; 8]);
         }
         // A subscript part with the row variable in two terms is not a
         // form the kernel evaluates rows in.
@@ -1885,7 +2066,7 @@ mod tests {
         let p = parse_program(&src.replace("idx(40),", "idx(40), q(7),")).unwrap();
         let ran = assert_seg_run(&p, |_| {});
         assert_eq!(ran.res, Ok(()));
-        assert_eq!(rows_per_arm(&ran.comp.probe), [0, 0, 6, 0, 0]);
+        assert_eq!(rows_per_arm(&ran.comp.probe), [0, 0, 6, 0, 0, 0, 0, 0]);
     }
 
     /// A row loop ending at `i64::MAX`, at the root and nested: the

@@ -694,10 +694,12 @@ pub(crate) struct Probe {
     /// kernel's included — how the unit tests tell which loop ran (the
     /// stores are byte-identical by contract).
     pub(crate) typed_root_iters: u64,
-    /// Per arm of the kernel's instantiation table, as
-    /// `FState::instantiate` numbers them (0 the catch-all): the stream
-    /// strips that entered it, and the segmented streams' rows it ran.
-    pub(crate) arms: [[u64; 2]; 5],
+    /// Per arm of the kernel's instantiation tables, as
+    /// `FState::instantiate` numbers them (0 the catch-all) and then
+    /// `FState::instantiate_filter` (5 and 6, 7 its catch-all): the
+    /// stream strips that entered it, and the segmented streams' rows
+    /// it ran.
+    pub(crate) arms: [[u64; 2]; 8],
 }
 
 #[cfg(test)]

@@ -3312,6 +3312,66 @@ mod tests {
             }
         }
     }
+
+    /// A filter stream runs in a concat chunk, its appends through the
+    /// chunk's append sink: `rowgather`'s shape (an integer target, its
+    /// own instantiation) and the catch-all's (a real target) leave the
+    /// same master at 1, 2 and 4 chunks, with the sequential walk's
+    /// values and statistics, every iteration streamed. A target one
+    /// element short still fails as the concat rule says: a lone chunk
+    /// with the program's own error, more with the commit's overrun, the
+    /// master as it was.
+    #[test]
+    fn a_filter_stream_appends_through_the_chunks_sinks() {
+        let src = |arm: &str, extent: usize| {
+            format!(
+                "program t
+                 integer i, q, key(100), ind({extent})
+                 real w(100), out({extent})
+                 do i = 1, 100
+                   key(i) = mod(i * 7, 5)
+                   w(i) = i * 0.5
+                 enddo
+                 q = 3
+                 do i = 1, 100
+                   if (key(i) > 2) then
+                     q = q + 1
+                     {arm}
+                   endif
+                 enddo
+                 end"
+            )
+        };
+        let appends = |_: &Interp<'_>| ParallelPlan {
+            strategy: ExecutionStrategy::PrivatizeAndConcat,
+            ..ParallelPlan::with_threads(1)
+        };
+        let every = [1, 2, 4];
+        for arm in ["ind(q) = i", "out(q) = w(i)"] {
+            // 40 of the 100 iterations append, from `q = 3`.
+            let (at, seq) = at_counts(&every, &src(arm, 43), &[], &appends);
+            let unsplit = |o: &Observed| (o.0.clone(), o.1.clone(), o.2.clone(), o.3[0], o.3[3]);
+            for ((res, held, left), chunks) in at.iter().zip(every) {
+                let got = res.as_ref().unwrap_or_else(|e| panic!("{arm}: {e}"));
+                let concat = ExecutionStrategy::PrivatizeAndConcat;
+                assert_eq!((got.strategy, got.chunks), (concat, chunks as u64));
+                assert_eq!(unsplit(left), unsplit(&at[0].2), "{arm} at {chunks}");
+                assert_ne!(held, left, "{arm}");
+                assert_eq!((&left.0, &left.2), (&seq.0, &seq.2), "{arm} at {chunks}");
+                assert_eq!(left.3[2], 100, "{arm} at {chunks}: streamed");
+            }
+            let (at, _) = at_counts(&every, &src(arm, 42), &[], &appends);
+            for ((res, held, left), chunks) in at.iter().zip(every) {
+                let err = res.as_ref().expect_err(arm);
+                let want = match chunks {
+                    1 => "Exec(OutOfBounds",
+                    _ => "Fallback(Strategy, Some(",
+                };
+                assert!(err.starts_with(want), "{arm} at {chunks}: {err}");
+                assert_eq!(held, left, "{arm} at {chunks}: the master changed");
+            }
+        }
+    }
 }
 
 #[cfg(test)]

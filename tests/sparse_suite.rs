@@ -446,7 +446,7 @@ fn kernel_bodies_keep_their_fusions() {
         ("chase", 20, 0),
         ("scale", 5, 1),
         ("permute", 4, 1),
-        ("rowgather", 8, 0),
+        ("rowgather", 8, 1),
     ];
     let kernels = kernels(&SparseScale::test(Structure::Uniform, 11));
     assert_eq!(kernels.len(), MAX_OPS.len());

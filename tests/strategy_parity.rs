@@ -242,8 +242,9 @@ fn each_write_shape_streams_in_its_workers_at_any_thread_count() {
 /// program, `(streams, innermost do loops)` — the table in
 /// EXPERIMENTS.md, "The typed loop stops dispatching per nonzero" —
 /// and, over the corpus and the benchmark's three sweep sources, the
-/// streams by [`Stream::shape`](irr_driver::compiled::Stream::shape) —
-/// the histogram in "A stream stops deciding per element". A lowering
+/// streams by [`Stream::shape`](irr_driver::compiled::Stream::shape),
+/// filter streams by [`Filter::shape`](irr_driver::compiled::Filter::shape)
+/// — the histogram in "A stream stops deciding per element". A lowering
 /// that loses a stream, or a family widened by accident, changes a row
 /// here before it changes a timing; a shape that appears here without
 /// an arm in the typed loop's instantiation table runs on the catch-all.
@@ -269,9 +270,10 @@ fn stream_coverage_is_the_table_in_experiments_md() {
         let (mut shapes, mut loops) = (Vec::new(), 0);
         for v in innermost {
             loops += 1;
-            let stream = lower_do_loop(p, v.loop_stmt)
-                .ok()
-                .and_then(|cb| cb.stream(0).map(|sd| sd.shape()));
+            let stream = lower_do_loop(p, v.loop_stmt).ok().and_then(|cb| {
+                let filter = cb.filter(0).map(|f| f.shape());
+                cb.stream(0).map(|sd| sd.shape()).or(filter)
+            });
             assert_eq!(
                 v.compiled.map_or(0, |plan| plan.stream_loops),
                 stream.is_some() as u32
@@ -296,12 +298,12 @@ fn stream_coverage_is_the_table_in_experiments_md() {
     let want = [
         ("TRFD", (0, 11)),
         ("DYFESM", (6, 16)),
-        ("BDNA", (3, 10)),
-        ("P3M", (3, 10)),
+        ("BDNA", (4, 10)),
+        ("P3M", (4, 10)),
         ("TREE", (3, 7)),
         ("FIG1A", (0, 5)),
         ("FIG1B", (0, 2)),
-        ("FIG1C", (0, 6)),
+        ("FIG1C", (2, 6)),
         ("MODPERM", (1, 2)),
         ("spmv", (1, 1)),
         ("jacobi", (1, 1)),
@@ -311,7 +313,7 @@ fn stream_coverage_is_the_table_in_experiments_md() {
         ("chase", (0, 0)),
         ("scale", (1, 1)),
         ("permute", (1, 1)),
-        ("rowgather", (0, 1)),
+        ("rowgather", (1, 1)),
         ("lufront_producer", (1, 4)),
         ("colscale_producer", (1, 4)),
         ("permute_producer", (1, 2)),
@@ -354,10 +356,12 @@ fn stream_coverage_is_the_table_in_experiments_md() {
         ("lin = lin·val + val", 11),
         ("ind = lin·val", 5),
         ("scalar = acc + lin", 5),
+        ("lin > val ⇒ append j", 4),
         ("lin = lin·val + lin", 3),
         ("elem = acc + lin·ind", 2),
         ("lin = lin + lin·val", 2),
         ("elem = acc − lin·ind", 1),
+        ("lin < val ⇒ append j", 1),
         ("lin = lin + lin", 1),
     ];
     let got: Vec<(&str, u32)> = histogram.iter().map(|(s, n)| (s.as_str(), *n)).collect();
