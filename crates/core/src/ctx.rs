@@ -5,8 +5,19 @@ use irr_frontend::visit::{stmt_array_accesses, ArrayAccess};
 use irr_frontend::{Expr, LValue, ProcId, Program, StmtId, StmtKind, VarId};
 use irr_graph::{Cfg, CfgNodeId, CfgNodeKind, Hcg};
 use irr_symbolic::{expr_to_sym, RangeEnv, SymExpr};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
+
+thread_local! {
+    static HCG_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many HCGs [`AnalysisCtx::hcg`] has built on the calling thread:
+/// a compile whose analyses never asked for the graph adds 0, any other
+/// exactly 1.
+pub fn hcg_builds() -> u64 {
+    HCG_BUILDS.with(Cell::get)
+}
 
 /// What the statements (transitively) inside one statement list touch,
 /// from a single walk. Every list is in program pre-order, which the
@@ -96,15 +107,15 @@ impl<'p> BodyTable<'p> {
     }
 }
 
-/// Analysis context over one program: owns the hierarchical control
-/// graph, memoizes per-loop CFGs and body tables, and provides the
-/// common "what does this statement read/write" and "what ranges hold
-/// here" helpers all the analyses share.
+/// Analysis context over one program: builds the hierarchical control
+/// graph on first demand, memoizes per-loop CFGs and body tables, and
+/// provides the common "what does this statement read/write" and "what
+/// ranges hold here" helpers all the analyses share.
 pub struct AnalysisCtx<'p> {
     /// The program under analysis.
     pub program: &'p Program,
-    /// The hierarchical control graph (§3.2.1).
-    pub hcg: Hcg,
+    /// The hierarchical control graph (§3.2.1), see [`Self::hcg`].
+    hcg: OnceCell<Hcg>,
     /// Per statement, the index in `chains` of its enclosing-loop chain;
     /// the statements directly under one loop share one.
     chain_of: Vec<u32>,
@@ -122,9 +133,9 @@ pub struct AnalysisCtx<'p> {
 }
 
 impl<'p> AnalysisCtx<'p> {
-    /// Builds the context (and the HCG) for `program`.
+    /// Builds the context for `program`; the HCG waits for its first
+    /// use.
     pub fn new(program: &'p Program) -> AnalysisCtx<'p> {
-        let hcg = Hcg::build(program);
         let n = program.stmts.len();
         let mut chain_of = vec![0u32; n];
         let mut chains: Vec<Vec<StmtId>> = vec![Vec::new()];
@@ -161,7 +172,7 @@ impl<'p> AnalysisCtx<'p> {
         }
         AnalysisCtx {
             program,
-            hcg,
+            hcg: OnceCell::new(),
             chain_of,
             chains,
             proc_of,
@@ -171,6 +182,17 @@ impl<'p> AnalysisCtx<'p> {
             no_ranges: RangeEnv::new(),
             readers: OnceCell::new(),
         }
+    }
+
+    /// The hierarchical control graph, built on the first call. Only the
+    /// property solver and the routine summaries walk it, so a compile
+    /// that asks no property query of a one-routine program never builds
+    /// it.
+    pub fn hcg(&self) -> &Hcg {
+        self.hcg.get_or_init(|| {
+            HCG_BUILDS.with(|n| n.set(n.get() + 1));
+            Hcg::build(self.program)
+        })
     }
 
     /// Enclosing loop statements of `stmt`, innermost first.

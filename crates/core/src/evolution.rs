@@ -55,9 +55,8 @@
 use crate::budget::AnalysisBudget;
 use crate::ctx::{AnalysisCtx, BodyTable};
 use crate::summaries::SummaryAnalysis;
-use irr_frontend::{BinOp, Expr, LValue, StmtId, StmtKind, VarId};
+use irr_frontend::{BinOp, Expr, FxHashMap, FxHashSet, LValue, StmtId, StmtKind, VarId};
 use irr_symbolic::{expr_to_sym, prove_ge0, prove_gt0, prove_le, Atom, RangeEnv, SymExpr};
-use std::collections::{HashMap, HashSet};
 
 /// Monotonicity of an index array's values over its covered range.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,7 +106,7 @@ fn same_fact(a: &EvoFacts, b: &EvoFacts) -> bool {
 
 /// Per-loop snapshots of the array facts live at loop entry.
 pub struct EvolutionAnalysis {
-    at_loop: HashMap<StmtId, HashMap<VarId, EvoFacts>>,
+    at_loop: FxHashMap<StmtId, FxHashMap<VarId, EvoFacts>>,
 }
 
 impl EvolutionAnalysis {
@@ -137,10 +136,10 @@ impl EvolutionAnalysis {
         budget: Option<&AnalysisBudget>,
     ) -> EvolutionAnalysis {
         let mut evo = EvolutionAnalysis {
-            at_loop: HashMap::new(),
+            at_loop: FxHashMap::default(),
         };
         for proc in &ctx.program.procedures {
-            let mut facts: HashMap<VarId, EvoFacts> = HashMap::new();
+            let mut facts: FxHashMap<VarId, EvoFacts> = FxHashMap::default();
             evo.walk_body(ctx, &proc.body, &mut facts, summaries, budget);
         }
         evo
@@ -151,13 +150,13 @@ impl EvolutionAnalysis {
     /// the degradation ladder compiles against this.
     pub fn disabled() -> EvolutionAnalysis {
         EvolutionAnalysis {
-            at_loop: HashMap::new(),
+            at_loop: FxHashMap::default(),
         }
     }
 
     /// The facts live at entry to `loop_stmt`, if the loop was reached
     /// by the walk.
-    pub fn facts_at(&self, loop_stmt: StmtId) -> Option<&HashMap<VarId, EvoFacts>> {
+    pub fn facts_at(&self, loop_stmt: StmtId) -> Option<&FxHashMap<VarId, EvoFacts>> {
         self.at_loop.get(&loop_stmt)
     }
 
@@ -230,7 +229,7 @@ impl EvolutionAnalysis {
         &mut self,
         ctx: &AnalysisCtx<'_>,
         body: &[StmtId],
-        facts: &mut HashMap<VarId, EvoFacts>,
+        facts: &mut FxHashMap<VarId, EvoFacts>,
         summaries: Option<&SummaryAnalysis>,
         budget: Option<&AnalysisBudget>,
     ) {
@@ -247,12 +246,12 @@ impl EvolutionAnalysis {
             match &program.stmt(s).kind {
                 StmtKind::Assign { lhs, .. } => match lhs {
                     LValue::Scalar(v) => {
-                        let ks = HashSet::from([*v]);
-                        apply_kills(facts, &ks, &HashSet::new());
+                        let ks = FxHashSet::from_iter([*v]);
+                        apply_kills(facts, &ks, &FxHashSet::default());
                     }
                     LValue::Element(a, _) => {
-                        let ka = HashSet::from([*a]);
-                        apply_kills(facts, &HashSet::new(), &ka);
+                        let ka = FxHashSet::from_iter([*a]);
+                        apply_kills(facts, &FxHashSet::default(), &ka);
                     }
                 },
                 StmtKind::Do { .. } => self.handle_do(ctx, s, facts, summaries, budget),
@@ -304,7 +303,7 @@ impl EvolutionAnalysis {
         &mut self,
         ctx: &AnalysisCtx<'_>,
         loop_stmt: StmtId,
-        facts: &mut HashMap<VarId, EvoFacts>,
+        facts: &mut FxHashMap<VarId, EvoFacts>,
         summaries: Option<&SummaryAnalysis>,
         budget: Option<&AnalysisBudget>,
     ) {
@@ -362,7 +361,7 @@ impl EvolutionAnalysis {
     /// procedure), so on a revisit the snapshot is the *intersection*:
     /// only facts identical across every visit survive, which keeps
     /// the per-loop answer valid for every dynamic execution.
-    fn snapshot(&mut self, s: StmtId, facts: &HashMap<VarId, EvoFacts>) {
+    fn snapshot(&mut self, s: StmtId, facts: &FxHashMap<VarId, EvoFacts>) {
         use std::collections::hash_map::Entry;
         match self.at_loop.entry(s) {
             Entry::Vacant(e) => {
@@ -387,9 +386,9 @@ impl EvolutionAnalysis {
 fn kill_sets(
     table: &BodyTable<'_>,
     summaries: Option<&SummaryAnalysis>,
-) -> Option<(HashSet<VarId>, HashSet<VarId>, bool)> {
-    let mut scalars: HashSet<VarId> = table.assigned_scalars.iter().copied().collect();
-    let mut arrays: HashSet<VarId> = table.written_arrays.iter().copied().collect();
+) -> Option<(FxHashSet<VarId>, FxHashSet<VarId>, bool)> {
+    let mut scalars: FxHashSet<VarId> = table.assigned_scalars.iter().copied().collect();
+    let mut arrays: FxHashSet<VarId> = table.written_arrays.iter().copied().collect();
     for proc in &table.callees {
         match summaries.map(|sa| sa.summary(*proc)) {
             Some(sum) if !sum.opaque => {
@@ -404,7 +403,7 @@ fn kill_sets(
 
 fn kill_for_subtree(
     table: &BodyTable<'_>,
-    facts: &mut HashMap<VarId, EvoFacts>,
+    facts: &mut FxHashMap<VarId, EvoFacts>,
     summaries: Option<&SummaryAnalysis>,
 ) {
     match kill_sets(table, summaries) {
@@ -428,18 +427,18 @@ pub(crate) fn facts_at_exit(
     ctx: &AnalysisCtx<'_>,
     body: &[StmtId],
     summaries: &SummaryAnalysis,
-) -> HashMap<VarId, EvoFacts> {
+) -> FxHashMap<VarId, EvoFacts> {
     let mut evo = EvolutionAnalysis {
-        at_loop: HashMap::new(),
+        at_loop: FxHashMap::default(),
     };
-    let mut facts = HashMap::new();
+    let mut facts = FxHashMap::default();
     evo.walk_body(ctx, body, &mut facts, Some(summaries), None);
     facts
 }
 
 /// Whether the symbolic material of a fact references a killed scalar
 /// or array (its index ranges or its chain become stale).
-fn refs_killed(f: &EvoFacts, ks: &HashSet<VarId>, ka: &HashSet<VarId>) -> bool {
+fn refs_killed(f: &EvoFacts, ks: &FxHashSet<VarId>, ka: &FxHashSet<VarId>) -> bool {
     let stale = |e: &SymExpr| {
         ks.iter().any(|&s| e.mentions_var(s)) || ka.iter().any(|&a| e.mentions_array(a))
     };
@@ -452,7 +451,11 @@ fn refs_killed(f: &EvoFacts, ks: &HashSet<VarId>, ka: &HashSet<VarId>) -> bool {
     }
 }
 
-fn apply_kills(facts: &mut HashMap<VarId, EvoFacts>, ks: &HashSet<VarId>, ka: &HashSet<VarId>) {
+fn apply_kills(
+    facts: &mut FxHashMap<VarId, EvoFacts>,
+    ks: &FxHashSet<VarId>,
+    ka: &FxHashSet<VarId>,
+) {
     facts.retain(|arr, f| !ka.contains(arr) && !refs_killed(f, ks, ka));
 }
 
@@ -466,10 +469,10 @@ fn recognize_producer(
     loop_stmt: StmtId,
     loop_var: VarId,
     body: &[StmtId],
-    facts: &HashMap<VarId, EvoFacts>,
-    pre: &HashMap<VarId, EvoFacts>,
-    ks: &HashSet<VarId>,
-    ka: &HashSet<VarId>,
+    facts: &FxHashMap<VarId, EvoFacts>,
+    pre: &FxHashMap<VarId, EvoFacts>,
+    ks: &FxHashSet<VarId>,
+    ka: &FxHashSet<VarId>,
 ) -> Option<(VarId, EvoFacts)> {
     if body.len() != 1 {
         return None;

@@ -32,7 +32,7 @@ pub mod stack;
 pub mod summaries;
 
 pub use budget::{AnalysisBudget, BudgetExhaustion};
-pub use ctx::{AnalysisCtx, BodyTable};
+pub use ctx::{hcg_builds, AnalysisCtx, BodyTable};
 pub use evolution::{EvoFacts, EvolutionAnalysis, Monotonicity};
 pub use gather::{find_index_gathering_loops, IndexGatherInfo};
 pub use property::{

@@ -248,12 +248,12 @@ impl PropertyChecker {
             .find(|g| g.array == self.array)?;
         // Find the counter's initialization: the unique predecessor of
         // the loop node must be `q = c`.
-        let loop_node = ctx.hcg.node_of_stmt(loop_stmt)?;
-        let preds = ctx.hcg.preds(loop_node);
+        let loop_node = ctx.hcg().node_of_stmt(loop_stmt)?;
+        let preds = ctx.hcg().preds(loop_node);
         if preds.len() != 1 {
             return None;
         }
-        let HcgNodeKind::Simple(init_stmt) = ctx.hcg.kind(preds[0]) else {
+        let HcgNodeKind::Simple(init_stmt) = ctx.hcg().kind(preds[0]) else {
             return None;
         };
         let (lhs, rhs) = ctx.assign_parts(init_stmt)?;

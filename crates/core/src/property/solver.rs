@@ -20,10 +20,9 @@ use crate::budget::AnalysisBudget;
 use crate::ctx::AnalysisCtx;
 use crate::property::{checkers::PropertyChecker, Property, PropertyQuery, ITER_VAR};
 use crate::summaries::{section_mentions_array, SummaryAnalysis};
-use irr_frontend::{LValue, ProcId, StmtId, StmtKind, VarId};
+use irr_frontend::{FxHashMap, LValue, ProcId, StmtId, StmtKind, VarId};
 use irr_graph::{HcgNodeId, HcgNodeKind, SectionId, SectionKind};
 use irr_symbolic::{expr_to_sym, AggMode, RangeEnv, Section, SymExpr};
-use std::collections::HashMap;
 
 /// Tunable solver behavior (the ablation knobs of DESIGN.md §6).
 #[derive(Clone, Copy, Debug)]
@@ -83,9 +82,9 @@ pub struct ArrayPropertyAnalysis<'c, 'p> {
     /// sound — see `budget`'s module docs).
     budget: Option<&'c AnalysisBudget>,
     /// `(loop stmt, array, property) -> (Kill, Gen)`.
-    loop_cache: HashMap<(StmtId, VarId, Property), (Section, Section)>,
+    loop_cache: FxHashMap<(StmtId, VarId, Property), (Section, Section)>,
     /// `(section, array, property) -> (Kill, Gen)`.
-    section_cache: HashMap<(SectionId, VarId, Property), (Section, Section)>,
+    section_cache: FxHashMap<(SectionId, VarId, Property), (Section, Section)>,
     /// Statistics.
     pub stats: QueryStats,
 }
@@ -113,8 +112,8 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
             opts,
             summaries: None,
             budget: None,
-            loop_cache: HashMap::new(),
-            section_cache: HashMap::new(),
+            loop_cache: FxHashMap::default(),
+            section_cache: FxHashMap::default(),
             stats: QueryStats::default(),
         }
     }
@@ -177,7 +176,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
             if self.budget.is_some_and(|b| b.exhausted().is_some()) {
                 return false; // dry meter: unverified, not disproved
             }
-            let Some(node) = self.ctx.hcg.node_of_stmt(query.at_stmt) else {
+            let Some(node) = self.ctx.hcg().node_of_stmt(query.at_stmt) else {
                 return false;
             };
             let chk = PropertyChecker::new(query.array, query.property.clone());
@@ -205,15 +204,15 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
             if frontier.is_empty() {
                 return true;
             }
-            let sec = self.ctx.hcg.section_of(frontier[0].0);
+            let sec = self.ctx.hcg().section_of(frontier[0].0);
             debug_assert!(frontier
                 .iter()
-                .all(|(n, _)| self.ctx.hcg.section_of(*n) == sec));
+                .all(|(n, _)| self.ctx.hcg().section_of(*n) == sec));
             match self.solve_section(chk, sec, frontier, visited_procs) {
                 SectionOutcome::Killed => return false,
                 SectionOutcome::Resolved => return true,
                 SectionOutcome::ReachedEntry(remaining) => {
-                    match self.ctx.hcg.section(sec).kind {
+                    match self.ctx.hcg().section(sec).kind {
                         SectionKind::LoopBody(loop_stmt) => {
                             // Case 2 (Fig. 10): account for the preceding
                             // iterations, then continue above the loop.
@@ -225,12 +224,12 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                             if rem.is_empty() {
                                 return true;
                             }
-                            let Some(loop_node) = self.ctx.hcg.node_of_stmt(loop_stmt) else {
+                            let Some(loop_node) = self.ctx.hcg().node_of_stmt(loop_stmt) else {
                                 return false;
                             };
                             frontier = self
                                 .ctx
-                                .hcg
+                                .hcg()
                                 .preds(loop_node)
                                 .iter()
                                 .map(|p| (*p, rem.clone()))
@@ -255,14 +254,14 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                                 return false; // recursion: give up
                             }
                             visited_procs.push(pid);
-                            let sites: Vec<HcgNodeId> = self.ctx.hcg.call_sites(pid).to_vec();
+                            let sites: Vec<HcgNodeId> = self.ctx.hcg().call_sites(pid).to_vec();
                             if sites.is_empty() {
                                 return false; // unreachable procedure
                             }
                             for site in sites {
                                 let preds: Vec<(HcgNodeId, Section)> = self
                                     .ctx
-                                    .hcg
+                                    .hcg()
                                     .preds(site)
                                     .iter()
                                     .map(|p| (*p, remaining.clone()))
@@ -291,13 +290,13 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
         init: Vec<(HcgNodeId, Section)>,
         visited_procs: &mut Vec<ProcId>,
     ) -> SectionOutcome {
-        let hcg = &self.ctx.hcg;
+        let hcg = self.ctx.hcg();
         let entry = hcg.section(sec).entry;
         let env_base = self.section_env(sec);
         // Worklist: node -> pending query section; ordering per options.
-        let mut pending: HashMap<HcgNodeId, Section> = HashMap::new();
+        let mut pending: FxHashMap<HcgNodeId, Section> = FxHashMap::default();
         let mut fifo: std::collections::VecDeque<HcgNodeId> = Default::default();
-        let mut visits: HashMap<HcgNodeId, u32> = HashMap::new();
+        let mut visits: FxHashMap<HcgNodeId, u32> = FxHashMap::default();
         for (n, s) in init {
             match pending.entry(n) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -394,7 +393,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
         env: &RangeEnv,
         visited_procs: &mut Vec<ProcId>,
     ) -> Result<Section, ()> {
-        match self.ctx.hcg.kind(n) {
+        match self.ctx.hcg().kind(n) {
             HcgNodeKind::Entry(_) => Ok(set.clone()),
             HcgNodeKind::Exit(_) | HcgNodeKind::Join(_) | HcgNodeKind::Branch(_) => Ok(set.clone()),
             HcgNodeKind::Simple(stmt) => {
@@ -425,8 +424,8 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
                     return Err(());
                 }
                 visited_procs.push(callee);
-                let callee_sec = self.ctx.hcg.proc_section(callee);
-                let callee_exit = self.ctx.hcg.section(callee_sec).exit;
+                let callee_sec = self.ctx.hcg().proc_section(callee);
+                let callee_exit = self.ctx.hcg().section(callee_sec).exit;
                 let out = self.solve_section(
                     chk,
                     callee_sec,
@@ -524,7 +523,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
         set: &Section,
         _visited_procs: &mut Vec<ProcId>,
     ) -> Option<Section> {
-        let body_sec = self.ctx.hcg.loop_section(loop_stmt)?;
+        let body_sec = self.ctx.hcg().loop_section(loop_stmt)?;
         let mut sum_guard = Vec::new();
         let (kill_b, gen_b) = self.summarize_section(chk, body_sec, &mut sum_guard);
         match self.ctx.do_bounds_sym(loop_stmt) {
@@ -621,7 +620,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
         if let Some(pat) = chk.summarize_loop(self.ctx, loop_stmt) {
             return pat;
         }
-        let Some(body_sec) = self.ctx.hcg.loop_section(loop_stmt) else {
+        let Some(body_sec) = self.ctx.hcg().loop_section(loop_stmt) else {
             return (Section::Universal, Section::Empty);
         };
         let (kill_b, gen_b) = self.summarize_section(chk, body_sec, visited_procs);
@@ -695,11 +694,11 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
         sec: SectionId,
         visited_procs: &mut Vec<ProcId>,
     ) -> (Section, Section) {
-        let hcg = &self.ctx.hcg;
+        let hcg = self.ctx.hcg();
         let info = hcg.section(sec);
         let (entry, exit) = (info.entry, info.exit);
         let env = self.section_env(sec);
-        let mut pending: HashMap<HcgNodeId, Section> = HashMap::new();
+        let mut pending: FxHashMap<HcgNodeId, Section> = FxHashMap::default();
         pending.insert(exit, Section::Empty);
         let mut kill_acc = Section::Empty;
         // MUST-gen of nodes dominating the exit, used if we terminate
@@ -800,7 +799,7 @@ impl<'c, 'p> ArrayPropertyAnalysis<'c, 'p> {
     /// The base range environment of a section: the enclosing loops'
     /// variable ranges.
     fn section_env(&self, sec: SectionId) -> &'c RangeEnv {
-        match self.ctx.hcg.section(sec).kind {
+        match self.ctx.hcg().section(sec).kind {
             SectionKind::LoopBody(stmt) => self.ctx.range_env_at(stmt),
             SectionKind::ProcBody(_) => self.ctx.no_ranges(),
         }

@@ -45,9 +45,9 @@
 use crate::budget::AnalysisBudget;
 use crate::evolution::{self, EvoFacts};
 use crate::AnalysisCtx;
-use irr_frontend::{Expr, LValue, ProcId, StmtId, StmtKind, VarId};
+use irr_frontend::{Expr, FxHashSet, LValue, ProcId, StmtId, StmtKind, VarId};
 use irr_symbolic::{expr_to_sym, AggMode, RangeEnv, Section, SymExpr};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What one routine does to global state, composed over its callees.
 #[derive(Clone, Debug)]
@@ -93,7 +93,7 @@ impl ProcSummary {
 
     /// The evolution-fact kill sets a call to this routine applies:
     /// `(scalars, arrays)` as hash sets.
-    pub fn kill_sets(&self) -> (HashSet<VarId>, HashSet<VarId>) {
+    pub fn kill_sets(&self) -> (FxHashSet<VarId>, FxHashSet<VarId>) {
         (
             self.mod_scalars.iter().copied().collect(),
             self.mod_arrays.iter().copied().collect(),
@@ -149,9 +149,16 @@ impl SummaryAnalysis {
         let mut sa = SummaryAnalysis {
             summaries: vec![ProcSummary::unknown(); nprocs],
         };
-        let recursive = ctx.hcg.recursive_procs();
-        for p in ctx.hcg.bottom_up_procs() {
-            if recursive.contains(&p) || ctx.hcg.call_sites(p).is_empty() {
+        if nprocs < 2 {
+            // A lone routine's only possible caller is itself: it has no
+            // call site or is recursive, opaque either way, so the HCG
+            // need not be built to say so.
+            return sa;
+        }
+        let hcg = ctx.hcg();
+        let recursive = hcg.recursive_procs();
+        for p in hcg.bottom_up_procs() {
+            if recursive.contains(&p) || hcg.call_sites(p).is_empty() {
                 continue; // stays opaque
             }
             let stmts = ctx.program.stmts_in(&ctx.program.procedure(p).body);

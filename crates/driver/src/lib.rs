@@ -318,9 +318,11 @@ pub fn compile_budgeted(
         inline_small_procedures(&mut program, opts.inline_limit);
     }
     propagate_constants(&mut program);
-    normalize_loops(&mut program);
-    substitute_induction_variables(&mut program);
-    propagate_constants(&mut program);
+    // Constant propagation's output is its own fixpoint, so it reruns
+    // only on a program the loop rewrites reshaped.
+    if normalize_loops(&mut program) + substitute_induction_variables(&mut program) > 0 {
+        propagate_constants(&mut program);
+    }
     forward_substitute(&mut program);
     eliminate_dead_code(&mut program);
     let pass_time = tp.elapsed();

@@ -6,10 +6,11 @@ use crate::pool::WorkerPool;
 use crate::rng::SplitMix64;
 use crate::trace::{AccessTracer, TraceConfig, TracerSlot};
 use irr_frontend::{
-    BinOp, Expr, Intrinsic, LValue, ProcId, Program, ScalarType, StmtId, StmtKind, UnOp, VarId,
+    BinOp, Expr, FxHashMap, Intrinsic, LValue, ProcId, Program, ScalarType, StmtId, StmtKind, UnOp,
+    VarId,
 };
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
@@ -587,7 +588,7 @@ pub struct ExecStats {
     /// Total statements executed (the cost unit).
     pub total_cost: u64,
     /// Per-loop stats.
-    pub loops: HashMap<StmtId, LoopStats>,
+    pub loops: FxHashMap<StmtId, LoopStats>,
     /// Loop entries whose first iterations the typed loop ran as one
     /// stream. Describes the engine, not the program: the tree-walk
     /// leaves it 0 and no parity oracle compares it.
@@ -719,7 +720,7 @@ impl Probe {
 #[derive(Default)]
 pub struct ProgramScope {
     /// One memo per loop statement the run lowered or dispatched.
-    pub(crate) loops: HashMap<StmtId, LoopMemo>,
+    pub(crate) loops: FxHashMap<StmtId, LoopMemo>,
     /// The run's handle on the worker pool: `None` until the first
     /// parallel dispatch with more than one chunk points it at the
     /// process's pool, whose threads outlive the run (a unit test may

@@ -33,6 +33,7 @@
 pub mod ast;
 pub mod corpus;
 pub mod diag;
+pub mod hash;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
@@ -42,6 +43,7 @@ pub mod visit;
 pub use ast::{BinOp, Expr, Intrinsic, LValue, Procedure, Program, Stmt, StmtId, StmtKind, UnOp};
 pub use corpus::{malformed_corpus, CorpusCase};
 pub use diag::{ParseError, SourceLoc};
+pub use hash::{FxHashMap, FxHashSet};
 pub use parser::parse_program;
 pub use printer::print_program;
 pub use symbols::{ProcId, ScalarType, SymbolTable, VarId, VarInfo};

@@ -4,8 +4,9 @@ use crate::ast::{
     BinOp, Expr, Intrinsic, LValue, Procedure, Program, Stmt, StmtId, StmtKind, UnOp,
 };
 use crate::diag::{ParseError, SourceLoc};
-use crate::lexer::{tokenize, Spanned, Token};
-use crate::symbols::{ProcId, ScalarType, SymbolTable};
+use crate::lexer::{lex, Kw, Spanned, Token, Word};
+use crate::symbols::{ProcId, ScalarType, SymbolTable, VarId};
+use std::borrow::Cow;
 
 /// Parses a complete program (one `program` unit plus any number of
 /// `subroutine` units, in any order).
@@ -18,13 +19,16 @@ use crate::symbols::{ProcId, ScalarType, SymbolTable};
 /// is not a positive integer literal, or an array too large to
 /// allocate, only when there is no other.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(src)?;
+    let lexed = lex(src)?;
     let parser = Parser {
-        tokens: &tokens,
+        tokens: &lexed.tokens,
         pos: 0,
         depth: 0,
-        symbols: SymbolTable::new(),
-        stmts: Vec::new(),
+        symbols: SymbolTable::with_capacity(lexed.words),
+        vars: vec![None; lexed.atoms],
+        exprs: Vec::new(),
+        ids: Vec::new(),
+        stmts: Vec::with_capacity(lexed.newlines),
         procedures: Vec::new(),
         pending_calls: Vec::new(),
         bad_extent: None,
@@ -47,11 +51,19 @@ struct Parser<'t> {
     /// Current recursion depth (statements + expressions combined).
     depth: usize,
     symbols: SymbolTable,
+    /// Per atom, the variable of that name once `symbols` has one: a
+    /// name is looked up by its atom, never by its text.
+    vars: Vec<Option<VarId>>,
+    /// The expression lists and statement lists being parsed, innermost
+    /// last: each is moved into a vector of exactly its length when it
+    /// ends, instead of growing one of its own.
+    exprs: Vec<Expr>,
+    ids: Vec<StmtId>,
     stmts: Vec<Stmt>,
     procedures: Vec<Procedure>,
     /// `(stmt, callee-name, loc)` — resolved after all units are parsed so
     /// that forward calls work.
-    pending_calls: Vec<(StmtId, &'t str, SourceLoc)>,
+    pending_calls: Vec<(StmtId, Cow<'t, str>, SourceLoc)>,
     /// The first declaration whose extents are not an array's
     /// (`Parser::extents`), reported after every other error.
     bad_extent: Option<ParseError>,
@@ -110,7 +122,7 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
+    fn eat_kw(&mut self, kw: Kw) -> bool {
         if self.peek().is_kw(kw) {
             self.bump();
             true
@@ -119,9 +131,9 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<&'t str, ParseError> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'t Word<'t>, ParseError> {
         match self.bump() {
-            Token::Ident(s) => Ok(s),
+            Token::Ident(w) => Ok(w),
             other => Err(ParseError::new(
                 format!("expected {what}, found {other:?}"),
                 self.tokens[self.pos.saturating_sub(1)].loc,
@@ -142,6 +154,36 @@ impl<'t> Parser<'t> {
         let r = f(self);
         self.depth -= 1;
         r
+    }
+
+    /// The variable named `w`, if declared.
+    fn lookup(&self, w: &Word<'_>) -> Option<VarId> {
+        self.vars[w.atom.index()]
+    }
+
+    fn set_var(&mut self, w: &Word<'_>, v: VarId) {
+        self.vars[w.atom.index()] = Some(v);
+    }
+
+    /// [`SymbolTable::intern_scalar`] by atom.
+    fn intern_scalar(&mut self, w: &Word<'_>) -> VarId {
+        if let Some(v) = self.lookup(w) {
+            return v;
+        }
+        let v = self
+            .symbols
+            .push(w.text, ScalarType::implicit_for(w.text), Vec::new());
+        self.set_var(w, v);
+        v
+    }
+
+    /// [`SymbolTable::declare`] by atom.
+    fn declare(&mut self, w: &Word<'_>, ty: ScalarType, dims: Vec<usize>) -> Result<VarId, String> {
+        let v = self
+            .symbols
+            .declare_found(self.lookup(w), w.text, ty, dims)?;
+        self.set_var(w, v);
+        Ok(v)
     }
 
     fn new_stmt(&mut self, kind: StmtKind, loc: SourceLoc) -> StmtId {
@@ -186,25 +228,25 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_unit(&mut self) -> Result<(), ParseError> {
-        let is_main = if self.eat_kw("program") {
+        let is_main = if self.eat_kw(Kw::Program) {
             true
-        } else if self.eat_kw("subroutine") {
+        } else if self.eat_kw(Kw::Subroutine) {
             false
         } else {
             return Err(self.err("expected `program` or `subroutine`"));
         };
-        let name = self.expect_ident("unit name")?;
+        let name = self.expect_ident("unit name")?.name();
         if self.procedures.iter().any(|p| p.name == name) {
             return Err(self.err(format!("duplicate unit `{name}`")));
         }
         self.expect_newline()?;
         let body = self.parse_stmts(&mut None)?;
-        if !self.eat_kw("end") {
+        if !self.eat_kw(Kw::End) {
             return Err(self.err("expected `end`"));
         }
         self.expect_newline()?;
         self.procedures.push(Procedure {
-            name: name.to_string(),
+            name: name.into_owned(),
             is_main,
             body,
         });
@@ -214,38 +256,33 @@ impl<'t> Parser<'t> {
     /// Parses statements until a block terminator. When `close_label` is
     /// `Some(label)`, the sequence may be terminated by `label continue`.
     fn parse_stmts(&mut self, close_label: &mut Option<u32>) -> Result<Vec<StmtId>, ParseError> {
-        let mut out = Vec::new();
+        let base = self.ids.len();
         loop {
             self.skip_newlines();
             match self.peek() {
-                Token::Eof => return Ok(out),
-                Token::Ident(s)
-                    if matches!(
-                        &**s,
-                        "end" | "enddo" | "endif" | "endwhile" | "else" | "elseif"
-                    ) =>
-                {
-                    return Ok(out)
-                }
+                Token::Eof => break,
+                Token::Ident(w) if Kw::closes_block(w.atom) => break,
                 Token::Int(v) => {
                     // `NNN continue` closes a labeled do loop.
                     let v = *v;
-                    if close_label.is_some_and(|l| l as i64 == v) && self.peek2().is_kw("continue")
+                    if close_label.is_some_and(|l| l as i64 == v)
+                        && self.peek2().is_kw(Kw::Continue)
                     {
                         self.bump();
                         self.bump();
                         *close_label = None; // consumed
-                        return Ok(out);
+                        break;
                     }
                     return Err(self.err("unexpected integer label"));
                 }
                 _ => {
                     if let Some(s) = self.parse_stmt()? {
-                        out.push(s);
+                        self.ids.push(s);
                     }
                 }
             }
         }
+        Ok(self.ids.drain(base..).collect())
     }
 
     /// Parses one statement (or a declaration, which produces no
@@ -256,29 +293,29 @@ impl<'t> Parser<'t> {
 
     fn parse_stmt_inner(&mut self) -> Result<Option<StmtId>, ParseError> {
         let loc = self.loc();
-        let head: &str = match self.peek() {
-            Token::Ident(s) => s,
+        let head = match self.peek() {
+            Token::Ident(w) => Kw::from_atom(w.atom),
             other => return Err(self.err(format!("expected statement, found {other:?}"))),
         };
         match head {
-            "integer" | "real" => {
+            Some(Kw::Integer | Kw::Real) => {
                 self.parse_decl()?;
                 Ok(None)
             }
-            "do" => {
+            Some(Kw::Do) => {
                 // `do while (...)` or counted do.
-                if self.peek2().is_kw("while") {
+                if self.peek2().is_kw(Kw::While) {
                     self.bump();
                     self.parse_while(loc).map(Some)
                 } else {
                     self.parse_do(loc).map(Some)
                 }
             }
-            "while" => self.parse_while(loc).map(Some),
-            "if" => self.parse_if(loc).map(Some),
-            "call" => {
+            Some(Kw::While) => self.parse_while(loc).map(Some),
+            Some(Kw::If) => self.parse_if(loc).map(Some),
+            Some(Kw::Call) => {
                 self.bump();
-                let name = self.expect_ident("procedure name")?;
+                let name = self.expect_ident("procedure name")?.name();
                 self.expect_newline()?;
                 // Placeholder target resolved at end of parse.
                 let id = self.new_stmt(
@@ -290,22 +327,18 @@ impl<'t> Parser<'t> {
                 self.pending_calls.push((id, name, loc));
                 Ok(Some(id))
             }
-            "print" => {
+            Some(Kw::Print) => {
                 self.bump();
                 // Optional Fortran `print *,` prefix.
                 if matches!(self.peek(), Token::Star) {
                     self.bump();
                     self.expect(&Token::Comma, "`,` after `print *`")?;
                 }
-                let mut args = vec![self.parse_expr()?];
-                while matches!(self.peek(), Token::Comma) {
-                    self.bump();
-                    args.push(self.parse_expr()?);
-                }
+                let args = self.parse_exprs()?;
                 self.expect_newline()?;
                 Ok(Some(self.new_stmt(StmtKind::Print { args }, loc)))
             }
-            "return" => {
+            Some(Kw::Return) => {
                 self.bump();
                 self.expect_newline()?;
                 Ok(Some(self.new_stmt(StmtKind::Return, loc)))
@@ -315,7 +348,7 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_decl(&mut self) -> Result<(), ParseError> {
-        let ty = if self.eat_kw("integer") {
+        let ty = if self.eat_kw(Kw::Integer) {
             ScalarType::Int
         } else {
             self.bump(); // `real`
@@ -324,19 +357,14 @@ impl<'t> Parser<'t> {
         loop {
             let loc = self.loc();
             let name = self.expect_ident("variable name")?;
-            let mut extents = Vec::new();
+            let base = self.exprs.len();
             if matches!(self.peek(), Token::LParen) {
                 self.bump();
-                extents.push(self.parse_expr()?);
-                while matches!(self.peek(), Token::Comma) {
-                    self.bump();
-                    extents.push(self.parse_expr()?);
-                }
+                self.push_exprs()?;
                 self.expect(&Token::RParen, "`)`")?;
             }
-            let dims = self.extents(name, &extents, loc);
-            self.symbols
-                .declare(name, ty, dims)
+            let dims = self.extents(&name.name(), base, loc);
+            self.declare(name, ty, dims)
                 .map_err(|m| ParseError::new(m, loc))?;
             if matches!(self.peek(), Token::Comma) {
                 self.bump();
@@ -353,12 +381,17 @@ impl<'t> Parser<'t> {
     /// allocation. A declaration that breaks the rule is recorded in
     /// `bad_extent`, reported once the program parsed (a syntax error
     /// anywhere comes first), and declares its array with extent 1.
-    fn extents(&mut self, name: &str, exprs: &[Expr], loc: SourceLoc) -> Vec<usize> {
+    /// The extent expressions are `self.exprs[base..]`, which this
+    /// takes off the stack.
+    fn extents(&mut self, name: &str, base: usize, loc: SourceLoc) -> Vec<usize> {
         let literal = |e: &Expr| match e {
             Expr::IntLit(v) if *v > 0 => usize::try_from(*v).ok(),
             _ => None,
         };
-        let msg = match exprs.iter().map(literal).collect::<Option<Vec<usize>>>() {
+        let rank = self.exprs.len() - base;
+        let dims: Option<Vec<usize>> = self.exprs[base..].iter().map(literal).collect();
+        self.exprs.truncate(base);
+        let msg = match dims {
             None => format!("array `{name}`: an extent must be a positive integer literal"),
             Some(dims) => {
                 let bytes = dims.iter().try_fold(8usize, |b, &d| b.checked_mul(d));
@@ -369,7 +402,7 @@ impl<'t> Parser<'t> {
             }
         };
         self.bad_extent.get_or_insert(ParseError::new(msg, loc));
-        vec![1; exprs.len()]
+        vec![1; rank]
     }
 
     fn parse_do(&mut self, loc: SourceLoc) -> Result<StmtId, ParseError> {
@@ -387,7 +420,7 @@ impl<'t> Parser<'t> {
             _ => None,
         };
         let var_name = self.expect_ident("loop variable")?;
-        let var = self.symbols.intern_scalar(var_name);
+        let var = self.intern_scalar(var_name);
         self.expect(&Token::Assign, "`=`")?;
         let lo = self.parse_expr()?;
         self.expect(&Token::Comma, "`,`")?;
@@ -422,10 +455,10 @@ impl<'t> Parser<'t> {
     }
 
     fn expect_enddo(&mut self) -> Result<(), ParseError> {
-        if self.eat_kw("enddo") {
+        if self.eat_kw(Kw::Enddo) {
             return Ok(());
         }
-        if self.peek().is_kw("end") && self.peek2().is_kw("do") {
+        if self.peek().is_kw(Kw::End) && self.peek2().is_kw(Kw::Do) {
             self.bump();
             self.bump();
             return Ok(());
@@ -440,10 +473,10 @@ impl<'t> Parser<'t> {
         self.expect(&Token::RParen, "`)`")?;
         self.expect_newline()?;
         let body = self.parse_stmts(&mut None)?;
-        if self.eat_kw("endwhile") || self.eat_kw("enddo") {
+        if self.eat_kw(Kw::Endwhile) || self.eat_kw(Kw::Enddo) {
             // ok
-        } else if self.peek().is_kw("end")
-            && (self.peek2().is_kw("while") || self.peek2().is_kw("do"))
+        } else if self.peek().is_kw(Kw::End)
+            && (self.peek2().is_kw(Kw::While) || self.peek2().is_kw(Kw::Do))
         {
             self.bump();
             self.bump();
@@ -459,14 +492,14 @@ impl<'t> Parser<'t> {
         self.expect(&Token::LParen, "`(`")?;
         let cond = self.parse_expr()?;
         self.expect(&Token::RParen, "`)`")?;
-        if self.eat_kw("then") {
+        if self.eat_kw(Kw::Then) {
             self.expect_newline()?;
             let then_body = self.parse_stmts(&mut None)?;
-            let else_body = if self.peek().is_kw("elseif")
-                || (self.peek().is_kw("else") && self.peek2().is_kw("if"))
+            let else_body = if self.peek().is_kw(Kw::Elseif)
+                || (self.peek().is_kw(Kw::Else) && self.peek2().is_kw(Kw::If))
             {
                 // `elseif (...) then` — parse the rest as a nested if.
-                if self.eat_kw("elseif") {
+                if self.eat_kw(Kw::Elseif) {
                     // rewind trick: re-insert an `if` by parsing directly
                     let nested_loc = self.loc();
                     let nested = self.with_depth(|p| p.parse_if_after_keyword(nested_loc))?;
@@ -478,7 +511,7 @@ impl<'t> Parser<'t> {
                     let nested = self.with_depth(|p| p.parse_if_after_keyword(nested_loc))?;
                     return Ok(self.finish_if(cond, then_body, vec![nested], loc));
                 }
-            } else if self.eat_kw("else") {
+            } else if self.eat_kw(Kw::Else) {
                 self.expect_newline()?;
                 self.parse_stmts(&mut None)?
             } else {
@@ -509,15 +542,15 @@ impl<'t> Parser<'t> {
         self.expect(&Token::LParen, "`(`")?;
         let cond = self.parse_expr()?;
         self.expect(&Token::RParen, "`)`")?;
-        if !self.eat_kw("then") {
+        if !self.eat_kw(Kw::Then) {
             return Err(self.err("expected `then` after `elseif (...)`"));
         }
         self.expect_newline()?;
         let then_body = self.parse_stmts(&mut None)?;
-        let else_body = if self.peek().is_kw("elseif")
-            || (self.peek().is_kw("else") && self.peek2().is_kw("if"))
+        let else_body = if self.peek().is_kw(Kw::Elseif)
+            || (self.peek().is_kw(Kw::Else) && self.peek2().is_kw(Kw::If))
         {
-            if self.eat_kw("elseif") {
+            if self.eat_kw(Kw::Elseif) {
                 let nested_loc = self.loc();
                 let nested = self.with_depth(|p| p.parse_if_after_keyword(nested_loc))?;
                 vec![nested]
@@ -528,7 +561,7 @@ impl<'t> Parser<'t> {
                 let nested = self.with_depth(|p| p.parse_if_after_keyword(nested_loc))?;
                 vec![nested]
             }
-        } else if self.eat_kw("else") {
+        } else if self.eat_kw(Kw::Else) {
             self.expect_newline()?;
             self.parse_stmts(&mut None)?
         } else {
@@ -561,10 +594,10 @@ impl<'t> Parser<'t> {
     }
 
     fn expect_endif(&mut self) -> Result<(), ParseError> {
-        if self.eat_kw("endif") {
+        if self.eat_kw(Kw::Endif) {
             return Ok(());
         }
-        if self.peek().is_kw("end") && self.peek2().is_kw("if") {
+        if self.peek().is_kw(Kw::End) && self.peek2().is_kw(Kw::If) {
             self.bump();
             self.bump();
             return Ok(());
@@ -576,27 +609,25 @@ impl<'t> Parser<'t> {
         let name = self.expect_ident("assignment target")?;
         let lhs = if matches!(self.peek(), Token::LParen) {
             let var = self
-                .symbols
                 .lookup(name)
                 .filter(|v| self.symbols.var(*v).is_array())
-                .ok_or_else(|| self.err(format!("assignment to undeclared array `{name}`")))?;
+                .ok_or_else(|| {
+                    self.err(format!("assignment to undeclared array `{}`", name.name()))
+                })?;
             self.bump();
-            let mut subs = vec![self.parse_expr()?];
-            while matches!(self.peek(), Token::Comma) {
-                self.bump();
-                subs.push(self.parse_expr()?);
-            }
+            let subs = self.parse_exprs()?;
             self.expect(&Token::RParen, "`)`")?;
             let rank = self.symbols.var(var).rank();
             if subs.len() != rank {
                 return Err(self.err(format!(
-                    "array `{name}` has rank {rank} but {} subscripts given",
+                    "array `{}` has rank {rank} but {} subscripts given",
+                    name.name(),
                     subs.len()
                 )));
             }
             LValue::Element(var, subs)
         } else {
-            LValue::Scalar(self.symbols.intern_scalar(name))
+            LValue::Scalar(self.intern_scalar(name))
         };
         self.expect(&Token::Assign, "`=`")?;
         let rhs = self.parse_expr()?;
@@ -607,80 +638,50 @@ impl<'t> Parser<'t> {
     // ----- expressions ---------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.with_depth(|p| p.parse_or())
+        self.with_depth(|p| p.parse_binary(OR))
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while matches!(self.peek(), Token::Or) {
+    /// `expr (, expr)*`, pushed on `self.exprs`.
+    fn push_exprs(&mut self) -> Result<(), ParseError> {
+        loop {
+            let e = self.parse_expr()?;
+            self.exprs.push(e);
+            if !matches!(self.peek(), Token::Comma) {
+                return Ok(());
+            }
             self.bump();
-            let rhs = self.parse_and()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
         }
-        Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_not()?;
-        while matches!(self.peek(), Token::And) {
+    /// `expr (, expr)*`, in a vector of exactly its length.
+    fn parse_exprs(&mut self) -> Result<Vec<Expr>, ParseError> {
+        let base = self.exprs.len();
+        self.push_exprs()?;
+        Ok(self.exprs.drain(base..).collect())
+    }
+
+    /// Precedence climbing over the binary operators whose precedence is
+    /// at least `min` (see [`binary_op`]). Every operator associates to
+    /// the left but the comparisons, which do not chain: once an operand
+    /// holds one, only `&&` and `||` may follow it. A `!` where an
+    /// operand of `&&` may start takes a whole comparison, so after it
+    /// too only `&&` and `||` follow.
+    fn parse_binary(&mut self, min: u8) -> Result<Expr, ParseError> {
+        let (mut lhs, mut max) = if min <= NOT && matches!(self.peek(), Token::Not) {
             self.bump();
-            let rhs = self.parse_not()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_not(&mut self) -> Result<Expr, ParseError> {
-        if matches!(self.peek(), Token::Not) {
-            self.bump();
-            let inner = self.with_depth(|p| p.parse_not())?;
-            return Ok(Expr::Un(UnOp::Not, Box::new(inner)));
-        }
-        self.parse_cmp()
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_addsub()?;
-        let op = match self.peek() {
-            Token::EqEq => BinOp::Eq,
-            Token::NotEq => BinOp::Ne,
-            Token::Lt => BinOp::Lt,
-            Token::Le => BinOp::Le,
-            Token::Gt => BinOp::Gt,
-            Token::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
+            let inner = self.with_depth(|p| p.parse_binary(NOT))?;
+            (Expr::Un(UnOp::Not, Box::new(inner)), AND)
+        } else {
+            (self.parse_unary()?, MUL)
         };
-        self.bump();
-        let rhs = self.parse_addsub()?;
-        Ok(Expr::bin(op, lhs, rhs))
-    }
-
-    fn parse_addsub(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_muldiv()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinOp::Add,
-                Token::Minus => BinOp::Sub,
-                _ => break,
-            };
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            if prec < min || prec > max {
+                break;
+            }
             self.bump();
-            let rhs = self.parse_muldiv()?;
+            let rhs = self.parse_binary(prec + 1)?;
             lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_muldiv(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinOp::Mul,
-                Token::Slash => BinOp::Div,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            max = if prec == CMP { AND } else { prec };
         }
         Ok(lhs)
     }
@@ -714,22 +715,18 @@ impl<'t> Parser<'t> {
                 if matches!(self.peek(), Token::LParen) {
                     // Array reference or intrinsic call.
                     let declared_array = self
-                        .symbols
                         .lookup(name)
                         .filter(|v| self.symbols.var(*v).is_array());
                     self.bump();
-                    let mut args = vec![self.parse_expr()?];
-                    while matches!(self.peek(), Token::Comma) {
-                        self.bump();
-                        args.push(self.parse_expr()?);
-                    }
+                    let args = self.parse_exprs()?;
                     self.expect(&Token::RParen, "`)`")?;
                     if let Some(var) = declared_array {
                         let rank = self.symbols.var(var).rank();
                         if args.len() != rank {
                             return Err(ParseError::new(
                                 format!(
-                                    "array `{name}` has rank {rank} but {} subscripts given",
+                                    "array `{}` has rank {rank} but {} subscripts given",
+                                    name.name(),
                                     args.len()
                                 ),
                                 loc,
@@ -737,15 +734,15 @@ impl<'t> Parser<'t> {
                         }
                         return Ok(Expr::Element(var, args));
                     }
-                    if let Some(intr) = Intrinsic::from_name(name) {
+                    if let Some(intr) = Intrinsic::from_name(&name.name()) {
                         return Ok(Expr::Call(intr, args));
                     }
                     Err(ParseError::new(
-                        format!("`{name}` is not a declared array or intrinsic"),
+                        format!("`{}` is not a declared array or intrinsic", name.name()),
                         loc,
                     ))
                 } else {
-                    Ok(Expr::Var(self.symbols.intern_scalar(name)))
+                    Ok(Expr::Var(self.intern_scalar(name)))
                 }
             }
             other => Err(ParseError::new(
@@ -754,6 +751,34 @@ impl<'t> Parser<'t> {
             )),
         }
     }
+}
+
+/// The binary precedence levels, loosest first; `!` sits between `&&`
+/// and the comparisons.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const CMP: u8 = 4;
+const ADD: u8 = 5;
+const MUL: u8 = 6;
+
+/// The binary operator `t` spells, with its precedence.
+fn binary_op(t: &Token<'_>) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Token::Or => (BinOp::Or, OR),
+        Token::And => (BinOp::And, AND),
+        Token::EqEq => (BinOp::Eq, CMP),
+        Token::NotEq => (BinOp::Ne, CMP),
+        Token::Lt => (BinOp::Lt, CMP),
+        Token::Le => (BinOp::Le, CMP),
+        Token::Gt => (BinOp::Gt, CMP),
+        Token::Ge => (BinOp::Ge, CMP),
+        Token::Plus => (BinOp::Add, ADD),
+        Token::Minus => (BinOp::Sub, ADD),
+        Token::Star => (BinOp::Mul, MUL),
+        Token::Slash => (BinOp::Div, MUL),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -978,6 +1003,68 @@ mod tests {
         match &p.stmt(body[0]).kind {
             StmtKind::Do { step, .. } => assert!(step.is_some()),
             other => panic!("expected do, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_precedence_loop_keeps_the_seven_levels() {
+        // Each expression as the recursive descent of one function per
+        // level parsed it: left-associative arithmetic and logic, a
+        // `.not.` over a whole comparison, and comparisons that do not
+        // chain (a second one ends the expression where it stands).
+        let cases = [
+            (
+                "a - b - c * d / e + f",
+                "if ((((a - b) - ((c * d) / e)) + f)) then",
+            ),
+            ("-a * -b", "if (((-a) * (-b))) then"),
+            (
+                "a + b < c * d .and. e >= f .or. g /= h",
+                "if (((((a + b) < (c * d)) .and. (e >= f)) .or. (g /= h))) then",
+            ),
+            (
+                ".not. a < b .and. .not. .not. c",
+                "if (((.not. (a < b)) .and. (.not. (.not. c)))) then",
+            ),
+            (
+                "a .and. .not. b .or. c",
+                "if (((a .and. (.not. b)) .or. c)) then",
+            ),
+            (
+                "a || b && c || d",
+                "if (((a .or. (b .and. c)) .or. d)) then",
+            ),
+            ("(a < b) < c", "if (((a < b) < c)) then"),
+            ("a < b < c", "parse error at 2:11: expected `)`, found Lt"),
+            (
+                ".not. a < b < c",
+                "parse error at 2:17: expected `)`, found Lt",
+            ),
+            (
+                "a && b < c < d",
+                "parse error at 2:16: expected `)`, found Lt",
+            ),
+            (
+                "a < .not. b",
+                "parse error at 2:9: expected expression, found Not",
+            ),
+            (
+                "a + .not. b",
+                "parse error at 2:9: expected expression, found Not",
+            ),
+        ];
+        for (e, want) in cases {
+            let src = format!("program t\nif ({e}) x = 1\nend\n");
+            let got = match parse_program(&src) {
+                Ok(p) => crate::print_program(&p)
+                    .lines()
+                    .nth(1)
+                    .unwrap()
+                    .trim()
+                    .to_string(),
+                Err(err) => err.to_string(),
+            };
+            assert_eq!(got, want, "{e}");
         }
     }
 

@@ -114,6 +114,13 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    /// An empty table with room for `n` variables.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        SymbolTable {
+            vars: Vec::with_capacity(n),
+        }
+    }
+
     /// Looks a variable up by (case-insensitive) name.
     pub fn lookup(&self, name: &str) -> Option<VarId> {
         // Names are stored lower-cased, so folding only `name` suffices.
@@ -131,7 +138,19 @@ impl SymbolTable {
         ty: ScalarType,
         dims: Vec<usize>,
     ) -> Result<VarId, String> {
-        if let Some(id) = self.lookup(name) {
+        self.declare_found(self.lookup(name), name, ty, dims)
+    }
+
+    /// [`declare`](Self::declare) with the lookup done: `found` is
+    /// `self.lookup(name)`.
+    pub(crate) fn declare_found(
+        &mut self,
+        found: Option<VarId>,
+        name: &str,
+        ty: ScalarType,
+        dims: Vec<usize>,
+    ) -> Result<VarId, String> {
+        if let Some(id) = found {
             let existing = &self.vars[id.index()];
             if existing.ty != ty || existing.dims.len() != dims.len() {
                 return Err(format!("conflicting redeclaration of `{}`", existing.name));
@@ -148,7 +167,8 @@ impl SymbolTable {
             .unwrap_or_else(|| self.push(name, ScalarType::implicit_for(name), Vec::new()))
     }
 
-    fn push(&mut self, name: &str, ty: ScalarType, dims: Vec<usize>) -> VarId {
+    /// Declares `name`, which is not declared yet.
+    pub(crate) fn push(&mut self, name: &str, ty: ScalarType, dims: Vec<usize>) -> VarId {
         let id = VarId(self.vars.len() as u32);
         self.vars.push(VarInfo {
             name: name.to_ascii_lowercase(),

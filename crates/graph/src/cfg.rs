@@ -1,7 +1,6 @@
 //! Flat (cyclic) control-flow graph of a statement region.
 
-use irr_frontend::{Program, StmtId, StmtKind};
-use std::collections::HashSet;
+use irr_frontend::{FxHashSet, Program, StmtId, StmtKind};
 use std::fmt;
 
 /// Identifier of a node in a [`Cfg`].
@@ -62,7 +61,7 @@ pub struct Cfg {
     kinds: Vec<CfgNodeKind>,
     succs: Vec<Vec<CfgNodeId>>,
     preds: Vec<Vec<CfgNodeId>>,
-    back_edges: HashSet<(CfgNodeId, CfgNodeId)>,
+    back_edges: FxHashSet<(CfgNodeId, CfgNodeId)>,
 }
 
 impl Cfg {
@@ -75,7 +74,7 @@ impl Cfg {
                 kinds: vec![CfgNodeKind::Entry, CfgNodeKind::Exit],
                 succs: vec![Vec::new(), Vec::new()],
                 preds: vec![Vec::new(), Vec::new()],
-                back_edges: HashSet::new(),
+                back_edges: FxHashSet::default(),
             },
         };
         let first = b.build_seq(body, Cfg::EXIT);

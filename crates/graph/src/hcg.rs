@@ -8,8 +8,7 @@
 //! reverse-topological priority worklist of `QuerySolver` (Fig. 5) and
 //! the backward summarization of Fig. 9 well-defined.
 
-use irr_frontend::{ProcId, Program, StmtId, StmtKind};
-use std::collections::HashMap;
+use irr_frontend::{FxHashMap, ProcId, Program, StmtId, StmtKind};
 use std::fmt;
 
 /// Identifier of an HCG node.
@@ -104,9 +103,9 @@ pub struct Hcg {
     preds: Vec<Vec<HcgNodeId>>,
     sections: Vec<SectionInfo>,
     proc_sections: Vec<SectionId>,
-    loop_sections: HashMap<StmtId, SectionId>,
-    stmt_nodes: HashMap<StmtId, HcgNodeId>,
-    call_sites: HashMap<ProcId, Vec<HcgNodeId>>,
+    loop_sections: FxHashMap<StmtId, SectionId>,
+    stmt_nodes: FxHashMap<StmtId, HcgNodeId>,
+    call_sites: FxHashMap<ProcId, Vec<HcgNodeId>>,
     /// Deduplicated direct callees of each procedure, in call order —
     /// the call-graph edges the bottom-up summary fixpoint walks.
     calls_from: Vec<Vec<ProcId>>,
@@ -124,9 +123,9 @@ impl Hcg {
             preds: Vec::new(),
             sections: Vec::new(),
             proc_sections: Vec::new(),
-            loop_sections: HashMap::new(),
-            stmt_nodes: HashMap::new(),
-            call_sites: HashMap::new(),
+            loop_sections: FxHashMap::default(),
+            stmt_nodes: FxHashMap::default(),
+            call_sites: FxHashMap::default(),
             calls_from: vec![Vec::new(); program.procedures.len()],
             topo_index: Vec::new(),
         };
@@ -259,31 +258,28 @@ impl Hcg {
     }
 
     fn compute_topo(&mut self) {
-        for si in 0..self.sections.len() {
-            let sec = SectionId(si as u32);
-            let entry = self.sections[si].entry;
-            // Kahn's algorithm restricted to this section's nodes.
-            let nodes: Vec<HcgNodeId> = (0..self.kinds.len() as u32)
-                .map(HcgNodeId)
-                .filter(|n| self.section_of[n.index()] == sec)
-                .collect();
-            let mut indeg: HashMap<HcgNodeId, usize> = nodes
-                .iter()
-                .map(|n| (*n, self.preds[n.index()].len()))
-                .collect();
-            let mut order = Vec::with_capacity(nodes.len());
-            let mut ready = vec![entry];
+        // Every edge stays inside its section, so one in-degree count
+        // serves all of them.
+        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut sizes = vec![0usize; self.sections.len()];
+        for sec in &self.section_of {
+            sizes[sec.index()] += 1;
+        }
+        for (si, size) in sizes.into_iter().enumerate() {
+            // Kahn's algorithm from the section's entry.
+            let mut order = Vec::with_capacity(size);
+            let mut ready = vec![self.sections[si].entry];
             while let Some(n) = ready.pop() {
                 order.push(n);
                 for &s in &self.succs[n.index()] {
-                    let d = indeg.get_mut(&s).expect("successor within section");
-                    *d -= 1;
-                    if *d == 0 {
+                    debug_assert_eq!(self.section_of[s.index()], self.section_of[n.index()]);
+                    indeg[s.index()] -= 1;
+                    if indeg[s.index()] == 0 {
                         ready.push(s);
                     }
                 }
             }
-            debug_assert_eq!(order.len(), nodes.len(), "section graph must be a DAG");
+            debug_assert_eq!(order.len(), size, "section graph must be a DAG");
             for (i, n) in order.iter().enumerate() {
                 self.topo_index[n.index()] = i as u32;
             }

@@ -42,14 +42,18 @@ fn join_into(a: &mut State, b: &State) {
 /// the "interprocedural constant propagation" phase of Fig. 15.
 pub fn propagate_constants(program: &mut Program) -> usize {
     let kills = Kills::new(program);
-    // Fixpoint over procedure entry states.
+    // Fixpoint over procedure entry states. It is reached: a routine's
+    // entry state is set once, when it is first seen called, and then
+    // only joined, so each variable of it can only fall to `Bottom`. A
+    // cap on the rounds would leave a routine reached late in a call
+    // chain with the entry state of its first call sites alone.
     let nprocs = program.procedures.len();
     let mut entry_states = vec![vec![Lattice::Bottom; program.symbols.len()]; nprocs];
     // Main starts with everything unknown; a procedure's entry state is
     // only meaningful once it is seen to be called.
     let mut seen: Vec<bool> = vec![false; nprocs];
     seen[program.main().index()] = true;
-    for _ in 0..4 {
+    loop {
         let mut next_states = entry_states.clone();
         let mut next_seen = seen.clone();
         for (i, proc) in program.procedures.iter().enumerate() {
@@ -318,6 +322,40 @@ mod tests {
         propagate_constants(&mut p);
         let printed = irr_frontend::print_program(&p);
         assert!(printed.contains("do i = 1, n"), "printed:\n{printed}");
+    }
+
+    #[test]
+    fn a_call_site_deep_in_a_chain_still_joins() {
+        // `p` is called with n = 100 first, and with n = 50 at the end
+        // of a chain whose last call is seen only in the fifth round.
+        let mut p = parse_program(
+            "program t
+             integer n
+             n = 100
+             call p
+             n = 50
+             call a
+             end
+             subroutine a
+             call b
+             end
+             subroutine b
+             call c
+             end
+             subroutine c
+             call d
+             end
+             subroutine d
+             call p
+             end
+             subroutine p
+             print n
+             end",
+        )
+        .unwrap();
+        propagate_constants(&mut p);
+        let printed = irr_frontend::print_program(&p);
+        assert!(printed.contains("print n"), "printed:\n{printed}");
     }
 
     #[test]

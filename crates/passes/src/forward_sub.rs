@@ -10,8 +10,7 @@
 
 use crate::{apply_edits, record_edits, Edit, Kills};
 use irr_frontend::visit::substitute_vars;
-use irr_frontend::{Expr, LValue, Program, StmtId, StmtKind, VarId};
-use std::collections::HashMap;
+use irr_frontend::{Expr, FxHashMap, LValue, Program, StmtId, StmtKind, VarId};
 
 /// What one walk carries: the pass's kill sets, which scalars the
 /// procedure defines once (by `VarId`), and the rewrites found so far.
@@ -45,7 +44,7 @@ pub fn forward_substitute(program: &mut Program) -> usize {
             }
         }
         w.single_def = counts.iter().map(|c| *c == 1).collect();
-        w.walk(program, &proc.body, &mut HashMap::new());
+        w.walk(program, &proc.body, &mut FxHashMap::default());
     }
     apply_edits(program, &w.edits)
 }
@@ -64,7 +63,7 @@ fn substitutable(e: &Expr) -> bool {
     }
 }
 
-fn invalidate(defs: &mut HashMap<VarId, Expr>, killed: VarId) {
+fn invalidate(defs: &mut FxHashMap<VarId, Expr>, killed: VarId) {
     defs.remove(&killed);
     defs.retain(|_, e| !e.mentions(killed));
 }
@@ -72,7 +71,7 @@ fn invalidate(defs: &mut HashMap<VarId, Expr>, killed: VarId) {
 impl Walk<'_> {
     /// Loop `s`'s body may have run: drop what it assigns (everything,
     /// if it calls).
-    fn kill(&self, s: StmtId, defs: &mut HashMap<VarId, Expr>) {
+    fn kill(&self, s: StmtId, defs: &mut FxHashMap<VarId, Expr>) {
         let kill = self.kills.of_loop(s);
         if kill.calls {
             defs.clear();
@@ -82,11 +81,11 @@ impl Walk<'_> {
         }
     }
 
-    fn record(&mut self, program: &Program, s: StmtId, defs: &HashMap<VarId, Expr>) {
+    fn record(&mut self, program: &Program, s: StmtId, defs: &FxHashMap<VarId, Expr>) {
         record_edits(program, s, &mut self.edits, |v| defs.get(&v).cloned());
     }
 
-    fn walk(&mut self, program: &Program, body: &[StmtId], defs: &mut HashMap<VarId, Expr>) {
+    fn walk(&mut self, program: &Program, body: &[StmtId], defs: &mut FxHashMap<VarId, Expr>) {
         for &s in body {
             match &program.stmt(s).kind {
                 StmtKind::Assign { lhs, rhs } => {

@@ -24,20 +24,17 @@ use irr_frontend::{BinOp, Expr, Intrinsic, LValue, Program, ScalarType, StmtId, 
 
 /// Normalizes every positive constant-step (`step != 1`) `do` loop whose
 /// bounds are invariant, innermost first, and drops a literal unit step.
-/// Returns the number of loops rewritten.
+/// Returns the number of loops rewritten, a dropped unit step included:
+/// 0 exactly when the program is left as it was.
 pub fn normalize_loops(program: &mut Program) -> usize {
     let mut count = 0;
-    rewrite_innermost_first(program, |p, s| {
-        let exit = normalize(p, s);
-        count += exit.is_some() as usize;
-        exit
-    });
+    rewrite_innermost_first(program, |p, s| normalize(p, s, &mut count));
     count
 }
 
-/// Rewrites loop `s` if it qualifies; returns the statement that must
-/// follow it.
-fn normalize(program: &mut Program, s: StmtId) -> Option<StmtId> {
+/// Rewrites loop `s` if it qualifies, counting it in `count`; returns the
+/// statement that must follow it.
+fn normalize(program: &mut Program, s: StmtId, count: &mut usize) -> Option<StmtId> {
     let StmtKind::Do {
         var,
         lo,
@@ -54,6 +51,7 @@ fn normalize(program: &mut Program, s: StmtId) -> Option<StmtId> {
         if let StmtKind::Do { step, .. } = &mut program.stmt_mut(s).kind {
             *step = None;
         }
+        *count += 1;
         return None;
     }
     // Negative and zero steps are left alone.
@@ -100,6 +98,7 @@ fn normalize(program: &mut Program, s: StmtId) -> Option<StmtId> {
         (*var, *lo, *hi, *step) = (fresh, Expr::int(1), trip, None);
         body.insert(0, derive);
     }
+    *count += 1;
     Some(exit)
 }
 
@@ -153,7 +152,8 @@ mod tests {
              end",
         )
         .unwrap();
-        assert_eq!(normalize_loops(&mut p), 0);
+        // Dropping the step is a rewrite, and counted as one.
+        assert_eq!(normalize_loops(&mut p), 1);
         let body = p.procedure(p.main()).body.clone();
         match &p.stmt(body[0]).kind {
             StmtKind::Do { step, .. } => assert!(step.is_none()),

@@ -165,6 +165,55 @@ fn pass_counts_on_the_compile_corpus_are_pinned() {
     assert_eq!((before, after), (1200, 1048));
 }
 
+/// The driver reruns constant propagation only when loop normalization
+/// or induction substitution reports a rewrite. That is exact when
+/// constant propagation's output is its own fixpoint and the two
+/// rewrites report every change they make; both hold on every source of
+/// the `pipeline_digest` corpus that parses, inlined (as the driver
+/// compiles) or not (the APO baseline).
+#[test]
+fn constant_propagation_reruns_only_after_a_loop_rewrite() {
+    // Three that the rewrites do change: a strided loop, a derived
+    // induction variable, and a literal unit step to drop.
+    let reshaped = [
+        "program s\ninteger i, n\nreal x(100)\nn = 10\ndo i = 1, n, 2\nx(i) = 1\nenddo\nend",
+        "program q\ninteger i, q, n\nreal x(100)\nq = 0\ndo i = 1, n\nq = q + 1\nx(q) = i\nenddo\nend",
+        "program u\ninteger i, n\nreal x(100)\ndo i = 1, n, 1\nx(i) = 1\nenddo\nend",
+    ]
+    .map(|src| (src.to_string(), src.to_string()));
+    let (mut parsed, mut rewritten) = (0, 0);
+    for (name, src) in irr_programs::pipeline_corpus().into_iter().chain(reshaped) {
+        let Ok(source) = parse_program(&src) else {
+            continue;
+        };
+        parsed += 1;
+        for inline in [true, false] {
+            let mut p = source.clone();
+            if inline {
+                inline_small_procedures(&mut p, 50);
+            }
+            propagate_constants(&mut p);
+            let folded = print_program(&p);
+            let mut again = p.clone();
+            assert_eq!(
+                propagate_constants(&mut again),
+                0,
+                "{name}: a second run folds more"
+            );
+            assert_eq!(
+                print_program(&again),
+                folded,
+                "{name}: a second run changes the program"
+            );
+            let n = normalize_loops(&mut p) + substitute_induction_variables(&mut p);
+            let unchanged = print_program(&p) == folded;
+            assert_eq!(n == 0, unchanged, "{name}: {n} rewrite(s) reported");
+            rewritten += usize::from(n > 0);
+        }
+    }
+    assert_eq!((parsed, rewritten), (3185, 6));
+}
+
 /// Runs `src` before and after the pipeline; both outputs.
 fn run_both(src: &str) -> (Vec<String>, Vec<String>) {
     let mut p = parse_program(src).unwrap();

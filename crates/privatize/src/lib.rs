@@ -28,9 +28,8 @@ use irr_core::{
     consecutively_written, stack_access, AnalysisCtx, BodyTable, Property, PropertyQuery,
 };
 use irr_frontend::visit::stmt_array_accesses;
-use irr_frontend::{Expr, LValue, StmtId, StmtKind, VarId};
+use irr_frontend::{Expr, FxHashMap, LValue, StmtId, StmtKind, VarId};
 use irr_symbolic::{expr_to_sym, AggMode, Atom, Bound, RangeEnv, Section, SymExpr};
-use std::collections::HashMap;
 
 /// How privatizability was established.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,10 +100,10 @@ struct Scan {
     w: Section,
     /// Scalar valuation: program var -> value-space expression. Absent
     /// means "still the entry value".
-    vals: HashMap<VarId, SymExpr>,
+    vals: FxHashMap<VarId, SymExpr>,
     /// Reverse map: fresh symbol -> the program variable whose current
     /// value it names (used to express query bounds in program terms).
-    fresh_names: HashMap<VarId, VarId>,
+    fresh_names: FxHashMap<VarId, VarId>,
     used_cw: bool,
     used_indirect: bool,
     properties: Vec<(VarId, &'static str)>,
@@ -114,8 +113,8 @@ impl Scan {
     fn new() -> Scan {
         Scan {
             w: Section::Empty,
-            vals: HashMap::new(),
-            fresh_names: HashMap::new(),
+            vals: FxHashMap::default(),
+            fresh_names: FxHashMap::default(),
             used_cw: false,
             used_indirect: false,
             properties: Vec::new(),
@@ -452,7 +451,7 @@ impl<'a, 'c, 'p> Privatizer<'a, 'c, 'p> {
                     return false;
                 }
                 scan.w = scan_t.w.intersect_must(&scan_e.w, env);
-                let mut merged = HashMap::new();
+                let mut merged = FxHashMap::default();
                 for (v, val) in &scan_t.vals {
                     if scan_e.vals.get(v) == Some(val) {
                         merged.insert(*v, val.clone());

@@ -142,6 +142,47 @@ pub fn compile_corpus(seed: u64) -> Vec<String> {
     out
 }
 
+/// The wide corpus `examples/pipeline_digest.rs` compiles under six
+/// configurations, as `(name, source)`: the five benchmarks at both
+/// scales, the figures, the sparse kernel families on two structures and
+/// three seeds, 3 000 random loop programs, the strategy programs and 400
+/// malformed sources. The passes' fixpoint test walks it too.
+pub fn pipeline_corpus() -> Vec<(String, String)> {
+    use irr_sparse::Structure;
+    use sparse::{interproc_kernels, kernels, producer_kernels, SparseScale};
+    let mut out: Vec<(String, String)> = Vec::new();
+    for scale in [Scale::Test, Scale::Paper] {
+        for b in all(scale) {
+            out.push((format!("{}-{scale:?}", b.name), b.source));
+        }
+    }
+    for f in figures() {
+        out.push((f.name.to_string(), f.source.to_string()));
+    }
+    for structure in [Structure::Uniform, Structure::PowerLaw] {
+        for seed in [1, 3269, 7411] {
+            let scale = SparseScale::test(structure, seed);
+            for k in kernels(&scale)
+                .into_iter()
+                .chain(producer_kernels(&scale))
+                .chain(interproc_kernels(&scale))
+            {
+                out.push((format!("{}-{}-{seed}", k.name, structure.tag()), k.source));
+            }
+        }
+    }
+    for c in fuzz::random_cases(0xd16e57, 3000) {
+        out.push((c.name, c.source));
+    }
+    for (i, s) in fuzz::strategy_programs().enumerate() {
+        out.push((format!("{}-{i}", s.case.name), s.case.source));
+    }
+    for c in irr_frontend::malformed_corpus(400) {
+        out.push((c.name.to_string(), c.source));
+    }
+    out
+}
+
 /// Lines of code of a source (non-empty lines, as Table 2 counts).
 pub fn loc(source: &str) -> usize {
     source.lines().filter(|l| !l.trim().is_empty()).count()

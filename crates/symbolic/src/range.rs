@@ -1,8 +1,7 @@
 //! Symbolic intervals and the fact environment used by the prover.
 
 use crate::expr::{Atom, SymExpr};
-use irr_frontend::VarId;
-use std::collections::HashMap;
+use irr_frontend::{FxHashMap, VarId};
 use std::fmt;
 
 /// One end of a symbolic interval.
@@ -145,12 +144,12 @@ impl fmt::Display for SymRange {
 ///   by the closed-form-distance property).
 #[derive(Clone, Debug, Default)]
 pub struct RangeEnv {
-    atom_ranges: HashMap<Atom, SymRange>,
-    elem_ranges: HashMap<VarId, SymRange>,
+    atom_ranges: FxHashMap<Atom, SymRange>,
+    elem_ranges: FxHashMap<VarId, SymRange>,
     /// `array -> d` such that `array(k+1) - array(k) == d(k)` where the
     /// distance is an expression in the subscript variable given as the
     /// paired `VarId` placeholder (see [`RangeEnv::set_distance`]).
-    distances: HashMap<VarId, (VarId, SymExpr)>,
+    distances: FxHashMap<VarId, (VarId, SymExpr)>,
 }
 
 impl RangeEnv {

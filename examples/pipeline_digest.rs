@@ -10,50 +10,13 @@
 //! ```
 
 use irr_repro::driver::{compile_source, DriverOptions, PhaseOrder};
-use irr_repro::frontend::{malformed_corpus, print_program};
-use irr_repro::programs::fuzz::{random_cases, strategy_programs};
-use irr_repro::programs::sparse::{interproc_kernels, kernels, producer_kernels, SparseScale};
-use irr_repro::programs::{all, figures, Scale};
-use irr_repro::sparse::Structure;
+use irr_repro::frontend::print_program;
+use irr_repro::programs::pipeline_corpus;
 
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, b| {
         (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-fn corpus() -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = Vec::new();
-    for scale in [Scale::Test, Scale::Paper] {
-        for b in all(scale) {
-            out.push((format!("{}-{scale:?}", b.name), b.source));
-        }
-    }
-    for f in figures() {
-        out.push((f.name.to_string(), f.source.to_string()));
-    }
-    for structure in [Structure::Uniform, Structure::PowerLaw] {
-        for seed in [1, 3269, 7411] {
-            let scale = SparseScale::test(structure, seed);
-            for k in kernels(&scale)
-                .into_iter()
-                .chain(producer_kernels(&scale))
-                .chain(interproc_kernels(&scale))
-            {
-                out.push((format!("{}-{}-{seed}", k.name, structure.tag()), k.source));
-            }
-        }
-    }
-    for c in random_cases(0xd16e57, 3000) {
-        out.push((c.name, c.source));
-    }
-    for (i, s) in strategy_programs().enumerate() {
-        out.push((format!("{}-{i}", s.case.name), s.case.source));
-    }
-    for c in malformed_corpus(400) {
-        out.push((c.name.to_string(), c.source));
-    }
-    out
 }
 
 fn main() {
@@ -71,7 +34,7 @@ fn main() {
             },
         ),
     ];
-    let sources = corpus();
+    let sources = pipeline_corpus();
     let mut all = 0xcbf2_9ce4_8422_2325;
     for (name, src) in &sources {
         for (cname, opts) in configs {
